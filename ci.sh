@@ -108,6 +108,17 @@ timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -
 echo "==> slo/health soak (E22, bounded)"
 timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- slo
 
+# The repo benchmark's smoke run (≈ 25 s after its build), as a
+# correctness gate: every workload is driven through a spawned
+# `tdb serve`, and each served result — streamed chunks, limited
+# prefixes, pushed deltas, rows acknowledged before a SIGKILL — is
+# compared with the harness's own nested-loop reference; the traced
+# framing must cut the chunks the server sent, and cap_exceeded must be
+# 0. Its timings are flagged `quick` and gate nothing; performance
+# claims are judged on full alternating runs (benchmark/README.md).
+echo "==> benchmark smoke run (output checks, served path)"
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --quick
+
 # Interleaving-explorer self-tests (the explorer must find the seeded
 # racy counter, lock-order inversion, and lost wakeup, and pass the
 # correct protocols exhaustively). Built from the shim's own directory:

@@ -5,25 +5,27 @@
 //! merge equi-joins, the §4 stream temporal operators, and nested-loop
 //! fallbacks. Operators exchange materialized row vectors (simple,
 //! measurable); the stream operators of `tdb-stream` run inside the join
-//! nodes over [`PeriodRow`] wrappers and report their workspace high-water
-//! marks into [`ExecStats`].
+//! nodes over `Copy` reference items (period + row ordinal), so output
+//! rows are built once, late, from the scanned rows, and the operators
+//! report their workspace high-water marks into [`ExecStats`].
 //!
 //! Sorting is performed lazily inside the nodes that need it: if the input
 //! already satisfies the required order (verified in O(n)) the sort is
 //! skipped and *not* counted — making "interesting orders" measurable, as
 //! §4.1's tradeoff demands.
 
-use crate::expr::{display_conjunction, eval_conjunction, resolve_all, Atom, ColumnRef};
+use crate::expr::{
+    display_conjunction, eval_conjunction, resolve_all, Atom, ColumnRef, ResolvedAtom,
+};
 use crate::logical::Scope;
 use crate::pattern::TemporalPattern;
 use std::fmt;
-use tdb_core::{PeriodRow, Row, StreamOrder, TdbError, TdbResult, Temporal};
+use tdb_core::{Period, Row, StreamOrder, TdbError, TdbResult, Temporal};
 use tdb_storage::Catalog;
 use tdb_stream::{
-    from_sorted_vec, parallel_join, parallel_join_each, parallel_semijoin, parallel_semijoin_each,
-    run_join_kind, run_join_kind_count, run_join_kind_each, run_semijoin_kind,
-    run_semijoin_kind_each, CollectSink, Instrumented, MergeEquiJoin, OpConfig, OpMetrics,
-    OpReport, OverlapMode, ParallelPattern, RowSink, SinkStats, StreamOpKind, TupleStream,
+    from_sorted_vec, parallel_join_each, parallel_semijoin_each, run_join_kind_count,
+    run_join_kind_each, run_semijoin_kind_each, CollectSink, Instrumented, MergeEquiJoin, OpConfig,
+    OpMetrics, OpReport, OverlapMode, ParallelPattern, RowSink, StreamOpKind, TupleStream,
     WorkspaceStats, DEFAULT_BATCH_ROWS,
 };
 
@@ -128,7 +130,7 @@ pub struct QueryOutput {
     /// Execution statistics.
     pub stats: ExecStats,
     /// Per-operator observations, in execution (bottom-up) order; empty
-    /// when collection was disabled via [`PhysicalPlan::execute_with`].
+    /// when collection was disabled via [`ExecOptions::with_trace`].
     pub trace: Vec<OpObservation>,
 }
 
@@ -375,19 +377,6 @@ impl PhysicalPlan {
         })
     }
 
-    /// Execute the plan, optionally disabling per-operator trace
-    /// collection.
-    #[deprecated(note = "use execute(catalog, ExecOptions::new().with_trace(collect_trace))")]
-    pub fn execute_with(&self, catalog: &Catalog, collect_trace: bool) -> TdbResult<QueryOutput> {
-        self.execute(catalog, ExecOptions::new().with_trace(collect_trace))
-    }
-
-    /// Execute the plan under explicit [`ExecOptions`].
-    #[deprecated(note = "use execute(catalog, opts)")]
-    pub fn execute_opts(&self, catalog: &Catalog, opts: ExecOptions<'_>) -> TdbResult<QueryOutput> {
-        self.execute(catalog, opts)
-    }
-
     fn run(
         &self,
         catalog: &Catalog,
@@ -413,6 +402,10 @@ impl PhysicalPlan {
                     .collect();
                 stats.intermediate_rows += rows.len();
                 Ok((rows, scope))
+            }
+            // Fused into the stream node's emission on the push path.
+            PhysicalPlan::Project { input, .. } if input.is_stream_node() => {
+                self.collect(catalog, cfg, stats, trace)
             }
             PhysicalPlan::Project { input, columns } => {
                 let (rows, scope) = input.run(catalog, cfg, stats, trace.as_deref_mut())?;
@@ -499,175 +492,11 @@ impl PhysicalPlan {
                 }
                 Ok((out, scope))
             }
-            PhysicalPlan::StreamTemporal {
-                left,
-                right,
-                left_var,
-                right_var,
-                pattern,
-                residual,
-            } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let op_t0 = std::time::Instant::now();
-                let lp = lscope.period_of_var(left_var)?;
-                let rp = rscope.period_of_var(right_var)?;
-                let lwrapped = wrap_rows(lrows, lp)?;
-                let rwrapped = wrap_rows(rrows, rp)?;
-                let scope = lscope.concat(&rscope);
-                let resolved = resolve_all(residual, |c| scope.index_of(c))?;
-                let (pairs, report) = run_stream_join(*pattern, cfg, lwrapped, rwrapped, stats)?;
-                stats.max_workspace = stats.max_workspace.max(report.max_workspace());
-                stats.comparisons += report.metrics.comparisons as u64;
-                if let Some(t) = trace {
-                    t.push(OpObservation::serial(
-                        pattern.join_op().0,
-                        report,
-                        op_t0.elapsed().as_micros() as u64,
-                    ));
-                }
-                let mut out = Vec::new();
-                for (l, r) in pairs {
-                    let joined = l.row.concat(&r.row);
-                    stats.comparisons += residual.len() as u64;
-                    if eval_conjunction(&resolved, &joined) {
-                        out.push(joined);
-                    }
-                }
-                stats.intermediate_rows += out.len();
-                Ok((out, scope))
-            }
-            PhysicalPlan::StreamSemijoin {
-                left,
-                right,
-                left_var,
-                right_var,
-                pattern,
-            } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let op_t0 = std::time::Instant::now();
-                let lp = lscope.period_of_var(left_var)?;
-                let rp = rscope.period_of_var(right_var)?;
-                let lwrapped = wrap_rows(lrows, lp)?;
-                let rwrapped = wrap_rows(rrows, rp)?;
-                let (kept, report) = run_stream_semijoin(*pattern, cfg, lwrapped, rwrapped, stats)?;
-                stats.max_workspace = stats.max_workspace.max(report.max_workspace());
-                stats.comparisons += report.metrics.comparisons as u64;
-                if let Some(t) = trace {
-                    t.push(OpObservation::serial(
-                        pattern.semijoin_op().0,
-                        report,
-                        op_t0.elapsed().as_micros() as u64,
-                    ));
-                }
-                let out: Vec<Row> = kept.into_iter().map(|p| p.row).collect();
-                stats.intermediate_rows += out.len();
-                Ok((out, lscope))
-            }
-            PhysicalPlan::Parallel { partitions, child } => match &**child {
-                PhysicalPlan::StreamTemporal {
-                    left,
-                    right,
-                    left_var,
-                    right_var,
-                    pattern,
-                    residual,
-                } => match parallel_pattern(*pattern) {
-                    None => child.run(catalog, cfg, stats, trace.as_deref_mut()),
-                    Some(ppat) => {
-                        let (lrows, lscope) =
-                            left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let (rrows, rscope) =
-                            right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let op_t0 = std::time::Instant::now();
-                        let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
-                        let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
-                        note_parallel_sorts(ppat, true, &lwrapped, &rwrapped, stats);
-                        #[cfg(any(debug_assertions, feature = "check"))]
-                        let ws_cap = parallel_ws_cap(ppat, true, &lwrapped, &rwrapped);
-                        let run = parallel_join(ppat, lwrapped, rwrapped, *partitions, cfg)?;
-                        #[cfg(any(debug_assertions, feature = "check"))]
-                        assert!(
-                            run.report.max_workspace() <= ws_cap,
-                            "parallel {} workspace {} exceeded the static cap {ws_cap}",
-                            ppat.join_kind(),
-                            run.report.max_workspace()
-                        );
-                        stats.max_workspace = stats.max_workspace.max(run.report.max_workspace());
-                        stats.comparisons += run.report.metrics.comparisons as u64;
-                        if let Some(t) = trace {
-                            let kind = ppat.join_kind();
-                            t.push(OpObservation {
-                                operator: kind.to_string(),
-                                kind: Some(kind),
-                                partitions: *partitions,
-                                report: run.report,
-                                elapsed_us: op_t0.elapsed().as_micros() as u64,
-                            });
-                        }
-                        let scope = lscope.concat(&rscope);
-                        let resolved = resolve_all(residual, |c| scope.index_of(c))?;
-                        let mut out = Vec::new();
-                        for (l, r) in run.items {
-                            let joined = l.row.concat(&r.row);
-                            stats.comparisons += residual.len() as u64;
-                            if eval_conjunction(&resolved, &joined) {
-                                out.push(joined);
-                            }
-                        }
-                        stats.intermediate_rows += out.len();
-                        Ok((out, scope))
-                    }
-                },
-                PhysicalPlan::StreamSemijoin {
-                    left,
-                    right,
-                    left_var,
-                    right_var,
-                    pattern,
-                } => match parallel_pattern(*pattern) {
-                    None => child.run(catalog, cfg, stats, trace.as_deref_mut()),
-                    Some(ppat) => {
-                        let (lrows, lscope) =
-                            left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let (rrows, rscope) =
-                            right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let op_t0 = std::time::Instant::now();
-                        let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
-                        let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
-                        note_parallel_sorts(ppat, false, &lwrapped, &rwrapped, stats);
-                        #[cfg(any(debug_assertions, feature = "check"))]
-                        let ws_cap = parallel_ws_cap(ppat, false, &lwrapped, &rwrapped);
-                        let run = parallel_semijoin(ppat, lwrapped, rwrapped, *partitions, cfg)?;
-                        #[cfg(any(debug_assertions, feature = "check"))]
-                        assert!(
-                            run.report.max_workspace() <= ws_cap,
-                            "parallel {} workspace {} exceeded the static cap {ws_cap}",
-                            ppat.semijoin_kind(),
-                            run.report.max_workspace()
-                        );
-                        stats.max_workspace = stats.max_workspace.max(run.report.max_workspace());
-                        stats.comparisons += run.report.metrics.comparisons as u64;
-                        if let Some(t) = trace {
-                            let kind = ppat.semijoin_kind();
-                            t.push(OpObservation {
-                                operator: kind.to_string(),
-                                kind: Some(kind),
-                                partitions: *partitions,
-                                report: run.report,
-                                elapsed_us: op_t0.elapsed().as_micros() as u64,
-                            });
-                        }
-                        let out: Vec<Row> = run.items.into_iter().map(|p| p.row).collect();
-                        stats.intermediate_rows += out.len();
-                        Ok((out, lscope))
-                    }
-                },
-                // Non-partitionable child (a non-stream node): degrade
-                // gracefully to serial execution.
-                other => other.run(catalog, cfg, stats, trace.as_deref_mut()),
-            },
+            // Stream nodes have one implementation, the push path; an
+            // occurrence below the root collects what it pushes.
+            PhysicalPlan::StreamTemporal { .. }
+            | PhysicalPlan::StreamSemijoin { .. }
+            | PhysicalPlan::Parallel { .. } => self.collect(catalog, cfg, stats, trace),
             PhysicalPlan::SelfSemijoin {
                 input,
                 var,
@@ -676,11 +505,11 @@ impl PhysicalPlan {
                 let (rows, scope) = input.run(catalog, cfg, stats, trace.as_deref_mut())?;
                 let op_t0 = std::time::Instant::now();
                 let p = scope.period_of_var(var)?;
-                let wrapped = wrap_rows(rows, p)?;
+                let wrapped = wrap_rows(&rows, p)?;
                 let order = StreamOrder::TS_ASC_TE_ASC;
                 let sorted = sort_wrapped(wrapped, order, stats);
                 let input_stream = from_sorted_vec(sorted, order)?;
-                let (out_rows, report): (Vec<PeriodRow>, OpReport) = if *contained {
+                let (kept, report): (Vec<RowRef>, OpReport) = if *contained {
                     let mut op = cfg.contained_self_semijoin(input_stream)?;
                     let v = op.collect_vec()?;
                     (v, op.report())
@@ -703,7 +532,7 @@ impl PhysicalPlan {
                         op_t0.elapsed().as_micros() as u64,
                     ));
                 }
-                let out: Vec<Row> = out_rows.into_iter().map(|p| p.row).collect();
+                let out: Vec<Row> = kept.iter().map(|x| rows[x.idx as usize].clone()).collect();
                 stats.intermediate_rows += out.len();
                 Ok((out, scope))
             }
@@ -755,287 +584,67 @@ impl PhysicalPlan {
         }
     }
 
+    /// [`PhysicalPlan::run`] for the nodes whose only implementation is
+    /// the push path: run them into a [`CollectSink`].
+    fn collect(
+        &self,
+        catalog: &Catalog,
+        cfg: OpConfig,
+        stats: &mut ExecStats,
+        trace: Option<&mut Vec<OpObservation>>,
+    ) -> TdbResult<(Vec<Row>, Scope)> {
+        let mut sink = CollectSink::new();
+        self.run_sink(catalog, cfg, stats, trace, &mut sink)?;
+        Ok((sink.into_rows(), self.scope(catalog)?))
+    }
+
+    /// A stream temporal join or semijoin, bare or under `Parallel`.
+    fn is_stream_node(&self) -> bool {
+        match self {
+            PhysicalPlan::StreamTemporal { .. } | PhysicalPlan::StreamSemijoin { .. } => true,
+            PhysicalPlan::Parallel { child, .. } => child.is_stream_node(),
+            _ => false,
+        }
+    }
+
     /// Push-mode execution: run the plan, streaming output rows into
     /// `sink` as the root operator drains instead of materializing them.
     ///
     /// Stream temporal joins/semijoins (serial and time-partitioned) emit
-    /// chunk by chunk, honoring the sink's early-termination signal;
-    /// `Project` roots stream through a projecting adapter; a sink that
-    /// declines rows ([`RowSink::wants_rows`] `false`) with no residual
-    /// predicate routes through the count-only kernels, skipping payload
-    /// widening entirely. Other roots materialize as before and hand the
-    /// finished vector over in one push. Returns the number of rows
-    /// offered to the sink.
+    /// chunk by chunk, honoring the sink's early-termination signal; a
+    /// `Project` directly above one is fused into its emission, so each
+    /// output row is built once, already projected; a sink that declines
+    /// rows ([`RowSink::wants_rows`] `false`) with no residual predicate
+    /// routes through the count-only kernels, building no row at all.
+    /// Other roots materialize and hand the finished vector over in one
+    /// push. Returns the number of rows offered to the sink.
     fn run_sink(
         &self,
         catalog: &Catalog,
         cfg: OpConfig,
         stats: &mut ExecStats,
-        mut trace: Option<&mut Vec<OpObservation>>,
+        trace: Option<&mut Vec<OpObservation>>,
         sink: &mut dyn RowSink,
     ) -> TdbResult<usize> {
         match self {
-            PhysicalPlan::Project { input, columns } => {
+            PhysicalPlan::Project { input, columns } if input.is_stream_node() => {
                 let cscope = input.scope(catalog)?;
                 let indices: Vec<usize> = columns
                     .iter()
                     .map(|(c, _)| cscope.index_of(c))
                     .collect::<TdbResult<_>>()?;
-                let mut adapter = ProjectSink {
-                    indices,
-                    inner: sink,
-                    buf: Vec::new(),
-                };
-                let pushed = input.run_sink(catalog, cfg, stats, trace, &mut adapter)?;
+                let pushed = input.run_stream(catalog, cfg, stats, trace, Some(&indices), sink)?;
                 stats.intermediate_rows += pushed;
                 Ok(pushed)
             }
-            PhysicalPlan::StreamTemporal {
-                left,
-                right,
-                left_var,
-                right_var,
-                pattern,
-                residual,
-            } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let op_t0 = std::time::Instant::now();
-                let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
-                let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
-                let scope = lscope.concat(&rscope);
-                let resolved = resolve_all(residual, |c| scope.index_of(c))?;
-                let mut pushed = 0usize;
-                let mut comparisons = 0u64;
-                let report = if !sink.wants_rows() && resolved.is_empty() {
-                    let (n, report) =
-                        run_stream_join_count(*pattern, cfg, lwrapped, rwrapped, stats)?;
-                    pushed = n;
-                    sink.push_count(n)?;
-                    report
-                } else {
-                    let residual_len = residual.len() as u64;
-                    let (_, report) = run_stream_join_each(
-                        *pattern,
-                        cfg,
-                        lwrapped,
-                        rwrapped,
-                        stats,
-                        &mut |chunk| {
-                            let mut out = Vec::with_capacity(chunk.len());
-                            for (l, r) in chunk {
-                                comparisons += residual_len;
-                                let joined = l.row.concat(&r.row);
-                                if eval_conjunction(&resolved, &joined) {
-                                    out.push(joined);
-                                }
-                            }
-                            pushed += out.len();
-                            if out.is_empty() {
-                                return Ok(true);
-                            }
-                            sink.push(&mut out)
-                        },
-                    )?;
-                    report
-                };
-                stats.comparisons += comparisons + report.metrics.comparisons as u64;
-                stats.max_workspace = stats.max_workspace.max(report.max_workspace());
-                if let Some(t) = trace {
-                    t.push(OpObservation::serial(
-                        pattern.join_op().0,
-                        report,
-                        op_t0.elapsed().as_micros() as u64,
-                    ));
-                }
-                stats.intermediate_rows += pushed;
-                Ok(pushed)
+            // Non-partitionable child: degrade gracefully to the child's
+            // own sink path.
+            PhysicalPlan::Parallel { child, .. } if !child.is_stream_node() => {
+                child.run_sink(catalog, cfg, stats, trace, sink)
             }
-            PhysicalPlan::StreamSemijoin {
-                left,
-                right,
-                left_var,
-                right_var,
-                pattern,
-            } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let op_t0 = std::time::Instant::now();
-                let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
-                let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
-                let wants_rows = sink.wants_rows();
-                let mut pushed = 0usize;
-                let (_, report) = run_stream_semijoin_each(
-                    *pattern,
-                    cfg,
-                    lwrapped,
-                    rwrapped,
-                    stats,
-                    &mut |chunk| {
-                        pushed += chunk.len();
-                        if wants_rows {
-                            let mut out: Vec<Row> = chunk.into_iter().map(|p| p.row).collect();
-                            sink.push(&mut out)
-                        } else {
-                            sink.push_count(chunk.len())
-                        }
-                    },
-                )?;
-                stats.max_workspace = stats.max_workspace.max(report.max_workspace());
-                stats.comparisons += report.metrics.comparisons as u64;
-                if let Some(t) = trace {
-                    t.push(OpObservation::serial(
-                        pattern.semijoin_op().0,
-                        report,
-                        op_t0.elapsed().as_micros() as u64,
-                    ));
-                }
-                stats.intermediate_rows += pushed;
-                Ok(pushed)
-            }
-            PhysicalPlan::Parallel { partitions, child } => match &**child {
-                PhysicalPlan::StreamTemporal {
-                    left,
-                    right,
-                    left_var,
-                    right_var,
-                    pattern,
-                    residual,
-                } => match parallel_pattern(*pattern) {
-                    None => child.run_sink(catalog, cfg, stats, trace, sink),
-                    Some(ppat) => {
-                        let (lrows, lscope) =
-                            left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let (rrows, rscope) =
-                            right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let op_t0 = std::time::Instant::now();
-                        let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
-                        let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
-                        note_parallel_sorts(ppat, true, &lwrapped, &rwrapped, stats);
-                        #[cfg(any(debug_assertions, feature = "check"))]
-                        let ws_cap = parallel_ws_cap(ppat, true, &lwrapped, &rwrapped);
-                        let scope = lscope.concat(&rscope);
-                        let resolved = resolve_all(residual, |c| scope.index_of(c))?;
-                        let wants_rows = sink.wants_rows();
-                        let residual_len = residual.len() as u64;
-                        let mut comparisons = 0u64;
-                        let mut pushed = 0usize;
-                        let run = parallel_join_each(
-                            ppat,
-                            lwrapped,
-                            rwrapped,
-                            *partitions,
-                            cfg,
-                            &mut |chunk| {
-                                if !wants_rows && resolved.is_empty() {
-                                    pushed += chunk.len();
-                                    return sink.push_count(chunk.len());
-                                }
-                                let mut out = Vec::with_capacity(chunk.len());
-                                for (l, r) in chunk {
-                                    comparisons += residual_len;
-                                    let joined = l.row.concat(&r.row);
-                                    if eval_conjunction(&resolved, &joined) {
-                                        out.push(joined);
-                                    }
-                                }
-                                pushed += out.len();
-                                if out.is_empty() {
-                                    return Ok(true);
-                                }
-                                sink.push(&mut out)
-                            },
-                        )?;
-                        #[cfg(any(debug_assertions, feature = "check"))]
-                        assert!(
-                            run.report.max_workspace() <= ws_cap,
-                            "parallel {} workspace {} exceeded the static cap {ws_cap}",
-                            ppat.join_kind(),
-                            run.report.max_workspace()
-                        );
-                        stats.max_workspace = stats.max_workspace.max(run.report.max_workspace());
-                        stats.comparisons += comparisons + run.report.metrics.comparisons as u64;
-                        if let Some(t) = trace {
-                            let kind = ppat.join_kind();
-                            t.push(OpObservation {
-                                operator: kind.to_string(),
-                                kind: Some(kind),
-                                partitions: *partitions,
-                                report: run.report,
-                                elapsed_us: op_t0.elapsed().as_micros() as u64,
-                            });
-                        }
-                        stats.intermediate_rows += pushed;
-                        Ok(pushed)
-                    }
-                },
-                PhysicalPlan::StreamSemijoin {
-                    left,
-                    right,
-                    left_var,
-                    right_var,
-                    pattern,
-                } => match parallel_pattern(*pattern) {
-                    None => child.run_sink(catalog, cfg, stats, trace, sink),
-                    Some(ppat) => {
-                        let (lrows, lscope) =
-                            left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let (rrows, rscope) =
-                            right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                        let op_t0 = std::time::Instant::now();
-                        let lwrapped = wrap_rows(lrows, lscope.period_of_var(left_var)?)?;
-                        let rwrapped = wrap_rows(rrows, rscope.period_of_var(right_var)?)?;
-                        note_parallel_sorts(ppat, false, &lwrapped, &rwrapped, stats);
-                        #[cfg(any(debug_assertions, feature = "check"))]
-                        let ws_cap = parallel_ws_cap(ppat, false, &lwrapped, &rwrapped);
-                        let wants_rows = sink.wants_rows();
-                        let mut pushed = 0usize;
-                        let run = parallel_semijoin_each(
-                            ppat,
-                            lwrapped,
-                            rwrapped,
-                            *partitions,
-                            cfg,
-                            &mut |chunk| {
-                                pushed += chunk.len();
-                                if wants_rows {
-                                    let mut out: Vec<Row> =
-                                        chunk.into_iter().map(|p| p.row).collect();
-                                    sink.push(&mut out)
-                                } else {
-                                    sink.push_count(chunk.len())
-                                }
-                            },
-                        )?;
-                        #[cfg(any(debug_assertions, feature = "check"))]
-                        assert!(
-                            run.report.max_workspace() <= ws_cap,
-                            "parallel {} workspace {} exceeded the static cap {ws_cap}",
-                            ppat.semijoin_kind(),
-                            run.report.max_workspace()
-                        );
-                        stats.max_workspace = stats.max_workspace.max(run.report.max_workspace());
-                        stats.comparisons += run.report.metrics.comparisons as u64;
-                        if let Some(t) = trace {
-                            let kind = ppat.semijoin_kind();
-                            t.push(OpObservation {
-                                operator: kind.to_string(),
-                                kind: Some(kind),
-                                partitions: *partitions,
-                                report: run.report,
-                                elapsed_us: op_t0.elapsed().as_micros() as u64,
-                            });
-                        }
-                        stats.intermediate_rows += pushed;
-                        Ok(pushed)
-                    }
-                },
-                // Non-partitionable child: degrade gracefully to the
-                // child's own sink path.
-                other => other.run_sink(catalog, cfg, stats, trace, sink),
-            },
-            // Every other root materializes exactly as before and hands
-            // the finished vector to the sink in one push.
+            _ if self.is_stream_node() => self.run_stream(catalog, cfg, stats, trace, None, sink),
+            // Every other root materializes and hands the finished vector
+            // to the sink in one push.
             _ => {
                 let (mut rows, _scope) = self.run(catalog, cfg, stats, trace)?;
                 let n = rows.len();
@@ -1049,6 +658,147 @@ impl PhysicalPlan {
                 Ok(n)
             }
         }
+    }
+
+    /// Run a stream node ([`PhysicalPlan::is_stream_node`]) into `sink`.
+    ///
+    /// The operators never see a row: each side's scanned rows stay in
+    /// place and the kernels sort, sweep and emit [`RowRef`]s (period +
+    /// ordinal). An output row is built once per surviving match,
+    /// straight from the source rows and already projected onto
+    /// `columns` (indices into the node's own output scope).
+    fn run_stream(
+        &self,
+        catalog: &Catalog,
+        cfg: OpConfig,
+        stats: &mut ExecStats,
+        mut trace: Option<&mut Vec<OpObservation>>,
+        columns: Option<&[usize]>,
+        sink: &mut dyn RowSink,
+    ) -> TdbResult<usize> {
+        let (fanout, node) = match self {
+            PhysicalPlan::Parallel { partitions, child } => (Some(*partitions), &**child),
+            node => (None, node),
+        };
+        let (PhysicalPlan::StreamTemporal {
+            left,
+            right,
+            left_var,
+            right_var,
+            pattern,
+            ..
+        }
+        | PhysicalPlan::StreamSemijoin {
+            left,
+            right,
+            left_var,
+            right_var,
+            pattern,
+        }) = node
+        else {
+            return Err(TdbError::Plan(format!("not a stream node:\n{node}")));
+        };
+        let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
+        let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
+        let op_t0 = std::time::Instant::now();
+        let l = wrap_rows(&lrows, lscope.period_of_var(left_var)?)?;
+        let r = wrap_rows(&rrows, rscope.period_of_var(right_var)?)?;
+        // `Before`/`After` have no time-range decomposition: serial.
+        let parallel = fanout.and_then(|k| Some((k, parallel_pattern(*pattern)?)));
+        let mut pushed = 0usize;
+        let mut comparisons = 0u64;
+        let (kind, report) = if let PhysicalPlan::StreamTemporal { residual, .. } = node {
+            let scope = lscope.concat(&rscope);
+            let pairs = PairRows {
+                left: &lrows,
+                right: &rrows,
+                residual: resolve_all(residual, |c| scope.index_of(c))?,
+                columns,
+            };
+            let count_only = !sink.wants_rows() && pairs.residual.is_empty();
+            let mut emit = |chunk: Vec<(RowRef, RowRef)>| -> TdbResult<bool> {
+                if count_only {
+                    pushed += chunk.len();
+                    return sink.push_count(chunk.len());
+                }
+                comparisons += (pairs.residual.len() * chunk.len()) as u64;
+                let mut out: Vec<Row> = chunk
+                    .into_iter()
+                    .filter_map(|(l, r)| pairs.build(l, r))
+                    .collect();
+                pushed += out.len();
+                if out.is_empty() {
+                    return Ok(true);
+                }
+                sink.push(&mut out)
+            };
+            match parallel {
+                Some((k, ppat)) => {
+                    note_parallel_sorts(ppat, true, &l, &r, stats);
+                    #[cfg(any(debug_assertions, feature = "check"))]
+                    let ws_cap = parallel_ws_cap(ppat, true, &l, &r);
+                    let run = parallel_join_each(ppat, l, r, k, cfg, &mut emit)?;
+                    #[cfg(any(debug_assertions, feature = "check"))]
+                    assert_under_cap(ppat.join_kind(), &run.report, ws_cap);
+                    (ppat.join_kind(), run.report)
+                }
+                None if count_only => {
+                    let (n, report) = run_stream_join_count(*pattern, cfg, l, r, stats)?;
+                    pushed = n;
+                    sink.push_count(n)?;
+                    (pattern.join_op().0, report)
+                }
+                None => {
+                    let (_, report) = run_stream_join_each(*pattern, cfg, l, r, stats, &mut emit)?;
+                    (pattern.join_op().0, report)
+                }
+            }
+        } else {
+            let wants_rows = sink.wants_rows();
+            let mut emit = |chunk: Vec<RowRef>| -> TdbResult<bool> {
+                pushed += chunk.len();
+                if !wants_rows {
+                    return sink.push_count(chunk.len());
+                }
+                let mut out: Vec<Row> = chunk
+                    .iter()
+                    .map(|x| {
+                        let row = &lrows[x.idx as usize];
+                        columns.map_or_else(|| row.clone(), |ix| row.project(ix))
+                    })
+                    .collect();
+                sink.push(&mut out)
+            };
+            match parallel {
+                Some((k, ppat)) => {
+                    note_parallel_sorts(ppat, false, &l, &r, stats);
+                    #[cfg(any(debug_assertions, feature = "check"))]
+                    let ws_cap = parallel_ws_cap(ppat, false, &l, &r);
+                    let run = parallel_semijoin_each(ppat, l, r, k, cfg, &mut emit)?;
+                    #[cfg(any(debug_assertions, feature = "check"))]
+                    assert_under_cap(ppat.semijoin_kind(), &run.report, ws_cap);
+                    (ppat.semijoin_kind(), run.report)
+                }
+                None => {
+                    let (_, report) =
+                        run_stream_semijoin_each(*pattern, cfg, l, r, stats, &mut emit)?;
+                    (pattern.semijoin_op().0, report)
+                }
+            }
+        };
+        stats.comparisons += comparisons + report.metrics.comparisons as u64;
+        stats.max_workspace = stats.max_workspace.max(report.max_workspace());
+        if let Some(t) = trace {
+            t.push(OpObservation {
+                operator: kind.to_string(),
+                kind: Some(kind),
+                partitions: parallel.map_or(1, |(k, _)| k),
+                report,
+                elapsed_us: op_t0.elapsed().as_micros() as u64,
+            });
+        }
+        stats.intermediate_rows += pushed;
+        Ok(pushed)
     }
 
     /// Render the physical plan as an indented tree (EXPLAIN output).
@@ -1171,40 +921,73 @@ impl fmt::Display for PhysicalPlan {
     }
 }
 
-/// Sink adapter that projects every pushed row through `indices` before
-/// forwarding, letting `Project` roots stream (and `\set limit`
-/// early-terminate) instead of materializing their input.
-struct ProjectSink<'a> {
-    indices: Vec<usize>,
-    inner: &'a mut dyn RowSink,
-    buf: Vec<Row>,
+/// What the stream operators sort, sweep and emit in place of a row: the
+/// operand lifespan plus the row's ordinal in its side's scanned
+/// `Vec<Row>`. `Copy`, so the kernels' payload clones are register moves
+/// and no row is touched until a match is known to survive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RowRef {
+    period: Period,
+    idx: u32,
 }
 
-impl RowSink for ProjectSink<'_> {
-    fn wants_rows(&self) -> bool {
-        self.inner.wants_rows()
-    }
-
-    fn push(&mut self, rows: &mut Vec<Row>) -> TdbResult<bool> {
-        self.buf.clear();
-        self.buf.reserve(rows.len());
-        self.buf
-            .extend(rows.drain(..).map(|r| r.project(&self.indices)));
-        self.inner.push(&mut self.buf)
-    }
-
-    fn push_count(&mut self, n: usize) -> TdbResult<bool> {
-        self.inner.push_count(n)
-    }
-
-    fn finish(&mut self) -> SinkStats {
-        self.inner.finish()
+impl Temporal for RowRef {
+    #[inline]
+    fn period(&self) -> Period {
+        self.period
     }
 }
 
-fn wrap_rows(rows: Vec<Row>, (ts, te): (usize, usize)) -> TdbResult<Vec<PeriodRow>> {
-    rows.into_iter()
-        .map(|row| {
+/// Late materialization of join output: one output row per matched pair
+/// of [`RowRef`]s, built from the two source rows.
+struct PairRows<'a> {
+    left: &'a [Row],
+    right: &'a [Row],
+    /// Residual predicate over the concatenated (left ++ right) scope.
+    residual: Vec<ResolvedAtom>,
+    /// Fused projection: indices into the concatenated scope.
+    columns: Option<&'a [usize]>,
+}
+
+impl PairRows<'_> {
+    /// The output row for `(l, r)`, or `None` if the residual rejects the
+    /// pair. The joined row is only concatenated when a residual needs
+    /// it or nothing projects it away.
+    fn build(&self, l: RowRef, r: RowRef) -> Option<Row> {
+        let (lrow, rrow) = (&self.left[l.idx as usize], &self.right[r.idx as usize]);
+        let Some(columns) = self.columns.filter(|_| self.residual.is_empty()) else {
+            let joined = lrow.concat(rrow);
+            if !eval_conjunction(&self.residual, &joined) {
+                return None;
+            }
+            return Some(match self.columns {
+                Some(ix) => joined.project(ix),
+                None => joined,
+            });
+        };
+        let split = lrow.arity();
+        Some(Row::new(
+            columns
+                .iter()
+                .map(|&i| match i.checked_sub(split) {
+                    None => lrow.get(i).clone(),
+                    Some(j) => rrow.get(j).clone(),
+                })
+                .collect(),
+        ))
+    }
+}
+
+fn wrap_rows(rows: &[Row], (ts, te): (usize, usize)) -> TdbResult<Vec<RowRef>> {
+    if u32::try_from(rows.len()).is_err() {
+        return Err(TdbError::Eval(format!(
+            "{} rows on one side of a stream operator exceed the u32 ordinal space",
+            rows.len()
+        )));
+    }
+    rows.iter()
+        .enumerate()
+        .map(|(idx, row)| {
             let s = row
                 .get(ts)
                 .as_time()
@@ -1213,7 +996,10 @@ fn wrap_rows(rows: Vec<Row>, (ts, te): (usize, usize)) -> TdbResult<Vec<PeriodRo
                 .get(te)
                 .as_time()
                 .ok_or_else(|| TdbError::Eval(format!("ValidTo column holds {}", row.get(te))))?;
-            Ok(PeriodRow::new(row, tdb_core::Period::new(s, e)?))
+            Ok(RowRef {
+                period: Period::new(s, e)?,
+                idx: idx as u32,
+            })
         })
         .collect()
 }
@@ -1228,11 +1014,7 @@ fn sort_rows_by_key(mut rows: Vec<Row>, key: usize, stats: &mut ExecStats) -> Ve
     rows
 }
 
-fn sort_wrapped(
-    mut rows: Vec<PeriodRow>,
-    order: StreamOrder,
-    stats: &mut ExecStats,
-) -> Vec<PeriodRow> {
+fn sort_wrapped(mut rows: Vec<RowRef>, order: StreamOrder, stats: &mut ExecStats) -> Vec<RowRef> {
     if order.first_violation(&rows).is_some() {
         stats.sorts_performed += 1;
         stats.sort_rows += rows.len();
@@ -1260,8 +1042,8 @@ pub(crate) fn parallel_pattern(pattern: TemporalPattern) -> Option<ParallelPatte
 fn note_parallel_sorts(
     pattern: ParallelPattern,
     join: bool,
-    l: &[PeriodRow],
-    r: &[PeriodRow],
+    l: &[RowRef],
+    r: &[RowRef],
     stats: &mut ExecStats,
 ) {
     let (lo, ro) = pattern.worker_orders(join);
@@ -1279,16 +1061,16 @@ fn note_parallel_sorts(
 /// jobs run them — cross-check every stream operator's runtime
 /// `OpReport.workspace` high-water mark against this bound.
 #[cfg(any(debug_assertions, feature = "check"))]
-fn static_ws_cap(kind: StreamOpKind, x: &[PeriodRow], y: &[PeriodRow]) -> usize {
+fn static_ws_cap(kind: StreamOpKind, x: &[RowRef], y: &[RowRef]) -> usize {
     let xs = tdb_core::TemporalStats::compute(x);
     let ys = tdb_core::TemporalStats::compute(y);
     crate::cost::workspace_cap(kind, &xs, Some(&ys))
 }
 
 /// [`static_ws_cap`] for the parallel driver, normalizing the During swap
-/// the same way [`tdb_stream::parallel_join`] does.
+/// the same way [`tdb_stream::parallel_join_each`] does.
 #[cfg(any(debug_assertions, feature = "check"))]
-fn parallel_ws_cap(ppat: ParallelPattern, join: bool, l: &[PeriodRow], r: &[PeriodRow]) -> usize {
+fn parallel_ws_cap(ppat: ParallelPattern, join: bool, l: &[RowRef], r: &[RowRef]) -> usize {
     let kind = if join {
         ppat.join_kind()
     } else {
@@ -1302,205 +1084,130 @@ fn parallel_ws_cap(ppat: ParallelPattern, join: bool, l: &[PeriodRow], r: &[Peri
     static_ws_cap(kind, x, y)
 }
 
-type PairResult = (Vec<(PeriodRow, PeriodRow)>, OpReport);
+#[cfg(any(debug_assertions, feature = "check"))]
+fn assert_under_cap(kind: StreamOpKind, report: &OpReport, ws_cap: usize) {
+    assert!(
+        report.max_workspace() <= ws_cap,
+        "{kind} workspace {} exceeded the static cap {ws_cap}",
+        report.max_workspace()
+    );
+}
 
-fn run_stream_join(
+/// `Before`/`After` join: the one pattern with no streaming kernel, so
+/// the matched pairs are materialized (as reference items) and then fed
+/// on in chunks.
+fn before_join_pairs(
     pattern: TemporalPattern,
     cfg: OpConfig,
-    l: Vec<PeriodRow>,
-    r: Vec<PeriodRow>,
-    stats: &mut ExecStats,
-) -> TdbResult<PairResult> {
+    l: Vec<RowRef>,
+    r: Vec<RowRef>,
+) -> TdbResult<(Vec<(RowRef, RowRef)>, OpReport)> {
+    // `kind` only feeds the debug-build cap assertion below.
+    #[cfg_attr(not(any(debug_assertions, feature = "check")), allow(unused_variables))]
+    let (kind, swap) = pattern.join_op();
+    let (a, b) = if swap { (r, l) } else { (l, r) };
+    #[cfg(any(debug_assertions, feature = "check"))]
+    let ws_cap = static_ws_cap(kind, &a, &b);
+    let mut op = cfg.before_join(tdb_stream::from_vec(a), tdb_stream::from_vec(b))?;
+    let mut pairs = op.collect_vec()?;
+    #[cfg(any(debug_assertions, feature = "check"))]
+    assert_under_cap(kind, &op.report(), ws_cap);
+    if swap {
+        pairs = pairs.into_iter().map(|(x, y)| (y, x)).collect();
+    }
+    Ok((pairs, op.report()))
+}
+
+/// `cfg` with the overlap mode the two overlap patterns select.
+fn with_overlap_mode(cfg: OpConfig, pattern: TemporalPattern) -> OpConfig {
     match pattern {
-        TemporalPattern::Contains | TemporalPattern::During => {
-            // Normalize to container ⊇ containee; During swaps sides. The
-            // input orderings come from the registry entry of the operator
-            // the planner committed to, so the executor cannot drift from
-            // the Table 1 preconditions the analyzer certifies.
-            let (kind, swap) = pattern.join_op();
-            let req = kind.requirement();
-            let c_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-            let e_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
-            let (c, e) = if swap { (r, l) } else { (l, r) };
-            let c = sort_wrapped(c, c_ord, stats);
-            let e = sort_wrapped(e, e_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &c, &e);
-            let (mut pairs, report) = run_join_kind(kind, cfg, c, c_ord, e, e_ord)?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            if swap {
-                pairs = pairs.into_iter().map(|(a, b)| (b, a)).collect();
-            }
-            Ok((pairs, report))
-        }
-        TemporalPattern::GeneralOverlap | TemporalPattern::AllenOverlaps => {
-            let mode = if pattern == TemporalPattern::GeneralOverlap {
-                OverlapMode::General
-            } else {
-                OverlapMode::Strict
-            };
-            let (kind, _) = pattern.join_op();
-            let req = kind.requirement();
-            let l_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-            let r_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
-            let l = sort_wrapped(l, l_ord, stats);
-            let r = sort_wrapped(r, r_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &l, &r);
-            let (pairs, report) = run_join_kind(kind, cfg.with_mode(mode), l, l_ord, r, r_ord)?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            Ok((pairs, report))
-        }
-        TemporalPattern::Before | TemporalPattern::After => {
-            // `kind` only feeds the debug-build cap assertion below.
-            #[cfg_attr(not(any(debug_assertions, feature = "check")), allow(unused_variables))]
-            let (kind, swap) = pattern.join_op();
-            let (a, b) = if swap { (r, l) } else { (l, r) };
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &a, &b);
-            let mut op = cfg.before_join(tdb_stream::from_vec(a), tdb_stream::from_vec(b))?;
-            let mut pairs = op.collect_vec()?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                op.report().max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                op.report().max_workspace()
-            );
-            if swap {
-                pairs = pairs.into_iter().map(|(x, y)| (y, x)).collect();
-            }
-            Ok((pairs, op.report()))
-        }
+        TemporalPattern::GeneralOverlap => cfg.with_mode(OverlapMode::General),
+        TemporalPattern::AllenOverlaps => cfg.with_mode(OverlapMode::Strict),
+        _ => cfg,
     }
 }
 
-/// Push-mode [`run_stream_join`]: matched pairs go to `emit` chunk by
-/// chunk instead of one vector. Intersection-witnessed patterns stream
-/// straight out of the kernels (honoring `emit`'s stop signal);
-/// `Before`/`After` materialize internally and feed `emit` in chunks.
-/// Returns `(completed, report)`.
+/// The operator, its registry input orders, the overlap mode it runs in
+/// and whether the sides swap, for an intersection-witnessed join
+/// pattern. The orderings come from the registry entry of the operator
+/// the planner committed to, so the executor cannot drift from the
+/// Table 1 preconditions the analyzer certifies.
+fn join_dispatch(
+    pattern: TemporalPattern,
+    cfg: OpConfig,
+) -> (StreamOpKind, OpConfig, StreamOrder, StreamOrder, bool) {
+    let cfg = with_overlap_mode(cfg, pattern);
+    let (kind, swap) = pattern.join_op();
+    let req = kind.requirement();
+    let x_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
+    let y_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
+    (kind, cfg, x_ord, y_ord, swap)
+}
+
+/// Run the stream join for `pattern`, handing matched pairs to `emit`
+/// chunk by chunk. Intersection-witnessed patterns stream straight out
+/// of the kernels (honoring `emit`'s stop signal); `Before`/`After`
+/// materialize internally and feed `emit` in chunks. Returns
+/// `(completed, report)`.
 fn run_stream_join_each(
     pattern: TemporalPattern,
     cfg: OpConfig,
-    l: Vec<PeriodRow>,
-    r: Vec<PeriodRow>,
+    l: Vec<RowRef>,
+    r: Vec<RowRef>,
     stats: &mut ExecStats,
-    emit: &mut dyn FnMut(Vec<(PeriodRow, PeriodRow)>) -> TdbResult<bool>,
+    emit: &mut dyn FnMut(Vec<(RowRef, RowRef)>) -> TdbResult<bool>,
 ) -> TdbResult<(bool, OpReport)> {
-    match pattern {
-        TemporalPattern::Contains | TemporalPattern::During => {
-            let (kind, swap) = pattern.join_op();
-            let req = kind.requirement();
-            let c_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-            let e_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
-            let (c, e) = if swap { (r, l) } else { (l, r) };
-            let c = sort_wrapped(c, c_ord, stats);
-            let e = sort_wrapped(e, e_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &c, &e);
-            let (completed, report) = if swap {
-                run_join_kind_each(kind, cfg, c, c_ord, e, e_ord, &mut |chunk| {
-                    emit(chunk.into_iter().map(|(a, b)| (b, a)).collect())
-                })?
-            } else {
-                run_join_kind_each(kind, cfg, c, c_ord, e, e_ord, emit)?
-            };
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            Ok((completed, report))
-        }
-        TemporalPattern::GeneralOverlap | TemporalPattern::AllenOverlaps => {
-            let mode = if pattern == TemporalPattern::GeneralOverlap {
-                OverlapMode::General
-            } else {
-                OverlapMode::Strict
-            };
-            let (kind, _) = pattern.join_op();
-            let req = kind.requirement();
-            let l_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-            let r_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
-            let l = sort_wrapped(l, l_ord, stats);
-            let r = sort_wrapped(r, r_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &l, &r);
-            let (completed, report) =
-                run_join_kind_each(kind, cfg.with_mode(mode), l, l_ord, r, r_ord, emit)?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            Ok((completed, report))
-        }
-        TemporalPattern::Before | TemporalPattern::After => {
-            let (pairs, report) = run_stream_join(pattern, cfg, l, r, stats)?;
-            let completed = feed_chunks(pairs, cfg, emit)?;
-            Ok((completed, report))
-        }
+    if matches!(pattern, TemporalPattern::Before | TemporalPattern::After) {
+        let (pairs, report) = before_join_pairs(pattern, cfg, l, r)?;
+        let completed = feed_chunks(pairs, cfg, emit)?;
+        return Ok((completed, report));
     }
+    // Contains/During normalize to container ⊇ containee; During swaps
+    // sides going in and un-swaps each emitted pair.
+    let (kind, cfg, x_ord, y_ord, swap) = join_dispatch(pattern, cfg);
+    let (x, y) = if swap { (r, l) } else { (l, r) };
+    let x = sort_wrapped(x, x_ord, stats);
+    let y = sort_wrapped(y, y_ord, stats);
+    #[cfg(any(debug_assertions, feature = "check"))]
+    let ws_cap = static_ws_cap(kind, &x, &y);
+    let (completed, report) = if swap {
+        run_join_kind_each(kind, cfg, x, x_ord, y, y_ord, &mut |chunk| {
+            emit(chunk.into_iter().map(|(a, b)| (b, a)).collect())
+        })?
+    } else {
+        run_join_kind_each(kind, cfg, x, x_ord, y, y_ord, emit)?
+    };
+    #[cfg(any(debug_assertions, feature = "check"))]
+    assert_under_cap(kind, &report, ws_cap);
+    Ok((completed, report))
 }
 
-/// Count-only [`run_stream_join`]: return the match count without ever
-/// widening pairs into rows. Intersection-witnessed patterns route
-/// through the kernels' count-only mode; `Before`/`After` materialize and
-/// count.
+/// Count-only [`run_stream_join_each`]: return the match count without
+/// building any row. Intersection-witnessed patterns route through the
+/// kernels' count-only mode; `Before`/`After` materialize and count.
 fn run_stream_join_count(
     pattern: TemporalPattern,
     cfg: OpConfig,
-    l: Vec<PeriodRow>,
-    r: Vec<PeriodRow>,
+    l: Vec<RowRef>,
+    r: Vec<RowRef>,
     stats: &mut ExecStats,
 ) -> TdbResult<(usize, OpReport)> {
-    match pattern {
-        TemporalPattern::Contains
-        | TemporalPattern::During
-        | TemporalPattern::GeneralOverlap
-        | TemporalPattern::AllenOverlaps => {
-            let cfg = match pattern {
-                TemporalPattern::GeneralOverlap => cfg.with_mode(OverlapMode::General),
-                TemporalPattern::AllenOverlaps => cfg.with_mode(OverlapMode::Strict),
-                _ => cfg,
-            };
-            // The count is symmetric, but the sides still go to the
-            // operator the planner committed to (During swaps).
-            let (kind, swap) = pattern.join_op();
-            let req = kind.requirement();
-            let x_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-            let y_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
-            let (x, y) = if swap { (r, l) } else { (l, r) };
-            let x = sort_wrapped(x, x_ord, stats);
-            let y = sort_wrapped(y, y_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &x, &y);
-            let (count, report) = run_join_kind_count(kind, cfg, x, x_ord, y, y_ord)?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            Ok((count, report))
-        }
-        TemporalPattern::Before | TemporalPattern::After => {
-            let (pairs, report) = run_stream_join(pattern, cfg, l, r, stats)?;
-            Ok((pairs.len(), report))
-        }
+    if matches!(pattern, TemporalPattern::Before | TemporalPattern::After) {
+        let (pairs, report) = before_join_pairs(pattern, cfg, l, r)?;
+        return Ok((pairs.len(), report));
     }
+    // The count is symmetric, but the sides still go to the operator
+    // the planner committed to (During swaps).
+    let (kind, cfg, x_ord, y_ord, swap) = join_dispatch(pattern, cfg);
+    let (x, y) = if swap { (r, l) } else { (l, r) };
+    let x = sort_wrapped(x, x_ord, stats);
+    let y = sort_wrapped(y, y_ord, stats);
+    #[cfg(any(debug_assertions, feature = "check"))]
+    let ws_cap = static_ws_cap(kind, &x, &y);
+    let (count, report) = run_join_kind_count(kind, cfg, x, x_ord, y, y_ord)?;
+    #[cfg(any(debug_assertions, feature = "check"))]
+    assert_under_cap(kind, &report, ws_cap);
+    Ok((count, report))
 }
 
 /// Feed an already-materialized result to `emit` in sink-sized chunks,
@@ -1528,150 +1235,70 @@ fn feed_chunks<T>(
     }
 }
 
-type SemiResult = (Vec<PeriodRow>, OpReport);
-
-fn run_stream_semijoin(
+/// `Before`/`After` semijoin (left rows kept): no streaming kernel, so
+/// the kept items are materialized and then fed on in chunks.
+fn before_semijoin_kept(
     pattern: TemporalPattern,
     cfg: OpConfig,
-    l: Vec<PeriodRow>,
-    r: Vec<PeriodRow>,
-    stats: &mut ExecStats,
-) -> TdbResult<SemiResult> {
-    match pattern {
-        TemporalPattern::During => {
-            // Left rows contained in some right row: the Figure 6 stab
-            // algorithm; the registry says left sorted TE ↑, right TS ↑.
-            let (kind, _) = pattern.semijoin_op();
-            let req = kind.requirement();
-            let l_ord = req.left().unwrap_or(StreamOrder::TE_ASC);
-            let r_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
-            let l = sort_wrapped(l, l_ord, stats);
-            let r = sort_wrapped(r, r_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &l, &r);
-            let (kept, report) = run_semijoin_kind(kind, cfg, l, l_ord, r, r_ord)?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            Ok((kept, report))
-        }
-        TemporalPattern::Contains => {
-            let (kind, _) = pattern.semijoin_op();
-            let req = kind.requirement();
-            let l_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-            let r_ord = req.right().unwrap_or(StreamOrder::TE_ASC);
-            let l = sort_wrapped(l, l_ord, stats);
-            let r = sort_wrapped(r, r_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &l, &r);
-            let (kept, report) = run_semijoin_kind(kind, cfg, l, l_ord, r, r_ord)?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            Ok((kept, report))
-        }
-        TemporalPattern::GeneralOverlap | TemporalPattern::AllenOverlaps => {
-            let mode = if pattern == TemporalPattern::GeneralOverlap {
-                OverlapMode::General
-            } else {
-                OverlapMode::Strict
-            };
-            let (kind, _) = pattern.semijoin_op();
-            let req = kind.requirement();
-            let l_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-            let r_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
-            let l = sort_wrapped(l, l_ord, stats);
-            let r = sort_wrapped(r, r_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &l, &r);
-            let (kept, report) = run_semijoin_kind(kind, cfg.with_mode(mode), l, l_ord, r, r_ord)?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            Ok((kept, report))
-        }
-        TemporalPattern::Before => {
-            let mut op = cfg.before_semijoin(tdb_stream::from_vec(l), tdb_stream::from_vec(r))?;
-            let kept = op.collect_vec()?;
-            Ok((kept, op.report()))
-        }
-        TemporalPattern::After => {
-            // x after y ⇔ ∃y: y.TE < x.TS — keep x with x.TS > min(y.TE).
-            let read_left = l.len();
-            let read_right = r.len();
-            let min_te = r.iter().map(|p| p.te()).min();
-            let kept: Vec<PeriodRow> = match min_te {
-                Some(m) => l.into_iter().filter(|x| m < x.ts()).collect(),
-                None => Vec::new(),
-            };
-            let report = OpReport::new(
-                OpMetrics {
-                    read_left,
-                    read_right,
-                    comparisons: 0,
-                    emitted: kept.len(),
-                    passes: 1,
-                },
-                WorkspaceStats::of_resident(1),
-            );
-            Ok((kept, report))
-        }
+    l: Vec<RowRef>,
+    r: Vec<RowRef>,
+) -> TdbResult<(Vec<RowRef>, OpReport)> {
+    if pattern == TemporalPattern::Before {
+        let mut op = cfg.before_semijoin(tdb_stream::from_vec(l), tdb_stream::from_vec(r))?;
+        let kept = op.collect_vec()?;
+        return Ok((kept, op.report()));
     }
+    // x after y ⇔ ∃y: y.TE < x.TS — keep x with x.TS > min(y.TE).
+    let read_left = l.len();
+    let read_right = r.len();
+    let min_te = r.iter().map(|p| p.te()).min();
+    let kept: Vec<RowRef> = match min_te {
+        Some(m) => l.into_iter().filter(|x| m < x.ts()).collect(),
+        None => Vec::new(),
+    };
+    let report = OpReport::new(
+        OpMetrics {
+            read_left,
+            read_right,
+            comparisons: 0,
+            emitted: kept.len(),
+            passes: 1,
+        },
+        WorkspaceStats::of_resident(1),
+    );
+    Ok((kept, report))
 }
 
-/// Push-mode [`run_stream_semijoin`]: kept left rows go to `emit` chunk
-/// by chunk. Intersection-witnessed patterns stream out of the kernels;
-/// `Before`/`After` materialize internally and feed `emit` in chunks.
+/// Run the stream semijoin for `pattern`, handing kept left items to
+/// `emit` chunk by chunk. Intersection-witnessed patterns stream out of
+/// the kernels; `Before`/`After` materialize internally and feed `emit`
+/// in chunks.
 fn run_stream_semijoin_each(
     pattern: TemporalPattern,
     cfg: OpConfig,
-    l: Vec<PeriodRow>,
-    r: Vec<PeriodRow>,
+    l: Vec<RowRef>,
+    r: Vec<RowRef>,
     stats: &mut ExecStats,
-    emit: &mut dyn FnMut(Vec<PeriodRow>) -> TdbResult<bool>,
+    emit: &mut dyn FnMut(Vec<RowRef>) -> TdbResult<bool>,
 ) -> TdbResult<(bool, OpReport)> {
-    match pattern {
-        TemporalPattern::During
-        | TemporalPattern::Contains
-        | TemporalPattern::GeneralOverlap
-        | TemporalPattern::AllenOverlaps => {
-            let cfg = match pattern {
-                TemporalPattern::GeneralOverlap => cfg.with_mode(OverlapMode::General),
-                TemporalPattern::AllenOverlaps => cfg.with_mode(OverlapMode::Strict),
-                _ => cfg,
-            };
-            let (kind, _) = pattern.semijoin_op();
-            let req = kind.requirement();
-            let l_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-            let r_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
-            let l = sort_wrapped(l, l_ord, stats);
-            let r = sort_wrapped(r, r_ord, stats);
-            #[cfg(any(debug_assertions, feature = "check"))]
-            let ws_cap = static_ws_cap(kind, &l, &r);
-            let (completed, report) = run_semijoin_kind_each(kind, cfg, l, l_ord, r, r_ord, emit)?;
-            #[cfg(any(debug_assertions, feature = "check"))]
-            assert!(
-                report.max_workspace() <= ws_cap,
-                "{kind} workspace {} exceeded the static cap {ws_cap}",
-                report.max_workspace()
-            );
-            Ok((completed, report))
-        }
-        TemporalPattern::Before | TemporalPattern::After => {
-            let (kept, report) = run_stream_semijoin(pattern, cfg, l, r, stats)?;
-            let completed = feed_chunks(kept, cfg, emit)?;
-            Ok((completed, report))
-        }
+    if matches!(pattern, TemporalPattern::Before | TemporalPattern::After) {
+        let (kept, report) = before_semijoin_kept(pattern, cfg, l, r)?;
+        let completed = feed_chunks(kept, cfg, emit)?;
+        return Ok((completed, report));
     }
+    let cfg = with_overlap_mode(cfg, pattern);
+    let (kind, _) = pattern.semijoin_op();
+    let req = kind.requirement();
+    let l_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
+    let r_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
+    let l = sort_wrapped(l, l_ord, stats);
+    let r = sort_wrapped(r, r_ord, stats);
+    #[cfg(any(debug_assertions, feature = "check"))]
+    let ws_cap = static_ws_cap(kind, &l, &r);
+    let (completed, report) = run_semijoin_kind_each(kind, cfg, l, l_ord, r, r_ord, emit)?;
+    #[cfg(any(debug_assertions, feature = "check"))]
+    assert_under_cap(kind, &report, ws_cap);
+    Ok((completed, report))
 }
 
 #[cfg(test)]
@@ -2024,15 +1651,55 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_execute() {
-        let cat = test_catalog("shims");
-        let plan = scan("f");
-        let a = plan.execute(&cat, ExecOptions::default()).unwrap();
-        let b = plan.execute_with(&cat, true).unwrap();
-        let c = plan.execute_opts(&cat, ExecOptions::default()).unwrap();
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(a.rows, c.rows);
+    fn fused_projection_and_residual_match_nested_loop() {
+        let cat = test_catalog("fused");
+        let columns = vec![
+            (ColumnRef::new("f2", "Rank"), "r2".to_string()),
+            (ColumnRef::new("f1", "Name"), "n1".to_string()),
+        ];
+        let temporal = [
+            Atom::cols("f1", "ValidFrom", CompOp::Lt, "f2", "ValidTo"),
+            Atom::cols("f2", "ValidFrom", CompOp::Lt, "f1", "ValidTo"),
+        ];
+        for residual in [
+            vec![],
+            vec![Atom::cols("f1", "Name", CompOp::Ne, "f2", "Name")],
+        ] {
+            let stream = PhysicalPlan::Project {
+                input: Box::new(PhysicalPlan::StreamTemporal {
+                    left: Box::new(scan("f1")),
+                    right: Box::new(scan("f2")),
+                    left_var: "f1".into(),
+                    right_var: "f2".into(),
+                    pattern: TemporalPattern::GeneralOverlap,
+                    residual: residual.clone(),
+                }),
+                columns: columns.clone(),
+            };
+            let nested = PhysicalPlan::Project {
+                input: Box::new(PhysicalPlan::NestedLoop {
+                    left: Box::new(scan("f1")),
+                    right: Box::new(scan("f2")),
+                    atoms: temporal.iter().chain(&residual).cloned().collect(),
+                }),
+                columns: columns.clone(),
+            };
+            let mut a = stream.execute(&cat, ExecOptions::default()).unwrap().rows;
+            let mut b = nested.execute(&cat, ExecOptions::default()).unwrap().rows;
+            assert!(a.iter().all(|r| r.arity() == 2));
+            a.sort_by_key(|r| format!("{r}"));
+            b.sort_by_key(|r| format!("{r}"));
+            assert_eq!(a, b, "residual {residual:?}");
+            assert!(!a.is_empty());
+            // The same fused node below the root (collected, not pushed).
+            let filtered = PhysicalPlan::Filter {
+                input: Box::new(stream),
+                atoms: vec![],
+            };
+            let mut c = filtered.execute(&cat, ExecOptions::default()).unwrap().rows;
+            c.sort_by_key(|r| format!("{r}"));
+            assert_eq!(c, b);
+        }
     }
 
     #[test]

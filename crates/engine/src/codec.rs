@@ -11,13 +11,14 @@
 use crate::response::{
     AnalysisReport, ConnMetrics, DeltaFrame, ErrorCode, ErrorInfo, IngestReport,
     LiveRelationMetrics, LiveRelationStatus, LiveStatus, NetMetrics, OpSpan, OpVerdict,
-    QueryReport, QueryStats, QueryTrace, Response, RowSet, SealReport, SloStatus, SlowFsyncInfo,
-    StageLatency, StatsReport, SubscribeReport, SubscriptionStatus, SuperstarRow, TableInfo,
-    WalReport,
+    QueryReport, QueryStats, QueryTrace, QueryTrailer, Response, RowSet, SealReport, SloStatus,
+    SlowFsyncInfo, StageLatency, StatsReport, SubscribeReport, SubscriptionStatus, SuperstarRow,
+    TableInfo, WalReport,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tdb::core::{TdbError, TdbResult, TimePoint};
 use tdb::prelude::Row;
+use tdb::storage::codec::decode_str;
 use tdb::storage::Codec;
 use tdb_obs::{Stage, StageSpan};
 
@@ -38,13 +39,7 @@ fn put_str(buf: &mut BytesMut, s: &str) {
 }
 
 fn get_str(buf: &mut Bytes) -> TdbResult<String> {
-    need(buf, 4, "string length")?;
-    let len = buf.get_u32_le() as usize;
-    need(buf, len, "string body")?;
-    let raw = buf.split_to(len);
-    std::str::from_utf8(&raw)
-        .map(str::to_owned)
-        .map_err(|e| TdbError::Corrupt(format!("invalid utf-8 string: {e}")))
+    decode_str(buf, str::to_owned)
 }
 
 fn put_u64(buf: &mut BytesMut, v: u64) {
@@ -397,11 +392,19 @@ impl Codec for TableInfo {
     }
 }
 
+impl RowSet {
+    /// The encoding, with the row vector (`u32` count, then the rows)
+    /// written by `put_rows`.
+    fn encode_with(&self, buf: &mut BytesMut, put_rows: impl FnOnce(&mut BytesMut)) {
+        put_strs(buf, &self.columns);
+        put_rows(buf);
+        put_u64(buf, self.total);
+    }
+}
+
 impl Codec for RowSet {
     fn encode(&self, buf: &mut BytesMut) {
-        put_strs(buf, &self.columns);
-        put_vec::<Row>(buf, &self.rows);
-        put_u64(buf, self.total);
+        self.encode_with(buf, |b| put_vec::<Row>(b, &self.rows));
     }
 
     fn decode(buf: &mut Bytes) -> TdbResult<RowSet> {
@@ -431,17 +434,35 @@ impl Codec for QueryStats {
     }
 }
 
-impl Codec for QueryReport {
-    fn encode(&self, buf: &mut BytesMut) {
+impl QueryReport {
+    fn encode_with(&self, buf: &mut BytesMut, put_rows: impl FnOnce(&mut BytesMut)) {
         put_u64(buf, self.query_id);
         put_opt(buf, self.logical.as_ref(), |b, s| put_str(b, s));
         put_opt(buf, self.optimized.as_ref(), |b, s| put_str(b, s));
         put_opt(buf, self.physical.as_ref(), |b, s| put_str(b, s));
         put_opt(buf, self.certificate.as_ref(), |b, s| put_str(b, s));
-        self.rows.encode(buf);
+        self.rows.encode_with(buf, put_rows);
         self.stats.encode(buf);
         put_u64(buf, self.elapsed_us);
         put_opt(buf, self.trace.as_ref(), put_trace);
+    }
+}
+
+/// Encode `Response::Query(report)` with its row vector taken from
+/// `rows` — `count` rows a sink already encoded as they were produced —
+/// instead of `report.rows.rows`. Byte-identical to encoding the
+/// response with those rows in place.
+pub fn put_query_with_rows(buf: &mut BytesMut, report: &QueryReport, count: u32, rows: &[u8]) {
+    buf.put_u8(TAG_QUERY);
+    report.encode_with(buf, |b| {
+        b.put_u32_le(count);
+        b.put_slice(rows);
+    });
+}
+
+impl Codec for QueryReport {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.encode_with(buf, |b| put_vec::<Row>(b, &self.rows.rows));
     }
 
     fn decode(buf: &mut Bytes) -> TdbResult<QueryReport> {
@@ -455,6 +476,26 @@ impl Codec for QueryReport {
             stats: QueryStats::decode(buf)?,
             elapsed_us: get_u64(buf)?,
             trace: get_opt(buf, get_trace)?,
+        })
+    }
+}
+
+impl Codec for QueryTrailer {
+    fn encode(&self, buf: &mut BytesMut) {
+        put_u64(buf, self.total);
+        self.stats.encode(buf);
+        put_u64(buf, self.elapsed_us);
+        put_opt(buf, self.trace.as_ref(), put_trace);
+        put_opt(buf, self.error.as_ref(), |b, e| e.encode(b));
+    }
+
+    fn decode(buf: &mut Bytes) -> TdbResult<QueryTrailer> {
+        Ok(QueryTrailer {
+            total: get_u64(buf)?,
+            stats: QueryStats::decode(buf)?,
+            elapsed_us: get_u64(buf)?,
+            trace: get_opt(buf, get_trace)?,
+            error: get_opt(buf, ErrorInfo::decode)?,
         })
     }
 }

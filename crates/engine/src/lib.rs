@@ -28,9 +28,9 @@ pub use render::{render, render_delta, render_rows, render_stream_footer, render
 pub use response::{
     AnalysisReport, ConnMetrics, DeltaFrame, ErrorCode, ErrorInfo, IngestReport,
     LiveRelationMetrics, LiveRelationStatus, LiveStatus, NetMetrics, OpSpan, OpVerdict,
-    QueryReport, QueryStats, QueryTrace, Response, RowSet, SealReport, SloStatus, SlowFsyncInfo,
-    StageLatency, StatsReport, SubscribeReport, SubscriptionStatus, SuperstarRow, TableInfo,
-    WalReport,
+    QueryReport, QueryStats, QueryTrace, QueryTrailer, Response, RowSet, SealReport, SloStatus,
+    SlowFsyncInfo, StageLatency, StatsReport, SubscribeReport, SubscriptionStatus, SuperstarRow,
+    TableInfo, WalReport,
 };
 pub use tdb_obs::{HealthState, Stage, StageSpan, StageTimers};
 
@@ -71,6 +71,83 @@ impl Default for ClientState {
     }
 }
 
+/// Where a query's reply goes when the transport takes rows as they are
+/// produced ([`Engine::execute_into`]) instead of waiting for a finished
+/// `Vec<Row>`: a [`RowSink`](tdb::stream::RowSink) that is also told what
+/// is known before the first row exists.
+///
+/// The engine calls the sink from inside its own call, so a transport
+/// that holds a lock around the engine must not block in it: a full
+/// outbound queue is the sink's to absorb (park the encoded bytes, flush
+/// them once the engine call has returned), never to wait on.
+pub trait ReplySink: tdb::stream::RowSink {
+    /// Called once per query, after planning and before the first push,
+    /// with the part of the report that is already final: `query_id`,
+    /// the plan and certificate echoes, `rows.columns`. Everything else
+    /// is zeroed; the finished report is what `execute_into` returns.
+    fn begin(&mut self, _header: QueryReport) {}
+
+    /// Microseconds this sink has spent rendering (encoding) each chunk
+    /// of the reply so far, in chunk order; empty for sinks that keep
+    /// rows as they are. The engine turns these into `render` stage
+    /// samples and spans, timed where the work now happens.
+    fn render_us(&self) -> Vec<u64> {
+        Vec::new()
+    }
+}
+
+/// [`Engine::execute`]'s sink: keep every delivered row.
+impl ReplySink for tdb::stream::CollectSink {}
+
+/// `\set limit` as an adapter over whatever sink the transport
+/// supplies: the first `limit` rows pass through, the rest are counted
+/// and dropped, and the producer is told to stop once the quota is
+/// full — the [`LimitSink`](tdb::stream::LimitSink) contract, without
+/// owning the rows.
+struct LimitAdapter<'a> {
+    inner: &'a mut dyn ReplySink,
+    limit: usize,
+    delivered: usize,
+    /// Rows and pushes offered; `truncated` once a row was dropped.
+    offered: tdb::stream::SinkStats,
+    /// [`row_bytes`](tdb::stream::row_bytes) of the rows dropped (the
+    /// inner sink counts the ones it was given).
+    dropped_bytes: u64,
+}
+
+impl tdb::stream::RowSink for LimitAdapter<'_> {
+    fn wants_rows(&self) -> bool {
+        self.inner.wants_rows()
+    }
+
+    fn push(&mut self, rows: &mut Vec<Row>) -> TdbResult<bool> {
+        self.offered.batches += 1;
+        self.offered.rows += rows.len() as u64;
+        let room = self.limit - self.delivered;
+        if rows.len() > room {
+            self.offered.truncated = true;
+            self.dropped_bytes += rows[room..].iter().map(tdb::stream::row_bytes).sum::<u64>();
+            rows.truncate(room);
+        }
+        self.delivered += rows.len();
+        let more = rows.is_empty() || self.inner.push(rows)?;
+        Ok(more && self.delivered < self.limit)
+    }
+
+    fn push_count(&mut self, n: usize) -> TdbResult<bool> {
+        self.offered.batches += 1;
+        self.offered.rows += n as u64;
+        Ok(self.inner.push_count(n)? && self.delivered < self.limit)
+    }
+
+    fn finish(&mut self) -> tdb::stream::SinkStats {
+        tdb::stream::SinkStats {
+            bytes: self.inner.finish().bytes + self.dropped_bytes,
+            ..self.offered
+        }
+    }
+}
+
 /// Default slow-query threshold: queries at or above 10ms are retained.
 const SLOW_THRESHOLD_US: u64 = 10_000;
 
@@ -101,6 +178,9 @@ struct ObsState {
     workspace_peak: Histogram,
     slow: SlowQueryLog,
     last: Option<QueryTrace>,
+    /// When the query behind `last` started: the t=0 its spans (and the
+    /// transport's late ones) are offset from.
+    last_started: Option<std::time::Instant>,
     /// Per-stage latency histograms (`tdb_stage_duration_us{stage="…"}`).
     stage_timers: StageTimers,
     /// Mints one id per executed query (0 names "no query").
@@ -149,6 +229,7 @@ impl ObsState {
             ),
             slow: SlowQueryLog::new(SLOW_THRESHOLD_US, SLOW_LOG_CAP),
             last: None,
+            last_started: None,
             stage_timers: StageTimers::register(&registry),
             ids: QueryIdGen::new(),
             spans_enabled: true,
@@ -349,8 +430,31 @@ impl Engine {
 
     /// Execute one complete input — a `\command` or a query text (with or
     /// without the terminating `;`) — under `ctx`'s settings. Never
-    /// fails: every error becomes [`Response::Error`].
+    /// fails: every error becomes [`Response::Error`]. The collecting
+    /// wrapper over [`Engine::execute_into`]: a query's rows come back
+    /// inside the report.
     pub fn execute(&mut self, ctx: &mut ClientState, input: &str) -> Response {
+        let mut sink = tdb::stream::CollectSink::new();
+        match self.execute_into(ctx, input, &mut sink) {
+            Response::Query(mut q) => {
+                q.rows.rows = sink.into_rows();
+                Response::Query(q)
+            }
+            other => other,
+        }
+    }
+
+    /// [`Engine::execute`] with the reply's rows pushed into `sink` as
+    /// the plan produces them, at most `ctx.row_limit` of them. A query
+    /// answers `Response::Query` with `rows.rows` empty (they went to the
+    /// sink); every other input leaves the sink untouched. After an
+    /// error the sink may already hold rows of a result that is not one.
+    pub fn execute_into(
+        &mut self,
+        ctx: &mut ClientState,
+        input: &str,
+        sink: &mut dyn ReplySink,
+    ) -> Response {
         let trimmed = input.trim();
         if trimmed.is_empty() {
             return Response::Info(String::new());
@@ -359,7 +463,7 @@ impl Engine {
             return self.command(ctx, trimmed);
         }
         let text = trimmed.trim_end_matches(';');
-        match self.run_query(ctx, text) {
+        match self.run_query(ctx, text, sink) {
             Ok(r) => r,
             Err(e) => {
                 self.obs.record_error(&e.to_string());
@@ -545,10 +649,18 @@ impl Engine {
                 ctx.trace = *v == "on";
                 Ok(Response::Info(format!("trace {v}\n")))
             }
-            ["\\trace", "export"] => Ok(Response::Info(match &self.obs.last {
-                Some(t) => spans_to_json(t.query_id, &t.label, &t.stages) + "\n",
-                None => "no trace recorded yet\n".to_string(),
-            })),
+            ["\\trace", "export"] => Ok(Response::Info(
+                match (&self.obs.last, self.obs.last_started) {
+                    (Some(t), Some(t0)) => {
+                        // What the transport timed after the trace was
+                        // built (socket writes) joins it here.
+                        let mut stages = t.stages.clone();
+                        stages.extend(self.obs.stage_timers.late_spans(t.query_id, t0));
+                        spans_to_json(t.query_id, &t.label, &stages) + "\n"
+                    }
+                    _ => "no trace recorded yet\n".to_string(),
+                },
+            )),
             ["\\spans", v @ ("on" | "off")] => {
                 self.obs.spans_enabled = *v == "on";
                 Ok(Response::Info(format!("stage spans {v}\n")))
@@ -647,7 +759,12 @@ impl Engine {
         Ok(out)
     }
 
-    fn run_query(&mut self, ctx: &ClientState, text: &str) -> TdbResult<Response> {
+    fn run_query(
+        &mut self,
+        ctx: &ClientState,
+        text: &str,
+        sink: &mut dyn ReplySink,
+    ) -> TdbResult<Response> {
         let query_id = self.obs.ids.next_id();
         let spans_on = self.obs.spans_enabled;
         let q_start = std::time::Instant::now();
@@ -668,56 +785,8 @@ impl Engine {
         let (physical, analysis) = plan_verified(&optimized, ctx.config, &self.catalog)?;
         self.mark_stage(&mut stages, spans_on, q_start, Stage::Analyze, t);
 
-        let start = std::time::Instant::now();
-        // The client's row limit is a sink, not a post-hoc truncate: once
-        // the sink has its quota the producer stops, so `\set limit 3` over
-        // a billion-pair join does a bounded amount of work.
-        let mut sink = tdb::stream::LimitSink::new(ctx.row_limit);
-        let result = physical.execute(
-            &self.catalog,
-            ExecOptions::new()
-                .with_batch_rows(ctx.config.batch_rows)
-                .with_sink(&mut sink),
-        )?;
-        let elapsed_us = start.elapsed().as_micros() as u64;
-        self.mark_stage(&mut stages, spans_on, q_start, Stage::Execute, start);
-        if spans_on {
-            // One child span per operator occurrence, nested under the
-            // execute span; self-time comes from the executor's own clock.
-            let exec_start_us = start.duration_since(q_start).as_micros() as u64;
-            for obs in &result.trace {
-                self.obs
-                    .stage_timers
-                    .observe(Stage::Operator, obs.elapsed_us);
-                stages.push(StageSpan {
-                    stage: Stage::Operator,
-                    start_us: exec_start_us,
-                    elapsed_us: obs.elapsed_us,
-                    depth: 1,
-                    detail: obs.operator.clone(),
-                });
-            }
-        }
-
-        let t = std::time::Instant::now();
-        let sink_stats = sink.finish();
-        let rows = sink.into_rows();
-        self.mark_stage(&mut stages, spans_on, q_start, Stage::Sink, t);
-
-        let trace = build_trace(
-            query_id,
-            text,
-            elapsed_us,
-            &result,
-            &analysis,
-            sink_stats,
-            rows.len(),
-            stages,
-        );
-        self.obs.record(trace.clone());
-
-        let columns: Vec<String> = result
-            .scope
+        let columns: Vec<String> = physical
+            .scope(&self.catalog)?
             .columns()
             .iter()
             .map(|c| {
@@ -728,12 +797,7 @@ impl Engine {
                 }
             })
             .collect();
-        // Rows the producer offered before the sink stopped it — exact
-        // when the whole result was scanned, a lower bound after an early
-        // stop (the true total is unknowable without doing the work the
-        // limit exists to avoid).
-        let total = sink_stats.rows;
-        Ok(Response::Query(QueryReport {
+        let mut report = QueryReport {
             query_id,
             logical: ctx.explain.then(|| logical.parse_tree()),
             optimized: ctx.explain.then(|| optimized.parse_tree()),
@@ -741,18 +805,83 @@ impl Engine {
             certificate: ctx.verify.then(|| analysis.render()),
             rows: RowSet {
                 columns,
-                rows,
-                total,
+                ..RowSet::default()
             },
-            stats: QueryStats {
-                rows_scanned: result.stats.rows_scanned as u64,
-                comparisons: result.stats.comparisons,
-                max_workspace: result.stats.max_workspace as u64,
-                sorts_performed: result.stats.sorts_performed as u64,
-            },
-            elapsed_us,
-            trace: ctx.trace.then_some(trace),
-        }))
+            ..QueryReport::default()
+        };
+        sink.begin(report.clone());
+
+        let start = std::time::Instant::now();
+        // The client's row limit is a sink, not a post-hoc truncate: once
+        // it has its quota the producer stops, so `\set limit 3` over a
+        // billion-pair join does a bounded amount of work.
+        let mut limited = LimitAdapter {
+            inner: sink,
+            limit: ctx.row_limit,
+            delivered: 0,
+            offered: tdb::stream::SinkStats::default(),
+            dropped_bytes: 0,
+        };
+        let result = physical.execute(
+            &self.catalog,
+            ExecOptions::new()
+                .with_batch_rows(ctx.config.batch_rows)
+                .with_sink(&mut limited),
+        )?;
+        let elapsed_us = start.elapsed().as_micros() as u64;
+        self.mark_stage(&mut stages, spans_on, q_start, Stage::Execute, start);
+        if spans_on {
+            // Children of the execute span: one per operator occurrence
+            // (self-time from the executor's own clock) and one per reply
+            // chunk a transport sink encoded while the plan ran.
+            let exec_start_us = start.duration_since(q_start).as_micros() as u64;
+            let operators = result
+                .trace
+                .iter()
+                .map(|obs| (Stage::Operator, obs.elapsed_us, obs.operator.clone()));
+            let chunks = limited
+                .inner
+                .render_us()
+                .into_iter()
+                .enumerate()
+                .map(|(i, us)| (Stage::Render, us, format!("chunk {i}")));
+            for (stage, elapsed_us, detail) in operators.chain(chunks) {
+                self.obs.stage_timers.observe(stage, elapsed_us);
+                stages.push(StageSpan {
+                    stage,
+                    start_us: exec_start_us,
+                    elapsed_us,
+                    depth: 1,
+                    detail,
+                });
+            }
+        }
+
+        let t = std::time::Instant::now();
+        let sink_stats = tdb::stream::RowSink::finish(&mut limited);
+        let delivered = limited.delivered;
+        self.mark_stage(&mut stages, spans_on, q_start, Stage::Sink, t);
+
+        let trace = build_trace(
+            query_id, text, elapsed_us, &result, &analysis, sink_stats, delivered, stages,
+        );
+        self.obs.record(trace.clone());
+        self.obs.last_started = Some(q_start);
+
+        // Rows the producer offered before the sink stopped it — exact
+        // when the whole result was scanned, a lower bound after an early
+        // stop (the true total is unknowable without doing the work the
+        // limit exists to avoid).
+        report.rows.total = sink_stats.rows;
+        report.stats = QueryStats {
+            rows_scanned: result.stats.rows_scanned as u64,
+            comparisons: result.stats.comparisons,
+            max_workspace: result.stats.max_workspace as u64,
+            sorts_performed: result.stats.sorts_performed as u64,
+        };
+        report.elapsed_us = elapsed_us;
+        report.trace = ctx.trace.then_some(trace);
+        Ok(Response::Query(report))
     }
 
     /// Close one top-level stage span begun at `begun`: feed the stage

@@ -24,11 +24,14 @@ pub enum Response {
     Tables(Vec<TableInfo>),
     /// A query executed: rows plus optional plan/verifier reports.
     Query(QueryReport),
-    /// A query executed whose rows travel *separately* as chunk frames:
-    /// the report here is the header (plans, columns, stats, trace) with
-    /// `rows.rows` empty. Serving layers emit this when a result is too
-    /// large for one wire frame; clients reassemble the chunks (or render
-    /// them incrementally) and treat the terminator as end-of-result.
+    /// A query whose rows travel *separately* as chunk frames: the report
+    /// here is the header with `rows.rows` empty. A serving layer sends
+    /// it when the first chunk is cut — while the query is still running,
+    /// so only the id, plans, certificate and columns are set — and
+    /// closes the stream with a [`QueryTrailer`] carrying what is only
+    /// known at the end (`rows.total`, stats, elapsed time, trace).
+    /// Clients fold the trailer in ([`QueryTrailer::fold_into`]) and
+    /// hand back the completed report under this same variant.
     QueryStream(QueryReport),
     /// A query statically analyzed without executing.
     Analysis(AnalysisReport),
@@ -87,7 +90,7 @@ pub struct TableInfo {
 
 /// Result rows with their column header, possibly truncated by the
 /// requesting client's row limit.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RowSet {
     /// Qualified output column names.
     pub columns: Vec<String>,
@@ -114,7 +117,7 @@ pub struct QueryStats {
 }
 
 /// The full report for an executed query.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryReport {
     /// The engine-minted query id, carried on the wire so a client's
     /// round-trip sample, the server's trace, and the slow-query log all
@@ -137,6 +140,58 @@ pub struct QueryReport {
     /// Per-operator trace — observed workspace next to the analyzer's
     /// predicted cap and λ·E[D] — when the client enabled `\trace on`.
     pub trace: Option<QueryTrace>,
+}
+
+/// The end of a streamed query result: the [`QueryReport`] fields that
+/// only exist once the last row has been produced. The header left
+/// while the query was still running; this closes it.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct QueryTrailer {
+    /// [`RowSet::total`].
+    pub total: u64,
+    /// [`QueryReport::stats`].
+    pub stats: QueryStats,
+    /// [`QueryReport::elapsed_us`].
+    pub elapsed_us: u64,
+    /// [`QueryReport::trace`].
+    pub trace: Option<QueryTrace>,
+    /// Set when execution failed after rows had already left: the rows
+    /// delivered so far are not a valid result.
+    pub error: Option<ErrorInfo>,
+}
+
+impl QueryTrailer {
+    /// The trailer of a finished report.
+    pub fn of(report: QueryReport) -> QueryTrailer {
+        QueryTrailer {
+            total: report.rows.total,
+            stats: report.stats,
+            elapsed_us: report.elapsed_us,
+            trace: report.trace,
+            error: None,
+        }
+    }
+
+    /// The trailer of a stream that broke off with `error`.
+    pub fn failed(error: ErrorInfo) -> QueryTrailer {
+        QueryTrailer {
+            error: Some(error),
+            ..QueryTrailer::default()
+        }
+    }
+
+    /// Complete a stream header with this trailer; a broken stream's
+    /// error comes back instead.
+    pub fn fold_into(self, mut header: QueryReport) -> Response {
+        if let Some(error) = self.error {
+            return Response::Error(error);
+        }
+        header.rows.total = self.total;
+        header.stats = self.stats;
+        header.elapsed_us = self.elapsed_us;
+        header.trace = self.trace;
+        Response::QueryStream(header)
+    }
 }
 
 /// One stream operator's verdict from the static verifier.

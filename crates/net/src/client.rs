@@ -13,7 +13,7 @@ use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tdb::core::{Row, TdbError, TdbResult};
-use tdb_engine::{DeltaFrame, QueryReport, Response};
+use tdb_engine::{DeltaFrame, QueryReport, QueryTrailer, Response};
 
 /// One query's client-observed round trip, correlated with the server's
 /// execution by the id minted there. `rtt_us − server_us` approximates
@@ -36,18 +36,30 @@ const RTT_RING_CAP: usize = 64;
 /// One event of a streamed query result, as seen by
 /// [`Client::request_with`].
 pub enum StreamEvent<'a> {
-    /// The stream header arrived: plans, columns, stats and trace, with
-    /// `rows.rows` empty. Emitted once, before any rows.
+    /// The stream header arrived: id, plans and columns, with `rows.rows`
+    /// empty. Emitted once, before any rows — the server may still be
+    /// running the query, so totals, stats, timing and trace are not in
+    /// it yet; they are in the report `request_with` returns.
     Header(&'a QueryReport),
     /// One chunk of result rows, in order.
     Rows(Vec<Row>),
+}
+
+/// What follows a stream header, in arrival order.
+enum StreamPart {
+    Rows {
+        seq: u32,
+        last: bool,
+        rows: Vec<Row>,
+    },
+    End(QueryTrailer),
 }
 
 /// A connection to a `tdb serve` instance.
 pub struct Client {
     stream: TcpStream,
     replies: Receiver<(u64, Response)>,
-    chunks: Receiver<(u32, bool, Vec<Row>)>,
+    chunks: Receiver<StreamPart>,
     pushes: Receiver<DeltaFrame>,
     reader: Option<JoinHandle<()>>,
     rtt: VecDeque<RttSample>,
@@ -69,7 +81,7 @@ const CHUNK_QUEUE_BOUND: usize = 16;
 fn reader_loop(
     mut stream: TcpStream,
     replies: &SyncSender<(u64, Response)>,
-    chunks: &SyncSender<(u32, bool, Vec<Row>)>,
+    chunks: &SyncSender<StreamPart>,
     pushes: &SyncSender<DeltaFrame>,
 ) {
     let mut reader = FrameReader::new();
@@ -83,7 +95,12 @@ fn reader_loop(
             Ok(ReadOutcome::Frame(Frame::ReplyChunk {
                 seq, last, rows, ..
             })) => {
-                if chunks.send((seq, last, rows)).is_err() {
+                if chunks.send(StreamPart::Rows { seq, last, rows }).is_err() {
+                    break;
+                }
+            }
+            Ok(ReadOutcome::Frame(Frame::ReplyEnd { trailer, .. })) => {
+                if chunks.send(StreamPart::End(*trailer)).is_err() {
                     break;
                 }
             }
@@ -184,10 +201,13 @@ impl Client {
 
     /// Send one complete input and consume the reply incrementally: for a
     /// streamed result, `on_event` sees the header once and then each row
-    /// chunk as it arrives off the socket, and the returned response is
-    /// the `Response::QueryStream` header (its `rows.rows` stays empty —
-    /// the rows went to `on_event`). Non-streamed replies are returned
-    /// unchanged and `on_event` is never called.
+    /// chunk as it arrives off the socket — while the server is still
+    /// producing the rest — and the returned response is the
+    /// `Response::QueryStream` header completed by the stream's trailer
+    /// (its `rows.rows` stays empty — the rows went to `on_event`). A
+    /// stream the server broke off returns its `Response::Error`.
+    /// Non-streamed replies are returned unchanged and `on_event` is
+    /// never called.
     pub fn request_with(
         &mut self,
         text: &str,
@@ -202,23 +222,33 @@ impl Client {
         };
         on_event(StreamEvent::Header(&header));
         let mut expected: u32 = 0;
-        loop {
-            let (seq, last, rows) = self
+        let mut ended = false;
+        let trailer = loop {
+            let part = self
                 .chunks
                 .recv_timeout(Duration::from_secs(30))
                 .map_err(|_| TdbError::Eval("result stream interrupted".into()))?;
-            if seq != expected {
-                return Err(TdbError::Corrupt(format!(
-                    "result chunk {seq} arrived out of order (expected {expected})"
-                )));
+            match part {
+                StreamPart::Rows { seq, last, rows } if seq == expected && !ended => {
+                    expected += 1;
+                    ended = last;
+                    on_event(StreamEvent::Rows(rows));
+                }
+                StreamPart::Rows { seq, .. } => {
+                    return Err(TdbError::Corrupt(format!(
+                        "result chunk {seq} arrived out of order \
+                         (expected {expected}, last chunk seen: {ended})"
+                    )));
+                }
+                StreamPart::End(trailer) if ended => break trailer,
+                StreamPart::End(_) => {
+                    return Err(TdbError::Corrupt(
+                        "result stream ended before its last chunk".into(),
+                    ));
+                }
             }
-            expected += 1;
-            on_event(StreamEvent::Rows(rows));
-            if last {
-                break;
-            }
-        }
-        let resp = Response::QueryStream(header);
+        };
+        let resp = trailer.fold_into(header);
         self.note_rtt(query_id, sent.elapsed().as_micros() as u64, &resp);
         Ok(resp)
     }

@@ -25,10 +25,12 @@
 
 pub mod client;
 pub mod server;
+pub mod sink;
 pub mod wire;
 
 pub use client::{Client, RttSample, StreamEvent};
 pub use server::{serve, MetricsSource, ServerHandle};
+pub use sink::{WireSink, CHUNK_BYTES};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]

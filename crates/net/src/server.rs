@@ -6,6 +6,13 @@
 //! reader thread under the shared engine lock; the writer thread only
 //! drains that connection's bounded outbound queue onto the socket.
 //!
+//! Replies leave while they are produced: the reader thread gives the
+//! engine a [`WireSink`], which encodes result rows into chunk frames as
+//! the plan pushes them and hands each finished chunk to the outbound
+//! queue. Nothing under the engine lock ever waits for that queue — the
+//! sink only `try_send`s, parks frames locally once the queue is full,
+//! and the parked frames are sent (blocking) after the lock is released.
+//!
 //! Push routing and backpressure: when a request finalizes rows for
 //! subscriptions (ingest or seal advancing the watermark), the executing
 //! thread routes each delta frame to the queue of the connection that
@@ -19,6 +26,7 @@
 //! in-flight queries drain; each connection then receives a
 //! [`Frame::Shutdown`] before its socket closes.
 
+use crate::sink::WireSink;
 use crate::wire::{Frame, FrameReader, ReadOutcome};
 use crate::NetConfig;
 use bytes::BytesMut;
@@ -27,7 +35,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -122,8 +130,17 @@ impl Read for CountingReader {
     }
 }
 
+/// What travels a connection's outbound queue.
+enum Outbound {
+    /// A frame for the writer thread to encode.
+    Frame(Frame),
+    /// A frame of query `query_id`'s reply that the [`WireSink`] already
+    /// encoded while the query ran.
+    Encoded { query_id: u64, bytes: BytesMut },
+}
+
 struct Conn {
-    queue: SyncSender<Frame>,
+    queue: SyncSender<Outbound>,
     stream: TcpStream,
     stats: Arc<ConnStats>,
 }
@@ -132,13 +149,7 @@ impl Conn {
     /// Non-blocking enqueue with queue-depth accounting. `false` means
     /// the queue was full or the writer is gone.
     fn try_push(&self, frame: Frame) -> bool {
-        self.stats.enqueued();
-        if self.queue.try_send(frame).is_ok() {
-            true
-        } else {
-            self.stats.enqueue_failed();
-            false
-        }
+        try_enqueue(&self.queue, &self.stats, Outbound::Frame(frame)).is_ok()
     }
 }
 
@@ -414,7 +425,7 @@ fn serve_conn(conn_id: u64, stream: TcpStream, shared: &Arc<Shared>) {
     // stopped reading: a stalled write errors out instead of blocking.
     let _ = write_half.set_write_timeout(Some(Duration::from_secs(5)));
     let stats = Arc::new(ConnStats::default());
-    let (queue, outbound) = sync_channel::<Frame>(shared.config.push_queue);
+    let (queue, outbound) = sync_channel::<Outbound>(shared.config.push_queue);
     let writer_stats = Arc::clone(&stats);
     let writer_timers = shared.stage_timers.clone();
     let writer = std::thread::spawn(move || {
@@ -448,25 +459,43 @@ fn serve_conn(conn_id: u64, stream: TcpStream, shared: &Arc<Shared>) {
         let reply = match frame {
             Frame::Bye => break,
             Frame::Input(text) => {
-                let mut resp = shared.engine.lock().execute(&mut ctx, &text);
-                if let Response::Goodbye = resp {
-                    // `\quit` over the wire behaves like Bye after the
-                    // reply is delivered.
-                    stats.enqueued();
-                    let frame = Frame::Reply {
-                        query_id: 0,
-                        response: Box::new(resp),
+                // Frames the sink could not hand over without waiting.
+                let mut parked: Vec<Outbound> = Vec::new();
+                let mut sink = WireSink::new(|query_id, bytes| {
+                    let frame = Outbound::Encoded { query_id, bytes };
+                    // Once one frame is parked the rest must queue up
+                    // behind it, or the reply would arrive out of order.
+                    let unsent = if parked.is_empty() {
+                        try_enqueue(&queue, &stats, frame).err()
+                    } else {
+                        Some(frame)
                     };
-                    if queue.send(frame).is_err() {
-                        stats.enqueue_failed();
-                    }
-                    break;
-                }
+                    parked.extend(unsent);
+                });
+                let mut resp = shared
+                    .engine
+                    .lock()
+                    .execute_into(&mut ctx, &text, &mut sink);
+                // `\quit` over the wire behaves like Bye after the reply
+                // is delivered.
+                let goodbye = matches!(resp, Response::Goodbye);
                 if let Response::Subscribed(ref sub) = resp {
                     shared.subs.lock().insert(sub.id, conn_id);
                 }
                 shared.route_deltas(&mut resp);
-                resp
+                let t = std::time::Instant::now();
+                sink.complete(resp);
+                shared
+                    .stage_timers
+                    .observe(Stage::Render, t.elapsed().as_micros() as u64);
+                // The engine lock is released: now it is fine to wait for
+                // the writer. A client slow to read its *own* reply only
+                // stalls itself.
+                let delivered = parked.into_iter().all(|f| enqueue(&queue, &stats, f));
+                if goodbye || !delivered {
+                    break;
+                }
+                continue;
             }
             Frame::Ingest { relation, lines } => {
                 let mut resp = shared.engine.lock().ingest_text(&relation, &lines);
@@ -482,13 +511,19 @@ fn serve_conn(conn_id: u64, stream: TcpStream, shared: &Arc<Shared>) {
             }
             // Server-direction frames from a client are a protocol
             // violation; drop the connection.
-            Frame::Reply { .. } | Frame::ReplyChunk { .. } | Frame::Push(_) | Frame::Shutdown => {
-                break
-            }
+            Frame::Reply { .. }
+            | Frame::ReplyChunk { .. }
+            | Frame::ReplyEnd { .. }
+            | Frame::Push(_)
+            | Frame::Shutdown => break,
         };
         // Replies block (bounded by queue depth + socket buffer) — a
         // client slow to read its *own* replies only stalls itself.
-        if !enqueue_reply(&queue, &stats, reply) {
+        let frame = Frame::Reply {
+            query_id: 0,
+            response: Box::new(reply),
+        };
+        if !enqueue(&queue, &stats, Outbound::Frame(frame)) {
             break;
         }
     }
@@ -510,14 +545,9 @@ fn serve_conn(conn_id: u64, stream: TcpStream, shared: &Arc<Shared>) {
     let _ = read_half.inner.shutdown(Shutdown::Both);
 }
 
-/// Soft per-frame byte budget for streamed result chunks — far enough
-/// under [`crate::wire::MAX_FRAME`] that encoding overhead and wide rows
-/// never push a single chunk near the cap.
-const CHUNK_BYTES: u64 = 4 << 20;
-
-/// Enqueue one frame with queue-depth accounting; `false` means the
-/// writer is gone.
-fn enqueue(queue: &SyncSender<Frame>, stats: &ConnStats, frame: Frame) -> bool {
+/// Enqueue one frame, waiting for room, with queue-depth accounting;
+/// `false` means the writer is gone.
+fn enqueue(queue: &SyncSender<Outbound>, stats: &ConnStats, frame: Outbound) -> bool {
     stats.enqueued();
     if queue.send(frame).is_err() {
         stats.enqueue_failed();
@@ -526,86 +556,53 @@ fn enqueue(queue: &SyncSender<Frame>, stats: &ConnStats, frame: Frame) -> bool {
     true
 }
 
-/// Enqueue a reply, spilling a large query result into a
-/// `Response::QueryStream` header followed by [`Frame::ReplyChunk`]
-/// frames. The rows are *moved* out of the report and re-sliced by byte
-/// budget, so a result bigger than the frame cap crosses the wire
-/// without any single frame approaching it. Small replies go out intact.
-fn enqueue_reply(queue: &SyncSender<Frame>, stats: &ConnStats, reply: Response) -> bool {
-    let estimate =
-        |rows: &[tdb::core::Row]| -> u64 { rows.iter().map(tdb::stream::row_bytes).sum() };
-    // The correlation id travels on every frame of the reply, so a
-    // client can pair its RTT sample with the server-side trace.
-    let query_id = match &reply {
-        Response::Query(q) | Response::QueryStream(q) => q.query_id,
-        _ => 0,
-    };
-    match reply {
-        Response::Query(mut q) if estimate(&q.rows.rows) > CHUNK_BYTES => {
-            let rows = std::mem::take(&mut q.rows.rows);
-            if !enqueue(
-                queue,
-                stats,
-                Frame::Reply {
-                    query_id,
-                    response: Box::new(Response::QueryStream(q)),
-                },
-            ) {
-                return false;
-            }
-            let mut seq: u32 = 0;
-            let mut chunk: Vec<tdb::core::Row> = Vec::new();
-            let mut budget: u64 = 0;
-            let mut it = rows.into_iter().peekable();
-            while let Some(row) = it.next() {
-                budget += tdb::stream::row_bytes(&row);
-                chunk.push(row);
-                let last = it.peek().is_none();
-                if budget >= CHUNK_BYTES || last {
-                    let frame = Frame::ReplyChunk {
-                        query_id,
-                        seq,
-                        last,
-                        rows: std::mem::take(&mut chunk),
-                    };
-                    if !enqueue(queue, stats, frame) {
-                        return false;
-                    }
-                    seq += 1;
-                    budget = 0;
-                }
-            }
-            true
-        }
-        other => enqueue(
-            queue,
-            stats,
-            Frame::Reply {
-                query_id,
-                response: Box::new(other),
-            },
-        ),
-    }
+/// Enqueue one frame without waiting, with queue-depth accounting; a
+/// full queue (or a writer that is gone) hands the frame back.
+fn try_enqueue(
+    queue: &SyncSender<Outbound>,
+    stats: &ConnStats,
+    frame: Outbound,
+) -> Result<(), Outbound> {
+    stats.enqueued();
+    queue.try_send(frame).map_err(|e| {
+        stats.enqueue_failed();
+        let (TrySendError::Full(frame) | TrySendError::Disconnected(frame)) = e;
+        frame
+    })
 }
 
 fn writer_loop(
     mut stream: TcpStream,
-    outbound: &Receiver<Frame>,
+    outbound: &Receiver<Outbound>,
     stats: &ConnStats,
     timers: &StageTimers,
 ) {
-    while let Ok(frame) = outbound.recv() {
+    while let Ok(item) = outbound.recv() {
         stats.dequeued();
-        let last = matches!(frame, Frame::Shutdown);
-        let t = std::time::Instant::now();
-        let mut buf = BytesMut::new();
-        frame.encode(&mut buf);
-        timers.observe(Stage::Render, t.elapsed().as_micros() as u64);
-        let t = std::time::Instant::now();
+        let last = matches!(item, Outbound::Frame(Frame::Shutdown));
+        let (query_id, buf) = match item {
+            Outbound::Frame(frame) => {
+                let t = std::time::Instant::now();
+                let mut buf = BytesMut::new();
+                frame.encode(&mut buf);
+                timers.observe(Stage::Render, t.elapsed().as_micros() as u64);
+                (0, buf)
+            }
+            // Rendered by the sink, chunk by chunk, while the query ran.
+            Outbound::Encoded { query_id, bytes } => (query_id, bytes),
+        };
+        let began = std::time::Instant::now();
         if stream.write_all(&buf).is_err() {
             break;
         }
-        timers.observe(Stage::NetWrite, t.elapsed().as_micros() as u64);
+        let write_us = began.elapsed().as_micros() as u64;
+        if query_id == 0 {
+            timers.observe(Stage::NetWrite, write_us);
+        } else {
+            // Kept by id as well, so the query's `\trace export` shows
+            // the writes that happened after its trace was built.
+            timers.observe_late(query_id, Stage::NetWrite, began, write_us);
+        }
         stats.frames_out.fetch_add(1, Ordering::Relaxed);
         stats
             .bytes_out

@@ -3,7 +3,7 @@
 //! Every message on the wire is one frame:
 //!
 //! ```text
-//! [u32 LE payload length][u8 version = 1][u8 kind][body …]
+//! [u32 LE payload length][u8 version = 3][u8 kind][body …]
 //! ```
 //!
 //! The length counts everything after itself (version + kind + body), so
@@ -16,14 +16,18 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};
 use tdb::core::{TdbError, TdbResult};
+use tdb::storage::codec::decode_str;
 use tdb::storage::Codec;
-use tdb_engine::{DeltaFrame, Response};
+use tdb_engine::codec::put_query_with_rows;
+use tdb_engine::{DeltaFrame, QueryReport, QueryTrailer, Response};
 
 /// Wire protocol version stamped into every frame. A server or client
 /// that sees a different version rejects the frame as corrupt rather
 /// than guessing at the body layout. Version 2 added the `query_id`
-/// correlation field to [`Frame::Reply`] and [`Frame::ReplyChunk`].
-pub const PROTOCOL_VERSION: u8 = 2;
+/// correlation field to [`Frame::Reply`] and [`Frame::ReplyChunk`];
+/// version 3 sends a streamed result's header before the query has
+/// finished and closes the stream with [`Frame::ReplyEnd`].
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Hard ceiling on a frame's declared payload length. A corrupt or
 /// hostile length prefix fails fast instead of driving a giant
@@ -38,6 +42,7 @@ const KIND_REPLY: u8 = 16;
 const KIND_PUSH: u8 = 17;
 const KIND_SHUTDOWN: u8 = 18;
 const KIND_REPLY_CHUNK: u8 = 19;
+const KIND_REPLY_END: u8 = 20;
 
 /// One protocol message, either direction.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,9 +80,10 @@ pub enum Frame {
     },
     /// Server→client: one chunk of a streamed query result. Follows a
     /// [`Frame::Reply`] carrying `Response::QueryStream` (the header);
-    /// chunks arrive in `seq` order and `last` marks the terminator, so a
+    /// chunks arrive in `seq` order and `last` marks the final one, so a
     /// result of any size crosses the wire without any single frame
-    /// approaching [`MAX_FRAME`].
+    /// approaching [`MAX_FRAME`]. A [`Frame::ReplyEnd`] follows the last
+    /// chunk.
     ReplyChunk {
         /// The id of the query being streamed (see [`Frame::Reply`]).
         query_id: u64,
@@ -87,6 +93,16 @@ pub enum Frame {
         last: bool,
         /// The rows in this chunk.
         rows: Vec<tdb::prelude::Row>,
+    },
+    /// Server→client: closes a streamed query result with what was not
+    /// yet known when its header left — the stream started while the
+    /// query was still running.
+    ReplyEnd {
+        /// The id of the query that was streamed.
+        query_id: u64,
+        /// Final totals, stats, timing and trace (or the error that
+        /// broke the stream off).
+        trailer: Box<QueryTrailer>,
     },
     /// Server→client, unsolicited: rows finalized for a subscription
     /// this connection registered, stamped with the epoch and watermark
@@ -106,6 +122,7 @@ impl Frame {
             Frame::Bye => KIND_BYE,
             Frame::Reply { .. } => KIND_REPLY,
             Frame::ReplyChunk { .. } => KIND_REPLY_CHUNK,
+            Frame::ReplyEnd { .. } => KIND_REPLY_END,
             Frame::Push(_) => KIND_PUSH,
             Frame::Shutdown => KIND_SHUTDOWN,
         }
@@ -113,19 +130,17 @@ impl Frame {
 
     /// Encode this frame — length prefix included — onto a buffer.
     pub fn encode(&self, buf: &mut BytesMut) {
-        let mut body = BytesMut::new();
-        body.put_u8(PROTOCOL_VERSION);
-        body.put_u8(self.kind());
+        let start = begin_frame(buf, self.kind());
         match self {
-            Frame::Input(text) => put_str(&mut body, text),
+            Frame::Input(text) => put_str(buf, text),
             Frame::Ingest { relation, lines } => {
-                put_str(&mut body, relation);
-                put_str(&mut body, lines);
+                put_str(buf, relation);
+                put_str(buf, lines);
             }
             Frame::Stats | Frame::Bye | Frame::Shutdown => {}
             Frame::Reply { query_id, response } => {
-                body.put_u64_le(*query_id);
-                response.encode(&mut body);
+                buf.put_u64_le(*query_id);
+                response.encode(buf);
             }
             Frame::ReplyChunk {
                 query_id,
@@ -133,18 +148,18 @@ impl Frame {
                 last,
                 rows,
             } => {
-                body.put_u64_le(*query_id);
-                body.put_u32_le(*seq);
-                body.put_u8(u8::from(*last));
-                body.put_u32_le(rows.len() as u32);
+                put_chunk_header(buf, *query_id, *seq, *last, rows.len() as u32);
                 for row in rows {
-                    row.encode(&mut body);
+                    row.encode(buf);
                 }
             }
-            Frame::Push(delta) => delta.encode(&mut body),
+            Frame::ReplyEnd { query_id, trailer } => {
+                buf.put_u64_le(*query_id);
+                trailer.encode(buf);
+            }
+            Frame::Push(delta) => delta.encode(buf),
         }
-        buf.put_u32_le(body.len() as u32);
-        buf.put_slice(&body);
+        end_frame(buf, start);
     }
 
     /// Decode one frame from its payload (version + kind + body, the
@@ -198,6 +213,16 @@ impl Frame {
                     rows,
                 })
             }
+            KIND_REPLY_END => {
+                if payload.remaining() < 8 {
+                    return Err(TdbError::Corrupt("truncated reply trailer header".into()));
+                }
+                let query_id = payload.get_u64_le();
+                Ok(Frame::ReplyEnd {
+                    query_id,
+                    trailer: Box::new(QueryTrailer::decode(&mut payload)?),
+                })
+            }
             KIND_PUSH => Ok(Frame::Push(DeltaFrame::decode(&mut payload)?)),
             KIND_SHUTDOWN => Ok(Frame::Shutdown),
             k => Err(TdbError::Corrupt(format!("unknown frame kind {k}"))),
@@ -213,23 +238,111 @@ impl Frame {
     }
 }
 
+/// Start a frame on `buf`: a length prefix to be filled in by
+/// [`end_frame`] (so the body is written once, in place, behind it),
+/// then version and kind. Returns where the frame starts.
+fn begin_frame(buf: &mut BytesMut, kind: u8) -> usize {
+    let start = buf.len();
+    buf.put_u32_le(0);
+    buf.put_u8(PROTOCOL_VERSION);
+    buf.put_u8(kind);
+    start
+}
+
+/// Back-patch the length prefix of the frame begun at `start`.
+fn end_frame(buf: &mut BytesMut, start: usize) {
+    let len = (buf.len() - start - 4) as u32;
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+fn put_chunk_header(buf: &mut BytesMut, query_id: u64, seq: u32, last: bool, rows: u32) {
+    buf.put_u64_le(query_id);
+    buf.put_u32_le(seq);
+    buf.put_u8(u8::from(last));
+    buf.put_u32_le(rows);
+}
+
+/// Bytes of a `ReplyChunk` frame before its first row: length prefix,
+/// version, kind, then [`put_chunk_header`]'s fields.
+const CHUNK_PREFIX: usize = 4 + 2 + 8 + 4 + 1 + 4;
+
+/// A [`Frame::ReplyChunk`] encoded incrementally: rows are appended in
+/// wire form as they are produced, and the frame header — which needs
+/// the row count and whether this is the last chunk — is written into
+/// the space reserved for it when the chunk is cut. The bytes are
+/// exactly what [`Frame::encode`] yields for the same chunk.
+#[derive(Debug)]
+pub struct ChunkEncoder {
+    buf: BytesMut,
+    rows: u32,
+}
+
+impl Default for ChunkEncoder {
+    fn default() -> ChunkEncoder {
+        ChunkEncoder::with_capacity(0)
+    }
+}
+
+impl ChunkEncoder {
+    /// An empty chunk.
+    pub fn new() -> ChunkEncoder {
+        ChunkEncoder::default()
+    }
+
+    fn with_capacity(bytes: usize) -> ChunkEncoder {
+        let mut buf = BytesMut::with_capacity(bytes.max(CHUNK_PREFIX));
+        buf.put_slice(&[0; CHUNK_PREFIX]);
+        ChunkEncoder { buf, rows: 0 }
+    }
+
+    /// Append one row.
+    pub fn push(&mut self, row: &tdb::prelude::Row) {
+        row.encode(&mut self.buf);
+        self.rows += 1;
+    }
+
+    /// Rows appended so far.
+    pub fn rows(&self) -> u32 {
+        self.rows
+    }
+
+    /// Cut the chunk: the finished frame, length prefix included. The
+    /// encoder is left empty, ready for the next chunk — which, unless
+    /// this was the last, is sized like this one up front instead of
+    /// being grown to it again.
+    pub fn cut(&mut self, query_id: u64, seq: u32, last: bool) -> BytesMut {
+        let next = ChunkEncoder::with_capacity(if last { 0 } else { self.buf.len() });
+        let ChunkEncoder { buf, rows } = std::mem::replace(self, next);
+        let mut head = BytesMut::with_capacity(CHUNK_PREFIX);
+        let start = begin_frame(&mut head, KIND_REPLY_CHUNK);
+        put_chunk_header(&mut head, query_id, seq, last, rows);
+        let mut frame = buf;
+        frame[..CHUNK_PREFIX].copy_from_slice(&head);
+        end_frame(&mut frame, start);
+        frame
+    }
+
+    /// Finish as a whole `Reply` frame instead: `Response::Query(report)`
+    /// with the appended rows as its `rows.rows` — a result small enough
+    /// to travel in one piece.
+    pub fn into_reply(self, report: &QueryReport) -> BytesMut {
+        let rows = &self.buf[CHUNK_PREFIX..];
+        let mut frame = BytesMut::with_capacity(rows.len() + 256);
+        let start = begin_frame(&mut frame, KIND_REPLY);
+        frame.put_u64_le(report.query_id);
+        put_query_with_rows(&mut frame, report, self.rows, rows);
+        end_frame(&mut frame, start);
+        frame
+    }
+}
+
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
 fn get_str(buf: &mut Bytes) -> TdbResult<String> {
-    if buf.remaining() < 4 {
-        return Err(TdbError::Corrupt("truncated string length".into()));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(TdbError::Corrupt("truncated string body".into()));
-    }
-    let raw = buf.split_to(len);
-    std::str::from_utf8(&raw)
-        .map(str::to_owned)
-        .map_err(|e| TdbError::Corrupt(format!("invalid utf-8 string: {e}")))
+    decode_str(buf, str::to_owned)
 }
 
 /// What one [`FrameReader::read`] call produced.
@@ -250,10 +363,18 @@ pub enum ReadOutcome {
 
 /// Incremental frame reader. Keeps partially-received frames across
 /// read timeouts, so a server thread can poll its shutdown flag between
-/// reads without ever losing bytes.
+/// reads without ever losing bytes. Once a frame's length prefix is in,
+/// the payload is read straight into a buffer of that size, which then
+/// becomes the [`Bytes`] the decoder consumes — no staging copy.
 #[derive(Debug, Default)]
 pub struct FrameReader {
-    buf: Vec<u8>,
+    /// The length prefix, as far as it has arrived.
+    prefix: [u8; 4],
+    prefix_len: usize,
+    /// The payload buffer (sized from the complete prefix) and how much
+    /// of it has arrived.
+    payload: Option<Vec<u8>>,
+    filled: usize,
 }
 
 impl FrameReader {
@@ -262,35 +383,34 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    fn take_frame(&mut self) -> TdbResult<Option<Frame>> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
-        if len > MAX_FRAME {
-            return Err(TdbError::Corrupt(format!(
-                "frame length {len} exceeds cap {MAX_FRAME}"
-            )));
-        }
-        if self.buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let payload = Bytes::copy_from_slice(&self.buf[4..4 + len]);
-        self.buf.drain(..4 + len);
-        Frame::decode_payload(payload).map(Some)
-    }
-
     /// Pull bytes from `r` until a full frame is available, the read
     /// times out, or the stream ends.
     pub fn read(&mut self, r: &mut impl Read) -> TdbResult<ReadOutcome> {
         loop {
-            if let Some(frame) = self.take_frame()? {
-                return Ok(ReadOutcome::Frame(frame));
+            if self.payload.is_none() && self.prefix_len == self.prefix.len() {
+                let len = u32::from_le_bytes(self.prefix) as usize;
+                if len > MAX_FRAME {
+                    return Err(TdbError::Corrupt(format!(
+                        "frame length {len} exceeds cap {MAX_FRAME}"
+                    )));
+                }
+                self.payload = Some(vec![0; len]);
+                self.filled = 0;
             }
-            let mut chunk = [0u8; 8192];
-            match r.read(&mut chunk) {
+            let dst = match &mut self.payload {
+                Some(payload) if self.filled == payload.len() => {
+                    let payload = std::mem::take(payload);
+                    self.payload = None;
+                    self.prefix_len = 0;
+                    return Frame::decode_payload(Bytes::from(payload)).map(ReadOutcome::Frame);
+                }
+                Some(payload) => &mut payload[self.filled..],
+                None => &mut self.prefix[self.prefix_len..],
+            };
+            match r.read(dst) {
                 Ok(0) => return Ok(ReadOutcome::Eof),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) if self.payload.is_some() => self.filled += n,
+                Ok(n) => self.prefix_len += n,
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -355,6 +475,13 @@ mod tests {
                 last: true,
                 rows: Vec::new(),
             },
+            Frame::ReplyEnd {
+                query_id: 99,
+                trailer: Box::new(QueryTrailer::failed(ErrorInfo::new(
+                    ErrorCode::Protocol,
+                    "broke off",
+                ))),
+            },
             Frame::Bye,
             Frame::Shutdown,
         ];
@@ -376,6 +503,36 @@ mod tests {
     }
 
     #[test]
+    fn chunk_encoder_yields_the_frame_encoding() {
+        let rows: Vec<tdb::prelude::Row> = (0..3)
+            .map(|i| {
+                tdb::prelude::Row::new(vec![
+                    tdb::core::Value::str(format!("S{i}")),
+                    tdb::core::Value::Int(i),
+                    tdb::core::Value::Null,
+                ])
+            })
+            .collect();
+        let mut enc = ChunkEncoder::new();
+        for (seq, last) in [(4u32, false), (5, true)] {
+            for row in &rows {
+                enc.push(row);
+            }
+            assert_eq!(enc.rows(), 3);
+            let mut want = BytesMut::new();
+            Frame::ReplyChunk {
+                query_id: 11,
+                seq,
+                last,
+                rows: rows.clone(),
+            }
+            .encode(&mut want);
+            assert_eq!(enc.cut(11, seq, last), want);
+            assert_eq!(enc.rows(), 0);
+        }
+    }
+
+    #[test]
     fn wrong_version_and_oversized_frames_are_corrupt() {
         let mut payload = BytesMut::new();
         payload.put_u8(9);
@@ -384,8 +541,7 @@ mod tests {
         assert!(matches!(err, TdbError::Corrupt(_)), "{err}");
 
         let mut reader = FrameReader::new();
-        reader.buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = reader.take_frame().unwrap_err();
+        let err = reader.read(&mut &u32::MAX.to_le_bytes()[..]).unwrap_err();
         assert!(matches!(err, TdbError::Corrupt(_)), "{err}");
     }
 }

@@ -15,8 +15,12 @@
 //! one atomic op per observation — cheap enough to leave on.
 
 use crate::metrics::{Histogram, Registry};
+use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Latency bucket upper bounds for the per-stage histograms, in
 /// microseconds. Spans from a sub-50µs parse to a 1s+ stall all land in a
@@ -184,11 +188,27 @@ impl QueryIdGen {
     }
 }
 
+/// How many late stage samples [`StageTimers::observe_late`] retains.
+const LATE_SPAN_CAP: usize = 64;
+
+/// A stage sample observed for a query after the engine had already
+/// returned its reply (a connection writer's socket write).
+#[derive(Debug, Clone, Copy)]
+struct LateSpan {
+    query_id: u64,
+    stage: Stage,
+    began: Instant,
+    elapsed_us: u64,
+}
+
 /// One latency histogram per [`Stage`], all series of the single
 /// `tdb_stage_duration_us` family. Register once, observe from anywhere.
 #[derive(Debug, Clone)]
 pub struct StageTimers {
     timers: [Histogram; 9],
+    /// The most recent late samples, shared by every clone, so a trace
+    /// export can show the stages that ran after the trace was built.
+    late: Arc<Mutex<VecDeque<LateSpan>>>,
 }
 
 impl StageTimers {
@@ -205,6 +225,7 @@ impl StageTimers {
         };
         StageTimers {
             timers: Stage::ALL.map(h),
+            late: Arc::default(),
         }
     }
 
@@ -215,6 +236,39 @@ impl StageTimers {
             .position(|s| *s == stage)
             .unwrap_or_default()]
         .observe(elapsed_us);
+    }
+
+    /// Record one stage duration of query `query_id` that began at
+    /// `began`, after the engine had returned the query's reply to its
+    /// transport. Feeds the histogram like [`StageTimers::observe`] and
+    /// keeps the sample (the last few only) for
+    /// [`StageTimers::late_spans`].
+    pub fn observe_late(&self, query_id: u64, stage: Stage, began: Instant, elapsed_us: u64) {
+        self.observe(stage, elapsed_us);
+        let mut late = self.late.lock();
+        if late.len() == LATE_SPAN_CAP {
+            late.pop_front();
+        }
+        late.push_back(LateSpan {
+            query_id,
+            stage,
+            began,
+            elapsed_us,
+        });
+    }
+
+    /// The retained late samples of query `query_id` as top-level spans,
+    /// offset from the query's own start `t0`.
+    pub fn late_spans(&self, query_id: u64, t0: Instant) -> Vec<StageSpan> {
+        self.late
+            .lock()
+            .iter()
+            .filter(|s| s.query_id == query_id)
+            .map(|s| {
+                let start_us = s.began.saturating_duration_since(t0).as_micros() as u64;
+                StageSpan::top(s.stage, start_us, s.elapsed_us)
+            })
+            .collect()
     }
 
     /// The histogram backing one stage (for quantile summaries).
@@ -263,6 +317,23 @@ mod tests {
             text.contains("tdb_stage_duration_us_count{stage=\"execute\"} 2"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn late_samples_are_kept_per_query_and_bounded() {
+        let t = StageTimers::register(&Registry::new());
+        let t0 = Instant::now();
+        let writer = t.clone();
+        writer.observe_late(7, Stage::NetWrite, t0, 30);
+        writer.observe_late(8, Stage::NetWrite, t0, 40);
+        assert_eq!(t.histogram(Stage::NetWrite).count(), 2);
+        let spans = t.late_spans(7, t0);
+        assert_eq!(spans, vec![StageSpan::top(Stage::NetWrite, 0, 30)]);
+        for _ in 0..LATE_SPAN_CAP {
+            writer.observe_late(9, Stage::NetWrite, t0, 1);
+        }
+        assert!(t.late_spans(7, t0).is_empty(), "oldest samples age out");
+        assert_eq!(t.late_spans(9, t0).len(), LATE_SPAN_CAP);
     }
 
     #[test]

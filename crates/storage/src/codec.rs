@@ -52,6 +52,22 @@ fn need(buf: &Bytes, n: usize, what: &str) -> TdbResult<()> {
     }
 }
 
+/// Decode one `u32`-length-prefixed UTF-8 string straight from the
+/// buffer's borrowed bytes and hand it to `make` — no intermediate copy,
+/// so the only allocation is whatever `make` builds (`Arc<str>`,
+/// `String`). Shared by every string decoder on the heap-scan and wire
+/// paths.
+pub fn decode_str<T>(buf: &mut Bytes, make: impl FnOnce(&str) -> T) -> TdbResult<T> {
+    need(buf, 4, "string length")?;
+    let len = buf.get_u32_le() as usize;
+    need(buf, len, "string body")?;
+    let s = std::str::from_utf8(&buf.chunk()[..len])
+        .map_err(|e| TdbError::Corrupt(format!("invalid utf-8 string: {e}")))?;
+    let out = make(s);
+    buf.advance(len);
+    Ok(out)
+}
+
 impl Codec for Value {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
@@ -92,15 +108,7 @@ impl Codec for Value {
                 need(buf, 8, "time")?;
                 Ok(Value::Time(TimePoint::new(buf.get_i64_le())))
             }
-            TAG_STR => {
-                need(buf, 4, "string length")?;
-                let len = buf.get_u32_le() as usize;
-                need(buf, len, "string body")?;
-                let raw = buf.split_to(len);
-                let s = std::str::from_utf8(&raw)
-                    .map_err(|e| TdbError::Corrupt(format!("invalid utf-8 string: {e}")))?;
-                Ok(Value::str(s))
-            }
+            TAG_STR => decode_str(buf, |s| Value::str(s)),
             t => Err(TdbError::Corrupt(format!("unknown value tag {t}"))),
         }
     }

@@ -22,6 +22,12 @@
 //!    analyzer-predicted workspace caps) to query replies.
 //! 5. **Connection cleanup** — an orderly client disconnect cancels its
 //!    subscriptions and reaps the connection's threads.
+//! 6. **Streamed replies** — a large result leaves as header, chunks and
+//!    trailer with the first chunk on the wire before the query has
+//!    finished; a client that stops reading its own reply stalls nobody
+//!    else (nothing under the engine lock waits for a socket); and
+//!    truncated or corrupted chunk and trailer frames, or a frame of
+//!    another protocol version, decode to a typed `Corrupt` error.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -32,11 +38,11 @@ use tdb::storage::Codec;
 use tdb_engine::{
     AnalysisReport, ConnMetrics, DeltaFrame, ErrorCode, ErrorInfo, IngestReport,
     LiveRelationMetrics, LiveRelationStatus, LiveStatus, NetMetrics, OpSpan, OpVerdict,
-    QueryReport, QueryStats, QueryTrace, Response, RowSet, SealReport, SloStatus, SlowFsyncInfo,
-    Stage, StageLatency, StageSpan, StatsReport, SubscribeReport, SubscriptionStatus, SuperstarRow,
-    TableInfo, WalReport,
+    QueryReport, QueryStats, QueryTrace, QueryTrailer, Response, RowSet, SealReport, SloStatus,
+    SlowFsyncInfo, Stage, StageLatency, StageSpan, StatsReport, SubscribeReport,
+    SubscriptionStatus, SuperstarRow, TableInfo, WalReport,
 };
-use tdb_net::wire::{Frame, FrameReader, ReadOutcome};
+use tdb_net::wire::{Frame, FrameReader, ReadOutcome, PROTOCOL_VERSION};
 use tdb_net::{serve, Client, NetConfig, ServerHandle};
 
 // ---------------------------------------------------------------------------
@@ -308,6 +314,17 @@ proptest! {
                 prop_assert_eq!(*response, resp);
             }
             other => prop_assert!(false, "expected a reply frame, got {:?}", other),
+        }
+
+        // A streamed query's trailer carries the same report fields.
+        if let Response::Query(q) = resp {
+            let end = Frame::ReplyEnd { query_id: n, trailer: Box::new(QueryTrailer::of(q)) };
+            let mut wire = bytes::BytesMut::new();
+            end.encode(&mut wire);
+            match FrameReader::new().read(&mut &wire[..]).unwrap() {
+                ReadOutcome::Frame(back) => prop_assert_eq!(back, end),
+                other => prop_assert!(false, "expected a trailer frame, got {:?}", other),
+            }
         }
     }
 }
@@ -871,4 +888,303 @@ fn normal_close_cancels_subscriptions_and_reaps_threads() {
     );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
+}
+
+// ---------------------------------------------------------------------------
+// 6. Streamed replies
+// ---------------------------------------------------------------------------
+
+/// Rows per side of [`serve_wide_join`]'s relations.
+const WIDE_INNER: usize = 100;
+
+/// A server whose `Outer ⊇ Inner` Contain-join yields `outer × 100` rows
+/// of a little over 4 KiB each from a scan of almost nothing, so the
+/// reply's cost is all in producing and encoding output.
+fn serve_wide_join(
+    tag: &str,
+    outer: usize,
+    config: NetConfig,
+) -> (ServerHandle, std::path::PathBuf) {
+    let root = std::env::temp_dir().join(format!("tdb-net-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let server = serve(root.join("srv"), "127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut lines = String::new();
+    for i in 0..outer {
+        writeln!(lines, "0 1000000 {i:04}{} {i}", "w".repeat(4092)).unwrap();
+    }
+    assert!(matches!(
+        client.ingest("Outer", &lines),
+        Ok(Response::Ingest(_))
+    ));
+    let mut lines = String::new();
+    for i in 0..WIDE_INNER {
+        writeln!(lines, "{} {} in{i} {i}", i + 1, i + 2).unwrap();
+    }
+    assert!(matches!(
+        client.ingest("Inner", &lines),
+        Ok(Response::Ingest(_))
+    ));
+    for relation in ["Outer", "Inner"] {
+        let sealed = client.request(&format!("\\live close {relation}"));
+        assert!(matches!(sealed, Ok(Response::Sealed(_))), "{sealed:?}");
+    }
+    client.close();
+    (server, root)
+}
+
+const WIDE_QUERY: &str = "range of a is Outer range of b is Inner retrieve (P=a.Id, S=b.Seq) \
+     where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo";
+
+/// A frame-level client: sends inputs, reads frames when asked to — and
+/// only then, unlike `Client`, whose reader thread always drains.
+struct RawClient {
+    stream: std::net::TcpStream,
+    reader: FrameReader,
+}
+
+impl RawClient {
+    fn connect(addr: std::net::SocketAddr) -> RawClient {
+        RawClient {
+            stream: std::net::TcpStream::connect(addr).unwrap(),
+            reader: FrameReader::new(),
+        }
+    }
+
+    fn send(&mut self, input: &str) {
+        Frame::Input(input.to_string())
+            .write_to(&mut self.stream)
+            .unwrap();
+    }
+
+    fn next(&mut self) -> Frame {
+        loop {
+            match self.reader.read(&mut self.stream).unwrap() {
+                ReadOutcome::Frame(frame) => return frame,
+                ReadOutcome::Idle => {}
+                ReadOutcome::Eof => panic!("server closed the connection"),
+            }
+        }
+    }
+
+    /// Read the chunks and trailer that follow a stream header: the rows
+    /// received, the trailer, and when the first chunk arrived. Panics on
+    /// anything out of sequence.
+    fn read_stream(&mut self) -> (usize, QueryTrailer, Instant) {
+        let mut rows = 0;
+        let mut expected = 0;
+        let mut ended = false;
+        let mut first_chunk_at = None;
+        loop {
+            match self.next() {
+                Frame::ReplyChunk {
+                    seq,
+                    last,
+                    rows: chunk,
+                    ..
+                } => {
+                    first_chunk_at.get_or_insert_with(Instant::now);
+                    assert!(!ended, "a chunk after the last one");
+                    assert_eq!(seq, expected);
+                    assert!(!chunk.is_empty());
+                    expected += 1;
+                    ended = last;
+                    rows += chunk.len();
+                }
+                Frame::ReplyEnd { trailer, .. } => {
+                    assert!(ended, "trailer before the last chunk");
+                    return (rows, *trailer, first_chunk_at.expect("ended"));
+                }
+                other => panic!("unexpected frame inside a stream: {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn first_chunk_arrives_before_the_query_has_finished() {
+    const OUTER: usize = 60; // × 100 × 4 KiB ≈ 24 MiB: six chunks
+    let (server, root) = serve_wide_join("early", OUTER, NetConfig::default());
+    let mut raw = RawClient::connect(server.addr());
+    raw.send("\\set limit 1000000");
+    assert!(matches!(raw.next(), Frame::Reply { .. }));
+
+    let sent = Instant::now();
+    raw.send(WIDE_QUERY);
+    let Frame::Reply { query_id, response } = raw.next() else {
+        panic!("a stream starts with its header");
+    };
+    let Response::QueryStream(header) = *response else {
+        panic!("expected a stream header, got {response:?}");
+    };
+    assert_ne!(query_id, 0);
+    assert_eq!(header.rows.columns, ["P", "S"]);
+    assert_eq!(
+        (header.rows.total, header.elapsed_us, header.stats),
+        (0, 0, QueryStats::default()),
+        "the header leaves before any of this is known"
+    );
+    let (rows, trailer, first_chunk_at) = raw.read_stream();
+    let first_chunk_us = first_chunk_at.duration_since(sent).as_micros() as u64;
+    assert_eq!(rows, OUTER * WIDE_INNER);
+    assert_eq!(trailer.total as usize, OUTER * WIDE_INNER);
+    assert!(trailer.error.is_none());
+    // The server's own execute clock, stopped when the last row had been
+    // produced, ran longer than it took the first chunk to get here
+    // (request, parse and plan included): that chunk was on the wire
+    // while the join was still running.
+    assert!(
+        first_chunk_us < trailer.elapsed_us,
+        "first chunk after {first_chunk_us}µs, query finished in {}µs",
+        trailer.elapsed_us
+    );
+
+    // Through `Client`: the header event precedes the rows, the returned
+    // report is the header completed by the trailer, and the retained
+    // trace shows where the time went, socket writes included.
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.request("\\set limit 1000000").unwrap();
+    let mut events = Vec::new();
+    let outcome = client.request_with(WIDE_QUERY, |ev| {
+        events.push(match ev {
+            tdb_net::StreamEvent::Header(q) => (0, q.rows.total as usize),
+            tdb_net::StreamEvent::Rows(rows) => (1, rows.len()),
+        });
+    });
+    let Ok(Response::QueryStream(report)) = outcome else {
+        panic!("expected the completed stream header, got {outcome:?}");
+    };
+    assert_eq!(events[0], (0, 0));
+    assert!(events[1..].iter().all(|(kind, n)| *kind == 1 && *n > 0));
+    assert_eq!(events.len() - 1, 6, "24 MiB in 4 MiB chunks");
+    assert_eq!(report.rows.total as usize, OUTER * WIDE_INNER);
+    assert!(report.elapsed_us > 0 && report.stats.rows_scanned > 0);
+    let sample = client.rtt_samples().pop().expect("RTT sample");
+    assert_eq!(
+        (sample.query_id, sample.server_us),
+        (report.query_id, report.elapsed_us)
+    );
+    let Ok(Response::Info(export)) = client.request("\\trace export") else {
+        panic!("trace export failed");
+    };
+    for stage in ["execute", "operator", "sink", "render", "net_write"] {
+        assert!(
+            export.contains(&format!("\"stage\":\"{stage}\"")),
+            "no {stage} span in {export}"
+        );
+    }
+
+    client.close();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn reader_that_stops_draining_its_reply_stalls_nobody_else() {
+    const OUTER: usize = 120; // ≈ 48 MiB: far past socket buffers + queue
+    let config = NetConfig {
+        push_queue: 2,
+        ..NetConfig::default()
+    };
+    let (server, root) = serve_wide_join("stall", OUTER, config);
+    let mut stalled = RawClient::connect(server.addr());
+    stalled.send("\\set limit 1000000");
+    assert!(matches!(stalled.next(), Frame::Reply { .. }));
+    // Ask for the big result and do not read a byte of it: the writer
+    // blocks on the socket, the two-frame queue fills, and the rest of
+    // the reply has to wait somewhere that is not the engine lock.
+    stalled.send(WIDE_QUERY);
+
+    let mut other = Client::connect(server.addr()).unwrap();
+    let asked = Instant::now();
+    let tables = other.request("\\tables");
+    let waited = asked.elapsed();
+    let Ok(Response::Tables(tables)) = tables else {
+        panic!("second connection got {tables:?}");
+    };
+    assert_eq!(tables.len(), 2);
+    assert!(
+        waited < Duration::from_secs(3),
+        "\\tables waited {waited:?} behind a connection that is not reading"
+    );
+    // Give the stalled reply time to hit every buffer's limit, then ask
+    // again: still answered.
+    std::thread::sleep(Duration::from_millis(300));
+    let asked = Instant::now();
+    assert!(matches!(other.request("\\tables"), Ok(Response::Tables(_))));
+    assert!(asked.elapsed() < Duration::from_secs(3));
+
+    // The stalled reader resumes: the whole reply is still there, in
+    // order, parked frames included.
+    assert!(
+        matches!(stalled.next(), Frame::Reply { .. }),
+        "stream header"
+    );
+    let (rows, trailer, _) = stalled.read_stream();
+    assert_eq!(rows, OUTER * WIDE_INNER);
+    assert_eq!(trailer.total as usize, OUTER * WIDE_INNER);
+
+    other.close();
+    drop(stalled);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Every strict prefix of a chunk or trailer frame, and every single
+/// corrupted byte, decodes to a typed error or a valid frame — never a
+/// panic — and a frame of another protocol version is refused.
+#[test]
+fn damaged_stream_frames_are_typed_corrupt_errors() {
+    let report = match build_response(3, 7, 9, "t", &[(1, 5), (2, 9)], true) {
+        Response::Query(q) => q,
+        other => panic!("selector 3 builds a query report, got {other:?}"),
+    };
+    let frames = [
+        Frame::ReplyChunk {
+            query_id: 41,
+            seq: 2,
+            last: true,
+            rows: sample_rows(&[(1, 5), (2, 9), (-3, 4)], "chunk"),
+        },
+        Frame::ReplyEnd {
+            query_id: 41,
+            trailer: Box::new(QueryTrailer::of(report)),
+        },
+        Frame::ReplyEnd {
+            query_id: 41,
+            trailer: Box::new(QueryTrailer::failed(ErrorInfo::new(
+                ErrorCode::Eval,
+                "broke off",
+            ))),
+        },
+    ];
+    let decode = |payload: &[u8]| Frame::decode_payload(bytes::Bytes::copy_from_slice(payload));
+    for frame in &frames {
+        let mut wire = bytes::BytesMut::new();
+        frame.encode(&mut wire);
+        let payload = &wire[4..];
+        assert_eq!(&decode(payload).unwrap(), frame);
+        for cut in 0..payload.len() {
+            match decode(&payload[..cut]) {
+                Err(TdbError::Corrupt(_)) => {}
+                other => panic!("prefix {cut}/{} decoded to {other:?}", payload.len()),
+            }
+        }
+        for at in 0..payload.len() {
+            let mut damaged = payload.to_vec();
+            damaged[at] ^= 0xA5;
+            match decode(&damaged) {
+                Ok(_) | Err(TdbError::Corrupt(_)) => {}
+                Err(other) => panic!("byte {at} corrupted: untyped error {other}"),
+            }
+        }
+        // The same bytes under the previous protocol version.
+        let mut older = payload.to_vec();
+        assert_eq!(older[0], PROTOCOL_VERSION);
+        older[0] = 2;
+        match decode(&older) {
+            Err(TdbError::Corrupt(msg)) => assert!(msg.contains("version 2"), "{msg}"),
+            other => panic!("a version-2 frame decoded to {other:?}"),
+        }
+    }
 }

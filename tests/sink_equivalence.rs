@@ -1,6 +1,6 @@
 //! Sink-vs-materialized equivalence and chunked wire streaming.
 //!
-//! Two layers of guarantees around the push-based [`RowSink`] redesign:
+//! Three layers of guarantees around the push-based [`RowSink`] contract:
 //!
 //! 1. **Plan-level equivalence (proptest)** — for arbitrary generated
 //!    two-variable temporal queries, executing through an external
@@ -8,18 +8,28 @@
 //!    workspace peaks of the materialized path, across batch sizes
 //!    {0, 64, 1024} × parallelism {1, 4}; the count-only path
 //!    ([`CountSink`], `wants_rows() == false`) must agree on
-//!    cardinality; and a [`LimitSink`] must retain exactly the prefix
-//!    while stopping the producer early.
+//!    cardinality; a [`LimitSink`] must retain exactly the prefix
+//!    while stopping the producer early; and the [`WireSink`] — rows
+//!    encoded into reply frames as they are pushed — must decode to the
+//!    same rows in the same order with the same `SinkStats` and
+//!    per-operator reports, a residual-predicate join included.
 //!
-//! 2. **Wire streaming (integration)** — a result set larger than the
+//! 2. **Engine-level wire sink** — through `Engine::execute_into` a
+//!    large join leaves as header, chunks cut at the 4 MiB `row_bytes`
+//!    budget (`last` only on the final one) and trailer, the first
+//!    chunk before the engine has returned; `\set limit` stops the
+//!    producer however the rows leave.
+//!
+//! 3. **Wire streaming (integration)** — a result set larger than the
 //!    64 MiB frame cap must cross `tdb-net` as a `QueryStream` header
 //!    plus bounded `ReplyChunk` frames and reassemble losslessly. The
 //!    same mechanism must be transparent to `Client::request`.
 
 use proptest::prelude::*;
 use tdb::prelude::*;
-use tdb_engine::Response;
-use tdb_net::{serve, Client, NetConfig, StreamEvent};
+use tdb_engine::{ClientState, Engine, QueryReport, QueryTrailer, Response};
+use tdb_net::wire::{Frame, FrameReader, ReadOutcome};
+use tdb_net::{serve, Client, NetConfig, StreamEvent, WireSink, CHUNK_BYTES};
 
 const ATTRS: [&str; 4] = ["Name", "Rank", "ValidFrom", "ValidTo"];
 
@@ -87,6 +97,119 @@ fn plan_for(logical: &LogicalPlan, batch_rows: usize, parallelism: usize) -> Phy
 const BATCHES: [usize; 3] = [0, 64, 1024];
 const PARALLELISM: [usize; 2] = [1, 4];
 
+/// Decode the frames a [`WireSink`] emitted, through the reader a client
+/// uses.
+fn decode_frames(wire: &[bytes::BytesMut]) -> Vec<Frame> {
+    let bytes: Vec<u8> = wire.iter().flat_map(|f| f.iter().copied()).collect();
+    let mut reader = FrameReader::new();
+    let mut src = &bytes[..];
+    let mut frames = Vec::new();
+    while let ReadOutcome::Frame(frame) = reader.read(&mut src).unwrap() {
+        frames.push(frame);
+    }
+    frames
+}
+
+/// The rows a reply carries, whichever shape it took: one `Reply`, or
+/// header + chunks + trailer. Checks the stream's own invariants on the
+/// way (consecutive `seq`, `last` on the final chunk only, no empty
+/// chunk, trailer last) and returns the rows per chunk.
+fn reply_chunks(frames: &[Frame]) -> Vec<Vec<Row>> {
+    match frames {
+        [Frame::Reply { response, .. }] => match &**response {
+            Response::Query(q) => vec![q.rows.rows.clone()],
+            other => panic!("expected a query reply, got {other:?}"),
+        },
+        [Frame::Reply { response, .. }, chunks @ .., Frame::ReplyEnd { trailer, .. }] => {
+            assert!(
+                matches!(&**response, Response::QueryStream(q) if q.rows.rows.is_empty()),
+                "a stream starts with its header"
+            );
+            assert!(trailer.error.is_none());
+            assert!(!chunks.is_empty(), "a stream has at least one chunk");
+            chunks
+                .iter()
+                .enumerate()
+                .map(|(i, frame)| match frame {
+                    Frame::ReplyChunk {
+                        seq, last, rows, ..
+                    } => {
+                        assert_eq!(*seq as usize, i, "chunks are numbered in order");
+                        assert_eq!(
+                            *last,
+                            i + 1 == chunks.len(),
+                            "`last` marks the final chunk only"
+                        );
+                        assert!(!rows.is_empty(), "no chunk is empty");
+                        rows.clone()
+                    }
+                    other => panic!("expected a chunk, got {other:?}"),
+                })
+                .collect()
+        }
+        other => panic!("not a reply: {other:?}"),
+    }
+}
+
+/// Where the server's framing cuts `rows`: a chunk is full once its
+/// `row_bytes` reach the budget.
+fn reference_cut(rows: &[Row]) -> Vec<Vec<Row>> {
+    let mut chunks = vec![Vec::new()];
+    let mut budget = 0u64;
+    for row in rows {
+        if budget >= CHUNK_BYTES {
+            chunks.push(Vec::new());
+            budget = 0;
+        }
+        budget += tdb::stream::row_bytes(row);
+        chunks.last_mut().unwrap().push(row.clone());
+    }
+    chunks
+}
+
+/// Per-operator observations without their wall-clock component.
+fn untimed(trace: &[OpObservation]) -> Vec<OpObservation> {
+    trace
+        .iter()
+        .cloned()
+        .map(|mut o| {
+            o.elapsed_us = 0;
+            o
+        })
+        .collect()
+}
+
+/// Run `physical` into a plan-level [`WireSink`] and into a
+/// [`CollectSink`]; the decoded reply, the sink statistics and the
+/// executor's counters and per-operator reports must be the same.
+fn assert_wire_matches_collect(physical: &PhysicalPlan, batch_rows: usize, label: &str) {
+    let cat = shared_catalog();
+    let opts = || ExecOptions::new().with_batch_rows(batch_rows);
+    let mut collect = CollectSink::new();
+    let want = physical
+        .execute(cat, opts().with_sink(&mut collect))
+        .unwrap();
+
+    let mut wire = Vec::new();
+    let mut sink = WireSink::new(|_, frame| wire.push(frame));
+    let got = physical.execute(cat, opts().with_sink(&mut sink)).unwrap();
+    assert_eq!(
+        sink.finish(),
+        collect.finish(),
+        "SinkStats differ ({label})"
+    );
+    sink.complete(Response::Query(QueryReport::default()));
+
+    let rows: Vec<Row> = reply_chunks(&decode_frames(&wire)).concat();
+    assert_eq!(rows, collect.rows(), "rows or their order differ ({label})");
+    assert_eq!(got.stats, want.stats, "executor counters differ ({label})");
+    assert_eq!(
+        untimed(&got.trace),
+        untimed(&want.trace),
+        "operator reports differ ({label})"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -148,7 +271,55 @@ proptest! {
                     count.count() as usize, mat.rows.len(),
                     "count-only path disagrees on cardinality ({})", &label
                 );
+
+                assert_wire_matches_collect(&physical, batch_rows, &label);
             }
+        }
+    }
+}
+
+/// The wire sink ≡ `CollectSink` on a stream join that keeps a residual
+/// predicate (the one case where the joined row is concatenated before
+/// it is projected), serial and time-partitioned, at every batch size.
+#[test]
+fn wire_sink_matches_collect_on_a_residual_join() {
+    let scan = |var: &str| PhysicalPlan::SeqScan {
+        relation: "Faculty".into(),
+        var: var.into(),
+    };
+    let join = PhysicalPlan::StreamTemporal {
+        left: Box::new(scan("a")),
+        right: Box::new(scan("b")),
+        left_var: "a".into(),
+        right_var: "b".into(),
+        pattern: TemporalPattern::GeneralOverlap,
+        residual: vec![Atom::cols("a", "Rank", CompOp::Ne, "b", "Rank")],
+    };
+    let project = |input: PhysicalPlan| PhysicalPlan::Project {
+        input: Box::new(input),
+        columns: vec![
+            (ColumnRef::new("b", "Name"), "B".into()),
+            (ColumnRef::new("a", "Rank"), "AR".into()),
+            (ColumnRef::new("b", "Rank"), "BR".into()),
+        ],
+    };
+    let serial = project(join.clone());
+    let parallel = project(PhysicalPlan::Parallel {
+        partitions: 4,
+        child: Box::new(join.clone()),
+    });
+    let out = serial
+        .execute(shared_catalog(), ExecOptions::default())
+        .unwrap();
+    assert!(
+        out.rows.len() > 100,
+        "population too small: {}",
+        out.rows.len()
+    );
+    assert!(out.rows.iter().all(|r| r.get(1) != r.get(2)));
+    for batch_rows in BATCHES {
+        for (k, plan) in [(1, &serial), (4, &parallel), (1, &join)] {
+            assert_wire_matches_collect(plan, batch_rows, &format!("batch={batch_rows} k={k}"));
         }
     }
 }
@@ -194,6 +365,116 @@ fn limit_sink_retains_prefix_and_stops_early() {
             full.rows.len()
         );
     }
+}
+
+/// Through `Engine::execute_into` a large join leaves as header, chunks
+/// and trailer — the chunks cut exactly where the 4 MiB `row_bytes`
+/// budget says, the first of them before the engine has returned — and
+/// carries the rows, totals, stats and trace `Engine::execute` collects.
+/// Under `\set limit` the producer stops early whichever sink is below.
+#[test]
+fn engine_streams_a_large_join_through_the_wire_sink() {
+    const QUERY: &str = "range of a is X range of b is Y retrieve (P=a.Id, Q=b.Id) \
+         where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo";
+    let dir = std::env::temp_dir().join(format!("tdb-sink-engine-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut engine = Engine::open(&dir).unwrap();
+    let mut ctx = ClientState {
+        row_limit: usize::MAX,
+        trace: true,
+        ..ClientState::default()
+    };
+    for gen in [
+        "\\gen intervals X 40000 5 60 1",
+        "\\gen intervals Y 40000 5 10 2",
+    ] {
+        assert!(matches!(engine.execute(&mut ctx, gen), Response::Info(_)));
+    }
+    let Response::Query(want) = engine.execute(&mut ctx, QUERY) else {
+        panic!("collecting run failed");
+    };
+    let bytes: u64 = want.rows.rows.iter().map(tdb::stream::row_bytes).sum();
+    assert!(
+        bytes > 2 * CHUNK_BYTES,
+        "result too small to cut twice: {bytes}"
+    );
+
+    // Each frame is tagged with whether the engine call had returned
+    // when the sink emitted it.
+    let returned = std::cell::Cell::new(false);
+    let mut wire = Vec::new();
+    let mut sink = WireSink::new(|_, frame| wire.push((returned.get(), frame)));
+    let resp = engine.execute_into(&mut ctx, QUERY, &mut sink);
+    returned.set(true);
+    let Response::Query(report) = resp.clone() else {
+        panic!("streamed run failed: {resp:?}");
+    };
+    sink.complete(resp);
+
+    assert!(report.rows.rows.is_empty(), "the rows went to the sink");
+    assert_eq!(report.rows.total, want.rows.total);
+    assert_eq!(report.stats, want.stats);
+    let (during, frames): (Vec<bool>, Vec<_>) = wire.into_iter().map(|(r, f)| (!r, f)).unzip();
+    let frames = decode_frames(&frames);
+    let chunks = reply_chunks(&frames);
+    assert_eq!(chunks, reference_cut(&want.rows.rows), "chunk cuts");
+    assert!(chunks.len() >= 3);
+    // Header and every chunk but the final one left while the plan was
+    // still running; the final chunk (nothing proved it final until the
+    // plan ended) and the trailer after.
+    let n = frames.len();
+    assert!(during[..n - 2].iter().all(|d| *d), "{during:?}");
+    assert!(!during[n - 2] && !during[n - 1], "{during:?}");
+    let Frame::Reply { query_id, response } = &frames[0] else {
+        unreachable!("checked by reply_chunks");
+    };
+    let Response::QueryStream(header) = &**response else {
+        unreachable!("checked by reply_chunks");
+    };
+    assert_eq!(*query_id, report.query_id);
+    assert_eq!(header.rows.columns, want.rows.columns);
+    assert_eq!((header.rows.total, header.elapsed_us), (0, 0), "left early");
+    assert_eq!(
+        frames[n - 1],
+        Frame::ReplyEnd {
+            query_id: report.query_id,
+            trailer: Box::new(QueryTrailer::of(report.clone())),
+        }
+    );
+
+    // The trace keeps its meaning: delivered rows and offered bytes at
+    // the sink, one render span per chunk encoded inside it.
+    let trace = report.trace.expect("trace on");
+    assert_eq!(trace.sink_rows, want.rows.total);
+    assert_eq!(trace.sink_bytes, bytes);
+    let stage_count =
+        |stage: tdb_engine::Stage| trace.stages.iter().filter(|s| s.stage == stage).count();
+    assert_eq!(stage_count(tdb_engine::Stage::Render), chunks.len());
+    assert_eq!(stage_count(tdb_engine::Stage::Sink), 1);
+    assert_eq!(want.trace.expect("trace on").sink_bytes, bytes);
+
+    // `\set limit`: five rows delivered in one plain reply, and the
+    // producer stopped long before offering the whole result.
+    ctx.row_limit = 5;
+    let mut wire = Vec::new();
+    let mut sink = WireSink::new(|_, frame| wire.push(frame));
+    let resp = engine.execute_into(&mut ctx, QUERY, &mut sink);
+    let Response::Query(limited) = resp.clone() else {
+        panic!("limited run failed: {resp:?}");
+    };
+    sink.complete(resp);
+    assert_eq!(
+        reply_chunks(&decode_frames(&wire)),
+        vec![want.rows.rows[..5].to_vec()]
+    );
+    assert!(
+        limited.rows.total >= 5 && limited.rows.total < want.rows.total / 10,
+        "producer offered {} of {}",
+        limited.rows.total,
+        want.rows.total
+    );
+    assert_eq!(limited.trace.expect("trace on").sink_rows, 5);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One ingest line per row: `ts te id seq`, with an id long enough to
