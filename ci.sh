@@ -76,18 +76,10 @@ timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -
 echo "==> observability soak (E18, bounded)"
 timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- obs
 
-# Bounded batch-execution check (E19): columnar batch kernels vs the
-# row-at-a-time operators on the E15 workload — identical pairs, counters,
-# and workspace peaks asserted, observed peaks proven under the static cap
-# (cap_exceeded must be 0). Speedups are recorded, not asserted: they
-# depend on core count and cache size. Hard-capped at 60.
-echo "==> batch equivalence + bench (E19, bounded)"
-timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- batch
-
-# Bounded sink bench (E21): the E19 40k/side Contain-join re-measured
-# through the push dispatch — streamed chunks equal the materialized
-# output, count-only totals agree, workspace peaks stay under the static
-# cap (cap_exceeded must be 0), and the count-path speedup over
+# Bounded sink bench (E21): the E15 40k/side Contain-join through the
+# one dispatch entry with three consumers — collected, streamed and
+# counted totals agree, workspace peaks stay under the static cap
+# (cap_exceeded must be 0), and the count-path speedup over
 # materialization is asserted ≥ 1.8×. Hard-capped at 60.
 echo "==> streaming sink bench (E21, bounded)"
 timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- sink

@@ -23,10 +23,9 @@ use std::fmt;
 use tdb_core::{Period, Row, StreamOrder, TdbError, TdbResult, Temporal};
 use tdb_storage::Catalog;
 use tdb_stream::{
-    from_sorted_vec, parallel_join_each, parallel_semijoin_each, run_join_kind_count,
-    run_join_kind_each, run_semijoin_kind_each, CollectSink, Instrumented, MergeEquiJoin, OpConfig,
-    OpMetrics, OpReport, OverlapMode, ParallelPattern, RowSink, StreamOpKind, TupleStream,
-    WorkspaceStats, DEFAULT_BATCH_ROWS,
+    from_sorted_vec, parallel_join, parallel_semijoin, run_join, run_semijoin, CollectSink, Emit,
+    Instrumented, MergeEquiJoin, OpConfig, OpMetrics, OpReport, OverlapMode, ParallelPattern,
+    RowSink, StreamOpKind, TupleStream, WorkspaceStats, DEFAULT_BATCH_ROWS,
 };
 
 /// Executor-level options: what to collect, how the stream temporal
@@ -40,8 +39,8 @@ pub struct ExecOptions<'a> {
     /// Collect per-operator [`OpObservation`]s (disable for the
     /// instrumentation-overhead baseline).
     pub collect_trace: bool,
-    /// Rows per columnar batch on the vectorized execution path; `0` runs
-    /// the row-at-a-time operators.
+    /// Rows per columnar batch fed to the stream kernels (≥ 1; a `0` is
+    /// floored to 1).
     pub batch_rows: usize,
     /// Push-mode output sink. When set, result rows are pushed into it as
     /// operators drain — chunk by chunk, honoring its early-termination
@@ -83,7 +82,7 @@ impl<'a> ExecOptions<'a> {
         self
     }
 
-    /// Set the columnar batch size (`0` = row-at-a-time operators).
+    /// Set the columnar batch size (floored to 1).
     pub fn with_batch_rows(mut self, batch_rows: usize) -> ExecOptions<'a> {
         self.batch_rows = batch_rows;
         self
@@ -95,7 +94,8 @@ impl<'a> ExecOptions<'a> {
         self
     }
 
-    /// The per-operator configuration these options induce.
+    /// The per-operator configuration these options induce
+    /// ([`OpConfig::with_batch_rows`] floors a supplied `0` to 1).
     fn op_config(&self) -> OpConfig {
         OpConfig::new().with_batch_rows(self.batch_rows)
     }
@@ -737,19 +737,20 @@ impl PhysicalPlan {
                     note_parallel_sorts(ppat, true, &l, &r, stats);
                     #[cfg(any(debug_assertions, feature = "check"))]
                     let ws_cap = parallel_ws_cap(ppat, true, &l, &r);
-                    let run = parallel_join_each(ppat, l, r, k, cfg, &mut emit)?;
+                    let run = parallel_join(ppat, l, r, k, cfg, &mut emit)?;
                     #[cfg(any(debug_assertions, feature = "check"))]
                     assert_under_cap(ppat.join_kind(), &run.report, ws_cap);
                     (ppat.join_kind(), run.report)
                 }
                 None if count_only => {
-                    let (n, report) = run_stream_join_count(*pattern, cfg, l, r, stats)?;
-                    pushed = n;
-                    sink.push_count(n)?;
+                    let (_, report) = run_stream_join(*pattern, cfg, l, r, stats, Emit::Count)?;
+                    pushed = report.metrics.emitted;
+                    sink.push_count(pushed)?;
                     (pattern.join_op().0, report)
                 }
                 None => {
-                    let (_, report) = run_stream_join_each(*pattern, cfg, l, r, stats, &mut emit)?;
+                    let emit = Emit::Chunks(&mut emit);
+                    let (_, report) = run_stream_join(*pattern, cfg, l, r, stats, emit)?;
                     (pattern.join_op().0, report)
                 }
             }
@@ -774,14 +775,13 @@ impl PhysicalPlan {
                     note_parallel_sorts(ppat, false, &l, &r, stats);
                     #[cfg(any(debug_assertions, feature = "check"))]
                     let ws_cap = parallel_ws_cap(ppat, false, &l, &r);
-                    let run = parallel_semijoin_each(ppat, l, r, k, cfg, &mut emit)?;
+                    let run = parallel_semijoin(ppat, l, r, k, cfg, &mut emit)?;
                     #[cfg(any(debug_assertions, feature = "check"))]
                     assert_under_cap(ppat.semijoin_kind(), &run.report, ws_cap);
                     (ppat.semijoin_kind(), run.report)
                 }
                 None => {
-                    let (_, report) =
-                        run_stream_semijoin_each(*pattern, cfg, l, r, stats, &mut emit)?;
+                    let (_, report) = run_stream_semijoin(*pattern, cfg, l, r, stats, &mut emit)?;
                     (pattern.semijoin_op().0, report)
                 }
             }
@@ -1068,7 +1068,7 @@ fn static_ws_cap(kind: StreamOpKind, x: &[RowRef], y: &[RowRef]) -> usize {
 }
 
 /// [`static_ws_cap`] for the parallel driver, normalizing the During swap
-/// the same way [`tdb_stream::parallel_join_each`] does.
+/// the same way [`tdb_stream::parallel_join`] does.
 #[cfg(any(debug_assertions, feature = "check"))]
 fn parallel_ws_cap(ppat: ParallelPattern, join: bool, l: &[RowRef], r: &[RowRef]) -> usize {
     let kind = if join {
@@ -1144,70 +1144,50 @@ fn join_dispatch(
     (kind, cfg, x_ord, y_ord, swap)
 }
 
-/// Run the stream join for `pattern`, handing matched pairs to `emit`
-/// chunk by chunk. Intersection-witnessed patterns stream straight out
-/// of the kernels (honoring `emit`'s stop signal); `Before`/`After`
-/// materialize internally and feed `emit` in chunks. Returns
-/// `(completed, report)`.
-fn run_stream_join_each(
+/// Run the stream join for `pattern` into `emit`: matched pairs chunk by
+/// chunk, or only counted (`report.metrics.emitted`).
+/// Intersection-witnessed patterns stream straight out of the kernels
+/// (honoring a chunk closure's stop signal, or running count-only);
+/// `Before`/`After` materialize internally and feed `emit` in chunks.
+/// Returns `(completed, report)`.
+fn run_stream_join(
     pattern: TemporalPattern,
     cfg: OpConfig,
     l: Vec<RowRef>,
     r: Vec<RowRef>,
     stats: &mut ExecStats,
-    emit: &mut dyn FnMut(Vec<(RowRef, RowRef)>) -> TdbResult<bool>,
+    emit: Emit<'_, (RowRef, RowRef)>,
 ) -> TdbResult<(bool, OpReport)> {
     if matches!(pattern, TemporalPattern::Before | TemporalPattern::After) {
         let (pairs, report) = before_join_pairs(pattern, cfg, l, r)?;
-        let completed = feed_chunks(pairs, cfg, emit)?;
+        let completed = match emit {
+            Emit::Count => true,
+            Emit::Chunks(push) => feed_chunks(pairs, cfg, push)?,
+        };
         return Ok((completed, report));
     }
     // Contains/During normalize to container ⊇ containee; During swaps
-    // sides going in and un-swaps each emitted pair.
+    // sides going in and un-swaps each emitted pair (a count needs no
+    // un-swap, but the sides still go to the operator the planner
+    // committed to).
     let (kind, cfg, x_ord, y_ord, swap) = join_dispatch(pattern, cfg);
     let (x, y) = if swap { (r, l) } else { (l, r) };
     let x = sort_wrapped(x, x_ord, stats);
     let y = sort_wrapped(y, y_ord, stats);
     #[cfg(any(debug_assertions, feature = "check"))]
     let ws_cap = static_ws_cap(kind, &x, &y);
-    let (completed, report) = if swap {
-        run_join_kind_each(kind, cfg, x, x_ord, y, y_ord, &mut |chunk| {
-            emit(chunk.into_iter().map(|(a, b)| (b, a)).collect())
-        })?
-    } else {
-        run_join_kind_each(kind, cfg, x, x_ord, y, y_ord, emit)?
+    let (completed, report) = match emit {
+        Emit::Chunks(push) if swap => {
+            let mut unswap = |chunk: Vec<(RowRef, RowRef)>| {
+                push(chunk.into_iter().map(|(a, b)| (b, a)).collect())
+            };
+            run_join(kind, cfg, x, x_ord, y, y_ord, Emit::Chunks(&mut unswap))?
+        }
+        emit => run_join(kind, cfg, x, x_ord, y, y_ord, emit)?,
     };
     #[cfg(any(debug_assertions, feature = "check"))]
     assert_under_cap(kind, &report, ws_cap);
     Ok((completed, report))
-}
-
-/// Count-only [`run_stream_join_each`]: return the match count without
-/// building any row. Intersection-witnessed patterns route through the
-/// kernels' count-only mode; `Before`/`After` materialize and count.
-fn run_stream_join_count(
-    pattern: TemporalPattern,
-    cfg: OpConfig,
-    l: Vec<RowRef>,
-    r: Vec<RowRef>,
-    stats: &mut ExecStats,
-) -> TdbResult<(usize, OpReport)> {
-    if matches!(pattern, TemporalPattern::Before | TemporalPattern::After) {
-        let (pairs, report) = before_join_pairs(pattern, cfg, l, r)?;
-        return Ok((pairs.len(), report));
-    }
-    // The count is symmetric, but the sides still go to the operator
-    // the planner committed to (During swaps).
-    let (kind, cfg, x_ord, y_ord, swap) = join_dispatch(pattern, cfg);
-    let (x, y) = if swap { (r, l) } else { (l, r) };
-    let x = sort_wrapped(x, x_ord, stats);
-    let y = sort_wrapped(y, y_ord, stats);
-    #[cfg(any(debug_assertions, feature = "check"))]
-    let ws_cap = static_ws_cap(kind, &x, &y);
-    let (count, report) = run_join_kind_count(kind, cfg, x, x_ord, y, y_ord)?;
-    #[cfg(any(debug_assertions, feature = "check"))]
-    assert_under_cap(kind, &report, ws_cap);
-    Ok((count, report))
 }
 
 /// Feed an already-materialized result to `emit` in sink-sized chunks,
@@ -1218,14 +1198,9 @@ fn feed_chunks<T>(
     cfg: OpConfig,
     emit: &mut dyn FnMut(Vec<T>) -> TdbResult<bool>,
 ) -> TdbResult<bool> {
-    let chunk_rows = if cfg.batch_rows > 0 {
-        cfg.batch_rows
-    } else {
-        DEFAULT_BATCH_ROWS
-    };
     let mut iter = items.into_iter();
     loop {
-        let chunk: Vec<T> = iter.by_ref().take(chunk_rows).collect();
+        let chunk: Vec<T> = iter.by_ref().take(cfg.batch_rows).collect();
         if chunk.is_empty() {
             return Ok(true);
         }
@@ -1273,7 +1248,7 @@ fn before_semijoin_kept(
 /// `emit` chunk by chunk. Intersection-witnessed patterns stream out of
 /// the kernels; `Before`/`After` materialize internally and feed `emit`
 /// in chunks.
-fn run_stream_semijoin_each(
+fn run_stream_semijoin(
     pattern: TemporalPattern,
     cfg: OpConfig,
     l: Vec<RowRef>,
@@ -1295,7 +1270,7 @@ fn run_stream_semijoin_each(
     let r = sort_wrapped(r, r_ord, stats);
     #[cfg(any(debug_assertions, feature = "check"))]
     let ws_cap = static_ws_cap(kind, &l, &r);
-    let (completed, report) = run_semijoin_kind_each(kind, cfg, l, l_ord, r, r_ord, emit)?;
+    let (completed, report) = run_semijoin(kind, cfg, l, l_ord, r, r_ord, Emit::Chunks(emit))?;
     #[cfg(any(debug_assertions, feature = "check"))]
     assert_under_cap(kind, &report, ws_cap);
     Ok((completed, report))
@@ -1614,6 +1589,31 @@ mod tests {
             out.stats.output_rows,
             full.rows.len()
         );
+    }
+
+    /// A library caller's `batch_rows = 0` is a batch of one row, not a
+    /// different execution path — including the `Before` pattern, whose
+    /// materialized pairs are re-chunked by that size.
+    #[test]
+    fn zero_batch_rows_is_floored_to_one() {
+        let cat = test_catalog("zerobatch");
+        for pattern in [TemporalPattern::Contains, TemporalPattern::Before] {
+            let join = PhysicalPlan::StreamTemporal {
+                left: Box::new(scan("f1")),
+                right: Box::new(scan("f2")),
+                left_var: "f1".into(),
+                right_var: "f2".into(),
+                pattern,
+                residual: vec![],
+            };
+            let default = join.execute(&cat, ExecOptions::new()).unwrap();
+            assert!(!default.rows.is_empty(), "{pattern:?}");
+            let zero = join
+                .execute(&cat, ExecOptions::new().with_batch_rows(0))
+                .unwrap();
+            assert_eq!(zero.rows, default.rows, "{pattern:?}");
+            assert_eq!(zero.stats, default.stats, "{pattern:?}");
+        }
     }
 
     #[test]

@@ -30,11 +30,12 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("stream_ts_te", n), &n, |b, _| {
             b.iter(|| {
-                let mut j = ContainJoinTsTe::new(
-                    from_sorted_vec(xs_ts.clone(), StreamOrder::TS_ASC).unwrap(),
-                    from_sorted_vec(ys_te.clone(), StreamOrder::TE_ASC).unwrap(),
-                )
-                .unwrap();
+                let mut j = OpConfig::new()
+                    .contain_join_ts_te(
+                        from_sorted_vec(xs_ts.clone(), StreamOrder::TS_ASC).unwrap(),
+                        from_sorted_vec(ys_te.clone(), StreamOrder::TE_ASC).unwrap(),
+                    )
+                    .unwrap();
                 let mut n = 0u64;
                 while j.next().unwrap().is_some() {
                     n += 1;

@@ -18,13 +18,13 @@ fn bench(c: &mut Criterion) {
         ] {
             group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
                 b.iter(|| {
-                    let mut j = OverlapJoin::new(
-                        from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
-                        from_sorted_vec(ys.clone(), StreamOrder::TS_ASC).unwrap(),
-                        mode,
-                        ReadPolicy::MinKey,
-                    )
-                    .unwrap();
+                    let mut j = OpConfig::new()
+                        .with_mode(mode)
+                        .overlap_join(
+                            from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
+                            from_sorted_vec(ys.clone(), StreamOrder::TS_ASC).unwrap(),
+                        )
+                        .unwrap();
                     let mut k = 0u64;
                     while j.next().unwrap().is_some() {
                         k += 1;
@@ -35,13 +35,12 @@ fn bench(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("semijoin_general", n), &n, |b, _| {
             b.iter(|| {
-                let mut op = OverlapSemijoin::new(
-                    from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
-                    from_sorted_vec(ys.clone(), StreamOrder::TS_ASC).unwrap(),
-                    OverlapMode::General,
-                    ReadPolicy::MinKey,
-                )
-                .unwrap();
+                let mut op = OpConfig::new()
+                    .overlap_semijoin(
+                        from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
+                        from_sorted_vec(ys.clone(), StreamOrder::TS_ASC).unwrap(),
+                    )
+                    .unwrap();
                 let mut k = 0u64;
                 while op.next().unwrap().is_some() {
                     k += 1;

@@ -29,11 +29,12 @@ fn bench(c: &mut Criterion) {
         // two-stream algorithm with the operand scanned twice.
         group.bench_with_input(BenchmarkId::new("two_stream_stab", n), &n, |b, _| {
             b.iter(|| {
-                let mut op = ContainedSemijoinStab::new(
-                    from_sorted_vec(xs_te.clone(), StreamOrder::TE_ASC).unwrap(),
-                    from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
-                )
-                .unwrap();
+                let mut op = OpConfig::new()
+                    .contained_semijoin_stab(
+                        from_sorted_vec(xs_te.clone(), StreamOrder::TE_ASC).unwrap(),
+                        from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
+                    )
+                    .unwrap();
                 let mut k = 0u64;
                 while op.next().unwrap().is_some() {
                     k += 1;

@@ -16,11 +16,12 @@ fn bench(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("contain_stab", n), &n, |b, _| {
             b.iter(|| {
-                let mut op = ContainSemijoinStab::new(
-                    from_sorted_vec(xs_ts.clone(), StreamOrder::TS_ASC).unwrap(),
-                    from_sorted_vec(ys_te.clone(), StreamOrder::TE_ASC).unwrap(),
-                )
-                .unwrap();
+                let mut op = OpConfig::new()
+                    .contain_semijoin_stab(
+                        from_sorted_vec(xs_ts.clone(), StreamOrder::TS_ASC).unwrap(),
+                        from_sorted_vec(ys_te.clone(), StreamOrder::TE_ASC).unwrap(),
+                    )
+                    .unwrap();
                 let mut n = 0u64;
                 while op.next().unwrap().is_some() {
                     n += 1;

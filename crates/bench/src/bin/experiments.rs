@@ -11,11 +11,11 @@
 //! E12=read-policy ablation, E13=Before operators, E14=sort-vs-rescan
 //! cost, E6=Figure 4 aggregation, E15=time-partitioned parallel scaling,
 //! E16=live ingestion soak, E17=framed-TCP network soak,
-//! E18=observability overhead + metrics-scraped soak,
-//! E19=columnar batch execution vs row-at-a-time, E20=WAL durability:
+//! E18=observability overhead + metrics-scraped soak, E20=WAL durability:
 //! fsync-policy throughput + recovery cost vs the open window,
 //! E21=streaming result sinks vs output materialization,
 //! E22=stage-span + SLO overhead and the burn-rate `/healthz` flip.
+//! (E19 is retired; EXPERIMENTS.md keeps its record.)
 //!
 //! Standalone artifacts (`BENCH_*.json`) are written under `results/`.
 
@@ -51,7 +51,6 @@ fn main() {
             "sortcost",
             "aggregate",
             "parallel",
-            "batch",
             "sink",
             "live",
             "net",
@@ -81,7 +80,6 @@ fn main() {
             "sortcost" => sortcost(&mut json),
             "aggregate" => aggregate(&mut json),
             "parallel" => parallel(&mut json),
-            "batch" => batch(&mut json),
             "sink" => sink(&mut json),
             "live" => live(&mut json),
             "net" => net(&mut json),
@@ -691,15 +689,21 @@ fn parallel(json: &mut BTreeMap<String, Json>) {
     let mut serial_us = 0u128;
     let mut serial_cmp = 0usize;
     for k in [1usize, 2, 4, 8] {
-        let (run, us) = timed(|| {
-            parallel_join(
+        let ((run, pairs), us) = timed(|| {
+            let mut pairs = Vec::new();
+            let run = parallel_join(
                 ParallelPattern::Contains,
                 w.xs.clone(),
                 w.ys.clone(),
                 k,
                 OpConfig::new(),
+                &mut |chunk| {
+                    pairs.extend(chunk);
+                    Ok(true)
+                },
             )
-            .unwrap()
+            .unwrap();
+            (run, pairs)
         });
         if k == 1 {
             serial_us = us;
@@ -727,10 +731,10 @@ fn parallel(json: &mut BTreeMap<String, Json>) {
              {:>9} total comparisons   {} pairs",
             us as f64 / 1000.0,
             run.report.metrics.comparisons,
-            run.items.len(),
+            pairs.len(),
         );
         rows_json.push(jobj! {
-            "k" => k, "wall_us" => us, "pairs" => run.items.len(),
+            "k" => k, "wall_us" => us, "pairs" => pairs.len(),
             "comparisons" => run.report.metrics.comparisons,
             "critical_path_comparisons" => critical,
             "speedup_critical_path" => speedup_cp,
@@ -753,215 +757,15 @@ fn parallel(json: &mut BTreeMap<String, Json>) {
     json.insert("parallel".into(), Json::Array(rows_json));
 }
 
-/// E19 — columnar batch execution vs row-at-a-time, on the E15 workload.
-///
-/// Two sections. (1) A serial scale sweep of the Contain-join at
-/// `n ∈ {20k, 40k}` per side: the columnar kernel's edge is cache
-/// residency, so the speedup is largest while the materialized pair
-/// vector still fits in the last-level cache and shrinks toward parity
-/// once output writes hit the memory wall. (2) The time-partitioned
-/// parallel Contain-join over the same 40k/side Poisson workload as E15,
-/// at `K ∈ {1, 8}`. Every run asserts the two paths agree exactly — same
-/// pairs, same comparison counts, same workspace peak — and that the
-/// observed peak stays under the analyzer's static cap on **both** paths
-/// (`cap_exceeded == 0`), then records the batched-over-row wall-clock
-/// speedup. Emits `results/BENCH_batch.json`.
-fn batch(json: &mut BTreeMap<String, Json>) {
-    use tdb::stream::{run_join_kind, StreamOpKind};
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("E19 · columnar batch execution vs row-at-a-time Contain-join ({cores} core(s))");
-    let mut cap_exceeded = 0usize;
-
-    // Section 1: serial scale sweep. Correctness and timing are separate
-    // passes: holding one path's multi-megabyte pair vector alive while
-    // clocking the other pollutes the heap and the cache enough to halve
-    // the measured kernel gain, so the timing pass drops every output the
-    // moment the clock stops. Sorted inputs are cloned inside the timed
-    // region on both paths, so the clone cost cancels in the ratio.
-    let mut serial_json = Vec::new();
-    for n in [20_000usize, 40_000] {
-        let w = Workload::poisson("par", n, 3.0, 30.0, 3.0, 8.0, 1501);
-        let (sx, sy) = w.stats();
-        let cap = workspace_cap(StreamOpKind::ContainJoinTsTe, &sx, Some(&sy));
-        let mut x = w.xs.clone();
-        StreamOrder::TS_ASC.sort(&mut x);
-        let mut y = w.ys.clone();
-        StreamOrder::TE_ASC.sort(&mut y);
-        let run_path = |rows: usize| {
-            run_join_kind(
-                StreamOpKind::ContainJoinTsTe,
-                OpConfig::new().with_batch_rows(rows),
-                x.clone(),
-                StreamOrder::TS_ASC,
-                y.clone(),
-                StreamOrder::TE_ASC,
-            )
-            .unwrap()
-        };
-
-        // Correctness pass (untimed): outputs compared, then dropped.
-        let (pairs, peak, comparisons) = {
-            let (row_out, row_rep) = run_path(0);
-            let (batch_out, batch_rep) = run_path(tdb::stream::DEFAULT_BATCH_ROWS);
-            assert_eq!(batch_out, row_out, "n={n}: outputs diverged");
-            assert_eq!(
-                batch_rep.metrics, row_rep.metrics,
-                "n={n}: counters diverged"
-            );
-            assert_eq!(
-                batch_rep.max_workspace(),
-                row_rep.max_workspace(),
-                "n={n}: workspace peak must be batch-size-invariant"
-            );
-            (
-                batch_out.len(),
-                batch_rep.max_workspace(),
-                batch_rep.metrics.comparisons,
-            )
-        };
-        if peak > cap {
-            cap_exceeded += 1;
-        }
-
-        // Timing pass: best-of-3 per path, only the clock survives.
-        let time_path = |rows: usize| {
-            let mut best = u128::MAX;
-            for _ in 0..3 {
-                let (out, us) = timed(|| run_path(rows));
-                std::hint::black_box(&out);
-                best = best.min(us);
-            }
-            best
-        };
-        let row_us = time_path(0);
-        let batch_us = time_path(tdb::stream::DEFAULT_BATCH_ROWS);
-        let speedup = row_us as f64 / batch_us.max(1) as f64;
-        println!(
-            "    serial n={n:>6}: row {:>8.1} ms   batched {:>8.1} ms   speedup {speedup:>4.2}×   \
-             {pairs} pairs   workspace {peak} ≤ cap {cap}",
-            row_us as f64 / 1000.0,
-            batch_us as f64 / 1000.0,
-        );
-        serial_json.push(jobj! {
-            "n_per_side" => n,
-            "row_us" => row_us,
-            "batch_us" => batch_us,
-            "batch_rows" => tdb::stream::DEFAULT_BATCH_ROWS,
-            "speedup_batched" => speedup,
-            "pairs" => pairs,
-            "comparisons" => comparisons,
-            "workspace_max" => peak,
-            "workspace_static_cap" => cap,
-        });
-    }
-
-    // Section 2: partitioned-parallel execution on the E15 workload.
-    let w = Workload::poisson("par", 40_000, 3.0, 30.0, 3.0, 8.0, 1501);
-    let (sx, sy) = w.stats();
-    let static_cap = workspace_cap(tdb::stream::StreamOpKind::ContainJoinTsTe, &sx, Some(&sy));
-
-    let mut rows_json = Vec::new();
-    for k in [1usize, 8] {
-        let run_path = |rows: usize| {
-            parallel_join(
-                ParallelPattern::Contains,
-                w.xs.clone(),
-                w.ys.clone(),
-                k,
-                OpConfig::new().with_batch_rows(rows),
-            )
-            .unwrap()
-        };
-
-        // Correctness pass (untimed): outputs compared, then dropped so
-        // the timing pass below starts from a clean heap.
-        let (pairs, peak, comparisons) = {
-            let row_run = run_path(0);
-            let batch_run = run_path(tdb::stream::DEFAULT_BATCH_ROWS);
-            assert_eq!(
-                batch_run.items, row_run.items,
-                "K={k}: batched and row outputs diverged"
-            );
-            assert_eq!(
-                batch_run.report.metrics, row_run.report.metrics,
-                "K={k}: batched and row counters diverged"
-            );
-            assert_eq!(
-                batch_run.report.max_workspace(),
-                row_run.report.max_workspace(),
-                "K={k}: workspace peak must be batch-size-invariant"
-            );
-            (
-                batch_run.items.len(),
-                batch_run.report.max_workspace(),
-                batch_run.report.metrics.comparisons,
-            )
-        };
-        if peak > static_cap {
-            cap_exceeded += 1;
-        }
-
-        // Timing pass: best-of-3 per path, outputs dropped per iteration.
-        let time_path = |rows: usize| {
-            let mut best = u128::MAX;
-            for _ in 0..3 {
-                let (run, us) = timed(|| run_path(rows));
-                std::hint::black_box(&run);
-                best = best.min(us);
-            }
-            best
-        };
-        let row_us = time_path(0);
-        let batch_us = time_path(tdb::stream::DEFAULT_BATCH_ROWS);
-        let speedup = row_us as f64 / batch_us.max(1) as f64;
-        println!(
-            "    K={k}: row {:>8.1} ms   batched {:>8.1} ms   speedup {speedup:>4.2}×   \
-             {pairs} pairs   workspace {peak} ≤ cap {static_cap}",
-            row_us as f64 / 1000.0,
-            batch_us as f64 / 1000.0,
-        );
-        rows_json.push(jobj! {
-            "k" => k,
-            "row_us" => row_us,
-            "batch_us" => batch_us,
-            "batch_rows" => tdb::stream::DEFAULT_BATCH_ROWS,
-            "speedup_batched" => speedup,
-            "pairs" => pairs,
-            "comparisons" => comparisons,
-            "workspace_max" => peak,
-            "workspace_static_cap" => static_cap,
-        });
-    }
-    assert_eq!(
-        cap_exceeded, 0,
-        "observed workspace peaks exceeded the static cap"
-    );
-    let doc = jobj! {
-        "experiment" => "E19 columnar batch execution vs row-at-a-time",
-        "cores" => cores,
-        "n_per_side" => 40_000usize,
-        "cap_exceeded" => cap_exceeded,
-        "workspace_static_cap" => static_cap,
-        "serial" => Json::Array(serial_json),
-        "rows" => Json::Array(rows_json.clone()),
-    };
-    std::fs::create_dir_all("results").unwrap();
-    std::fs::write("results/BENCH_batch.json", doc.to_string_pretty()).unwrap();
-    println!("\n    results/BENCH_batch.json written (cap_exceeded = {cap_exceeded})");
-    json.insert("batch".into(), Json::Array(rows_json));
-}
-
-/// E21 — streaming result sinks vs output materialization, on the E19
+/// E21 — streaming result sinks vs output materialization, on the E15
 /// 40k/side Contain-join point.
 ///
-/// Three consumers of the identical batched kernel run: (a) the
-/// materializing dispatch, which buffers every output pair; (b) the
-/// push dispatch (`run_join_kind_each`), whose consumer processes each
-/// chunk and drops it — bounded residency, no result-sized allocation;
-/// (c) the count-only dispatch (`run_join_kind_count`), where the probe
-/// pass sums hits without cloning a payload. Correctness first: the
+/// Three consumers of the identical kernel run through the one dispatch
+/// entry (`run_join`): (a) a materializing consumer, which extends one
+/// vector with every output pair; (b) a streaming consumer, which
+/// processes each chunk and drops it — bounded residency, no
+/// result-sized allocation; (c) `Emit::Count`, where the probe pass sums
+/// hits without cloning a payload. Correctness first: the
 /// chunk concatenation equals the materialized output, the count equals
 /// its length, all three reports agree on comparisons and workspace
 /// peak, and the peak stays under the analyzer's static cap
@@ -971,7 +775,7 @@ fn batch(json: &mut BTreeMap<String, Json>) {
 /// per path; the headline is the count-path speedup over
 /// materialization. Emits `results/BENCH_sink.json`.
 fn sink(json: &mut BTreeMap<String, Json>) {
-    use tdb::stream::{run_join_kind, run_join_kind_count, run_join_kind_each, StreamOpKind};
+    use tdb::stream::{run_join, Emit, StreamOpKind};
     const N_SIDE: usize = 40_000;
     println!(
         "E21 · streaming result sinks vs output materialization (Contain-join, {N_SIDE}/side)"
@@ -984,50 +788,42 @@ fn sink(json: &mut BTreeMap<String, Json>) {
     StreamOrder::TS_ASC.sort(&mut x);
     let mut y = w.ys.clone();
     StreamOrder::TE_ASC.sort(&mut y);
-    let cfg = || OpConfig::new().with_batch_rows(tdb::stream::DEFAULT_BATCH_ROWS);
-
-    let materialize = || {
-        run_join_kind(
+    // One run of the kernel at the default batch size into `emit`.
+    let run = |emit: Emit<'_, (TsTuple, TsTuple)>| {
+        run_join(
             StreamOpKind::ContainJoinTsTe,
-            cfg(),
+            OpConfig::new(),
             x.clone(),
             StreamOrder::TS_ASC,
             y.clone(),
             StreamOrder::TE_ASC,
+            emit,
         )
         .unwrap()
+    };
+    let materialize = || {
+        let mut out = Vec::new();
+        let (_, rep) = run(Emit::Chunks(&mut |mut chunk| {
+            out.append(&mut chunk);
+            Ok(true)
+        }));
+        (out, rep)
     };
     // The streaming consumer: tally each chunk, then drop it.
     let stream_path = || {
         let mut rows = 0usize;
         let mut chunks = 0usize;
-        let (completed, rep) = run_join_kind_each(
-            StreamOpKind::ContainJoinTsTe,
-            cfg(),
-            x.clone(),
-            StreamOrder::TS_ASC,
-            y.clone(),
-            StreamOrder::TE_ASC,
-            &mut |chunk| {
-                rows += chunk.len();
-                chunks += 1;
-                Ok(true)
-            },
-        )
-        .unwrap();
+        let (completed, rep) = run(Emit::Chunks(&mut |chunk| {
+            rows += chunk.len();
+            chunks += 1;
+            Ok(true)
+        }));
         assert!(completed, "unlimited consumer must drain the join");
         (rows, chunks, rep)
     };
     let count_path = || {
-        run_join_kind_count(
-            StreamOpKind::ContainJoinTsTe,
-            cfg(),
-            x.clone(),
-            StreamOrder::TS_ASC,
-            y.clone(),
-            StreamOrder::TE_ASC,
-        )
-        .unwrap()
+        let (_, rep) = run(Emit::Count);
+        (rep.metrics.emitted, rep)
     };
 
     // Correctness pass (untimed): all three consumers see the same run.
@@ -1038,21 +834,6 @@ fn sink(json: &mut BTreeMap<String, Json>) {
         let (counted, count_rep) = count_path();
         assert_eq!(each_rows, mat_out.len(), "streamed row total diverged");
         assert_eq!(counted, mat_out.len(), "count-only total diverged");
-        let mut streamed = Vec::with_capacity(mat_out.len());
-        run_join_kind_each(
-            StreamOpKind::ContainJoinTsTe,
-            cfg(),
-            x.clone(),
-            StreamOrder::TS_ASC,
-            y.clone(),
-            StreamOrder::TE_ASC,
-            &mut |mut chunk| {
-                streamed.append(&mut chunk);
-                Ok(true)
-            },
-        )
-        .unwrap();
-        assert_eq!(streamed, mat_out, "streamed chunks reorder the output");
         assert_eq!(
             each_rep.metrics, mat_rep.metrics,
             "push-path counters diverged"
@@ -1080,19 +861,10 @@ fn sink(json: &mut BTreeMap<String, Json>) {
     // Early termination: a limit-style consumer stops after one chunk.
     let early_offered = {
         let mut offered = 0usize;
-        let (completed, _) = run_join_kind_each(
-            StreamOpKind::ContainJoinTsTe,
-            cfg(),
-            x.clone(),
-            StreamOrder::TS_ASC,
-            y.clone(),
-            StreamOrder::TE_ASC,
-            &mut |chunk| {
-                offered += chunk.len();
-                Ok(false)
-            },
-        )
-        .unwrap();
+        let (completed, _) = run(Emit::Chunks(&mut |chunk| {
+            offered += chunk.len();
+            Ok(false)
+        }));
         assert!(!completed, "a declining consumer must stop the producer");
         assert!(
             offered < pairs / 2,

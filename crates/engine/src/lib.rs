@@ -537,17 +537,15 @@ impl Engine {
                 let rows: usize = n
                     .parse()
                     .map_err(|_| TdbError::Config(format!("bad batch size `{n}`")))?;
-                if rows > MAX_BATCH_ROWS {
+                if rows == 0 || rows > MAX_BATCH_ROWS {
                     return Err(TdbError::Config(format!(
-                        "batch size {rows} out of range (0..={MAX_BATCH_ROWS}; 0 = row-at-a-time)"
+                        "batch size {rows} out of range (1..={MAX_BATCH_ROWS})"
                     )));
                 }
                 ctx.config = ctx.config.with_batch_rows(rows);
-                Ok(Response::Info(if rows > 0 {
-                    format!("batch: {rows} rows per operator batch\n")
-                } else {
-                    "batch: row-at-a-time\n".to_string()
-                }))
+                Ok(Response::Info(format!(
+                    "batch: {rows} rows per operator batch\n"
+                )))
             }
             ["\\set", "limit", n] => {
                 let limit: usize = n
@@ -1507,7 +1505,7 @@ pub const HELP: &str = r#"commands:
   \analyze <query>                            verify a query's plan without running it
   \config stream|conventional|naive           planner strategy
   \set parallelism <k>                        time-range partitions for stream operators
-  \set batch <n>                              rows per columnar operator batch (0 = row-at-a-time)
+  \set batch <n>                              rows per columnar operator batch (1 or more)
   \set limit <n>                              rows delivered per query result
   \ingest <rel> <file|->                      live-append arrivals (`-` reads stdin to EOF);
                                               lines are `<ts> <te> [id [seq]]`
@@ -1874,15 +1872,20 @@ mod tests {
         assert_eq!(ctx.config.batch_rows, tdb::stream::DEFAULT_BATCH_ROWS);
         e.execute(&mut ctx, "\\set batch 64");
         assert_eq!(ctx.config.batch_rows, 64);
-        e.execute(&mut ctx, "\\set batch 0");
-        assert_eq!(ctx.config.batch_rows, 0);
+        e.execute(&mut ctx, "\\set batch 1");
+        assert_eq!(ctx.config.batch_rows, 1);
+        // A batch is at least one row: 0 is out of range, like any size
+        // past the maximum.
         let over = tdb::stream::MAX_BATCH_ROWS + 1;
-        let resp = e.execute(&mut ctx, &format!("\\set batch {over}"));
-        let Response::Error(err) = resp else {
-            panic!("expected error, got {resp:?}");
-        };
-        assert_eq!(err.code, ErrorCode::Config);
-        assert_eq!(ctx.config.batch_rows, 0, "rejected value must not apply");
+        for bad in [0, over] {
+            let resp = e.execute(&mut ctx, &format!("\\set batch {bad}"));
+            let Response::Error(err) = resp else {
+                panic!("expected error, got {resp:?}");
+            };
+            assert_eq!(err.code, ErrorCode::Config);
+            assert!(err.message.contains("1..="), "{}", err.message);
+            assert_eq!(ctx.config.batch_rows, 1, "rejected value must not apply");
+        }
     }
 
     #[test]
@@ -1892,6 +1895,7 @@ mod tests {
             "\\set",
             "\\set warp 9",
             "\\set batch x",
+            "\\set batch 0",
             "\\set parallelism 0",
             "\\set parallelism 1000000",
         ] {
@@ -1913,11 +1917,11 @@ mod tests {
         ctx.row_limit = 10_000;
         let contain = "range of a is T range of b is T retrieve (X=a.Id, Y=b.Id) \
              where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo;";
-        e.execute(&mut ctx, "\\set batch 0");
+        e.execute(&mut ctx, "\\set batch 1");
         let Response::Query(row) = e.execute(&mut ctx, contain) else {
             panic!("expected query");
         };
-        for rows in ["1", "64", "1024"] {
+        for rows in ["64", "1024"] {
             e.execute(&mut ctx, &format!("\\set batch {rows}"));
             let Response::Query(q) = e.execute(&mut ctx, contain) else {
                 panic!("expected query");

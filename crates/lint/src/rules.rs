@@ -246,13 +246,12 @@ fn enum_variants(lines: &[String], name: &str) -> Vec<(usize, String)> {
 /// `streamop-registry`: every `StreamOpKind` variant must appear in the
 /// `ALL` sweep constant and have a `requirement()` match arm — the
 /// registry is the single source the analyzer and executor trust. The
-/// sink-side dispatch must also stay as wide as the materialized one:
-/// every kind `run_join_kind` handles needs a `run_join_kind_each` and a
-/// `run_join_kind_count` arm, and every `run_semijoin_kind` kind needs a
-/// `run_semijoin_kind_each` arm, or push-mode execution would reject at
-/// runtime a plan the pull path accepts.
+/// one place kinds are bound to kernels, `stream/src/dispatch.rs`, must
+/// stay total the same way: each `match kind` table there needs a
+/// catch-all arm that is a `TdbError::Plan`, so a kind without a kernel
+/// is a planning error at runtime rather than a missing arm.
 pub fn streamop_registry(files: &[Prepared], out: &mut Vec<Finding>) {
-    sink_dispatch_coverage(files, out);
+    dispatch_tables_total(files, out);
     let Some(p) = files
         .iter()
         .find(|p| p.path.ends_with("stream/src/required.rs"))
@@ -291,61 +290,33 @@ pub fn streamop_registry(files: &[Prepared], out: &mut Vec<Finding>) {
     }
 }
 
-/// The sink-dispatch half of `streamop-registry`: compare the match arms
-/// of the materialized dispatch functions in `stream/src/dispatch.rs`
-/// against their push-mode counterparts. Only lines with a `=>` count as
-/// arms, so doc-comment mentions of a kind neither satisfy nor demand
-/// coverage.
-fn sink_dispatch_coverage(files: &[Prepared], out: &mut Vec<Finding>) {
-    type Coverage<'a> = (&'a str, Vec<(usize, String)>, Vec<String>);
+/// The dispatch half of `streamop-registry`: every `match kind` table in
+/// `stream/src/dispatch.rs` must close with a catch-all arm returning
+/// `TdbError::Plan`. The table ends at the first line that closes a brace
+/// at the `match`'s own indentation.
+fn dispatch_tables_total(files: &[Prepared], out: &mut Vec<Finding>) {
     let Some(p) = files
         .iter()
         .find(|p| p.path.ends_with("stream/src/dispatch.rs"))
     else {
         return;
     };
-    let arms = |start: &str, end: &str| -> Vec<(usize, String)> {
-        variants_after(&p.code, "StreamOpKind", start, end)
-            .into_iter()
-            .filter(|(j, _)| p.code[*j].contains("=>"))
-            .collect()
-    };
-    let covered: Vec<Coverage<'_>> = vec![
-        (
-            "run_join_kind_each",
-            arms("fn run_join_kind<", "fn run_semijoin_kind<"),
-            arms("fn run_join_kind_each<", "fn run_join_kind_count<")
-                .into_iter()
-                .map(|(_, v)| v)
-                .collect(),
-        ),
-        (
-            "run_join_kind_count",
-            arms("fn run_join_kind<", "fn run_semijoin_kind<"),
-            arms("fn run_join_kind_count<", "fn run_semijoin_kind_each<")
-                .into_iter()
-                .map(|(_, v)| v)
-                .collect(),
-        ),
-        (
-            "run_semijoin_kind_each",
-            arms("fn run_semijoin_kind<", "fn run_join_kind_each<"),
-            arms("fn run_semijoin_kind_each<", "mod tests")
-                .into_iter()
-                .map(|(_, v)| v)
-                .collect(),
-        ),
-    ];
-    for (sink_fn, required, present) in covered {
-        for (line, v) in required {
-            if !present.contains(&v) {
-                out.push(finding(
-                    p,
-                    line,
-                    "streamop-registry",
-                    format!("StreamOpKind::{v} has no {sink_fn} sink dispatch arm"),
-                ));
-            }
+    for (start, line) in p.code.iter().enumerate() {
+        let Some(indent) = line.find("match kind {") else {
+            continue;
+        };
+        let close = format!("{}}}", " ".repeat(indent));
+        let total = p.code[start + 1..]
+            .iter()
+            .take_while(|l| l.trim_end() != close)
+            .any(|l| l.contains("=> Err(TdbError::Plan("));
+        if !total {
+            out.push(finding(
+                p,
+                start,
+                "streamop-registry",
+                "dispatch table has no catch-all arm returning TdbError::Plan".to_string(),
+            ));
         }
     }
 }

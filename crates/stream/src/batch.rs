@@ -1,5 +1,4 @@
-//! Columnar row batches — the unit of work of the vectorized execution
-//! path.
+//! Columnar row batches — the unit of work of the sweep kernels.
 //!
 //! Piatov et al. (PAPERS.md, cache-efficient sweeping) observe that
 //! row-at-a-time pull loops leave sweep operators memory-bound: every

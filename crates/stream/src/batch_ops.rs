@@ -1,37 +1,56 @@
-//! Batched push-mode sweep kernels over columnar [`RowBatch`]es.
+//! The sweep kernels: one implementation per stream operator, over
+//! columnar [`RowBatch`]es.
 //!
-//! Each kernel here is the vectorized twin of a row-at-a-time operator:
-//!
-//! | kernel | row operator | workspace |
+//! | kernel | paper | workspace |
 //! |---|---|---|
-//! | [`BatchContainJoinTsTe`] | [`crate::ContainJoinTsTe`] | gapless X state |
-//! | [`BatchOverlapJoin`] | [`crate::OverlapJoin`] | gapless X+Y states |
-//! | [`BatchOverlapSemijoin`] | [`crate::OverlapSemijoin`] | none / gapless |
-//! | [`BatchContainSemijoinStab`] | [`crate::ContainSemijoinStab`] | buffers only |
-//! | [`BatchContainedSemijoinStab`] | [`crate::ContainedSemijoinStab`] | buffers only |
+//! | [`ContainJoinTsTe`] | §4.2.1, Table 1 state (b) | gapless X state |
+//! | [`OverlapJoin`] | §4.2.4, Table 2 state (a) | gapless X+Y states |
+//! | [`OverlapSemijoin`] | §4.2.4, Table 2 state (b) | none / gapless (strict) |
+//! | [`ContainSemijoinStab`] | §4.2.2, Figure 6, Table 1 state (d) | buffers only |
+//! | [`ContainedSemijoinStab`] | §4.2.2, Figure 6, Table 1 state (d) | buffers only |
 //!
 //! The kernels are **push**-driven: the caller feeds batches via
 //! [`BatchOp::process_batch_left`] / `_right` when [`BatchOp::wants`] asks
-//! for that side, and collects output with [`BatchOp::drain`]; [`drive`]
-//! runs that loop over two [`BatchStream`]s. The demand signal makes the
-//! kernels consume input exactly as lazily as the pull operators do, which
-//! is what keeps their [`OpReport`]s — reads, comparisons, emits, and
-//! workspace statistics — **identical** to the row operators' for every
-//! batch size. The hot loops, however, run over the dense endpoint columns
-//! of [`RowBatch`] and [`GaplessWorkspace`]: branch-light integer
-//! comparisons the compiler can unroll and vectorize, with payloads
-//! touched only on a match. `tests/batch_equivalence.rs` pins the
-//! equivalence; E19 measures the speed difference.
+//! for that side, and collects output with [`BatchOp::drain`]. There are
+//! two ways to run that protocol, and both run the same kernel code:
+//! [`drive`] pushes each drained chunk to a closure (the executor's path,
+//! through [`crate::dispatch`]), and the crate-private `PullOp` adapter
+//! hides the protocol behind a [`TupleStream`] so callers that compose
+//! streams keep pulling one tuple at a time (what [`crate::OpConfig`]'s
+//! constructors return).
+//!
+//! The demand signal makes a kernel read exactly the tuples the paper's
+//! algorithm needs and no more — a cursor counts a row as read when it
+//! first becomes the visible head, never when its batch arrives — so
+//! [`OpReport`]s (reads, comparisons, emits, workspace statistics) are
+//! **identical for every batch size**. The hot loops run over the dense
+//! endpoint columns of [`RowBatch`] and [`GaplessWorkspace`] (Piatov et
+//! al.): branch-light integer comparisons the compiler can unroll and
+//! vectorize, with payloads touched only on a match.
+//! `tests/batch_equivalence.rs` pins the batch-size invariance and checks
+//! every output against the nested-loop Allen oracle.
+//!
+//! ### Paper erratum (TS↑/TE↑ Contain-join)
+//!
+//! The paper's garbage-collection phase for the `(ValidFrom ↑, ValidTo ↑)`
+//! configuration reads "dispose of X tuples if X.ValidTo **>** y_b.ValidTo",
+//! which would discard exactly the tuples that still can contain future Y
+//! tuples, contradicting the state characterization (b) "X tuples whose
+//! lifespan *span* y_b.ValidTo". [`ContainJoinTsTe`] implements the
+//! evidently intended condition `X.ValidTo < y_b.ValidTo` (every future
+//! `y` has `y.TE ≥ y_b.TE > x.TE`, so such `x` is dead). A regression
+//! test pins this down.
 
-use crate::batch::{BatchStream, RowBatch};
+use crate::batch::{BatchStream, Batcher, RowBatch};
 use crate::gapless::GaplessWorkspace;
 use crate::metrics::OpMetrics;
 use crate::overlap_join::OverlapMode;
 use crate::read_policy::{Advance, PolicyState, ReadPolicy};
-use crate::report::OpReport;
+use crate::report::{Instrumented, OpReport};
+use crate::stream::TupleStream;
 use crate::workspace::WorkspaceStats;
 use std::collections::VecDeque;
-use tdb_core::{TdbResult, Temporal, TimePoint};
+use tdb_core::{StreamOrder, TdbResult, Temporal, TimePoint};
 
 /// Which input of a two-input kernel a batch belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +77,7 @@ pub enum Wants {
 /// Protocol: while [`BatchOp::wants`] is not [`Wants::Done`], feed the
 /// requested side one batch via `process_batch_*` or declare it finished
 /// via [`BatchOp::finish`]; collect output with [`BatchOp::drain`] at any
-/// point. [`drive`] implements this loop.
+/// point. [`drive`] and the pull adapter implement this loop.
 pub trait BatchOp {
     /// Left input row type.
     type LeftItem: Temporal + Clone;
@@ -82,32 +101,38 @@ pub trait BatchOp {
     /// Take the output produced so far.
     fn drain(&mut self) -> Vec<Self::Out>;
 
-    /// Metrics and workspace statistics — same accounting as the row twin.
+    /// Metrics and workspace statistics, batch-size invariant.
     fn report(&self) -> OpReport;
 }
 
-/// Run a [`BatchOp`] to completion over two [`BatchStream`]s, honouring its
-/// demand signal, and return the full output.
-pub fn drive<K, L, R>(op: &mut K, left: &mut L, right: &mut R) -> TdbResult<Vec<K::Out>>
+/// One step of the push protocol: give `op` the batch (or end-of-stream
+/// notice) it asks for. Returns `false` once it wants nothing more.
+fn feed<K, L, R>(op: &mut K, left: &mut L, right: &mut R) -> TdbResult<bool>
 where
     K: BatchOp,
     L: BatchStream<Item = K::LeftItem>,
     R: BatchStream<Item = K::RightItem>,
 {
-    let mut out = Vec::new();
-    drive_each(op, left, right, &mut |chunk| {
-        out.extend(chunk);
-        Ok(true)
-    })?;
-    Ok(out)
+    match op.wants() {
+        Wants::Done => return Ok(false),
+        Wants::Left => match left.next_batch()? {
+            Some(b) => op.process_batch_left(b)?,
+            None => op.finish(Side::Left)?,
+        },
+        Wants::Right => match right.next_batch()? {
+            Some(b) => op.process_batch_right(b)?,
+            None => op.finish(Side::Right)?,
+        },
+    }
+    Ok(true)
 }
 
-/// Run a [`BatchOp`] like [`drive`], but hand each drained output chunk to
-/// `emit` instead of accumulating one result vector. `emit` returning
-/// `false` stops the run early (the sink has seen enough); the function
-/// then returns `false` too, so callers can distinguish a completed run
-/// from a truncated one.
-pub fn drive_each<K, L, R>(
+/// Run a [`BatchOp`] to completion over two [`BatchStream`]s, honouring
+/// its demand signal and handing each drained output chunk to `emit`.
+/// `emit` returning `false` stops the run early (the sink has seen
+/// enough); the function then returns `false` too, so callers can
+/// distinguish a completed run from a truncated one.
+pub fn drive<K, L, R>(
     op: &mut K,
     left: &mut L,
     right: &mut R,
@@ -123,23 +148,89 @@ where
         if !chunk.is_empty() && !emit(chunk)? {
             return Ok(false);
         }
-        match op.wants() {
-            Wants::Done => break,
-            Wants::Left => match left.next_batch()? {
-                Some(b) => op.process_batch_left(b)?,
-                None => op.finish(Side::Left)?,
-            },
-            Wants::Right => match right.next_batch()? {
-                Some(b) => op.process_batch_right(b)?,
-                None => op.finish(Side::Right)?,
-            },
+        if !feed(op, left, right)? {
+            return Ok(true);
         }
     }
-    let chunk = op.drain();
-    if !chunk.is_empty() && !emit(chunk)? {
-        return Ok(false);
+}
+
+/// The pull adapter: a kernel fed from two [`TupleStream`]s, itself a
+/// [`TupleStream`].
+///
+/// Inputs reach the kernel through a [`Batcher`] of **one** row, so the
+/// adapter pulls from its inputs exactly when the paper's tuple-at-a-time
+/// algorithm would read: nothing before the first `next()`, and after an
+/// early drop the inputs have been advanced no further than the last
+/// output needed. This is the form [`crate::OpConfig`]'s constructors
+/// return; [`Instrumented::report`] is the kernel's.
+pub(crate) struct PullOp<K, L, R>
+where
+    K: BatchOp,
+    L: TupleStream<Item = K::LeftItem>,
+    R: TupleStream<Item = K::RightItem>,
+{
+    op: K,
+    left: Batcher<L>,
+    right: Batcher<R>,
+    ready: std::vec::IntoIter<K::Out>,
+    order: Option<StreamOrder>,
+}
+
+impl<K, L, R> PullOp<K, L, R>
+where
+    K: BatchOp,
+    L: TupleStream<Item = K::LeftItem>,
+    R: TupleStream<Item = K::RightItem>,
+{
+    /// Wrap `op` over its two inputs; `order` is the ordering the output
+    /// is declared with (semijoins preserve their kept input's order).
+    pub(crate) fn new(op: K, left: L, right: R, order: Option<StreamOrder>) -> Self {
+        PullOp {
+            op,
+            left: Batcher::new(left, 1),
+            right: Batcher::new(right, 1),
+            ready: Vec::new().into_iter(),
+            order,
+        }
     }
-    Ok(true)
+}
+
+impl<K, L, R> TupleStream for PullOp<K, L, R>
+where
+    K: BatchOp,
+    L: TupleStream<Item = K::LeftItem>,
+    R: TupleStream<Item = K::RightItem>,
+{
+    type Item = K::Out;
+
+    fn next(&mut self) -> TdbResult<Option<K::Out>> {
+        loop {
+            if let Some(item) = self.ready.next() {
+                return Ok(Some(item));
+            }
+            let chunk = self.op.drain();
+            if !chunk.is_empty() {
+                self.ready = chunk.into_iter();
+            } else if !feed(&mut self.op, &mut self.left, &mut self.right)? {
+                return Ok(None);
+            }
+        }
+    }
+
+    fn order(&self) -> Option<StreamOrder> {
+        self.order
+    }
+}
+
+impl<K, L, R> Instrumented for PullOp<K, L, R>
+where
+    K: BatchOp,
+    L: TupleStream<Item = K::LeftItem>,
+    R: TupleStream<Item = K::RightItem>,
+{
+    fn report(&self) -> OpReport {
+        self.op.report()
+    }
 }
 
 /// Where a cursor's head stands.
@@ -155,11 +246,11 @@ enum Head {
 
 /// A read cursor over queued input batches.
 ///
-/// Mirrors the row operators' one-tuple input buffer: `reads` counts a row
-/// the first time it becomes the visible head, exactly when the pull
-/// operators count their `refill` — so read metrics are batch-size
-/// invariant and row-identical, as long as the kernel resolves heads only
-/// when the row twin would have refilled.
+/// The paper's one-tuple input buffer, over batches: `reads` counts a row
+/// the first time it becomes the visible head — when the tuple-at-a-time
+/// algorithm would refill its buffer — not when its batch arrives, so
+/// read metrics are batch-size invariant as long as the kernel resolves
+/// heads only where the algorithm reads.
 struct Cursor<T> {
     queue: VecDeque<RowBatch<T>>,
     idx: usize,
@@ -252,16 +343,17 @@ fn metrics(read_left: usize, read_right: usize, comparisons: usize, emitted: usi
 }
 
 // ---------------------------------------------------------------------------
-// Contain-join, (ValidFrom ↑, ValidTo ↑) — batched ContainJoinTsTe.
+// Contain-join, (ValidFrom ↑, ValidTo ↑).
 // ---------------------------------------------------------------------------
 
-/// Batched Contain-join over X sorted `ValidFrom ↑`, Y sorted `ValidTo ↑`
-/// (Table 1 state (b)) — the vectorized twin of
-/// [`crate::ContainJoinTsTe`]. Y-driven: per y row it GCs the gapless X
-/// state on the `x.TE ≥ y.TE` cutoff, admits X rows up to `y.TS` through
-/// the same condition, then probes the state with one branch-light pass
-/// over the endpoint columns.
-pub struct BatchContainJoinTsTe<X: Temporal + Clone, Y: Temporal + Clone> {
+/// Contain-join (`x.TS < y.TS ∧ y.TE < x.TE`) over X sorted
+/// `ValidFrom ↑`, Y sorted `ValidTo ↑` — Table 1 state (b). Y-driven:
+/// per y row it GCs the gapless X state on the `x.TE ≥ y.TE` cutoff,
+/// admits X rows up to `y.TS` through the same condition, then probes
+/// the state with one branch-light pass over the endpoint columns. Y
+/// tuples are matched on arrival and never stored, so the workspace is
+/// exactly `{x : x.TE ≥ y_b.TE}` among the read prefix.
+pub struct ContainJoinTsTe<X: Temporal + Clone, Y: Temporal + Clone> {
     cx: Cursor<X>,
     cy: Cursor<Y>,
     state: GaplessWorkspace<X>,
@@ -275,10 +367,10 @@ pub struct BatchContainJoinTsTe<X: Temporal + Clone, Y: Temporal + Clone> {
     want: Wants,
 }
 
-impl<X: Temporal + Clone, Y: Temporal + Clone> BatchContainJoinTsTe<X, Y> {
+impl<X: Temporal + Clone, Y: Temporal + Clone> ContainJoinTsTe<X, Y> {
     /// An empty kernel awaiting input.
     pub fn new() -> Self {
-        BatchContainJoinTsTe {
+        ContainJoinTsTe {
             cx: Cursor::new(),
             cy: Cursor::new(),
             state: GaplessWorkspace::new(),
@@ -293,17 +385,18 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchContainJoinTsTe<X, Y> {
         }
     }
 
-    /// Count matches instead of materializing pairs: the probe pass sums
-    /// hits over the endpoint columns and never touches payloads, so
-    /// `report().metrics` stays identical while [`BatchOp::drain`] stays
-    /// empty. The compact consumer for count-only sinks.
-    pub fn count_only(mut self) -> Self {
-        self.count_only = true;
+    /// With `on`, count matches instead of materializing pairs: the probe
+    /// pass sums hits over the endpoint columns and never touches
+    /// payloads, so `report().metrics` stays identical while
+    /// [`BatchOp::drain`] stays empty. The compact consumer for count-only
+    /// sinks.
+    pub fn count_only(mut self, on: bool) -> Self {
+        self.count_only = on;
         self
     }
 
     fn run(&mut self) {
-        // The row twin buffers its first X tuple before reading any Y.
+        // The algorithm buffers its first X tuple before reading any Y.
         if !self.started {
             if matches!(self.cx.head(), Head::Starved) {
                 self.want = Wants::Left;
@@ -390,13 +483,13 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchContainJoinTsTe<X, Y> {
     }
 }
 
-impl<X: Temporal + Clone, Y: Temporal + Clone> Default for BatchContainJoinTsTe<X, Y> {
+impl<X: Temporal + Clone, Y: Temporal + Clone> Default for ContainJoinTsTe<X, Y> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for BatchContainJoinTsTe<X, Y> {
+impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for ContainJoinTsTe<X, Y> {
     type LeftItem = X;
     type RightItem = Y;
     type Out = (X, Y);
@@ -439,13 +532,13 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for BatchContainJoinTsTe<
 }
 
 // ---------------------------------------------------------------------------
-// Overlap join — batched OverlapJoin.
+// Overlap join.
 // ---------------------------------------------------------------------------
 
-/// Batched Overlap join over two `ValidFrom ↑` inputs (Table 2 state (a))
-/// — the vectorized twin of [`crate::OverlapJoin`]. Both state sets live
-/// in gapless columns; probes and GC cutoffs are single passes over them.
-pub struct BatchOverlapJoin<X: Temporal + Clone, Y: Temporal + Clone> {
+/// Overlap join over two `ValidFrom ↑` inputs — Table 2 state (a). Both
+/// state sets live in gapless columns; probes and GC cutoffs are single
+/// passes over them.
+pub struct OverlapJoin<X: Temporal + Clone, Y: Temporal + Clone> {
     cx: Cursor<X>,
     cy: Cursor<Y>,
     sx: GaplessWorkspace<X>,
@@ -462,10 +555,10 @@ pub struct BatchOverlapJoin<X: Temporal + Clone, Y: Temporal + Clone> {
     want: Wants,
 }
 
-impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOverlapJoin<X, Y> {
+impl<X: Temporal + Clone, Y: Temporal + Clone> OverlapJoin<X, Y> {
     /// An empty kernel with the given overlap mode and read policy.
     pub fn new(mode: OverlapMode, policy: ReadPolicy) -> Self {
-        BatchOverlapJoin {
+        OverlapJoin {
             cx: Cursor::new(),
             cy: Cursor::new(),
             sx: GaplessWorkspace::new(),
@@ -483,15 +576,22 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOverlapJoin<X, Y> {
         }
     }
 
-    /// Count matches instead of materializing pairs — see
-    /// [`BatchContainJoinTsTe::count_only`].
-    pub fn count_only(mut self) -> Self {
-        self.count_only = true;
+    /// With `on`, count matches instead of materializing pairs — see
+    /// [`ContainJoinTsTe::count_only`].
+    pub fn count_only(mut self, on: bool) -> Self {
+        self.count_only = on;
         self
     }
 
-    /// GC keyed off the resolved heads — the row twin's `gc_phase`, with
-    /// the cutoffs applied as single passes over the endpoint columns.
+    /// GC keyed off the buffered (head) tuples, the cutoffs applied as
+    /// single passes over the endpoint columns.
+    ///
+    /// General mode: `x` is dead once `x.TE ≤ y_b.TS` (no future `y` starts
+    /// inside it) and symmetrically for `y`. Strict mode: the same cutoff
+    /// kills `x` (Allen overlap needs `y.TS < x.TE`), while `y` is dead
+    /// once `y.TS ≤ x_b.TS` (it needs an earlier-starting `x`, and future
+    /// `x` only start later). An exhausted input empties the opposite
+    /// state.
     fn gc(&mut self, hx: Option<(i64, i64)>, hy: Option<(i64, i64)>) {
         match hy {
             Some((yts, _)) => self.sx.gc_te_gt(yts),
@@ -620,9 +720,8 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOverlapJoin<X, Y> {
                 Head::Exhausted => None,
                 Head::Row(a, b) => Some((a, b)),
             };
-            // The row twin GCs right after refilling inside process_*; with
-            // heads now resolved to the same tuples, running it here is
-            // observationally identical.
+            // GC belongs right after the refill that follows a processed
+            // tuple; the refill is this head resolution, so it runs here.
             if self.gc_pending {
                 self.gc(hx, hy);
                 self.gc_pending = false;
@@ -667,7 +766,7 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOverlapJoin<X, Y> {
     }
 }
 
-impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for BatchOverlapJoin<X, Y> {
+impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for OverlapJoin<X, Y> {
     type LeftItem = X;
     type RightItem = Y;
     type Out = (X, Y);
@@ -710,7 +809,7 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for BatchOverlapJoin<X, Y
 }
 
 // ---------------------------------------------------------------------------
-// Overlap semijoin — batched OverlapSemijoin.
+// Overlap semijoin.
 // ---------------------------------------------------------------------------
 
 // One kernel exists per operator instance and is never stored in a
@@ -728,11 +827,13 @@ enum SemiKernel<X: Temporal + Clone, Y: Temporal + Clone> {
     },
 }
 
-/// Batched Overlap **semijoin** — the vectorized twin of
-/// [`crate::OverlapSemijoin`]. General mode is the two-buffer merge of
-/// Table 2 state (b) (zero workspace); strict Allen mode sweeps with
-/// gapless state and emit-once extraction.
-pub struct BatchOverlapSemijoin<X: Temporal + Clone, Y: Temporal + Clone> {
+/// Overlap **semijoin**: emits each X tuple overlapping at least one Y
+/// tuple. General mode is the two-buffer merge of Table 2 state (b):
+/// general overlap is monotone in both sort keys, so the scan advances
+/// whichever buffer ends first and never stores a tuple (zero workspace,
+/// output in X order). Strict Allen mode sweeps with gapless state and
+/// emit-once extraction.
+pub struct OverlapSemijoin<X: Temporal + Clone, Y: Temporal + Clone> {
     cx: Cursor<X>,
     cy: Cursor<Y>,
     kernel: SemiKernel<X, Y>,
@@ -743,7 +844,7 @@ pub struct BatchOverlapSemijoin<X: Temporal + Clone, Y: Temporal + Clone> {
     want: Wants,
 }
 
-impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOverlapSemijoin<X, Y> {
+impl<X: Temporal + Clone, Y: Temporal + Clone> OverlapSemijoin<X, Y> {
     /// An empty kernel with the given overlap mode and read policy.
     pub fn new(mode: OverlapMode, policy: ReadPolicy) -> Self {
         let kernel = match mode {
@@ -756,7 +857,7 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOverlapSemijoin<X, Y> {
                 gc_pending: false,
             },
         };
-        BatchOverlapSemijoin {
+        OverlapSemijoin {
             cx: Cursor::new(),
             cy: Cursor::new(),
             kernel,
@@ -770,7 +871,7 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOverlapSemijoin<X, Y> {
 
     fn run(&mut self) {
         if !self.started {
-            // The row twin buffers one tuple from each input up front.
+            // The algorithm buffers one tuple from each input up front.
             if matches!(self.cx.head(), Head::Starved) {
                 self.want = Wants::Left;
                 return;
@@ -916,7 +1017,7 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOverlapSemijoin<X, Y> {
     }
 }
 
-impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for BatchOverlapSemijoin<X, Y> {
+impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for OverlapSemijoin<X, Y> {
     type LeftItem = X;
     type RightItem = Y;
     type Out = X;
@@ -963,20 +1064,32 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for BatchOverlapSemijoin<
 }
 
 // ---------------------------------------------------------------------------
-// Stab semijoins — batched ContainSemijoinStab / ContainedSemijoinStab.
+// Stab semijoins.
 // ---------------------------------------------------------------------------
 
-/// Which side of the containment a batched stab scan emits.
+/// Which side of the containment a stab scan emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StabEmit {
     Container,
     Containee,
 }
 
-/// The shared batched two-buffer stab scan (§4.2.2 / Figure 6): containers
-/// on the left (`ValidFrom ↑`), containees on the right (`ValidTo ↑`),
-/// zero workspace beyond the two cursor heads.
-pub struct BatchStabScan<C: Temporal + Clone, E: Temporal + Clone> {
+/// The shared two-buffer stab scan (§4.2.2 / Figure 6): containers on the
+/// left (`ValidFrom ↑`), containees on the right (`ValidTo ↑`), zero
+/// workspace beyond the two cursor heads — "for semijoins, a stream
+/// processor can output a tuple as soon as it finds the first matching
+/// tuple", so one buffer per input suffices (Table 1 state (d)):
+///
+/// * a containee whose `TS ≤` the buffered container's `TS` can be
+///   contained in **no** current or future container (containers' `TS`
+///   only grows) — skip it;
+/// * otherwise, if the containee ends strictly before the buffered
+///   container (`e.TE < c.TE`), the pair matches (`c.TS < e.TS ∧
+///   e.TE < c.TE`);
+/// * otherwise (`e.TE ≥ c.TE`) the buffered container can contain **no**
+///   current or future containee (containees' `TE` only grows) — advance
+///   the container.
+pub struct StabScan<C: Temporal + Clone, E: Temporal + Clone> {
     cc: Cursor<C>,
     ce: Cursor<E>,
     emit: StabEmit,
@@ -988,9 +1101,9 @@ pub struct BatchStabScan<C: Temporal + Clone, E: Temporal + Clone> {
     want: Wants,
 }
 
-impl<C: Temporal + Clone, E: Temporal + Clone> BatchStabScan<C, E> {
+impl<C: Temporal + Clone, E: Temporal + Clone> StabScan<C, E> {
     fn with_emit(emit: StabEmit) -> Self {
-        BatchStabScan {
+        StabScan {
             cc: Cursor::new(),
             ce: Cursor::new(),
             emit,
@@ -1090,29 +1203,29 @@ impl<C: Temporal + Clone, E: Temporal + Clone> BatchStabScan<C, E> {
     }
 }
 
-/// Batched `Contain-semijoin(X, Y)` (X: `ValidFrom ↑` containers on the
-/// left, Y: `ValidTo ↑` containees on the right) — the vectorized twin of
-/// [`crate::ContainSemijoinStab`]. Emits containers.
-pub struct BatchContainSemijoinStab<X: Temporal + Clone, Y: Temporal + Clone> {
-    scan: BatchStabScan<X, Y>,
+/// `Contain-semijoin(X, Y)` (X: `ValidFrom ↑` containers on the left, Y:
+/// `ValidTo ↑` containees on the right): emits each X tuple containing at
+/// least one Y tuple, one output per container, in X order.
+pub struct ContainSemijoinStab<X: Temporal + Clone, Y: Temporal + Clone> {
+    scan: StabScan<X, Y>,
 }
 
-impl<X: Temporal + Clone, Y: Temporal + Clone> BatchContainSemijoinStab<X, Y> {
+impl<X: Temporal + Clone, Y: Temporal + Clone> ContainSemijoinStab<X, Y> {
     /// An empty kernel awaiting input.
     pub fn new() -> Self {
-        BatchContainSemijoinStab {
-            scan: BatchStabScan::with_emit(StabEmit::Container),
+        ContainSemijoinStab {
+            scan: StabScan::with_emit(StabEmit::Container),
         }
     }
 }
 
-impl<X: Temporal + Clone, Y: Temporal + Clone> Default for BatchContainSemijoinStab<X, Y> {
+impl<X: Temporal + Clone, Y: Temporal + Clone> Default for ContainSemijoinStab<X, Y> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for BatchContainSemijoinStab<X, Y> {
+impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for ContainSemijoinStab<X, Y> {
     type LeftItem = X;
     type RightItem = Y;
     type Out = X;
@@ -1145,31 +1258,30 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for BatchContainSemijoinS
     }
 }
 
-/// Batched `Contained-semijoin(X, Y)` — the vectorized twin of
-/// [`crate::ContainedSemijoinStab`]: Y are the containers (left input,
-/// `ValidFrom ↑`), X the containees (right input, `ValidTo ↑`); emits the
-/// contained X tuples. Note the left/right swap mirrors the row twin,
-/// whose `read_left` counts the container (Y) side.
-pub struct BatchContainedSemijoinStab<X: Temporal + Clone, Y: Temporal + Clone> {
-    scan: BatchStabScan<Y, X>,
+/// `Contained-semijoin(X, Y)`: emits each X tuple contained in at least
+/// one Y tuple, in X order. Y are the containers (the kernel's **left**
+/// input, `ValidFrom ↑`), X the containees (right input, `ValidTo ↑`), so
+/// `read_left` counts the container (Y) side.
+pub struct ContainedSemijoinStab<X: Temporal + Clone, Y: Temporal + Clone> {
+    scan: StabScan<Y, X>,
 }
 
-impl<X: Temporal + Clone, Y: Temporal + Clone> BatchContainedSemijoinStab<X, Y> {
+impl<X: Temporal + Clone, Y: Temporal + Clone> ContainedSemijoinStab<X, Y> {
     /// An empty kernel awaiting input.
     pub fn new() -> Self {
-        BatchContainedSemijoinStab {
-            scan: BatchStabScan::with_emit(StabEmit::Containee),
+        ContainedSemijoinStab {
+            scan: StabScan::with_emit(StabEmit::Containee),
         }
     }
 }
 
-impl<X: Temporal + Clone, Y: Temporal + Clone> Default for BatchContainedSemijoinStab<X, Y> {
+impl<X: Temporal + Clone, Y: Temporal + Clone> Default for ContainedSemijoinStab<X, Y> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for BatchContainedSemijoinStab<X, Y> {
+impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for ContainedSemijoinStab<X, Y> {
     type LeftItem = Y;
     type RightItem = X;
     type Out = X;
@@ -1206,9 +1318,12 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for BatchContainedSemijoi
 mod tests {
     use super::*;
     use crate::batch::VecBatchStream;
-    use crate::report::{Instrumented, OpConfig};
-    use crate::stream::{from_sorted_vec, TupleStream};
-    use tdb_core::{StreamOrder, TsTuple};
+    use crate::report::OpConfig;
+    use crate::stream::{from_sorted_vec, from_vec};
+    use proptest::prelude::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
+    use tdb_core::TsTuple;
 
     fn iv(s: i64, e: i64) -> TsTuple {
         TsTuple::interval(s, e).unwrap()
@@ -1219,8 +1334,21 @@ mod tests {
         v
     }
 
-    fn batched(items: Vec<TsTuple>, order: StreamOrder, rows: usize) -> VecBatchStream<TsTuple> {
-        VecBatchStream::from_sorted_vec(items, order, rows).unwrap()
+    fn canon(mut v: Vec<TsTuple>) -> Vec<TsTuple> {
+        v.sort_by_key(|t| (t.ts().ticks(), t.te().ticks()));
+        v
+    }
+
+    fn canon_pairs(mut v: Vec<(TsTuple, TsTuple)>) -> Vec<(TsTuple, TsTuple)> {
+        v.sort_by_key(|(x, y)| {
+            (
+                x.ts().ticks(),
+                x.te().ticks(),
+                y.ts().ticks(),
+                y.te().ticks(),
+            )
+        });
+        v
     }
 
     fn workload(n: i64) -> (Vec<TsTuple>, Vec<TsTuple>) {
@@ -1233,163 +1361,500 @@ mod tests {
         (xs, ys)
     }
 
-    /// Batched ContainJoinTsTe matches the row operator exactly — output
-    /// sequence and full report — for every batch size.
+    /// Push `op` over the two sorted vectors in `rows`-row batches and
+    /// collect everything it emits.
+    fn driven<K: BatchOp>(
+        mut op: K,
+        left: (Vec<K::LeftItem>, StreamOrder),
+        right: (Vec<K::RightItem>, StreamOrder),
+        rows: usize,
+    ) -> (Vec<K::Out>, OpReport) {
+        let mut out = Vec::new();
+        let completed = drive(
+            &mut op,
+            &mut VecBatchStream::from_sorted_vec(left.0, left.1, rows).unwrap(),
+            &mut VecBatchStream::from_sorted_vec(right.0, right.1, rows).unwrap(),
+            &mut |chunk| {
+                out.extend(chunk);
+                Ok(true)
+            },
+        )
+        .unwrap();
+        assert!(completed);
+        (out, op.report())
+    }
+
+    /// Pull a kernel-backed operator dry.
+    fn pulled<S: TupleStream + Instrumented>(mut op: S) -> (Vec<S::Item>, OpReport) {
+        let out = op.collect_vec().unwrap();
+        (out, op.report())
+    }
+
+    fn ts(v: &[TsTuple]) -> crate::stream::VecStream<TsTuple> {
+        from_sorted_vec(sorted(v.to_vec(), StreamOrder::TS_ASC), StreamOrder::TS_ASC).unwrap()
+    }
+
+    fn te(v: &[TsTuple]) -> crate::stream::VecStream<TsTuple> {
+        from_sorted_vec(sorted(v.to_vec(), StreamOrder::TE_ASC), StreamOrder::TE_ASC).unwrap()
+    }
+
+    // -- batch-size invariance: pushing batches of any size and pulling one
+    // -- tuple at a time run the same kernel to the same output and report.
+
     #[test]
-    fn contain_ts_te_equals_row_operator() {
+    fn contain_ts_te_is_batch_size_invariant() {
         let (xs, ys) = workload(120);
+        let (pull_out, pull_rep) = pulled(
+            OpConfig::new()
+                .contain_join_ts_te(ts(&xs), te(&ys))
+                .unwrap(),
+        );
+        assert!(!pull_out.is_empty());
         let xs = sorted(xs, StreamOrder::TS_ASC);
         let ys = sorted(ys, StreamOrder::TE_ASC);
-
-        let mut row = OpConfig::new()
-            .contain_join_ts_te(
-                from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
-                from_sorted_vec(ys.clone(), StreamOrder::TE_ASC).unwrap(),
-            )
-            .unwrap();
-        let row_out = row.collect_vec().unwrap();
-
         for rows in [1usize, 7, 64, 1024] {
-            let mut op = BatchContainJoinTsTe::new();
-            let got = drive(
-                &mut op,
-                &mut batched(xs.clone(), StreamOrder::TS_ASC, rows),
-                &mut batched(ys.clone(), StreamOrder::TE_ASC, rows),
-            )
-            .unwrap();
-            assert_eq!(got, row_out, "batch size {rows}");
-            assert_eq!(op.report(), row.report(), "batch size {rows}");
+            let (got, rep) = driven(
+                ContainJoinTsTe::new(),
+                (xs.clone(), StreamOrder::TS_ASC),
+                (ys.clone(), StreamOrder::TE_ASC),
+                rows,
+            );
+            assert_eq!(got, pull_out, "batch size {rows}");
+            assert_eq!(rep, pull_rep, "batch size {rows}");
         }
     }
 
-    /// Batched OverlapJoin matches the row operator for both modes and
-    /// several policies.
     #[test]
-    fn overlap_join_equals_row_operator() {
+    fn overlap_join_is_batch_size_invariant() {
         let (xs, ys) = workload(100);
-        let xs = sorted(xs, StreamOrder::TS_ASC);
-        let ys = sorted(ys, StreamOrder::TS_ASC);
         for mode in [OverlapMode::General, OverlapMode::Strict] {
             for policy in [ReadPolicy::MinKey, ReadPolicy::Alternate] {
                 let cfg = OpConfig::new().with_mode(mode).with_policy(policy);
-                let mut row = cfg
-                    .overlap_join(
-                        from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
-                        from_sorted_vec(ys.clone(), StreamOrder::TS_ASC).unwrap(),
-                    )
-                    .unwrap();
-                let row_out = row.collect_vec().unwrap();
+                let (pull_out, pull_rep) = pulled(cfg.overlap_join(ts(&xs), ts(&ys)).unwrap());
                 for rows in [1usize, 13, 256] {
-                    let mut op = BatchOverlapJoin::new(mode, policy);
-                    let got = drive(
-                        &mut op,
-                        &mut batched(xs.clone(), StreamOrder::TS_ASC, rows),
-                        &mut batched(ys.clone(), StreamOrder::TS_ASC, rows),
-                    )
-                    .unwrap();
-                    assert_eq!(got, row_out, "mode {mode:?} policy {policy:?} rows {rows}");
-                    assert_eq!(op.report(), row.report(), "mode {mode:?} rows {rows}");
+                    let (got, rep) = driven(
+                        OverlapJoin::new(mode, policy),
+                        (sorted(xs.clone(), StreamOrder::TS_ASC), StreamOrder::TS_ASC),
+                        (sorted(ys.clone(), StreamOrder::TS_ASC), StreamOrder::TS_ASC),
+                        rows,
+                    );
+                    assert_eq!(got, pull_out, "mode {mode:?} policy {policy:?} rows {rows}");
+                    assert_eq!(rep, pull_rep, "mode {mode:?} rows {rows}");
                 }
             }
         }
     }
 
     #[test]
-    fn overlap_semijoin_equals_row_operator() {
+    fn overlap_semijoin_is_batch_size_invariant() {
         let (xs, ys) = workload(90);
-        let xs = sorted(xs, StreamOrder::TS_ASC);
-        let ys = sorted(ys, StreamOrder::TS_ASC);
         for mode in [OverlapMode::General, OverlapMode::Strict] {
             let cfg = OpConfig::new().with_mode(mode);
-            let mut row = cfg
-                .overlap_semijoin(
-                    from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
-                    from_sorted_vec(ys.clone(), StreamOrder::TS_ASC).unwrap(),
-                )
-                .unwrap();
-            let row_out = row.collect_vec().unwrap();
+            let (pull_out, pull_rep) = pulled(cfg.overlap_semijoin(ts(&xs), ts(&ys)).unwrap());
             for rows in [1usize, 32, 512] {
-                let mut op = BatchOverlapSemijoin::new(mode, ReadPolicy::MinKey);
-                let got = drive(
-                    &mut op,
-                    &mut batched(xs.clone(), StreamOrder::TS_ASC, rows),
-                    &mut batched(ys.clone(), StreamOrder::TS_ASC, rows),
-                )
-                .unwrap();
-                assert_eq!(got, row_out, "mode {mode:?} rows {rows}");
-                assert_eq!(op.report(), row.report(), "mode {mode:?} rows {rows}");
+                let (got, rep) = driven(
+                    OverlapSemijoin::new(mode, ReadPolicy::MinKey),
+                    (sorted(xs.clone(), StreamOrder::TS_ASC), StreamOrder::TS_ASC),
+                    (sorted(ys.clone(), StreamOrder::TS_ASC), StreamOrder::TS_ASC),
+                    rows,
+                );
+                assert_eq!(got, pull_out, "mode {mode:?} rows {rows}");
+                assert_eq!(rep, pull_rep, "mode {mode:?} rows {rows}");
             }
         }
     }
 
     #[test]
-    fn stab_semijoins_equal_row_operators() {
+    fn stab_semijoins_are_batch_size_invariant() {
         let (xs, ys) = workload(110);
-        // Contain: X containers TS↑, Y containees TE↑.
-        let cx = sorted(xs.clone(), StreamOrder::TS_ASC);
-        let ey = sorted(ys.clone(), StreamOrder::TE_ASC);
-        let mut row = OpConfig::new()
-            .contain_semijoin_stab(
-                from_sorted_vec(cx.clone(), StreamOrder::TS_ASC).unwrap(),
-                from_sorted_vec(ey.clone(), StreamOrder::TE_ASC).unwrap(),
-            )
-            .unwrap();
-        let row_out = row.collect_vec().unwrap();
+        // Contain: X containers TS↑ (left), Y containees TE↑ (right).
+        let (pull_out, pull_rep) = pulled(
+            OpConfig::new()
+                .contain_semijoin_stab(ts(&xs), te(&ys))
+                .unwrap(),
+        );
         for rows in [1usize, 16, 128] {
-            let mut op = BatchContainSemijoinStab::new();
-            let got = drive(
-                &mut op,
-                &mut batched(cx.clone(), StreamOrder::TS_ASC, rows),
-                &mut batched(ey.clone(), StreamOrder::TE_ASC, rows),
-            )
-            .unwrap();
-            assert_eq!(got, row_out, "rows {rows}");
-            assert_eq!(op.report(), row.report(), "rows {rows}");
+            let (got, rep) = driven(
+                ContainSemijoinStab::new(),
+                (sorted(xs.clone(), StreamOrder::TS_ASC), StreamOrder::TS_ASC),
+                (sorted(ys.clone(), StreamOrder::TE_ASC), StreamOrder::TE_ASC),
+                rows,
+            );
+            assert_eq!(got, pull_out, "rows {rows}");
+            assert_eq!(rep, pull_rep, "rows {rows}");
         }
         // Contained: X containees TE↑ (right input), Y containers TS↑ (left).
-        let ex = sorted(xs, StreamOrder::TE_ASC);
-        let cyy = sorted(ys, StreamOrder::TS_ASC);
-        let mut row = OpConfig::new()
-            .contained_semijoin_stab(
-                from_sorted_vec(ex.clone(), StreamOrder::TE_ASC).unwrap(),
-                from_sorted_vec(cyy.clone(), StreamOrder::TS_ASC).unwrap(),
-            )
-            .unwrap();
-        let row_out = row.collect_vec().unwrap();
+        let (pull_out, pull_rep) = pulled(
+            OpConfig::new()
+                .contained_semijoin_stab(te(&xs), ts(&ys))
+                .unwrap(),
+        );
         for rows in [1usize, 16, 128] {
-            let mut op = BatchContainedSemijoinStab::new();
-            let got = drive(
-                &mut op,
-                &mut batched(cyy.clone(), StreamOrder::TS_ASC, rows),
-                &mut batched(ex.clone(), StreamOrder::TE_ASC, rows),
-            )
-            .unwrap();
-            assert_eq!(got, row_out, "rows {rows}");
-            assert_eq!(op.report(), row.report(), "rows {rows}");
+            let (got, rep) = driven(
+                ContainedSemijoinStab::new(),
+                (sorted(ys.clone(), StreamOrder::TS_ASC), StreamOrder::TS_ASC),
+                (sorted(xs.clone(), StreamOrder::TE_ASC), StreamOrder::TE_ASC),
+                rows,
+            );
+            assert_eq!(got, pull_out, "rows {rows}");
+            assert_eq!(rep, pull_rep, "rows {rows}");
         }
     }
 
-    /// Edge cases: empty inputs on either side.
+    /// Empty Y: the Contain-join still buffers (reads) the first X tuple.
     #[test]
-    fn empty_inputs_match_row_reports() {
+    fn empty_right_input_reads_one_left_tuple() {
         let xs = vec![iv(0, 5), iv(1, 9)];
-        // Empty Y: the row twin still buffers (reads) the first X tuple.
-        let mut row = OpConfig::new()
-            .contain_join_ts_te(
-                from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
-                from_sorted_vec(Vec::<TsTuple>::new(), StreamOrder::TE_ASC).unwrap(),
-            )
-            .unwrap();
-        assert!(row.collect_vec().unwrap().is_empty());
-        let mut op = BatchContainJoinTsTe::<TsTuple, TsTuple>::new();
-        let got = drive(
-            &mut op,
-            &mut batched(xs, StreamOrder::TS_ASC, 4),
-            &mut batched(vec![], StreamOrder::TE_ASC, 4),
-        )
-        .unwrap();
+        let (got, rep) = driven(
+            ContainJoinTsTe::<TsTuple, TsTuple>::new(),
+            (xs, StreamOrder::TS_ASC),
+            (vec![], StreamOrder::TE_ASC),
+            4,
+        );
         assert!(got.is_empty());
-        assert_eq!(op.report(), row.report());
-        assert_eq!(op.report().metrics.read_left, 1);
+        assert_eq!(rep.metrics.read_left, 1);
+        assert_eq!(rep.metrics.read_right, 0);
+    }
+
+    // -- the pull adapter.
+
+    /// Counts how often the operator above pulls from this input.
+    struct Counting<S> {
+        inner: S,
+        pulls: Rc<Cell<usize>>,
+    }
+
+    impl<S: TupleStream> TupleStream for Counting<S> {
+        type Item = S::Item;
+
+        fn next(&mut self) -> TdbResult<Option<S::Item>> {
+            self.pulls.set(self.pulls.get() + 1);
+            self.inner.next()
+        }
+
+        fn order(&self) -> Option<StreamOrder> {
+            self.inner.order()
+        }
+    }
+
+    /// The adapter is as lazy as the tuple-at-a-time algorithm. The
+    /// numbers were read off the row-at-a-time `ContainJoinTsTe` this
+    /// adapter replaced, on these inputs: nothing is pulled at
+    /// construction; the first `next()` reads y₁ and the four X tuples up
+    /// to the first with `x.TS ≥ y₁.TS` (4 left, 1 right); the second
+    /// output comes from the same y and reads nothing; dropping the
+    /// operator pulls nothing further.
+    #[test]
+    fn pull_adapter_reads_no_further_than_the_next_output_needs() {
+        let xs = vec![iv(0, 100), iv(2, 50), iv(4, 6), iv(20, 30), iv(40, 60)];
+        let ys = vec![iv(5, 8), iv(21, 25), iv(45, 50)];
+        let (px, py) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+        let x = Counting {
+            inner: from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
+            pulls: px.clone(),
+        };
+        let y = Counting {
+            inner: from_sorted_vec(ys.clone(), StreamOrder::TE_ASC).unwrap(),
+            pulls: py.clone(),
+        };
+        let mut op = OpConfig::new().contain_join_ts_te(x, y).unwrap();
+        assert_eq!((px.get(), py.get()), (0, 0), "construction pulls nothing");
+
+        assert_eq!(op.next().unwrap(), Some((xs[0].clone(), ys[0].clone())));
+        let m = op.report().metrics;
+        assert_eq!((m.read_left, m.read_right), (4, 1));
+        assert_eq!((px.get(), py.get()), (4, 1));
+        assert_eq!(m.comparisons, 6);
+        assert_eq!(op.report().max_workspace(), 2);
+
+        assert_eq!(op.next().unwrap(), Some((xs[1].clone(), ys[0].clone())));
+        let m = op.report().metrics;
+        assert_eq!((m.read_left, m.read_right), (4, 1));
+
+        drop(op);
+        assert_eq!((px.get(), py.get()), (4, 1), "early drop pulls nothing");
+    }
+
+    #[test]
+    fn pull_adapter_propagates_input_errors() {
+        let x = crate::stream::FailingStream::new(vec![iv(0, 5), iv(1, 6)], 1, || {
+            tdb_core::TdbError::Eval("disk error".into())
+        });
+        let x = crate::stream::OrderChecked::new(x, StreamOrder::TS_ASC);
+        let mut op = OpConfig::new()
+            .overlap_join(x, ts(&[iv(0, 5), iv(2, 9)]))
+            .unwrap();
+        let mut saw_error = false;
+        loop {
+            match op.next() {
+                Ok(Some(_)) => {}
+                Ok(None) => break,
+                Err(_) => {
+                    saw_error = true;
+                    break;
+                }
+            }
+        }
+        assert!(saw_error);
+    }
+
+    // -- overlap operators vs the nested-loop definition.
+
+    fn overlap_join_oracle(
+        xs: &[TsTuple],
+        ys: &[TsTuple],
+        mode: OverlapMode,
+    ) -> Vec<(TsTuple, TsTuple)> {
+        let mut out = Vec::new();
+        for x in xs {
+            for y in ys {
+                if mode.matches(&x.period, &y.period) {
+                    out.push((x.clone(), y.clone()));
+                }
+            }
+        }
+        canon_pairs(out)
+    }
+
+    fn overlap_semi_oracle(xs: &[TsTuple], ys: &[TsTuple], mode: OverlapMode) -> Vec<TsTuple> {
+        xs.iter()
+            .filter(|x| ys.iter().any(|y| mode.matches(&x.period, &y.period)))
+            .cloned()
+            .collect()
+    }
+
+    fn run_overlap_join(
+        xs: &[TsTuple],
+        ys: &[TsTuple],
+        mode: OverlapMode,
+        policy: ReadPolicy,
+    ) -> Vec<(TsTuple, TsTuple)> {
+        let cfg = OpConfig::new().with_mode(mode).with_policy(policy);
+        canon_pairs(pulled(cfg.overlap_join(ts(xs), ts(ys)).unwrap()).0)
+    }
+
+    fn run_overlap_semi(
+        xs: &[TsTuple],
+        ys: &[TsTuple],
+        mode: OverlapMode,
+    ) -> (Vec<TsTuple>, usize) {
+        let cfg = OpConfig::new().with_mode(mode);
+        let (out, rep) = pulled(cfg.overlap_semijoin(ts(xs), ts(ys)).unwrap());
+        (canon(out), rep.max_workspace())
+    }
+
+    #[test]
+    fn strict_vs_general_semantics() {
+        let min = ReadPolicy::MinKey;
+        let (x, y) = (vec![iv(0, 5)], vec![iv(3, 8)]);
+        assert_eq!(run_overlap_join(&x, &y, OverlapMode::Strict, min).len(), 1);
+        // Containment is general-overlap but not strict Allen overlap.
+        let (x, y) = (vec![iv(0, 10)], vec![iv(3, 8)]);
+        assert!(run_overlap_join(&x, &y, OverlapMode::Strict, min).is_empty());
+        assert_eq!(run_overlap_join(&x, &y, OverlapMode::General, min).len(), 1);
+        // Meets shares no point under half-open semantics.
+        let (x, y) = (vec![iv(0, 3)], vec![iv(3, 8)]);
+        assert!(run_overlap_join(&x, &y, OverlapMode::General, min).is_empty());
+    }
+
+    #[test]
+    fn general_semijoin_uses_buffers_only() {
+        let xs: Vec<_> = (0..500).map(|i| iv(i * 2, i * 2 + 3)).collect();
+        let ys: Vec<_> = (0..500).map(|i| iv(i * 2 + 1, i * 2 + 4)).collect();
+        let (got, ws) = run_overlap_semi(&xs, &ys, OverlapMode::General);
+        assert_eq!(
+            got,
+            canon(overlap_semi_oracle(&xs, &ys, OverlapMode::General))
+        );
+        assert_eq!(ws, 0, "Table 2 state (b): workspace = the two buffers");
+    }
+
+    #[test]
+    fn general_semijoin_unmatched_x_skipped() {
+        let xs = vec![iv(0, 2), iv(10, 12)];
+        let ys = vec![iv(5, 6)];
+        let (got, _) = run_overlap_semi(&xs, &ys, OverlapMode::General);
+        assert!(got.is_empty());
+    }
+
+    #[test]
+    fn overlap_semijoin_declares_its_output_order() {
+        let xs = [iv(0, 5)];
+        let general = OpConfig::new().overlap_semijoin(ts(&xs), ts(&xs)).unwrap();
+        assert_eq!(general.order(), Some(StreamOrder::TS_ASC));
+        let strict = OpConfig::new()
+            .with_mode(OverlapMode::Strict)
+            .overlap_semijoin(ts(&xs), ts(&xs))
+            .unwrap();
+        assert_eq!(strict.order(), None);
+    }
+
+    #[test]
+    fn overlap_operators_reject_unsorted_inputs() {
+        let cfg = OpConfig::new();
+        assert!(cfg
+            .overlap_join(from_vec(vec![iv(0, 5)]), ts(&[iv(0, 5)]))
+            .is_err());
+        assert!(cfg
+            .overlap_semijoin(ts(&[iv(0, 5)]), te(&[iv(0, 5)]))
+            .is_err());
+    }
+
+    // -- stab semijoins (§4.2.2 / Figure 6).
+
+    fn contain_oracle(xs: &[TsTuple], ys: &[TsTuple]) -> Vec<TsTuple> {
+        xs.iter()
+            .filter(|x| ys.iter().any(|y| x.period.contains(&y.period)))
+            .cloned()
+            .collect()
+    }
+
+    fn contained_oracle(xs: &[TsTuple], ys: &[TsTuple]) -> Vec<TsTuple> {
+        xs.iter()
+            .filter(|x| ys.iter().any(|y| y.period.contains(&x.period)))
+            .cloned()
+            .collect()
+    }
+
+    fn run_contain(xs: &[TsTuple], ys: &[TsTuple]) -> Vec<TsTuple> {
+        let op = OpConfig::new().contain_semijoin_stab(ts(xs), te(ys));
+        canon(pulled(op.unwrap()).0)
+    }
+
+    fn run_contained(xs: &[TsTuple], ys: &[TsTuple]) -> Vec<TsTuple> {
+        let op = OpConfig::new().contained_semijoin_stab(te(xs), ts(ys));
+        canon(pulled(op.unwrap()).0)
+    }
+
+    /// The Figure 6 walk: X = {x1, x2} sorted TS↑, Y = {y1..y4} sorted TE↑.
+    /// "When x1 is fetched, the local workspace contains ⟨x1, y2⟩ and for
+    /// x2 it is ⟨x2, y4⟩." The workspace is the two cursor heads, so the
+    /// read counters name them: the containee head is the last Y read.
+    #[test]
+    fn figure6_trace() {
+        let x1 = iv(0, 10);
+        let x2 = iv(8, 20);
+        let y1 = iv(-2, 3); // TS ≤ x1.TS: dead
+        let y2 = iv(1, 5); // contained in x1
+        let y3 = iv(4, 7); // TS ≤ x2.TS: dead for x2
+        let y4 = iv(9, 15); // contained in x2
+        let x = from_sorted_vec(vec![x1.clone(), x2.clone()], StreamOrder::TS_ASC).unwrap();
+        let y = from_sorted_vec(vec![y1, y2, y3, y4], StreamOrder::TE_ASC).unwrap();
+        let mut op = OpConfig::new().contain_semijoin_stab(x, y).unwrap();
+
+        // First emission: x1, with y2 in the containee buffer — y1 was
+        // skipped, y2 is retained for the next container.
+        assert_eq!(op.next().unwrap(), Some(x1));
+        let m = op.report().metrics;
+        assert_eq!((m.read_left, m.read_right), (1, 2));
+
+        // Second emission: x2 against y4 — y2 and y3 start too early.
+        assert_eq!(op.next().unwrap(), Some(x2));
+        let m = op.report().metrics;
+        assert_eq!((m.read_left, m.read_right), (2, 4));
+
+        assert!(op.next().unwrap().is_none());
+        assert_eq!(op.report().metrics.emitted, 2);
+        assert_eq!(op.report().max_workspace(), 0, "Table 1 state (d)");
+    }
+
+    #[test]
+    fn contained_semijoin_emits_containees() {
+        let xs = vec![iv(1, 5), iv(9, 15), iv(0, 30)];
+        let ys = vec![iv(0, 10), iv(8, 20)];
+        let got = run_contained(&xs, &ys);
+        assert_eq!(got, canon(contained_oracle(&xs, &ys)));
+        assert_eq!(got.len(), 2); // [1,5) ⊂ [0,10); [9,15) ⊂ [8,20)
+    }
+
+    #[test]
+    fn strict_containment_at_endpoints() {
+        let xs = vec![iv(0, 10)];
+        for y in [iv(0, 5), iv(5, 10), iv(0, 10)] {
+            assert!(run_contain(&xs, &[y]).is_empty());
+        }
+        assert_eq!(run_contain(&xs, &[iv(1, 9)]).len(), 1);
+    }
+
+    #[test]
+    fn each_tuple_emitted_once_despite_multiple_matches() {
+        let xs = vec![iv(0, 100)];
+        let ys: Vec<_> = (0..10).map(|i| iv(1 + i, 50 + i)).collect();
+        assert_eq!(run_contain(&xs, &ys).len(), 1);
+    }
+
+    #[test]
+    fn stab_semijoins_handle_empty_inputs() {
+        assert!(run_contain(&[], &[iv(0, 1)]).is_empty());
+        assert!(run_contain(&[iv(0, 1)], &[]).is_empty());
+        assert!(run_contained(&[], &[]).is_empty());
+    }
+
+    #[test]
+    fn stab_semijoins_reject_wrong_orders() {
+        let one = [iv(0, 5)];
+        assert!(OpConfig::new()
+            .contain_semijoin_stab(te(&one), te(&one))
+            .is_err());
+        assert!(OpConfig::new()
+            .contained_semijoin_stab(te(&one), te(&one))
+            .is_err());
+    }
+
+    #[test]
+    fn stab_semijoin_output_preserves_input_order() {
+        let xs: Vec<_> = (0..50).map(|i| iv(i * 3, i * 3 + 10)).collect();
+        let ys: Vec<_> = (0..50).map(|i| iv(i * 3 + 1, i * 3 + 5)).collect();
+        let mut op = OpConfig::new()
+            .contain_semijoin_stab(ts(&xs), te(&ys))
+            .unwrap();
+        assert_eq!(op.order(), Some(StreamOrder::TS_ASC));
+        let out = op.collect_vec().unwrap();
+        assert!(!out.is_empty());
+        assert_eq!(StreamOrder::TS_ASC.first_violation(&out), None);
+        let mut op = OpConfig::new()
+            .contained_semijoin_stab(te(&ys), ts(&xs))
+            .unwrap();
+        assert_eq!(op.order(), Some(StreamOrder::TE_ASC));
+        let out = op.collect_vec().unwrap();
+        assert!(!out.is_empty());
+        assert_eq!(StreamOrder::TE_ASC.first_violation(&out), None);
+    }
+
+    fn arb_intervals(n: usize) -> impl Strategy<Value = Vec<TsTuple>> {
+        proptest::collection::vec((-60i64..60, 1i64..40), 0..n)
+            .prop_map(|v| v.into_iter().map(|(s, d)| iv(s, s + d)).collect())
+    }
+
+    proptest! {
+        #[test]
+        fn overlap_join_matches_oracle(xs in arb_intervals(40), ys in arb_intervals(40)) {
+            for mode in [OverlapMode::Strict, OverlapMode::General] {
+                for policy in [ReadPolicy::MinKey, ReadPolicy::Alternate] {
+                    prop_assert_eq!(
+                        run_overlap_join(&xs, &ys, mode, policy),
+                        overlap_join_oracle(&xs, &ys, mode)
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn overlap_semijoin_matches_oracle(xs in arb_intervals(40), ys in arb_intervals(40)) {
+            for mode in [OverlapMode::Strict, OverlapMode::General] {
+                let (got, _) = run_overlap_semi(&xs, &ys, mode);
+                prop_assert_eq!(got, canon(overlap_semi_oracle(&xs, &ys, mode)));
+            }
+        }
+
+        #[test]
+        fn contain_semijoin_matches_oracle(xs in arb_intervals(50), ys in arb_intervals(50)) {
+            prop_assert_eq!(run_contain(&xs, &ys), canon(contain_oracle(&xs, &ys)));
+        }
+
+        #[test]
+        fn contained_semijoin_matches_oracle(xs in arb_intervals(50), ys in arb_intervals(50)) {
+            prop_assert_eq!(run_contained(&xs, &ys), canon(contained_oracle(&xs, &ys)));
+        }
     }
 }

@@ -9,13 +9,14 @@
 //! Two sorted configurations admit single-pass evaluation with bounded
 //! state:
 //!
-//! * [`ContainJoinTsTs`] — both inputs sorted `ValidFrom ↑` (Figure 5).
-//!   State (a) of Table 1: `{X tuples whose lifespan span y_b.TS} ∪
-//!   {Y tuples whose TS lies in x_b's lifespan}`.
-//! * [`ContainJoinTsTe`] — X sorted `ValidFrom ↑`, Y sorted `ValidTo ↑`.
-//!   State (b) of Table 1: `{X tuples whose lifespan span y_b.TE}` (our
-//!   pull-driven variant never stores Y tuples at all, so it realizes the
-//!   X component of state (b) only).
+//! * [`ContainJoinTsTs`] (this module) — both inputs sorted `ValidFrom ↑`
+//!   (Figure 5). State (a) of Table 1: `{X tuples whose lifespan span
+//!   y_b.TS} ∪ {Y tuples whose TS lies in x_b's lifespan}`.
+//! * [`crate::ContainJoinTsTe`] (a kernel of [`crate::batch_ops`]) — X
+//!   sorted `ValidFrom ↑`, Y sorted `ValidTo ↑`. State (b) of Table 1:
+//!   `{X tuples whose lifespan span y_b.TE}` (Y tuples are matched on
+//!   arrival and never stored, so it realizes the X component of state
+//!   (b) only).
 //!
 //! Mirrored orderings (`ValidTo ↓` / `ValidTo ↓`, etc.) are served by the
 //! same operators after time reversal (Table 1's lower half "is the mirror
@@ -33,16 +34,9 @@
 //! * discarding `x` when `x.TE < y_b.TS` is safe — every future `y` has
 //!   `y.TE > y.TS ≥ y_b.TS > x.TE`, violating `y.TE < x.TE`.
 //!
-//! ### Paper erratum (TS↑/TE↑ case)
-//!
-//! The paper's garbage-collection phase for the `(ValidFrom ↑, ValidTo ↑)`
-//! configuration reads "dispose of X tuples if X.ValidTo **>** y_b.ValidTo",
-//! which would discard exactly the tuples that still can contain future Y
-//! tuples, contradicting the state characterization (b) "X tuples whose
-//! lifespan *span* y_b.ValidTo". We implement the evidently intended
-//! condition `X.ValidTo < y_b.ValidTo` (every future `y` has
-//! `y.TE ≥ y_b.TE > x.TE`, so such `x` is dead). A regression test pins
-//! this down.
+//! The paper's misprinted GC rule for the `(ValidFrom ↑, ValidTo ↑)` case
+//! is documented with its kernel in [`crate::batch_ops`]; the regression
+//! test lives in this module's tests beside the Figure 5 cases.
 
 use crate::metrics::OpMetrics;
 use crate::progress::Progress;
@@ -320,184 +314,10 @@ where
     }
 }
 
-/// Contain-join with X sorted `ValidFrom ↑` and Y sorted `ValidTo ↑`.
-///
-/// Driven by the Y stream: before each `y` is processed, every `x` with
-/// `x.TS < y.TS` has been read into state. Y tuples are matched on arrival
-/// and never stored, so the workspace is exactly Table 1's state (b) X
-/// component: `{x : x.TE ≥ y_b.TE}` among the read prefix.
-pub struct ContainJoinTsTe<X: TupleStream, Y: TupleStream>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    x: X,
-    y: Y,
-    x_buf: Option<X::Item>,
-    state_x: Workspace<X::Item>,
-    pending: VecDeque<(X::Item, Y::Item)>,
-    metrics: OpMetrics,
-    progress: Option<Progress>,
-    started: bool,
-}
-
-impl<X: TupleStream, Y: TupleStream> RequiredOrder for ContainJoinTsTe<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    const KIND: StreamOpKind = StreamOpKind::ContainJoinTsTe;
-}
-
-impl<X: TupleStream, Y: TupleStream> ContainJoinTsTe<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    /// Required ordering of the X input.
-    pub const REQUIRED_X: StreamOrder = StreamOrder::TS_ASC;
-    /// Required ordering of the Y input.
-    pub const REQUIRED_Y: StreamOrder = StreamOrder::TE_ASC;
-
-    /// Build the operator, verifying the input orders.
-    pub fn new(x: X, y: Y) -> TdbResult<Self> {
-        let req = Self::KIND.requirement();
-        check_stream_order(&x, req.left(), req.operator, "X")?;
-        check_stream_order(&y, req.right(), req.operator, "Y")?;
-        Ok(ContainJoinTsTe {
-            x,
-            y,
-            x_buf: None,
-            state_x: Workspace::new(),
-            pending: VecDeque::new(),
-            metrics: OpMetrics {
-                passes: 1,
-                ..OpMetrics::default()
-            },
-            progress: None,
-            started: false,
-        })
-    }
-
-    /// Attach a shared [`Progress`] handle: the operator publishes its
-    /// monotonic admitted/GC'd/emitted totals into it on every `next()`
-    /// call, so a live subscriber can observe progress mid-run.
-    pub fn with_progress(mut self, progress: &Progress) -> Self {
-        self.progress = Some(progress.clone());
-        self
-    }
-
-    fn publish_progress(&self) {
-        if let Some(p) = &self.progress {
-            p.publish(
-                self.metrics.read_total() as u64,
-                self.state_x.stats().discarded as u64,
-                self.metrics.emitted as u64,
-            );
-        }
-    }
-
-    /// Execution metrics.
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
-
-    /// Workspace statistics of the X state (the operator keeps no Y state).
-    pub fn workspace(&self) -> WorkspaceStats {
-        self.state_x.stats()
-    }
-
-    /// Maximum resident state tuples.
-    pub fn max_workspace(&self) -> usize {
-        self.state_x.stats().max_resident
-    }
-
-    fn refill_x(&mut self) -> TdbResult<()> {
-        self.x_buf = self.x.next()?;
-        if self.x_buf.is_some() {
-            self.metrics.read_left += 1;
-        }
-        Ok(())
-    }
-}
-
-impl<X: TupleStream, Y: TupleStream> TupleStream for ContainJoinTsTe<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    type Item = (X::Item, Y::Item);
-
-    fn next(&mut self) -> TdbResult<Option<Self::Item>> {
-        let out = self.next_inner();
-        self.publish_progress();
-        out
-    }
-
-    fn order(&self) -> Option<StreamOrder> {
-        None
-    }
-}
-
-impl<X: TupleStream, Y: TupleStream> ContainJoinTsTe<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    fn next_inner(&mut self) -> TdbResult<Option<(X::Item, Y::Item)>> {
-        loop {
-            if let Some(pair) = self.pending.pop_front() {
-                self.metrics.emitted += 1;
-                return Ok(Some(pair));
-            }
-            if !self.started {
-                self.started = true;
-                self.refill_x()?;
-            }
-            let Some(y) = self.y.next()? else {
-                return Ok(None);
-            };
-            self.metrics.read_right += 1;
-            let yp = y.period();
-
-            // GC phase (paper-corrected condition, see module docs): x with
-            // x.TE < y_b.TE can contain neither this y nor any later one.
-            self.state_x.gc(|x| x.te() >= yp.end());
-
-            // Read phase: pull every x that could contain this or a later y
-            // (all x with x.TS < y.TS; later y has TE ≥ y.TE but TS is
-            // unconstrained, so the read frontier is per-y). The GC
-            // condition doubles as an admission filter: a dead-on-arrival
-            // x (x.TE < y_b.TE) never enters the state, so every resident
-            // x spans the sweep point y_b.TE and the workspace never
-            // transiently exceeds Table 1's state (b).
-            while let Some(xb) = self.x_buf.take() {
-                self.metrics.comparisons += 1;
-                if xb.ts() < yp.start() {
-                    if xb.te() >= yp.end() {
-                        self.state_x.insert(xb);
-                    }
-                    self.refill_x()?;
-                } else {
-                    self.x_buf = Some(xb);
-                    break;
-                }
-            }
-
-            // Join phase: y against the surviving X state.
-            for x in &self.state_x {
-                self.metrics.comparisons += 1;
-                if x.period().contains(&yp) {
-                    self.pending.push_back((x.clone(), y.clone()));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{Instrumented, OpConfig};
     use crate::stream::from_sorted_vec;
     use proptest::prelude::*;
     use tdb_core::{TdbError, TsTuple};
@@ -548,7 +368,7 @@ mod tests {
         StreamOrder::TE_ASC.sort(&mut ys);
         let x = from_sorted_vec(xs, StreamOrder::TS_ASC).unwrap();
         let y = from_sorted_vec(ys, StreamOrder::TE_ASC).unwrap();
-        let mut j = ContainJoinTsTe::new(x, y).unwrap();
+        let mut j = OpConfig::new().contain_join_ts_te(x, y).unwrap();
         let out = j.collect_vec().unwrap();
         (canon(out), j.max_workspace())
     }
@@ -611,7 +431,7 @@ mod tests {
         ));
         let x = crate::stream::from_vec(vec![iv(0, 5)]);
         let y = from_sorted_vec(vec![iv(0, 5)], StreamOrder::TE_ASC).unwrap();
-        assert!(ContainJoinTsTe::new(x, y).is_err());
+        assert!(OpConfig::new().contain_join_ts_te(x, y).is_err());
     }
 
     #[test]

@@ -1,403 +1,118 @@
-//! Unified row-vs-batched execution entry points.
+//! The execution entry points over materialized, sorted inputs.
 //!
-//! Every call site that runs a stream temporal operator over materialized,
-//! sortable inputs — the query executor, the partitioned-parallel workers,
-//! and the experiment harness — used to hand-assemble the same
-//! `from_sorted_vec` + [`OpConfig`] constructor + `collect_vec` sequence.
-//! [`run_join_kind`] / [`run_semijoin_kind`] centralize that sequence and
-//! add the execution-path decision: when [`OpConfig::batched`] holds
-//! (`batch_rows > 0`) the vectorized kernels of [`crate::batch_ops`] run
-//! over [`VecBatchStream`] columnar batches; otherwise the row-at-a-time
-//! pull operators run. Both paths return the same `(output, OpReport)`
-//! pair, and by the equivalence pinned in `tests/batch_equivalence.rs` the
-//! outputs and reports are identical — only wall-clock differs.
+//! Every call site that runs a stream temporal operator over vectors —
+//! the query executor, the partitioned-parallel workers, the experiment
+//! harness — goes through [`run_join`] or [`run_semijoin`]: slice the
+//! inputs into [`VecBatchStream`] batches of [`OpConfig::batch_rows`]
+//! rows, pick the kernel of [`crate::batch_ops`] for the
+//! [`StreamOpKind`], and [`drive`] it into an [`Emit`] mode. A caller
+//! that wants a vector extends one from the chunk closure.
 //!
 //! Inputs must already be sorted into the orders the operator's registry
-//! entry requires ([`StreamOpKind::requirement`]); both paths re-verify the
-//! claimed order in O(n) and fail with `OrderViolation` otherwise.
+//! entry requires ([`StreamOpKind::requirement`]); the claimed order is
+//! re-verified in O(n) and a violation fails with `OrderViolation`.
 
-use crate::batch::{VecBatchStream, DEFAULT_BATCH_ROWS};
+use crate::batch::VecBatchStream;
 use crate::batch_ops::{
-    drive, drive_each, BatchContainJoinTsTe, BatchContainSemijoinStab, BatchContainedSemijoinStab,
-    BatchOp, BatchOverlapJoin, BatchOverlapSemijoin,
+    drive, BatchOp, ContainJoinTsTe, ContainSemijoinStab, ContainedSemijoinStab, OverlapJoin,
+    OverlapSemijoin,
 };
-use crate::report::{Instrumented, OpConfig, OpReport};
+use crate::report::{OpConfig, OpReport};
 use crate::required::StreamOpKind;
-use crate::stream::{from_sorted_vec, TupleStream};
 use tdb_core::{StreamOrder, TdbError, TdbResult, Temporal};
 
-/// Pull a row operator to completion, handing its output to `emit` in
-/// chunks of [`DEFAULT_BATCH_ROWS`] — the row-path twin of
-/// [`drive_each`]. Returns `false` if `emit` stopped the run early.
-fn pull_each<S>(
-    op: &mut S,
-    emit: &mut dyn FnMut(Vec<S::Item>) -> TdbResult<bool>,
-) -> TdbResult<bool>
-where
-    S: TupleStream,
-{
-    let mut chunk = Vec::new();
-    while let Some(item) = op.next()? {
-        chunk.push(item);
-        if chunk.len() >= DEFAULT_BATCH_ROWS && !emit(std::mem::take(&mut chunk))? {
-            return Ok(false);
-        }
-    }
-    if !chunk.is_empty() && !emit(chunk)? {
-        return Ok(false);
-    }
-    Ok(true)
+/// What a run does with the operator's output.
+pub enum Emit<'a, T> {
+    /// Count it: nothing is handed over, and `report.metrics.emitted` is
+    /// the result. Join kernels then run count-only — the probe pass sums
+    /// hits over the endpoint columns and never clones a payload.
+    Count,
+    /// Hand each output chunk to the closure as the kernel drains.
+    /// Returning `false` stops the run (the sink has seen enough).
+    Chunks(&'a mut dyn FnMut(Vec<T>) -> TdbResult<bool>),
 }
 
-/// Run a stream temporal **join** of `kind` over pre-sorted inputs,
-/// selecting the row or batched path per `cfg.batch_rows`.
+/// Drive `op` over the two inputs into `emit`. The flag is `false` when
+/// the closure stopped the run early; the report then covers only the
+/// work done up to that point.
+fn run<K: BatchOp>(
+    mut op: K,
+    mut left: VecBatchStream<K::LeftItem>,
+    mut right: VecBatchStream<K::RightItem>,
+    emit: Emit<'_, K::Out>,
+) -> TdbResult<(bool, OpReport)> {
+    let completed = match emit {
+        Emit::Count => drive(&mut op, &mut left, &mut right, &mut |_| Ok(true))?,
+        Emit::Chunks(f) => drive(&mut op, &mut left, &mut right, f)?,
+    };
+    Ok((completed, op.report()))
+}
+
+/// Run a stream temporal **join** of `kind` over pre-sorted inputs.
 ///
 /// Supported kinds: [`StreamOpKind::ContainJoinTsTe`] and
-/// [`StreamOpKind::OverlapJoin`] (mode from [`OpConfig::mode`]) — the
-/// kinds the planner emits for materialized two-sided joins. Side swaps
-/// (e.g. `During` running the `Contains` operator) are the caller's
-/// concern, as before.
-pub fn run_join_kind<X, Y>(
+/// [`StreamOpKind::OverlapJoin`] (mode and read policy from `cfg`) — the
+/// kinds the planner emits for two-sided joins. Side swaps (e.g. `During`
+/// running the `Contains` operator) are the caller's concern. Returns
+/// `(completed, report)`; the report's metrics do not depend on the emit
+/// mode or the batch size.
+pub fn run_join<X, Y>(
     kind: StreamOpKind,
     cfg: OpConfig,
     x: Vec<X>,
     x_order: StreamOrder,
     y: Vec<Y>,
     y_order: StreamOrder,
-) -> TdbResult<(Vec<(X, Y)>, OpReport)>
+    emit: Emit<'_, (X, Y)>,
+) -> TdbResult<(bool, OpReport)>
 where
     X: Temporal + Clone,
     Y: Temporal + Clone,
 {
+    let x = VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?;
+    let y = VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?;
+    let count = matches!(emit, Emit::Count);
     match kind {
-        StreamOpKind::ContainJoinTsTe => {
-            if cfg.batched() {
-                let mut op = BatchContainJoinTsTe::new();
-                let out = drive(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                )?;
-                Ok((out, op.report()))
-            } else {
-                let mut op = cfg.contain_join_ts_te(
-                    from_sorted_vec(x, x_order)?,
-                    from_sorted_vec(y, y_order)?,
-                )?;
-                let out = op.collect_vec()?;
-                Ok((out, op.report()))
-            }
-        }
+        StreamOpKind::ContainJoinTsTe => run(ContainJoinTsTe::new().count_only(count), x, y, emit),
         StreamOpKind::OverlapJoin => {
-            if cfg.batched() {
-                let mut op = BatchOverlapJoin::new(cfg.mode, cfg.policy);
-                let out = drive(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                )?;
-                Ok((out, op.report()))
-            } else {
-                let mut op =
-                    cfg.overlap_join(from_sorted_vec(x, x_order)?, from_sorted_vec(y, y_order)?)?;
-                let out = op.collect_vec()?;
-                Ok((out, op.report()))
-            }
+            let op = OverlapJoin::new(cfg.mode, cfg.policy).count_only(count);
+            run(op, x, y, emit)
         }
-        other => Err(TdbError::Plan(format!(
-            "no materialized join dispatch for {other}"
-        ))),
+        other => Err(TdbError::Plan(format!("no join kernel for {other}"))),
     }
 }
 
 /// Run a stream temporal **semijoin** of `kind` (left rows kept) over
-/// pre-sorted inputs, selecting the row or batched path per
-/// `cfg.batch_rows`.
+/// pre-sorted inputs.
 ///
 /// Supported kinds: [`StreamOpKind::ContainSemijoinStab`],
 /// [`StreamOpKind::ContainedSemijoinStab`] (X sorted `ValidTo ↑`, Y — the
-/// containers — sorted `ValidFrom ↑`, exactly the row operator's input
-/// convention), and [`StreamOpKind::OverlapSemijoin`] (mode from
-/// [`OpConfig::mode`]).
-pub fn run_semijoin_kind<X, Y>(
+/// containers — sorted `ValidFrom ↑`) and [`StreamOpKind::OverlapSemijoin`]
+/// (mode and read policy from `cfg`). Returns `(completed, report)` as
+/// [`run_join`] does.
+pub fn run_semijoin<X, Y>(
     kind: StreamOpKind,
     cfg: OpConfig,
     x: Vec<X>,
     x_order: StreamOrder,
     y: Vec<Y>,
     y_order: StreamOrder,
-) -> TdbResult<(Vec<X>, OpReport)>
-where
-    X: Temporal + Clone,
-    Y: Temporal + Clone,
-{
-    match kind {
-        StreamOpKind::ContainSemijoinStab => {
-            if cfg.batched() {
-                let mut op = BatchContainSemijoinStab::new();
-                let out = drive(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                )?;
-                Ok((out, op.report()))
-            } else {
-                let mut op = cfg.contain_semijoin_stab(
-                    from_sorted_vec(x, x_order)?,
-                    from_sorted_vec(y, y_order)?,
-                )?;
-                let out = op.collect_vec()?;
-                Ok((out, op.report()))
-            }
-        }
-        StreamOpKind::ContainedSemijoinStab => {
-            if cfg.batched() {
-                // The batched kernel's left input is the container (Y)
-                // side, mirroring the row operator's read_left accounting.
-                let mut op = BatchContainedSemijoinStab::new();
-                let out = drive(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                )?;
-                Ok((out, op.report()))
-            } else {
-                let mut op = cfg.contained_semijoin_stab(
-                    from_sorted_vec(x, x_order)?,
-                    from_sorted_vec(y, y_order)?,
-                )?;
-                let out = op.collect_vec()?;
-                Ok((out, op.report()))
-            }
-        }
-        StreamOpKind::OverlapSemijoin => {
-            if cfg.batched() {
-                let mut op = BatchOverlapSemijoin::new(cfg.mode, cfg.policy);
-                let out = drive(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                )?;
-                Ok((out, op.report()))
-            } else {
-                let mut op = cfg
-                    .overlap_semijoin(from_sorted_vec(x, x_order)?, from_sorted_vec(y, y_order)?)?;
-                let out = op.collect_vec()?;
-                Ok((out, op.report()))
-            }
-        }
-        other => Err(TdbError::Plan(format!(
-            "no materialized semijoin dispatch for {other}"
-        ))),
-    }
-}
-
-/// Sink-mode twin of [`run_join_kind`]: hand each output chunk to `emit`
-/// as the operator drains instead of materializing one pair vector. The
-/// returned flag is `false` when `emit` stopped the run early; the
-/// [`OpReport`] then covers only the work done up to that point.
-///
-/// Covers the same kinds as [`run_join_kind`]; `tdb-lint` cross-checks
-/// that the two dispatch tables never drift apart.
-pub fn run_join_kind_each<X, Y>(
-    kind: StreamOpKind,
-    cfg: OpConfig,
-    x: Vec<X>,
-    x_order: StreamOrder,
-    y: Vec<Y>,
-    y_order: StreamOrder,
-    emit: &mut dyn FnMut(Vec<(X, Y)>) -> TdbResult<bool>,
+    emit: Emit<'_, X>,
 ) -> TdbResult<(bool, OpReport)>
 where
     X: Temporal + Clone,
     Y: Temporal + Clone,
 {
+    let x = VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?;
+    let y = VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?;
     match kind {
-        StreamOpKind::ContainJoinTsTe => {
-            if cfg.batched() {
-                let mut op = BatchContainJoinTsTe::new();
-                let completed = drive_each(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                    emit,
-                )?;
-                Ok((completed, op.report()))
-            } else {
-                let mut op = cfg.contain_join_ts_te(
-                    from_sorted_vec(x, x_order)?,
-                    from_sorted_vec(y, y_order)?,
-                )?;
-                let completed = pull_each(&mut op, emit)?;
-                Ok((completed, op.report()))
-            }
-        }
-        StreamOpKind::OverlapJoin => {
-            if cfg.batched() {
-                let mut op = BatchOverlapJoin::new(cfg.mode, cfg.policy);
-                let completed = drive_each(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                    emit,
-                )?;
-                Ok((completed, op.report()))
-            } else {
-                let mut op =
-                    cfg.overlap_join(from_sorted_vec(x, x_order)?, from_sorted_vec(y, y_order)?)?;
-                let completed = pull_each(&mut op, emit)?;
-                Ok((completed, op.report()))
-            }
-        }
-        other => Err(TdbError::Plan(format!("no sink join dispatch for {other}"))),
-    }
-}
-
-/// Count-only twin of [`run_join_kind`]: return the number of matching
-/// pairs without materializing any. On the batched path the kernels run
-/// in count-only mode — the probe pass sums hits over the endpoint
-/// columns and never clones a payload — which is where count-dominated
-/// consumers (aggregation, `count(*)`, [`crate::sink::CountSink`]) regain
-/// the output-materialization cost. Metrics in the report are identical
-/// to the materializing run's.
-pub fn run_join_kind_count<X, Y>(
-    kind: StreamOpKind,
-    cfg: OpConfig,
-    x: Vec<X>,
-    x_order: StreamOrder,
-    y: Vec<Y>,
-    y_order: StreamOrder,
-) -> TdbResult<(usize, OpReport)>
-where
-    X: Temporal + Clone,
-    Y: Temporal + Clone,
-{
-    match kind {
-        StreamOpKind::ContainJoinTsTe => {
-            if cfg.batched() {
-                let mut op = BatchContainJoinTsTe::new().count_only();
-                drive(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                )?;
-                let report = op.report();
-                Ok((report.metrics.emitted, report))
-            } else {
-                let mut op = cfg.contain_join_ts_te(
-                    from_sorted_vec(x, x_order)?,
-                    from_sorted_vec(y, y_order)?,
-                )?;
-                let mut n = 0usize;
-                while op.next()?.is_some() {
-                    n += 1;
-                }
-                Ok((n, op.report()))
-            }
-        }
-        StreamOpKind::OverlapJoin => {
-            if cfg.batched() {
-                let mut op = BatchOverlapJoin::new(cfg.mode, cfg.policy).count_only();
-                drive(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                )?;
-                let report = op.report();
-                Ok((report.metrics.emitted, report))
-            } else {
-                let mut op =
-                    cfg.overlap_join(from_sorted_vec(x, x_order)?, from_sorted_vec(y, y_order)?)?;
-                let mut n = 0usize;
-                while op.next()?.is_some() {
-                    n += 1;
-                }
-                Ok((n, op.report()))
-            }
-        }
-        other => Err(TdbError::Plan(format!(
-            "no count-only join dispatch for {other}"
-        ))),
-    }
-}
-
-/// Sink-mode twin of [`run_semijoin_kind`]: hand kept left rows to `emit`
-/// in chunks as the operator drains. Same kind coverage as the
-/// materializing dispatch; the flag is `false` on early termination.
-pub fn run_semijoin_kind_each<X, Y>(
-    kind: StreamOpKind,
-    cfg: OpConfig,
-    x: Vec<X>,
-    x_order: StreamOrder,
-    y: Vec<Y>,
-    y_order: StreamOrder,
-    emit: &mut dyn FnMut(Vec<X>) -> TdbResult<bool>,
-) -> TdbResult<(bool, OpReport)>
-where
-    X: Temporal + Clone,
-    Y: Temporal + Clone,
-{
-    match kind {
-        StreamOpKind::ContainSemijoinStab => {
-            if cfg.batched() {
-                let mut op = BatchContainSemijoinStab::new();
-                let completed = drive_each(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                    emit,
-                )?;
-                Ok((completed, op.report()))
-            } else {
-                let mut op = cfg.contain_semijoin_stab(
-                    from_sorted_vec(x, x_order)?,
-                    from_sorted_vec(y, y_order)?,
-                )?;
-                let completed = pull_each(&mut op, emit)?;
-                Ok((completed, op.report()))
-            }
-        }
-        StreamOpKind::ContainedSemijoinStab => {
-            if cfg.batched() {
-                // Same side convention as the materialized path: the
-                // batched kernel's left input is the container (Y) side.
-                let mut op = BatchContainedSemijoinStab::new();
-                let completed = drive_each(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    emit,
-                )?;
-                Ok((completed, op.report()))
-            } else {
-                let mut op = cfg.contained_semijoin_stab(
-                    from_sorted_vec(x, x_order)?,
-                    from_sorted_vec(y, y_order)?,
-                )?;
-                let completed = pull_each(&mut op, emit)?;
-                Ok((completed, op.report()))
-            }
-        }
+        StreamOpKind::ContainSemijoinStab => run(ContainSemijoinStab::new(), x, y, emit),
+        // The kernel's left input is the container (Y) side.
+        StreamOpKind::ContainedSemijoinStab => run(ContainedSemijoinStab::new(), y, x, emit),
         StreamOpKind::OverlapSemijoin => {
-            if cfg.batched() {
-                let mut op = BatchOverlapSemijoin::new(cfg.mode, cfg.policy);
-                let completed = drive_each(
-                    &mut op,
-                    &mut VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?,
-                    &mut VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?,
-                    emit,
-                )?;
-                Ok((completed, op.report()))
-            } else {
-                let mut op = cfg
-                    .overlap_semijoin(from_sorted_vec(x, x_order)?, from_sorted_vec(y, y_order)?)?;
-                let completed = pull_each(&mut op, emit)?;
-                Ok((completed, op.report()))
-            }
+            run(OverlapSemijoin::new(cfg.mode, cfg.policy), x, y, emit)
         }
-        other => Err(TdbError::Plan(format!(
-            "no sink semijoin dispatch for {other}"
-        ))),
+        other => Err(TdbError::Plan(format!("no semijoin kernel for {other}"))),
     }
 }
 
@@ -426,126 +141,68 @@ mod tests {
         v
     }
 
-    #[test]
-    fn join_dispatch_paths_agree() {
-        let (xs, ys) = workload(80);
-        let xs = sorted(xs, StreamOrder::TS_ASC);
-        let ys = sorted(ys, StreamOrder::TE_ASC);
-        let row = run_join_kind(
+    fn collect_join(
+        cfg: OpConfig,
+        xs: &[TsTuple],
+        ys: &[TsTuple],
+    ) -> (Vec<(TsTuple, TsTuple)>, OpReport) {
+        let mut out = Vec::new();
+        let (completed, report) = run_join(
             StreamOpKind::ContainJoinTsTe,
-            OpConfig::new().with_batch_rows(0),
-            xs.clone(),
+            cfg,
+            xs.to_vec(),
             StreamOrder::TS_ASC,
-            ys.clone(),
+            ys.to_vec(),
             StreamOrder::TE_ASC,
+            Emit::Chunks(&mut |chunk| {
+                out.extend(chunk);
+                Ok(true)
+            }),
         )
         .unwrap();
-        for rows in [1usize, 64, 1024] {
-            let batched = run_join_kind(
-                StreamOpKind::ContainJoinTsTe,
-                OpConfig::new().with_batch_rows(rows),
-                xs.clone(),
-                StreamOrder::TS_ASC,
-                ys.clone(),
-                StreamOrder::TE_ASC,
-            )
-            .unwrap();
-            assert_eq!(batched, row, "rows {rows}");
-        }
+        assert!(completed);
+        (out, report)
     }
 
     #[test]
-    fn semijoin_dispatch_paths_agree() {
-        let (xs, ys) = workload(70);
-        for (kind, xo, yo, mode) in [
-            (
-                StreamOpKind::ContainSemijoinStab,
-                StreamOrder::TS_ASC,
-                StreamOrder::TE_ASC,
-                OverlapMode::General,
-            ),
-            (
-                StreamOpKind::ContainedSemijoinStab,
-                StreamOrder::TE_ASC,
-                StreamOrder::TS_ASC,
-                OverlapMode::General,
-            ),
-            (
-                StreamOpKind::OverlapSemijoin,
-                StreamOrder::TS_ASC,
-                StreamOrder::TS_ASC,
-                OverlapMode::Strict,
-            ),
-        ] {
-            let x = sorted(xs.clone(), xo);
-            let y = sorted(ys.clone(), yo);
-            let cfg = OpConfig::new().with_mode(mode);
-            let row = run_semijoin_kind(kind, cfg.with_batch_rows(0), x.clone(), xo, y.clone(), yo)
-                .unwrap();
-            let batched = run_semijoin_kind(kind, cfg.with_batch_rows(128), x, xo, y, yo).unwrap();
-            assert_eq!(batched, row, "{kind}");
-        }
-    }
-
-    #[test]
-    fn sink_dispatch_matches_materialized_and_stops_early() {
+    fn join_is_batch_size_invariant_counts_and_stops_early() {
         let (xs, ys) = workload(80);
         let xs = sorted(xs, StreamOrder::TS_ASC);
         let ys = sorted(ys, StreamOrder::TE_ASC);
-        let (pairs, report) = run_join_kind(
-            StreamOpKind::ContainJoinTsTe,
-            OpConfig::new(),
-            xs.clone(),
-            StreamOrder::TS_ASC,
-            ys.clone(),
-            StreamOrder::TE_ASC,
-        )
-        .unwrap();
-        for rows in [0usize, 64, 1024] {
+        let (pairs, report) = collect_join(OpConfig::new().with_batch_rows(1), &xs, &ys);
+        assert!(!pairs.is_empty());
+        for rows in [64usize, 1024] {
             let cfg = OpConfig::new().with_batch_rows(rows);
-            let mut streamed = Vec::new();
-            let (completed, sreport) = run_join_kind_each(
+            let (streamed, sreport) = collect_join(cfg, &xs, &ys);
+            assert_eq!(streamed, pairs, "rows {rows}");
+            assert_eq!(sreport, report, "rows {rows}");
+            // Count-only agrees with the collected emit count.
+            let (completed, creport) = run_join(
                 StreamOpKind::ContainJoinTsTe,
                 cfg,
                 xs.clone(),
                 StreamOrder::TS_ASC,
                 ys.clone(),
                 StreamOrder::TE_ASC,
-                &mut |chunk| {
-                    streamed.extend(chunk);
-                    Ok(true)
-                },
+                Emit::Count,
             )
             .unwrap();
             assert!(completed);
-            assert_eq!(streamed, pairs, "rows {rows}");
-            assert_eq!(sreport, report, "rows {rows}");
-            // Count-only agrees with the materialized emit count.
-            let (n, creport) = run_join_kind_count(
-                StreamOpKind::ContainJoinTsTe,
-                cfg,
-                xs.clone(),
-                StreamOrder::TS_ASC,
-                ys.clone(),
-                StreamOrder::TE_ASC,
-            )
-            .unwrap();
-            assert_eq!(n, pairs.len(), "rows {rows}");
-            assert_eq!(creport.metrics, report.metrics, "rows {rows}");
-            assert_eq!(creport.max_workspace(), report.max_workspace());
+            assert_eq!(creport, report, "rows {rows}");
+            assert_eq!(creport.metrics.emitted, pairs.len(), "rows {rows}");
             // Early termination stops the producer mid-run.
             let mut seen = 0usize;
-            let (completed, _) = run_join_kind_each(
+            let (completed, _) = run_join(
                 StreamOpKind::ContainJoinTsTe,
-                OpConfig::new().with_batch_rows(rows.min(8)),
+                OpConfig::new().with_batch_rows(8),
                 xs.clone(),
                 StreamOrder::TS_ASC,
                 ys.clone(),
                 StreamOrder::TE_ASC,
-                &mut |chunk| {
+                Emit::Chunks(&mut |chunk| {
                     seen += chunk.len();
                     Ok(false)
-                },
+                }),
             )
             .unwrap();
             assert!(!completed);
@@ -558,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn sink_semijoin_dispatch_matches_materialized() {
+    fn semijoin_is_batch_size_invariant_and_counts() {
         let (xs, ys) = workload(70);
         for (kind, xo, yo, mode) in [
             (
@@ -582,43 +239,63 @@ mod tests {
         ] {
             let x = sorted(xs.clone(), xo);
             let y = sorted(ys.clone(), yo);
-            for rows in [0usize, 128] {
+            let run_with = |rows: usize| {
                 let cfg = OpConfig::new().with_mode(mode).with_batch_rows(rows);
-                let (kept, report) =
-                    run_semijoin_kind(kind, cfg, x.clone(), xo, y.clone(), yo).unwrap();
-                let mut streamed = Vec::new();
-                let (completed, sreport) =
-                    run_semijoin_kind_each(kind, cfg, x.clone(), xo, y.clone(), yo, &mut |chunk| {
-                        streamed.extend(chunk);
-                        Ok(true)
-                    })
-                    .unwrap();
+                let mut kept = Vec::new();
+                let emit = Emit::Chunks(&mut |chunk| {
+                    kept.extend(chunk);
+                    Ok(true)
+                });
+                let (completed, report) =
+                    run_semijoin(kind, cfg, x.clone(), xo, y.clone(), yo, emit).unwrap();
                 assert!(completed);
-                assert_eq!(streamed, kept, "{kind} rows {rows}");
-                assert_eq!(sreport, report, "{kind} rows {rows}");
-            }
+                (kept, report)
+            };
+            let (kept, report) = run_with(1);
+            assert_eq!(run_with(128), (kept.clone(), report), "{kind}");
+            let cfg = OpConfig::new().with_mode(mode);
+            let (_, counted) = run_semijoin(kind, cfg, x, xo, y, yo, Emit::Count).unwrap();
+            assert_eq!(counted, report, "{kind}");
+            assert_eq!(counted.metrics.emitted, kept.len(), "{kind}");
         }
     }
 
     #[test]
+    fn unsorted_inputs_are_order_violations() {
+        let err = run_join(
+            StreamOpKind::ContainJoinTsTe,
+            OpConfig::new(),
+            vec![iv(5, 9), iv(0, 3)],
+            StreamOrder::TS_ASC,
+            vec![iv(1, 2)],
+            StreamOrder::TE_ASC,
+            Emit::Count,
+        )
+        .unwrap_err();
+        assert!(matches!(err, TdbError::OrderViolation { .. }), "{err}");
+    }
+
+    #[test]
     fn unsupported_kinds_are_planning_errors() {
-        let err = run_join_kind::<TsTuple, TsTuple>(
+        let err = run_join::<TsTuple, TsTuple>(
             StreamOpKind::BeforeJoin,
             OpConfig::new(),
             vec![],
             StreamOrder::TS_ASC,
             vec![],
             StreamOrder::TS_ASC,
+            Emit::Count,
         )
         .unwrap_err();
         assert!(matches!(err, TdbError::Plan(_)));
-        let err = run_semijoin_kind::<TsTuple, TsTuple>(
+        let err = run_semijoin::<TsTuple, TsTuple>(
             StreamOpKind::BeforeSemijoin,
             OpConfig::new(),
             vec![],
             StreamOrder::TS_ASC,
             vec![],
             StreamOrder::TS_ASC,
+            Emit::Count,
         )
         .unwrap_err();
         assert!(matches!(err, TdbError::Plan(_)));

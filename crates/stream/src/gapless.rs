@@ -1,4 +1,4 @@
-//! The gapless columnar workspace of the batched sweep kernels.
+//! The gapless columnar workspace of the sweep kernels.
 //!
 //! Piatov et al.'s "gapless hash map" observation: a sweep workspace is
 //! scanned in full on every garbage-collection cutoff and every probe, so
@@ -11,11 +11,12 @@
 //! payloads sit in a third parallel column and are only touched on a match.
 //!
 //! Compaction is **order-preserving** (a parallel-array `retain`, not a
-//! swap-remove): the batched kernels then emit matches in exactly the same
-//! sequence as the row-at-a-time operators, which keeps batch-vs-row
-//! equivalence exact, not just multiset-equal.
+//! swap-remove): the kernels then emit matches in the sequence the
+//! paper's tuple-at-a-time algorithms do, at every batch size — output
+//! sequences are comparable exactly, not just as multisets.
 //!
-//! The accounting is shared with the row layout: both call the same
+//! The accounting is shared with [`crate::workspace::Workspace`], the row
+//! layout the remaining pull operators use: both call the same
 //! [`WorkspaceStats`] recording hooks, so `max_resident`, discard counts,
 //! and occupancy histograms — the numbers `tdb-analyze` caps and `tdb-obs`
 //! cross-checks — are layout-independent by construction.

@@ -11,18 +11,13 @@
 //! Table 2: the only orderings under which the overlap operators stream
 //! efficiently are `(ValidFrom ↑, ValidFrom ↑)` (or its mirror
 //! `(ValidTo ↓, ValidTo ↓)` — obtained here by time reversal in the algebra
-//! layer). [`OverlapJoin`] keeps both state sets of Table 2's state (a);
-//! [`OverlapSemijoin`] in general mode needs **only the two input buffers**
-//! (state (b)), while strict mode degrades to a sweep with state.
+//! layer). [`crate::OverlapJoin`] keeps both state sets of Table 2's state
+//! (a); [`crate::OverlapSemijoin`] in general mode needs **only the two
+//! input buffers** (state (b)), while strict mode degrades to a sweep with
+//! state. Both are kernels of [`crate::batch_ops`]; this module holds the
+//! predicate they share.
 
-use crate::metrics::OpMetrics;
-use crate::progress::Progress;
-use crate::read_policy::{Advance, PolicyState, ReadPolicy};
-use crate::required::{check_stream_order, RequiredOrder, StreamOpKind};
-use crate::stream::TupleStream;
-use crate::workspace::{Workspace, WorkspaceStats};
-use std::collections::VecDeque;
-use tdb_core::{Period, StreamOrder, TdbError, TdbResult, Temporal};
+use tdb_core::Period;
 
 /// Which overlap predicate the operator evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,712 +35,6 @@ impl OverlapMode {
         match self {
             OverlapMode::Strict => x.allen_overlaps(y),
             OverlapMode::General => x.overlaps(y),
-        }
-    }
-}
-
-/// Overlap join over two `ValidFrom ↑` streams.
-pub struct OverlapJoin<X: TupleStream, Y: TupleStream>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    x: X,
-    y: Y,
-    mode: OverlapMode,
-    x_buf: Option<X::Item>,
-    y_buf: Option<Y::Item>,
-    state_x: Workspace<X::Item>,
-    state_y: Workspace<Y::Item>,
-    pending: VecDeque<(X::Item, Y::Item)>,
-    policy: ReadPolicy,
-    policy_state: PolicyState,
-    metrics: OpMetrics,
-    progress: Option<Progress>,
-    started: bool,
-}
-
-impl<X: TupleStream, Y: TupleStream> RequiredOrder for OverlapJoin<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    const KIND: StreamOpKind = StreamOpKind::OverlapJoin;
-}
-
-impl<X: TupleStream, Y: TupleStream> OverlapJoin<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    /// Build the operator over `ValidFrom ↑` inputs.
-    pub fn new(x: X, y: Y, mode: OverlapMode, policy: ReadPolicy) -> TdbResult<Self> {
-        let req = Self::KIND.requirement();
-        check_stream_order(&x, req.left(), req.operator, "X")?;
-        check_stream_order(&y, req.right(), req.operator, "Y")?;
-        Ok(OverlapJoin {
-            x,
-            y,
-            mode,
-            x_buf: None,
-            y_buf: None,
-            state_x: Workspace::new(),
-            state_y: Workspace::new(),
-            pending: VecDeque::new(),
-            policy,
-            policy_state: PolicyState::default(),
-            metrics: OpMetrics {
-                passes: 1,
-                ..OpMetrics::default()
-            },
-            progress: None,
-            started: false,
-        })
-    }
-
-    /// Attach a shared [`Progress`] handle: the operator publishes its
-    /// monotonic admitted/GC'd/emitted totals into it on every `next()`
-    /// call, so a live subscriber can observe progress mid-run.
-    pub fn with_progress(mut self, progress: &Progress) -> Self {
-        self.progress = Some(progress.clone());
-        self
-    }
-
-    fn publish_progress(&self) {
-        if let Some(p) = &self.progress {
-            let gc = self.state_x.stats().discarded + self.state_y.stats().discarded;
-            p.publish(
-                self.metrics.read_total() as u64,
-                gc as u64,
-                self.metrics.emitted as u64,
-            );
-        }
-    }
-
-    /// Execution metrics.
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
-
-    /// Workspace statistics for the (X, Y) state sets — Table 2 state (a).
-    pub fn workspace(&self) -> (WorkspaceStats, WorkspaceStats) {
-        (self.state_x.stats(), self.state_y.stats())
-    }
-
-    /// Combined maximum resident state tuples.
-    pub fn max_workspace(&self) -> usize {
-        self.state_x.stats().max_resident + self.state_y.stats().max_resident
-    }
-
-    fn refill_x(&mut self) -> TdbResult<()> {
-        self.x_buf = self.x.next()?;
-        if self.x_buf.is_some() {
-            self.metrics.read_left += 1;
-        }
-        Ok(())
-    }
-
-    fn refill_y(&mut self) -> TdbResult<()> {
-        self.y_buf = self.y.next()?;
-        if self.y_buf.is_some() {
-            self.metrics.read_right += 1;
-        }
-        Ok(())
-    }
-
-    /// GC keyed off the buffered tuples.
-    ///
-    /// General mode: `x` is dead once `x.TE ≤ y_b.TS` (no future `y` starts
-    /// inside it) and symmetrically for `y`. Strict mode: the same cutoff
-    /// kills `x` (Allen overlap needs `y.TS < x.TE`), while `y` is dead once
-    /// `y.TS ≤ x_b.TS` (needs a *later-starting*… rather *earlier-starting*
-    /// x: `x.TS < y.TS`, and future x only start later).
-    fn gc_phase(&mut self) {
-        match &self.y_buf {
-            Some(yb) => {
-                let cutoff = yb.ts();
-                self.state_x.gc(|x| x.te() > cutoff);
-            }
-            None if self.started => self.state_x.gc(|_| false),
-            None => {}
-        }
-        match &self.x_buf {
-            Some(xb) => {
-                let cutoff = xb.ts();
-                match self.mode {
-                    OverlapMode::General => self.state_y.gc(|y| y.te() > cutoff),
-                    OverlapMode::Strict => self.state_y.gc(|y| y.ts() > cutoff),
-                }
-            }
-            None if self.started => self.state_y.gc(|_| false),
-            None => {}
-        }
-    }
-
-    fn process_x(&mut self) -> TdbResult<()> {
-        let Some(x) = self.x_buf.take() else {
-            return Err(TdbError::Eval(
-                "overlap-join advanced an empty X buffer".into(),
-            ));
-        };
-        let xp = x.period();
-        for y in &self.state_y {
-            self.metrics.comparisons += 1;
-            if self.mode.matches(&xp, &y.period()) {
-                self.pending.push_back((x.clone(), y.clone()));
-            }
-        }
-        self.state_x.insert(x);
-        self.refill_x()?;
-        self.gc_phase();
-        Ok(())
-    }
-
-    fn process_y(&mut self) -> TdbResult<()> {
-        let Some(y) = self.y_buf.take() else {
-            return Err(TdbError::Eval(
-                "overlap-join advanced an empty Y buffer".into(),
-            ));
-        };
-        let yp = y.period();
-        for x in &self.state_x {
-            self.metrics.comparisons += 1;
-            if self.mode.matches(&x.period(), &yp) {
-                self.pending.push_back((x.clone(), y.clone()));
-            }
-        }
-        self.state_y.insert(y);
-        self.refill_y()?;
-        self.gc_phase();
-        Ok(())
-    }
-}
-
-impl<X: TupleStream, Y: TupleStream> TupleStream for OverlapJoin<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    type Item = (X::Item, Y::Item);
-
-    fn next(&mut self) -> TdbResult<Option<Self::Item>> {
-        let out = self.next_inner();
-        self.publish_progress();
-        out
-    }
-
-    fn order(&self) -> Option<StreamOrder> {
-        None
-    }
-}
-
-impl<X: TupleStream, Y: TupleStream> OverlapJoin<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    fn next_inner(&mut self) -> TdbResult<Option<(X::Item, Y::Item)>> {
-        loop {
-            if let Some(pair) = self.pending.pop_front() {
-                self.metrics.emitted += 1;
-                return Ok(Some(pair));
-            }
-            if !self.started {
-                self.started = true;
-                self.refill_x()?;
-                self.refill_y()?;
-            }
-            match (&self.x_buf, &self.y_buf) {
-                (None, None) => return Ok(None),
-                (Some(_), None) => {
-                    if self.state_y.is_empty() {
-                        return Ok(None);
-                    }
-                    self.process_x()?;
-                }
-                (None, Some(_)) => {
-                    if self.state_x.is_empty() {
-                        return Ok(None);
-                    }
-                    self.process_y()?;
-                }
-                (Some(x), Some(y)) => {
-                    let d = self.policy.decide(
-                        &mut self.policy_state,
-                        x,
-                        y,
-                        x.ts(),
-                        y.ts(),
-                        self.state_x.len(),
-                        self.state_y.len(),
-                    );
-                    match d {
-                        Advance::Left => self.process_x()?,
-                        Advance::Right => self.process_y()?,
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Overlap **semijoin**: emits each X tuple overlapping at least one Y
-/// tuple.
-///
-/// In [`OverlapMode::General`] this is the two-buffer merge of Table 2
-/// state (b): since general overlap is monotone in both sort keys, the scan
-/// advances whichever buffer ends first and never stores a tuple. In
-/// [`OverlapMode::Strict`] a sweep with state is required; we reuse the
-/// join machinery with emit-once extraction.
-pub struct OverlapSemijoin<X: TupleStream, Y: TupleStream>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    inner: SemiInner<X, Y>,
-}
-
-// The General/Allen split is inherent: footnote 6's general overlap needs
-// only two buffers while strict Allen overlap carries sweep state.
-#[allow(clippy::large_enum_variant)]
-enum SemiInner<X: TupleStream, Y: TupleStream>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    General {
-        x: X,
-        y: Y,
-        x_buf: Option<X::Item>,
-        y_buf: Option<Y::Item>,
-        metrics: OpMetrics,
-        started: bool,
-    },
-    Strict {
-        x: X,
-        y: Y,
-        x_buf: Option<X::Item>,
-        y_buf: Option<Y::Item>,
-        state_x: Workspace<X::Item>,
-        state_y: Workspace<Y::Item>,
-        pending: VecDeque<X::Item>,
-        policy: ReadPolicy,
-        policy_state: PolicyState,
-        metrics: OpMetrics,
-        started: bool,
-    },
-}
-
-impl<X: TupleStream, Y: TupleStream> RequiredOrder for OverlapSemijoin<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    const KIND: StreamOpKind = StreamOpKind::OverlapSemijoin;
-}
-
-impl<X: TupleStream, Y: TupleStream> OverlapSemijoin<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    /// Build the operator over `ValidFrom ↑` inputs.
-    pub fn new(x: X, y: Y, mode: OverlapMode, policy: ReadPolicy) -> TdbResult<Self> {
-        let req = Self::KIND.requirement();
-        check_stream_order(&x, req.left(), req.operator, "X")?;
-        check_stream_order(&y, req.right(), req.operator, "Y")?;
-        let metrics = OpMetrics {
-            passes: 1,
-            ..OpMetrics::default()
-        };
-        let inner = match mode {
-            OverlapMode::General => SemiInner::General {
-                x,
-                y,
-                x_buf: None,
-                y_buf: None,
-                metrics,
-                started: false,
-            },
-            OverlapMode::Strict => SemiInner::Strict {
-                x,
-                y,
-                x_buf: None,
-                y_buf: None,
-                state_x: Workspace::new(),
-                state_y: Workspace::new(),
-                pending: VecDeque::new(),
-                policy,
-                policy_state: PolicyState::default(),
-                metrics,
-                started: false,
-            },
-        };
-        Ok(OverlapSemijoin { inner })
-    }
-
-    /// Execution metrics.
-    pub fn metrics(&self) -> OpMetrics {
-        match &self.inner {
-            SemiInner::General { metrics, .. } | SemiInner::Strict { metrics, .. } => *metrics,
-        }
-    }
-
-    /// Maximum resident state tuples (0 in general mode — buffers only).
-    pub fn max_workspace(&self) -> usize {
-        match &self.inner {
-            SemiInner::General { .. } => 0,
-            SemiInner::Strict {
-                state_x, state_y, ..
-            } => state_x.stats().max_resident + state_y.stats().max_resident,
-        }
-    }
-
-    /// Workspace statistics (empty in general mode — the workspace is the
-    /// two input buffers, Table 2 state (b)).
-    pub fn workspace(&self) -> WorkspaceStats {
-        match &self.inner {
-            SemiInner::General { .. } => WorkspaceStats::default(),
-            SemiInner::Strict {
-                state_x, state_y, ..
-            } => state_x.stats().combine_stacked(state_y.stats()),
-        }
-    }
-}
-
-impl<X: TupleStream, Y: TupleStream> TupleStream for OverlapSemijoin<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    type Item = X::Item;
-
-    fn next(&mut self) -> TdbResult<Option<X::Item>> {
-        match &mut self.inner {
-            SemiInner::General {
-                x,
-                y,
-                x_buf,
-                y_buf,
-                metrics,
-                started,
-            } => {
-                if !*started {
-                    *started = true;
-                    *x_buf = x.next()?;
-                    if x_buf.is_some() {
-                        metrics.read_left += 1;
-                    }
-                    *y_buf = y.next()?;
-                    if y_buf.is_some() {
-                        metrics.read_right += 1;
-                    }
-                }
-                loop {
-                    let (Some(xb), Some(yb)) = (&*x_buf, &*y_buf) else {
-                        return Ok(None);
-                    };
-                    metrics.comparisons += 1;
-                    if xb.period().overlaps(&yb.period()) {
-                        let out = xb.clone();
-                        *x_buf = x.next()?;
-                        if x_buf.is_some() {
-                            metrics.read_left += 1;
-                        }
-                        metrics.emitted += 1;
-                        return Ok(Some(out));
-                    } else if xb.te() <= yb.ts() {
-                        // x ends before y starts; future y start even later:
-                        // x can never match — drop it without emitting.
-                        *x_buf = x.next()?;
-                        if x_buf.is_some() {
-                            metrics.read_left += 1;
-                        }
-                    } else {
-                        // y ends at/before x starts; it cannot witness this
-                        // or any future x.
-                        *y_buf = y.next()?;
-                        if y_buf.is_some() {
-                            metrics.read_right += 1;
-                        }
-                    }
-                }
-            }
-            SemiInner::Strict {
-                x,
-                y,
-                x_buf,
-                y_buf,
-                state_x,
-                state_y,
-                pending,
-                policy,
-                policy_state,
-                metrics,
-                started,
-            } => {
-                loop {
-                    if let Some(out) = pending.pop_front() {
-                        metrics.emitted += 1;
-                        return Ok(Some(out));
-                    }
-                    if !*started {
-                        *started = true;
-                        *x_buf = x.next()?;
-                        if x_buf.is_some() {
-                            metrics.read_left += 1;
-                        }
-                        *y_buf = y.next()?;
-                        if y_buf.is_some() {
-                            metrics.read_right += 1;
-                        }
-                    }
-                    let advance = match (&*x_buf, &*y_buf) {
-                        (None, None) => return Ok(None),
-                        (Some(_), None) => {
-                            if state_y.is_empty() {
-                                return Ok(None);
-                            }
-                            Advance::Left
-                        }
-                        (None, Some(_)) => {
-                            if state_x.is_empty() {
-                                return Ok(None);
-                            }
-                            Advance::Right
-                        }
-                        (Some(xb), Some(yb)) => policy.decide(
-                            policy_state,
-                            xb,
-                            yb,
-                            xb.ts(),
-                            yb.ts(),
-                            state_x.len(),
-                            state_y.len(),
-                        ),
-                    };
-                    match advance {
-                        Advance::Left => {
-                            let Some(xt) = x_buf.take() else {
-                                return Err(TdbError::Eval(
-                                    "overlap-semijoin advanced an empty X buffer".into(),
-                                ));
-                            };
-                            let xp = xt.period();
-                            metrics.comparisons += state_y.len();
-                            if state_y.iter().any(|yt| xp.allen_overlaps(&yt.period())) {
-                                pending.push_back(xt);
-                            } else {
-                                state_x.insert(xt);
-                            }
-                            *x_buf = x.next()?;
-                            if x_buf.is_some() {
-                                metrics.read_left += 1;
-                            }
-                        }
-                        Advance::Right => {
-                            let Some(yt) = y_buf.take() else {
-                                return Err(TdbError::Eval(
-                                    "overlap-semijoin advanced an empty Y buffer".into(),
-                                ));
-                            };
-                            let yp = yt.period();
-                            metrics.comparisons += state_x.len();
-                            let witnessed = state_x.extract(|xt| xt.period().allen_overlaps(&yp));
-                            pending.extend(witnessed);
-                            state_y.insert(yt);
-                            *y_buf = y.next()?;
-                            if y_buf.is_some() {
-                                metrics.read_right += 1;
-                            }
-                        }
-                    }
-                    // GC keyed off buffers.
-                    match &*y_buf {
-                        Some(yb) => {
-                            let cutoff = yb.ts();
-                            state_x.gc(|xt| xt.te() > cutoff);
-                        }
-                        None => state_x.gc(|_| false),
-                    }
-                    match &*x_buf {
-                        Some(xb) => {
-                            let cutoff = xb.ts();
-                            state_y.gc(|yt| yt.ts() > cutoff);
-                        }
-                        None => state_y.gc(|_| false),
-                    }
-                }
-            }
-        }
-    }
-
-    fn order(&self) -> Option<StreamOrder> {
-        match self.inner {
-            // General mode emits a subsequence of the X input.
-            SemiInner::General { .. } => Some(StreamOrder::TS_ASC),
-            SemiInner::Strict { .. } => None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::stream::from_sorted_vec;
-    use proptest::prelude::*;
-    use tdb_core::TsTuple;
-
-    fn iv(s: i64, e: i64) -> TsTuple {
-        TsTuple::interval(s, e).unwrap()
-    }
-
-    fn canon_pairs(mut v: Vec<(TsTuple, TsTuple)>) -> Vec<(TsTuple, TsTuple)> {
-        v.sort_by_key(|(x, y)| {
-            (
-                x.ts().ticks(),
-                x.te().ticks(),
-                y.ts().ticks(),
-                y.te().ticks(),
-            )
-        });
-        v
-    }
-
-    fn canon(mut v: Vec<TsTuple>) -> Vec<TsTuple> {
-        v.sort_by_key(|t| (t.ts().ticks(), t.te().ticks()));
-        v
-    }
-
-    fn join_oracle(xs: &[TsTuple], ys: &[TsTuple], mode: OverlapMode) -> Vec<(TsTuple, TsTuple)> {
-        let mut out = Vec::new();
-        for x in xs {
-            for y in ys {
-                if mode.matches(&x.period, &y.period) {
-                    out.push((x.clone(), y.clone()));
-                }
-            }
-        }
-        canon_pairs(out)
-    }
-
-    fn semi_oracle(xs: &[TsTuple], ys: &[TsTuple], mode: OverlapMode) -> Vec<TsTuple> {
-        xs.iter()
-            .filter(|x| ys.iter().any(|y| mode.matches(&x.period, &y.period)))
-            .cloned()
-            .collect()
-    }
-
-    fn run_join(
-        mut xs: Vec<TsTuple>,
-        mut ys: Vec<TsTuple>,
-        mode: OverlapMode,
-        policy: ReadPolicy,
-    ) -> Vec<(TsTuple, TsTuple)> {
-        StreamOrder::TS_ASC.sort(&mut xs);
-        StreamOrder::TS_ASC.sort(&mut ys);
-        let x = from_sorted_vec(xs, StreamOrder::TS_ASC).unwrap();
-        let y = from_sorted_vec(ys, StreamOrder::TS_ASC).unwrap();
-        let mut op = OverlapJoin::new(x, y, mode, policy).unwrap();
-        canon_pairs(op.collect_vec().unwrap())
-    }
-
-    fn run_semi(
-        mut xs: Vec<TsTuple>,
-        mut ys: Vec<TsTuple>,
-        mode: OverlapMode,
-    ) -> (Vec<TsTuple>, usize) {
-        StreamOrder::TS_ASC.sort(&mut xs);
-        StreamOrder::TS_ASC.sort(&mut ys);
-        let x = from_sorted_vec(xs, StreamOrder::TS_ASC).unwrap();
-        let y = from_sorted_vec(ys, StreamOrder::TS_ASC).unwrap();
-        let mut op = OverlapSemijoin::new(x, y, mode, ReadPolicy::MinKey).unwrap();
-        let out = op.collect_vec().unwrap();
-        (canon(out), op.max_workspace())
-    }
-
-    #[test]
-    fn strict_vs_general_semantics() {
-        let x = vec![iv(0, 5)];
-        let y = vec![iv(3, 8)];
-        assert_eq!(
-            run_join(
-                x.clone(),
-                y.clone(),
-                OverlapMode::Strict,
-                ReadPolicy::MinKey
-            )
-            .len(),
-            1
-        );
-        // Containment is general-overlap but not strict Allen overlap.
-        let x = vec![iv(0, 10)];
-        let y = vec![iv(3, 8)];
-        assert!(run_join(
-            x.clone(),
-            y.clone(),
-            OverlapMode::Strict,
-            ReadPolicy::MinKey
-        )
-        .is_empty());
-        assert_eq!(
-            run_join(x, y, OverlapMode::General, ReadPolicy::MinKey).len(),
-            1
-        );
-        // Meets shares no point under half-open semantics.
-        let x = vec![iv(0, 3)];
-        let y = vec![iv(3, 8)];
-        assert!(run_join(x, y, OverlapMode::General, ReadPolicy::MinKey).is_empty());
-    }
-
-    #[test]
-    fn general_semijoin_uses_buffers_only() {
-        let xs: Vec<_> = (0..500).map(|i| iv(i * 2, i * 2 + 3)).collect();
-        let ys: Vec<_> = (0..500).map(|i| iv(i * 2 + 1, i * 2 + 4)).collect();
-        let (got, ws) = run_semi(xs.clone(), ys.clone(), OverlapMode::General);
-        assert_eq!(got, canon(semi_oracle(&xs, &ys, OverlapMode::General)));
-        assert_eq!(ws, 0, "Table 2 state (b): workspace = the two buffers");
-    }
-
-    #[test]
-    fn general_semijoin_unmatched_x_skipped() {
-        let xs = vec![iv(0, 2), iv(10, 12)];
-        let ys = vec![iv(5, 6)];
-        let (got, _) = run_semi(xs, ys, OverlapMode::General);
-        assert!(got.is_empty());
-    }
-
-    #[test]
-    fn rejects_unsorted_inputs() {
-        let x = crate::stream::from_vec(vec![iv(0, 5)]);
-        let y = from_sorted_vec(vec![iv(0, 5)], StreamOrder::TS_ASC).unwrap();
-        assert!(OverlapJoin::new(x, y, OverlapMode::General, ReadPolicy::MinKey).is_err());
-    }
-
-    fn arb_intervals(n: usize) -> impl Strategy<Value = Vec<TsTuple>> {
-        proptest::collection::vec((-60i64..60, 1i64..40), 0..n)
-            .prop_map(|v| v.into_iter().map(|(s, d)| iv(s, s + d)).collect())
-    }
-
-    proptest! {
-        #[test]
-        fn join_matches_oracle(xs in arb_intervals(40), ys in arb_intervals(40)) {
-            for mode in [OverlapMode::Strict, OverlapMode::General] {
-                for policy in [ReadPolicy::MinKey, ReadPolicy::Alternate] {
-                    prop_assert_eq!(
-                        run_join(xs.clone(), ys.clone(), mode, policy),
-                        join_oracle(&xs, &ys, mode)
-                    );
-                }
-            }
-        }
-
-        #[test]
-        fn semijoin_matches_oracle(xs in arb_intervals(40), ys in arb_intervals(40)) {
-            for mode in [OverlapMode::Strict, OverlapMode::General] {
-                let (got, _) = run_semi(xs.clone(), ys.clone(), mode);
-                prop_assert_eq!(got, canon(semi_oracle(&xs, &ys, mode)));
-            }
         }
     }
 }

@@ -33,8 +33,7 @@
 //! no time-range decomposition localizes them; the planner keeps those
 //! serial.
 
-use crate::batch::DEFAULT_BATCH_ROWS;
-use crate::dispatch::{run_join_kind, run_semijoin_kind};
+use crate::dispatch::{run_join, run_semijoin, Emit};
 use crate::overlap_join::OverlapMode;
 use crate::report::{OpConfig, OpReport};
 use crate::required::StreamOpKind;
@@ -150,22 +149,12 @@ pub fn tag<T>(items: Vec<T>) -> Vec<Tagged<T>> {
 /// several partitions (fringe tuples) are emitted once. Because ordinals
 /// are positions in the sorted input and semijoin outputs are subsequences
 /// of their input, the merged output re-emits the declared input order.
-pub fn merge_tagged<T: Clone>(parts: Vec<Vec<Tagged<T>>>) -> Vec<T> {
-    let mut out = Vec::new();
-    let all = merge_tagged_each(parts, usize::MAX, &mut |mut chunk| {
-        out.append(&mut chunk);
-        Ok(true)
-    });
-    debug_assert!(matches!(all, Ok((true, _))));
-    out
-}
-
-/// Push-mode variant of [`merge_tagged`]: the merged, deduplicated output
-/// is handed to `emit` in chunks of at most `chunk_rows` rows instead of
-/// being collected. Returns `(completed, emitted)` — `completed` is
+///
+/// The merged, deduplicated output is handed to `emit` in chunks of at
+/// most `chunk_rows` rows. Returns `(completed, emitted)` — `completed` is
 /// `false` when `emit` asked the merge to stop early, `emitted` counts the
 /// rows actually handed over.
-pub fn merge_tagged_each<T: Clone>(
+pub fn merge_tagged<T: Clone>(
     mut parts: Vec<Vec<Tagged<T>>>,
     chunk_rows: usize,
     emit: &mut dyn FnMut(Vec<T>) -> TdbResult<bool>,
@@ -376,41 +365,15 @@ impl ParallelPattern {
     }
 }
 
-/// The result of a partitioned-parallel operator run.
-#[derive(Debug, Clone)]
-pub struct ParallelRun<T> {
-    /// Deduplicated output (joins: pairs in owner-partition order;
-    /// semijoins: kept tuples in the sorted input order).
-    pub items: Vec<T>,
-    /// Aggregate report: reads/comparisons/emits summed across workers,
-    /// workspace peak is the max over workers.
-    pub report: OpReport,
-    /// Per-worker reports, indexed by partition.
-    pub per_partition: Vec<OpReport>,
-    /// Total tuples dispatched to workers; the excess over `|X| + |Y|` is
-    /// the fringe-replication overhead.
-    pub dispatched: usize,
-}
-
-impl<T> ParallelRun<T> {
-    fn empty(k: usize) -> ParallelRun<T> {
-        ParallelRun {
-            items: Vec::new(),
-            report: OpReport::default(),
-            per_partition: vec![OpReport::default(); k.max(1)],
-            dispatched: 0,
-        }
-    }
-}
-
-/// Outcome of a push-mode parallel run ([`parallel_join_each`] /
-/// [`parallel_semijoin_each`]): the output went to the caller's emit
-/// closure, so only the run's accounting is returned.
+/// Outcome of a partitioned-parallel run ([`parallel_join`] /
+/// [`parallel_semijoin`]): the output went to the caller's emit closure,
+/// so only the run's accounting is returned.
 #[derive(Debug, Clone)]
 pub struct ParallelPush {
     /// `false` when the emit closure stopped the run early (sink full).
     pub completed: bool,
-    /// Aggregate report (see [`ParallelRun::report`]).
+    /// Aggregate report: reads/comparisons/emits summed across workers,
+    /// workspace peak is the max over workers.
     pub report: OpReport,
     /// Per-worker reports, indexed by partition.
     pub per_partition: Vec<OpReport>,
@@ -452,46 +415,12 @@ fn join_results<T>(
 ///
 /// Inputs need not be pre-sorted; each is sorted once into the order its
 /// serial operator requires, partitioned with fringe replication, and the
-/// per-partition outputs are owner-deduplicated. The result is exactly the
-/// serial operator's (and the nested-loop oracle's) match set.
+/// per-partition outputs are owner-deduplicated: the pairs handed to
+/// `emit`, one partition at a time in partition order, are exactly the
+/// serial operator's (and the nested-loop oracle's) match set. A `false`
+/// return from `emit` stops the run; remaining partitions' outputs are
+/// dropped.
 pub fn parallel_join<T>(
-    pattern: ParallelPattern,
-    xs: Vec<T>,
-    ys: Vec<T>,
-    k: usize,
-    cfg: OpConfig,
-) -> TdbResult<ParallelRun<(T, T)>>
-where
-    T: Temporal + Clone + Send,
-{
-    if pattern == ParallelPattern::During {
-        // y contains x: reuse the Contains machinery with sides swapped.
-        let run = parallel_join(ParallelPattern::Contains, ys, xs, k, cfg)?;
-        return Ok(ParallelRun {
-            items: run.items.into_iter().map(|(y, x)| (x, y)).collect(),
-            report: run.report,
-            per_partition: run.per_partition,
-            dispatched: run.dispatched,
-        });
-    }
-    let Some((parts, per_partition, report, dispatched)) =
-        join_partitioned(pattern, xs, ys, k, cfg)?
-    else {
-        return Ok(ParallelRun::empty(k));
-    };
-    Ok(ParallelRun {
-        items: parts.into_iter().flatten().collect(),
-        report,
-        per_partition,
-        dispatched,
-    })
-}
-
-/// Push-mode [`parallel_join`]: instead of concatenating the K
-/// owner-deduplicated partition outputs into one vector, hand each
-/// partition's pairs (in partition order) to `emit`. A `false` return from
-/// `emit` stops the run; remaining partitions' outputs are dropped.
-pub fn parallel_join_each<T>(
     pattern: ParallelPattern,
     xs: Vec<T>,
     ys: Vec<T>,
@@ -575,22 +504,26 @@ where
             .enumerate()
             .map(|(i, (xp, yp))| {
                 scope.spawn(move || -> WorkerOutput<(T, T)> {
-                    // Each worker runs the serial operator through the
-                    // unified dispatch — row or batched per `cfg`.
-                    let (pairs, report) = run_join_kind(
+                    // Each worker runs the serial kernel through the one
+                    // dispatch entry. Owner dedup: keep a pair only in the
+                    // partition that owns the intersection start.
+                    let mut owned = Vec::new();
+                    let (_, report) = run_join(
                         pattern.join_kind(),
                         pattern.worker_config(cfg),
                         xp,
                         x_order,
                         yp,
                         y_order,
+                        Emit::Chunks(&mut |chunk| {
+                            owned.extend(
+                                chunk
+                                    .into_iter()
+                                    .filter(|(x, y)| spec.owner_of(x.ts().max_of(y.ts())) == i),
+                            );
+                            Ok(true)
+                        }),
                     )?;
-                    // Owner dedup: emit a pair only from the partition that
-                    // owns the intersection start.
-                    let owned = pairs
-                        .into_iter()
-                        .filter(|(x, y)| spec.owner_of(x.ts().max_of(y.ts())) == i)
-                        .collect();
                     Ok((owned, report))
                 })
             })
@@ -608,40 +541,10 @@ where
 }
 
 /// Run a temporal semijoin (left side kept) partitioned over `k` time
-/// ranges. Output preserves the left input's sorted order and contains each
-/// kept tuple exactly once.
+/// ranges. The K-way ordinal merge streams its output to `emit` in chunks
+/// of the configured batch size: the left input's sorted order, each kept
+/// tuple exactly once. A `false` return from `emit` stops the merge.
 pub fn parallel_semijoin<T>(
-    pattern: ParallelPattern,
-    xs: Vec<T>,
-    ys: Vec<T>,
-    k: usize,
-    cfg: OpConfig,
-) -> TdbResult<ParallelRun<T>>
-where
-    T: Temporal + Clone + Send,
-{
-    let Some((parts, per_partition, mut report, dispatched)) =
-        semijoin_partitioned(pattern, xs, ys, k, cfg)?
-    else {
-        return Ok(ParallelRun::empty(k));
-    };
-    let items = merge_tagged(parts);
-    // Fringe tuples witnessed in several partitions were emitted more than
-    // once by the workers; after dedup, report what actually came out.
-    report.metrics.emitted = items.len();
-    Ok(ParallelRun {
-        items,
-        report,
-        per_partition,
-        dispatched,
-    })
-}
-
-/// Push-mode [`parallel_semijoin`]: the K-way ordinal merge streams its
-/// deduplicated output to `emit` in chunks of the configured batch size
-/// instead of building one vector. A `false` return from `emit` stops the
-/// merge.
-pub fn parallel_semijoin_each<T>(
     pattern: ParallelPattern,
     xs: Vec<T>,
     ys: Vec<T>,
@@ -657,12 +560,7 @@ where
     else {
         return Ok(ParallelPush::empty(k));
     };
-    let chunk_rows = if cfg.batch_rows > 0 {
-        cfg.batch_rows
-    } else {
-        DEFAULT_BATCH_ROWS
-    };
-    let (completed, emitted) = merge_tagged_each(parts, chunk_rows, emit)?;
+    let (completed, emitted) = merge_tagged(parts, cfg.batch_rows, emit)?;
     // On an early stop `emitted` is what actually reached the sink — a
     // lower bound on the full result.
     report.metrics.emitted = emitted;
@@ -708,14 +606,20 @@ where
             .zip(yparts)
             .map(|(xp, yp)| {
                 scope.spawn(move || -> WorkerOutput<Tagged<T>> {
-                    run_semijoin_kind(
+                    let mut kept = Vec::new();
+                    let (_, report) = run_semijoin(
                         pattern.semijoin_kind(),
                         pattern.worker_config(cfg),
                         xp,
                         x_order,
                         yp,
                         y_order,
-                    )
+                        Emit::Chunks(&mut |mut chunk| {
+                            kept.append(&mut chunk);
+                            Ok(true)
+                        }),
+                    )?;
+                    Ok((kept, report))
                 })
             })
             .collect();
@@ -826,18 +730,90 @@ mod tests {
         assert!(KWayMerge::new(vec![c], StreamOrder::TS_ASC).is_err());
     }
 
+    /// Collect a parallel join's output; the caller's vector is the only
+    /// materialization.
+    fn join_all(
+        pattern: ParallelPattern,
+        xs: &[TsTuple],
+        ys: &[TsTuple],
+        k: usize,
+    ) -> (Vec<(TsTuple, TsTuple)>, ParallelPush) {
+        let mut out = Vec::new();
+        let run = parallel_join(
+            pattern,
+            xs.to_vec(),
+            ys.to_vec(),
+            k,
+            OpConfig::new(),
+            &mut |chunk| {
+                out.extend(chunk);
+                Ok(true)
+            },
+        )
+        .unwrap();
+        assert!(run.completed);
+        (out, run)
+    }
+
+    fn semijoin_all(
+        pattern: ParallelPattern,
+        xs: &[TsTuple],
+        ys: &[TsTuple],
+        k: usize,
+    ) -> (Vec<TsTuple>, ParallelPush) {
+        let mut out = Vec::new();
+        let run = parallel_semijoin(
+            pattern,
+            xs.to_vec(),
+            ys.to_vec(),
+            k,
+            OpConfig::new(),
+            &mut |chunk| {
+                out.extend(chunk);
+                Ok(true)
+            },
+        )
+        .unwrap();
+        assert!(run.completed);
+        (out, run)
+    }
+
     #[test]
     fn merge_tagged_dedups_fringe_duplicates() {
         let t = |ordinal, s, e| Tagged {
             ordinal,
             item: iv(s, e),
         };
-        let merged = merge_tagged(vec![
-            vec![t(0, 0, 9), t(2, 3, 4)],
-            vec![t(0, 0, 9), t(5, 8, 9)],
-        ]);
+        let mut merged = Vec::new();
+        let parts = vec![vec![t(0, 0, 9), t(2, 3, 4)], vec![t(0, 0, 9), t(5, 8, 9)]];
+        let done = merge_tagged(parts, 2, &mut |chunk| {
+            assert!(chunk.len() <= 2);
+            merged.extend(chunk);
+            Ok(true)
+        })
+        .unwrap();
+        assert_eq!(done, (true, 3));
         assert_eq!(merged, vec![iv(0, 9), iv(3, 4), iv(8, 9)]);
-        assert!(merge_tagged::<TsTuple>(vec![vec![], vec![]]).is_empty());
+        let done = merge_tagged::<TsTuple>(vec![vec![], vec![]], 8, &mut |_| Ok(false)).unwrap();
+        assert_eq!(done, (true, 0));
+    }
+
+    #[test]
+    fn merge_tagged_stops_when_the_consumer_declines() {
+        let parts = vec![(0..10)
+            .map(|i| Tagged {
+                ordinal: i,
+                item: iv(i as i64, i as i64 + 1),
+            })
+            .collect()];
+        let mut chunks = 0usize;
+        let done = merge_tagged(parts, 4, &mut |_| {
+            chunks += 1;
+            Ok(false)
+        })
+        .unwrap();
+        assert_eq!(done, (false, 4), "stopped after the first chunk");
+        assert_eq!(chunks, 1);
     }
 
     #[test]
@@ -847,16 +823,9 @@ mod tests {
         let xs = vec![iv(0, 100), iv(10, 30), iv(60, 90)];
         let ys = vec![iv(5, 6), iv(24, 26), iv(25, 75), iv(70, 80), iv(99, 100)];
         for k in 1..=8 {
-            let run = parallel_join(
-                ParallelPattern::Contains,
-                xs.clone(),
-                ys.clone(),
-                k,
-                OpConfig::new(),
-            )
-            .unwrap();
+            let (pairs, run) = join_all(ParallelPattern::Contains, &xs, &ys, k);
             assert_eq!(
-                canon_pairs(run.items),
+                canon_pairs(pairs),
                 join_oracle(&xs, &ys, ParallelPattern::Contains),
                 "k={k}"
             );
@@ -868,16 +837,9 @@ mod tests {
     fn parallel_run_aggregates_reports() {
         let xs: Vec<_> = (0..50).map(|i| iv(i * 2, i * 2 + 5)).collect();
         let ys: Vec<_> = (0..50).map(|i| iv(i * 2 + 1, i * 2 + 2)).collect();
-        let run = parallel_join(
-            ParallelPattern::Contains,
-            xs.clone(),
-            ys.clone(),
-            4,
-            OpConfig::new(),
-        )
-        .unwrap();
-        let serial = parallel_join(ParallelPattern::Contains, xs, ys, 1, OpConfig::new()).unwrap();
-        assert_eq!(canon_pairs(run.items), canon_pairs(serial.items));
+        let (pairs, run) = join_all(ParallelPattern::Contains, &xs, &ys, 4);
+        let (serial_pairs, serial) = join_all(ParallelPattern::Contains, &xs, &ys, 1);
+        assert_eq!(canon_pairs(pairs), canon_pairs(serial_pairs));
         // Fringe replication dispatches at least the raw inputs.
         assert!(run.dispatched >= 100, "dispatched {}", run.dispatched);
         // Partitioned workspaces are no larger than the serial peak.
@@ -901,25 +863,24 @@ mod tests {
             ParallelPattern::AllenOverlaps,
         ] {
             for k in 1..=6 {
-                let run =
-                    parallel_semijoin(pattern, xs.clone(), ys.clone(), k, OpConfig::new()).unwrap();
+                let (kept, run) = semijoin_all(pattern, &xs, &ys, k);
                 assert_eq!(
-                    canon(run.items.clone()),
+                    canon(kept.clone()),
                     semi_oracle(&xs, &ys, pattern),
                     "{pattern:?} k={k}"
                 );
                 // Exactly-once: no fringe duplicates survive the merge.
                 let mut seen = BTreeSet::new();
-                for t in &run.items {
+                for t in &kept {
                     assert!(seen.insert((t.ts().ticks(), t.te().ticks(), t.value.clone())));
                 }
-                assert_eq!(run.report.metrics.emitted, run.items.len());
+                assert_eq!(run.report.metrics.emitted, kept.len());
             }
         }
     }
 
     #[test]
-    fn push_mode_parallel_runs_match_collected_runs() {
+    fn parallel_joins_match_the_oracle_for_every_pattern() {
         let xs = vec![iv(0, 100), iv(3, 4), iv(10, 30), iv(50, 80), iv(97, 99)];
         let ys = vec![iv(1, 2), iv(21, 60), iv(24, 26), iv(70, 80), iv(98, 99)];
         for pattern in [
@@ -928,67 +889,27 @@ mod tests {
             ParallelPattern::GeneralOverlap,
             ParallelPattern::AllenOverlaps,
         ] {
+            let (_, serial) = join_all(pattern, &xs, &ys, 1);
             for k in [1usize, 4] {
-                let run =
-                    parallel_join(pattern, xs.clone(), ys.clone(), k, OpConfig::new()).unwrap();
-                let mut pushed = Vec::new();
-                let push = parallel_join_each(
-                    pattern,
-                    xs.clone(),
-                    ys.clone(),
-                    k,
-                    OpConfig::new(),
-                    &mut |chunk| {
-                        pushed.extend(chunk);
-                        Ok(true)
-                    },
-                )
-                .unwrap();
-                assert!(push.completed);
+                let (pairs, run) = join_all(pattern, &xs, &ys, k);
                 assert_eq!(
-                    canon_pairs(pushed),
-                    canon_pairs(run.items),
+                    canon_pairs(pairs),
+                    join_oracle(&xs, &ys, pattern),
                     "{pattern:?} k={k}"
                 );
-                assert_eq!(push.dispatched, run.dispatched);
-                assert_eq!(push.per_partition.len(), run.per_partition.len());
-
-                let run =
-                    parallel_semijoin(pattern, xs.clone(), ys.clone(), k, OpConfig::new()).unwrap();
-                let mut pushed = Vec::new();
-                let push = parallel_semijoin_each(
-                    pattern,
-                    xs.clone(),
-                    ys.clone(),
-                    k,
-                    OpConfig::new(),
-                    &mut |chunk| {
-                        pushed.extend(chunk);
-                        Ok(true)
-                    },
-                )
-                .unwrap();
-                assert!(push.completed);
-                assert_eq!(pushed, run.items, "{pattern:?} k={k}");
-                assert_eq!(push.report.metrics.emitted, run.report.metrics.emitted);
+                assert_eq!(run.per_partition.len(), k);
+                assert!(run.dispatched >= serial.dispatched, "{pattern:?} k={k}");
             }
         }
     }
 
     #[test]
-    fn push_mode_parallel_join_stops_early() {
+    fn parallel_join_stops_early() {
         let xs: Vec<_> = (0..200).map(|i| iv(i, i + 10)).collect();
         let ys: Vec<_> = (0..200).map(|i| iv(i + 1, i + 2)).collect();
-        let full = parallel_join(
-            ParallelPattern::Contains,
-            xs.clone(),
-            ys.clone(),
-            4,
-            OpConfig::new(),
-        )
-        .unwrap();
+        let (full, _) = join_all(ParallelPattern::Contains, &xs, &ys, 4);
         let mut seen = 0usize;
-        let push = parallel_join_each(
+        let push = parallel_join(
             ParallelPattern::Contains,
             xs,
             ys,
@@ -1001,29 +922,15 @@ mod tests {
         )
         .unwrap();
         assert!(!push.completed);
-        assert!(seen < full.items.len(), "stopped after {seen}");
+        assert!(seen < full.len(), "stopped after {seen}");
     }
 
     #[test]
     fn empty_inputs_yield_empty_runs() {
-        let run = parallel_join::<TsTuple>(
-            ParallelPattern::GeneralOverlap,
-            vec![],
-            vec![],
-            4,
-            OpConfig::new(),
-        )
-        .unwrap();
-        assert!(run.items.is_empty());
+        let (pairs, run) = join_all(ParallelPattern::GeneralOverlap, &[], &[], 4);
+        assert!(pairs.is_empty());
         assert_eq!(run.dispatched, 0);
-        let run = parallel_semijoin::<TsTuple>(
-            ParallelPattern::During,
-            vec![],
-            vec![],
-            4,
-            OpConfig::new(),
-        )
-        .unwrap();
-        assert!(run.items.is_empty());
+        let (kept, _) = semijoin_all(ParallelPattern::During, &[], &[], 4);
+        assert!(kept.is_empty());
     }
 }

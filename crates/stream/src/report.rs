@@ -18,24 +18,28 @@
 //! consume only this surface.
 
 use crate::aggregate::GroupedSum;
+use crate::batch_ops::{
+    ContainJoinTsTe, ContainSemijoinStab, ContainedSemijoinStab, OverlapJoin, OverlapSemijoin,
+    PullOp,
+};
 use crate::before::{BeforeJoin, BeforeSemijoin};
 use crate::buffered_join::BufferedJoin;
 use crate::coalesce::Coalesce;
-use crate::contain_join::{ContainJoinTsTe, ContainJoinTsTs};
+use crate::contain_join::ContainJoinTsTs;
 use crate::event_join::EventMergeJoin;
 use crate::merge_join::MergeEquiJoin;
 use crate::metrics::OpMetrics;
 use crate::nested_loop::NestedLoopJoin;
-use crate::overlap_join::{OverlapJoin, OverlapMode, OverlapSemijoin};
+use crate::overlap_join::OverlapMode;
 use crate::read_policy::ReadPolicy;
+use crate::required::{check_stream_order, StreamOpKind};
 use crate::self_semijoin::{ContainSelfSemijoin, ContainSelfSemijoinDesc, ContainedSelfSemijoin};
-use crate::stab_semijoin::{ContainSemijoinStab, ContainedSemijoinStab};
 use crate::stream::TupleStream;
 use crate::sweep_semijoin::SweepSemijoin;
 use crate::timeslice::Timeslice;
 use crate::workspace::WorkspaceStats;
 use std::fmt;
-use tdb_core::{TdbResult, Temporal, TimePoint, Value};
+use tdb_core::{StreamOrder, TdbResult, Temporal, TimePoint, Value};
 
 /// Everything an operator reports about one run: throughput counters plus
 /// workspace statistics.
@@ -82,6 +86,14 @@ impl fmt::Display for OpReport {
     }
 }
 
+/// The constructor-time gate of the kernel-backed operators: both inputs
+/// must declare the orders `kind`'s registry entry requires.
+fn check_orders<X: TupleStream, Y: TupleStream>(kind: StreamOpKind, x: &X, y: &Y) -> TdbResult<()> {
+    let req = kind.requirement();
+    check_stream_order(x, req.left(), req.operator, "X")?;
+    check_stream_order(y, req.right(), req.operator, "Y")
+}
+
 /// Implemented by every stream operator: a uniform way to read metrics and
 /// workspace statistics after (or during) a run.
 pub trait Instrumented {
@@ -117,10 +129,9 @@ pub struct OpConfig {
     pub policy: ReadPolicy,
     /// Which overlap predicate the overlap operators evaluate.
     pub mode: OverlapMode,
-    /// Rows per columnar batch on the vectorized execution path
-    /// ([`crate::batch_ops`]); `0` selects the row-at-a-time operators.
-    /// Only consulted by [`crate::allen_dispatch`]-level drivers that
-    /// support both paths — the row constructors below ignore it.
+    /// Rows per columnar batch (≥ 1) when [`crate::dispatch`] or
+    /// [`crate::partition`] feeds a kernel from materialized inputs. The
+    /// stream constructors below ignore it: they pull one tuple at a time.
     pub batch_rows: usize,
 }
 
@@ -136,7 +147,7 @@ impl Default for OpConfig {
 
 impl OpConfig {
     /// The default configuration: `MinKey` policy, general overlap,
-    /// batched execution at [`crate::batch::DEFAULT_BATCH_ROWS`].
+    /// batches of [`crate::batch::DEFAULT_BATCH_ROWS`] rows.
     pub fn new() -> OpConfig {
         OpConfig::default()
     }
@@ -153,15 +164,10 @@ impl OpConfig {
         self
     }
 
-    /// Set the batch size for the vectorized path (`0` = row-at-a-time).
+    /// Set the batch size; a size below 1 is floored to 1.
     pub fn with_batch_rows(mut self, batch_rows: usize) -> OpConfig {
-        self.batch_rows = batch_rows;
+        self.batch_rows = batch_rows.max(1);
         self
-    }
-
-    /// Does this configuration select the batched execution path?
-    pub fn batched(&self) -> bool {
-        self.batch_rows > 0
     }
 
     /// Contain-join under `(ValidFrom ↑, ValidFrom ↑)` — Table 1 state (a).
@@ -176,38 +182,56 @@ impl OpConfig {
     }
 
     /// Contain-join under `(ValidFrom ↑, ValidTo ↑)` — Table 1 state (b).
-    pub fn contain_join_ts_te<X, Y>(&self, x: X, y: Y) -> TdbResult<ContainJoinTsTe<X, Y>>
+    pub fn contain_join_ts_te<X, Y>(
+        &self,
+        x: X,
+        y: Y,
+    ) -> TdbResult<impl TupleStream<Item = (X::Item, Y::Item)> + Instrumented>
     where
         X: TupleStream,
         Y: TupleStream,
         X::Item: Temporal + Clone,
         Y::Item: Temporal + Clone,
     {
-        ContainJoinTsTe::new(x, y)
+        check_orders(StreamOpKind::ContainJoinTsTe, &x, &y)?;
+        Ok(PullOp::new(ContainJoinTsTe::new(), x, y, None))
     }
 
     /// Overlap join over `(ValidFrom ↑, ValidFrom ↑)` using the configured
     /// mode — Table 2 state (a).
-    pub fn overlap_join<X, Y>(&self, x: X, y: Y) -> TdbResult<OverlapJoin<X, Y>>
+    pub fn overlap_join<X, Y>(
+        &self,
+        x: X,
+        y: Y,
+    ) -> TdbResult<impl TupleStream<Item = (X::Item, Y::Item)> + Instrumented>
     where
         X: TupleStream,
         Y: TupleStream,
         X::Item: Temporal + Clone,
         Y::Item: Temporal + Clone,
     {
-        OverlapJoin::new(x, y, self.mode, self.policy)
+        check_orders(StreamOpKind::OverlapJoin, &x, &y)?;
+        let op = OverlapJoin::new(self.mode, self.policy);
+        Ok(PullOp::new(op, x, y, None))
     }
 
     /// Overlap semijoin using the configured mode — Table 2 state (b) in
-    /// general mode.
-    pub fn overlap_semijoin<X, Y>(&self, x: X, y: Y) -> TdbResult<OverlapSemijoin<X, Y>>
+    /// general mode, where the output is a subsequence of the X input.
+    pub fn overlap_semijoin<X, Y>(
+        &self,
+        x: X,
+        y: Y,
+    ) -> TdbResult<impl TupleStream<Item = X::Item> + Instrumented>
     where
         X: TupleStream,
         Y: TupleStream,
         X::Item: Temporal + Clone,
         Y::Item: Temporal + Clone,
     {
-        OverlapSemijoin::new(x, y, self.mode, self.policy)
+        check_orders(StreamOpKind::OverlapSemijoin, &x, &y)?;
+        let op = OverlapSemijoin::new(self.mode, self.policy);
+        let order = (self.mode == OverlapMode::General).then_some(StreamOrder::TS_ASC);
+        Ok(PullOp::new(op, x, y, order))
     }
 
     /// Contain-semijoin under `(ValidFrom ↑, ValidFrom ↑)` — Table 1
@@ -235,31 +259,42 @@ impl OpConfig {
     }
 
     /// Two-buffer Contain-semijoin (X: `ValidFrom ↑`, Y: `ValidTo ↑`) —
-    /// Table 1 state (d).
-    pub fn contain_semijoin_stab<X, Y>(&self, x: X, y: Y) -> TdbResult<ContainSemijoinStab<X, Y>>
+    /// Table 1 state (d). Order-preserving (§4.2.3: "the output stream
+    /// from a semijoin operation has the same sort ordering as the input
+    /// stream").
+    pub fn contain_semijoin_stab<X, Y>(
+        &self,
+        x: X,
+        y: Y,
+    ) -> TdbResult<impl TupleStream<Item = X::Item> + Instrumented>
     where
         X: TupleStream,
         Y: TupleStream,
         X::Item: Temporal + Clone,
         Y::Item: Temporal + Clone,
     {
-        ContainSemijoinStab::new(x, y)
+        check_orders(StreamOpKind::ContainSemijoinStab, &x, &y)?;
+        let order = Some(StreamOrder::TS_ASC);
+        Ok(PullOp::new(ContainSemijoinStab::new(), x, y, order))
     }
 
     /// Two-buffer Contained-semijoin (X: `ValidTo ↑`, Y: `ValidFrom ↑`) —
-    /// Table 1 state (d).
+    /// Table 1 state (d). The kernel's left input is the container (Y)
+    /// side, so `read_left` counts Y.
     pub fn contained_semijoin_stab<X, Y>(
         &self,
         x: X,
         y: Y,
-    ) -> TdbResult<ContainedSemijoinStab<X, Y>>
+    ) -> TdbResult<impl TupleStream<Item = X::Item> + Instrumented>
     where
         X: TupleStream,
         Y: TupleStream,
         X::Item: Temporal + Clone,
         Y::Item: Temporal + Clone,
     {
-        ContainedSemijoinStab::new(x, y)
+        check_orders(StreamOpKind::ContainedSemijoinStab, &x, &y)?;
+        let order = Some(StreamOrder::TE_ASC);
+        Ok(PullOp::new(ContainedSemijoinStab::new(), y, x, order))
     }
 
     /// Single-scan Contain-semijoin(X, X) — Table 3 state (b).
@@ -351,43 +386,6 @@ where
     }
 }
 
-impl<X, Y> Instrumented for ContainJoinTsTe<X, Y>
-where
-    X: TupleStream,
-    Y: TupleStream,
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    fn report(&self) -> OpReport {
-        OpReport::new(self.metrics(), self.workspace())
-    }
-}
-
-impl<X, Y> Instrumented for OverlapJoin<X, Y>
-where
-    X: TupleStream,
-    Y: TupleStream,
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    fn report(&self) -> OpReport {
-        let (wx, wy) = self.workspace();
-        OpReport::new(self.metrics(), wx.combine_stacked(wy))
-    }
-}
-
-impl<X, Y> Instrumented for OverlapSemijoin<X, Y>
-where
-    X: TupleStream,
-    Y: TupleStream,
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    fn report(&self) -> OpReport {
-        OpReport::new(self.metrics(), self.workspace())
-    }
-}
-
 impl<X, Y> Instrumented for SweepSemijoin<X, Y>
 where
     X: TupleStream,
@@ -398,32 +396,6 @@ where
     fn report(&self) -> OpReport {
         let (wx, wy) = self.workspace();
         OpReport::new(self.metrics(), wx.combine_stacked(wy))
-    }
-}
-
-impl<X, Y> Instrumented for ContainSemijoinStab<X, Y>
-where
-    X: TupleStream,
-    Y: TupleStream,
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    fn report(&self) -> OpReport {
-        // Table 1 state (d): the workspace is the two input buffers; no
-        // state tuples beyond them.
-        OpReport::new(self.metrics(), WorkspaceStats::default())
-    }
-}
-
-impl<X, Y> Instrumented for ContainedSemijoinStab<X, Y>
-where
-    X: TupleStream,
-    Y: TupleStream,
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    fn report(&self) -> OpReport {
-        OpReport::new(self.metrics(), WorkspaceStats::default())
     }
 }
 
@@ -641,6 +613,13 @@ mod tests {
         let mut op = cfg.overlap_join(ts_asc(xs), ts_asc(ys)).unwrap();
         assert_eq!(op.collect_vec().unwrap().len(), 1);
         assert_eq!(op.report().metrics.emitted, 1);
+    }
+
+    #[test]
+    fn batch_rows_is_a_size_of_at_least_one() {
+        assert_eq!(OpConfig::new().batch_rows, crate::batch::DEFAULT_BATCH_ROWS);
+        assert_eq!(OpConfig::new().with_batch_rows(64).batch_rows, 64);
+        assert_eq!(OpConfig::new().with_batch_rows(0).batch_rows, 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The materializing execution path collects every output row into one
 //! `Vec<Row>` before anything downstream sees it — at 40 k rows/side that
-//! copy dominates the run (E19/E21). A [`RowSink`] inverts the flow: the
+//! copy dominates the run (E21). A [`RowSink`] inverts the flow: the
 //! executor *pushes* row chunks into the sink as operators drain, and the
 //! sink decides what to keep. Three consumers cover the common shapes:
 //!

@@ -134,7 +134,12 @@ fn ordinal_merge_semijoin_handoff_is_exactly_once() {
         }
 
         let parts = Arc::try_unwrap(parts).unwrap().into_inner().unwrap();
-        let got = merge_tagged(parts);
+        let mut got = Vec::new();
+        merge_tagged(parts, 2, &mut |chunk| {
+            got.extend(chunk);
+            Ok(true)
+        })
+        .unwrap();
         assert_eq!(got, oracle, "ordinal merge lost a tuple or kept a dup");
     });
 }

@@ -78,38 +78,59 @@ proptest! {
         join in proptest::bool::ANY,
     ) {
         let (xs, ys) = (workload(&xs), workload(&ys));
+        let cfg = OpConfig::new();
+        let mut rows = 0usize;
         if join {
-            let run = parallel_join(ParallelPattern::Contains, xs, ys, k, OpConfig::new())
-                .expect("parallel join runs");
+            let run = parallel_join(ParallelPattern::Contains, xs, ys, k, cfg, &mut |chunk| {
+                rows += chunk.len();
+                Ok(true)
+            })
+            .expect("parallel join runs");
             assert_merged(&run.report, &run.per_partition);
-            // Joins are owner-deduplicated at emit time, so the workers'
-            // summed counter is what actually came out.
+            // Joins are owner-deduplicated as the workers collect, so the
+            // report keeps the workers' summed counter; what came out is
+            // at most that.
             let emitted: usize = run.per_partition.iter().map(|p| p.metrics.emitted).sum();
             assert_eq!(run.report.metrics.emitted, emitted);
+            assert!(rows <= emitted);
         } else {
-            let run = parallel_semijoin(ParallelPattern::Contains, xs, ys, k, OpConfig::new())
-                .expect("parallel semijoin runs");
+            let run = parallel_semijoin(ParallelPattern::Contains, xs, ys, k, cfg, &mut |chunk| {
+                rows += chunk.len();
+                Ok(true)
+            })
+            .expect("parallel semijoin runs");
             assert_merged(&run.report, &run.per_partition);
             // Fringe tuples may be kept by several workers; the merged
             // report counts the post-dedup output.
             let emitted: usize = run.per_partition.iter().map(|p| p.metrics.emitted).sum();
-            assert_eq!(run.report.metrics.emitted, run.items.len());
+            assert_eq!(run.report.metrics.emitted, rows);
             assert!(run.report.metrics.emitted <= emitted);
         }
     }
 }
 
-/// The executor's `PhysicalPlan::Parallel` arm consumes exactly
-/// `ParallelRun::report`; pin the sorted-entry case too (no fringe, one
-/// partition) so the serial and parallel reports coincide.
+/// The executor's parallel arm consumes exactly `ParallelPush::report`;
+/// pin the sorted-entry case too (no fringe, one partition) so the serial
+/// and parallel reports coincide.
 #[test]
 fn single_partition_report_equals_its_only_worker() {
     let xs = workload(&[(0, 30), (5, 3), (12, 4)]);
     let ys = workload(&[(6, 1), (13, 2)]);
-    let run = parallel_join(ParallelPattern::Contains, xs, ys, 1, OpConfig::new())
-        .expect("parallel join runs");
+    let mut rows = 0usize;
+    let run = parallel_join(
+        ParallelPattern::Contains,
+        xs,
+        ys,
+        1,
+        OpConfig::new(),
+        &mut |chunk| {
+            rows += chunk.len();
+            Ok(true)
+        },
+    )
+    .expect("parallel join runs");
     assert_eq!(run.per_partition.len(), 1);
     assert_merged(&run.report, &run.per_partition);
-    assert_eq!(run.report.metrics.emitted, run.items.len());
+    assert_eq!(run.report.metrics.emitted, rows);
     let _ = StreamOrder::TS_ASC; // order type participates via worker_orders
 }

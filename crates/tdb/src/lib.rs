@@ -95,8 +95,9 @@ pub mod prelude {
         ContainSelfSemijoin, ContainSemijoinStab, ContainedSelfSemijoin, ContainedSemijoinStab,
         CountSink, EventMergeJoin, GroupedSum, Instrumented, KWayMerge, LimitSink, MergeEquiJoin,
         NestedLoopJoin, OpConfig, OpReport, OverlapJoin, OverlapMode, OverlapSemijoin,
-        ParallelPattern, ParallelRun, PartitionSpec, ReadPolicy, RowSink, SinkStats, SweepSemijoin,
-        Tagged, TupleStream, Workspace, WorkspaceStats, DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS,
+        ParallelPattern, ParallelPush, PartitionSpec, ReadPolicy, RowSink, SinkStats,
+        SweepSemijoin, Tagged, TupleStream, Workspace, WorkspaceStats, DEFAULT_BATCH_ROWS,
+        MAX_BATCH_ROWS,
     };
     pub use tdb_wal::{FlushPolicy, WalMetrics, WalRecord, WalStore};
 }

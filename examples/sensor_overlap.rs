@@ -22,21 +22,20 @@ fn main() -> TdbResult<()> {
     let start = Instant::now();
     let x = from_sorted_vec(alarms.clone(), StreamOrder::TS_ASC)?;
     let y = from_sorted_vec(windows.clone(), StreamOrder::TS_ASC)?;
-    let mut join = OverlapJoin::new(x, y, OverlapMode::General, ReadPolicy::MinKey)?;
+    let mut join = OpConfig::new().overlap_join(x, y)?;
     let pairs = join.collect_vec()?;
     let stream_time = start.elapsed();
-    let (ws_x, ws_y) = join.workspace();
+    let report = join.report();
     println!(
         "stream overlap join:      {stream_time:>10.2?}  {} pairs",
         pairs.len()
     );
     println!(
-        "  workspace: alarms max {} resident, windows max {} resident ({} GC discards)",
-        ws_x.max_resident,
-        ws_y.max_resident,
-        ws_x.discarded + ws_y.discarded
+        "  workspace: max {} resident alarms + windows ({} GC discards)",
+        report.max_workspace(),
+        report.workspace.discarded
     );
-    println!("  metrics: {}", join.metrics());
+    println!("  metrics: {}", report.metrics);
 
     // ── Nested-loop baseline (the conventional strategy of §3). ──
     let start = Instant::now();
@@ -57,7 +56,7 @@ fn main() -> TdbResult<()> {
     // ── Semijoin: which alarms fall inside any window at all? ──
     let x = from_sorted_vec(alarms.clone(), StreamOrder::TS_ASC)?;
     let y = from_sorted_vec(windows.clone(), StreamOrder::TS_ASC)?;
-    let mut semi = OverlapSemijoin::new(x, y, OverlapMode::General, ReadPolicy::MinKey)?;
+    let mut semi = OpConfig::new().overlap_semijoin(x, y)?;
     let covered = semi.collect_vec()?;
     println!(
         "\noverlap semijoin (two-buffer, Table 2 state (b)): {} of {} alarms overlap a window; workspace = {} state tuples",

@@ -59,7 +59,7 @@ fn main() -> TdbResult<()> {
     let before_join = io.snapshot();
     let x = from_sorted_vec(contracts_sorted.clone(), StreamOrder::TS_ASC)?;
     let y = from_sorted_vec(projects_sorted.clone(), StreamOrder::TE_ASC)?;
-    let mut join = ContainJoinTsTe::new(x, y)?;
+    let mut join = OpConfig::new().contain_join_ts_te(x, y)?;
     let mut staffed = 0u64;
     while join.next()?.is_some() {
         staffed += 1;
@@ -67,8 +67,8 @@ fn main() -> TdbResult<()> {
     println!("\ncontain-join (TS↑/TE↑, Table 1 state (b)): {staffed} project-in-contract pairs");
     println!(
         "  workspace: max {} resident contract tuples; {}",
-        join.workspace().max_resident,
-        join.metrics()
+        join.max_workspace(),
+        join.report().metrics
     );
     println!(
         "  I/O delta during join: {}",
@@ -81,14 +81,14 @@ fn main() -> TdbResult<()> {
         println!(
             "  Little's-law workspace prediction λ·E[D] = {:.1} (measured max {})",
             pred,
-            join.workspace().max_resident
+            join.max_workspace()
         );
     }
 
     // ── 4. Persist the qualifying projects as a sorted run for reuse. ──
     let x = from_sorted_vec(projects_sorted, StreamOrder::TE_ASC)?;
     let y = from_sorted_vec(contracts_sorted, StreamOrder::TS_ASC)?;
-    let mut semis = ContainedSemijoinStab::new(x, y)?;
+    let mut semis = OpConfig::new().contained_semijoin_stab(x, y)?;
     let mut writer = RunWriter::create(dir.join("staffed_projects.run"), io.clone())?;
     let mut kept = 0;
     while let Some(p) = semis.next()? {

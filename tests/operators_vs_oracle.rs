@@ -98,11 +98,12 @@ fn contain_joins_match_oracle_on_all_workloads() {
 
         let mut ys_te = ys.clone();
         StreamOrder::TE_ASC.sort(&mut ys_te);
-        let mut j = ContainJoinTsTe::new(
-            from_sorted_vec(xs_ts, StreamOrder::TS_ASC).unwrap(),
-            from_sorted_vec(ys_te, StreamOrder::TE_ASC).unwrap(),
-        )
-        .unwrap();
+        let mut j = OpConfig::new()
+            .contain_join_ts_te(
+                from_sorted_vec(xs_ts, StreamOrder::TS_ASC).unwrap(),
+                from_sorted_vec(ys_te, StreamOrder::TE_ASC).unwrap(),
+            )
+            .unwrap();
         assert_eq!(
             canon_pairs(j.collect_vec().unwrap()),
             expected,
@@ -132,11 +133,12 @@ fn semijoins_match_direct_filters() {
         StreamOrder::TS_ASC.sort(&mut xs_ts);
         let mut ys_te = ys.clone();
         StreamOrder::TE_ASC.sort(&mut ys_te);
-        let mut op = ContainSemijoinStab::new(
-            from_sorted_vec(xs_ts.clone(), StreamOrder::TS_ASC).unwrap(),
-            from_sorted_vec(ys_te, StreamOrder::TE_ASC).unwrap(),
-        )
-        .unwrap();
+        let mut op = OpConfig::new()
+            .contain_semijoin_stab(
+                from_sorted_vec(xs_ts.clone(), StreamOrder::TS_ASC).unwrap(),
+                from_sorted_vec(ys_te, StreamOrder::TE_ASC).unwrap(),
+            )
+            .unwrap();
         assert_eq!(
             canon(op.collect_vec().unwrap()),
             expect_contain,
@@ -147,11 +149,12 @@ fn semijoins_match_direct_filters() {
         StreamOrder::TE_ASC.sort(&mut xs_te);
         let mut ys_ts = ys.clone();
         StreamOrder::TS_ASC.sort(&mut ys_ts);
-        let mut op = ContainedSemijoinStab::new(
-            from_sorted_vec(xs_te, StreamOrder::TE_ASC).unwrap(),
-            from_sorted_vec(ys_ts.clone(), StreamOrder::TS_ASC).unwrap(),
-        )
-        .unwrap();
+        let mut op = OpConfig::new()
+            .contained_semijoin_stab(
+                from_sorted_vec(xs_te, StreamOrder::TE_ASC).unwrap(),
+                from_sorted_vec(ys_ts.clone(), StreamOrder::TS_ASC).unwrap(),
+            )
+            .unwrap();
         assert_eq!(
             canon(op.collect_vec().unwrap()),
             expect_contained,
@@ -194,13 +197,14 @@ fn overlap_operators_match_oracle() {
             StreamOrder::TS_ASC.sort(&mut xs_ts);
             let mut ys_ts = ys.clone();
             StreamOrder::TS_ASC.sort(&mut ys_ts);
-            let mut j = OverlapJoin::new(
-                from_sorted_vec(xs_ts, StreamOrder::TS_ASC).unwrap(),
-                from_sorted_vec(ys_ts, StreamOrder::TS_ASC).unwrap(),
-                mode,
-                ReadPolicy::Alternate,
-            )
-            .unwrap();
+            let mut j = OpConfig::new()
+                .with_mode(mode)
+                .with_policy(ReadPolicy::Alternate)
+                .overlap_join(
+                    from_sorted_vec(xs_ts, StreamOrder::TS_ASC).unwrap(),
+                    from_sorted_vec(ys_ts, StreamOrder::TS_ASC).unwrap(),
+                )
+                .unwrap();
             assert_eq!(
                 canon_pairs(j.collect_vec().unwrap()),
                 expected,

@@ -115,10 +115,16 @@ proptest! {
             let oracle = join_oracle(&xs, &ys, pattern);
             // K = 1 is the serial operator itself; larger K must agree.
             for k in 1..=8 {
-                let run = parallel_join(pattern, xs.clone(), ys.clone(), k, OpConfig::new())
+                let mut items = Vec::new();
+                let mut collect = |chunk| {
+                    items.extend(chunk);
+                    Ok(true)
+                };
+                let cfg = OpConfig::new();
+                let run = parallel_join(pattern, xs.clone(), ys.clone(), k, cfg, &mut collect)
                     .unwrap();
                 prop_assert_eq!(
-                    canon_pairs(run.items),
+                    canon_pairs(items),
                     oracle.clone(),
                     "{:?} join, k={}", pattern, k
                 );
@@ -139,23 +145,29 @@ proptest! {
         for pattern in PATTERNS {
             let oracle = semi_oracle(&xs, &ys, pattern);
             for k in 1..=8 {
-                let run = parallel_semijoin(pattern, xs.clone(), ys.clone(), k, OpConfig::new())
+                let mut items = Vec::new();
+                let mut collect = |chunk| {
+                    items.extend(chunk);
+                    Ok(true)
+                };
+                let cfg = OpConfig::new();
+                let run = parallel_semijoin(pattern, xs.clone(), ys.clone(), k, cfg, &mut collect)
                     .unwrap();
                 prop_assert_eq!(
-                    canon(&run.items),
+                    canon(&items),
                     oracle.clone(),
                     "{:?} semijoin, k={}", pattern, k
                 );
                 // Exactly-once: ordinal dedup removed every fringe copy.
-                let distinct: BTreeSet<_> = run.items.iter().map(key).collect();
-                prop_assert_eq!(distinct.len(), run.items.len(), "{:?} k={}", pattern, k);
+                let distinct: BTreeSet<_> = items.iter().map(key).collect();
+                prop_assert_eq!(distinct.len(), items.len(), "{:?} k={}", pattern, k);
                 // Output re-emits the declared X-side order.
                 let order = x_order(pattern);
                 prop_assert!(
-                    order.first_violation(&run.items).is_none(),
+                    order.first_violation(&items).is_none(),
                     "{:?} k={} output violates {}", pattern, k, order
                 );
-                prop_assert_eq!(run.report.metrics.emitted, run.items.len());
+                prop_assert_eq!(run.report.metrics.emitted, items.len());
             }
         }
     }

@@ -56,11 +56,12 @@ fn heap_to_sorted_stream_to_join() {
         .iter()
         .map(|x| ys.iter().filter(|y| x.period.contains(&y.period)).count())
         .sum();
-    let mut join = ContainJoinTsTe::new(
-        from_sorted_vec(xs_sorted, StreamOrder::TS_ASC).unwrap(),
-        from_sorted_vec(ys_sorted, StreamOrder::TE_ASC).unwrap(),
-    )
-    .unwrap();
+    let mut join = OpConfig::new()
+        .contain_join_ts_te(
+            from_sorted_vec(xs_sorted, StreamOrder::TS_ASC).unwrap(),
+            from_sorted_vec(ys_sorted, StreamOrder::TE_ASC).unwrap(),
+        )
+        .unwrap();
     let mut n = 0;
     while join.next().unwrap().is_some() {
         n += 1;

@@ -32,13 +32,14 @@ fn contain_join_ts_te_workspace_follows_littles_law() {
     StreamOrder::TS_ASC.sort(&mut xs_ts);
     let mut ys_te = ys;
     StreamOrder::TE_ASC.sort(&mut ys_te);
-    let mut join = ContainJoinTsTe::new(
-        from_sorted_vec(xs_ts, StreamOrder::TS_ASC).unwrap(),
-        from_sorted_vec(ys_te, StreamOrder::TE_ASC).unwrap(),
-    )
-    .unwrap();
+    let mut join = OpConfig::new()
+        .contain_join_ts_te(
+            from_sorted_vec(xs_ts, StreamOrder::TS_ASC).unwrap(),
+            from_sorted_vec(ys_te, StreamOrder::TE_ASC).unwrap(),
+        )
+        .unwrap();
     let _ = join.collect_vec().unwrap();
-    let measured = join.workspace().max_resident as f64;
+    let measured = join.max_workspace() as f64;
 
     // Max of a Poisson-ish occupancy overshoots its mean; allow generous
     // but structure-preserving slack: same order of magnitude, and far
@@ -61,25 +62,25 @@ fn stab_semijoin_and_general_overlap_semijoin_use_buffers_only() {
     StreamOrder::TS_ASC.sort(&mut xs_ts);
     let mut ys_te = ys.clone();
     StreamOrder::TE_ASC.sort(&mut ys_te);
-    let mut op = ContainSemijoinStab::new(
-        from_sorted_vec(xs_ts.clone(), StreamOrder::TS_ASC).unwrap(),
-        from_sorted_vec(ys_te, StreamOrder::TE_ASC).unwrap(),
-    )
-    .unwrap();
+    let mut op = OpConfig::new()
+        .contain_semijoin_stab(
+            from_sorted_vec(xs_ts.clone(), StreamOrder::TS_ASC).unwrap(),
+            from_sorted_vec(ys_te, StreamOrder::TE_ASC).unwrap(),
+        )
+        .unwrap();
     let _ = op.collect_vec().unwrap();
     // Workspace is exactly the two buffers — nothing else is stored by
     // construction; verify the type exposes no state and emits sanely.
-    assert!(op.metrics().emitted <= 15_000);
+    assert!(op.report().metrics.emitted <= 15_000);
 
     let mut ys_ts = ys;
     StreamOrder::TS_ASC.sort(&mut ys_ts);
-    let mut op = OverlapSemijoin::new(
-        from_sorted_vec(xs_ts, StreamOrder::TS_ASC).unwrap(),
-        from_sorted_vec(ys_ts, StreamOrder::TS_ASC).unwrap(),
-        OverlapMode::General,
-        ReadPolicy::MinKey,
-    )
-    .unwrap();
+    let mut op = OpConfig::new()
+        .overlap_semijoin(
+            from_sorted_vec(xs_ts, StreamOrder::TS_ASC).unwrap(),
+            from_sorted_vec(ys_ts, StreamOrder::TS_ASC).unwrap(),
+        )
+        .unwrap();
     let _ = op.collect_vec().unwrap();
     assert_eq!(op.max_workspace(), 0, "Table 2 state (b): buffers only");
 }
@@ -117,13 +118,14 @@ fn workspace_grows_with_duration_not_cardinality() {
         StreamOrder::TS_ASC.sort(&mut xs_ts);
         let mut ys_te = ys;
         StreamOrder::TE_ASC.sort(&mut ys_te);
-        let mut join = ContainJoinTsTe::new(
-            from_sorted_vec(xs_ts, StreamOrder::TS_ASC).unwrap(),
-            from_sorted_vec(ys_te, StreamOrder::TE_ASC).unwrap(),
-        )
-        .unwrap();
+        let mut join = OpConfig::new()
+            .contain_join_ts_te(
+                from_sorted_vec(xs_ts, StreamOrder::TS_ASC).unwrap(),
+                from_sorted_vec(ys_te, StreamOrder::TE_ASC).unwrap(),
+            )
+            .unwrap();
         let _ = join.collect_vec().unwrap();
-        join.workspace().max_resident
+        join.max_workspace()
     };
     let small_n = run(5_000, 40.0);
     let big_n = run(20_000, 40.0);
