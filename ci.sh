@@ -100,6 +100,13 @@ timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -
 echo "==> slo/health soak (E22, bounded)"
 timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- slo
 
+# The repo benchmark's own unit tests: it is a package of its own, so
+# the workspace test run above does not build it. A wire or engine API
+# change that breaks the harness's compile, or its copy of the server's
+# chunk cut, fails here rather than in a benchmark run.
+echo "==> benchmark harness unit tests"
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 # The repo benchmark's smoke run (≈ 25 s after its build), as a
 # correctness gate: every workload is driven through a spawned
 # `tdb serve`, and each served result — streamed chunks, limited

@@ -14,9 +14,7 @@
 //! skipped and *not* counted — making "interesting orders" measurable, as
 //! §4.1's tradeoff demands.
 
-use crate::expr::{
-    display_conjunction, eval_conjunction, resolve_all, Atom, ColumnRef, ResolvedAtom,
-};
+use crate::expr::{display_conjunction, eval_conjunction, resolve_all, Atom, ColumnRef};
 use crate::logical::Scope;
 use crate::pattern::TemporalPattern;
 use std::fmt;
@@ -24,8 +22,8 @@ use tdb_core::{Period, Row, StreamOrder, TdbError, TdbResult, Temporal};
 use tdb_storage::Catalog;
 use tdb_stream::{
     from_sorted_vec, parallel_join, parallel_semijoin, run_join, run_semijoin, CollectSink, Emit,
-    Instrumented, MergeEquiJoin, OpConfig, OpMetrics, OpReport, OverlapMode, ParallelPattern,
-    RowSink, StreamOpKind, TupleStream, WorkspaceStats, DEFAULT_BATCH_ROWS,
+    Instrumented, MergeEquiJoin, OpConfig, OpMetrics, OpReport, OverlapMode, PairBatch,
+    ParallelPattern, RowSink, StreamOpKind, TupleStream, WorkspaceStats, DEFAULT_BATCH_ROWS,
 };
 
 /// Executor-level options: what to collect, how the stream temporal
@@ -612,8 +610,9 @@ impl PhysicalPlan {
     ///
     /// Stream temporal joins/semijoins (serial and time-partitioned) emit
     /// chunk by chunk, honoring the sink's early-termination signal; a
-    /// `Project` directly above one is fused into its emission, so each
-    /// output row is built once, already projected; a sink that declines
+    /// `Project` directly above one is fused into its emission, so a join
+    /// offers its matches already projected ([`RowSink::push_pairs`]),
+    /// and a row, if any, is built once; a sink that declines
     /// rows ([`RowSink::wants_rows`] `false`) with no residual predicate
     /// routes through the count-only kernels, building no row at all.
     /// Other roots materialize and hand the finished vector over in one
@@ -664,9 +663,11 @@ impl PhysicalPlan {
     ///
     /// The operators never see a row: each side's scanned rows stay in
     /// place and the kernels sort, sweep and emit [`RowRef`]s (period +
-    /// ordinal). An output row is built once per surviving match,
-    /// straight from the source rows and already projected onto
-    /// `columns` (indices into the node's own output scope).
+    /// ordinal). A join hands its surviving matches to the sink as a
+    /// [`PairBatch`] of ordinal pairs over those rows, projected onto
+    /// `columns` (indices into the node's own output scope); the sink
+    /// builds rows from it only if it keeps rows. A semijoin pushes its
+    /// kept left rows.
     fn run_stream(
         &self,
         catalog: &Catalog,
@@ -709,28 +710,40 @@ impl PhysicalPlan {
         let mut comparisons = 0u64;
         let (kind, report) = if let PhysicalPlan::StreamTemporal { residual, .. } = node {
             let scope = lscope.concat(&rscope);
-            let pairs = PairRows {
+            let residual = resolve_all(residual, |c| scope.index_of(c))?;
+            let all: Vec<usize> = (0..scope.columns().len()).collect();
+            let mut batch = PairBatch {
                 left: &lrows,
                 right: &rrows,
-                residual: resolve_all(residual, |c| scope.index_of(c))?,
-                columns,
+                columns: columns.unwrap_or(&all),
+                pairs: Vec::new(),
             };
-            let count_only = !sink.wants_rows() && pairs.residual.is_empty();
+            let count_only = !sink.wants_rows() && residual.is_empty();
+            // Matches reach the sink as ordinal pairs; the joined row is
+            // only concatenated when a residual has to see it.
             let mut emit = |chunk: Vec<(RowRef, RowRef)>| -> TdbResult<bool> {
                 if count_only {
                     pushed += chunk.len();
                     return sink.push_count(chunk.len());
                 }
-                comparisons += (pairs.residual.len() * chunk.len()) as u64;
-                let mut out: Vec<Row> = chunk
-                    .into_iter()
-                    .filter_map(|(l, r)| pairs.build(l, r))
-                    .collect();
-                pushed += out.len();
-                if out.is_empty() {
+                comparisons += (residual.len() * chunk.len()) as u64;
+                batch.pairs.clear();
+                batch.pairs.extend(
+                    chunk
+                        .into_iter()
+                        .filter(|(l, r)| {
+                            residual.is_empty() || {
+                                let joined = lrows[l.idx as usize].concat(&rrows[r.idx as usize]);
+                                eval_conjunction(&residual, &joined)
+                            }
+                        })
+                        .map(|(l, r)| (l.idx, r.idx)),
+                );
+                pushed += batch.pairs.len();
+                if batch.pairs.is_empty() {
                     return Ok(true);
                 }
-                sink.push(&mut out)
+                sink.push_pairs(&mut batch)
             };
             match parallel {
                 Some((k, ppat)) => {
@@ -935,46 +948,6 @@ impl Temporal for RowRef {
     #[inline]
     fn period(&self) -> Period {
         self.period
-    }
-}
-
-/// Late materialization of join output: one output row per matched pair
-/// of [`RowRef`]s, built from the two source rows.
-struct PairRows<'a> {
-    left: &'a [Row],
-    right: &'a [Row],
-    /// Residual predicate over the concatenated (left ++ right) scope.
-    residual: Vec<ResolvedAtom>,
-    /// Fused projection: indices into the concatenated scope.
-    columns: Option<&'a [usize]>,
-}
-
-impl PairRows<'_> {
-    /// The output row for `(l, r)`, or `None` if the residual rejects the
-    /// pair. The joined row is only concatenated when a residual needs
-    /// it or nothing projects it away.
-    fn build(&self, l: RowRef, r: RowRef) -> Option<Row> {
-        let (lrow, rrow) = (&self.left[l.idx as usize], &self.right[r.idx as usize]);
-        let Some(columns) = self.columns.filter(|_| self.residual.is_empty()) else {
-            let joined = lrow.concat(rrow);
-            if !eval_conjunction(&self.residual, &joined) {
-                return None;
-            }
-            return Some(match self.columns {
-                Some(ix) => joined.project(ix),
-                None => joined,
-            });
-        };
-        let split = lrow.arity();
-        Some(Row::new(
-            columns
-                .iter()
-                .map(|&i| match i.checked_sub(split) {
-                    None => lrow.get(i).clone(),
-                    Some(j) => rrow.get(j).clone(),
-                })
-                .collect(),
-        ))
     }
 }
 

@@ -4,9 +4,20 @@
 //! response type, following the storage conventions: little-endian
 //! integers, `u32` length prefixes, one leading tag byte per enum, and
 //! defensive decoding that returns [`TdbError::Corrupt`] on truncated or
-//! malformed input, never panics. Rows and values reuse the storage
-//! codecs directly, so a result row is encoded identically in a heap
-//! page and in a network frame.
+//! malformed input, never panics.
+//!
+//! Every row vector on the wire — a [`RowSet`], a reply chunk, a
+//! [`DeltaFrame`] — is one *row list*: a `u32` row count, then each row
+//! as a `u16` arity and its values under the storage value tags, except
+//! that strings go through a table local to the list. A string's first
+//! occurrence is written inline (`TAG_STR`, length, bytes) and becomes
+//! the table's next entry; every later occurrence is `TAG_STR_REF` and a
+//! `u32` entry number, which the decoder answers by cloning that entry's
+//! `Arc<str>`. A join repeats each stored tuple once per partner, so a
+//! reply then carries each of its strings once per list, and the client
+//! allocates each once. [`RowListEncoder`] writes lists, [`get_rows`]
+//! reads them. Heap pages keep the plain storage row codec, which has no
+//! table and rejects `TAG_STR_REF`.
 
 use crate::response::{
     AnalysisReport, ConnMetrics, DeltaFrame, ErrorCode, ErrorInfo, IngestReport,
@@ -16,10 +27,14 @@ use crate::response::{
     TableInfo, WalReport,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use tdb::core::{TdbError, TdbResult, TimePoint};
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
+use tdb::core::{TdbError, TdbResult, TimePoint, Value};
 use tdb::prelude::Row;
-use tdb::storage::codec::decode_str;
+use tdb::storage::codec::{decode_str, TAG_STR, TAG_STR_REF};
 use tdb::storage::Codec;
+use tdb::stream::PairBatch;
 use tdb_obs::{Stage, StageSpan};
 
 fn need(buf: &Bytes, n: usize, what: &str) -> TdbResult<()> {
@@ -131,6 +146,174 @@ fn get_strs(buf: &mut Bytes) -> TdbResult<Vec<String>> {
         out.push(get_str(buf)?);
     }
     Ok(out)
+}
+
+/// Hashes the row-list encoder's keys — `Arc` addresses this process
+/// made, never input from outside — with one multiply. A served join
+/// looks up every string it sends; against the standard SipHash hasher
+/// this took `join_stream`'s served `latency_p50_ms` down 7.5 % (8 of 8
+/// alternating runs won, 2 vCPUs).
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(usize::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_usize(&mut self, addr: usize) {
+        self.0 = (self.0 ^ addr as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // Buckets are picked by the low bits: bring the product's
+        // well-mixed high bits down.
+        self.0.rotate_left(26)
+    }
+}
+
+/// Writes one row list (see the module docs) row by row into a caller's
+/// buffer; the `u32` row count in front is the caller's to write, since
+/// only it knows where the list starts. A row is either owned
+/// ([`RowListEncoder::push_row`]) or a join match read straight from its
+/// two source rows ([`RowListEncoder::push_pair`]), so no output row is
+/// built for it.
+///
+/// A string is keyed by the address of its `Arc`, and the encoder holds
+/// each entry's `Arc` until [`RowListEncoder::reset`], so no address is
+/// reused while the list is open. No string content is hashed, and the
+/// state is bounded by the distinct strings in the list, not by the
+/// relations behind it.
+#[derive(Debug, Default)]
+pub struct RowListEncoder {
+    rows: u32,
+    /// `Arc` address → entry number in the list's table.
+    entries: HashMap<usize, u32, BuildHasherDefault<AddrHasher>>,
+    /// Entry `i`'s string.
+    held: Vec<Arc<str>>,
+}
+
+impl RowListEncoder {
+    /// Rows written since the list was opened.
+    pub fn rows(&self) -> u32 {
+        self.rows
+    }
+
+    /// Close the list: the next row opens a new one with an empty table.
+    /// Allocations are kept for it.
+    pub fn reset(&mut self) {
+        self.rows = 0;
+        self.entries.clear();
+        self.held.clear();
+    }
+
+    /// Append one owned row.
+    pub fn push_row(&mut self, buf: &mut BytesMut, row: &Row) {
+        buf.put_u16_le(row.arity() as u16);
+        for v in row.values() {
+            self.put_value(buf, v);
+        }
+        self.rows += 1;
+    }
+
+    /// Append the output row of join match `pair`, read from `batch`'s
+    /// source rows. Returns the row's [`row_bytes`](tdb::stream::row_bytes).
+    #[inline]
+    pub fn push_pair(
+        &mut self,
+        buf: &mut BytesMut,
+        batch: &PairBatch<'_>,
+        pair: (u32, u32),
+    ) -> u64 {
+        buf.put_u16_le(batch.columns.len() as u16);
+        let bytes = batch.visit(pair, |v| self.put_value(buf, v));
+        self.rows += 1;
+        bytes
+    }
+
+    /// Write one value: a string already in the table as a reference to
+    /// its entry, a new one inline as the table's next entry, anything
+    /// else under its storage tag.
+    #[inline]
+    fn put_value(&mut self, buf: &mut BytesMut, v: &Value) {
+        let Value::Str(s) = v else {
+            v.encode(buf);
+            return;
+        };
+        match self.entries.entry(Arc::as_ptr(s).cast::<u8>() as usize) {
+            Entry::Occupied(e) => {
+                buf.put_u8(TAG_STR_REF);
+                buf.put_u32_le(*e.get());
+            }
+            Entry::Vacant(e) => {
+                e.insert(self.held.len() as u32);
+                self.held.push(Arc::clone(s));
+                buf.put_u8(TAG_STR);
+                put_str(buf, s);
+            }
+        }
+    }
+}
+
+/// Encode `rows` as one row list, count included.
+pub fn put_rows(buf: &mut BytesMut, rows: &[Row]) {
+    buf.put_u32_le(rows.len() as u32);
+    let mut list = RowListEncoder::default();
+    for row in rows {
+        list.push_row(buf, row);
+    }
+}
+
+/// Decode one row list. Truncation, an unknown tag, or a reference past
+/// the entries read so far yield [`TdbError::Corrupt`].
+pub fn get_rows(buf: &mut Bytes) -> TdbResult<Vec<Row>> {
+    need(buf, 4, "row count")?;
+    let n = buf.get_u32_le() as usize;
+    // Every row takes at least its 2-byte arity, so a count the bytes
+    // cannot hold fails on truncation before it can size an allocation.
+    let mut rows = Vec::with_capacity(n.min(buf.remaining() / 2));
+    // Entry `i` is the list's `i`-th inline string.
+    let mut table: Vec<Arc<str>> = Vec::new();
+    for _ in 0..n {
+        need(buf, 2, "row arity")?;
+        let arity = buf.get_u16_le() as usize;
+        let mut values = Vec::with_capacity(arity.min(buf.remaining()));
+        for _ in 0..arity {
+            values.push(get_value(buf, &mut table)?);
+        }
+        rows.push(Row::new(values));
+    }
+    Ok(rows)
+}
+
+/// One value of a row list: a string through the list's `table`, any
+/// other tag through the storage codec.
+fn get_value(buf: &mut Bytes, table: &mut Vec<Arc<str>>) -> TdbResult<Value> {
+    match buf.chunk().first() {
+        Some(&TAG_STR) => {
+            buf.advance(1);
+            let s = decode_str(buf, |s| Arc::<str>::from(s))?;
+            table.push(Arc::clone(&s));
+            Ok(Value::Str(s))
+        }
+        Some(&TAG_STR_REF) => {
+            buf.advance(1);
+            need(buf, 4, "string reference")?;
+            let entry = buf.get_u32_le();
+            let s = table.get(entry as usize).ok_or_else(|| {
+                TdbError::Corrupt(format!(
+                    "string reference {entry} past the {} entries of its row list",
+                    table.len()
+                ))
+            })?;
+            Ok(Value::Str(Arc::clone(s)))
+        }
+        _ => Value::decode(buf),
+    }
 }
 
 const TAG_INFO: u8 = 0;
@@ -404,13 +587,13 @@ impl RowSet {
 
 impl Codec for RowSet {
     fn encode(&self, buf: &mut BytesMut) {
-        self.encode_with(buf, |b| put_vec::<Row>(b, &self.rows));
+        self.encode_with(buf, |b| put_rows(b, &self.rows));
     }
 
     fn decode(buf: &mut Bytes) -> TdbResult<RowSet> {
         Ok(RowSet {
             columns: get_strs(buf)?,
-            rows: get_vec(buf)?,
+            rows: get_rows(buf)?,
             total: get_u64(buf)?,
         })
     }
@@ -448,10 +631,10 @@ impl QueryReport {
     }
 }
 
-/// Encode `Response::Query(report)` with its row vector taken from
-/// `rows` — `count` rows a sink already encoded as they were produced —
-/// instead of `report.rows.rows`. Byte-identical to encoding the
-/// response with those rows in place.
+/// Encode `Response::Query(report)` with its row list taken from `rows`
+/// — `count` rows a sink already encoded into one list, as they were
+/// produced — instead of `report.rows.rows`. Decodes to the response
+/// with those rows in place.
 pub fn put_query_with_rows(buf: &mut BytesMut, report: &QueryReport, count: u32, rows: &[u8]) {
     buf.put_u8(TAG_QUERY);
     report.encode_with(buf, |b| {
@@ -462,7 +645,7 @@ pub fn put_query_with_rows(buf: &mut BytesMut, report: &QueryReport, count: u32,
 
 impl Codec for QueryReport {
     fn encode(&self, buf: &mut BytesMut) {
-        self.encode_with(buf, |b| put_vec::<Row>(b, &self.rows.rows));
+        self.encode_with(buf, |b| put_rows(b, &self.rows.rows));
     }
 
     fn decode(buf: &mut Bytes) -> TdbResult<QueryReport> {
@@ -544,7 +727,7 @@ impl Codec for DeltaFrame {
         put_str(buf, &self.label);
         put_u64(buf, self.epoch);
         put_opt(buf, self.watermark.as_ref(), |b, t| put_time(b, *t));
-        put_vec::<Row>(buf, &self.rows);
+        put_rows(buf, &self.rows);
     }
 
     fn decode(buf: &mut Bytes) -> TdbResult<DeltaFrame> {
@@ -553,7 +736,7 @@ impl Codec for DeltaFrame {
             label: get_str(buf)?,
             epoch: get_u64(buf)?,
             watermark: get_opt(buf, get_time)?,
-            rows: get_vec(buf)?,
+            rows: get_rows(buf)?,
         })
     }
 }
@@ -913,5 +1096,160 @@ impl Codec for ErrorInfo {
             code,
             message: get_str(buf)?,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Rows from `(kind, n)` cells: every scalar type and NULL, strings
+    /// that share one `Arc` (`""` among them) and strings with equal
+    /// content in separate `Arc`s, repeated across rows and columns.
+    fn rows_of(cells: &[Vec<(u8, i64)>]) -> Vec<Row> {
+        let pool: Vec<Value> = ["", "Smith", "Associate Professor 教授", "S1"]
+            .into_iter()
+            .map(Value::str)
+            .collect();
+        let cell = |&(kind, n): &(u8, i64)| match kind {
+            0 => Value::Null,
+            1 => Value::Bool(n % 2 == 0),
+            2 => Value::Int(n),
+            3 => Value::Time(TimePoint(n)),
+            4 => pool[n.unsigned_abs() as usize % pool.len()].clone(),
+            _ => Value::str(format!("s{}", n % 5)),
+        };
+        cells
+            .iter()
+            .map(|row| Row::new(row.iter().map(cell).collect()))
+            .collect()
+    }
+
+    fn encoded(rows: &[Row]) -> Bytes {
+        let mut buf = BytesMut::new();
+        put_rows(&mut buf, rows);
+        buf.freeze()
+    }
+
+    /// Decode a whole buffer as one row list.
+    fn decoded(bytes: &Bytes) -> Vec<Row> {
+        let mut buf = bytes.clone();
+        let rows = get_rows(&mut buf).unwrap();
+        assert!(buf.is_empty(), "{} bytes left over", buf.len());
+        rows
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn row_lists_round_trip_and_re_encode_to_the_same_bytes(
+            cells in proptest::collection::vec(
+                proptest::collection::vec((0u8..6, -40i64..40), 0..6),
+                0..30,
+            ),
+        ) {
+            let rows = rows_of(&cells);
+            let bytes = encoded(&rows);
+            let back = decoded(&bytes);
+            prop_assert_eq!(&back, &rows);
+            prop_assert_eq!(encoded(&back), bytes);
+        }
+
+        /// The pair path encodes a match from its source rows into the
+        /// very bytes of the row the default `push_pairs` would build,
+        /// whatever repeats: both sides over one slice (one string under
+        /// two ordinals) and a column projected twice.
+        #[test]
+        fn pairs_encode_as_the_rows_they_stand_for(
+            cells in proptest::collection::vec(
+                proptest::collection::vec((0u8..6, -40i64..40), 3..4),
+                1..12,
+            ),
+            picks in proptest::collection::vec((0usize..64, 0usize..64), 0..60),
+        ) {
+            let side = rows_of(&cells);
+            let n = side.len();
+            let batch = PairBatch {
+                left: &side,
+                right: &side,
+                columns: &[4, 0, 2, 0, 5],
+                pairs: picks.iter().map(|&(l, r)| ((l % n) as u32, (r % n) as u32)).collect(),
+            };
+            let mut list = RowListEncoder::default();
+            let mut buf = BytesMut::new();
+            buf.put_u32_le(batch.pairs.len() as u32);
+            for &pair in &batch.pairs {
+                let bytes = list.push_pair(&mut buf, &batch, pair);
+                prop_assert_eq!(bytes, tdb::stream::row_bytes(&batch.row(pair)));
+            }
+            prop_assert_eq!(list.rows() as usize, batch.pairs.len());
+            let bytes = buf.freeze();
+            let want: Vec<Row> = batch.pairs.iter().map(|&p| batch.row(p)).collect();
+            prop_assert_eq!(&encoded(&want), &bytes);
+            let back = decoded(&bytes);
+            prop_assert_eq!(&back, &want);
+            prop_assert_eq!(encoded(&back), bytes);
+        }
+    }
+
+    #[test]
+    fn repeated_strings_travel_once_per_list() {
+        let shared = Value::str("S12345");
+        let row = Row::new(vec![shared.clone(), Value::Int(7), shared]);
+        let rows = vec![row.clone(), row.clone(), Row::new(vec![]), row];
+        let bytes = encoded(&rows);
+        let plain: usize = rows.iter().map(|r| r.to_bytes().len()).sum();
+        // count + 4 × arity + ints, "S12345" once inline, 5 references.
+        assert_eq!(bytes.len(), 4 + 4 * 2 + 3 * 9 + (1 + 4 + 6) + 5 * 5);
+        assert!(bytes.len() < 4 + plain);
+        assert_eq!(decoded(&bytes), rows);
+
+        // A reset encoder opens a new list: its table starts empty.
+        let mut list = RowListEncoder::default();
+        let (mut first, mut second) = (BytesMut::new(), BytesMut::new());
+        list.push_row(&mut first, &rows[0]);
+        list.reset();
+        list.push_row(&mut second, &rows[0]);
+        assert_eq!(first, second);
+        assert_eq!(list.rows(), 1);
+    }
+
+    /// Entry numbers are `u32`: a list with more distinct strings than a
+    /// `u16` can count still references its late entries correctly.
+    #[test]
+    fn lists_past_65_536_distinct_strings_round_trip() {
+        let mut rows: Vec<Row> = (0..70_000)
+            .map(|i| Row::new(vec![Value::str(format!("id{i}")), Value::Int(i)]))
+            .collect();
+        rows.extend_from_within(65_530..65_545);
+        rows.extend_from_within(..3);
+        let bytes = encoded(&rows);
+        let back = decoded(&bytes);
+        assert_eq!(back, rows);
+        assert_eq!(encoded(&back), bytes);
+        // The copies decode to the entries' own strings, not fresh ones.
+        let (Value::Str(a), Value::Str(b)) = (back[65_540].get(0), back[70_010].get(0)) else {
+            panic!("string columns expected");
+        };
+        assert!(Arc::ptr_eq(a, b));
+        assert!(bytes.len() < 4 + rows.iter().map(|r| r.to_bytes().len()).sum::<usize>());
+    }
+
+    #[test]
+    fn every_prefix_of_a_list_is_corrupt() {
+        let rows = rows_of(&[
+            vec![(4, 1), (2, 5), (4, 1)],
+            vec![],
+            vec![(5, 3), (4, 1), (0, 0), (1, 1), (3, -9)],
+        ]);
+        let bytes = encoded(&rows);
+        for cut in 0..bytes.len() {
+            match get_rows(&mut Bytes::copy_from_slice(&bytes[..cut])) {
+                Err(TdbError::Corrupt(_)) => {}
+                other => panic!("prefix {cut}/{} decoded to {other:?}", bytes.len()),
+            }
+        }
     }
 }

@@ -115,22 +115,39 @@ struct LimitAdapter<'a> {
     dropped_bytes: u64,
 }
 
+impl LimitAdapter<'_> {
+    /// Count a push of `n` rows; how many of them fit the quota.
+    fn admit(&mut self, n: usize) -> usize {
+        self.offered.batches += 1;
+        self.offered.rows += n as u64;
+        let kept = n.min(self.limit - self.delivered);
+        self.offered.truncated |= kept < n;
+        self.delivered += kept;
+        kept
+    }
+}
+
 impl tdb::stream::RowSink for LimitAdapter<'_> {
     fn wants_rows(&self) -> bool {
         self.inner.wants_rows()
     }
 
     fn push(&mut self, rows: &mut Vec<Row>) -> TdbResult<bool> {
-        self.offered.batches += 1;
-        self.offered.rows += rows.len() as u64;
-        let room = self.limit - self.delivered;
-        if rows.len() > room {
-            self.offered.truncated = true;
-            self.dropped_bytes += rows[room..].iter().map(tdb::stream::row_bytes).sum::<u64>();
-            rows.truncate(room);
-        }
-        self.delivered += rows.len();
+        let kept = self.admit(rows.len());
+        self.dropped_bytes += rows[kept..].iter().map(tdb::stream::row_bytes).sum::<u64>();
+        rows.truncate(kept);
         let more = rows.is_empty() || self.inner.push(rows)?;
+        Ok(more && self.delivered < self.limit)
+    }
+
+    fn push_pairs(&mut self, batch: &mut tdb::stream::PairBatch<'_>) -> TdbResult<bool> {
+        let kept = self.admit(batch.pairs.len());
+        self.dropped_bytes += batch.pairs[kept..]
+            .iter()
+            .map(|&p| batch.row_bytes(p))
+            .sum::<u64>();
+        batch.pairs.truncate(kept);
+        let more = batch.pairs.is_empty() || self.inner.push_pairs(batch)?;
         Ok(more && self.delivered < self.limit)
     }
 

@@ -409,21 +409,33 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
+/// How long a write may stall on a peer that stopped reading.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The socket options every accepted connection runs with (they belong
+/// to the socket, so the halves cloned from it share them):
+///
+/// * a read timeout of `poll`, so the reader thread notices the shutdown
+///   flag between frames without dropping partial input;
+/// * a write timeout, so joining the writer cannot hang on a peer that
+///   stopped reading — a stalled write errors out instead of blocking;
+/// * `TCP_NODELAY`: a reply's small last frame (a stream's `ReplyEnd`,
+///   a short reply) goes out at once instead of waiting, under Nagle's
+///   algorithm, for the client to acknowledge the chunk before it —
+///   which a client's delayed ACK holds back for tens of milliseconds.
+fn configure_conn(stream: &TcpStream, poll: Duration) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(poll))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    stream.set_nodelay(true)
+}
+
 fn serve_conn(conn_id: u64, stream: TcpStream, shared: &Arc<Shared>) {
-    // Short read timeouts let this thread notice the shutdown flag
-    // between frames without dropping partial input.
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(shared.config.poll_ms)))
-        .is_err()
-    {
+    if configure_conn(&stream, Duration::from_millis(shared.config.poll_ms)).is_err() {
         return;
     }
     let (Ok(write_half), Ok(conn_half)) = (stream.try_clone(), stream.try_clone()) else {
         return;
     };
-    // Bound the writer so joining it below cannot hang on a peer that
-    // stopped reading: a stalled write errors out instead of blocking.
-    let _ = write_half.set_write_timeout(Some(Duration::from_secs(5)));
     let stats = Arc::new(ConnStats::default());
     let (queue, outbound) = sync_channel::<Outbound>(shared.config.push_queue);
     let writer_stats = Arc::clone(&stats);
@@ -610,5 +622,27 @@ fn writer_loop(
         if last {
             break;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_get_timeouts_and_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "the default this guards");
+        // Whole seconds: the kernel rounds timeouts to its clock tick.
+        let poll = Duration::from_secs(1);
+        configure_conn(&accepted, poll).unwrap();
+        // Options of the socket: a cloned half sees them too.
+        let half = accepted.try_clone().unwrap();
+        assert!(half.nodelay().unwrap());
+        assert_eq!(half.read_timeout().unwrap(), Some(poll));
+        assert_eq!(half.write_timeout().unwrap(), Some(WRITE_TIMEOUT));
+        drop(client);
     }
 }

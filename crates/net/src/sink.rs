@@ -3,7 +3,9 @@
 //! [`WireSink`] is the [`ReplySink`] a connection hands to
 //! [`Engine::execute_into`](tdb_engine::Engine::execute_into). Each
 //! pushed row is encoded straight into the current chunk's byte buffer
-//! and dropped; when the buffer has reached the 4 MiB
+//! and dropped, and each join match offered as a pair is encoded from
+//! its two source rows without an output row ever being built; when the
+//! buffer has reached the 4 MiB
 //! [`row_bytes`] budget and one more row arrives — proving the buffered
 //! chunk is not the last — the chunk is cut and handed on, so the client
 //! decodes chunk *k* while the plan is still producing chunk *k + 1*.
@@ -25,7 +27,7 @@ use crate::wire::{ChunkEncoder, Frame};
 use bytes::BytesMut;
 use std::time::Instant;
 use tdb::core::{Row, TdbResult};
-use tdb::stream::{row_bytes, RowSink, SinkStats};
+use tdb::stream::{row_bytes, PairBatch, RowSink, SinkStats};
 use tdb_engine::{QueryReport, QueryTrailer, ReplySink, Response};
 
 /// Soft per-frame byte budget for streamed result chunks — far enough
@@ -89,6 +91,20 @@ impl<F: FnMut(u64, BytesMut)> WireSink<F> {
         self.render_us.push(0);
     }
 
+    /// Add one more row to the open chunk with `encode`, which returns
+    /// the row's [`row_bytes`]. A full chunk is cut first: this row
+    /// proves it is not the last.
+    fn admit(&mut self, since: &mut Instant, encode: impl FnOnce(&mut ChunkEncoder) -> u64) {
+        if self.budget >= CHUNK_BYTES {
+            self.charge(since);
+            self.cut(false);
+        }
+        let bytes = encode(&mut self.chunk);
+        self.stats.rows += 1;
+        self.stats.bytes += bytes;
+        self.budget += bytes;
+    }
+
     /// Charge the time since `*since` to the open chunk.
     fn charge(&mut self, since: &mut Instant) {
         let now = Instant::now();
@@ -136,16 +152,22 @@ impl<F: FnMut(u64, BytesMut)> RowSink for WireSink<F> {
         let mut since = Instant::now();
         self.stats.batches += 1;
         for row in rows.drain(..) {
-            if self.budget >= CHUNK_BYTES {
-                // This row proves the full chunk is not the last one.
-                self.charge(&mut since);
-                self.cut(false);
-            }
-            let bytes = row_bytes(&row);
-            self.stats.rows += 1;
-            self.stats.bytes += bytes;
-            self.budget += bytes;
-            self.chunk.push(&row);
+            self.admit(&mut since, |chunk| {
+                chunk.push(&row);
+                row_bytes(&row)
+            });
+        }
+        self.charge(&mut since);
+        Ok(true)
+    }
+
+    /// Join matches are encoded straight from their source rows: no
+    /// output row is built.
+    fn push_pairs(&mut self, batch: &mut PairBatch<'_>) -> TdbResult<bool> {
+        let mut since = Instant::now();
+        self.stats.batches += 1;
+        for &pair in &batch.pairs {
+            self.admit(&mut since, |chunk| chunk.push_pair(batch, pair));
         }
         self.charge(&mut since);
         Ok(true)

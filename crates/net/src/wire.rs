@@ -3,7 +3,7 @@
 //! Every message on the wire is one frame:
 //!
 //! ```text
-//! [u32 LE payload length][u8 version = 3][u8 kind][body …]
+//! [u32 LE payload length][u8 version = 4][u8 kind][body …]
 //! ```
 //!
 //! The length counts everything after itself (version + kind + body), so
@@ -11,14 +11,16 @@
 //! `1..=15`, server→client kinds in `16..=31`; the body of each kind is
 //! encoded with the same [`Codec`] conventions the storage layer uses
 //! (little-endian, `u32`-prefixed strings, defensive decode to
-//! [`TdbError::Corrupt`]).
+//! [`TdbError::Corrupt`]). Rows travel as the engine codec's row lists,
+//! each string once per list.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};
-use tdb::core::{TdbError, TdbResult};
+use tdb::core::{Row, TdbError, TdbResult};
 use tdb::storage::codec::decode_str;
 use tdb::storage::Codec;
-use tdb_engine::codec::put_query_with_rows;
+use tdb::stream::PairBatch;
+use tdb_engine::codec::{get_rows, put_query_with_rows, put_rows, RowListEncoder};
 use tdb_engine::{DeltaFrame, QueryReport, QueryTrailer, Response};
 
 /// Wire protocol version stamped into every frame. A server or client
@@ -26,8 +28,10 @@ use tdb_engine::{DeltaFrame, QueryReport, QueryTrailer, Response};
 /// than guessing at the body layout. Version 2 added the `query_id`
 /// correlation field to [`Frame::Reply`] and [`Frame::ReplyChunk`];
 /// version 3 sends a streamed result's header before the query has
-/// finished and closes the stream with [`Frame::ReplyEnd`].
-pub const PROTOCOL_VERSION: u8 = 3;
+/// finished and closes the stream with [`Frame::ReplyEnd`]; version 4
+/// writes every row vector as a row list, whose repeated strings are
+/// references into a table local to the list.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Hard ceiling on a frame's declared payload length. A corrupt or
 /// hostile length prefix fails fast instead of driving a giant
@@ -91,8 +95,8 @@ pub enum Frame {
         seq: u32,
         /// `true` on the final chunk of the result (which may be empty).
         last: bool,
-        /// The rows in this chunk.
-        rows: Vec<tdb::prelude::Row>,
+        /// The rows in this chunk, one row list on the wire.
+        rows: Vec<Row>,
     },
     /// Server→client: closes a streamed query result with what was not
     /// yet known when its header left — the stream started while the
@@ -148,10 +152,8 @@ impl Frame {
                 last,
                 rows,
             } => {
-                put_chunk_header(buf, *query_id, *seq, *last, rows.len() as u32);
-                for row in rows {
-                    row.encode(buf);
-                }
+                put_chunk_header(buf, *query_id, *seq, *last);
+                put_rows(buf, rows);
             }
             Frame::ReplyEnd { query_id, trailer } => {
                 buf.put_u64_le(*query_id);
@@ -193,24 +195,17 @@ impl Frame {
                 })
             }
             KIND_REPLY_CHUNK => {
-                if payload.remaining() < 17 {
+                if payload.remaining() < 13 {
                     return Err(TdbError::Corrupt("truncated reply chunk header".into()));
                 }
                 let query_id = payload.get_u64_le();
                 let seq = payload.get_u32_le();
                 let last = payload.get_u8() != 0;
-                let n = payload.get_u32_le() as usize;
-                // Capacity is clamped so a corrupt count cannot force a
-                // huge allocation before per-row decoding fails.
-                let mut rows = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    rows.push(tdb::prelude::Row::decode(&mut payload)?);
-                }
                 Ok(Frame::ReplyChunk {
                     query_id,
                     seq,
                     last,
-                    rows,
+                    rows: get_rows(&mut payload)?,
                 })
             }
             KIND_REPLY_END => {
@@ -255,32 +250,42 @@ fn end_frame(buf: &mut BytesMut, start: usize) {
     buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-fn put_chunk_header(buf: &mut BytesMut, query_id: u64, seq: u32, last: bool, rows: u32) {
+fn put_chunk_header(buf: &mut BytesMut, query_id: u64, seq: u32, last: bool) {
     buf.put_u64_le(query_id);
     buf.put_u32_le(seq);
     buf.put_u8(u8::from(last));
-    buf.put_u32_le(rows);
 }
 
 /// Bytes of a `ReplyChunk` frame before its first row: length prefix,
-/// version, kind, then [`put_chunk_header`]'s fields.
+/// version, kind, [`put_chunk_header`]'s fields, and the row count.
 const CHUNK_PREFIX: usize = 4 + 2 + 8 + 4 + 1 + 4;
 
-/// A [`Frame::ReplyChunk`] encoded incrementally: rows are appended in
-/// wire form as they are produced, and the frame header — which needs
-/// the row count and whether this is the last chunk — is written into
-/// the space reserved for it when the chunk is cut. The bytes are
-/// exactly what [`Frame::encode`] yields for the same chunk.
+/// A [`Frame::ReplyChunk`] encoded incrementally: rows are appended to
+/// its row list as they are produced, and the frame header — which
+/// needs the row count and whether this is the last chunk — is written
+/// into the space reserved for it when the chunk is cut. The bytes are
+/// exactly what [`Frame::encode`] yields for the same chunk, a pair
+/// standing for the row [`PairBatch::row`] builds.
 #[derive(Debug)]
 pub struct ChunkEncoder {
     buf: BytesMut,
-    rows: u32,
+    list: RowListEncoder,
 }
 
 impl Default for ChunkEncoder {
     fn default() -> ChunkEncoder {
-        ChunkEncoder::with_capacity(0)
+        ChunkEncoder {
+            buf: chunk_buf(0),
+            list: RowListEncoder::default(),
+        }
     }
+}
+
+/// An empty chunk's buffer: room for `bytes`, the prefix reserved.
+fn chunk_buf(bytes: usize) -> BytesMut {
+    let mut buf = BytesMut::with_capacity(bytes.max(CHUNK_PREFIX));
+    buf.put_slice(&[0; CHUNK_PREFIX]);
+    buf
 }
 
 impl ChunkEncoder {
@@ -289,21 +294,21 @@ impl ChunkEncoder {
         ChunkEncoder::default()
     }
 
-    fn with_capacity(bytes: usize) -> ChunkEncoder {
-        let mut buf = BytesMut::with_capacity(bytes.max(CHUNK_PREFIX));
-        buf.put_slice(&[0; CHUNK_PREFIX]);
-        ChunkEncoder { buf, rows: 0 }
+    /// Append one row.
+    pub fn push(&mut self, row: &Row) {
+        self.list.push_row(&mut self.buf, row);
     }
 
-    /// Append one row.
-    pub fn push(&mut self, row: &tdb::prelude::Row) {
-        row.encode(&mut self.buf);
-        self.rows += 1;
+    /// Append the output row of join match `pair`, encoded from
+    /// `batch`'s source rows without building it. Returns the row's
+    /// [`row_bytes`](tdb::stream::row_bytes).
+    pub fn push_pair(&mut self, batch: &PairBatch<'_>, pair: (u32, u32)) -> u64 {
+        self.list.push_pair(&mut self.buf, batch, pair)
     }
 
     /// Rows appended so far.
     pub fn rows(&self) -> u32 {
-        self.rows
+        self.list.rows()
     }
 
     /// Cut the chunk: the finished frame, length prefix included. The
@@ -311,12 +316,13 @@ impl ChunkEncoder {
     /// this was the last, is sized like this one up front instead of
     /// being grown to it again.
     pub fn cut(&mut self, query_id: u64, seq: u32, last: bool) -> BytesMut {
-        let next = ChunkEncoder::with_capacity(if last { 0 } else { self.buf.len() });
-        let ChunkEncoder { buf, rows } = std::mem::replace(self, next);
+        let next = chunk_buf(if last { 0 } else { self.buf.len() });
+        let mut frame = std::mem::replace(&mut self.buf, next);
         let mut head = BytesMut::with_capacity(CHUNK_PREFIX);
         let start = begin_frame(&mut head, KIND_REPLY_CHUNK);
-        put_chunk_header(&mut head, query_id, seq, last, rows);
-        let mut frame = buf;
+        put_chunk_header(&mut head, query_id, seq, last);
+        head.put_u32_le(self.list.rows());
+        self.list.reset();
         frame[..CHUNK_PREFIX].copy_from_slice(&head);
         end_frame(&mut frame, start);
         frame
@@ -330,7 +336,7 @@ impl ChunkEncoder {
         let mut frame = BytesMut::with_capacity(rows.len() + 256);
         let start = begin_frame(&mut frame, KIND_REPLY);
         frame.put_u64_le(report.query_id);
-        put_query_with_rows(&mut frame, report, self.rows, rows);
+        put_query_with_rows(&mut frame, report, self.list.rows(), rows);
         end_frame(&mut frame, start);
         frame
     }

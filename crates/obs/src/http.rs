@@ -165,17 +165,13 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let sick = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&sick);
-        let server = serve_metrics_with_health(
-            "127.0.0.1:0",
-            String::new,
-            move || {
-                if flag.load(Ordering::SeqCst) {
-                    (false, "{\"health\":\"critical\"}\n".into())
-                } else {
-                    (true, "{\"health\":\"degraded\"}\n".into())
-                }
-            },
-        )
+        let server = serve_metrics_with_health("127.0.0.1:0", String::new, move || {
+            if flag.load(Ordering::SeqCst) {
+                (false, "{\"health\":\"critical\"}\n".into())
+            } else {
+                (true, "{\"health\":\"degraded\"}\n".into())
+            }
+        })
         .unwrap();
         let addr = server.addr();
         let soft = get(addr, "/healthz");

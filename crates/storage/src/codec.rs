@@ -39,7 +39,13 @@ const TAG_NULL: u8 = 0;
 const TAG_BOOL: u8 = 1;
 const TAG_INT: u8 = 2;
 const TAG_TIME: u8 = 3;
-const TAG_STR: u8 = 4;
+/// Tag of a string value: `u32` length, then the UTF-8 bytes.
+pub const TAG_STR: u8 = 4;
+/// Tag of a reference to an earlier string of the same wire row list
+/// (`tdb-engine::codec`): a `u32` entry number follows. Only a row list
+/// has the table it points into, so a heap page never holds one and
+/// [`Value::decode`] rejects it.
+pub const TAG_STR_REF: u8 = 5;
 
 fn need(buf: &Bytes, n: usize, what: &str) -> TdbResult<()> {
     if buf.remaining() < n {
@@ -109,6 +115,9 @@ impl Codec for Value {
                 Ok(Value::Time(TimePoint::new(buf.get_i64_le())))
             }
             TAG_STR => decode_str(buf, |s| Value::str(s)),
+            TAG_STR_REF => Err(TdbError::Corrupt(
+                "string reference outside a row list".into(),
+            )),
             t => Err(TdbError::Corrupt(format!("unknown value tag {t}"))),
         }
     }
@@ -227,6 +236,15 @@ mod tests {
         assert!(matches!(
             Value::from_bytes(&[99]),
             Err(TdbError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn string_reference_rejected_outside_a_row_list() {
+        let bytes = [1, 0, TAG_STR_REF, 0, 0, 0, 0]; // arity 1, reference to entry 0
+        assert!(matches!(
+            Row::from_bytes(&bytes),
+            Err(TdbError::Corrupt(msg)) if msg.contains("string reference")
         ));
     }
 

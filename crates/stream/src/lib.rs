@@ -83,7 +83,7 @@ pub use read_policy::ReadPolicy;
 pub use report::{timeslice, Instrumented, OpConfig, OpReport};
 pub use required::{check_stream_order, OrderRequirement, RequiredOrder, StreamOpKind};
 pub use self_semijoin::{ContainSelfSemijoin, ContainSelfSemijoinDesc, ContainedSelfSemijoin};
-pub use sink::{row_bytes, CollectSink, CountSink, LimitSink, RowSink, SinkStats};
+pub use sink::{row_bytes, CollectSink, CountSink, LimitSink, PairBatch, RowSink, SinkStats};
 pub use stream::{from_sorted_vec, from_vec, OrderChecked, TupleStream, VecStream};
 pub use sweep_semijoin::SweepSemijoin;
 pub use timeslice::{concurrency_profile, ProfileStep, Timeslice};

@@ -18,6 +18,13 @@
 //! Every push returns a *continue* flag; `false` means the sink has seen
 //! enough and the producer should stop. [`RowSink::finish`] closes the
 //! sink and reports what flowed through it ([`SinkStats`]).
+//!
+//! A stream join hands its matches over as a [`PairBatch`] — ordinal
+//! pairs over the two sides' rows — through [`RowSink::push_pairs`].
+//! By default that builds the rows and pushes them, so every sink above
+//! sees exactly the rows a row-wise join would give it; a sink that can
+//! read the output values from the source rows (the wire encoder)
+//! overrides it and never builds one.
 
 use tdb_core::{Row, TdbResult, Value};
 
@@ -27,16 +34,75 @@ use tdb_core::{Row, TdbResult, Value};
 /// count their length plus the length prefix, and each row pays a small
 /// fixed header.
 pub fn row_bytes(row: &Row) -> u64 {
-    let values: u64 = row
-        .values()
-        .iter()
-        .map(|v| match v {
-            Value::Null | Value::Bool(_) => 1,
-            Value::Int(_) | Value::Time(_) => 8,
-            Value::Str(s) => s.len() as u64 + 4,
-        })
-        .sum();
-    values + 8
+    row.values().iter().map(value_bytes).sum::<u64>() + ROW_HEADER_BYTES
+}
+
+/// Each row's fixed share of [`row_bytes`].
+const ROW_HEADER_BYTES: u64 = 8;
+
+/// One value's share of [`row_bytes`].
+fn value_bytes(v: &Value) -> u64 {
+    match v {
+        Value::Null | Value::Bool(_) => 1,
+        Value::Int(_) | Value::Time(_) => 8,
+        Value::Str(s) => s.len() as u64 + 4,
+    }
+}
+
+/// A chunk of join matches as ordinal pairs over the two sides' rows,
+/// offered through [`RowSink::push_pairs`] instead of built rows. The
+/// output row of pair `(l, r)` is `left[l] ++ right[r]` projected onto
+/// `columns`, which is the paper's join output ("the concatenation of
+/// tuples X and Y") under any projection fused into the join.
+#[derive(Debug)]
+pub struct PairBatch<'a> {
+    /// The left side's rows, indexed by each pair's first ordinal.
+    pub left: &'a [Row],
+    /// The right side's rows, indexed by each pair's second ordinal.
+    pub right: &'a [Row],
+    /// The output columns, as indices into the concatenated row.
+    pub columns: &'a [usize],
+    /// The matches, in output order. The sink may drain or truncate it;
+    /// the producer refills it for the next chunk.
+    pub pairs: Vec<(u32, u32)>,
+}
+
+impl<'a> PairBatch<'a> {
+    /// The values of pair `(l, r)`'s output row, in column order.
+    #[inline]
+    fn values(&self, (l, r): (u32, u32)) -> impl Iterator<Item = &'a Value> + 'a {
+        let (lrow, rrow): (&'a Row, &'a Row) = (&self.left[l as usize], &self.right[r as usize]);
+        let split = lrow.arity();
+        self.columns
+            .iter()
+            .map(move |&i| match i.checked_sub(split) {
+                None => lrow.get(i),
+                Some(j) => rrow.get(j),
+            })
+    }
+
+    /// Hand each value of `pair`'s output row to `f`, in column order;
+    /// returns the row's [`row_bytes`], so a sink reading the values
+    /// once also has the row's footprint.
+    #[inline]
+    pub fn visit(&self, pair: (u32, u32), mut f: impl FnMut(&'a Value)) -> u64 {
+        let mut bytes = ROW_HEADER_BYTES;
+        for v in self.values(pair) {
+            bytes += value_bytes(v);
+            f(v);
+        }
+        bytes
+    }
+
+    /// The output row of `pair`.
+    pub fn row(&self, pair: (u32, u32)) -> Row {
+        Row::new(self.values(pair).cloned().collect())
+    }
+
+    /// [`row_bytes`] of `pair`'s output row, read off the source values.
+    pub fn row_bytes(&self, pair: (u32, u32)) -> u64 {
+        self.visit(pair, |_| {})
+    }
 }
 
 /// What flowed through a sink, reported by [`RowSink::finish`].
@@ -75,6 +141,15 @@ pub trait RowSink {
     /// (the producer discards whatever is left). Returns `false` when the
     /// sink has seen enough and the producer should stop.
     fn push(&mut self, rows: &mut Vec<Row>) -> TdbResult<bool>;
+
+    /// Offer a chunk of join matches as ordinal pairs. The default builds
+    /// each pair's output row and [`RowSink::push`]es them; a sink that
+    /// can use the source values as they are overrides it. Returns
+    /// `false` when the sink has seen enough.
+    fn push_pairs(&mut self, batch: &mut PairBatch<'_>) -> TdbResult<bool> {
+        let mut rows: Vec<Row> = batch.pairs.iter().map(|&p| batch.row(p)).collect();
+        self.push(&mut rows)
+    }
 
     /// Offer a bare match count (count-only consumers). Returns `false`
     /// when the sink has seen enough.
@@ -289,6 +364,34 @@ mod tests {
         assert_eq!(sink.rows().len(), 3);
         assert_eq!(stats.rows, 4, "dropped rows are still counted");
         assert!(stats.truncated);
+    }
+
+    #[test]
+    fn pair_batch_builds_the_projected_concatenation() {
+        let left = vec![row(1), row(2)];
+        let right = vec![Row::new(vec![Value::Null, Value::str("right")])];
+        let mut batch = PairBatch {
+            left: &left,
+            right: &right,
+            columns: &[3, 0, 1],
+            pairs: vec![(1, 0), (0, 0)],
+        };
+        for &pair in &batch.pairs {
+            let joined = left[pair.0 as usize].concat(&right[pair.1 as usize]);
+            assert_eq!(batch.row(pair), joined.project(batch.columns));
+            assert_eq!(batch.row_bytes(pair), row_bytes(&batch.row(pair)));
+        }
+        // `visit` lends the source values themselves, in column order.
+        let mut seen: Vec<&Value> = Vec::new();
+        batch.visit((1, 0), |v| seen.push(v));
+        assert!(std::ptr::eq(seen[0], right[0].get(1)));
+        assert!(std::ptr::eq(seen[1], left[1].get(0)));
+        assert_eq!(seen.len(), 3);
+        // The default `push_pairs` hands the built rows to `push`.
+        let mut sink = CollectSink::new();
+        assert!(sink.push_pairs(&mut batch).unwrap());
+        assert_eq!(sink.rows(), [batch.row((1, 0)), batch.row((0, 0))]);
+        assert_eq!(sink.finish().batches, 1);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //!
 //! 1. **Protocol round-trip (property)** — arbitrary typed [`Response`]
 //!    values survive encode → frame → decode bit-exactly, including
-//!    every enum variant, optional field, and embedded storage-codec
-//!    row.
+//!    every enum variant, optional field, and embedded row list.
 //! 2. **Multi-client equivalence (integration)** — two ingesting clients
 //!    and two subscribing clients share one server. After every ingest,
 //!    each subscriber's accumulated delta frames must equal, as a
@@ -26,8 +25,10 @@
 //!    trailer with the first chunk on the wire before the query has
 //!    finished; a client that stops reading its own reply stalls nobody
 //!    else (nothing under the engine lock waits for a socket); and
-//!    truncated or corrupted chunk and trailer frames, or a frame of
-//!    another protocol version, decode to a typed `Corrupt` error.
+//!    truncated or corrupted chunk, delta and trailer frames, malformed
+//!    row lists (unknown tags, dangling string references, impossible
+//!    counts), or a frame of another protocol version, decode to a typed
+//!    `Corrupt` error.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -628,13 +629,15 @@ fn slow_subscriber_is_disconnected_without_stalling_ingestion() {
     );
 
     // Keep ingesting; each batch finalizes the previous one and pushes
-    // fat join deltas at the slow consumer. Bounded loop: the queue (2)
-    // plus both socket buffers must overflow long before 300 epochs.
+    // fat join deltas at the slow consumer — ≈ 25 KiB each, since a delta
+    // carries the long interval's id once and each new id once. Bounded
+    // loop: the queue (2) plus both socket buffers must overflow long
+    // before 300 epochs.
     let mut cancelled_at = None;
     for i in 0..300u64 {
         let base = 10 + i as i64 * 100;
         let mut lines = String::new();
-        for j in 0..8i64 {
+        for j in 0..24i64 {
             writeln!(lines, "{} {} {big}r{i}x{j} {j}", base + j, base + j + 1).unwrap();
         }
         let reply = ingester.ingest("X", &lines).unwrap();
@@ -894,13 +897,15 @@ fn normal_close_cancels_subscriptions_and_reaps_threads() {
 // 6. Streamed replies
 // ---------------------------------------------------------------------------
 
-/// Rows per side of [`serve_wide_join`]'s relations.
-const WIDE_INNER: usize = 100;
+/// Rows of the inner side of [`serve_large_join`].
+const LARGE_INNER: usize = 10_000;
 
-/// A server whose `Outer ⊇ Inner` Contain-join yields `outer × 100` rows
-/// of a little over 4 KiB each from a scan of almost nothing, so the
-/// reply's cost is all in producing and encoding output.
-fn serve_wide_join(
+/// A server whose `Outer ⊇ Inner` Contain-join yields `outer × 10 000`
+/// rows of two integers (24 bytes of `row_bytes` each, so 4 MiB chunks
+/// of ≈ 175 k rows) from a small scan, so the reply's cost is in
+/// producing and encoding output. Integers, not strings: a row list
+/// writes a string once per chunk, however many pairs repeat it.
+fn serve_large_join(
     tag: &str,
     outer: usize,
     config: NetConfig,
@@ -911,20 +916,22 @@ fn serve_wide_join(
     let mut client = Client::connect(server.addr()).unwrap();
     let mut lines = String::new();
     for i in 0..outer {
-        writeln!(lines, "0 1000000 {i:04}{} {i}", "w".repeat(4092)).unwrap();
+        writeln!(lines, "0 1000000 out{i} {i}").unwrap();
     }
     assert!(matches!(
         client.ingest("Outer", &lines),
         Ok(Response::Ingest(_))
     ));
-    let mut lines = String::new();
-    for i in 0..WIDE_INNER {
-        writeln!(lines, "{} {} in{i} {i}", i + 1, i + 2).unwrap();
+    for part in (0..LARGE_INNER).step_by(2_000) {
+        let mut lines = String::new();
+        for i in part..part + 2_000 {
+            writeln!(lines, "{} {} in{i} {i}", i + 1, i + 2).unwrap();
+        }
+        assert!(matches!(
+            client.ingest("Inner", &lines),
+            Ok(Response::Ingest(_))
+        ));
     }
-    assert!(matches!(
-        client.ingest("Inner", &lines),
-        Ok(Response::Ingest(_))
-    ));
     for relation in ["Outer", "Inner"] {
         let sealed = client.request(&format!("\\live close {relation}"));
         assert!(matches!(sealed, Ok(Response::Sealed(_))), "{sealed:?}");
@@ -933,7 +940,7 @@ fn serve_wide_join(
     (server, root)
 }
 
-const WIDE_QUERY: &str = "range of a is Outer range of b is Inner retrieve (P=a.Id, S=b.Seq) \
+const LARGE_QUERY: &str = "range of a is Outer range of b is Inner retrieve (P=a.Seq, S=b.Seq) \
      where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo";
 
 /// A frame-level client: sends inputs, reads frames when asked to — and
@@ -1003,14 +1010,14 @@ impl RawClient {
 
 #[test]
 fn first_chunk_arrives_before_the_query_has_finished() {
-    const OUTER: usize = 60; // × 100 × 4 KiB ≈ 24 MiB: six chunks
-    let (server, root) = serve_wide_join("early", OUTER, NetConfig::default());
+    const OUTER: usize = 100; // × 10 000 × 24 B ≈ 23 MiB: six chunks
+    let (server, root) = serve_large_join("early", OUTER, NetConfig::default());
     let mut raw = RawClient::connect(server.addr());
-    raw.send("\\set limit 1000000");
+    raw.send("\\set limit 10000000");
     assert!(matches!(raw.next(), Frame::Reply { .. }));
 
     let sent = Instant::now();
-    raw.send(WIDE_QUERY);
+    raw.send(LARGE_QUERY);
     let Frame::Reply { query_id, response } = raw.next() else {
         panic!("a stream starts with its header");
     };
@@ -1026,8 +1033,8 @@ fn first_chunk_arrives_before_the_query_has_finished() {
     );
     let (rows, trailer, first_chunk_at) = raw.read_stream();
     let first_chunk_us = first_chunk_at.duration_since(sent).as_micros() as u64;
-    assert_eq!(rows, OUTER * WIDE_INNER);
-    assert_eq!(trailer.total as usize, OUTER * WIDE_INNER);
+    assert_eq!(rows, OUTER * LARGE_INNER);
+    assert_eq!(trailer.total as usize, OUTER * LARGE_INNER);
     assert!(trailer.error.is_none());
     // The server's own execute clock, stopped when the last row had been
     // produced, ran longer than it took the first chunk to get here
@@ -1043,9 +1050,9 @@ fn first_chunk_arrives_before_the_query_has_finished() {
     // report is the header completed by the trailer, and the retained
     // trace shows where the time went, socket writes included.
     let mut client = Client::connect(server.addr()).unwrap();
-    client.request("\\set limit 1000000").unwrap();
+    client.request("\\set limit 10000000").unwrap();
     let mut events = Vec::new();
-    let outcome = client.request_with(WIDE_QUERY, |ev| {
+    let outcome = client.request_with(LARGE_QUERY, |ev| {
         events.push(match ev {
             tdb_net::StreamEvent::Header(q) => (0, q.rows.total as usize),
             tdb_net::StreamEvent::Rows(rows) => (1, rows.len()),
@@ -1056,8 +1063,8 @@ fn first_chunk_arrives_before_the_query_has_finished() {
     };
     assert_eq!(events[0], (0, 0));
     assert!(events[1..].iter().all(|(kind, n)| *kind == 1 && *n > 0));
-    assert_eq!(events.len() - 1, 6, "24 MiB in 4 MiB chunks");
-    assert_eq!(report.rows.total as usize, OUTER * WIDE_INNER);
+    assert_eq!(events.len() - 1, 6, "23 MiB in 4 MiB chunks");
+    assert_eq!(report.rows.total as usize, OUTER * LARGE_INNER);
     assert!(report.elapsed_us > 0 && report.stats.rows_scanned > 0);
     let sample = client.rtt_samples().pop().expect("RTT sample");
     assert_eq!(
@@ -1081,19 +1088,19 @@ fn first_chunk_arrives_before_the_query_has_finished() {
 
 #[test]
 fn reader_that_stops_draining_its_reply_stalls_nobody_else() {
-    const OUTER: usize = 120; // ≈ 48 MiB: far past socket buffers + queue
+    const OUTER: usize = 200; // ≈ 40 MB on the wire: far past socket buffers + queue
     let config = NetConfig {
         push_queue: 2,
         ..NetConfig::default()
     };
-    let (server, root) = serve_wide_join("stall", OUTER, config);
+    let (server, root) = serve_large_join("stall", OUTER, config);
     let mut stalled = RawClient::connect(server.addr());
-    stalled.send("\\set limit 1000000");
+    stalled.send("\\set limit 10000000");
     assert!(matches!(stalled.next(), Frame::Reply { .. }));
     // Ask for the big result and do not read a byte of it: the writer
     // blocks on the socket, the two-frame queue fills, and the rest of
     // the reply has to wait somewhere that is not the engine lock.
-    stalled.send(WIDE_QUERY);
+    stalled.send(LARGE_QUERY);
 
     let mut other = Client::connect(server.addr()).unwrap();
     let asked = Instant::now();
@@ -1121,8 +1128,8 @@ fn reader_that_stops_draining_its_reply_stalls_nobody_else() {
         "stream header"
     );
     let (rows, trailer, _) = stalled.read_stream();
-    assert_eq!(rows, OUTER * WIDE_INNER);
-    assert_eq!(trailer.total as usize, OUTER * WIDE_INNER);
+    assert_eq!(rows, OUTER * LARGE_INNER);
+    assert_eq!(trailer.total as usize, OUTER * LARGE_INNER);
 
     other.close();
     drop(stalled);
@@ -1139,13 +1146,20 @@ fn damaged_stream_frames_are_typed_corrupt_errors() {
         Response::Query(q) => q,
         other => panic!("selector 3 builds a query report, got {other:?}"),
     };
+    // Rows sharing their strings, so the lists carry references too.
+    let rows = sample_rows(&[(1, 5), (2, 9), (-3, 4)], "chunk");
+    let repeated: Vec<Row> = rows.iter().chain(&rows).cloned().collect();
     let frames = [
         Frame::ReplyChunk {
             query_id: 41,
             seq: 2,
             last: true,
-            rows: sample_rows(&[(1, 5), (2, 9), (-3, 4)], "chunk"),
+            rows: repeated.clone(),
         },
+        Frame::Push(DeltaFrame {
+            rows: repeated,
+            ..delta_frame(&[], "d", 3, true)
+        }),
         Frame::ReplyEnd {
             query_id: 41,
             trailer: Box::new(QueryTrailer::of(report)),
@@ -1181,10 +1195,74 @@ fn damaged_stream_frames_are_typed_corrupt_errors() {
         // The same bytes under the previous protocol version.
         let mut older = payload.to_vec();
         assert_eq!(older[0], PROTOCOL_VERSION);
-        older[0] = 2;
+        older[0] = 3;
         match decode(&older) {
-            Err(TdbError::Corrupt(msg)) => assert!(msg.contains("version 2"), "{msg}"),
-            other => panic!("a version-2 frame decoded to {other:?}"),
+            Err(TdbError::Corrupt(msg)) => assert!(msg.contains("version 3"), "{msg}"),
+            other => panic!("a version-3 frame decoded to {other:?}"),
+        }
+    }
+}
+
+/// A `ReplyChunk` payload (version, kind, header) whose row list is
+/// `count` and then `rows` as given.
+fn chunk_payload(count: u32, rows: &[u8]) -> Vec<u8> {
+    let mut payload = vec![PROTOCOL_VERSION, 19];
+    payload.extend_from_slice(&41u64.to_le_bytes());
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    payload.push(1);
+    payload.extend_from_slice(&count.to_le_bytes());
+    payload.extend_from_slice(rows);
+    payload
+}
+
+/// Hand-built row lists that break the format — an unknown value tag, a
+/// string reference at or past its table's length (an empty table
+/// included), counts and lengths far beyond the bytes present — decode
+/// to a typed `Corrupt` error, never a panic or a huge allocation; the
+/// well-formed control decodes, its reference resolved.
+#[test]
+fn malformed_row_lists_are_typed_corrupt_errors() {
+    use tdb::storage::codec::{TAG_STR as STR, TAG_STR_REF as STR_REF};
+    let decode = |payload: Vec<u8>| Frame::decode_payload(bytes::Bytes::from(payload));
+    // One row of arity 2: "ab", then a reference to entry `r`.
+    let pair_of = |r: u32| {
+        let mut row = vec![2, 0, STR, 2, 0, 0, 0, b'a', b'b', STR_REF];
+        row.extend_from_slice(&r.to_le_bytes());
+        row
+    };
+    match decode(chunk_payload(1, &pair_of(0))) {
+        Ok(Frame::ReplyChunk { rows, .. }) => {
+            assert_eq!(rows, [Row::new(vec![Value::str("ab"), Value::str("ab")])]);
+        }
+        other => panic!("a well-formed list decoded to {other:?}"),
+    }
+    let mut reference_in_empty_list = vec![1, 0, STR_REF];
+    reference_in_empty_list.extend_from_slice(&0u32.to_le_bytes());
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        ("unknown value tag", chunk_payload(1, &[1, 0, 9])),
+        (
+            "reference at the table length",
+            chunk_payload(1, &pair_of(1)),
+        ),
+        (
+            "reference far past the table",
+            chunk_payload(1, &pair_of(u32::MAX)),
+        ),
+        (
+            "reference in an empty list",
+            chunk_payload(1, &reference_in_empty_list),
+        ),
+        ("huge row count", chunk_payload(u32::MAX, &pair_of(0))),
+        ("huge arity", chunk_payload(1, &[0xff, 0xff, 0])),
+        (
+            "huge string length",
+            chunk_payload(1, &[1, 0, STR, 0xff, 0xff, 0xff, 0xff]),
+        ),
+    ];
+    for (what, payload) in cases {
+        match decode(payload) {
+            Err(TdbError::Corrupt(_)) => {}
+            other => panic!("{what}: decoded to {other:?}"),
         }
     }
 }

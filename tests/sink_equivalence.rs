@@ -6,19 +6,23 @@
 //!    two-variable temporal queries, executing through an external
 //!    [`CollectSink`] must produce exactly the rows, counters, and
 //!    workspace peaks of the materialized path, across batch sizes
-//!    {0, 64, 1024} × parallelism {1, 4}; the count-only path
+//!    {1, 64, 1024} × parallelism {1, 4}; the count-only path
 //!    ([`CountSink`], `wants_rows() == false`) must agree on
 //!    cardinality; a [`LimitSink`] must retain exactly the prefix
-//!    while stopping the producer early; and the [`WireSink`] — rows
-//!    encoded into reply frames as they are pushed — must decode to the
-//!    same rows in the same order with the same `SinkStats` and
-//!    per-operator reports, a residual-predicate join included.
+//!    while stopping the producer early; and the [`WireSink`] — join
+//!    matches encoded into reply frames straight from their source
+//!    rows, other rows as they are pushed — must decode to the same
+//!    rows in the same order with the same `SinkStats` and
+//!    per-operator reports, whatever shape the matches take: a
+//!    residual-predicate join, a self-join with no projection above it.
 //!
 //! 2. **Engine-level wire sink** — through `Engine::execute_into` a
 //!    large join leaves as header, chunks cut at the 4 MiB `row_bytes`
 //!    budget (`last` only on the final one) and trailer, the first
 //!    chunk before the engine has returned; `\set limit` stops the
-//!    producer however the rows leave.
+//!    producer however the rows leave, and where it cuts a batch of
+//!    matches part-way the delivered rows, `sink_rows` and
+//!    `sink_bytes` are those of the collected result's prefix.
 //!
 //! 3. **Wire streaming (integration)** — a result set larger than the
 //!    64 MiB frame cap must cross `tdb-net` as a `QueryStream` header
@@ -94,7 +98,7 @@ fn plan_for(logical: &LogicalPlan, batch_rows: usize, parallelism: usize) -> Phy
     plan(&optimized, config).unwrap()
 }
 
-const BATCHES: [usize; 3] = [0, 64, 1024];
+const BATCHES: [usize; 3] = [1, 64, 1024];
 const PARALLELISM: [usize; 2] = [1, 4];
 
 /// Decode the frames a [`WireSink`] emitted, through the reader a client
@@ -324,6 +328,39 @@ fn wire_sink_matches_collect_on_a_residual_join() {
     }
 }
 
+/// The wire sink ≡ `CollectSink` on a self-join with no projection above
+/// it: each Faculty string is reachable under a left and a right
+/// ordinal, and every column of both sides goes out — serial and
+/// time-partitioned, at every batch size.
+#[test]
+fn wire_sink_matches_collect_on_an_unprojected_self_join() {
+    let scan = |var: &str| PhysicalPlan::SeqScan {
+        relation: "Faculty".into(),
+        var: var.into(),
+    };
+    let join = PhysicalPlan::StreamTemporal {
+        left: Box::new(scan("a")),
+        right: Box::new(scan("b")),
+        left_var: "a".into(),
+        right_var: "b".into(),
+        pattern: TemporalPattern::GeneralOverlap,
+        residual: vec![],
+    };
+    let parallel = PhysicalPlan::Parallel {
+        partitions: 4,
+        child: Box::new(join.clone()),
+    };
+    let out = join
+        .execute(shared_catalog(), ExecOptions::default())
+        .unwrap();
+    assert!(out.rows.len() > 100 && out.rows[0].arity() == 2 * ATTRS.len());
+    for batch_rows in BATCHES {
+        for (k, plan) in [(1, &join), (4, &parallel)] {
+            assert_wire_matches_collect(plan, batch_rows, &format!("batch={batch_rows} k={k}"));
+        }
+    }
+}
+
 /// A limiting sink retains exactly the first `limit` rows of the
 /// materialized order and stops the producer before the full result is
 /// offered (for results meaningfully larger than the limit).
@@ -367,6 +404,26 @@ fn limit_sink_retains_prefix_and_stops_early() {
     }
 }
 
+/// A Contain-join of two 40 000-row relations: ≈ 306 k rows of two ids,
+/// over 7 MB of `row_bytes`.
+const LARGE_JOIN: &str = "range of a is X range of b is Y retrieve (P=a.Id, Q=b.Id) \
+     where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo";
+
+/// An engine over a fresh catalog holding [`LARGE_JOIN`]'s relations.
+fn large_join_engine(tag: &str) -> (Engine, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("tdb-sink-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut engine = Engine::open(&dir).unwrap();
+    for gen in [
+        "\\gen intervals X 40000 5 60 1",
+        "\\gen intervals Y 40000 5 10 2",
+    ] {
+        let reply = engine.execute(&mut ClientState::default(), gen);
+        assert!(matches!(reply, Response::Info(_)), "{reply:?}");
+    }
+    (engine, dir)
+}
+
 /// Through `Engine::execute_into` a large join leaves as header, chunks
 /// and trailer — the chunks cut exactly where the 4 MiB `row_bytes`
 /// budget says, the first of them before the engine has returned — and
@@ -374,23 +431,13 @@ fn limit_sink_retains_prefix_and_stops_early() {
 /// Under `\set limit` the producer stops early whichever sink is below.
 #[test]
 fn engine_streams_a_large_join_through_the_wire_sink() {
-    const QUERY: &str = "range of a is X range of b is Y retrieve (P=a.Id, Q=b.Id) \
-         where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo";
-    let dir = std::env::temp_dir().join(format!("tdb-sink-engine-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut engine = Engine::open(&dir).unwrap();
+    let (mut engine, dir) = large_join_engine("engine");
     let mut ctx = ClientState {
         row_limit: usize::MAX,
         trace: true,
         ..ClientState::default()
     };
-    for gen in [
-        "\\gen intervals X 40000 5 60 1",
-        "\\gen intervals Y 40000 5 10 2",
-    ] {
-        assert!(matches!(engine.execute(&mut ctx, gen), Response::Info(_)));
-    }
-    let Response::Query(want) = engine.execute(&mut ctx, QUERY) else {
+    let Response::Query(want) = engine.execute(&mut ctx, LARGE_JOIN) else {
         panic!("collecting run failed");
     };
     let bytes: u64 = want.rows.rows.iter().map(tdb::stream::row_bytes).sum();
@@ -404,7 +451,7 @@ fn engine_streams_a_large_join_through_the_wire_sink() {
     let returned = std::cell::Cell::new(false);
     let mut wire = Vec::new();
     let mut sink = WireSink::new(|_, frame| wire.push((returned.get(), frame)));
-    let resp = engine.execute_into(&mut ctx, QUERY, &mut sink);
+    let resp = engine.execute_into(&mut ctx, LARGE_JOIN, &mut sink);
     returned.set(true);
     let Response::Query(report) = resp.clone() else {
         panic!("streamed run failed: {resp:?}");
@@ -458,7 +505,7 @@ fn engine_streams_a_large_join_through_the_wire_sink() {
     ctx.row_limit = 5;
     let mut wire = Vec::new();
     let mut sink = WireSink::new(|_, frame| wire.push(frame));
-    let resp = engine.execute_into(&mut ctx, QUERY, &mut sink);
+    let resp = engine.execute_into(&mut ctx, LARGE_JOIN, &mut sink);
     let Response::Query(limited) = resp.clone() else {
         panic!("limited run failed: {resp:?}");
     };
@@ -474,6 +521,71 @@ fn engine_streams_a_large_join_through_the_wire_sink() {
         want.rows.total
     );
     assert_eq!(limited.trace.expect("trace on").sink_rows, 5);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `\set limit` cuts a batch of join matches part-way, whether they are
+/// built into rows (`Engine::execute`) or encoded from their source rows
+/// (`WireSink`): both deliver the unlimited result's prefix — the wire's
+/// chunks cut where the reference framing cuts it — offer the same rows,
+/// and count as `sink_bytes` the `row_bytes` of the offered prefix;
+/// across batch sizes {1, 64, 1024} × parallelism {1, 4}.
+#[test]
+fn limit_cuts_a_batch_of_matches_part_way() {
+    // More than one chunk's worth of rows, and not a batch boundary.
+    const LIMIT: usize = 200_001;
+    let (mut engine, dir) = large_join_engine("limit");
+    let mut cut_part_way = 0;
+    for parallelism in PARALLELISM {
+        let mut ctx = ClientState {
+            row_limit: usize::MAX,
+            trace: true,
+            ..ClientState::default()
+        };
+        ctx.config.parallelism = parallelism;
+        let Response::Query(full) = engine.execute(&mut ctx, LARGE_JOIN) else {
+            panic!("unlimited run failed");
+        };
+        let prefix = &full.rows.rows[..LIMIT];
+        ctx.row_limit = LIMIT;
+        for batch_rows in BATCHES {
+            let label = format!("batch={batch_rows} k={parallelism}");
+            ctx.config.batch_rows = batch_rows;
+            let Response::Query(collected) = engine.execute(&mut ctx, LARGE_JOIN) else {
+                panic!("collecting run failed ({label})");
+            };
+            let mut wire = Vec::new();
+            let mut sink = WireSink::new(|_, frame| wire.push(frame));
+            let resp = engine.execute_into(&mut ctx, LARGE_JOIN, &mut sink);
+            let Response::Query(streamed) = resp.clone() else {
+                panic!("streamed run failed ({label}): {resp:?}");
+            };
+            sink.complete(resp);
+
+            assert_eq!(collected.rows.rows, prefix, "{label}");
+            let chunks = reply_chunks(&decode_frames(&wire));
+            assert!(chunks.len() >= 2, "{label}");
+            assert_eq!(chunks, reference_cut(prefix), "{label}");
+
+            let offered = collected.rows.total;
+            assert_eq!(streamed.rows.total, offered, "{label}");
+            assert!(
+                offered >= LIMIT as u64 && offered < full.rows.total,
+                "{label}"
+            );
+            cut_part_way += usize::from(offered > LIMIT as u64);
+            let bytes: u64 = full.rows.rows[..offered as usize]
+                .iter()
+                .map(tdb::stream::row_bytes)
+                .sum();
+            for trace in [collected.trace, streamed.trace] {
+                let trace = trace.expect("trace on");
+                assert_eq!(trace.sink_rows, LIMIT as u64, "{label}");
+                assert_eq!(trace.sink_bytes, bytes, "{label}");
+            }
+        }
+    }
+    assert!(cut_part_way > 0, "no run stopped inside a batch");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
