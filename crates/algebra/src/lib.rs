@@ -31,6 +31,9 @@ pub mod rewrite;
 pub use expr::{Atom, ColumnRef, CompOp, Term};
 pub use logical::{LogicalPlan, Scope};
 pub use pattern::{recognize_pattern, TemporalPattern};
-pub use physical::{ExecOptions, ExecStats, OpObservation, PhysicalPlan, QueryOutput};
+pub use physical::{
+    join_dispatch, semijoin_dispatch, ExecOptions, ExecStats, OpObservation, PhysicalPlan,
+    QueryOutput,
+};
 pub use planner::{plan, PlannerConfig};
 pub use rewrite::conventional_optimize;

@@ -13,6 +13,7 @@
 //! classifies it; the unmatched atoms become a residual filter.
 
 use crate::expr::{Atom, CompOp, Term};
+use tdb_core::{Period, SortKey, TimePoint};
 use tdb_stream::StreamOpKind;
 
 /// A recognized temporal relationship between a left variable and a right
@@ -65,6 +66,47 @@ impl TemporalPattern {
             TemporalPattern::Before => (StreamOpKind::BeforeSemijoin, false),
             TemporalPattern::After => (StreamOpKind::BeforeSemijoin, true),
         }
+    }
+
+    /// Can `t` — the left operand when `left`, else the right — still
+    /// satisfy this pattern with a partner whose `key` is at least `from`?
+    ///
+    /// The paper's GC rules, inverted: a resident tuple is discarded once
+    /// the other input's sort order proves no later tuple can match it.
+    /// The pattern's atoms bound the partner's `TS` and `TE` from above
+    /// by endpoints of `t` (a partner `TE` bound also bounds its `TS`,
+    /// since `TS < TE`); the answer is `false` only when that bound on
+    /// `key` is at or below `from`.
+    pub fn admits_partner_from(self, left: bool, t: Period, key: SortKey, from: TimePoint) -> bool {
+        let (mine, theirs) = if left {
+            ([Stamp::LTs, Stamp::LTe], [Stamp::RTs, Stamp::RTe])
+        } else {
+            ([Stamp::RTs, Stamp::RTe], [Stamp::LTs, Stamp::LTe])
+        };
+        let atoms = PATTERNS
+            .iter()
+            .find(|(p, _)| *p == self)
+            .map_or(&[][..], |(_, atoms)| *atoms);
+        let (mut below_ts, mut below_te) = (None::<TimePoint>, None::<TimePoint>);
+        for &(a, b) in atoms {
+            let bound = match b {
+                s if s == mine[0] => t.start(),
+                s if s == mine[1] => t.end(),
+                _ => continue,
+            };
+            let tighten = |u: &mut Option<TimePoint>| *u = Some(u.map_or(bound, |v| v.min(bound)));
+            if a == theirs[0] {
+                tighten(&mut below_ts);
+            } else if a == theirs[1] {
+                tighten(&mut below_te);
+                tighten(&mut below_ts);
+            }
+        }
+        let bound = match key {
+            SortKey::ValidFrom => below_ts,
+            SortKey::ValidTo => below_te,
+        };
+        bound.is_none_or(|u| u > from)
     }
 }
 
@@ -206,6 +248,59 @@ mod tests {
 
     fn lt(lv: &str, la: &str, rv: &str, ra: &str) -> Atom {
         Atom::cols(lv, la, CompOp::Lt, rv, ra)
+    }
+
+    /// Does `(l, r)` satisfy every atom of `pattern`?
+    fn holds(pattern: TemporalPattern, l: Period, r: Period) -> bool {
+        let v = |s: Stamp| match s {
+            Stamp::LTs => l.start(),
+            Stamp::LTe => l.end(),
+            Stamp::RTs => r.start(),
+            Stamp::RTe => r.end(),
+        };
+        let (_, atoms) = PATTERNS.iter().find(|(p, _)| *p == pattern).unwrap();
+        atoms.iter().all(|&(a, b)| v(a) < v(b))
+    }
+
+    #[test]
+    fn a_refused_partner_bound_admits_no_matching_partner() {
+        let periods: Vec<Period> = (0..7)
+            .flat_map(|s| (s + 1..8).map(move |e| Period::new(s, e).unwrap()))
+            .collect();
+        for (pattern, _) in PATTERNS {
+            for key in [SortKey::ValidFrom, SortKey::ValidTo] {
+                for &t in &periods {
+                    for from in -1..9 {
+                        let from = TimePoint(from);
+                        for left in [true, false] {
+                            if pattern.admits_partner_from(left, t, key, from) {
+                                continue;
+                            }
+                            for &u in periods.iter().filter(|u| key.extract(*u) >= from) {
+                                let (l, r) = if left { (t, u) } else { (u, t) };
+                                assert!(
+                                    !holds(*pattern, l, r),
+                                    "{pattern:?} left={left} {t:?} refused for {key:?} ≥ {from:?}, \
+                                     but {u:?} matches"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // And the containment GC rule itself: a container is dropped once
+        // the containees' TS frontier passes its TE.
+        let x = Period::new(0, 10).unwrap();
+        let c = TemporalPattern::Contains;
+        assert!(c.admits_partner_from(true, x, SortKey::ValidFrom, TimePoint(9)));
+        assert!(!c.admits_partner_from(true, x, SortKey::ValidFrom, TimePoint(10)));
+        assert!(!TemporalPattern::During.admits_partner_from(
+            false,
+            x,
+            SortKey::ValidTo,
+            TimePoint(10)
+        ));
     }
 
     #[test]

@@ -1105,16 +1105,38 @@ fn with_overlap_mode(cfg: OpConfig, pattern: TemporalPattern) -> OpConfig {
 /// pattern. The orderings come from the registry entry of the operator
 /// the planner committed to, so the executor cannot drift from the
 /// Table 1 preconditions the analyzer certifies.
-fn join_dispatch(
+pub fn join_dispatch(
     pattern: TemporalPattern,
     cfg: OpConfig,
 ) -> (StreamOpKind, OpConfig, StreamOrder, StreamOrder, bool) {
-    let cfg = with_overlap_mode(cfg, pattern);
     let (kind, swap) = pattern.join_op();
-    let req = kind.requirement();
-    let x_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-    let y_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
+    let (cfg, x_ord, y_ord) = kernel_entry(kind, cfg, pattern);
     (kind, cfg, x_ord, y_ord, swap)
+}
+
+/// [`join_dispatch`] for a semijoin: the operator, the config it runs
+/// under and the orders of the kept (left) and existential inputs, as
+/// [`run_semijoin`] takes them.
+pub fn semijoin_dispatch(
+    pattern: TemporalPattern,
+    cfg: OpConfig,
+) -> (StreamOpKind, OpConfig, StreamOrder, StreamOrder) {
+    let (kind, _) = pattern.semijoin_op();
+    let (cfg, l_ord, r_ord) = kernel_entry(kind, cfg, pattern);
+    (kind, cfg, l_ord, r_ord)
+}
+
+fn kernel_entry(
+    kind: StreamOpKind,
+    cfg: OpConfig,
+    pattern: TemporalPattern,
+) -> (OpConfig, StreamOrder, StreamOrder) {
+    let req = kind.requirement();
+    (
+        with_overlap_mode(cfg, pattern),
+        req.left().unwrap_or(StreamOrder::TS_ASC),
+        req.right().unwrap_or(StreamOrder::TS_ASC),
+    )
 }
 
 /// Run the stream join for `pattern` into `emit`: matched pairs chunk by
@@ -1234,11 +1256,7 @@ fn run_stream_semijoin(
         let completed = feed_chunks(kept, cfg, emit)?;
         return Ok((completed, report));
     }
-    let cfg = with_overlap_mode(cfg, pattern);
-    let (kind, _) = pattern.semijoin_op();
-    let req = kind.requirement();
-    let l_ord = req.left().unwrap_or(StreamOrder::TS_ASC);
-    let r_ord = req.right().unwrap_or(StreamOrder::TS_ASC);
+    let (kind, cfg, l_ord, r_ord) = semijoin_dispatch(pattern, cfg);
     let l = sort_wrapped(l, l_ord, stats);
     let r = sort_wrapped(r, r_ord, stats);
     #[cfg(any(debug_assertions, feature = "check"))]

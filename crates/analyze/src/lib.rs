@@ -45,7 +45,8 @@ pub use error::{render_errors, AnalyzeError, DedupMode, PlanPath};
 pub use lower::{infer_order, lower_plan, lower_plan_with_stats, Lowered};
 pub use spec::{check_op, check_parallel, ParallelSpec, StreamOpSpec};
 pub use verify::{
-    plan_verified, plan_verified_live, verify, verify_live, verify_lowered, Analysis, AnalyzeConfig,
+    plan_verified, plan_verified_live, verified_live, verify, verify_live, verify_lowered,
+    Analysis, AnalyzeConfig,
 };
 
 #[cfg(test)]

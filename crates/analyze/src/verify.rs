@@ -230,11 +230,23 @@ pub fn plan_verified_live(
     analyze: &AnalyzeConfig,
 ) -> TdbResult<(PhysicalPlan, Analysis)> {
     let physical = plan(logical, config)?;
-    match verify_live(&physical, Some(catalog), live_stats, analyze) {
-        Ok(analysis) => Ok((physical, analysis)),
-        Err(errors) => Err(TdbError::Plan(format!(
+    let analysis = verified_live(&physical, catalog, live_stats, analyze)?;
+    Ok((physical, analysis))
+}
+
+/// [`verify_live`] over `catalog`, with a rejection as a
+/// [`TdbError::Plan`] — how a standing query re-proves its fixed plan at
+/// every epoch.
+pub fn verified_live(
+    physical: &PhysicalPlan,
+    catalog: &Catalog,
+    live_stats: &BTreeMap<String, TemporalStats>,
+    analyze: &AnalyzeConfig,
+) -> TdbResult<Analysis> {
+    verify_live(physical, Some(catalog), live_stats, analyze).map_err(|errors| {
+        TdbError::Plan(format!(
             "live analysis rejected the standing query:\n{}",
             render_errors(&errors)
-        ))),
-    }
+        ))
+    })
 }

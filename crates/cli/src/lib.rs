@@ -311,6 +311,7 @@ mod tests {
         assert!(msg.contains("S (ValidFrom ↑)"), "{msg}");
         assert!(msg.contains("4 admitted"), "{msg}");
         assert!(msg.contains("#0 `range of"), "{msg}");
+        assert!(msg.contains("(held tuples)"), "{msg}");
         assert!(msg.contains("workspace peak"), "{msg}");
 
         let msg = out(s.feed("\\live close S"));

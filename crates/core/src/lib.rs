@@ -38,7 +38,7 @@ pub use json::{Json, JsonError};
 pub use order::{Direction, SortKey, SortSpec, StreamOrder};
 pub use period::Period;
 pub use schema::{Field, FieldType, Schema, TemporalSchema};
-pub use stats::TemporalStats;
+pub use stats::{StatsAccumulator, TemporalStats};
 pub use time::{TimeDelta, TimePoint};
 pub use tuple::{PeriodRow, Row, Temporal, TsTuple};
 pub use value::Value;

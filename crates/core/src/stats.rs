@@ -13,8 +13,11 @@
 //! these via **Little's law**: the expected number of tuples whose lifespan
 //! spans a sweep point is `λ · E[duration]`.
 
+use crate::period::Period;
 use crate::time::TimePoint;
 use crate::tuple::Temporal;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Summary statistics of a temporal relation instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,6 +114,76 @@ impl TemporalStats {
     /// "{X tuples whose lifespan span y_b.ValidFrom}".
     pub fn expected_spanning(&self) -> Option<f64> {
         self.lambda.map(|l| l * self.mean_duration)
+    }
+}
+
+/// The running terms of [`TemporalStats`] over a `TS`-sorted sequence,
+/// extended one lifespan at a time in O(log concurrency).
+///
+/// Count, extrema and the duration sum fold directly. Max concurrency
+/// needs the sweep of [`TemporalStats::compute`], which in `TS` order is
+/// a min-heap of the open lifespans' `TE`s: a new start first closes every
+/// lifespan ending at or before it (ends sort before starts at a shared
+/// point), and the heap's size is then the concurrency just after it.
+/// [`StatsAccumulator::stats`] equals `compute` over the same items, field
+/// by field.
+#[derive(Debug, Clone, Default)]
+pub struct StatsAccumulator {
+    count: usize,
+    min_ts: Option<TimePoint>,
+    max_ts: Option<TimePoint>,
+    max_te: Option<TimePoint>,
+    dur_sum: i128,
+    max_duration: i64,
+    max_concurrency: usize,
+    open: BinaryHeap<Reverse<TimePoint>>,
+}
+
+impl StatsAccumulator {
+    /// `items` folded in their given order, or `None` when they are not
+    /// sorted on `TS` (the one order the accumulator extends).
+    pub fn of_sorted<T: Temporal>(items: &[T]) -> Option<StatsAccumulator> {
+        let mut acc = StatsAccumulator::default();
+        items.iter().all(|it| acc.push(it.period())).then_some(acc)
+    }
+
+    /// Fold in one more lifespan. Returns `false`, folding nothing, when
+    /// it starts before the latest start folded so far.
+    pub fn push(&mut self, p: Period) -> bool {
+        let (ts, te) = (p.start(), p.end());
+        if self.max_ts.is_some_and(|m| ts < m) {
+            return false;
+        }
+        while self.open.peek().is_some_and(|Reverse(end)| *end <= ts) {
+            self.open.pop();
+        }
+        self.open.push(Reverse(te));
+        self.max_concurrency = self.max_concurrency.max(self.open.len());
+        self.count += 1;
+        self.min_ts.get_or_insert(ts);
+        self.max_ts = Some(ts);
+        self.max_te = Some(self.max_te.map_or(te, |m| m.max_of(te)));
+        let d = (te - ts).ticks();
+        self.dur_sum += i128::from(d);
+        self.max_duration = self.max_duration.max(d);
+        true
+    }
+
+    /// The statistics of everything folded so far.
+    pub fn stats(&self) -> TemporalStats {
+        let (Some(min_ts), Some(max_ts)) = (self.min_ts, self.max_ts) else {
+            return TemporalStats::compute::<Period>(&[]);
+        };
+        let span = (max_ts - min_ts).ticks();
+        TemporalStats {
+            count: self.count,
+            min_ts: Some(min_ts),
+            max_te: self.max_te,
+            lambda: (self.count >= 2 && span > 0).then(|| (self.count - 1) as f64 / span as f64),
+            mean_duration: self.dur_sum as f64 / self.count as f64,
+            max_duration: self.max_duration,
+            max_concurrency: self.max_concurrency,
+        }
     }
 }
 

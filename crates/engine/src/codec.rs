@@ -827,6 +827,7 @@ impl Codec for SubscriptionStatus {
     fn encode(&self, buf: &mut BytesMut) {
         put_u64(buf, self.id);
         put_str(buf, &self.label);
+        put_str(buf, &self.mode);
         put_u64(buf, self.evaluations);
         put_u64(buf, self.emitted);
         put_u64(buf, self.workspace_peak);
@@ -838,6 +839,7 @@ impl Codec for SubscriptionStatus {
         Ok(SubscriptionStatus {
             id: get_u64(buf)?,
             label: get_str(buf)?,
+            mode: get_str(buf)?,
             evaluations: get_u64(buf)?,
             emitted: get_u64(buf)?,
             workspace_peak: get_u64(buf)?,

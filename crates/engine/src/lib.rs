@@ -590,6 +590,7 @@ impl Engine {
                 }
                 .generate();
                 let rows: Vec<Row> = faculty.iter().map(|t| t.to_row()).collect();
+                self.live.release_held(&self.catalog, "Faculty")?;
                 self.catalog.create_relation(
                     "Faculty",
                     TemporalSchema::time_sequence("Name", "Rank"),
@@ -623,6 +624,7 @@ impl Engine {
                         ])
                     })
                     .collect();
+                self.live.release_held(&self.catalog, name)?;
                 self.catalog.create_relation(
                     name,
                     interval_schema()?,
@@ -1315,6 +1317,7 @@ impl Engine {
                     SubscriptionStatus {
                         id: sub.id() as u64,
                         label: sub.label().to_string(),
+                        mode: sub.mode().to_string(),
                         evaluations: sub.evaluations(),
                         emitted: sub.emitted_count() as u64,
                         workspace_peak: peak as u64,
@@ -1673,6 +1676,62 @@ mod tests {
             matches!(resp, Response::Ingest(ref r) if r.deltas.is_empty()),
             "take_deltas drains the response in place"
         );
+    }
+
+    #[test]
+    fn live_status_names_each_subscriptions_mode() {
+        let (mut e, mut ctx) = engine("modes");
+        e.ingest_text("S", "0 100 long\n10 20 a\n30 40 b\n");
+        let contain = "range of a is S range of b is S retrieve (X=a.Id, Y=b.Id) \
+             where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo;";
+        let short = "range of a is S retrieve (X=a.Id) where a.ValidTo < 45;";
+        for query in [contain, short] {
+            let resp = e.execute(&mut ctx, &format!("\\subscribe {query}"));
+            assert!(matches!(resp, Response::Subscribed(_)), "{resp:?}");
+        }
+        e.ingest_text("S", "50 60 c\n");
+        let resp = e.execute(&mut ctx, "\\live");
+        let Response::Live(status) = &resp else {
+            panic!("expected live status, got {resp:?}");
+        };
+        let modes: Vec<&str> = status
+            .subscriptions
+            .iter()
+            .map(|s| s.mode.as_str())
+            .collect();
+        assert_eq!(modes, ["held tuples", "re-evaluated"]);
+        let text = render::render(&resp, 10);
+        assert!(text.contains("#0 `range of a is S"), "{text}");
+        assert!(
+            text.contains("(held tuples): 2 evaluations, 2 rows emitted"),
+            "{text}"
+        );
+        assert!(
+            text.contains("(re-evaluated): 2 evaluations, 2 rows emitted"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn reloading_a_held_input_switches_its_readers_to_reevaluation() {
+        let (mut e, mut ctx) = engine("reload");
+        let gen = |seed: u64| format!("\\gen intervals Y 30 3 4 {seed}");
+        assert!(matches!(e.execute(&mut ctx, &gen(1)), Response::Info(_)));
+        e.ingest_text("S", "0 1000 long\n");
+        let contain = "\\subscribe range of a is S range of b is Y retrieve (X=a.Id, Y=b.Id) \
+             where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo;";
+        let Response::Subscribed(_) = e.execute(&mut ctx, contain) else {
+            panic!("subscribe refused");
+        };
+        let modes = |e: &mut Engine, ctx: &mut ClientState| match e.execute(ctx, "\\live") {
+            Response::Live(status) => status.subscriptions[0].mode.clone(),
+            other => panic!("expected live status, got {other:?}"),
+        };
+        assert_eq!(modes(&mut e, &mut ctx), "held tuples");
+        assert!(matches!(e.execute(&mut ctx, &gen(2)), Response::Info(_)));
+        assert_eq!(modes(&mut e, &mut ctx), "re-evaluated");
+        e.ingest_text("S", "2000 2001 next\n");
+        assert_eq!(modes(&mut e, &mut ctx), "re-evaluated");
     }
 
     #[test]

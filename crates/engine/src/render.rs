@@ -264,9 +264,10 @@ fn render_live(s: &LiveStatus) -> String {
     for sub in &s.subscriptions {
         writeln!(
             out,
-            "#{} `{}`: {} evaluations, {} rows emitted, workspace peak {} / cap {}{}",
+            "#{} `{}` ({}): {} evaluations, {} rows emitted, workspace peak {} / cap {}{}",
             sub.id,
             sub.label,
+            sub.mode,
             sub.evaluations,
             sub.emitted,
             sub.workspace_peak,

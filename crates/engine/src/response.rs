@@ -320,6 +320,9 @@ pub struct SubscriptionStatus {
     pub id: u64,
     /// Registration label.
     pub label: String,
+    /// How the subscription computes its deltas: `held tuples` or
+    /// `re-evaluated`.
+    pub mode: String,
     /// Evaluations performed.
     pub evaluations: u64,
     /// Result rows emitted over the subscription's lifetime.

@@ -4,18 +4,22 @@
 //! standing query. One *epoch* ([`LiveEngine::advance`]) is:
 //!
 //! 1. promote each relation's watermark-closed prefix into the catalog
-//!    heap (order-preserving append — [`Catalog::append_rows`] re-verifies
-//!    the claimed sort orders);
-//! 2. snapshot online statistics as per-relation overrides;
-//! 3. re-verify and re-evaluate every subscription over the enlarged
-//!    catalog, collecting the rows that became final.
+//!    heap (order-preserving append — [`Catalog::append_rows`] checks the
+//!    claimed sort orders against the stored tail, in O(promoted rows));
+//! 2. snapshot online statistics as per-relation overrides, and each live
+//!    relation's horizon (what it may still promote);
+//! 3. re-verify every subscription under those statistics and collect
+//!    the rows that became final: a held subscription is handed only the
+//!    rows just promoted, a re-evaluated one re-runs over the enlarged
+//!    catalog.
 //!
 //! The engine never holds a borrow of the catalog between calls: the
 //! caller (a CLI session, a benchmark, a test) passes it in, keeping
 //! ownership where it already lives.
 
+use crate::held::Horizon;
 use crate::relation::LiveRelation;
-use crate::subscription::{Delta, Subscription};
+use crate::subscription::{Delta, EpochInput, Subscription};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use tdb_algebra::{LogicalPlan, PlannerConfig};
@@ -313,6 +317,9 @@ impl LiveEngine {
             &self.stage_dir,
             catalog.io().clone(),
         )?;
+        // A held subscription read this relation as static, promoting
+        // nothing; from here on it does, so re-evaluate instead.
+        self.release_held(catalog, name)?;
         if let Some(store) = &self.wal {
             // Make the DDL event durable before the first row arrives,
             // and pin the reconciliation baseline to the rows the catalog
@@ -331,6 +338,19 @@ impl LiveEngine {
         Ok(())
     }
 
+    /// Switch every held subscription that reads `name` to re-evaluation.
+    /// Call before `name` changes other than by promotion — going live,
+    /// or a reload that replaces its rows — while the catalog still holds
+    /// what the subscriptions have seen.
+    pub fn release_held(&mut self, catalog: &Catalog, name: &str) -> TdbResult<()> {
+        for sub in &mut self.subscriptions {
+            if sub.held_relations().contains(name) {
+                sub.reevaluate_from_here(catalog)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Register a standing query. The plan must pass the live verifier
     /// under the current online statistics before a single tuple flows;
     /// the returned [`Delta`] carries the rows already final at
@@ -343,7 +363,7 @@ impl LiveEngine {
     ) -> TdbResult<(Analysis, Delta)> {
         let overrides = self.live_stats();
         // Verify up front so a rejected query never registers.
-        let (_physical, analysis) = plan_verified_live(
+        let (physical, analysis) = plan_verified_live(
             &logical,
             self.config.planner,
             catalog,
@@ -351,15 +371,24 @@ impl LiveEngine {
             &self.config.analyze,
         )?;
         let id = self.subscriptions.len();
-        let mut sub = Subscription::new(id, label, logical);
-        let delta = sub.evaluate(
+        let mut sub =
+            Subscription::new(id, label, logical, physical, catalog, self.config.planner)?;
+        // A held subscription starts from everything promoted so far.
+        let mut current = BTreeMap::new();
+        for name in sub.held_relations() {
+            let rows = catalog.scan(&name)?;
+            current.insert(name, rows);
+        }
+        let delta = sub.evaluate(&EpochInput {
             catalog,
-            &overrides,
-            self.config.planner,
-            &self.config.analyze,
-            self.epoch,
-            self.frontier(),
-        )?;
+            promoted: &current,
+            horizons: &self.horizons(),
+            live_stats: &overrides,
+            planner: self.config.planner,
+            analyze: &self.config.analyze,
+            epoch: self.epoch,
+            watermark: self.frontier(),
+        })?;
         self.subscriptions.push(sub);
         Ok((analysis, delta))
     }
@@ -421,13 +450,14 @@ impl LiveEngine {
     }
 
     /// Run one epoch: promote every relation's closed prefix, then
-    /// re-verify and re-evaluate every subscription.
+    /// re-verify every subscription and collect its new rows.
     pub fn advance(&mut self, catalog: &mut Catalog) -> TdbResult<LiveReport> {
         self.epoch += 1;
         let mut report = LiveReport {
             epoch: self.epoch,
             ..LiveReport::default()
         };
+        let mut promoted = BTreeMap::new();
         for rel in self.relations.values_mut() {
             let closed = rel.take_closed()?;
             if !closed.is_empty() {
@@ -441,27 +471,40 @@ impl LiveEngine {
                 rel.confirm_promotion(closed.len() as u64);
                 rel.wal_checkpoint()?;
                 report.promoted += closed.len();
+                promoted.insert(rel.name().to_string(), closed);
             }
         }
-        let overrides = self.live_stats();
-        let frontier = self.frontier();
+        if self.subscriptions.iter().all(Subscription::is_cancelled) {
+            return Ok(report);
+        }
+        let epoch = EpochInput {
+            catalog,
+            promoted: &promoted,
+            horizons: &self.horizons(),
+            live_stats: &self.live_stats(),
+            planner: self.config.planner,
+            analyze: &self.config.analyze,
+            epoch: self.epoch,
+            watermark: self.frontier(),
+        };
         for sub in &mut self.subscriptions {
             if sub.is_cancelled() {
                 continue;
             }
-            let delta = sub.evaluate(
-                catalog,
-                &overrides,
-                self.config.planner,
-                &self.config.analyze,
-                self.epoch,
-                frontier,
-            )?;
+            let delta = sub.evaluate(&epoch)?;
             if !delta.rows.is_empty() {
                 report.deltas.push(delta);
             }
         }
         Ok(report)
+    }
+
+    /// What each live relation may still promote.
+    fn horizons(&self) -> BTreeMap<String, Horizon> {
+        self.relations
+            .iter()
+            .map(|(name, rel)| (name.clone(), rel.horizon()))
+            .collect()
     }
 
     /// Per-relation online statistics overrides for live planning: every

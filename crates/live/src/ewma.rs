@@ -7,7 +7,8 @@
 //! as tuples arrive: λ and E[D] by exponentially weighted moving averages
 //! (recent traffic dominates, so a rate change re-verifies standing
 //! queries against what the stream is doing *now*), extrema exactly, and
-//! max concurrency exactly via a difference map over interval endpoints.
+//! max concurrency exactly via a difference map over interval endpoints
+//! whose prefix sums are refolded from each arrival's start onward.
 //!
 //! [`TemporalStats::compute`]: tdb_core::TemporalStats::compute
 
@@ -31,7 +32,17 @@ pub struct OnlineStats {
     /// Difference map over interval endpoints: +1 at each `TS`, −1 at each
     /// `TE`. Max concurrency is the running maximum of its prefix sums —
     /// exact for any arrival order, at O(distinct endpoints) memory.
-    deltas: BTreeMap<i64, i64>,
+    deltas: BTreeMap<i64, Endpoint>,
+}
+
+/// One key of the difference map, with the prefix terms through it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Endpoint {
+    delta: i64,
+    /// Sum of every delta up to and including this key.
+    running: i64,
+    /// Largest `running` up to and including this key.
+    peak: i64,
 }
 
 impl OnlineStats {
@@ -89,8 +100,23 @@ impl OnlineStats {
             Some(m) => m.max(p.end()),
             None => p.end(),
         });
-        *self.deltas.entry(p.start().ticks()).or_insert(0) += 1;
-        *self.deltas.entry(p.end().ticks()).or_insert(0) -= 1;
+        self.deltas.entry(p.start().ticks()).or_default().delta += 1;
+        self.deltas.entry(p.end().ticks()).or_default().delta -= 1;
+        // Only the prefix terms from this start on change. In arrival
+        // order that suffix is the lifespans still open, so an arrival
+        // costs O(log n + concurrency), not O(n).
+        let start = p.start().ticks();
+        let (mut running, mut peak) = self
+            .deltas
+            .range(..start)
+            .next_back()
+            .map_or((0, 0), |(_, e)| (e.running, e.peak));
+        for e in self.deltas.range_mut(start..).map(|(_, e)| e) {
+            running += e.delta;
+            peak = peak.max(running);
+            e.running = running;
+            e.peak = peak;
+        }
     }
 
     /// The current smoothed arrival rate λ (arrivals per tick on the sort
@@ -106,13 +132,10 @@ impl OnlineStats {
 
     /// Exact maximum concurrency over every arrival observed so far.
     pub fn max_concurrency(&self) -> usize {
-        let mut running = 0i64;
-        let mut max = 0i64;
-        for delta in self.deltas.values() {
-            running += delta;
-            max = max.max(running);
-        }
-        max.max(0) as usize
+        self.deltas
+            .values()
+            .next_back()
+            .map_or(0, |e| e.peak.max(0) as usize)
     }
 
     /// Snapshot as the [`TemporalStats`] shape the cost model and the live
@@ -183,6 +206,27 @@ mod tests {
         st.observe(&p(0, 10));
         st.observe(&p(20, 30));
         assert_eq!(st.max_concurrency(), 3);
+    }
+
+    #[test]
+    fn concurrency_matches_a_full_sweep_in_any_arrival_order() {
+        // A deterministic shuffle of nested, meeting and disjoint spans.
+        let spans: Vec<Period> = (0..200i64)
+            .map(|i| {
+                let s = (i * 37) % 101;
+                p(s, s + 1 + (i * 13) % 23)
+            })
+            .collect();
+        let mut st = OnlineStats::new(SortKey::ValidFrom, 0.5);
+        for (i, span) in spans.iter().enumerate() {
+            st.observe(span);
+            assert_eq!(
+                st.max_concurrency(),
+                TemporalStats::compute(&spans[..=i]).max_concurrency,
+                "after {} arrivals",
+                i + 1
+            );
+        }
     }
 
     #[test]

@@ -17,16 +17,19 @@
 //! - **Online statistics** — λ and E[D] are estimated by EWMA as tuples
 //!   arrive ([`ewma`]), replacing load-time statistics in the cost model
 //!   so workspace proofs track live traffic.
-//! - **Verified standing queries** — a subscription re-plans through the
-//!   live analyzer every epoch; plans whose workspace cannot be bounded
-//!   under unbounded arrival are rejected before a tuple flows
-//!   ([`subscription`], [`engine`]).
+//! - **Verified standing queries** — a subscription re-verifies through
+//!   the live analyzer every epoch; plans whose workspace cannot be
+//!   bounded under unbounded arrival are rejected before a tuple flows.
+//!   A single stream join or semijoin keeps its held tuples between
+//!   epochs and costs only its delta; other plans re-evaluate over the
+//!   closed prefix ([`subscription`], [`engine`]).
 //!
 //! [`LiveEngine`] ties the pieces together; the CLI exposes it as
 //! `\ingest` and `\subscribe`.
 
 pub mod engine;
 pub mod ewma;
+mod held;
 pub mod queue;
 pub mod relation;
 pub mod subscription;
@@ -35,4 +38,4 @@ pub use engine::{LiveConfig, LiveEngine, LiveReport, ReplaySummary};
 pub use ewma::OnlineStats;
 pub use queue::IngestQueue;
 pub use relation::{LiveRelation, RelationRecovery};
-pub use subscription::{Delta, Subscription};
+pub use subscription::{Delta, Subscription, SubscriptionMode};

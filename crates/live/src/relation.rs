@@ -18,6 +18,7 @@
 //! run is observable mid-flight.
 
 use crate::ewma::OnlineStats;
+use crate::held::Horizon;
 use crate::queue::IngestQueue;
 use std::path::Path;
 use tdb_core::{
@@ -65,6 +66,10 @@ pub struct LiveRelation {
     promotion_batches: u64,
     /// Largest single promotion batch.
     max_promotion_batch: u64,
+    /// The watermark at the last promotion: every tuple promoted from
+    /// here on has its sort key at or above it. `None` before the first
+    /// promotion (and after recovery, until one runs).
+    promotion_floor: Option<TimePoint>,
 }
 
 impl LiveRelation {
@@ -98,6 +103,7 @@ impl LiveRelation {
             promoted: 0,
             promotion_batches: 0,
             max_promotion_batch: 0,
+            promotion_floor: None,
         })
     }
 
@@ -195,7 +201,6 @@ impl LiveRelation {
                         }
                     }
                 }
-                WalRecord::BatchLoad { rows } => rel.durable_rows += rows,
             }
         }
         // Registration always creates the catalog relation empty, so the
@@ -346,6 +351,18 @@ impl LiveRelation {
         self.max_promotion_batch
     }
 
+    /// What this relation may still promote: nothing once sealed and
+    /// drained, otherwise tuples at or above the last promotion's
+    /// watermark (staged tuples were left behind because they sit there,
+    /// and later arrivals below it are rejected as late).
+    pub(crate) fn horizon(&self) -> Horizon {
+        if self.is_sealed() && self.stage.is_empty() {
+            Horizon::Closed
+        } else {
+            Horizon::of(self.order, self.promotion_floor)
+        }
+    }
+
     /// Online statistics snapshot (the live-plan override), `None` until
     /// the first arrival.
     pub fn live_stats(&self) -> Option<TemporalStats> {
@@ -402,6 +419,7 @@ impl LiveRelation {
     pub fn take_closed(&mut self) -> TdbResult<Vec<Row>> {
         let wm = &self.watermark;
         let closed = self.stage.take_closed(|t| wm.closes(t))?;
+        self.promotion_floor = wm.current();
         let n = closed.len() as u64;
         self.promoted += n;
         if n > 0 {

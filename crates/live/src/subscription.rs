@@ -1,27 +1,38 @@
 //! Standing queries over live relations.
 //!
-//! A subscription is a logical plan registered once and re-evaluated as
-//! watermarks advance. Every evaluation **re-verifies** the plan through
-//! the live analyzer ([`plan_verified_live`]) with the current online
-//! λ/E[D] estimates substituted for the catalog's static statistics — the
-//! workspace-cap proof tracks the traffic the stream actually carries,
-//! not the load-time snapshot.
+//! A subscription is a logical plan registered once and evaluated at
+//! every epoch. Only watermark-closed tuples are ever promoted into the
+//! catalog, so the catalog *is* the closed prefix, and because the
+//! supported operators are monotone (more input rows never retract an
+//! output row), every newly appearing result row is **final**: a
+//! subscription emits a delta stream with no retractions. It does so in
+//! one of two modes ([`SubscriptionMode`]):
 //!
-//! Because only watermark-closed tuples are ever promoted into the
-//! catalog, evaluating the plan over the catalog *is* evaluation over the
-//! closed prefix, and because the supported operators are monotone (more
-//! input rows never retract an output row), every newly appearing result
-//! row is **final**. The subscription therefore emits exactly the rows
-//! not yet emitted — a delta stream with no retractions — tracked as a
-//! multiset keyed by the rows' storage encoding so duplicate result rows
-//! (legitimate under joins) are emitted the right number of times.
+//! - **Held tuples.** A plan that is one stream join or semijoin over two
+//!   scans is planned once, at registration, and keeps per side the
+//!   tuples that can still match what the other side has yet to promote
+//!   ([`crate::held`]). Each epoch is handed only the rows just promoted,
+//!   so its cost follows the delta and the held state, not the prefix.
+//!   Registration is the same step over the catalog's current rows.
+//! - **Re-evaluated.** Every other plan is re-planned and re-run over the
+//!   whole closed prefix, and emits the rows not yet emitted — tracked as
+//!   a multiset keyed by the rows' storage encoding so duplicate result
+//!   rows (legitimate under joins) are emitted the right number of times.
+//!
+//! Either way every epoch **re-verifies** the plan through the live
+//! analyzer with the current online λ/E[D] estimates substituted for the
+//! catalog's static statistics — the workspace-cap proof tracks the
+//! traffic the stream actually carries, not the load-time snapshot — and
+//! the kernels' observed workspace peaks are held against that cap.
 
-use std::collections::BTreeMap;
-use tdb_algebra::{ExecOptions, LogicalPlan, PlannerConfig};
-use tdb_analyze::{plan_verified_live, AnalyzeConfig};
+use crate::held::{HeldJoin, Horizon};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use tdb_algebra::{ExecOptions, LogicalPlan, PhysicalPlan, PlannerConfig};
+use tdb_analyze::{plan_verified_live, verified_live, Analysis, AnalyzeConfig};
 use tdb_core::{Row, TdbResult, TemporalStats, TimePoint};
 use tdb_storage::{Catalog, Codec};
-use tdb_stream::Progress;
+use tdb_stream::{OpConfig, Progress};
 
 /// A batch of newly final result rows from one subscription.
 #[derive(Debug, Clone)]
@@ -38,8 +49,53 @@ pub struct Delta {
     /// The watermark frontier (lowest unsealed-relation watermark) the
     /// rows were finalized at, `None` before any arrival.
     pub watermark: Option<TimePoint>,
-    /// Newly final result rows, in plan output order.
+    /// Newly final result rows. A re-evaluated subscription keeps plan
+    /// output order; a held one emits the new left tuples' matches first.
     pub rows: Vec<Row>,
+}
+
+/// How a subscription computes its deltas (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubscriptionMode {
+    /// Keeps its held tuples between epochs; each epoch costs its delta.
+    Held,
+    /// Re-plans and re-runs over the closed prefix every epoch.
+    Reevaluated,
+}
+
+impl fmt::Display for SubscriptionMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            SubscriptionMode::Held => "held tuples",
+            SubscriptionMode::Reevaluated => "re-evaluated",
+        })
+    }
+}
+
+enum Mode {
+    /// The plan fixed at registration and its held tuples.
+    Held {
+        physical: PhysicalPlan,
+        join: Box<HeldJoin>,
+    },
+    /// Multiset of already-emitted rows: storage encoding → count.
+    Reevaluated { emitted: BTreeMap<Vec<u8>, usize> },
+}
+
+/// What one epoch hands every subscription.
+pub(crate) struct EpochInput<'a> {
+    pub catalog: &'a Catalog,
+    /// The rows each relation promoted this epoch, by relation name.
+    pub promoted: &'a BTreeMap<String, Vec<Row>>,
+    /// What each live relation may still promote; a relation not listed
+    /// is not live and promotes nothing.
+    pub horizons: &'a BTreeMap<String, Horizon>,
+    /// Online statistics overriding the catalog's, by relation name.
+    pub live_stats: &'a BTreeMap<String, TemporalStats>,
+    pub planner: PlannerConfig,
+    pub analyze: &'a AnalyzeConfig,
+    pub epoch: u64,
+    pub watermark: Option<TimePoint>,
 }
 
 /// One registered standing query.
@@ -47,8 +103,9 @@ pub struct Subscription {
     id: usize,
     label: String,
     logical: LogicalPlan,
-    /// Multiset of already-emitted rows: storage encoding → count.
-    emitted: BTreeMap<Vec<u8>, usize>,
+    mode: Mode,
+    /// Result rows emitted over the subscription's lifetime.
+    emitted: u64,
     progress: Progress,
     /// Highest runtime stream-operator workspace seen across evaluations.
     peak_workspace: usize,
@@ -60,18 +117,38 @@ pub struct Subscription {
 }
 
 impl Subscription {
-    pub(crate) fn new(id: usize, label: impl Into<String>, logical: LogicalPlan) -> Subscription {
-        Subscription {
+    /// A subscription over `physical`, the verified plan of `logical`:
+    /// held when its shape allows, re-evaluated otherwise.
+    pub(crate) fn new(
+        id: usize,
+        label: impl Into<String>,
+        logical: LogicalPlan,
+        physical: PhysicalPlan,
+        catalog: &Catalog,
+        planner: PlannerConfig,
+    ) -> TdbResult<Subscription> {
+        let cfg = OpConfig::new().with_batch_rows(planner.batch_rows);
+        let mode = match HeldJoin::from_plan(&physical, catalog, cfg)? {
+            Some(join) => Mode::Held {
+                physical,
+                join: Box::new(join),
+            },
+            None => Mode::Reevaluated {
+                emitted: BTreeMap::new(),
+            },
+        };
+        Ok(Subscription {
             id,
             label: label.into(),
             logical,
-            emitted: BTreeMap::new(),
+            mode,
+            emitted: 0,
             progress: Progress::new(),
             peak_workspace: 0,
             static_cap: 0,
             evaluations: 0,
             cancelled: false,
-        }
+        })
     }
 
     /// Subscription id.
@@ -89,9 +166,35 @@ impl Subscription {
         &self.logical
     }
 
+    /// How this subscription computes its deltas.
+    pub fn mode(&self) -> SubscriptionMode {
+        match self.mode {
+            Mode::Held { .. } => SubscriptionMode::Held,
+            Mode::Reevaluated { .. } => SubscriptionMode::Reevaluated,
+        }
+    }
+
+    /// Tuples a held subscription keeps across both inputs, `None` for a
+    /// re-evaluated one.
+    pub fn held_tuples(&self) -> Option<usize> {
+        match &self.mode {
+            Mode::Held { join, .. } => Some(join.held()),
+            Mode::Reevaluated { .. } => None,
+        }
+    }
+
+    /// The relations a held subscription reads; nothing for a
+    /// re-evaluated one, which reads the catalog itself.
+    pub(crate) fn held_relations(&self) -> BTreeSet<String> {
+        match &self.mode {
+            Mode::Held { join, .. } => join.relations().map(str::to_string).collect(),
+            Mode::Reevaluated { .. } => BTreeSet::new(),
+        }
+    }
+
     /// Result rows emitted over the subscription's lifetime.
     pub fn emitted_count(&self) -> usize {
-        self.emitted.values().sum()
+        self.emitted as usize
     }
 
     /// Evaluations performed so far.
@@ -122,53 +225,79 @@ impl Subscription {
         (self.peak_workspace, self.static_cap)
     }
 
-    /// Re-verify and re-evaluate over the current (closed-prefix) catalog,
-    /// returning the rows that became final since the last evaluation.
-    pub(crate) fn evaluate(
-        &mut self,
-        catalog: &Catalog,
-        live_stats: &BTreeMap<String, TemporalStats>,
-        planner: PlannerConfig,
-        analyze: &AnalyzeConfig,
-        epoch: u64,
-        watermark: Option<TimePoint>,
-    ) -> TdbResult<Delta> {
-        let (physical, analysis) =
-            plan_verified_live(&self.logical, planner, catalog, live_stats, analyze)?;
-        let cap: usize = analysis
-            .lowered
-            .ops
-            .iter()
-            .filter_map(|op| op.workspace_cap)
-            .sum();
-        self.static_cap = self.static_cap.max(cap);
-
-        let result = physical.execute(
-            catalog,
-            ExecOptions::new().with_batch_rows(planner.batch_rows),
-        )?;
-        self.peak_workspace = self.peak_workspace.max(result.stats.max_workspace);
-        self.evaluations += 1;
-
-        let mut rows = Vec::new();
-        let mut seen: BTreeMap<Vec<u8>, usize> = BTreeMap::new();
-        for row in result.rows {
-            let key = row.to_bytes().to_vec();
-            let count = seen.entry(key.clone()).or_insert(0);
-            *count += 1;
-            let already = self.emitted.get(&key).copied().unwrap_or(0);
-            if *count > already {
-                self.emitted.insert(key, *count);
-                rows.push(row);
-            }
+    /// Switch a held subscription to re-evaluation, e.g. because a
+    /// relation it read as static is about to receive promotions. Its
+    /// deltas so far are exactly the result over the current catalog,
+    /// which seeds the emitted multiset.
+    pub(crate) fn reevaluate_from_here(&mut self, catalog: &Catalog) -> TdbResult<()> {
+        let Mode::Held { physical, .. } = &self.mode else {
+            return Ok(());
+        };
+        let mut emitted = BTreeMap::new();
+        for row in physical.execute(catalog, ExecOptions::new())?.rows {
+            *emitted.entry(row.to_bytes().to_vec()).or_insert(0) += 1;
         }
+        self.mode = Mode::Reevaluated { emitted };
+        Ok(())
+    }
+
+    /// Re-verify, then return the rows that became final this epoch.
+    pub(crate) fn evaluate(&mut self, e: &EpochInput<'_>) -> TdbResult<Delta> {
+        let mut rows = Vec::new();
+        let peak = match &mut self.mode {
+            Mode::Held { physical, join } => {
+                let analysis = verified_live(physical, e.catalog, e.live_stats, e.analyze)?;
+                self.static_cap = self.static_cap.max(cap(&analysis));
+                let horizon = |name: &str| e.horizons.get(name).copied().unwrap_or(Horizon::Closed);
+                join.step(e.promoted, horizon, &mut rows)?
+            }
+            Mode::Reevaluated { emitted } => {
+                let (physical, analysis) = plan_verified_live(
+                    &self.logical,
+                    e.planner,
+                    e.catalog,
+                    e.live_stats,
+                    e.analyze,
+                )?;
+                self.static_cap = self.static_cap.max(cap(&analysis));
+                let result = physical.execute(
+                    e.catalog,
+                    ExecOptions::new().with_batch_rows(e.planner.batch_rows),
+                )?;
+                let mut seen: BTreeMap<Vec<u8>, usize> = BTreeMap::new();
+                for row in result.rows {
+                    let key = row.to_bytes().to_vec();
+                    let count = seen.entry(key.clone()).or_insert(0);
+                    *count += 1;
+                    let already = emitted.get(&key).copied().unwrap_or(0);
+                    if *count > already {
+                        emitted.insert(key, *count);
+                        rows.push(row);
+                    }
+                }
+                result.stats.max_workspace
+            }
+        };
+        self.peak_workspace = self.peak_workspace.max(peak);
+        self.evaluations += 1;
+        self.emitted += rows.len() as u64;
         self.progress.add_emitted(rows.len() as u64);
         Ok(Delta {
             subscription: self.id,
             label: self.label.clone(),
-            epoch,
-            watermark,
+            epoch: e.epoch,
+            watermark: e.watermark,
             rows,
         })
     }
+}
+
+/// The workspace cap the live verifier proved for a plan's operators.
+fn cap(analysis: &Analysis) -> usize {
+    analysis
+        .lowered
+        .ops
+        .iter()
+        .filter_map(|op| op.workspace_cap)
+        .sum()
 }

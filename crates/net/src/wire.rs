@@ -30,8 +30,9 @@ use tdb_engine::{DeltaFrame, QueryReport, QueryTrailer, Response};
 /// version 3 sends a streamed result's header before the query has
 /// finished and closes the stream with [`Frame::ReplyEnd`]; version 4
 /// writes every row vector as a row list, whose repeated strings are
-/// references into a table local to the list.
-pub const PROTOCOL_VERSION: u8 = 4;
+/// references into a table local to the list; version 5 names each
+/// subscription's mode in the live status.
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Hard ceiling on a frame's declared payload length. A corrupt or
 /// hostile length prefix fails fast instead of driving a giant

@@ -14,8 +14,8 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use tdb_core::{
-    jobj, Direction, Field, FieldType, Json, Row, Schema, SortKey, SortSpec, StreamOrder, TdbError,
-    TdbResult, TemporalSchema, TemporalStats, TimePoint,
+    jobj, Direction, Field, FieldType, Json, Period, Row, Schema, SortKey, SortSpec,
+    StatsAccumulator, StreamOrder, TdbError, TdbResult, TemporalSchema, TemporalStats, TimePoint,
 };
 
 /// Metadata for one relation.
@@ -217,10 +217,32 @@ impl RelationMeta {
     }
 }
 
+/// What an append needs to know about a stored relation without reading
+/// it: the period of its last row, and — while the stored rows are sorted
+/// on `TS` — the running terms of its statistics. Kept in memory only;
+/// the manifest and heap never see it.
+#[derive(Debug, Clone)]
+struct Tail {
+    last: Option<Period>,
+    stats: Option<StatsAccumulator>,
+}
+
+impl Tail {
+    fn of(periods: &[Period]) -> Tail {
+        Tail {
+            last: periods.last().copied(),
+            stats: StatsAccumulator::of_sorted(periods),
+        }
+    }
+}
+
 /// A directory-backed catalog of temporal relations.
 pub struct Catalog {
     dir: PathBuf,
     relations: BTreeMap<String, RelationMeta>,
+    /// Per-relation append state, built by one scan on a relation's first
+    /// append after [`Catalog::open`] (or from the rows at creation).
+    tails: BTreeMap<String, Tail>,
     io: IoStats,
     /// When set, every manifest write goes through write-temp → fsync →
     /// rename and heap appends are fdatasync'd before the manifest points
@@ -251,6 +273,7 @@ impl Catalog {
         Ok(Catalog {
             dir,
             relations,
+            tails: BTreeMap::new(),
             io,
             durable: false,
         })
@@ -378,6 +401,7 @@ impl Catalog {
 
         let stats = TemporalStats::compute(&periods);
         let pages = Some(heap.page_count());
+        self.tails.insert(name.to_string(), Tail::of(&periods));
         self.relations.insert(
             name.to_string(),
             RelationMeta {
@@ -394,14 +418,19 @@ impl Catalog {
     }
 
     /// Append rows to an existing relation, preserving its claimed sort
-    /// orders and refreshing statistics.
+    /// orders and refreshing statistics, in O(appended rows).
     ///
-    /// Every claimed order in `known_orders` is re-verified over the
-    /// *combined* row sequence, so an append that would break an order the
-    /// optimizer relies on is rejected outright. Live ingestion satisfies
-    /// this by construction: closed prefixes are promoted in watermark
-    /// order, so each batch sorts entirely after the rows already stored.
-    /// Returns the new total row count.
+    /// Every claimed order in `known_orders` is checked over the stored
+    /// tail row followed by the new rows — sortedness is a property of
+    /// adjacent pairs, so the stored prefix needs no re-reading — and an
+    /// append that would break an order the optimizer relies on is
+    /// rejected, leaving heap and manifest untouched. Live ingestion
+    /// satisfies this by construction: closed prefixes are promoted in
+    /// watermark order, so each batch sorts entirely after the rows
+    /// already stored. Statistics extend the relation's running terms
+    /// while the stored rows stay sorted on `TS`; an append that does not
+    /// continue that order recomputes them from a full scan. Returns the
+    /// new total row count.
     pub fn append_rows(&mut self, name: &str, rows: &[Row]) -> TdbResult<usize> {
         let meta = self.meta(name)?;
         if rows.is_empty() {
@@ -409,24 +438,34 @@ impl Catalog {
         }
         let schema = meta.schema.clone();
         let file = meta.file.clone();
-        let known_orders = meta.known_orders.clone();
-
-        let existing = self.scan(name)?;
-        let mut periods = Vec::with_capacity(existing.len() + rows.len());
-        for row in &existing {
-            periods.push(schema.period_of(row)?);
-        }
+        let stored = meta.rows;
+        let mut periods = Vec::with_capacity(rows.len() + 1);
         for row in rows {
             schema.check_row(row)?;
             periods.push(schema.period_of(row)?);
         }
-        for order in &known_orders {
-            if let Some(i) = order.first_violation(&periods) {
-                return Err(TdbError::OrderViolation {
-                    context: "catalog append_rows",
-                    detail: format!("append would violate claimed order {order} at row {i}"),
-                });
-            }
+        let mut tail = match self.tails.remove(name) {
+            Some(tail) => tail,
+            None => Tail::of(&self.stored_periods(name)?),
+        };
+        let checked = match tail.last {
+            Some(last) => [&[last][..], &periods].concat(),
+            None => periods.clone(),
+        };
+        let offset = stored - usize::from(tail.last.is_some());
+        let violation = self.meta(name)?.known_orders.iter().find_map(|order| {
+            let i = order.first_violation(&checked)?;
+            Some(format!(
+                "append would violate claimed order {order} at row {}",
+                offset + i
+            ))
+        });
+        if let Some(detail) = violation {
+            self.tails.insert(name.to_string(), tail);
+            return Err(TdbError::OrderViolation {
+                context: "catalog append_rows",
+                detail,
+            });
         }
 
         let mut heap = HeapFile::open(self.dir.join(&file), self.io.clone())?;
@@ -438,8 +477,23 @@ impl Catalog {
             heap.sync_data()?;
         }
 
-        let stats = TemporalStats::compute(&periods);
-        let total = periods.len();
+        tail.last = periods.last().copied();
+        let extended = tail
+            .stats
+            .as_mut()
+            .is_some_and(|acc| periods.iter().all(|p| acc.push(*p)));
+        if !extended {
+            tail.stats = None;
+        }
+        let stats = match &tail.stats {
+            Some(acc) => acc.stats(),
+            // The stored rows are not (or no longer) sorted on TS, and no
+            // append can sort them again: from here on the statistics come
+            // from a full scan.
+            None => TemporalStats::compute(&self.stored_periods(name)?),
+        };
+        self.tails.insert(name.to_string(), tail);
+        let total = stored + rows.len();
         let pages = Some(heap.page_count());
         let meta = self
             .relations
@@ -450,6 +504,15 @@ impl Catalog {
         meta.pages = pages;
         self.persist()?;
         Ok(total)
+    }
+
+    /// The operand periods of every stored row of `name`, in storage order.
+    fn stored_periods(&self, name: &str) -> TdbResult<Vec<Period>> {
+        let schema = &self.meta(name)?.schema;
+        self.scan(name)?
+            .iter()
+            .map(|row| schema.period_of(row))
+            .collect()
     }
 
     /// Read every row of `name` in storage order.
@@ -465,6 +528,7 @@ impl Catalog {
             .relations
             .remove(name)
             .ok_or_else(|| TdbError::Catalog(format!("unknown relation `{name}`")))?;
+        self.tails.remove(name);
         let _ = std::fs::remove_file(self.dir.join(&meta.file));
         self.persist()
     }
@@ -582,6 +646,128 @@ mod tests {
 
         // Empty appends are a no-op returning the current count.
         assert_eq!(cat.append_rows("Faculty", &[]).unwrap(), 4);
+    }
+
+    fn at(ts: i64, te: i64) -> Row {
+        Row::new(vec![
+            Value::str("x"),
+            Value::str("Assistant"),
+            Value::Time(TimePoint(ts)),
+            Value::Time(TimePoint(te)),
+        ])
+    }
+
+    /// `meta.stats` must be what a full scan computes, field by field.
+    fn assert_stats_match_scan(cat: &Catalog, name: &str) {
+        let meta = cat.meta(name).unwrap();
+        let periods: Vec<Period> = cat
+            .scan(name)
+            .unwrap()
+            .iter()
+            .map(|r| meta.schema.period_of(r).unwrap())
+            .collect();
+        assert_eq!(meta.rows, periods.len());
+        assert_eq!(meta.stats, TemporalStats::compute(&periods));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        #[test]
+        fn appended_stats_equal_a_full_recompute(
+            batches in proptest::collection::vec(
+                (proptest::collection::vec((0i64..5, 1i64..30), 1..12), proptest::bool::ANY),
+                1..8,
+            ),
+        ) {
+            let dir = tmpdir(&format!("prop-{}", batches.len()));
+            let schema = TemporalSchema::time_sequence("Name", "Rank");
+            let mut cat = Catalog::open(&dir, IoStats::new()).unwrap();
+            cat.create_relation("R", schema, &[], vec![StreamOrder::TS_ASC]).unwrap();
+            let mut ts = 0i64;
+            for (batch, reopen) in &batches {
+                if *reopen {
+                    cat = Catalog::open(&dir, IoStats::new()).unwrap();
+                }
+                let rows: Vec<Row> = batch
+                    .iter()
+                    .map(|&(gap, dur)| {
+                        ts += gap;
+                        at(ts, ts + dur)
+                    })
+                    .collect();
+                cat.append_rows("R", &rows).unwrap();
+                assert_stats_match_scan(&cat, "R");
+            }
+        }
+    }
+
+    #[test]
+    fn append_before_the_stored_tail_is_rejected_before_and_after_reopen() {
+        let dir = tmpdir("tail");
+        let schema = TemporalSchema::time_sequence("Name", "Rank");
+        let mut cat = Catalog::open(&dir, IoStats::new()).unwrap();
+        cat.create_relation(
+            "R",
+            schema,
+            &[at(0, 4), at(3, 9)],
+            vec![StreamOrder::TS_ASC],
+        )
+        .unwrap();
+        cat.append_rows("R", &[at(5, 6)]).unwrap();
+        let files = || {
+            (
+                std::fs::read(dir.join("R.heap")).unwrap(),
+                std::fs::read(dir.join(Catalog::MANIFEST)).unwrap(),
+            )
+        };
+        for reopen in [false, true] {
+            if reopen {
+                cat = Catalog::open(&dir, IoStats::new()).unwrap();
+            }
+            let before = files();
+            let stored = cat.meta("R").unwrap().rows;
+            let err = cat.append_rows("R", &[at(4, 30), at(7, 8)]).unwrap_err();
+            let TdbError::OrderViolation { detail, .. } = err else {
+                panic!("expected an order violation, got {err}");
+            };
+            // The first new row, numbered after the stored ones.
+            assert!(detail.contains(&format!("at row {stored}")), "{detail}");
+            assert_eq!(files(), before, "reopen {reopen}");
+            // The relation still takes rows that continue its order.
+            cat.append_rows("R", &[at(8, 12)]).unwrap();
+            assert_stats_match_scan(&cat, "R");
+        }
+    }
+
+    #[test]
+    fn appends_out_of_ts_order_recompute_from_a_scan() {
+        let dir = tmpdir("unordered");
+        let schema = TemporalSchema::time_sequence("Name", "Rank");
+        let mut cat = Catalog::open(&dir, IoStats::new()).unwrap();
+        // Sorted on TE only: each append continues TE order, not TS order.
+        cat.create_relation(
+            "R",
+            schema,
+            &[at(5, 10), at(0, 12)],
+            vec![StreamOrder::TE_ASC],
+        )
+        .unwrap();
+        assert_stats_match_scan(&cat, "R");
+        cat.append_rows("R", &[at(2, 13), at(11, 14)]).unwrap();
+        assert_stats_match_scan(&cat, "R");
+        cat = Catalog::open(&dir, IoStats::new()).unwrap();
+        cat.append_rows("R", &[at(1, 20)]).unwrap();
+        assert_stats_match_scan(&cat, "R");
+        // A TS-sorted relation whose append restarts TS leaves the
+        // running terms too: later appends still match a scan.
+        let schema = TemporalSchema::time_sequence("Name", "Rank");
+        cat.create_relation("S", schema, &[at(0, 50), at(10, 20)], vec![])
+            .unwrap();
+        cat.append_rows("S", &[at(5, 30)]).unwrap();
+        assert_stats_match_scan(&cat, "S");
+        cat.append_rows("S", &[at(40, 45), at(41, 60)]).unwrap();
+        assert_stats_match_scan(&cat, "S");
+        assert_eq!(cat.meta("S").unwrap().stats.max_concurrency, 3);
     }
 
     #[test]

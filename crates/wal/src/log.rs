@@ -349,16 +349,19 @@ mod tests {
     #[test]
     fn crc_valid_but_undecodable_payload_is_wal_corrupt() {
         let path = tmp("d.wal");
-        let payload = [0xABu8, 1, 2, 3]; // unknown tag, valid CRC
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        std::fs::write(&path, &frame).unwrap();
-        assert!(matches!(
-            replay(&path),
-            Err(TdbError::WalCorrupt { offset: 0, .. })
-        ));
+        // An unknown tag, and tag 7: the retired bulk-load record.
+        let retired = [7u8, 10, 0, 0, 0, 0, 0, 0, 0];
+        for payload in [&[0xABu8, 1, 2, 3][..], &retired] {
+            let mut frame = Vec::new();
+            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            frame.extend_from_slice(&crc32(payload).to_le_bytes());
+            frame.extend_from_slice(payload);
+            std::fs::write(&path, &frame).unwrap();
+            assert!(matches!(
+                replay(&path),
+                Err(TdbError::WalCorrupt { offset: 0, .. })
+            ));
+        }
     }
 
     #[test]

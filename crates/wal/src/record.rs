@@ -18,7 +18,6 @@ const TAG_WATERMARK: u8 = 3;
 const TAG_SEAL: u8 = 4;
 const TAG_PROMOTE: u8 = 5;
 const TAG_CHECKPOINT: u8 = 6;
-const TAG_BATCH_LOAD: u8 = 7;
 
 /// One durable event in a relation's write-ahead log.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,12 +60,6 @@ pub enum WalRecord {
         frontier: Option<TimePoint>,
         /// Whether the stream was sealed.
         sealed: bool,
-    },
-    /// A bulk load went directly to the (durable) catalog while this log
-    /// existed; informational — replay reconciles via the catalog.
-    BatchLoad {
-        /// Rows loaded.
-        rows: u64,
     },
 }
 
@@ -171,10 +164,6 @@ impl Codec for WalRecord {
                 put_opt_time(buf, *frontier);
                 buf.put_u8(u8::from(*sealed));
             }
-            WalRecord::BatchLoad { rows } => {
-                buf.put_u8(TAG_BATCH_LOAD);
-                buf.put_u64_le(*rows);
-            }
         }
     }
 
@@ -219,12 +208,6 @@ impl Codec for WalRecord {
                     sealed: buf.get_u8() != 0,
                 })
             }
-            TAG_BATCH_LOAD => {
-                need(buf, 8, "batch-load count")?;
-                Ok(WalRecord::BatchLoad {
-                    rows: buf.get_u64_le(),
-                })
-            }
             t => Err(corrupt(&format!("unknown record tag {t}"))),
         }
     }
@@ -264,7 +247,6 @@ mod tests {
                 frontier: Some(TimePoint(41)),
                 sealed: true,
             },
-            WalRecord::BatchLoad { rows: 10 },
         ]
     }
 
@@ -291,5 +273,16 @@ mod tests {
     #[test]
     fn unknown_tag_rejected() {
         assert!(WalRecord::from_bytes(&[0xAB]).is_err());
+    }
+
+    #[test]
+    fn retired_batch_load_tag_is_corrupt() {
+        // Tag 7 once named a bulk-load record that nothing ever wrote.
+        let mut bytes = vec![7u8];
+        bytes.extend_from_slice(&10u64.to_le_bytes());
+        assert!(matches!(
+            WalRecord::from_bytes(&bytes),
+            Err(TdbError::Corrupt(msg)) if msg.contains("unknown record tag 7")
+        ));
     }
 }

@@ -7,14 +7,18 @@
 //! query has emitted must equal, as a multiset, the batch execution of the
 //! same logical plan over the *watermark-closed prefix* of the arrivals,
 //! computed independently of the engine (all arrivals with sort key
-//! strictly below the maximum key seen). Covered: containment join,
-//! general-overlap join, containment semijoin — serial and with K = 4
-//! time-range partitions.
+//! strictly below the maximum key seen). Covered: containment, during,
+//! general-overlap and Allen-overlaps joins and the containment semijoin,
+//! which keep their held tuples between epochs, plus a Before semijoin,
+//! which re-evaluates — serial and with K = 4 time-range
+//! partitions; subscribing before any data and after rows were promoted;
+//! both relations live, or a live `X` against a static `Y`. A steady
+//! stream checks that the held state stays bounded.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tdb::live::{LiveConfig, LiveEngine};
+use tdb::live::{LiveConfig, LiveEngine, SubscriptionMode};
 use tdb::prelude::*;
 use tdb::storage::Codec;
 
@@ -86,23 +90,56 @@ fn multiset(rows: &[Row]) -> BTreeMap<Vec<u8>, usize> {
     out
 }
 
-/// The three standing-query shapes under test.
-fn plans() -> Vec<(&'static str, LogicalPlan)> {
-    let x = || LogicalPlan::scan("X", "x", &ATTRS);
-    let y = || LogicalPlan::scan("Y", "y", &ATTRS);
-    let contains = vec![
+fn contains() -> Vec<Atom> {
+    vec![
         Atom::cols("x", "ValidFrom", CompOp::Lt, "y", "ValidFrom"),
         Atom::cols("y", "ValidTo", CompOp::Lt, "x", "ValidTo"),
-    ];
+    ]
+}
+
+/// The standing-query shapes under test, with the mode each must run in.
+fn plans() -> Vec<(&'static str, LogicalPlan, SubscriptionMode)> {
+    let x = || LogicalPlan::scan("X", "x", &ATTRS);
+    let y = || LogicalPlan::scan("Y", "y", &ATTRS);
     let overlap = vec![
         Atom::cols("x", "ValidFrom", CompOp::Lt, "y", "ValidTo"),
         Atom::cols("y", "ValidFrom", CompOp::Lt, "x", "ValidTo"),
     ];
+    let during = vec![
+        Atom::cols("y", "ValidFrom", CompOp::Lt, "x", "ValidFrom"),
+        Atom::cols("x", "ValidTo", CompOp::Lt, "y", "ValidTo"),
+    ];
+    let allen_overlaps = vec![
+        Atom::cols("x", "ValidFrom", CompOp::Lt, "y", "ValidFrom"),
+        Atom::cols("y", "ValidFrom", CompOp::Lt, "x", "ValidTo"),
+        Atom::cols("x", "ValidTo", CompOp::Lt, "y", "ValidTo"),
+    ];
+    // Before has no kernel to resume: this one re-plans and re-runs
+    // every epoch.
+    let before = vec![Atom::cols("x", "ValidTo", CompOp::Lt, "y", "ValidFrom")];
+    let held = SubscriptionMode::Held;
     vec![
-        ("contain-join", x().join(y(), contains.clone())),
-        ("overlap-join", x().join(y(), overlap)),
-        ("contain-semijoin", x().semijoin(y(), contains)),
+        ("contain-join", x().join(y(), contains()), held),
+        ("during-join", x().join(y(), during), held),
+        ("overlap-join", x().join(y(), overlap), held),
+        ("allen-overlaps-join", x().join(y(), allen_overlaps), held),
+        ("contain-semijoin", x().semijoin(y(), contains()), held),
+        (
+            "before-semijoin",
+            x().semijoin(y(), before),
+            SubscriptionMode::Reevaluated,
+        ),
     ]
+}
+
+/// How a case feeds the engine.
+#[derive(Debug, Clone, Copy, Default)]
+struct Case {
+    /// Ingest rounds (one `X` and one `Y` chunk each) before subscribing.
+    subscribe_after: usize,
+    /// `Y` is a stored relation, never live: all of it is there from the
+    /// start and only `X` streams.
+    static_y: bool,
 }
 
 /// Batch-execute `logical` over a fresh catalog holding exactly the given
@@ -128,10 +165,10 @@ fn batch(
     multiset(&physical.execute(&cat, ExecOptions::default()).unwrap().rows)
 }
 
-fn run_case(raw_x: &[(i64, i64)], raw_y: &[(i64, i64)], chunk: usize, k: usize) {
-    let case = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
+fn run_case(raw_x: &[(i64, i64)], raw_y: &[(i64, i64)], chunk: usize, k: usize, case: Case) {
+    let seq = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
     let root =
-        std::env::temp_dir().join(format!("tdb-live-equiv-{}-{case}-k{k}", std::process::id()));
+        std::env::temp_dir().join(format!("tdb-live-equiv-{}-{seq}-k{k}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 
     let config = PlannerConfig::stream().with_parallelism(k);
@@ -142,30 +179,36 @@ fn run_case(raw_x: &[(i64, i64)], raw_y: &[(i64, i64)], chunk: usize, k: usize) 
         stage_budget: 8,
         ..LiveConfig::default()
     };
+    let x_rows = rows("x", raw_x);
+    let y_rows = rows("y", raw_y);
     let mut catalog = Catalog::open(root.join("cat"), IoStats::new()).unwrap();
     let mut engine = LiveEngine::new(root.join("live"), live_config);
     engine
         .register(&mut catalog, "X", interval_schema(), StreamOrder::TS_ASC)
         .unwrap();
-    engine
-        .register(&mut catalog, "Y", interval_schema(), StreamOrder::TS_ASC)
-        .unwrap();
-
-    let named = plans();
-    let mut emitted: Vec<BTreeMap<Vec<u8>, usize>> = Vec::new();
-    for (label, logical) in &named {
-        let (_analysis, delta) = engine.subscribe(&catalog, *label, logical.clone()).unwrap();
-        assert!(delta.rows.is_empty(), "{label}: nothing final before data");
-        emitted.push(BTreeMap::new());
+    if case.static_y {
+        let mut sorted_y = y_rows.clone();
+        sorted_y.sort_by_key(ts_of);
+        catalog
+            .create_relation("Y", interval_schema(), &sorted_y, vec![StreamOrder::TS_ASC])
+            .unwrap();
+    } else {
+        engine
+            .register(&mut catalog, "Y", interval_schema(), StreamOrder::TS_ASC)
+            .unwrap();
     }
 
-    let x_rows = rows("x", raw_x);
-    let y_rows = rows("y", raw_y);
+    let named = plans();
+    let mut emitted: Vec<BTreeMap<Vec<u8>, usize>> = vec![BTreeMap::new(); named.len()];
     let mut arrived_x: Vec<Row> = Vec::new();
-    let mut arrived_y: Vec<Row> = Vec::new();
+    let mut arrived_y: Vec<Row> = if case.static_y {
+        y_rows.clone()
+    } else {
+        Vec::new()
+    };
 
-    let absorb = |emitted: &mut Vec<BTreeMap<Vec<u8>, usize>>, report: &tdb::live::LiveReport| {
-        for delta in &report.deltas {
+    let absorb = |emitted: &mut Vec<BTreeMap<Vec<u8>, usize>>, deltas: &[tdb::live::Delta]| {
+        for delta in deltas {
             let bucket = &mut emitted[delta.subscription];
             for (key, n) in multiset(&delta.rows) {
                 *bucket.entry(key).or_insert(0) += n;
@@ -174,48 +217,63 @@ fn run_case(raw_x: &[(i64, i64)], raw_y: &[(i64, i64)], chunk: usize, k: usize) 
     };
 
     // Interleave chunks: X then Y, `chunk` arrivals at a time, checking
-    // the equivalence after every epoch.
+    // the equivalence after every epoch once subscribed.
     let mut ix = 0;
     let mut iy = 0;
     let mut sealed = false;
-    loop {
+    let mut subscribed = false;
+    for round in 0.. {
+        if round == case.subscribe_after {
+            for (label, logical, mode) in &named {
+                let (_analysis, delta) =
+                    engine.subscribe(&catalog, *label, logical.clone()).unwrap();
+                let sub = &engine.subscriptions()[delta.subscription];
+                assert_eq!(sub.mode(), *mode, "{label}");
+                absorb(&mut emitted, &[delta]);
+            }
+            subscribed = true;
+        }
         let mut progressed = false;
         if ix < x_rows.len() {
             let batch_rows: Vec<Row> = x_rows[ix..(ix + chunk).min(x_rows.len())].to_vec();
             ix += batch_rows.len();
             arrived_x.extend(batch_rows.iter().cloned());
             let report = engine.ingest(&mut catalog, "X", batch_rows).unwrap();
-            absorb(&mut emitted, &report);
+            absorb(&mut emitted, &report.deltas);
             progressed = true;
         }
-        if iy < y_rows.len() {
+        if !case.static_y && iy < y_rows.len() {
             let batch_rows: Vec<Row> = y_rows[iy..(iy + chunk).min(y_rows.len())].to_vec();
             iy += batch_rows.len();
             arrived_y.extend(batch_rows.iter().cloned());
             let report = engine.ingest(&mut catalog, "Y", batch_rows).unwrap();
-            absorb(&mut emitted, &report);
+            absorb(&mut emitted, &report.deltas);
             progressed = true;
         }
         if !progressed {
             if sealed {
                 break;
             }
-            for name in ["X", "Y"] {
+            let live: &[&str] = if case.static_y { &["X"] } else { &["X", "Y"] };
+            for name in live {
                 let report = engine.seal(&mut catalog, name).unwrap();
-                absorb(&mut emitted, &report);
+                absorb(&mut emitted, &report.deltas);
             }
             sealed = true;
+        }
+        if !subscribed {
+            continue;
         }
         // Equivalence at this epoch: emitted-so-far == batch over the
         // closed prefixes.
         let px = closed_prefix(&arrived_x, sealed);
-        let py = closed_prefix(&arrived_y, sealed);
-        for (s, (label, logical)) in named.iter().enumerate() {
+        let py = closed_prefix(&arrived_y, sealed || case.static_y);
+        for (s, (label, logical, _)) in named.iter().enumerate() {
             let expect = batch(&root.join("batch"), config, logical, &px, &py);
             assert_eq!(
                 emitted[s],
                 expect,
-                "{label} (K={k}): live deltas diverge from batch over closed prefix \
+                "{label} (K={k}, {case:?}): live deltas diverge from batch over closed prefix \
                  ({} X rows, {} Y rows, sealed={sealed})",
                 px.len(),
                 py.len()
@@ -224,14 +282,15 @@ fn run_case(raw_x: &[(i64, i64)], raw_y: &[(i64, i64)], chunk: usize, k: usize) 
     }
 
     // Final sanity: every subscription's runtime workspace stayed within
-    // its statically proven cap.
-    for sub in engine.subscriptions() {
+    // its statically proven cap, and its counter matches what it pushed.
+    for (s, sub) in engine.subscriptions().iter().enumerate() {
         let (peak, cap) = sub.workspace_watermark();
         assert!(
             peak <= cap,
             "{}: runtime workspace {peak} exceeded proven cap {cap}",
             sub.label()
         );
+        assert_eq!(sub.emitted_count(), emitted[s].values().sum::<usize>());
     }
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -243,10 +302,13 @@ proptest! {
         raw_x in proptest::collection::vec((0i64..6, 1i64..40), 1..20),
         raw_y in proptest::collection::vec((0i64..6, 1i64..40), 1..20),
         chunk in 1usize..6,
+        subscribe_after in 0usize..3,
     ) {
         for k in [1usize, 4] {
-            run_case(&raw_x, &raw_y, chunk, k);
+            run_case(&raw_x, &raw_y, chunk, k, Case::default());
         }
+        run_case(&raw_x, &raw_y, chunk, 1, Case { subscribe_after, static_y: false });
+        run_case(&raw_x, &raw_y, chunk, 1, Case { subscribe_after, static_y: true });
     }
 }
 
@@ -254,5 +316,146 @@ proptest! {
 fn duplicate_result_rows_are_emitted_with_multiplicity() {
     // Two identical Y intervals inside one X interval: the contain join
     // must emit the duplicate pair twice across the stream's lifetime.
-    run_case(&[(0, 30)], &[(2, 5), (0, 5)], 1, 1);
+    run_case(&[(0, 30)], &[(2, 5), (0, 5)], 1, 1, Case::default());
+}
+
+#[test]
+fn a_steady_stream_holds_a_bounded_state() {
+    let root = std::env::temp_dir().join(format!("tdb-live-held-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut catalog = Catalog::open(root.join("cat"), IoStats::new()).unwrap();
+    let mut engine = LiveEngine::new(root.join("live"), LiveConfig::default());
+    for name in ["X", "Y"] {
+        engine
+            .register(&mut catalog, name, interval_schema(), StreamOrder::TS_ASC)
+            .unwrap();
+    }
+    let x = || LogicalPlan::scan("X", "x", &ATTRS);
+    let y = || LogicalPlan::scan("Y", "y", &ATTRS);
+    for (label, logical) in [
+        ("join", x().join(y(), contains())),
+        ("semijoin", x().semijoin(y(), contains())),
+    ] {
+        engine.subscribe(&catalog, label, logical).unwrap();
+    }
+    // Every frame is the same shape shifted in time: ten arrivals per
+    // side, three ticks apart, durations cycling with period five.
+    let frame = |side: &str, f: i64| -> Vec<Row> {
+        (0..10)
+            .map(|i| {
+                let n = f * 10 + i;
+                let ts = n * 3 + i64::from(side == "Y");
+                let dur = if side == "X" {
+                    20 + n % 5 * 4
+                } else {
+                    2 + n % 5
+                };
+                Row::new(vec![
+                    Value::str(format!("{side}{n}")),
+                    Value::Int(n),
+                    Value::Time(TimePoint(ts)),
+                    Value::Time(TimePoint(ts + dur)),
+                ])
+            })
+            .collect()
+    };
+    let mut held_at = BTreeMap::new();
+    for f in 0..400 {
+        for side in ["X", "Y"] {
+            engine.ingest(&mut catalog, side, frame(side, f)).unwrap();
+        }
+        if f + 1 == 40 || f + 1 == 400 {
+            let held: Vec<usize> = engine
+                .subscriptions()
+                .iter()
+                .map(|s| s.held_tuples().unwrap())
+                .collect();
+            held_at.insert(f + 1, held);
+        }
+    }
+    let (early, late) = (&held_at[&40], &held_at[&400]);
+    for (i, (e, l)) in early.iter().zip(late).enumerate() {
+        assert!(
+            l <= e,
+            "subscription {i}: {l} held after 400 frames, {e} after 40"
+        );
+    }
+    assert!(early.iter().sum::<usize>() > 0, "the open tuples are held");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_static_side_that_goes_live_switches_to_reevaluation() {
+    let root = std::env::temp_dir().join(format!("tdb-live-golive-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut catalog = Catalog::open(root.join("cat"), IoStats::new()).unwrap();
+    let mut engine = LiveEngine::new(root.join("live"), LiveConfig::default());
+    engine
+        .register(&mut catalog, "X", interval_schema(), StreamOrder::TS_ASC)
+        .unwrap();
+    let xs = rows("x", &[(0, 40), (2, 9), (3, 30), (4, 4), (5, 60), (9, 3)]);
+    let ys = rows("y", &[(1, 2), (3, 5), (4, 3), (6, 2), (3, 1), (7, 4)]);
+    let (stored_y, later_y) = ys.split_at(3);
+    catalog
+        .create_relation("Y", interval_schema(), stored_y, vec![StreamOrder::TS_ASC])
+        .unwrap();
+    let (_, delta) = engine
+        .subscribe(
+            &catalog,
+            "contain-join",
+            LogicalPlan::scan("X", "x", &ATTRS)
+                .join(LogicalPlan::scan("Y", "y", &ATTRS), contains()),
+        )
+        .unwrap();
+    let mut emitted = multiset(&delta.rows);
+    let mut absorb = |deltas: &[tdb::live::Delta]| {
+        for d in deltas {
+            for (key, n) in multiset(&d.rows) {
+                *emitted.entry(key).or_insert(0) += n;
+            }
+        }
+    };
+    absorb(
+        &engine
+            .ingest(&mut catalog, "X", xs[..3].to_vec())
+            .unwrap()
+            .deltas,
+    );
+    assert_eq!(engine.subscriptions()[0].mode(), SubscriptionMode::Held);
+
+    // Y starts streaming: rows it never promoted before can now arrive.
+    engine
+        .register(&mut catalog, "Y", interval_schema(), StreamOrder::TS_ASC)
+        .unwrap();
+    assert_eq!(
+        engine.subscriptions()[0].mode(),
+        SubscriptionMode::Reevaluated
+    );
+    absorb(
+        &engine
+            .ingest(&mut catalog, "Y", later_y.to_vec())
+            .unwrap()
+            .deltas,
+    );
+    absorb(
+        &engine
+            .ingest(&mut catalog, "X", xs[3..].to_vec())
+            .unwrap()
+            .deltas,
+    );
+    for name in ["X", "Y"] {
+        absorb(&engine.seal(&mut catalog, name).unwrap().deltas);
+    }
+    let logical =
+        LogicalPlan::scan("X", "x", &ATTRS).join(LogicalPlan::scan("Y", "y", &ATTRS), contains());
+    let expect = batch(
+        &root.join("batch"),
+        PlannerConfig::stream(),
+        &logical,
+        &xs,
+        &ys,
+    );
+    assert!(!expect.is_empty());
+    assert_eq!(emitted, expect);
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -181,6 +181,7 @@ fn build_response(sel: u8, a: i64, n: u64, name: &str, raw: &[(i64, i64)], flag:
             subscriptions: vec![SubscriptionStatus {
                 id: n % 3,
                 label: name.to_string(),
+                mode: if flag { "held tuples" } else { "re-evaluated" }.into(),
                 evaluations: n,
                 emitted: n / 5,
                 workspace_peak: n % 19,
