@@ -9,9 +9,10 @@
 //! 2. snapshot online statistics as per-relation overrides, and each live
 //!    relation's horizon (what it may still promote);
 //! 3. re-verify every subscription under those statistics and collect
-//!    the rows that became final: a held subscription is handed only the
-//!    rows just promoted, a re-evaluated one re-runs over the enlarged
-//!    catalog.
+//!    the rows that became final: a held subscription folds in only the
+//!    rows handed to it at step 1 (kept until an epoch succeeds, so a
+//!    failed one loses nothing), a re-evaluated one re-runs over the
+//!    enlarged catalog.
 //!
 //! The engine never holds a borrow of the catalog between calls: the
 //! caller (a CLI session, a benchmark, a test) passes it in, keeping
@@ -374,14 +375,11 @@ impl LiveEngine {
         let mut sub =
             Subscription::new(id, label, logical, physical, catalog, self.config.planner)?;
         // A held subscription starts from everything promoted so far.
-        let mut current = BTreeMap::new();
         for name in sub.held_relations() {
-            let rows = catalog.scan(&name)?;
-            current.insert(name, rows);
+            sub.hand(&name, &catalog.scan(&name)?);
         }
         let delta = sub.evaluate(&EpochInput {
             catalog,
-            promoted: &current,
             horizons: &self.horizons(),
             live_stats: &overrides,
             planner: self.config.planner,
@@ -457,7 +455,6 @@ impl LiveEngine {
             epoch: self.epoch,
             ..LiveReport::default()
         };
-        let mut promoted = BTreeMap::new();
         for rel in self.relations.values_mut() {
             let closed = rel.take_closed()?;
             if !closed.is_empty() {
@@ -471,7 +468,11 @@ impl LiveEngine {
                 rel.confirm_promotion(closed.len() as u64);
                 rel.wal_checkpoint()?;
                 report.promoted += closed.len();
-                promoted.insert(rel.name().to_string(), closed);
+                // Handed over at once: a later failure this epoch must
+                // not lose rows the catalog already holds.
+                for sub in self.subscriptions.iter_mut().filter(|s| !s.is_cancelled()) {
+                    sub.hand(rel.name(), &closed);
+                }
             }
         }
         if self.subscriptions.iter().all(Subscription::is_cancelled) {
@@ -479,7 +480,6 @@ impl LiveEngine {
         }
         let epoch = EpochInput {
             catalog,
-            promoted: &promoted,
             horizons: &self.horizons(),
             live_stats: &self.live_stats(),
             planner: self.config.planner,

@@ -20,9 +20,15 @@
 //!
 //! through the plan's own kernel ([`run_join`]) over these small vectors,
 //! each sorted to the kernel's entry order. A semijoin holds the X tuples
-//! not yet emitted and runs `semijoin(X_held ∪ ΔX, Y_held ∪ ΔY)`: a held
-//! X tuple has already met every held Y tuple, so only ΔY can newly match
-//! it. Monotone operators never retract, so every pair found is final.
+//! not yet emitted and, in the same delta form, runs
+//!
+//! ```text
+//! semijoin(X_held, ΔY) ∪ semijoin(ΔX, Y_held ∪ ΔY)
+//! ```
+//!
+//! since a held X tuple has already met every held Y tuple without a
+//! match. Monotone operators never retract, so every pair found is final.
+//! An epoch that fails leaves the held tuples as they were.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -247,7 +253,8 @@ impl HeldJoin {
     /// One epoch: fold in the rows each relation just promoted, push the
     /// result rows that became final into `out`, then drop every held
     /// tuple the other side's `horizon` rules out. Returns the largest
-    /// kernel workspace of the epoch.
+    /// kernel workspace of the epoch. On an error the held state is left
+    /// as it was, so the same rows can be folded in again.
     pub(crate) fn step(
         &mut self,
         promoted: &BTreeMap<String, Vec<Row>>,
@@ -255,19 +262,13 @@ impl HeldJoin {
         out: &mut Vec<Row>,
     ) -> TdbResult<usize> {
         let old = self.sides.each_ref().map(|s| s.held.len());
-        for side in &mut self.sides {
-            if let Some(rows) = promoted.get(&side.relation) {
-                side.admit(rows)?;
+        let peak = self.fold(promoted, old, out);
+        if peak.is_err() {
+            for (side, n) in self.sides.iter_mut().zip(old) {
+                side.held.truncate(n);
             }
         }
-        let peak = if self.semijoin {
-            self.semijoin_step(out)?
-        } else {
-            let all = self.sides.each_ref().map(|s| s.held.len());
-            let fresh_left = self.join(old[0]..all[0], 0..all[1], out)?;
-            let fresh_right = self.join(0..old[0], old[1]..all[1], out)?;
-            fresh_left.max(fresh_right)
-        };
+        let peak = peak?;
         let partner = [&self.sides[1], &self.sides[0]].map(|s| horizon(&s.relation));
         let pattern = self.pattern;
         for (i, side) in self.sides.iter_mut().enumerate() {
@@ -275,6 +276,36 @@ impl HeldJoin {
                 .retain(|t| partner[i].admits(pattern, i == 0, t.period));
         }
         Ok(peak)
+    }
+
+    /// Admit the promoted rows after the `old` held tuples of each side
+    /// and run the kernel over what is new: every new pair for a join; for
+    /// a semijoin, the held left tuples against the new right ones and the
+    /// new left tuples against all right ones, after which the emitted
+    /// left tuples stop being held.
+    fn fold(
+        &mut self,
+        promoted: &BTreeMap<String, Vec<Row>>,
+        old: [usize; 2],
+        out: &mut Vec<Row>,
+    ) -> TdbResult<usize> {
+        for side in &mut self.sides {
+            if let Some(rows) = promoted.get(&side.relation) {
+                side.admit(rows)?;
+            }
+        }
+        let all = self.sides.each_ref().map(|s| s.held.len());
+        if !self.semijoin {
+            let fresh_left = self.join(old[0]..all[0], 0..all[1], out)?;
+            let fresh_right = self.join(0..old[0], old[1]..all[1], out)?;
+            return Ok(fresh_left.max(fresh_right));
+        }
+        let mut kept = vec![false; all[0]];
+        let fresh_right = self.semijoin(0..old[0], old[1]..all[1], &mut kept, out)?;
+        let fresh_left = self.semijoin(old[0]..all[0], 0..all[1], &mut kept, out)?;
+        let mut kept = kept.into_iter();
+        self.sides[0].held.retain(|_| !kept.next().unwrap_or(false));
+        Ok(fresh_left.max(fresh_right))
     }
 
     /// The pairs between the left side's `l` and the right side's `r`
@@ -301,17 +332,21 @@ impl HeldJoin {
         Ok(report.max_workspace())
     }
 
-    /// The semijoin of every held left tuple against every held right
-    /// tuple; the kept left tuples are emitted and stop being held.
-    fn semijoin_step(&mut self, out: &mut Vec<Row>) -> TdbResult<usize> {
-        let [ls, rs] = &self.sides;
-        if ls.held.is_empty() || rs.held.is_empty() {
+    /// The left side's `l` held tuples that match any of the right side's
+    /// `r`, through the plan's semijoin kernel: each is emitted and marked
+    /// in `kept`.
+    fn semijoin(
+        &self,
+        l: Range<usize>,
+        r: Range<usize>,
+        kept: &mut [bool],
+        out: &mut Vec<Row>,
+    ) -> TdbResult<usize> {
+        if l.is_empty() || r.is_empty() {
             return Ok(0);
         }
         let (kind, cfg, l_ord, r_ord) = semijoin_dispatch(self.pattern, self.cfg);
-        let xs = ls.items(0..ls.held.len(), l_ord);
-        let ys = rs.items(0..rs.held.len(), r_ord);
-        let mut kept = vec![false; ls.held.len()];
+        let [ls, rs] = &self.sides;
         let mut emit = |chunk: Vec<Item>| {
             for x in chunk {
                 kept[x.idx] = true;
@@ -319,31 +354,14 @@ impl HeldJoin {
             }
             Ok(true)
         };
+        let (xs, ys) = (ls.items(l, l_ord), rs.items(r, r_ord));
         let (_, report) = run_semijoin(kind, cfg, xs, l_ord, ys, r_ord, Emit::Chunks(&mut emit))?;
-        let mut kept = kept.into_iter();
-        self.sides[0].held.retain(|_| !kept.next().unwrap_or(false));
         Ok(report.max_workspace())
     }
 
     /// The result row for left row `l` (joined with `r`), or `None` when
     /// the residual or a filter above the operator rejects it.
     fn output(&self, l: &Row, r: Option<&Row>) -> Option<Row> {
-        if let (Some(r), Some(cols), true) = (
-            r,
-            &self.columns,
-            self.residual.is_empty() && self.above.is_empty(),
-        ) {
-            // Nothing to check: pick the projected columns off both rows.
-            let split = l.arity();
-            let pick = |&c: &usize| {
-                if c < split {
-                    l.get(c).clone()
-                } else {
-                    r.get(c - split).clone()
-                }
-            };
-            return Some(Row::new(cols.iter().map(pick).collect()));
-        }
         let row = r.map_or_else(|| l.clone(), |r| l.concat(r));
         let keep = eval_conjunction(&self.residual, &row) && eval_conjunction(&self.above, &row);
         keep.then(|| match &self.columns {

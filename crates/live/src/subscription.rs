@@ -11,9 +11,10 @@
 //! - **Held tuples.** A plan that is one stream join or semijoin over two
 //!   scans is planned once, at registration, and keeps per side the
 //!   tuples that can still match what the other side has yet to promote
-//!   ([`crate::held`]). Each epoch is handed only the rows just promoted,
-//!   so its cost follows the delta and the held state, not the prefix.
-//!   Registration is the same step over the catalog's current rows.
+//!   ([`crate::held`]). Each epoch folds in only the rows promoted since
+//!   the last successful one, so its cost follows the delta and the held
+//!   state, not the prefix; an epoch that fails keeps those rows for the
+//!   next. Registration is the same step over the catalog's current rows.
 //! - **Re-evaluated.** Every other plan is re-planned and re-run over the
 //!   whole closed prefix, and emits the rows not yet emitted — tracked as
 //!   a multiset keyed by the rows' storage encoding so duplicate result
@@ -73,10 +74,13 @@ impl fmt::Display for SubscriptionMode {
 }
 
 enum Mode {
-    /// The plan fixed at registration and its held tuples.
+    /// The plan fixed at registration, its held tuples, and the rows
+    /// promoted into the catalog that no successful epoch has folded in
+    /// yet, by relation name.
     Held {
         physical: PhysicalPlan,
         join: Box<HeldJoin>,
+        pending: BTreeMap<String, Vec<Row>>,
     },
     /// Multiset of already-emitted rows: storage encoding → count.
     Reevaluated { emitted: BTreeMap<Vec<u8>, usize> },
@@ -85,8 +89,6 @@ enum Mode {
 /// What one epoch hands every subscription.
 pub(crate) struct EpochInput<'a> {
     pub catalog: &'a Catalog,
-    /// The rows each relation promoted this epoch, by relation name.
-    pub promoted: &'a BTreeMap<String, Vec<Row>>,
     /// What each live relation may still promote; a relation not listed
     /// is not live and promotes nothing.
     pub horizons: &'a BTreeMap<String, Horizon>,
@@ -132,6 +134,7 @@ impl Subscription {
             Some(join) => Mode::Held {
                 physical,
                 join: Box::new(join),
+                pending: BTreeMap::new(),
             },
             None => Mode::Reevaluated {
                 emitted: BTreeMap::new(),
@@ -225,17 +228,46 @@ impl Subscription {
         (self.peak_workspace, self.static_cap)
     }
 
+    /// Hand a held subscription the rows just appended to `relation` in
+    /// the catalog; the next successful epoch folds them in. A
+    /// re-evaluated subscription reads the catalog itself and ignores
+    /// them.
+    pub(crate) fn hand(&mut self, relation: &str, rows: &[Row]) {
+        if let Mode::Held { join, pending, .. } = &mut self.mode {
+            if join.relations().any(|r| r == relation) {
+                pending
+                    .entry(relation.to_string())
+                    .or_default()
+                    .extend_from_slice(rows);
+            }
+        }
+    }
+
     /// Switch a held subscription to re-evaluation, e.g. because a
     /// relation it read as static is about to receive promotions. Its
-    /// deltas so far are exactly the result over the current catalog,
-    /// which seeds the emitted multiset.
+    /// deltas so far are the result over the current catalog less what
+    /// its pending rows would still add; that difference seeds the
+    /// emitted multiset, so the pending rows' results come out at the
+    /// next epoch.
     pub(crate) fn reevaluate_from_here(&mut self, catalog: &Catalog) -> TdbResult<()> {
-        let Mode::Held { physical, .. } = &self.mode else {
+        let Mode::Held {
+            physical,
+            join,
+            pending,
+        } = &mut self.mode
+        else {
             return Ok(());
         };
         let mut emitted = BTreeMap::new();
         for row in physical.execute(catalog, ExecOptions::new())?.rows {
             *emitted.entry(row.to_bytes().to_vec()).or_insert(0) += 1;
+        }
+        let mut owed = Vec::new();
+        join.step(pending, |_| Horizon::Open, &mut owed)?;
+        for row in owed {
+            if let Some(n) = emitted.get_mut(&row.to_bytes().to_vec()) {
+                *n -= 1;
+            }
         }
         self.mode = Mode::Reevaluated { emitted };
         Ok(())
@@ -245,11 +277,17 @@ impl Subscription {
     pub(crate) fn evaluate(&mut self, e: &EpochInput<'_>) -> TdbResult<Delta> {
         let mut rows = Vec::new();
         let peak = match &mut self.mode {
-            Mode::Held { physical, join } => {
+            Mode::Held {
+                physical,
+                join,
+                pending,
+            } => {
                 let analysis = verified_live(physical, e.catalog, e.live_stats, e.analyze)?;
                 self.static_cap = self.static_cap.max(cap(&analysis));
                 let horizon = |name: &str| e.horizons.get(name).copied().unwrap_or(Horizon::Closed);
-                join.step(e.promoted, horizon, &mut rows)?
+                let peak = join.step(pending, horizon, &mut rows)?;
+                pending.clear();
+                peak
             }
             Mode::Reevaluated { emitted } => {
                 let (physical, analysis) = plan_verified_live(

@@ -13,7 +13,8 @@
 //! which re-evaluates — serial and with K = 4 time-range
 //! partitions; subscribing before any data and after rows were promoted;
 //! both relations live, or a live `X` against a static `Y`. A steady
-//! stream checks that the held state stays bounded.
+//! stream checks that the held state stays bounded, and epochs the live
+//! verifier rejects after promotion must lose no rows.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -457,5 +458,134 @@ fn a_static_side_that_goes_live_switches_to_reevaluation() {
     );
     assert!(!expect.is_empty());
     assert_eq!(emitted, expect);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_rejected_epoch_loses_no_rows() {
+    rejected_epochs(false);
+}
+
+#[test]
+fn going_live_after_a_rejected_epoch_loses_no_rows() {
+    rejected_epochs(true);
+}
+
+/// The live verifier rejects epochs while a burst of long intervals
+/// lifts the online E[D] past the workspace budget. Those epochs fail
+/// after their rows are in the catalog; once the estimate decays the held
+/// subscriptions must catch up on them. With `static_y`, `Y` starts as a
+/// stored relation overlapping the burst and goes live right after the
+/// first rejected epoch, switching the subscriptions to re-evaluation
+/// with rows still pending.
+fn rejected_epochs(static_y: bool) {
+    let root =
+        std::env::temp_dir().join(format!("tdb-live-reject-{}-{static_y}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut catalog = Catalog::open(root.join("cat"), IoStats::new()).unwrap();
+    let config = LiveConfig {
+        analyze: tdb::analyze::AnalyzeConfig::live().with_workspace_budget(4.0),
+        ..LiveConfig::default()
+    };
+    let mut engine = LiveEngine::new(root.join("live"), config);
+    let interval = |side: &str, n: i64, dur: i64| {
+        let ts = n * 4 + i64::from(side == "Y");
+        Row::new(vec![
+            Value::str(format!("{side}{n}")),
+            Value::Int(n),
+            Value::Time(TimePoint(ts)),
+            Value::Time(TimePoint(ts + dur)),
+        ])
+    };
+    // Frame `f` of a side: four arrivals, long `X` ones in frames 20..24.
+    let frame = |side: &str, f: i64| -> Vec<Row> {
+        (0..4)
+            .map(|i| {
+                let dur = match side {
+                    "X" if (20..24).contains(&f) => 400,
+                    "X" => 7,
+                    _ => 1,
+                };
+                interval(side, f * 4 + i, dur)
+            })
+            .collect()
+    };
+    let mut xs = Vec::new();
+    // A stored Y holds frames 0..23 and streams the rest once live.
+    let stored = if static_y { 23 } else { 0 };
+    let mut ys: Vec<Row> = (0..stored).flat_map(|f| frame("Y", f)).collect();
+    engine
+        .register(&mut catalog, "X", interval_schema(), StreamOrder::TS_ASC)
+        .unwrap();
+    if static_y {
+        catalog
+            .create_relation("Y", interval_schema(), &ys, vec![StreamOrder::TS_ASC])
+            .unwrap();
+    } else {
+        engine
+            .register(&mut catalog, "Y", interval_schema(), StreamOrder::TS_ASC)
+            .unwrap();
+    }
+    let x = || LogicalPlan::scan("X", "x", &ATTRS);
+    let y = || LogicalPlan::scan("Y", "y", &ATTRS);
+    let named = [
+        ("join", x().join(y(), contains())),
+        ("semijoin", x().semijoin(y(), contains())),
+    ];
+    let mut emitted = vec![BTreeMap::new(); named.len()];
+    let absorb = |emitted: &mut Vec<BTreeMap<Vec<u8>, usize>>, deltas: &[tdb::live::Delta]| {
+        for d in deltas {
+            for (key, n) in multiset(&d.rows) {
+                *emitted[d.subscription].entry(key).or_insert(0) += n;
+            }
+        }
+    };
+    for (label, logical) in &named {
+        let (_, delta) = engine.subscribe(&catalog, *label, logical.clone()).unwrap();
+        let sub = &engine.subscriptions()[delta.subscription];
+        assert_eq!(sub.mode(), SubscriptionMode::Held, "{label}");
+        absorb(&mut emitted, &[delta]);
+    }
+    let mut rejected = 0;
+    for f in 0..60i64 {
+        for side in ["X", "Y"] {
+            if side == "Y" && f < stored {
+                continue;
+            }
+            let rows = frame(side, f);
+            if side == "X" { &mut xs } else { &mut ys }.extend(rows.iter().cloned());
+            match engine.ingest(&mut catalog, side, rows) {
+                Ok(report) => absorb(&mut emitted, &report.deltas),
+                Err(_) => rejected += 1,
+            }
+            if rejected > 0 && !engine.is_live("Y") {
+                engine
+                    .register(&mut catalog, "Y", interval_schema(), StreamOrder::TS_ASC)
+                    .unwrap();
+            }
+        }
+    }
+    assert!(rejected > 0, "no epoch was rejected");
+    for name in ["X", "Y"] {
+        let report = engine.seal(&mut catalog, name).unwrap();
+        absorb(&mut emitted, &report.deltas);
+    }
+    let mode = if static_y {
+        SubscriptionMode::Reevaluated
+    } else {
+        SubscriptionMode::Held
+    };
+    for (s, (label, logical)) in named.iter().enumerate() {
+        let expect = batch(
+            &root.join("batch"),
+            PlannerConfig::stream(),
+            logical,
+            &xs,
+            &ys,
+        );
+        assert!(!expect.is_empty(), "{label}");
+        assert_eq!(emitted[s], expect, "{label}: rows lost to a rejected epoch");
+        assert_eq!(engine.subscriptions()[s].mode(), mode, "{label}");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
