@@ -57,6 +57,16 @@ cargo clippy --workspace --all-targets -- -D warnings -W clippy::pedantic \
 # that are debug_assert-tier in normal builds become hard asserts in
 # these optimized runs.
 
+# Bounded paper-table run (E1–E3, E5, E11–E14): every stream kernel of
+# Tables 1–3 and §4.2.4 over its workload, with the workspace-cap
+# cross-checks hard (`check`) and each experiment's own assertions (the
+# ascending and descending Table 3 scans agree, the Before-join count
+# equals the double loop). A port that trips a cap or an assertion fails
+# here. Runs in about ten seconds; hard-capped at 60.
+echo "==> paper tables (E1–E3, E5, E11–E14, bounded)"
+timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- \
+  table1 table2 table3 fig3 sweep policies before sortcost
+
 # Bounded live-ingestion soak (E16): replay a generated workload through
 # the live engine and assert the runtime workspace stays under the
 # statically proven cap. Runs in a few seconds; hard-capped at 60.

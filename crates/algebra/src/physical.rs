@@ -21,9 +21,9 @@ use std::fmt;
 use tdb_core::{Period, Row, StreamOrder, TdbError, TdbResult, Temporal};
 use tdb_storage::Catalog;
 use tdb_stream::{
-    from_sorted_vec, parallel_join, parallel_semijoin, run_join, run_semijoin, CollectSink, Emit,
-    Instrumented, MergeEquiJoin, OpConfig, OpMetrics, OpReport, OverlapMode, PairBatch,
-    ParallelPattern, RowSink, StreamOpKind, TupleStream, WorkspaceStats, DEFAULT_BATCH_ROWS,
+    merge_equi_join, parallel_join, parallel_semijoin, run_join, run_kernel, run_self_semijoin,
+    run_semijoin, BeforeSemijoin, CollectSink, Emit, OpConfig, OpReport, OverlapMode, PairBatch,
+    ParallelPattern, RowSink, StreamOpKind, DEFAULT_BATCH_ROWS,
 };
 
 /// Executor-level options: what to collect, how the stream temporal
@@ -151,18 +151,6 @@ pub struct OpObservation {
     /// own work (sorting, streaming, residual filtering) — child plans
     /// excluded, so the engine can build a stage span per operator.
     pub elapsed_us: u64,
-}
-
-impl OpObservation {
-    fn serial(kind: StreamOpKind, report: OpReport, elapsed_us: u64) -> OpObservation {
-        OpObservation {
-            operator: kind.to_string(),
-            kind: Some(kind),
-            partitions: 1,
-            report,
-            elapsed_us,
-        }
-    }
 }
 
 /// A physical operator tree.
@@ -459,23 +447,22 @@ impl PhysicalPlan {
                 let ri = rscope.index_of(right_key)?;
                 let lrows = sort_rows_by_key(lrows, li, stats);
                 let rrows = sort_rows_by_key(rrows, ri, stats);
-                let mut join = MergeEquiJoin::new(
-                    tdb_stream::from_vec(lrows),
-                    tdb_stream::from_vec(rrows),
-                    move |r: &Row| r.get(li).clone(),
-                    move |r: &Row| r.get(ri).clone(),
-                );
+                let (pairs, report) = merge_equi_join(
+                    &lrows,
+                    &rrows,
+                    |r: &Row| r.get(li).clone(),
+                    |r: &Row| r.get(ri).clone(),
+                )?;
                 let scope = lscope.concat(&rscope);
                 let resolved = resolve_all(residual, |c| scope.index_of(c))?;
                 let mut out = Vec::new();
-                while let Some((l, r)) = join.next()? {
+                for (l, r) in pairs {
                     stats.comparisons += residual.len() as u64;
                     let joined = l.concat(&r);
                     if eval_conjunction(&resolved, &joined) {
                         out.push(joined);
                     }
                 }
-                let report = join.report();
                 stats.comparisons += report.metrics.comparisons as u64;
                 stats.max_workspace = stats.max_workspace.max(report.max_workspace());
                 stats.intermediate_rows += out.len();
@@ -494,46 +481,8 @@ impl PhysicalPlan {
             // occurrence below the root collects what it pushes.
             PhysicalPlan::StreamTemporal { .. }
             | PhysicalPlan::StreamSemijoin { .. }
+            | PhysicalPlan::SelfSemijoin { .. }
             | PhysicalPlan::Parallel { .. } => self.collect(catalog, cfg, stats, trace),
-            PhysicalPlan::SelfSemijoin {
-                input,
-                var,
-                contained,
-            } => {
-                let (rows, scope) = input.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let op_t0 = std::time::Instant::now();
-                let p = scope.period_of_var(var)?;
-                let wrapped = wrap_rows(&rows, p)?;
-                let order = StreamOrder::TS_ASC_TE_ASC;
-                let sorted = sort_wrapped(wrapped, order, stats);
-                let input_stream = from_sorted_vec(sorted, order)?;
-                let (kept, report): (Vec<RowRef>, OpReport) = if *contained {
-                    let mut op = cfg.contained_self_semijoin(input_stream)?;
-                    let v = op.collect_vec()?;
-                    (v, op.report())
-                } else {
-                    let mut op = cfg.contain_self_semijoin(input_stream)?;
-                    let v = op.collect_vec()?;
-                    (v, op.report())
-                };
-                stats.comparisons += report.metrics.comparisons as u64;
-                stats.max_workspace = stats.max_workspace.max(report.max_workspace());
-                if let Some(t) = trace {
-                    let kind = if *contained {
-                        StreamOpKind::ContainedSelfSemijoin
-                    } else {
-                        StreamOpKind::ContainSelfSemijoin
-                    };
-                    t.push(OpObservation::serial(
-                        kind,
-                        report,
-                        op_t0.elapsed().as_micros() as u64,
-                    ));
-                }
-                let out: Vec<Row> = kept.iter().map(|x| rows[x.idx as usize].clone()).collect();
-                stats.intermediate_rows += out.len();
-                Ok((out, scope))
-            }
             PhysicalPlan::MergeSemijoin {
                 left,
                 right,
@@ -596,10 +545,13 @@ impl PhysicalPlan {
         Ok((sink.into_rows(), self.scope(catalog)?))
     }
 
-    /// A stream temporal join or semijoin, bare or under `Parallel`.
+    /// A stream temporal join, semijoin or self semijoin, bare or under
+    /// `Parallel`.
     fn is_stream_node(&self) -> bool {
         match self {
-            PhysicalPlan::StreamTemporal { .. } | PhysicalPlan::StreamSemijoin { .. } => true,
+            PhysicalPlan::StreamTemporal { .. }
+            | PhysicalPlan::StreamSemijoin { .. }
+            | PhysicalPlan::SelfSemijoin { .. } => true,
             PhysicalPlan::Parallel { child, .. } => child.is_stream_node(),
             _ => false,
         }
@@ -666,8 +618,8 @@ impl PhysicalPlan {
     /// ordinal). A join hands its surviving matches to the sink as a
     /// [`PairBatch`] of ordinal pairs over those rows, projected onto
     /// `columns` (indices into the node's own output scope); the sink
-    /// builds rows from it only if it keeps rows. A semijoin pushes its
-    /// kept left rows.
+    /// builds rows from it only if it keeps rows. A semijoin or self
+    /// semijoin pushes its kept left rows.
     fn run_stream(
         &self,
         catalog: &Catalog,
@@ -681,123 +633,156 @@ impl PhysicalPlan {
             PhysicalPlan::Parallel { partitions, child } => (Some(*partitions), &**child),
             node => (None, node),
         };
-        let (PhysicalPlan::StreamTemporal {
-            left,
-            right,
-            left_var,
-            right_var,
-            pattern,
-            ..
-        }
-        | PhysicalPlan::StreamSemijoin {
-            left,
-            right,
-            left_var,
-            right_var,
-            pattern,
-        }) = node
-        else {
-            return Err(TdbError::Plan(format!("not a stream node:\n{node}")));
-        };
-        let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-        let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
-        let op_t0 = std::time::Instant::now();
-        let l = wrap_rows(&lrows, lscope.period_of_var(left_var)?)?;
-        let r = wrap_rows(&rrows, rscope.period_of_var(right_var)?)?;
-        // `Before`/`After` have no time-range decomposition: serial.
-        let parallel = fanout.and_then(|k| Some((k, parallel_pattern(*pattern)?)));
         let mut pushed = 0usize;
+        let wants_rows = sink.wants_rows();
+        // Kept left rows (semijoins) go to the sink projected.
+        let mut keep = |rows: &[Row], chunk: Vec<RowRef>| -> TdbResult<bool> {
+            pushed += chunk.len();
+            if !wants_rows {
+                return sink.push_count(chunk.len());
+            }
+            let mut out: Vec<Row> = chunk
+                .iter()
+                .map(|x| {
+                    let row = &rows[x.idx as usize];
+                    columns.map_or_else(|| row.clone(), |ix| row.project(ix))
+                })
+                .collect();
+            sink.push(&mut out)
+        };
+        // Residual-predicate evaluations of a join, on top of the kernel's.
         let mut comparisons = 0u64;
-        let (kind, report) = if let PhysicalPlan::StreamTemporal { residual, .. } = node {
-            let scope = lscope.concat(&rscope);
-            let residual = resolve_all(residual, |c| scope.index_of(c))?;
-            let all: Vec<usize> = (0..scope.columns().len()).collect();
-            let mut batch = PairBatch {
-                left: &lrows,
-                right: &rrows,
-                columns: columns.unwrap_or(&all),
-                pairs: Vec::new(),
-            };
-            let count_only = !sink.wants_rows() && residual.is_empty();
-            // Matches reach the sink as ordinal pairs; the joined row is
-            // only concatenated when a residual has to see it.
-            let mut emit = |chunk: Vec<(RowRef, RowRef)>| -> TdbResult<bool> {
-                if count_only {
-                    pushed += chunk.len();
-                    return sink.push_count(chunk.len());
-                }
-                comparisons += (residual.len() * chunk.len()) as u64;
-                batch.pairs.clear();
-                batch.pairs.extend(
-                    chunk
-                        .into_iter()
-                        .filter(|(l, r)| {
-                            residual.is_empty() || {
-                                let joined = lrows[l.idx as usize].concat(&rrows[r.idx as usize]);
-                                eval_conjunction(&residual, &joined)
-                            }
-                        })
-                        .map(|(l, r)| (l.idx, r.idx)),
-                );
-                pushed += batch.pairs.len();
-                if batch.pairs.is_empty() {
-                    return Ok(true);
-                }
-                sink.push_pairs(&mut batch)
-            };
-            match parallel {
-                Some((k, ppat)) => {
-                    note_parallel_sorts(ppat, true, &l, &r, stats);
-                    #[cfg(any(debug_assertions, feature = "check"))]
-                    let ws_cap = parallel_ws_cap(ppat, true, &l, &r);
-                    let run = parallel_join(ppat, l, r, k, cfg, &mut emit)?;
-                    #[cfg(any(debug_assertions, feature = "check"))]
-                    assert_under_cap(ppat.join_kind(), &run.report, ws_cap);
-                    (ppat.join_kind(), run.report)
-                }
-                None if count_only => {
-                    let (_, report) = run_stream_join(*pattern, cfg, l, r, stats, Emit::Count)?;
-                    pushed = report.metrics.emitted;
-                    sink.push_count(pushed)?;
-                    (pattern.join_op().0, report)
-                }
-                None => {
-                    let emit = Emit::Chunks(&mut emit);
-                    let (_, report) = run_stream_join(*pattern, cfg, l, r, stats, emit)?;
-                    (pattern.join_op().0, report)
-                }
+        let (kind, partitions, report, op_t0) = match node {
+            PhysicalPlan::SelfSemijoin {
+                input,
+                var,
+                contained,
+            } => {
+                let (rows, scope) = input.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let op_t0 = std::time::Instant::now();
+                let kind = if *contained {
+                    StreamOpKind::ContainedSelfSemijoin
+                } else {
+                    StreamOpKind::ContainSelfSemijoin
+                };
+                let x = wrap_rows(&rows, scope.period_of_var(var)?)?;
+                let x = sort_by_requirement(x, kind.requirement().left(), stats);
+                #[cfg(any(debug_assertions, feature = "check"))]
+                let ws_cap = static_ws_cap(kind, &x, &x);
+                let mut emit = |chunk| keep(&rows, chunk);
+                let (_, report) = run_self_semijoin(kind, cfg, x, Emit::Chunks(&mut emit))?;
+                #[cfg(any(debug_assertions, feature = "check"))]
+                assert_under_cap(kind, &report, ws_cap);
+                (kind, 1, report, op_t0)
             }
-        } else {
-            let wants_rows = sink.wants_rows();
-            let mut emit = |chunk: Vec<RowRef>| -> TdbResult<bool> {
-                pushed += chunk.len();
-                if !wants_rows {
-                    return sink.push_count(chunk.len());
-                }
-                let mut out: Vec<Row> = chunk
-                    .iter()
-                    .map(|x| {
-                        let row = &lrows[x.idx as usize];
-                        columns.map_or_else(|| row.clone(), |ix| row.project(ix))
-                    })
-                    .collect();
-                sink.push(&mut out)
-            };
-            match parallel {
-                Some((k, ppat)) => {
-                    note_parallel_sorts(ppat, false, &l, &r, stats);
-                    #[cfg(any(debug_assertions, feature = "check"))]
-                    let ws_cap = parallel_ws_cap(ppat, false, &l, &r);
-                    let run = parallel_semijoin(ppat, l, r, k, cfg, &mut emit)?;
-                    #[cfg(any(debug_assertions, feature = "check"))]
-                    assert_under_cap(ppat.semijoin_kind(), &run.report, ws_cap);
-                    (ppat.semijoin_kind(), run.report)
-                }
-                None => {
-                    let (_, report) = run_stream_semijoin(*pattern, cfg, l, r, stats, &mut emit)?;
-                    (pattern.semijoin_op().0, report)
-                }
+            PhysicalPlan::StreamTemporal {
+                left,
+                right,
+                left_var,
+                right_var,
+                pattern,
+                ..
             }
+            | PhysicalPlan::StreamSemijoin {
+                left,
+                right,
+                left_var,
+                right_var,
+                pattern,
+            } => {
+                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let op_t0 = std::time::Instant::now();
+                let l = wrap_rows(&lrows, lscope.period_of_var(left_var)?)?;
+                let r = wrap_rows(&rrows, rscope.period_of_var(right_var)?)?;
+                // `Before`/`After` have no time-range decomposition: serial.
+                let parallel = fanout.and_then(|k| Some((k, parallel_pattern(*pattern)?)));
+                let (kind, report) = if let PhysicalPlan::StreamTemporal { residual, .. } = node {
+                    let scope = lscope.concat(&rscope);
+                    let residual = resolve_all(residual, |c| scope.index_of(c))?;
+                    let all: Vec<usize> = (0..scope.columns().len()).collect();
+                    let mut batch = PairBatch {
+                        left: &lrows,
+                        right: &rrows,
+                        columns: columns.unwrap_or(&all),
+                        pairs: Vec::new(),
+                    };
+                    let count_only = !wants_rows && residual.is_empty();
+                    let mut pushed_pairs = 0usize;
+                    // Matches reach the sink as ordinal pairs; the joined row is
+                    // only concatenated when a residual has to see it.
+                    let mut emit = |chunk: Vec<(RowRef, RowRef)>| -> TdbResult<bool> {
+                        if count_only {
+                            pushed_pairs += chunk.len();
+                            return sink.push_count(chunk.len());
+                        }
+                        comparisons += (residual.len() * chunk.len()) as u64;
+                        batch.pairs.clear();
+                        batch.pairs.extend(
+                            chunk
+                                .into_iter()
+                                .filter(|(l, r)| {
+                                    residual.is_empty() || {
+                                        let joined =
+                                            lrows[l.idx as usize].concat(&rrows[r.idx as usize]);
+                                        eval_conjunction(&residual, &joined)
+                                    }
+                                })
+                                .map(|(l, r)| (l.idx, r.idx)),
+                        );
+                        pushed_pairs += batch.pairs.len();
+                        if batch.pairs.is_empty() {
+                            return Ok(true);
+                        }
+                        sink.push_pairs(&mut batch)
+                    };
+                    let out = match parallel {
+                        Some((k, ppat)) => {
+                            note_parallel_sorts(ppat, true, &l, &r, stats);
+                            #[cfg(any(debug_assertions, feature = "check"))]
+                            let ws_cap = parallel_ws_cap(ppat, true, &l, &r);
+                            let run = parallel_join(ppat, l, r, k, cfg, &mut emit)?;
+                            #[cfg(any(debug_assertions, feature = "check"))]
+                            assert_under_cap(ppat.join_kind(), &run.report, ws_cap);
+                            (ppat.join_kind(), run.report)
+                        }
+                        None if count_only => {
+                            let (_, report) =
+                                run_stream_join(*pattern, cfg, l, r, stats, Emit::Count)?;
+                            pushed_pairs = report.metrics.emitted;
+                            sink.push_count(pushed_pairs)?;
+                            (pattern.join_op().0, report)
+                        }
+                        None => {
+                            let emit = Emit::Chunks(&mut emit);
+                            let (_, report) = run_stream_join(*pattern, cfg, l, r, stats, emit)?;
+                            (pattern.join_op().0, report)
+                        }
+                    };
+                    pushed = pushed_pairs;
+                    out
+                } else {
+                    let mut emit = |chunk| keep(&lrows, chunk);
+                    match parallel {
+                        Some((k, ppat)) => {
+                            note_parallel_sorts(ppat, false, &l, &r, stats);
+                            #[cfg(any(debug_assertions, feature = "check"))]
+                            let ws_cap = parallel_ws_cap(ppat, false, &l, &r);
+                            let run = parallel_semijoin(ppat, l, r, k, cfg, &mut emit)?;
+                            #[cfg(any(debug_assertions, feature = "check"))]
+                            assert_under_cap(ppat.semijoin_kind(), &run.report, ws_cap);
+                            (ppat.semijoin_kind(), run.report)
+                        }
+                        None => {
+                            let (_, report) =
+                                run_stream_semijoin(*pattern, cfg, l, r, stats, &mut emit)?;
+                            (pattern.semijoin_op().0, report)
+                        }
+                    }
+                };
+                (kind, parallel.map_or(1, |(k, _)| k), report, op_t0)
+            }
+            _ => return Err(TdbError::Plan(format!("not a stream node:\n{node}"))),
         };
         stats.comparisons += comparisons + report.metrics.comparisons as u64;
         stats.max_workspace = stats.max_workspace.max(report.max_workspace());
@@ -805,7 +790,7 @@ impl PhysicalPlan {
             t.push(OpObservation {
                 operator: kind.to_string(),
                 kind: Some(kind),
-                partitions: parallel.map_or(1, |(k, _)| k),
+                partitions,
                 report,
                 elapsed_us: op_t0.elapsed().as_micros() as u64,
             });
@@ -987,11 +972,19 @@ fn sort_rows_by_key(mut rows: Vec<Row>, key: usize, stats: &mut ExecStats) -> Ve
     rows
 }
 
-fn sort_wrapped(mut rows: Vec<RowRef>, order: StreamOrder, stats: &mut ExecStats) -> Vec<RowRef> {
-    if order.first_violation(&rows).is_some() {
-        stats.sorts_performed += 1;
-        stats.sort_rows += rows.len();
-        order.sort(&mut rows);
+/// Sort `rows` into the order a kernel input requires, if it has one and
+/// the rows are not in it already; only a performed sort is counted.
+fn sort_by_requirement(
+    mut rows: Vec<RowRef>,
+    order: Option<StreamOrder>,
+    stats: &mut ExecStats,
+) -> Vec<RowRef> {
+    if let Some(order) = order {
+        if order.first_violation(&rows).is_some() {
+            stats.sorts_performed += 1;
+            stats.sort_rows += rows.len();
+            order.sort(&mut rows);
+        }
     }
     rows
 }
@@ -1009,7 +1002,7 @@ pub(crate) fn parallel_pattern(pattern: TemporalPattern) -> Option<ParallelPatte
 }
 
 /// Count the sorts the parallel driver will perform internally, mirroring
-/// [`sort_wrapped`]'s "only if violated" accounting. The per-worker
+/// [`sort_by_requirement`]'s "only if violated" accounting. The per-worker
 /// orderings come from the operator registry, so this stays in lock-step
 /// with what the driver actually requires.
 fn note_parallel_sorts(
@@ -1066,31 +1059,6 @@ fn assert_under_cap(kind: StreamOpKind, report: &OpReport, ws_cap: usize) {
     );
 }
 
-/// `Before`/`After` join: the one pattern with no streaming kernel, so
-/// the matched pairs are materialized (as reference items) and then fed
-/// on in chunks.
-fn before_join_pairs(
-    pattern: TemporalPattern,
-    cfg: OpConfig,
-    l: Vec<RowRef>,
-    r: Vec<RowRef>,
-) -> TdbResult<(Vec<(RowRef, RowRef)>, OpReport)> {
-    // `kind` only feeds the debug-build cap assertion below.
-    #[cfg_attr(not(any(debug_assertions, feature = "check")), allow(unused_variables))]
-    let (kind, swap) = pattern.join_op();
-    let (a, b) = if swap { (r, l) } else { (l, r) };
-    #[cfg(any(debug_assertions, feature = "check"))]
-    let ws_cap = static_ws_cap(kind, &a, &b);
-    let mut op = cfg.before_join(tdb_stream::from_vec(a), tdb_stream::from_vec(b))?;
-    let mut pairs = op.collect_vec()?;
-    #[cfg(any(debug_assertions, feature = "check"))]
-    assert_under_cap(kind, &op.report(), ws_cap);
-    if swap {
-        pairs = pairs.into_iter().map(|(x, y)| (y, x)).collect();
-    }
-    Ok((pairs, op.report()))
-}
-
 /// `cfg` with the overlap mode the two overlap patterns select.
 fn with_overlap_mode(cfg: OpConfig, pattern: TemporalPattern) -> OpConfig {
     match pattern {
@@ -1100,51 +1068,56 @@ fn with_overlap_mode(cfg: OpConfig, pattern: TemporalPattern) -> OpConfig {
     }
 }
 
-/// The operator, its registry input orders, the overlap mode it runs in
-/// and whether the sides swap, for an intersection-witnessed join
-/// pattern. The orderings come from the registry entry of the operator
-/// the planner committed to, so the executor cannot drift from the
-/// Table 1 preconditions the analyzer certifies.
+/// The operator, its registry input orders (`None`: any order), the
+/// config it runs under and whether the sides swap, for a join pattern.
+/// The orderings come from the registry entry of the operator the planner
+/// committed to, so the executor cannot drift from the Table 1
+/// preconditions the analyzer certifies.
 pub fn join_dispatch(
     pattern: TemporalPattern,
     cfg: OpConfig,
-) -> (StreamOpKind, OpConfig, StreamOrder, StreamOrder, bool) {
+) -> (
+    StreamOpKind,
+    OpConfig,
+    Option<StreamOrder>,
+    Option<StreamOrder>,
+    bool,
+) {
     let (kind, swap) = pattern.join_op();
-    let (cfg, x_ord, y_ord) = kernel_entry(kind, cfg, pattern);
-    (kind, cfg, x_ord, y_ord, swap)
+    let req = kind.requirement();
+    (
+        kind,
+        with_overlap_mode(cfg, pattern),
+        req.left(),
+        req.right(),
+        swap,
+    )
 }
 
 /// [`join_dispatch`] for a semijoin: the operator, the config it runs
-/// under and the orders of the kept (left) and existential inputs, as
-/// [`run_semijoin`] takes them.
+/// under and the orders of the kept (left) and existential inputs.
 pub fn semijoin_dispatch(
     pattern: TemporalPattern,
     cfg: OpConfig,
-) -> (StreamOpKind, OpConfig, StreamOrder, StreamOrder) {
+) -> (
+    StreamOpKind,
+    OpConfig,
+    Option<StreamOrder>,
+    Option<StreamOrder>,
+) {
     let (kind, _) = pattern.semijoin_op();
-    let (cfg, l_ord, r_ord) = kernel_entry(kind, cfg, pattern);
-    (kind, cfg, l_ord, r_ord)
-}
-
-fn kernel_entry(
-    kind: StreamOpKind,
-    cfg: OpConfig,
-    pattern: TemporalPattern,
-) -> (OpConfig, StreamOrder, StreamOrder) {
     let req = kind.requirement();
     (
+        kind,
         with_overlap_mode(cfg, pattern),
-        req.left().unwrap_or(StreamOrder::TS_ASC),
-        req.right().unwrap_or(StreamOrder::TS_ASC),
+        req.left(),
+        req.right(),
     )
 }
 
 /// Run the stream join for `pattern` into `emit`: matched pairs chunk by
-/// chunk, or only counted (`report.metrics.emitted`).
-/// Intersection-witnessed patterns stream straight out of the kernels
-/// (honoring a chunk closure's stop signal, or running count-only);
-/// `Before`/`After` materialize internally and feed `emit` in chunks.
-/// Returns `(completed, report)`.
+/// chunk, honoring the closure's stop signal, or only counted
+/// (`report.metrics.emitted`). Returns `(completed, report)`.
 fn run_stream_join(
     pattern: TemporalPattern,
     cfg: OpConfig,
@@ -1153,22 +1126,14 @@ fn run_stream_join(
     stats: &mut ExecStats,
     emit: Emit<'_, (RowRef, RowRef)>,
 ) -> TdbResult<(bool, OpReport)> {
-    if matches!(pattern, TemporalPattern::Before | TemporalPattern::After) {
-        let (pairs, report) = before_join_pairs(pattern, cfg, l, r)?;
-        let completed = match emit {
-            Emit::Count => true,
-            Emit::Chunks(push) => feed_chunks(pairs, cfg, push)?,
-        };
-        return Ok((completed, report));
-    }
-    // Contains/During normalize to container ⊇ containee; During swaps
-    // sides going in and un-swaps each emitted pair (a count needs no
-    // un-swap, but the sides still go to the operator the planner
-    // committed to).
+    // Contains/During normalize to container ⊇ containee and After to
+    // Before; the swapped patterns exchange sides going in and un-swap
+    // each emitted pair (a count needs no un-swap, but the sides still go
+    // to the operator the planner committed to).
     let (kind, cfg, x_ord, y_ord, swap) = join_dispatch(pattern, cfg);
     let (x, y) = if swap { (r, l) } else { (l, r) };
-    let x = sort_wrapped(x, x_ord, stats);
-    let y = sort_wrapped(y, y_ord, stats);
+    let x = sort_by_requirement(x, x_ord, stats);
+    let y = sort_by_requirement(y, y_ord, stats);
     #[cfg(any(debug_assertions, feature = "check"))]
     let ws_cap = static_ws_cap(kind, &x, &y);
     let (completed, report) = match emit {
@@ -1176,73 +1141,18 @@ fn run_stream_join(
             let mut unswap = |chunk: Vec<(RowRef, RowRef)>| {
                 push(chunk.into_iter().map(|(a, b)| (b, a)).collect())
             };
-            run_join(kind, cfg, x, x_ord, y, y_ord, Emit::Chunks(&mut unswap))?
+            run_join(kind, cfg, x, y, Emit::Chunks(&mut unswap))?
         }
-        emit => run_join(kind, cfg, x, x_ord, y, y_ord, emit)?,
+        emit => run_join(kind, cfg, x, y, emit)?,
     };
     #[cfg(any(debug_assertions, feature = "check"))]
     assert_under_cap(kind, &report, ws_cap);
     Ok((completed, report))
 }
 
-/// Feed an already-materialized result to `emit` in sink-sized chunks,
-/// honoring the stop signal. Returns `false` if the consumer stopped
-/// early.
-fn feed_chunks<T>(
-    items: Vec<T>,
-    cfg: OpConfig,
-    emit: &mut dyn FnMut(Vec<T>) -> TdbResult<bool>,
-) -> TdbResult<bool> {
-    let mut iter = items.into_iter();
-    loop {
-        let chunk: Vec<T> = iter.by_ref().take(cfg.batch_rows).collect();
-        if chunk.is_empty() {
-            return Ok(true);
-        }
-        if !emit(chunk)? {
-            return Ok(false);
-        }
-    }
-}
-
-/// `Before`/`After` semijoin (left rows kept): no streaming kernel, so
-/// the kept items are materialized and then fed on in chunks.
-fn before_semijoin_kept(
-    pattern: TemporalPattern,
-    cfg: OpConfig,
-    l: Vec<RowRef>,
-    r: Vec<RowRef>,
-) -> TdbResult<(Vec<RowRef>, OpReport)> {
-    if pattern == TemporalPattern::Before {
-        let mut op = cfg.before_semijoin(tdb_stream::from_vec(l), tdb_stream::from_vec(r))?;
-        let kept = op.collect_vec()?;
-        return Ok((kept, op.report()));
-    }
-    // x after y ⇔ ∃y: y.TE < x.TS — keep x with x.TS > min(y.TE).
-    let read_left = l.len();
-    let read_right = r.len();
-    let min_te = r.iter().map(|p| p.te()).min();
-    let kept: Vec<RowRef> = match min_te {
-        Some(m) => l.into_iter().filter(|x| m < x.ts()).collect(),
-        None => Vec::new(),
-    };
-    let report = OpReport::new(
-        OpMetrics {
-            read_left,
-            read_right,
-            comparisons: 0,
-            emitted: kept.len(),
-            passes: 1,
-        },
-        WorkspaceStats::of_resident(1),
-    );
-    Ok((kept, report))
-}
-
 /// Run the stream semijoin for `pattern`, handing kept left items to
-/// `emit` chunk by chunk. Intersection-witnessed patterns stream out of
-/// the kernels; `Before`/`After` materialize internally and feed `emit`
-/// in chunks.
+/// `emit` chunk by chunk. `After` runs the Before-semijoin kernel
+/// mirrored ([`BeforeSemijoin::after`]).
 fn run_stream_semijoin(
     pattern: TemporalPattern,
     cfg: OpConfig,
@@ -1251,17 +1161,17 @@ fn run_stream_semijoin(
     stats: &mut ExecStats,
     emit: &mut dyn FnMut(Vec<RowRef>) -> TdbResult<bool>,
 ) -> TdbResult<(bool, OpReport)> {
-    if matches!(pattern, TemporalPattern::Before | TemporalPattern::After) {
-        let (kept, report) = before_semijoin_kept(pattern, cfg, l, r)?;
-        let completed = feed_chunks(kept, cfg, emit)?;
-        return Ok((completed, report));
-    }
     let (kind, cfg, l_ord, r_ord) = semijoin_dispatch(pattern, cfg);
-    let l = sort_wrapped(l, l_ord, stats);
-    let r = sort_wrapped(r, r_ord, stats);
+    let l = sort_by_requirement(l, l_ord, stats);
+    let r = sort_by_requirement(r, r_ord, stats);
     #[cfg(any(debug_assertions, feature = "check"))]
     let ws_cap = static_ws_cap(kind, &l, &r);
-    let (completed, report) = run_semijoin(kind, cfg, l, l_ord, r, r_ord, Emit::Chunks(emit))?;
+    let (completed, report) = if pattern == TemporalPattern::After {
+        let op = BeforeSemijoin::after();
+        run_kernel(op, cfg.batch_rows, l, l_ord, r, r_ord, Emit::Chunks(emit))?
+    } else {
+        run_semijoin(kind, cfg, l, r, Emit::Chunks(emit))?
+    };
     #[cfg(any(debug_assertions, feature = "check"))]
     assert_under_cap(kind, &report, ws_cap);
     Ok((completed, report))
@@ -1580,6 +1490,88 @@ mod tests {
             out.stats.output_rows,
             full.rows.len()
         );
+    }
+
+    /// Before/After joins stream out of their kernel: a limit stops the
+    /// run after the first chunk (the pairs are never all built), and a
+    /// count adds up sorted suffixes. 2 000 tuples per side, ≈ 2 M pairs.
+    #[test]
+    fn before_and_after_joins_stop_at_a_limit_and_count_exactly() {
+        let dir = std::env::temp_dir().join(format!("tdb-algebra-before-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cat = Catalog::open(&dir, IoStats::new()).unwrap();
+        let schema = TemporalSchema::time_sequence("Name", "Rank");
+        let n = 2000i64;
+        for (name, seed) in [("X", 1u64), ("Y", 2)] {
+            let rows: Vec<Row> = tdb_gen::IntervalGen::poisson(n as usize, 3.0, 10.0, seed)
+                .generate()
+                .iter()
+                .map(|t| {
+                    Row::new(vec![
+                        Value::str(name),
+                        Value::str(""),
+                        Value::Time(t.ts()),
+                        Value::Time(t.te()),
+                    ])
+                })
+                .collect();
+            cat.create_relation(name, schema.clone(), &rows, vec![])
+                .unwrap();
+        }
+        let side = |relation: &str, var: &str| {
+            Box::new(PhysicalPlan::SeqScan {
+                relation: relation.into(),
+                var: var.into(),
+            })
+        };
+        let periods = |relation: &str| -> Vec<Period> {
+            let meta = cat.meta(relation).unwrap();
+            let rows = cat.scan(relation).unwrap();
+            rows.iter()
+                .map(|r| meta.schema.period_of(r).unwrap())
+                .collect()
+        };
+        let (xs, ys) = (periods("X"), periods("Y"));
+        for pattern in [TemporalPattern::Before, TemporalPattern::After] {
+            let join = PhysicalPlan::StreamTemporal {
+                left: side("X", "x"),
+                right: side("Y", "y"),
+                left_var: "x".into(),
+                right_var: "y".into(),
+                pattern,
+                residual: vec![],
+            };
+            let batch_rows = 64;
+            let mut sink = tdb_stream::LimitSink::new(20);
+            let out = join
+                .execute(
+                    &cat,
+                    ExecOptions::new()
+                        .with_batch_rows(batch_rows)
+                        .with_sink(&mut sink),
+                )
+                .unwrap();
+            assert_eq!(sink.rows().len(), 20, "{pattern:?}");
+            let emitted = out.trace.last().unwrap().report.metrics.emitted;
+            assert!(
+                emitted <= 20 + batch_rows,
+                "{pattern:?}: {emitted} pairs built for a limit of 20"
+            );
+            let mut sink = tdb_stream::CountSink::new();
+            let out = join
+                .execute(&cat, ExecOptions::new().with_sink(&mut sink))
+                .unwrap();
+            let nested = xs
+                .iter()
+                .flat_map(|x| ys.iter().map(move |y| (x, y)))
+                .filter(|(x, y)| match pattern {
+                    TemporalPattern::Before => x.before(y),
+                    _ => y.before(x),
+                })
+                .count();
+            assert!(nested > 1_000_000, "{pattern:?}: {nested}");
+            assert_eq!(out.stats.output_rows, nested, "{pattern:?}");
+        }
     }
 
     /// A library caller's `batch_rows = 0` is a batch of one row, not a

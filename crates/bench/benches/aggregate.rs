@@ -1,4 +1,4 @@
-//! E6 wall-clock (Figure 4): streaming grouped sum vs hash aggregation.
+//! E6 wall-clock (Figure 4): the streaming grouped sum.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tdb::prelude::*;
@@ -18,23 +18,13 @@ fn bench(c: &mut Criterion) {
             &n_groups,
             |b, _| {
                 b.iter(|| {
-                    let mut op = GroupedSum::new(from_vec(data.clone()), |r| r.0.clone(), |r| r.1);
-                    let mut k = 0u64;
-                    while op.next().unwrap().is_some() {
-                        k += 1;
-                    }
-                    k
+                    grouped_sum(&data, |r| r.0.clone(), |r| r.1)
+                        .unwrap()
+                        .0
+                        .len()
                 })
             },
         );
-        group.bench_with_input(BenchmarkId::new("hash", n_groups), &n_groups, |b, _| {
-            b.iter(|| {
-                tdb::stream::HashSum::run(from_vec(data.clone()), |r| r.0.clone(), |r| r.1)
-                    .unwrap()
-                    .0
-                    .len()
-            })
-        });
     }
     group.finish();
 }

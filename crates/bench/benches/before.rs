@@ -3,19 +3,23 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tdb::prelude::*;
-use tdb_bench::Workload;
+use tdb_bench::{drain_count, Workload};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("before");
+    let cfg = OpConfig::new();
     for n in [2_000usize, 8_000] {
         let w = Workload::poisson("bf", n, 3.0, 10.0, 3.0, 10.0, 23);
 
         group.bench_with_input(BenchmarkId::new("count_suffix", n), &n, |b, _| {
             b.iter(|| {
-                BeforeJoin::new(from_vec(w.xs.clone()), from_vec(w.ys.clone()))
+                let (xs, ys) = (w.xs.clone(), w.ys.clone());
+                let kind = StreamOpKind::BeforeJoin;
+                run_join(kind, cfg, xs, ys, Emit::Count)
                     .unwrap()
-                    .count()
-                    .unwrap()
+                    .1
+                    .metrics
+                    .emitted
             })
         });
         group.bench_with_input(BenchmarkId::new("count_naive", n), &n, |b, _| {
@@ -33,13 +37,8 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("semijoin_single_scan", n), &n, |b, _| {
             b.iter(|| {
-                let mut op =
-                    BeforeSemijoin::new(from_vec(w.xs.clone()), from_vec(w.ys.clone())).unwrap();
-                let mut k = 0u64;
-                while op.next().unwrap().is_some() {
-                    k += 1;
-                }
-                k
+                let (xs, ys) = (w.xs.clone(), w.ys.clone());
+                drain_count(|e| run_semijoin(StreamOpKind::BeforeSemijoin, cfg, xs, ys, e)).0
             })
         });
     }

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tdb::prelude::*;
-use tdb_bench::Workload;
+use tdb_bench::{drain_count, Workload};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("overlap");
@@ -16,52 +16,25 @@ fn bench(c: &mut Criterion) {
             ("join_strict", OverlapMode::Strict),
             ("join_general", OverlapMode::General),
         ] {
+            let cfg = OpConfig::new().with_mode(mode);
             group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
                 b.iter(|| {
-                    let mut j = OpConfig::new()
-                        .with_mode(mode)
-                        .overlap_join(
-                            from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
-                            from_sorted_vec(ys.clone(), StreamOrder::TS_ASC).unwrap(),
-                        )
-                        .unwrap();
-                    let mut k = 0u64;
-                    while j.next().unwrap().is_some() {
-                        k += 1;
-                    }
-                    k
+                    let (xs, ys) = (xs.clone(), ys.clone());
+                    drain_count(|e| run_join(StreamOpKind::OverlapJoin, cfg, xs, ys, e)).0
                 })
             });
         }
         group.bench_with_input(BenchmarkId::new("semijoin_general", n), &n, |b, _| {
             b.iter(|| {
-                let mut op = OpConfig::new()
-                    .overlap_semijoin(
-                        from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
-                        from_sorted_vec(ys.clone(), StreamOrder::TS_ASC).unwrap(),
-                    )
-                    .unwrap();
-                let mut k = 0u64;
-                while op.next().unwrap().is_some() {
-                    k += 1;
-                }
-                k
+                let (xs, ys, cfg) = (xs.clone(), ys.clone(), OpConfig::new());
+                drain_count(|e| run_semijoin(StreamOpKind::OverlapSemijoin, cfg, xs, ys, e)).0
             })
         });
         if n <= 4_000 {
             group.bench_with_input(BenchmarkId::new("nested_loop_general", n), &n, |b, _| {
                 b.iter(|| {
-                    let mut j = NestedLoopJoin::new(
-                        from_vec(w.xs.clone()),
-                        from_vec(w.ys.clone()),
-                        |a: &TsTuple, b: &TsTuple| a.period.overlaps(&b.period),
-                    )
-                    .unwrap();
-                    let mut k = 0u64;
-                    while j.next().unwrap().is_some() {
-                        k += 1;
-                    }
-                    k
+                    let overlaps = |a: &TsTuple, b: &TsTuple| a.period.overlaps(&b.period);
+                    nested_loop_join(&w.xs, &w.ys, overlaps).0.len()
                 })
             });
         }

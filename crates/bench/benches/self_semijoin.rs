@@ -4,9 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tdb::prelude::*;
+use tdb_bench::drain_count;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("self_semijoin");
+    let cfg = OpConfig::new();
     for n in [4_000usize, 16_000, 64_000] {
         let xs = tdb::gen::intervals::nested_stream(n, 0.5, 17);
         let mut xs_te = xs.clone();
@@ -14,32 +16,16 @@ fn bench(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("single_scan", n), &n, |b, _| {
             b.iter(|| {
-                let mut op = ContainedSelfSemijoin::new(
-                    from_sorted_vec(xs.clone(), StreamOrder::TS_ASC_TE_ASC).unwrap(),
-                )
-                .unwrap();
-                let mut k = 0u64;
-                while op.next().unwrap().is_some() {
-                    k += 1;
-                }
-                k
+                let kind = StreamOpKind::ContainedSelfSemijoin;
+                drain_count(|e| run_self_semijoin(kind, cfg, xs.clone(), e)).0
             })
         });
         // The naive alternative the paper warns about: running the
         // two-stream algorithm with the operand scanned twice.
         group.bench_with_input(BenchmarkId::new("two_stream_stab", n), &n, |b, _| {
             b.iter(|| {
-                let mut op = OpConfig::new()
-                    .contained_semijoin_stab(
-                        from_sorted_vec(xs_te.clone(), StreamOrder::TE_ASC).unwrap(),
-                        from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
-                    )
-                    .unwrap();
-                let mut k = 0u64;
-                while op.next().unwrap().is_some() {
-                    k += 1;
-                }
-                k
+                let kind = StreamOpKind::ContainedSemijoinStab;
+                drain_count(|e| run_semijoin(kind, cfg, xs_te.clone(), xs.clone(), e)).0
             })
         });
         if n <= 4_000 {

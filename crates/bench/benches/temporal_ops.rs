@@ -1,10 +1,9 @@
-//! Extension operators: coalescing throughput, timeslice via sorted scan
-//! vs. interval-index stab, and the concurrency profile sweep.
+//! Extension operators: coalescing throughput, timeslice via sorted scan,
+//! and the concurrency profile sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tdb::prelude::*;
-use tdb::storage::IntervalIndex;
-use tdb::stream::{coalesce_relation, concurrency_profile, Timeslice};
+use tdb::stream::{concurrency_profile, timeslice};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("temporal_ops");
@@ -19,31 +18,11 @@ fn bench(c: &mut Criterion) {
         });
 
         group.bench_with_input(BenchmarkId::new("profile_sweep", n), &n, |b, _| {
-            b.iter(|| {
-                concurrency_profile(from_sorted_vec(sorted.clone(), StreamOrder::TS_ASC).unwrap())
-                    .unwrap()
-                    .1
-            })
+            b.iter(|| concurrency_profile(&sorted).unwrap().1)
         });
 
         group.bench_with_input(BenchmarkId::new("timeslice_scan", n), &n, |b, _| {
-            b.iter(|| {
-                let mut op = Timeslice::new(
-                    from_sorted_vec(sorted.clone(), StreamOrder::TS_ASC).unwrap(),
-                    mid,
-                );
-                let mut k = 0u64;
-                while op.next().unwrap().is_some() {
-                    k += 1;
-                }
-                k
-            })
-        });
-
-        let index =
-            IntervalIndex::build(data.iter().enumerate().map(|(i, t)| (t.period, i as u64)));
-        group.bench_with_input(BenchmarkId::new("timeslice_index_stab", n), &n, |b, _| {
-            b.iter(|| index.stab(mid).len())
+            b.iter(|| timeslice(&sorted, mid, true).0.len())
         });
     }
     group.finish();

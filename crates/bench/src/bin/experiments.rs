@@ -25,8 +25,8 @@ use tdb::algebra::cost::{
 };
 use tdb::prelude::*;
 use tdb_bench::{
-    bench_catalog, measure_buffered_contain, measure_contain_ts_te, measure_contain_ts_ts,
-    measure_nested_contain, row, timed, Workload,
+    bench_catalog, drain_count, measure_buffered_contain, measure_contain_ts_te,
+    measure_contain_ts_ts, measure_nested_contain, row, timed, Workload,
 };
 
 fn main() {
@@ -130,30 +130,17 @@ fn table1(json: &mut BTreeMap<String, Json>) {
     {
         let join = measure_contain_ts_ts(&w, ReadPolicy::MinKey);
         let pred = predict_workspace(WorkspaceKind::ContainJoinTsTs, &sx, Some(&sy));
-        let semi_contain = {
+        // Table 1 (c): both directions of the sweep semijoin.
+        let sweep = |op: SweepSemijoin<TsTuple, TsTuple>| {
             let xs = w.xs_sorted(StreamOrder::TS_ASC);
             let ys = w.ys_sorted(StreamOrder::TS_ASC);
-            let mut op = OpConfig::new()
-                .contain_semijoin(
-                    from_sorted_vec(xs, StreamOrder::TS_ASC).unwrap(),
-                    from_sorted_vec(ys, StreamOrder::TS_ASC).unwrap(),
-                )
-                .unwrap();
-            while op.next().unwrap().is_some() {}
-            op.report().max_workspace()
+            let ts = Some(StreamOrder::TS_ASC);
+            let rows = OpConfig::new().batch_rows;
+            let run = drain_count(|e| run_kernel(op, rows, xs, ts, ys, ts, e));
+            run.1.max_workspace()
         };
-        let semi_contained = {
-            let xs = w.xs_sorted(StreamOrder::TS_ASC);
-            let ys = w.ys_sorted(StreamOrder::TS_ASC);
-            let mut op = OpConfig::new()
-                .contained_semijoin(
-                    from_sorted_vec(xs, StreamOrder::TS_ASC).unwrap(),
-                    from_sorted_vec(ys, StreamOrder::TS_ASC).unwrap(),
-                )
-                .unwrap();
-            while op.next().unwrap().is_some() {}
-            op.report().max_workspace()
-        };
+        let semi_contain = sweep(SweepSemijoin::contain(ReadPolicy::MinKey));
+        let semi_contained = sweep(SweepSemijoin::contained(ReadPolicy::MinKey));
         println!(
             "{}",
             row(
@@ -180,14 +167,9 @@ fn table1(json: &mut BTreeMap<String, Json>) {
         let semi_contain = {
             let xs = w.xs_sorted(StreamOrder::TS_ASC);
             let ys = w.ys_sorted(StreamOrder::TE_ASC);
-            let mut op = OpConfig::new()
-                .contain_semijoin_stab(
-                    from_sorted_vec(xs, StreamOrder::TS_ASC).unwrap(),
-                    from_sorted_vec(ys, StreamOrder::TE_ASC).unwrap(),
-                )
-                .unwrap();
-            while op.next().unwrap().is_some() {}
-            0usize // two input buffers only
+            let kind = StreamOpKind::ContainSemijoinStab;
+            let (_, report) = drain_count(|e| run_semijoin(kind, OpConfig::new(), xs, ys, e));
+            report.max_workspace() // two input buffers only
         };
         println!(
             "{}",
@@ -214,14 +196,9 @@ fn table1(json: &mut BTreeMap<String, Json>) {
         let contained = {
             let xs = w.xs_sorted(StreamOrder::TE_ASC);
             let ys = w.ys_sorted(StreamOrder::TS_ASC);
-            let mut op = OpConfig::new()
-                .contained_semijoin_stab(
-                    from_sorted_vec(xs, StreamOrder::TE_ASC).unwrap(),
-                    from_sorted_vec(ys, StreamOrder::TS_ASC).unwrap(),
-                )
-                .unwrap();
-            while op.next().unwrap().is_some() {}
-            0usize
+            let kind = StreamOpKind::ContainedSemijoinStab;
+            let (_, report) = drain_count(|e| run_semijoin(kind, OpConfig::new(), xs, ys, e));
+            report.max_workspace()
         };
         println!(
             "{}",
@@ -272,56 +249,38 @@ fn table2(json: &mut BTreeMap<String, Json>) {
 
     let xs = w.xs_sorted(StreamOrder::TS_ASC);
     let ys = w.ys_sorted(StreamOrder::TS_ASC);
-    let mut join = OpConfig::new()
-        .with_mode(OverlapMode::Strict)
-        .overlap_join(
-            from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
-            from_sorted_vec(ys.clone(), StreamOrder::TS_ASC).unwrap(),
-        )
-        .unwrap();
-    let mut n_pairs = 0u64;
-    while join.next().unwrap().is_some() {
-        n_pairs += 1;
-    }
+    let strict = OpConfig::new().with_mode(OverlapMode::Strict);
+    let (n_pairs, join) =
+        drain_count(|e| run_join(StreamOpKind::OverlapJoin, strict, xs.clone(), ys.clone(), e));
     let pred = predict_workspace(WorkspaceKind::OverlapJoin, &sx, Some(&sy));
 
-    let mut semi = OpConfig::new()
-        .with_mode(OverlapMode::General)
-        .overlap_semijoin(
-            from_sorted_vec(xs, StreamOrder::TS_ASC).unwrap(),
-            from_sorted_vec(ys, StreamOrder::TS_ASC).unwrap(),
-        )
-        .unwrap();
-    while semi.next().unwrap().is_some() {}
+    let general = OpConfig::new().with_mode(OverlapMode::General);
+    let (_, semi) =
+        drain_count(|e| run_semijoin(StreamOpKind::OverlapSemijoin, general, xs, ys, e));
 
     // Degenerate ordering: no GC criteria.
-    let mut buffered = OpConfig::new()
-        .buffered_join(
-            from_vec(w.xs.clone()),
-            from_vec(w.ys.clone()),
-            |a: &TsTuple, b: &TsTuple| a.period.allen_overlaps(&b.period),
-        )
-        .unwrap();
-    while buffered.next().unwrap().is_some() {}
+    let (_, buffered) = buffered_join(&w.xs, &w.ys, |a: &TsTuple, b: &TsTuple| {
+        a.period.allen_overlaps(&b.period)
+    });
 
     println!(
         "    workload: {N} tuples/side, both exp(20) durations; {n_pairs} strict-overlap pairs\n"
     );
     println!(
         "    ValidFrom↑/ValidFrom↑  Overlap-join       max ws {:>6}   predicted {pred:.0}  (a)",
-        join.report().max_workspace()
+        join.max_workspace()
     );
-    println!("    ValidFrom↑/ValidFrom↑  Overlap-semijoin   max ws {:>6}   (general mode: the two buffers)  (b)", semi.report().max_workspace());
+    println!("    ValidFrom↑/ValidFrom↑  Overlap-semijoin   max ws {:>6}   (general mode: the two buffers)  (b)", semi.max_workspace());
     println!(
         "    other orderings        Overlap-join       max ws {:>6}   = Θ(n) — no GC criteria (–)",
-        buffered.report().max_workspace()
+        buffered.max_workspace()
     );
     json.insert(
         "table2".into(),
         jobj! {
-            "join_ws" => join.report().max_workspace(), "join_pred" => pred,
-            "semijoin_ws" => semi.report().max_workspace(),
-            "degenerate_ws" => buffered.report().max_workspace(),
+            "join_ws" => join.max_workspace(), "join_pred" => pred,
+            "semijoin_ws" => semi.max_workspace(),
+            "degenerate_ws" => buffered.max_workspace(),
         },
     );
 }
@@ -331,44 +290,26 @@ fn table3(json: &mut BTreeMap<String, Json>) {
     println!("E3 · Table 3 — self semijoins over one stream ({N} tuples, 60% nested)");
     let xs = tdb::gen::intervals::nested_stream(N, 0.6, 303);
 
-    let mut contained = OpConfig::new()
-        .contained_self_semijoin(from_sorted_vec(xs.clone(), StreamOrder::TS_ASC_TE_ASC).unwrap())
-        .unwrap();
-    let mut n1 = 0;
-    while contained.next().unwrap().is_some() {
-        n1 += 1;
-    }
+    // Each kind over the input sorted as its registry entry requires.
+    let run = |kind: StreamOpKind| {
+        let mut xs = xs.clone();
+        kind.requirement().left().unwrap().sort(&mut xs);
+        drain_count(|e| run_self_semijoin(kind, OpConfig::new(), xs, e))
+    };
+    let (n1, contained) = run(StreamOpKind::ContainedSelfSemijoin);
+    let (n2, contain_asc) = run(StreamOpKind::ContainSelfSemijoin);
+    let (n3, contain_desc) = run(StreamOpKind::ContainSelfSemijoinDesc);
 
-    let mut contain_asc = OpConfig::new()
-        .contain_self_semijoin(from_sorted_vec(xs.clone(), StreamOrder::TS_ASC_TE_ASC).unwrap())
-        .unwrap();
-    let mut n2 = 0;
-    while contain_asc.next().unwrap().is_some() {
-        n2 += 1;
-    }
-
-    let desc_order =
-        tdb::stream::ContainSelfSemijoinDesc::<tdb::stream::VecStream<TsTuple>>::REQUIRED;
-    let mut xs_desc = xs.clone();
-    desc_order.sort(&mut xs_desc);
-    let mut contain_desc =
-        tdb::stream::ContainSelfSemijoinDesc::new(from_sorted_vec(xs_desc, desc_order).unwrap())
-            .unwrap();
-    let mut n3 = 0;
-    while contain_desc.next().unwrap().is_some() {
-        n3 += 1;
-    }
-
-    println!("\n    ValidFrom↑ (TE↑ sec)  Contained-semijoin(X,X)  max state {:>3}  (a: one tuple)   {} emitted", contained.report().max_workspace(), n1);
-    println!("    ValidFrom↑ (TE↑ sec)  Contain-semijoin(X,X)    max state {:>3}  (b: overlap set) {} emitted", contain_asc.report().max_workspace(), n2);
-    println!("    ValidFrom↓ (TE↓ sec)  Contain-semijoin(X,X)    max state {:>3}  (a: one tuple)   {} emitted", contain_desc.report().max_workspace(), n3);
+    println!("\n    ValidFrom↑ (TE↑ sec)  Contained-semijoin(X,X)  max state {:>3}  (a: one tuple)   {} emitted", contained.max_workspace(), n1);
+    println!("    ValidFrom↑ (TE↑ sec)  Contain-semijoin(X,X)    max state {:>3}  (b: overlap set) {} emitted", contain_asc.max_workspace(), n2);
+    println!("    ValidFrom↓ (TE↓ sec)  Contain-semijoin(X,X)    max state {:>3}  (a: one tuple)   {} emitted", contain_desc.max_workspace(), n3);
     assert_eq!(n2, n3, "ascending and descending contain-self must agree");
     json.insert(
         "table3".into(),
         jobj! {
-            "contained_asc_ws" => contained.report().max_workspace(),
-            "contain_asc_ws" => contain_asc.report().max_workspace(),
-            "contain_desc_ws" => contain_desc.report().max_workspace(),
+            "contained_asc_ws" => contained.max_workspace(),
+            "contain_asc_ws" => contain_asc.max_workspace(),
+            "contain_desc_ws" => contain_desc.max_workspace(),
         },
     );
 }
@@ -556,12 +497,11 @@ fn before(json: &mut BTreeMap<String, Json>) {
     println!("E13 · Before-join and Before-semijoin");
     let w = Workload::poisson("before", 30_000, 3.0, 10.0, 3.0, 10.0, 808);
 
+    let cfg = OpConfig::new();
     let (count, us_idx) = timed(|| {
-        OpConfig::new()
-            .before_join(from_vec(w.xs.clone()), from_vec(w.ys.clone()))
-            .unwrap()
-            .count()
-            .unwrap()
+        let (xs, ys) = (w.xs.clone(), w.ys.clone());
+        let (_, report) = run_join(StreamOpKind::BeforeJoin, cfg, xs, ys, Emit::Count).unwrap();
+        report.metrics.emitted as u64
     });
     let (naive, us_naive) = timed(|| {
         let mut c = 0u64;
@@ -576,14 +516,8 @@ fn before(json: &mut BTreeMap<String, Json>) {
     });
     assert_eq!(count, naive);
     let (semi_n, us_semi) = timed(|| {
-        let mut op = OpConfig::new()
-            .before_semijoin(from_vec(w.xs.clone()), from_vec(w.ys.clone()))
-            .unwrap();
-        let mut n = 0;
-        while op.next().unwrap().is_some() {
-            n += 1;
-        }
-        n
+        let (xs, ys) = (w.xs.clone(), w.ys.clone());
+        drain_count(|e| run_semijoin(StreamOpKind::BeforeSemijoin, cfg, xs, ys, e)).0
     });
     println!("\n    Before-join result pairs: {count} (≈n²/2: the output itself is quadratic)");
     println!(
@@ -631,13 +565,8 @@ fn sortcost(json: &mut BTreeMap<String, Json>) {
             );
             let (ys, _) = sorter.sort(w.ys.clone()).unwrap();
             let ys: Vec<_> = ys.map(|r| r.unwrap()).collect();
-            let mut j = OpConfig::new()
-                .contain_join_ts_te(
-                    from_sorted_vec(xs, StreamOrder::TS_ASC).unwrap(),
-                    from_sorted_vec(ys, StreamOrder::TE_ASC).unwrap(),
-                )
-                .unwrap();
-            while j.next().unwrap().is_some() {}
+            let cfg = OpConfig::new();
+            drain_count(|e| run_join(StreamOpKind::ContainJoinTsTe, cfg, xs, ys, e));
         });
         let nl = measure_nested_contain(&w);
         let model_stream = stream_join_cost(WorkspaceKind::ContainJoinTsTe, &sx, &sy);
@@ -684,7 +613,7 @@ fn parallel(json: &mut BTreeMap<String, Json>) {
     // runs a ContainJoinTsTe over a fringe-replicated subset of the input,
     // so its resident set is a subset of the globally concurrent intervals
     // and the whole-input cap dominates every partition.
-    let static_cap = workspace_cap(tdb::stream::StreamOpKind::ContainJoinTsTe, &sx, Some(&sy));
+    let static_cap = workspace_cap(StreamOpKind::ContainJoinTsTe, &sx, Some(&sy));
     let mut rows_json = Vec::new();
     let mut serial_us = 0u128;
     let mut serial_cmp = 0usize;
@@ -775,7 +704,6 @@ fn parallel(json: &mut BTreeMap<String, Json>) {
 /// per path; the headline is the count-path speedup over
 /// materialization. Emits `results/BENCH_sink.json`.
 fn sink(json: &mut BTreeMap<String, Json>) {
-    use tdb::stream::{run_join, Emit, StreamOpKind};
     const N_SIDE: usize = 40_000;
     println!(
         "E21 · streaming result sinks vs output materialization (Contain-join, {N_SIDE}/side)"
@@ -794,9 +722,7 @@ fn sink(json: &mut BTreeMap<String, Json>) {
             StreamOpKind::ContainJoinTsTe,
             OpConfig::new(),
             x.clone(),
-            StreamOrder::TS_ASC,
             y.clone(),
-            StreamOrder::TE_ASC,
             emit,
         )
         .unwrap()
@@ -944,17 +870,18 @@ fn aggregate(json: &mut BTreeMap<String, Json>) {
         .flat_map(|g| (0..per_group).map(move |i| (Value::Int(i64::from(g)), i64::from(i))))
         .collect();
 
-    let ((n_stream, ws_stream), us_stream) = timed(|| {
-        let mut op = GroupedSum::new(from_vec(rows.clone()), |r| r.0.clone(), |r| r.1);
-        let mut n = 0;
-        while op.next().unwrap().is_some() {
-            n += 1;
+    let ((out_stream, report), us_stream) =
+        timed(|| grouped_sum(&rows, |r| r.0.clone(), |r| r.1).unwrap());
+    let (n_stream, ws_stream) = (out_stream.len(), report.max_workspace());
+    // The conventional baseline: one hash cell per group.
+    let (out_hash, us_hash) = timed(|| {
+        let mut sums = std::collections::HashMap::new();
+        for (k, v) in &rows {
+            *sums.entry(k.clone()).or_insert(0i64) += v;
         }
-        (n, op.report().max_workspace())
+        sums
     });
-    let ((out_hash, ws_hash), us_hash) = timed(|| {
-        tdb::stream::HashSum::run(from_vec(rows.clone()), |r| r.0.clone(), |r| r.1).unwrap()
-    });
+    let ws_hash = out_hash.len();
     assert_eq!(n_stream, out_hash.len());
     println!(
         "\n    streaming sum: {n_stream} groups, workspace {ws_stream} cell, {:.1} ms",
@@ -1083,7 +1010,7 @@ fn live(json: &mut BTreeMap<String, Json>) {
     // it too: the soak never held more state than the batch proof allows.
     let sx = catalog.meta("X").unwrap().stats.clone();
     let sy = catalog.meta("Y").unwrap().stats.clone();
-    let static_cap = workspace_cap(tdb::stream::StreamOpKind::ContainJoinTsTe, &sx, Some(&sy));
+    let static_cap = workspace_cap(StreamOpKind::ContainJoinTsTe, &sx, Some(&sy));
     assert!(
         peak <= static_cap,
         "live workspace peak {peak} exceeded the static batch cap {static_cap}"

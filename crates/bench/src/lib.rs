@@ -84,103 +84,64 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, u128) {
     (out, start.elapsed().as_micros())
 }
 
-/// Run the Contain-join under the `(TS↑, TS↑)` configuration.
-pub fn measure_contain_ts_ts(w: &Workload, policy: ReadPolicy) -> Measurement {
-    let xs = w.xs_sorted(StreamOrder::TS_ASC);
-    let ys = w.ys_sorted(StreamOrder::TS_ASC);
-    let ((n, report), micros) = timed(|| {
-        let mut j = OpConfig::new()
-            .with_policy(policy)
-            .contain_join_ts_ts(
-                from_sorted_vec(xs, StreamOrder::TS_ASC).unwrap(),
-                from_sorted_vec(ys, StreamOrder::TS_ASC).unwrap(),
-            )
-            .unwrap();
-        let mut n = 0;
-        while j.next().unwrap().is_some() {
-            n += 1;
-        }
-        (n, j.report())
-    });
+/// Run a dispatch entry (given its [`Emit`]), counting the output it
+/// hands over chunk by chunk — built and dropped, as a consumer that only
+/// counts would. Returns the count and the operator's report.
+pub fn drain_count<T>(
+    run: impl FnOnce(Emit<'_, T>) -> TdbResult<(bool, OpReport)>,
+) -> (usize, OpReport) {
+    let mut n = 0;
+    let (_, report) = run(Emit::Chunks(&mut |chunk| {
+        n += chunk.len();
+        Ok(true)
+    }))
+    .unwrap();
+    (n, report)
+}
+
+fn measurement((output, report): (usize, OpReport), micros: u128) -> Measurement {
     Measurement {
-        output: n,
+        output,
         max_workspace: report.max_workspace(),
         comparisons: report.metrics.comparisons,
         micros,
     }
+}
+
+/// Run the Contain-join under the `(TS↑, TS↑)` configuration.
+pub fn measure_contain_ts_ts(w: &Workload, policy: ReadPolicy) -> Measurement {
+    let xs = w.xs_sorted(StreamOrder::TS_ASC);
+    let ys = w.ys_sorted(StreamOrder::TS_ASC);
+    let cfg = OpConfig::new().with_policy(policy);
+    let (run, micros) =
+        timed(|| drain_count(|e| run_join(StreamOpKind::ContainJoinTsTs, cfg, xs, ys, e)));
+    measurement(run, micros)
 }
 
 /// Run the Contain-join under the `(TS↑, TE↑)` configuration.
 pub fn measure_contain_ts_te(w: &Workload) -> Measurement {
     let xs = w.xs_sorted(StreamOrder::TS_ASC);
     let ys = w.ys_sorted(StreamOrder::TE_ASC);
-    let ((n, report), micros) = timed(|| {
-        let mut j = OpConfig::new()
-            .contain_join_ts_te(
-                from_sorted_vec(xs, StreamOrder::TS_ASC).unwrap(),
-                from_sorted_vec(ys, StreamOrder::TE_ASC).unwrap(),
-            )
-            .unwrap();
-        let mut n = 0;
-        while j.next().unwrap().is_some() {
-            n += 1;
-        }
-        (n, j.report())
-    });
-    Measurement {
-        output: n,
-        max_workspace: report.max_workspace(),
-        comparisons: report.metrics.comparisons,
-        micros,
-    }
+    let cfg = OpConfig::new();
+    let (run, micros) =
+        timed(|| drain_count(|e| run_join(StreamOpKind::ContainJoinTsTe, cfg, xs, ys, e)));
+    measurement(run, micros)
+}
+
+fn contains(a: &TsTuple, b: &TsTuple) -> bool {
+    a.period.contains(&b.period)
 }
 
 /// Run the no-GC buffered join (degenerate orderings, Table 1 "-" rows).
 pub fn measure_buffered_contain(w: &Workload) -> Measurement {
-    let ((n, report), micros) = timed(|| {
-        let mut j = OpConfig::new()
-            .buffered_join(
-                from_vec(w.xs.clone()),
-                from_vec(w.ys.clone()),
-                |a: &TsTuple, b: &TsTuple| a.period.contains(&b.period),
-            )
-            .unwrap();
-        let mut n = 0;
-        while j.next().unwrap().is_some() {
-            n += 1;
-        }
-        (n, j.report())
-    });
-    Measurement {
-        output: n,
-        max_workspace: report.max_workspace(),
-        comparisons: report.metrics.comparisons,
-        micros,
-    }
+    let ((pairs, report), micros) = timed(|| buffered_join(&w.xs, &w.ys, contains));
+    measurement((pairs.len(), report), micros)
 }
 
 /// Run the conventional nested-loop contain join.
 pub fn measure_nested_contain(w: &Workload) -> Measurement {
-    let ((n, report), micros) = timed(|| {
-        let mut j = OpConfig::new()
-            .nested_loop(
-                from_vec(w.xs.clone()),
-                from_vec(w.ys.clone()),
-                |a: &TsTuple, b: &TsTuple| a.period.contains(&b.period),
-            )
-            .unwrap();
-        let mut n = 0;
-        while j.next().unwrap().is_some() {
-            n += 1;
-        }
-        (n, j.report())
-    });
-    Measurement {
-        output: n,
-        max_workspace: report.max_workspace(),
-        comparisons: report.metrics.comparisons,
-        micros,
-    }
+    let ((pairs, report), micros) = timed(|| nested_loop_join(&w.xs, &w.ys, contains));
+    measurement((pairs.len(), report), micros)
 }
 
 /// Build a faculty catalog in a temp dir for query benchmarks.

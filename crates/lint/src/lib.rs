@@ -22,7 +22,7 @@
 //! | `no-unwrap` | no `unwrap`/`expect`/`panic!` in stream/live/net/engine library paths |
 //! | `no-unbounded-channel` | only bounded (`sync_channel`) queues, workspace-wide |
 //! | `guard-across-blocking` | no lock guard lexically live across `.join`/`.send`/`.recv`/`.wait` |
-//! | `streamop-registry` | every `StreamOpKind` variant in `ALL` and `requirement()`; every dispatch table falls back to `TdbError::Plan` |
+//! | `streamop-registry` | every `StreamOpKind` variant in `ALL` and `requirement()` |
 //! | `errorcode-codec` | `ErrorCode` discriminants round-trip through `from_u8` |
 //! | `metrics-name` | literal metric names match `^tdb_[a-z0-9_]+$` |
 //! | `no-unsynced-durability-write` | every WAL-crate file write reaches a `sync_data`/`sync_all` in scope |

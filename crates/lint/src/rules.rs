@@ -245,13 +245,10 @@ fn enum_variants(lines: &[String], name: &str) -> Vec<(usize, String)> {
 
 /// `streamop-registry`: every `StreamOpKind` variant must appear in the
 /// `ALL` sweep constant and have a `requirement()` match arm — the
-/// registry is the single source the analyzer and executor trust. The
-/// one place kinds are bound to kernels, `stream/src/dispatch.rs`, must
-/// stay total the same way: each `match kind` table there needs a
-/// catch-all arm that is a `TdbError::Plan`, so a kind without a kernel
-/// is a planning error at runtime rather than a missing arm.
+/// registry is the single source the analyzer and executor trust. (The
+/// dispatch tables binding kinds to kernels name every kind with no
+/// catch-all arm, so rustc keeps them total.)
 pub fn streamop_registry(files: &[Prepared], out: &mut Vec<Finding>) {
-    dispatch_tables_total(files, out);
     let Some(p) = files
         .iter()
         .find(|p| p.path.ends_with("stream/src/required.rs"))
@@ -285,37 +282,6 @@ pub fn streamop_registry(files: &[Prepared], out: &mut Vec<Finding>) {
                 *line,
                 "streamop-registry",
                 format!("StreamOpKind::{v} has no requirement() registry entry"),
-            ));
-        }
-    }
-}
-
-/// The dispatch half of `streamop-registry`: every `match kind` table in
-/// `stream/src/dispatch.rs` must close with a catch-all arm returning
-/// `TdbError::Plan`. The table ends at the first line that closes a brace
-/// at the `match`'s own indentation.
-fn dispatch_tables_total(files: &[Prepared], out: &mut Vec<Finding>) {
-    let Some(p) = files
-        .iter()
-        .find(|p| p.path.ends_with("stream/src/dispatch.rs"))
-    else {
-        return;
-    };
-    for (start, line) in p.code.iter().enumerate() {
-        let Some(indent) = line.find("match kind {") else {
-            continue;
-        };
-        let close = format!("{}}}", " ".repeat(indent));
-        let total = p.code[start + 1..]
-            .iter()
-            .take_while(|l| l.trim_end() != close)
-            .any(|l| l.contains("=> Err(TdbError::Plan("));
-        if !total {
-            out.push(finding(
-                p,
-                start,
-                "streamop-registry",
-                "dispatch table has no catch-all arm returning TdbError::Plan".to_string(),
             ));
         }
     }

@@ -225,32 +225,6 @@ impl StreamOpKind {
 }
 
 #[test]
-fn streamop_registry_catches_dispatch_table_without_plan_fallback() {
-    let text = "
-pub fn run_join(kind: StreamOpKind) -> TdbResult<()> {
-    match kind {
-        StreamOpKind::SweepJoin => run(SweepJoin::new()),
-        other => Err(TdbError::Plan(format!(\"no join kernel for {other}\"))),
-    }
-}
-
-pub fn run_semijoin(kind: StreamOpKind) -> TdbResult<()> {
-    match kind {
-        StreamOpKind::SweepSemijoin => run(SweepSemijoin::new()),
-        _ => unreachable!(),
-    }
-}
-";
-    let findings = lint_files(&[src("crates/stream/src/dispatch.rs", text)]);
-    assert_eq!(rules_of(&findings), ["streamop-registry"], "{findings:#?}");
-    assert_eq!(findings[0].line, 10, "{findings:#?}");
-    assert!(
-        findings[0].message.contains("TdbError::Plan"),
-        "{findings:#?}"
-    );
-}
-
-#[test]
 fn errorcode_codec_catches_missing_and_mismatched_arms() {
     let text = "
 pub enum ErrorCode {

@@ -135,14 +135,16 @@ impl Side {
     }
 
     /// The held tuples in `range` as kernel items sorted into `order`.
-    fn items(&self, range: Range<usize>, order: StreamOrder) -> Vec<Item> {
+    fn items(&self, range: Range<usize>, order: Option<StreamOrder>) -> Vec<Item> {
         let mut items: Vec<Item> = range
             .map(|idx| Item {
                 period: self.held[idx].period,
                 idx,
             })
             .collect();
-        order.sort(&mut items);
+        if let Some(order) = order {
+            order.sort(&mut items);
+        }
         items
     }
 }
@@ -328,7 +330,7 @@ impl HeldJoin {
             }
             Ok(true)
         };
-        let (_, report) = run_join(kind, cfg, xs, x_ord, ys, y_ord, Emit::Chunks(&mut emit))?;
+        let (_, report) = run_join(kind, cfg, xs, ys, Emit::Chunks(&mut emit))?;
         Ok(report.max_workspace())
     }
 
@@ -355,7 +357,7 @@ impl HeldJoin {
             Ok(true)
         };
         let (xs, ys) = (ls.items(l, l_ord), rs.items(r, r_ord));
-        let (_, report) = run_semijoin(kind, cfg, xs, l_ord, ys, r_ord, Emit::Chunks(&mut emit))?;
+        let (_, report) = run_semijoin(kind, cfg, xs, ys, Emit::Chunks(&mut emit))?;
         Ok(report.max_workspace())
     }
 

@@ -20,7 +20,6 @@ pub mod buffer;
 pub mod catalog;
 pub mod codec;
 pub mod heap;
-pub mod interval_index;
 pub mod iostats;
 pub mod page;
 pub mod run;
@@ -31,7 +30,6 @@ pub use buffer::BufferPool;
 pub use catalog::{Catalog, RelationMeta};
 pub use codec::Codec;
 pub use heap::HeapFile;
-pub use interval_index::IntervalIndex;
 pub use iostats::IoStats;
 pub use page::{Page, PAGE_SIZE};
 pub use run::{RunReader, RunWriter};

@@ -6,158 +6,57 @@
 //! name, the local workspace simply contains the partial sum and a buffer
 //! for the tuple just read."
 //!
-//! [`GroupedSum`] is that processor: O(1) state over grouped input, with
-//! runtime detection of ungrouped input. [`HashSum`] is the conventional
-//! baseline whose workspace grows with the number of groups.
+//! [`grouped_sum`] is that processor: O(1) state over grouped input, with
+//! detection of ungrouped input.
 
 use crate::metrics::OpMetrics;
-use crate::stream::TupleStream;
-use std::collections::{HashMap, HashSet};
-use tdb_core::{StreamOrder, TdbError, TdbResult, Value};
+use crate::report::OpReport;
+use crate::workspace::WorkspaceStats;
+use std::collections::HashSet;
+use tdb_core::{TdbError, TdbResult, Value};
 
-/// Streaming sum over input grouped by key: one partial sum of state.
-pub struct GroupedSum<S, K, V>
-where
-    S: TupleStream,
-    K: Fn(&S::Item) -> Value,
-    V: Fn(&S::Item) -> i64,
-{
-    input: S,
-    key: K,
-    value: V,
-    current: Option<(Value, i64)>,
-    /// Keys of groups already closed, to detect ungrouped input.
-    closed: HashSet<Value>,
-    metrics: OpMetrics,
-    done: bool,
-}
-
-impl<S, K, V> GroupedSum<S, K, V>
-where
-    S: TupleStream,
-    K: Fn(&S::Item) -> Value,
-    V: Fn(&S::Item) -> i64,
-{
-    /// Build the processor over grouped input.
-    pub fn new(input: S, key: K, value: V) -> Self {
-        GroupedSum {
-            input,
-            key,
-            value,
-            current: None,
-            closed: HashSet::new(),
-            metrics: OpMetrics {
-                passes: 1,
-                ..OpMetrics::default()
-            },
-            done: false,
-        }
-    }
-
-    /// Execution metrics.
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
-
-    /// State beyond the input buffer: one `(key, partial sum)` cell.
-    pub fn max_workspace(&self) -> usize {
-        1
-    }
-}
-
-impl<S, K, V> TupleStream for GroupedSum<S, K, V>
-where
-    S: TupleStream,
-    K: Fn(&S::Item) -> Value,
-    V: Fn(&S::Item) -> i64,
-{
-    type Item = (Value, i64);
-
-    fn next(&mut self) -> TdbResult<Option<(Value, i64)>> {
-        if self.done {
-            return Ok(None);
-        }
-        loop {
-            match self.input.next()? {
-                Some(item) => {
-                    self.metrics.read_left += 1;
-                    let k = (self.key)(&item);
-                    let v = (self.value)(&item);
-                    match &mut self.current {
-                        Some((ck, sum)) if *ck == k => {
-                            *sum += v;
-                        }
-                        Some(_) => {
-                            // Group boundary: emit the finished group. The
-                            // `Some(_)` arm guarantees `current` is occupied.
-                            // lint:allow(no-unwrap)
-                            let (ck, sum) = self.current.replace((k.clone(), v)).expect("checked");
-                            if !self.closed.insert(ck.clone()) {
-                                return Err(TdbError::OrderViolation {
-                                    context: "GroupedSum",
-                                    detail: format!("input is not grouped: key {ck} reappeared"),
-                                });
-                            }
-                            // The reappearing *new* key is checked when its
-                            // own group closes.
-                            self.metrics.emitted += 1;
-                            return Ok(Some((ck, sum)));
-                        }
-                        None => {
-                            self.current = Some((k, v));
-                        }
-                    }
+/// Sum `value` per `key` over input grouped by key, one `(key, sum)` per
+/// group in input order. The state beyond the input buffer is one
+/// `(key, partial sum)` cell; a key that reappears after its group closed
+/// is an `OrderViolation`.
+pub fn grouped_sum<T>(
+    items: &[T],
+    key: impl Fn(&T) -> Value,
+    value: impl Fn(&T) -> i64,
+) -> TdbResult<(Vec<(Value, i64)>, OpReport)> {
+    let mut out: Vec<(Value, i64)> = Vec::new();
+    // Keys of groups already closed, to detect ungrouped input.
+    let mut closed = HashSet::new();
+    for item in items {
+        let (k, v) = (key(item), value(item));
+        match out.last_mut() {
+            Some((ck, sum)) if *ck == k => *sum += v,
+            last => {
+                if let Some((ck, _)) = last {
+                    closed.insert(ck.clone());
                 }
-                None => {
-                    self.done = true;
-                    if let Some((ck, sum)) = self.current.take() {
-                        if !self.closed.insert(ck.clone()) {
-                            return Err(TdbError::OrderViolation {
-                                context: "GroupedSum",
-                                detail: format!("input is not grouped: key {ck} reappeared"),
-                            });
-                        }
-                        self.metrics.emitted += 1;
-                        return Ok(Some((ck, sum)));
-                    }
-                    return Ok(None);
+                if closed.contains(&k) {
+                    return Err(TdbError::OrderViolation {
+                        context: "GroupedSum",
+                        detail: format!("input is not grouped: key {k} reappeared"),
+                    });
                 }
+                out.push((k, v));
             }
         }
     }
-
-    fn order(&self) -> Option<StreamOrder> {
-        None
-    }
-}
-
-/// Conventional hash aggregation baseline: workspace = one cell per group.
-pub struct HashSum;
-
-impl HashSum {
-    /// Sum `value` per `key` over the whole stream, returning results sorted
-    /// by key, plus the number of groups held (the workspace).
-    pub fn run<S, K, V>(mut input: S, key: K, value: V) -> TdbResult<(Vec<(Value, i64)>, usize)>
-    where
-        S: TupleStream,
-        K: Fn(&S::Item) -> Value,
-        V: Fn(&S::Item) -> i64,
-    {
-        let mut sums: HashMap<Value, i64> = HashMap::new();
-        while let Some(item) = input.next()? {
-            *sums.entry(key(&item)).or_insert(0) += value(&item);
-        }
-        let workspace = sums.len();
-        let mut out: Vec<_> = sums.into_iter().collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok((out, workspace))
-    }
+    let metrics = OpMetrics {
+        read_left: items.len(),
+        emitted: out.len(),
+        passes: 1,
+        ..OpMetrics::default()
+    };
+    Ok((out, OpReport::new(metrics, WorkspaceStats::of_resident(1))))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::from_vec;
 
     fn dept_rows() -> Vec<(Value, i64)> {
         vec![
@@ -169,10 +68,13 @@ mod tests {
         ]
     }
 
+    fn sum(rows: &[(Value, i64)]) -> TdbResult<(Vec<(Value, i64)>, OpReport)> {
+        grouped_sum(rows, |r| r.0.clone(), |r| r.1)
+    }
+
     #[test]
     fn figure4_department_sums() {
-        let mut op = GroupedSum::new(from_vec(dept_rows()), |r| r.0.clone(), |r| r.1);
-        let out = op.collect_vec().unwrap();
+        let (out, report) = sum(&dept_rows()).unwrap();
         assert_eq!(
             out,
             vec![
@@ -181,8 +83,8 @@ mod tests {
                 (Value::str("Math"), 100),
             ]
         );
-        assert_eq!(op.max_workspace(), 1);
-        assert_eq!(op.metrics().read_left, 5);
+        assert_eq!(report.max_workspace(), 1);
+        assert_eq!(report.metrics.read_left, 5);
     }
 
     #[test]
@@ -192,52 +94,19 @@ mod tests {
             (Value::str("EE"), 2),
             (Value::str("CS"), 3), // CS reappears after closing
         ];
-        let mut op = GroupedSum::new(from_vec(rows), |r| r.0.clone(), |r| r.1);
-        let mut err = None;
-        loop {
-            match op.next() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        assert!(matches!(err, Some(TdbError::OrderViolation { .. })));
+        assert!(matches!(sum(&rows), Err(TdbError::OrderViolation { .. })));
     }
 
     #[test]
     fn empty_and_single_group() {
-        let mut op = GroupedSum::new(
-            from_vec(Vec::<(Value, i64)>::new()),
-            |r| r.0.clone(),
-            |r| r.1,
-        );
-        assert!(op.collect_vec().unwrap().is_empty());
-
-        let mut op = GroupedSum::new(
-            from_vec(vec![(Value::str("A"), 1), (Value::str("A"), 2)]),
-            |r| r.0.clone(),
-            |r| r.1,
-        );
-        assert_eq!(op.collect_vec().unwrap(), vec![(Value::str("A"), 3)]);
-    }
-
-    #[test]
-    fn hash_baseline_agrees_but_uses_group_workspace() {
-        let (out, ws) = HashSum::run(from_vec(dept_rows()), |r| r.0.clone(), |r| r.1).unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(ws, 3, "hash agg holds every group");
-        let mut stream_op = GroupedSum::new(from_vec(dept_rows()), |r| r.0.clone(), |r| r.1);
-        let stream_out = stream_op.collect_vec().unwrap();
-        assert_eq!(out, stream_out);
+        assert!(sum(&[]).unwrap().0.is_empty());
+        let rows = vec![(Value::str("A"), 1), (Value::str("A"), 2)];
+        assert_eq!(sum(&rows).unwrap().0, vec![(Value::str("A"), 3)]);
     }
 
     #[test]
     fn negative_values_sum_correctly() {
         let rows = vec![(Value::Int(1), -5), (Value::Int(1), 3)];
-        let mut op = GroupedSum::new(from_vec(rows), |r| r.0.clone(), |r| r.1);
-        assert_eq!(op.collect_vec().unwrap(), vec![(Value::Int(1), -2)]);
+        assert_eq!(sum(&rows).unwrap().0, vec![(Value::Int(1), -2)]);
     }
 }

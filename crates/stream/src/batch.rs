@@ -9,12 +9,11 @@
 //! dense `i64` arrays that stay cache-resident while the sweep runs, and
 //! payloads are only touched when a tuple actually matches.
 //!
-//! [`BatchStream`] is the pull surface (batches instead of rows);
-//! [`Batcher`] adapts any row [`TupleStream`]. The push surface —
+//! [`BatchStream`] is the input surface a kernel is fed from;
+//! [`VecBatchStream`] slices a sorted vector into it. The push surface —
 //! `process_batch` — lives in [`crate::batch_ops`].
 
-use crate::stream::TupleStream;
-use tdb_core::{StreamOrder, TdbError, TdbResult, Temporal, TimePoint};
+use tdb_core::{StreamOrder, TdbError, TdbResult, Temporal};
 
 /// Default number of rows per columnar batch. 1024 rows × two `i64`
 /// endpoint columns = 16 KiB of sweep keys — half a typical L1d cache,
@@ -67,11 +66,6 @@ impl<T> RowBatch<T> {
         &self.te
     }
 
-    /// The payload column.
-    pub fn payload(&self) -> &[T] {
-        &self.payload
-    }
-
     /// Endpoints of row `i` as `(ts, te)` ticks.
     #[inline]
     pub fn endpoints(&self, i: usize) -> (i64, i64) {
@@ -82,6 +76,11 @@ impl<T> RowBatch<T> {
     #[inline]
     pub fn row(&self, i: usize) -> &T {
         &self.payload[i]
+    }
+
+    /// The payload column, owned.
+    pub fn into_rows(self) -> Vec<T> {
+        self.payload
     }
 }
 
@@ -103,8 +102,7 @@ impl<T: Temporal> RowBatch<T> {
     }
 }
 
-/// A fallible, ordered stream of columnar batches — the batch counterpart
-/// of [`TupleStream`].
+/// A fallible stream of columnar batches — what a kernel is fed from.
 pub trait BatchStream {
     /// Row payload type.
     type Item;
@@ -112,77 +110,30 @@ pub trait BatchStream {
     /// Pull the next batch, `Ok(None)` at end of stream. Batches are
     /// non-empty.
     fn next_batch(&mut self) -> TdbResult<Option<RowBatch<Self::Item>>>;
-
-    /// The ordering the concatenated rows satisfy, if any.
-    fn order(&self) -> Option<StreamOrder>;
 }
 
-/// Adapt a row [`TupleStream`] into a [`BatchStream`] of `rows`-row
-/// batches.
-pub struct Batcher<S: TupleStream> {
-    inner: S,
-    rows: usize,
-}
-
-impl<S: TupleStream> Batcher<S> {
-    /// Wrap `inner`, emitting batches of up to `rows` rows (`rows == 0` is
-    /// treated as 1).
-    pub fn new(inner: S, rows: usize) -> Batcher<S> {
-        Batcher {
-            inner,
-            rows: rows.max(1),
-        }
-    }
-}
-
-impl<S: TupleStream> BatchStream for Batcher<S>
-where
-    S::Item: Temporal,
-{
-    type Item = S::Item;
-
-    fn next_batch(&mut self) -> TdbResult<Option<RowBatch<S::Item>>> {
-        let mut batch = RowBatch::with_capacity(self.rows);
-        while batch.len() < self.rows {
-            match self.inner.next()? {
-                Some(item) => batch.push(item),
-                None => break,
-            }
-        }
-        Ok(if batch.is_empty() { None } else { Some(batch) })
-    }
-
-    fn order(&self) -> Option<StreamOrder> {
-        self.inner.order()
-    }
-}
-
-/// A [`BatchStream`] over an owned, already-sorted vector, slicing it into
-/// `rows`-row batches without per-row indirection.
+/// A [`BatchStream`] over an owned vector, slicing it into `rows`-row
+/// batches without per-row indirection.
 pub struct VecBatchStream<T> {
     items: std::vec::IntoIter<T>,
     rows: usize,
-    order: Option<StreamOrder>,
 }
 
 impl<T: Temporal> VecBatchStream<T> {
-    /// Wrap `items`, verifying the claimed `order` up front (like
-    /// [`crate::stream::from_sorted_vec`]).
-    pub fn from_sorted_vec(
-        items: Vec<T>,
-        order: StreamOrder,
-        rows: usize,
-    ) -> TdbResult<VecBatchStream<T>> {
-        if let Some(i) = order.first_violation(&items) {
-            return Err(TdbError::OrderViolation {
-                context: "VecBatchStream",
-                detail: format!("claimed {order} violated at index {i}"),
-            });
+    /// Wrap `items` in batches of `rows` rows (`0` is treated as 1),
+    /// verifying the claimed `order` up front; `None` claims none.
+    pub fn new(items: Vec<T>, order: Option<StreamOrder>, rows: usize) -> TdbResult<Self> {
+        if let Some(order) = order {
+            if let Some(i) = order.first_violation(&items) {
+                return Err(TdbError::OrderViolation {
+                    context: "VecBatchStream",
+                    detail: format!("claimed {order} violated at index {i}"),
+                });
+            }
         }
         Ok(VecBatchStream {
             items: items.into_iter(),
             rows: rows.max(1),
-            order: Some(order),
         })
     }
 }
@@ -200,28 +151,19 @@ impl<T: Temporal> BatchStream for VecBatchStream<T> {
         }
         Ok(if batch.is_empty() { None } else { Some(batch) })
     }
-
-    fn order(&self) -> Option<StreamOrder> {
-        self.order
-    }
-}
-
-/// The epoch tick value used when an item's endpoints are needed as plain
-/// integers (mirrors [`TimePoint::ticks`], kept here so batch kernels can
-/// name it without importing `tdb_core::TimePoint`).
-#[inline]
-pub fn ticks(p: TimePoint) -> i64 {
-    p.ticks()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::from_sorted_vec;
     use tdb_core::TsTuple;
 
     fn iv(s: i64, e: i64) -> TsTuple {
         TsTuple::interval(s, e).unwrap()
+    }
+
+    fn sizes(mut b: VecBatchStream<TsTuple>) -> Vec<usize> {
+        std::iter::from_fn(|| b.next_batch().unwrap().map(|x| x.len())).collect()
     }
 
     #[test]
@@ -232,45 +174,29 @@ mod tests {
         assert_eq!(b.te_ticks(), &[5, 9]);
         assert_eq!(b.endpoints(1), (2, 9));
         assert_eq!(b.row(0), &iv(0, 5));
+        assert_eq!(b.into_rows(), vec![iv(0, 5), iv(2, 9)]);
     }
 
     #[test]
     fn batcher_chunks_a_row_stream() {
         let rows: Vec<TsTuple> = (0..10).map(|i| iv(i, i + 1)).collect();
-        let s = from_sorted_vec(rows, tdb_core::StreamOrder::TS_ASC).unwrap();
-        let mut b = Batcher::new(s, 4);
-        assert_eq!(b.order(), Some(tdb_core::StreamOrder::TS_ASC));
-        let sizes: Vec<usize> =
-            std::iter::from_fn(|| b.next_batch().unwrap().map(|x| x.len())).collect();
-        assert_eq!(sizes, vec![4, 4, 2]);
+        let b = VecBatchStream::new(rows, Some(StreamOrder::TS_ASC), 4).unwrap();
+        assert_eq!(sizes(b), vec![4, 4, 2]);
     }
 
     #[test]
     fn vec_batch_stream_validates_order() {
-        let bad = VecBatchStream::from_sorted_vec(
-            vec![iv(5, 9), iv(0, 1)],
-            tdb_core::StreamOrder::TS_ASC,
-            8,
-        );
+        let bad = VecBatchStream::new(vec![iv(5, 9), iv(0, 1)], Some(StreamOrder::TS_ASC), 8);
         assert!(matches!(bad, Err(TdbError::OrderViolation { .. })));
-        let mut ok = VecBatchStream::from_sorted_vec(
-            vec![iv(0, 1), iv(5, 9)],
-            tdb_core::StreamOrder::TS_ASC,
-            1,
-        )
-        .unwrap();
-        let mut n = 0;
-        while let Some(batch) = ok.next_batch().unwrap() {
-            n += batch.len();
-            assert_eq!(batch.len(), 1);
-        }
-        assert_eq!(n, 2);
+        // No claimed order: any sequence is accepted as is.
+        assert!(VecBatchStream::new(vec![iv(5, 9), iv(0, 1)], None, 8).is_ok());
+        let ok = VecBatchStream::new(vec![iv(0, 1), iv(5, 9)], Some(StreamOrder::TS_ASC), 1);
+        assert_eq!(sizes(ok.unwrap()), vec![1, 1]);
     }
 
     #[test]
     fn zero_rows_is_clamped() {
-        let s = from_sorted_vec(vec![iv(0, 1)], tdb_core::StreamOrder::TS_ASC).unwrap();
-        let mut b = Batcher::new(s, 0);
-        assert_eq!(b.next_batch().unwrap().unwrap().len(), 1);
+        let b = VecBatchStream::new(vec![iv(0, 1), iv(1, 2)], None, 0).unwrap();
+        assert_eq!(sizes(b), vec![1, 1]);
     }
 }

@@ -1,5 +1,5 @@
-//! The sweep kernels: one implementation per stream operator, over
-//! columnar [`RowBatch`]es.
+//! The push protocol every stream operator speaks, and the sweep kernels
+//! of the operators the planner emits, over columnar [`RowBatch`]es.
 //!
 //! | kernel | paper | workspace |
 //! |---|---|---|
@@ -9,15 +9,17 @@
 //! | [`ContainSemijoinStab`] | §4.2.2, Figure 6, Table 1 state (d) | buffers only |
 //! | [`ContainedSemijoinStab`] | §4.2.2, Figure 6, Table 1 state (d) | buffers only |
 //!
+//! The other paper operators are kernels of the same protocol in the
+//! module of their section: [`crate::contain_join`] (Table 1 (a)),
+//! [`crate::sweep_semijoin`] (Table 1 (c)), [`crate::self_semijoin`]
+//! (Table 3) and [`crate::before`] (§4.2.4).
+//!
 //! The kernels are **push**-driven: the caller feeds batches via
 //! [`BatchOp::process_batch_left`] / `_right` when [`BatchOp::wants`] asks
-//! for that side, and collects output with [`BatchOp::drain`]. There are
-//! two ways to run that protocol, and both run the same kernel code:
-//! [`drive`] pushes each drained chunk to a closure (the executor's path,
-//! through [`crate::dispatch`]), and the crate-private `PullOp` adapter
-//! hides the protocol behind a [`TupleStream`] so callers that compose
-//! streams keep pulling one tuple at a time (what [`crate::OpConfig`]'s
-//! constructors return).
+//! for that side, and collects output with [`BatchOp::drain`]. [`drive`]
+//! runs that protocol, handing each drained chunk to a closure;
+//! [`crate::dispatch`] picks the kernel for a [`crate::StreamOpKind`] and
+//! drives it over sorted vectors.
 //!
 //! The demand signal makes a kernel read exactly the tuples the paper's
 //! algorithm needs and no more — a cursor counts a row as read when it
@@ -41,16 +43,15 @@
 //! `y` has `y.TE ≥ y_b.TE > x.TE`, so such `x` is dead). A regression
 //! test pins this down.
 
-use crate::batch::{BatchStream, Batcher, RowBatch};
+use crate::batch::{BatchStream, RowBatch};
 use crate::gapless::GaplessWorkspace;
 use crate::metrics::OpMetrics;
 use crate::overlap_join::OverlapMode;
 use crate::read_policy::{Advance, PolicyState, ReadPolicy};
-use crate::report::{Instrumented, OpReport};
-use crate::stream::TupleStream;
+use crate::report::OpReport;
 use crate::workspace::WorkspaceStats;
 use std::collections::VecDeque;
-use tdb_core::{StreamOrder, TdbResult, Temporal, TimePoint};
+use tdb_core::{TdbResult, Temporal, TimePoint};
 
 /// Which input of a two-input kernel a batch belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +78,8 @@ pub enum Wants {
 /// Protocol: while [`BatchOp::wants`] is not [`Wants::Done`], feed the
 /// requested side one batch via `process_batch_*` or declare it finished
 /// via [`BatchOp::finish`]; collect output with [`BatchOp::drain`] at any
-/// point. [`drive`] and the pull adapter implement this loop.
+/// point. [`drive`] implements this loop. A unary kernel (a self
+/// semijoin) is a `BatchOp` that never asks for its right side.
 pub trait BatchOp {
     /// Left input row type.
     type LeftItem: Temporal + Clone;
@@ -98,11 +100,46 @@ pub trait BatchOp {
     /// Declare one input exhausted.
     fn finish(&mut self, side: Side) -> TdbResult<()>;
 
-    /// Take the output produced so far.
+    /// Take the output produced so far. A kernel whose output per input
+    /// row is unbounded (the Before-join) produces it a chunk at a time:
+    /// each `drain` hands over one chunk, and an empty one means the
+    /// kernel needs what [`BatchOp::wants`] names.
     fn drain(&mut self) -> Vec<Self::Out>;
 
     /// Metrics and workspace statistics, batch-size invariant.
     fn report(&self) -> OpReport;
+}
+
+/// A borrowed kernel runs like an owned one, so a caller can read its
+/// state back after the run.
+impl<K: BatchOp> BatchOp for &mut K {
+    type LeftItem = K::LeftItem;
+    type RightItem = K::RightItem;
+    type Out = K::Out;
+
+    fn wants(&self) -> Wants {
+        (**self).wants()
+    }
+
+    fn process_batch_left(&mut self, batch: RowBatch<Self::LeftItem>) -> TdbResult<()> {
+        (**self).process_batch_left(batch)
+    }
+
+    fn process_batch_right(&mut self, batch: RowBatch<Self::RightItem>) -> TdbResult<()> {
+        (**self).process_batch_right(batch)
+    }
+
+    fn finish(&mut self, side: Side) -> TdbResult<()> {
+        (**self).finish(side)
+    }
+
+    fn drain(&mut self) -> Vec<Self::Out> {
+        (**self).drain()
+    }
+
+    fn report(&self) -> OpReport {
+        (**self).report()
+    }
 }
 
 /// One step of the push protocol: give `op` the batch (or end-of-stream
@@ -145,96 +182,18 @@ where
 {
     loop {
         let chunk = op.drain();
-        if !chunk.is_empty() && !emit(chunk)? {
+        if chunk.is_empty() {
+            if !feed(op, left, right)? {
+                return Ok(true);
+            }
+        } else if !emit(chunk)? {
             return Ok(false);
         }
-        if !feed(op, left, right)? {
-            return Ok(true);
-        }
-    }
-}
-
-/// The pull adapter: a kernel fed from two [`TupleStream`]s, itself a
-/// [`TupleStream`].
-///
-/// Inputs reach the kernel through a [`Batcher`] of **one** row, so the
-/// adapter pulls from its inputs exactly when the paper's tuple-at-a-time
-/// algorithm would read: nothing before the first `next()`, and after an
-/// early drop the inputs have been advanced no further than the last
-/// output needed. This is the form [`crate::OpConfig`]'s constructors
-/// return; [`Instrumented::report`] is the kernel's.
-pub(crate) struct PullOp<K, L, R>
-where
-    K: BatchOp,
-    L: TupleStream<Item = K::LeftItem>,
-    R: TupleStream<Item = K::RightItem>,
-{
-    op: K,
-    left: Batcher<L>,
-    right: Batcher<R>,
-    ready: std::vec::IntoIter<K::Out>,
-    order: Option<StreamOrder>,
-}
-
-impl<K, L, R> PullOp<K, L, R>
-where
-    K: BatchOp,
-    L: TupleStream<Item = K::LeftItem>,
-    R: TupleStream<Item = K::RightItem>,
-{
-    /// Wrap `op` over its two inputs; `order` is the ordering the output
-    /// is declared with (semijoins preserve their kept input's order).
-    pub(crate) fn new(op: K, left: L, right: R, order: Option<StreamOrder>) -> Self {
-        PullOp {
-            op,
-            left: Batcher::new(left, 1),
-            right: Batcher::new(right, 1),
-            ready: Vec::new().into_iter(),
-            order,
-        }
-    }
-}
-
-impl<K, L, R> TupleStream for PullOp<K, L, R>
-where
-    K: BatchOp,
-    L: TupleStream<Item = K::LeftItem>,
-    R: TupleStream<Item = K::RightItem>,
-{
-    type Item = K::Out;
-
-    fn next(&mut self) -> TdbResult<Option<K::Out>> {
-        loop {
-            if let Some(item) = self.ready.next() {
-                return Ok(Some(item));
-            }
-            let chunk = self.op.drain();
-            if !chunk.is_empty() {
-                self.ready = chunk.into_iter();
-            } else if !feed(&mut self.op, &mut self.left, &mut self.right)? {
-                return Ok(None);
-            }
-        }
-    }
-
-    fn order(&self) -> Option<StreamOrder> {
-        self.order
-    }
-}
-
-impl<K, L, R> Instrumented for PullOp<K, L, R>
-where
-    K: BatchOp,
-    L: TupleStream<Item = K::LeftItem>,
-    R: TupleStream<Item = K::RightItem>,
-{
-    fn report(&self) -> OpReport {
-        self.op.report()
     }
 }
 
 /// Where a cursor's head stands.
-enum Head {
+pub(crate) enum Head {
     /// A row is buffered; its `(ts, te)` ticks.
     Row(i64, i64),
     /// The input is exhausted.
@@ -251,16 +210,16 @@ enum Head {
 /// algorithm would refill its buffer — not when its batch arrives, so
 /// read metrics are batch-size invariant as long as the kernel resolves
 /// heads only where the algorithm reads.
-struct Cursor<T> {
+pub(crate) struct Cursor<T> {
     queue: VecDeque<RowBatch<T>>,
     idx: usize,
-    reads: usize,
+    pub(crate) reads: usize,
     counted: bool,
     done: bool,
 }
 
 impl<T: Clone> Cursor<T> {
-    fn new() -> Cursor<T> {
+    pub(crate) fn new() -> Cursor<T> {
         Cursor {
             queue: VecDeque::new(),
             idx: 0,
@@ -270,19 +229,19 @@ impl<T: Clone> Cursor<T> {
         }
     }
 
-    fn push(&mut self, batch: RowBatch<T>) {
+    pub(crate) fn push(&mut self, batch: RowBatch<T>) {
         if !batch.is_empty() {
             self.queue.push_back(batch);
         }
     }
 
-    fn finish(&mut self) {
+    pub(crate) fn finish(&mut self) {
         self.done = true;
     }
 
     /// Resolve the head, counting a newly visible row as a read.
     #[inline]
-    fn head(&mut self) -> Head {
+    pub(crate) fn head(&mut self) -> Head {
         loop {
             match self.queue.front() {
                 Some(b) if self.idx < b.len() => {
@@ -309,7 +268,7 @@ impl<T: Clone> Cursor<T> {
     }
 
     /// Clone the head payload (head must be resolved to a row).
-    fn clone_head(&self) -> T {
+    pub(crate) fn clone_head(&self) -> T {
         self.queue
             .front()
             // Callers resolve the head before reading it. lint:allow(no-unwrap)
@@ -318,21 +277,20 @@ impl<T: Clone> Cursor<T> {
             .clone()
     }
 
-    /// Borrow the head payload (head must be resolved to a row).
-    fn head_payload(&self) -> &T {
-        // Callers resolve the head before reading it. lint:allow(no-unwrap)
-        self.queue.front().expect("resolved head").row(self.idx)
-    }
-
     /// Consume the head row.
     #[inline]
-    fn advance(&mut self) {
+    pub(crate) fn advance(&mut self) {
         self.idx += 1;
         self.counted = false;
     }
 }
 
-fn metrics(read_left: usize, read_right: usize, comparisons: usize, emitted: usize) -> OpMetrics {
+pub(crate) fn metrics(
+    read_left: usize,
+    read_right: usize,
+    comparisons: usize,
+    emitted: usize,
+) -> OpMetrics {
     OpMetrics {
         read_left,
         read_right,
@@ -532,6 +490,179 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for ContainJoinTsTe<X, Y>
 }
 
 // ---------------------------------------------------------------------------
+// The two-state sweep skeleton.
+// ---------------------------------------------------------------------------
+
+/// The loop shared by the two-state sweeps — Table 1 (a) and (c), Table 2
+/// (a) and the strict overlap semijoin: both inputs sorted `ValidFrom ↑`,
+/// a resident state per side, a read policy choosing which buffered tuple
+/// to process next, and the GC phase keyed off the two buffers right after
+/// every refill.
+pub(crate) struct Sweep<X: Temporal + Clone, Y: Temporal + Clone> {
+    pub(crate) cx: Cursor<X>,
+    pub(crate) cy: Cursor<Y>,
+    pub(crate) sx: GaplessWorkspace<X>,
+    pub(crate) sy: GaplessWorkspace<Y>,
+    policy: ReadPolicy,
+    policy_state: PolicyState,
+    gc_pending: bool,
+    pub(crate) want: Wants,
+}
+
+/// A buffered head's `(ts, te)` ticks; `None` once its input is exhausted.
+pub(crate) type Buffered = Option<(i64, i64)>;
+
+impl<X: Temporal + Clone, Y: Temporal + Clone> Sweep<X, Y> {
+    pub(crate) fn new(policy: ReadPolicy) -> Self {
+        Sweep {
+            cx: Cursor::new(),
+            cy: Cursor::new(),
+            sx: GaplessWorkspace::new(),
+            sy: GaplessWorkspace::new(),
+            policy,
+            policy_state: PolicyState::default(),
+            gc_pending: false,
+            want: Wants::Left,
+        }
+    }
+
+    /// Resolve both buffers, run the pending GC phase (`gc` gets both
+    /// states and both buffers; an exhausted input's buffer is `None`),
+    /// and pick the side whose buffered tuple is processed next, with its
+    /// ticks. `None` when the kernel must suspend or is done — `want`
+    /// says which. The caller consumes the returned head.
+    pub(crate) fn next(
+        &mut self,
+        gc: impl FnOnce(&mut GaplessWorkspace<X>, &mut GaplessWorkspace<Y>, Buffered, Buffered),
+    ) -> Option<(Side, i64, i64)> {
+        let hx = match self.cx.head() {
+            Head::Starved => {
+                self.want = Wants::Left;
+                return None;
+            }
+            Head::Exhausted => None,
+            Head::Row(a, b) => Some((a, b)),
+        };
+        let hy = match self.cy.head() {
+            Head::Starved => {
+                self.want = Wants::Right;
+                return None;
+            }
+            Head::Exhausted => None,
+            Head::Row(a, b) => Some((a, b)),
+        };
+        // GC belongs right after the refill that follows a processed
+        // tuple; the refill is this head resolution, so it runs here.
+        if self.gc_pending {
+            gc(&mut self.sx, &mut self.sy, hx, hy);
+            self.gc_pending = false;
+        }
+        let (side, (ts, te)) = match (hx, hy) {
+            (Some(x), None) if !self.sy.is_empty() => (Side::Left, x),
+            (None, Some(y)) if !self.sx.is_empty() => (Side::Right, y),
+            (Some(x), Some(y)) => {
+                let d = self.policy.decide(
+                    &mut self.policy_state,
+                    TimePoint::new(x.0),
+                    TimePoint::new(y.0),
+                    self.sx.len(),
+                    self.sy.len(),
+                );
+                match d {
+                    Advance::Left => (Side::Left, x),
+                    Advance::Right => (Side::Right, y),
+                }
+            }
+            // Both inputs done, or one done with nothing left for the
+            // other's arrivals to match.
+            _ => {
+                self.want = Wants::Done;
+                return None;
+            }
+        };
+        self.gc_pending = true;
+        Some((side, ts, te))
+    }
+
+    /// Metrics plus the stacked workspace of both states.
+    pub(crate) fn report(&self, comparisons: usize, emitted: usize) -> OpReport {
+        OpReport::new(
+            metrics(self.cx.reads, self.cy.reads, comparisons, emitted),
+            self.sx.stats().combine_stacked(self.sy.stats()),
+        )
+    }
+}
+
+/// Implement [`BatchOp`] for a two-state sweep kernel `$name<X, Y>` with
+/// output `$out`: a `sw: Sweep<X, Y>`, a `run()` that advances it, an
+/// `out` buffer and `comparisons`/`emitted` counters.
+macro_rules! sweep_batch_op {
+    ($name:ident, $out:ty) => {
+        impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for $name<X, Y> {
+            type LeftItem = X;
+            type RightItem = Y;
+            type Out = $out;
+
+            fn wants(&self) -> Wants {
+                self.sw.want
+            }
+
+            fn process_batch_left(&mut self, batch: RowBatch<X>) -> TdbResult<()> {
+                self.sw.cx.push(batch);
+                self.run();
+                Ok(())
+            }
+
+            fn process_batch_right(&mut self, batch: RowBatch<Y>) -> TdbResult<()> {
+                self.sw.cy.push(batch);
+                self.run();
+                Ok(())
+            }
+
+            fn finish(&mut self, side: Side) -> TdbResult<()> {
+                match side {
+                    Side::Left => self.sw.cx.finish(),
+                    Side::Right => self.sw.cy.finish(),
+                }
+                self.run();
+                Ok(())
+            }
+
+            fn drain(&mut self) -> Vec<$out> {
+                std::mem::take(&mut self.out)
+            }
+
+            fn report(&self) -> OpReport {
+                self.sw.report(self.comparisons, self.emitted)
+            }
+        }
+    };
+}
+pub(crate) use sweep_batch_op;
+
+/// Collect into `hits` the resident indices whose `(ts, te)` satisfy `m`:
+/// one branch-light pass over the endpoint columns.
+#[inline]
+pub(crate) fn probe(ts: &[i64], te: &[i64], hits: &mut Vec<u32>, m: impl Fn(i64, i64) -> bool) {
+    hits.clear();
+    for i in 0..ts.len() {
+        if m(ts[i], te[i]) {
+            hits.push(i as u32);
+        }
+    }
+}
+
+/// Count the resident tuples whose `(ts, te)` satisfy `m`.
+#[inline]
+pub(crate) fn count(ts: &[i64], te: &[i64], m: impl Fn(i64, i64) -> bool) -> usize {
+    let mut n = 0usize;
+    for i in 0..ts.len() {
+        n += usize::from(m(ts[i], te[i]));
+    }
+    n
+}
+
+// ---------------------------------------------------------------------------
 // Overlap join.
 // ---------------------------------------------------------------------------
 
@@ -539,40 +670,26 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for ContainJoinTsTe<X, Y>
 /// state sets live in gapless columns; probes and GC cutoffs are single
 /// passes over them.
 pub struct OverlapJoin<X: Temporal + Clone, Y: Temporal + Clone> {
-    cx: Cursor<X>,
-    cy: Cursor<Y>,
-    sx: GaplessWorkspace<X>,
-    sy: GaplessWorkspace<Y>,
+    sw: Sweep<X, Y>,
     mode: OverlapMode,
-    policy: ReadPolicy,
-    policy_state: PolicyState,
     out: Vec<(X, Y)>,
     hits: Vec<u32>,
     comparisons: usize,
     emitted: usize,
     count_only: bool,
-    gc_pending: bool,
-    want: Wants,
 }
 
 impl<X: Temporal + Clone, Y: Temporal + Clone> OverlapJoin<X, Y> {
     /// An empty kernel with the given overlap mode and read policy.
     pub fn new(mode: OverlapMode, policy: ReadPolicy) -> Self {
         OverlapJoin {
-            cx: Cursor::new(),
-            cy: Cursor::new(),
-            sx: GaplessWorkspace::new(),
-            sy: GaplessWorkspace::new(),
+            sw: Sweep::new(policy),
             mode,
-            policy,
-            policy_state: PolicyState::default(),
             out: Vec::new(),
             hits: Vec::new(),
             comparisons: 0,
             emitted: 0,
             count_only: false,
-            gc_pending: false,
-            want: Wants::Left,
         }
     }
 
@@ -583,249 +700,101 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> OverlapJoin<X, Y> {
         self
     }
 
-    /// GC keyed off the buffered (head) tuples, the cutoffs applied as
-    /// single passes over the endpoint columns.
-    ///
-    /// General mode: `x` is dead once `x.TE ≤ y_b.TS` (no future `y` starts
-    /// inside it) and symmetrically for `y`. Strict mode: the same cutoff
-    /// kills `x` (Allen overlap needs `y.TS < x.TE`), while `y` is dead
-    /// once `y.TS ≤ x_b.TS` (it needs an earlier-starting `x`, and future
-    /// `x` only start later). An exhausted input empties the opposite
-    /// state.
-    fn gc(&mut self, hx: Option<(i64, i64)>, hy: Option<(i64, i64)>) {
-        match hy {
-            Some((yts, _)) => self.sx.gc_te_gt(yts),
-            None => self.sx.clear_discard(),
-        }
-        match hx {
-            Some((xts, _)) => match self.mode {
-                OverlapMode::General => self.sy.gc_te_gt(xts),
-                OverlapMode::Strict => self.sy.gc_ts_gt(xts),
-            },
-            None => self.sy.clear_discard(),
-        }
-    }
-
+    /// An x arriving against the Y state: general overlap
+    /// `x.TS < y.TE ∧ y.TS < x.TE`, strict `x.TS < y.TS < x.TE < y.TE`.
     fn process_x(&mut self, xts: i64, xte: i64) {
-        let x = self.cx.clone_head();
-        self.cx.advance();
-        let (ts, te) = (self.sy.ts_col(), self.sy.te_col());
-        self.comparisons += ts.len();
-        if self.count_only {
-            let mut n = 0usize;
-            match self.mode {
-                OverlapMode::General => {
-                    for i in 0..ts.len() {
-                        n += usize::from((xts < te[i]) & (ts[i] < xte));
-                    }
-                }
-                OverlapMode::Strict => {
-                    for i in 0..ts.len() {
-                        n += usize::from((xts < ts[i]) & (xte > ts[i]) & (xte < te[i]));
-                    }
-                }
-            }
-            self.emitted += n;
-            self.sx.insert_raw(xts, xte, x);
-            return;
-        }
-        self.hits.clear();
+        let x = self.sw.cx.clone_head();
+        self.sw.cx.advance();
         match self.mode {
-            OverlapMode::General => {
-                for i in 0..ts.len() {
-                    if (xts < te[i]) & (ts[i] < xte) {
-                        self.hits.push(i as u32);
-                    }
-                }
-            }
+            OverlapMode::General => self.join_x(&x, |yts, yte| (xts < yte) & (yts < xte)),
             OverlapMode::Strict => {
-                for i in 0..ts.len() {
-                    if (xts < ts[i]) & (xte > ts[i]) & (xte < te[i]) {
-                        self.hits.push(i as u32);
-                    }
-                }
+                self.join_x(&x, |yts, yte| (xts < yts) & (xte > yts) & (xte < yte))
             }
         }
-        for &i in &self.hits {
-            self.out
-                .push((x.clone(), self.sy.payload(i as usize).clone()));
-            self.emitted += 1;
-        }
-        self.sx.insert_raw(xts, xte, x);
+        self.sw.sx.insert_raw(xts, xte, x);
     }
 
-    fn process_y(&mut self, yts: i64, yte: i64) {
-        let y = self.cy.clone_head();
-        self.cy.advance();
-        let (ts, te) = (self.sx.ts_col(), self.sx.te_col());
+    fn join_x(&mut self, x: &X, m: impl Fn(i64, i64) -> bool) {
+        let (ts, te) = (self.sw.sy.ts_col(), self.sw.sy.te_col());
         self.comparisons += ts.len();
         if self.count_only {
-            let mut n = 0usize;
-            match self.mode {
-                OverlapMode::General => {
-                    for i in 0..ts.len() {
-                        n += usize::from((ts[i] < yte) & (yts < te[i]));
-                    }
-                }
-                OverlapMode::Strict => {
-                    for i in 0..ts.len() {
-                        n += usize::from((ts[i] < yts) & (te[i] > yts) & (te[i] < yte));
-                    }
-                }
-            }
-            self.emitted += n;
-            self.sy.insert_raw(yts, yte, y);
+            self.emitted += count(ts, te, m);
             return;
         }
-        self.hits.clear();
-        match self.mode {
-            OverlapMode::General => {
-                for i in 0..ts.len() {
-                    if (ts[i] < yte) & (yts < te[i]) {
-                        self.hits.push(i as u32);
-                    }
-                }
-            }
-            OverlapMode::Strict => {
-                for i in 0..ts.len() {
-                    if (ts[i] < yts) & (te[i] > yts) & (te[i] < yte) {
-                        self.hits.push(i as u32);
-                    }
-                }
-            }
-        }
+        probe(ts, te, &mut self.hits, m);
         for &i in &self.hits {
             self.out
-                .push((self.sx.payload(i as usize).clone(), y.clone()));
-            self.emitted += 1;
+                .push((x.clone(), self.sw.sy.payload(i as usize).clone()));
         }
-        self.sy.insert_raw(yts, yte, y);
+        self.emitted += self.hits.len();
+    }
+
+    /// A y arriving against the X state (the same predicates).
+    fn process_y(&mut self, yts: i64, yte: i64) {
+        let y = self.sw.cy.clone_head();
+        self.sw.cy.advance();
+        match self.mode {
+            OverlapMode::General => self.join_y(&y, |xts, xte| (xts < yte) & (yts < xte)),
+            OverlapMode::Strict => {
+                self.join_y(&y, |xts, xte| (xts < yts) & (xte > yts) & (xte < yte))
+            }
+        }
+        self.sw.sy.insert_raw(yts, yte, y);
+    }
+
+    fn join_y(&mut self, y: &Y, m: impl Fn(i64, i64) -> bool) {
+        let (ts, te) = (self.sw.sx.ts_col(), self.sw.sx.te_col());
+        self.comparisons += ts.len();
+        if self.count_only {
+            self.emitted += count(ts, te, m);
+            return;
+        }
+        probe(ts, te, &mut self.hits, m);
+        for &i in &self.hits {
+            self.out
+                .push((self.sw.sx.payload(i as usize).clone(), y.clone()));
+        }
+        self.emitted += self.hits.len();
     }
 
     fn run(&mut self) {
-        loop {
-            let hx = match self.cx.head() {
-                Head::Starved => {
-                    self.want = Wants::Left;
-                    return;
-                }
-                Head::Exhausted => None,
-                Head::Row(a, b) => Some((a, b)),
-            };
-            let hy = match self.cy.head() {
-                Head::Starved => {
-                    self.want = Wants::Right;
-                    return;
-                }
-                Head::Exhausted => None,
-                Head::Row(a, b) => Some((a, b)),
-            };
-            // GC belongs right after the refill that follows a processed
-            // tuple; the refill is this head resolution, so it runs here.
-            if self.gc_pending {
-                self.gc(hx, hy);
-                self.gc_pending = false;
+        let mode = self.mode;
+        // General mode: `x` is dead once `x.TE ≤ y_b.TS` (no future `y`
+        // starts inside it) and symmetrically for `y`. Strict mode: the
+        // same cutoff kills `x` (Allen overlap needs `y.TS < x.TE`), while
+        // `y` is dead once `y.TS ≤ x_b.TS` (it needs an earlier-starting
+        // `x`, and future `x` only start later). An exhausted input
+        // empties the opposite state.
+        let gc = |sx: &mut GaplessWorkspace<X>,
+                  sy: &mut GaplessWorkspace<Y>,
+                  hx: Buffered,
+                  hy: Buffered| {
+            match hy {
+                Some((yts, _)) => sx.gc_te_gt(yts),
+                None => sx.clear_discard(),
             }
-            match (hx, hy) {
-                (None, None) => {
-                    self.want = Wants::Done;
-                    return;
-                }
-                (Some((xts, xte)), None) => {
-                    if self.sy.is_empty() {
-                        self.want = Wants::Done;
-                        return;
-                    }
-                    self.process_x(xts, xte);
-                }
-                (None, Some((yts, yte))) => {
-                    if self.sx.is_empty() {
-                        self.want = Wants::Done;
-                        return;
-                    }
-                    self.process_y(yts, yte);
-                }
-                (Some((xts, xte)), Some((yts, yte))) => {
-                    let d = self.policy.decide(
-                        &mut self.policy_state,
-                        self.cx.head_payload(),
-                        self.cy.head_payload(),
-                        TimePoint::new(xts),
-                        TimePoint::new(yts),
-                        self.sx.len(),
-                        self.sy.len(),
-                    );
-                    match d {
-                        Advance::Left => self.process_x(xts, xte),
-                        Advance::Right => self.process_y(yts, yte),
-                    }
-                }
+            match hx {
+                Some((xts, _)) => match mode {
+                    OverlapMode::General => sy.gc_te_gt(xts),
+                    OverlapMode::Strict => sy.gc_ts_gt(xts),
+                },
+                None => sy.clear_discard(),
             }
-            self.gc_pending = true;
+        };
+        while let Some((side, ts, te)) = self.sw.next(gc) {
+            match side {
+                Side::Left => self.process_x(ts, te),
+                Side::Right => self.process_y(ts, te),
+            }
         }
     }
 }
 
-impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for OverlapJoin<X, Y> {
-    type LeftItem = X;
-    type RightItem = Y;
-    type Out = (X, Y);
-
-    fn wants(&self) -> Wants {
-        self.want
-    }
-
-    fn process_batch_left(&mut self, batch: RowBatch<X>) -> TdbResult<()> {
-        self.cx.push(batch);
-        self.run();
-        Ok(())
-    }
-
-    fn process_batch_right(&mut self, batch: RowBatch<Y>) -> TdbResult<()> {
-        self.cy.push(batch);
-        self.run();
-        Ok(())
-    }
-
-    fn finish(&mut self, side: Side) -> TdbResult<()> {
-        match side {
-            Side::Left => self.cx.finish(),
-            Side::Right => self.cy.finish(),
-        }
-        self.run();
-        Ok(())
-    }
-
-    fn drain(&mut self) -> Vec<(X, Y)> {
-        std::mem::take(&mut self.out)
-    }
-
-    fn report(&self) -> OpReport {
-        OpReport::new(
-            metrics(self.cx.reads, self.cy.reads, self.comparisons, self.emitted),
-            self.sx.stats().combine_stacked(self.sy.stats()),
-        )
-    }
-}
+sweep_batch_op!(OverlapJoin, (X, Y));
 
 // ---------------------------------------------------------------------------
 // Overlap semijoin.
 // ---------------------------------------------------------------------------
-
-// One kernel exists per operator instance and is never stored in a
-// collection, so the General/Strict size gap costs nothing; boxing the
-// Strict state would put an indirection on the hot sweep path instead.
-#[allow(clippy::large_enum_variant)]
-enum SemiKernel<X: Temporal + Clone, Y: Temporal + Clone> {
-    General,
-    Strict {
-        sx: GaplessWorkspace<X>,
-        sy: GaplessWorkspace<Y>,
-        policy: ReadPolicy,
-        policy_state: PolicyState,
-        gc_pending: bool,
-    },
-}
 
 /// Overlap **semijoin**: emits each X tuple overlapping at least one Y
 /// tuple. General mode is the two-buffer merge of Table 2 state (b):
@@ -834,234 +803,134 @@ enum SemiKernel<X: Temporal + Clone, Y: Temporal + Clone> {
 /// output in X order). Strict Allen mode sweeps with gapless state and
 /// emit-once extraction.
 pub struct OverlapSemijoin<X: Temporal + Clone, Y: Temporal + Clone> {
-    cx: Cursor<X>,
-    cy: Cursor<Y>,
-    kernel: SemiKernel<X, Y>,
+    sw: Sweep<X, Y>,
+    mode: OverlapMode,
     out: Vec<X>,
     comparisons: usize,
     emitted: usize,
     started: bool,
-    want: Wants,
 }
 
 impl<X: Temporal + Clone, Y: Temporal + Clone> OverlapSemijoin<X, Y> {
     /// An empty kernel with the given overlap mode and read policy.
     pub fn new(mode: OverlapMode, policy: ReadPolicy) -> Self {
-        let kernel = match mode {
-            OverlapMode::General => SemiKernel::General,
-            OverlapMode::Strict => SemiKernel::Strict {
-                sx: GaplessWorkspace::new(),
-                sy: GaplessWorkspace::new(),
-                policy,
-                policy_state: PolicyState::default(),
-                gc_pending: false,
-            },
-        };
         OverlapSemijoin {
-            cx: Cursor::new(),
-            cy: Cursor::new(),
-            kernel,
+            sw: Sweep::new(policy),
+            mode,
             out: Vec::new(),
             comparisons: 0,
             emitted: 0,
             started: false,
-            want: Wants::Left,
         }
     }
 
     fn run(&mut self) {
         if !self.started {
             // The algorithm buffers one tuple from each input up front.
-            if matches!(self.cx.head(), Head::Starved) {
-                self.want = Wants::Left;
+            if matches!(self.sw.cx.head(), Head::Starved) {
+                self.sw.want = Wants::Left;
                 return;
             }
-            if matches!(self.cy.head(), Head::Starved) {
-                self.want = Wants::Right;
+            if matches!(self.sw.cy.head(), Head::Starved) {
+                self.sw.want = Wants::Right;
                 return;
             }
             self.started = true;
         }
-        match &mut self.kernel {
-            SemiKernel::General => loop {
-                let hx = match self.cx.head() {
-                    Head::Starved => {
-                        self.want = Wants::Left;
-                        return;
-                    }
-                    Head::Exhausted => None,
-                    Head::Row(a, b) => Some((a, b)),
-                };
-                let hy = match self.cy.head() {
-                    Head::Starved => {
-                        self.want = Wants::Right;
-                        return;
-                    }
-                    Head::Exhausted => None,
-                    Head::Row(a, b) => Some((a, b)),
-                };
-                let (Some((xts, xte)), Some((yts, yte))) = (hx, hy) else {
-                    self.want = Wants::Done;
+        match self.mode {
+            OverlapMode::General => self.run_general(),
+            OverlapMode::Strict => self.run_strict(),
+        }
+    }
+
+    fn run_general(&mut self) {
+        let (cx, cy) = (&mut self.sw.cx, &mut self.sw.cy);
+        loop {
+            let hx = match cx.head() {
+                Head::Starved => {
+                    self.sw.want = Wants::Left;
                     return;
-                };
-                self.comparisons += 1;
-                if (xts < yte) & (yts < xte) {
-                    self.out.push(self.cx.clone_head());
-                    self.emitted += 1;
-                    self.cx.advance();
-                } else if xte <= yts {
-                    // x ends before y starts; future y start even later.
-                    self.cx.advance();
-                } else {
-                    // y cannot witness this or any future x.
-                    self.cy.advance();
                 }
-            },
-            SemiKernel::Strict {
-                sx,
-                sy,
-                policy,
-                policy_state,
-                gc_pending,
-            } => loop {
-                let hx = match self.cx.head() {
-                    Head::Starved => {
-                        self.want = Wants::Left;
-                        return;
-                    }
-                    Head::Exhausted => None,
-                    Head::Row(a, b) => Some((a, b)),
-                };
-                let hy = match self.cy.head() {
-                    Head::Starved => {
-                        self.want = Wants::Right;
-                        return;
-                    }
-                    Head::Exhausted => None,
-                    Head::Row(a, b) => Some((a, b)),
-                };
-                if *gc_pending {
-                    match hy {
-                        Some((yts, _)) => sx.gc_te_gt(yts),
-                        None => sx.clear_discard(),
-                    }
-                    match hx {
-                        Some((xts, _)) => sy.gc_ts_gt(xts),
-                        None => sy.clear_discard(),
-                    }
-                    *gc_pending = false;
+                Head::Exhausted => None,
+                Head::Row(a, b) => Some((a, b)),
+            };
+            let hy = match cy.head() {
+                Head::Starved => {
+                    self.sw.want = Wants::Right;
+                    return;
                 }
-                let advance = match (hx, hy) {
-                    (None, None) => {
-                        self.want = Wants::Done;
-                        return;
-                    }
-                    (Some(_), None) => {
-                        if sy.is_empty() {
-                            self.want = Wants::Done;
-                            return;
-                        }
-                        Advance::Left
-                    }
-                    (None, Some(_)) => {
-                        if sx.is_empty() {
-                            self.want = Wants::Done;
-                            return;
-                        }
-                        Advance::Right
-                    }
-                    (Some((xts, _)), Some((yts, _))) => policy.decide(
-                        policy_state,
-                        self.cx.head_payload(),
-                        self.cy.head_payload(),
-                        TimePoint::new(xts),
-                        TimePoint::new(yts),
-                        sx.len(),
-                        sy.len(),
-                    ),
-                };
-                match advance {
-                    Advance::Left => {
-                        // The decide table only yields Left when hx is
-                        // Some. lint:allow(no-unwrap)
-                        let (xts, xte) = hx.expect("left head");
-                        let x = self.cx.clone_head();
-                        self.cx.advance();
-                        self.comparisons += sy.len();
-                        let (ts, te) = (sy.ts_col(), sy.te_col());
-                        let witnessed =
-                            (0..ts.len()).any(|i| (xts < ts[i]) & (xte > ts[i]) & (xte < te[i]));
-                        if witnessed {
-                            self.out.push(x);
-                            self.emitted += 1;
-                        } else {
-                            sx.insert_raw(xts, xte, x);
-                        }
-                    }
-                    Advance::Right => {
-                        // The decide table only yields Right when hy is
-                        // Some. lint:allow(no-unwrap)
-                        let (yts, yte) = hy.expect("right head");
-                        let y = self.cy.clone_head();
-                        self.cy.advance();
-                        self.comparisons += sx.len();
-                        let witnessed = sx.extract(|ts, te| (ts < yts) & (te > yts) & (te < yte));
-                        self.emitted += witnessed.len();
-                        self.out.extend(witnessed);
-                        sy.insert_raw(yts, yte, y);
-                    }
-                }
-                *gc_pending = true;
-            },
+                Head::Exhausted => None,
+                Head::Row(a, b) => Some((a, b)),
+            };
+            let (Some((xts, xte)), Some((yts, yte))) = (hx, hy) else {
+                self.sw.want = Wants::Done;
+                return;
+            };
+            self.comparisons += 1;
+            if (xts < yte) & (yts < xte) {
+                self.out.push(cx.clone_head());
+                self.emitted += 1;
+                cx.advance();
+            } else if xte <= yts {
+                // x ends before y starts; future y start even later.
+                cx.advance();
+            } else {
+                // y cannot witness this or any future x.
+                cy.advance();
+            }
         }
     }
-}
 
-impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for OverlapSemijoin<X, Y> {
-    type LeftItem = X;
-    type RightItem = Y;
-    type Out = X;
-
-    fn wants(&self) -> Wants {
-        self.want
-    }
-
-    fn process_batch_left(&mut self, batch: RowBatch<X>) -> TdbResult<()> {
-        self.cx.push(batch);
-        self.run();
-        Ok(())
-    }
-
-    fn process_batch_right(&mut self, batch: RowBatch<Y>) -> TdbResult<()> {
-        self.cy.push(batch);
-        self.run();
-        Ok(())
-    }
-
-    fn finish(&mut self, side: Side) -> TdbResult<()> {
-        match side {
-            Side::Left => self.cx.finish(),
-            Side::Right => self.cy.finish(),
-        }
-        self.run();
-        Ok(())
-    }
-
-    fn drain(&mut self) -> Vec<X> {
-        std::mem::take(&mut self.out)
-    }
-
-    fn report(&self) -> OpReport {
-        let workspace = match &self.kernel {
-            SemiKernel::General => WorkspaceStats::default(),
-            SemiKernel::Strict { sx, sy, .. } => sx.stats().combine_stacked(sy.stats()),
+    fn run_strict(&mut self) {
+        // The strict-overlap GC rules of [`OverlapJoin`].
+        let gc = |sx: &mut GaplessWorkspace<X>,
+                  sy: &mut GaplessWorkspace<Y>,
+                  hx: Buffered,
+                  hy: Buffered| {
+            match hy {
+                Some((yts, _)) => sx.gc_te_gt(yts),
+                None => sx.clear_discard(),
+            }
+            match hx {
+                Some((xts, _)) => sy.gc_ts_gt(xts),
+                None => sy.clear_discard(),
+            }
         };
-        OpReport::new(
-            metrics(self.cx.reads, self.cy.reads, self.comparisons, self.emitted),
-            workspace,
-        )
+        while let Some((side, ts, te)) = self.sw.next(gc) {
+            match side {
+                Side::Left => {
+                    let (xts, xte) = (ts, te);
+                    let x = self.sw.cx.clone_head();
+                    self.sw.cx.advance();
+                    let sy = &self.sw.sy;
+                    self.comparisons += sy.len();
+                    let m = |yts: i64, yte: i64| (xts < yts) & (xte > yts) & (xte < yte);
+                    if count(sy.ts_col(), sy.te_col(), m) > 0 {
+                        self.out.push(x);
+                        self.emitted += 1;
+                    } else {
+                        self.sw.sx.insert_raw(xts, xte, x);
+                    }
+                }
+                Side::Right => {
+                    let (yts, yte) = (ts, te);
+                    let y = self.sw.cy.clone_head();
+                    self.sw.cy.advance();
+                    self.comparisons += self.sw.sx.len();
+                    let witnessed = self
+                        .sw
+                        .sx
+                        .extract(|ts, te| (ts < yts) & (te > yts) & (te < yte));
+                    self.emitted += witnessed.len();
+                    self.out.extend(witnessed);
+                    self.sw.sy.insert_raw(yts, yte, y);
+                }
+            }
+        }
     }
 }
+
+sweep_batch_op!(OverlapSemijoin, X);
 
 // ---------------------------------------------------------------------------
 // Stab semijoins.
@@ -1317,13 +1186,11 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for ContainedSemijoinStab
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::VecBatchStream;
+    use crate::dispatch::{collect, run_kernel, run_semijoin, Emit};
     use crate::report::OpConfig;
-    use crate::stream::{from_sorted_vec, from_vec};
+    use crate::required::StreamOpKind;
     use proptest::prelude::*;
-    use std::cell::Cell;
-    use std::rc::Rc;
-    use tdb_core::TsTuple;
+    use tdb_core::{StreamOrder, TdbError, TsTuple};
 
     fn iv(s: i64, e: i64) -> TsTuple {
         TsTuple::interval(s, e).unwrap()
@@ -1361,86 +1228,68 @@ mod tests {
         (xs, ys)
     }
 
-    /// Push `op` over the two sorted vectors in `rows`-row batches and
-    /// collect everything it emits.
+    /// Push a fresh kernel from `make` over the two inputs (sorted into
+    /// the given orders) in `rows`-row batches and collect everything it
+    /// emits.
     fn driven<K: BatchOp>(
-        mut op: K,
-        left: (Vec<K::LeftItem>, StreamOrder),
-        right: (Vec<K::RightItem>, StreamOrder),
+        make: impl Fn() -> K,
+        left: (&[K::LeftItem], StreamOrder),
+        right: (&[K::RightItem], StreamOrder),
         rows: usize,
     ) -> (Vec<K::Out>, OpReport) {
-        let mut out = Vec::new();
-        let completed = drive(
-            &mut op,
-            &mut VecBatchStream::from_sorted_vec(left.0, left.1, rows).unwrap(),
-            &mut VecBatchStream::from_sorted_vec(right.0, right.1, rows).unwrap(),
-            &mut |chunk| {
-                out.extend(chunk);
-                Ok(true)
-            },
-        )
-        .unwrap();
-        assert!(completed);
-        (out, op.report())
+        let (l, r) = (left.0.to_vec(), right.0.to_vec());
+        let (lo, ro) = (Some(left.1), Some(right.1));
+        collect(|e| run_kernel(make(), rows, l, lo, r, ro, e)).unwrap()
     }
 
-    /// Pull a kernel-backed operator dry.
-    fn pulled<S: TupleStream + Instrumented>(mut op: S) -> (Vec<S::Item>, OpReport) {
-        let out = op.collect_vec().unwrap();
-        (out, op.report())
+    /// The output sequence and report at batch size 1 — the
+    /// tuple-at-a-time algorithm — and their equality at every other size.
+    fn batch_size_invariant<K: BatchOp>(
+        make: impl Fn() -> K,
+        left: (&[K::LeftItem], StreamOrder),
+        right: (&[K::RightItem], StreamOrder),
+    ) -> (Vec<K::Out>, OpReport)
+    where
+        K::Out: PartialEq + std::fmt::Debug,
+    {
+        let one = driven(&make, left, right, 1);
+        for rows in [7usize, 64, 1024] {
+            let got = driven(&make, left, right, rows);
+            assert_eq!(got, one, "batch size {rows}");
+        }
+        one
     }
 
-    fn ts(v: &[TsTuple]) -> crate::stream::VecStream<TsTuple> {
-        from_sorted_vec(sorted(v.to_vec(), StreamOrder::TS_ASC), StreamOrder::TS_ASC).unwrap()
-    }
-
-    fn te(v: &[TsTuple]) -> crate::stream::VecStream<TsTuple> {
-        from_sorted_vec(sorted(v.to_vec(), StreamOrder::TE_ASC), StreamOrder::TE_ASC).unwrap()
-    }
-
-    // -- batch-size invariance: pushing batches of any size and pulling one
-    // -- tuple at a time run the same kernel to the same output and report.
+    // -- batch-size invariance: pushing batches of any size runs the
+    // -- kernel to the same output sequence and report.
 
     #[test]
     fn contain_ts_te_is_batch_size_invariant() {
         let (xs, ys) = workload(120);
-        let (pull_out, pull_rep) = pulled(
-            OpConfig::new()
-                .contain_join_ts_te(ts(&xs), te(&ys))
-                .unwrap(),
-        );
-        assert!(!pull_out.is_empty());
         let xs = sorted(xs, StreamOrder::TS_ASC);
         let ys = sorted(ys, StreamOrder::TE_ASC);
-        for rows in [1usize, 7, 64, 1024] {
-            let (got, rep) = driven(
-                ContainJoinTsTe::new(),
-                (xs.clone(), StreamOrder::TS_ASC),
-                (ys.clone(), StreamOrder::TE_ASC),
-                rows,
-            );
-            assert_eq!(got, pull_out, "batch size {rows}");
-            assert_eq!(rep, pull_rep, "batch size {rows}");
-        }
+        let (out, rep) = batch_size_invariant(
+            ContainJoinTsTe::new,
+            (&xs, StreamOrder::TS_ASC),
+            (&ys, StreamOrder::TE_ASC),
+        );
+        assert!(!out.is_empty());
+        assert_eq!(rep.metrics.emitted, out.len());
     }
 
     #[test]
     fn overlap_join_is_batch_size_invariant() {
         let (xs, ys) = workload(100);
+        let xs = sorted(xs, StreamOrder::TS_ASC);
+        let ys = sorted(ys, StreamOrder::TS_ASC);
         for mode in [OverlapMode::General, OverlapMode::Strict] {
             for policy in [ReadPolicy::MinKey, ReadPolicy::Alternate] {
-                let cfg = OpConfig::new().with_mode(mode).with_policy(policy);
-                let (pull_out, pull_rep) = pulled(cfg.overlap_join(ts(&xs), ts(&ys)).unwrap());
-                for rows in [1usize, 13, 256] {
-                    let (got, rep) = driven(
-                        OverlapJoin::new(mode, policy),
-                        (sorted(xs.clone(), StreamOrder::TS_ASC), StreamOrder::TS_ASC),
-                        (sorted(ys.clone(), StreamOrder::TS_ASC), StreamOrder::TS_ASC),
-                        rows,
-                    );
-                    assert_eq!(got, pull_out, "mode {mode:?} policy {policy:?} rows {rows}");
-                    assert_eq!(rep, pull_rep, "mode {mode:?} rows {rows}");
-                }
+                let (out, rep) = batch_size_invariant(
+                    || OverlapJoin::new(mode, policy),
+                    (&xs, StreamOrder::TS_ASC),
+                    (&ys, StreamOrder::TS_ASC),
+                );
+                assert_eq!(rep.metrics.emitted, out.len(), "{mode:?} {policy:?}");
             }
         }
     }
@@ -1448,19 +1297,14 @@ mod tests {
     #[test]
     fn overlap_semijoin_is_batch_size_invariant() {
         let (xs, ys) = workload(90);
+        let xs = sorted(xs, StreamOrder::TS_ASC);
+        let ys = sorted(ys, StreamOrder::TS_ASC);
         for mode in [OverlapMode::General, OverlapMode::Strict] {
-            let cfg = OpConfig::new().with_mode(mode);
-            let (pull_out, pull_rep) = pulled(cfg.overlap_semijoin(ts(&xs), ts(&ys)).unwrap());
-            for rows in [1usize, 32, 512] {
-                let (got, rep) = driven(
-                    OverlapSemijoin::new(mode, ReadPolicy::MinKey),
-                    (sorted(xs.clone(), StreamOrder::TS_ASC), StreamOrder::TS_ASC),
-                    (sorted(ys.clone(), StreamOrder::TS_ASC), StreamOrder::TS_ASC),
-                    rows,
-                );
-                assert_eq!(got, pull_out, "mode {mode:?} rows {rows}");
-                assert_eq!(rep, pull_rep, "mode {mode:?} rows {rows}");
-            }
+            batch_size_invariant(
+                || OverlapSemijoin::new(mode, ReadPolicy::MinKey),
+                (&xs, StreamOrder::TS_ASC),
+                (&ys, StreamOrder::TS_ASC),
+            );
         }
     }
 
@@ -1468,37 +1312,23 @@ mod tests {
     fn stab_semijoins_are_batch_size_invariant() {
         let (xs, ys) = workload(110);
         // Contain: X containers TS↑ (left), Y containees TE↑ (right).
-        let (pull_out, pull_rep) = pulled(
-            OpConfig::new()
-                .contain_semijoin_stab(ts(&xs), te(&ys))
-                .unwrap(),
+        batch_size_invariant(
+            ContainSemijoinStab::new,
+            (
+                &sorted(xs.clone(), StreamOrder::TS_ASC),
+                StreamOrder::TS_ASC,
+            ),
+            (
+                &sorted(ys.clone(), StreamOrder::TE_ASC),
+                StreamOrder::TE_ASC,
+            ),
         );
-        for rows in [1usize, 16, 128] {
-            let (got, rep) = driven(
-                ContainSemijoinStab::new(),
-                (sorted(xs.clone(), StreamOrder::TS_ASC), StreamOrder::TS_ASC),
-                (sorted(ys.clone(), StreamOrder::TE_ASC), StreamOrder::TE_ASC),
-                rows,
-            );
-            assert_eq!(got, pull_out, "rows {rows}");
-            assert_eq!(rep, pull_rep, "rows {rows}");
-        }
         // Contained: X containees TE↑ (right input), Y containers TS↑ (left).
-        let (pull_out, pull_rep) = pulled(
-            OpConfig::new()
-                .contained_semijoin_stab(te(&xs), ts(&ys))
-                .unwrap(),
+        batch_size_invariant(
+            ContainedSemijoinStab::new,
+            (&sorted(ys, StreamOrder::TS_ASC), StreamOrder::TS_ASC),
+            (&sorted(xs, StreamOrder::TE_ASC), StreamOrder::TE_ASC),
         );
-        for rows in [1usize, 16, 128] {
-            let (got, rep) = driven(
-                ContainedSemijoinStab::new(),
-                (sorted(ys.clone(), StreamOrder::TS_ASC), StreamOrder::TS_ASC),
-                (sorted(xs.clone(), StreamOrder::TE_ASC), StreamOrder::TE_ASC),
-                rows,
-            );
-            assert_eq!(got, pull_out, "rows {rows}");
-            assert_eq!(rep, pull_rep, "rows {rows}");
-        }
     }
 
     /// Empty Y: the Contain-join still buffers (reads) the first X tuple.
@@ -1506,9 +1336,9 @@ mod tests {
     fn empty_right_input_reads_one_left_tuple() {
         let xs = vec![iv(0, 5), iv(1, 9)];
         let (got, rep) = driven(
-            ContainJoinTsTe::<TsTuple, TsTuple>::new(),
-            (xs, StreamOrder::TS_ASC),
-            (vec![], StreamOrder::TE_ASC),
+            ContainJoinTsTe::<TsTuple, TsTuple>::new,
+            (&xs, StreamOrder::TS_ASC),
+            (&[], StreamOrder::TE_ASC),
             4,
         );
         assert!(got.is_empty());
@@ -1516,86 +1346,42 @@ mod tests {
         assert_eq!(rep.metrics.read_right, 0);
     }
 
-    // -- the pull adapter.
-
-    /// Counts how often the operator above pulls from this input.
-    struct Counting<S> {
-        inner: S,
-        pulls: Rc<Cell<usize>>,
-    }
-
-    impl<S: TupleStream> TupleStream for Counting<S> {
-        type Item = S::Item;
-
-        fn next(&mut self) -> TdbResult<Option<S::Item>> {
-            self.pulls.set(self.pulls.get() + 1);
-            self.inner.next()
-        }
-
-        fn order(&self) -> Option<StreamOrder> {
-            self.inner.order()
-        }
-    }
-
-    /// The adapter is as lazy as the tuple-at-a-time algorithm. The
-    /// numbers were read off the row-at-a-time `ContainJoinTsTe` this
-    /// adapter replaced, on these inputs: nothing is pulled at
-    /// construction; the first `next()` reads y₁ and the four X tuples up
-    /// to the first with `x.TS ≥ y₁.TS` (4 left, 1 right); the second
-    /// output comes from the same y and reads nothing; dropping the
-    /// operator pulls nothing further.
+    /// A kernel reads no further than its next output needs. The numbers
+    /// are those of the tuple-at-a-time Contain-join on these inputs: the
+    /// first output reads y₁ and the four X tuples up to the first with
+    /// `x.TS ≥ y₁.TS` (4 left, 1 right); the second output comes from the
+    /// same y and reads nothing more; a consumer that stops there leaves
+    /// the rest unread.
     #[test]
-    fn pull_adapter_reads_no_further_than_the_next_output_needs() {
+    fn kernel_reads_no_further_than_the_next_output_needs() {
         let xs = vec![iv(0, 100), iv(2, 50), iv(4, 6), iv(20, 30), iv(40, 60)];
         let ys = vec![iv(5, 8), iv(21, 25), iv(45, 50)];
-        let (px, py) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
-        let x = Counting {
-            inner: from_sorted_vec(xs.clone(), StreamOrder::TS_ASC).unwrap(),
-            pulls: px.clone(),
-        };
-        let y = Counting {
-            inner: from_sorted_vec(ys.clone(), StreamOrder::TE_ASC).unwrap(),
-            pulls: py.clone(),
-        };
-        let mut op = OpConfig::new().contain_join_ts_te(x, y).unwrap();
-        assert_eq!((px.get(), py.get()), (0, 0), "construction pulls nothing");
-
-        assert_eq!(op.next().unwrap(), Some((xs[0].clone(), ys[0].clone())));
-        let m = op.report().metrics;
+        let mut seen = Vec::new();
+        let (completed, report) = run_kernel(
+            ContainJoinTsTe::new(),
+            1,
+            xs.clone(),
+            Some(StreamOrder::TS_ASC),
+            ys.clone(),
+            Some(StreamOrder::TE_ASC),
+            Emit::Chunks(&mut |chunk| {
+                seen.extend(chunk);
+                Ok(seen.len() < 2)
+            }),
+        )
+        .unwrap();
+        assert!(!completed);
+        assert_eq!(
+            seen,
+            vec![
+                (xs[0].clone(), ys[0].clone()),
+                (xs[1].clone(), ys[0].clone())
+            ]
+        );
+        let m = report.metrics;
         assert_eq!((m.read_left, m.read_right), (4, 1));
-        assert_eq!((px.get(), py.get()), (4, 1));
         assert_eq!(m.comparisons, 6);
-        assert_eq!(op.report().max_workspace(), 2);
-
-        assert_eq!(op.next().unwrap(), Some((xs[1].clone(), ys[0].clone())));
-        let m = op.report().metrics;
-        assert_eq!((m.read_left, m.read_right), (4, 1));
-
-        drop(op);
-        assert_eq!((px.get(), py.get()), (4, 1), "early drop pulls nothing");
-    }
-
-    #[test]
-    fn pull_adapter_propagates_input_errors() {
-        let x = crate::stream::FailingStream::new(vec![iv(0, 5), iv(1, 6)], 1, || {
-            tdb_core::TdbError::Eval("disk error".into())
-        });
-        let x = crate::stream::OrderChecked::new(x, StreamOrder::TS_ASC);
-        let mut op = OpConfig::new()
-            .overlap_join(x, ts(&[iv(0, 5), iv(2, 9)]))
-            .unwrap();
-        let mut saw_error = false;
-        loop {
-            match op.next() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(_) => {
-                    saw_error = true;
-                    break;
-                }
-            }
-        }
-        assert!(saw_error);
+        assert_eq!(report.max_workspace(), 2);
     }
 
     // -- overlap operators vs the nested-loop definition.
@@ -1629,8 +1415,12 @@ mod tests {
         mode: OverlapMode,
         policy: ReadPolicy,
     ) -> Vec<(TsTuple, TsTuple)> {
-        let cfg = OpConfig::new().with_mode(mode).with_policy(policy);
-        canon_pairs(pulled(cfg.overlap_join(ts(xs), ts(ys)).unwrap()).0)
+        let (xs, ys) = (
+            sorted(xs.to_vec(), StreamOrder::TS_ASC),
+            sorted(ys.to_vec(), StreamOrder::TS_ASC),
+        );
+        let ts = StreamOrder::TS_ASC;
+        canon_pairs(driven(|| OverlapJoin::new(mode, policy), (&xs, ts), (&ys, ts), 16).0)
     }
 
     fn run_overlap_semi(
@@ -1638,8 +1428,13 @@ mod tests {
         ys: &[TsTuple],
         mode: OverlapMode,
     ) -> (Vec<TsTuple>, usize) {
-        let cfg = OpConfig::new().with_mode(mode);
-        let (out, rep) = pulled(cfg.overlap_semijoin(ts(xs), ts(ys)).unwrap());
+        let (xs, ys) = (
+            sorted(xs.to_vec(), StreamOrder::TS_ASC),
+            sorted(ys.to_vec(), StreamOrder::TS_ASC),
+        );
+        let ts = StreamOrder::TS_ASC;
+        let make = || OverlapSemijoin::new(mode, ReadPolicy::MinKey);
+        let (out, rep) = driven(make, (&xs, ts), (&ys, ts), 16);
         (canon(out), rep.max_workspace())
     }
 
@@ -1677,27 +1472,43 @@ mod tests {
         assert!(got.is_empty());
     }
 
+    /// General mode emits a subsequence of X, so X's `ValidFrom ↑` order
+    /// holds on the output; strict mode emits in witness order.
     #[test]
     fn overlap_semijoin_declares_its_output_order() {
-        let xs = [iv(0, 5)];
-        let general = OpConfig::new().overlap_semijoin(ts(&xs), ts(&xs)).unwrap();
-        assert_eq!(general.order(), Some(StreamOrder::TS_ASC));
-        let strict = OpConfig::new()
-            .with_mode(OverlapMode::Strict)
-            .overlap_semijoin(ts(&xs), ts(&xs))
-            .unwrap();
-        assert_eq!(strict.order(), None);
+        let (xs, ys) = workload(90);
+        let (xs, ys) = (
+            sorted(xs, StreamOrder::TS_ASC),
+            sorted(ys, StreamOrder::TS_ASC),
+        );
+        let ts = StreamOrder::TS_ASC;
+        let make = || OverlapSemijoin::new(OverlapMode::General, ReadPolicy::MinKey);
+        let (out, _) = driven(make, (&xs, ts), (&ys, ts), 8);
+        assert!(!out.is_empty());
+        assert_eq!(ts.first_violation(&out), None);
     }
 
     #[test]
     fn overlap_operators_reject_unsorted_inputs() {
         let cfg = OpConfig::new();
-        assert!(cfg
-            .overlap_join(from_vec(vec![iv(0, 5)]), ts(&[iv(0, 5)]))
-            .is_err());
-        assert!(cfg
-            .overlap_semijoin(ts(&[iv(0, 5)]), te(&[iv(0, 5)]))
-            .is_err());
+        let unsorted = vec![iv(5, 9), iv(0, 5)];
+        for kind in [StreamOpKind::OverlapJoin, StreamOpKind::OverlapSemijoin] {
+            let err =
+                crate::dispatch::run_join(kind, cfg, unsorted.clone(), vec![iv(0, 5)], Emit::Count)
+                    .err()
+                    .or_else(|| {
+                        run_semijoin(kind, cfg, unsorted.clone(), vec![iv(0, 5)], Emit::Count).err()
+                    });
+            assert!(err.is_some(), "{kind}");
+        }
+        let err = run_semijoin(
+            StreamOpKind::OverlapSemijoin,
+            cfg,
+            vec![iv(0, 5)],
+            unsorted,
+            Emit::Count,
+        );
+        assert!(matches!(err, Err(TdbError::OrderViolation { .. })));
     }
 
     // -- stab semijoins (§4.2.2 / Figure 6).
@@ -1716,14 +1527,20 @@ mod tests {
             .collect()
     }
 
+    fn stab(kind: StreamOpKind, xs: &[TsTuple], ys: &[TsTuple]) -> (Vec<TsTuple>, OpReport) {
+        let req = kind.requirement();
+        // Sort each side into its registry order (X, then Y).
+        let xs = sorted(xs.to_vec(), req.left().unwrap());
+        let ys = sorted(ys.to_vec(), req.right().unwrap());
+        collect(|e| run_semijoin(kind, OpConfig::new().with_batch_rows(4), xs, ys, e)).unwrap()
+    }
+
     fn run_contain(xs: &[TsTuple], ys: &[TsTuple]) -> Vec<TsTuple> {
-        let op = OpConfig::new().contain_semijoin_stab(ts(xs), te(ys));
-        canon(pulled(op.unwrap()).0)
+        canon(stab(StreamOpKind::ContainSemijoinStab, xs, ys).0)
     }
 
     fn run_contained(xs: &[TsTuple], ys: &[TsTuple]) -> Vec<TsTuple> {
-        let op = OpConfig::new().contained_semijoin_stab(te(xs), ts(ys));
-        canon(pulled(op.unwrap()).0)
+        canon(stab(StreamOpKind::ContainedSemijoinStab, xs, ys).0)
     }
 
     /// The Figure 6 walk: X = {x1, x2} sorted TS↑, Y = {y1..y4} sorted TE↑.
@@ -1738,24 +1555,41 @@ mod tests {
         let y2 = iv(1, 5); // contained in x1
         let y3 = iv(4, 7); // TS ≤ x2.TS: dead for x2
         let y4 = iv(9, 15); // contained in x2
-        let x = from_sorted_vec(vec![x1.clone(), x2.clone()], StreamOrder::TS_ASC).unwrap();
-        let y = from_sorted_vec(vec![y1, y2, y3, y4], StreamOrder::TE_ASC).unwrap();
-        let mut op = OpConfig::new().contain_semijoin_stab(x, y).unwrap();
-
+        let (x, y) = (vec![x1.clone(), x2.clone()], vec![y1, y2, y3, y4]);
+        let mut emitted = Vec::new();
+        let (_, report) = run_kernel(
+            ContainSemijoinStab::new(),
+            1,
+            x,
+            Some(StreamOrder::TS_ASC),
+            y,
+            Some(StreamOrder::TE_ASC),
+            Emit::Chunks(&mut |chunk: Vec<TsTuple>| {
+                emitted.push(chunk);
+                Ok(true)
+            }),
+        )
+        .unwrap();
         // First emission: x1, with y2 in the containee buffer — y1 was
-        // skipped, y2 is retained for the next container.
-        assert_eq!(op.next().unwrap(), Some(x1));
-        let m = op.report().metrics;
-        assert_eq!((m.read_left, m.read_right), (1, 2));
-
-        // Second emission: x2 against y4 — y2 and y3 start too early.
-        assert_eq!(op.next().unwrap(), Some(x2));
-        let m = op.report().metrics;
+        // skipped, y2 is retained for the next container. Second: x2
+        // against y4 — y2 and y3 start too early.
+        assert_eq!(emitted, vec![vec![x1], vec![x2]]);
+        let m = report.metrics;
         assert_eq!((m.read_left, m.read_right), (2, 4));
-
-        assert!(op.next().unwrap().is_none());
-        assert_eq!(op.report().metrics.emitted, 2);
-        assert_eq!(op.report().max_workspace(), 0, "Table 1 state (d)");
+        assert_eq!(m.emitted, 2);
+        assert_eq!(report.max_workspace(), 0, "Table 1 state (d)");
+        // After x1's emission only y1, y2 had been read: stop there.
+        let (_, first) = run_kernel(
+            ContainSemijoinStab::new(),
+            1,
+            vec![iv(0, 10), iv(8, 20)],
+            Some(StreamOrder::TS_ASC),
+            vec![iv(-2, 3), iv(1, 5), iv(4, 7), iv(9, 15)],
+            Some(StreamOrder::TE_ASC),
+            Emit::Chunks(&mut |_| Ok(false)),
+        )
+        .unwrap();
+        assert_eq!((first.metrics.read_left, first.metrics.read_right), (1, 2));
     }
 
     #[test]
@@ -1792,31 +1626,34 @@ mod tests {
 
     #[test]
     fn stab_semijoins_reject_wrong_orders() {
-        let one = [iv(0, 5)];
-        assert!(OpConfig::new()
-            .contain_semijoin_stab(te(&one), te(&one))
-            .is_err());
-        assert!(OpConfig::new()
-            .contained_semijoin_stab(te(&one), te(&one))
-            .is_err());
+        // X TE-sorted but not TS-sorted, for the TS-requiring side.
+        let x = vec![iv(5, 6), iv(0, 9)];
+        let cfg = OpConfig::new();
+        for kind in [
+            StreamOpKind::ContainSemijoinStab,
+            StreamOpKind::ContainedSemijoinStab,
+        ] {
+            let (a, b) = if kind == StreamOpKind::ContainSemijoinStab {
+                (x.clone(), vec![iv(1, 2)])
+            } else {
+                (vec![iv(1, 2)], x.clone())
+            };
+            let err = run_semijoin(kind, cfg, a, b, Emit::Count);
+            assert!(
+                matches!(err, Err(TdbError::OrderViolation { .. })),
+                "{kind}"
+            );
+        }
     }
 
     #[test]
     fn stab_semijoin_output_preserves_input_order() {
         let xs: Vec<_> = (0..50).map(|i| iv(i * 3, i * 3 + 10)).collect();
         let ys: Vec<_> = (0..50).map(|i| iv(i * 3 + 1, i * 3 + 5)).collect();
-        let mut op = OpConfig::new()
-            .contain_semijoin_stab(ts(&xs), te(&ys))
-            .unwrap();
-        assert_eq!(op.order(), Some(StreamOrder::TS_ASC));
-        let out = op.collect_vec().unwrap();
+        let (out, _) = stab(StreamOpKind::ContainSemijoinStab, &xs, &ys);
         assert!(!out.is_empty());
         assert_eq!(StreamOrder::TS_ASC.first_violation(&out), None);
-        let mut op = OpConfig::new()
-            .contained_semijoin_stab(te(&ys), ts(&xs))
-            .unwrap();
-        assert_eq!(op.order(), Some(StreamOrder::TE_ASC));
-        let out = op.collect_vec().unwrap();
+        let (out, _) = stab(StreamOpKind::ContainedSemijoinStab, &ys, &xs);
         assert!(!out.is_empty());
         assert_eq!(StreamOrder::TE_ASC.first_violation(&out), None);
     }

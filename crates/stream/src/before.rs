@@ -10,233 +10,297 @@
 //! [`BeforeJoin`] exploits exactly that: with Y sorted `ValidFrom ↑`, the
 //! matches of each `x` form a *suffix* of Y located by binary search, so the
 //! inner relation is scanned only over actual matches (plus `log |Y|`
-//! probes). The inner relation must still be materialized — that Θ(|Y|)
-//! workspace is the paper's point, and [`BeforeJoin::max_workspace`]
-//! reports it.
+//! probes), and a count needs no pair at all. The inner relation must
+//! still be materialized — that Θ(|Y|) workspace is the paper's point, and
+//! the kernel's report carries it.
 //!
 //! `Before-semijoin(X,Y)` selects `x` with *some* later `y`, which only
 //! requires the **maximum `ValidFrom` of Y**: one scan of each input, two
 //! scalar cells of state, any input order — the paper's "simple algorithm
 //! which scans both operand relations only once and is independent of any
 //! sort orderings; we omit the detail for brevity." [`BeforeSemijoin`] is
-//! that detail.
+//! that detail; mirrored (`y.TE < x.TS`, the minimum `ValidTo` of Y) it
+//! serves After.
 
-use crate::metrics::OpMetrics;
-use crate::required::{RequiredOrder, StreamOpKind};
-use crate::stream::TupleStream;
+use crate::batch::RowBatch;
+use crate::batch_ops::{metrics, BatchOp, Cursor, Head, Side, Wants};
+use crate::report::OpReport;
+use crate::workspace::WorkspaceStats;
 use tdb_core::{StreamOrder, TdbResult, Temporal, TimePoint};
 
 /// Before-join: emits every pair `(x, y)` with `x.TE < y.TS`.
 ///
-/// Y is materialized and sorted on `ValidFrom ↑` internally (one pass over
-/// the Y input); X streams through in its input order.
-pub struct BeforeJoin<X: TupleStream, Y: TupleStream>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    x: X,
-    /// Y sorted by `ValidFrom ↑`; matches of an `x` are a suffix.
-    ys: Vec<Y::Item>,
-    current_x: Option<X::Item>,
-    /// Index of the next y to pair with `current_x`.
-    y_idx: usize,
-    metrics: OpMetrics,
+/// Y is read first, materialized and sorted on `ValidFrom ↑` internally;
+/// X then streams through in its input order. Each x's matches are the Y
+/// suffix past `x.TE`, handed over at most `chunk` pairs per
+/// [`BatchOp::drain`], so a consumer that stops early never sees the
+/// Θ(|X|·|Y|) result built. Count-only mode adds up suffix lengths.
+pub struct BeforeJoin<X: Temporal + Clone, Y: Temporal + Clone> {
+    cx: Cursor<X>,
+    /// Y sorted by `ValidFrom ↑` once it is complete; matches of an `x`
+    /// are a suffix.
+    ys: Vec<Y>,
+    y_done: bool,
+    /// The x being paired and the index of its next partner in `ys`.
+    current: Option<(X, usize)>,
+    chunk: usize,
+    out: Vec<(X, Y)>,
+    comparisons: usize,
+    emitted: usize,
+    count_only: bool,
+    want: Wants,
 }
 
-impl<X: TupleStream, Y: TupleStream> RequiredOrder for BeforeJoin<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    const KIND: StreamOpKind = StreamOpKind::BeforeJoin;
-}
-
-impl<X: TupleStream, Y: TupleStream> BeforeJoin<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    /// Build the operator; consumes and materializes the entire Y input.
-    pub fn new(x: X, mut y: Y) -> TdbResult<Self> {
-        let mut ys = y.collect_vec()?;
-        let read_right = ys.len();
-        // If Y already arrives in ValidFrom ↑ order the sort is a no-op
-        // verification; otherwise we sort here (the workspace is Θ(|Y|)
-        // regardless — the paper's point about Before-join).
-        StreamOrder::TS_ASC.sort(&mut ys);
-        Ok(BeforeJoin {
-            x,
-            ys,
-            current_x: None,
-            y_idx: 0,
-            metrics: OpMetrics {
-                read_right,
-                passes: 1,
-                ..OpMetrics::default()
-            },
-        })
-    }
-
-    /// Execution metrics.
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
-
-    /// The materialized-Y workspace — Θ(|Y|), demonstrating the paper's
-    /// claim that no sort ordering bounds Before-join state.
-    pub fn max_workspace(&self) -> usize {
-        self.ys.len()
-    }
-
-    /// Total number of result pairs, computed without materializing them:
-    /// one binary search per x. Consumes the operator.
-    pub fn count(mut self) -> TdbResult<u64> {
-        let mut total = 0u64;
-        while let Some(x) = self.x.next()? {
-            self.metrics.read_left += 1;
-            let suffix = self.suffix_start(x.te());
-            total += (self.ys.len() - suffix) as u64;
+impl<X: Temporal + Clone, Y: Temporal + Clone> BeforeJoin<X, Y> {
+    /// An empty kernel handing over at most `chunk` pairs per drain.
+    pub fn new(chunk: usize) -> Self {
+        BeforeJoin {
+            cx: Cursor::new(),
+            ys: Vec::new(),
+            y_done: false,
+            current: None,
+            chunk: chunk.max(1),
+            out: Vec::new(),
+            comparisons: 0,
+            emitted: 0,
+            count_only: false,
+            want: Wants::Right,
         }
-        Ok(total)
     }
 
-    /// First index of the Y suffix with `y.TS > te`.
-    fn suffix_start(&mut self, te: TimePoint) -> usize {
-        self.metrics.comparisons += (self.ys.len().max(2)).ilog2() as usize;
-        self.ys.partition_point(|y| y.ts() <= te)
+    /// With `on`, count pairs by sorted-suffix arithmetic instead of
+    /// building them.
+    pub fn count_only(mut self, on: bool) -> Self {
+        self.count_only = on;
+        self
     }
-}
 
-impl<X: TupleStream, Y: TupleStream> TupleStream for BeforeJoin<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    type Item = (X::Item, Y::Item);
-
-    fn next(&mut self) -> TdbResult<Option<Self::Item>> {
+    fn run(&mut self) {
+        if !self.y_done {
+            return;
+        }
         loop {
-            if let Some(x) = &self.current_x {
-                if self.y_idx < self.ys.len() {
-                    let pair = (x.clone(), self.ys[self.y_idx].clone());
-                    self.y_idx += 1;
-                    self.metrics.emitted += 1;
-                    return Ok(Some(pair));
+            if let Some((x, next)) = &mut self.current {
+                let end = self.ys.len().min(*next + self.chunk - self.out.len());
+                for y in &self.ys[*next..end] {
+                    self.out.push((x.clone(), y.clone()));
                 }
-                self.current_x = None;
+                self.emitted += end - *next;
+                *next = end;
+                if end < self.ys.len() {
+                    return; // a full chunk: the next drain resumes here
+                }
+                self.current = None;
             }
-            let Some(x) = self.x.next()? else {
-                return Ok(None);
+            let te = match self.cx.head() {
+                Head::Starved => {
+                    self.want = Wants::Left;
+                    return;
+                }
+                Head::Exhausted => {
+                    self.want = Wants::Done;
+                    return;
+                }
+                Head::Row(_, te) => TimePoint::new(te),
             };
-            self.metrics.read_left += 1;
-            self.y_idx = self.suffix_start(x.te());
-            self.current_x = Some(x);
+            // One binary search for the first y with `y.TS > x.TE`.
+            self.comparisons += self.ys.len().max(2).ilog2() as usize;
+            let suffix = self.ys.partition_point(|y| y.ts() <= te);
+            if self.count_only {
+                self.emitted += self.ys.len() - suffix;
+            } else {
+                self.current = Some((self.cx.clone_head(), suffix));
+            }
+            self.cx.advance();
+        }
+    }
+}
+
+impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for BeforeJoin<X, Y> {
+    type LeftItem = X;
+    type RightItem = Y;
+    type Out = (X, Y);
+
+    fn wants(&self) -> Wants {
+        self.want
+    }
+
+    fn process_batch_left(&mut self, batch: RowBatch<X>) -> TdbResult<()> {
+        self.cx.push(batch);
+        self.run();
+        Ok(())
+    }
+
+    fn process_batch_right(&mut self, batch: RowBatch<Y>) -> TdbResult<()> {
+        self.ys.extend(batch.into_rows());
+        Ok(())
+    }
+
+    fn finish(&mut self, side: Side) -> TdbResult<()> {
+        match side {
+            Side::Left => self.cx.finish(),
+            Side::Right => {
+                // The workspace is Θ(|Y|) whatever the input order — the
+                // paper's point about Before-join.
+                StreamOrder::TS_ASC.sort(&mut self.ys);
+                self.y_done = true;
+                self.want = Wants::Left;
+            }
+        }
+        self.run();
+        Ok(())
+    }
+
+    fn drain(&mut self) -> Vec<(X, Y)> {
+        if self.out.is_empty() {
+            self.run();
+        }
+        std::mem::take(&mut self.out)
+    }
+
+    fn report(&self) -> OpReport {
+        OpReport::new(
+            metrics(self.cx.reads, self.ys.len(), self.comparisons, self.emitted),
+            WorkspaceStats::of_resident(self.ys.len()),
+        )
+    }
+}
+
+/// Before-semijoin: emits each `x` with `x.TE < max(y.TS)`; mirrored,
+/// the After-semijoin: each `x` with `x.TS > min(y.TE)`.
+///
+/// Y is read first, folding the one bound; then one pass over X in its
+/// input order. O(1) state, independent of sort order.
+pub struct BeforeSemijoin<X: Temporal + Clone, Y: Temporal + Clone> {
+    cx: Cursor<X>,
+    /// `false`: Before (`bound` = max `y.TS`); `true`: After (min `y.TE`).
+    after: bool,
+    /// The folded bound; `None` while Y is empty.
+    bound: Option<i64>,
+    read_right: usize,
+    out: Vec<X>,
+    comparisons: usize,
+    emitted: usize,
+    want: Wants,
+    _y: std::marker::PhantomData<Y>,
+}
+
+impl<X: Temporal + Clone, Y: Temporal + Clone> BeforeSemijoin<X, Y> {
+    /// Keep `x` preceding some `y` (`x.TE < y.TS`).
+    pub fn before() -> Self {
+        Self::new(false)
+    }
+
+    /// Keep `x` following some `y` (`y.TE < x.TS`).
+    pub fn after() -> Self {
+        Self::new(true)
+    }
+
+    fn new(after: bool) -> Self {
+        BeforeSemijoin {
+            cx: Cursor::new(),
+            after,
+            bound: None,
+            read_right: 0,
+            out: Vec::new(),
+            comparisons: 0,
+            emitted: 0,
+            want: Wants::Right,
+            _y: std::marker::PhantomData,
         }
     }
 
-    fn order(&self) -> Option<StreamOrder> {
-        None
+    fn run(&mut self) {
+        let Some(bound) = self.bound else { return };
+        loop {
+            let (ts, te) = match self.cx.head() {
+                Head::Starved => {
+                    self.want = Wants::Left;
+                    return;
+                }
+                Head::Exhausted => {
+                    self.want = Wants::Done;
+                    return;
+                }
+                Head::Row(ts, te) => (ts, te),
+            };
+            self.comparisons += 1;
+            if if self.after { bound < ts } else { te < bound } {
+                self.out.push(self.cx.clone_head());
+                self.emitted += 1;
+            }
+            self.cx.advance();
+        }
     }
 }
 
-/// Before-semijoin: emits each `x` with `x.TE < max(y.TS)`.
-///
-/// One pass over each input, O(1) state, independent of sort order.
-pub struct BeforeSemijoin<X: TupleStream>
-where
-    X::Item: Temporal + Clone,
-{
-    x: X,
-    /// Maximum `ValidFrom` over all of Y; `None` when Y was empty.
-    max_y_ts: Option<TimePoint>,
-    metrics: OpMetrics,
-    input_order: Option<StreamOrder>,
-}
+impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for BeforeSemijoin<X, Y> {
+    type LeftItem = X;
+    type RightItem = Y;
+    type Out = X;
 
-impl<X: TupleStream> RequiredOrder for BeforeSemijoin<X>
-where
-    X::Item: Temporal + Clone,
-{
-    const KIND: StreamOpKind = StreamOpKind::BeforeSemijoin;
-}
+    fn wants(&self) -> Wants {
+        self.want
+    }
 
-impl<X: TupleStream> BeforeSemijoin<X>
-where
-    X::Item: Temporal + Clone,
-{
-    /// Build the operator, consuming Y in a single pass to find its maximum
-    /// `ValidFrom`.
-    pub fn new<Y: TupleStream>(x: X, mut y: Y) -> TdbResult<Self>
-    where
-        Y::Item: Temporal,
-    {
-        let mut max_y_ts: Option<TimePoint> = None;
-        let mut read_right = 0;
-        while let Some(yt) = y.next()? {
-            read_right += 1;
-            let ts = yt.ts();
-            max_y_ts = Some(match max_y_ts {
-                Some(m) => m.max_of(ts),
-                None => ts,
+    fn process_batch_left(&mut self, batch: RowBatch<X>) -> TdbResult<()> {
+        self.cx.push(batch);
+        self.run();
+        Ok(())
+    }
+
+    fn process_batch_right(&mut self, batch: RowBatch<Y>) -> TdbResult<()> {
+        self.read_right += batch.len();
+        let col = if self.after {
+            batch.te_ticks().iter().min()
+        } else {
+            batch.ts_ticks().iter().max()
+        };
+        if let Some(&v) = col {
+            self.bound = Some(match self.bound {
+                Some(b) if self.after => b.min(v),
+                Some(b) => b.max(v),
+                None => v,
             });
         }
-        let input_order = x.order();
-        Ok(BeforeSemijoin {
-            x,
-            max_y_ts,
-            metrics: OpMetrics {
-                read_right,
-                passes: 1,
-                ..OpMetrics::default()
-            },
-            input_order,
-        })
+        Ok(())
     }
 
-    /// Execution metrics.
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
+    fn finish(&mut self, side: Side) -> TdbResult<()> {
+        match side {
+            Side::Left => self.cx.finish(),
+            // An empty Y keeps no x: X is never read.
+            Side::Right if self.bound.is_none() => self.want = Wants::Done,
+            Side::Right => self.want = Wants::Left,
+        }
+        self.run();
+        Ok(())
+    }
+
+    fn drain(&mut self) -> Vec<X> {
+        std::mem::take(&mut self.out)
     }
 
     /// State beyond the input buffer: a single time point.
-    pub fn max_workspace(&self) -> usize {
-        1
-    }
-}
-
-impl<X: TupleStream> TupleStream for BeforeSemijoin<X>
-where
-    X::Item: Temporal + Clone,
-{
-    type Item = X::Item;
-
-    fn next(&mut self) -> TdbResult<Option<X::Item>> {
-        let Some(cutoff) = self.max_y_ts else {
-            // Empty Y: no x ever qualifies; drain lazily without reading X.
-            return Ok(None);
-        };
-        while let Some(x) = self.x.next()? {
-            self.metrics.read_left += 1;
-            self.metrics.comparisons += 1;
-            if x.te() < cutoff {
-                self.metrics.emitted += 1;
-                return Ok(Some(x));
-            }
-        }
-        Ok(None)
-    }
-
-    fn order(&self) -> Option<StreamOrder> {
-        // Output is a filtered subsequence of X: order-preserving.
-        self.input_order
+    fn report(&self) -> OpReport {
+        OpReport::new(
+            metrics(
+                self.cx.reads,
+                self.read_right,
+                self.comparisons,
+                self.emitted,
+            ),
+            WorkspaceStats::of_resident(1),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{from_sorted_vec, from_vec};
+    use crate::dispatch::{collect, run_join, run_kernel, run_semijoin, Emit};
+    use crate::report::OpConfig;
+    use crate::required::StreamOpKind;
     use proptest::prelude::*;
     use tdb_core::TsTuple;
 
@@ -268,12 +332,27 @@ mod tests {
         canon_pairs(out)
     }
 
+    fn join(xs: Vec<TsTuple>, ys: Vec<TsTuple>) -> (Vec<(TsTuple, TsTuple)>, OpReport) {
+        let cfg = OpConfig::new().with_batch_rows(3);
+        collect(|e| run_join(StreamOpKind::BeforeJoin, cfg, xs, ys, e)).unwrap()
+    }
+
+    fn count(xs: Vec<TsTuple>, ys: Vec<TsTuple>) -> usize {
+        let cfg = OpConfig::new();
+        let (_, r) = run_join(StreamOpKind::BeforeJoin, cfg, xs, ys, Emit::Count).unwrap();
+        r.metrics.emitted
+    }
+
+    fn semijoin(xs: Vec<TsTuple>, ys: Vec<TsTuple>) -> (Vec<TsTuple>, OpReport) {
+        let cfg = OpConfig::new().with_batch_rows(2);
+        collect(|e| run_semijoin(StreamOpKind::BeforeSemijoin, cfg, xs, ys, e)).unwrap()
+    }
+
     #[test]
     fn join_basic() {
         let xs = vec![iv(0, 2), iv(5, 8)];
         let ys = vec![iv(3, 4), iv(9, 12), iv(1, 2)];
-        let mut op = BeforeJoin::new(from_vec(xs.clone()), from_vec(ys.clone())).unwrap();
-        let got = canon_pairs(op.collect_vec().unwrap());
+        let got = canon_pairs(join(xs.clone(), ys.clone()).0);
         assert_eq!(got, join_oracle(&xs, &ys));
         // [0,2) before [3,4) and [9,12); [5,8) before [9,12) → 3 pairs.
         assert_eq!(got.len(), 3);
@@ -281,24 +360,47 @@ mod tests {
 
     #[test]
     fn meets_is_not_before() {
-        let mut op = BeforeJoin::new(from_vec(vec![iv(0, 3)]), from_vec(vec![iv(3, 5)])).unwrap();
-        assert!(op.collect_vec().unwrap().is_empty());
+        assert!(join(vec![iv(0, 3)], vec![iv(3, 5)]).0.is_empty());
     }
 
     #[test]
     fn count_avoids_materialization() {
         let xs: Vec<_> = (0..100).map(|i| iv(i, i + 1)).collect();
         let ys: Vec<_> = (0..100).map(|i| iv(i, i + 1)).collect();
-        let expected = join_oracle(&xs, &ys).len() as u64;
-        let op = BeforeJoin::new(from_vec(xs), from_vec(ys)).unwrap();
-        assert_eq!(op.count().unwrap(), expected);
+        let expected = join_oracle(&xs, &ys).len();
+        let op = BeforeJoin::new(8).count_only(true);
+        let (out, report) = collect(|e| run_kernel(op, 8, xs, None, ys, None, e)).unwrap();
+        assert!(out.is_empty(), "count-only builds no pair");
+        assert_eq!(report.metrics.emitted, expected);
+    }
+
+    /// The kernel hands over at most one chunk per drain, so a consumer
+    /// that stops after the first has not had the rest built.
+    #[test]
+    fn join_stops_after_the_first_chunk() {
+        let xs = vec![iv(0, 1)];
+        let ys: Vec<_> = (0..50).map(|i| iv(i + 2, i + 3)).collect();
+        let mut chunks = Vec::new();
+        let (completed, report) = run_join(
+            StreamOpKind::BeforeJoin,
+            OpConfig::new().with_batch_rows(8),
+            xs,
+            ys,
+            Emit::Chunks(&mut |c| {
+                chunks.push(c.len());
+                Ok(false)
+            }),
+        )
+        .unwrap();
+        assert!(!completed);
+        assert_eq!(chunks, vec![8]);
+        assert_eq!(report.metrics.emitted, 8);
     }
 
     #[test]
     fn join_workspace_is_theta_y() {
         let ys: Vec<_> = (0..250).map(|i| iv(i, i + 1)).collect();
-        let op = BeforeJoin::new(from_vec(vec![iv(0, 1)]), from_vec(ys)).unwrap();
-        assert_eq!(op.max_workspace(), 250);
+        assert_eq!(join(vec![iv(0, 1)], ys).1.max_workspace(), 250);
     }
 
     #[test]
@@ -306,26 +408,26 @@ mod tests {
         let xs = vec![iv(5, 8), iv(0, 2), iv(30, 40)];
         let ys = vec![iv(9, 12), iv(3, 4)];
         // max y.TS = 9 → x qualifies iff x.TE < 9 → [5,8) and [0,2).
-        let mut op = BeforeSemijoin::new(from_vec(xs), from_vec(ys)).unwrap();
-        let got = op.collect_vec().unwrap();
+        let (got, report) = semijoin(xs, ys);
         assert_eq!(got, vec![iv(5, 8), iv(0, 2)]);
-        assert_eq!(op.metrics().read_right, 2);
-        assert_eq!(op.max_workspace(), 1);
+        assert_eq!(report.metrics.read_right, 2);
+        assert_eq!(report.max_workspace(), 1);
     }
 
     #[test]
     fn semijoin_empty_y_short_circuits() {
-        let mut op =
-            BeforeSemijoin::new(from_vec(vec![iv(0, 1)]), from_vec(Vec::<TsTuple>::new())).unwrap();
-        assert!(op.next().unwrap().is_none());
-        assert_eq!(op.metrics().read_left, 0, "X never read when Y empty");
+        let (got, report) = semijoin(vec![iv(0, 1)], vec![]);
+        assert!(got.is_empty());
+        assert_eq!(report.metrics.read_left, 0, "X never read when Y empty");
     }
 
     #[test]
     fn semijoin_preserves_input_order_declaration() {
-        let x = from_sorted_vec(vec![iv(0, 2), iv(1, 3)], StreamOrder::TS_ASC).unwrap();
-        let op = BeforeSemijoin::new(x, from_vec(vec![iv(10, 11)])).unwrap();
-        assert_eq!(op.order(), Some(StreamOrder::TS_ASC));
+        // The output is a filtered subsequence of X, so X's order holds.
+        let xs: Vec<_> = (0..40).map(|i| iv(i, i + 1 + i % 7)).collect();
+        let (got, _) = semijoin(xs, vec![iv(30, 31)]);
+        assert!(!got.is_empty());
+        assert_eq!(StreamOrder::TS_ASC.first_violation(&got), None);
     }
 
     fn arb_intervals(n: usize) -> impl Strategy<Value = Vec<TsTuple>> {
@@ -336,8 +438,7 @@ mod tests {
     proptest! {
         #[test]
         fn join_matches_oracle(xs in arb_intervals(30), ys in arb_intervals(30)) {
-            let mut op = BeforeJoin::new(from_vec(xs.clone()), from_vec(ys.clone())).unwrap();
-            let got = canon_pairs(op.collect_vec().unwrap());
+            let got = canon_pairs(join(xs.clone(), ys.clone()).0);
             prop_assert_eq!(got, join_oracle(&xs, &ys));
         }
 
@@ -348,16 +449,22 @@ mod tests {
                 .filter(|x| ys.iter().any(|y| x.period.before(&y.period)))
                 .cloned()
                 .collect();
-            let mut op = BeforeSemijoin::new(from_vec(xs), from_vec(ys)).unwrap();
-            prop_assert_eq!(op.collect_vec().unwrap(), expected);
+            prop_assert_eq!(semijoin(xs.clone(), ys.clone()).0, expected);
+            // Mirrored: x after some y.
+            let expected: Vec<_> = xs
+                .iter()
+                .filter(|x| ys.iter().any(|y| y.period.before(&x.period)))
+                .cloned()
+                .collect();
+            let op = BeforeSemijoin::after();
+            let (got, _) = collect(|e| run_kernel(op, 4, xs, None, ys, None, e)).unwrap();
+            prop_assert_eq!(got, expected);
         }
 
         #[test]
         fn count_equals_materialized_length(xs in arb_intervals(25), ys in arb_intervals(25)) {
-            let mut op = BeforeJoin::new(from_vec(xs.clone()), from_vec(ys.clone())).unwrap();
-            let n = op.collect_vec().unwrap().len() as u64;
-            let op2 = BeforeJoin::new(from_vec(xs), from_vec(ys)).unwrap();
-            prop_assert_eq!(op2.count().unwrap(), n);
+            let n = join(xs.clone(), ys.clone()).0.len();
+            prop_assert_eq!(count(xs, ys), n);
         }
     }
 }

@@ -4,148 +4,68 @@
 //! not appropriate for stream processing — no garbage-collection criteria."
 //! A join over such inputs can still run in one pass, but *nothing may ever
 //! be discarded*: every tuple read must be retained, so the workspace grows
-//! to Θ(|X| + |Y|). [`BufferedJoin`] is that operator — correct under any
-//! input orders and any join predicate, and instrumented so experiments can
-//! exhibit the degenerate state growth next to the bounded-state operators.
+//! to Θ(|X| + |Y|). [`buffered_join`] is that reference definition —
+//! correct under any input orders and any join predicate, and instrumented
+//! so experiments can exhibit the degenerate state growth (E1 and E2 print
+//! its |X| + |Y| in their "–" cells) next to the bounded-state kernels.
 
 use crate::metrics::OpMetrics;
-use crate::stream::TupleStream;
-use crate::workspace::{Workspace, WorkspaceStats};
-use std::collections::VecDeque;
-use tdb_core::{StreamOrder, TdbResult, Temporal};
+use crate::report::OpReport;
+use crate::workspace::Workspace;
 
-/// Single-pass theta-join with no garbage collection.
-pub struct BufferedJoin<X: TupleStream, Y: TupleStream, P>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-    P: Fn(&X::Item, &Y::Item) -> bool,
-{
-    x: X,
-    y: Y,
-    predicate: P,
-    state_x: Workspace<X::Item>,
-    state_y: Workspace<Y::Item>,
-    pending: VecDeque<(X::Item, Y::Item)>,
-    x_done: bool,
-    y_done: bool,
-    flip: bool,
-    metrics: OpMetrics,
-}
-
-impl<X: TupleStream, Y: TupleStream, P> BufferedJoin<X, Y, P>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-    P: Fn(&X::Item, &Y::Item) -> bool,
-{
-    /// Build the operator with an arbitrary join predicate.
-    pub fn new(x: X, y: Y, predicate: P) -> Self {
-        BufferedJoin {
-            x,
-            y,
-            predicate,
-            state_x: Workspace::new(),
-            state_y: Workspace::new(),
-            pending: VecDeque::new(),
-            x_done: false,
-            y_done: false,
-            flip: false,
-            metrics: OpMetrics {
-                passes: 1,
-                ..OpMetrics::default()
-            },
-        }
-    }
-
-    /// Execution metrics.
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
-
-    /// Workspace statistics — grows to Θ(|X| + |Y|) by construction.
-    pub fn workspace(&self) -> (WorkspaceStats, WorkspaceStats) {
-        (self.state_x.stats(), self.state_y.stats())
-    }
-
-    /// Combined maximum resident state tuples.
-    pub fn max_workspace(&self) -> usize {
-        self.state_x.stats().max_resident + self.state_y.stats().max_resident
-    }
-
-    fn step_x(&mut self) -> TdbResult<()> {
-        match self.x.next()? {
-            Some(xt) => {
-                self.metrics.read_left += 1;
-                for yt in &self.state_y {
-                    self.metrics.comparisons += 1;
-                    if (self.predicate)(&xt, yt) {
-                        self.pending.push_back((xt.clone(), yt.clone()));
-                    }
+/// Single-pass theta-join with no garbage collection: the inputs are read
+/// alternately (falling back to the live one), each arrival is compared
+/// with every retained tuple of the other side and then retained itself,
+/// so every pair is compared exactly once and the workspace ends holding
+/// both inputs.
+pub fn buffered_join<X: Clone, Y: Clone>(
+    xs: &[X],
+    ys: &[Y],
+    predicate: impl Fn(&X, &Y) -> bool,
+) -> (Vec<(X, Y)>, OpReport) {
+    let (mut sx, mut sy) = (Workspace::new(), Workspace::new());
+    let mut out = Vec::new();
+    let mut comparisons = 0;
+    let (mut i, mut j) = (0, 0);
+    while i < xs.len() || j < ys.len() {
+        if i < xs.len() && (i <= j || j == ys.len()) {
+            let x = &xs[i];
+            for y in &sy {
+                comparisons += 1;
+                if predicate(x, y) {
+                    out.push((x.clone(), y.clone()));
                 }
-                self.state_x.insert(xt);
             }
-            None => self.x_done = true,
-        }
-        Ok(())
-    }
-
-    fn step_y(&mut self) -> TdbResult<()> {
-        match self.y.next()? {
-            Some(yt) => {
-                self.metrics.read_right += 1;
-                for xt in &self.state_x {
-                    self.metrics.comparisons += 1;
-                    if (self.predicate)(xt, &yt) {
-                        self.pending.push_back((xt.clone(), yt.clone()));
-                    }
+            sx.insert(x.clone());
+            i += 1;
+        } else {
+            let y = &ys[j];
+            for x in &sx {
+                comparisons += 1;
+                if predicate(x, y) {
+                    out.push((x.clone(), y.clone()));
                 }
-                self.state_y.insert(yt);
             }
-            None => self.y_done = true,
-        }
-        Ok(())
-    }
-}
-
-impl<X: TupleStream, Y: TupleStream, P> TupleStream for BufferedJoin<X, Y, P>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-    P: Fn(&X::Item, &Y::Item) -> bool,
-{
-    type Item = (X::Item, Y::Item);
-
-    fn next(&mut self) -> TdbResult<Option<Self::Item>> {
-        loop {
-            if let Some(pair) = self.pending.pop_front() {
-                self.metrics.emitted += 1;
-                return Ok(Some(pair));
-            }
-            if self.x_done && self.y_done {
-                return Ok(None);
-            }
-            // Alternate between inputs; fall back to the live one.
-            self.flip = !self.flip;
-            if (self.flip && !self.x_done) || self.y_done {
-                self.step_x()?;
-            } else {
-                self.step_y()?;
-            }
+            sy.insert(y.clone());
+            j += 1;
         }
     }
-
-    fn order(&self) -> Option<StreamOrder> {
-        None
-    }
+    let metrics = OpMetrics {
+        read_left: xs.len(),
+        read_right: ys.len(),
+        comparisons,
+        emitted: out.len(),
+        passes: 1,
+    };
+    let workspace = sx.stats().combine_stacked(sy.stats());
+    (out, OpReport::new(metrics, workspace))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::from_vec;
     use proptest::prelude::*;
-    use tdb_core::TsTuple;
+    use tdb_core::{Temporal, TsTuple};
 
     fn iv(s: i64, e: i64) -> TsTuple {
         TsTuple::interval(s, e).unwrap()
@@ -168,10 +88,8 @@ mod tests {
         // Deliberately unsorted inputs.
         let xs = vec![iv(10, 20), iv(0, 100), iv(5, 6)];
         let ys = vec![iv(11, 19), iv(1, 2)];
-        let mut op = BufferedJoin::new(from_vec(xs.clone()), from_vec(ys.clone()), |x, y| {
-            x.period.contains(&y.period)
-        });
-        let got = canon(op.collect_vec().unwrap());
+        let (got, _) = buffered_join(&xs, &ys, |x, y| x.period.contains(&y.period));
+        let got = canon(got);
         let mut expected = Vec::new();
         for x in &xs {
             for y in &ys {
@@ -188,19 +106,17 @@ mod tests {
     fn workspace_grows_to_input_size() {
         let xs: Vec<_> = (0..100).map(|i| iv(i, i + 1)).collect();
         let ys: Vec<_> = (0..80).map(|i| iv(i, i + 1)).collect();
-        let mut op = BufferedJoin::new(from_vec(xs), from_vec(ys), |_, _| false);
-        let _ = op.collect_vec().unwrap();
-        assert_eq!(op.max_workspace(), 180, "no GC: everything retained");
+        let (_, report) = buffered_join(&xs, &ys, |_, _| false);
+        assert_eq!(report.max_workspace(), 180, "no GC: everything retained");
+        assert_eq!(report.metrics.comparisons, 100 * 80, "each pair once");
     }
 
     #[test]
     fn uneven_stream_lengths_drain_fully() {
         let xs = vec![iv(0, 1)];
         let ys: Vec<_> = (0..10).map(|i| iv(0, i + 1)).collect();
-        let mut op = BufferedJoin::new(from_vec(xs), from_vec(ys), |x, y| {
-            x.period().start() == y.period().start()
-        });
-        assert_eq!(op.collect_vec().unwrap().len(), 10);
+        let (out, _) = buffered_join(&xs, &ys, |x, y| x.period().start() == y.period().start());
+        assert_eq!(out.len(), 10);
     }
 
     fn arb_intervals(n: usize) -> impl Strategy<Value = Vec<TsTuple>> {
@@ -209,14 +125,12 @@ mod tests {
     }
 
     proptest! {
-        /// BufferedJoin is itself an oracle; check it against the direct
+        /// The buffered join is itself an oracle; check it against the direct
         /// double loop for the overlap predicate on unsorted data.
         #[test]
         fn matches_double_loop(xs in arb_intervals(30), ys in arb_intervals(30)) {
-            let mut op = BufferedJoin::new(from_vec(xs.clone()), from_vec(ys.clone()), |x, y| {
-                x.period.overlaps(&y.period)
-            });
-            let got = canon(op.collect_vec().unwrap());
+            let (got, _) = buffered_join(&xs, &ys, |x, y| x.period.overlaps(&y.period));
+            let got = canon(got);
             let mut expected = Vec::new();
             for x in &xs {
                 for y in &ys {

@@ -10,15 +10,75 @@
 //! merged period.
 
 use crate::metrics::OpMetrics;
-use crate::stream::TupleStream;
-use tdb_core::{Period, StreamOrder, TdbError, TdbResult, TsTuple, Value};
+use crate::report::OpReport;
+use crate::workspace::WorkspaceStats;
+use std::collections::HashSet;
+use tdb_core::{Period, TdbError, TdbResult, TsTuple, Value};
 
-/// Coalesce a stream of [`TsTuple`]s.
-///
-/// Requires input *grouped* by `(surrogate, value)` (all equal pairs
+/// Coalesce [`TsTuple`]s grouped by `(surrogate, value)` (all equal pairs
 /// adjacent) and sorted on `ValidFrom ↑` within each group; both are
-/// verified at runtime. Tuples whose periods meet (`TE = next.TS`) or
-/// overlap are merged; the output is one maximal tuple per run.
+/// verified. Tuples whose periods meet (`TE = next.TS`) or overlap are
+/// merged; the output is one maximal tuple per run, and the state is the
+/// one pending merged tuple.
+pub fn coalesce(tuples: &[TsTuple]) -> TdbResult<(Vec<TsTuple>, OpReport)> {
+    let mut out: Vec<TsTuple> = Vec::new();
+    // Groups already closed (to detect ungrouped input).
+    let mut closed: HashSet<(Value, Value)> = HashSet::new();
+    let mut comparisons = 0;
+    for t in tuples {
+        match out.last_mut() {
+            Some(p) if p.surrogate == t.surrogate && p.value == t.value => {
+                comparisons += 1;
+                // Same group: verify intra-group TS order.
+                if t.period.start() < p.period.start() {
+                    return Err(TdbError::OrderViolation {
+                        context: "Coalesce",
+                        detail: format!(
+                            "group ({}, {}) not sorted on ValidFrom",
+                            t.surrogate, t.value
+                        ),
+                    });
+                }
+                if t.period.start() <= p.period.end() {
+                    // Meets or overlaps: extend the pending run.
+                    let end = p.period.end().max_of(t.period.end());
+                    p.period = Period::new_unchecked(p.period.start(), end);
+                } else {
+                    // Gap within the group: the pending run is final.
+                    out.push(t.clone());
+                }
+            }
+            last => {
+                // Group boundary.
+                if let Some(p) = last {
+                    closed.insert((p.surrogate.clone(), p.value.clone()));
+                }
+                if closed.contains(&(t.surrogate.clone(), t.value.clone())) {
+                    return Err(TdbError::OrderViolation {
+                        context: "Coalesce",
+                        detail: format!(
+                            "input is not grouped: ({}, {}) reappeared",
+                            t.surrogate, t.value
+                        ),
+                    });
+                }
+                out.push(t.clone());
+            }
+        }
+    }
+    let metrics = OpMetrics {
+        read_left: tuples.len(),
+        comparisons,
+        emitted: out.len(),
+        passes: 1,
+        ..OpMetrics::default()
+    };
+    Ok((out, OpReport::new(metrics, WorkspaceStats::of_resident(1))))
+}
+
+/// Coalesce an in-memory relation, sorting it into the required grouping
+/// first. Returns tuples grouped by `(surrogate, value)` in deterministic
+/// order.
 ///
 /// ```
 /// use tdb_stream::coalesce_relation;
@@ -33,138 +93,16 @@ use tdb_core::{Period, StreamOrder, TdbError, TdbResult, TsTuple, Value};
 /// assert_eq!(merged[0].period, tdb_core::Period::new(0, 9)?);
 /// # Ok::<(), tdb_core::TdbError>(())
 /// ```
-pub struct Coalesce<S: TupleStream<Item = TsTuple>> {
-    input: S,
-    /// The pending merged tuple — the operator's entire state.
-    pending: Option<TsTuple>,
-    /// Groups already closed (to detect ungrouped input).
-    closed: std::collections::HashSet<(Value, Value)>,
-    metrics: OpMetrics,
-    done: bool,
-}
-
-impl<S: TupleStream<Item = TsTuple>> Coalesce<S> {
-    /// Build the operator.
-    pub fn new(input: S) -> Coalesce<S> {
-        Coalesce {
-            input,
-            pending: None,
-            closed: std::collections::HashSet::new(),
-            metrics: OpMetrics {
-                passes: 1,
-                ..OpMetrics::default()
-            },
-            done: false,
-        }
-    }
-
-    /// Execution metrics.
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
-
-    /// Maximum state beyond the input buffer: one pending tuple.
-    pub fn max_workspace(&self) -> usize {
-        1
-    }
-
-    fn close_group(&mut self, finished: TsTuple) -> TdbResult<TsTuple> {
-        let key = (finished.surrogate.clone(), finished.value.clone());
-        if !self.closed.insert(key) {
-            return Err(TdbError::OrderViolation {
-                context: "Coalesce",
-                detail: format!(
-                    "input is not grouped: ({}, {}) reappeared",
-                    finished.surrogate, finished.value
-                ),
-            });
-        }
-        self.metrics.emitted += 1;
-        Ok(finished)
-    }
-}
-
-impl<S: TupleStream<Item = TsTuple>> TupleStream for Coalesce<S> {
-    type Item = TsTuple;
-
-    fn next(&mut self) -> TdbResult<Option<TsTuple>> {
-        if self.done {
-            return Ok(None);
-        }
-        loop {
-            match self.input.next()? {
-                Some(t) => {
-                    self.metrics.read_left += 1;
-                    match &mut self.pending {
-                        Some(p) if p.surrogate == t.surrogate && p.value == t.value => {
-                            self.metrics.comparisons += 1;
-                            // Same group: verify intra-group TS order.
-                            if t.period.start() < p.period.start() {
-                                return Err(TdbError::OrderViolation {
-                                    context: "Coalesce",
-                                    detail: format!(
-                                        "group ({}, {}) not sorted on ValidFrom",
-                                        t.surrogate, t.value
-                                    ),
-                                });
-                            }
-                            if t.period.start() <= p.period.end() {
-                                // Meets or overlaps: extend the pending run.
-                                let merged = Period::new_unchecked(
-                                    p.period.start(),
-                                    p.period.end().max_of(t.period.end()),
-                                );
-                                p.period = merged;
-                            } else {
-                                // Gap within the group: emit, start anew.
-                                let out = std::mem::replace(p, t);
-                                self.metrics.emitted += 1;
-                                return Ok(Some(out));
-                            }
-                        }
-                        Some(_) => {
-                            // Group boundary: the `Some(_)` arm matched on
-                            // `pending`.
-                            let finished =
-                                // lint:allow(no-unwrap)
-                                std::mem::replace(self.pending.as_mut().expect("some"), t);
-                            let out = self.close_group(finished)?;
-                            return Ok(Some(out));
-                        }
-                        None => self.pending = Some(t),
-                    }
-                }
-                None => {
-                    self.done = true;
-                    return match self.pending.take() {
-                        Some(finished) => Ok(Some(self.close_group(finished)?)),
-                        None => Ok(None),
-                    };
-                }
-            }
-        }
-    }
-
-    fn order(&self) -> Option<StreamOrder> {
-        None // grouped, not globally time-ordered
-    }
-}
-
-/// Convenience: coalesce an in-memory relation, sorting it into the
-/// required grouping first. Returns tuples grouped by `(surrogate, value)`
-/// in deterministic order.
 pub fn coalesce_relation(mut tuples: Vec<TsTuple>) -> TdbResult<Vec<TsTuple>> {
     tuples.sort_by(|a, b| {
         (&a.surrogate, &a.value, a.period.start()).cmp(&(&b.surrogate, &b.value, b.period.start()))
     });
-    let mut op = Coalesce::new(crate::stream::from_vec(tuples));
-    op.collect_vec()
+    Ok(coalesce(&tuples)?.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::from_vec;
     use proptest::prelude::*;
     use tdb_core::Temporal;
 
@@ -179,54 +117,41 @@ mod tests {
             t("Smith", "Associate", 5, 9),  // meets
             t("Smith", "Associate", 8, 12), // overlaps
         ];
-        let mut op = Coalesce::new(from_vec(input));
-        let out = op.collect_vec().unwrap();
+        let (out, report) = coalesce(&input).unwrap();
         assert_eq!(out, vec![t("Smith", "Associate", 0, 12)]);
-        assert_eq!(op.max_workspace(), 1);
+        assert_eq!(report.max_workspace(), 1);
     }
 
     #[test]
     fn preserves_gaps_within_a_group() {
         let input = vec![t("S", "A", 0, 3), t("S", "A", 5, 8)];
-        let mut op = Coalesce::new(from_vec(input.clone()));
-        assert_eq!(op.collect_vec().unwrap(), input);
+        assert_eq!(coalesce(&input).unwrap().0, input);
     }
 
     #[test]
     fn distinct_values_never_merge() {
         let input = vec![t("S", "Assistant", 0, 5), t("S", "Associate", 5, 9)];
-        let mut op = Coalesce::new(from_vec(input.clone()));
-        assert_eq!(op.collect_vec().unwrap(), input);
+        assert_eq!(coalesce(&input).unwrap().0, input);
     }
 
     #[test]
     fn contained_periods_absorb() {
         let input = vec![t("S", "A", 0, 10), t("S", "A", 2, 5)];
-        let mut op = Coalesce::new(from_vec(input));
-        assert_eq!(op.collect_vec().unwrap(), vec![t("S", "A", 0, 10)]);
+        assert_eq!(coalesce(&input).unwrap().0, vec![t("S", "A", 0, 10)]);
     }
 
     #[test]
     fn detects_ungrouped_and_unsorted_input() {
         let ungrouped = vec![t("S", "A", 0, 3), t("S", "B", 3, 5), t("S", "A", 6, 9)];
-        let mut op = Coalesce::new(from_vec(ungrouped));
-        let mut saw_err = false;
-        loop {
-            match op.next() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(TdbError::OrderViolation { .. }) => {
-                    saw_err = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected {e}"),
-            }
-        }
-        assert!(saw_err);
-
+        assert!(matches!(
+            coalesce(&ungrouped),
+            Err(TdbError::OrderViolation { .. })
+        ));
         let unsorted = vec![t("S", "A", 5, 9), t("S", "A", 0, 3)];
-        let mut op = Coalesce::new(from_vec(unsorted));
-        assert!(matches!(op.next(), Err(TdbError::OrderViolation { .. })));
+        assert!(matches!(
+            coalesce(&unsorted),
+            Err(TdbError::OrderViolation { .. })
+        ));
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! The execution entry points over materialized, sorted inputs.
 //!
-//! Every call site that runs a stream temporal operator over vectors —
-//! the query executor, the partitioned-parallel workers, the experiment
-//! harness — goes through [`run_join`] or [`run_semijoin`]: slice the
+//! Every stream temporal operator runs through here — the query
+//! executor, the partitioned-parallel workers, the live engine, the
+//! experiment harness: [`run_join`], [`run_semijoin`] and
+//! [`run_self_semijoin`] pick the kernel for a [`StreamOpKind`] (each
+//! `match kind` names all twelve kinds), and [`run_kernel`] slices the
 //! inputs into [`VecBatchStream`] batches of [`OpConfig::batch_rows`]
-//! rows, pick the kernel of [`crate::batch_ops`] for the
-//! [`StreamOpKind`], and [`drive`] it into an [`Emit`] mode. A caller
-//! that wants a vector extends one from the chunk closure.
+//! rows and [`drive`]s the kernel into an [`Emit`] mode. A caller that
+//! wants a vector uses [`collect`].
 //!
-//! Inputs must already be sorted into the orders the operator's registry
-//! entry requires ([`StreamOpKind::requirement`]); the claimed order is
+//! Inputs must already be sorted into the orders the kind's registry
+//! entry requires ([`StreamOpKind::requirement`]); the order is
 //! re-verified in O(n) and a violation fails with `OrderViolation`.
 
 use crate::batch::VecBatchStream;
@@ -17,8 +18,12 @@ use crate::batch_ops::{
     drive, BatchOp, ContainJoinTsTe, ContainSemijoinStab, ContainedSemijoinStab, OverlapJoin,
     OverlapSemijoin,
 };
+use crate::before::{BeforeJoin, BeforeSemijoin};
+use crate::contain_join::ContainJoinTsTs;
 use crate::report::{OpConfig, OpReport};
 use crate::required::StreamOpKind;
+use crate::self_semijoin::{ContainSelfSemijoin, ContainSelfSemijoinDesc, ContainedSelfSemijoin};
+use crate::sweep_semijoin::SweepSemijoin;
 use tdb_core::{StreamOrder, TdbError, TdbResult, Temporal};
 
 /// What a run does with the operator's output.
@@ -32,15 +37,36 @@ pub enum Emit<'a, T> {
     Chunks(&'a mut dyn FnMut(Vec<T>) -> TdbResult<bool>),
 }
 
-/// Drive `op` over the two inputs into `emit`. The flag is `false` when
-/// the closure stopped the run early; the report then covers only the
-/// work done up to that point.
-fn run<K: BatchOp>(
+/// Run `run` (one of the entry points, given its [`Emit`]) to completion
+/// and collect every output chunk: `(output, report)`.
+pub fn collect<T>(
+    run: impl FnOnce(Emit<'_, T>) -> TdbResult<(bool, OpReport)>,
+) -> TdbResult<(Vec<T>, OpReport)> {
+    let mut out = Vec::new();
+    let (_, report) = run(Emit::Chunks(&mut |chunk| {
+        out.extend(chunk);
+        Ok(true)
+    }))?;
+    Ok((out, report))
+}
+
+/// Drive kernel `op` over two vectors in `batch_rows`-row batches into
+/// `emit`, after verifying each input against its claimed order (`None`:
+/// any order). Returns `(completed, report)`: `completed` is `false` when
+/// the closure stopped the run early, and the report then covers only the
+/// work done up to that point. The report does not depend on the emit
+/// mode or the batch size.
+pub fn run_kernel<K: BatchOp>(
     mut op: K,
-    mut left: VecBatchStream<K::LeftItem>,
-    mut right: VecBatchStream<K::RightItem>,
+    batch_rows: usize,
+    left: Vec<K::LeftItem>,
+    left_order: Option<StreamOrder>,
+    right: Vec<K::RightItem>,
+    right_order: Option<StreamOrder>,
     emit: Emit<'_, K::Out>,
 ) -> TdbResult<(bool, OpReport)> {
+    let mut left = VecBatchStream::new(left, left_order, batch_rows)?;
+    let mut right = VecBatchStream::new(right, right_order, batch_rows)?;
     let completed = match emit {
         Emit::Count => drive(&mut op, &mut left, &mut right, &mut |_| Ok(true))?,
         Emit::Chunks(f) => drive(&mut op, &mut left, &mut right, f)?,
@@ -48,71 +74,159 @@ fn run<K: BatchOp>(
     Ok((completed, op.report()))
 }
 
-/// Run a stream temporal **join** of `kind` over pre-sorted inputs.
+/// `kind` is not an operator of the entry point called.
+fn wrong_entry(kind: StreamOpKind, entry: &str) -> TdbResult<(bool, OpReport)> {
+    Err(TdbError::Plan(format!("{kind} is not a {entry}")))
+}
+
+/// Run a stream temporal **join** of `kind` over inputs sorted as its
+/// registry entry requires.
 ///
-/// Supported kinds: [`StreamOpKind::ContainJoinTsTe`] and
-/// [`StreamOpKind::OverlapJoin`] (mode and read policy from `cfg`) — the
-/// kinds the planner emits for two-sided joins. Side swaps (e.g. `During`
-/// running the `Contains` operator) are the caller's concern. Returns
-/// `(completed, report)`; the report's metrics do not depend on the emit
-/// mode or the batch size.
+/// Join kinds: [`StreamOpKind::ContainJoinTsTs`] (read policy from
+/// `cfg`), [`StreamOpKind::ContainJoinTsTe`], [`StreamOpKind::OverlapJoin`]
+/// (mode and read policy from `cfg`) and [`StreamOpKind::BeforeJoin`] (any
+/// order; pairs handed over at most `cfg.batch_rows` at a time). Side swaps
+/// (e.g. `During` running the `Contains` operator) are the caller's
+/// concern. Returns `(completed, report)` as [`run_kernel`] does.
 pub fn run_join<X, Y>(
     kind: StreamOpKind,
     cfg: OpConfig,
     x: Vec<X>,
-    x_order: StreamOrder,
     y: Vec<Y>,
-    y_order: StreamOrder,
     emit: Emit<'_, (X, Y)>,
 ) -> TdbResult<(bool, OpReport)>
 where
     X: Temporal + Clone,
     Y: Temporal + Clone,
 {
-    let x = VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?;
-    let y = VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?;
+    let req = kind.requirement();
+    let (xo, yo, rows) = (req.left(), req.right(), cfg.batch_rows);
     let count = matches!(emit, Emit::Count);
     match kind {
-        StreamOpKind::ContainJoinTsTe => run(ContainJoinTsTe::new().count_only(count), x, y, emit),
+        StreamOpKind::ContainJoinTsTs => {
+            let op = ContainJoinTsTs::new(cfg.policy).count_only(count);
+            run_kernel(op, rows, x, xo, y, yo, emit)
+        }
+        StreamOpKind::ContainJoinTsTe => {
+            let op = ContainJoinTsTe::new().count_only(count);
+            run_kernel(op, rows, x, xo, y, yo, emit)
+        }
         StreamOpKind::OverlapJoin => {
             let op = OverlapJoin::new(cfg.mode, cfg.policy).count_only(count);
-            run(op, x, y, emit)
+            run_kernel(op, rows, x, xo, y, yo, emit)
         }
-        other => Err(TdbError::Plan(format!("no join kernel for {other}"))),
+        StreamOpKind::BeforeJoin => {
+            let op = BeforeJoin::new(rows).count_only(count);
+            run_kernel(op, rows, x, xo, y, yo, emit)
+        }
+        StreamOpKind::SweepSemijoin
+        | StreamOpKind::ContainSemijoinStab
+        | StreamOpKind::ContainedSemijoinStab
+        | StreamOpKind::ContainedSelfSemijoin
+        | StreamOpKind::ContainSelfSemijoin
+        | StreamOpKind::ContainSelfSemijoinDesc
+        | StreamOpKind::OverlapSemijoin
+        | StreamOpKind::BeforeSemijoin => wrong_entry(kind, "join"),
     }
 }
 
 /// Run a stream temporal **semijoin** of `kind` (left rows kept) over
-/// pre-sorted inputs.
+/// inputs sorted as its registry entry requires.
 ///
-/// Supported kinds: [`StreamOpKind::ContainSemijoinStab`],
-/// [`StreamOpKind::ContainedSemijoinStab`] (X sorted `ValidTo ↑`, Y — the
-/// containers — sorted `ValidFrom ↑`) and [`StreamOpKind::OverlapSemijoin`]
-/// (mode and read policy from `cfg`). Returns `(completed, report)` as
-/// [`run_join`] does.
+/// Semijoin kinds: [`StreamOpKind::SweepSemijoin`] (Contain-semijoin;
+/// the Contained direction is [`SweepSemijoin::contained`] through
+/// [`run_kernel`]), [`StreamOpKind::ContainSemijoinStab`],
+/// [`StreamOpKind::ContainedSemijoinStab`], [`StreamOpKind::OverlapSemijoin`]
+/// (mode and read policy from `cfg`) and [`StreamOpKind::BeforeSemijoin`]
+/// (any order; the After direction is [`BeforeSemijoin::after`]). Returns
+/// `(completed, report)` as [`run_kernel`] does.
 pub fn run_semijoin<X, Y>(
     kind: StreamOpKind,
     cfg: OpConfig,
     x: Vec<X>,
-    x_order: StreamOrder,
     y: Vec<Y>,
-    y_order: StreamOrder,
     emit: Emit<'_, X>,
 ) -> TdbResult<(bool, OpReport)>
 where
     X: Temporal + Clone,
     Y: Temporal + Clone,
 {
-    let x = VecBatchStream::from_sorted_vec(x, x_order, cfg.batch_rows)?;
-    let y = VecBatchStream::from_sorted_vec(y, y_order, cfg.batch_rows)?;
+    let req = kind.requirement();
+    let (xo, yo, rows) = (req.left(), req.right(), cfg.batch_rows);
     match kind {
-        StreamOpKind::ContainSemijoinStab => run(ContainSemijoinStab::new(), x, y, emit),
-        // The kernel's left input is the container (Y) side.
-        StreamOpKind::ContainedSemijoinStab => run(ContainedSemijoinStab::new(), y, x, emit),
-        StreamOpKind::OverlapSemijoin => {
-            run(OverlapSemijoin::new(cfg.mode, cfg.policy), x, y, emit)
+        StreamOpKind::SweepSemijoin => {
+            run_kernel(SweepSemijoin::contain(cfg.policy), rows, x, xo, y, yo, emit)
         }
-        other => Err(TdbError::Plan(format!("no semijoin kernel for {other}"))),
+        StreamOpKind::ContainSemijoinStab => {
+            run_kernel(ContainSemijoinStab::new(), rows, x, xo, y, yo, emit)
+        }
+        // The kernel's left input is the container (Y) side.
+        StreamOpKind::ContainedSemijoinStab => {
+            run_kernel(ContainedSemijoinStab::new(), rows, y, yo, x, xo, emit)
+        }
+        StreamOpKind::OverlapSemijoin => {
+            let op = OverlapSemijoin::new(cfg.mode, cfg.policy);
+            run_kernel(op, rows, x, xo, y, yo, emit)
+        }
+        StreamOpKind::BeforeSemijoin => {
+            run_kernel(BeforeSemijoin::before(), rows, x, xo, y, yo, emit)
+        }
+        StreamOpKind::ContainJoinTsTs
+        | StreamOpKind::ContainJoinTsTe
+        | StreamOpKind::ContainedSelfSemijoin
+        | StreamOpKind::ContainSelfSemijoin
+        | StreamOpKind::ContainSelfSemijoinDesc
+        | StreamOpKind::OverlapJoin
+        | StreamOpKind::BeforeJoin => wrong_entry(kind, "semijoin"),
+    }
+}
+
+/// Run a **self** semijoin of `kind` over one input sorted as its
+/// registry entry requires (Table 3): [`StreamOpKind::ContainedSelfSemijoin`],
+/// [`StreamOpKind::ContainSelfSemijoin`] and
+/// [`StreamOpKind::ContainSelfSemijoinDesc`]. The kernel never asks for
+/// its right input. Returns `(completed, report)` as [`run_kernel`] does.
+pub fn run_self_semijoin<X>(
+    kind: StreamOpKind,
+    cfg: OpConfig,
+    x: Vec<X>,
+    emit: Emit<'_, X>,
+) -> TdbResult<(bool, OpReport)>
+where
+    X: Temporal + Clone,
+{
+    let (xo, rows) = (kind.requirement().left(), cfg.batch_rows);
+    match kind {
+        StreamOpKind::ContainedSelfSemijoin => run_kernel(
+            ContainedSelfSemijoin::new(),
+            rows,
+            x,
+            xo,
+            vec![],
+            None,
+            emit,
+        ),
+        StreamOpKind::ContainSelfSemijoin => {
+            run_kernel(ContainSelfSemijoin::new(), rows, x, xo, vec![], None, emit)
+        }
+        StreamOpKind::ContainSelfSemijoinDesc => run_kernel(
+            ContainSelfSemijoinDesc::new(),
+            rows,
+            x,
+            xo,
+            vec![],
+            None,
+            emit,
+        ),
+        StreamOpKind::ContainJoinTsTs
+        | StreamOpKind::ContainJoinTsTe
+        | StreamOpKind::SweepSemijoin
+        | StreamOpKind::ContainSemijoinStab
+        | StreamOpKind::ContainedSemijoinStab
+        | StreamOpKind::OverlapJoin
+        | StreamOpKind::OverlapSemijoin
+        | StreamOpKind::BeforeJoin
+        | StreamOpKind::BeforeSemijoin => wrong_entry(kind, "self semijoin"),
     }
 }
 
@@ -146,22 +260,16 @@ mod tests {
         xs: &[TsTuple],
         ys: &[TsTuple],
     ) -> (Vec<(TsTuple, TsTuple)>, OpReport) {
-        let mut out = Vec::new();
-        let (completed, report) = run_join(
-            StreamOpKind::ContainJoinTsTe,
-            cfg,
-            xs.to_vec(),
-            StreamOrder::TS_ASC,
-            ys.to_vec(),
-            StreamOrder::TE_ASC,
-            Emit::Chunks(&mut |chunk| {
-                out.extend(chunk);
-                Ok(true)
-            }),
-        )
-        .unwrap();
-        assert!(completed);
-        (out, report)
+        collect(|e| {
+            run_join(
+                StreamOpKind::ContainJoinTsTe,
+                cfg,
+                xs.to_vec(),
+                ys.to_vec(),
+                e,
+            )
+        })
+        .unwrap()
     }
 
     #[test]
@@ -181,9 +289,7 @@ mod tests {
                 StreamOpKind::ContainJoinTsTe,
                 cfg,
                 xs.clone(),
-                StreamOrder::TS_ASC,
                 ys.clone(),
-                StreamOrder::TE_ASC,
                 Emit::Count,
             )
             .unwrap();
@@ -196,9 +302,7 @@ mod tests {
                 StreamOpKind::ContainJoinTsTe,
                 OpConfig::new().with_batch_rows(8),
                 xs.clone(),
-                StreamOrder::TS_ASC,
                 ys.clone(),
-                StreamOrder::TE_ASC,
                 Emit::Chunks(&mut |chunk| {
                     seen += chunk.len();
                     Ok(false)
@@ -241,20 +345,12 @@ mod tests {
             let y = sorted(ys.clone(), yo);
             let run_with = |rows: usize| {
                 let cfg = OpConfig::new().with_mode(mode).with_batch_rows(rows);
-                let mut kept = Vec::new();
-                let emit = Emit::Chunks(&mut |chunk| {
-                    kept.extend(chunk);
-                    Ok(true)
-                });
-                let (completed, report) =
-                    run_semijoin(kind, cfg, x.clone(), xo, y.clone(), yo, emit).unwrap();
-                assert!(completed);
-                (kept, report)
+                collect(|e| run_semijoin(kind, cfg, x.clone(), y.clone(), e)).unwrap()
             };
             let (kept, report) = run_with(1);
             assert_eq!(run_with(128), (kept.clone(), report), "{kind}");
             let cfg = OpConfig::new().with_mode(mode);
-            let (_, counted) = run_semijoin(kind, cfg, x, xo, y, yo, Emit::Count).unwrap();
+            let (_, counted) = run_semijoin(kind, cfg, x, y, Emit::Count).unwrap();
             assert_eq!(counted, report, "{kind}");
             assert_eq!(counted.metrics.emitted, kept.len(), "{kind}");
         }
@@ -266,9 +362,7 @@ mod tests {
             StreamOpKind::ContainJoinTsTe,
             OpConfig::new(),
             vec![iv(5, 9), iv(0, 3)],
-            StreamOrder::TS_ASC,
             vec![iv(1, 2)],
-            StreamOrder::TE_ASC,
             Emit::Count,
         )
         .unwrap_err();
@@ -277,24 +371,21 @@ mod tests {
 
     #[test]
     fn unsupported_kinds_are_planning_errors() {
+        // Every kind has exactly one entry point; the other two refuse it.
+        let cfg = OpConfig::new();
+        for kind in StreamOpKind::ALL {
+            let accepted = [
+                run_join::<TsTuple, TsTuple>(kind, cfg, vec![], vec![], Emit::Count).is_ok(),
+                run_semijoin::<TsTuple, TsTuple>(kind, cfg, vec![], vec![], Emit::Count).is_ok(),
+                run_self_semijoin::<TsTuple>(kind, cfg, vec![], Emit::Count).is_ok(),
+            ];
+            assert_eq!(accepted.iter().filter(|a| **a).count(), 1, "{kind}");
+        }
         let err = run_join::<TsTuple, TsTuple>(
-            StreamOpKind::BeforeJoin,
-            OpConfig::new(),
-            vec![],
-            StreamOrder::TS_ASC,
-            vec![],
-            StreamOrder::TS_ASC,
-            Emit::Count,
-        )
-        .unwrap_err();
-        assert!(matches!(err, TdbError::Plan(_)));
-        let err = run_semijoin::<TsTuple, TsTuple>(
             StreamOpKind::BeforeSemijoin,
             OpConfig::new(),
             vec![],
-            StreamOrder::TS_ASC,
             vec![],
-            StreamOrder::TS_ASC,
             Emit::Count,
         )
         .unwrap_err();

@@ -16,7 +16,7 @@
 //! sequences are comparable exactly, not just as multisets.
 //!
 //! The accounting is shared with [`crate::workspace::Workspace`], the row
-//! layout the remaining pull operators use: both call the same
+//! layout the no-GC reference join uses: both call the same
 //! [`WorkspaceStats`] recording hooks, so `max_resident`, discard counts,
 //! and occupancy histograms — the numbers `tdb-analyze` caps and `tdb-obs`
 //! cross-checks — are layout-independent by construction.

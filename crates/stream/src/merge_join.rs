@@ -4,190 +4,94 @@
 //! operations": with both inputs sorted on the join key, each is read once
 //! and "at any point we need only one tuple from each table as the state"
 //! (plus the duplicate group). In the Superstar query this operator handles
-//! `f1.Name = f2.Name`.
+//! `f1.Name = f2.Name`; the planner's `MergeEqui` node runs it.
 
 use crate::metrics::OpMetrics;
-use crate::stream::TupleStream;
-use std::collections::VecDeque;
-use tdb_core::{StreamOrder, TdbError, TdbResult, Value};
+use crate::report::OpReport;
+use crate::workspace::WorkspaceStats;
+use tdb_core::{TdbError, TdbResult, Value};
 
-/// Merge join on a `Value` key extracted from each side.
+/// Fail unless `keys` never decreases.
+fn check_sorted(keys: &[Value], side: &str) -> TdbResult<()> {
+    match keys.windows(2).find(|w| w[0] > w[1]) {
+        Some(w) => Err(TdbError::OrderViolation {
+            context: "MergeEquiJoin",
+            detail: format!("{side} key regressed from {} to {}", w[0], w[1]),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Merge join of `xs` and `ys` on a `Value` key extracted from each side.
 ///
-/// Both inputs must arrive in nondecreasing key order; this is verified at
-/// runtime (key regression yields [`TdbError::OrderViolation`]).
-pub struct MergeEquiJoin<X: TupleStream, Y: TupleStream, KX, KY>
-where
-    X::Item: Clone,
-    Y::Item: Clone,
-    KX: Fn(&X::Item) -> Value,
-    KY: Fn(&Y::Item) -> Value,
-{
-    x: X,
-    y: Y,
-    key_x: KX,
-    key_y: KY,
-    x_buf: Option<X::Item>,
-    y_buf: Option<Y::Item>,
-    last_x_key: Option<Value>,
-    last_y_key: Option<Value>,
-    y_group: Vec<Y::Item>,
-    y_group_key: Option<Value>,
-    pending: VecDeque<(X::Item, Y::Item)>,
-    metrics: OpMetrics,
-    max_group: usize,
-    started: bool,
-}
-
-impl<X: TupleStream, Y: TupleStream, KX, KY> MergeEquiJoin<X, Y, KX, KY>
-where
-    X::Item: Clone,
-    Y::Item: Clone,
-    KX: Fn(&X::Item) -> Value,
-    KY: Fn(&Y::Item) -> Value,
-{
-    /// Build the operator.
-    pub fn new(x: X, y: Y, key_x: KX, key_y: KY) -> Self {
-        MergeEquiJoin {
-            x,
-            y,
-            key_x,
-            key_y,
-            x_buf: None,
-            y_buf: None,
-            last_x_key: None,
-            last_y_key: None,
-            y_group: Vec::new(),
-            y_group_key: None,
-            pending: VecDeque::new(),
-            metrics: OpMetrics {
-                passes: 1,
-                ..OpMetrics::default()
-            },
-            max_group: 0,
-            started: false,
+/// Both inputs must be in nondecreasing key order (verified up front:
+/// a regression is an [`TdbError::OrderViolation`]). Each input is read
+/// once; the Y tuples of the current key are the duplicate group, the
+/// join's only state, and the scan ends early once Y is exhausted.
+pub fn merge_equi_join<X: Clone, Y: Clone>(
+    xs: &[X],
+    ys: &[Y],
+    key_x: impl Fn(&X) -> Value,
+    key_y: impl Fn(&Y) -> Value,
+) -> TdbResult<(Vec<(X, Y)>, OpReport)> {
+    let xk: Vec<Value> = xs.iter().map(key_x).collect();
+    let yk: Vec<Value> = ys.iter().map(key_y).collect();
+    check_sorted(&xk, "X")?;
+    check_sorted(&yk, "Y")?;
+    let mut m = OpMetrics {
+        passes: 1,
+        ..OpMetrics::default()
+    };
+    let mut out = Vec::new();
+    // `j` is the buffered Y tuple; `group` the current duplicate group.
+    let (mut j, mut group, mut group_key) = (0, 0..0, None::<&Value>);
+    let mut max_group = 0;
+    m.read_right = usize::from(!ys.is_empty());
+    let mut advance_y = |j: &mut usize| {
+        *j += 1;
+        if *j < ys.len() {
+            m.read_right += 1;
+        }
+    };
+    let mut read_left = 0;
+    let mut comparisons = 0;
+    for (x, k) in xs.iter().zip(&xk) {
+        read_left += 1;
+        if group_key != Some(k) {
+            // Advance Y to the X key.
+            while j < ys.len() && yk[j] < *k {
+                comparisons += 1;
+                advance_y(&mut j);
+            }
+            let start = j;
+            while j < ys.len() && yk[j] == *k {
+                advance_y(&mut j);
+            }
+            group = start..j;
+            group_key = Some(k);
+            max_group = max_group.max(group.len());
+            if group.is_empty() && j == ys.len() {
+                // Y exhausted with no group: no later X key can match.
+                break;
+            }
+        }
+        for y in &ys[group.clone()] {
+            comparisons += 1;
+            out.push((x.clone(), y.clone()));
         }
     }
-
-    /// Execution metrics.
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
-
-    /// Largest duplicate group buffered — the merge join's state.
-    pub fn max_workspace(&self) -> usize {
-        self.max_group
-    }
-
-    fn refill_x(&mut self) -> TdbResult<()> {
-        self.x_buf = self.x.next()?;
-        if let Some(xb) = &self.x_buf {
-            self.metrics.read_left += 1;
-            let k = (self.key_x)(xb);
-            if let Some(prev) = &self.last_x_key {
-                if *prev > k {
-                    return Err(TdbError::OrderViolation {
-                        context: "MergeEquiJoin",
-                        detail: format!("X key regressed from {prev} to {k}"),
-                    });
-                }
-            }
-            self.last_x_key = Some(k);
-        }
-        Ok(())
-    }
-
-    fn refill_y(&mut self) -> TdbResult<()> {
-        self.y_buf = self.y.next()?;
-        if let Some(yb) = &self.y_buf {
-            self.metrics.read_right += 1;
-            let k = (self.key_y)(yb);
-            if let Some(prev) = &self.last_y_key {
-                if *prev > k {
-                    return Err(TdbError::OrderViolation {
-                        context: "MergeEquiJoin",
-                        detail: format!("Y key regressed from {prev} to {k}"),
-                    });
-                }
-            }
-            self.last_y_key = Some(k);
-        }
-        Ok(())
-    }
-}
-
-impl<X: TupleStream, Y: TupleStream, KX, KY> TupleStream for MergeEquiJoin<X, Y, KX, KY>
-where
-    X::Item: Clone,
-    Y::Item: Clone,
-    KX: Fn(&X::Item) -> Value,
-    KY: Fn(&Y::Item) -> Value,
-{
-    type Item = (X::Item, Y::Item);
-
-    fn next(&mut self) -> TdbResult<Option<Self::Item>> {
-        loop {
-            if let Some(pair) = self.pending.pop_front() {
-                self.metrics.emitted += 1;
-                return Ok(Some(pair));
-            }
-            if !self.started {
-                self.started = true;
-                self.refill_x()?;
-                self.refill_y()?;
-            }
-            let Some(xb) = &self.x_buf else {
-                return Ok(None);
-            };
-            let x_key = (self.key_x)(xb);
-
-            if self.y_group_key.as_ref() != Some(&x_key) {
-                // Advance Y to the X key.
-                loop {
-                    match &self.y_buf {
-                        Some(yb) if (self.key_y)(yb) < x_key => {
-                            self.metrics.comparisons += 1;
-                            self.refill_y()?;
-                        }
-                        _ => break,
-                    }
-                }
-                self.y_group.clear();
-                self.y_group_key = Some(x_key.clone());
-                while let Some(yb) = &self.y_buf {
-                    if (self.key_y)(yb) == x_key {
-                        // The `while let Some` just matched. lint:allow(no-unwrap)
-                        self.y_group.push(self.y_buf.take().expect("checked"));
-                        self.refill_y()?;
-                    } else {
-                        break;
-                    }
-                }
-                self.max_group = self.max_group.max(self.y_group.len());
-                if self.y_group.is_empty() && self.y_buf.is_none() {
-                    // Y exhausted with no group: no later X key can match.
-                    return Ok(None);
-                }
-            }
-
-            // The `let Some(xb)` guard above returned on None. lint:allow(no-unwrap)
-            let x = self.x_buf.take().expect("checked above");
-            for y in &self.y_group {
-                self.metrics.comparisons += 1;
-                self.pending.push_back((x.clone(), y.clone()));
-            }
-            self.refill_x()?;
-        }
-    }
-
-    fn order(&self) -> Option<StreamOrder> {
-        None
-    }
+    m.read_left = read_left;
+    m.comparisons = comparisons;
+    m.emitted = out.len();
+    Ok((
+        out,
+        OpReport::new(m, WorkspaceStats::of_resident(max_group)),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::from_vec;
     use proptest::prelude::*;
     use tdb_core::TsTuple;
 
@@ -214,38 +118,31 @@ mod tests {
     fn equijoin_on_names() {
         let xs = vec![t("Brown", 0, 5), t("Jones", 0, 5), t("Smith", 0, 5)];
         let ys = vec![t("Jones", 9, 12), t("Smith", 9, 12), t("Smith", 20, 25)];
-        let mut op = MergeEquiJoin::new(from_vec(xs), from_vec(ys), by_name, by_name);
-        let out = op.collect_vec().unwrap();
+        let (out, report) = merge_equi_join(&xs, &ys, by_name, by_name).unwrap();
         assert_eq!(out.len(), 3); // Jones×1, Smith×2
-        assert_eq!(op.max_workspace(), 2);
+        assert_eq!(report.max_workspace(), 2);
     }
 
     #[test]
     fn detects_unsorted_keys() {
         let xs = vec![t("Smith", 0, 5), t("Brown", 0, 5)];
         let ys = vec![t("Smith", 9, 12)];
-        let mut op = MergeEquiJoin::new(from_vec(xs), from_vec(ys), by_name, by_name);
-        let mut failed = false;
-        loop {
-            match op.next() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(TdbError::OrderViolation { .. }) => {
-                    failed = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected error {e}"),
-            }
-        }
-        assert!(failed);
+        assert!(matches!(
+            merge_equi_join(&xs, &ys, by_name, by_name),
+            Err(TdbError::OrderViolation { .. })
+        ));
     }
 
     #[test]
     fn early_termination_when_y_exhausted() {
         let xs = vec![t("A", 0, 1), t("Z", 0, 1)];
         let ys = vec![t("A", 0, 1)];
-        let mut op = MergeEquiJoin::new(from_vec(xs), from_vec(ys), by_name, by_name);
-        assert_eq!(op.collect_vec().unwrap().len(), 1);
+        let (out, report) = merge_equi_join(&xs, &ys, by_name, by_name).unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(
+            report.metrics.read_left, 2,
+            "stops at Z once Y is exhausted"
+        );
     }
 
     proptest! {
@@ -260,8 +157,7 @@ mod tests {
                 .map(|(i, k)| t(&format!("K{k}"), 100 + i as i64, 101 + i as i64)).collect();
             xs.sort_by(|a, b| a.surrogate.cmp(&b.surrogate));
             ys.sort_by(|a, b| a.surrogate.cmp(&b.surrogate));
-            let mut op = MergeEquiJoin::new(from_vec(xs.clone()), from_vec(ys.clone()), by_name, by_name);
-            let got = canon(op.collect_vec().unwrap());
+            let got = canon(merge_equi_join(&xs, &ys, by_name, by_name).unwrap().0);
             let mut expected = Vec::new();
             for x in &xs {
                 for y in &ys {

@@ -8,9 +8,9 @@ use std::fmt;
 /// paper's §4.1 tradeoff: workspace size vs. sort order vs. passes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpMetrics {
-    /// Tuples pulled from the left (X) input.
+    /// Tuples read from the left (X) input.
     pub read_left: usize,
-    /// Tuples pulled from the right (Y) input.
+    /// Tuples read from the right (Y) input.
     pub read_right: usize,
     /// Predicate evaluations / tuple comparisons performed.
     pub comparisons: usize,

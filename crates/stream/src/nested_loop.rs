@@ -2,104 +2,48 @@
 //!
 //! Paper §3: "Traditionally, the best strategy for processing less-than
 //! joins appears to be the conventional nested-loop join method." This
-//! operator is that baseline — the comparator every stream algorithm is
-//! benchmarked against. The inner relation is materialized once and
-//! re-scanned per outer tuple; [`OpMetrics::passes`] counts those rescans.
+//! reference definition is that baseline — the comparator every stream
+//! algorithm is benchmarked against and the oracle the kernels are checked
+//! against. The inner relation is materialized once and re-scanned per
+//! outer tuple; [`OpMetrics::passes`] counts those rescans.
 
 use crate::metrics::OpMetrics;
-use crate::stream::TupleStream;
-use tdb_core::{StreamOrder, TdbResult, Temporal};
+use crate::report::OpReport;
+use crate::workspace::WorkspaceStats;
 
-/// Tuple-at-a-time nested-loop join with an arbitrary predicate.
-pub struct NestedLoopJoin<X: TupleStream, Y: TupleStream, P>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-    P: Fn(&X::Item, &Y::Item) -> bool,
-{
-    x: X,
-    inner: Vec<Y::Item>,
-    predicate: P,
-    current_x: Option<X::Item>,
-    inner_idx: usize,
-    metrics: OpMetrics,
-}
-
-impl<X: TupleStream, Y: TupleStream, P> NestedLoopJoin<X, Y, P>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-    P: Fn(&X::Item, &Y::Item) -> bool,
-{
-    /// Build the operator, materializing the inner (Y) input.
-    pub fn new(x: X, mut y: Y, predicate: P) -> TdbResult<Self> {
-        let inner = y.collect_vec()?;
-        let read_right = inner.len();
-        Ok(NestedLoopJoin {
-            x,
-            inner,
-            predicate,
-            current_x: None,
-            inner_idx: 0,
-            metrics: OpMetrics {
-                read_right,
-                ..OpMetrics::default()
-            },
-        })
-    }
-
-    /// Execution metrics; `passes` counts inner-relation rescans.
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
-
-    /// The materialized inner relation is the workspace.
-    pub fn max_workspace(&self) -> usize {
-        self.inner.len()
-    }
-}
-
-impl<X: TupleStream, Y: TupleStream, P> TupleStream for NestedLoopJoin<X, Y, P>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-    P: Fn(&X::Item, &Y::Item) -> bool,
-{
-    type Item = (X::Item, Y::Item);
-
-    fn next(&mut self) -> TdbResult<Option<Self::Item>> {
-        loop {
-            if let Some(x) = &self.current_x {
-                while self.inner_idx < self.inner.len() {
-                    let y = &self.inner[self.inner_idx];
-                    self.inner_idx += 1;
-                    self.metrics.comparisons += 1;
-                    if (self.predicate)(x, y) {
-                        self.metrics.emitted += 1;
-                        return Ok(Some((x.clone(), y.clone())));
-                    }
-                }
-                self.current_x = None;
+/// Every pair of `xs × ys` satisfying `predicate`, in outer-major order,
+/// with the report of the tuple-at-a-time nested loop: one comparison per
+/// pair, one pass over the inner relation per outer tuple, and the inner
+/// relation as the workspace.
+pub fn nested_loop_join<X: Clone, Y: Clone>(
+    xs: &[X],
+    ys: &[Y],
+    predicate: impl Fn(&X, &Y) -> bool,
+) -> (Vec<(X, Y)>, OpReport) {
+    let mut out = Vec::new();
+    for x in xs {
+        for y in ys {
+            if predicate(x, y) {
+                out.push((x.clone(), y.clone()));
             }
-            let Some(x) = self.x.next()? else {
-                return Ok(None);
-            };
-            self.metrics.read_left += 1;
-            self.metrics.passes += 1; // one fresh scan of the inner relation
-            self.inner_idx = 0;
-            self.current_x = Some(x);
         }
     }
-
-    fn order(&self) -> Option<StreamOrder> {
-        None
-    }
+    let metrics = OpMetrics {
+        read_left: xs.len(),
+        read_right: ys.len(),
+        comparisons: xs.len() * ys.len(),
+        emitted: out.len(),
+        passes: xs.len(),
+    };
+    (
+        out,
+        OpReport::new(metrics, WorkspaceStats::of_resident(ys.len())),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::from_vec;
     use tdb_core::TsTuple;
 
     fn iv(s: i64, e: i64) -> TsTuple {
@@ -110,42 +54,31 @@ mod tests {
     fn joins_with_arbitrary_predicate() {
         let xs = vec![iv(0, 10), iv(5, 6)];
         let ys = vec![iv(1, 2), iv(7, 8)];
-        let mut op = NestedLoopJoin::new(from_vec(xs), from_vec(ys), |x, y| {
-            x.period.contains(&y.period)
-        })
-        .unwrap();
-        let out = op.collect_vec().unwrap();
+        let (out, report) = nested_loop_join(&xs, &ys, |x, y| x.period.contains(&y.period));
         assert_eq!(out.len(), 2); // [0,10) contains both
-        let m = op.metrics();
+        let m = report.metrics;
         assert_eq!(m.comparisons, 4);
         assert_eq!(m.passes, 2);
-        assert_eq!(op.max_workspace(), 2);
+        assert_eq!(report.max_workspace(), 2);
     }
 
     #[test]
     fn empty_inputs() {
-        let mut op = NestedLoopJoin::new(
-            from_vec(Vec::<TsTuple>::new()),
-            from_vec(vec![iv(0, 1)]),
-            |_, _| true,
-        )
-        .unwrap();
-        assert!(op.collect_vec().unwrap().is_empty());
-        let mut op = NestedLoopJoin::new(
-            from_vec(vec![iv(0, 1)]),
-            from_vec(Vec::<TsTuple>::new()),
-            |_, _| true,
-        )
-        .unwrap();
-        assert!(op.collect_vec().unwrap().is_empty());
+        let none: Vec<TsTuple> = Vec::new();
+        assert!(nested_loop_join(&none, &[iv(0, 1)], |_, _| true)
+            .0
+            .is_empty());
+        assert!(nested_loop_join(&[iv(0, 1)], &none, |_, _| true)
+            .0
+            .is_empty());
     }
 
     #[test]
     fn cartesian_product_under_true_predicate() {
         let xs: Vec<_> = (0..7).map(|i| iv(i, i + 1)).collect();
         let ys: Vec<_> = (0..5).map(|i| iv(i, i + 1)).collect();
-        let mut op = NestedLoopJoin::new(from_vec(xs), from_vec(ys), |_, _| true).unwrap();
-        assert_eq!(op.collect_vec().unwrap().len(), 35);
-        assert_eq!(op.metrics().comparisons, 35);
+        let (out, report) = nested_loop_join(&xs, &ys, |_, _| true);
+        assert_eq!(out.len(), 35);
+        assert_eq!(report.metrics.comparisons, 35);
     }
 }

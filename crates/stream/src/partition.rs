@@ -37,7 +37,6 @@ use crate::dispatch::{run_join, run_semijoin, Emit};
 use crate::overlap_join::OverlapMode;
 use crate::report::{OpConfig, OpReport};
 use crate::required::StreamOpKind;
-use crate::stream::TupleStream;
 use tdb_core::{Period, StreamOrder, TdbError, TdbResult, Temporal, TimePoint};
 
 /// `K` disjoint, contiguous time ranges covering the data span.
@@ -200,89 +199,6 @@ pub fn merge_tagged<T: Clone>(
                 return Ok((false, emitted));
             }
         }
-    }
-}
-
-/// An order-preserving K-way merge of streams that all satisfy `order`:
-/// the output is the sorted interleaving, declared with that order. Ties
-/// break toward the lower-indexed input, making the merge deterministic.
-pub struct KWayMerge<S: TupleStream>
-where
-    S::Item: Temporal + Clone,
-{
-    inputs: Vec<S>,
-    bufs: Vec<Option<S::Item>>,
-    order: StreamOrder,
-    started: bool,
-}
-
-impl<S: TupleStream> KWayMerge<S>
-where
-    S::Item: Temporal + Clone,
-{
-    /// Build the merge; every input must declare an order satisfying
-    /// `order`.
-    pub fn new(inputs: Vec<S>, order: StreamOrder) -> TdbResult<Self> {
-        for (i, input) in inputs.iter().enumerate() {
-            match input.order() {
-                Some(o) if o.satisfies(&order) => {}
-                other => {
-                    return Err(TdbError::UnsupportedOrdering {
-                        operator: "KWayMerge",
-                        detail: format!(
-                            "input {i} declares {:?}, merge requires {order}",
-                            other.map(|o| o.to_string())
-                        ),
-                    })
-                }
-            }
-        }
-        let bufs = (0..inputs.len()).map(|_| None).collect();
-        Ok(KWayMerge {
-            inputs,
-            bufs,
-            order,
-            started: false,
-        })
-    }
-}
-
-impl<S: TupleStream> TupleStream for KWayMerge<S>
-where
-    S::Item: Temporal + Clone,
-{
-    type Item = S::Item;
-
-    fn next(&mut self) -> TdbResult<Option<S::Item>> {
-        if !self.started {
-            self.started = true;
-            for i in 0..self.inputs.len() {
-                self.bufs[i] = self.inputs[i].next()?;
-            }
-        }
-        let mut best: Option<usize> = None;
-        for (i, buf) in self.bufs.iter().enumerate() {
-            let Some(item) = buf else { continue };
-            // Ties break toward the lower-indexed input: replace the
-            // leader only on a strictly greater key.
-            let better = match best.and_then(|b| self.bufs[b].as_ref()) {
-                Some(leader) => self.order.compare(leader, item) == std::cmp::Ordering::Greater,
-                None => true,
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        let Some(i) = best else {
-            return Ok(None);
-        };
-        let out = self.bufs[i].take();
-        self.bufs[i] = self.inputs[i].next()?;
-        Ok(out)
-    }
-
-    fn order(&self) -> Option<StreamOrder> {
-        Some(self.order)
     }
 }
 
@@ -512,9 +428,7 @@ where
                         pattern.join_kind(),
                         pattern.worker_config(cfg),
                         xp,
-                        x_order,
                         yp,
-                        y_order,
                         Emit::Chunks(&mut |chunk| {
                             owned.extend(
                                 chunk
@@ -611,9 +525,7 @@ where
                         pattern.semijoin_kind(),
                         pattern.worker_config(cfg),
                         xp,
-                        x_order,
                         yp,
-                        y_order,
                         Emit::Chunks(&mut |mut chunk| {
                             kept.append(&mut chunk);
                             Ok(true)
@@ -639,7 +551,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::from_sorted_vec;
     use std::collections::BTreeSet;
     use tdb_core::TsTuple;
 
@@ -689,47 +600,6 @@ mod tests {
         )
     }
 
-    #[test]
-    fn spec_owner_and_replication_ranges() {
-        let spec = PartitionSpec::for_span(Period::new(0, 100).unwrap(), 4);
-        assert_eq!(spec.len(), 4);
-        assert_eq!(spec.owner_of(TimePoint(0)), 0);
-        assert_eq!(spec.owner_of(TimePoint(25)), 1);
-        assert_eq!(spec.owner_of(TimePoint(99)), 3);
-        // Clamping outside the span.
-        assert_eq!(spec.owner_of(TimePoint(-5)), 0);
-        assert_eq!(spec.owner_of(TimePoint(400)), 3);
-        // A boundary-spanning tuple goes to every intersected partition.
-        assert_eq!(spec.partitions_for(&Period::new(20, 60).unwrap()), 0..3);
-        assert_eq!(spec.partitions_for(&Period::new(25, 50).unwrap()), 1..2);
-        // `end` is exclusive: [25, 50) does not reach partition 2.
-        assert_eq!(spec.partitions_for(&Period::new(49, 50).unwrap()), 1..2);
-    }
-
-    #[test]
-    fn fringe_replication_covers_every_intersected_partition() {
-        let spec = PartitionSpec::for_span(Period::new(0, 40).unwrap(), 4);
-        let items = vec![iv(0, 40), iv(5, 6), iv(9, 11), iv(35, 40)];
-        let parts = partition_with_fringe(&items, &spec);
-        assert_eq!(parts[0], vec![iv(0, 40), iv(5, 6), iv(9, 11)]);
-        assert_eq!(parts[1], vec![iv(0, 40), iv(9, 11)]);
-        assert_eq!(parts[2], vec![iv(0, 40)]);
-        assert_eq!(parts[3], vec![iv(0, 40), iv(35, 40)]);
-    }
-
-    #[test]
-    fn kway_merge_restores_global_order() {
-        let a = from_sorted_vec(vec![iv(0, 5), iv(6, 9)], StreamOrder::TS_ASC).unwrap();
-        let b = from_sorted_vec(vec![iv(1, 2), iv(6, 7)], StreamOrder::TS_ASC).unwrap();
-        let mut m = KWayMerge::new(vec![a, b], StreamOrder::TS_ASC).unwrap();
-        assert_eq!(m.order(), Some(StreamOrder::TS_ASC));
-        let out = m.collect_vec().unwrap();
-        assert_eq!(out, vec![iv(0, 5), iv(1, 2), iv(6, 9), iv(6, 7)]);
-        // Unordered inputs are rejected.
-        let c = crate::stream::from_vec(vec![iv(0, 1)]);
-        assert!(KWayMerge::new(vec![c], StreamOrder::TS_ASC).is_err());
-    }
-
     /// Collect a parallel join's output; the caller's vector is the only
     /// materialization.
     fn join_all(
@@ -776,6 +646,34 @@ mod tests {
         .unwrap();
         assert!(run.completed);
         (out, run)
+    }
+
+    #[test]
+    fn spec_owner_and_replication_ranges() {
+        let spec = PartitionSpec::for_span(Period::new(0, 100).unwrap(), 4);
+        assert_eq!(spec.len(), 4);
+        assert_eq!(spec.owner_of(TimePoint(0)), 0);
+        assert_eq!(spec.owner_of(TimePoint(25)), 1);
+        assert_eq!(spec.owner_of(TimePoint(99)), 3);
+        // Clamping outside the span.
+        assert_eq!(spec.owner_of(TimePoint(-5)), 0);
+        assert_eq!(spec.owner_of(TimePoint(400)), 3);
+        // A boundary-spanning tuple goes to every intersected partition.
+        assert_eq!(spec.partitions_for(&Period::new(20, 60).unwrap()), 0..3);
+        assert_eq!(spec.partitions_for(&Period::new(25, 50).unwrap()), 1..2);
+        // `end` is exclusive: [25, 50) does not reach partition 2.
+        assert_eq!(spec.partitions_for(&Period::new(49, 50).unwrap()), 1..2);
+    }
+
+    #[test]
+    fn fringe_replication_covers_every_intersected_partition() {
+        let spec = PartitionSpec::for_span(Period::new(0, 40).unwrap(), 4);
+        let items = vec![iv(0, 40), iv(5, 6), iv(9, 11), iv(35, 40)];
+        let parts = partition_with_fringe(&items, &spec);
+        assert_eq!(parts[0], vec![iv(0, 40), iv(5, 6), iv(9, 11)]);
+        assert_eq!(parts[1], vec![iv(0, 40), iv(9, 11)]);
+        assert_eq!(parts[2], vec![iv(0, 40)]);
+        assert_eq!(parts[3], vec![iv(0, 40), iv(35, 40)]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! discarded will be read. To estimate the number of disposable state
 //! tuples, 1/λ_x and 1/λ_y are used."
 
-use tdb_core::{Temporal, TimePoint};
+use tdb_core::TimePoint;
 
 /// Which input a sweep operator should advance next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,18 +57,14 @@ impl ReadPolicy {
     /// * `x_key`, `y_key` — sweep keys of the buffered tuples;
     /// * `x_state`, `y_state` — current resident counts of the X and Y
     ///   state sets (used by the λ-guided estimate).
-    #[allow(clippy::too_many_arguments)]
-    pub fn decide<T: Temporal, U: Temporal>(
+    pub fn decide(
         &self,
         state: &mut PolicyState,
-        x_buf: &T,
-        y_buf: &U,
         x_key: TimePoint,
         y_key: TimePoint,
         x_state: usize,
         y_state: usize,
     ) -> Advance {
-        let _ = (x_buf, y_buf);
         let choice = match *self {
             ReadPolicy::Alternate => match state.last {
                 Some(Advance::Left) => Advance::Right,
@@ -102,19 +98,13 @@ impl ReadPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdb_core::TsTuple;
-
-    fn iv(s: i64, e: i64) -> TsTuple {
-        TsTuple::interval(s, e).unwrap()
-    }
 
     #[test]
     fn alternate_flips() {
         let p = ReadPolicy::Alternate;
         let mut st = PolicyState::default();
-        let (a, b) = (iv(0, 1), iv(0, 1));
-        let first = p.decide(&mut st, &a, &b, TimePoint(0), TimePoint(0), 0, 0);
-        let second = p.decide(&mut st, &a, &b, TimePoint(0), TimePoint(0), 0, 0);
+        let first = p.decide(&mut st, TimePoint(0), TimePoint(0), 0, 0);
+        let second = p.decide(&mut st, TimePoint(0), TimePoint(0), 0, 0);
         assert_ne!(first, second);
     }
 
@@ -122,13 +112,12 @@ mod tests {
     fn min_key_follows_sweep() {
         let p = ReadPolicy::MinKey;
         let mut st = PolicyState::default();
-        let (a, b) = (iv(0, 1), iv(5, 6));
         assert_eq!(
-            p.decide(&mut st, &a, &b, TimePoint(0), TimePoint(5), 0, 0),
+            p.decide(&mut st, TimePoint(0), TimePoint(5), 0, 0),
             Advance::Left
         );
         assert_eq!(
-            p.decide(&mut st, &b, &a, TimePoint(5), TimePoint(0), 0, 0),
+            p.decide(&mut st, TimePoint(5), TimePoint(0), 0, 0),
             Advance::Right
         );
     }
@@ -142,14 +131,13 @@ mod tests {
             lambda_y: 0.1,
         };
         let mut st = PolicyState::default();
-        let (a, b) = (iv(0, 1), iv(0, 1));
         assert_eq!(
-            p.decide(&mut st, &a, &b, TimePoint(0), TimePoint(0), 50, 50),
+            p.decide(&mut st, TimePoint(0), TimePoint(0), 50, 50),
             Advance::Right
         );
         // With no X state resident, the gain caps at zero: advance X.
         assert_eq!(
-            p.decide(&mut st, &a, &b, TimePoint(0), TimePoint(0), 0, 50),
+            p.decide(&mut st, TimePoint(0), TimePoint(0), 0, 50),
             Advance::Left
         );
     }

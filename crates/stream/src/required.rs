@@ -1,5 +1,5 @@
 //! Declared input-ordering requirements — the single registry behind both
-//! the operator constructors and the static plan verifier.
+//! the kernel dispatch and the static plan verifier.
 //!
 //! Tables 1–3 of the paper index each stream operator by the input sort
 //! orderings under which it is correct and bounded. Before this module
@@ -8,18 +8,17 @@
 //! own copies of the same table. Everything now reads from
 //! [`StreamOpKind::requirement`]:
 //!
-//! * operator constructors call [`check_stream_order`] against their entry,
+//! * [`crate::dispatch`] verifies every input against its entry,
 //! * the algebra executor derives its sort decisions from the same entry,
 //! * `tdb-analyze` proves plans against it before a single tuple flows.
 //!
-//! Constructors accept only the *direct* orderings — the mirrored lower
+//! Dispatch accepts only the *direct* orderings — the mirrored lower
 //! halves of Tables 1/2 ("the mirror image of the upper half") are served by
 //! time reversal in the algebra layer, so mirror acceptance is the
 //! analyzer's job ([`StreamOrder::mirror`]), not the operator's.
 
-use crate::stream::TupleStream;
 use std::fmt;
-use tdb_core::{SortSpec, StreamOrder, TdbError, TdbResult};
+use tdb_core::{SortSpec, StreamOrder};
 
 /// The input-ordering contract of one stream operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,53 +205,9 @@ impl fmt::Display for StreamOpKind {
     }
 }
 
-/// Operators declare which registry entry governs them. The static analyzer
-/// and the executor consult `Self::KIND.requirement()` instead of
-/// re-deriving orderings per call site.
-pub trait RequiredOrder {
-    /// The registry kind of this operator.
-    const KIND: StreamOpKind;
-
-    /// The declared requirement (delegates to the registry).
-    fn required() -> &'static OrderRequirement {
-        Self::KIND.requirement()
-    }
-}
-
-/// Verify that stream `s` declares an order satisfying `required`.
-///
-/// The shared constructor-time gate: `required = None` always passes;
-/// otherwise the stream must declare an order that [`StreamOrder::satisfies`]
-/// the requirement. Mirrored orderings are *not* accepted here — operators
-/// implement the direct algorithms and the algebra layer reduces mirrors to
-/// them by time reversal.
-pub fn check_stream_order<S: TupleStream>(
-    s: &S,
-    required: Option<StreamOrder>,
-    operator: &'static str,
-    side: &str,
-) -> TdbResult<()> {
-    let Some(required) = required else {
-        return Ok(());
-    };
-    match s.order() {
-        Some(o) if o.satisfies(&required) => Ok(()),
-        Some(o) => Err(TdbError::UnsupportedOrdering {
-            operator,
-            detail: format!("{side} input is sorted {o}, operator requires {required}"),
-        }),
-        None => Err(TdbError::UnsupportedOrdering {
-            operator,
-            detail: format!("{side} input declares no sort order; {required} required"),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{from_sorted_vec, from_vec};
-    use tdb_core::TsTuple;
 
     #[test]
     fn registry_is_consistent() {
@@ -269,16 +224,5 @@ mod tests {
         assert!(!StreamOpKind::BeforeJoin.requirement().partition_safe);
         assert!(!StreamOpKind::BeforeSemijoin.requirement().partition_safe);
         assert!(StreamOpKind::OverlapJoin.requirement().partition_safe);
-    }
-
-    #[test]
-    fn check_stream_order_gate() {
-        let sorted =
-            from_sorted_vec(vec![TsTuple::interval(0, 2).unwrap()], StreamOrder::TS_ASC).unwrap();
-        assert!(check_stream_order(&sorted, Some(StreamOrder::TS_ASC), "T", "X").is_ok());
-        assert!(check_stream_order(&sorted, None, "T", "X").is_ok());
-        assert!(check_stream_order(&sorted, Some(StreamOrder::TE_ASC), "T", "X").is_err());
-        let unsorted = from_vec(vec![TsTuple::interval(0, 2).unwrap()]);
-        assert!(check_stream_order(&unsorted, Some(StreamOrder::TS_ASC), "T", "X").is_err());
     }
 }

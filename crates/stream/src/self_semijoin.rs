@@ -29,12 +29,123 @@
 //! (b)-state `state(x_i) ⊆ {x_j | j > i and x_j overlaps x_i}` —
 //! implemented by [`ContainSelfSemijoin`].
 
-use crate::metrics::OpMetrics;
-use crate::required::{check_stream_order, RequiredOrder, StreamOpKind};
-use crate::stream::TupleStream;
-use crate::workspace::{Workspace, WorkspaceStats};
-use std::collections::VecDeque;
-use tdb_core::{Direction, SortKey, SortSpec, StreamOrder, TdbResult, Temporal};
+use crate::batch::RowBatch;
+use crate::batch_ops::{metrics, BatchOp, Cursor, Head, Side, Wants};
+use crate::gapless::GaplessWorkspace;
+use crate::report::OpReport;
+use crate::workspace::WorkspaceStats;
+use tdb_core::{TdbResult, Temporal};
+
+/// The one-state-tuple scan shared by [`ContainedSelfSemijoin`] and its
+/// mirror [`ContainSelfSemijoinDesc`]: `x_b` replaces the state tuple
+/// `x_s` on a tie in `ValidFrom` or when `x_s` cannot contain it,
+/// otherwise `x_b` is emitted.
+struct OneStateScan<X: Temporal + Clone> {
+    cx: Cursor<X>,
+    /// `(ts, te)` ticks and payload of the state tuple `x_s`.
+    state: Option<(i64, i64, X)>,
+    /// `false`: ascending order, `x_s` holds the maximum `ValidTo`;
+    /// `true`: descending order, `x_s` holds the minimum.
+    mirrored: bool,
+    out: Vec<X>,
+    comparisons: usize,
+    emitted: usize,
+    want: Wants,
+}
+
+impl<X: Temporal + Clone> OneStateScan<X> {
+    fn new(mirrored: bool) -> Self {
+        OneStateScan {
+            cx: Cursor::new(),
+            state: None,
+            mirrored,
+            out: Vec::new(),
+            comparisons: 0,
+            emitted: 0,
+            want: Wants::Left,
+        }
+    }
+
+    fn run(&mut self) {
+        loop {
+            let (ts, te) = match self.cx.head() {
+                Head::Starved => return,
+                Head::Exhausted => {
+                    self.want = Wants::Done;
+                    return;
+                }
+                Head::Row(ts, te) => (ts, te),
+            };
+            let xb = self.cx.clone_head();
+            self.cx.advance();
+            let Some((sts, ste, _)) = self.state else {
+                self.state = Some((ts, te, xb));
+                continue;
+            };
+            self.comparisons += 1;
+            let replace = if self.mirrored { ste >= te } else { ste <= te };
+            if sts == ts || replace {
+                // Replace the state tuple (Figure 7 cases 1 and 2).
+                self.state = Some((ts, te, xb));
+            } else {
+                // x_b's lifespan is contained within x_s's (ascending) or
+                // contains it (descending): output x_b, keep x_s (case 3).
+                self.out.push(xb);
+                self.emitted += 1;
+            }
+        }
+    }
+
+    fn report(&self) -> OpReport {
+        OpReport::new(
+            metrics(self.cx.reads, 0, self.comparisons, self.emitted),
+            WorkspaceStats::of_resident(usize::from(self.state.is_some())),
+        )
+    }
+}
+
+/// Implement the unary [`BatchOp`] surface for a wrapper around a scan
+/// with `cx`, `run()`, `out`, `want` and `report()`.
+macro_rules! unary_batch_op {
+    ($name:ident, $scan:ident) => {
+        impl<X: Temporal + Clone> BatchOp for $name<X> {
+            type LeftItem = X;
+            type RightItem = X;
+            type Out = X;
+
+            fn wants(&self) -> Wants {
+                self.$scan.want
+            }
+
+            fn process_batch_left(&mut self, batch: RowBatch<X>) -> TdbResult<()> {
+                self.$scan.cx.push(batch);
+                self.$scan.run();
+                Ok(())
+            }
+
+            /// Never asked for: a self semijoin reads one input.
+            fn process_batch_right(&mut self, _batch: RowBatch<X>) -> TdbResult<()> {
+                Ok(())
+            }
+
+            fn finish(&mut self, side: Side) -> TdbResult<()> {
+                if side == Side::Left {
+                    self.$scan.cx.finish();
+                    self.$scan.run();
+                }
+                Ok(())
+            }
+
+            fn drain(&mut self) -> Vec<X> {
+                std::mem::take(&mut self.$scan.out)
+            }
+
+            fn report(&self) -> OpReport {
+                self.$scan.report()
+            }
+        }
+    };
+}
 
 /// `Contained-semijoin(X,X)`: emits tuples strictly contained in another
 /// tuple of the same stream. Single scan, one state tuple (Figure 7).
@@ -42,206 +153,114 @@ use tdb_core::{Direction, SortKey, SortSpec, StreamOrder, TdbResult, Temporal};
 /// Requires primary `ValidFrom ↑`, secondary `ValidTo ↑`.
 ///
 /// ```
-/// use tdb_stream::{from_sorted_vec, ContainedSelfSemijoin, TupleStream};
-/// use tdb_core::{StreamOrder, TsTuple};
+/// use tdb_stream::{collect, run_self_semijoin, OpConfig, StreamOpKind};
+/// use tdb_core::TsTuple;
 ///
 /// let xs = vec![
 ///     TsTuple::interval(0, 4)?,
 ///     TsTuple::interval(3, 20)?,
 ///     TsTuple::interval(5, 10)?, // inside [3,20)
 /// ];
-/// let mut op = ContainedSelfSemijoin::new(
-///     from_sorted_vec(xs, StreamOrder::TS_ASC_TE_ASC)?,
-/// )?;
-/// assert_eq!(op.collect_vec()?.len(), 1);
-/// assert!(op.max_workspace() <= 1); // Table 3 state (a)
+/// let kind = StreamOpKind::ContainedSelfSemijoin;
+/// let (inside, report) =
+///     collect(|emit| run_self_semijoin(kind, OpConfig::new(), xs, emit))?;
+/// assert_eq!(inside.len(), 1);
+/// assert!(report.max_workspace() <= 1); // Table 3 state (a)
 /// # Ok::<(), tdb_core::TdbError>(())
 /// ```
-pub struct ContainedSelfSemijoin<S: TupleStream>
-where
-    S::Item: Temporal + Clone,
-{
-    input: S,
-    state: Option<S::Item>,
-    metrics: OpMetrics,
-    max_state: usize,
+pub struct ContainedSelfSemijoin<X: Temporal + Clone> {
+    scan: OneStateScan<X>,
 }
 
-impl<S: TupleStream> RequiredOrder for ContainedSelfSemijoin<S>
-where
-    S::Item: Temporal + Clone,
-{
-    const KIND: StreamOpKind = StreamOpKind::ContainedSelfSemijoin;
-}
-
-impl<S: TupleStream> ContainedSelfSemijoin<S>
-where
-    S::Item: Temporal + Clone,
-{
-    /// Required input ordering.
-    pub const REQUIRED: StreamOrder = StreamOrder::TS_ASC_TE_ASC;
-
-    /// Build the operator.
-    pub fn new(input: S) -> TdbResult<Self> {
-        let req = Self::KIND.requirement();
-        check_stream_order(&input, req.left(), req.operator, "the")?;
-        Ok(ContainedSelfSemijoin {
-            input,
-            state: None,
-            metrics: OpMetrics {
-                passes: 1,
-                ..OpMetrics::default()
-            },
-            max_state: 0,
-        })
-    }
-
-    /// Execution metrics.
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
-
-    /// Maximum state tuples ever held — always ≤ 1 (Table 3 state (a)).
-    pub fn max_workspace(&self) -> usize {
-        self.max_state
-    }
-
-    /// The current state tuple `x_s` (exposed for the Figure 7 trace test).
-    pub fn state_tuple(&self) -> Option<&S::Item> {
-        self.state.as_ref()
-    }
-}
-
-impl<S: TupleStream> TupleStream for ContainedSelfSemijoin<S>
-where
-    S::Item: Temporal + Clone,
-{
-    type Item = S::Item;
-
-    fn next(&mut self) -> TdbResult<Option<S::Item>> {
-        loop {
-            let Some(xb) = self.input.next()? else {
-                return Ok(None);
-            };
-            self.metrics.read_left += 1;
-            let Some(xs) = &self.state else {
-                self.state = Some(xb);
-                self.max_state = self.max_state.max(1);
-                continue;
-            };
-            self.metrics.comparisons += 1;
-            if xs.ts() == xb.ts() || xs.te() <= xb.te() {
-                // Replace the state tuple (Figure 7 cases 1 and 2).
-                self.state = Some(xb);
-            } else {
-                // x_b's lifespan is contained within x_s's: output x_b,
-                // x_s remains the state tuple (Figure 7 case 3).
-                self.metrics.emitted += 1;
-                return Ok(Some(xb));
-            }
+impl<X: Temporal + Clone> ContainedSelfSemijoin<X> {
+    /// An empty kernel awaiting input.
+    pub fn new() -> Self {
+        ContainedSelfSemijoin {
+            scan: OneStateScan::new(false),
         }
     }
 
-    fn order(&self) -> Option<StreamOrder> {
-        // Output is a subsequence of the input.
-        Some(Self::REQUIRED)
+    /// The current state tuple `x_s` (exposed for the Figure 7 trace test).
+    pub fn state_tuple(&self) -> Option<&X> {
+        self.scan.state.as_ref().map(|(_, _, x)| x)
     }
 }
+
+impl<X: Temporal + Clone> Default for ContainedSelfSemijoin<X> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+unary_batch_op!(ContainedSelfSemijoin, scan);
 
 /// `Contain-semijoin(X,X)` under **descending** order (`ValidFrom ↓`,
 /// secondary `ValidTo ↓`): emits tuples that strictly contain another tuple.
 /// Single scan, one state tuple (Table 3 row 2, state (a)) — the mirror
 /// image of [`ContainedSelfSemijoin`], with the state tuple holding the
 /// *minimum* `ValidTo` seen so far.
-pub struct ContainSelfSemijoinDesc<S: TupleStream>
-where
-    S::Item: Temporal + Clone,
-{
-    input: S,
-    state: Option<S::Item>,
-    metrics: OpMetrics,
-    max_state: usize,
+pub struct ContainSelfSemijoinDesc<X: Temporal + Clone> {
+    scan: OneStateScan<X>,
 }
 
-impl<S: TupleStream> RequiredOrder for ContainSelfSemijoinDesc<S>
-where
-    S::Item: Temporal + Clone,
-{
-    const KIND: StreamOpKind = StreamOpKind::ContainSelfSemijoinDesc;
-}
-
-impl<S: TupleStream> ContainSelfSemijoinDesc<S>
-where
-    S::Item: Temporal + Clone,
-{
-    /// Required input ordering: `ValidFrom ↓`, then `ValidTo ↓`.
-    pub const REQUIRED: StreamOrder = StreamOrder::by_then(
-        SortSpec {
-            key: SortKey::ValidFrom,
-            direction: Direction::Desc,
-        },
-        SortSpec {
-            key: SortKey::ValidTo,
-            direction: Direction::Desc,
-        },
-    );
-
-    /// Build the operator.
-    pub fn new(input: S) -> TdbResult<Self> {
-        let req = Self::KIND.requirement();
-        check_stream_order(&input, req.left(), req.operator, "the")?;
-        Ok(ContainSelfSemijoinDesc {
-            input,
-            state: None,
-            metrics: OpMetrics {
-                passes: 1,
-                ..OpMetrics::default()
-            },
-            max_state: 0,
-        })
-    }
-
-    /// Execution metrics.
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
-
-    /// Maximum state tuples ever held — always ≤ 1.
-    pub fn max_workspace(&self) -> usize {
-        self.max_state
+impl<X: Temporal + Clone> ContainSelfSemijoinDesc<X> {
+    /// An empty kernel awaiting input.
+    pub fn new() -> Self {
+        ContainSelfSemijoinDesc {
+            scan: OneStateScan::new(true),
+        }
     }
 }
 
-impl<S: TupleStream> TupleStream for ContainSelfSemijoinDesc<S>
-where
-    S::Item: Temporal + Clone,
-{
-    type Item = S::Item;
+impl<X: Temporal + Clone> Default for ContainSelfSemijoinDesc<X> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
-    fn next(&mut self) -> TdbResult<Option<S::Item>> {
+unary_batch_op!(ContainSelfSemijoinDesc, scan);
+
+/// The candidate sweep of [`ContainSelfSemijoin`].
+struct CandidateScan<X: Temporal + Clone> {
+    cx: Cursor<X>,
+    /// Candidate containers not yet witnessed, still alive at the sweep.
+    candidates: GaplessWorkspace<X>,
+    out: Vec<X>,
+    comparisons: usize,
+    emitted: usize,
+    want: Wants,
+}
+
+impl<X: Temporal + Clone> CandidateScan<X> {
+    fn run(&mut self) {
         loop {
-            let Some(xb) = self.input.next()? else {
-                return Ok(None);
+            let (ts, te) = match self.cx.head() {
+                Head::Starved => return,
+                Head::Exhausted => {
+                    self.want = Wants::Done;
+                    return;
+                }
+                Head::Row(ts, te) => (ts, te),
             };
-            self.metrics.read_left += 1;
-            let Some(xs) = &self.state else {
-                self.state = Some(xb);
-                self.max_state = self.max_state.max(1);
-                continue;
-            };
-            self.metrics.comparisons += 1;
-            if xs.ts() == xb.ts() || xs.te() >= xb.te() {
-                self.state = Some(xb);
-            } else {
-                // x_s.TS > x_b.TS ∧ x_s.TE < x_b.TE: x_b contains x_s.
-                self.metrics.emitted += 1;
-                return Ok(Some(xb));
-            }
+            let xb = self.cx.clone_head();
+            self.cx.advance();
+            // Candidates that died before the sweep can never be witnessed.
+            self.candidates.gc_te_gt(ts);
+            // Emit every candidate that strictly contains x_b (each exactly
+            // once — extraction removes them).
+            self.comparisons += self.candidates.len();
+            let witnessed = self.candidates.extract(|cts, cte| (cts < ts) & (te < cte));
+            self.emitted += witnessed.len();
+            self.out.extend(witnessed);
+            self.candidates.insert_raw(ts, te, xb);
         }
     }
 
-    fn order(&self) -> Option<StreamOrder> {
-        Some(Self::REQUIRED)
+    fn report(&self) -> OpReport {
+        OpReport::new(
+            metrics(self.cx.reads, 0, self.comparisons, self.emitted),
+            self.candidates.stats(),
+        )
     }
 }
 
@@ -252,97 +271,42 @@ where
 /// decision must be deferred: the workspace holds the not-yet-witnessed
 /// candidates that still overlap the sweep point — Table 3 state (b),
 /// `state(x_i) ⊆ {x_j | j > i and x_j overlaps x_i}`.
-pub struct ContainSelfSemijoin<S: TupleStream>
-where
-    S::Item: Temporal + Clone,
-{
-    input: S,
-    /// Candidate containers not yet witnessed, still alive at the sweep.
-    candidates: Workspace<S::Item>,
-    pending: VecDeque<S::Item>,
-    metrics: OpMetrics,
+pub struct ContainSelfSemijoin<X: Temporal + Clone> {
+    scan: CandidateScan<X>,
 }
 
-impl<S: TupleStream> RequiredOrder for ContainSelfSemijoin<S>
-where
-    S::Item: Temporal + Clone,
-{
-    const KIND: StreamOpKind = StreamOpKind::ContainSelfSemijoin;
-}
-
-impl<S: TupleStream> ContainSelfSemijoin<S>
-where
-    S::Item: Temporal + Clone,
-{
-    /// Required input ordering.
-    pub const REQUIRED: StreamOrder = StreamOrder::TS_ASC_TE_ASC;
-
-    /// Build the operator.
-    pub fn new(input: S) -> TdbResult<Self> {
-        let req = Self::KIND.requirement();
-        check_stream_order(&input, req.left(), req.operator, "the")?;
-        Ok(ContainSelfSemijoin {
-            input,
-            candidates: Workspace::new(),
-            pending: VecDeque::new(),
-            metrics: OpMetrics {
-                passes: 1,
-                ..OpMetrics::default()
+impl<X: Temporal + Clone> ContainSelfSemijoin<X> {
+    /// An empty kernel awaiting input.
+    pub fn new() -> Self {
+        ContainSelfSemijoin {
+            scan: CandidateScan {
+                cx: Cursor::new(),
+                candidates: GaplessWorkspace::new(),
+                out: Vec::new(),
+                comparisons: 0,
+                emitted: 0,
+                want: Wants::Left,
             },
-        })
-    }
-
-    /// Execution metrics.
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
-
-    /// Workspace statistics (Table 3 state (b)).
-    pub fn workspace(&self) -> WorkspaceStats {
-        self.candidates.stats()
-    }
-}
-
-impl<S: TupleStream> TupleStream for ContainSelfSemijoin<S>
-where
-    S::Item: Temporal + Clone,
-{
-    type Item = S::Item;
-
-    fn next(&mut self) -> TdbResult<Option<S::Item>> {
-        loop {
-            if let Some(out) = self.pending.pop_front() {
-                self.metrics.emitted += 1;
-                return Ok(Some(out));
-            }
-            let Some(xb) = self.input.next()? else {
-                return Ok(None);
-            };
-            self.metrics.read_left += 1;
-            let p = xb.period();
-            // Candidates that died before the sweep can never be witnessed.
-            self.candidates.gc(|c| c.te() > p.start());
-            // Emit every candidate that strictly contains x_b (each exactly
-            // once — extraction removes them).
-            let comparisons = self.candidates.len();
-            self.metrics.comparisons += comparisons;
-            let witnessed = self.candidates.extract(|c| c.period().contains(&p));
-            self.pending.extend(witnessed);
-            self.candidates.insert(xb);
         }
     }
+}
 
-    fn order(&self) -> Option<StreamOrder> {
-        None // emission order is witness order, not input order
+impl<X: Temporal + Clone> Default for ContainSelfSemijoin<X> {
+    fn default() -> Self {
+        Self::new()
     }
 }
+
+unary_batch_op!(ContainSelfSemijoin, scan);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::from_sorted_vec;
+    use crate::dispatch::{collect, run_kernel, run_self_semijoin, Emit};
+    use crate::report::OpConfig;
+    use crate::required::{StreamOpKind, TS_DESC_TE_DESC};
     use proptest::prelude::*;
-    use tdb_core::{TdbError, TsTuple};
+    use tdb_core::{StreamOrder, TdbError, TsTuple};
 
     fn iv(s: i64, e: i64) -> TsTuple {
         TsTuple::interval(s, e).unwrap()
@@ -382,6 +346,10 @@ mod tests {
         xs
     }
 
+    fn run(kind: StreamOpKind, xs: Vec<TsTuple>) -> (Vec<TsTuple>, OpReport) {
+        collect(|e| run_self_semijoin(kind, OpConfig::new().with_batch_rows(3), xs, e)).unwrap()
+    }
+
     /// The Figure 7 walk: x1 read and kept; x2 replaces it; x3 replaces x2;
     /// x4 is contained in x3 and output; x3 remains in the state.
     #[test]
@@ -390,85 +358,68 @@ mod tests {
         let x2 = iv(1, 8);
         let x3 = iv(3, 20);
         let x4 = iv(5, 10); // inside x3
-        let input = from_sorted_vec(
-            vec![x1, x2, x3.clone(), x4.clone()],
-            StreamOrder::TS_ASC_TE_ASC,
-        )
-        .unwrap();
-        let mut op = ContainedSelfSemijoin::new(input).unwrap();
-        let first = op.next().unwrap().unwrap();
-        assert_eq!(first, x4);
+        let mut op = ContainedSelfSemijoin::new();
+        let order = Some(StreamOrder::TS_ASC_TE_ASC);
+        let input = vec![x1, x2, x3.clone(), x4.clone()];
+        let (out, report) =
+            collect(|e| run_kernel(&mut op, 1, input, order, vec![], None, e)).unwrap();
+        assert_eq!(out, vec![x4]);
         assert_eq!(op.state_tuple(), Some(&x3), "x3 remains in the state");
-        assert!(op.next().unwrap().is_none());
-        assert!(op.max_workspace() <= 1, "at most one state tuple");
-        assert_eq!(op.metrics().read_left, 4);
+        assert!(report.max_workspace() <= 1, "at most one state tuple");
+        assert_eq!(report.metrics.read_left, 4);
     }
 
     #[test]
     fn equal_ts_run_replaces_without_emitting() {
         // Identical TS: secondary TE ↑; none strictly contained.
         let xs = vec![iv(0, 3), iv(0, 5), iv(0, 9)];
-        let input = from_sorted_vec(xs, StreamOrder::TS_ASC_TE_ASC).unwrap();
-        let mut op = ContainedSelfSemijoin::new(input).unwrap();
-        assert!(op.collect_vec().unwrap().is_empty());
+        assert!(run(StreamOpKind::ContainedSelfSemijoin, xs).0.is_empty());
     }
 
     #[test]
     fn duplicate_periods_are_not_contained_in_each_other() {
         let xs = vec![iv(2, 7), iv(2, 7)];
-        let input = from_sorted_vec(xs, StreamOrder::TS_ASC_TE_ASC).unwrap();
-        let mut op = ContainedSelfSemijoin::new(input).unwrap();
-        assert!(op.collect_vec().unwrap().is_empty());
+        assert!(run(StreamOpKind::ContainedSelfSemijoin, xs).0.is_empty());
     }
 
     #[test]
     fn contain_self_desc_mirrors() {
         let mut xs = vec![iv(0, 100), iv(1, 90), iv(2, 5), iv(50, 60)];
-        ContainSelfSemijoinDesc::<crate::stream::VecStream<TsTuple>>::REQUIRED.sort(&mut xs);
-        let input = from_sorted_vec(
-            xs.clone(),
-            ContainSelfSemijoinDesc::<crate::stream::VecStream<TsTuple>>::REQUIRED,
-        )
-        .unwrap();
-        let mut op = ContainSelfSemijoinDesc::new(input).unwrap();
-        let got = canon(op.collect_vec().unwrap());
+        TS_DESC_TE_DESC.sort(&mut xs);
+        let (got, report) = run(StreamOpKind::ContainSelfSemijoinDesc, xs.clone());
+        let got = canon(got);
         assert_eq!(got, canon(contain_oracle(&xs)));
         assert_eq!(got.len(), 2); // [0,100) and [1,90) both contain [2,5)
-        assert!(op.max_workspace() <= 1);
+        assert!(report.max_workspace() <= 1);
     }
 
     #[test]
     fn contain_self_asc_finds_all_containers() {
         let xs = sorted_asc(vec![iv(0, 100), iv(1, 90), iv(2, 5), iv(50, 60)]);
-        let input = from_sorted_vec(xs.clone(), StreamOrder::TS_ASC_TE_ASC).unwrap();
-        let mut op = ContainSelfSemijoin::new(input).unwrap();
-        let got = canon(op.collect_vec().unwrap());
+        let got = canon(run(StreamOpKind::ContainSelfSemijoin, xs.clone()).0);
         assert_eq!(got, canon(contain_oracle(&xs)));
     }
 
     #[test]
     fn rejects_missing_secondary_order() {
-        let input = from_sorted_vec(vec![iv(0, 5)], StreamOrder::TS_ASC).unwrap();
+        // TS ↑ but not TE ↑ within the tie.
+        let xs = vec![iv(0, 9), iv(0, 5)];
+        let kind = StreamOpKind::ContainedSelfSemijoin;
         assert!(matches!(
-            ContainedSelfSemijoin::new(input),
-            Err(TdbError::UnsupportedOrdering { .. })
+            run_self_semijoin(kind, OpConfig::new(), xs, Emit::Count),
+            Err(TdbError::OrderViolation { .. })
         ));
     }
 
     #[test]
     fn empty_and_singleton_streams() {
-        let input = from_sorted_vec(Vec::<TsTuple>::new(), StreamOrder::TS_ASC_TE_ASC).unwrap();
-        assert!(ContainedSelfSemijoin::new(input)
-            .unwrap()
-            .collect_vec()
-            .unwrap()
-            .is_empty());
-        let input = from_sorted_vec(vec![iv(0, 5)], StreamOrder::TS_ASC_TE_ASC).unwrap();
-        assert!(ContainedSelfSemijoin::new(input)
-            .unwrap()
-            .collect_vec()
-            .unwrap()
-            .is_empty());
+        let kind = StreamOpKind::ContainedSelfSemijoin;
+        let (out, report) = run(kind, vec![]);
+        assert!(out.is_empty());
+        assert_eq!(report.max_workspace(), 0);
+        let (out, report) = run(kind, vec![iv(0, 5)]);
+        assert!(out.is_empty());
+        assert_eq!(report.max_workspace(), 1);
     }
 
     fn arb_intervals(n: usize) -> impl Strategy<Value = Vec<TsTuple>> {
@@ -480,32 +431,25 @@ mod tests {
         #[test]
         fn contained_self_matches_oracle(xs in arb_intervals(60)) {
             let xs = sorted_asc(xs);
-            let input = from_sorted_vec(xs.clone(), StreamOrder::TS_ASC_TE_ASC).unwrap();
-            let mut op = ContainedSelfSemijoin::new(input).unwrap();
-            let got = canon(op.collect_vec().unwrap());
-            prop_assert_eq!(got, canon(contained_oracle(&xs)));
-            prop_assert!(op.max_workspace() <= 1);
+            let (got, report) = run(StreamOpKind::ContainedSelfSemijoin, xs.clone());
+            prop_assert_eq!(canon(got), canon(contained_oracle(&xs)));
+            prop_assert!(report.max_workspace() <= 1);
         }
 
         #[test]
         fn contain_self_asc_matches_oracle(xs in arb_intervals(60)) {
             let xs = sorted_asc(xs);
-            let input = from_sorted_vec(xs.clone(), StreamOrder::TS_ASC_TE_ASC).unwrap();
-            let mut op = ContainSelfSemijoin::new(input).unwrap();
-            let got = canon(op.collect_vec().unwrap());
+            let got = canon(run(StreamOpKind::ContainSelfSemijoin, xs.clone()).0);
             prop_assert_eq!(got, canon(contain_oracle(&xs)));
         }
 
         #[test]
         fn contain_self_desc_matches_oracle(xs in arb_intervals(60)) {
-            let order = ContainSelfSemijoinDesc::<crate::stream::VecStream<TsTuple>>::REQUIRED;
             let mut xs = xs;
-            order.sort(&mut xs);
-            let input = from_sorted_vec(xs.clone(), order).unwrap();
-            let mut op = ContainSelfSemijoinDesc::new(input).unwrap();
-            let got = canon(op.collect_vec().unwrap());
-            prop_assert_eq!(got, canon(contain_oracle(&xs)));
-            prop_assert!(op.max_workspace() <= 1);
+            TS_DESC_TE_DESC.sort(&mut xs);
+            let (got, report) = run(StreamOpKind::ContainSelfSemijoinDesc, xs.clone());
+            prop_assert_eq!(canon(got), canon(contain_oracle(&xs)));
+            prop_assert!(report.max_workspace() <= 1);
         }
     }
 }

@@ -12,310 +12,118 @@
 //! * [`SweepSemijoin::contain`] — emit `x ∈ X` containing some `y ∈ Y`;
 //! * [`SweepSemijoin::contained`] — emit `x ∈ X` contained in some `y ∈ Y`.
 
-use crate::metrics::OpMetrics;
-use crate::progress::Progress;
-use crate::read_policy::{Advance, PolicyState, ReadPolicy};
-use crate::required::{check_stream_order, RequiredOrder, StreamOpKind};
-use crate::stream::TupleStream;
-use crate::workspace::{Workspace, WorkspaceStats};
-use std::collections::VecDeque;
-use tdb_core::{Period, StreamOrder, TdbError, TdbResult, Temporal};
+use crate::batch::RowBatch;
+use crate::batch_ops::{count, sweep_batch_op, BatchOp, Buffered, Side, Sweep, Wants};
+use crate::gapless::GaplessWorkspace;
+use crate::read_policy::ReadPolicy;
+use crate::report::OpReport;
+use tdb_core::{TdbResult, Temporal};
 
-/// Direction of the containment test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Emit X tuples that contain a Y tuple.
-    XContainsY,
-    /// Emit X tuples contained in a Y tuple.
-    YContainsX,
+/// Containment semijoin kernel over two `ValidFrom ↑` inputs, emitting the
+/// X side: a witnessed arrival is emitted at once and never stored, an
+/// unwitnessed x waits in the X state until a y witnesses it.
+pub struct SweepSemijoin<X: Temporal + Clone, Y: Temporal + Clone> {
+    sw: Sweep<X, Y>,
+    /// `true`: emit x containing some y; `false`: x contained in some y.
+    x_contains: bool,
+    out: Vec<X>,
+    comparisons: usize,
+    emitted: usize,
 }
 
-impl Mode {
-    /// Does the (x, y) pair match under this mode?
-    fn matches(self, x: &Period, y: &Period) -> bool {
-        match self {
-            Mode::XContainsY => x.contains(y),
-            Mode::YContainsX => y.contains(x),
-        }
-    }
-}
-
-/// Containment semijoin over two `ValidFrom ↑` streams, emitting the X side.
-pub struct SweepSemijoin<X: TupleStream, Y: TupleStream>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    x: X,
-    y: Y,
-    mode: Mode,
-    x_buf: Option<X::Item>,
-    y_buf: Option<Y::Item>,
-    /// X tuples awaiting a witness.
-    state_x: Workspace<X::Item>,
-    /// Y tuples that may still witness (or contain) a future X tuple.
-    state_y: Workspace<Y::Item>,
-    pending: VecDeque<X::Item>,
-    policy: ReadPolicy,
-    policy_state: PolicyState,
-    metrics: OpMetrics,
-    progress: Option<Progress>,
-    started: bool,
-}
-
-impl<X: TupleStream, Y: TupleStream> RequiredOrder for SweepSemijoin<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    const KIND: StreamOpKind = StreamOpKind::SweepSemijoin;
-}
-
-impl<X: TupleStream, Y: TupleStream> SweepSemijoin<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
+impl<X: Temporal + Clone, Y: Temporal + Clone> SweepSemijoin<X, Y> {
     /// `Contain-semijoin(X,Y)` under `(ValidFrom ↑, ValidFrom ↑)`.
-    pub fn contain(x: X, y: Y, policy: ReadPolicy) -> TdbResult<Self> {
-        Self::new(x, y, Mode::XContainsY, policy)
+    pub fn contain(policy: ReadPolicy) -> Self {
+        Self::new(true, policy)
     }
 
     /// `Contained-semijoin(X,Y)` under `(ValidFrom ↑, ValidFrom ↑)`.
-    pub fn contained(x: X, y: Y, policy: ReadPolicy) -> TdbResult<Self> {
-        Self::new(x, y, Mode::YContainsX, policy)
+    pub fn contained(policy: ReadPolicy) -> Self {
+        Self::new(false, policy)
     }
 
-    fn new(x: X, y: Y, mode: Mode, policy: ReadPolicy) -> TdbResult<Self> {
-        let req = Self::KIND.requirement();
-        check_stream_order(&x, req.left(), req.operator, "X")?;
-        check_stream_order(&y, req.right(), req.operator, "Y")?;
-        Ok(SweepSemijoin {
-            x,
-            y,
-            mode,
-            x_buf: None,
-            y_buf: None,
-            state_x: Workspace::new(),
-            state_y: Workspace::new(),
-            pending: VecDeque::new(),
-            policy,
-            policy_state: PolicyState::default(),
-            metrics: OpMetrics {
-                passes: 1,
-                ..OpMetrics::default()
-            },
-            progress: None,
-            started: false,
-        })
-    }
-
-    /// Attach a shared [`Progress`] handle: the operator publishes its
-    /// monotonic admitted/GC'd/emitted totals into it on every `next()`
-    /// call, so a live subscriber can observe progress mid-run.
-    pub fn with_progress(mut self, progress: &Progress) -> Self {
-        self.progress = Some(progress.clone());
-        self
-    }
-
-    fn publish_progress(&self) {
-        if let Some(p) = &self.progress {
-            let gc = self.state_x.stats().discarded + self.state_y.stats().discarded;
-            p.publish(
-                self.metrics.read_total() as u64,
-                gc as u64,
-                self.metrics.emitted as u64,
-            );
+    fn new(x_contains: bool, policy: ReadPolicy) -> Self {
+        SweepSemijoin {
+            sw: Sweep::new(policy),
+            x_contains,
+            out: Vec::new(),
+            comparisons: 0,
+            emitted: 0,
         }
     }
 
-    /// Execution metrics.
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
+    /// Does `(x, y)` match, as `(ts, te)` ticks, in this direction?
+    #[inline]
+    fn matches(x_contains: bool, x: (i64, i64), y: (i64, i64)) -> bool {
+        let (outer, inner) = if x_contains { (x, y) } else { (y, x) };
+        (outer.0 < inner.0) & (inner.1 < outer.1)
     }
 
-    /// Workspace statistics for the (X, Y) state sets.
-    pub fn workspace(&self) -> (WorkspaceStats, WorkspaceStats) {
-        (self.state_x.stats(), self.state_y.stats())
-    }
-
-    /// Combined maximum resident state tuples.
-    pub fn max_workspace(&self) -> usize {
-        self.state_x.stats().max_resident + self.state_y.stats().max_resident
-    }
-
-    fn refill_x(&mut self) -> TdbResult<()> {
-        self.x_buf = self.x.next()?;
-        if self.x_buf.is_some() {
-            self.metrics.read_left += 1;
-        }
-        Ok(())
-    }
-
-    fn refill_y(&mut self) -> TdbResult<()> {
-        self.y_buf = self.y.next()?;
-        if self.y_buf.is_some() {
-            self.metrics.read_right += 1;
-        }
-        Ok(())
-    }
-
-    /// GC keyed off the buffered tuples. For either containment direction a
-    /// resident tuple is dead once no current-or-future partner can satisfy
-    /// the strict inequalities — the cutoffs below are exactly the
-    /// Contain-join rules with the roles fixed per mode.
-    fn gc_phase(&mut self) {
-        match self.mode {
-            Mode::XContainsY => {
-                // x must contain a future y (y.TS ≥ y_buf.TS): dead if
-                // x.TE < y_buf.TS. y must be contained in a future x
-                // (x.TS ≥ x_buf.TS): dead if y.TS < x_buf.TS.
-                if let Some(yb) = &self.y_buf {
-                    let cutoff = yb.ts();
-                    self.state_x.gc(|x| x.te() >= cutoff);
-                } else if self.started {
-                    self.state_x.gc(|_| false);
-                }
-                if let Some(xb) = &self.x_buf {
-                    let cutoff = xb.ts();
-                    self.state_y.gc(|y| y.ts() >= cutoff);
-                } else if self.started {
-                    self.state_y.gc(|_| false);
-                }
+    fn run(&mut self) {
+        // A resident tuple is dead once no current-or-future partner can
+        // satisfy the strict inequalities — the Contain-join rules with
+        // the roles fixed per direction. The container must still span a
+        // future partner's `TS` (`TE ≥` the partner buffer's `TS`); the
+        // containee must not start before the next container (`TS ≥` it).
+        let xc = self.x_contains;
+        let gc = move |sx: &mut GaplessWorkspace<X>,
+                       sy: &mut GaplessWorkspace<Y>,
+                       hx: Buffered,
+                       hy: Buffered| {
+            match hy {
+                Some((yts, _)) if xc => sx.gc_te_ge(yts),
+                Some((yts, _)) => sx.gc(|ts, _| ts >= yts),
+                None => sx.clear_discard(),
             }
-            Mode::YContainsX => {
-                // Mirror roles: x is the containee, y the container.
-                if let Some(yb) = &self.y_buf {
-                    let cutoff = yb.ts();
-                    self.state_x.gc(|x| x.ts() >= cutoff);
-                } else if self.started {
-                    self.state_x.gc(|_| false);
-                }
-                if let Some(xb) = &self.x_buf {
-                    let cutoff = xb.ts();
-                    self.state_y.gc(|y| y.te() >= cutoff);
-                } else if self.started {
-                    self.state_y.gc(|_| false);
-                }
+            match hx {
+                Some((xts, _)) if xc => sy.gc(|ts, _| ts >= xts),
+                Some((xts, _)) => sy.gc_te_ge(xts),
+                None => sy.clear_discard(),
             }
-        }
-    }
-
-    fn process_x(&mut self) -> TdbResult<()> {
-        let Some(x) = self.x_buf.take() else {
-            return Err(TdbError::Eval(
-                "sweep-semijoin advanced an empty X buffer".into(),
-            ));
         };
-        let xp = x.period();
-        self.metrics.comparisons += self.state_y.len();
-        let witnessed = self
-            .state_y
-            .iter()
-            .any(|y| self.mode.matches(&xp, &y.period()));
-        if witnessed {
-            // Semijoin: emit immediately, never store.
-            self.pending.push_back(x);
-        } else {
-            self.state_x.insert(x);
-        }
-        self.refill_x()?;
-        self.gc_phase();
-        Ok(())
-    }
-
-    fn process_y(&mut self) -> TdbResult<()> {
-        let Some(y) = self.y_buf.take() else {
-            return Err(TdbError::Eval(
-                "sweep-semijoin advanced an empty Y buffer".into(),
-            ));
-        };
-        let yp = y.period();
-        self.metrics.comparisons += self.state_x.len();
-        let mode = self.mode;
-        let witnessed = self.state_x.extract(|x| mode.matches(&x.period(), &yp));
-        self.pending.extend(witnessed);
-        self.state_y.insert(y);
-        self.refill_y()?;
-        self.gc_phase();
-        Ok(())
-    }
-}
-
-impl<X: TupleStream, Y: TupleStream> TupleStream for SweepSemijoin<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    type Item = X::Item;
-
-    fn next(&mut self) -> TdbResult<Option<X::Item>> {
-        let out = self.next_inner();
-        self.publish_progress();
-        out
-    }
-
-    fn order(&self) -> Option<StreamOrder> {
-        None // emission order mixes arrival and witness order
-    }
-}
-
-impl<X: TupleStream, Y: TupleStream> SweepSemijoin<X, Y>
-where
-    X::Item: Temporal + Clone,
-    Y::Item: Temporal + Clone,
-{
-    fn next_inner(&mut self) -> TdbResult<Option<X::Item>> {
-        loop {
-            if let Some(out) = self.pending.pop_front() {
-                self.metrics.emitted += 1;
-                return Ok(Some(out));
-            }
-            if !self.started {
-                self.started = true;
-                self.refill_x()?;
-                self.refill_y()?;
-            }
-            match (&self.x_buf, &self.y_buf) {
-                (None, None) => return Ok(None),
-                (Some(_), None) => {
-                    if self.state_y.is_empty() {
-                        return Ok(None);
+        while let Some((side, ts, te)) = self.sw.next(gc) {
+            match side {
+                Side::Left => {
+                    let x = self.sw.cx.clone_head();
+                    self.sw.cx.advance();
+                    let sy = &self.sw.sy;
+                    self.comparisons += sy.len();
+                    let m = |yts: i64, yte: i64| Self::matches(xc, (ts, te), (yts, yte));
+                    if count(sy.ts_col(), sy.te_col(), m) > 0 {
+                        // Semijoin: emit immediately, never store.
+                        self.out.push(x);
+                        self.emitted += 1;
+                    } else {
+                        self.sw.sx.insert_raw(ts, te, x);
                     }
-                    self.process_x()?;
                 }
-                (None, Some(_)) => {
-                    if self.state_x.is_empty() {
-                        return Ok(None);
-                    }
-                    self.process_y()?;
-                }
-                (Some(x), Some(y)) => {
-                    let d = self.policy.decide(
-                        &mut self.policy_state,
-                        x,
-                        y,
-                        x.ts(),
-                        y.ts(),
-                        self.state_x.len(),
-                        self.state_y.len(),
-                    );
-                    match d {
-                        Advance::Left => self.process_x()?,
-                        Advance::Right => self.process_y()?,
-                    }
+                Side::Right => {
+                    let y = self.sw.cy.clone_head();
+                    self.sw.cy.advance();
+                    self.comparisons += self.sw.sx.len();
+                    let witnessed = self
+                        .sw
+                        .sx
+                        .extract(|xts, xte| Self::matches(xc, (xts, xte), (ts, te)));
+                    self.emitted += witnessed.len();
+                    self.out.extend(witnessed);
+                    self.sw.sy.insert_raw(ts, te, y);
                 }
             }
         }
     }
 }
+
+sweep_batch_op!(SweepSemijoin, X);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::from_sorted_vec;
+    use crate::dispatch::{collect, run_join, run_kernel, run_semijoin, Emit};
+    use crate::report::OpConfig;
+    use crate::required::StreamOpKind;
     use proptest::prelude::*;
-    use tdb_core::TsTuple;
+    use tdb_core::{StreamOrder, TsTuple};
 
     fn iv(s: i64, e: i64) -> TsTuple {
         TsTuple::interval(s, e).unwrap()
@@ -334,15 +142,14 @@ mod tests {
     ) -> (Vec<TsTuple>, usize) {
         StreamOrder::TS_ASC.sort(&mut xs);
         StreamOrder::TS_ASC.sort(&mut ys);
-        let x = from_sorted_vec(xs, StreamOrder::TS_ASC).unwrap();
-        let y = from_sorted_vec(ys, StreamOrder::TS_ASC).unwrap();
-        let mut op = if contain {
-            SweepSemijoin::contain(x, y, policy).unwrap()
+        let ts = Some(StreamOrder::TS_ASC);
+        let op = if contain {
+            SweepSemijoin::contain(policy)
         } else {
-            SweepSemijoin::contained(x, y, policy).unwrap()
+            SweepSemijoin::contained(policy)
         };
-        let out = op.collect_vec().unwrap();
-        (canon(out), op.max_workspace())
+        let (out, report) = collect(|e| run_kernel(op, 16, xs, ts, ys, ts, e)).unwrap();
+        (canon(out), report.max_workspace())
     }
 
     fn contain_oracle(xs: &[TsTuple], ys: &[TsTuple]) -> Vec<TsTuple> {
@@ -381,9 +188,15 @@ mod tests {
 
     #[test]
     fn rejects_unsorted_inputs() {
-        let x = crate::stream::from_vec(vec![iv(0, 5)]);
-        let y = from_sorted_vec(vec![iv(0, 5)], StreamOrder::TS_ASC).unwrap();
-        assert!(SweepSemijoin::contain(x, y, ReadPolicy::MinKey).is_err());
+        let x = vec![iv(5, 9), iv(0, 5)];
+        let err = run_semijoin(
+            StreamOpKind::SweepSemijoin,
+            OpConfig::new(),
+            x,
+            vec![iv(0, 5)],
+            Emit::Count,
+        );
+        assert!(err.is_err());
     }
 
     #[test]
@@ -393,11 +206,8 @@ mod tests {
         let xs: Vec<_> = (0..200).map(|i| iv(i, i + 30)).collect();
         let ys: Vec<_> = (0..200).map(|i| iv(i + 1, i + 5)).collect();
         let (_, semi_ws) = run(xs.clone(), ys.clone(), true, ReadPolicy::MinKey);
-
-        let x = from_sorted_vec(xs, StreamOrder::TS_ASC).unwrap();
-        let y = from_sorted_vec(ys, StreamOrder::TS_ASC).unwrap();
-        let mut join = crate::contain_join::ContainJoinTsTs::new(x, y, ReadPolicy::MinKey).unwrap();
-        let _ = join.collect_vec().unwrap();
+        let cfg = OpConfig::new();
+        let (_, join) = run_join(StreamOpKind::ContainJoinTsTs, cfg, xs, ys, Emit::Count).unwrap();
         assert!(
             semi_ws <= join.max_workspace() + 1,
             "semijoin workspace {semi_ws} should not exceed join workspace {}",

@@ -2,91 +2,50 @@
 //!
 //! Two further stream processors in the §4.1 mold:
 //!
-//! * [`Timeslice`] — the snapshot query "who/what was valid at time `t`?";
+//! * [`timeslice`] — the snapshot query "who/what was valid at time `t`?";
 //!   a filter with **early termination** when the input is sorted
 //!   `ValidFrom ↑` (once `TS > t`, nothing later can span `t`).
-//! * [`ConcurrencyProfile`] — the step function of how many tuples are
+//! * [`concurrency_profile`] — the step function of how many tuples are
 //!   valid at each instant, computed by a sweep over a `ValidFrom ↑`
 //!   stream with a min-heap of pending `ValidTo`s as the workspace (the
 //!   live set — exactly the "spanning tuples" state of Table 1(a), made
 //!   into an output).
 
 use crate::metrics::OpMetrics;
-use crate::stream::TupleStream;
+use crate::report::OpReport;
+use crate::workspace::WorkspaceStats;
 use std::collections::BinaryHeap;
-use tdb_core::{StreamOrder, TdbResult, Temporal, TimePoint};
+use tdb_core::{TdbResult, Temporal, TimePoint};
 
-/// Snapshot filter: emits tuples whose lifespan spans `t`.
-pub struct Timeslice<S: TupleStream>
-where
-    S::Item: Temporal,
-{
-    input: S,
+/// The snapshot at `at`: the items whose lifespan spans it, in input
+/// order. With `ts_sorted` (the items are `ValidFrom ↑`) the scan stops at
+/// the first item starting after `at`, and `read_left` shows the win. A
+/// pure filter: no state beyond the slice point.
+pub fn timeslice<T: Temporal + Clone>(
+    items: &[T],
     at: TimePoint,
-    /// Early termination is sound when the input is `ValidFrom ↑`.
-    sorted_ts_asc: bool,
-    metrics: OpMetrics,
-    done: bool,
-}
-
-impl<S: TupleStream> Timeslice<S>
-where
-    S::Item: Temporal,
-{
-    /// Build the snapshot at `t`.
-    pub fn new(input: S, at: TimePoint) -> Timeslice<S> {
-        let sorted_ts_asc = input
-            .order()
-            .map(|o| o.satisfies(&StreamOrder::TS_ASC))
-            .unwrap_or(false);
-        Timeslice {
-            input,
-            at,
-            sorted_ts_asc,
-            metrics: OpMetrics {
-                passes: 1,
-                ..OpMetrics::default()
-            },
-            done: false,
+    ts_sorted: bool,
+) -> (Vec<T>, OpReport) {
+    let mut out = Vec::new();
+    let mut read = 0;
+    for t in items {
+        read += 1;
+        if ts_sorted && t.ts() > at {
+            // No later tuple can span `at`.
+            break;
+        }
+        if t.period().spans(at) {
+            out.push(t.clone());
         }
     }
-
-    /// Execution metrics — `read_left` shows the early-termination win.
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
-}
-
-impl<S: TupleStream> TupleStream for Timeslice<S>
-where
-    S::Item: Temporal,
-{
-    type Item = S::Item;
-
-    fn next(&mut self) -> TdbResult<Option<S::Item>> {
-        if self.done {
-            return Ok(None);
-        }
-        while let Some(t) = self.input.next()? {
-            self.metrics.read_left += 1;
-            self.metrics.comparisons += 1;
-            if self.sorted_ts_asc && t.ts() > self.at {
-                // No later tuple can span `at`.
-                self.done = true;
-                return Ok(None);
-            }
-            if t.period().spans(self.at) {
-                self.metrics.emitted += 1;
-                return Ok(Some(t));
-            }
-        }
-        self.done = true;
-        Ok(None)
-    }
-
-    fn order(&self) -> Option<StreamOrder> {
-        self.input.order()
-    }
+    let metrics = OpMetrics {
+        read_left: read,
+        comparisons: read,
+        emitted: out.len(),
+        passes: 1,
+        ..OpMetrics::default()
+    };
+    (out, OpReport::new(metrics, WorkspaceStats::default()))
 }
 
 /// One step of the concurrency profile: `count` tuples are valid
@@ -101,17 +60,13 @@ pub struct ProfileStep {
     pub count: usize,
 }
 
-/// Sweep a `ValidFrom ↑` stream into its concurrency step function.
+/// Sweep `ValidFrom ↑` items into their concurrency step function.
 ///
 /// Returns the non-zero-length steps in time order; the maximum `count`
 /// equals [`tdb_core::TemporalStats::max_concurrency`]. Workspace: the
 /// live set (a heap of `ValidTo`s), i.e. Table 1(a)'s spanning-tuples
 /// state.
-pub fn concurrency_profile<S>(mut input: S) -> TdbResult<(Vec<ProfileStep>, usize)>
-where
-    S: TupleStream,
-    S::Item: Temporal,
-{
+pub fn concurrency_profile<T: Temporal>(items: &[T]) -> TdbResult<(Vec<ProfileStep>, usize)> {
     use std::cmp::Reverse;
     let mut live: BinaryHeap<Reverse<TimePoint>> = BinaryHeap::new();
     let mut steps = Vec::new();
@@ -133,7 +88,7 @@ where
         }
     };
 
-    while let Some(t) = input.next()? {
+    for t in items {
         let ts = t.ts();
         if let Some(p) = prev_ts {
             if ts < p {
@@ -176,9 +131,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{from_sorted_vec, from_vec};
     use proptest::prelude::*;
-    use tdb_core::{TemporalStats, TsTuple};
+    use tdb_core::{StreamOrder, TemporalStats, TsTuple};
 
     fn iv(s: i64, e: i64) -> TsTuple {
         TsTuple::interval(s, e).unwrap()
@@ -187,29 +141,26 @@ mod tests {
     #[test]
     fn timeslice_filters_and_terminates_early() {
         let xs: Vec<_> = (0..100).map(|i| iv(i, i + 5)).collect();
-        let input = from_sorted_vec(xs, StreamOrder::TS_ASC).unwrap();
-        let mut op = Timeslice::new(input, TimePoint(10));
-        let out = op.collect_vec().unwrap();
+        assert_eq!(StreamOrder::TS_ASC.first_violation(&xs), None);
+        let (out, report) = timeslice(&xs, TimePoint(10), true);
         assert_eq!(out.len(), 5); // starts 6..=10 span t=10
                                   // Early termination: reads stop shortly after TS passes 10.
-        assert!(op.metrics().read_left <= 12);
+        assert!(report.metrics.read_left <= 12);
     }
 
     #[test]
     fn timeslice_without_order_scans_everything() {
         let xs: Vec<_> = (0..100).map(|i| iv(i, i + 5)).collect();
-        let mut op = Timeslice::new(from_vec(xs), TimePoint(10));
-        let out = op.collect_vec().unwrap();
+        let (out, report) = timeslice(&xs, TimePoint(10), false);
         assert_eq!(out.len(), 5);
-        assert_eq!(op.metrics().read_left, 100);
+        assert_eq!(report.metrics.read_left, 100);
     }
 
     #[test]
     fn profile_of_disjoint_and_nested_intervals() {
         // [0,10) with [2,4) nested, then a gap, then [12,13).
         let xs = vec![iv(0, 10), iv(2, 4), iv(12, 13)];
-        let input = from_sorted_vec(xs, StreamOrder::TS_ASC).unwrap();
-        let (steps, max_live) = concurrency_profile(input).unwrap();
+        let (steps, max_live) = concurrency_profile(&xs).unwrap();
         assert_eq!(max_live, 2);
         assert_eq!(
             steps,
@@ -241,12 +192,12 @@ mod tests {
     #[test]
     fn profile_rejects_unsorted_input() {
         let xs = vec![iv(5, 9), iv(0, 3)];
-        assert!(concurrency_profile(from_vec(xs)).is_err());
+        assert!(concurrency_profile(&xs).is_err());
     }
 
     #[test]
     fn empty_profile() {
-        let (steps, max) = concurrency_profile(from_vec(Vec::<TsTuple>::new())).unwrap();
+        let (steps, max) = concurrency_profile::<TsTuple>(&[]).unwrap();
         assert!(steps.is_empty());
         assert_eq!(max, 0);
     }
@@ -262,8 +213,7 @@ mod tests {
                 periods.iter().map(|(s, d)| iv(*s, s + d)).collect();
             StreamOrder::TS_ASC.sort(&mut xs);
             let stats = TemporalStats::compute(&xs);
-            let (steps, max_live) =
-                concurrency_profile(from_vec(xs.clone())).unwrap();
+            let (steps, max_live) = concurrency_profile(&xs).unwrap();
             prop_assert_eq!(max_live, stats.max_concurrency);
             for s in &steps {
                 let direct = xs.iter().filter(|x| x.period.spans(s.from)).count();

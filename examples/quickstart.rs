@@ -51,9 +51,9 @@ fn main() -> TdbResult<()> {
         (Value::str("Math"), 90_000),
         (Value::str("Math"), 85_000),
     ];
-    let mut sums = GroupedSum::new(from_vec(salaries), |r| r.0.clone(), |r| r.1);
+    let (sums, _) = grouped_sum(&salaries, |r| r.0.clone(), |r| r.1)?;
     println!("\nDepartmental salary sums (Figure 4, O(1) workspace):");
-    while let Some((dept, total)) = sums.next()? {
+    for (dept, total) in sums {
         println!("  {dept}: {total}");
     }
     Ok(())

@@ -19,13 +19,12 @@ fn main() -> TdbResult<()> {
     );
 
     // ── Stream overlap join (both inputs ValidFrom ↑, Table 2 state (a)). ──
+    // The generators emit ValidFrom ↑, the order the registry requires.
     let start = Instant::now();
-    let x = from_sorted_vec(alarms.clone(), StreamOrder::TS_ASC)?;
-    let y = from_sorted_vec(windows.clone(), StreamOrder::TS_ASC)?;
-    let mut join = OpConfig::new().overlap_join(x, y)?;
-    let pairs = join.collect_vec()?;
+    let cfg = OpConfig::new();
+    let (x, y) = (alarms.clone(), windows.clone());
+    let (pairs, report) = collect(|emit| run_join(StreamOpKind::OverlapJoin, cfg, x, y, emit))?;
     let stream_time = start.elapsed();
-    let report = join.report();
     println!(
         "stream overlap join:      {stream_time:>10.2?}  {} pairs",
         pairs.len()
@@ -39,25 +38,21 @@ fn main() -> TdbResult<()> {
 
     // ── Nested-loop baseline (the conventional strategy of §3). ──
     let start = Instant::now();
-    let mut nl = NestedLoopJoin::new(
-        from_vec(alarms.clone()),
-        from_vec(windows.clone()),
-        |a: &TsTuple, w: &TsTuple| a.period.overlaps(&w.period),
-    )?;
-    let nl_pairs = nl.collect_vec()?;
+    let (nl_pairs, nl) = nested_loop_join(&alarms, &windows, |a: &TsTuple, w: &TsTuple| {
+        a.period.overlaps(&w.period)
+    });
     let nl_time = start.elapsed();
     println!(
         "\nnested-loop baseline:     {nl_time:>10.2?}  {} pairs",
         nl_pairs.len()
     );
-    println!("  metrics: {}", nl.metrics());
+    println!("  metrics: {}", nl.metrics);
     assert_eq!(pairs.len(), nl_pairs.len(), "operators must agree");
 
     // ── Semijoin: which alarms fall inside any window at all? ──
-    let x = from_sorted_vec(alarms.clone(), StreamOrder::TS_ASC)?;
-    let y = from_sorted_vec(windows.clone(), StreamOrder::TS_ASC)?;
-    let mut semi = OpConfig::new().overlap_semijoin(x, y)?;
-    let covered = semi.collect_vec()?;
+    let (x, y) = (alarms.clone(), windows.clone());
+    let kind = StreamOpKind::OverlapSemijoin;
+    let (covered, semi) = collect(|emit| run_semijoin(kind, cfg, x, y, emit))?;
     println!(
         "\noverlap semijoin (two-buffer, Table 2 state (b)): {} of {} alarms overlap a window; workspace = {} state tuples",
         covered.len(),
@@ -66,8 +61,8 @@ fn main() -> TdbResult<()> {
     );
 
     // ── Before-semijoin: alarms that fully precede some window. ──
-    let mut before = BeforeSemijoin::new(from_vec(alarms.clone()), from_vec(windows))?;
-    let early = before.collect_vec()?;
+    let kind = StreamOpKind::BeforeSemijoin;
+    let (early, _) = collect(|emit| run_semijoin(kind, cfg, alarms.clone(), windows, emit))?;
     println!(
         "before-semijoin (single scan, order-independent): {} alarms precede some window",
         early.len()

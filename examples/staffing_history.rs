@@ -57,18 +57,15 @@ fn main() -> TdbResult<()> {
 
     // ── 3. Contain-join: which projects ran inside which contract? ──
     let before_join = io.snapshot();
-    let x = from_sorted_vec(contracts_sorted.clone(), StreamOrder::TS_ASC)?;
-    let y = from_sorted_vec(projects_sorted.clone(), StreamOrder::TE_ASC)?;
-    let mut join = OpConfig::new().contain_join_ts_te(x, y)?;
-    let mut staffed = 0u64;
-    while join.next()?.is_some() {
-        staffed += 1;
-    }
+    let (x, y) = (contracts_sorted.clone(), projects_sorted.clone());
+    let kind = StreamOpKind::ContainJoinTsTe;
+    let (_, join) = run_join(kind, OpConfig::new(), x, y, Emit::Count)?;
+    let staffed = join.metrics.emitted;
     println!("\ncontain-join (TS↑/TE↑, Table 1 state (b)): {staffed} project-in-contract pairs");
     println!(
         "  workspace: max {} resident contract tuples; {}",
         join.max_workspace(),
-        join.report().metrics
+        join.metrics
     );
     println!(
         "  I/O delta during join: {}",
@@ -86,15 +83,23 @@ fn main() -> TdbResult<()> {
     }
 
     // ── 4. Persist the qualifying projects as a sorted run for reuse. ──
-    let x = from_sorted_vec(projects_sorted, StreamOrder::TE_ASC)?;
-    let y = from_sorted_vec(contracts_sorted, StreamOrder::TS_ASC)?;
-    let mut semis = OpConfig::new().contained_semijoin_stab(x, y)?;
     let mut writer = RunWriter::create(dir.join("staffed_projects.run"), io.clone())?;
     let mut kept = 0;
-    while let Some(p) = semis.next()? {
-        writer.push(&p)?;
-        kept += 1;
-    }
+    let kind = StreamOpKind::ContainedSemijoinStab;
+    let (x, y) = (projects_sorted, contracts_sorted);
+    run_semijoin(
+        kind,
+        OpConfig::new(),
+        x,
+        y,
+        Emit::Chunks(&mut |chunk| {
+            for p in &chunk {
+                writer.push(p)?;
+            }
+            kept += chunk.len();
+            Ok(true)
+        }),
+    )?;
     let (path, n) = writer.finish()?;
     println!(
         "\ncontained-semijoin (two buffers, Figure 6): {kept} projects inside some contract → {}",

@@ -198,7 +198,7 @@ fn multi_attribute_time_sequences() {
 
 #[test]
 fn coalesce_and_timeslice_compose_with_query_results() {
-    use tdb::stream::{coalesce_relation, Timeslice};
+    use tdb::stream::{coalesce_relation, timeslice};
     let catalog = catalog("slice", 100, 41);
     // Project every faculty's full employment as (Name, "employed") tuples
     // and coalesce adjacent rank periods into employment spells.
@@ -220,11 +220,7 @@ fn coalesce_and_timeslice_compose_with_query_results() {
     let mut sorted = spells.clone();
     StreamOrder::TS_ASC.sort(&mut sorted);
     let mid = sorted[sorted.len() / 2].period.start();
-    let mut slice = Timeslice::new(
-        from_sorted_vec(sorted.clone(), StreamOrder::TS_ASC).unwrap(),
-        mid,
-    );
-    let at_mid = slice.collect_vec().unwrap().len();
+    let at_mid = timeslice(&sorted, mid, true).0.len();
     let direct = spells.iter().filter(|t| t.period.spans(mid)).count();
     assert_eq!(at_mid, direct);
     assert!(at_mid > 0);

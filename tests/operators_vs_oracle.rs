@@ -1,6 +1,7 @@
-//! Cross-crate operator correctness at scale: every §4 stream operator is
-//! checked against the no-GC [`BufferedJoin`] oracle (and direct filters)
-//! on thousands of generated tuples across several workload shapes.
+//! Cross-crate operator correctness at scale: every §4 stream kernel,
+//! run through the dispatch, is checked against the no-GC
+//! [`buffered_join`] reference (and direct filters) on thousands of
+//! generated tuples across several workload shapes.
 
 use tdb::prelude::*;
 
@@ -66,49 +67,49 @@ fn oracle_pairs(
     ys: &[TsTuple],
     pred: impl Fn(&Period, &Period) -> bool,
 ) -> Vec<(Key, Key)> {
-    let mut j = BufferedJoin::new(from_vec(xs.to_vec()), from_vec(ys.to_vec()), |a, b| {
-        pred(&a.period, &b.period)
-    });
-    canon_pairs(j.collect_vec().unwrap())
+    canon_pairs(buffered_join(xs, ys, |a, b| pred(&a.period, &b.period)).0)
+}
+
+fn sorted(xs: &[TsTuple], order: StreamOrder) -> Vec<TsTuple> {
+    let mut v = xs.to_vec();
+    order.sort(&mut v);
+    v
+}
+
+fn join(kind: StreamOpKind, cfg: OpConfig, xs: Vec<TsTuple>, ys: Vec<TsTuple>) -> Vec<(Key, Key)> {
+    canon_pairs(collect(|e| run_join(kind, cfg, xs, ys, e)).unwrap().0)
+}
+
+fn semijoin(kind: StreamOpKind, xs: Vec<TsTuple>, ys: Vec<TsTuple>) -> Vec<Key> {
+    let cfg = OpConfig::new();
+    canon(collect(|e| run_semijoin(kind, cfg, xs, ys, e)).unwrap().0)
 }
 
 #[test]
 fn contain_joins_match_oracle_on_all_workloads() {
     for (label, xs, ys) in workloads() {
         let expected = oracle_pairs(&xs, &ys, |a, b| a.contains(b));
-
-        let mut xs_ts = xs.clone();
-        StreamOrder::TS_ASC.sort(&mut xs_ts);
-        let mut ys_ts = ys.clone();
-        StreamOrder::TS_ASC.sort(&mut ys_ts);
-        let mut j = ContainJoinTsTs::new(
-            from_sorted_vec(xs_ts.clone(), StreamOrder::TS_ASC).unwrap(),
-            from_sorted_vec(ys_ts, StreamOrder::TS_ASC).unwrap(),
-            ReadPolicy::LambdaGuided {
-                lambda_x: 0.5,
-                lambda_y: 0.5,
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            canon_pairs(j.collect_vec().unwrap()),
-            expected,
-            "{label} TsTs"
+        let xs_ts = sorted(&xs, StreamOrder::TS_ASC);
+        let lambda = OpConfig::new().with_policy(ReadPolicy::LambdaGuided {
+            lambda_x: 0.5,
+            lambda_y: 0.5,
+        });
+        let kind = StreamOpKind::ContainJoinTsTs;
+        let got = join(
+            kind,
+            lambda,
+            xs_ts.clone(),
+            sorted(&ys, StreamOrder::TS_ASC),
         );
-
-        let mut ys_te = ys.clone();
-        StreamOrder::TE_ASC.sort(&mut ys_te);
-        let mut j = OpConfig::new()
-            .contain_join_ts_te(
-                from_sorted_vec(xs_ts, StreamOrder::TS_ASC).unwrap(),
-                from_sorted_vec(ys_te, StreamOrder::TE_ASC).unwrap(),
-            )
-            .unwrap();
-        assert_eq!(
-            canon_pairs(j.collect_vec().unwrap()),
-            expected,
-            "{label} TsTe"
+        assert_eq!(got, expected, "{label} TsTs");
+        let kind = StreamOpKind::ContainJoinTsTe;
+        let got = join(
+            kind,
+            OpConfig::new(),
+            xs_ts,
+            sorted(&ys, StreamOrder::TE_ASC),
         );
+        assert_eq!(got, expected, "{label} TsTe");
     }
 }
 
@@ -127,64 +128,26 @@ fn semijoins_match_direct_filters() {
                 .cloned()
                 .collect(),
         );
+        let (xs_ts, ys_ts) = (
+            sorted(&xs, StreamOrder::TS_ASC),
+            sorted(&ys, StreamOrder::TS_ASC),
+        );
 
         // Stab algorithms (Figure 6).
-        let mut xs_ts = xs.clone();
-        StreamOrder::TS_ASC.sort(&mut xs_ts);
-        let mut ys_te = ys.clone();
-        StreamOrder::TE_ASC.sort(&mut ys_te);
-        let mut op = OpConfig::new()
-            .contain_semijoin_stab(
-                from_sorted_vec(xs_ts.clone(), StreamOrder::TS_ASC).unwrap(),
-                from_sorted_vec(ys_te, StreamOrder::TE_ASC).unwrap(),
-            )
-            .unwrap();
-        assert_eq!(
-            canon(op.collect_vec().unwrap()),
-            expect_contain,
-            "{label} stab"
-        );
-
-        let mut xs_te = xs.clone();
-        StreamOrder::TE_ASC.sort(&mut xs_te);
-        let mut ys_ts = ys.clone();
-        StreamOrder::TS_ASC.sort(&mut ys_ts);
-        let mut op = OpConfig::new()
-            .contained_semijoin_stab(
-                from_sorted_vec(xs_te, StreamOrder::TE_ASC).unwrap(),
-                from_sorted_vec(ys_ts.clone(), StreamOrder::TS_ASC).unwrap(),
-            )
-            .unwrap();
-        assert_eq!(
-            canon(op.collect_vec().unwrap()),
-            expect_contained,
-            "{label} contained stab"
-        );
+        let ys_te = sorted(&ys, StreamOrder::TE_ASC);
+        let got = semijoin(StreamOpKind::ContainSemijoinStab, xs_ts.clone(), ys_te);
+        assert_eq!(got, expect_contain, "{label} stab");
+        let xs_te = sorted(&xs, StreamOrder::TE_ASC);
+        let got = semijoin(StreamOpKind::ContainedSemijoinStab, xs_te, ys_ts.clone());
+        assert_eq!(got, expect_contained, "{label} contained stab");
 
         // Sweep algorithms (TS↑/TS↑, Table 1 state (c)).
-        let mut op = SweepSemijoin::contain(
-            from_sorted_vec(xs_ts.clone(), StreamOrder::TS_ASC).unwrap(),
-            from_sorted_vec(ys_ts.clone(), StreamOrder::TS_ASC).unwrap(),
-            ReadPolicy::MinKey,
-        )
-        .unwrap();
-        assert_eq!(
-            canon(op.collect_vec().unwrap()),
-            expect_contain,
-            "{label} sweep"
-        );
-
-        let mut op = SweepSemijoin::contained(
-            from_sorted_vec(xs_ts, StreamOrder::TS_ASC).unwrap(),
-            from_sorted_vec(ys_ts, StreamOrder::TS_ASC).unwrap(),
-            ReadPolicy::MinKey,
-        )
-        .unwrap();
-        assert_eq!(
-            canon(op.collect_vec().unwrap()),
-            expect_contained,
-            "{label} sweep contained"
-        );
+        let got = semijoin(StreamOpKind::SweepSemijoin, xs_ts.clone(), ys_ts.clone());
+        assert_eq!(got, expect_contain, "{label} sweep");
+        let ts = Some(StreamOrder::TS_ASC);
+        let op = SweepSemijoin::contained(ReadPolicy::MinKey);
+        let (got, _) = collect(|e| run_kernel(op, 256, xs_ts, ts, ys_ts, ts, e)).unwrap();
+        assert_eq!(canon(got), expect_contained, "{label} sweep contained");
     }
 }
 
@@ -193,23 +156,15 @@ fn overlap_operators_match_oracle() {
     for (label, xs, ys) in workloads() {
         for mode in [OverlapMode::Strict, OverlapMode::General] {
             let expected = oracle_pairs(&xs, &ys, |a, b| mode.matches(a, b));
-            let mut xs_ts = xs.clone();
-            StreamOrder::TS_ASC.sort(&mut xs_ts);
-            let mut ys_ts = ys.clone();
-            StreamOrder::TS_ASC.sort(&mut ys_ts);
-            let mut j = OpConfig::new()
+            let cfg = OpConfig::new()
                 .with_mode(mode)
-                .with_policy(ReadPolicy::Alternate)
-                .overlap_join(
-                    from_sorted_vec(xs_ts, StreamOrder::TS_ASC).unwrap(),
-                    from_sorted_vec(ys_ts, StreamOrder::TS_ASC).unwrap(),
-                )
-                .unwrap();
-            assert_eq!(
-                canon_pairs(j.collect_vec().unwrap()),
-                expected,
-                "{label} {mode:?}"
+                .with_policy(ReadPolicy::Alternate);
+            let (x, y) = (
+                sorted(&xs, StreamOrder::TS_ASC),
+                sorted(&ys, StreamOrder::TS_ASC),
             );
+            let got = join(StreamOpKind::OverlapJoin, cfg, x, y);
+            assert_eq!(got, expected, "{label} {mode:?}");
         }
     }
 }
@@ -228,14 +183,11 @@ fn self_semijoins_match_quadratic_reference() {
                 .map(|(_, x)| x.clone())
                 .collect(),
         );
-        let mut sorted = xs.clone();
-        StreamOrder::TS_ASC_TE_ASC.sort(&mut sorted);
-        let mut op = ContainedSelfSemijoin::new(
-            from_sorted_vec(sorted, StreamOrder::TS_ASC_TE_ASC).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(canon(op.collect_vec().unwrap()), contained_ref, "{label}");
-        assert!(op.max_workspace() <= 1, "{label}: Table 3 state (a)");
+        let xs = sorted(&xs, StreamOrder::TS_ASC_TE_ASC);
+        let kind = StreamOpKind::ContainedSelfSemijoin;
+        let (got, report) = collect(|e| run_self_semijoin(kind, OpConfig::new(), xs, e)).unwrap();
+        assert_eq!(canon(got), contained_ref, "{label}");
+        assert!(report.max_workspace() <= 1, "{label}: Table 3 state (a)");
     }
 }
 
@@ -243,33 +195,11 @@ fn self_semijoins_match_quadratic_reference() {
 fn before_join_count_matches_pair_arithmetic() {
     let xs = IntervalGen::poisson(3_000, 5.0, 10.0, 20).generate();
     let ys = IntervalGen::poisson(3_000, 5.0, 10.0, 21).generate();
-    let expected: u64 = xs
+    let expected = xs
         .iter()
-        .map(|x| ys.iter().filter(|y| x.period.before(&y.period)).count() as u64)
-        .sum();
-    let op = BeforeJoin::new(from_vec(xs), from_vec(ys)).unwrap();
-    assert_eq!(op.count().unwrap(), expected);
-}
-
-#[test]
-fn event_joins_match_oracle_on_dense_keyspace() {
-    // Dense integer key space so timestamp equalities are common.
-    let xs: Vec<TsTuple> = (0..800)
-        .map(|i| TsTuple::new(format!("x{i}"), i, i % 40, i % 40 + 1 + (i % 7)).unwrap())
-        .collect();
-    let ys: Vec<TsTuple> = (0..800)
-        .map(|i| TsTuple::new(format!("y{i}"), i, i % 37, i % 37 + 1 + (i % 5)).unwrap())
-        .collect();
-    let expected = oracle_pairs(&xs, &ys, |a, b| a.meets(b));
-    let mut xs_te = xs.clone();
-    StreamOrder::TE_ASC.sort(&mut xs_te);
-    let mut ys_ts = ys.clone();
-    StreamOrder::TS_ASC.sort(&mut ys_ts);
-    let mut j = EventMergeJoin::meets(
-        from_sorted_vec(xs_te, StreamOrder::TE_ASC).unwrap(),
-        from_sorted_vec(ys_ts, StreamOrder::TS_ASC).unwrap(),
-    )
-    .unwrap();
-    assert_eq!(canon_pairs(j.collect_vec().unwrap()), expected);
-    assert!(!expected.is_empty());
+        .map(|x| ys.iter().filter(|y| x.period.before(&y.period)).count())
+        .sum::<usize>();
+    let cfg = OpConfig::new();
+    let (_, report) = run_join(StreamOpKind::BeforeJoin, cfg, xs, ys, Emit::Count).unwrap();
+    assert_eq!(report.metrics.emitted, expected);
 }

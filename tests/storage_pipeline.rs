@@ -56,17 +56,9 @@ fn heap_to_sorted_stream_to_join() {
         .iter()
         .map(|x| ys.iter().filter(|y| x.period.contains(&y.period)).count())
         .sum();
-    let mut join = OpConfig::new()
-        .contain_join_ts_te(
-            from_sorted_vec(xs_sorted, StreamOrder::TS_ASC).unwrap(),
-            from_sorted_vec(ys_sorted, StreamOrder::TE_ASC).unwrap(),
-        )
-        .unwrap();
-    let mut n = 0;
-    while join.next().unwrap().is_some() {
-        n += 1;
-    }
-    assert_eq!(n, expected);
+    let kind = StreamOpKind::ContainJoinTsTe;
+    let (pairs, _) = collect(|e| run_join(kind, OpConfig::new(), xs_sorted, ys_sorted, e)).unwrap();
+    assert_eq!(pairs.len(), expected);
 
     let snap = io.snapshot();
     assert!(
@@ -218,11 +210,9 @@ fn bitemporal_rollback_feeds_temporal_operators() {
     let contained_at = |tx: i64| -> usize {
         let mut snapshot = table.as_of(TimePoint(tx));
         StreamOrder::TS_ASC_TE_ASC.sort(&mut snapshot);
-        let mut op = ContainedSelfSemijoin::new(
-            from_sorted_vec(snapshot, StreamOrder::TS_ASC_TE_ASC).unwrap(),
-        )
-        .unwrap();
-        op.collect_vec().unwrap().len()
+        let kind = StreamOpKind::ContainedSelfSemijoin;
+        let (_, report) = run_self_semijoin(kind, OpConfig::new(), snapshot, Emit::Count).unwrap();
+        report.metrics.emitted
     };
     assert_eq!(
         contained_at(150),
@@ -233,40 +223,4 @@ fn bitemporal_rollback_feeds_temporal_operators() {
     assert_eq!(contained_at(350), 0, "after retracting S3, none");
     // The log never shrinks.
     assert_eq!(table.log().len(), 5);
-}
-
-#[test]
-fn interval_index_accelerates_timeslice_over_catalog() {
-    use tdb::storage::IntervalIndex;
-    let dir = tmp("index");
-    let catalog = tdb::faculty_catalog(
-        &dir,
-        &FacultyGen {
-            n_faculty: 300,
-            seed: 77,
-            continuous_employment: true,
-            ..FacultyGen::default()
-        }
-        .generate(),
-    )
-    .unwrap();
-    let rows = catalog.scan("Faculty").unwrap();
-    let meta = catalog.meta("Faculty").unwrap();
-    let index = IntervalIndex::build(
-        rows.iter()
-            .enumerate()
-            .map(|(i, r)| (meta.schema.period_of(r).unwrap(), i as u64)),
-    );
-    // Probe several instants; index result = scan result.
-    for t in [0i64, 50, 200, 500] {
-        let at = TimePoint(t);
-        let via_index: std::collections::BTreeSet<u64> = index.stab(at).into_iter().collect();
-        let via_scan: std::collections::BTreeSet<u64> = rows
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| meta.schema.period_of(r).unwrap().spans(at))
-            .map(|(i, _)| i as u64)
-            .collect();
-        assert_eq!(via_index, via_scan, "at t={t}");
-    }
 }

@@ -5,6 +5,27 @@
 use tdb::algebra::cost::{predict_workspace, WorkspaceKind};
 use tdb::prelude::*;
 
+/// Sort both sides into `kind`'s registry orders and run it (a join or
+/// a semijoin) to the end: output size and report.
+fn run(kind: StreamOpKind, cfg: OpConfig, xs: &[TsTuple], ys: &[TsTuple]) -> (usize, OpReport) {
+    let req = kind.requirement();
+    let (mut x, mut y) = (xs.to_vec(), ys.to_vec());
+    req.left().unwrap().sort(&mut x);
+    req.right().unwrap().sort(&mut y);
+    let join = [
+        StreamOpKind::ContainJoinTsTs,
+        StreamOpKind::ContainJoinTsTe,
+        StreamOpKind::OverlapJoin,
+    ];
+    if join.contains(&kind) {
+        let (out, report) = collect(|e| run_join(kind, cfg, x, y, e)).unwrap();
+        (out.len(), report)
+    } else {
+        let (out, report) = collect(|e| run_semijoin(kind, cfg, x, y, e)).unwrap();
+        (out.len(), report)
+    }
+}
+
 fn stream_pair(
     mean_gap: f64,
     mean_dur: f64,
@@ -28,17 +49,7 @@ fn contain_join_ts_te_workspace_follows_littles_law() {
         Some(&TemporalStats::compute(&ys)),
     );
 
-    let mut xs_ts = xs;
-    StreamOrder::TS_ASC.sort(&mut xs_ts);
-    let mut ys_te = ys;
-    StreamOrder::TE_ASC.sort(&mut ys_te);
-    let mut join = OpConfig::new()
-        .contain_join_ts_te(
-            from_sorted_vec(xs_ts, StreamOrder::TS_ASC).unwrap(),
-            from_sorted_vec(ys_te, StreamOrder::TE_ASC).unwrap(),
-        )
-        .unwrap();
-    let _ = join.collect_vec().unwrap();
+    let (_, join) = run(StreamOpKind::ContainJoinTsTe, OpConfig::new(), &xs, &ys);
     let measured = join.max_workspace() as f64;
 
     // Max of a Poisson-ish occupancy overshoots its mean; allow generous
@@ -58,41 +69,22 @@ fn contain_join_ts_te_workspace_follows_littles_law() {
 #[test]
 fn stab_semijoin_and_general_overlap_semijoin_use_buffers_only() {
     let (xs, ys) = stream_pair(3.0, 25.0, 15_000, (3, 4));
-    let mut xs_ts = xs.clone();
-    StreamOrder::TS_ASC.sort(&mut xs_ts);
-    let mut ys_te = ys.clone();
-    StreamOrder::TE_ASC.sort(&mut ys_te);
-    let mut op = OpConfig::new()
-        .contain_semijoin_stab(
-            from_sorted_vec(xs_ts.clone(), StreamOrder::TS_ASC).unwrap(),
-            from_sorted_vec(ys_te, StreamOrder::TE_ASC).unwrap(),
-        )
-        .unwrap();
-    let _ = op.collect_vec().unwrap();
+    let (n, op) = run(StreamOpKind::ContainSemijoinStab, OpConfig::new(), &xs, &ys);
     // Workspace is exactly the two buffers — nothing else is stored by
-    // construction; verify the type exposes no state and emits sanely.
-    assert!(op.report().metrics.emitted <= 15_000);
+    // construction; verify it reports no state and emits sanely.
+    assert!(n <= 15_000);
+    assert_eq!(op.max_workspace(), 0, "Table 1 state (d): buffers only");
 
-    let mut ys_ts = ys;
-    StreamOrder::TS_ASC.sort(&mut ys_ts);
-    let mut op = OpConfig::new()
-        .overlap_semijoin(
-            from_sorted_vec(xs_ts, StreamOrder::TS_ASC).unwrap(),
-            from_sorted_vec(ys_ts, StreamOrder::TS_ASC).unwrap(),
-        )
-        .unwrap();
-    let _ = op.collect_vec().unwrap();
+    let (_, op) = run(StreamOpKind::OverlapSemijoin, OpConfig::new(), &xs, &ys);
     assert_eq!(op.max_workspace(), 0, "Table 2 state (b): buffers only");
 }
 
 #[test]
 fn contained_self_semijoin_single_state_tuple_at_scale() {
     let xs = tdb::gen::intervals::nested_stream(30_000, 0.5, 5);
-    let mut op =
-        ContainedSelfSemijoin::new(from_sorted_vec(xs, StreamOrder::TS_ASC_TE_ASC).unwrap())
-            .unwrap();
-    let out = op.collect_vec().unwrap();
-    assert!(!out.is_empty());
+    let kind = StreamOpKind::ContainedSelfSemijoin;
+    let (_, op) = run_self_semijoin(kind, OpConfig::new(), xs, Emit::Count).unwrap();
+    assert!(op.metrics.emitted > 0);
     assert!(op.max_workspace() <= 1, "Table 3 state (a)");
 }
 
@@ -101,10 +93,9 @@ fn degenerate_ordering_grows_linear_state() {
     // The "-" rows of Table 1: with no usable ordering, nothing can be
     // garbage-collected.
     let (xs, ys) = stream_pair(3.0, 25.0, 5_000, (6, 7));
-    let mut op = BufferedJoin::new(from_vec(xs), from_vec(ys), |a: &TsTuple, b: &TsTuple| {
+    let (_, op) = buffered_join(&xs, &ys, |a: &TsTuple, b: &TsTuple| {
         a.period.contains(&b.period)
     });
-    let _ = op.collect_vec().unwrap();
     assert_eq!(op.max_workspace(), 10_000, "all tuples retained");
 }
 
@@ -114,18 +105,9 @@ fn workspace_grows_with_duration_not_cardinality() {
     // fixed λ, E[D] leaves workspace flat; doubling E[D] doubles it.
     let run = |n: usize, dur: f64| -> usize {
         let (xs, ys) = stream_pair(4.0, dur, n, (8, 9));
-        let mut xs_ts = xs;
-        StreamOrder::TS_ASC.sort(&mut xs_ts);
-        let mut ys_te = ys;
-        StreamOrder::TE_ASC.sort(&mut ys_te);
-        let mut join = OpConfig::new()
-            .contain_join_ts_te(
-                from_sorted_vec(xs_ts, StreamOrder::TS_ASC).unwrap(),
-                from_sorted_vec(ys_te, StreamOrder::TE_ASC).unwrap(),
-            )
-            .unwrap();
-        let _ = join.collect_vec().unwrap();
-        join.max_workspace()
+        run(StreamOpKind::ContainJoinTsTe, OpConfig::new(), &xs, &ys)
+            .1
+            .max_workspace()
     };
     let small_n = run(5_000, 40.0);
     let big_n = run(20_000, 40.0);
@@ -143,10 +125,6 @@ fn workspace_grows_with_duration_not_cardinality() {
 #[test]
 fn read_policy_changes_workspace_but_not_output() {
     let (xs, ys) = stream_pair(3.0, 30.0, 8_000, (10, 11));
-    let mut xs_ts = xs;
-    StreamOrder::TS_ASC.sort(&mut xs_ts);
-    let mut ys_ts = ys;
-    StreamOrder::TS_ASC.sort(&mut ys_ts);
     let mut results = Vec::new();
     for policy in [
         ReadPolicy::MinKey,
@@ -156,13 +134,8 @@ fn read_policy_changes_workspace_but_not_output() {
             lambda_y: 1.0 / 3.0,
         },
     ] {
-        let mut join = ContainJoinTsTs::new(
-            from_sorted_vec(xs_ts.clone(), StreamOrder::TS_ASC).unwrap(),
-            from_sorted_vec(ys_ts.clone(), StreamOrder::TS_ASC).unwrap(),
-            policy,
-        )
-        .unwrap();
-        let n = join.collect_vec().unwrap().len();
+        let cfg = OpConfig::new().with_policy(policy);
+        let (n, join) = run(StreamOpKind::ContainJoinTsTs, cfg, &xs, &ys);
         results.push((n, join.max_workspace()));
     }
     assert!(
