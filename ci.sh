@@ -53,62 +53,18 @@ cargo clippy --workspace --all-targets -- -D warnings -W clippy::pedantic \
   -A clippy::single_match_else \
   -A clippy::too_many_lines
 
-# The soaks run with the `check` feature: the workspace-cap cross-checks
-# that are debug_assert-tier in normal builds become hard asserts in
-# these optimized runs.
-
-# Bounded paper-table run (E1–E3, E5, E11–E14): every stream kernel of
-# Tables 1–3 and §4.2.4 over its workload, with the workspace-cap
-# cross-checks hard (`check`) and each experiment's own assertions (the
-# ascending and descending Table 3 scans agree, the Before-join count
-# equals the double loop). A port that trips a cap or an assertion fails
-# here. Runs in about ten seconds; hard-capped at 60.
-echo "==> paper tables (E1–E3, E5, E11–E14, bounded)"
+# Bounded paper run (E1–E3, E5, E11–E15), built with the `check` feature:
+# the workspace-cap cross-checks that are debug_assert-tier in normal
+# builds become hard asserts in this optimized run. Every stream kernel of
+# Tables 1–3 and §4.2.4 runs over its workload and the Contain-join runs
+# time-partitioned at K = 1/2/4/8, each with its experiment's own
+# assertions (the ascending and descending Table 3 scans agree, the
+# Before-join count equals the double loop, every K's workspace peak stays
+# under the static cap). A port that trips a cap or an assertion fails
+# here. Hard-capped at 60 seconds.
+echo "==> paper tables (E1–E3, E5, E11–E15, bounded)"
 timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- \
-  table1 table2 table3 fig3 sweep policies before sortcost
-
-# Bounded live-ingestion soak (E16): replay a generated workload through
-# the live engine and assert the runtime workspace stays under the
-# statically proven cap. Runs in a few seconds; hard-capped at 60.
-echo "==> live soak (E16, bounded)"
-timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- live
-
-# Bounded network soak (E17): client-driven workload through the framed
-# TCP server — ingestion requests plus pushed subscription deltas, with
-# exact delivery asserted. Runs in a couple of seconds; hard-capped at 60.
-echo "==> net soak (E17, bounded)"
-timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- net
-
-# Bounded observability soak (E18): tracing overhead vs an
-# instrumentation-off baseline (asserted ≤ 5%), then a live+net workload
-# with the Prometheus endpoint scraped — the run aborts if any observed
-# workspace peak exceeds its proven cap (cap_exceeded must be 0).
-echo "==> observability soak (E18, bounded)"
-timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- obs
-
-# Bounded sink bench (E21): the E15 40k/side Contain-join through the
-# one dispatch entry with three consumers — collected, streamed and
-# counted totals agree, workspace peaks stay under the static cap
-# (cap_exceeded must be 0), and the count-path speedup over
-# materialization is asserted ≥ 1.8×. Hard-capped at 60.
-echo "==> streaming sink bench (E21, bounded)"
-timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- sink
-
-# Bounded durability bench (E20): acknowledged-ingest throughput per WAL
-# fsync policy, then a recovery matrix asserting replayed bytes track the
-# open window and stay flat as the log grows (checkpoints truncate the
-# replayed prefix), and a traced post-recovery query with cap_exceeded
-# asserted 0. Hard-capped at 60.
-echo "==> durability bench (E20, bounded)"
-timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- wal
-
-# Bounded SLO/health soak (E22): stage-span + SLO bookkeeping overhead
-# on the full engine path asserted ≤ 5% (interleaved min-of-k),
-# cap_exceeded asserted 0, and an injected impossible latency objective
-# must flip `/healthz` to 503 via the burn-rate windows — probed over
-# raw HTTP against the serving endpoint. Hard-capped at 60.
-echo "==> slo/health soak (E22, bounded)"
-timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- slo
+  table1 table2 table3 fig3 sweep policies before sortcost parallel
 
 # The repo benchmark's own unit tests: it is a package of its own, so
 # the workspace test run above does not build it. A wire or engine API

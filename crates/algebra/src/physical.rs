@@ -26,17 +26,14 @@ use tdb_stream::{
     ParallelPattern, RowSink, StreamOpKind, DEFAULT_BATCH_ROWS,
 };
 
-/// Executor-level options: what to collect, how the stream temporal
-/// operators execute, and where output rows go. Built fluently:
+/// Executor-level options: how the stream temporal operators execute,
+/// and where output rows go. Built fluently:
 ///
 /// ```ignore
 /// let mut sink = LimitSink::new(20);
 /// plan.execute(&catalog, ExecOptions::new().with_sink(&mut sink))?;
 /// ```
 pub struct ExecOptions<'a> {
-    /// Collect per-operator [`OpObservation`]s (disable for the
-    /// instrumentation-overhead baseline).
-    pub collect_trace: bool,
     /// Rows per columnar batch fed to the stream kernels (≥ 1; a `0` is
     /// floored to 1).
     pub batch_rows: usize,
@@ -51,7 +48,6 @@ pub struct ExecOptions<'a> {
 impl<'a> Default for ExecOptions<'a> {
     fn default() -> ExecOptions<'a> {
         ExecOptions {
-            collect_trace: true,
             batch_rows: DEFAULT_BATCH_ROWS,
             sink: None,
         }
@@ -61,7 +57,6 @@ impl<'a> Default for ExecOptions<'a> {
 impl fmt::Debug for ExecOptions<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ExecOptions")
-            .field("collect_trace", &self.collect_trace)
             .field("batch_rows", &self.batch_rows)
             .field("sink", &self.sink.is_some())
             .finish()
@@ -69,15 +64,9 @@ impl fmt::Debug for ExecOptions<'_> {
 }
 
 impl<'a> ExecOptions<'a> {
-    /// Default options: trace collection on, default batch size, no sink.
+    /// Default options: default batch size, no sink.
     pub fn new() -> ExecOptions<'a> {
         ExecOptions::default()
-    }
-
-    /// Set whether per-operator observations are collected.
-    pub fn with_trace(mut self, collect_trace: bool) -> ExecOptions<'a> {
-        self.collect_trace = collect_trace;
-        self
     }
 
     /// Set the columnar batch size (floored to 1).
@@ -127,8 +116,7 @@ pub struct QueryOutput {
     pub scope: Scope,
     /// Execution statistics.
     pub stats: ExecStats,
-    /// Per-operator observations, in execution (bottom-up) order; empty
-    /// when collection was disabled via [`ExecOptions::with_trace`].
+    /// Per-operator observations, in execution (bottom-up) order.
     pub trace: Vec<OpObservation>,
 }
 
@@ -328,29 +316,16 @@ impl PhysicalPlan {
         let cfg = opts.op_config();
         let mut stats = ExecStats::default();
         let mut trace = Vec::new();
-        let collect_trace = opts.collect_trace;
         let scope = self.scope(catalog)?;
         let rows = match opts.sink {
             Some(sink) => {
-                let pushed = self.run_sink(
-                    catalog,
-                    cfg,
-                    &mut stats,
-                    collect_trace.then_some(&mut trace),
-                    sink,
-                )?;
+                let pushed = self.run_sink(catalog, cfg, &mut stats, &mut trace, sink)?;
                 stats.output_rows = pushed;
                 Vec::new()
             }
             None => {
                 let mut collect = CollectSink::new();
-                let pushed = self.run_sink(
-                    catalog,
-                    cfg,
-                    &mut stats,
-                    collect_trace.then_some(&mut trace),
-                    &mut collect,
-                )?;
+                let pushed = self.run_sink(catalog, cfg, &mut stats, &mut trace, &mut collect)?;
                 stats.output_rows = pushed;
                 collect.into_rows()
             }
@@ -368,7 +343,7 @@ impl PhysicalPlan {
         catalog: &Catalog,
         cfg: OpConfig,
         stats: &mut ExecStats,
-        mut trace: Option<&mut Vec<OpObservation>>,
+        trace: &mut Vec<OpObservation>,
     ) -> TdbResult<(Vec<Row>, Scope)> {
         match self {
             PhysicalPlan::SeqScan { relation, var } => {
@@ -379,7 +354,7 @@ impl PhysicalPlan {
                 Ok((rows, scope))
             }
             PhysicalPlan::Filter { input, atoms } => {
-                let (rows, scope) = input.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (rows, scope) = input.run(catalog, cfg, stats, trace)?;
                 let resolved = resolve_all(atoms, |c| scope.index_of(c))?;
                 stats.comparisons += (rows.len() * atoms.len()) as u64;
                 let rows: Vec<Row> = rows
@@ -394,7 +369,7 @@ impl PhysicalPlan {
                 self.collect(catalog, cfg, stats, trace)
             }
             PhysicalPlan::Project { input, columns } => {
-                let (rows, scope) = input.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (rows, scope) = input.run(catalog, cfg, stats, trace)?;
                 let indices: Vec<usize> = columns
                     .iter()
                     .map(|(c, _)| scope.index_of(c))
@@ -404,8 +379,8 @@ impl PhysicalPlan {
                 Ok((rows, self.scope(catalog)?))
             }
             PhysicalPlan::Product { left, right } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (lrows, lscope) = left.run(catalog, cfg, stats, trace)?;
+                let (rrows, rscope) = right.run(catalog, cfg, stats, trace)?;
                 let mut out = Vec::with_capacity(lrows.len() * rrows.len());
                 for l in &lrows {
                     for r in &rrows {
@@ -416,8 +391,8 @@ impl PhysicalPlan {
                 Ok((out, lscope.concat(&rscope)))
             }
             PhysicalPlan::NestedLoop { left, right, atoms } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (lrows, lscope) = left.run(catalog, cfg, stats, trace)?;
+                let (rrows, rscope) = right.run(catalog, cfg, stats, trace)?;
                 let scope = lscope.concat(&rscope);
                 let resolved = resolve_all(atoms, |c| scope.index_of(c))?;
                 let mut out = Vec::new();
@@ -440,8 +415,8 @@ impl PhysicalPlan {
                 right_key,
                 residual,
             } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (lrows, lscope) = left.run(catalog, cfg, stats, trace)?;
+                let (rrows, rscope) = right.run(catalog, cfg, stats, trace)?;
                 let op_t0 = std::time::Instant::now();
                 let li = lscope.index_of(left_key)?;
                 let ri = rscope.index_of(right_key)?;
@@ -466,15 +441,13 @@ impl PhysicalPlan {
                 stats.comparisons += report.metrics.comparisons as u64;
                 stats.max_workspace = stats.max_workspace.max(report.max_workspace());
                 stats.intermediate_rows += out.len();
-                if let Some(t) = trace {
-                    t.push(OpObservation {
-                        operator: "MergeEquiJoin".into(),
-                        kind: None,
-                        partitions: 1,
-                        report,
-                        elapsed_us: op_t0.elapsed().as_micros() as u64,
-                    });
-                }
+                trace.push(OpObservation {
+                    operator: "MergeEquiJoin".into(),
+                    kind: None,
+                    partitions: 1,
+                    report,
+                    elapsed_us: op_t0.elapsed().as_micros() as u64,
+                });
                 Ok((out, scope))
             }
             // Stream nodes have one implementation, the push path; an
@@ -489,8 +462,8 @@ impl PhysicalPlan {
                 left_key,
                 right_key,
             } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (lrows, lscope) = left.run(catalog, cfg, stats, trace)?;
+                let (rrows, rscope) = right.run(catalog, cfg, stats, trace)?;
                 let li = lscope.index_of(left_key)?;
                 let ri = rscope.index_of(right_key)?;
                 let lrows = sort_rows_by_key(lrows, li, stats);
@@ -507,7 +480,7 @@ impl PhysicalPlan {
                 Ok((out, lscope))
             }
             PhysicalPlan::NestedSemijoin { left, right, atoms } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (lrows, lscope) = left.run(catalog, cfg, stats, trace)?;
                 let (rrows, rscope) = right.run(catalog, cfg, stats, trace)?;
                 let scope = lscope.concat(&rscope);
                 let resolved = resolve_all(atoms, |c| scope.index_of(c))?;
@@ -538,7 +511,7 @@ impl PhysicalPlan {
         catalog: &Catalog,
         cfg: OpConfig,
         stats: &mut ExecStats,
-        trace: Option<&mut Vec<OpObservation>>,
+        trace: &mut Vec<OpObservation>,
     ) -> TdbResult<(Vec<Row>, Scope)> {
         let mut sink = CollectSink::new();
         self.run_sink(catalog, cfg, stats, trace, &mut sink)?;
@@ -574,7 +547,7 @@ impl PhysicalPlan {
         catalog: &Catalog,
         cfg: OpConfig,
         stats: &mut ExecStats,
-        trace: Option<&mut Vec<OpObservation>>,
+        trace: &mut Vec<OpObservation>,
         sink: &mut dyn RowSink,
     ) -> TdbResult<usize> {
         match self {
@@ -625,7 +598,7 @@ impl PhysicalPlan {
         catalog: &Catalog,
         cfg: OpConfig,
         stats: &mut ExecStats,
-        mut trace: Option<&mut Vec<OpObservation>>,
+        trace: &mut Vec<OpObservation>,
         columns: Option<&[usize]>,
         sink: &mut dyn RowSink,
     ) -> TdbResult<usize> {
@@ -658,7 +631,7 @@ impl PhysicalPlan {
                 var,
                 contained,
             } => {
-                let (rows, scope) = input.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (rows, scope) = input.run(catalog, cfg, stats, trace)?;
                 let op_t0 = std::time::Instant::now();
                 let kind = if *contained {
                     StreamOpKind::ContainedSelfSemijoin
@@ -690,8 +663,8 @@ impl PhysicalPlan {
                 right_var,
                 pattern,
             } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace.as_deref_mut())?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace.as_deref_mut())?;
+                let (lrows, lscope) = left.run(catalog, cfg, stats, trace)?;
+                let (rrows, rscope) = right.run(catalog, cfg, stats, trace)?;
                 let op_t0 = std::time::Instant::now();
                 let l = wrap_rows(&lrows, lscope.period_of_var(left_var)?)?;
                 let r = wrap_rows(&rrows, rscope.period_of_var(right_var)?)?;
@@ -786,15 +759,13 @@ impl PhysicalPlan {
         };
         stats.comparisons += comparisons + report.metrics.comparisons as u64;
         stats.max_workspace = stats.max_workspace.max(report.max_workspace());
-        if let Some(t) = trace {
-            t.push(OpObservation {
-                operator: kind.to_string(),
-                kind: Some(kind),
-                partitions,
-                report,
-                elapsed_us: op_t0.elapsed().as_micros() as u64,
-            });
-        }
+        trace.push(OpObservation {
+            operator: kind.to_string(),
+            kind: Some(kind),
+            partitions,
+            report,
+            elapsed_us: op_t0.elapsed().as_micros() as u64,
+        });
         stats.intermediate_rows += pushed;
         Ok(pushed)
     }

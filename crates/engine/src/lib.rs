@@ -202,10 +202,6 @@ struct ObsState {
     stage_timers: StageTimers,
     /// Mints one id per executed query (0 names "no query").
     ids: QueryIdGen,
-    /// Record timed stage spans? `false` is the instrumentation-overhead
-    /// baseline the E22 experiment measures against; execution itself is
-    /// identical either way.
-    spans_enabled: bool,
     /// The monotone clock behind SLO windows and event timestamps.
     started: std::time::Instant,
     /// Queries slower than this count against the latency objective.
@@ -249,7 +245,6 @@ impl ObsState {
             last_started: None,
             stage_timers: StageTimers::register(&registry),
             ids: QueryIdGen::new(),
-            spans_enabled: true,
             started: std::time::Instant::now(),
             latency_target_us: DEFAULT_SLO_LATENCY_US,
             slo_latency: SloEngine::new(slo),
@@ -678,10 +673,6 @@ impl Engine {
                     _ => "no trace recorded yet\n".to_string(),
                 },
             )),
-            ["\\spans", v @ ("on" | "off")] => {
-                self.obs.spans_enabled = *v == "on";
-                Ok(Response::Info(format!("stage spans {v}\n")))
-            }
             ["\\slo"] => Ok(Response::Info(self.slo_info())),
             ["\\slo", "latency", us] => {
                 let us: u64 = us
@@ -783,24 +774,23 @@ impl Engine {
         sink: &mut dyn ReplySink,
     ) -> TdbResult<Response> {
         let query_id = self.obs.ids.next_id();
-        let spans_on = self.obs.spans_enabled;
         let q_start = std::time::Instant::now();
         let mut stages: Vec<StageSpan> = Vec::new();
 
         let t = std::time::Instant::now();
         let (logical, _query) = compile(text, &self.catalog)?;
-        self.mark_stage(&mut stages, spans_on, q_start, Stage::Parse, t);
+        self.mark_stage(&mut stages, q_start, Stage::Parse, t);
 
         let t = std::time::Instant::now();
         let optimized = conventional_optimize(logical.clone());
-        self.mark_stage(&mut stages, spans_on, q_start, Stage::Plan, t);
+        self.mark_stage(&mut stages, q_start, Stage::Plan, t);
 
         // Every plan passes the static verifier before it executes; the
         // planner never emits a rejected plan, so a failure here means the
         // plan tree was corrupted, not that the query is wrong.
         let t = std::time::Instant::now();
         let (physical, analysis) = plan_verified(&optimized, ctx.config, &self.catalog)?;
-        self.mark_stage(&mut stages, spans_on, q_start, Stage::Analyze, t);
+        self.mark_stage(&mut stages, q_start, Stage::Analyze, t);
 
         let columns: Vec<String> = physical
             .scope(&self.catalog)?
@@ -846,38 +836,36 @@ impl Engine {
                 .with_sink(&mut limited),
         )?;
         let elapsed_us = start.elapsed().as_micros() as u64;
-        self.mark_stage(&mut stages, spans_on, q_start, Stage::Execute, start);
-        if spans_on {
-            // Children of the execute span: one per operator occurrence
-            // (self-time from the executor's own clock) and one per reply
-            // chunk a transport sink encoded while the plan ran.
-            let exec_start_us = start.duration_since(q_start).as_micros() as u64;
-            let operators = result
-                .trace
-                .iter()
-                .map(|obs| (Stage::Operator, obs.elapsed_us, obs.operator.clone()));
-            let chunks = limited
-                .inner
-                .render_us()
-                .into_iter()
-                .enumerate()
-                .map(|(i, us)| (Stage::Render, us, format!("chunk {i}")));
-            for (stage, elapsed_us, detail) in operators.chain(chunks) {
-                self.obs.stage_timers.observe(stage, elapsed_us);
-                stages.push(StageSpan {
-                    stage,
-                    start_us: exec_start_us,
-                    elapsed_us,
-                    depth: 1,
-                    detail,
-                });
-            }
+        self.mark_stage(&mut stages, q_start, Stage::Execute, start);
+        // Children of the execute span: one per operator occurrence
+        // (self-time from the executor's own clock) and one per reply
+        // chunk a transport sink encoded while the plan ran.
+        let exec_start_us = start.duration_since(q_start).as_micros() as u64;
+        let operators = result
+            .trace
+            .iter()
+            .map(|obs| (Stage::Operator, obs.elapsed_us, obs.operator.clone()));
+        let chunks = limited
+            .inner
+            .render_us()
+            .into_iter()
+            .enumerate()
+            .map(|(i, us)| (Stage::Render, us, format!("chunk {i}")));
+        for (stage, elapsed_us, detail) in operators.chain(chunks) {
+            self.obs.stage_timers.observe(stage, elapsed_us);
+            stages.push(StageSpan {
+                stage,
+                start_us: exec_start_us,
+                elapsed_us,
+                depth: 1,
+                detail,
+            });
         }
 
         let t = std::time::Instant::now();
         let sink_stats = tdb::stream::RowSink::finish(&mut limited);
         let delivered = limited.delivered;
-        self.mark_stage(&mut stages, spans_on, q_start, Stage::Sink, t);
+        self.mark_stage(&mut stages, q_start, Stage::Sink, t);
 
         let trace = build_trace(
             query_id, text, elapsed_us, &result, &analysis, sink_stats, delivered, stages,
@@ -902,18 +890,14 @@ impl Engine {
     }
 
     /// Close one top-level stage span begun at `begun`: feed the stage
-    /// histogram and, when spans are on, append the span record.
+    /// histogram and append the span record.
     fn mark_stage(
         &self,
         stages: &mut Vec<StageSpan>,
-        on: bool,
         q_start: std::time::Instant,
         stage: Stage,
         begun: std::time::Instant,
     ) {
-        if !on {
-            return;
-        }
         let elapsed_us = begun.elapsed().as_micros() as u64;
         self.obs.stage_timers.observe(stage, elapsed_us);
         stages.push(StageSpan::top(
@@ -921,22 +905,6 @@ impl Engine {
             begun.duration_since(q_start).as_micros() as u64,
             elapsed_us,
         ));
-    }
-
-    /// Toggle stage-span recording (the `tracing off` baseline E22
-    /// measures instrumentation overhead against).
-    pub fn set_spans_enabled(&mut self, on: bool) {
-        self.obs.spans_enabled = on;
-    }
-
-    /// Feed one stage sample observed outside `run_query` — serving
-    /// layers time `render` (reply encode) and `net_write` (socket flush)
-    /// and report them here so the per-stage histograms cover the whole
-    /// client-visible path.
-    pub fn observe_stage(&self, stage: Stage, elapsed_us: u64) {
-        if self.obs.spans_enabled {
-            self.obs.stage_timers.observe(stage, elapsed_us);
-        }
     }
 
     /// The `/healthz` verdict: the worse of the latency and error
@@ -1537,7 +1505,6 @@ pub const HELP: &str = r#"commands:
   \checkpoint                                 compact every relation's write-ahead log to its open window
   \trace on|off                               attach per-operator traces (observed vs predicted workspace)
   \trace export                               last query's stage spans as JSON
-  \spans on|off                               record per-stage timed spans (on by default)
   \slo                                        SLO status: burn rates, windows, health verdict
   \slo latency <us>                           latency objective in microseconds
   \slo target <ratio>                         required good ratio, e.g. 0.99 (resets windows)
@@ -1839,15 +1806,6 @@ mod tests {
             "{:?}",
             s.stages
         );
-
-        // `\spans off` is the zero-instrumentation baseline: no span
-        // records, but queries still execute and ids still mint.
-        e.execute(&mut ctx, "\\spans off");
-        let Response::Query(q2) = e.execute(&mut ctx, contain) else {
-            panic!("expected query");
-        };
-        assert!(q2.query_id > q.query_id);
-        assert!(q2.trace.expect("trace still attached").stages.is_empty());
     }
 
     #[test]
@@ -2052,6 +2010,15 @@ mod tests {
         assert_eq!(rel.watermark(), Some(TimePoint(30)));
         let resp = e.ingest_text("S", "50 60 c\n");
         assert!(matches!(resp, Response::Ingest(_)), "{resp:?}");
+        // A self-join over the recovered catalog stays under its proven
+        // workspace caps.
+        let resp = e.execute(
+            &mut ctx,
+            "range of a is S range of b is S retrieve (P=a.Id, Q=b.Id) \
+             where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo;",
+        );
+        assert!(matches!(resp, Response::Query(_)), "{resp:?}");
+        assert_eq!(e.stats_report().cap_exceeded, 0);
 
         let (mut plain, mut ctx2) = engine("notdurable");
         let Response::Stats(s) = plain.execute(&mut ctx2, "\\stats") else {

@@ -12,7 +12,7 @@
 //! router can shed load from a sick backend.
 //!
 //! Time is injected (epoch-style seconds via `record_at`/`evaluate_at`),
-//! so tests and the E22 stall injection drive the clock deterministically;
+//! so tests drive the clock deterministically;
 //! the engine feeds it seconds elapsed since process start.
 
 use crate::metrics::{Gauge, Registry};

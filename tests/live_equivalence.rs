@@ -14,11 +14,14 @@
 //! partitions; subscribing before any data and after rows were promoted;
 //! both relations live, or a live `X` against a static `Y`. A steady
 //! stream checks that the held state stays bounded, and epochs the live
-//! verifier rejects after promotion must lose no rows.
+//! verifier rejects after promotion must lose no rows. A Contain-join
+//! over two Poisson streams keeps its runtime workspace peak under both
+//! its live cap and the cap the final catalog statistics prove.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use tdb::algebra::cost::workspace_cap;
 use tdb::live::{LiveConfig, LiveEngine, SubscriptionMode};
 use tdb::prelude::*;
 use tdb::storage::Codec;
@@ -587,5 +590,78 @@ fn rejected_epochs(static_y: bool) {
         assert_eq!(emitted[s], expect, "{label}: rows lost to a rejected epoch");
         assert_eq!(engine.subscriptions()[s].mode(), mode, "{label}");
     }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The paper's workspace bound, live: a Contain-join subscription over
+/// two Poisson streams (an arrival every 3 ticks; durations 30 and 8)
+/// never holds more state than its per-epoch live cap, nor than the cap
+/// a static load of the final data proves, and emits exactly the batch
+/// join.
+#[test]
+fn live_workspace_peak_stays_under_the_static_cap() {
+    const N: usize = 2_000;
+    const CHUNK: usize = 128;
+    let poisson = |duration: f64, seed: u64| -> Vec<Row> {
+        IntervalGen::poisson(N, 3.0, duration, seed)
+            .generate()
+            .iter()
+            .map(|t| {
+                Row::new(vec![
+                    t.surrogate.clone(),
+                    t.value.clone(),
+                    Value::Time(t.ts()),
+                    Value::Time(t.te()),
+                ])
+            })
+            .collect()
+    };
+    let (xs, ys) = (poisson(30.0, 1601), poisson(8.0, 1602));
+    let root = std::env::temp_dir().join(format!("tdb-live-cap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut catalog = Catalog::open(root.join("cat"), IoStats::new()).unwrap();
+    let mut engine = LiveEngine::new(root.join("live"), LiveConfig::default());
+    for name in ["X", "Y"] {
+        engine
+            .register(&mut catalog, name, interval_schema(), StreamOrder::TS_ASC)
+            .unwrap();
+    }
+    let logical =
+        LogicalPlan::scan("X", "x", &ATTRS).join(LogicalPlan::scan("Y", "y", &ATTRS), contains());
+    engine
+        .subscribe(&catalog, "contain-join", logical.clone())
+        .unwrap();
+    for start in (0..N).step_by(CHUNK) {
+        for (name, rows) in [("X", &xs), ("Y", &ys)] {
+            let chunk = rows[start..(start + CHUNK).min(N)].to_vec();
+            engine.ingest(&mut catalog, name, chunk).unwrap();
+        }
+    }
+    for name in ["X", "Y"] {
+        engine.seal(&mut catalog, name).unwrap();
+    }
+
+    let sub = &engine.subscriptions()[0];
+    let (peak, live_cap) = sub.workspace_watermark();
+    let stats = |name| catalog.meta(name).unwrap().stats.clone();
+    let static_cap = workspace_cap(
+        StreamOpKind::ContainJoinTsTe,
+        &stats("X"),
+        Some(&stats("Y")),
+    );
+    assert!(peak > 0, "the subscription held no state");
+    assert!(peak <= live_cap, "peak {peak} over the live cap {live_cap}");
+    assert!(
+        peak <= static_cap,
+        "peak {peak} over the static cap {static_cap}"
+    );
+    let expect = batch(
+        &root.join("batch"),
+        PlannerConfig::stream(),
+        &logical,
+        &xs,
+        &ys,
+    );
+    assert_eq!(sub.emitted_count(), expect.values().sum::<usize>());
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -17,8 +17,10 @@
 //!    subscription cancelled, while ingestion continues unimpeded.
 //! 4. **Observability** — a `Stats` frame returns the engine's typed
 //!    [`StatsReport`] with the serving layer's network counters merged
-//!    in, and `\trace on` attaches a per-operator [`QueryTrace`] (with
-//!    analyzer-predicted workspace caps) to query replies.
+//!    in, `\trace on` attaches a per-operator [`QueryTrace`] (with
+//!    analyzer-predicted workspace caps) to query replies, and the served
+//!    `/healthz` and `/metrics` endpoints report the burn-rate verdict
+//!    and the cap counters.
 //! 5. **Connection cleanup** — an orderly client disconnect cancels its
 //!    subscriptions and reaps the connection's threads.
 //! 6. **Streamed replies** — a large result leaves as header, chunks and
@@ -726,12 +728,34 @@ fn shutdown_notifies_connected_clients() {
 // 4. Observability over the wire
 // ---------------------------------------------------------------------------
 
+/// One plain HTTP/1.1 `GET`, read to the server's close.
+fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
+    use std::io::{Read as _, Write as _};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
+    let mut out = String::new();
+    stream.read_to_string(&mut out).unwrap();
+    out
+}
+
 #[test]
 fn stats_frame_merges_engine_and_network_counters() {
     let root = std::env::temp_dir().join(format!("tdb-net-stats-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let server = serve(root.join("srv"), "127.0.0.1:0", NetConfig::default()).unwrap();
     let addr = server.addr();
+    let source = server.metrics_source();
+    let health = source.clone();
+    let metrics = tdb_obs::serve_metrics_with_health(
+        "127.0.0.1:0",
+        move || source.render(),
+        move || health.health(),
+    )
+    .expect("metrics listener");
 
     let mut client = Client::connect(addr).expect("connect");
     let reply = client
@@ -815,6 +839,32 @@ fn stats_frame_merges_engine_and_network_counters() {
     assert!(net.bytes_in > 0 && net.bytes_out > 0, "{net:?}");
     assert!(net.frames_out >= 2, "{net:?}");
 
+    // The served health surface: `/healthz` answers 200 while the
+    // objectives hold and 503 once one burns in both windows (one bad
+    // query of two burns the 1 % budget 50× over), and `/metrics`
+    // exports the cap counters, the burn rates and the stage histograms.
+    let healthy = http_get(metrics.addr(), "/healthz");
+    assert!(healthy.starts_with("HTTP/1.1 200"), "{healthy}");
+    let reply = client.request("\\slo latency 1").expect("slo");
+    assert!(matches!(reply, Response::Info(_)), "{reply:?}");
+    let reply = client
+        .request("range of a is X retrieve (P=a.Id)")
+        .expect("query");
+    assert!(matches!(reply, Response::Query(_)), "{reply:?}");
+    let sick = http_get(metrics.addr(), "/healthz");
+    assert!(sick.starts_with("HTTP/1.1 503"), "{sick}");
+    assert!(sick.contains("critical"), "{sick}");
+    let page = http_get(metrics.addr(), "/metrics");
+    for line in [
+        "tdb_cap_exceeded_total 0",
+        "tdb_live_cap_violations 0",
+        "tdb_slo_burn_rate_fast",
+        "tdb_stage_duration_us_count{stage=\"execute\"}",
+    ] {
+        assert!(page.contains(line), "`{line}` missing from\n{page}");
+    }
+
+    metrics.shutdown();
     client.close();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);

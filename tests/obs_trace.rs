@@ -7,7 +7,7 @@
 //!   contain-join, serial and time-partitioned. Every traced operator
 //!   span must observe a workspace peak at or below the analyzer's
 //!   proven cap, next to the paper's λ·E\[D\] expectation.
-//! * **E16-style** — live ingestion with a standing contain-join
+//! * **Live** — live ingestion with a standing contain-join
 //!   subscription. The subscription's workspace watermark must stay
 //!   under its plan-time cap, so the engine-wide `cap_exceeded`
 //!   counter stays zero.

@@ -9,9 +9,11 @@
 //! the watermark frontier, the catalog-promoted closed runs, and the
 //! staged open suffix — never more, never a panic. Covered for staging
 //! budgets K ∈ {1, 4}, so both the spill and in-memory stage paths
-//! replay.
+//! replay. A deterministic matrix checks that replay cost tracks the open
+//! window, not the log length.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tdb::live::{LiveConfig, LiveEngine, ReplaySummary};
@@ -330,5 +332,55 @@ proptest! {
         let drained = drain(&mut rcat, &mut reng);
         prop_assert_eq!(keys_sorted(&drained), keys_sorted(&rows[..recovered]));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Every promotion's checkpoint truncates the replayed prefix, so a
+/// reopen replays only the open window. Unit-gap arrivals under slack `w`
+/// leave exactly `w + 1` rows open, which makes the window a controlled
+/// variable: a 4× longer log must barely move the replayed bytes, a 4×
+/// wider window must move them.
+#[test]
+fn replay_cost_tracks_the_open_window_not_the_log_length() {
+    let mut replayed = BTreeMap::new();
+    for window in [16usize, 64] {
+        for length in [400usize, 1_600] {
+            let dir = scratch();
+            {
+                let (mut cat, mut eng, _) = open(&dir, 4096, window as i64);
+                eng.register(
+                    &mut cat,
+                    "S",
+                    TemporalSchema::time_sequence("Name", "Rank"),
+                    StreamOrder::TS_ASC,
+                )
+                .unwrap();
+                for batch in rows_from(&vec![(1, 5); length]).chunks(64) {
+                    eng.ingest(&mut cat, "S", batch.to_vec()).unwrap();
+                }
+            }
+            let (cat, eng, summary) = open(&dir, 4096, window as i64);
+            let got = observe(&cat, &eng);
+            let cell = format!("window {window}, log {length}");
+            assert_eq!(got.staged, window + 1, "{cell}");
+            assert_eq!(got.admitted as usize, length, "{cell}");
+            assert_eq!(got.catalog_rows, length - window - 1, "{cell}");
+            replayed.insert((window, length), summary.bytes);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    for window in [16, 64] {
+        let (short, long) = (replayed[&(window, 400)], replayed[&(window, 1_600)]);
+        assert!(
+            long <= short + short / 4,
+            "window {window}: replayed bytes grew with the log ({short} → {long})"
+        );
+    }
+    for length in [400, 1_600] {
+        let (narrow, wide) = (replayed[&(16, length)], replayed[&(64, length)]);
+        assert!(
+            wide >= 2 * narrow,
+            "log {length}: a 4× wider window replayed {narrow} → {wide} bytes"
+        );
     }
 }
