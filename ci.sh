@@ -53,18 +53,20 @@ cargo clippy --workspace --all-targets -- -D warnings -W clippy::pedantic \
   -A clippy::single_match_else \
   -A clippy::too_many_lines
 
-# Bounded paper run (E1–E3, E5, E11–E15), built with the `check` feature:
-# the workspace-cap cross-checks that are debug_assert-tier in normal
-# builds become hard asserts in this optimized run. Every stream kernel of
-# Tables 1–3 and §4.2.4 runs over its workload and the Contain-join runs
-# time-partitioned at K = 1/2/4/8, each with its experiment's own
-# assertions (the ascending and descending Table 3 scans agree, the
-# Before-join count equals the double loop, every K's workspace peak stays
-# under the static cap). A port that trips a cap or an assertion fails
-# here. Hard-capped at 60 seconds.
-echo "==> paper tables (E1–E3, E5, E11–E15, bounded)"
+# Bounded paper run (E1–E3, E5, E6, E10–E15), built with the `check`
+# feature: the workspace-cap cross-checks that are debug_assert-tier in
+# normal builds become hard asserts in this optimized run. Every stream
+# kernel of Tables 1–3 and §4.2.4 runs over its workload, the Contain-join
+# runs time-partitioned at K = 1/2/4/8, and the Superstar query runs as the
+# §3 nested-loop and merge plans beside the stream plan, each with its
+# experiment's own assertions (the ascending and descending Table 3 scans
+# agree, the Before-join count equals the double loop, every K's workspace
+# peak stays under the static cap, every Superstar formulation gives the
+# same answer). A port that trips a cap or an assertion fails here.
+# Hard-capped at 60 seconds.
+echo "==> paper tables (E1–E3, E5, E6, E10–E15, bounded)"
 timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- \
-  table1 table2 table3 fig3 sweep policies before sortcost parallel
+  table1 table2 table3 fig3 superstar sweep policies before sortcost aggregate parallel
 
 # The repo benchmark's own unit tests: it is a package of its own, so
 # the workspace test run above does not build it. A wire or engine API

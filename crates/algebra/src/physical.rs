@@ -3,8 +3,10 @@
 //! A [`PhysicalPlan`] binds each logical operator to an implementation:
 //! sequential scans over the catalog's heap files, filters, projections,
 //! merge equi-joins, the §4 stream temporal operators, and nested-loop
-//! fallbacks. Operators exchange materialized row vectors (simple,
-//! measurable); the stream operators of `tdb-stream` run inside the join
+//! fallbacks. One recursive walker runs every node: each pushes its
+//! output chunk by chunk into a [`RowSink`] and stops as soon as the sink
+//! says so, and a node that needs an input whole runs that child into a
+//! collector. The stream operators of `tdb-stream` run inside the join
 //! nodes over `Copy` reference items (period + row ordinal), so output
 //! rows are built once, late, from the scanned rows, and the operators
 //! report their workspace high-water marks into [`ExecStats`].
@@ -22,8 +24,8 @@ use tdb_core::{Period, Row, StreamOrder, TdbError, TdbResult, Temporal};
 use tdb_storage::Catalog;
 use tdb_stream::{
     merge_equi_join, parallel_join, parallel_semijoin, run_join, run_kernel, run_self_semijoin,
-    run_semijoin, BeforeSemijoin, CollectSink, Emit, OpConfig, OpReport, OverlapMode, PairBatch,
-    ParallelPattern, RowSink, StreamOpKind, DEFAULT_BATCH_ROWS,
+    run_semijoin, BeforeSemijoin, Emit, OpConfig, OpReport, OverlapMode, PairBatch,
+    ParallelPattern, RowSink, SinkStats, StreamOpKind, DEFAULT_BATCH_ROWS,
 };
 
 /// Executor-level options: how the stream temporal operators execute,
@@ -40,8 +42,8 @@ pub struct ExecOptions<'a> {
     /// Push-mode output sink. When set, result rows are pushed into it as
     /// operators drain — chunk by chunk, honoring its early-termination
     /// signal — and [`QueryOutput::rows`] comes back empty. When `None`,
-    /// the executor collects into an internal [`CollectSink`] and returns
-    /// the rows, preserving the classic materializing behaviour.
+    /// the executor collects into an internal collector and returns the
+    /// rows.
     pub sink: Option<&'a mut dyn RowSink>,
 }
 
@@ -307,106 +309,104 @@ impl PhysicalPlan {
     /// Execute the plan against `catalog` under `opts` — the single
     /// execution entry point.
     ///
-    /// Output rows flow through a push [`RowSink`]: the one in `opts`, or
-    /// an internal [`CollectSink`] whose contents come back in
+    /// Every node pushes its output chunk by chunk into a [`RowSink`]: the
+    /// one in `opts`, or an internal collector whose contents come back in
     /// [`QueryOutput::rows`] when none is given. Either way
     /// [`ExecStats::output_rows`] counts the rows offered to the sink
-    /// (which a limiting sink may have declined to retain).
+    /// (which a limiting sink may have declined to retain), and a sink
+    /// that says stop ends the scan, join or merge mid-stream.
     pub fn execute(&self, catalog: &Catalog, opts: ExecOptions<'_>) -> TdbResult<QueryOutput> {
-        let cfg = opts.op_config();
-        let mut stats = ExecStats::default();
-        let mut trace = Vec::new();
         let scope = self.scope(catalog)?;
-        let rows = match opts.sink {
-            Some(sink) => {
-                let pushed = self.run_sink(catalog, cfg, &mut stats, &mut trace, sink)?;
-                stats.output_rows = pushed;
-                Vec::new()
-            }
-            None => {
-                let mut collect = CollectSink::new();
-                let pushed = self.run_sink(catalog, cfg, &mut stats, &mut trace, &mut collect)?;
-                stats.output_rows = pushed;
-                collect.into_rows()
-            }
+        let mut ex = Exec {
+            catalog,
+            cfg: opts.op_config(),
+            stats: ExecStats::default(),
+            trace: Vec::new(),
         };
+        let mut rows = Collect::default();
+        let sink: &mut dyn RowSink = match opts.sink {
+            Some(sink) => sink,
+            None => &mut rows,
+        };
+        ex.stats.output_rows = self.run_into(&mut ex, sink)?;
         Ok(QueryOutput {
-            rows,
+            rows: rows.0,
             scope,
-            stats,
-            trace,
+            stats: ex.stats,
+            trace: ex.trace,
         })
     }
 
-    fn run(
-        &self,
-        catalog: &Catalog,
-        cfg: OpConfig,
-        stats: &mut ExecStats,
-        trace: &mut Vec<OpObservation>,
-    ) -> TdbResult<(Vec<Row>, Scope)> {
-        match self {
-            PhysicalPlan::SeqScan { relation, var } => {
-                let rows = catalog.scan(relation)?;
-                stats.rows_scanned += rows.len();
-                let scope = self.scope(catalog)?;
-                let _ = var;
-                Ok((rows, scope))
+    /// Run this node into `sink` until it is done or the sink says stop;
+    /// returns the rows it offered, which every node but a scan also adds
+    /// to [`ExecStats::intermediate_rows`].
+    ///
+    /// A node that needs an input whole — the binary nodes, and the
+    /// stream kernels, which index rows by ordinal — runs that child into
+    /// a collector ([`PhysicalPlan::input_rows`]); `Filter` and an unfused
+    /// `Project` map each chunk their child offers on its way up. Every
+    /// node hands its output on through [`offer`]; `Product`, `NestedLoop`
+    /// and `NestedSemijoin` do so every `batch_rows` output rows
+    /// ([`offer_chunks`]).
+    fn run_into(&self, ex: &mut Exec<'_>, sink: &mut dyn RowSink) -> TdbResult<usize> {
+        let offered = match self {
+            PhysicalPlan::SeqScan { relation, .. } => {
+                let mut rows = ex.catalog.scan(relation)?;
+                let n = rows.len();
+                ex.stats.rows_scanned += n;
+                offer(sink, &mut rows)?;
+                return Ok(n);
             }
             PhysicalPlan::Filter { input, atoms } => {
-                let (rows, scope) = input.run(catalog, cfg, stats, trace)?;
+                let scope = input.scope(ex.catalog)?;
                 let resolved = resolve_all(atoms, |c| scope.index_of(c))?;
-                stats.comparisons += (rows.len() * atoms.len()) as u64;
-                let rows: Vec<Row> = rows
-                    .into_iter()
-                    .filter(|r| eval_conjunction(&resolved, r))
-                    .collect();
-                stats.intermediate_rows += rows.len();
-                Ok((rows, scope))
-            }
-            // Fused into the stream node's emission on the push path.
-            PhysicalPlan::Project { input, .. } if input.is_stream_node() => {
-                self.collect(catalog, cfg, stats, trace)
+                let mut filter = MapSink {
+                    sink,
+                    map: |rows: &mut Vec<Row>| rows.retain(|r| eval_conjunction(&resolved, r)),
+                    offered: 0,
+                };
+                let seen = input.run_into(ex, &mut filter)?;
+                ex.stats.comparisons += (seen * atoms.len()) as u64;
+                filter.offered
             }
             PhysicalPlan::Project { input, columns } => {
-                let (rows, scope) = input.run(catalog, cfg, stats, trace)?;
+                let scope = input.scope(ex.catalog)?;
                 let indices: Vec<usize> = columns
                     .iter()
                     .map(|(c, _)| scope.index_of(c))
                     .collect::<TdbResult<_>>()?;
-                let rows: Vec<Row> = rows.iter().map(|r| r.project(&indices)).collect();
-                stats.intermediate_rows += rows.len();
-                Ok((rows, self.scope(catalog)?))
+                // Fused into the stream node's emission.
+                if input.is_stream_node() {
+                    input.run_stream(ex, Some(&indices), sink)?
+                } else {
+                    let mut project = MapSink {
+                        sink,
+                        map: |rows: &mut Vec<Row>| {
+                            *rows = rows.iter().map(|r| r.project(&indices)).collect();
+                        },
+                        offered: 0,
+                    };
+                    input.run_into(ex, &mut project)?;
+                    project.offered
+                }
             }
             PhysicalPlan::Product { left, right } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace)?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace)?;
-                let mut out = Vec::with_capacity(lrows.len() * rrows.len());
-                for l in &lrows {
-                    for r in &rrows {
-                        out.push(l.concat(r));
-                    }
-                }
-                stats.intermediate_rows += out.len();
-                Ok((out, lscope.concat(&rscope)))
+                let (lrows, rrows) = (left.input_rows(ex)?, right.input_rows(ex)?);
+                let pairs = lrows.iter().flat_map(|l| rrows.iter().map(|r| l.concat(r)));
+                offer_chunks(sink, pairs, ex.cfg.batch_rows)?
             }
             PhysicalPlan::NestedLoop { left, right, atoms } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace)?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace)?;
-                let scope = lscope.concat(&rscope);
+                let (lrows, rrows) = (left.input_rows(ex)?, right.input_rows(ex)?);
+                let scope = self.scope(ex.catalog)?;
                 let resolved = resolve_all(atoms, |c| scope.index_of(c))?;
-                let mut out = Vec::new();
-                for l in &lrows {
-                    for r in &rrows {
-                        stats.comparisons += atoms.len().max(1) as u64;
-                        let joined = l.concat(r);
-                        if eval_conjunction(&resolved, &joined) {
-                            out.push(joined);
-                        }
-                    }
-                }
-                stats.intermediate_rows += out.len();
-                Ok((out, scope))
+                let matches = lrows
+                    .iter()
+                    .flat_map(|l| rrows.iter().map(|r| l.concat(r)))
+                    .filter(|joined| {
+                        ex.stats.comparisons += atoms.len().max(1) as u64;
+                        eval_conjunction(&resolved, joined)
+                    });
+                offer_chunks(sink, matches, ex.cfg.batch_rows)?
             }
             PhysicalPlan::MergeEqui {
                 left,
@@ -415,107 +415,90 @@ impl PhysicalPlan {
                 right_key,
                 residual,
             } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace)?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace)?;
+                let (lrows, rrows) = (left.input_rows(ex)?, right.input_rows(ex)?);
+                let li = left.scope(ex.catalog)?.index_of(left_key)?;
+                let ri = right.scope(ex.catalog)?.index_of(right_key)?;
+                let scope = self.scope(ex.catalog)?;
+                let resolved = resolve_all(residual, |c| scope.index_of(c))?;
                 let op_t0 = std::time::Instant::now();
-                let li = lscope.index_of(left_key)?;
-                let ri = rscope.index_of(right_key)?;
-                let lrows = sort_rows_by_key(lrows, li, stats);
-                let rrows = sort_rows_by_key(rrows, ri, stats);
+                let lrows = sort_rows_by_key(lrows, li, &mut ex.stats);
+                let rrows = sort_rows_by_key(rrows, ri, &mut ex.stats);
                 let (pairs, report) = merge_equi_join(
                     &lrows,
                     &rrows,
                     |r: &Row| r.get(li).clone(),
                     |r: &Row| r.get(ri).clone(),
                 )?;
-                let scope = lscope.concat(&rscope);
-                let resolved = resolve_all(residual, |c| scope.index_of(c))?;
-                let mut out = Vec::new();
-                for (l, r) in pairs {
-                    stats.comparisons += residual.len() as u64;
-                    let joined = l.concat(&r);
-                    if eval_conjunction(&resolved, &joined) {
-                        out.push(joined);
-                    }
-                }
-                stats.comparisons += report.metrics.comparisons as u64;
-                stats.max_workspace = stats.max_workspace.max(report.max_workspace());
-                stats.intermediate_rows += out.len();
-                trace.push(OpObservation {
+                let mut out: Vec<Row> = pairs
+                    .into_iter()
+                    .map(|(l, r)| l.concat(&r))
+                    .filter(|joined| {
+                        ex.stats.comparisons += residual.len() as u64;
+                        eval_conjunction(&resolved, joined)
+                    })
+                    .collect();
+                ex.stats.comparisons += report.metrics.comparisons as u64;
+                ex.stats.max_workspace = ex.stats.max_workspace.max(report.max_workspace());
+                ex.trace.push(OpObservation {
                     operator: "MergeEquiJoin".into(),
                     kind: None,
                     partitions: 1,
                     report,
                     elapsed_us: op_t0.elapsed().as_micros() as u64,
                 });
-                Ok((out, scope))
+                let n = out.len();
+                offer(sink, &mut out)?;
+                n
             }
-            // Stream nodes have one implementation, the push path; an
-            // occurrence below the root collects what it pushes.
+            // Counts its own output into `intermediate_rows`.
             PhysicalPlan::StreamTemporal { .. }
             | PhysicalPlan::StreamSemijoin { .. }
             | PhysicalPlan::SelfSemijoin { .. }
-            | PhysicalPlan::Parallel { .. } => self.collect(catalog, cfg, stats, trace),
+            | PhysicalPlan::Parallel { .. } => return self.run_stream(ex, None, sink),
             PhysicalPlan::MergeSemijoin {
                 left,
                 right,
                 left_key,
                 right_key,
             } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace)?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace)?;
-                let li = lscope.index_of(left_key)?;
-                let ri = rscope.index_of(right_key)?;
-                let lrows = sort_rows_by_key(lrows, li, stats);
+                let (lrows, rrows) = (left.input_rows(ex)?, right.input_rows(ex)?);
+                let li = left.scope(ex.catalog)?.index_of(left_key)?;
+                let ri = right.scope(ex.catalog)?.index_of(right_key)?;
+                let mut lrows = sort_rows_by_key(lrows, li, &mut ex.stats);
                 let mut rkeys: Vec<tdb_core::Value> =
                     rrows.iter().map(|r| r.get(ri).clone()).collect();
                 rkeys.sort();
                 rkeys.dedup();
-                stats.comparisons += (lrows.len() as u64) * u64::from(rkeys.len().max(2).ilog2());
-                let out: Vec<Row> = lrows
-                    .into_iter()
-                    .filter(|l| rkeys.binary_search(l.get(li)).is_ok())
-                    .collect();
-                stats.intermediate_rows += out.len();
-                Ok((out, lscope))
+                ex.stats.comparisons +=
+                    (lrows.len() as u64) * u64::from(rkeys.len().max(2).ilog2());
+                lrows.retain(|l| rkeys.binary_search(l.get(li)).is_ok());
+                let n = lrows.len();
+                offer(sink, &mut lrows)?;
+                n
             }
             PhysicalPlan::NestedSemijoin { left, right, atoms } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace)?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace)?;
-                let scope = lscope.concat(&rscope);
+                let (lrows, rrows) = (left.input_rows(ex)?, right.input_rows(ex)?);
+                let scope = left.scope(ex.catalog)?.concat(&right.scope(ex.catalog)?);
                 let resolved = resolve_all(atoms, |c| scope.index_of(c))?;
-                let mut out = Vec::new();
-                for l in &lrows {
-                    let mut matched = false;
-                    for r in &rrows {
-                        stats.comparisons += atoms.len().max(1) as u64;
-                        if eval_conjunction(&resolved, &l.concat(r)) {
-                            matched = true;
-                            break;
-                        }
-                    }
-                    if matched {
-                        out.push(l.clone());
-                    }
-                }
-                stats.intermediate_rows += out.len();
-                Ok((out, lscope))
+                let kept = lrows.into_iter().filter(|l| {
+                    rrows.iter().any(|r| {
+                        ex.stats.comparisons += atoms.len().max(1) as u64;
+                        eval_conjunction(&resolved, &l.concat(r))
+                    })
+                });
+                offer_chunks(sink, kept, ex.cfg.batch_rows)?
             }
-        }
+        };
+        ex.stats.intermediate_rows += offered;
+        Ok(offered)
     }
 
-    /// [`PhysicalPlan::run`] for the nodes whose only implementation is
-    /// the push path: run them into a [`CollectSink`].
-    fn collect(
-        &self,
-        catalog: &Catalog,
-        cfg: OpConfig,
-        stats: &mut ExecStats,
-        trace: &mut Vec<OpObservation>,
-    ) -> TdbResult<(Vec<Row>, Scope)> {
-        let mut sink = CollectSink::new();
-        self.run_sink(catalog, cfg, stats, trace, &mut sink)?;
-        Ok((sink.into_rows(), self.scope(catalog)?))
+    /// Run this node into a collector: the input of a node that needs it
+    /// whole.
+    fn input_rows(&self, ex: &mut Exec<'_>) -> TdbResult<Vec<Row>> {
+        let mut rows = Collect::default();
+        self.run_into(ex, &mut rows)?;
+        Ok(rows.0)
     }
 
     /// A stream temporal join, semijoin or self semijoin, bare or under
@@ -530,60 +513,6 @@ impl PhysicalPlan {
         }
     }
 
-    /// Push-mode execution: run the plan, streaming output rows into
-    /// `sink` as the root operator drains instead of materializing them.
-    ///
-    /// Stream temporal joins/semijoins (serial and time-partitioned) emit
-    /// chunk by chunk, honoring the sink's early-termination signal; a
-    /// `Project` directly above one is fused into its emission, so a join
-    /// offers its matches already projected ([`RowSink::push_pairs`]),
-    /// and a row, if any, is built once; a sink that declines
-    /// rows ([`RowSink::wants_rows`] `false`) with no residual predicate
-    /// routes through the count-only kernels, building no row at all.
-    /// Other roots materialize and hand the finished vector over in one
-    /// push. Returns the number of rows offered to the sink.
-    fn run_sink(
-        &self,
-        catalog: &Catalog,
-        cfg: OpConfig,
-        stats: &mut ExecStats,
-        trace: &mut Vec<OpObservation>,
-        sink: &mut dyn RowSink,
-    ) -> TdbResult<usize> {
-        match self {
-            PhysicalPlan::Project { input, columns } if input.is_stream_node() => {
-                let cscope = input.scope(catalog)?;
-                let indices: Vec<usize> = columns
-                    .iter()
-                    .map(|(c, _)| cscope.index_of(c))
-                    .collect::<TdbResult<_>>()?;
-                let pushed = input.run_stream(catalog, cfg, stats, trace, Some(&indices), sink)?;
-                stats.intermediate_rows += pushed;
-                Ok(pushed)
-            }
-            // Non-partitionable child: degrade gracefully to the child's
-            // own sink path.
-            PhysicalPlan::Parallel { child, .. } if !child.is_stream_node() => {
-                child.run_sink(catalog, cfg, stats, trace, sink)
-            }
-            _ if self.is_stream_node() => self.run_stream(catalog, cfg, stats, trace, None, sink),
-            // Every other root materializes and hands the finished vector
-            // to the sink in one push.
-            _ => {
-                let (mut rows, _scope) = self.run(catalog, cfg, stats, trace)?;
-                let n = rows.len();
-                if sink.wants_rows() {
-                    if !rows.is_empty() {
-                        sink.push(&mut rows)?;
-                    }
-                } else {
-                    sink.push_count(n)?;
-                }
-                Ok(n)
-            }
-        }
-    }
-
     /// Run a stream node ([`PhysicalPlan::is_stream_node`]) into `sink`.
     ///
     /// The operators never see a row: each side's scanned rows stay in
@@ -591,14 +520,12 @@ impl PhysicalPlan {
     /// ordinal). A join hands its surviving matches to the sink as a
     /// [`PairBatch`] of ordinal pairs over those rows, projected onto
     /// `columns` (indices into the node's own output scope); the sink
-    /// builds rows from it only if it keeps rows. A semijoin or self
-    /// semijoin pushes its kept left rows.
+    /// builds rows from it only if it keeps rows, and a sink that keeps
+    /// none, under a join with no residual predicate, gets the count-only
+    /// kernels. A semijoin or self semijoin pushes its kept left rows.
     fn run_stream(
         &self,
-        catalog: &Catalog,
-        cfg: OpConfig,
-        stats: &mut ExecStats,
-        trace: &mut Vec<OpObservation>,
+        ex: &mut Exec<'_>,
         columns: Option<&[usize]>,
         sink: &mut dyn RowSink,
     ) -> TdbResult<usize> {
@@ -625,28 +552,25 @@ impl PhysicalPlan {
         };
         // Residual-predicate evaluations of a join, on top of the kernel's.
         let mut comparisons = 0u64;
-        let (kind, partitions, report, op_t0) = match node {
+        let (kind, partitions, report, op_t0, ws_cap) = match node {
             PhysicalPlan::SelfSemijoin {
                 input,
                 var,
                 contained,
             } => {
-                let (rows, scope) = input.run(catalog, cfg, stats, trace)?;
+                let rows = input.input_rows(ex)?;
                 let op_t0 = std::time::Instant::now();
                 let kind = if *contained {
                     StreamOpKind::ContainedSelfSemijoin
                 } else {
                     StreamOpKind::ContainSelfSemijoin
                 };
-                let x = wrap_rows(&rows, scope.period_of_var(var)?)?;
-                let x = sort_by_requirement(x, kind.requirement().left(), stats);
-                #[cfg(any(debug_assertions, feature = "check"))]
+                let x = wrap_rows(&rows, input.scope(ex.catalog)?.period_of_var(var)?)?;
                 let ws_cap = static_ws_cap(kind, &x, &x);
+                let x = sort_by_requirement(x, kind.requirement().left(), &mut ex.stats);
                 let mut emit = |chunk| keep(&rows, chunk);
-                let (_, report) = run_self_semijoin(kind, cfg, x, Emit::Chunks(&mut emit))?;
-                #[cfg(any(debug_assertions, feature = "check"))]
-                assert_under_cap(kind, &report, ws_cap);
-                (kind, 1, report, op_t0)
+                let (_, report) = run_self_semijoin(kind, ex.cfg, x, Emit::Chunks(&mut emit))?;
+                (kind, 1, report, op_t0, ws_cap)
             }
             PhysicalPlan::StreamTemporal {
                 left,
@@ -663,15 +587,24 @@ impl PhysicalPlan {
                 right_var,
                 pattern,
             } => {
-                let (lrows, lscope) = left.run(catalog, cfg, stats, trace)?;
-                let (rrows, rscope) = right.run(catalog, cfg, stats, trace)?;
+                let (lrows, rrows) = (left.input_rows(ex)?, right.input_rows(ex)?);
                 let op_t0 = std::time::Instant::now();
-                let l = wrap_rows(&lrows, lscope.period_of_var(left_var)?)?;
-                let r = wrap_rows(&rrows, rscope.period_of_var(right_var)?)?;
+                let l = wrap_rows(&lrows, left.scope(ex.catalog)?.period_of_var(left_var)?)?;
+                let r = wrap_rows(&rrows, right.scope(ex.catalog)?.period_of_var(right_var)?)?;
+                // The serial operator, which each partition worker of a
+                // parallel run instantiates too; a join swaps the sides
+                // its pattern normalizes.
+                let (kind, swap) = match node {
+                    PhysicalPlan::StreamTemporal { .. } => pattern.join_op(),
+                    _ => (pattern.semijoin_op().0, false),
+                };
+                let sides = if swap { (&r, &l) } else { (&l, &r) };
+                let ws_cap = static_ws_cap(kind, sides.0, sides.1);
                 // `Before`/`After` have no time-range decomposition: serial.
                 let parallel = fanout.and_then(|k| Some((k, parallel_pattern(*pattern)?)));
-                let (kind, report) = if let PhysicalPlan::StreamTemporal { residual, .. } = node {
-                    let scope = lscope.concat(&rscope);
+                let (cfg, stats) = (ex.cfg, &mut ex.stats);
+                let report = if let PhysicalPlan::StreamTemporal { residual, .. } = node {
+                    let scope = node.scope(ex.catalog)?;
                     let residual = resolve_all(residual, |c| scope.index_of(c))?;
                     let all: Vec<usize> = (0..scope.columns().len()).collect();
                     let mut batch = PairBatch {
@@ -709,64 +642,48 @@ impl PhysicalPlan {
                         }
                         sink.push_pairs(&mut batch)
                     };
-                    let out = match parallel {
+                    let report = match parallel {
                         Some((k, ppat)) => {
                             note_parallel_sorts(ppat, true, &l, &r, stats);
-                            #[cfg(any(debug_assertions, feature = "check"))]
-                            let ws_cap = parallel_ws_cap(ppat, true, &l, &r);
-                            let run = parallel_join(ppat, l, r, k, cfg, &mut emit)?;
-                            #[cfg(any(debug_assertions, feature = "check"))]
-                            assert_under_cap(ppat.join_kind(), &run.report, ws_cap);
-                            (ppat.join_kind(), run.report)
+                            parallel_join(ppat, l, r, k, cfg, &mut emit)?.report
                         }
                         None if count_only => {
-                            let (_, report) =
-                                run_stream_join(*pattern, cfg, l, r, stats, Emit::Count)?;
+                            let report = run_stream_join(*pattern, cfg, l, r, stats, Emit::Count)?;
                             pushed_pairs = report.metrics.emitted;
                             sink.push_count(pushed_pairs)?;
-                            (pattern.join_op().0, report)
+                            report
                         }
                         None => {
-                            let emit = Emit::Chunks(&mut emit);
-                            let (_, report) = run_stream_join(*pattern, cfg, l, r, stats, emit)?;
-                            (pattern.join_op().0, report)
+                            run_stream_join(*pattern, cfg, l, r, stats, Emit::Chunks(&mut emit))?
                         }
                     };
                     pushed = pushed_pairs;
-                    out
+                    report
                 } else {
                     let mut emit = |chunk| keep(&lrows, chunk);
                     match parallel {
                         Some((k, ppat)) => {
                             note_parallel_sorts(ppat, false, &l, &r, stats);
-                            #[cfg(any(debug_assertions, feature = "check"))]
-                            let ws_cap = parallel_ws_cap(ppat, false, &l, &r);
-                            let run = parallel_semijoin(ppat, l, r, k, cfg, &mut emit)?;
-                            #[cfg(any(debug_assertions, feature = "check"))]
-                            assert_under_cap(ppat.semijoin_kind(), &run.report, ws_cap);
-                            (ppat.semijoin_kind(), run.report)
+                            parallel_semijoin(ppat, l, r, k, cfg, &mut emit)?.report
                         }
-                        None => {
-                            let (_, report) =
-                                run_stream_semijoin(*pattern, cfg, l, r, stats, &mut emit)?;
-                            (pattern.semijoin_op().0, report)
-                        }
+                        None => run_stream_semijoin(*pattern, cfg, l, r, stats, &mut emit)?,
                     }
                 };
-                (kind, parallel.map_or(1, |(k, _)| k), report, op_t0)
+                (kind, parallel.map_or(1, |(k, _)| k), report, op_t0, ws_cap)
             }
             _ => return Err(TdbError::Plan(format!("not a stream node:\n{node}"))),
         };
-        stats.comparisons += comparisons + report.metrics.comparisons as u64;
-        stats.max_workspace = stats.max_workspace.max(report.max_workspace());
-        trace.push(OpObservation {
+        assert_under_cap(kind, &report, ws_cap);
+        ex.stats.comparisons += comparisons + report.metrics.comparisons as u64;
+        ex.stats.max_workspace = ex.stats.max_workspace.max(report.max_workspace());
+        ex.trace.push(OpObservation {
             operator: kind.to_string(),
             kind: Some(kind),
             partitions,
             report,
             elapsed_us: op_t0.elapsed().as_micros() as u64,
         });
-        stats.intermediate_rows += pushed;
+        ex.stats.intermediate_rows += pushed;
         Ok(pushed)
     }
 
@@ -992,36 +909,121 @@ fn note_parallel_sorts(
     }
 }
 
+/// What one execution carries down the plan: the catalog, the operator
+/// configuration, and the counters and trace it accumulates.
+struct Exec<'c> {
+    catalog: &'c Catalog,
+    cfg: OpConfig,
+    stats: ExecStats,
+    trace: Vec<OpObservation>,
+}
+
+/// Hand a chunk to `sink` — the rows, or only their number when it keeps
+/// none — and return its continue flag. An empty chunk is not offered.
+fn offer(sink: &mut dyn RowSink, rows: &mut Vec<Row>) -> TdbResult<bool> {
+    if rows.is_empty() {
+        Ok(true)
+    } else if sink.wants_rows() {
+        sink.push(rows)
+    } else {
+        let n = rows.len();
+        rows.clear();
+        sink.push_count(n)
+    }
+}
+
+/// The error of a bare count offered to a sink that reads rows; the
+/// executor only counts into sinks that declined rows.
+fn counted_rows() -> TdbError {
+    TdbError::Plan("a row count was offered where rows are read".into())
+}
+
+/// Collects the input of a node that needs it whole. The first chunk is
+/// taken as it is, so a scan's rows reach the node in the allocation the
+/// scan made; later chunks are appended.
+#[derive(Default)]
+struct Collect(Vec<Row>);
+
+impl RowSink for Collect {
+    fn push(&mut self, rows: &mut Vec<Row>) -> TdbResult<bool> {
+        if self.0.is_empty() {
+            std::mem::swap(&mut self.0, rows);
+        } else {
+            self.0.append(rows);
+        }
+        Ok(true)
+    }
+
+    fn push_count(&mut self, _: usize) -> TdbResult<bool> {
+        Err(counted_rows())
+    }
+
+    fn finish(&mut self) -> SinkStats {
+        SinkStats::default()
+    }
+}
+
+/// Offer what `rows` yields, `batch` rows at a time, until it runs dry or
+/// the sink says stop; returns the rows offered. Rows past the last chunk
+/// offered are never built.
+fn offer_chunks(
+    sink: &mut dyn RowSink,
+    mut rows: impl Iterator<Item = Row>,
+    batch: usize,
+) -> TdbResult<usize> {
+    let mut offered = 0;
+    loop {
+        let mut chunk: Vec<Row> = rows.by_ref().take(batch).collect();
+        offered += chunk.len();
+        if chunk.is_empty() || !offer(sink, &mut chunk)? {
+            return Ok(offered);
+        }
+    }
+}
+
+/// `Filter` or an unfused `Project` as its child sees it: each chunk the
+/// child offers is mapped in place and passed on, and the rows passed on
+/// are counted.
+struct MapSink<'s, F> {
+    sink: &'s mut dyn RowSink,
+    map: F,
+    offered: usize,
+}
+
+impl<F: FnMut(&mut Vec<Row>)> RowSink for MapSink<'_, F> {
+    fn push(&mut self, rows: &mut Vec<Row>) -> TdbResult<bool> {
+        (self.map)(rows);
+        self.offered += rows.len();
+        offer(self.sink, rows)
+    }
+
+    fn push_count(&mut self, _: usize) -> TdbResult<bool> {
+        Err(counted_rows())
+    }
+
+    fn finish(&mut self) -> SinkStats {
+        SinkStats::default()
+    }
+}
+
 /// Sound static workspace cap for `kind` over these concrete inputs,
-/// derived from sweep statistics by [`crate::cost::workspace_cap`]. Debug
-/// builds — and release builds with the `check` feature, as the CI soak
-/// jobs run them — cross-check every stream operator's runtime
-/// `OpReport.workspace` high-water mark against this bound.
-#[cfg(any(debug_assertions, feature = "check"))]
+/// derived from sweep statistics by [`crate::cost::workspace_cap`]; the
+/// statistics do not depend on input order, so the inputs need not be
+/// sorted yet. Debug builds — and release builds with the `check`
+/// feature, as the CI soak jobs run them — check every stream operator's
+/// runtime workspace peak against it ([`assert_under_cap`]); other builds
+/// skip the statistics and get no cap.
 fn static_ws_cap(kind: StreamOpKind, x: &[RowRef], y: &[RowRef]) -> usize {
+    if !cfg!(any(debug_assertions, feature = "check")) {
+        return usize::MAX;
+    }
     let xs = tdb_core::TemporalStats::compute(x);
     let ys = tdb_core::TemporalStats::compute(y);
     crate::cost::workspace_cap(kind, &xs, Some(&ys))
 }
 
-/// [`static_ws_cap`] for the parallel driver, normalizing the During swap
-/// the same way [`tdb_stream::parallel_join`] does.
-#[cfg(any(debug_assertions, feature = "check"))]
-fn parallel_ws_cap(ppat: ParallelPattern, join: bool, l: &[RowRef], r: &[RowRef]) -> usize {
-    let kind = if join {
-        ppat.join_kind()
-    } else {
-        ppat.semijoin_kind()
-    };
-    let (x, y) = if join && ppat == ParallelPattern::During {
-        (r, l)
-    } else {
-        (l, r)
-    };
-    static_ws_cap(kind, x, y)
-}
-
-#[cfg(any(debug_assertions, feature = "check"))]
+/// Check a stream operator's runtime workspace peak against its
+/// [`static_ws_cap`].
 fn assert_under_cap(kind: StreamOpKind, report: &OpReport, ws_cap: usize) {
     assert!(
         report.max_workspace() <= ws_cap,
@@ -1088,7 +1090,7 @@ pub fn semijoin_dispatch(
 
 /// Run the stream join for `pattern` into `emit`: matched pairs chunk by
 /// chunk, honoring the closure's stop signal, or only counted
-/// (`report.metrics.emitted`). Returns `(completed, report)`.
+/// (`report.metrics.emitted`).
 fn run_stream_join(
     pattern: TemporalPattern,
     cfg: OpConfig,
@@ -1096,7 +1098,7 @@ fn run_stream_join(
     r: Vec<RowRef>,
     stats: &mut ExecStats,
     emit: Emit<'_, (RowRef, RowRef)>,
-) -> TdbResult<(bool, OpReport)> {
+) -> TdbResult<OpReport> {
     // Contains/During normalize to container ⊇ containee and After to
     // Before; the swapped patterns exchange sides going in and un-swap
     // each emitted pair (a count needs no un-swap, but the sides still go
@@ -1105,9 +1107,7 @@ fn run_stream_join(
     let (x, y) = if swap { (r, l) } else { (l, r) };
     let x = sort_by_requirement(x, x_ord, stats);
     let y = sort_by_requirement(y, y_ord, stats);
-    #[cfg(any(debug_assertions, feature = "check"))]
-    let ws_cap = static_ws_cap(kind, &x, &y);
-    let (completed, report) = match emit {
+    let (_, report) = match emit {
         Emit::Chunks(push) if swap => {
             let mut unswap = |chunk: Vec<(RowRef, RowRef)>| {
                 push(chunk.into_iter().map(|(a, b)| (b, a)).collect())
@@ -1116,9 +1116,7 @@ fn run_stream_join(
         }
         emit => run_join(kind, cfg, x, y, emit)?,
     };
-    #[cfg(any(debug_assertions, feature = "check"))]
-    assert_under_cap(kind, &report, ws_cap);
-    Ok((completed, report))
+    Ok(report)
 }
 
 /// Run the stream semijoin for `pattern`, handing kept left items to
@@ -1131,21 +1129,17 @@ fn run_stream_semijoin(
     r: Vec<RowRef>,
     stats: &mut ExecStats,
     emit: &mut dyn FnMut(Vec<RowRef>) -> TdbResult<bool>,
-) -> TdbResult<(bool, OpReport)> {
+) -> TdbResult<OpReport> {
     let (kind, cfg, l_ord, r_ord) = semijoin_dispatch(pattern, cfg);
     let l = sort_by_requirement(l, l_ord, stats);
     let r = sort_by_requirement(r, r_ord, stats);
-    #[cfg(any(debug_assertions, feature = "check"))]
-    let ws_cap = static_ws_cap(kind, &l, &r);
-    let (completed, report) = if pattern == TemporalPattern::After {
+    let (_, report) = if pattern == TemporalPattern::After {
         let op = BeforeSemijoin::after();
         run_kernel(op, cfg.batch_rows, l, l_ord, r, r_ord, Emit::Chunks(emit))?
     } else {
         run_semijoin(kind, cfg, l, r, Emit::Chunks(emit))?
     };
-    #[cfg(any(debug_assertions, feature = "check"))]
-    assert_under_cap(kind, &report, ws_cap);
-    Ok((completed, report))
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -1326,6 +1320,13 @@ mod tests {
         };
         let out = par.execute(&cat, ExecOptions::default()).unwrap();
         assert_eq!(out.rows.len(), serial.rows.len());
+        // A child that is no stream node is a plan error.
+        let par = PhysicalPlan::Parallel {
+            partitions: 4,
+            child: Box::new(scan("f1")),
+        };
+        let err = par.execute(&cat, ExecOptions::default()).unwrap_err();
+        assert!(matches!(err, TdbError::Plan(_)), "{err:?}");
     }
 
     #[test]
@@ -1389,9 +1390,14 @@ mod tests {
         assert!(text.contains("SeqScan Faculty as f1"));
     }
 
+    /// Every node kind, at a batch size that chunks the loop nodes'
+    /// output and at the default: an external `CollectSink` gets the rows
+    /// the default run returns, and it and a `CountSink` see the same
+    /// counters and untimed per-operator reports.
     #[test]
     fn sink_execution_matches_materialized_output_and_stats() {
         let cat = test_catalog("sink");
+        let name_eq = || vec![Atom::cols("f1", "Name", CompOp::Eq, "f2", "Name")];
         let join = PhysicalPlan::StreamTemporal {
             left: Box::new(scan("f1")),
             right: Box::new(scan("f2")),
@@ -1400,33 +1406,193 @@ mod tests {
             pattern: TemporalPattern::GeneralOverlap,
             residual: vec![],
         };
-        let project = PhysicalPlan::Project {
-            input: Box::new(join.clone()),
-            columns: vec![(ColumnRef::new("f1", "Name"), "who".into())],
+        let semijoin = PhysicalPlan::StreamSemijoin {
+            left: Box::new(scan("f1")),
+            right: Box::new(scan("f2")),
+            left_var: "f1".into(),
+            right_var: "f2".into(),
+            pattern: TemporalPattern::During,
         };
-        for plan in [&join, &project] {
-            let baseline = plan.execute(&cat, ExecOptions::default()).unwrap();
-            let mut sink = tdb_stream::CollectSink::new();
-            let out = plan
-                .execute(&cat, ExecOptions::new().with_sink(&mut sink))
+        let who = || vec![(ColumnRef::new("f1", "Name"), "who".to_string())];
+        let plans = [
+            join.clone(),
+            PhysicalPlan::Project {
+                input: Box::new(join.clone()),
+                columns: who(),
+            },
+            scan("f1"),
+            PhysicalPlan::Filter {
+                input: Box::new(scan("f1")),
+                atoms: vec![Atom::col_const("f1", "Rank", CompOp::Eq, "Associate")],
+            },
+            PhysicalPlan::Project {
+                input: Box::new(scan("f1")),
+                columns: who(),
+            },
+            PhysicalPlan::Product {
+                left: Box::new(scan("f1")),
+                right: Box::new(scan("f2")),
+            },
+            PhysicalPlan::NestedLoop {
+                left: Box::new(scan("f1")),
+                right: Box::new(scan("f2")),
+                atoms: name_eq(),
+            },
+            PhysicalPlan::MergeEqui {
+                left: Box::new(scan("f1")),
+                right: Box::new(scan("f2")),
+                left_key: ColumnRef::new("f1", "Name"),
+                right_key: ColumnRef::new("f2", "Name"),
+                residual: vec![Atom::cols("f1", "Rank", CompOp::Ne, "f2", "Rank")],
+            },
+            PhysicalPlan::MergeSemijoin {
+                left: Box::new(scan("f1")),
+                right: Box::new(PhysicalPlan::Filter {
+                    input: Box::new(scan("f2")),
+                    atoms: vec![Atom::col_const("f2", "Rank", CompOp::Eq, "Full")],
+                }),
+                left_key: ColumnRef::new("f1", "Name"),
+                right_key: ColumnRef::new("f2", "Name"),
+            },
+            PhysicalPlan::NestedSemijoin {
+                left: Box::new(scan("f1")),
+                right: Box::new(scan("f2")),
+                atoms: name_eq(),
+            },
+            PhysicalPlan::SelfSemijoin {
+                input: Box::new(scan("f1")),
+                var: "f1".into(),
+                contained: true,
+            },
+            semijoin.clone(),
+            PhysicalPlan::Parallel {
+                partitions: 3,
+                child: Box::new(join),
+            },
+            PhysicalPlan::Parallel {
+                partitions: 2,
+                child: Box::new(semijoin),
+            },
+        ];
+        // Wall-clock per-operator timings are nondeterministic; the
+        // equivalence claim is about counters and workspace.
+        let untimed = |trace: &[OpObservation]| -> Vec<OpObservation> {
+            trace
+                .iter()
+                .cloned()
+                .map(|mut o| {
+                    o.elapsed_us = 0;
+                    o
+                })
+                .collect()
+        };
+        for batch_rows in [3, DEFAULT_BATCH_ROWS] {
+            for plan in &plans {
+                let opts = || ExecOptions::new().with_batch_rows(batch_rows);
+                let baseline = plan.execute(&cat, opts()).unwrap();
+                assert!(!baseline.rows.is_empty(), "{plan}");
+                let mut collect = tdb_stream::CollectSink::new();
+                let out = plan
+                    .execute(
+                        &cat,
+                        ExecOptions {
+                            sink: Some(&mut collect),
+                            ..opts()
+                        },
+                    )
+                    .unwrap();
+                assert!(out.rows.is_empty(), "sink runs return no rows inline");
+                assert_eq!(collect.rows(), &baseline.rows[..], "{plan}");
+                assert_eq!(collect.finish().rows as usize, baseline.rows.len());
+                let mut count = tdb_stream::CountSink::new();
+                let counted = plan
+                    .execute(
+                        &cat,
+                        ExecOptions {
+                            sink: Some(&mut count),
+                            ..opts()
+                        },
+                    )
+                    .unwrap();
+                assert_eq!(count.count() as usize, baseline.rows.len(), "{plan}");
+                for run in [out, counted] {
+                    assert_eq!(run.stats, baseline.stats, "{plan}");
+                    assert_eq!(untimed(&run.trace), untimed(&baseline.trace), "{plan}");
+                }
+            }
+        }
+    }
+
+    /// Relations `X` and `Y` of 2 000 Poisson-arrival tuples each.
+    fn xy_catalog(tag: &str) -> Catalog {
+        let dir = std::env::temp_dir().join(format!("tdb-algebra-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cat = Catalog::open(&dir, IoStats::new()).unwrap();
+        let schema = TemporalSchema::time_sequence("Name", "Rank");
+        for (name, seed) in [("X", 1u64), ("Y", 2)] {
+            let rows: Vec<Row> = tdb_gen::IntervalGen::poisson(2000, 3.0, 10.0, seed)
+                .generate()
+                .iter()
+                .map(|t| {
+                    Row::new(vec![
+                        Value::str(name),
+                        Value::str(""),
+                        Value::Time(t.ts()),
+                        Value::Time(t.te()),
+                    ])
+                })
+                .collect();
+            cat.create_relation(name, schema.clone(), &rows, vec![])
                 .unwrap();
-            assert!(out.rows.is_empty(), "sink runs return no rows inline");
-            assert_eq!(sink.rows(), &baseline.rows[..]);
-            assert_eq!(out.stats, baseline.stats);
-            // Wall-clock per-operator timings are nondeterministic; the
-            // equivalence claim is about counters and workspace.
-            let untimed = |trace: &[OpObservation]| -> Vec<OpObservation> {
-                trace
-                    .iter()
-                    .cloned()
-                    .map(|mut o| {
-                        o.elapsed_us = 0;
-                        o
-                    })
-                    .collect()
-            };
-            assert_eq!(untimed(&out.trace), untimed(&baseline.trace));
-            assert_eq!(sink.finish().rows as usize, baseline.rows.len());
+        }
+        cat
+    }
+
+    fn side(relation: &str, var: &str) -> Box<PhysicalPlan> {
+        Box::new(PhysicalPlan::SeqScan {
+            relation: relation.into(),
+            var: var.into(),
+        })
+    }
+
+    /// A limit stops the loop nodes after the chunk that fills it, though
+    /// each reads its inputs whole.
+    #[test]
+    fn limit_stops_loop_nodes_after_one_chunk() {
+        let cat = xy_catalog("loops");
+        let earlier = || vec![Atom::cols("x", "ValidFrom", CompOp::Lt, "y", "ValidFrom")];
+        let batch_rows = 64;
+        for plan in [
+            PhysicalPlan::Product {
+                left: side("X", "x"),
+                right: side("Y", "y"),
+            },
+            PhysicalPlan::NestedLoop {
+                left: side("X", "x"),
+                right: side("Y", "y"),
+                atoms: earlier(),
+            },
+            PhysicalPlan::NestedSemijoin {
+                left: side("X", "x"),
+                right: side("Y", "y"),
+                atoms: earlier(),
+            },
+        ] {
+            let mut sink = tdb_stream::LimitSink::new(20);
+            let out = plan
+                .execute(
+                    &cat,
+                    ExecOptions::new()
+                        .with_batch_rows(batch_rows)
+                        .with_sink(&mut sink),
+                )
+                .unwrap();
+            assert_eq!(sink.rows().len(), 20, "{plan}");
+            assert!(
+                out.stats.output_rows <= 20 + batch_rows,
+                "{plan}: {} rows offered for a limit of 20",
+                out.stats.output_rows
+            );
         }
     }
 
@@ -1468,33 +1634,7 @@ mod tests {
     /// count adds up sorted suffixes. 2 000 tuples per side, ≈ 2 M pairs.
     #[test]
     fn before_and_after_joins_stop_at_a_limit_and_count_exactly() {
-        let dir = std::env::temp_dir().join(format!("tdb-algebra-before-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cat = Catalog::open(&dir, IoStats::new()).unwrap();
-        let schema = TemporalSchema::time_sequence("Name", "Rank");
-        let n = 2000i64;
-        for (name, seed) in [("X", 1u64), ("Y", 2)] {
-            let rows: Vec<Row> = tdb_gen::IntervalGen::poisson(n as usize, 3.0, 10.0, seed)
-                .generate()
-                .iter()
-                .map(|t| {
-                    Row::new(vec![
-                        Value::str(name),
-                        Value::str(""),
-                        Value::Time(t.ts()),
-                        Value::Time(t.te()),
-                    ])
-                })
-                .collect();
-            cat.create_relation(name, schema.clone(), &rows, vec![])
-                .unwrap();
-        }
-        let side = |relation: &str, var: &str| {
-            Box::new(PhysicalPlan::SeqScan {
-                relation: relation.into(),
-                var: var.into(),
-            })
-        };
+        let cat = xy_catalog("before");
         let periods = |relation: &str| -> Vec<Period> {
             let meta = cat.meta(relation).unwrap();
             let rows = cat.scan(relation).unwrap();

@@ -23,7 +23,7 @@ use crate::expr::{Atom, ColumnRef, CompOp, Term};
 use crate::logical::LogicalPlan;
 use crate::pattern::{recognize_pattern, TemporalPattern};
 use crate::physical::PhysicalPlan;
-use tdb_core::{TdbError, TdbResult};
+use tdb_core::TdbResult;
 
 /// Strategy toggles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -386,26 +386,6 @@ fn rename_var(plan: &LogicalPlan, from: &str, to: &str) -> LogicalPlan {
             right: Box::new(rename_var(right, from, to)),
             predicate: rn_atoms(predicate),
         },
-    }
-}
-
-/// Convenience: plan and execute in one call.
-pub fn plan_and_execute(
-    logical: &LogicalPlan,
-    config: PlannerConfig,
-    catalog: &tdb_storage::Catalog,
-) -> TdbResult<crate::physical::QueryOutput> {
-    let physical = plan(logical, config)?;
-    physical.execute(catalog, crate::physical::ExecOptions::default())
-}
-
-/// Guard for planner preconditions used by callers that build plans
-/// directly.
-pub fn ensure(cond: bool, msg: &str) -> TdbResult<()> {
-    if cond {
-        Ok(())
-    } else {
-        Err(TdbError::Plan(msg.into()))
     }
 }
 

@@ -20,7 +20,6 @@
 //! optimizer) builds on these types.
 
 pub mod allen;
-pub mod bitemporal;
 pub mod error;
 pub mod json;
 pub mod order;
@@ -32,7 +31,6 @@ pub mod tuple;
 pub mod value;
 
 pub use allen::AllenRelation;
-pub use bitemporal::{BitemporalTable, BitemporalTuple};
 pub use error::{TdbError, TdbResult};
 pub use json::{Json, JsonError};
 pub use order::{Direction, SortKey, SortSpec, StreamOrder};

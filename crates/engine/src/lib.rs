@@ -99,72 +99,6 @@ pub trait ReplySink: tdb::stream::RowSink {
 /// [`Engine::execute`]'s sink: keep every delivered row.
 impl ReplySink for tdb::stream::CollectSink {}
 
-/// `\set limit` as an adapter over whatever sink the transport
-/// supplies: the first `limit` rows pass through, the rest are counted
-/// and dropped, and the producer is told to stop once the quota is
-/// full — the [`LimitSink`](tdb::stream::LimitSink) contract, without
-/// owning the rows.
-struct LimitAdapter<'a> {
-    inner: &'a mut dyn ReplySink,
-    limit: usize,
-    delivered: usize,
-    /// Rows and pushes offered; `truncated` once a row was dropped.
-    offered: tdb::stream::SinkStats,
-    /// [`row_bytes`](tdb::stream::row_bytes) of the rows dropped (the
-    /// inner sink counts the ones it was given).
-    dropped_bytes: u64,
-}
-
-impl LimitAdapter<'_> {
-    /// Count a push of `n` rows; how many of them fit the quota.
-    fn admit(&mut self, n: usize) -> usize {
-        self.offered.batches += 1;
-        self.offered.rows += n as u64;
-        let kept = n.min(self.limit - self.delivered);
-        self.offered.truncated |= kept < n;
-        self.delivered += kept;
-        kept
-    }
-}
-
-impl tdb::stream::RowSink for LimitAdapter<'_> {
-    fn wants_rows(&self) -> bool {
-        self.inner.wants_rows()
-    }
-
-    fn push(&mut self, rows: &mut Vec<Row>) -> TdbResult<bool> {
-        let kept = self.admit(rows.len());
-        self.dropped_bytes += rows[kept..].iter().map(tdb::stream::row_bytes).sum::<u64>();
-        rows.truncate(kept);
-        let more = rows.is_empty() || self.inner.push(rows)?;
-        Ok(more && self.delivered < self.limit)
-    }
-
-    fn push_pairs(&mut self, batch: &mut tdb::stream::PairBatch<'_>) -> TdbResult<bool> {
-        let kept = self.admit(batch.pairs.len());
-        self.dropped_bytes += batch.pairs[kept..]
-            .iter()
-            .map(|&p| batch.row_bytes(p))
-            .sum::<u64>();
-        batch.pairs.truncate(kept);
-        let more = batch.pairs.is_empty() || self.inner.push_pairs(batch)?;
-        Ok(more && self.delivered < self.limit)
-    }
-
-    fn push_count(&mut self, n: usize) -> TdbResult<bool> {
-        self.offered.batches += 1;
-        self.offered.rows += n as u64;
-        Ok(self.inner.push_count(n)? && self.delivered < self.limit)
-    }
-
-    fn finish(&mut self) -> tdb::stream::SinkStats {
-        tdb::stream::SinkStats {
-            bytes: self.inner.finish().bytes + self.dropped_bytes,
-            ..self.offered
-        }
-    }
-}
-
 /// Default slow-query threshold: queries at or above 10ms are retained.
 const SLOW_THRESHOLD_US: u64 = 10_000;
 
@@ -822,13 +756,7 @@ impl Engine {
         // The client's row limit is a sink, not a post-hoc truncate: once
         // it has its quota the producer stops, so `\set limit 3` over a
         // billion-pair join does a bounded amount of work.
-        let mut limited = LimitAdapter {
-            inner: sink,
-            limit: ctx.row_limit,
-            delivered: 0,
-            offered: tdb::stream::SinkStats::default(),
-            dropped_bytes: 0,
-        };
+        let mut limited = LimitSink::over(sink, ctx.row_limit);
         let result = physical.execute(
             &self.catalog,
             ExecOptions::new()
@@ -846,7 +774,7 @@ impl Engine {
             .iter()
             .map(|obs| (Stage::Operator, obs.elapsed_us, obs.operator.clone()));
         let chunks = limited
-            .inner
+            .inner()
             .render_us()
             .into_iter()
             .enumerate()
@@ -864,7 +792,7 @@ impl Engine {
 
         let t = std::time::Instant::now();
         let sink_stats = tdb::stream::RowSink::finish(&mut limited);
-        let delivered = limited.delivered;
+        let delivered = limited.delivered();
         self.mark_stage(&mut stages, q_start, Stage::Sink, t);
 
         let trace = build_trace(
@@ -1550,6 +1478,29 @@ mod tests {
         assert_eq!(q.rows.total, 50);
         assert_eq!(q.rows.columns, vec!["A".to_string()]);
         assert!(q.stats.rows_scanned > 0);
+    }
+
+    /// The default limit stops a cartesian product after the chunk that
+    /// fills it instead of building all 90 000 pairs.
+    #[test]
+    fn default_limit_stops_a_product_after_one_chunk() {
+        let (mut e, mut ctx) = engine("product");
+        for gen in [
+            "\\gen intervals X 300 3 10 1",
+            "\\gen intervals Y 300 3 10 2",
+        ] {
+            assert!(matches!(e.execute(&mut ctx, gen), Response::Info(_)));
+        }
+        let resp = e.execute(
+            &mut ctx,
+            "range of a is X range of b is Y retrieve (P=a.Id, Q=b.Id);",
+        );
+        let Response::Query(q) = resp else {
+            panic!("expected query response, got {resp:?}");
+        };
+        assert_eq!(q.rows.rows.len(), 20);
+        let bound = 20 + ctx.config.batch_rows as u64;
+        assert!(q.rows.total <= bound, "{} rows offered", q.rows.total);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!
 //! * [`CollectSink`] — keep everything (the materializing behaviour,
 //!   reimplemented on the push path);
-//! * [`LimitSink`] — keep the first `limit` rows and signal early
-//!   termination once full, so `\set limit` stops the producer instead of
-//!   truncating a fully-built vector;
+//! * [`LimitSink`] — keep the first `limit` rows, or pass them on to an
+//!   inner sink, and signal early termination once full, so `\set limit`
+//!   stops the producer instead of truncating a fully-built vector;
 //! * [`CountSink`] — keep nothing; with [`RowSink::wants_rows`] `false`
 //!   the executor can skip widening pairs into payload rows entirely and
 //!   feed the sink bare counts ([`RowSink::push_count`]).
@@ -248,69 +248,139 @@ impl RowSink for CountSink {
     }
 }
 
-/// Keeps the first `limit` rows and asks the producer to stop once full —
-/// the `\set limit` consumer. Rows offered past the limit are still
-/// *counted* (so a producer that materialized everything anyway reports
-/// the true total) but not retained.
+/// A sink is a sink through a mutable borrow, so a wrapper such as
+/// [`LimitSink`] can sit over a sink it does not own.
+impl<S: RowSink + ?Sized> RowSink for &mut S {
+    fn wants_rows(&self) -> bool {
+        (**self).wants_rows()
+    }
+
+    fn push(&mut self, rows: &mut Vec<Row>) -> TdbResult<bool> {
+        (**self).push(rows)
+    }
+
+    fn push_pairs(&mut self, batch: &mut PairBatch<'_>) -> TdbResult<bool> {
+        (**self).push_pairs(batch)
+    }
+
+    fn push_count(&mut self, n: usize) -> TdbResult<bool> {
+        (**self).push_count(n)
+    }
+
+    fn finish(&mut self) -> SinkStats {
+        (**self).finish()
+    }
+}
+
+/// Passes the first `limit` rows on to an inner sink — by default a
+/// [`CollectSink`] that keeps them — and asks the producer to stop once
+/// full: the `\set limit` consumer. Rows and join matches past the quota
+/// are cut off before they reach the inner sink, so a match past the limit
+/// never becomes a row, but they are still *counted*: [`RowSink::finish`]
+/// reports every row, byte and push offered (so a producer that
+/// materialized everything anyway reports the true total).
 #[derive(Debug)]
-pub struct LimitSink {
+pub struct LimitSink<S = CollectSink> {
+    inner: S,
     limit: usize,
-    rows: Vec<Row>,
-    stats: SinkStats,
+    delivered: usize,
+    /// Rows and pushes offered; `truncated` once a row was cut off.
+    offered: SinkStats,
+    /// [`row_bytes`] of the rows cut off (the inner sink counts the ones
+    /// it was given).
+    dropped_bytes: u64,
 }
 
 impl LimitSink {
     /// A sink retaining at most `limit` rows.
     pub fn new(limit: usize) -> LimitSink {
+        LimitSink::over(CollectSink::new(), limit)
+    }
+
+    /// The retained rows (at most `limit`).
+    pub fn rows(&self) -> &[Row] {
+        self.inner.rows()
+    }
+
+    /// Consume the sink, yielding the retained rows.
+    pub fn into_rows(self) -> Vec<Row> {
+        self.inner.into_rows()
+    }
+}
+
+impl<S: RowSink> LimitSink<S> {
+    /// A sink passing at most `limit` rows on to `inner`.
+    pub fn over(inner: S, limit: usize) -> LimitSink<S> {
         LimitSink {
+            inner,
             limit,
-            rows: Vec::new(),
-            stats: SinkStats::default(),
+            delivered: 0,
+            offered: SinkStats::default(),
+            dropped_bytes: 0,
         }
     }
 
     /// Is the sink at its limit?
     pub fn full(&self) -> bool {
-        self.rows.len() >= self.limit
+        self.delivered >= self.limit
     }
 
-    /// The retained rows (at most `limit`).
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
+    /// The sink the rows within the limit went to.
+    pub fn inner(&self) -> &S {
+        &self.inner
     }
 
-    /// Consume the sink, yielding the retained rows.
-    pub fn into_rows(self) -> Vec<Row> {
-        self.rows
+    /// Rows passed on to the inner sink (at most `limit`).
+    pub fn delivered(&self) -> usize {
+        self.delivered
+    }
+
+    /// Count a push of `n` rows; how many of them fit the quota.
+    fn admit(&mut self, n: usize) -> usize {
+        self.offered.batches += 1;
+        self.offered.rows += n as u64;
+        let kept = n.min(self.limit - self.delivered);
+        self.offered.truncated |= kept < n;
+        self.delivered += kept;
+        kept
     }
 }
 
-impl RowSink for LimitSink {
+impl<S: RowSink> RowSink for LimitSink<S> {
+    fn wants_rows(&self) -> bool {
+        self.inner.wants_rows()
+    }
+
     fn push(&mut self, rows: &mut Vec<Row>) -> TdbResult<bool> {
-        self.stats.batches += 1;
-        for row in rows.drain(..) {
-            self.stats.rows += 1;
-            self.stats.bytes += row_bytes(&row);
-            if self.rows.len() < self.limit {
-                self.rows.push(row);
-            } else {
-                self.stats.truncated = true;
-            }
-        }
-        if self.full() && self.stats.rows > self.rows.len() as u64 {
-            self.stats.truncated = true;
-        }
-        Ok(!self.full())
+        let kept = self.admit(rows.len());
+        self.dropped_bytes += rows[kept..].iter().map(row_bytes).sum::<u64>();
+        rows.truncate(kept);
+        let more = rows.is_empty() || self.inner.push(rows)?;
+        Ok(more && !self.full())
+    }
+
+    fn push_pairs(&mut self, batch: &mut PairBatch<'_>) -> TdbResult<bool> {
+        let kept = self.admit(batch.pairs.len());
+        self.dropped_bytes += batch.pairs[kept..]
+            .iter()
+            .map(|&p| batch.row_bytes(p))
+            .sum::<u64>();
+        batch.pairs.truncate(kept);
+        let more = batch.pairs.is_empty() || self.inner.push_pairs(batch)?;
+        Ok(more && !self.full())
     }
 
     fn push_count(&mut self, n: usize) -> TdbResult<bool> {
-        self.stats.rows += n as u64;
-        self.stats.batches += 1;
-        Ok(!self.full())
+        self.offered.batches += 1;
+        self.offered.rows += n as u64;
+        Ok(self.inner.push_count(n)? && !self.full())
     }
 
     fn finish(&mut self) -> SinkStats {
-        self.stats
+        SinkStats {
+            bytes: self.inner.finish().bytes + self.dropped_bytes,
+            ..self.offered
+        }
     }
 }
 
@@ -392,6 +462,29 @@ mod tests {
         assert!(sink.push_pairs(&mut batch).unwrap());
         assert_eq!(sink.rows(), [batch.row((1, 0)), batch.row((0, 0))]);
         assert_eq!(sink.finish().batches, 1);
+    }
+
+    #[test]
+    fn limit_sink_cuts_pairs_before_the_inner_sink() {
+        let left = vec![row(1), row(2)];
+        let right = vec![row(3)];
+        let mut batch = PairBatch {
+            left: &left,
+            right: &right,
+            columns: &[0, 2],
+            pairs: vec![(0, 0), (1, 0)],
+        };
+        let offered = batch.row_bytes((0, 0)) + batch.row_bytes((1, 0));
+        let mut inner = CollectSink::new();
+        let mut sink = LimitSink::over(&mut inner, 1);
+        assert!(!sink.push_pairs(&mut batch).unwrap(), "full: stop");
+        assert_eq!(sink.delivered(), 1);
+        assert_eq!(sink.inner().rows(), [batch.row((0, 0))]);
+        let stats = sink.finish();
+        assert_eq!((stats.rows, stats.batches), (2, 1));
+        assert_eq!(stats.bytes, offered, "cut-off matches' bytes count");
+        assert!(stats.truncated);
+        assert_eq!(inner.finish().rows, 1, "one match became a row");
     }
 
     #[test]

@@ -172,55 +172,3 @@ fn query_execution_reads_from_disk_each_run() {
     let delta = catalog.io().snapshot().since(&io_before);
     assert!(delta.pages_read >= 1, "scan must hit storage");
 }
-
-#[test]
-fn bitemporal_rollback_feeds_temporal_operators() {
-    use tdb::core::BitemporalTable;
-    // Build a bitemporal history: initial beliefs at tx 100, a correction
-    // at tx 200, a retraction at tx 300.
-    let mut table = BitemporalTable::new();
-    for (i, (s, e)) in [(0i64, 10i64), (2, 6), (20, 30), (22, 25)]
-        .iter()
-        .enumerate()
-    {
-        table
-            .insert(
-                format!("S{i}"),
-                "v",
-                Period::new(*s, *e).unwrap(),
-                TimePoint(100),
-            )
-            .unwrap();
-    }
-    table
-        .update_where(
-            TimePoint(200),
-            |r| r.surrogate == Value::str("S1"),
-            |r| tdb::core::BitemporalTuple {
-                valid: Period::new(2, 12).unwrap(), // no longer nested
-                ..r.clone()
-            },
-        )
-        .unwrap();
-    table
-        .delete_where(TimePoint(300), |r| r.surrogate == Value::str("S3"))
-        .unwrap();
-
-    // Contained-self-semijoin over each rollback state.
-    let contained_at = |tx: i64| -> usize {
-        let mut snapshot = table.as_of(TimePoint(tx));
-        StreamOrder::TS_ASC_TE_ASC.sort(&mut snapshot);
-        let kind = StreamOpKind::ContainedSelfSemijoin;
-        let (_, report) = run_self_semijoin(kind, OpConfig::new(), snapshot, Emit::Count).unwrap();
-        report.metrics.emitted
-    };
-    assert_eq!(
-        contained_at(150),
-        2,
-        "S1 ⊂ S0 and S3 ⊂ S2 as first believed"
-    );
-    assert_eq!(contained_at(250), 1, "after the S1 correction only S3 ⊂ S2");
-    assert_eq!(contained_at(350), 0, "after retracting S3, none");
-    // The log never shrinks.
-    assert_eq!(table.log().len(), 5);
-}
