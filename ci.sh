@@ -86,12 +86,16 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 echo "==> benchmark smoke run (output checks, served path)"
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --quick
 
-# Interleaving-explorer self-tests (the explorer must find the seeded
-# racy counter, lock-order inversion, and lost wakeup, and pass the
-# correct protocols exhaustively). Built from the shim's own directory:
-# the workspace excludes crates/shim.
-echo "==> loom explorer self-tests"
-(cd crates/shim/loom && cargo test -q)
+# Shim self-tests, each built from the shim's own directory (the
+# workspace excludes crates/shim): the interleaving explorer must find
+# the seeded racy counter, lock-order inversion and lost wakeup and pass
+# the correct protocols exhaustively; the property-test runner must
+# shrink a failure to its minimal case; the RNG, the wire codec's buffer
+# type and the lock wrappers keep their contracts.
+echo "==> shim self-tests (loom, proptest, rand, bytes, parking_lot)"
+for shim in loom proptest rand bytes parking_lot; do
+  (cd "crates/shim/$shim" && cargo test -q)
+done
 
 # Concurrency models, explored exhaustively under the bounded scheduler.
 # Each suite is depth/iteration-bounded (TDB_LOOM_MAX_STEPS /

@@ -40,7 +40,7 @@ pub struct PlannerConfig {
     pub parallelism: usize,
     /// Rows per columnar batch fed to the stream temporal kernels (≥ 1).
     /// Every size produces identical output and identical workspace
-    /// statistics (`tests/batch_equivalence.rs`).
+    /// statistics (`tests/oracle.rs`).
     pub batch_rows: usize,
 }
 

@@ -22,8 +22,9 @@ use tdb::algebra::cost::{
 use tdb::prelude::*;
 use tdb_bench::{
     bench_catalog, drain_count, measure_buffered_contain, measure_contain_ts_te,
-    measure_contain_ts_ts, measure_nested_contain, row, timed, Workload,
+    measure_contain_ts_ts, measure_nested_contain, row, Workload,
 };
+use tdb_oracle::buffered_join;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -339,8 +340,9 @@ fn fig3(json: &mut BTreeMap<String, Json>) {
 /// E10 — Figure 8 / §5: the Superstar plans compared across population
 /// sizes.
 fn superstar(json: &mut BTreeMap<String, Json>) {
-    println!("E10 · Figure 8 / §5 — Superstar formulations vs population size\n");
-    let widths = [10usize, 16, 16, 16, 16];
+    println!("E10 · Figure 8 / §5 — Superstar formulations vs population size");
+    println!("    comparisons per formulation\n");
+    let widths = [10usize, 16, 16, 16];
     println!(
         "{}",
         row(
@@ -349,7 +351,6 @@ fn superstar(json: &mut BTreeMap<String, Json>) {
                 "conventional".into(),
                 "reduced(8b)".into(),
                 "self-semijoin".into(),
-                "speedup".into(),
             ],
             &widths
         )
@@ -358,7 +359,7 @@ fn superstar(json: &mut BTreeMap<String, Json>) {
     for n in [200usize, 800, 3200] {
         let catalog = bench_catalog(&format!("ss{n}"), n, 505);
         let mut cells = vec![format!("{n}")];
-        let mut micros = Vec::new();
+        let mut comparisons = Vec::new();
         let plans = superstar_plans(true);
         // Formulations differ in duplicate multiplicity (join vs semijoin);
         // the answered *set* of names must agree.
@@ -373,7 +374,7 @@ fn superstar(json: &mut BTreeMap<String, Json>) {
                 PlannerConfig::stream()
             };
             let phys = plan(logical, config).unwrap();
-            let (out, us) = timed(|| phys.execute(&catalog, ExecOptions::default()).unwrap());
+            let out = phys.execute(&catalog, ExecOptions::default()).unwrap();
             let names: std::collections::BTreeSet<String> = out
                 .rows
                 .iter()
@@ -383,15 +384,13 @@ fn superstar(json: &mut BTreeMap<String, Json>) {
                 None => reference = Some(names),
                 Some(r) => assert_eq!(r, &names, "{label} at n={n}"),
             }
-            cells.push(format!("{:.1}ms", us as f64 / 1000.0));
-            micros.push(us);
+            cells.push(format!("{}", out.stats.comparisons));
+            comparisons.push(out.stats.comparisons);
         }
-        let speedup = micros[0] as f64 / *micros.last().unwrap() as f64;
-        cells.push(format!("{speedup:.1}×"));
         println!("{}", row(&cells, &widths));
         rows_json.push(jobj! {
-            "n" => n, "conventional_us" => micros[0], "reduced_us" => micros[1],
-            "selfsemijoin_us" => micros[2], "speedup" => speedup,
+            "n" => n, "conventional_comparisons" => comparisons[0],
+            "reduced_comparisons" => comparisons[1], "selfsemijoin_comparisons" => comparisons[2],
         });
     }
     println!("\n    (conventional = Fig 3(b) with nested-loop less-than join;");
@@ -482,46 +481,20 @@ fn before(json: &mut BTreeMap<String, Json>) {
     let w = Workload::poisson("before", 30_000, 3.0, 10.0, 3.0, 10.0, 808);
 
     let cfg = OpConfig::new();
-    let (count, us_idx) = timed(|| {
-        let (xs, ys) = (w.xs.clone(), w.ys.clone());
-        let (_, report) = run_join(StreamOpKind::BeforeJoin, cfg, xs, ys, Emit::Count).unwrap();
-        report.metrics.emitted as u64
-    });
-    let (naive, us_naive) = timed(|| {
-        let mut c = 0u64;
-        for x in &w.xs {
-            for y in &w.ys {
-                if x.period.before(&y.period) {
-                    c += 1;
-                }
-            }
-        }
-        c
-    });
-    assert_eq!(count, naive);
-    let (semi_n, us_semi) = timed(|| {
-        let (xs, ys) = (w.xs.clone(), w.ys.clone());
-        drain_count(|e| run_semijoin(StreamOpKind::BeforeSemijoin, cfg, xs, ys, e)).0
-    });
+    let (xs, ys) = (w.xs.clone(), w.ys.clone());
+    let (_, report) = run_join(StreamOpKind::BeforeJoin, cfg, xs, ys, Emit::Count).unwrap();
+    let count = report.metrics.emitted as u64;
+    let naive =
+        w.xs.iter()
+            .map(|x| w.ys.iter().filter(|y| x.period.before(&y.period)).count() as u64)
+            .sum::<u64>();
+    assert_eq!(count, naive, "sorted suffix arithmetic vs the double loop");
+    let (xs, ys) = (w.xs.clone(), w.ys.clone());
+    let semi_n = drain_count(|e| run_semijoin(StreamOpKind::BeforeSemijoin, cfg, xs, ys, e)).0;
     println!("\n    Before-join result pairs: {count} (≈n²/2: the output itself is quadratic)");
-    println!(
-        "    count via sorted suffix arithmetic: {:>8.1} ms",
-        us_idx as f64 / 1000.0
-    );
-    println!(
-        "    count via naive double loop:        {:>8.1} ms",
-        us_naive as f64 / 1000.0
-    );
-    println!(
-        "    Before-semijoin (single scan, O(1) state): {semi_n} tuples in {:.1} ms",
-        us_semi as f64 / 1000.0
-    );
-    json.insert(
-        "before".into(),
-        jobj! {
-            "pairs" => count, "suffix_us" => us_idx, "naive_us" => us_naive, "semijoin_us" => us_semi,
-        },
-    );
+    println!("    counted by sorted suffix arithmetic, equal to the naive double loop");
+    println!("    Before-semijoin (single scan, O(1) state): {semi_n} tuples");
+    json.insert("before".into(), jobj! { "pairs" => count });
 }
 
 /// E14 — §4.1's third axis: paying for a sort once vs rescanning forever.
@@ -534,7 +507,7 @@ fn sortcost(json: &mut BTreeMap<String, Json>) {
 
         // Stream plan: explicit external sorts (tight memory) + TsTe join.
         let io = IoStats::new();
-        let ((), us_stream) = timed(|| {
+        let stream = {
             let sorter = ExternalSorter::new(
                 1024,
                 |a: &TsTuple, b: &TsTuple| StreamOrder::TS_ASC.compare(a, b),
@@ -550,22 +523,19 @@ fn sortcost(json: &mut BTreeMap<String, Json>) {
             let (ys, _) = sorter.sort(w.ys.clone()).unwrap();
             let ys: Vec<_> = ys.map(|r| r.unwrap()).collect();
             let cfg = OpConfig::new();
-            drain_count(|e| run_join(StreamOpKind::ContainJoinTsTe, cfg, xs, ys, e));
-        });
+            drain_count(|e| run_join(StreamOpKind::ContainJoinTsTe, cfg, xs, ys, e)).1
+        };
         let nl = measure_nested_contain(&w);
         let model_stream = stream_join_cost(WorkspaceKind::ContainJoinTsTe, &sx, &sy);
         let model_nl = nested_loop_cost(&sx, &sy);
         println!(
-            "    n={n:>6}: sort+stream {:>9.1} ms ({} spill pages)   nested-loop {:>9.1} ms   model ratio {:.0}×  measured {:.1}×",
-            us_stream as f64 / 1000.0,
+            "    n={n:>6}: sort+stream {} spill pages   comparisons: model ratio {:.0}×  measured {:.1}×",
             io.snapshot().pages_written,
-            nl.micros as f64 / 1000.0,
             model_nl.comparisons / model_stream.comparisons.max(1.0),
-            nl.micros as f64 / us_stream.max(1) as f64,
+            nl.comparisons as f64 / stream.metrics.comparisons.max(1) as f64,
         );
         rows_json.push(jobj! {
-            "n" => n, "stream_us" => us_stream, "nested_us" => nl.micros,
-            "spill_pages" => io.snapshot().pages_written,
+            "n" => n, "spill_pages" => io.snapshot().pages_written,
         });
     }
     json.insert("sortcost".into(), Json::Array(rows_json));
@@ -575,18 +545,13 @@ fn sortcost(json: &mut BTreeMap<String, Json>) {
 ///
 /// Splits the timeline into K disjoint ranges with fringe replication and
 /// runs one Contain-join instance per partition under `thread::scope`.
-/// Two speedup figures are recorded:
-///
-/// * `critical_path` — serial comparisons ÷ max per-partition comparisons,
-///   the architecture-independent bound that multi-core wall-clock tracks
-///   (modulo the Little's-law fringe overhead `(K−1)·λ·E[D]`);
-/// * `wall` — measured wall-clock ratio, which saturates at the number of
-///   hardware cores on the machine running the bench.
+/// The speedup recorded is the critical path: serial comparisons ÷ max
+/// per-partition comparisons, the architecture-independent bound that
+/// multi-core wall-clock tracks (modulo the Little's-law fringe overhead
+/// `(K−1)·λ·E[D]`). Wall-clock speedups are the served benchmark's
+/// business, not this table's.
 fn parallel(json: &mut BTreeMap<String, Json>) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("E15 · time-partitioned parallel Contain-join scaling ({cores} core(s))");
+    println!("E15 · time-partitioned parallel Contain-join scaling");
     let w = Workload::poisson("par", 40_000, 3.0, 30.0, 3.0, 8.0, 1501);
     let (sx, sy) = w.stats();
 
@@ -597,27 +562,22 @@ fn parallel(json: &mut BTreeMap<String, Json>) {
     // and the whole-input cap dominates every partition.
     let static_cap = workspace_cap(StreamOpKind::ContainJoinTsTe, &sx, Some(&sy));
     let mut rows_json = Vec::new();
-    let mut serial_us = 0u128;
     let mut serial_cmp = 0usize;
     for k in [1usize, 2, 4, 8] {
-        let ((run, pairs), us) = timed(|| {
-            let mut pairs = Vec::new();
-            let run = parallel_join(
-                ParallelPattern::Contains,
-                w.xs.clone(),
-                w.ys.clone(),
-                k,
-                OpConfig::new(),
-                &mut |chunk| {
-                    pairs.extend(chunk);
-                    Ok(true)
-                },
-            )
-            .unwrap();
-            (run, pairs)
-        });
+        let mut pairs = Vec::new();
+        let run = parallel_join(
+            ParallelPattern::Contains,
+            w.xs.clone(),
+            w.ys.clone(),
+            k,
+            OpConfig::new(),
+            &mut |chunk| {
+                pairs.extend(chunk);
+                Ok(true)
+            },
+        )
+        .unwrap();
         if k == 1 {
-            serial_us = us;
             serial_cmp = run.report.metrics.comparisons;
         }
         let critical = run
@@ -628,7 +588,6 @@ fn parallel(json: &mut BTreeMap<String, Json>) {
             .unwrap_or(serial_cmp)
             .max(1);
         let speedup_cp = serial_cmp as f64 / critical as f64;
-        let speedup_wall = serial_us as f64 / us.max(1) as f64;
         let model = tdb::algebra::cost::parallel_join_cost(serial_model, k, &sx, &sy);
         // The analyzer's static bound must dominate the runtime peak that
         // OpReport::combine_parallel observed across all K partitions.
@@ -638,18 +597,16 @@ fn parallel(json: &mut BTreeMap<String, Json>) {
             "K={k}: runtime workspace max {runtime_max} exceeded the static cap {static_cap}"
         );
         println!(
-            "    K={k}: {:>8.1} ms wall ({speedup_wall:>4.2}×)   critical-path speedup {speedup_cp:>4.2}×   \
+            "    K={k}: critical-path speedup {speedup_cp:>4.2}×   \
              {:>9} total comparisons   {} pairs",
-            us as f64 / 1000.0,
             run.report.metrics.comparisons,
             pairs.len(),
         );
         rows_json.push(jobj! {
-            "k" => k, "wall_us" => us, "pairs" => pairs.len(),
+            "k" => k, "pairs" => pairs.len(),
             "comparisons" => run.report.metrics.comparisons,
             "critical_path_comparisons" => critical,
             "speedup_critical_path" => speedup_cp,
-            "speedup_wall" => speedup_wall,
             "model_comparisons" => model.comparisons,
             "workspace_max" => runtime_max,
             "workspace_static_cap" => static_cap,
@@ -667,33 +624,24 @@ fn aggregate(json: &mut BTreeMap<String, Json>) {
         .flat_map(|g| (0..per_group).map(move |i| (Value::Int(i64::from(g)), i64::from(i))))
         .collect();
 
-    let ((out_stream, report), us_stream) =
-        timed(|| grouped_sum(&rows, |r| r.0.clone(), |r| r.1).unwrap());
+    let (out_stream, report) = grouped_sum(&rows, |r| r.0.clone(), |r| r.1).unwrap();
     let (n_stream, ws_stream) = (out_stream.len(), report.max_workspace());
     // The conventional baseline: one hash cell per group.
-    let (out_hash, us_hash) = timed(|| {
-        let mut sums = std::collections::HashMap::new();
-        for (k, v) in &rows {
-            *sums.entry(k.clone()).or_insert(0i64) += v;
-        }
-        sums
-    });
+    let mut out_hash = std::collections::HashMap::new();
+    for (k, v) in &rows {
+        *out_hash.entry(k.clone()).or_insert(0i64) += v;
+    }
     let ws_hash = out_hash.len();
     assert_eq!(n_stream, out_hash.len());
+    println!("\n    streaming sum: {n_stream} groups, workspace {ws_stream} cell");
     println!(
-        "\n    streaming sum: {n_stream} groups, workspace {ws_stream} cell, {:.1} ms",
-        us_stream as f64 / 1000.0
-    );
-    println!(
-        "    hash sum:      {} groups, workspace {ws_hash} cells, {:.1} ms",
-        out_hash.len(),
-        us_hash as f64 / 1000.0
+        "    hash sum:      {} groups, workspace {ws_hash} cells",
+        out_hash.len()
     );
     json.insert(
         "aggregate".into(),
         jobj! {
             "groups" => n_stream, "stream_ws" => ws_stream, "hash_ws" => ws_hash,
-            "stream_us" => us_stream, "hash_us" => us_hash,
         },
     );
 }

@@ -1,11 +1,13 @@
-//! Shared workload builders and measurement helpers for the benchmark
-//! harness and the `experiments` binary.
+//! Shared workload builders and measurement helpers for the `experiments`
+//! binary. Every figure they report is a count (output, workspace,
+//! comparisons); wall-clock timing is the served benchmark's job.
 //!
 //! Every table and figure of the paper maps to a function here or in
 //! `src/bin/experiments.rs`; see DESIGN.md's experiment index (E1–E14) and
 //! EXPERIMENTS.md for the recorded outcomes.
 
 use tdb::prelude::*;
+use tdb_oracle::{buffered_join, nested_loop_join};
 
 /// A named interval workload with the statistics the paper's analysis is
 /// parameterized by.
@@ -73,15 +75,6 @@ pub struct Measurement {
     pub max_workspace: usize,
     /// Comparisons performed.
     pub comparisons: usize,
-    /// Wall-clock microseconds.
-    pub micros: u128,
-}
-
-/// Run a closure, timing it.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, u128) {
-    let start = std::time::Instant::now();
-    let out = f();
-    (out, start.elapsed().as_micros())
 }
 
 /// Run a dispatch entry (given its [`Emit`]), counting the output it
@@ -99,12 +92,11 @@ pub fn drain_count<T>(
     (n, report)
 }
 
-fn measurement((output, report): (usize, OpReport), micros: u128) -> Measurement {
+fn measurement((output, report): (usize, OpReport)) -> Measurement {
     Measurement {
         output,
         max_workspace: report.max_workspace(),
         comparisons: report.metrics.comparisons,
-        micros,
     }
 }
 
@@ -113,9 +105,9 @@ pub fn measure_contain_ts_ts(w: &Workload, policy: ReadPolicy) -> Measurement {
     let xs = w.xs_sorted(StreamOrder::TS_ASC);
     let ys = w.ys_sorted(StreamOrder::TS_ASC);
     let cfg = OpConfig::new().with_policy(policy);
-    let (run, micros) =
-        timed(|| drain_count(|e| run_join(StreamOpKind::ContainJoinTsTs, cfg, xs, ys, e)));
-    measurement(run, micros)
+    measurement(drain_count(|e| {
+        run_join(StreamOpKind::ContainJoinTsTs, cfg, xs, ys, e)
+    }))
 }
 
 /// Run the Contain-join under the `(TS↑, TE↑)` configuration.
@@ -123,9 +115,9 @@ pub fn measure_contain_ts_te(w: &Workload) -> Measurement {
     let xs = w.xs_sorted(StreamOrder::TS_ASC);
     let ys = w.ys_sorted(StreamOrder::TE_ASC);
     let cfg = OpConfig::new();
-    let (run, micros) =
-        timed(|| drain_count(|e| run_join(StreamOpKind::ContainJoinTsTe, cfg, xs, ys, e)));
-    measurement(run, micros)
+    measurement(drain_count(|e| {
+        run_join(StreamOpKind::ContainJoinTsTe, cfg, xs, ys, e)
+    }))
 }
 
 fn contains(a: &TsTuple, b: &TsTuple) -> bool {
@@ -134,14 +126,14 @@ fn contains(a: &TsTuple, b: &TsTuple) -> bool {
 
 /// Run the no-GC buffered join (degenerate orderings, Table 1 "-" rows).
 pub fn measure_buffered_contain(w: &Workload) -> Measurement {
-    let ((pairs, report), micros) = timed(|| buffered_join(&w.xs, &w.ys, contains));
-    measurement((pairs.len(), report), micros)
+    let (pairs, report) = buffered_join(&w.xs, &w.ys, contains);
+    measurement((pairs.len(), report))
 }
 
 /// Run the conventional nested-loop contain join.
 pub fn measure_nested_contain(w: &Workload) -> Measurement {
-    let ((pairs, report), micros) = timed(|| nested_loop_join(&w.xs, &w.ys, contains));
-    measurement((pairs.len(), report), micros)
+    let (pairs, report) = nested_loop_join(&w.xs, &w.ys, contains);
+    measurement((pairs.len(), report))
 }
 
 /// Build a faculty catalog in a temp dir for query benchmarks.

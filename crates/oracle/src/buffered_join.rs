@@ -9,9 +9,8 @@
 //! so experiments can exhibit the degenerate state growth (E1 and E2 print
 //! its |X| + |Y| in their "–" cells) next to the bounded-state kernels.
 
-use crate::metrics::OpMetrics;
-use crate::report::OpReport;
 use crate::workspace::Workspace;
+use tdb_stream::{OpMetrics, OpReport};
 
 /// Single-pass theta-join with no garbage collection: the inputs are read
 /// alternately (falling back to the live one), each arrival is compared

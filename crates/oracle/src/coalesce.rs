@@ -9,11 +9,9 @@
 //! within each group, it needs exactly **one** state tuple — the pending
 //! merged period.
 
-use crate::metrics::OpMetrics;
-use crate::report::OpReport;
-use crate::workspace::WorkspaceStats;
 use std::collections::HashSet;
 use tdb_core::{Period, TdbError, TdbResult, TsTuple, Value};
+use tdb_stream::{OpMetrics, OpReport, WorkspaceStats};
 
 /// Coalesce [`TsTuple`]s grouped by `(surrogate, value)` (all equal pairs
 /// adjacent) and sorted on `ValidFrom ↑` within each group; both are
@@ -81,7 +79,7 @@ pub fn coalesce(tuples: &[TsTuple]) -> TdbResult<(Vec<TsTuple>, OpReport)> {
 /// order.
 ///
 /// ```
-/// use tdb_stream::coalesce_relation;
+/// use tdb_oracle::coalesce_relation;
 /// use tdb_core::TsTuple;
 ///
 /// let spells = vec![

@@ -7,9 +7,7 @@
 //! against. The inner relation is materialized once and re-scanned per
 //! outer tuple; [`OpMetrics::passes`] counts those rescans.
 
-use crate::metrics::OpMetrics;
-use crate::report::OpReport;
-use crate::workspace::WorkspaceStats;
+use tdb_stream::{OpMetrics, OpReport, WorkspaceStats};
 
 /// Every pair of `xs × ys` satisfying `predicate`, in outer-major order,
 /// with the report of the tuple-at-a-time nested loop: one comparison per
@@ -45,6 +43,7 @@ pub fn nested_loop_join<X: Clone, Y: Clone>(
 mod tests {
     use super::*;
     use tdb_core::TsTuple;
+    use tdb_stream::{collect, run_join, Emit, OpConfig, StreamOpKind};
 
     fn iv(s: i64, e: i64) -> TsTuple {
         TsTuple::interval(s, e).unwrap()
@@ -80,5 +79,29 @@ mod tests {
         let (out, report) = nested_loop_join(&xs, &ys, |_, _| true);
         assert_eq!(out.len(), 35);
         assert_eq!(report.metrics.comparisons, 35);
+    }
+
+    #[test]
+    fn before_and_nested_loop_report_materialized_inner() {
+        let xs = vec![iv(0, 2)];
+        let ys = vec![iv(7, 8), iv(5, 6)];
+        let cfg = OpConfig::new();
+        let (out, report) =
+            collect(|e| run_join(StreamOpKind::BeforeJoin, cfg, xs.clone(), ys.clone(), e))
+                .unwrap();
+        assert_eq!(out.len(), 2);
+        assert_eq!(report.max_workspace(), 2);
+        let (_, counted) = run_join(
+            StreamOpKind::BeforeJoin,
+            cfg,
+            xs.clone(),
+            ys.clone(),
+            Emit::Count,
+        )
+        .unwrap();
+        assert_eq!(counted, report);
+        let (out, report) = nested_loop_join(&xs, &ys, |x, y| x.period.before(&y.period));
+        assert_eq!(out.len(), 2);
+        assert_eq!(report.max_workspace(), 2);
     }
 }

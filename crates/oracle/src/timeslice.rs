@@ -11,11 +11,9 @@
 //!   live set — exactly the "spanning tuples" state of Table 1(a), made
 //!   into an output).
 
-use crate::metrics::OpMetrics;
-use crate::report::OpReport;
-use crate::workspace::WorkspaceStats;
 use std::collections::BinaryHeap;
 use tdb_core::{TdbResult, Temporal, TimePoint};
+use tdb_stream::{OpMetrics, OpReport, WorkspaceStats};
 
 /// The snapshot at `at`: the items whose lifespan spans it, in input
 /// order. With `ts_sorted` (the items are `ValidFrom ↑`) the scan stops at

@@ -3,18 +3,67 @@
 //! Provides randomized property testing with the same *call surface* —
 //! `proptest!`, `prop_assert*!`, `prop_oneof!`, `Strategy`/`prop_map`,
 //! `collection::vec`, `any::<T>()`, integer-range strategies and simple
-//! char-class regex string strategies — but **no shrinking**: a failing
-//! case reports the panic with its case number and seed instead of a
-//! minimized counterexample. Cases are generated from a deterministic
-//! per-test seed so failures reproduce.
+//! char-class regex string strategies. Cases are generated from a
+//! deterministic per-test seed so failures reproduce.
+//!
+//! A failing case is **shrunk** before it is reported. The runner records
+//! every choice a strategy makes ([`TestRunner`]), so a simpler case is
+//! the same strategies replayed over edited choices, whatever `prop_map`
+//! did to them. Vector lengths are halved first (dropping the tail
+//! elements with the choices they consumed), then integers are halved
+//! toward the low end of their range; each edit is kept only if the
+//! property still fails, until no edit is kept. The report names the
+//! minimal case, the case number and the seed.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+use std::cell::Cell;
+use std::fmt::Debug;
 use std::ops::{Range, RangeInclusive};
+use std::panic::{self, AssertUnwindSafe};
+
+/// One choice a strategy made: its distance above the low end of the
+/// range it was drawn from.
+#[derive(Debug, Clone, Copy)]
+struct Draw {
+    offset: u64,
+    /// A vector length: shrunk only together with its elements.
+    is_len: bool,
+}
+
+/// A vector generated in this case: where its length was drawn, its
+/// smallest allowed length, and the choices each element consumed.
+#[derive(Debug, Clone)]
+struct VecSpan {
+    len_at: usize,
+    min_len: usize,
+    elems: Vec<(usize, usize)>,
+}
+
+/// The choices one case was generated from.
+#[derive(Debug, Clone, Default)]
+struct Record {
+    draws: Vec<Draw>,
+    vecs: Vec<VecSpan>,
+}
+
+impl Record {
+    fn choices(&self) -> Vec<u64> {
+        self.draws.iter().map(|d| d.offset).collect()
+    }
+}
 
 /// The generator handed to strategies while a property test runs.
+///
+/// Every random choice goes through [`TestRunner::choose`] and is
+/// recorded, so a failing case can be regenerated from edited choices:
+/// that is how the runner shrinks.
 pub struct TestRunner {
     rng: StdRng,
+    seed: u64,
+    /// Choices to replay instead of drawing; `None` while generating.
+    forced: Option<Vec<u64>>,
+    record: Record,
 }
 
 impl TestRunner {
@@ -28,12 +77,49 @@ impl TestRunner {
         }
         TestRunner {
             rng: StdRng::seed_from_u64(h),
+            seed: h,
+            forced: None,
+            record: Record::default(),
         }
     }
 
-    /// The underlying RNG.
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
+    /// The seed the runner's generator started from.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Pick a value in `lo..=hi`: drawn by `sample` while generating, the
+    /// next recorded choice (clamped into range, or `lo` once they run
+    /// out) while replaying.
+    fn choose(&mut self, lo: i128, hi: i128, sample: impl FnOnce(&mut StdRng) -> i128) -> i128 {
+        assert!(lo <= hi, "empty range");
+        let max = (hi - lo) as u64;
+        let offset = match &self.forced {
+            Some(forced) => forced
+                .get(self.record.draws.len())
+                .map_or(0, |&o| o.min(max)),
+            None => (sample(&mut self.rng) - lo) as u64,
+        };
+        self.record.draws.push(Draw {
+            offset,
+            is_len: false,
+        });
+        lo + i128::from(offset)
+    }
+
+    /// A uniform index below `n`.
+    fn index(&mut self, n: usize) -> usize {
+        self.choose(0, n as i128 - 1, |rng| rng.gen_range(0..n) as i128) as usize
+    }
+
+    /// Start generating a case: from the generator, or replaying `forced`.
+    fn begin_case(&mut self, forced: Option<Vec<u64>>) {
+        self.forced = forced;
+        self.record = Record::default();
+    }
+
+    fn take_record(&mut self) -> Record {
+        std::mem::take(&mut self.record)
     }
 }
 
@@ -139,7 +225,7 @@ impl<V> Union<V> {
 impl<V> Strategy for Union<V> {
     type Value = V;
     fn generate(&self, runner: &mut TestRunner) -> V {
-        let i = runner.rng().gen_range(0..self.arms.len());
+        let i = runner.index(self.arms.len());
         self.arms[i].generate(runner)
     }
 }
@@ -149,13 +235,15 @@ macro_rules! impl_range_strategies {
         impl Strategy for Range<$t> {
             type Value = $t;
             fn generate(&self, runner: &mut TestRunner) -> $t {
-                runner.rng().gen_range(self.clone())
+                let (lo, hi) = (self.start as i128, self.end as i128 - 1);
+                runner.choose(lo, hi, |rng| rng.gen_range(self.clone()) as i128) as $t
             }
         }
         impl Strategy for RangeInclusive<$t> {
             type Value = $t;
             fn generate(&self, runner: &mut TestRunner) -> $t {
-                runner.rng().gen_range(self.clone())
+                let (lo, hi) = (*self.start() as i128, *self.end() as i128);
+                runner.choose(lo, hi, |rng| rng.gen_range(self.clone()) as i128) as $t
             }
         }
     )*};
@@ -200,7 +288,10 @@ macro_rules! impl_arbitrary_int {
     ($($t:ty),*) => {$(
         impl Arbitrary for $t {
             fn arbitrary() -> ArbitraryStrategy<$t> {
-                ArbitraryStrategy { gen: |r| r.rng().gen::<$t>() }
+                // The raw 64 bits, as `Rng::gen` draws them.
+                ArbitraryStrategy {
+                    gen: |r| r.choose(0, u64::MAX.into(), |rng| rng.next_u64().into()) as u64 as $t,
+                }
             }
         }
     )*};
@@ -210,15 +301,20 @@ impl_arbitrary_int!(i8, i16, i32, i64, u8, u16, u32, u64, usize, isize);
 impl Arbitrary for bool {
     fn arbitrary() -> ArbitraryStrategy<bool> {
         ArbitraryStrategy {
-            gen: |r| r.rng().gen::<bool>(),
+            gen: |r| r.choose(0, 1, |rng| (rng.next_u64() & 1).into()) == 1,
         }
     }
 }
 
 impl Arbitrary for f64 {
     fn arbitrary() -> ArbitraryStrategy<f64> {
+        // The 53 bits `Rng::gen::<f64>` scales into [0, 1).
+        const UNIT: u64 = 1 << 53;
         ArbitraryStrategy {
-            gen: |r| r.rng().gen::<f64>(),
+            gen: |r| {
+                r.choose(0, (UNIT - 1).into(), |rng| (rng.next_u64() >> 11).into()) as f64
+                    / UNIT as f64
+            },
         }
     }
 }
@@ -230,7 +326,7 @@ pub fn any<T: Arbitrary>() -> ArbitraryStrategy<T> {
 
 /// Collection strategies.
 pub mod collection {
-    use super::{Strategy, TestRunner};
+    use super::{Draw, Strategy, TestRunner, VecSpan};
     use rand::Rng;
     use std::ops::Range;
 
@@ -248,12 +344,34 @@ pub mod collection {
     impl<S: Strategy> Strategy for VecStrategy<S> {
         type Value = Vec<S::Value>;
         fn generate(&self, runner: &mut TestRunner) -> Vec<S::Value> {
-            let n = if self.len.start >= self.len.end {
-                self.len.start
-            } else {
-                runner.rng().gen_range(self.len.clone())
+            if self.len.start >= self.len.end {
+                return (0..self.len.start)
+                    .map(|_| self.element.generate(runner))
+                    .collect();
+            }
+            let (lo, hi) = (self.len.start as i128, self.len.end as i128 - 1);
+            let len = self.len.clone();
+            let n = runner.choose(lo, hi, |rng| rng.gen_range(len) as i128) as usize;
+            let len_at = runner.record.draws.len() - 1;
+            runner.record.draws[len_at] = Draw {
+                is_len: true,
+                ..runner.record.draws[len_at]
             };
-            (0..n).map(|_| self.element.generate(runner)).collect()
+            let span = runner.record.vecs.len();
+            runner.record.vecs.push(VecSpan {
+                len_at,
+                min_len: self.len.start,
+                elems: Vec::with_capacity(n),
+            });
+            (0..n)
+                .map(|_| {
+                    let from = runner.record.draws.len();
+                    let value = self.element.generate(runner);
+                    let to = runner.record.draws.len();
+                    runner.record.vecs[span].elems.push((from, to));
+                    value
+                })
+                .collect()
         }
     }
 }
@@ -261,7 +379,6 @@ pub mod collection {
 /// Option strategies.
 pub mod option {
     use super::{Strategy, TestRunner};
-    use rand::Rng;
 
     /// Strategy yielding `None` 25% of the time, as real proptest does by
     /// default.
@@ -277,7 +394,7 @@ pub mod option {
     impl<S: Strategy> Strategy for OptionStrategy<S> {
         type Value = Option<S::Value>;
         fn generate(&self, runner: &mut TestRunner) -> Option<S::Value> {
-            if runner.rng().gen_range(0u8..4) == 0 {
+            if runner.index(4) == 0 {
                 None
             } else {
                 Some(self.inner.generate(runner))
@@ -289,10 +406,10 @@ pub mod option {
 /// Boolean strategies.
 pub mod bool {
     use super::{ArbitraryStrategy, TestRunner};
-    use rand::Rng;
+    use rand::RngCore;
 
     fn gen_bool(r: &mut TestRunner) -> bool {
-        r.rng().gen::<bool>()
+        r.choose(0, 1, |rng| (rng.next_u64() & 1).into()) == 1
     }
 
     /// Either boolean, uniformly.
@@ -302,7 +419,6 @@ pub mod bool {
 /// String strategies: a tiny regex subset (`[class]{m,n}`).
 pub mod string {
     use super::{Strategy, TestRunner};
-    use rand::Rng;
 
     /// Error for unsupported patterns.
     #[derive(Debug)]
@@ -318,12 +434,12 @@ pub mod string {
     impl Strategy for RegexStrategy {
         type Value = String;
         fn generate(&self, runner: &mut TestRunner) -> String {
-            let n = runner.rng().gen_range(self.min..=self.max);
+            let (min, max) = (self.min, self.max);
+            let n = runner.choose(min as i128, max as i128, |rng| {
+                rand::Rng::gen_range(rng, min..=max) as i128
+            }) as usize;
             (0..n)
-                .map(|_| {
-                    let i = runner.rng().gen_range(0..self.chars.len());
-                    self.chars[i]
-                })
+                .map(|_| self.chars[runner.index(self.chars.len())])
                 .collect()
         }
     }
@@ -383,14 +499,14 @@ impl Strategy for &'static str {
 
 /// Everything tests import.
 pub mod prelude {
+    pub use crate as proptest;
     pub use crate::{
         any, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Just,
         ProptestConfig, Strategy,
     };
-    pub use crate as proptest;
 }
 
-/// Assert inside a property (panics — no shrinking in the shim).
+/// Assert inside a property (a panic, which the runner then shrinks).
 #[macro_export]
 macro_rules! prop_assert {
     ($cond:expr) => { assert!($cond) };
@@ -420,7 +536,7 @@ macro_rules! prop_oneof {
 }
 
 /// Define property tests: each `fn name(arg in strategy, ...) { body }`
-/// becomes a `#[test]` running `cases` random cases.
+/// becomes a `#[test]` running `cases` random cases through [`check`].
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -442,29 +558,203 @@ macro_rules! __proptest_items {
     ) => {
         $(#[$meta])*
         fn $name() {
-            let config: $crate::ProptestConfig = $cfg;
-            let mut runner = $crate::TestRunner::deterministic(concat!(
-                module_path!(), "::", stringify!($name)
-            ));
-            for case in 0..config.cases {
-                let result = {
-                    $(let $arg = $crate::Strategy::generate(&($strat), &mut runner);)+
-                    ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(move || {
-                        $body
-                    }))
-                };
-                if let Err(payload) = result {
-                    eprintln!(
-                        "proptest shim: property `{}` failed at case {case} of {}",
-                        stringify!($name),
-                        config.cases,
-                    );
-                    ::std::panic::resume_unwind(payload);
-                }
-            }
+            $crate::check(
+                concat!(module_path!(), "::", stringify!($name)),
+                stringify!($($arg),+),
+                $cfg,
+                |runner| ($($crate::Strategy::generate(&($strat), runner),)+),
+                |($($arg,)+)| $body,
+            );
         }
         $crate::__proptest_items! { ($cfg) $($rest)* }
     };
+}
+
+/// Replays a shrinking run may spend before it reports what it has.
+const MAX_SHRINK_RUNS: usize = 4096;
+
+/// A failing case of a property, shrunk to a minimal one.
+#[derive(Debug)]
+pub struct Failure<A> {
+    /// The case number (from 0) that failed first.
+    pub case: u32,
+    /// The runner's seed ([`TestRunner::seed`]).
+    pub seed: u64,
+    /// The minimal failing input.
+    pub input: A,
+    /// Shrink edits kept on the way from the first failure to `input`.
+    pub steps: usize,
+}
+
+thread_local! {
+    /// Set while this thread replays candidates, whose panics are expected.
+    static SHRINKING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Route panics through a hook that stays silent while the panicking
+/// thread is shrinking and defers to the previous hook otherwise.
+fn install_quiet_hook() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let previous = panic::take_hook();
+        panic::set_hook(Box::new(move |info| {
+            if !SHRINKING.with(Cell::get) {
+                previous(info);
+            }
+        }));
+    });
+}
+
+/// Does `test` panic on `input`?
+fn fails<A>(test: &impl Fn(A), input: A) -> bool {
+    panic::catch_unwind(AssertUnwindSafe(|| test(input))).is_err()
+}
+
+/// Removal sizes for shrinking a quantity by up to `room`: half of it
+/// first, then halves of that, down to one.
+fn decrements(room: u64) -> impl Iterator<Item = u64> {
+    std::iter::successors(Some(room - room / 2), |d| Some(d / 2)).take_while(|d| *d > 0)
+}
+
+/// The state of one shrinking run: the simplest failing case so far,
+/// and how it regenerates a case from edited choices (returning its
+/// record if it still fails).
+struct Shrinker<R> {
+    best: Record,
+    replay: R,
+    steps: usize,
+    runs: usize,
+}
+
+impl<R: FnMut(Vec<u64>) -> Option<Record>> Shrinker<R> {
+    /// Keep `choices` if the case they generate still fails.
+    fn attempt(&mut self, choices: Vec<u64>) -> bool {
+        self.runs += 1;
+        match (self.replay)(choices) {
+            Some(record) => {
+                self.best = record;
+                self.steps += 1;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn spent(&self) -> bool {
+        self.runs >= MAX_SHRINK_RUNS
+    }
+
+    /// Shorten vector `v` by dropping tail elements with their choices.
+    fn shorten(&mut self, v: usize) -> bool {
+        let span = self.best.vecs[v].clone();
+        let len = span.elems.len();
+        decrements((len - span.min_len) as u64).any(|d| {
+            let d = d as usize;
+            let mut choices = self.best.choices();
+            choices[span.len_at] -= d as u64;
+            choices.drain(span.elems[len - d].0..span.elems[len - 1].1);
+            self.attempt(choices)
+        })
+    }
+
+    /// Move choice `i` toward the low end of its range.
+    fn lower(&mut self, i: usize) -> bool {
+        let draw = self.best.draws[i];
+        !draw.is_len
+            && decrements(draw.offset).any(|d| {
+                let mut choices = self.best.choices();
+                choices[i] -= d;
+                self.attempt(choices)
+            })
+    }
+
+    /// Shorten vectors, then lower the other choices, until neither pass
+    /// keeps an edit (or the replay budget is spent).
+    fn run(mut self) -> (Record, usize) {
+        loop {
+            let before = self.steps;
+            let mut v = 0;
+            while v < self.best.vecs.len() && !self.spent() {
+                if !self.shorten(v) {
+                    v += 1;
+                }
+            }
+            let mut i = 0;
+            while i < self.best.draws.len() && !self.spent() {
+                if !self.lower(i) {
+                    i += 1;
+                }
+            }
+            if self.steps == before || self.spent() {
+                return (self.best, self.steps);
+            }
+        }
+    }
+}
+
+/// Run `test` on `config.cases` inputs drawn by `generate` from the
+/// runner seeded by `name`; on the first failure, shrink it and return
+/// the minimal failing input. Panics during shrinking are not printed.
+pub fn find_failure<A>(
+    name: &str,
+    config: ProptestConfig,
+    generate: impl Fn(&mut TestRunner) -> A,
+    test: impl Fn(A),
+) -> Option<Failure<A>> {
+    install_quiet_hook();
+    let mut runner = TestRunner::deterministic(name);
+    for case in 0..config.cases {
+        runner.begin_case(None);
+        let input = generate(&mut runner);
+        let record = runner.take_record();
+        if !fails(&test, input) {
+            continue;
+        }
+        SHRINKING.with(|s| s.set(true));
+        let (minimal, steps) = Shrinker {
+            best: record,
+            replay: |choices| {
+                runner.begin_case(Some(choices));
+                let input = generate(&mut runner);
+                let record = runner.take_record();
+                fails(&test, input).then_some(record)
+            },
+            steps: 0,
+            runs: 0,
+        }
+        .run();
+        SHRINKING.with(|s| s.set(false));
+        runner.begin_case(Some(minimal.choices()));
+        return Some(Failure {
+            case,
+            seed: runner.seed,
+            input: generate(&mut runner),
+            steps,
+        });
+    }
+    None
+}
+
+/// The body of every `proptest!` test: run the property, and on failure
+/// report the shrunk case (named by `args`), its case number and seed,
+/// then fail with the minimal case's own panic.
+pub fn check<A: Debug>(
+    name: &str,
+    args: &str,
+    config: ProptestConfig,
+    generate: impl Fn(&mut TestRunner) -> A,
+    test: impl Fn(A),
+) {
+    let Some(failure) = find_failure(name, config, &generate, &test) else {
+        return;
+    };
+    eprintln!(
+        "proptest shim: property `{name}` failed at case {} of {} (seed {:#018x}); \
+         minimal failing input after {} shrink steps:\n  ({args}) = {:?}",
+        failure.case, config.cases, failure.seed, failure.steps, failure.input,
+    );
+    test(failure.input);
+    unreachable!("the minimal case of `{name}` passed when replayed");
 }
 
 #[cfg(test)]
@@ -477,8 +767,7 @@ mod tests {
         for _ in 0..200 {
             let v = crate::Strategy::generate(&(-60i64..60), &mut r);
             assert!((-60..60).contains(&v));
-            let xs =
-                crate::Strategy::generate(&crate::collection::vec(0u8..6, 0..25), &mut r);
+            let xs = crate::Strategy::generate(&crate::collection::vec(0u8..6, 0..25), &mut r);
             assert!(xs.len() < 25);
             assert!(xs.iter().all(|&x| x < 6));
             let (s, d) = crate::Strategy::generate(&(-50i64..50, 1i64..30), &mut r);
@@ -502,8 +791,9 @@ mod tests {
     fn oneof_uses_every_arm() {
         let mut r = crate::TestRunner::deterministic("oneof");
         let strat = prop_oneof![Just(1u8), Just(2u8), (3u8..5).prop_map(|x| x)];
-        let seen: std::collections::BTreeSet<u8> =
-            (0..200).map(|_| crate::Strategy::generate(&strat, &mut r)).collect();
+        let seen: std::collections::BTreeSet<u8> = (0..200)
+            .map(|_| crate::Strategy::generate(&strat, &mut r))
+            .collect();
         assert!(seen.contains(&1) && seen.contains(&2) && seen.contains(&3));
     }
 
@@ -514,6 +804,48 @@ mod tests {
             prop_assert!(x >= 0);
             prop_assert_eq!(ys.len(), ys.len());
         }
+    }
+
+    #[test]
+    fn shrinking_halves_a_vector_to_its_minimal_length() {
+        let failure = crate::find_failure(
+            "shrink-len",
+            ProptestConfig::with_cases(64),
+            |r| crate::Strategy::generate(&proptest::collection::vec(0u32..1000, 0..40), r),
+            |v: Vec<u32>| assert!(v.len() < 3, "len {}", v.len()),
+        )
+        .expect("some case is at least 3 long");
+        // The length shrinks to the boundary, the elements to the low end.
+        assert_eq!(failure.input, vec![0, 0, 0]);
+        assert!(failure.steps > 0);
+        assert_eq!(
+            failure.seed,
+            crate::TestRunner::deterministic("shrink-len").seed()
+        );
+    }
+
+    #[test]
+    fn shrinking_finds_an_integer_boundary_through_a_map() {
+        let strategy = (0i64..1000, 5i64..10).prop_map(|(x, y)| (x * 2, y));
+        let failure = crate::find_failure(
+            "shrink-int",
+            ProptestConfig::with_cases(64),
+            |r| crate::Strategy::generate(&strategy, r),
+            |(x, _): (i64, i64)| assert!(x < 74),
+        )
+        .expect("some case is at least 74");
+        assert_eq!(failure.input, (74, 5));
+    }
+
+    #[test]
+    fn passing_properties_report_nothing() {
+        let failure = crate::find_failure(
+            "no-failure",
+            ProptestConfig::with_cases(32),
+            |r| crate::Strategy::generate(&(0u8..10), r),
+            |x: u8| assert!(x < 10),
+        );
+        assert!(failure.is_none());
     }
 
     #[test]

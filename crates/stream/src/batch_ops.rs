@@ -29,8 +29,8 @@
 //! endpoint columns of [`RowBatch`] and [`GaplessWorkspace`] (Piatov et
 //! al.): branch-light integer comparisons the compiler can unroll and
 //! vectorize, with payloads touched only on a match.
-//! `tests/batch_equivalence.rs` pins the batch-size invariance and checks
-//! every output against the nested-loop Allen oracle.
+//! `tests/oracle.rs` pins the batch-size invariance and checks every
+//! output against the nested-loop Allen oracle.
 //!
 //! ### Paper erratum (TS↑/TE↑ Contain-join)
 //!

@@ -15,18 +15,18 @@
 //! paper's tuple-at-a-time algorithms do, at every batch size — output
 //! sequences are comparable exactly, not just as multisets.
 //!
-//! The accounting is shared with [`crate::workspace::Workspace`], the row
-//! layout the no-GC reference join uses: both call the same
-//! [`WorkspaceStats`] recording hooks, so `max_resident`, discard counts,
-//! and occupancy histograms — the numbers `tdb-analyze` caps and `tdb-obs`
-//! cross-checks — are layout-independent by construction.
+//! The accounting is shared with the row layout the no-GC reference join
+//! of `tdb-oracle` uses: both call the same [`WorkspaceStats`] recording
+//! hooks, so `max_resident`, discard counts, and occupancy histograms —
+//! the numbers `tdb-analyze` caps and `tdb-obs` cross-checks — are
+//! layout-independent by construction.
 
 use crate::workspace::WorkspaceStats;
 use tdb_core::Temporal;
 
 /// An instrumented state set stored as gapless parallel endpoint columns.
 ///
-/// Semantically identical to [`crate::workspace::Workspace`]; the layout is
+/// Semantically identical to a vector of state tuples; the layout is
 /// what changes. Predicates run over `(ts, te)` tick pairs instead of
 /// `&T`, which is what lets the hot loops avoid touching payloads.
 #[derive(Debug, Clone)]
@@ -184,34 +184,10 @@ impl<T: Temporal> GaplessWorkspace<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workspace::Workspace;
     use tdb_core::TsTuple;
 
     fn iv(s: i64, e: i64) -> TsTuple {
         TsTuple::interval(s, e).unwrap()
-    }
-
-    #[test]
-    fn mirrors_row_workspace_stats() {
-        // Drive the same insert/gc sequence through both layouts and
-        // require bit-identical stats.
-        let rows: Vec<TsTuple> = (0..10).map(|i| iv(i, i + 4)).collect();
-        let mut row = Workspace::new();
-        let mut col = GaplessWorkspace::new();
-        for (i, t) in rows.iter().enumerate() {
-            row.insert(t.clone());
-            col.insert(t.clone());
-            if i % 3 == 2 {
-                let cut = t.ts().ticks();
-                row.gc(|x: &TsTuple| x.te().ticks() >= cut);
-                col.gc_te_ge(cut);
-            }
-        }
-        assert_eq!(row.stats(), col.stats());
-        assert_eq!(row.len(), col.len());
-        // Residence order must match too.
-        let row_order: Vec<i64> = row.iter().map(|t| t.ts().ticks()).collect();
-        assert_eq!(row_order, col.ts_col());
     }
 
     #[test]

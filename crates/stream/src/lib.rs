@@ -5,8 +5,10 @@
 //! sorted inputs that keep a small, garbage-collected local workspace.
 //!
 //! Every paper operator is a push kernel ([`batch_ops::BatchOp`]) run
-//! through [`dispatch`]; the reference definitions the kernels are
-//! measured and checked against are plain functions over slices.
+//! through [`dispatch`]. The reference definitions the kernels are
+//! measured and checked against — the nested-loop and no-GC joins,
+//! timeslice, the concurrency profile and coalescing — live in
+//! `tdb-oracle`, which no served crate depends on.
 //!
 //! | Paper artifact | Module |
 //! |---|---|
@@ -17,8 +19,6 @@
 //! | §4.2.3 self semijoins, Figure 7, Table 3 | [`self_semijoin`] |
 //! | §4.2.4 Before operators | [`before`] |
 //! | footnote 8: equality joins via merge join | [`merge_join`] |
-//! | conventional baseline (§3) and the no-GC "–" cells | [`nested_loop`], [`buffered_join`] |
-//! | snapshots, concurrency profile, coalescing (§6) | [`timeslice`], [`coalesce`] |
 //! | knobs and reports | [`report`] |
 //! | running a kernel over sorted vectors into a sink | [`dispatch`] |
 //! | time-partitioned parallel execution, fringe replication | [`partition`] |
@@ -36,14 +36,11 @@ pub mod aggregate;
 pub mod batch;
 pub mod batch_ops;
 pub mod before;
-pub mod buffered_join;
-pub mod coalesce;
 pub mod contain_join;
 pub mod dispatch;
 pub mod gapless;
 pub mod merge_join;
 pub mod metrics;
-pub mod nested_loop;
 pub mod overlap_join;
 pub mod partition;
 pub mod progress;
@@ -53,7 +50,6 @@ pub mod required;
 pub mod self_semijoin;
 pub mod sink;
 pub mod sweep_semijoin;
-pub mod timeslice;
 pub mod watermark;
 pub mod workspace;
 
@@ -64,14 +60,11 @@ pub use batch_ops::{
     OverlapSemijoin, Side, Wants,
 };
 pub use before::{BeforeJoin, BeforeSemijoin};
-pub use buffered_join::buffered_join;
-pub use coalesce::{coalesce, coalesce_relation};
 pub use contain_join::ContainJoinTsTs;
 pub use dispatch::{collect, run_join, run_kernel, run_self_semijoin, run_semijoin, Emit};
 pub use gapless::GaplessWorkspace;
 pub use merge_join::merge_equi_join;
 pub use metrics::OpMetrics;
-pub use nested_loop::nested_loop_join;
 pub use overlap_join::OverlapMode;
 pub use partition::{
     merge_tagged, parallel_join, parallel_semijoin, partition_with_fringe, ParallelPattern,
@@ -84,6 +77,5 @@ pub use required::{OrderRequirement, StreamOpKind};
 pub use self_semijoin::{ContainSelfSemijoin, ContainSelfSemijoinDesc, ContainedSelfSemijoin};
 pub use sink::{row_bytes, CollectSink, CountSink, LimitSink, PairBatch, RowSink, SinkStats};
 pub use sweep_semijoin::SweepSemijoin;
-pub use timeslice::{concurrency_profile, timeslice, ProfileStep};
 pub use watermark::Watermark;
-pub use workspace::{Workspace, WorkspaceStats, OCCUPANCY_BOUNDS, OCCUPANCY_CELLS};
+pub use workspace::{WorkspaceStats, OCCUPANCY_BOUNDS, OCCUPANCY_CELLS};

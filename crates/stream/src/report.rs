@@ -128,8 +128,7 @@ impl OpConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::{collect, run_join, run_semijoin, Emit};
-    use crate::nested_loop::nested_loop_join;
+    use crate::dispatch::{collect, run_join, run_semijoin};
     use crate::required::StreamOpKind;
     use tdb_core::TsTuple;
 
@@ -201,29 +200,5 @@ mod tests {
             a.workspace.max_resident.max(b.workspace.max_resident)
         );
         assert_eq!(c.metrics.passes, 1);
-    }
-
-    #[test]
-    fn before_and_nested_loop_report_materialized_inner() {
-        let xs = vec![iv(0, 2)];
-        let ys = vec![iv(7, 8), iv(5, 6)];
-        let cfg = OpConfig::new();
-        let (out, report) =
-            collect(|e| run_join(StreamOpKind::BeforeJoin, cfg, xs.clone(), ys.clone(), e))
-                .unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(report.max_workspace(), 2);
-        let (_, counted) = run_join(
-            StreamOpKind::BeforeJoin,
-            cfg,
-            xs.clone(),
-            ys.clone(),
-            Emit::Count,
-        )
-        .unwrap();
-        assert_eq!(counted, report);
-        let (out, report) = nested_loop_join(&xs, &ys, |x, y| x.period.before(&y.period));
-        assert_eq!(out.len(), 2);
-        assert_eq!(report.max_workspace(), 2);
     }
 }

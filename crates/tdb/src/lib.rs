@@ -15,7 +15,8 @@
 //! * [`storage`] — slotted pages, heap files, buffer pool, external merge
 //!   sort, catalog, I/O accounting;
 //! * [`stream`] — the stream operators: push kernels with instrumented
-//!   workspaces, run through one dispatch, and the reference definitions;
+//!   workspaces, run through one dispatch (the reference definitions they
+//!   are checked against are the separate `tdb-oracle` crate);
 //! * [`algebra`] — logical/physical plans, rewrites, planner, executor;
 //! * [`analyze`] — the plan-time static verifier: sort-order inference,
 //!   workspace-bound proofs, partition safety;
@@ -91,14 +92,13 @@ pub mod prelude {
     };
     pub use tdb_storage::{Catalog, ExternalSorter, HeapFile, IoStats};
     pub use tdb_stream::{
-        buffered_join, coalesce_relation, collect, grouped_sum, merge_equi_join, nested_loop_join,
-        parallel_join, parallel_semijoin, partition_with_fringe, run_join, run_kernel,
-        run_self_semijoin, run_semijoin, BeforeJoin, BeforeSemijoin, CollectSink, ContainJoinTsTe,
-        ContainJoinTsTs, ContainSelfSemijoin, ContainSemijoinStab, ContainedSelfSemijoin,
-        ContainedSemijoinStab, CountSink, Emit, LimitSink, OpConfig, OpReport, OverlapJoin,
-        OverlapMode, OverlapSemijoin, ParallelPattern, ParallelPush, PartitionSpec, ReadPolicy,
-        RowSink, SinkStats, StreamOpKind, SweepSemijoin, Tagged, Workspace, WorkspaceStats,
-        DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS,
+        collect, grouped_sum, merge_equi_join, parallel_join, parallel_semijoin,
+        partition_with_fringe, run_join, run_kernel, run_self_semijoin, run_semijoin, BeforeJoin,
+        BeforeSemijoin, CollectSink, ContainJoinTsTe, ContainJoinTsTs, ContainSelfSemijoin,
+        ContainSemijoinStab, ContainedSelfSemijoin, ContainedSemijoinStab, CountSink, Emit,
+        LimitSink, OpConfig, OpReport, OverlapJoin, OverlapMode, OverlapSemijoin, ParallelPattern,
+        ParallelPush, PartitionSpec, ReadPolicy, RowSink, SinkStats, StreamOpKind, SweepSemijoin,
+        Tagged, WorkspaceStats, DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS,
     };
     pub use tdb_wal::{FlushPolicy, WalMetrics, WalRecord, WalStore};
 }

@@ -7,6 +7,7 @@
 
 use std::time::Instant;
 use tdb::prelude::*;
+use tdb_oracle::nested_loop_join;
 
 fn main() -> TdbResult<()> {
     // Alarms: bursty short intervals. Maintenance windows: sparse, long.

@@ -98,46 +98,6 @@ fn simple_selection_query() {
 }
 
 #[test]
-fn during_query_all_plan_variants_agree() {
-    let catalog = catalog("during", 80, 5);
-    let text = r#"
-        range of a is Faculty
-        range of b is Faculty
-        retrieve (Inner=a.Name, Outer=b.Name)
-        where (a during b) and a.Rank = "Associate"
-    "#;
-    let conventional = run(&catalog, text, PlannerConfig::conventional());
-    let streamed = run(&catalog, text, PlannerConfig::stream());
-    assert_eq!(row_set(&conventional), row_set(&streamed));
-    // The stream plan uses bounded workspace; report it for sanity.
-    assert!(streamed.stats.max_workspace <= 10_000);
-}
-
-#[test]
-fn before_and_meets_queries() {
-    let catalog = catalog("beforemeets", 40, 6);
-    for (text, _label) in [
-        (
-            r"range of a is Faculty
-               range of b is Faculty
-               retrieve (X=a.Name, Y=b.Name) where (a before b) and a.Name = b.Name",
-            "before",
-        ),
-        (
-            r"range of a is Faculty
-               range of b is Faculty
-               retrieve (X=a.Name, Y=b.Name) where (a meets b) and a.Name = b.Name",
-            "meets",
-        ),
-    ] {
-        let conventional = run(&catalog, text, PlannerConfig::naive());
-        let streamed = run(&catalog, text, PlannerConfig::stream());
-        assert_eq!(row_set(&conventional), row_set(&streamed));
-        assert!(!streamed.rows.is_empty());
-    }
-}
-
-#[test]
 fn parse_and_plan_errors_are_reported() {
     let catalog = catalog("errors", 5, 7);
     // Unknown relation.
@@ -198,7 +158,7 @@ fn multi_attribute_time_sequences() {
 
 #[test]
 fn coalesce_and_timeslice_compose_with_query_results() {
-    use tdb::stream::{coalesce_relation, timeslice};
+    use tdb_oracle::{coalesce_relation, timeslice};
     let catalog = catalog("slice", 100, 41);
     // Project every faculty's full employment as (Name, "employed") tuples
     // and coalesce adjacent rank periods into employment spells.

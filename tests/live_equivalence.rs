@@ -18,31 +18,20 @@
 //! over two Poisson streams keeps its runtime workspace peak under both
 //! its live cap and the cap the final catalog statistics prove.
 
+#[path = "support/live.rs"]
+mod live;
+
+use live::{batch_catalog, closed_prefix, interval_schema, multiset, ts_of};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tdb::algebra::cost::workspace_cap;
 use tdb::live::{LiveConfig, LiveEngine, SubscriptionMode};
 use tdb::prelude::*;
-use tdb::storage::Codec;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
 const ATTRS: [&str; 4] = ["Id", "Seq", "ValidFrom", "ValidTo"];
-
-fn interval_schema() -> TemporalSchema {
-    TemporalSchema::new(
-        tdb::core::Schema::new(vec![
-            tdb::core::Field::new("Id", tdb::core::FieldType::Str),
-            tdb::core::Field::new("Seq", tdb::core::FieldType::Int),
-            tdb::core::Field::new("ValidFrom", tdb::core::FieldType::Time),
-            tdb::core::Field::new("ValidTo", tdb::core::FieldType::Time),
-        ]),
-        2,
-        3,
-    )
-    .unwrap()
-}
 
 /// Turn `(gap, dur)` pairs into TS-ascending interval rows with unique
 /// surrogates, so multiset comparison is exact.
@@ -60,38 +49,6 @@ fn rows(prefix: &str, raw: &[(i64, i64)]) -> Vec<Row> {
             ])
         })
         .collect()
-}
-
-fn ts_of(row: &Row) -> i64 {
-    match row.get(2) {
-        Value::Time(t) => t.ticks(),
-        other => panic!("ValidFrom must be a time, got {other:?}"),
-    }
-}
-
-/// The watermark-closed prefix of `arrived` under slack 0 on (TS↑):
-/// everything strictly below the maximum TS seen — equal keys may still
-/// gain peers, so they stay open. `sealed` closes everything.
-fn closed_prefix(arrived: &[Row], sealed: bool) -> Vec<Row> {
-    if sealed {
-        return arrived.to_vec();
-    }
-    let Some(max_ts) = arrived.iter().map(ts_of).max() else {
-        return Vec::new();
-    };
-    arrived
-        .iter()
-        .filter(|r| ts_of(r) < max_ts)
-        .cloned()
-        .collect()
-}
-
-fn multiset(rows: &[Row]) -> BTreeMap<Vec<u8>, usize> {
-    let mut out = BTreeMap::new();
-    for row in rows {
-        *out.entry(row.to_bytes().to_vec()).or_insert(0) += 1;
-    }
-    out
 }
 
 fn contains() -> Vec<Atom> {
@@ -155,16 +112,7 @@ fn batch(
     x_rows: &[Row],
     y_rows: &[Row],
 ) -> BTreeMap<Vec<u8>, usize> {
-    let _ = std::fs::remove_dir_all(dir);
-    let mut cat = Catalog::open(dir, IoStats::new()).unwrap();
-    let mut sorted_x = x_rows.to_vec();
-    sorted_x.sort_by_key(ts_of);
-    let mut sorted_y = y_rows.to_vec();
-    sorted_y.sort_by_key(ts_of);
-    cat.create_relation("X", interval_schema(), &sorted_x, vec![StreamOrder::TS_ASC])
-        .unwrap();
-    cat.create_relation("Y", interval_schema(), &sorted_y, vec![StreamOrder::TS_ASC])
-        .unwrap();
+    let cat = batch_catalog(dir, x_rows, y_rows);
     let physical = plan(logical, config).unwrap();
     multiset(&physical.execute(&cat, ExecOptions::default()).unwrap().rows)
 }

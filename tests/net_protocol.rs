@@ -32,6 +32,10 @@
 //!    counts), or a frame of another protocol version, decode to a typed
 //!    `Corrupt` error.
 
+#[path = "support/live.rs"]
+mod live;
+
+use live::{batch_catalog, closed_prefix, multiset};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -341,51 +345,6 @@ const SUB_QUERY: &str = "\\subscribe range of a is X range of b is Y \
      retrieve (P=a.Id, Q=b.Id) \
      where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo";
 
-fn interval_schema() -> TemporalSchema {
-    TemporalSchema::new(
-        tdb::core::Schema::new(vec![
-            tdb::core::Field::new("Id", tdb::core::FieldType::Str),
-            tdb::core::Field::new("Seq", tdb::core::FieldType::Int),
-            tdb::core::Field::new("ValidFrom", tdb::core::FieldType::Time),
-            tdb::core::Field::new("ValidTo", tdb::core::FieldType::Time),
-        ]),
-        2,
-        3,
-    )
-    .unwrap()
-}
-
-fn ts_of(row: &Row) -> i64 {
-    match row.get(2) {
-        Value::Time(t) => t.ticks(),
-        other => panic!("ValidFrom must be a time, got {other:?}"),
-    }
-}
-
-/// Watermark-closed prefix under slack 0 on (TS↑): everything strictly
-/// below the maximum TS seen; sealing closes everything.
-fn closed_prefix(arrived: &[Row], sealed: bool) -> Vec<Row> {
-    if sealed {
-        return arrived.to_vec();
-    }
-    let Some(max_ts) = arrived.iter().map(ts_of).max() else {
-        return Vec::new();
-    };
-    arrived
-        .iter()
-        .filter(|r| ts_of(r) < max_ts)
-        .cloned()
-        .collect()
-}
-
-fn multiset(rows: &[Row]) -> BTreeMap<Vec<u8>, usize> {
-    let mut out = BTreeMap::new();
-    for row in rows {
-        *out.entry(row.to_bytes().to_vec()).or_insert(0) += 1;
-    }
-    out
-}
-
 /// Batch-execute the subscription's query over a fresh catalog holding
 /// exactly the closed prefixes, independently of the server.
 fn batch_expected(
@@ -393,16 +352,7 @@ fn batch_expected(
     x_rows: &[Row],
     y_rows: &[Row],
 ) -> BTreeMap<Vec<u8>, usize> {
-    let _ = std::fs::remove_dir_all(dir);
-    let mut cat = Catalog::open(dir, IoStats::new()).unwrap();
-    let mut sx = x_rows.to_vec();
-    sx.sort_by_key(ts_of);
-    let mut sy = y_rows.to_vec();
-    sy.sort_by_key(ts_of);
-    cat.create_relation("X", interval_schema(), &sx, vec![StreamOrder::TS_ASC])
-        .unwrap();
-    cat.create_relation("Y", interval_schema(), &sy, vec![StreamOrder::TS_ASC])
-        .unwrap();
+    let cat = batch_catalog(dir, x_rows, y_rows);
     let text = SUB_QUERY.trim_start_matches("\\subscribe ");
     let (logical, _q) = compile(text, &cat).unwrap();
     let optimized = conventional_optimize(logical);

@@ -1,22 +1,10 @@
-//! Sink-vs-materialized equivalence and chunked wire streaming.
+//! Chunked wire streaming through the engine and the server.
 //!
-//! Three layers of guarantees around the push-based [`RowSink`] contract:
+//! The plan-level sink contract — collect, count, limit and wire sinks
+//! giving one answer at every batch size and parallelism — is checked
+//! against the nested-loop oracle by `tests/oracle.rs`. Here:
 //!
-//! 1. **Plan-level equivalence (proptest)** — for arbitrary generated
-//!    two-variable temporal queries, executing through an external
-//!    [`CollectSink`] must produce exactly the rows, counters, and
-//!    workspace peaks of the materialized path, across batch sizes
-//!    {1, 64, 1024} × parallelism {1, 4}; the count-only path
-//!    ([`CountSink`], `wants_rows() == false`) must agree on
-//!    cardinality; a [`LimitSink`] must retain exactly the prefix
-//!    while stopping the producer early; and the [`WireSink`] — join
-//!    matches encoded into reply frames straight from their source
-//!    rows, other rows as they are pushed — must decode to the same
-//!    rows in the same order with the same `SinkStats` and
-//!    per-operator reports, whatever shape the matches take: a
-//!    residual-predicate join, a self-join with no projection above it.
-//!
-//! 2. **Engine-level wire sink** — through `Engine::execute_into` a
+//! 1. **Engine-level wire sink** — through `Engine::execute_into` a
 //!    large join leaves as header, chunks cut at the 4 MiB `row_bytes`
 //!    budget (`last` only on the final one) and trailer, the first
 //!    chunk before the engine has returned; `\set limit` stops the
@@ -24,136 +12,22 @@
 //!    matches part-way the delivered rows, `sink_rows` and
 //!    `sink_bytes` are those of the collected result's prefix.
 //!
-//! 3. **Wire streaming (integration)** — a result set larger than the
+//! 2. **Wire streaming (integration)** — a result set larger than the
 //!    64 MiB frame cap must cross `tdb-net` as a `QueryStream` header
 //!    plus bounded `ReplyChunk` frames and reassemble losslessly. The
 //!    same mechanism must be transparent to `Client::request`.
 
-use proptest::prelude::*;
+#[path = "support/wire.rs"]
+mod wire;
+
 use tdb::prelude::*;
-use tdb_engine::{ClientState, Engine, QueryReport, QueryTrailer, Response};
-use tdb_net::wire::{Frame, FrameReader, ReadOutcome};
+use tdb_engine::{ClientState, Engine, QueryTrailer, Response};
+use tdb_net::wire::Frame;
 use tdb_net::{serve, Client, NetConfig, StreamEvent, WireSink, CHUNK_BYTES};
-
-const ATTRS: [&str; 4] = ["Name", "Rank", "ValidFrom", "ValidTo"];
-
-fn shared_catalog() -> &'static Catalog {
-    use std::sync::OnceLock;
-    static CATALOG: OnceLock<Catalog> = OnceLock::new();
-    CATALOG.get_or_init(|| {
-        let faculty = FacultyGen {
-            n_faculty: 60,
-            seed: 1234,
-            continuous_employment: false,
-            ..FacultyGen::default()
-        }
-        .generate();
-        let dir = std::env::temp_dir().join(format!("tdb-sink-eq-{}", std::process::id()));
-        tdb::faculty_catalog(dir, &faculty).unwrap()
-    })
-}
-
-/// Atoms for each Allen operator, as the Quel front end desugars them.
-fn temporal_atoms(which: u8) -> Vec<Atom> {
-    use tdb::quel::ast::TemporalOp;
-    use tdb::quel::translate::desugar_temporal;
-    let op = match which % 10 {
-        0 => TemporalOp::Overlap,
-        1 => TemporalOp::Overlaps,
-        2 => TemporalOp::During,
-        3 => TemporalOp::Contains,
-        4 => TemporalOp::Before,
-        5 => TemporalOp::After,
-        6 => TemporalOp::Meets,
-        7 => TemporalOp::Starts,
-        8 => TemporalOp::Finishes,
-        _ => TemporalOp::Equal,
-    };
-    desugar_temporal("a", op, "b")
-}
-
-fn build_query(temporal: u8, name_eq: bool) -> LogicalPlan {
-    let mut atoms = temporal_atoms(temporal);
-    if name_eq {
-        atoms.push(Atom::cols("a", "Name", CompOp::Eq, "b", "Name"));
-    }
-    LogicalPlan::scan("Faculty", "a", &ATTRS)
-        .product(LogicalPlan::scan("Faculty", "b", &ATTRS))
-        .select(atoms)
-        .project(vec![
-            (ColumnRef::new("a", "Name"), "A".into()),
-            (ColumnRef::new("a", "ValidFrom"), "AF".into()),
-            (ColumnRef::new("b", "Name"), "B".into()),
-            (ColumnRef::new("b", "ValidFrom"), "BF".into()),
-        ])
-}
-
-fn plan_for(logical: &LogicalPlan, batch_rows: usize, parallelism: usize) -> PhysicalPlan {
-    let config = PlannerConfig {
-        batch_rows,
-        parallelism,
-        ..PlannerConfig::stream()
-    };
-    let optimized = conventional_optimize(logical.clone());
-    plan(&optimized, config).unwrap()
-}
+use wire::{decode_frames, reply_chunks};
 
 const BATCHES: [usize; 3] = [1, 64, 1024];
 const PARALLELISM: [usize; 2] = [1, 4];
-
-/// Decode the frames a [`WireSink`] emitted, through the reader a client
-/// uses.
-fn decode_frames(wire: &[bytes::BytesMut]) -> Vec<Frame> {
-    let bytes: Vec<u8> = wire.iter().flat_map(|f| f.iter().copied()).collect();
-    let mut reader = FrameReader::new();
-    let mut src = &bytes[..];
-    let mut frames = Vec::new();
-    while let ReadOutcome::Frame(frame) = reader.read(&mut src).unwrap() {
-        frames.push(frame);
-    }
-    frames
-}
-
-/// The rows a reply carries, whichever shape it took: one `Reply`, or
-/// header + chunks + trailer. Checks the stream's own invariants on the
-/// way (consecutive `seq`, `last` on the final chunk only, no empty
-/// chunk, trailer last) and returns the rows per chunk.
-fn reply_chunks(frames: &[Frame]) -> Vec<Vec<Row>> {
-    match frames {
-        [Frame::Reply { response, .. }] => match &**response {
-            Response::Query(q) => vec![q.rows.rows.clone()],
-            other => panic!("expected a query reply, got {other:?}"),
-        },
-        [Frame::Reply { response, .. }, chunks @ .., Frame::ReplyEnd { trailer, .. }] => {
-            assert!(
-                matches!(&**response, Response::QueryStream(q) if q.rows.rows.is_empty()),
-                "a stream starts with its header"
-            );
-            assert!(trailer.error.is_none());
-            assert!(!chunks.is_empty(), "a stream has at least one chunk");
-            chunks
-                .iter()
-                .enumerate()
-                .map(|(i, frame)| match frame {
-                    Frame::ReplyChunk {
-                        seq, last, rows, ..
-                    } => {
-                        assert_eq!(*seq as usize, i, "chunks are numbered in order");
-                        assert_eq!(
-                            *last,
-                            i + 1 == chunks.len(),
-                            "`last` marks the final chunk only"
-                        );
-                        assert!(!rows.is_empty(), "no chunk is empty");
-                        rows.clone()
-                    }
-                    other => panic!("expected a chunk, got {other:?}"),
-                })
-                .collect()
-        }
-        other => panic!("not a reply: {other:?}"),
-    }
-}
 
 /// Where the server's framing cuts `rows`: a chunk is full once its
 /// `row_bytes` reach the budget.
@@ -169,239 +43,6 @@ fn reference_cut(rows: &[Row]) -> Vec<Vec<Row>> {
         chunks.last_mut().unwrap().push(row.clone());
     }
     chunks
-}
-
-/// Per-operator observations without their wall-clock component.
-fn untimed(trace: &[OpObservation]) -> Vec<OpObservation> {
-    trace
-        .iter()
-        .cloned()
-        .map(|mut o| {
-            o.elapsed_us = 0;
-            o
-        })
-        .collect()
-}
-
-/// Run `physical` into a plan-level [`WireSink`] and into a
-/// [`CollectSink`]; the decoded reply, the sink statistics and the
-/// executor's counters and per-operator reports must be the same.
-fn assert_wire_matches_collect(physical: &PhysicalPlan, batch_rows: usize, label: &str) {
-    let cat = shared_catalog();
-    let opts = || ExecOptions::new().with_batch_rows(batch_rows);
-    let mut collect = CollectSink::new();
-    let want = physical
-        .execute(cat, opts().with_sink(&mut collect))
-        .unwrap();
-
-    let mut wire = Vec::new();
-    let mut sink = WireSink::new(|_, frame| wire.push(frame));
-    let got = physical.execute(cat, opts().with_sink(&mut sink)).unwrap();
-    assert_eq!(
-        sink.finish(),
-        collect.finish(),
-        "SinkStats differ ({label})"
-    );
-    sink.complete(Response::Query(QueryReport::default()));
-
-    let rows: Vec<Row> = reply_chunks(&decode_frames(&wire)).concat();
-    assert_eq!(rows, collect.rows(), "rows or their order differ ({label})");
-    assert_eq!(got.stats, want.stats, "executor counters differ ({label})");
-    assert_eq!(
-        untimed(&got.trace),
-        untimed(&want.trace),
-        "operator reports differ ({label})"
-    );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The external-sink path is byte-identical to the materialized
-    /// path: same rows in the same order, same comparison counts, same
-    /// workspace peaks; the count-only path agrees on cardinality.
-    #[test]
-    fn sink_matches_materialized_across_batch_and_parallelism(
-        temporal in 0u8..10,
-        name_eq in any::<bool>(),
-    ) {
-        let q = build_query(temporal, name_eq);
-        let cat = shared_catalog();
-        for batch_rows in BATCHES {
-            for parallelism in PARALLELISM {
-                let physical = plan_for(&q, batch_rows, parallelism);
-                let label = format!("batch={batch_rows} k={parallelism}");
-
-                let mat = physical.execute(cat, ExecOptions::default()).unwrap();
-
-                let mut collect = CollectSink::new();
-                let out = physical
-                    .execute(cat, ExecOptions::new().with_sink(&mut collect))
-                    .unwrap();
-                let stats = collect.finish();
-                prop_assert!(out.rows.is_empty(), "external sink owns the rows ({label})");
-                prop_assert_eq!(
-                    collect.rows(), &mat.rows[..],
-                    "sink rows differ from materialized ({})", &label
-                );
-                prop_assert_eq!(
-                    stats.rows as usize, mat.rows.len(),
-                    "SinkStats.rows miscounts ({})", &label
-                );
-                prop_assert_eq!(
-                    stats.bytes,
-                    mat.rows.iter().map(tdb::stream::row_bytes).sum::<u64>(),
-                    "SinkStats.bytes miscounts ({})", &label
-                );
-                prop_assert!(!stats.truncated, "CollectSink never truncates ({label})");
-                prop_assert_eq!(
-                    out.stats.output_rows, mat.stats.output_rows,
-                    "offered-row counters diverge ({})", &label
-                );
-                prop_assert_eq!(
-                    out.stats.comparisons, mat.stats.comparisons,
-                    "comparison counters diverge ({})", &label
-                );
-                prop_assert_eq!(
-                    out.stats.max_workspace, mat.stats.max_workspace,
-                    "workspace peaks diverge ({})", &label
-                );
-
-                let mut count = CountSink::new();
-                physical
-                    .execute(cat, ExecOptions::new().with_sink(&mut count))
-                    .unwrap();
-                prop_assert_eq!(
-                    count.count() as usize, mat.rows.len(),
-                    "count-only path disagrees on cardinality ({})", &label
-                );
-
-                assert_wire_matches_collect(&physical, batch_rows, &label);
-            }
-        }
-    }
-}
-
-/// The wire sink ≡ `CollectSink` on a stream join that keeps a residual
-/// predicate (the one case where the joined row is concatenated before
-/// it is projected), serial and time-partitioned, at every batch size.
-#[test]
-fn wire_sink_matches_collect_on_a_residual_join() {
-    let scan = |var: &str| PhysicalPlan::SeqScan {
-        relation: "Faculty".into(),
-        var: var.into(),
-    };
-    let join = PhysicalPlan::StreamTemporal {
-        left: Box::new(scan("a")),
-        right: Box::new(scan("b")),
-        left_var: "a".into(),
-        right_var: "b".into(),
-        pattern: TemporalPattern::GeneralOverlap,
-        residual: vec![Atom::cols("a", "Rank", CompOp::Ne, "b", "Rank")],
-    };
-    let project = |input: PhysicalPlan| PhysicalPlan::Project {
-        input: Box::new(input),
-        columns: vec![
-            (ColumnRef::new("b", "Name"), "B".into()),
-            (ColumnRef::new("a", "Rank"), "AR".into()),
-            (ColumnRef::new("b", "Rank"), "BR".into()),
-        ],
-    };
-    let serial = project(join.clone());
-    let parallel = project(PhysicalPlan::Parallel {
-        partitions: 4,
-        child: Box::new(join.clone()),
-    });
-    let out = serial
-        .execute(shared_catalog(), ExecOptions::default())
-        .unwrap();
-    assert!(
-        out.rows.len() > 100,
-        "population too small: {}",
-        out.rows.len()
-    );
-    assert!(out.rows.iter().all(|r| r.get(1) != r.get(2)));
-    for batch_rows in BATCHES {
-        for (k, plan) in [(1, &serial), (4, &parallel), (1, &join)] {
-            assert_wire_matches_collect(plan, batch_rows, &format!("batch={batch_rows} k={k}"));
-        }
-    }
-}
-
-/// The wire sink ≡ `CollectSink` on a self-join with no projection above
-/// it: each Faculty string is reachable under a left and a right
-/// ordinal, and every column of both sides goes out — serial and
-/// time-partitioned, at every batch size.
-#[test]
-fn wire_sink_matches_collect_on_an_unprojected_self_join() {
-    let scan = |var: &str| PhysicalPlan::SeqScan {
-        relation: "Faculty".into(),
-        var: var.into(),
-    };
-    let join = PhysicalPlan::StreamTemporal {
-        left: Box::new(scan("a")),
-        right: Box::new(scan("b")),
-        left_var: "a".into(),
-        right_var: "b".into(),
-        pattern: TemporalPattern::GeneralOverlap,
-        residual: vec![],
-    };
-    let parallel = PhysicalPlan::Parallel {
-        partitions: 4,
-        child: Box::new(join.clone()),
-    };
-    let out = join
-        .execute(shared_catalog(), ExecOptions::default())
-        .unwrap();
-    assert!(out.rows.len() > 100 && out.rows[0].arity() == 2 * ATTRS.len());
-    for batch_rows in BATCHES {
-        for (k, plan) in [(1, &join), (4, &parallel)] {
-            assert_wire_matches_collect(plan, batch_rows, &format!("batch={batch_rows} k={k}"));
-        }
-    }
-}
-
-/// A limiting sink retains exactly the first `limit` rows of the
-/// materialized order and stops the producer before the full result is
-/// offered (for results meaningfully larger than the limit).
-#[test]
-fn limit_sink_retains_prefix_and_stops_early() {
-    let q = build_query(0, false); // Overlap self-join: thousands of rows.
-    let cat = shared_catalog();
-    for batch_rows in BATCHES {
-        let physical = plan_for(&q, batch_rows, 1);
-        let full = physical.execute(cat, ExecOptions::default()).unwrap();
-        // > 1024 so even the largest batch size must stop before the
-        // full result has been offered.
-        assert!(
-            full.rows.len() > 1024,
-            "population too small to exercise the limit: {}",
-            full.rows.len()
-        );
-
-        let limit = 5;
-        let mut sink = LimitSink::new(limit);
-        let out = physical
-            .execute(cat, ExecOptions::new().with_sink(&mut sink))
-            .unwrap();
-        let stats = sink.finish();
-        assert!(sink.full(), "limit sink should fill (batch={batch_rows})");
-        assert_eq!(
-            sink.into_rows(),
-            full.rows[..limit].to_vec(),
-            "retained rows are not the materialized prefix (batch={batch_rows})"
-        );
-        assert!(
-            stats.rows >= limit as u64,
-            "offered count below the limit (batch={batch_rows})"
-        );
-        assert!(
-            out.stats.output_rows < full.rows.len(),
-            "producer did not stop early: offered {} of {} (batch={batch_rows})",
-            out.stats.output_rows,
-            full.rows.len()
-        );
-    }
 }
 
 /// A Contain-join of two 40 000-row relations: ≈ 306 k rows of two ids,

@@ -4,6 +4,7 @@
 
 use tdb::algebra::cost::{predict_workspace, WorkspaceKind};
 use tdb::prelude::*;
+use tdb_oracle::buffered_join;
 
 /// Sort both sides into `kind`'s registry orders and run it (a join or
 /// a semijoin) to the end: output size and report.
