@@ -31,9 +31,6 @@ pub mod rewrite;
 pub use expr::{Atom, ColumnRef, CompOp, Term};
 pub use logical::{LogicalPlan, Scope};
 pub use pattern::{recognize_pattern, TemporalPattern};
-pub use physical::{
-    join_dispatch, semijoin_dispatch, ExecOptions, ExecStats, OpObservation, PhysicalPlan,
-    QueryOutput,
-};
+pub use physical::{ExecOptions, ExecStats, OpObservation, PhysicalPlan, QueryOutput, StreamOp};
 pub use planner::{plan, PlannerConfig};
 pub use rewrite::conventional_optimize;

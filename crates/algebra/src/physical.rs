@@ -24,8 +24,8 @@ use tdb_core::{Period, Row, StreamOrder, TdbError, TdbResult, Temporal};
 use tdb_storage::Catalog;
 use tdb_stream::{
     merge_equi_join, parallel_join, parallel_semijoin, run_join, run_kernel, run_self_semijoin,
-    run_semijoin, BeforeSemijoin, Emit, OpConfig, OpReport, OverlapMode, PairBatch,
-    ParallelPattern, RowSink, SinkStats, StreamOpKind, DEFAULT_BATCH_ROWS,
+    run_semijoin, BeforeSemijoin, Emit, OpConfig, OpReport, OverlapMode, PairBatch, RowSink,
+    SinkStats, StreamOpKind, DEFAULT_BATCH_ROWS,
 };
 
 /// Executor-level options: how the stream temporal operators execute,
@@ -519,28 +519,22 @@ impl PhysicalPlan {
     /// place and the kernels sort, sweep and emit [`RowRef`]s (period +
     /// ordinal). A join hands its surviving matches to the sink as a
     /// [`PairBatch`] of ordinal pairs over those rows, projected onto
-    /// `columns` (indices into the node's own output scope); the sink
-    /// builds rows from it only if it keeps rows, and a sink that keeps
-    /// none, under a join with no residual predicate, gets the count-only
-    /// kernels. A semijoin or self semijoin pushes its kept left rows.
+    /// `columns` (indices into the node's own output scope). A semijoin or
+    /// self semijoin pushes its kept left rows.
     fn run_stream(
         &self,
         ex: &mut Exec<'_>,
         columns: Option<&[usize]>,
         sink: &mut dyn RowSink,
     ) -> TdbResult<usize> {
-        let (fanout, node) = match self {
+        let (partitions, node) = match self {
             PhysicalPlan::Parallel { partitions, child } => (Some(*partitions), &**child),
             node => (None, node),
         };
         let mut pushed = 0usize;
-        let wants_rows = sink.wants_rows();
         // Kept left rows (semijoins) go to the sink projected.
         let mut keep = |rows: &[Row], chunk: Vec<RowRef>| -> TdbResult<bool> {
             pushed += chunk.len();
-            if !wants_rows {
-                return sink.push_count(chunk.len());
-            }
             let mut out: Vec<Row> = chunk
                 .iter()
                 .map(|x| {
@@ -591,85 +585,58 @@ impl PhysicalPlan {
                 let op_t0 = std::time::Instant::now();
                 let l = wrap_rows(&lrows, left.scope(ex.catalog)?.period_of_var(left_var)?)?;
                 let r = wrap_rows(&rrows, right.scope(ex.catalog)?.period_of_var(right_var)?)?;
-                // The serial operator, which each partition worker of a
-                // parallel run instantiates too; a join swaps the sides
-                // its pattern normalizes.
-                let (kind, swap) = match node {
-                    PhysicalPlan::StreamTemporal { .. } => pattern.join_op(),
-                    _ => (pattern.semijoin_op().0, false),
-                };
-                let sides = if swap { (&r, &l) } else { (&l, &r) };
-                let ws_cap = static_ws_cap(kind, sides.0, sides.1);
-                // `Before`/`After` have no time-range decomposition: serial.
-                let parallel = fanout.and_then(|k| Some((k, parallel_pattern(*pattern)?)));
-                let (cfg, stats) = (ex.cfg, &mut ex.stats);
-                let report = if let PhysicalPlan::StreamTemporal { residual, .. } = node {
-                    let scope = node.scope(ex.catalog)?;
-                    let residual = resolve_all(residual, |c| scope.index_of(c))?;
-                    let all: Vec<usize> = (0..scope.columns().len()).collect();
-                    let mut batch = PairBatch {
-                        left: &lrows,
-                        right: &rrows,
-                        columns: columns.unwrap_or(&all),
-                        pairs: Vec::new(),
-                    };
-                    let count_only = !wants_rows && residual.is_empty();
-                    let mut pushed_pairs = 0usize;
-                    // Matches reach the sink as ordinal pairs; the joined row is
-                    // only concatenated when a residual has to see it.
-                    let mut emit = |chunk: Vec<(RowRef, RowRef)>| -> TdbResult<bool> {
-                        if count_only {
-                            pushed_pairs += chunk.len();
-                            return sink.push_count(chunk.len());
-                        }
-                        comparisons += (residual.len() * chunk.len()) as u64;
-                        batch.pairs.clear();
-                        batch.pairs.extend(
-                            chunk
-                                .into_iter()
-                                .filter(|(l, r)| {
-                                    residual.is_empty() || {
-                                        let joined =
-                                            lrows[l.idx as usize].concat(&rrows[r.idx as usize]);
-                                        eval_conjunction(&residual, &joined)
-                                    }
-                                })
-                                .map(|(l, r)| (l.idx, r.idx)),
-                        );
-                        pushed_pairs += batch.pairs.len();
-                        if batch.pairs.is_empty() {
-                            return Ok(true);
-                        }
-                        sink.push_pairs(&mut batch)
-                    };
-                    let report = match parallel {
-                        Some((k, ppat)) => {
-                            note_parallel_sorts(ppat, true, &l, &r, stats);
-                            parallel_join(ppat, l, r, k, cfg, &mut emit)?.report
-                        }
-                        None if count_only => {
-                            let report = run_stream_join(*pattern, cfg, l, r, stats, Emit::Count)?;
-                            pushed_pairs = report.metrics.emitted;
-                            sink.push_count(pushed_pairs)?;
-                            report
-                        }
-                        None => {
-                            run_stream_join(*pattern, cfg, l, r, stats, Emit::Chunks(&mut emit))?
-                        }
-                    };
-                    pushed = pushed_pairs;
-                    report
+                let join = matches!(node, PhysicalPlan::StreamTemporal { .. });
+                let op = StreamOp::resolve(*pattern, join, ex.cfg);
+                let ws_cap = if op.swap {
+                    static_ws_cap(op.kind, &r, &l)
                 } else {
-                    let mut emit = |chunk| keep(&lrows, chunk);
-                    match parallel {
-                        Some((k, ppat)) => {
-                            note_parallel_sorts(ppat, false, &l, &r, stats);
-                            parallel_semijoin(ppat, l, r, k, cfg, &mut emit)?.report
-                        }
-                        None => run_stream_semijoin(*pattern, cfg, l, r, stats, &mut emit)?,
-                    }
+                    static_ws_cap(op.kind, &l, &r)
                 };
-                (kind, parallel.map_or(1, |(k, _)| k), report, op_t0, ws_cap)
+                let stats = &mut ex.stats;
+                let (report, partitions) =
+                    if let PhysicalPlan::StreamTemporal { residual, .. } = node {
+                        let scope = node.scope(ex.catalog)?;
+                        let residual = resolve_all(residual, |c| scope.index_of(c))?;
+                        let all: Vec<usize> = (0..scope.columns().len()).collect();
+                        let mut batch = PairBatch {
+                            left: &lrows,
+                            right: &rrows,
+                            columns: columns.unwrap_or(&all),
+                            pairs: Vec::new(),
+                        };
+                        let mut pushed_pairs = 0usize;
+                        // Matches reach the sink as ordinal pairs; the joined
+                        // row is only concatenated when a residual has to see
+                        // it.
+                        let mut emit = |chunk: Vec<(RowRef, RowRef)>| -> TdbResult<bool> {
+                            comparisons += (residual.len() * chunk.len()) as u64;
+                            batch.pairs.clear();
+                            batch.pairs.extend(
+                                chunk
+                                    .into_iter()
+                                    .filter(|(l, r)| {
+                                        residual.is_empty() || {
+                                            let joined = lrows[l.idx as usize]
+                                                .concat(&rrows[r.idx as usize]);
+                                            eval_conjunction(&residual, &joined)
+                                        }
+                                    })
+                                    .map(|(l, r)| (l.idx, r.idx)),
+                            );
+                            pushed_pairs += batch.pairs.len();
+                            if batch.pairs.is_empty() {
+                                return Ok(true);
+                            }
+                            sink.push_pairs(&mut batch)
+                        };
+                        let run = op.join(partitions, l, r, stats, &mut emit)?;
+                        pushed = pushed_pairs;
+                        run
+                    } else {
+                        let mut emit = |chunk| keep(&lrows, chunk);
+                        op.semijoin(partitions, l, r, stats, &mut emit)?
+                    };
+                (op.kind, partitions, report, op_t0, ws_cap)
             }
             _ => return Err(TdbError::Plan(format!("not a stream node:\n{node}"))),
         };
@@ -862,11 +829,11 @@ fn sort_rows_by_key(mut rows: Vec<Row>, key: usize, stats: &mut ExecStats) -> Ve
 
 /// Sort `rows` into the order a kernel input requires, if it has one and
 /// the rows are not in it already; only a performed sort is counted.
-fn sort_by_requirement(
-    mut rows: Vec<RowRef>,
+fn sort_by_requirement<T: Temporal>(
+    mut rows: Vec<T>,
     order: Option<StreamOrder>,
     stats: &mut ExecStats,
-) -> Vec<RowRef> {
+) -> Vec<T> {
     if let Some(order) = order {
         if order.first_violation(&rows).is_some() {
             stats.sorts_performed += 1;
@@ -875,38 +842,6 @@ fn sort_by_requirement(
         }
     }
     rows
-}
-
-/// Map a planner pattern to its partitioned-parallel counterpart; `None`
-/// for `Before`/`After`, which no time-range decomposition localizes.
-pub(crate) fn parallel_pattern(pattern: TemporalPattern) -> Option<ParallelPattern> {
-    match pattern {
-        TemporalPattern::Contains => Some(ParallelPattern::Contains),
-        TemporalPattern::During => Some(ParallelPattern::During),
-        TemporalPattern::GeneralOverlap => Some(ParallelPattern::GeneralOverlap),
-        TemporalPattern::AllenOverlaps => Some(ParallelPattern::AllenOverlaps),
-        TemporalPattern::Before | TemporalPattern::After => None,
-    }
-}
-
-/// Count the sorts the parallel driver will perform internally, mirroring
-/// [`sort_by_requirement`]'s "only if violated" accounting. The per-worker
-/// orderings come from the operator registry, so this stays in lock-step
-/// with what the driver actually requires.
-fn note_parallel_sorts(
-    pattern: ParallelPattern,
-    join: bool,
-    l: &[RowRef],
-    r: &[RowRef],
-    stats: &mut ExecStats,
-) {
-    let (lo, ro) = pattern.worker_orders(join);
-    for (rows, order) in [(l, lo), (r, ro)] {
-        if order.first_violation(rows).is_some() {
-            stats.sorts_performed += 1;
-            stats.sort_rows += rows.len();
-        }
-    }
 }
 
 /// What one execution carries down the plan: the catalog, the operator
@@ -918,24 +853,14 @@ struct Exec<'c> {
     trace: Vec<OpObservation>,
 }
 
-/// Hand a chunk to `sink` — the rows, or only their number when it keeps
-/// none — and return its continue flag. An empty chunk is not offered.
+/// Hand a chunk to `sink` and return its continue flag. An empty chunk
+/// is not offered.
 fn offer(sink: &mut dyn RowSink, rows: &mut Vec<Row>) -> TdbResult<bool> {
     if rows.is_empty() {
         Ok(true)
-    } else if sink.wants_rows() {
-        sink.push(rows)
     } else {
-        let n = rows.len();
-        rows.clear();
-        sink.push_count(n)
+        sink.push(rows)
     }
-}
-
-/// The error of a bare count offered to a sink that reads rows; the
-/// executor only counts into sinks that declined rows.
-fn counted_rows() -> TdbError {
-    TdbError::Plan("a row count was offered where rows are read".into())
 }
 
 /// Collects the input of a node that needs it whole. The first chunk is
@@ -952,10 +877,6 @@ impl RowSink for Collect {
             self.0.append(rows);
         }
         Ok(true)
-    }
-
-    fn push_count(&mut self, _: usize) -> TdbResult<bool> {
-        Err(counted_rows())
     }
 
     fn finish(&mut self) -> SinkStats {
@@ -997,10 +918,6 @@ impl<F: FnMut(&mut Vec<Row>)> RowSink for MapSink<'_, F> {
         offer(self.sink, rows)
     }
 
-    fn push_count(&mut self, _: usize) -> TdbResult<bool> {
-        Err(counted_rows())
-    }
-
     fn finish(&mut self) -> SinkStats {
         SinkStats::default()
     }
@@ -1032,114 +949,130 @@ fn assert_under_cap(kind: StreamOpKind, report: &OpReport, ws_cap: usize) {
     );
 }
 
-/// `cfg` with the overlap mode the two overlap patterns select.
-fn with_overlap_mode(cfg: OpConfig, pattern: TemporalPattern) -> OpConfig {
-    match pattern {
-        TemporalPattern::GeneralOverlap => cfg.with_mode(OverlapMode::General),
-        TemporalPattern::AllenOverlaps => cfg.with_mode(OverlapMode::Strict),
-        _ => cfg,
-    }
+/// A temporal pattern resolved to the stream operator that evaluates it,
+/// and the one place a stream node — serial, time-partitioned or held
+/// between live epochs — turns into a kernel run.
+///
+/// The kernel and its input orders come from the registry entry of the
+/// operator the planner committed to, so no run can drift from the
+/// Table 1 preconditions the analyzer certifies, and whether a node may
+/// run partitioned is that entry's `partition_safe`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StreamOp {
+    /// The operator that runs.
+    pub(crate) kind: StreamOpKind,
+    /// The configuration it runs under, overlap mode included.
+    pub(crate) cfg: OpConfig,
+    /// The orders the kernel's two inputs must arrive in (`None`: any),
+    /// after the swap.
+    pub(crate) orders: [Option<StreamOrder>; 2],
+    /// A join exchanges its sides going in and back coming out (`During`
+    /// runs the `Contains` kernel, `After` the `Before` one); a semijoin
+    /// runs its kernel mirrored instead (`After`).
+    pub(crate) swap: bool,
 }
 
-/// The operator, its registry input orders (`None`: any order), the
-/// config it runs under and whether the sides swap, for a join pattern.
-/// The orderings come from the registry entry of the operator the planner
-/// committed to, so the executor cannot drift from the Table 1
-/// preconditions the analyzer certifies.
-pub fn join_dispatch(
-    pattern: TemporalPattern,
-    cfg: OpConfig,
-) -> (
-    StreamOpKind,
-    OpConfig,
-    Option<StreamOrder>,
-    Option<StreamOrder>,
-    bool,
-) {
-    let (kind, swap) = pattern.join_op();
-    let req = kind.requirement();
-    (
-        kind,
-        with_overlap_mode(cfg, pattern),
-        req.left(),
-        req.right(),
-        swap,
-    )
-}
-
-/// [`join_dispatch`] for a semijoin: the operator, the config it runs
-/// under and the orders of the kept (left) and existential inputs.
-pub fn semijoin_dispatch(
-    pattern: TemporalPattern,
-    cfg: OpConfig,
-) -> (
-    StreamOpKind,
-    OpConfig,
-    Option<StreamOrder>,
-    Option<StreamOrder>,
-) {
-    let (kind, _) = pattern.semijoin_op();
-    let req = kind.requirement();
-    (
-        kind,
-        with_overlap_mode(cfg, pattern),
-        req.left(),
-        req.right(),
-    )
-}
-
-/// Run the stream join for `pattern` into `emit`: matched pairs chunk by
-/// chunk, honoring the closure's stop signal, or only counted
-/// (`report.metrics.emitted`).
-fn run_stream_join(
-    pattern: TemporalPattern,
-    cfg: OpConfig,
-    l: Vec<RowRef>,
-    r: Vec<RowRef>,
-    stats: &mut ExecStats,
-    emit: Emit<'_, (RowRef, RowRef)>,
-) -> TdbResult<OpReport> {
-    // Contains/During normalize to container ⊇ containee and After to
-    // Before; the swapped patterns exchange sides going in and un-swap
-    // each emitted pair (a count needs no un-swap, but the sides still go
-    // to the operator the planner committed to).
-    let (kind, cfg, x_ord, y_ord, swap) = join_dispatch(pattern, cfg);
-    let (x, y) = if swap { (r, l) } else { (l, r) };
-    let x = sort_by_requirement(x, x_ord, stats);
-    let y = sort_by_requirement(y, y_ord, stats);
-    let (_, report) = match emit {
-        Emit::Chunks(push) if swap => {
-            let mut unswap = |chunk: Vec<(RowRef, RowRef)>| {
-                push(chunk.into_iter().map(|(a, b)| (b, a)).collect())
-            };
-            run_join(kind, cfg, x, y, Emit::Chunks(&mut unswap))?
+impl StreamOp {
+    /// Resolve `pattern` in a join (`join`) or semijoin context, under
+    /// `cfg`.
+    pub fn resolve(pattern: TemporalPattern, join: bool, cfg: OpConfig) -> StreamOp {
+        let (kind, swap) = if join {
+            pattern.join_op()
+        } else {
+            pattern.semijoin_op()
+        };
+        let cfg = match pattern {
+            TemporalPattern::GeneralOverlap => cfg.with_mode(OverlapMode::General),
+            TemporalPattern::AllenOverlaps => cfg.with_mode(OverlapMode::Strict),
+            _ => cfg,
+        };
+        let req = kind.requirement();
+        StreamOp {
+            kind,
+            cfg,
+            orders: [req.left(), req.right()],
+            swap,
         }
-        emit => run_join(kind, cfg, x, y, emit)?,
-    };
-    Ok(report)
-}
+    }
 
-/// Run the stream semijoin for `pattern`, handing kept left items to
-/// `emit` chunk by chunk. `After` runs the Before-semijoin kernel
-/// mirrored ([`BeforeSemijoin::after`]).
-fn run_stream_semijoin(
-    pattern: TemporalPattern,
-    cfg: OpConfig,
-    l: Vec<RowRef>,
-    r: Vec<RowRef>,
-    stats: &mut ExecStats,
-    emit: &mut dyn FnMut(Vec<RowRef>) -> TdbResult<bool>,
-) -> TdbResult<OpReport> {
-    let (kind, cfg, l_ord, r_ord) = semijoin_dispatch(pattern, cfg);
-    let l = sort_by_requirement(l, l_ord, stats);
-    let r = sort_by_requirement(r, r_ord, stats);
-    let (_, report) = if pattern == TemporalPattern::After {
-        let op = BeforeSemijoin::after();
-        run_kernel(op, cfg.batch_rows, l, l_ord, r, r_ord, Emit::Chunks(emit))?
-    } else {
-        run_semijoin(kind, cfg, l, r, Emit::Chunks(emit))?
-    };
-    Ok(report)
+    /// May this operator run time-partitioned?
+    pub(crate) fn partition_safe(&self) -> bool {
+        self.kind.requirement().partition_safe
+    }
+
+    /// The partition count a run asked for `partitions` gets: none
+    /// (serial) unless the operator is partition-safe.
+    fn fanout(&self, partitions: Option<usize>) -> Option<usize> {
+        partitions.filter(|_| self.partition_safe())
+    }
+
+    /// Run as a join of the pattern's `left` and `right` sides into
+    /// `emit`, serially or over `partitions` time ranges: each input is
+    /// sorted only if its order is violated (counted in `stats`), the
+    /// sides swap going in and every pair is un-swapped coming out.
+    /// Returns the operator's report and the partitions it ran over.
+    pub fn join<T: Temporal + Clone + Send>(
+        &self,
+        partitions: Option<usize>,
+        left: Vec<T>,
+        right: Vec<T>,
+        stats: &mut ExecStats,
+        emit: &mut dyn FnMut(Vec<(T, T)>) -> TdbResult<bool>,
+    ) -> TdbResult<(OpReport, usize)> {
+        let (x, y) = if self.swap {
+            (right, left)
+        } else {
+            (left, right)
+        };
+        let x = sort_by_requirement(x, self.orders[0], stats);
+        let y = sort_by_requirement(y, self.orders[1], stats);
+        let mut unswap = |chunk: Vec<(T, T)>| {
+            if self.swap {
+                emit(chunk.into_iter().map(|(a, b)| (b, a)).collect())
+            } else {
+                emit(chunk)
+            }
+        };
+        Ok(match self.fanout(partitions) {
+            Some(k) => (
+                parallel_join(self.kind, self.cfg, x, y, k, &mut unswap)?.report,
+                k,
+            ),
+            None => (
+                run_join(self.kind, self.cfg, x, y, Emit::Chunks(&mut unswap))?.1,
+                1,
+            ),
+        })
+    }
+
+    /// Run as a semijoin keeping the items of `left` that match one of
+    /// `right`, handed to `emit` chunk by chunk; sorting and the result as
+    /// for [`StreamOp::join`]. `After` runs the Before-semijoin kernel
+    /// mirrored ([`BeforeSemijoin::after`]).
+    pub fn semijoin<T: Temporal + Clone + Send>(
+        &self,
+        partitions: Option<usize>,
+        left: Vec<T>,
+        right: Vec<T>,
+        stats: &mut ExecStats,
+        emit: &mut dyn FnMut(Vec<T>) -> TdbResult<bool>,
+    ) -> TdbResult<(OpReport, usize)> {
+        let [x_ord, y_ord] = self.orders;
+        let x = sort_by_requirement(left, x_ord, stats);
+        let y = sort_by_requirement(right, y_ord, stats);
+        if let Some(k) = self.fanout(partitions) {
+            let run = parallel_semijoin(self.kind, self.cfg, x, y, k, emit)?;
+            return Ok((run.report, k));
+        }
+        let emit = Emit::Chunks(emit);
+        let (_, report) = if self.swap {
+            let op = BeforeSemijoin::after();
+            run_kernel(op, self.cfg.batch_rows, x, x_ord, y, y_ord, emit)?
+        } else {
+            run_semijoin(self.kind, self.cfg, x, y, emit)?
+        };
+        Ok((report, 1))
+    }
 }
 
 #[cfg(test)]
@@ -1631,7 +1564,8 @@ mod tests {
 
     /// Before/After joins stream out of their kernel: a limit stops the
     /// run after the first chunk (the pairs are never all built), and a
-    /// count adds up sorted suffixes. 2 000 tuples per side, ≈ 2 M pairs.
+    /// count sink sees every pair, as ordinals it never builds into rows.
+    /// 2 000 tuples per side, ≈ 2 M pairs.
     #[test]
     fn before_and_after_joins_stop_at_a_limit_and_count_exactly() {
         let cat = xy_catalog("before");

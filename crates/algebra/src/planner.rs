@@ -22,8 +22,9 @@
 use crate::expr::{Atom, ColumnRef, CompOp, Term};
 use crate::logical::LogicalPlan;
 use crate::pattern::{recognize_pattern, TemporalPattern};
-use crate::physical::PhysicalPlan;
+use crate::physical::{PhysicalPlan, StreamOp};
 use tdb_core::TdbResult;
+use tdb_stream::OpConfig;
 
 /// Strategy toggles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,13 +97,13 @@ impl PlannerConfig {
 }
 
 /// Wrap `plan` in a [`PhysicalPlan::Parallel`] driver when `config` asks
-/// for parallelism and the node's pattern is partitionable.
+/// for parallelism and the operator the node's pattern resolves to is
+/// partition-safe.
 fn maybe_parallel(plan: PhysicalPlan, config: PlannerConfig) -> PhysicalPlan {
+    let resolved = |pattern, join| StreamOp::resolve(pattern, join, OpConfig::new());
     let eligible = match &plan {
-        PhysicalPlan::StreamTemporal { pattern, .. }
-        | PhysicalPlan::StreamSemijoin { pattern, .. } => {
-            crate::physical::parallel_pattern(*pattern).is_some()
-        }
+        PhysicalPlan::StreamTemporal { pattern, .. } => resolved(*pattern, true).partition_safe(),
+        PhysicalPlan::StreamSemijoin { pattern, .. } => resolved(*pattern, false).partition_safe(),
         _ => false,
     };
     if config.parallel() && eligible {

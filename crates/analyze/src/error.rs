@@ -46,28 +46,6 @@ impl fmt::Display for PlanPath {
     }
 }
 
-/// How a `Parallel` driver removes the duplicates that fringe replication
-/// introduces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DedupMode {
-    /// Joins: a pair is emitted only by the partition that *owns*
-    /// `max(x.TS, y.TS)` — every intersection-witnessed match has exactly
-    /// one owner.
-    OwnerOfMax,
-    /// Semijoins: kept rows carry their input ordinal and the K-way merge
-    /// drops repeated ordinals.
-    OrdinalMerge,
-}
-
-impl fmt::Display for DedupMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            DedupMode::OwnerOfMax => "owner-of-max",
-            DedupMode::OrdinalMerge => "ordinal-merge",
-        })
-    }
-}
-
 /// A statically detected plan defect.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnalyzeError {
@@ -106,26 +84,6 @@ pub enum AnalyzeError {
         operator: String,
         /// Why partitioning is unsound, citing the paper.
         detail: String,
-    },
-    /// A `Parallel` driver claims to run without fringe replication:
-    /// matches straddling a partition boundary would be lost.
-    FringeUncovered {
-        /// Node position of the `Parallel` driver.
-        path: PlanPath,
-        /// Operator name.
-        operator: String,
-    },
-    /// A `Parallel` driver uses the wrong duplicate-elimination mode for
-    /// its node type.
-    DedupMismatch {
-        /// Node position of the `Parallel` driver.
-        path: PlanPath,
-        /// Operator name.
-        operator: String,
-        /// The mode the node type requires.
-        expected: DedupMode,
-        /// The mode the spec declares.
-        found: DedupMode,
     },
     /// A `Parallel` driver with zero partitions.
     InvalidPartitionCount {
@@ -166,8 +124,6 @@ impl AnalyzeError {
             AnalyzeError::OrderMismatch { path, .. }
             | AnalyzeError::ArityMismatch { path, .. }
             | AnalyzeError::NotPartitionable { path, .. }
-            | AnalyzeError::FringeUncovered { path, .. }
-            | AnalyzeError::DedupMismatch { path, .. }
             | AnalyzeError::InvalidPartitionCount { path, .. }
             | AnalyzeError::NotLiveSafe { path, .. }
             | AnalyzeError::WorkspaceOverBudget { path, .. } => path,
@@ -212,21 +168,6 @@ impl fmt::Display for AnalyzeError {
             } => write!(
                 f,
                 "at {path}: Parallel over {operator} is unsound — {detail}"
-            ),
-            AnalyzeError::FringeUncovered { path, operator } => write!(
-                f,
-                "at {path}: Parallel over {operator} without fringe replication — \
-                 matches straddling a partition boundary would be lost"
-            ),
-            AnalyzeError::DedupMismatch {
-                path,
-                operator,
-                expected,
-                found,
-            } => write!(
-                f,
-                "at {path}: Parallel over {operator} dedups by {found}, \
-                 but this node type requires {expected}"
             ),
             AnalyzeError::InvalidPartitionCount { path, partitions } => {
                 write!(f, "at {path}: Parallel with {partitions} partitions")

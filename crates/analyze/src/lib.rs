@@ -22,9 +22,8 @@
 //!   max-concurrency caps from [`TemporalStats`] and flag plans over a
 //!   configurable budget ([`AnalyzeConfig`]).
 //! * **Partition safety** ([`check_parallel`]) verifies every `Parallel`
-//!   driver: the wrapped pattern must be intersection-witnessed
-//!   (Before/After are not), fringe replication must cover boundaries,
-//!   and the dedup mode must match the node type.
+//!   driver: the wrapped operator's registry entry must be
+//!   partition-safe (Before/After are not), over at least one partition.
 //!
 //! [`plan_verified`] packages the pipeline: plan, verify, and hand back
 //! the physical plan together with a renderable [`Analysis`] certificate
@@ -41,7 +40,7 @@ pub mod lower;
 pub mod spec;
 pub mod verify;
 
-pub use error::{render_errors, AnalyzeError, DedupMode, PlanPath};
+pub use error::{render_errors, AnalyzeError, PlanPath};
 pub use lower::{infer_order, lower_plan, lower_plan_with_stats, Lowered};
 pub use spec::{check_op, check_parallel, ParallelSpec, StreamOpSpec};
 pub use verify::{

@@ -10,7 +10,7 @@
 //! both the order that *will* hold at entry and whether establishing it
 //! costs a sort — the certificate `tdb analyze` prints.
 
-use crate::error::{DedupMode, PlanPath};
+use crate::error::PlanPath;
 use crate::spec::{ParallelSpec, StreamOpSpec};
 use std::collections::BTreeMap;
 use tdb_algebra::cost::{predict_workspace, workspace_cap, workspace_kind};
@@ -255,8 +255,6 @@ fn walk(
                         partitions: *partitions,
                         child: Some(kind),
                         join: true,
-                        replicate_fringe: true,
-                        dedup: DedupMode::OwnerOfMax,
                         path: path.clone(),
                     });
                     lower_stream_op(kind, swap, true, l, r, child_path, Some(*partitions), out)
@@ -274,8 +272,6 @@ fn walk(
                         partitions: *partitions,
                         child: Some(kind),
                         join: false,
-                        replicate_fringe: true,
-                        dedup: DedupMode::OrdinalMerge,
                         path: path.clone(),
                     });
                     lower_stream_op(kind, swap, false, l, r, child_path, Some(*partitions), out)
@@ -285,8 +281,6 @@ fn walk(
                         partitions: *partitions,
                         child: None,
                         join: false,
-                        replicate_fringe: true,
-                        dedup: DedupMode::OrdinalMerge,
                         path: path.clone(),
                     });
                     walk(other, child_path, catalog, overrides, out)

@@ -6,7 +6,7 @@
 //! build and *mutate* them to show the checker rejects every perturbation
 //! of a valid plan.
 
-use crate::error::{AnalyzeError, DedupMode, PlanPath};
+use crate::error::{AnalyzeError, PlanPath};
 use tdb_core::StreamOrder;
 use tdb_stream::StreamOpKind;
 
@@ -51,8 +51,8 @@ impl StreamOpSpec {
     }
 }
 
-/// One `Parallel` driver occurrence: partition count, the operator it
-/// runs per partition, and the duplicate-elimination discipline.
+/// One `Parallel` driver occurrence: partition count and the operator it
+/// runs per partition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParallelSpec {
     /// Number of time-range partitions.
@@ -60,28 +60,12 @@ pub struct ParallelSpec {
     /// The stream operator each partition runs; `None` when the wrapped
     /// child is not a stream temporal join/semijoin at all.
     pub child: Option<StreamOpKind>,
-    /// `true` for a join child, `false` for a semijoin child.
+    /// `true` for a join child, `false` for a semijoin child: the driver
+    /// dedups a join's fringe copies by the partition owning
+    /// `max(x.TS, y.TS)`, a semijoin's by an ordinal merge.
     pub join: bool,
-    /// Whether tuples are replicated into every partition their lifespan
-    /// intersects. The driver always does this; a spec claiming otherwise
-    /// describes a driver that loses boundary matches.
-    pub replicate_fringe: bool,
-    /// Declared duplicate-elimination mode.
-    pub dedup: DedupMode,
     /// Position of the `Parallel` node in the plan tree.
     pub path: PlanPath,
-}
-
-impl ParallelSpec {
-    /// The dedup mode the node type requires: joins claim each pair at the
-    /// partition owning `max(x.TS, y.TS)`; semijoins merge by ordinal.
-    pub fn required_dedup(&self) -> DedupMode {
-        if self.join {
-            DedupMode::OwnerOfMax
-        } else {
-            DedupMode::OrdinalMerge
-        }
-    }
 }
 
 /// Prove one operator spec against the registry.
@@ -146,9 +130,8 @@ pub fn check_op(spec: &StreamOpSpec) -> Result<(), AnalyzeError> {
     })
 }
 
-/// Prove one parallel-driver spec: the child must be an
-/// intersection-witnessed stream operator, fringe replication must cover
-/// partition boundaries, and the dedup mode must match the node type.
+/// Prove one parallel-driver spec: the child must be a stream operator
+/// whose registry entry is partition-safe, over at least one partition.
 pub fn check_parallel(spec: &ParallelSpec) -> Result<(), AnalyzeError> {
     let Some(kind) = spec.child else {
         return Err(AnalyzeError::NotPartitionable {
@@ -172,20 +155,6 @@ pub fn check_parallel(spec: &ParallelSpec) -> Result<(), AnalyzeError> {
         return Err(AnalyzeError::InvalidPartitionCount {
             path: spec.path.clone(),
             partitions: spec.partitions,
-        });
-    }
-    if !spec.replicate_fringe {
-        return Err(AnalyzeError::FringeUncovered {
-            path: spec.path.clone(),
-            operator: req.operator.into(),
-        });
-    }
-    if spec.dedup != spec.required_dedup() {
-        return Err(AnalyzeError::DedupMismatch {
-            path: spec.path.clone(),
-            operator: req.operator.into(),
-            expected: spec.required_dedup(),
-            found: spec.dedup,
         });
     }
     Ok(())
@@ -271,8 +240,6 @@ mod tests {
             partitions: 4,
             child: Some(StreamOpKind::BeforeJoin),
             join: true,
-            replicate_fringe: true,
-            dedup: DedupMode::OwnerOfMax,
             path: PlanPath::root(),
         };
         let err = check_parallel(&par).unwrap_err();
@@ -289,28 +256,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_checks_fringe_dedup_and_count() {
+    fn parallel_checks_partitionability_and_count() {
         let good = ParallelSpec {
             partitions: 4,
             child: Some(StreamOpKind::OverlapSemijoin),
             join: false,
-            replicate_fringe: true,
-            dedup: DedupMode::OrdinalMerge,
             path: PlanPath::root(),
         };
         assert!(check_parallel(&good).is_ok());
-        let mut no_fringe = good.clone();
-        no_fringe.replicate_fringe = false;
-        assert!(matches!(
-            check_parallel(&no_fringe),
-            Err(AnalyzeError::FringeUncovered { .. })
-        ));
-        let mut wrong_dedup = good.clone();
-        wrong_dedup.dedup = DedupMode::OwnerOfMax;
-        assert!(matches!(
-            check_parallel(&wrong_dedup),
-            Err(AnalyzeError::DedupMismatch { .. })
-        ));
         let mut zero = good.clone();
         zero.partitions = 0;
         assert!(matches!(

@@ -100,10 +100,15 @@ impl Analysis {
                 .child
                 .map(|k| k.to_string())
                 .unwrap_or_else(|| "non-stream child".into());
+            let dedup = if p.join {
+                "owner-of-max"
+            } else {
+                "ordinal-merge"
+            };
             writeln!(
                 out,
-                "  {}: Parallel ×{} over {child} — fringe replication, {} dedup",
-                p.path, p.partitions, p.dedup
+                "  {}: Parallel ×{} over {child} — fringe replication, {dedup} dedup",
+                p.path, p.partitions
             )
             .ok();
         }

@@ -561,16 +561,21 @@ fn parallel(json: &mut BTreeMap<String, Json>) {
     // so its resident set is a subset of the globally concurrent intervals
     // and the whole-input cap dominates every partition.
     let static_cap = workspace_cap(StreamOpKind::ContainJoinTsTe, &sx, Some(&sy));
+    // The driver takes its inputs in the kernel's entry orders: X comes
+    // from the generator `ValidFrom ↑`, Y is sorted `ValidTo ↑`.
+    let kind = StreamOpKind::ContainJoinTsTe;
+    let (xs, mut ys) = (&w.xs, w.ys.clone());
+    StreamOrder::TE_ASC.sort(&mut ys);
     let mut rows_json = Vec::new();
     let mut serial_cmp = 0usize;
     for k in [1usize, 2, 4, 8] {
         let mut pairs = Vec::new();
         let run = parallel_join(
-            ParallelPattern::Contains,
-            w.xs.clone(),
-            w.ys.clone(),
-            k,
+            kind,
             OpConfig::new(),
+            xs.clone(),
+            ys.clone(),
+            k,
             &mut |chunk| {
                 pairs.extend(chunk);
                 Ok(true)

@@ -15,7 +15,8 @@
 //!
 //! All execution lives in [`tdb_engine::Engine`], which returns typed
 //! [`Response`](tdb_engine::Response) values; [`Session`] owns the
-//! line-buffering and local-only concerns (stdin ingest) and renders
+//! line-buffering and client-side concerns (reading ingest files and
+//! stdin) and renders
 //! responses to text. The same engine serves remote clients through
 //! `tdb-net` (`tdb serve` / `tdb connect` in `main.rs`).
 
@@ -69,11 +70,11 @@ impl Session {
     pub fn feed(&mut self, line: &str) -> LineResult {
         let trimmed = line.trim();
         if self.buffer.is_empty() && trimmed.starts_with('\\') {
-            // Stdin ingest needs this process's stdin, so the transport
-            // (not the engine) resolves it.
+            // Ingest reads its file or this process's stdin here, on the
+            // client side, as `tdb connect` does: the engine opens no path.
             let parts: Vec<&str> = trimmed.split_whitespace().collect();
-            if let ["\\ingest", rel, "-"] = parts.as_slice() {
-                return match read_stdin() {
+            if let ["\\ingest", rel, source] = parts.as_slice() {
+                return match read_source(source) {
                     Ok(text) => {
                         let resp = self.engine.ingest_text(rel, &text);
                         LineResult::Output(render(&resp, self.state.row_limit))
@@ -105,8 +106,12 @@ impl Session {
     }
 }
 
-fn read_stdin() -> TdbResult<String> {
+/// The text of an ingest source: stdin for `-`, else a local file.
+fn read_source(source: &str) -> TdbResult<String> {
     use std::io::Read as _;
+    if source != "-" {
+        return Ok(std::fs::read_to_string(source)?);
+    }
     let mut s = String::new();
     std::io::stdin().lock().read_to_string(&mut s)?;
     Ok(s)

@@ -541,7 +541,22 @@ impl Engine {
                     .parse()
                     .map_err(|_| TdbError::Eval(format!("bad count `{n}`")))?;
                 let seed: u64 = rest.first().and_then(|s| s.parse().ok()).unwrap_or(0);
-                let tuples = IntervalGen::poisson(n, parse_f(gap)?, parse_f(dur)?, seed).generate();
+                let (gap, dur) = (parse_f(gap)?, parse_f(dur)?);
+                for (what, mean) in [("gap", gap), ("duration", dur)] {
+                    if !(mean.is_finite() && mean >= 0.0) {
+                        return Err(TdbError::Config(format!(
+                            "mean {what} {mean} must be finite and non-negative"
+                        )));
+                    }
+                }
+                let gen = IntervalGen::poisson(n, gap, dur, seed);
+                if gen.max_end() >= i64::MAX as f64 {
+                    return Err(TdbError::Config(format!(
+                        "{n} intervals at mean gap {gap} and duration {dur} could overflow \
+                         the timeline"
+                    )));
+                }
+                let tuples = gen.generate();
                 let rows: Vec<Row> = tuples
                     .iter()
                     .map(|t| {
@@ -565,14 +580,13 @@ impl Engine {
                     rows.len()
                 )))
             }
-            ["\\ingest", _rel, "-"] => Ok(Response::Error(ErrorInfo::new(
+            // The client reads the arrivals (a file or its stdin) and
+            // sends them as an ingest frame: the engine opens no path a
+            // client names.
+            ["\\ingest", _rel, _source] => Ok(Response::Error(ErrorInfo::new(
                 ErrorCode::Protocol,
-                "stdin ingest (`-`) is only available in the local shell",
+                "\\ingest reads its file or stdin on the client side",
             ))),
-            ["\\ingest", rel, source] => {
-                let text = std::fs::read_to_string(source)?;
-                Ok(self.ingest_text(rel, &text))
-            }
             ["\\subscribe", rest @ ..] if !rest.is_empty() => {
                 let text = rest.join(" ");
                 let text = text.trim_end_matches(';').to_string();
@@ -1849,6 +1863,31 @@ mod tests {
         assert_eq!(ctx.row_limit, 5);
         let resp = e.execute(&mut ctx, "\\set limit x");
         assert!(matches!(resp, Response::Error(_)));
+    }
+
+    #[test]
+    fn hostile_interval_parameters_are_config_errors_not_panics() {
+        let (mut e, mut ctx) = engine("genhostile");
+        for (gap, dur) in [
+            ("1e300", "1"),
+            ("3", "1e300"),
+            ("-5", "1"),
+            ("3", "-5"),
+            ("NaN", "1"),
+            ("3", "NaN"),
+            ("inf", "1"),
+            ("3", "inf"),
+        ] {
+            let cmd = format!("\\gen intervals T 3 {gap} {dur} 1");
+            let resp = e.execute(&mut ctx, &cmd);
+            let Response::Error(err) = resp else {
+                panic!("{cmd}: expected an error, got {resp:?}");
+            };
+            assert_eq!(err.code, ErrorCode::Config, "{cmd}: {}", err.message);
+        }
+        assert!(e.catalog().meta("T").is_err(), "nothing was generated");
+        let resp = e.execute(&mut ctx, "\\gen intervals T 3 3 10 1");
+        assert!(matches!(resp, Response::Info(_)), "{resp:?}");
     }
 
     #[test]

@@ -58,7 +58,26 @@ pub enum DurationDist {
     },
 }
 
+/// The largest multiple of its mean an exponential draw can reach: the
+/// samplers draw `u` from `[ε, 1)`, so `−ln u ≤ −ln ε`.
+fn max_exponential_draw() -> f64 {
+    -f64::EPSILON.ln()
+}
+
 impl DurationDist {
+    /// The longest duration [`DurationDist::sample`] can return.
+    fn max(&self) -> f64 {
+        let d = match *self {
+            DurationDist::Fixed { ticks } => ticks as f64,
+            DurationDist::Uniform { max, .. } => max as f64,
+            DurationDist::Exponential { mean } => (max_exponential_draw() * mean).round(),
+            DurationDist::Pareto { scale, alpha } => {
+                (scale / f64::EPSILON.powf(1.0 / alpha)).round()
+            }
+        };
+        d.max(1.0)
+    }
+
     fn sample(&self, rng: &mut StdRng) -> i64 {
         let d = match *self {
             DurationDist::Fixed { ticks } => ticks,
@@ -94,6 +113,16 @@ impl DurationDist {
 }
 
 impl ArrivalProcess {
+    /// The longest gap [`ArrivalProcess::sample_gap`] can return.
+    fn max_gap(&self) -> f64 {
+        let g = match *self {
+            ArrivalProcess::FixedGap { gap } => gap as f64,
+            ArrivalProcess::Poisson { mean_gap } => (max_exponential_draw() * mean_gap).round(),
+            ArrivalProcess::UniformGap { max, .. } => max as f64,
+        };
+        g.max(0.0)
+    }
+
     fn sample_gap(&self, rng: &mut StdRng) -> i64 {
         match *self {
             ArrivalProcess::FixedGap { gap } => gap,
@@ -165,6 +194,13 @@ impl IntervalGen {
     pub fn starting_at(mut self, t: i64) -> IntervalGen {
         self.start_at = t;
         self
+    }
+
+    /// An upper bound on every `ValidTo` [`IntervalGen::generate`] can
+    /// produce, computed in floating point so it cannot overflow itself:
+    /// `generate` is only sound while this stays below `i64::MAX`.
+    pub fn max_end(&self) -> f64 {
+        self.start_at as f64 + self.count as f64 * self.arrivals.max_gap() + self.durations.max()
     }
 
     /// Generate the stream, ordered by `ValidFrom ↑` (ties possible when a
@@ -305,6 +341,18 @@ mod tests {
                 assert!(dist.sample(&mut rng) >= 1);
             }
         }
+    }
+
+    #[test]
+    fn max_end_bounds_every_generated_end() {
+        for gen in [
+            IntervalGen::poisson(500, 3.0, 12.0, 7),
+            IntervalGen::regular(50, 4, 9).starting_at(-100),
+        ] {
+            let last = gen.generate().iter().map(|t| t.te().ticks()).max().unwrap();
+            assert!((last as f64) <= gen.max_end(), "{last} > {}", gen.max_end());
+        }
+        assert!(IntervalGen::poisson(3, 1e300, 1.0, 1).max_end() > i64::MAX as f64);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! join(ΔX, Y_held ∪ ΔY) ∪ join(X_held, ΔY)
 //! ```
 //!
-//! through the plan's own kernel ([`run_join`]) over these small vectors,
-//! each sorted to the kernel's entry order. A semijoin holds the X tuples
+//! through the plan's own kernel over these small vectors, run as the
+//! executor runs it ([`StreamOp`]), each sorted to the kernel's entry
+//! order. A semijoin holds the X tuples
 //! not yet emitted and, in the same delta form, runs
 //!
 //! ```text
@@ -33,13 +34,13 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 use tdb_algebra::expr::{eval_conjunction, resolve_all, ResolvedAtom};
-use tdb_algebra::{join_dispatch, semijoin_dispatch, PhysicalPlan, TemporalPattern};
+use tdb_algebra::{ExecStats, PhysicalPlan, StreamOp, TemporalPattern};
 use tdb_core::{
     Direction, Period, PeriodRow, Row, SortKey, StreamOrder, TdbError, TdbResult, Temporal,
     TimePoint,
 };
 use tdb_storage::Catalog;
-use tdb_stream::{run_join, run_semijoin, Emit, OpConfig};
+use tdb_stream::OpConfig;
 
 /// What a relation may still promote, as seen by the other side of a
 /// held join.
@@ -134,18 +135,14 @@ impl Side {
         Ok(())
     }
 
-    /// The held tuples in `range` as kernel items sorted into `order`.
-    fn items(&self, range: Range<usize>, order: Option<StreamOrder>) -> Vec<Item> {
-        let mut items: Vec<Item> = range
+    /// The held tuples in `range` as kernel items.
+    fn items(&self, range: Range<usize>) -> Vec<Item> {
+        range
             .map(|idx| Item {
                 period: self.held[idx].period,
                 idx,
             })
-            .collect();
-        if let Some(order) = order {
-            order.sort(&mut items);
-        }
-        items
+            .collect()
     }
 }
 
@@ -316,21 +313,16 @@ impl HeldJoin {
         if l.is_empty() || r.is_empty() {
             return Ok(0);
         }
-        let (kind, cfg, x_ord, y_ord, swap) = join_dispatch(self.pattern, self.cfg);
+        let op = StreamOp::resolve(self.pattern, true, self.cfg);
         let [ls, rs] = &self.sides;
-        let (xs, ys) = if swap {
-            (rs.items(r, x_ord), ls.items(l, y_ord))
-        } else {
-            (ls.items(l, x_ord), rs.items(r, y_ord))
-        };
         let mut emit = |chunk: Vec<(Item, Item)>| {
-            for (x, y) in chunk {
-                let (a, b) = if swap { (y, x) } else { (x, y) };
+            for (a, b) in chunk {
                 out.extend(self.output(&ls.held[a.idx].row, Some(&rs.held[b.idx].row)));
             }
             Ok(true)
         };
-        let (_, report) = run_join(kind, cfg, xs, ys, Emit::Chunks(&mut emit))?;
+        let (xs, ys) = (ls.items(l), rs.items(r));
+        let (report, _) = op.join(None, xs, ys, &mut ExecStats::default(), &mut emit)?;
         Ok(report.max_workspace())
     }
 
@@ -347,7 +339,7 @@ impl HeldJoin {
         if l.is_empty() || r.is_empty() {
             return Ok(0);
         }
-        let (kind, cfg, l_ord, r_ord) = semijoin_dispatch(self.pattern, self.cfg);
+        let op = StreamOp::resolve(self.pattern, false, self.cfg);
         let [ls, rs] = &self.sides;
         let mut emit = |chunk: Vec<Item>| {
             for x in chunk {
@@ -356,8 +348,8 @@ impl HeldJoin {
             }
             Ok(true)
         };
-        let (xs, ys) = (ls.items(l, l_ord), rs.items(r, r_ord));
-        let (_, report) = run_semijoin(kind, cfg, xs, ys, Emit::Chunks(&mut emit))?;
+        let (xs, ys) = (ls.items(l), rs.items(r));
+        let (report, _) = op.semijoin(None, xs, ys, &mut ExecStats::default(), &mut emit)?;
         Ok(report.max_workspace())
     }
 

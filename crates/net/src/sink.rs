@@ -173,12 +173,6 @@ impl<F: FnMut(u64, BytesMut)> RowSink for WireSink<F> {
         Ok(true)
     }
 
-    fn push_count(&mut self, n: usize) -> TdbResult<bool> {
-        self.stats.rows += n as u64;
-        self.stats.batches += 1;
-        Ok(true)
-    }
-
     fn finish(&mut self) -> SinkStats {
         self.stats
     }

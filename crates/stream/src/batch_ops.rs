@@ -320,7 +320,6 @@ pub struct ContainJoinTsTe<X: Temporal + Clone, Y: Temporal + Clone> {
     hits: Vec<u32>,
     comparisons: usize,
     emitted: usize,
-    count_only: bool,
     started: bool,
     want: Wants,
 }
@@ -337,20 +336,9 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> ContainJoinTsTe<X, Y> {
             hits: Vec::new(),
             comparisons: 0,
             emitted: 0,
-            count_only: false,
             started: false,
             want: Wants::Left, // establish the X head first, like refill_x
         }
-    }
-
-    /// With `on`, count matches instead of materializing pairs: the probe
-    /// pass sums hits over the endpoint columns and never touches
-    /// payloads, so `report().metrics` stays identical while
-    /// [`BatchOp::drain`] stays empty. The compact consumer for count-only
-    /// sinks.
-    pub fn count_only(mut self, on: bool) -> Self {
-        self.count_only = on;
-        self
     }
 
     fn run(&mut self) {
@@ -417,15 +405,6 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> ContainJoinTsTe<X, Y> {
             let ts = self.state.ts_col();
             let te = self.state.te_col();
             self.comparisons += ts.len();
-            if self.count_only {
-                let mut n = 0usize;
-                for i in 0..ts.len() {
-                    n += usize::from((ts[i] < yts) & (yte < te[i]));
-                }
-                self.emitted += n;
-                let _ = y;
-                continue;
-            }
             self.hits.clear();
             for i in 0..ts.len() {
                 if (ts[i] < yts) & (yte < te[i]) {
@@ -652,14 +631,15 @@ pub(crate) fn probe(ts: &[i64], te: &[i64], hits: &mut Vec<u32>, m: impl Fn(i64,
     }
 }
 
-/// Count the resident tuples whose `(ts, te)` satisfy `m`.
+/// Does any resident tuple's `(ts, te)` satisfy `m`? The same
+/// branch-light pass as [`probe`], without collecting the hits.
 #[inline]
-pub(crate) fn count(ts: &[i64], te: &[i64], m: impl Fn(i64, i64) -> bool) -> usize {
+pub(crate) fn witnessed(ts: &[i64], te: &[i64], m: impl Fn(i64, i64) -> bool) -> bool {
     let mut n = 0usize;
     for i in 0..ts.len() {
         n += usize::from(m(ts[i], te[i]));
     }
-    n
+    n > 0
 }
 
 // ---------------------------------------------------------------------------
@@ -676,7 +656,6 @@ pub struct OverlapJoin<X: Temporal + Clone, Y: Temporal + Clone> {
     hits: Vec<u32>,
     comparisons: usize,
     emitted: usize,
-    count_only: bool,
 }
 
 impl<X: Temporal + Clone, Y: Temporal + Clone> OverlapJoin<X, Y> {
@@ -689,15 +668,7 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> OverlapJoin<X, Y> {
             hits: Vec::new(),
             comparisons: 0,
             emitted: 0,
-            count_only: false,
         }
-    }
-
-    /// With `on`, count matches instead of materializing pairs — see
-    /// [`ContainJoinTsTe::count_only`].
-    pub fn count_only(mut self, on: bool) -> Self {
-        self.count_only = on;
-        self
     }
 
     /// An x arriving against the Y state: general overlap
@@ -717,10 +688,6 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> OverlapJoin<X, Y> {
     fn join_x(&mut self, x: &X, m: impl Fn(i64, i64) -> bool) {
         let (ts, te) = (self.sw.sy.ts_col(), self.sw.sy.te_col());
         self.comparisons += ts.len();
-        if self.count_only {
-            self.emitted += count(ts, te, m);
-            return;
-        }
         probe(ts, te, &mut self.hits, m);
         for &i in &self.hits {
             self.out
@@ -745,10 +712,6 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> OverlapJoin<X, Y> {
     fn join_y(&mut self, y: &Y, m: impl Fn(i64, i64) -> bool) {
         let (ts, te) = (self.sw.sx.ts_col(), self.sw.sx.te_col());
         self.comparisons += ts.len();
-        if self.count_only {
-            self.emitted += count(ts, te, m);
-            return;
-        }
         probe(ts, te, &mut self.hits, m);
         for &i in &self.hits {
             self.out
@@ -905,7 +868,7 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> OverlapSemijoin<X, Y> {
                     let sy = &self.sw.sy;
                     self.comparisons += sy.len();
                     let m = |yts: i64, yte: i64| (xts < yts) & (xte > yts) & (xte < yte);
-                    if count(sy.ts_col(), sy.te_col(), m) > 0 {
+                    if witnessed(sy.ts_col(), sy.te_col(), m) {
                         self.out.push(x);
                         self.emitted += 1;
                     } else {

@@ -39,7 +39,7 @@
 //! test lives in this module's tests beside the Figure 5 cases.
 
 use crate::batch::RowBatch;
-use crate::batch_ops::{count, probe, sweep_batch_op, BatchOp, Buffered, Side, Sweep, Wants};
+use crate::batch_ops::{probe, sweep_batch_op, BatchOp, Buffered, Side, Sweep, Wants};
 use crate::gapless::GaplessWorkspace;
 use crate::read_policy::ReadPolicy;
 use crate::report::OpReport;
@@ -70,7 +70,6 @@ pub struct ContainJoinTsTs<X: Temporal + Clone, Y: Temporal + Clone> {
     hits: Vec<u32>,
     comparisons: usize,
     emitted: usize,
-    count_only: bool,
 }
 
 impl<X: Temporal + Clone, Y: Temporal + Clone> ContainJoinTsTs<X, Y> {
@@ -82,15 +81,7 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> ContainJoinTsTs<X, Y> {
             hits: Vec::new(),
             comparisons: 0,
             emitted: 0,
-            count_only: false,
         }
-    }
-
-    /// With `on`, count matches instead of materializing pairs — see
-    /// [`crate::ContainJoinTsTe::count_only`].
-    pub fn count_only(mut self, on: bool) -> Self {
-        self.count_only = on;
-        self
     }
 
     fn run(&mut self) {
@@ -119,15 +110,11 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> ContainJoinTsTs<X, Y> {
                     let (ts, te) = (sy.ts_col(), sy.te_col());
                     self.comparisons += ts.len();
                     let m = |yts: i64, yte: i64| (xts < yts) & (yte < xte);
-                    if self.count_only {
-                        self.emitted += count(ts, te, m);
-                    } else {
-                        probe(ts, te, &mut self.hits, m);
-                        for &i in &self.hits {
-                            self.out.push((x.clone(), sy.payload(i as usize).clone()));
-                        }
-                        self.emitted += self.hits.len();
+                    probe(ts, te, &mut self.hits, m);
+                    for &i in &self.hits {
+                        self.out.push((x.clone(), sy.payload(i as usize).clone()));
                     }
+                    self.emitted += self.hits.len();
                     self.sw.sx.insert_raw(xts, xte, x);
                 }
                 Side::Right => {
@@ -138,15 +125,11 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> ContainJoinTsTs<X, Y> {
                     let (ts, te) = (sx.ts_col(), sx.te_col());
                     self.comparisons += ts.len();
                     let m = |xts: i64, xte: i64| (xts < yts) & (yte < xte);
-                    if self.count_only {
-                        self.emitted += count(ts, te, m);
-                    } else {
-                        probe(ts, te, &mut self.hits, m);
-                        for &i in &self.hits {
-                            self.out.push((sx.payload(i as usize).clone(), y.clone()));
-                        }
-                        self.emitted += self.hits.len();
+                    probe(ts, te, &mut self.hits, m);
+                    for &i in &self.hits {
+                        self.out.push((sx.payload(i as usize).clone(), y.clone()));
                     }
+                    self.emitted += self.hits.len();
                     self.sw.sy.insert_raw(yts, yte, y);
                 }
             }

@@ -29,8 +29,8 @@
 //! paper's Tables 1–3, and reports a unified [`report::OpReport`]
 //! (throughput counters plus workspace statistics). Kernels are picked by
 //! [`StreamOpKind`] and configured by [`report::OpConfig`];
-//! [`partition`] runs any intersection-witnessed operator across `K`
-//! disjoint time ranges in parallel.
+//! [`partition`] runs any operator whose registry entry is
+//! `partition_safe` across `K` disjoint time ranges in parallel.
 
 pub mod aggregate;
 pub mod batch;
@@ -67,8 +67,8 @@ pub use merge_join::merge_equi_join;
 pub use metrics::OpMetrics;
 pub use overlap_join::OverlapMode;
 pub use partition::{
-    merge_tagged, parallel_join, parallel_semijoin, partition_with_fringe, ParallelPattern,
-    ParallelPush, PartitionSpec, Tagged,
+    merge_tagged, parallel_join, parallel_semijoin, partition_with_fringe, ParallelPush,
+    PartitionSpec, Tagged,
 };
 pub use progress::{Progress, ProgressSnapshot};
 pub use read_policy::ReadPolicy;

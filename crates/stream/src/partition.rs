@@ -30,14 +30,22 @@
 //! The predicates that partition this way are the *intersection-witnessed*
 //! ones: containment and both overlap flavors. `Before`/`After` relate
 //! tuples at arbitrary temporal distance (a match shares no time point), so
-//! no time-range decomposition localizes them; the planner keeps those
-//! serial.
+//! no time-range decomposition localizes them. The registry says which is
+//! which ([`OrderRequirement::partition_safe`]); the drivers refuse the
+//! rest with [`TdbError::Plan`].
+//!
+//! The drivers take a resolved operator kind and its configuration, like
+//! the serial entry points of [`crate::dispatch`], over inputs already
+//! sorted into the orders that kind requires. Choosing the kind, sorting
+//! and any side swap are the caller's, so a partitioned run and a serial
+//! one of the same node see the same sorted inputs.
+//!
+//! [`OrderRequirement::partition_safe`]: crate::required::OrderRequirement::partition_safe
 
 use crate::dispatch::{run_join, run_semijoin, Emit};
-use crate::overlap_join::OverlapMode;
 use crate::report::{OpConfig, OpReport};
 use crate::required::StreamOpKind;
-use tdb_core::{Period, StreamOrder, TdbError, TdbResult, Temporal, TimePoint};
+use tdb_core::{Period, TdbError, TdbResult, Temporal, TimePoint};
 
 /// `K` disjoint, contiguous time ranges covering the data span.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,85 +210,6 @@ pub fn merge_tagged<T: Clone>(
     }
 }
 
-/// A temporal relationship a partitioned-parallel run can evaluate: the
-/// intersection-witnessed predicates. `Before`/`After` are excluded by
-/// construction (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParallelPattern {
-    /// `x` strictly contains `y`.
-    Contains,
-    /// `x` strictly contained in `y`.
-    During,
-    /// TQuel's symmetric overlap.
-    GeneralOverlap,
-    /// Allen's strict *overlaps*.
-    AllenOverlaps,
-}
-
-impl ParallelPattern {
-    /// Evaluate the predicate (for oracles and tests).
-    pub fn matches(self, x: &Period, y: &Period) -> bool {
-        match self {
-            ParallelPattern::Contains => x.contains(y),
-            ParallelPattern::During => y.contains(x),
-            ParallelPattern::GeneralOverlap => x.overlaps(y),
-            ParallelPattern::AllenOverlaps => x.allen_overlaps(y),
-        }
-    }
-
-    /// The serial join operator each partition worker instantiates.
-    /// `During` reuses the `Contains` worker with swapped sides.
-    pub fn join_kind(self) -> StreamOpKind {
-        match self {
-            ParallelPattern::Contains | ParallelPattern::During => StreamOpKind::ContainJoinTsTe,
-            ParallelPattern::GeneralOverlap | ParallelPattern::AllenOverlaps => {
-                StreamOpKind::OverlapJoin
-            }
-        }
-    }
-
-    /// The serial semijoin operator each partition worker instantiates.
-    pub fn semijoin_kind(self) -> StreamOpKind {
-        match self {
-            ParallelPattern::Contains => StreamOpKind::ContainSemijoinStab,
-            ParallelPattern::During => StreamOpKind::ContainedSemijoinStab,
-            ParallelPattern::GeneralOverlap | ParallelPattern::AllenOverlaps => {
-                StreamOpKind::OverlapSemijoin
-            }
-        }
-    }
-
-    /// The [`OpConfig`] a partition worker runs with: `cfg` with the
-    /// overlap mode this pattern implies (containment patterns pass `cfg`
-    /// through, batch size and read policy included).
-    pub fn worker_config(self, cfg: OpConfig) -> OpConfig {
-        match self {
-            ParallelPattern::GeneralOverlap => cfg.with_mode(OverlapMode::General),
-            ParallelPattern::AllenOverlaps => cfg.with_mode(OverlapMode::Strict),
-            ParallelPattern::Contains | ParallelPattern::During => cfg,
-        }
-    }
-
-    /// The orders the partitioned driver sorts its (left, right) inputs
-    /// into before dispatch — read off the worker operator's registry
-    /// entry, with `During` joins accounting for their side swap.
-    pub fn worker_orders(self, join: bool) -> (StreamOrder, StreamOrder) {
-        let kind = if join {
-            self.join_kind()
-        } else {
-            self.semijoin_kind()
-        };
-        let req = kind.requirement();
-        let l = req.left().unwrap_or(StreamOrder::TS_ASC);
-        let r = req.right().unwrap_or(StreamOrder::TS_ASC);
-        if join && self == ParallelPattern::During {
-            (r, l)
-        } else {
-            (l, r)
-        }
-    }
-}
-
 /// Outcome of a partitioned-parallel run ([`parallel_join`] /
 /// [`parallel_semijoin`]): the output went to the caller's emit closure,
 /// so only the run's accounting is returned.
@@ -312,250 +241,245 @@ impl ParallelPush {
 /// A drained worker's output: emitted items plus the operator's report.
 type WorkerOutput<T> = TdbResult<(Vec<T>, OpReport)>;
 
-fn join_results<T>(
-    results: Vec<WorkerOutput<T>>,
-) -> TdbResult<(Vec<Vec<T>>, Vec<OpReport>, OpReport)> {
-    let mut items = Vec::with_capacity(results.len());
-    let mut reports = Vec::with_capacity(results.len());
-    let mut total = OpReport::default();
-    for r in results {
-        let (part, report) = r?;
-        total = total.combine_parallel(report);
-        items.push(part);
-        reports.push(report);
-    }
-    Ok((items, reports, total))
-}
-
-/// Run a temporal join partitioned over `k` time ranges.
-///
-/// Inputs need not be pre-sorted; each is sorted once into the order its
-/// serial operator requires, partitioned with fringe replication, and the
-/// per-partition outputs are owner-deduplicated: the pairs handed to
-/// `emit`, one partition at a time in partition order, are exactly the
-/// serial operator's (and the nested-loop oracle's) match set. A `false`
-/// return from `emit` stops the run; remaining partitions' outputs are
-/// dropped.
-pub fn parallel_join<T>(
-    pattern: ParallelPattern,
-    xs: Vec<T>,
-    ys: Vec<T>,
-    k: usize,
-    cfg: OpConfig,
-    emit: &mut dyn FnMut(Vec<(T, T)>) -> TdbResult<bool>,
-) -> TdbResult<ParallelPush>
-where
-    T: Temporal + Clone + Send,
-{
-    // `During` means y contains x: run Contains with sides swapped and
-    // un-swap each emitted pair.
-    let swap = pattern == ParallelPattern::During;
-    let (pattern, xs, ys) = if swap {
-        (ParallelPattern::Contains, ys, xs)
-    } else {
-        (pattern, xs, ys)
-    };
-    let Some((parts, per_partition, report, dispatched)) =
-        join_partitioned(pattern, xs, ys, k, cfg)?
-    else {
-        return Ok(ParallelPush::empty(k));
-    };
-    let mut completed = true;
-    for part in parts {
-        if part.is_empty() {
-            continue;
-        }
-        let part = if swap {
-            part.into_iter().map(|(y, x)| (x, y)).collect()
-        } else {
-            part
-        };
-        if !emit(part)? {
-            completed = false;
-            break;
-        }
-    }
-    Ok(ParallelPush {
-        completed,
-        report,
-        per_partition,
-        dispatched,
-    })
-}
-
-/// The shared worker phase of the parallel joins: sort, fringe-partition,
-/// run K serial workers, owner-dedup. Returns the per-partition outputs
-/// (not yet concatenated) or `None` for empty inputs. `pattern` must not
-/// be `During` — callers normalize via side swap.
+/// The worker phase shared by both drivers: fringe-partition the sorted
+/// `xs` and `ys` over `k` ranges and run `worker(i, spec, xs_i, ys_i)` for
+/// each partition `i` on its own thread. Returns each partition's output
+/// and the run's accounting (`completed` still `true`), or `None` for
+/// empty inputs.
 #[allow(clippy::type_complexity)]
-fn join_partitioned<T>(
-    pattern: ParallelPattern,
-    xs: Vec<T>,
-    ys: Vec<T>,
+fn partitioned<X, Y, O>(
+    xs: Vec<X>,
+    ys: Vec<Y>,
     k: usize,
-    cfg: OpConfig,
-) -> TdbResult<Option<(Vec<Vec<(T, T)>>, Vec<OpReport>, OpReport, usize)>>
+    worker: impl Fn(usize, &PartitionSpec, Vec<X>, Vec<Y>) -> WorkerOutput<O> + Sync,
+) -> TdbResult<Option<(Vec<Vec<O>>, ParallelPush)>>
 where
-    T: Temporal + Clone + Send,
+    X: Temporal + Clone + Send,
+    Y: Temporal + Clone + Send,
+    O: Send,
 {
-    debug_assert!(pattern != ParallelPattern::During);
     let Some(spec) = PartitionSpec::covering(&xs, &ys, k) else {
         return Ok(None);
     };
-    let (x_order, y_order) = pattern.worker_orders(true);
-    let mut xs = xs;
-    let mut ys = ys;
-    x_order.sort(&mut xs);
-    y_order.sort(&mut ys);
     let xparts = partition_with_fringe(&xs, &spec);
     let yparts = partition_with_fringe(&ys, &spec);
     drop((xs, ys));
-    let dispatched: usize = xparts.iter().chain(yparts.iter()).map(Vec::len).sum();
-
-    let spec = &spec;
-    let results: Vec<WorkerOutput<(T, T)>> = std::thread::scope(|scope| {
+    let dispatched =
+        xparts.iter().map(Vec::len).sum::<usize>() + yparts.iter().map(Vec::len).sum::<usize>();
+    let (spec, worker) = (&spec, &worker);
+    let results: Vec<WorkerOutput<O>> = std::thread::scope(|scope| {
         let handles: Vec<_> = xparts
             .into_iter()
             .zip(yparts)
             .enumerate()
-            .map(|(i, (xp, yp))| {
-                scope.spawn(move || -> WorkerOutput<(T, T)> {
-                    // Each worker runs the serial kernel through the one
-                    // dispatch entry. Owner dedup: keep a pair only in the
-                    // partition that owns the intersection start.
-                    let mut owned = Vec::new();
-                    let (_, report) = run_join(
-                        pattern.join_kind(),
-                        pattern.worker_config(cfg),
-                        xp,
-                        yp,
-                        Emit::Chunks(&mut |chunk| {
-                            owned.extend(
-                                chunk
-                                    .into_iter()
-                                    .filter(|(x, y)| spec.owner_of(x.ts().max_of(y.ts())) == i),
-                            );
-                            Ok(true)
-                        }),
-                    )?;
-                    Ok((owned, report))
-                })
-            })
+            .map(|(i, (xp, yp))| scope.spawn(move || worker(i, spec, xp, yp)))
             .collect();
         handles
             .into_iter()
             .map(|h| {
                 h.join()
-                    .unwrap_or_else(|_| Err(TdbError::Eval("parallel join worker panicked".into())))
+                    .unwrap_or_else(|_| Err(TdbError::Eval("partition worker panicked".into())))
             })
             .collect()
     });
-    let (items, per_partition, report) = join_results(results)?;
-    Ok(Some((items, per_partition, report, dispatched)))
+    let mut parts = Vec::with_capacity(results.len());
+    let mut push = ParallelPush {
+        completed: true,
+        report: OpReport::default(),
+        per_partition: Vec::with_capacity(results.len()),
+        dispatched,
+    };
+    for r in results {
+        let (part, report) = r?;
+        push.report = push.report.combine_parallel(report);
+        parts.push(part);
+        push.per_partition.push(report);
+    }
+    Ok(Some((parts, push)))
 }
 
-/// Run a temporal semijoin (left side kept) partitioned over `k` time
-/// ranges. The K-way ordinal merge streams its output to `emit` in chunks
-/// of the configured batch size: the left input's sorted order, each kept
-/// tuple exactly once. A `false` return from `emit` stops the merge.
-pub fn parallel_semijoin<T>(
-    pattern: ParallelPattern,
+/// `kind` may run time-partitioned only if its registry entry says so:
+/// `Before`/`After` matches share no time point, so no partition owns
+/// them.
+fn check_partition_safe(kind: StreamOpKind) -> TdbResult<()> {
+    if kind.requirement().partition_safe {
+        Ok(())
+    } else {
+        Err(TdbError::Plan(format!(
+            "{kind} is not partition-safe: its matches share no time point"
+        )))
+    }
+}
+
+/// Run the stream join `kind` under `cfg` partitioned over `k` time
+/// ranges.
+///
+/// `xs` and `ys` must already be sorted as the kind's registry entry
+/// requires, and a side swap is the caller's concern, as for
+/// [`run_join`]. Each input is partitioned with fringe replication and
+/// the per-partition outputs are owner-deduplicated: the pairs handed to
+/// `emit`, one partition at a time in partition order, are exactly the
+/// serial operator's (and the nested-loop oracle's) match set. A `false`
+/// return from `emit` stops the run; remaining partitions' outputs are
+/// dropped. A kind that is not `partition_safe` is a
+/// [`TdbError::Plan`].
+pub fn parallel_join<T>(
+    kind: StreamOpKind,
+    cfg: OpConfig,
     xs: Vec<T>,
     ys: Vec<T>,
     k: usize,
+    emit: &mut dyn FnMut(Vec<(T, T)>) -> TdbResult<bool>,
+) -> TdbResult<ParallelPush>
+where
+    T: Temporal + Clone + Send,
+{
+    check_partition_safe(kind)?;
+    let run = partitioned(xs, ys, k, |i, spec, xp, yp| {
+        // Owner dedup: keep a pair only in the partition that owns the
+        // intersection start.
+        let mut owned = Vec::new();
+        let (_, report) = run_join(
+            kind,
+            cfg,
+            xp,
+            yp,
+            Emit::Chunks(&mut |chunk| {
+                owned.extend(
+                    chunk
+                        .into_iter()
+                        .filter(|(x, y)| spec.owner_of(x.ts().max_of(y.ts())) == i),
+                );
+                Ok(true)
+            }),
+        )?;
+        Ok((owned, report))
+    })?;
+    let Some((parts, mut push)) = run else {
+        return Ok(ParallelPush::empty(k));
+    };
+    for part in parts.into_iter().filter(|p| !p.is_empty()) {
+        if !emit(part)? {
+            push.completed = false;
+            break;
+        }
+    }
+    Ok(push)
+}
+
+/// Run the stream semijoin `kind` (left side kept) under `cfg`
+/// partitioned over `k` time ranges, over inputs sorted as for
+/// [`run_semijoin`]. The K-way ordinal merge streams its output to `emit`
+/// in chunks of the configured batch size: the left input's sorted order,
+/// each kept tuple exactly once. A `false` return from `emit` stops the
+/// merge. A kind that is not `partition_safe` is a [`TdbError::Plan`].
+pub fn parallel_semijoin<T>(
+    kind: StreamOpKind,
     cfg: OpConfig,
+    xs: Vec<T>,
+    ys: Vec<T>,
+    k: usize,
     emit: &mut dyn FnMut(Vec<T>) -> TdbResult<bool>,
 ) -> TdbResult<ParallelPush>
 where
     T: Temporal + Clone + Send,
 {
-    let Some((parts, per_partition, mut report, dispatched)) =
-        semijoin_partitioned(pattern, xs, ys, k, cfg)?
-    else {
+    check_partition_safe(kind)?;
+    let run = partitioned(tag(xs), ys, k, |_, _, xp, yp| {
+        let mut kept = Vec::new();
+        let (_, report) = run_semijoin(
+            kind,
+            cfg,
+            xp,
+            yp,
+            Emit::Chunks(&mut |mut chunk| {
+                kept.append(&mut chunk);
+                Ok(true)
+            }),
+        )?;
+        Ok((kept, report))
+    })?;
+    let Some((parts, mut push)) = run else {
         return Ok(ParallelPush::empty(k));
     };
     let (completed, emitted) = merge_tagged(parts, cfg.batch_rows, emit)?;
     // On an early stop `emitted` is what actually reached the sink — a
     // lower bound on the full result.
-    report.metrics.emitted = emitted;
-    Ok(ParallelPush {
-        completed,
-        report,
-        per_partition,
-        dispatched,
-    })
-}
-
-/// The shared worker phase of the parallel semijoins: sort, tag the kept
-/// side, fringe-partition, run K serial workers. Returns the per-partition
-/// tagged outputs (not yet merged) or `None` for empty inputs.
-#[allow(clippy::type_complexity)]
-fn semijoin_partitioned<T>(
-    pattern: ParallelPattern,
-    xs: Vec<T>,
-    ys: Vec<T>,
-    k: usize,
-    cfg: OpConfig,
-) -> TdbResult<Option<(Vec<Vec<Tagged<T>>>, Vec<OpReport>, OpReport, usize)>>
-where
-    T: Temporal + Clone + Send,
-{
-    let Some(spec) = PartitionSpec::covering(&xs, &ys, k) else {
-        return Ok(None);
-    };
-    let (x_order, y_order) = pattern.worker_orders(false);
-    let mut xs = xs;
-    let mut ys = ys;
-    x_order.sort(&mut xs);
-    y_order.sort(&mut ys);
-    let xparts = partition_with_fringe(&tag(xs), &spec);
-    let yparts = partition_with_fringe(&ys, &spec);
-    drop(ys);
-    let dispatched: usize =
-        xparts.iter().map(Vec::len).sum::<usize>() + yparts.iter().map(Vec::len).sum::<usize>();
-
-    let results: Vec<WorkerOutput<Tagged<T>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = xparts
-            .into_iter()
-            .zip(yparts)
-            .map(|(xp, yp)| {
-                scope.spawn(move || -> WorkerOutput<Tagged<T>> {
-                    let mut kept = Vec::new();
-                    let (_, report) = run_semijoin(
-                        pattern.semijoin_kind(),
-                        pattern.worker_config(cfg),
-                        xp,
-                        yp,
-                        Emit::Chunks(&mut |mut chunk| {
-                            kept.append(&mut chunk);
-                            Ok(true)
-                        }),
-                    )?;
-                    Ok((kept, report))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(TdbError::Eval("parallel semijoin worker panicked".into()))
-                })
-            })
-            .collect()
-    });
-    let (parts, per_partition, report) = join_results(results)?;
-    Ok(Some((parts, per_partition, report, dispatched)))
+    push.completed = completed;
+    push.report.metrics.emitted = emitted;
+    Ok(push)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overlap_join::OverlapMode;
     use std::collections::BTreeSet;
     use tdb_core::TsTuple;
 
+    /// A partition-safe operator, its overlap mode, and the predicate it
+    /// evaluates on `(x, y)` — `(kept, existential)` for a semijoin.
+    type Case = (StreamOpKind, OverlapMode, fn(&Period, &Period) -> bool);
+
+    const JOINS: [Case; 4] = [
+        (
+            StreamOpKind::ContainJoinTsTe,
+            OverlapMode::General,
+            |x, y| x.contains(y),
+        ),
+        (
+            StreamOpKind::ContainJoinTsTs,
+            OverlapMode::General,
+            |x, y| x.contains(y),
+        ),
+        (StreamOpKind::OverlapJoin, OverlapMode::General, |x, y| {
+            x.overlaps(y)
+        }),
+        (StreamOpKind::OverlapJoin, OverlapMode::Strict, |x, y| {
+            x.allen_overlaps(y)
+        }),
+    ];
+
+    const SEMIJOINS: [Case; 5] = [
+        (
+            StreamOpKind::ContainSemijoinStab,
+            OverlapMode::General,
+            |x, y| x.contains(y),
+        ),
+        (StreamOpKind::SweepSemijoin, OverlapMode::General, |x, y| {
+            x.contains(y)
+        }),
+        (
+            StreamOpKind::ContainedSemijoinStab,
+            OverlapMode::General,
+            |x, y| y.contains(x),
+        ),
+        (
+            StreamOpKind::OverlapSemijoin,
+            OverlapMode::General,
+            |x, y| x.overlaps(y),
+        ),
+        (
+            StreamOpKind::OverlapSemijoin,
+            OverlapMode::Strict,
+            |x, y| x.allen_overlaps(y),
+        ),
+    ];
+
     fn iv(s: i64, e: i64) -> TsTuple {
         TsTuple::interval(s, e).unwrap()
+    }
+
+    /// Copies of `xs` and `ys` sorted as `kind` requires.
+    fn sorted(kind: StreamOpKind, xs: &[TsTuple], ys: &[TsTuple]) -> (Vec<TsTuple>, Vec<TsTuple>) {
+        let req = kind.requirement();
+        let (mut xs, mut ys) = (xs.to_vec(), ys.to_vec());
+        for (side, order) in [(&mut xs, req.left()), (&mut ys, req.right())] {
+            if let Some(order) = order {
+                order.sort(side);
+            }
+        }
+        (xs, ys)
     }
 
     fn canon_pairs(mut v: Vec<(TsTuple, TsTuple)>) -> Vec<(TsTuple, TsTuple)> {
@@ -575,15 +499,11 @@ mod tests {
         v
     }
 
-    fn join_oracle(
-        xs: &[TsTuple],
-        ys: &[TsTuple],
-        pattern: ParallelPattern,
-    ) -> Vec<(TsTuple, TsTuple)> {
+    fn join_oracle(xs: &[TsTuple], ys: &[TsTuple], (.., pred): Case) -> Vec<(TsTuple, TsTuple)> {
         let mut out = Vec::new();
         for x in xs {
             for y in ys {
-                if pattern.matches(&x.period, &y.period) {
+                if pred(&x.period, &y.period) {
                     out.push((x.clone(), y.clone()));
                 }
             }
@@ -591,58 +511,48 @@ mod tests {
         canon_pairs(out)
     }
 
-    fn semi_oracle(xs: &[TsTuple], ys: &[TsTuple], pattern: ParallelPattern) -> Vec<TsTuple> {
+    fn semi_oracle(xs: &[TsTuple], ys: &[TsTuple], (.., pred): Case) -> Vec<TsTuple> {
         canon(
             xs.iter()
-                .filter(|x| ys.iter().any(|y| pattern.matches(&x.period, &y.period)))
+                .filter(|x| ys.iter().any(|y| pred(&x.period, &y.period)))
                 .cloned()
                 .collect(),
         )
     }
 
-    /// Collect a parallel join's output; the caller's vector is the only
-    /// materialization.
+    /// Collect a parallel join's output over sorted copies of the inputs;
+    /// the caller's vector is the only materialization.
     fn join_all(
-        pattern: ParallelPattern,
+        (kind, mode, _): Case,
         xs: &[TsTuple],
         ys: &[TsTuple],
         k: usize,
     ) -> (Vec<(TsTuple, TsTuple)>, ParallelPush) {
+        let (xs, ys) = sorted(kind, xs, ys);
         let mut out = Vec::new();
-        let run = parallel_join(
-            pattern,
-            xs.to_vec(),
-            ys.to_vec(),
-            k,
-            OpConfig::new(),
-            &mut |chunk| {
-                out.extend(chunk);
-                Ok(true)
-            },
-        )
+        let cfg = OpConfig::new().with_mode(mode);
+        let run = parallel_join(kind, cfg, xs, ys, k, &mut |chunk| {
+            out.extend(chunk);
+            Ok(true)
+        })
         .unwrap();
         assert!(run.completed);
         (out, run)
     }
 
     fn semijoin_all(
-        pattern: ParallelPattern,
+        (kind, mode, _): Case,
         xs: &[TsTuple],
         ys: &[TsTuple],
         k: usize,
     ) -> (Vec<TsTuple>, ParallelPush) {
+        let (xs, ys) = sorted(kind, xs, ys);
         let mut out = Vec::new();
-        let run = parallel_semijoin(
-            pattern,
-            xs.to_vec(),
-            ys.to_vec(),
-            k,
-            OpConfig::new(),
-            &mut |chunk| {
-                out.extend(chunk);
-                Ok(true)
-            },
-        )
+        let cfg = OpConfig::new().with_mode(mode);
+        let run = parallel_semijoin(kind, cfg, xs, ys, k, &mut |chunk| {
+            out.extend(chunk);
+            Ok(true)
+        })
         .unwrap();
         assert!(run.completed);
         (out, run)
@@ -721,12 +631,8 @@ mod tests {
         let xs = vec![iv(0, 100), iv(10, 30), iv(60, 90)];
         let ys = vec![iv(5, 6), iv(24, 26), iv(25, 75), iv(70, 80), iv(99, 100)];
         for k in 1..=8 {
-            let (pairs, run) = join_all(ParallelPattern::Contains, &xs, &ys, k);
-            assert_eq!(
-                canon_pairs(pairs),
-                join_oracle(&xs, &ys, ParallelPattern::Contains),
-                "k={k}"
-            );
+            let (pairs, run) = join_all(JOINS[0], &xs, &ys, k);
+            assert_eq!(canon_pairs(pairs), join_oracle(&xs, &ys, JOINS[0]), "k={k}");
             assert_eq!(run.per_partition.len(), k.min(100));
         }
     }
@@ -735,8 +641,8 @@ mod tests {
     fn parallel_run_aggregates_reports() {
         let xs: Vec<_> = (0..50).map(|i| iv(i * 2, i * 2 + 5)).collect();
         let ys: Vec<_> = (0..50).map(|i| iv(i * 2 + 1, i * 2 + 2)).collect();
-        let (pairs, run) = join_all(ParallelPattern::Contains, &xs, &ys, 4);
-        let (serial_pairs, serial) = join_all(ParallelPattern::Contains, &xs, &ys, 1);
+        let (pairs, run) = join_all(JOINS[0], &xs, &ys, 4);
+        let (serial_pairs, serial) = join_all(JOINS[0], &xs, &ys, 1);
         assert_eq!(canon_pairs(pairs), canon_pairs(serial_pairs));
         // Fringe replication dispatches at least the raw inputs.
         assert!(run.dispatched >= 100, "dispatched {}", run.dispatched);
@@ -754,18 +660,15 @@ mod tests {
     fn parallel_semijoin_keeps_sorted_order_without_duplicates() {
         let xs = vec![iv(0, 100), iv(3, 4), iv(20, 22), iv(50, 80), iv(97, 99)];
         let ys = vec![iv(1, 2), iv(21, 60), iv(98, 99)];
-        for pattern in [
-            ParallelPattern::Contains,
-            ParallelPattern::During,
-            ParallelPattern::GeneralOverlap,
-            ParallelPattern::AllenOverlaps,
-        ] {
+        for case in SEMIJOINS {
             for k in 1..=6 {
-                let (kept, run) = semijoin_all(pattern, &xs, &ys, k);
+                let (kept, run) = semijoin_all(case, &xs, &ys, k);
                 assert_eq!(
                     canon(kept.clone()),
-                    semi_oracle(&xs, &ys, pattern),
-                    "{pattern:?} k={k}"
+                    semi_oracle(&xs, &ys, case),
+                    "{} {:?} k={k}",
+                    case.0,
+                    case.1
                 );
                 // Exactly-once: no fringe duplicates survive the merge.
                 let mut seen = BTreeSet::new();
@@ -781,22 +684,14 @@ mod tests {
     fn parallel_joins_match_the_oracle_for_every_pattern() {
         let xs = vec![iv(0, 100), iv(3, 4), iv(10, 30), iv(50, 80), iv(97, 99)];
         let ys = vec![iv(1, 2), iv(21, 60), iv(24, 26), iv(70, 80), iv(98, 99)];
-        for pattern in [
-            ParallelPattern::Contains,
-            ParallelPattern::During,
-            ParallelPattern::GeneralOverlap,
-            ParallelPattern::AllenOverlaps,
-        ] {
-            let (_, serial) = join_all(pattern, &xs, &ys, 1);
+        for case in JOINS {
+            let (_, serial) = join_all(case, &xs, &ys, 1);
             for k in [1usize, 4] {
-                let (pairs, run) = join_all(pattern, &xs, &ys, k);
-                assert_eq!(
-                    canon_pairs(pairs),
-                    join_oracle(&xs, &ys, pattern),
-                    "{pattern:?} k={k}"
-                );
+                let (pairs, run) = join_all(case, &xs, &ys, k);
+                let label = format!("{} {:?} k={k}", case.0, case.1);
+                assert_eq!(canon_pairs(pairs), join_oracle(&xs, &ys, case), "{label}");
                 assert_eq!(run.per_partition.len(), k);
-                assert!(run.dispatched >= serial.dispatched, "{pattern:?} k={k}");
+                assert!(run.dispatched >= serial.dispatched, "{label}");
             }
         }
     }
@@ -805,19 +700,13 @@ mod tests {
     fn parallel_join_stops_early() {
         let xs: Vec<_> = (0..200).map(|i| iv(i, i + 10)).collect();
         let ys: Vec<_> = (0..200).map(|i| iv(i + 1, i + 2)).collect();
-        let (full, _) = join_all(ParallelPattern::Contains, &xs, &ys, 4);
+        let (full, _) = join_all(JOINS[0], &xs, &ys, 4);
+        let (xs, ys) = sorted(JOINS[0].0, &xs, &ys);
         let mut seen = 0usize;
-        let push = parallel_join(
-            ParallelPattern::Contains,
-            xs,
-            ys,
-            4,
-            OpConfig::new(),
-            &mut |chunk| {
-                seen += chunk.len();
-                Ok(false)
-            },
-        )
+        let push = parallel_join(JOINS[0].0, OpConfig::new(), xs, ys, 4, &mut |chunk| {
+            seen += chunk.len();
+            Ok(false)
+        })
         .unwrap();
         assert!(!push.completed);
         assert!(seen < full.len(), "stopped after {seen}");
@@ -825,10 +714,29 @@ mod tests {
 
     #[test]
     fn empty_inputs_yield_empty_runs() {
-        let (pairs, run) = join_all(ParallelPattern::GeneralOverlap, &[], &[], 4);
+        let (pairs, run) = join_all(JOINS[2], &[], &[], 4);
         assert!(pairs.is_empty());
         assert_eq!(run.dispatched, 0);
-        let (kept, _) = semijoin_all(ParallelPattern::During, &[], &[], 4);
+        let (kept, _) = semijoin_all(SEMIJOINS[2], &[], &[], 4);
         assert!(kept.is_empty());
+    }
+
+    #[test]
+    fn kinds_that_are_not_partition_safe_are_plan_errors() {
+        let (xs, ys) = (vec![iv(0, 2)], vec![iv(5, 6)]);
+        let cfg = OpConfig::new();
+        let join = parallel_join(
+            StreamOpKind::BeforeJoin,
+            cfg,
+            xs.clone(),
+            ys.clone(),
+            2,
+            &mut |_| Ok(true),
+        );
+        assert!(matches!(join, Err(TdbError::Plan(_))), "{join:?}");
+        let semi = parallel_semijoin(StreamOpKind::BeforeSemijoin, cfg, xs, ys, 2, &mut |_| {
+            Ok(true)
+        });
+        assert!(matches!(semi, Err(TdbError::Plan(_))), "{semi:?}");
     }
 }

@@ -1,19 +1,14 @@
 //! Push-mode result sinks: the consumer side of streaming execution.
 //!
-//! The materializing execution path collects every output row into one
-//! `Vec<Row>` before anything downstream sees it — at 40 k rows/side that
-//! copy dominates the run (E21). A [`RowSink`] inverts the flow: the
-//! executor *pushes* row chunks into the sink as operators drain, and the
-//! sink decides what to keep. Three consumers cover the common shapes:
+//! The executor has one output path: every plan node *pushes* its output
+//! chunk by chunk into a [`RowSink`] as it drains, and the sink decides
+//! what to keep. Three consumers cover the common shapes:
 //!
-//! * [`CollectSink`] — keep everything (the materializing behaviour,
-//!   reimplemented on the push path);
+//! * [`CollectSink`] — keep everything;
 //! * [`LimitSink`] — keep the first `limit` rows, or pass them on to an
 //!   inner sink, and signal early termination once full, so `\set limit`
 //!   stops the producer instead of truncating a fully-built vector;
-//! * [`CountSink`] — keep nothing; with [`RowSink::wants_rows`] `false`
-//!   the executor can skip widening pairs into payload rows entirely and
-//!   feed the sink bare counts ([`RowSink::push_count`]).
+//! * [`CountSink`] — keep nothing, only count what was offered.
 //!
 //! Every push returns a *continue* flag; `false` means the sink has seen
 //! enough and the producer should stop. [`RowSink::finish`] closes the
@@ -22,9 +17,10 @@
 //! A stream join hands its matches over as a [`PairBatch`] — ordinal
 //! pairs over the two sides' rows — through [`RowSink::push_pairs`].
 //! By default that builds the rows and pushes them, so every sink above
-//! sees exactly the rows a row-wise join would give it; a sink that can
-//! read the output values from the source rows (the wire encoder)
-//! overrides it and never builds one.
+//! sees exactly the rows a row-wise join would give it. A sink that can
+//! read the output values from the source rows (the wire encoder), or
+//! that needs no values at all ([`CountSink`]), overrides it and never
+//! builds one.
 
 use tdb_core::{Row, TdbResult, Value};
 
@@ -110,10 +106,10 @@ impl<'a> PairBatch<'a> {
 pub struct SinkStats {
     /// Rows offered to the sink (including rows it chose to drop).
     pub rows: u64,
-    /// Approximate bytes offered ([`row_bytes`] summed; zero for
-    /// count-only pushes, which never materialize rows).
+    /// Approximate bytes offered ([`row_bytes`] summed; a [`CountSink`]
+    /// counts none for the join matches it never builds into rows).
     pub bytes: u64,
-    /// Number of `push`/`push_count` calls — the chunk granularity the
+    /// Number of `push`/`push_pairs` calls — the chunk granularity the
     /// producer ran at.
     pub batches: u64,
     /// `true` if the sink dropped rows (e.g. a [`LimitSink`] past its
@@ -124,19 +120,11 @@ pub struct SinkStats {
 
 /// A push-mode consumer of query output rows.
 ///
-/// Producers call [`RowSink::push`] with each drained chunk (or
-/// [`RowSink::push_count`] when the sink declared, via
-/// [`RowSink::wants_rows`], that it only counts); a `false` return asks
-/// the producer to stop. The chunk vector is passed `&mut` so sinks can
-/// drain it without forcing the producer to reallocate per chunk.
+/// Producers call [`RowSink::push`] with each drained chunk of rows, or
+/// [`RowSink::push_pairs`] with each chunk of join matches; a `false`
+/// return asks the producer to stop. The chunk is passed `&mut` so sinks
+/// can drain it without forcing the producer to reallocate per chunk.
 pub trait RowSink {
-    /// Does this sink need the actual rows? `false` lets the producer
-    /// skip widening matches into payload rows and call
-    /// [`RowSink::push_count`] instead.
-    fn wants_rows(&self) -> bool {
-        true
-    }
-
     /// Offer a chunk of rows. The sink takes what it wants from `rows`
     /// (the producer discards whatever is left). Returns `false` when the
     /// sink has seen enough and the producer should stop.
@@ -151,16 +139,11 @@ pub trait RowSink {
         self.push(&mut rows)
     }
 
-    /// Offer a bare match count (count-only consumers). Returns `false`
-    /// when the sink has seen enough.
-    fn push_count(&mut self, n: usize) -> TdbResult<bool>;
-
     /// Close the sink and report what flowed through it.
     fn finish(&mut self) -> SinkStats;
 }
 
-/// Collects every pushed row — the materializing consumer that keeps the
-/// `QueryOutput`-returning entry points working on the push path.
+/// Collects every pushed row.
 #[derive(Debug, Default)]
 pub struct CollectSink {
     rows: Vec<Row>,
@@ -193,20 +176,13 @@ impl RowSink for CollectSink {
         Ok(true)
     }
 
-    fn push_count(&mut self, n: usize) -> TdbResult<bool> {
-        self.stats.rows += n as u64;
-        self.stats.batches += 1;
-        Ok(true)
-    }
-
     fn finish(&mut self) -> SinkStats {
         self.stats
     }
 }
 
-/// Counts rows without keeping any — `wants_rows` is `false`, so
-/// producers that can count matches without widening them (the batch
-/// kernels' count-only mode) skip payload materialization entirely.
+/// Counts rows without keeping any. Join matches offered as a
+/// [`PairBatch`] are counted as they are, never built into rows.
 #[derive(Debug, Default)]
 pub struct CountSink {
     stats: SinkStats,
@@ -225,10 +201,6 @@ impl CountSink {
 }
 
 impl RowSink for CountSink {
-    fn wants_rows(&self) -> bool {
-        false
-    }
-
     fn push(&mut self, rows: &mut Vec<Row>) -> TdbResult<bool> {
         self.stats.rows += rows.len() as u64;
         self.stats.bytes += rows.iter().map(row_bytes).sum::<u64>();
@@ -237,8 +209,8 @@ impl RowSink for CountSink {
         Ok(true)
     }
 
-    fn push_count(&mut self, n: usize) -> TdbResult<bool> {
-        self.stats.rows += n as u64;
+    fn push_pairs(&mut self, batch: &mut PairBatch<'_>) -> TdbResult<bool> {
+        self.stats.rows += batch.pairs.len() as u64;
         self.stats.batches += 1;
         Ok(true)
     }
@@ -251,20 +223,12 @@ impl RowSink for CountSink {
 /// A sink is a sink through a mutable borrow, so a wrapper such as
 /// [`LimitSink`] can sit over a sink it does not own.
 impl<S: RowSink + ?Sized> RowSink for &mut S {
-    fn wants_rows(&self) -> bool {
-        (**self).wants_rows()
-    }
-
     fn push(&mut self, rows: &mut Vec<Row>) -> TdbResult<bool> {
         (**self).push(rows)
     }
 
     fn push_pairs(&mut self, batch: &mut PairBatch<'_>) -> TdbResult<bool> {
         (**self).push_pairs(batch)
-    }
-
-    fn push_count(&mut self, n: usize) -> TdbResult<bool> {
-        (**self).push_count(n)
     }
 
     fn finish(&mut self) -> SinkStats {
@@ -277,8 +241,7 @@ impl<S: RowSink + ?Sized> RowSink for &mut S {
 /// full: the `\set limit` consumer. Rows and join matches past the quota
 /// are cut off before they reach the inner sink, so a match past the limit
 /// never becomes a row, but they are still *counted*: [`RowSink::finish`]
-/// reports every row, byte and push offered (so a producer that
-/// materialized everything anyway reports the true total).
+/// reports every row, byte and push offered.
 #[derive(Debug)]
 pub struct LimitSink<S = CollectSink> {
     inner: S,
@@ -347,10 +310,6 @@ impl<S: RowSink> LimitSink<S> {
 }
 
 impl<S: RowSink> RowSink for LimitSink<S> {
-    fn wants_rows(&self) -> bool {
-        self.inner.wants_rows()
-    }
-
     fn push(&mut self, rows: &mut Vec<Row>) -> TdbResult<bool> {
         let kept = self.admit(rows.len());
         self.dropped_bytes += rows[kept..].iter().map(row_bytes).sum::<u64>();
@@ -368,12 +327,6 @@ impl<S: RowSink> RowSink for LimitSink<S> {
         batch.pairs.truncate(kept);
         let more = batch.pairs.is_empty() || self.inner.push_pairs(batch)?;
         Ok(more && !self.full())
-    }
-
-    fn push_count(&mut self, n: usize) -> TdbResult<bool> {
-        self.offered.batches += 1;
-        self.offered.rows += n as u64;
-        Ok(self.inner.push_count(n)? && !self.full())
     }
 
     fn finish(&mut self) -> SinkStats {
@@ -411,14 +364,21 @@ mod tests {
     #[test]
     fn count_sink_discards_rows_but_counts_bytes() {
         let mut sink = CountSink::new();
-        assert!(!sink.wants_rows());
         let mut chunk = vec![row(1), row(2)];
         assert!(sink.push(&mut chunk).unwrap());
         assert!(chunk.is_empty());
-        assert!(sink.push_count(5).unwrap());
+        // Matches are counted without becoming rows, so without bytes.
+        let rows: Vec<Row> = (0..5).map(row).collect();
+        let mut batch = PairBatch {
+            left: &rows,
+            right: &rows,
+            columns: &[0, 2],
+            pairs: (0..5).map(|i| (i, i)).collect(),
+        };
+        assert!(sink.push_pairs(&mut batch).unwrap());
         assert_eq!(sink.count(), 7);
         let stats = sink.finish();
-        assert_eq!(stats.rows, 7);
+        assert_eq!((stats.rows, stats.batches), (7, 2));
         assert_eq!(stats.bytes, 2 * row_bytes(&row(0)));
     }
 

@@ -13,7 +13,7 @@
 //! * [`SweepSemijoin::contained`] — emit `x ∈ X` contained in some `y ∈ Y`.
 
 use crate::batch::RowBatch;
-use crate::batch_ops::{count, sweep_batch_op, BatchOp, Buffered, Side, Sweep, Wants};
+use crate::batch_ops::{sweep_batch_op, witnessed, BatchOp, Buffered, Side, Sweep, Wants};
 use crate::gapless::GaplessWorkspace;
 use crate::read_policy::ReadPolicy;
 use crate::report::OpReport;
@@ -89,7 +89,7 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> SweepSemijoin<X, Y> {
                     let sy = &self.sw.sy;
                     self.comparisons += sy.len();
                     let m = |yts: i64, yte: i64| Self::matches(xc, (ts, te), (yts, yte));
-                    if count(sy.ts_col(), sy.te_col(), m) > 0 {
+                    if witnessed(sy.ts_col(), sy.te_col(), m) {
                         // Semijoin: emit immediately, never store.
                         self.out.push(x);
                         self.emitted += 1;

@@ -7,14 +7,37 @@
 use proptest::prelude::*;
 use tdb_core::{StreamOrder, TsTuple};
 use tdb_stream::{
-    parallel_join, parallel_semijoin, OpConfig, OpMetrics, OpReport, ParallelPattern,
-    WorkspaceStats,
+    parallel_join, parallel_semijoin, OpConfig, OpMetrics, OpReport, StreamOpKind, WorkspaceStats,
 };
 
 fn workload(spec: &[(i64, i64)]) -> Vec<TsTuple> {
     spec.iter()
         .map(|(s, d)| TsTuple::interval(*s, *s + *d).expect("generated interval is valid"))
         .collect()
+}
+
+/// `v` sorted as a kernel input must be (`None`: as it came).
+fn sorted(mut v: Vec<TsTuple>, order: Option<StreamOrder>) -> Vec<TsTuple> {
+    if let Some(order) = order {
+        order.sort(&mut v);
+    }
+    v
+}
+
+/// The Contains operator of a join or semijoin, with the inputs sorted
+/// into its entry orders.
+fn contains(
+    join: bool,
+    xs: Vec<TsTuple>,
+    ys: Vec<TsTuple>,
+) -> (StreamOpKind, Vec<TsTuple>, Vec<TsTuple>) {
+    let kind = if join {
+        StreamOpKind::ContainJoinTsTe
+    } else {
+        StreamOpKind::ContainSemijoinStab
+    };
+    let req = kind.requirement();
+    (kind, sorted(xs, req.left()), sorted(ys, req.right()))
 }
 
 fn synthetic_report(seed: ((u8, u8), (u8, u8, u8))) -> OpReport {
@@ -77,11 +100,11 @@ proptest! {
         k in 1usize..6,
         join in proptest::bool::ANY,
     ) {
-        let (xs, ys) = (workload(&xs), workload(&ys));
+        let (kind, xs, ys) = contains(join, workload(&xs), workload(&ys));
         let cfg = OpConfig::new();
         let mut rows = 0usize;
         if join {
-            let run = parallel_join(ParallelPattern::Contains, xs, ys, k, cfg, &mut |chunk| {
+            let run = parallel_join(kind, cfg, xs, ys, k, &mut |chunk| {
                 rows += chunk.len();
                 Ok(true)
             })
@@ -94,7 +117,7 @@ proptest! {
             assert_eq!(run.report.metrics.emitted, emitted);
             assert!(rows <= emitted);
         } else {
-            let run = parallel_semijoin(ParallelPattern::Contains, xs, ys, k, cfg, &mut |chunk| {
+            let run = parallel_semijoin(kind, cfg, xs, ys, k, &mut |chunk| {
                 rows += chunk.len();
                 Ok(true)
             })
@@ -116,21 +139,14 @@ proptest! {
 fn single_partition_report_equals_its_only_worker() {
     let xs = workload(&[(0, 30), (5, 3), (12, 4)]);
     let ys = workload(&[(6, 1), (13, 2)]);
+    let (kind, xs, ys) = contains(true, xs, ys);
     let mut rows = 0usize;
-    let run = parallel_join(
-        ParallelPattern::Contains,
-        xs,
-        ys,
-        1,
-        OpConfig::new(),
-        &mut |chunk| {
-            rows += chunk.len();
-            Ok(true)
-        },
-    )
+    let run = parallel_join(kind, OpConfig::new(), xs, ys, 1, &mut |chunk| {
+        rows += chunk.len();
+        Ok(true)
+    })
     .expect("parallel join runs");
     assert_eq!(run.per_partition.len(), 1);
     assert_merged(&run.report, &run.per_partition);
     assert_eq!(run.report.metrics.emitted, rows);
-    let _ = StreamOrder::TS_ASC; // order type participates via worker_orders
 }

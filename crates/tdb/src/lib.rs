@@ -96,9 +96,9 @@ pub mod prelude {
         partition_with_fringe, run_join, run_kernel, run_self_semijoin, run_semijoin, BeforeJoin,
         BeforeSemijoin, CollectSink, ContainJoinTsTe, ContainJoinTsTs, ContainSelfSemijoin,
         ContainSemijoinStab, ContainedSelfSemijoin, ContainedSemijoinStab, CountSink, Emit,
-        LimitSink, OpConfig, OpReport, OverlapJoin, OverlapMode, OverlapSemijoin, ParallelPattern,
-        ParallelPush, PartitionSpec, ReadPolicy, RowSink, SinkStats, StreamOpKind, SweepSemijoin,
-        Tagged, WorkspaceStats, DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS,
+        LimitSink, OpConfig, OpReport, OverlapJoin, OverlapMode, OverlapSemijoin, ParallelPush,
+        PartitionSpec, ReadPolicy, RowSink, SinkStats, StreamOpKind, SweepSemijoin, Tagged,
+        WorkspaceStats, DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS,
     };
     pub use tdb_wal::{FlushPolicy, WalMetrics, WalRecord, WalStore};
 }

@@ -674,6 +674,35 @@ fn shutdown_notifies_connected_clients() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A remote `\ingest` that names a path is refused, like stdin: the
+/// server opens no file a client names, so nothing of one can reach the
+/// reply (a parse error would echo the file's first line).
+#[test]
+fn remote_ingest_of_a_path_reads_no_server_file() {
+    let root = std::env::temp_dir().join(format!("tdb-net-path-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).unwrap();
+    let secret = root.join("secret.txt");
+    std::fs::write(&secret, "marker-7f3a not an arrival\n").unwrap();
+    let server = serve(root.join("srv"), "127.0.0.1:0", NetConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    for source in [secret.display().to_string(), "-".to_string()] {
+        let reply = client.request(&format!("\\ingest S {source}")).unwrap();
+        let Response::Error(err) = &reply else {
+            panic!("{source}: expected an error, got {reply:?}");
+        };
+        assert_eq!(err.code, ErrorCode::Protocol, "{source}: {}", err.message);
+        assert!(!format!("{reply:?}").contains("marker-7f3a"), "{reply:?}");
+    }
+    let reply = client.request("\\tables").unwrap();
+    let Response::Tables(tables) = &reply else {
+        panic!("expected tables, got {reply:?}");
+    };
+    assert!(tables.iter().all(|t| t.name != "S"), "nothing was ingested");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 // ---------------------------------------------------------------------------
 // 4. Observability over the wire
 // ---------------------------------------------------------------------------

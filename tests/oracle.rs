@@ -347,20 +347,6 @@ fn kernel_cases(kind: StreamOpKind) -> Vec<(Entry, OpConfig, Rel)> {
     }
 }
 
-/// The partitionable patterns, with the relation each computes.
-const PATTERNS: [(ParallelPattern, Rel); 4] = [
-    (
-        ParallelPattern::Contains,
-        Rel::Allen(AllenRelation::Contains),
-    ),
-    (ParallelPattern::During, Rel::Allen(AllenRelation::During)),
-    (ParallelPattern::GeneralOverlap, Rel::GeneralOverlap),
-    (
-        ParallelPattern::AllenOverlaps,
-        Rel::Allen(AllenRelation::Overlaps),
-    ),
-];
-
 /// An output as keys: `(x, y)` ordinals for a join, `(x, -1)` for a kept
 /// tuple, in output order.
 type Keys = Vec<(i64, i64)>;
@@ -466,23 +452,27 @@ fn assert_batch_invariant(
     }
 }
 
-/// Run a partitioned-parallel join or semijoin, collecting its chunks.
+/// Run a partition-safe kind through the partitioned driver over inputs
+/// sorted as its registry entry requires, collecting its chunks.
 fn run_parallel(
-    pattern: ParallelPattern,
+    kind: StreamOpKind,
     entry: Entry,
+    cfg: OpConfig,
     (xs, ys): (&[TsTuple], &[TsTuple]),
     k: usize,
-    batch_rows: usize,
 ) -> (Keys, ParallelPush) {
-    let cfg = OpConfig::new().with_batch_rows(batch_rows);
-    let (x, y) = (xs.to_vec(), ys.to_vec());
+    let req = kind.requirement();
+    let (x, y) = (
+        sorted(xs.to_vec(), req.left()),
+        sorted(ys.to_vec(), req.right()),
+    );
     let mut keys = Vec::new();
     let run = match entry {
-        Entry::Join => parallel_join(pattern, x, y, k, cfg, &mut |chunk| {
+        Entry::Join => parallel_join(kind, cfg, x, y, k, &mut |chunk| {
             keys.extend(pair_keys(&chunk));
             Ok(true)
         }),
-        _ => parallel_semijoin(pattern, x, y, k, cfg, &mut |chunk| {
+        _ => parallel_semijoin(kind, cfg, x, y, k, &mut |chunk| {
             keys.extend(kept_keys(&chunk));
             Ok(true)
         }),
@@ -490,10 +480,13 @@ fn run_parallel(
     (keys, run.unwrap())
 }
 
-/// The kernel driver. The partitioned patterns run at K = 1..=8 (every
-/// batch size at K ∈ {1, 4}); fringe replication over the generator's
-/// giants, slivers and duplicated periods must stay exactly-once, and a
-/// semijoin re-emits its declared X order.
+/// The kernel driver. Every kind runs under every configuration through
+/// the serial dispatch; every partition-safe join and semijoin, in each
+/// overlap mode, also runs partitioned at K = 1..=8 (every batch size at
+/// K ∈ {1, 4}), where
+/// fringe replication over the generator's giants, slivers and
+/// duplicated periods must stay exactly-once, and a semijoin re-emits its
+/// declared X order.
 fn check_kernels(case: &Case) {
     let xs = tuples(&case.x);
     let ys = case.y.as_ref().map_or_else(|| xs.clone(), tuples);
@@ -506,27 +499,28 @@ fn check_kernels(case: &Case) {
                 &BATCH_SIZES,
                 |rows| run_kind(kind, entry, cfg.with_batch_rows(rows), &xs, &ys),
             );
-        }
-    }
-    let runs = PATTERNS
-        .into_iter()
-        .flat_map(|p| [(p, Entry::Join), (p, Entry::Semijoin)]);
-    for ((pattern, rel), entry) in runs {
-        let expected = oracle_keys(entry, rel, &xs, &ys);
-        let order = match pattern {
-            ParallelPattern::During => StreamOrder::TE_ASC,
-            _ => StreamOrder::TS_ASC,
-        };
-        for k in 1..=8 {
-            let what = format!("{pattern:?} {entry:?} K={k}");
-            let batches = &BATCH_SIZES[if PARTITIONS.contains(&k) { 0 } else { 2 }..];
-            assert_batch_invariant(&what, &expected, batches, |rows| {
-                let (out, run) = run_parallel(pattern, entry, (&xs, &ys), k, rows);
-                let kept: Vec<TsTuple> = out.iter().map(|&(x, _)| xs[x as usize].clone()).collect();
-                let ordered = entry == Entry::Join || order.first_violation(&kept).is_none();
-                assert!(ordered, "{what}: output breaks {order}");
-                (out, [vec![run.report], run.per_partition].concat())
-            });
+            // Partitioned: the two-input kinds the executor may fan out,
+            // under the read policy it runs them with.
+            let partitioned = kind.requirement().partition_safe
+                && entry != Entry::SelfSemijoin
+                && cfg.policy == OpConfig::new().policy;
+            if !partitioned {
+                continue;
+            }
+            let order = kind.requirement().left().unwrap_or(StreamOrder::TS_ASC);
+            for k in 1..=8 {
+                let what = format!("{kind} {rel:?} K={k}");
+                let batches = &BATCH_SIZES[if PARTITIONS.contains(&k) { 0 } else { 2 }..];
+                assert_batch_invariant(&what, &expected, batches, |rows| {
+                    let cfg = cfg.with_batch_rows(rows);
+                    let (out, run) = run_parallel(kind, entry, cfg, (&xs, &ys), k);
+                    let kept: Vec<TsTuple> =
+                        out.iter().map(|&(x, _)| xs[x as usize].clone()).collect();
+                    let ordered = entry == Entry::Join || order.first_violation(&kept).is_none();
+                    assert!(ordered, "{what}: output breaks {order}");
+                    (out, [vec![run.report], run.per_partition].concat())
+                });
+            }
         }
     }
 }
@@ -554,10 +548,6 @@ impl RowSink for LoggedCollect {
     fn push(&mut self, rows: &mut Vec<Row>) -> TdbResult<bool> {
         self.pushes.push(rows.len());
         self.inner.push(rows)
-    }
-
-    fn push_count(&mut self, n: usize) -> TdbResult<bool> {
-        self.inner.push_count(n)
     }
 
     fn finish(&mut self) -> SinkStats {
