@@ -46,8 +46,7 @@ pub enum LineResult {
 }
 
 impl Session {
-    /// Create a session backed by a catalog directory. Live-ingest staging
-    /// runs spill under `<dir>/live`.
+    /// Create a session backed by a catalog directory.
     pub fn open(dir: impl AsRef<std::path::Path>) -> TdbResult<Session> {
         Ok(Session {
             engine: Engine::open(dir)?,

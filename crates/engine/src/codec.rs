@@ -805,7 +805,6 @@ impl Codec for LiveRelationStatus {
         put_u64(buf, self.staged);
         put_u64(buf, self.promoted);
         put_u64(buf, self.watermark_lag);
-        put_u64(buf, self.stalls);
     }
 
     fn decode(buf: &mut Bytes) -> TdbResult<LiveRelationStatus> {
@@ -818,7 +817,6 @@ impl Codec for LiveRelationStatus {
             staged: get_u64(buf)?,
             promoted: get_u64(buf)?,
             watermark_lag: get_u64(buf)?,
-            stalls: get_u64(buf)?,
         })
     }
 }
@@ -884,8 +882,6 @@ impl Codec for SuperstarRow {
 impl Codec for LiveRelationMetrics {
     fn encode(&self, buf: &mut BytesMut) {
         put_str(buf, &self.relation);
-        put_u64(buf, self.queue_depth);
-        put_u64(buf, self.queue_capacity);
         put_u64(buf, self.staged);
         put_u64(buf, self.watermark_lag);
         put_u64(buf, self.promotion_batches);
@@ -899,8 +895,6 @@ impl Codec for LiveRelationMetrics {
     fn decode(buf: &mut Bytes) -> TdbResult<LiveRelationMetrics> {
         Ok(LiveRelationMetrics {
             relation: get_str(buf)?,
-            queue_depth: get_u64(buf)?,
-            queue_capacity: get_u64(buf)?,
             staged: get_u64(buf)?,
             watermark_lag: get_u64(buf)?,
             promotion_batches: get_u64(buf)?,

@@ -289,13 +289,14 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Open an engine backed by a catalog directory. Live-ingest staging
-    /// runs spill under `<dir>/live`.
+    /// Open an engine backed by a catalog directory. Live state (staged
+    /// rows, watermarks, subscriptions) is held in memory only; use
+    /// [`Engine::open_durable`] to keep acknowledged ingest across a
+    /// restart.
     pub fn open(dir: impl AsRef<std::path::Path>) -> TdbResult<Engine> {
-        let dir = dir.as_ref();
         Ok(Engine {
             catalog: Catalog::open(dir, IoStats::new())?,
-            live: LiveEngine::new(dir.join("live"), LiveConfig::default()),
+            live: LiveEngine::new(LiveConfig::default()),
             obs: ObsState::new(),
             replay: None,
         })
@@ -317,13 +318,8 @@ impl Engine {
             flush,
             ..LiveConfig::default()
         };
-        let (live, replay) = LiveEngine::open_durable(
-            dir.join("live"),
-            dir.join("wal"),
-            config,
-            &catalog,
-            &obs.registry,
-        )?;
+        let (live, replay) =
+            LiveEngine::open_durable(dir.join("wal"), config, &catalog, &obs.registry)?;
         Ok(Engine {
             catalog,
             live,
@@ -1049,8 +1045,6 @@ impl Engine {
                 let live_stats = rel.live_stats();
                 LiveRelationMetrics {
                     relation: rel.name().to_string(),
-                    queue_depth: rel.queue_depth() as u64,
-                    queue_capacity: rel.queue_capacity() as u64,
                     staged: rel.staged_len() as u64,
                     watermark_lag: snap.watermark_lag,
                     promotion_batches: rel.promotion_batches(),
@@ -1071,12 +1065,6 @@ impl Engine {
         let reg = &self.obs.registry;
         for m in self.live_metrics() {
             let rel: &[(&str, &str)] = &[("relation", &m.relation)];
-            reg.gauge_with(
-                "tdb_live_queue_depth",
-                rel,
-                "Rows waiting in the ingest queue.",
-            )
-            .set(m.queue_depth as f64);
             reg.gauge_with(
                 "tdb_live_staged",
                 rel,
@@ -1190,7 +1178,9 @@ impl Engine {
     fn subscribe(&mut self, ctx: &ClientState, text: &str) -> TdbResult<SubscribeReport> {
         let (logical, _query) = compile(text, &self.catalog)?;
         let optimized = conventional_optimize(logical);
-        let (analysis, delta) = self.live.subscribe(&self.catalog, text, optimized)?;
+        let (analysis, delta) = self
+            .live
+            .subscribe(&self.catalog, text, optimized, ctx.config)?;
         Ok(SubscribeReport {
             id: delta.subscription as u64,
             certificate: ctx.verify.then(|| analysis.render()),
@@ -1214,7 +1204,6 @@ impl Engine {
                         staged: rel.staged_len() as u64,
                         promoted: rel.promoted(),
                         watermark_lag: snap.watermark_lag,
-                        stalls: rel.stalls(),
                     }
                 })
                 .collect(),
@@ -1642,6 +1631,55 @@ mod tests {
             text.contains("(re-evaluated): 2 evaluations, 2 rows emitted"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn a_rejected_ingest_batch_admits_nothing() {
+        let (mut e, mut ctx) = engine("rejected");
+        let counts = |e: &mut Engine, ctx: &mut ClientState| match e.execute(ctx, "\\live") {
+            Response::Live(status) => (status.relations[0].admitted, status.relations[0].staged),
+            other => panic!("expected live status, got {other:?}"),
+        };
+        // `late` is below the frontier `b` set: the whole batch is refused,
+        // including `a` and `b` before it and `c` after it.
+        let resp = e.ingest_text("S", "0 10 a\n5 6 b\n3 9 late\n7 8 c\n");
+        let Response::Error(err) = resp else {
+            panic!("expected an order violation, got {resp:?}");
+        };
+        assert_eq!(err.code, ErrorCode::OrderViolation);
+        assert_eq!(counts(&mut e, &mut ctx), (0, 0));
+        assert!(matches!(
+            e.ingest_text("S", "20 21 d\n"),
+            Response::Ingest(_)
+        ));
+        assert_eq!(counts(&mut e, &mut ctx), (1, 1));
+        assert!(matches!(
+            e.execute(&mut ctx, "\\live close S"),
+            Response::Sealed(_)
+        ));
+        let resp = e.execute(&mut ctx, "range of s is S retrieve (N=s.Id);");
+        let Response::Query(q) = resp else {
+            panic!("expected query, got {resp:?}");
+        };
+        assert_eq!(q.rows.rows, [Row::new(vec![Value::str("d")])]);
+    }
+
+    #[test]
+    fn a_subscription_plans_under_its_clients_settings() {
+        let (mut e, mut ctx) = engine("subconfig");
+        e.ingest_text("S", "0 100 long\n10 20 a\n30 40 b\n");
+        let contain = "range of a is S range of b is S retrieve (X=a.Id, Y=b.Id) \
+             where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo;";
+        assert!(matches!(
+            e.execute(&mut ctx, "\\config naive"),
+            Response::Info(_)
+        ));
+        let resp = e.execute(&mut ctx, &format!("\\subscribe {contain}"));
+        assert!(matches!(resp, Response::Subscribed(_)), "{resp:?}");
+        let Response::Live(status) = e.execute(&mut ctx, "\\live") else {
+            panic!("expected live status");
+        };
+        assert_eq!(status.subscriptions[0].mode, "re-evaluated");
     }
 
     #[test]

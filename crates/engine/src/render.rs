@@ -248,7 +248,7 @@ fn render_live(s: &LiveStatus) -> String {
         writeln!(
             out,
             "{} ({}): watermark {}{}, {} admitted, {} staged, {} promoted, \
-             lag {}, {} stalls",
+             lag {}",
             rel.name,
             rel.order,
             wm_str(rel.watermark),
@@ -257,7 +257,6 @@ fn render_live(s: &LiveStatus) -> String {
             rel.staged,
             rel.promoted,
             rel.watermark_lag,
-            rel.stalls,
         )
         .ok();
     }
@@ -373,11 +372,8 @@ fn render_stats(s: &StatsReport) -> String {
         };
         writeln!(
             out,
-            "live {}: queue {}/{}, staged {}, lag {}, {} promotions (max batch {}), \
-             λ {}, E[D] {}",
+            "live {}: staged {}, lag {}, {} promotions (max batch {}), λ {}, E[D] {}",
             m.relation,
-            m.queue_depth,
-            m.queue_capacity,
             m.staged,
             m.watermark_lag,
             m.promotion_batches,

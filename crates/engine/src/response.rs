@@ -309,8 +309,6 @@ pub struct LiveRelationStatus {
     pub promoted: u64,
     /// Current watermark lag in ticks.
     pub watermark_lag: u64,
-    /// Producer stalls against the bounded ingest queue.
-    pub stalls: u64,
 }
 
 /// One subscription's status line.
@@ -357,17 +355,13 @@ pub struct SuperstarRow {
     pub superstars: u64,
 }
 
-/// One live relation's telemetry line in a [`StatsReport`]: queue and
+/// One live relation's telemetry line in a [`StatsReport`]: staging and
 /// promotion gauges plus the EWMA drift of the online λ/E[D] estimates
 /// against the plan-time catalog statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LiveRelationMetrics {
     /// Relation name.
     pub relation: String,
-    /// Raw rows waiting in the bounded ingest queue.
-    pub queue_depth: u64,
-    /// The ingest queue's bound.
-    pub queue_capacity: u64,
     /// Rows staged but not yet watermark-final (row lag).
     pub staged: u64,
     /// Current watermark lag in ticks (wall lag).

@@ -33,16 +33,8 @@ use tdb_wal::{replay, FlushPolicy, WalMetrics, WalRecord, WalStore};
 /// Engine-wide knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct LiveConfig {
-    /// Ingest queue capacity per relation (backpressure threshold).
-    pub queue_capacity: usize,
-    /// Staged tuples held in memory before spilling a sorted run.
-    pub stage_budget: usize,
     /// Watermark slack in ticks (admitted arrival disorder).
     pub slack: i64,
-    /// EWMA smoothing factor for online λ/E[D] estimation.
-    pub alpha: f64,
-    /// Planner strategy for standing queries.
-    pub planner: PlannerConfig,
     /// Live-verifier configuration (always run in live mode).
     pub analyze: AnalyzeConfig,
     /// WAL flush policy (only used by [`LiveEngine::open_durable`]).
@@ -52,11 +44,7 @@ pub struct LiveConfig {
 impl Default for LiveConfig {
     fn default() -> LiveConfig {
         LiveConfig {
-            queue_capacity: 256,
-            stage_budget: 1024,
             slack: 0,
-            alpha: 0.25,
-            planner: PlannerConfig::stream(),
             analyze: AnalyzeConfig::live(),
             flush: FlushPolicy::GroupCommit,
         }
@@ -97,7 +85,6 @@ pub struct LiveReport {
 /// Live ingestion and continuous-query engine.
 pub struct LiveEngine {
     config: LiveConfig,
-    stage_dir: PathBuf,
     relations: BTreeMap<String, LiveRelation>,
     subscriptions: Vec<Subscription>,
     /// Write-ahead log store, when the engine runs durably.
@@ -107,11 +94,10 @@ pub struct LiveEngine {
 }
 
 impl LiveEngine {
-    /// An engine spilling staged runs under `stage_dir`.
-    pub fn new(stage_dir: impl Into<PathBuf>, config: LiveConfig) -> LiveEngine {
+    /// An in-memory engine: live state is lost when it is dropped.
+    pub fn new(config: LiveConfig) -> LiveEngine {
         LiveEngine {
             config,
-            stage_dir: stage_dir.into(),
             relations: BTreeMap::new(),
             subscriptions: Vec::new(),
             wal: None,
@@ -131,7 +117,6 @@ impl LiveEngine {
     /// truncated back to the last intact frame; only a CRC-valid frame
     /// that fails to decode is an error.
     pub fn open_durable(
-        stage_dir: impl Into<PathBuf>,
         wal_dir: impl Into<PathBuf>,
         config: LiveConfig,
         catalog: &Catalog,
@@ -139,7 +124,7 @@ impl LiveEngine {
     ) -> TdbResult<(LiveEngine, ReplaySummary)> {
         let start = std::time::Instant::now();
         let store = WalStore::open(wal_dir, config.flush, registry)?;
-        let mut engine = LiveEngine::new(stage_dir, config);
+        let mut engine = LiveEngine::new(config);
         let mut summary = ReplaySummary::default();
         for name in store.existing_logs()? {
             let outcome = replay(&store.log_path(&name))?;
@@ -168,11 +153,6 @@ impl LiveEngine {
                 meta.schema.clone(),
                 *order,
                 *slack,
-                config.alpha,
-                config.queue_capacity,
-                config.stage_budget,
-                &engine.stage_dir,
-                catalog.io().clone(),
                 &outcome.records,
                 meta.rows as u64,
             )?;
@@ -307,17 +287,7 @@ impl LiveEngine {
             }
             Err(_) => catalog.create_relation(name, schema.clone(), &[], vec![order])?,
         }
-        let mut rel = LiveRelation::new(
-            name,
-            schema,
-            order,
-            self.config.slack,
-            self.config.alpha,
-            self.config.queue_capacity,
-            self.config.stage_budget,
-            &self.stage_dir,
-            catalog.io().clone(),
-        )?;
+        let mut rel = LiveRelation::new(name, schema, order, self.config.slack);
         // A held subscription read this relation as static, promoting
         // nothing; from here on it does, so re-evaluate instead.
         self.release_held(catalog, name)?;
@@ -352,28 +322,25 @@ impl LiveEngine {
         Ok(())
     }
 
-    /// Register a standing query. The plan must pass the live verifier
-    /// under the current online statistics before a single tuple flows;
-    /// the returned [`Delta`] carries the rows already final at
-    /// registration time (the closed prefix ingested so far).
+    /// Register a standing query, planned under the subscriber's
+    /// `planner` settings at registration and at every epoch. The plan
+    /// must pass the live verifier under the current online statistics
+    /// before a single tuple flows; the returned [`Delta`] carries the
+    /// rows already final at registration time (the closed prefix
+    /// ingested so far).
     pub fn subscribe(
         &mut self,
         catalog: &Catalog,
         label: impl Into<String>,
         logical: LogicalPlan,
+        planner: PlannerConfig,
     ) -> TdbResult<(Analysis, Delta)> {
         let overrides = self.live_stats();
         // Verify up front so a rejected query never registers.
-        let (physical, analysis) = plan_verified_live(
-            &logical,
-            self.config.planner,
-            catalog,
-            &overrides,
-            &self.config.analyze,
-        )?;
+        let (physical, analysis) =
+            plan_verified_live(&logical, planner, catalog, &overrides, &self.config.analyze)?;
         let id = self.subscriptions.len();
-        let mut sub =
-            Subscription::new(id, label, logical, physical, catalog, self.config.planner)?;
+        let mut sub = Subscription::new(id, label, logical, physical, catalog, planner)?;
         // A held subscription starts from everything promoted so far.
         for name in sub.held_relations() {
             sub.hand(&name, &catalog.scan(&name)?);
@@ -382,7 +349,6 @@ impl LiveEngine {
             catalog,
             horizons: &self.horizons(),
             live_stats: &overrides,
-            planner: self.config.planner,
             analyze: &self.config.analyze,
             epoch: self.epoch,
             watermark: self.frontier(),
@@ -405,45 +371,29 @@ impl LiveEngine {
     }
 
     /// Ingest a batch of raw rows into live relation `name`, then run one
-    /// epoch. Producers hitting the bounded queue stall and the engine
-    /// drains admissions in-line — memory stays bounded no matter the
-    /// batch size.
+    /// epoch. The batch is admitted whole or not at all
+    /// ([`LiveRelation::admit`]): a rejected batch returns its error
+    /// before the epoch, with nothing of it logged, staged or counted.
     pub fn ingest(
         &mut self,
         catalog: &mut Catalog,
         name: &str,
         rows: impl IntoIterator<Item = Row>,
     ) -> TdbResult<LiveReport> {
-        let rel = self
-            .relations
+        self.relations
             .get_mut(name)
-            .ok_or_else(|| TdbError::Catalog(format!("relation `{name}` is not live")))?;
-        for row in rows {
-            let mut row = row;
-            loop {
-                match rel.offer(row) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        // Backpressure: drain the admission path, retry.
-                        row = back;
-                        rel.pump()?;
-                    }
-                }
-            }
-        }
-        rel.pump()?;
+            .ok_or_else(|| TdbError::Catalog(format!("relation `{name}` is not live")))?
+            .admit(rows)?;
         self.advance(catalog)
     }
 
     /// Seal live relation `name` (end of stream: everything staged becomes
     /// final) and run one epoch.
     pub fn seal(&mut self, catalog: &mut Catalog, name: &str) -> TdbResult<LiveReport> {
-        let rel = self
-            .relations
+        self.relations
             .get_mut(name)
-            .ok_or_else(|| TdbError::Catalog(format!("relation `{name}` is not live")))?;
-        rel.pump()?;
-        rel.seal()?;
+            .ok_or_else(|| TdbError::Catalog(format!("relation `{name}` is not live")))?
+            .seal()?;
         self.advance(catalog)
     }
 
@@ -456,7 +406,7 @@ impl LiveEngine {
             ..LiveReport::default()
         };
         for rel in self.relations.values_mut() {
-            let closed = rel.take_closed()?;
+            let closed = rel.take_closed();
             if !closed.is_empty() {
                 // Durable promotion protocol: fsync the Promote intent
                 // first, so a crash between here and the heap append is
@@ -482,7 +432,6 @@ impl LiveEngine {
             catalog,
             horizons: &self.horizons(),
             live_stats: &self.live_stats(),
-            planner: self.config.planner,
             analyze: &self.config.analyze,
             epoch: self.epoch,
             watermark: self.frontier(),
@@ -529,7 +478,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tdb-engine-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let catalog = Catalog::open(dir.join("cat"), IoStats::new()).unwrap();
-        let engine = LiveEngine::new(dir.join("live"), LiveConfig::default());
+        let engine = LiveEngine::new(LiveConfig::default());
         (catalog, engine)
     }
 
@@ -574,7 +523,9 @@ mod tests {
         let schema = TemporalSchema::time_sequence("Name", "Rank");
         eng.register(&mut cat, "Faculty", schema, StreamOrder::TS_ASC)
             .unwrap();
-        let (analysis, initial) = eng.subscribe(&cat, "contains", contains_join()).unwrap();
+        let (analysis, initial) = eng
+            .subscribe(&cat, "contains", contains_join(), PlannerConfig::stream())
+            .unwrap();
         assert!(
             analysis.render().contains("Table 1"),
             "{}",
@@ -640,7 +591,9 @@ mod tests {
         let schema = TemporalSchema::time_sequence("Name", "Rank");
         eng.register(&mut cat, "Faculty", schema, StreamOrder::TS_ASC)
             .unwrap();
-        let (_analysis, initial) = eng.subscribe(&cat, "contains", contains_join()).unwrap();
+        let (_analysis, initial) = eng
+            .subscribe(&cat, "contains", contains_join(), PlannerConfig::stream())
+            .unwrap();
         assert_eq!(initial.epoch, 0);
         assert_eq!(initial.watermark, None);
 
@@ -676,7 +629,6 @@ mod tests {
         let (frontier, staged, promoted) = {
             let mut cat = Catalog::open_durable(dir.join("cat"), IoStats::new()).unwrap();
             let (mut eng, replayed) = LiveEngine::open_durable(
-                dir.join("live"),
                 dir.join("wal"),
                 LiveConfig::default(),
                 &cat,
@@ -701,7 +653,6 @@ mod tests {
         // and the frontier reproduced exactly.
         let cat = Catalog::open_durable(dir.join("cat"), IoStats::new()).unwrap();
         let (eng, replayed) = LiveEngine::open_durable(
-            dir.join("live2"),
             dir.join("wal"),
             LiveConfig::default(),
             &cat,

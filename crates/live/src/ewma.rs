@@ -15,13 +15,16 @@
 use std::collections::BTreeMap;
 use tdb_core::{Period, SortKey, TemporalStats, TimePoint};
 
+/// EWMA smoothing factor for λ and E[D]: the weight of the newest
+/// arrival (higher = more weight on recent traffic).
+const ALPHA: f64 = 0.25;
+
 /// Incrementally maintained statistics of a live arrival stream,
 /// convertible at any moment to the [`TemporalStats`] the planner and the
 /// live verifier consume.
 #[derive(Debug, Clone)]
 pub struct OnlineStats {
     key: SortKey,
-    alpha: f64,
     count: usize,
     last_key: Option<TimePoint>,
     ewma_gap: Option<f64>,
@@ -46,13 +49,10 @@ struct Endpoint {
 }
 
 impl OnlineStats {
-    /// Fresh statistics over arrivals ordered on `key`, smoothing λ and
-    /// E[D] with factor `alpha` ∈ (0, 1] (higher = more weight on recent
-    /// arrivals).
-    pub fn new(key: SortKey, alpha: f64) -> OnlineStats {
+    /// Fresh statistics over arrivals ordered on `key`.
+    pub fn new(key: SortKey) -> OnlineStats {
         OnlineStats {
             key,
-            alpha: alpha.clamp(f64::MIN_POSITIVE, 1.0),
             count: 0,
             last_key: None,
             ewma_gap: None,
@@ -79,7 +79,7 @@ impl OnlineStats {
         if let Some(last) = self.last_key {
             let gap = (k - last).ticks().max(0) as f64;
             self.ewma_gap = Some(match self.ewma_gap {
-                Some(g) => g + self.alpha * (gap - g),
+                Some(g) => g + ALPHA * (gap - g),
                 None => gap,
             });
         }
@@ -87,7 +87,7 @@ impl OnlineStats {
 
         let dur = (p.end() - p.start()).ticks() as f64;
         self.ewma_duration = Some(match self.ewma_duration {
-            Some(d) => d + self.alpha * (dur - d),
+            Some(d) => d + ALPHA * (dur - d),
             None => dur,
         });
         self.max_duration = self.max_duration.max(dur as i64);
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn uniform_arrivals_estimate_lambda_and_duration() {
-        let mut st = OnlineStats::new(SortKey::ValidFrom, 0.5);
+        let mut st = OnlineStats::new(SortKey::ValidFrom);
         for i in 0..100 {
             st.observe(&p(i * 4, i * 4 + 10));
         }
@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     fn ewma_tracks_rate_changes() {
-        let mut st = OnlineStats::new(SortKey::ValidFrom, 0.5);
+        let mut st = OnlineStats::new(SortKey::ValidFrom);
         for i in 0..50 {
             st.observe(&p(i * 10, i * 10 + 1));
         }
@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn concurrency_is_exact_for_nested_intervals() {
-        let mut st = OnlineStats::new(SortKey::ValidTo, 0.5);
+        let mut st = OnlineStats::new(SortKey::ValidTo);
         // TE-ordered arrivals; three intervals all containing t=5.
         st.observe(&p(4, 6));
         st.observe(&p(2, 8));
@@ -217,7 +217,7 @@ mod tests {
                 p(s, s + 1 + (i * 13) % 23)
             })
             .collect();
-        let mut st = OnlineStats::new(SortKey::ValidFrom, 0.5);
+        let mut st = OnlineStats::new(SortKey::ValidFrom);
         for (i, span) in spans.iter().enumerate() {
             st.observe(span);
             assert_eq!(
@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_arrival_edge_cases() {
-        let st = OnlineStats::new(SortKey::ValidFrom, 0.2);
+        let st = OnlineStats::new(SortKey::ValidFrom);
         assert_eq!(st.lambda(), None);
         assert_eq!(st.max_concurrency(), 0);
         assert_eq!(st.to_stats().count, 0);

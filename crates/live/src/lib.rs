@@ -5,9 +5,9 @@
 //! *unbounded* arrival streams, keeping every guarantee the paper proves
 //! for the batch case:
 //!
-//! - **Bounded ingest** — each live relation admits rows through a
-//!   fixed-capacity [`IngestQueue`]; a full queue backpressures the
-//!   producer instead of growing ([`queue`]).
+//! - **Atomic admission** — each live relation admits one batch in one
+//!   pass: every row is checked before any state changes, so a batch is
+//!   logged, staged and counted whole or not at all ([`relation`]).
 //! - **Watermark finality** — a per-relation
 //!   [`Watermark`](tdb_stream::Watermark) over the arrival sort key
 //!   (`TS` for (TS↑) streams, `TE` for (TE↑) streams) proves which
@@ -30,12 +30,10 @@
 pub mod engine;
 pub mod ewma;
 mod held;
-pub mod queue;
 pub mod relation;
 pub mod subscription;
 
 pub use engine::{LiveConfig, LiveEngine, LiveReport, ReplaySummary};
 pub use ewma::OnlineStats;
-pub use queue::IngestQueue;
 pub use relation::{LiveRelation, RelationRecovery};
 pub use subscription::{Delta, Subscription, SubscriptionMode};

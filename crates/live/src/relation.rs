@@ -1,17 +1,22 @@
-//! One live relation: queue → watermark → staging → promotion.
+//! One live relation: admission → watermark → staging → promotion.
 //!
 //! The admission path for a live relation chains the pieces the rest of
 //! the workspace provides:
 //!
-//! 1. raw rows wait in a bounded [`IngestQueue`] (backpressure);
-//! 2. [`LiveRelation::pump`] admits them — schema validation, watermark
-//!    advance (late arrivals are rejected with the paper's order-violation
-//!    diagnostic), online λ/E[D] statistics, then into a spill-backed
-//!    [`StagedAppend`];
-//! 3. [`LiveRelation::take_closed`] surrenders the watermark-closed prefix
+//! 1. [`LiveRelation::admit`] takes one batch in one pass: every row is
+//!    checked against the schema and the watermark (late arrivals are
+//!    rejected with the paper's order-violation diagnostic) before any
+//!    state changes, so a rejected batch leaves nothing logged, staged or
+//!    counted; an accepted batch is logged and committed, then folded
+//!    into the online λ/E[D] statistics and staged;
+//! 2. [`LiveRelation::take_closed`] surrenders the watermark-closed prefix
 //!    in the relation's sort order, ready for
 //!    [`Catalog::append_rows`](tdb_storage::Catalog::append_rows) — the
 //!    promotion that makes tuples visible to standing queries.
+//!
+//! No buffer sits between the two: a batch is bounded by the request
+//! that carried it, and staging holds only the open suffix the watermark
+//! has not closed yet.
 //!
 //! Throughout, a [`Progress`] handle publishes monotonic admitted /
 //! promoted / emitted counters and the watermark-lag gauge so a live
@@ -19,12 +24,9 @@
 
 use crate::ewma::OnlineStats;
 use crate::held::Horizon;
-use crate::queue::IngestQueue;
-use std::path::Path;
 use tdb_core::{
     PeriodRow, Row, StreamOrder, TdbError, TdbResult, TemporalSchema, TemporalStats, TimePoint,
 };
-use tdb_storage::{IoStats, StagedAppend};
 use tdb_stream::{Progress, Watermark};
 use tdb_wal::{WalLog, WalRecord};
 
@@ -46,8 +48,9 @@ pub struct LiveRelation {
     /// Watermark slack in ticks (kept for checkpoint records).
     slack: i64,
     watermark: Watermark,
-    queue: IngestQueue,
-    stage: StagedAppend,
+    /// Admitted tuples the watermark has not closed yet, in arrival order
+    /// since the last promotion.
+    staged: Vec<PeriodRow>,
     stats: OnlineStats,
     progress: Progress,
     /// Write-ahead log, when the relation runs durably.
@@ -56,8 +59,6 @@ pub struct LiveRelation {
     /// confirmed promotions). Checkpoints persist it; replay reconciles
     /// `Promote` markers against the catalog's actual row count with it.
     durable_rows: u64,
-    /// Times a producer hit a full queue and had to wait for a drain.
-    stalls: u64,
     /// Rows admitted past validation into staging.
     admitted: u64,
     /// Rows promoted into the catalog heap.
@@ -73,38 +74,31 @@ pub struct LiveRelation {
 }
 
 impl LiveRelation {
-    /// Build the live state for `name`, staging spills under `stage_dir`.
-    #[allow(clippy::too_many_arguments)]
+    /// Build the live state for `name`, arriving in `order` with `slack`
+    /// ticks of admitted disorder.
     pub fn new(
         name: impl Into<String>,
         schema: TemporalSchema,
         order: StreamOrder,
         slack: i64,
-        alpha: f64,
-        queue_capacity: usize,
-        stage_budget: usize,
-        stage_dir: impl AsRef<Path>,
-        io: IoStats,
-    ) -> TdbResult<LiveRelation> {
-        Ok(LiveRelation {
+    ) -> LiveRelation {
+        LiveRelation {
             name: name.into(),
             schema,
             order,
             slack: slack.max(0),
             watermark: Watermark::for_order(&order, slack),
-            queue: IngestQueue::new(queue_capacity),
-            stage: StagedAppend::new(stage_dir.as_ref(), order, stage_budget, io)?,
-            stats: OnlineStats::new(order.primary.key, alpha),
+            staged: Vec::new(),
+            stats: OnlineStats::new(order.primary.key),
             progress: Progress::new(),
             wal: None,
             durable_rows: 0,
-            stalls: 0,
             admitted: 0,
             promoted: 0,
             promotion_batches: 0,
             max_promotion_batch: 0,
             promotion_floor: None,
-        })
+        }
     }
 
     /// Rebuild live state from a replayed write-ahead log: restore the
@@ -114,34 +108,18 @@ impl LiveRelation {
     /// `Promote` markers against the catalog's durable row count so a
     /// promotion interrupted between its intent record and the heap
     /// append is neither lost nor applied twice.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn recover(
         name: &str,
         schema: TemporalSchema,
         order: StreamOrder,
         slack: i64,
-        alpha: f64,
-        queue_capacity: usize,
-        stage_budget: usize,
-        stage_dir: impl AsRef<Path>,
-        io: IoStats,
         records: &[WalRecord],
         catalog_rows: u64,
     ) -> TdbResult<(LiveRelation, RelationRecovery)> {
         let corrupt = |i: usize, detail: String| {
             TdbError::Corrupt(format!("wal replay for `{name}`, record #{i}: {detail}"))
         };
-        let mut rel = LiveRelation::new(
-            name,
-            schema,
-            order,
-            slack,
-            alpha,
-            queue_capacity,
-            stage_budget,
-            stage_dir,
-            io,
-        )?;
+        let mut rel = LiveRelation::new(name, schema, order, slack);
         let mut recovery = RelationRecovery::default();
         for (i, record) in records.iter().enumerate() {
             match record {
@@ -167,7 +145,7 @@ impl LiveRelation {
                         .observe(&staged)
                         .map_err(|e| corrupt(i, e.to_string()))?;
                     rel.stats.observe(&period);
-                    rel.stage.push(staged)?;
+                    rel.staged.push(staged);
                     recovery.restaged += 1;
                 }
                 // The frontier is reproduced by re-observing the appends;
@@ -175,8 +153,7 @@ impl LiveRelation {
                 WalRecord::Watermark { .. } => {}
                 WalRecord::Seal => rel.watermark.seal(),
                 WalRecord::Promote { closed } => {
-                    let wm = rel.watermark.clone();
-                    let batch = rel.stage.take_closed(|t| wm.closes(t))?;
+                    let batch = rel.drain_closed();
                     if batch.len() as u64 != *closed {
                         return Err(corrupt(
                             i,
@@ -196,9 +173,7 @@ impl LiveRelation {
                     } else {
                         // The append never happened: keep the rows staged
                         // so the next epoch re-promotes them.
-                        for t in batch {
-                            rel.stage.push(t)?;
-                        }
+                        rel.staged.extend(batch);
                     }
                 }
             }
@@ -206,15 +181,14 @@ impl LiveRelation {
         // Registration always creates the catalog relation empty, so the
         // durable baseline is exactly the rows this relation promoted.
         rel.promoted = rel.durable_rows;
-        rel.admitted = rel.promoted + rel.stage.len() as u64;
+        rel.admitted = rel.promoted + rel.staged.len() as u64;
         rel.progress.add_admitted(rel.admitted);
         rel.watermark.publish_lag(&rel.progress);
         Ok((rel, recovery))
     }
 
-    /// Attach a write-ahead log: from here on every admitted row is
-    /// logged before it is staged and committed before it is
-    /// acknowledged.
+    /// Attach a write-ahead log: from here on every admitted batch is
+    /// logged and committed before it is staged and acknowledged.
     pub(crate) fn attach_wal(&mut self, log: WalLog) {
         self.wal = Some(log);
     }
@@ -248,17 +222,15 @@ impl LiveRelation {
     }
 
     /// Checkpoint: atomically compact the log to `Register` +
-    /// `Checkpoint` + the still-open staged suffix. Replay cost after
-    /// this is bounded by the open window, not the stream length.
+    /// `Checkpoint` + the still-open staged suffix, in sort order.
+    /// Replay cost after this is bounded by the open window, not the
+    /// stream length.
     pub(crate) fn wal_checkpoint(&mut self) -> TdbResult<()> {
-        if self.wal.is_none() {
+        let Some(wal) = self.wal.as_mut() else {
             return Ok(());
-        }
-        // Fold spilled runs back into memory so the snapshot is complete;
-        // the always-false predicate closes nothing.
-        let folded = self.stage.take_closed(|_| false)?;
-        debug_assert!(folded.is_empty(), "nothing can close under `false`");
-        let open = self.stage.resident();
+        };
+        self.order.sort(&mut self.staged);
+        let open = &self.staged;
         let sealed = self.watermark.is_sealed();
         let mut records = Vec::with_capacity(open.len() + 3);
         records.push(WalRecord::Register {
@@ -276,12 +248,9 @@ impl LiveRelation {
         for t in open {
             records.push(WalRecord::Append { row: t.row.clone() });
         }
-        if sealed && !self.stage.resident().is_empty() {
+        if sealed && !open.is_empty() {
             records.push(WalRecord::Seal);
         }
-        let Some(wal) = self.wal.as_mut() else {
-            return Ok(());
-        };
         wal.rewrite(&records)
     }
 
@@ -311,11 +280,6 @@ impl LiveRelation {
         self.watermark.is_sealed()
     }
 
-    /// Times a producer hit the full queue.
-    pub fn stalls(&self) -> u64 {
-        self.stalls
-    }
-
     /// Rows admitted into staging so far.
     pub fn admitted(&self) -> u64 {
         self.admitted
@@ -328,17 +292,7 @@ impl LiveRelation {
 
     /// Tuples staged but not yet final.
     pub fn staged_len(&self) -> usize {
-        self.stage.len()
-    }
-
-    /// Raw rows waiting in the ingest queue (admission backlog).
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// The ingest queue's bound.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue.capacity()
+        self.staged.len()
     }
 
     /// Non-empty promotion batches drained so far.
@@ -356,7 +310,7 @@ impl LiveRelation {
     /// watermark (staged tuples were left behind because they sit there,
     /// and later arrivals below it are rejected as late).
     pub(crate) fn horizon(&self) -> Horizon {
-        if self.is_sealed() && self.stage.is_empty() {
+        if self.is_sealed() && self.staged.is_empty() {
             Horizon::Closed
         } else {
             Horizon::of(self.order, self.promotion_floor)
@@ -369,57 +323,67 @@ impl LiveRelation {
         (self.stats.count() > 0).then(|| self.stats.to_stats())
     }
 
-    /// Offer one raw row to the ingest queue; a full queue hands it back
-    /// (backpressure) and records a stall.
-    pub fn offer(&mut self, row: Row) -> Result<(), Row> {
-        self.queue.try_push(row).inspect_err(|_| {
-            self.stalls += 1;
-        })
-    }
-
-    /// Admit every queued row: validate against the schema, advance the
-    /// watermark (late arrivals error), fold into the online statistics,
-    /// log to the WAL (when durable), and stage. A trailing group commit
-    /// makes the whole batch durable before `pump` returns, so callers
-    /// may acknowledge everything admitted here.
-    pub fn pump(&mut self) -> TdbResult<()> {
-        let mut admitted_now = 0u64;
-        while let Some(row) = self.queue.pop() {
+    /// Admit one batch, all or nothing. Every row is validated against
+    /// the schema and observed by a copy of the watermark first (late
+    /// arrivals and arrivals after a seal error); the first failure
+    /// returns with nothing logged, staged or counted. A batch that
+    /// passes is logged (one `Append` per row, then the new frontier) and
+    /// group-committed when durable — so callers may acknowledge it once
+    /// this returns — and only then is the frontier installed, the rows
+    /// folded into the online statistics and staged.
+    pub fn admit(&mut self, rows: impl IntoIterator<Item = Row>) -> TdbResult<()> {
+        let mut watermark = self.watermark.clone();
+        let mut batch = Vec::new();
+        for row in rows {
             self.schema.check_row(&row)?;
             let period = self.schema.period_of(&row)?;
             let staged = PeriodRow::new(row, period);
-            self.watermark.observe(&staged)?;
-            if let Some(wal) = &mut self.wal {
-                // Log before stage: a row is never visible anywhere the
-                // log does not already cover.
-                wal.append(&WalRecord::Append {
-                    row: staged.row.clone(),
-                })?;
-            }
-            self.stats.observe(&period);
-            self.stage.push(staged)?;
-            self.admitted += 1;
-            admitted_now += 1;
-            self.progress.add_admitted(1);
+            watermark.observe(&staged)?;
+            batch.push(staged);
         }
-        if admitted_now > 0 {
-            if let Some(wal) = &mut self.wal {
-                wal.append(&WalRecord::Watermark {
-                    frontier: self.watermark.current(),
-                })?;
-                wal.commit()?;
-            }
+        if batch.is_empty() {
+            return Ok(());
         }
+        if let Some(wal) = &mut self.wal {
+            // Log before stage: a row is never visible anywhere the log
+            // does not already cover.
+            for t in &batch {
+                wal.append(&WalRecord::Append { row: t.row.clone() })?;
+            }
+            wal.append(&WalRecord::Watermark {
+                frontier: watermark.current(),
+            })?;
+            wal.commit()?;
+        }
+        self.watermark = watermark;
+        for t in &batch {
+            self.stats.observe(&t.period);
+        }
+        let n = batch.len() as u64;
+        self.staged.append(&mut batch);
+        self.admitted += n;
+        self.progress.add_admitted(n);
         self.watermark.publish_lag(&self.progress);
         Ok(())
     }
 
+    /// Remove and return every staged tuple the watermark closes, sorted
+    /// by the relation's order; the open ones stay staged.
+    fn drain_closed(&mut self) -> Vec<PeriodRow> {
+        self.order.sort(&mut self.staged);
+        let wm = &self.watermark;
+        let (closed, open) = std::mem::take(&mut self.staged)
+            .into_iter()
+            .partition(|t| wm.closes(t));
+        self.staged = open;
+        closed
+    }
+
     /// Drain the watermark-closed prefix in sort order — the rows that are
     /// provably final and safe to promote into the catalog heap.
-    pub fn take_closed(&mut self) -> TdbResult<Vec<Row>> {
-        let wm = &self.watermark;
-        let closed = self.stage.take_closed(|t| wm.closes(t))?;
-        self.promotion_floor = wm.current();
+    pub fn take_closed(&mut self) -> Vec<Row> {
+        let closed = self.drain_closed();
+        self.promotion_floor = self.watermark.current();
         let n = closed.len() as u64;
         self.promoted += n;
         if n > 0 {
@@ -430,7 +394,7 @@ impl LiveRelation {
         // the watermark proved no earlier arrival is possible.
         self.progress.add_gc_discarded(n);
         self.watermark.publish_lag(&self.progress);
-        Ok(closed.into_iter().map(|t| t.row).collect())
+        closed.into_iter().map(|t| t.row).collect()
     }
 
     /// Seal the stream: the watermark jumps to +∞, every staged tuple
@@ -464,73 +428,94 @@ mod tests {
         ])
     }
 
-    fn rel(tag: &str, slack: i64) -> LiveRelation {
-        let dir = std::env::temp_dir().join(format!("tdb-liverel-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        LiveRelation::new(
-            "Faculty",
-            schema(),
-            StreamOrder::TS_ASC,
-            slack,
-            0.5,
-            4,
-            64,
-            dir,
-            IoStats::new(),
-        )
-        .unwrap()
+    fn rel(order: StreamOrder) -> LiveRelation {
+        LiveRelation::new("Faculty", schema(), order, 0)
+    }
+
+    fn keys(rows: &[Row], at: usize) -> Vec<i64> {
+        rows.iter()
+            .map(|r| match r.get(at) {
+                Value::Time(t) => t.ticks(),
+                other => panic!("expected a time, got {other:?}"),
+            })
+            .collect()
     }
 
     #[test]
     fn admission_pipeline_promotes_only_closed_prefix() {
-        let mut r = rel("a", 0);
-        for (s, e) in [(0, 5), (2, 9), (4, 6)] {
-            r.offer(row("x", s, e)).unwrap();
-        }
-        r.pump().unwrap();
+        let mut r = rel(StreamOrder::TS_ASC);
+        r.admit([(0, 5), (2, 9), (4, 6)].map(|(s, e)| row("x", s, e)))
+            .unwrap();
         assert_eq!(r.admitted(), 3);
         assert_eq!(r.watermark(), Some(TimePoint(4)));
-        let closed = r.take_closed().unwrap();
+        let closed = r.take_closed();
         // TS 0 and 2 are below the watermark 4; TS 4 may still gain peers.
         assert_eq!(closed.len(), 2);
         assert_eq!(r.staged_len(), 1);
         assert_eq!(r.promoted(), 2);
         r.seal().unwrap();
-        assert_eq!(r.take_closed().unwrap().len(), 1);
+        assert_eq!(r.take_closed().len(), 1);
         assert_eq!(r.progress().snapshot().admitted, 3);
         assert_eq!(r.progress().snapshot().gc_discarded, 3);
     }
 
     #[test]
     fn late_arrival_is_rejected_at_pump() {
-        let mut r = rel("b", 0);
-        r.offer(row("x", 10, 20)).unwrap();
-        r.pump().unwrap();
-        r.offer(row("x", 3, 4)).unwrap();
-        assert!(matches!(r.pump(), Err(TdbError::OrderViolation { .. })));
+        let mut r = rel(StreamOrder::TS_ASC);
+        r.admit([row("x", 10, 20)]).unwrap();
+        assert!(matches!(
+            r.admit([row("x", 3, 4)]),
+            Err(TdbError::OrderViolation { .. })
+        ));
     }
 
     #[test]
-    fn queue_backpressure_counts_stalls() {
-        let mut r = rel("c", 0);
-        for i in 0..4 {
-            r.offer(row("x", i, i + 1)).unwrap();
-        }
-        let back = r.offer(row("x", 9, 10)).unwrap_err();
-        assert_eq!(r.stalls(), 1);
-        r.pump().unwrap();
-        r.offer(back).unwrap();
-        r.pump().unwrap();
-        assert_eq!(r.admitted(), 5);
+    fn a_rejected_batch_changes_nothing() {
+        let mut r = rel(StreamOrder::TS_ASC);
+        r.admit([row("a", 0, 10)]).unwrap();
+        let err = r
+            .admit([row("b", 5, 6), row("late", 3, 9), row("c", 7, 8)])
+            .unwrap_err();
+        assert!(matches!(err, TdbError::OrderViolation { .. }), "{err}");
+        assert_eq!(r.admitted(), 1);
+        assert_eq!(r.staged_len(), 1);
+        assert_eq!(r.watermark(), Some(TimePoint(0)));
+        assert_eq!(r.progress().snapshot().admitted, 1);
+        assert_eq!(r.live_stats().unwrap().count, 1);
+        // The rejected batch did not move the frontier: TS 3 is on time.
+        r.admit([row("d", 3, 4)]).unwrap();
+        r.seal().unwrap();
+        assert_eq!(keys(&r.take_closed(), 2), [0, 3]);
+    }
+
+    #[test]
+    fn closed_prefix_comes_out_sorted() {
+        let mut r = LiveRelation::new("Faculty", schema(), StreamOrder::TS_ASC, 4);
+        r.admit([(3, 9), (1, 4), (7, 8), (5, 6)].map(|(s, e)| row("x", s, e)))
+            .unwrap();
+        // Slack 4 puts the frontier at 3: only TS 1 is closed.
+        assert_eq!(keys(&r.take_closed(), 2), [1]);
+        assert_eq!(r.staged_len(), 3, "open tuples stay staged");
+        r.seal().unwrap();
+        assert_eq!(keys(&r.take_closed(), 2), [3, 5, 7]);
+        assert_eq!(r.staged_len(), 0);
+    }
+
+    #[test]
+    fn te_order_stages_on_te() {
+        let mut r = rel(StreamOrder::TE_ASC);
+        r.admit([row("x", 4, 5), row("y", 0, 9)]).unwrap();
+        let out = r.take_closed();
+        assert_eq!(keys(&out, 3), [5]);
+        assert_eq!(r.staged_len(), 1);
     }
 
     #[test]
     fn live_stats_track_arrivals() {
-        let mut r = rel("d", 0);
+        let mut r = rel(StreamOrder::TS_ASC);
         assert!(r.live_stats().is_none());
         for i in 0..20 {
-            r.offer(row("x", i * 3, i * 3 + 6)).unwrap();
-            r.pump().unwrap();
+            r.admit([row("x", i * 3, i * 3 + 6)]).unwrap();
         }
         let stats = r.live_stats().unwrap();
         assert_eq!(stats.count, 20);

@@ -94,7 +94,6 @@ pub(crate) struct EpochInput<'a> {
     pub horizons: &'a BTreeMap<String, Horizon>,
     /// Online statistics overriding the catalog's, by relation name.
     pub live_stats: &'a BTreeMap<String, TemporalStats>,
-    pub planner: PlannerConfig,
     pub analyze: &'a AnalyzeConfig,
     pub epoch: u64,
     pub watermark: Option<TimePoint>,
@@ -105,6 +104,9 @@ pub struct Subscription {
     id: usize,
     label: String,
     logical: LogicalPlan,
+    /// The subscriber's planner settings, which every re-evaluation plans
+    /// under.
+    planner: PlannerConfig,
     mode: Mode,
     /// Result rows emitted over the subscription's lifetime.
     emitted: u64,
@@ -119,8 +121,9 @@ pub struct Subscription {
 }
 
 impl Subscription {
-    /// A subscription over `physical`, the verified plan of `logical`:
-    /// held when its shape allows, re-evaluated otherwise.
+    /// A subscription over `physical`, the verified plan of `logical`
+    /// under `planner`: held when its shape allows, re-evaluated
+    /// otherwise.
     pub(crate) fn new(
         id: usize,
         label: impl Into<String>,
@@ -144,6 +147,7 @@ impl Subscription {
             id,
             label: label.into(),
             logical,
+            planner,
             mode,
             emitted: 0,
             progress: Progress::new(),
@@ -292,7 +296,7 @@ impl Subscription {
             Mode::Reevaluated { emitted } => {
                 let (physical, analysis) = plan_verified_live(
                     &self.logical,
-                    e.planner,
+                    self.planner,
                     e.catalog,
                     e.live_stats,
                     e.analyze,
@@ -300,7 +304,7 @@ impl Subscription {
                 self.static_cap = self.static_cap.max(cap(&analysis));
                 let result = physical.execute(
                     e.catalog,
-                    ExecOptions::new().with_batch_rows(e.planner.batch_rows),
+                    ExecOptions::new().with_batch_rows(self.planner.batch_rows),
                 )?;
                 let mut seen: BTreeMap<Vec<u8>, usize> = BTreeMap::new();
                 for row in result.rows {

@@ -3,9 +3,9 @@
 //! lock, exactly as `tdb-net` ingest clients race `route_deltas` /
 //! `take_closed` cycles in production.
 //!
-//! The model drives the *real* admission pipeline — `offer` → `pump`
-//! (schema check, watermark advance, staging) → `take_closed` — under
-//! every schedule the explorer can reach, and checks the properties the
+//! The model drives the *real* admission pipeline — `admit` (schema
+//! check, watermark advance, staging) → `take_closed` — under every
+//! schedule the explorer can reach, and checks the properties the
 //! catalog relies on:
 //!
 //! 1. **finality** — promotion batches are globally monotone in TS
@@ -19,7 +19,9 @@
 //!    after seal the promoted rows are exactly the admitted ones, each
 //!    once;
 //! 3. **watermark monotonicity** — the frontier observed across lock
-//!    acquisitions never regresses.
+//!    acquisitions never regresses;
+//! 4. **atomic batches** — a batch with a late row admits none of its
+//!    rows, and leaves the frontier where it was.
 //!
 //! Run with `RUSTFLAGS="--cfg loom" cargo test -p tdb-live --test
 //! loom_live`.
@@ -29,7 +31,6 @@ use loom::sync::{Arc, Mutex};
 use loom::thread;
 use tdb_core::{Row, StreamOrder, TdbError, TemporalSchema, TimePoint, Value};
 use tdb_live::LiveRelation;
-use tdb_storage::IoStats;
 
 fn row(ts: i64, te: i64) -> Row {
     Row::new(vec![
@@ -47,40 +48,46 @@ fn ts_of(row: &Row) -> i64 {
     }
 }
 
-fn relation(tag: &str) -> LiveRelation {
-    let dir = std::env::temp_dir().join(format!("tdb-loom-live-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn relation() -> LiveRelation {
     LiveRelation::new(
         "Faculty",
         TemporalSchema::time_sequence("Name", "Rank"),
         StreamOrder::TS_ASC,
         0, // zero slack: racing arrival orders genuinely produce rejections
-        0.5,
-        8,
-        64,
-        dir,
-        IoStats::new(),
     )
-    .expect("relation setup")
 }
 
-/// One ingester: offer+pump each row under its own lock hold (the shape
-/// of `Engine::ingest_text` per request). Returns (admitted, rejected)
-/// TS values; any other error fails the model.
+/// Admit one batch under one lock hold (the shape of
+/// `Engine::ingest_text` per request): `Ok(true)` when every row was
+/// admitted, `Ok(false)` when an order violation refused them all. Any
+/// other error, or a partial admission, fails the model.
+fn admit(rel: &Arc<Mutex<LiveRelation>>, rows: &[(i64, i64)]) -> bool {
+    let mut r = rel.lock().unwrap();
+    let (before, staged) = (r.admitted(), r.staged_len());
+    match r.admit(rows.iter().map(|&(ts, te)| row(ts, te))) {
+        Ok(()) => {
+            assert_eq!(r.admitted(), before + rows.len() as u64);
+            true
+        }
+        Err(TdbError::OrderViolation { .. }) => {
+            assert_eq!(r.admitted(), before, "a refused batch was counted");
+            assert_eq!(r.staged_len(), staged, "a refused batch was staged");
+            false
+        }
+        Err(e) => panic!("unexpected admission error: {e}"),
+    }
+}
+
+/// One ingester: each row a batch of its own. Returns (admitted,
+/// rejected) TS values.
 fn ingest(rel: &Arc<Mutex<LiveRelation>>, rows: &[(i64, i64)]) -> (Vec<i64>, Vec<i64>) {
     let mut admitted = Vec::new();
     let mut rejected = Vec::new();
     for &(ts, te) in rows {
-        let mut r = rel.lock().unwrap();
-        r.offer(row(ts, te)).expect("queue sized for the model");
-        let before = r.admitted();
-        match r.pump() {
-            Ok(()) => {
-                assert_eq!(r.admitted(), before + 1, "pump admitted nothing");
-                admitted.push(ts);
-            }
-            Err(TdbError::OrderViolation { .. }) => rejected.push(ts),
-            Err(e) => panic!("unexpected pump error: {e}"),
+        if admit(rel, &[(ts, te)]) {
+            admitted.push(ts);
+        } else {
+            rejected.push(ts);
         }
     }
     (admitted, rejected)
@@ -89,7 +96,7 @@ fn ingest(rel: &Arc<Mutex<LiveRelation>>, rows: &[(i64, i64)]) -> (Vec<i64>, Vec
 #[test]
 fn watermark_gated_promotion_is_monotone_and_exact() {
     loom::model(|| {
-        let rel = Arc::new(Mutex::new(relation("m")));
+        let rel = Arc::new(Mutex::new(relation()));
 
         let a_rows = [(0, 7), (4, 9)];
         let b_rows = [(2, 8), (6, 11)];
@@ -106,7 +113,7 @@ fn watermark_gated_promotion_is_monotone_and_exact() {
             let mut frontiers: Vec<Option<i64>> = Vec::new();
             for _ in 0..2 {
                 let mut r = rel_p.lock().unwrap();
-                let batch = r.take_closed().expect("take_closed");
+                let batch = r.take_closed();
                 frontiers.push(r.watermark().map(|t| t.0));
                 batches.push(batch.iter().map(ts_of).collect());
             }
@@ -126,13 +133,7 @@ fn watermark_gated_promotion_is_monotone_and_exact() {
         {
             let mut r = rel.lock().unwrap();
             r.seal().unwrap();
-            batches.push(
-                r.take_closed()
-                    .expect("final drain")
-                    .iter()
-                    .map(ts_of)
-                    .collect(),
-            );
+            batches.push(r.take_closed().iter().map(ts_of).collect());
             assert_eq!(r.staged_len(), 0, "sealed drain left staged rows");
             assert_eq!(
                 r.promoted(),
@@ -184,18 +185,13 @@ fn watermark_gated_promotion_is_monotone_and_exact() {
 #[test]
 fn seal_racing_ingester_never_admits_past_final_frontier() {
     loom::model(|| {
-        let rel = Arc::new(Mutex::new(relation("s")));
-        {
-            let mut r = rel.lock().unwrap();
-            r.offer(row(0, 5)).unwrap();
-            r.pump().unwrap();
-        }
+        let rel = Arc::new(Mutex::new(relation()));
+        rel.lock().unwrap().admit([row(0, 5)]).unwrap();
         let rel_i = Arc::clone(&rel);
         let ingester = thread::spawn(move || {
             let mut r = rel_i.lock().unwrap();
-            r.offer(row(3, 9)).unwrap();
             let before = r.admitted();
-            match r.pump() {
+            match r.admit([row(3, 9)]) {
                 Ok(()) => {
                     assert!(!r.is_sealed(), "admitted a row into a sealed stream");
                     assert_eq!(r.admitted(), before + 1);
@@ -208,18 +204,45 @@ fn seal_racing_ingester_never_admits_past_final_frontier() {
         let sealer = thread::spawn(move || {
             let mut r = rel_s.lock().unwrap();
             r.seal().unwrap();
-            r.take_closed().expect("sealed drain").len()
+            r.take_closed().len()
         });
         let admitted = ingester.join().unwrap();
         let drained_at_seal = sealer.join().unwrap();
-        let total = rel
-            .lock()
-            .unwrap()
-            .take_closed()
-            .expect("final drain")
-            .len()
-            + drained_at_seal;
+        let total = rel.lock().unwrap().take_closed().len() + drained_at_seal;
         // Exactly the pre-staged row plus the racing row iff admitted.
         assert_eq!(total, 1 + usize::from(admitted));
+    });
+}
+
+/// A two-row batch whose second row is late, racing an on-time row and
+/// a promoter: under every schedule the batch admits neither row, and
+/// because it left the frontier where it was, the on-time row is
+/// admitted even when the batch ran first (had the batch's first row got
+/// in, its TS 4 would have made TS 2 late).
+#[test]
+fn a_batch_with_a_late_row_admits_neither_row() {
+    loom::model(|| {
+        let rel = Arc::new(Mutex::new(relation()));
+        let rel_a = Arc::clone(&rel);
+        let batch = thread::spawn(move || admit(&rel_a, &[(4, 9), (1, 3)]));
+        let rel_b = Arc::clone(&rel);
+        let single = thread::spawn(move || admit(&rel_b, &[(2, 8)]));
+        let rel_p = Arc::clone(&rel);
+        let promoter = thread::spawn(move || {
+            let mut r = rel_p.lock().unwrap();
+            r.take_closed().iter().map(ts_of).collect::<Vec<_>>()
+        });
+        assert!(!batch.join().unwrap(), "the late row was admitted");
+        assert!(
+            single.join().unwrap(),
+            "the refused batch moved the frontier"
+        );
+        let mut promoted = promoter.join().unwrap();
+        let mut r = rel.lock().unwrap();
+        assert_eq!(r.watermark(), Some(TimePoint(2)));
+        r.seal().unwrap();
+        promoted.extend(r.take_closed().iter().map(ts_of));
+        assert_eq!(promoted, [2], "only the on-time row is ever promoted");
+        assert_eq!(r.admitted(), 1);
     });
 }

@@ -54,25 +54,25 @@ struct ConnStats {
     bytes_out: AtomicU64,
     /// Frames currently sitting in the outbound queue (approximate
     /// upper bound: incremented before enqueue, decremented at dequeue).
-    queue_depth: AtomicU64,
+    queued_frames: AtomicU64,
     push_highwater: AtomicU64,
 }
 
 impl ConnStats {
     /// Account one frame entering the outbound queue.
     fn enqueued(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+        let depth = self.queued_frames.fetch_add(1, Ordering::Relaxed) + 1;
         self.push_highwater.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Roll back an `enqueued` whose send failed.
     fn enqueue_failed(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.queued_frames.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Account one frame leaving the queue for the socket.
     fn dequeued(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.queued_frames.fetch_sub(1, Ordering::Relaxed);
     }
 
     fn metrics(&self, id: u64) -> ConnMetrics {

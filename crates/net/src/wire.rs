@@ -31,8 +31,10 @@ use tdb_engine::{DeltaFrame, QueryReport, QueryTrailer, Response};
 /// finished and closes the stream with [`Frame::ReplyEnd`]; version 4
 /// writes every row vector as a row list, whose repeated strings are
 /// references into a table local to the list; version 5 names each
-/// subscription's mode in the live status.
-pub const PROTOCOL_VERSION: u8 = 5;
+/// subscription's mode in the live status; version 6 drops the ingest
+/// queue's stall count, depth and capacity from the live status and the
+/// live telemetry.
+pub const PROTOCOL_VERSION: u8 = 6;
 
 /// Hard ceiling on a frame's declared payload length. A corrupt or
 /// hostile length prefix fails fast instead of driving a giant

@@ -24,7 +24,6 @@ pub mod iostats;
 pub mod page;
 pub mod run;
 pub mod sort;
-pub mod stage;
 
 pub use buffer::BufferPool;
 pub use catalog::{Catalog, RelationMeta};
@@ -34,4 +33,3 @@ pub use iostats::IoStats;
 pub use page::{Page, PAGE_SIZE};
 pub use run::{RunReader, RunWriter};
 pub use sort::ExternalSorter;
-pub use stage::StagedAppend;

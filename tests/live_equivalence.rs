@@ -124,17 +124,10 @@ fn run_case(raw_x: &[(i64, i64)], raw_y: &[(i64, i64)], chunk: usize, k: usize, 
     let _ = std::fs::remove_dir_all(&root);
 
     let config = PlannerConfig::stream().with_parallelism(k);
-    let live_config = LiveConfig {
-        planner: config,
-        // Tiny bounds so backpressure and run spilling actually engage.
-        queue_capacity: 4,
-        stage_budget: 8,
-        ..LiveConfig::default()
-    };
     let x_rows = rows("x", raw_x);
     let y_rows = rows("y", raw_y);
     let mut catalog = Catalog::open(root.join("cat"), IoStats::new()).unwrap();
-    let mut engine = LiveEngine::new(root.join("live"), live_config);
+    let mut engine = LiveEngine::new(LiveConfig::default());
     engine
         .register(&mut catalog, "X", interval_schema(), StreamOrder::TS_ASC)
         .unwrap();
@@ -177,8 +170,9 @@ fn run_case(raw_x: &[(i64, i64)], raw_y: &[(i64, i64)], chunk: usize, k: usize, 
     for round in 0.. {
         if round == case.subscribe_after {
             for (label, logical, mode) in &named {
-                let (_analysis, delta) =
-                    engine.subscribe(&catalog, *label, logical.clone()).unwrap();
+                let (_analysis, delta) = engine
+                    .subscribe(&catalog, *label, logical.clone(), config)
+                    .unwrap();
                 let sub = &engine.subscriptions()[delta.subscription];
                 assert_eq!(sub.mode(), *mode, "{label}");
                 absorb(&mut emitted, &[delta]);
@@ -276,7 +270,7 @@ fn a_steady_stream_holds_a_bounded_state() {
     let root = std::env::temp_dir().join(format!("tdb-live-held-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let mut catalog = Catalog::open(root.join("cat"), IoStats::new()).unwrap();
-    let mut engine = LiveEngine::new(root.join("live"), LiveConfig::default());
+    let mut engine = LiveEngine::new(LiveConfig::default());
     for name in ["X", "Y"] {
         engine
             .register(&mut catalog, name, interval_schema(), StreamOrder::TS_ASC)
@@ -288,7 +282,9 @@ fn a_steady_stream_holds_a_bounded_state() {
         ("join", x().join(y(), contains())),
         ("semijoin", x().semijoin(y(), contains())),
     ] {
-        engine.subscribe(&catalog, label, logical).unwrap();
+        engine
+            .subscribe(&catalog, label, logical, PlannerConfig::stream())
+            .unwrap();
     }
     // Every frame is the same shape shifted in time: ten arrivals per
     // side, three ticks apart, durations cycling with period five.
@@ -341,7 +337,7 @@ fn a_static_side_that_goes_live_switches_to_reevaluation() {
     let root = std::env::temp_dir().join(format!("tdb-live-golive-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let mut catalog = Catalog::open(root.join("cat"), IoStats::new()).unwrap();
-    let mut engine = LiveEngine::new(root.join("live"), LiveConfig::default());
+    let mut engine = LiveEngine::new(LiveConfig::default());
     engine
         .register(&mut catalog, "X", interval_schema(), StreamOrder::TS_ASC)
         .unwrap();
@@ -357,6 +353,7 @@ fn a_static_side_that_goes_live_switches_to_reevaluation() {
             "contain-join",
             LogicalPlan::scan("X", "x", &ATTRS)
                 .join(LogicalPlan::scan("Y", "y", &ATTRS), contains()),
+            PlannerConfig::stream(),
         )
         .unwrap();
     let mut emitted = multiset(&delta.rows);
@@ -438,7 +435,7 @@ fn rejected_epochs(static_y: bool) {
         analyze: tdb::analyze::AnalyzeConfig::live().with_workspace_budget(4.0),
         ..LiveConfig::default()
     };
-    let mut engine = LiveEngine::new(root.join("live"), config);
+    let mut engine = LiveEngine::new(config);
     let interval = |side: &str, n: i64, dur: i64| {
         let ts = n * 4 + i64::from(side == "Y");
         Row::new(vec![
@@ -492,7 +489,9 @@ fn rejected_epochs(static_y: bool) {
         }
     };
     for (label, logical) in &named {
-        let (_, delta) = engine.subscribe(&catalog, *label, logical.clone()).unwrap();
+        let (_, delta) = engine
+            .subscribe(&catalog, *label, logical.clone(), PlannerConfig::stream())
+            .unwrap();
         let sub = &engine.subscriptions()[delta.subscription];
         assert_eq!(sub.mode(), SubscriptionMode::Held, "{label}");
         absorb(&mut emitted, &[delta]);
@@ -568,7 +567,7 @@ fn live_workspace_peak_stays_under_the_static_cap() {
     let root = std::env::temp_dir().join(format!("tdb-live-cap-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let mut catalog = Catalog::open(root.join("cat"), IoStats::new()).unwrap();
-    let mut engine = LiveEngine::new(root.join("live"), LiveConfig::default());
+    let mut engine = LiveEngine::new(LiveConfig::default());
     for name in ["X", "Y"] {
         engine
             .register(&mut catalog, name, interval_schema(), StreamOrder::TS_ASC)
@@ -577,7 +576,12 @@ fn live_workspace_peak_stays_under_the_static_cap() {
     let logical =
         LogicalPlan::scan("X", "x", &ATTRS).join(LogicalPlan::scan("Y", "y", &ATTRS), contains());
     engine
-        .subscribe(&catalog, "contain-join", logical.clone())
+        .subscribe(
+            &catalog,
+            "contain-join",
+            logical.clone(),
+            PlannerConfig::stream(),
+        )
         .unwrap();
     for start in (0..N).step_by(CHUNK) {
         for (name, rows) in [("X", &xs), ("Y", &ys)] {

@@ -182,7 +182,6 @@ fn build_response(sel: u8, a: i64, n: u64, name: &str, raw: &[(i64, i64)], flag:
                 staged: n % 11,
                 promoted: n / 3,
                 watermark_lag: n % 13,
-                stalls: n % 17,
             }],
             subscriptions: vec![SubscriptionStatus {
                 id: n % 3,
@@ -215,8 +214,6 @@ fn build_response(sel: u8, a: i64, n: u64, name: &str, raw: &[(i64, i64)], flag:
             last: flag.then(|| sample_trace(n / 2, name)),
             live: vec![LiveRelationMetrics {
                 relation: name.to_string(),
-                queue_depth: n % 9,
-                queue_capacity: n % 9 + 64,
                 staged: n % 5,
                 watermark_lag: n % 101,
                 promotion_batches: n / 4,
@@ -1223,12 +1220,15 @@ fn damaged_stream_frames_are_typed_corrupt_errors() {
             }
         }
         // The same bytes under the previous protocol version.
+        let previous = PROTOCOL_VERSION - 1;
         let mut older = payload.to_vec();
         assert_eq!(older[0], PROTOCOL_VERSION);
-        older[0] = 3;
+        older[0] = previous;
         match decode(&older) {
-            Err(TdbError::Corrupt(msg)) => assert!(msg.contains("version 3"), "{msg}"),
-            other => panic!("a version-3 frame decoded to {other:?}"),
+            Err(TdbError::Corrupt(msg)) => {
+                assert!(msg.contains(&format!("version {previous}")), "{msg}");
+            }
+            other => panic!("a version-{previous} frame decoded to {other:?}"),
         }
     }
 }

@@ -135,7 +135,10 @@ fn live_subscription_workspace_stays_under_its_static_cap() {
         live.max_promotion_batch >= 1 && live.max_promotion_batch <= 500,
         "{live:?}"
     );
-    assert!(live.queue_capacity > 0, "{live:?}");
+    assert_eq!(
+        live.staged, 0,
+        "the seal promotes every staged row: {live:?}"
+    );
     assert!(
         live.lambda_live.is_some(),
         "500 arrivals must yield a live arrival-rate estimate: {live:?}"

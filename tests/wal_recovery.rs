@@ -7,10 +7,10 @@
 //! torn tail), and by truncating the log at a random byte offset. In
 //! every case reopening must reconstruct exactly the acknowledged state:
 //! the watermark frontier, the catalog-promoted closed runs, and the
-//! staged open suffix — never more, never a panic. Covered for staging
-//! budgets K ∈ {1, 4}, so both the spill and in-memory stage paths
-//! replay. A deterministic matrix checks that replay cost tracks the open
-//! window, not the log length.
+//! staged open suffix — never more, never a panic. A batch the engine
+//! rejects must leave nothing behind that a reopen could restage. A
+//! deterministic matrix checks that replay cost tracks the open window,
+//! not the log length.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -83,18 +83,15 @@ fn copy_dir(from: &Path, to: &Path) {
     }
 }
 
-/// Open (or reopen) a durable catalog + live engine rooted at `dir`,
-/// with a unique stage directory per call so reopens never collide.
-fn open(dir: &Path, stage_budget: usize, slack: i64) -> (Catalog, LiveEngine, ReplaySummary) {
+/// Open (or reopen) a durable catalog + live engine rooted at `dir`.
+fn open(dir: &Path, slack: i64) -> (Catalog, LiveEngine, ReplaySummary) {
     let cat = Catalog::open_durable(dir.join("cat"), IoStats::new()).unwrap();
-    let stage = dir.join(format!("live-{}", DIR_SEQ.fetch_add(1, Ordering::Relaxed)));
     let config = LiveConfig {
-        stage_budget,
         slack,
         ..LiveConfig::default()
     };
     let (eng, replayed) =
-        LiveEngine::open_durable(stage, dir.join("wal"), config, &cat, &Registry::new()).unwrap();
+        LiveEngine::open_durable(dir.join("wal"), config, &cat, &Registry::new()).unwrap();
     (cat, eng, replayed)
 }
 
@@ -169,15 +166,15 @@ fn ingest_with_snapshots(
 /// (the first reopen checkpoints the log, the second replays the
 /// compacted form) — and draining the recovered engine must yield
 /// exactly the acknowledged row prefix.
-fn assert_snapshots_recover(snaps: &[(PathBuf, Observed, usize)], rows: &[Row], k: usize) {
+fn assert_snapshots_recover(snaps: &[(PathBuf, Observed, usize)], rows: &[Row]) {
     for (snap, acked, prefix) in snaps {
         {
-            let (cat, eng, replayed) = open(snap, k, 0);
+            let (cat, eng, replayed) = open(snap, 0);
             assert_eq!(replayed.relations, 1, "{}", snap.display());
             assert_eq!(&observe(&cat, &eng), acked, "{}", snap.display());
         }
         // Second reopen: replay of the checkpoint-compacted log.
-        let (mut cat, mut eng, replayed) = open(snap, k, 0);
+        let (mut cat, mut eng, replayed) = open(snap, 0);
         assert_eq!(&observe(&cat, &eng), acked, "after checkpoint");
         assert!(
             replayed.rows_restaged <= acked.staged,
@@ -204,22 +201,20 @@ proptest! {
         chunks in proptest::collection::vec(1usize..5, 1..8),
         seal_at_end in any::<bool>(),
     ) {
-        for k in [1usize, 4] {
-            let dir = scratch();
-            let rows = rows_from(&raw);
-            let (mut cat, mut eng, fresh) = open(&dir, k, 0);
-            prop_assert_eq!(fresh.relations, 0, "fresh directory has no logs");
-            eng.register(
-                &mut cat,
-                "S",
-                TemporalSchema::time_sequence("Name", "Rank"),
-                StreamOrder::TS_ASC,
-            )
-            .unwrap();
-            let snaps = ingest_with_snapshots(&dir, &mut cat, &mut eng, &rows, &chunks, seal_at_end);
-            assert_snapshots_recover(&snaps, &rows, k);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let dir = scratch();
+        let rows = rows_from(&raw);
+        let (mut cat, mut eng, fresh) = open(&dir, 0);
+        prop_assert_eq!(fresh.relations, 0, "fresh directory has no logs");
+        eng.register(
+            &mut cat,
+            "S",
+            TemporalSchema::time_sequence("Name", "Rank"),
+            StreamOrder::TS_ASC,
+        )
+        .unwrap();
+        let snaps = ingest_with_snapshots(&dir, &mut cat, &mut eng, &rows, &chunks, seal_at_end);
+        assert_snapshots_recover(&snaps, &rows);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A torn tail — garbage bytes appended past the last fsynced frame,
@@ -232,7 +227,7 @@ proptest! {
     ) {
         let dir = scratch();
         let rows = rows_from(&raw);
-        let (mut cat, mut eng, _) = open(&dir, 4, 0);
+        let (mut cat, mut eng, _) = open(&dir, 0);
         eng.register(
             &mut cat,
             "S",
@@ -253,7 +248,7 @@ proptest! {
                 .unwrap();
             f.write_all(&garbage).unwrap();
         }
-        let (mut rcat, mut reng, replayed) = open(&snap, 4, 0);
+        let (mut rcat, mut reng, replayed) = open(&snap, 0);
         prop_assert!(replayed.torn_truncations >= 1, "{replayed:?}");
         prop_assert_eq!(&observe(&rcat, &reng), &acked);
         let drained = drain(&mut rcat, &mut reng);
@@ -276,7 +271,7 @@ proptest! {
         const NO_CLOSE: i64 = 1 << 40;
         let dir = scratch();
         let rows = rows_from(&raw);
-        let (mut cat, mut eng, _) = open(&dir, 4, NO_CLOSE);
+        let (mut cat, mut eng, _) = open(&dir, NO_CLOSE);
         eng.register(
             &mut cat,
             "S",
@@ -310,7 +305,7 @@ proptest! {
         f.set_len(cut).unwrap();
         drop(f);
 
-        let (mut rcat, mut reng, _) = open(&snap, 4, NO_CLOSE);
+        let (mut rcat, mut reng, _) = open(&snap, NO_CLOSE);
         let got = observe(&rcat, &reng);
         let floor = boundaries
             .iter()
@@ -335,6 +330,56 @@ proptest! {
     }
 }
 
+/// A batch with a late row is refused whole: none of its rows — neither
+/// those before the late one nor those after it — reaches the log, so a
+/// crash after the next accepted batch recovers only that batch.
+#[test]
+fn a_rejected_batch_leaves_nothing_to_recover() {
+    let dir = scratch();
+    let row = |name: &str, ts: i64, te: i64| {
+        Row::new(vec![
+            Value::str(name),
+            Value::str("Assistant"),
+            Value::Time(TimePoint(ts)),
+            Value::Time(TimePoint(te)),
+        ])
+    };
+    let (mut cat, mut eng, _) = open(&dir, 0);
+    eng.register(
+        &mut cat,
+        "S",
+        TemporalSchema::time_sequence("Name", "Rank"),
+        StreamOrder::TS_ASC,
+    )
+    .unwrap();
+    let rejected = vec![
+        row("a", 0, 10),
+        row("b", 5, 6),
+        row("late", 3, 9),
+        row("c", 7, 8),
+    ];
+    let err = eng.ingest(&mut cat, "S", rejected).unwrap_err();
+    assert!(matches!(err, TdbError::OrderViolation { .. }), "{err}");
+    eng.ingest(&mut cat, "S", vec![row("d", 20, 21)]).unwrap();
+    let acked = observe(&cat, &eng);
+    assert_eq!(acked.admitted, 1, "{acked:?}");
+
+    // Crash: the snapshot holds exactly what reached the disk.
+    let snap = dir.join("snap-crash");
+    copy_dir(&dir.join("cat"), &snap.join("cat"));
+    copy_dir(&dir.join("wal"), &snap.join("wal"));
+    drop(eng);
+    let (mut rcat, mut reng, replayed) = open(&snap, 0);
+    assert_eq!(replayed.rows_restaged, 1, "{replayed:?}");
+    assert_eq!(observe(&rcat, &reng), acked);
+    let names: Vec<String> = keys_sorted(&drain(&mut rcat, &mut reng))
+        .into_iter()
+        .map(|(name, _, _)| name)
+        .collect();
+    assert_eq!(names, ["d"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Every promotion's checkpoint truncates the replayed prefix, so a
 /// reopen replays only the open window. Unit-gap arrivals under slack `w`
 /// leave exactly `w + 1` rows open, which makes the window a controlled
@@ -347,7 +392,7 @@ fn replay_cost_tracks_the_open_window_not_the_log_length() {
         for length in [400usize, 1_600] {
             let dir = scratch();
             {
-                let (mut cat, mut eng, _) = open(&dir, 4096, window as i64);
+                let (mut cat, mut eng, _) = open(&dir, window as i64);
                 eng.register(
                     &mut cat,
                     "S",
@@ -359,7 +404,7 @@ fn replay_cost_tracks_the_open_window_not_the_log_length() {
                     eng.ingest(&mut cat, "S", batch.to_vec()).unwrap();
                 }
             }
-            let (cat, eng, summary) = open(&dir, 4096, window as i64);
+            let (cat, eng, summary) = open(&dir, window as i64);
             let got = observe(&cat, &eng);
             let cell = format!("window {window}, log {length}");
             assert_eq!(got.staged, window + 1, "{cell}");
