@@ -29,6 +29,9 @@ pub enum TemporalPattern {
     During,
     /// `L.TS < R.TS ∧ L.TE > R.TS ∧ L.TE < R.TE` — Allen *overlaps*.
     AllenOverlaps,
+    /// `R.TS < L.TS ∧ L.TS < R.TE ∧ R.TE < L.TE` — Allen *overlapped-by*
+    /// (R overlaps L).
+    OverlappedBy,
     /// `L.TE < R.TS` — *before*.
     Before,
     /// `R.TE < L.TS` — *after*.
@@ -38,8 +41,8 @@ pub enum TemporalPattern {
 impl TemporalPattern {
     /// The stream operator the executor instantiates for this pattern in a
     /// **join** context, plus whether the inputs are swapped first
-    /// (`During` and `After` reuse their mirror operator with sides
-    /// exchanged). Input sort orders and partition safety follow from
+    /// (`During`, `OverlappedBy` and `After` reuse their mirror operator
+    /// with sides exchanged). Input sort orders follow from
     /// `StreamOpKind::requirement`.
     pub fn join_op(self) -> (StreamOpKind, bool) {
         match self {
@@ -48,24 +51,27 @@ impl TemporalPattern {
             TemporalPattern::GeneralOverlap | TemporalPattern::AllenOverlaps => {
                 (StreamOpKind::OverlapJoin, false)
             }
+            TemporalPattern::OverlappedBy => (StreamOpKind::OverlapJoin, true),
             TemporalPattern::Before => (StreamOpKind::BeforeJoin, false),
             TemporalPattern::After => (StreamOpKind::BeforeJoin, true),
         }
     }
 
     /// The stream operator the executor instantiates for this pattern in a
-    /// **semijoin** context (left side kept), plus whether the inputs are
-    /// swapped first.
-    pub fn semijoin_op(self) -> (StreamOpKind, bool) {
-        match self {
+    /// **semijoin** context (left side kept), plus whether the kernel runs
+    /// mirrored; `None` when no semijoin kernel evaluates the pattern
+    /// (`OverlappedBy` would keep the overlap kernel's right side).
+    pub fn semijoin_op(self) -> Option<(StreamOpKind, bool)> {
+        Some(match self {
             TemporalPattern::Contains => (StreamOpKind::ContainSemijoinStab, false),
             TemporalPattern::During => (StreamOpKind::ContainedSemijoinStab, false),
             TemporalPattern::GeneralOverlap | TemporalPattern::AllenOverlaps => {
                 (StreamOpKind::OverlapSemijoin, false)
             }
+            TemporalPattern::OverlappedBy => return None,
             TemporalPattern::Before => (StreamOpKind::BeforeSemijoin, false),
             TemporalPattern::After => (StreamOpKind::BeforeSemijoin, true),
-        }
+        })
     }
 
     /// Can `t` — the left operand when `left`, else the right — still
@@ -159,14 +165,22 @@ fn as_strict_less(atom: &Atom, l: &str, r: &str) -> Option<(Stamp, Stamp)> {
 }
 
 const PATTERNS: &[(TemporalPattern, &[(Stamp, Stamp)])] = &[
-    // Most specific first: AllenOverlaps (3 atoms) before its 2-atom
-    // sub-patterns, which in turn beat Before/After (1 atom).
+    // Most specific first: the two strict overlaps (3 atoms) before the
+    // 2-atom patterns, which in turn beat Before/After (1 atom).
     (
         TemporalPattern::AllenOverlaps,
         &[
             (Stamp::LTs, Stamp::RTs),
             (Stamp::RTs, Stamp::LTe),
             (Stamp::LTe, Stamp::RTe),
+        ],
+    ),
+    (
+        TemporalPattern::OverlappedBy,
+        &[
+            (Stamp::RTs, Stamp::LTs),
+            (Stamp::LTs, Stamp::RTe),
+            (Stamp::RTe, Stamp::LTe),
         ],
     ),
     (

@@ -23,9 +23,9 @@ use std::fmt;
 use tdb_core::{Period, Row, StreamOrder, TdbError, TdbResult, Temporal};
 use tdb_storage::Catalog;
 use tdb_stream::{
-    merge_equi_join, parallel_join, parallel_semijoin, run_join, run_kernel, run_self_semijoin,
-    run_semijoin, BeforeSemijoin, Emit, OpConfig, OpReport, OverlapMode, PairBatch, RowSink,
-    SinkStats, StreamOpKind, DEFAULT_BATCH_ROWS,
+    merge_equi_join, run_join, run_kernel, run_self_semijoin, run_semijoin, BeforeSemijoin, Emit,
+    OpConfig, OpReport, OverlapMode, PairBatch, RowSink, SinkStats, StreamOpKind,
+    DEFAULT_BATCH_ROWS,
 };
 
 /// Executor-level options: how the stream temporal operators execute,
@@ -132,10 +132,7 @@ pub struct OpObservation {
     /// The stream-operator registry kind this occurrence ran as, `None`
     /// for instrumented non-temporal operators (the merge equi-join).
     pub kind: Option<StreamOpKind>,
-    /// Partition fan-out: 1 for a serial run, k under a parallel driver.
-    pub partitions: usize,
-    /// The operator's instrumented report (parallel runs report the
-    /// partition-aggregated view: counters summed, workspace peak maxed).
+    /// The operator's instrumented report.
     pub report: OpReport,
     /// Wall-clock microseconds this operator occurrence spent doing its
     /// own work (sorting, streaming, residual filtering) — child plans
@@ -225,20 +222,6 @@ pub enum PhysicalPlan {
         /// The recognized relationship (must cover the whole predicate).
         pattern: TemporalPattern,
     },
-    /// Time-partitioned parallel execution of a stream temporal join or
-    /// semijoin: the time axis is split into `partitions` disjoint ranges,
-    /// tuples are replicated into every range their lifespan intersects
-    /// (*fringe replication*), one serial operator instance runs per range
-    /// on its own thread, and boundary duplicates are removed
-    /// deterministically. Only intersection-witnessed patterns
-    /// (containment and overlap) are eligible; `Before`/`After` children
-    /// run serially.
-    Parallel {
-        /// Number of time-range partitions (threads).
-        partitions: usize,
-        /// The stream temporal join/semijoin to parallelize.
-        child: Box<PhysicalPlan>,
-    },
     /// The §4.2.3 single-scan self semijoin.
     SelfSemijoin {
         /// The shared input (scanned once).
@@ -302,7 +285,6 @@ impl PhysicalPlan {
             | PhysicalPlan::MergeSemijoin { left, .. }
             | PhysicalPlan::NestedSemijoin { left, .. } => left.scope(catalog)?,
             PhysicalPlan::SelfSemijoin { input, .. } => input.scope(catalog)?,
-            PhysicalPlan::Parallel { child, .. } => child.scope(catalog)?,
         })
     }
 
@@ -442,7 +424,6 @@ impl PhysicalPlan {
                 ex.trace.push(OpObservation {
                     operator: "MergeEquiJoin".into(),
                     kind: None,
-                    partitions: 1,
                     report,
                     elapsed_us: op_t0.elapsed().as_micros() as u64,
                 });
@@ -453,8 +434,7 @@ impl PhysicalPlan {
             // Counts its own output into `intermediate_rows`.
             PhysicalPlan::StreamTemporal { .. }
             | PhysicalPlan::StreamSemijoin { .. }
-            | PhysicalPlan::SelfSemijoin { .. }
-            | PhysicalPlan::Parallel { .. } => return self.run_stream(ex, None, sink),
+            | PhysicalPlan::SelfSemijoin { .. } => return self.run_stream(ex, None, sink),
             PhysicalPlan::MergeSemijoin {
                 left,
                 right,
@@ -501,16 +481,14 @@ impl PhysicalPlan {
         Ok(rows.0)
     }
 
-    /// A stream temporal join, semijoin or self semijoin, bare or under
-    /// `Parallel`.
+    /// A stream temporal join, semijoin or self semijoin.
     fn is_stream_node(&self) -> bool {
-        match self {
+        matches!(
+            self,
             PhysicalPlan::StreamTemporal { .. }
-            | PhysicalPlan::StreamSemijoin { .. }
-            | PhysicalPlan::SelfSemijoin { .. } => true,
-            PhysicalPlan::Parallel { child, .. } => child.is_stream_node(),
-            _ => false,
-        }
+                | PhysicalPlan::StreamSemijoin { .. }
+                | PhysicalPlan::SelfSemijoin { .. }
+        )
     }
 
     /// Run a stream node ([`PhysicalPlan::is_stream_node`]) into `sink`.
@@ -527,10 +505,6 @@ impl PhysicalPlan {
         columns: Option<&[usize]>,
         sink: &mut dyn RowSink,
     ) -> TdbResult<usize> {
-        let (partitions, node) = match self {
-            PhysicalPlan::Parallel { partitions, child } => (Some(*partitions), &**child),
-            node => (None, node),
-        };
         let mut pushed = 0usize;
         // Kept left rows (semijoins) go to the sink projected.
         let mut keep = |rows: &[Row], chunk: Vec<RowRef>| -> TdbResult<bool> {
@@ -546,7 +520,7 @@ impl PhysicalPlan {
         };
         // Residual-predicate evaluations of a join, on top of the kernel's.
         let mut comparisons = 0u64;
-        let (kind, partitions, report, op_t0, ws_cap) = match node {
+        let (kind, report, op_t0, ws_cap) = match self {
             PhysicalPlan::SelfSemijoin {
                 input,
                 var,
@@ -564,7 +538,7 @@ impl PhysicalPlan {
                 let x = sort_by_requirement(x, kind.requirement().left(), &mut ex.stats);
                 let mut emit = |chunk| keep(&rows, chunk);
                 let (_, report) = run_self_semijoin(kind, ex.cfg, x, Emit::Chunks(&mut emit))?;
-                (kind, 1, report, op_t0, ws_cap)
+                (kind, report, op_t0, ws_cap)
             }
             PhysicalPlan::StreamTemporal {
                 left,
@@ -585,60 +559,59 @@ impl PhysicalPlan {
                 let op_t0 = std::time::Instant::now();
                 let l = wrap_rows(&lrows, left.scope(ex.catalog)?.period_of_var(left_var)?)?;
                 let r = wrap_rows(&rrows, right.scope(ex.catalog)?.period_of_var(right_var)?)?;
-                let join = matches!(node, PhysicalPlan::StreamTemporal { .. });
-                let op = StreamOp::resolve(*pattern, join, ex.cfg);
+                let join = matches!(self, PhysicalPlan::StreamTemporal { .. });
+                let op = StreamOp::resolve(*pattern, join, ex.cfg)?;
                 let ws_cap = if op.swap {
                     static_ws_cap(op.kind, &r, &l)
                 } else {
                     static_ws_cap(op.kind, &l, &r)
                 };
                 let stats = &mut ex.stats;
-                let (report, partitions) =
-                    if let PhysicalPlan::StreamTemporal { residual, .. } = node {
-                        let scope = node.scope(ex.catalog)?;
-                        let residual = resolve_all(residual, |c| scope.index_of(c))?;
-                        let all: Vec<usize> = (0..scope.columns().len()).collect();
-                        let mut batch = PairBatch {
-                            left: &lrows,
-                            right: &rrows,
-                            columns: columns.unwrap_or(&all),
-                            pairs: Vec::new(),
-                        };
-                        let mut pushed_pairs = 0usize;
-                        // Matches reach the sink as ordinal pairs; the joined
-                        // row is only concatenated when a residual has to see
-                        // it.
-                        let mut emit = |chunk: Vec<(RowRef, RowRef)>| -> TdbResult<bool> {
-                            comparisons += (residual.len() * chunk.len()) as u64;
-                            batch.pairs.clear();
-                            batch.pairs.extend(
-                                chunk
-                                    .into_iter()
-                                    .filter(|(l, r)| {
-                                        residual.is_empty() || {
-                                            let joined = lrows[l.idx as usize]
-                                                .concat(&rrows[r.idx as usize]);
-                                            eval_conjunction(&residual, &joined)
-                                        }
-                                    })
-                                    .map(|(l, r)| (l.idx, r.idx)),
-                            );
-                            pushed_pairs += batch.pairs.len();
-                            if batch.pairs.is_empty() {
-                                return Ok(true);
-                            }
-                            sink.push_pairs(&mut batch)
-                        };
-                        let run = op.join(partitions, l, r, stats, &mut emit)?;
-                        pushed = pushed_pairs;
-                        run
-                    } else {
-                        let mut emit = |chunk| keep(&lrows, chunk);
-                        op.semijoin(partitions, l, r, stats, &mut emit)?
+                let report = if let PhysicalPlan::StreamTemporal { residual, .. } = self {
+                    let scope = self.scope(ex.catalog)?;
+                    let residual = resolve_all(residual, |c| scope.index_of(c))?;
+                    let all: Vec<usize> = (0..scope.columns().len()).collect();
+                    let mut batch = PairBatch {
+                        left: &lrows,
+                        right: &rrows,
+                        columns: columns.unwrap_or(&all),
+                        pairs: Vec::new(),
                     };
-                (op.kind, partitions, report, op_t0, ws_cap)
+                    let mut pushed_pairs = 0usize;
+                    // Matches reach the sink as ordinal pairs; the joined
+                    // row is only concatenated when a residual has to see
+                    // it.
+                    let mut emit = |chunk: Vec<(RowRef, RowRef)>| -> TdbResult<bool> {
+                        comparisons += (residual.len() * chunk.len()) as u64;
+                        batch.pairs.clear();
+                        batch.pairs.extend(
+                            chunk
+                                .into_iter()
+                                .filter(|(l, r)| {
+                                    residual.is_empty() || {
+                                        let joined =
+                                            lrows[l.idx as usize].concat(&rrows[r.idx as usize]);
+                                        eval_conjunction(&residual, &joined)
+                                    }
+                                })
+                                .map(|(l, r)| (l.idx, r.idx)),
+                        );
+                        pushed_pairs += batch.pairs.len();
+                        if batch.pairs.is_empty() {
+                            return Ok(true);
+                        }
+                        sink.push_pairs(&mut batch)
+                    };
+                    let report = op.join(l, r, stats, &mut emit)?;
+                    pushed = pushed_pairs;
+                    report
+                } else {
+                    let mut emit = |chunk| keep(&lrows, chunk);
+                    op.semijoin(l, r, stats, &mut emit)?
+                };
+                (op.kind, report, op_t0, ws_cap)
             }
-            _ => return Err(TdbError::Plan(format!("not a stream node:\n{node}"))),
+            _ => return Err(TdbError::Plan(format!("not a stream node:\n{self}"))),
         };
         assert_under_cap(kind, &report, ws_cap);
         ex.stats.comparisons += comparisons + report.metrics.comparisons as u64;
@@ -646,7 +619,6 @@ impl PhysicalPlan {
         ex.trace.push(OpObservation {
             operator: kind.to_string(),
             kind: Some(kind),
-            partitions,
             report,
             elapsed_us: op_t0.elapsed().as_micros() as u64,
         });
@@ -730,12 +702,6 @@ impl PhysicalPlan {
                 ));
                 left.render(out, depth + 1);
                 right.render(out, depth + 1);
-            }
-            PhysicalPlan::Parallel { partitions, child } => {
-                out.push_str(&format!(
-                    "{pad}Parallel ×{partitions} (time-partitioned, fringe replication)\n"
-                ));
-                child.render(out, depth + 1);
             }
             PhysicalPlan::SelfSemijoin {
                 input,
@@ -950,13 +916,12 @@ fn assert_under_cap(kind: StreamOpKind, report: &OpReport, ws_cap: usize) {
 }
 
 /// A temporal pattern resolved to the stream operator that evaluates it,
-/// and the one place a stream node — serial, time-partitioned or held
-/// between live epochs — turns into a kernel run.
+/// and the one place a stream node — executed or held between live
+/// epochs — turns into a kernel run.
 ///
 /// The kernel and its input orders come from the registry entry of the
 /// operator the planner committed to, so no run can drift from the
-/// Table 1 preconditions the analyzer certifies, and whether a node may
-/// run partitioned is that entry's `partition_safe`.
+/// Table 1 preconditions the analyzer certifies.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamOp {
     /// The operator that runs.
@@ -974,51 +939,42 @@ pub struct StreamOp {
 
 impl StreamOp {
     /// Resolve `pattern` in a join (`join`) or semijoin context, under
-    /// `cfg`.
-    pub fn resolve(pattern: TemporalPattern, join: bool, cfg: OpConfig) -> StreamOp {
+    /// `cfg`; a semijoin no kernel evaluates is a plan error.
+    pub fn resolve(pattern: TemporalPattern, join: bool, cfg: OpConfig) -> TdbResult<StreamOp> {
         let (kind, swap) = if join {
             pattern.join_op()
         } else {
-            pattern.semijoin_op()
+            pattern.semijoin_op().ok_or_else(|| {
+                TdbError::Plan(format!("no stream semijoin evaluates {pattern:?}"))
+            })?
         };
         let cfg = match pattern {
             TemporalPattern::GeneralOverlap => cfg.with_mode(OverlapMode::General),
-            TemporalPattern::AllenOverlaps => cfg.with_mode(OverlapMode::Strict),
+            TemporalPattern::AllenOverlaps | TemporalPattern::OverlappedBy => {
+                cfg.with_mode(OverlapMode::Strict)
+            }
             _ => cfg,
         };
         let req = kind.requirement();
-        StreamOp {
+        Ok(StreamOp {
             kind,
             cfg,
             orders: [req.left(), req.right()],
             swap,
-        }
-    }
-
-    /// May this operator run time-partitioned?
-    pub(crate) fn partition_safe(&self) -> bool {
-        self.kind.requirement().partition_safe
-    }
-
-    /// The partition count a run asked for `partitions` gets: none
-    /// (serial) unless the operator is partition-safe.
-    fn fanout(&self, partitions: Option<usize>) -> Option<usize> {
-        partitions.filter(|_| self.partition_safe())
+        })
     }
 
     /// Run as a join of the pattern's `left` and `right` sides into
-    /// `emit`, serially or over `partitions` time ranges: each input is
-    /// sorted only if its order is violated (counted in `stats`), the
-    /// sides swap going in and every pair is un-swapped coming out.
-    /// Returns the operator's report and the partitions it ran over.
-    pub fn join<T: Temporal + Clone + Send>(
+    /// `emit`: each input is sorted only if its order is violated
+    /// (counted in `stats`), the sides swap going in and every pair is
+    /// un-swapped coming out. Returns the operator's report.
+    pub fn join<T: Temporal + Clone>(
         &self,
-        partitions: Option<usize>,
         left: Vec<T>,
         right: Vec<T>,
         stats: &mut ExecStats,
         emit: &mut dyn FnMut(Vec<(T, T)>) -> TdbResult<bool>,
-    ) -> TdbResult<(OpReport, usize)> {
+    ) -> TdbResult<OpReport> {
         let (x, y) = if self.swap {
             (right, left)
         } else {
@@ -1033,37 +989,23 @@ impl StreamOp {
                 emit(chunk)
             }
         };
-        Ok(match self.fanout(partitions) {
-            Some(k) => (
-                parallel_join(self.kind, self.cfg, x, y, k, &mut unswap)?.report,
-                k,
-            ),
-            None => (
-                run_join(self.kind, self.cfg, x, y, Emit::Chunks(&mut unswap))?.1,
-                1,
-            ),
-        })
+        Ok(run_join(self.kind, self.cfg, x, y, Emit::Chunks(&mut unswap))?.1)
     }
 
     /// Run as a semijoin keeping the items of `left` that match one of
     /// `right`, handed to `emit` chunk by chunk; sorting and the result as
     /// for [`StreamOp::join`]. `After` runs the Before-semijoin kernel
     /// mirrored ([`BeforeSemijoin::after`]).
-    pub fn semijoin<T: Temporal + Clone + Send>(
+    pub fn semijoin<T: Temporal + Clone>(
         &self,
-        partitions: Option<usize>,
         left: Vec<T>,
         right: Vec<T>,
         stats: &mut ExecStats,
         emit: &mut dyn FnMut(Vec<T>) -> TdbResult<bool>,
-    ) -> TdbResult<(OpReport, usize)> {
+    ) -> TdbResult<OpReport> {
         let [x_ord, y_ord] = self.orders;
         let x = sort_by_requirement(left, x_ord, stats);
         let y = sort_by_requirement(right, y_ord, stats);
-        if let Some(k) = self.fanout(partitions) {
-            let run = parallel_semijoin(self.kind, self.cfg, x, y, k, emit)?;
-            return Ok((run.report, k));
-        }
         let emit = Emit::Chunks(emit);
         let (_, report) = if self.swap {
             let op = BeforeSemijoin::after();
@@ -1071,7 +1013,7 @@ impl StreamOp {
         } else {
             run_semijoin(self.kind, self.cfg, x, y, emit)?
         };
-        Ok((report, 1))
+        Ok(report)
     }
 }
 
@@ -1190,76 +1132,6 @@ mod tests {
         b.sort_by_key(|r| format!("{r}"));
         assert_eq!(a, b);
         assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn parallel_stream_nodes_match_serial_results() {
-        let cat = test_catalog("parallel");
-        let join = PhysicalPlan::StreamTemporal {
-            left: Box::new(scan("f1")),
-            right: Box::new(scan("f2")),
-            left_var: "f1".into(),
-            right_var: "f2".into(),
-            pattern: TemporalPattern::GeneralOverlap,
-            residual: vec![],
-        };
-        let serial = join.execute(&cat, ExecOptions::default()).unwrap();
-        for partitions in [1, 2, 4, 7] {
-            let par = PhysicalPlan::Parallel {
-                partitions,
-                child: Box::new(join.clone()),
-            };
-            let out = par.execute(&cat, ExecOptions::default()).unwrap();
-            let mut a = out.rows.clone();
-            let mut b = serial.rows.clone();
-            a.sort_by_key(|r| format!("{r}"));
-            b.sort_by_key(|r| format!("{r}"));
-            assert_eq!(a, b, "partitions={partitions}");
-            // Per-partition workspaces never exceed the serial peak (each
-            // worker sees a subset of the spanning tuples).
-            assert!(out.stats.max_workspace <= serial.stats.max_workspace);
-        }
-        let semi = PhysicalPlan::StreamSemijoin {
-            left: Box::new(scan("f1")),
-            right: Box::new(scan("f2")),
-            left_var: "f1".into(),
-            right_var: "f2".into(),
-            pattern: TemporalPattern::During,
-        };
-        let serial = semi.execute(&cat, ExecOptions::default()).unwrap();
-        let par = PhysicalPlan::Parallel {
-            partitions: 4,
-            child: Box::new(semi),
-        };
-        let out = par.execute(&cat, ExecOptions::default()).unwrap();
-        let mut a = out.rows;
-        let mut b = serial.rows.clone();
-        a.sort_by_key(|r| format!("{r}"));
-        b.sort_by_key(|r| format!("{r}"));
-        assert_eq!(a, b);
-        // A non-partitionable child degrades gracefully to serial.
-        let before = PhysicalPlan::StreamTemporal {
-            left: Box::new(scan("f1")),
-            right: Box::new(scan("f2")),
-            left_var: "f1".into(),
-            right_var: "f2".into(),
-            pattern: TemporalPattern::Before,
-            residual: vec![],
-        };
-        let serial = before.execute(&cat, ExecOptions::default()).unwrap();
-        let par = PhysicalPlan::Parallel {
-            partitions: 4,
-            child: Box::new(before),
-        };
-        let out = par.execute(&cat, ExecOptions::default()).unwrap();
-        assert_eq!(out.rows.len(), serial.rows.len());
-        // A child that is no stream node is a plan error.
-        let par = PhysicalPlan::Parallel {
-            partitions: 4,
-            child: Box::new(scan("f1")),
-        };
-        let err = par.execute(&cat, ExecOptions::default()).unwrap_err();
-        assert!(matches!(err, TdbError::Plan(_)), "{err:?}");
     }
 
     #[test]
@@ -1397,15 +1269,7 @@ mod tests {
                 var: "f1".into(),
                 contained: true,
             },
-            semijoin.clone(),
-            PhysicalPlan::Parallel {
-                partitions: 3,
-                child: Box::new(join),
-            },
-            PhysicalPlan::Parallel {
-                partitions: 2,
-                child: Box::new(semijoin),
-            },
+            semijoin,
         ];
         // Wall-clock per-operator timings are nondeterministic; the
         // equivalence claim is about counters and workspace.
@@ -1656,15 +1520,12 @@ mod tests {
                 pattern: TemporalPattern::Contains,
                 residual: vec![],
             },
-            PhysicalPlan::Parallel {
-                partitions: 4,
-                child: Box::new(PhysicalPlan::StreamSemijoin {
-                    left: Box::new(scan("f1")),
-                    right: Box::new(scan("f2")),
-                    left_var: "f1".into(),
-                    right_var: "f2".into(),
-                    pattern: TemporalPattern::During,
-                }),
+            PhysicalPlan::StreamSemijoin {
+                left: Box::new(scan("f1")),
+                right: Box::new(scan("f2")),
+                left_var: "f1".into(),
+                right_var: "f2".into(),
+                pattern: TemporalPattern::During,
             },
         ] {
             let baseline = plan.execute(&cat, ExecOptions::default()).unwrap();

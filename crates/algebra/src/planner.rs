@@ -22,9 +22,8 @@
 use crate::expr::{Atom, ColumnRef, CompOp, Term};
 use crate::logical::LogicalPlan;
 use crate::pattern::{recognize_pattern, TemporalPattern};
-use crate::physical::{PhysicalPlan, StreamOp};
+use crate::physical::PhysicalPlan;
 use tdb_core::TdbResult;
-use tdb_stream::OpConfig;
 
 /// Strategy toggles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,12 +32,6 @@ pub struct PlannerConfig {
     pub use_stream_temporal: bool,
     /// Allow merge equi-joins (otherwise nested-loop).
     pub use_merge_equi: bool,
-    /// Time-range partitions for stream temporal joins/semijoins. `0` or
-    /// `1` means serial; `K > 1` wraps every eligible
-    /// (intersection-witnessed) stream node in a
-    /// [`PhysicalPlan::Parallel`] driver that runs `K` operator instances
-    /// over disjoint time ranges with fringe replication.
-    pub parallelism: usize,
     /// Rows per columnar batch fed to the stream temporal kernels (≥ 1).
     /// Every size produces identical output and identical workspace
     /// statistics (`tests/oracle.rs`).
@@ -46,12 +39,11 @@ pub struct PlannerConfig {
 }
 
 impl PlannerConfig {
-    /// Everything enabled: the full optimizer (serial execution).
+    /// Everything enabled: the full optimizer.
     pub fn stream() -> PlannerConfig {
         PlannerConfig {
             use_stream_temporal: true,
             use_merge_equi: true,
-            parallelism: 1,
             batch_rows: tdb_stream::DEFAULT_BATCH_ROWS,
         }
     }
@@ -62,7 +54,6 @@ impl PlannerConfig {
         PlannerConfig {
             use_stream_temporal: false,
             use_merge_equi: true,
-            parallelism: 1,
             batch_rows: tdb_stream::DEFAULT_BATCH_ROWS,
         }
     }
@@ -72,15 +63,8 @@ impl PlannerConfig {
         PlannerConfig {
             use_stream_temporal: false,
             use_merge_equi: false,
-            parallelism: 1,
             batch_rows: tdb_stream::DEFAULT_BATCH_ROWS,
         }
-    }
-
-    /// Set the number of time-range partitions for stream operators.
-    pub fn with_parallelism(mut self, k: usize) -> PlannerConfig {
-        self.parallelism = k;
-        self
     }
 
     /// Set the rows-per-batch for stream operators (the executor floors
@@ -88,31 +72,6 @@ impl PlannerConfig {
     pub fn with_batch_rows(mut self, rows: usize) -> PlannerConfig {
         self.batch_rows = rows;
         self
-    }
-
-    /// Should stream nodes be wrapped in a parallel driver?
-    fn parallel(&self) -> bool {
-        self.parallelism > 1
-    }
-}
-
-/// Wrap `plan` in a [`PhysicalPlan::Parallel`] driver when `config` asks
-/// for parallelism and the operator the node's pattern resolves to is
-/// partition-safe.
-fn maybe_parallel(plan: PhysicalPlan, config: PlannerConfig) -> PhysicalPlan {
-    let resolved = |pattern, join| StreamOp::resolve(pattern, join, OpConfig::new());
-    let eligible = match &plan {
-        PhysicalPlan::StreamTemporal { pattern, .. } => resolved(*pattern, true).partition_safe(),
-        PhysicalPlan::StreamSemijoin { pattern, .. } => resolved(*pattern, false).partition_safe(),
-        _ => false,
-    };
-    if config.parallel() && eligible {
-        PhysicalPlan::Parallel {
-            partitions: config.parallelism,
-            child: Box::new(plan),
-        }
-    } else {
-        plan
     }
 }
 
@@ -154,7 +113,9 @@ fn plan_node(node: &LogicalPlan, config: PlannerConfig) -> TdbResult<PhysicalPla
 }
 
 /// Is this atom an equality between a left-scope column and a right-scope
-/// column on non-temporal attributes?
+/// column? A timestamp equality qualifies too: it pins one endpoint of an
+/// Allen relation (`meets`, `starts`, `finishes`, `equal`), so the merge
+/// join runs on it with the other endpoint as the residual (footnote 8).
 fn as_equi_key(
     atom: &Atom,
     left: &LogicalPlan,
@@ -166,9 +127,6 @@ fn as_equi_key(
     let (Term::Column(a), Term::Column(b)) = (&atom.left, &atom.right) else {
         return None;
     };
-    if a.is_temporal() || b.is_temporal() {
-        return None;
-    }
     let ls = left.scope();
     let rs = right.scope();
     let holds = |c: &ColumnRef, s: &crate::logical::Scope| s.index_of(c).is_ok();
@@ -226,17 +184,14 @@ fn plan_join(
                 .filter(|(j, _)| !rec.consumed.contains(j))
                 .map(|(_, a)| a.clone())
                 .collect();
-            return Ok(maybe_parallel(
-                PhysicalPlan::StreamTemporal {
-                    left: Box::new(pleft),
-                    right: Box::new(pright),
-                    left_var: rec.left_var,
-                    right_var: rec.right_var,
-                    pattern: rec.pattern,
-                    residual,
-                },
-                config,
-            ));
+            return Ok(PhysicalPlan::StreamTemporal {
+                left: Box::new(pleft),
+                right: Box::new(pright),
+                left_var: rec.left_var,
+                right_var: rec.right_var,
+                pattern: rec.pattern,
+                residual,
+            });
         }
     }
 
@@ -273,8 +228,9 @@ fn plan_semijoin(
         let rvars = rscope.vars();
         if let Some(rec) = recognize_pattern(predicate, &lvars, &rvars) {
             // Stream semijoins must cover the entire predicate — a residual
-            // would make "emit on first match" unsound.
-            if rec.consumed.len() == predicate.len() {
+            // would make "emit on first match" unsound — and need a kernel
+            // that keeps the pattern's left side.
+            if rec.consumed.len() == predicate.len() && rec.pattern.semijoin_op().is_some() {
                 // §4.2.3: identical subplans + containment ⇒ single scan.
                 if plans_equal_modulo_var(left, right)
                     && matches!(
@@ -288,16 +244,13 @@ fn plan_semijoin(
                         contained: rec.pattern == TemporalPattern::During,
                     });
                 }
-                return Ok(maybe_parallel(
-                    PhysicalPlan::StreamSemijoin {
-                        left: Box::new(plan_node(left, config)?),
-                        right: Box::new(plan_node(right, config)?),
-                        left_var: rec.left_var,
-                        right_var: rec.right_var,
-                        pattern: rec.pattern,
-                    },
-                    config,
-                ));
+                return Ok(PhysicalPlan::StreamSemijoin {
+                    left: Box::new(plan_node(left, config)?),
+                    right: Box::new(plan_node(right, config)?),
+                    left_var: rec.left_var,
+                    right_var: rec.right_var,
+                    pattern: rec.pattern,
+                });
             }
         }
     }
@@ -491,29 +444,6 @@ mod tests {
         let sj = scan("f1").semijoin(scan("f2"), atoms);
         let p = plan(&sj, PlannerConfig::stream()).unwrap();
         assert!(matches!(p, PhysicalPlan::NestedSemijoin { .. }), "{p}");
-    }
-
-    #[test]
-    fn parallelism_wraps_eligible_stream_nodes() {
-        let j = scan("f1").join(scan("f2"), contains_atoms("f1", "f2"));
-        let cfg = PlannerConfig::stream().with_parallelism(4);
-        let p = plan(&j, cfg).unwrap();
-        let PhysicalPlan::Parallel { partitions, child } = &p else {
-            panic!("expected parallel wrapper, got\n{p}");
-        };
-        assert_eq!(*partitions, 4);
-        assert!(matches!(**child, PhysicalPlan::StreamTemporal { .. }));
-        assert!(p.explain().contains("Parallel ×4"));
-        // Serial config produces the bare stream node.
-        let p = plan(&j, PlannerConfig::stream()).unwrap();
-        assert!(matches!(p, PhysicalPlan::StreamTemporal { .. }));
-        // Before/After patterns stay serial even under parallelism.
-        let before = scan("f1").join(
-            scan("f2"),
-            vec![Atom::cols("f1", "ValidTo", CompOp::Lt, "f2", "ValidFrom")],
-        );
-        let p = plan(&before, cfg).unwrap();
-        assert!(matches!(p, PhysicalPlan::StreamTemporal { .. }), "{p}");
     }
 
     #[test]

@@ -9,8 +9,8 @@ use tdb_core::{StreamOrder, TdbError};
 use tdb_stream::StreamOpKind;
 
 /// Dot-separated position of a node inside a [`PhysicalPlan`] tree, rooted
-/// at `plan` — e.g. `plan.child.left` is the left input of the operator
-/// wrapped by a `Parallel` driver at the root.
+/// at `plan` — e.g. `plan.input.left` is the left input of the join under
+/// a root projection or filter.
 ///
 /// [`PhysicalPlan`]: tdb_algebra::PhysicalPlan
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
@@ -22,8 +22,7 @@ impl PlanPath {
         PlanPath(Vec::new())
     }
 
-    /// Extend the path by one child edge (`left`, `right`, `input`,
-    /// `child`).
+    /// Extend the path by one child edge (`left`, `right`, `input`).
     pub fn child(&self, edge: &'static str) -> PlanPath {
         let mut segs = self.0.clone();
         segs.push(edge);
@@ -74,24 +73,6 @@ pub enum AnalyzeError {
         /// Inputs the registry expects.
         expected: usize,
     },
-    /// A `Parallel` driver wraps an operator whose predicate is not
-    /// intersection-witnessed (or not a stream operator at all), so no
-    /// time-range decomposition localizes its matches.
-    NotPartitionable {
-        /// Node position of the `Parallel` driver.
-        path: PlanPath,
-        /// Operator name (or a description of the offending child).
-        operator: String,
-        /// Why partitioning is unsound, citing the paper.
-        detail: String,
-    },
-    /// A `Parallel` driver with zero partitions.
-    InvalidPartitionCount {
-        /// Node position of the `Parallel` driver.
-        path: PlanPath,
-        /// Declared partition count.
-        partitions: usize,
-    },
     /// A live (continuous-query) plan uses an operator whose workspace is
     /// not provably bounded under unbounded arrival, or lacks the
     /// statistics needed to prove a bound at all.
@@ -123,8 +104,6 @@ impl AnalyzeError {
         match self {
             AnalyzeError::OrderMismatch { path, .. }
             | AnalyzeError::ArityMismatch { path, .. }
-            | AnalyzeError::NotPartitionable { path, .. }
-            | AnalyzeError::InvalidPartitionCount { path, .. }
             | AnalyzeError::NotLiveSafe { path, .. }
             | AnalyzeError::WorkspaceOverBudget { path, .. } => path,
         }
@@ -161,17 +140,6 @@ impl fmt::Display for AnalyzeError {
                 f,
                 "at {path}: {kind} takes {expected} input(s), spec declares {given}"
             ),
-            AnalyzeError::NotPartitionable {
-                path,
-                operator,
-                detail,
-            } => write!(
-                f,
-                "at {path}: Parallel over {operator} is unsound — {detail}"
-            ),
-            AnalyzeError::InvalidPartitionCount { path, partitions } => {
-                write!(f, "at {path}: Parallel with {partitions} partitions")
-            }
             AnalyzeError::NotLiveSafe { path, kind, detail } => {
                 write!(f, "at {path}: {kind} is not live-safe — {detail}")
             }

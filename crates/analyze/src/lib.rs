@@ -21,9 +21,6 @@
 //! * **Workspace bounds** derive λ·E[D] expectations and sound
 //!   max-concurrency caps from [`TemporalStats`] and flag plans over a
 //!   configurable budget ([`AnalyzeConfig`]).
-//! * **Partition safety** ([`check_parallel`]) verifies every `Parallel`
-//!   driver: the wrapped operator's registry entry must be
-//!   partition-safe (Before/After are not), over at least one partition.
 //!
 //! [`plan_verified`] packages the pipeline: plan, verify, and hand back
 //! the physical plan together with a renderable [`Analysis`] certificate
@@ -42,7 +39,7 @@ pub mod verify;
 
 pub use error::{render_errors, AnalyzeError, PlanPath};
 pub use lower::{infer_order, lower_plan, lower_plan_with_stats, Lowered};
-pub use spec::{check_op, check_parallel, ParallelSpec, StreamOpSpec};
+pub use spec::{check_op, StreamOpSpec};
 pub use verify::{
     plan_verified, plan_verified_live, verified_live, verify, verify_live, verify_lowered,
     Analysis, AnalyzeConfig,
@@ -51,7 +48,7 @@ pub use verify::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdb_algebra::{Atom, CompOp, LogicalPlan, PhysicalPlan, PlannerConfig, TemporalPattern};
+    use tdb_algebra::{Atom, CompOp, LogicalPlan, PhysicalPlan, PlannerConfig};
     use tdb_core::Row;
     use tdb_gen::FacultyGen;
     use tdb_storage::{Catalog, IoStats};
@@ -95,46 +92,12 @@ mod tests {
     fn planner_emitted_plans_all_verify() {
         let cat = catalog("accept");
         let join = scan("f1").join(scan("f2"), contains_atoms("f1", "f2"));
-        for k in [1usize, 4] {
-            let cfg = PlannerConfig::stream().with_parallelism(k);
-            let (physical, analysis) = plan_verified(&join, cfg, &cat).unwrap();
-            assert!(matches!(
-                physical,
-                PhysicalPlan::StreamTemporal { .. } | PhysicalPlan::Parallel { .. }
-            ));
-            let cert = analysis.render();
-            assert!(cert.contains("Table 1 (b)"), "{cert}");
-            // Catalog statistics flowed into the certificate.
-            assert!(cert.contains("λ·E[D]"), "{cert}");
-        }
-    }
-
-    #[test]
-    fn parallel_over_before_join_is_rejected() {
-        // The planner never emits this (maybe_parallel skips Before); a
-        // hand-built plan claiming partitioned Before-join must be caught.
-        let plan = PhysicalPlan::Parallel {
-            partitions: 4,
-            child: Box::new(PhysicalPlan::StreamTemporal {
-                left: Box::new(PhysicalPlan::SeqScan {
-                    relation: "Faculty".into(),
-                    var: "f1".into(),
-                }),
-                right: Box::new(PhysicalPlan::SeqScan {
-                    relation: "Faculty".into(),
-                    var: "f2".into(),
-                }),
-                left_var: "f1".into(),
-                right_var: "f2".into(),
-                pattern: TemporalPattern::Before,
-                residual: vec![],
-            }),
-        };
-        let errors = verify(&plan, None, &AnalyzeConfig::default()).unwrap_err();
-        let rendered = render_errors(&errors);
-        assert!(rendered.contains("at plan:"), "{rendered}");
-        assert!(rendered.contains("BeforeJoin"), "{rendered}");
-        assert!(rendered.contains("§4.2.4"), "{rendered}");
+        let (physical, analysis) = plan_verified(&join, PlannerConfig::stream(), &cat).unwrap();
+        assert!(matches!(physical, PhysicalPlan::StreamTemporal { .. }));
+        let cert = analysis.render();
+        assert!(cert.contains("Table 1 (b)"), "{cert}");
+        // Catalog statistics flowed into the certificate.
+        assert!(cert.contains("λ·E[D]"), "{cert}");
     }
 
     #[test]

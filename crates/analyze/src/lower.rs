@@ -11,7 +11,7 @@
 //! costs a sort — the certificate `tdb analyze` prints.
 
 use crate::error::PlanPath;
-use crate::spec::{ParallelSpec, StreamOpSpec};
+use crate::spec::StreamOpSpec;
 use std::collections::BTreeMap;
 use tdb_algebra::cost::{predict_workspace, workspace_cap, workspace_kind};
 use tdb_algebra::PhysicalPlan;
@@ -19,14 +19,12 @@ use tdb_core::{StreamOrder, TemporalStats};
 use tdb_storage::Catalog;
 use tdb_stream::StreamOpKind;
 
-/// Everything the verifier needs from one plan: the stream operators and
-/// the parallel drivers, in preorder.
+/// Everything the verifier needs from one plan: the stream operators, in
+/// preorder.
 #[derive(Debug, Clone, Default)]
 pub struct Lowered {
     /// One spec per stream-temporal operator occurrence.
     pub ops: Vec<StreamOpSpec>,
-    /// One spec per `Parallel` driver occurrence.
-    pub parallels: Vec<ParallelSpec>,
 }
 
 /// What inference knows about a node's output.
@@ -84,9 +82,7 @@ fn entry(child: Option<StreamOrder>, required: Option<StreamOrder>) -> (Option<S
 }
 
 /// Push the spec for one stream join/semijoin node and return its output
-/// facts. `partitions` is `Some(k)` when the node runs under a `Parallel`
-/// driver.
-#[allow(clippy::too_many_arguments)]
+/// facts.
 fn lower_stream_op(
     kind: StreamOpKind,
     swap: bool,
@@ -94,7 +90,6 @@ fn lower_stream_op(
     left: NodeFacts,
     right: NodeFacts,
     path: PlanPath,
-    partitions: Option<usize>,
     out: &mut Lowered,
 ) -> NodeFacts {
     let req = kind.requirement();
@@ -115,7 +110,6 @@ fn lower_stream_op(
         inputs: vec![x_order, y_order],
         sorts_inserted: vec![x_sort, y_sort],
         path,
-        partitions,
         workspace_expectation: expectation,
         workspace_cap: cap,
     });
@@ -194,7 +188,7 @@ fn walk(
             let l = walk(left, path.child("left"), catalog, overrides, out);
             let r = walk(right, path.child("right"), catalog, overrides, out);
             let (kind, swap) = pattern.join_op();
-            lower_stream_op(kind, swap, true, l, r, path, None, out)
+            lower_stream_op(kind, swap, true, l, r, path, out)
         }
         PhysicalPlan::StreamSemijoin {
             left,
@@ -204,8 +198,11 @@ fn walk(
         } => {
             let l = walk(left, path.child("left"), catalog, overrides, out);
             let r = walk(right, path.child("right"), catalog, overrides, out);
-            let (kind, swap) = pattern.semijoin_op();
-            lower_stream_op(kind, swap, false, l, r, path, None, out)
+            // A semijoin no kernel evaluates is refused when it runs.
+            let Some((kind, swap)) = pattern.semijoin_op() else {
+                return NodeFacts::default();
+            };
+            lower_stream_op(kind, swap, false, l, r, path, out)
         }
         PhysicalPlan::SelfSemijoin {
             input, contained, ..
@@ -230,61 +227,12 @@ fn walk(
                 inputs: vec![order],
                 sorts_inserted: vec![sort],
                 path,
-                partitions: None,
                 workspace_expectation: expectation,
                 workspace_cap: cap,
             });
             NodeFacts {
                 order,
                 stats: i.stats,
-            }
-        }
-        PhysicalPlan::Parallel { partitions, child } => {
-            let child_path = path.child("child");
-            match &**child {
-                PhysicalPlan::StreamTemporal {
-                    left,
-                    right,
-                    pattern,
-                    ..
-                } => {
-                    let l = walk(left, child_path.child("left"), catalog, overrides, out);
-                    let r = walk(right, child_path.child("right"), catalog, overrides, out);
-                    let (kind, swap) = pattern.join_op();
-                    out.parallels.push(ParallelSpec {
-                        partitions: *partitions,
-                        child: Some(kind),
-                        join: true,
-                        path: path.clone(),
-                    });
-                    lower_stream_op(kind, swap, true, l, r, child_path, Some(*partitions), out)
-                }
-                PhysicalPlan::StreamSemijoin {
-                    left,
-                    right,
-                    pattern,
-                    ..
-                } => {
-                    let l = walk(left, child_path.child("left"), catalog, overrides, out);
-                    let r = walk(right, child_path.child("right"), catalog, overrides, out);
-                    let (kind, swap) = pattern.semijoin_op();
-                    out.parallels.push(ParallelSpec {
-                        partitions: *partitions,
-                        child: Some(kind),
-                        join: false,
-                        path: path.clone(),
-                    });
-                    lower_stream_op(kind, swap, false, l, r, child_path, Some(*partitions), out)
-                }
-                other => {
-                    out.parallels.push(ParallelSpec {
-                        partitions: *partitions,
-                        child: None,
-                        join: false,
-                        path: path.clone(),
-                    });
-                    walk(other, child_path, catalog, overrides, out)
-                }
             }
         }
     }
@@ -351,22 +299,6 @@ mod tests {
             lowered.ops[0].inputs,
             vec![Some(StreamOrder::TS_ASC), Some(StreamOrder::TE_ASC)]
         );
-    }
-
-    #[test]
-    fn parallel_over_stream_node_produces_both_specs() {
-        let plan = PhysicalPlan::Parallel {
-            partitions: 4,
-            child: Box::new(stream_contains("f1", "f2")),
-        };
-        let lowered = lower_plan(&plan, None);
-        assert_eq!(lowered.parallels.len(), 1);
-        let p = &lowered.parallels[0];
-        assert_eq!(p.partitions, 4);
-        assert_eq!(p.child, Some(StreamOpKind::ContainJoinTsTe));
-        assert!(p.join);
-        assert_eq!(lowered.ops[0].partitions, Some(4));
-        assert_eq!(lowered.ops[0].path.to_string(), "plan.child");
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! The analyzer's intermediate form: one spec per stream operator and per
-//! parallel driver, plus the checks that prove each spec against the
-//! [`StreamOpKind`] registry.
+//! The analyzer's intermediate form: one spec per stream operator, plus
+//! the check that proves each spec against the [`StreamOpKind`] registry.
 //!
 //! Specs are deliberately plain data with public fields: property tests
 //! build and *mutate* them to show the checker rejects every perturbation
@@ -24,8 +23,6 @@ pub struct StreamOpSpec {
     pub sorts_inserted: Vec<bool>,
     /// Position of the operator in the plan tree.
     pub path: PlanPath,
-    /// `Some(k)` when the operator runs under a `Parallel` driver.
-    pub partitions: Option<usize>,
     /// Expected workspace λ·E[D] (Little's law) from input statistics, if
     /// known.
     pub workspace_expectation: Option<f64>,
@@ -44,28 +41,10 @@ impl StreamOpSpec {
             inputs,
             sorts_inserted: sorts,
             path: PlanPath::root(),
-            partitions: None,
             workspace_expectation: None,
             workspace_cap: None,
         }
     }
-}
-
-/// One `Parallel` driver occurrence: partition count and the operator it
-/// runs per partition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParallelSpec {
-    /// Number of time-range partitions.
-    pub partitions: usize,
-    /// The stream operator each partition runs; `None` when the wrapped
-    /// child is not a stream temporal join/semijoin at all.
-    pub child: Option<StreamOpKind>,
-    /// `true` for a join child, `false` for a semijoin child: the driver
-    /// dedups a join's fringe copies by the partition owning
-    /// `max(x.TS, y.TS)`, a semijoin's by an ordinal merge.
-    pub join: bool,
-    /// Position of the `Parallel` node in the plan tree.
-    pub path: PlanPath,
 }
 
 /// Prove one operator spec against the registry.
@@ -128,36 +107,6 @@ pub fn check_op(spec: &StreamOpSpec) -> Result<(), AnalyzeError> {
         found: spec.inputs.first().copied().flatten(),
         required: req.left().unwrap_or(StreamOrder::TS_ASC),
     })
-}
-
-/// Prove one parallel-driver spec: the child must be a stream operator
-/// whose registry entry is partition-safe, over at least one partition.
-pub fn check_parallel(spec: &ParallelSpec) -> Result<(), AnalyzeError> {
-    let Some(kind) = spec.child else {
-        return Err(AnalyzeError::NotPartitionable {
-            path: spec.path.clone(),
-            operator: "a non-stream child".into(),
-            detail: "only stream temporal joins/semijoins decompose by time range".into(),
-        });
-    };
-    let req = kind.requirement();
-    if !req.partition_safe {
-        return Err(AnalyzeError::NotPartitionable {
-            path: spec.path.clone(),
-            operator: req.operator.into(),
-            detail: format!(
-                "its matches carry no shared time point, so no partition owns them ({})",
-                req.table_entry
-            ),
-        });
-    }
-    if spec.partitions == 0 {
-        return Err(AnalyzeError::InvalidPartitionCount {
-            path: spec.path.clone(),
-            partitions: spec.partitions,
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -236,14 +185,8 @@ mod tests {
     fn before_family_accepts_any_order_but_never_parallel() {
         let spec = StreamOpSpec::new(StreamOpKind::BeforeJoin, vec![None, None]);
         assert!(check_op(&spec).is_ok());
-        let par = ParallelSpec {
-            partitions: 4,
-            child: Some(StreamOpKind::BeforeJoin),
-            join: true,
-            path: PlanPath::root(),
-        };
-        let err = check_parallel(&par).unwrap_err();
-        assert!(err.to_string().contains("§4.2.4"), "{err}");
+        // Its matches share no time point, so no time partition owns them.
+        assert!(!StreamOpKind::BeforeJoin.requirement().partition_safe);
     }
 
     #[test]
@@ -252,31 +195,6 @@ mod tests {
         assert!(matches!(
             check_op(&spec),
             Err(AnalyzeError::ArityMismatch { expected: 1, .. })
-        ));
-    }
-
-    #[test]
-    fn parallel_checks_partitionability_and_count() {
-        let good = ParallelSpec {
-            partitions: 4,
-            child: Some(StreamOpKind::OverlapSemijoin),
-            join: false,
-            path: PlanPath::root(),
-        };
-        assert!(check_parallel(&good).is_ok());
-        let mut zero = good.clone();
-        zero.partitions = 0;
-        assert!(matches!(
-            check_parallel(&zero),
-            Err(AnalyzeError::InvalidPartitionCount { .. })
-        ));
-        let non_stream = ParallelSpec {
-            child: None,
-            ..good
-        };
-        assert!(matches!(
-            check_parallel(&non_stream),
-            Err(AnalyzeError::NotPartitionable { .. })
         ));
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::error::{render_errors, AnalyzeError};
 use crate::lower::{lower_plan, lower_plan_with_stats, Lowered};
-use crate::spec::{check_op, check_parallel};
+use crate::spec::check_op;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use tdb_algebra::{plan, LogicalPlan, PhysicalPlan, PlannerConfig};
@@ -57,7 +57,7 @@ pub struct Analysis {
 impl Analysis {
     /// Render the certificate: one block per stream operator naming its
     /// Table 1/2/3 entry, entry orders, inserted sorts, and workspace
-    /// bounds; one line per parallel driver.
+    /// bounds.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let n = self.lowered.ops.len();
@@ -94,23 +94,6 @@ impl Analysis {
                     writeln!(out, "      workspace: no input statistics").ok();
                 }
             }
-        }
-        for p in &self.lowered.parallels {
-            let child = p
-                .child
-                .map(|k| k.to_string())
-                .unwrap_or_else(|| "non-stream child".into());
-            let dedup = if p.join {
-                "owner-of-max"
-            } else {
-                "ordinal-merge"
-            };
-            writeln!(
-                out,
-                "  {}: Parallel ×{} over {child} — fringe replication, {dedup} dedup",
-                p.path, p.partitions
-            )
-            .ok();
         }
         out
     }
@@ -154,17 +137,11 @@ pub fn verify_lowered(lowered: &Lowered, config: &AnalyzeConfig) -> Vec<AnalyzeE
             }
         }
     }
-    for p in &lowered.parallels {
-        if let Err(e) = check_parallel(p) {
-            errors.push(e);
-        }
-    }
     errors
 }
 
 /// Statically verify a physical plan: lower it, prove every stream
-/// operator against the registry, check every parallel driver, and apply
-/// the workspace budget. `catalog` supplies base-relation statistics and
+/// operator against the registry, and apply the workspace budget. `catalog` supplies base-relation statistics and
 /// known orders; without it ordering proofs still run (the executor's
 /// inserted sorts are modeled) but workspace bounds are unavailable.
 pub fn verify(

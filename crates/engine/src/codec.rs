@@ -336,7 +336,6 @@ const TAG_QUERY_STREAM: u8 = 12;
 
 fn put_span(buf: &mut BytesMut, s: &OpSpan) {
     put_str(buf, &s.operator);
-    put_u64(buf, s.partitions);
     put_u64(buf, s.rows_in);
     put_u64(buf, s.rows_out);
     put_u64(buf, s.comparisons);
@@ -353,7 +352,6 @@ fn put_span(buf: &mut BytesMut, s: &OpSpan) {
 
 fn get_span(buf: &mut Bytes) -> TdbResult<OpSpan> {
     let operator = get_str(buf)?;
-    let partitions = get_u64(buf)?;
     let rows_in = get_u64(buf)?;
     let rows_out = get_u64(buf)?;
     let comparisons = get_u64(buf)?;
@@ -368,7 +366,6 @@ fn get_span(buf: &mut Bytes) -> TdbResult<OpSpan> {
     }
     Ok(OpSpan {
         operator,
-        partitions,
         rows_in,
         rows_out,
         comparisons,

@@ -102,11 +102,6 @@ impl ReplySink for tdb::stream::CollectSink {}
 /// Default slow-query threshold: queries at or above 10ms are retained.
 const SLOW_THRESHOLD_US: u64 = 10_000;
 
-/// Upper bound accepted by `\set parallelism`: beyond a few hundred
-/// time-range partitions the fringe-replication overhead dominates any
-/// conceivable core count.
-const MAX_PARALLELISM: usize = 256;
-
 /// How many slow traces the log keeps.
 const SLOW_LOG_CAP: usize = 8;
 
@@ -459,22 +454,6 @@ impl Engine {
                 };
                 Ok(Response::Info(format!("planner config: {c}\n")))
             }
-            ["\\set", "parallelism", n] => {
-                let k: usize = n
-                    .parse()
-                    .map_err(|_| TdbError::Config(format!("bad partition count `{n}`")))?;
-                if k == 0 || k > MAX_PARALLELISM {
-                    return Err(TdbError::Config(format!(
-                        "parallelism {k} out of range (1..={MAX_PARALLELISM}; 1 = serial)"
-                    )));
-                }
-                ctx.config = ctx.config.with_parallelism(k);
-                Ok(Response::Info(if k > 1 {
-                    format!("parallelism: {k} time-range partitions\n")
-                } else {
-                    "parallelism: serial\n".to_string()
-                }))
-            }
             ["\\set", "batch", n] => {
                 let rows: usize = n
                     .parse()
@@ -497,10 +476,10 @@ impl Engine {
                 Ok(Response::Info(format!("row limit: {}\n", ctx.row_limit)))
             }
             ["\\set", key, ..] => Err(TdbError::Config(format!(
-                "unknown \\set key `{key}` (batch|limit|parallelism)"
+                "unknown \\set key `{key}` (batch|limit)"
             ))),
             ["\\set"] => Err(TdbError::Config(
-                "\\set needs a key and a value: \\set batch|limit|parallelism <n>".into(),
+                "\\set needs a key and a value: \\set batch|limit <n>".into(),
             )),
             ["\\gen", "faculty", n, rest @ ..] => {
                 let n: usize = n
@@ -1311,7 +1290,6 @@ fn build_trace(
             let ws = &obs.report.workspace;
             OpSpan {
                 operator: obs.operator.clone(),
-                partitions: obs.partitions as u64,
                 rows_in: (obs.report.metrics.read_left + obs.report.metrics.read_right) as u64,
                 rows_out: obs.report.metrics.emitted as u64,
                 comparisons: obs.report.metrics.comparisons as u64,
@@ -1423,7 +1401,6 @@ pub const HELP: &str = r#"commands:
   \explain on|off|verify                      show plans (verify: + static analysis)
   \analyze <query>                            verify a query's plan without running it
   \config stream|conventional|naive           planner strategy
-  \set parallelism <k>                        time-range partitions for stream operators
   \set batch <n>                              rows per columnar operator batch (1 or more)
   \set limit <n>                              rows delivered per query result
   \ingest <rel> <file|->                      live-append arrivals (`-` reads stdin to EOF);
@@ -1893,10 +1870,8 @@ mod tests {
     }
 
     #[test]
-    fn set_limit_and_parallelism_mutate_client_state() {
+    fn set_limit_mutates_client_state() {
         let (mut e, mut ctx) = engine("set");
-        e.execute(&mut ctx, "\\set parallelism 4");
-        assert_eq!(ctx.config.parallelism, 4);
         e.execute(&mut ctx, "\\set limit 5");
         assert_eq!(ctx.row_limit, 5);
         let resp = e.execute(&mut ctx, "\\set limit x");
@@ -1953,14 +1928,7 @@ mod tests {
     #[test]
     fn bad_set_keys_and_ranges_are_typed_config_errors() {
         let (mut e, mut ctx) = engine("seterr");
-        for input in [
-            "\\set",
-            "\\set warp 9",
-            "\\set batch x",
-            "\\set batch 0",
-            "\\set parallelism 0",
-            "\\set parallelism 1000000",
-        ] {
+        for input in ["\\set", "\\set warp 9", "\\set batch x", "\\set batch 0"] {
             let resp = e.execute(&mut ctx, input);
             let Response::Error(err) = resp else {
                 panic!("expected error for `{input}`, got {resp:?}");
@@ -1968,8 +1936,55 @@ mod tests {
             assert_eq!(err.code, ErrorCode::Config, "{input}: {}", err.message);
         }
         // Rejections leave the client state untouched.
-        assert_eq!(ctx.config.parallelism, 1);
-        assert_eq!(ctx.config.batch_rows, tdb::stream::DEFAULT_BATCH_ROWS);
+        assert_eq!(ctx.config, PlannerConfig::stream());
+    }
+
+    /// A limit stops the stream plan's producer early, so its count is a
+    /// lower bound; every plan's footer then says so in the same words,
+    /// and with the limit lifted each prints the exact count.
+    #[test]
+    fn footer_counts_read_as_lower_bounds_after_a_limit() {
+        let (mut e, mut ctx) = engine("footer");
+        e.execute(&mut ctx, "\\gen faculty 300 4");
+        let footer = |e: &mut Engine, ctx: &mut ClientState| {
+            let resp = e.execute(ctx, tdb::quel::parser::SUPERSTAR);
+            assert!(matches!(resp, Response::Query(_)), "{resp:?}");
+            let text = crate::render(&resp, 20);
+            let line = text.lines().find(|l| l.contains(" rows ")).unwrap();
+            line.split(" in ").next().unwrap().to_string()
+        };
+        let mut exact = Vec::new();
+        for config in ["stream", "conventional", "naive"] {
+            e.execute(&mut ctx, &format!("\\config {config}"));
+            ctx.row_limit = 20;
+            let limited = footer(&mut e, &mut ctx);
+            assert!(
+                limited.starts_with("at least ")
+                    && limited.ends_with(" rows (stopped at limit 20)"),
+                "{config}: {limited}"
+            );
+            ctx.row_limit = usize::MAX;
+            exact.push(footer(&mut e, &mut ctx));
+        }
+        assert!(exact[0].ends_with(" rows") && !exact[0].contains("at least"));
+        assert_eq!(exact, vec![exact[0].clone(); 3]);
+        let n: usize = exact[0].trim_end_matches(" rows").parse().unwrap();
+        assert!(n > 20, "{n} superstars: the limit must cut the result");
+    }
+
+    /// `\set` takes no partition count: stream nodes run one way, and the
+    /// key is refused like any unknown one.
+    #[test]
+    fn set_parallelism_is_refused_and_leaves_client_state_unchanged() {
+        let (mut e, mut ctx) = engine("setpar");
+        let before = format!("{ctx:?}");
+        let resp = e.execute(&mut ctx, "\\set parallelism 4");
+        let Response::Error(err) = resp else {
+            panic!("expected an error, got {resp:?}");
+        };
+        assert_eq!(err.code, ErrorCode::Config, "{}", err.message);
+        assert!(err.message.contains("batch|limit"), "{}", err.message);
+        assert_eq!(format!("{ctx:?}"), before);
     }
 
     #[test]

@@ -102,17 +102,20 @@ pub fn render_rows(rows: &[tdb::prelude::Row]) -> String {
     out
 }
 
-/// Everything that follows the rows: the more-rows marker (`shown` is how
-/// many rows were actually printed), the stats line, and the trace block.
+/// Everything that follows the rows (`shown` is how many were printed):
+/// the stats line and the trace block. When the limit stopped the query
+/// before every offered row was shown, the producer stopped early too, so
+/// its count is only a lower bound and reads as one.
 pub fn render_stream_footer(q: &QueryReport, shown: u64) -> String {
     let mut out = String::new();
-    if q.rows.total > shown {
-        writeln!(out, "… ({} more rows)", q.rows.total - shown).ok();
-    }
+    let rows = if q.rows.total > shown {
+        format!("at least {} rows (stopped at limit {shown})", q.rows.total)
+    } else {
+        format!("{} rows", q.rows.total)
+    };
     writeln!(
         out,
-        "{} rows in {:.2?} — {} scanned, {} comparisons, workspace {}, {} sorts",
-        q.rows.total,
+        "{rows} in {:.2?} — {} scanned, {} comparisons, workspace {}, {} sorts",
         Duration::from_micros(q.elapsed_us),
         q.stats.rows_scanned,
         q.stats.comparisons,
@@ -166,14 +169,9 @@ fn render_trace(t: &QueryTrace, out: &mut String) {
         };
         writeln!(
             out,
-            "{}{}: {} in → {} out, {} comparisons, {} evicted, \
+            "{}: {} in → {} out, {} comparisons, {} evicted, \
              workspace peak {} (mean {:.1}) vs cap {cap}, λ·E[D] {expect}{flag}",
             s.operator,
-            if s.partitions > 1 {
-                format!(" ×{}", s.partitions)
-            } else {
-                String::new()
-            },
             s.rows_in,
             s.rows_out,
             s.comparisons,

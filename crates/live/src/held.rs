@@ -164,11 +164,9 @@ pub(crate) struct HeldJoin {
 
 impl HeldJoin {
     /// The held form of `plan`, or `None` when its shape is not
-    /// `[Project] [Filter]* [Parallel] StreamTemporal|StreamSemijoin` over
-    /// two `[Filter]* SeqScan` inputs with a kernel in
-    /// [`tdb_stream::dispatch`]. A `Parallel` node is dropped: the
-    /// per-epoch vectors are small, and one serial kernel run gives the
-    /// same pairs.
+    /// `[Project] [Filter]* StreamTemporal|StreamSemijoin` over two
+    /// `[Filter]* SeqScan` inputs with a kernel in
+    /// [`tdb_stream::dispatch`].
     pub(crate) fn from_plan(
         plan: &PhysicalPlan,
         catalog: &Catalog,
@@ -182,9 +180,6 @@ impl HeldJoin {
         while let PhysicalPlan::Filter { input, atoms } = node {
             above.extend(atoms.iter().cloned());
             node = input;
-        }
-        if let PhysicalPlan::Parallel { child, .. } = node {
-            node = child;
         }
         let (left, right, left_var, right_var, pattern, residual, semijoin) = match node {
             PhysicalPlan::StreamTemporal {
@@ -313,7 +308,7 @@ impl HeldJoin {
         if l.is_empty() || r.is_empty() {
             return Ok(0);
         }
-        let op = StreamOp::resolve(self.pattern, true, self.cfg);
+        let op = StreamOp::resolve(self.pattern, true, self.cfg)?;
         let [ls, rs] = &self.sides;
         let mut emit = |chunk: Vec<(Item, Item)>| {
             for (a, b) in chunk {
@@ -322,7 +317,7 @@ impl HeldJoin {
             Ok(true)
         };
         let (xs, ys) = (ls.items(l), rs.items(r));
-        let (report, _) = op.join(None, xs, ys, &mut ExecStats::default(), &mut emit)?;
+        let report = op.join(xs, ys, &mut ExecStats::default(), &mut emit)?;
         Ok(report.max_workspace())
     }
 
@@ -339,7 +334,7 @@ impl HeldJoin {
         if l.is_empty() || r.is_empty() {
             return Ok(0);
         }
-        let op = StreamOp::resolve(self.pattern, false, self.cfg);
+        let op = StreamOp::resolve(self.pattern, false, self.cfg)?;
         let [ls, rs] = &self.sides;
         let mut emit = |chunk: Vec<Item>| {
             for x in chunk {
@@ -349,7 +344,7 @@ impl HeldJoin {
             Ok(true)
         };
         let (xs, ys) = (ls.items(l), rs.items(r));
-        let (report, _) = op.semijoin(None, xs, ys, &mut ExecStats::default(), &mut emit)?;
+        let report = op.semijoin(xs, ys, &mut ExecStats::default(), &mut emit)?;
         Ok(report.max_workspace())
     }
 

@@ -16,7 +16,7 @@
 //! ([`wire::Frame::Push`]) whenever any client's ingest finalizes rows —
 //! two terminals pointed at the same server observe one live catalog.
 //!
-//! Per-connection planner settings (`\set parallelism`, `\set limit`,
+//! Per-connection planner settings (`\set batch`, `\set limit`,
 //! `\config`, `\explain`) stay with the connection; the catalog and live
 //! subsystem are shared. Slow subscribers get a bounded push queue and
 //! are disconnected (their subscriptions cancelled) rather than allowed

@@ -33,8 +33,9 @@ use tdb_engine::{DeltaFrame, QueryReport, QueryTrailer, Response};
 /// references into a table local to the list; version 5 names each
 /// subscription's mode in the live status; version 6 drops the ingest
 /// queue's stall count, depth and capacity from the live status and the
-/// live telemetry.
-pub const PROTOCOL_VERSION: u8 = 6;
+/// live telemetry; version 7 drops the partition count from each
+/// operator span of a query trace.
+pub const PROTOCOL_VERSION: u8 = 7;
 
 /// Hard ceiling on a frame's declared payload length. A corrupt or
 /// hostile length prefix fails fast instead of driving a giant

@@ -21,8 +21,6 @@ pub struct OpSpan {
     /// `ContainJoin(TS↑/TE↑)`), or the executor node name for
     /// instrumented non-temporal operators.
     pub operator: String,
-    /// Partition fan-out: 1 for a serial run, k under a parallel driver.
-    pub partitions: u64,
     /// Tuples read from both inputs.
     pub rows_in: u64,
     /// Tuples (or pairs) emitted.

@@ -25,7 +25,9 @@ pub struct RelationMeta {
     pub name: String,
     /// Schema including the designated timestamp columns.
     pub schema: TemporalSchema,
-    /// Heap file path, relative to the catalog directory.
+    /// Heap file path, relative to the catalog directory: `{name}.{g}.heap`
+    /// for the relation's `g`-th load (`{name}.heap` in catalogs written
+    /// before loads were generational).
     pub file: String,
     /// Row count.
     pub rows: usize,
@@ -236,6 +238,39 @@ impl Tail {
     }
 }
 
+/// The heap file a load of `name` writes: the generation after the one
+/// in `current` (the file the manifest names now), so a load never
+/// rewrites a committed file in place.
+fn next_heap_file(name: &str, current: Option<&str>) -> String {
+    let generation = current
+        .and_then(|f| {
+            f.strip_prefix(name)?
+                .strip_prefix('.')?
+                .strip_suffix(".heap")
+        })
+        .and_then(|g| g.parse::<u64>().ok())
+        .map_or(1, |g| g + 1);
+    format!("{name}.{generation}.heap")
+}
+
+/// Delete every `*.heap` file in `dir` that no relation of the manifest
+/// names.
+fn sweep_heaps(dir: &Path, relations: &BTreeMap<String, RelationMeta>) -> TdbResult<()> {
+    let named: Vec<&str> = relations.values().map(|m| m.file.as_str()).collect();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let orphan = path.extension().is_some_and(|e| e == "heap")
+            && path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| !named.contains(&n));
+        if orphan {
+            std::fs::remove_file(&path)?;
+        }
+    }
+    Ok(())
+}
+
 /// A directory-backed catalog of temporal relations.
 pub struct Catalog {
     dir: PathBuf,
@@ -253,7 +288,9 @@ pub struct Catalog {
 impl Catalog {
     const MANIFEST: &'static str = "catalog.json";
 
-    /// Open (or initialize) a catalog in `dir`.
+    /// Open (or initialize) a catalog in `dir`. Heap files the manifest
+    /// does not name are deleted: a load that died before its manifest
+    /// rename, or the file a committed load replaced.
     pub fn open(dir: impl AsRef<Path>, io: IoStats) -> TdbResult<Catalog> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -262,11 +299,14 @@ impl Catalog {
             let text = std::fs::read_to_string(&manifest)?;
             let doc = Json::parse(&text)
                 .map_err(|e| TdbError::Corrupt(format!("catalog manifest: {e}")))?;
-            doc.as_object()
+            let relations = doc
+                .as_object()
                 .ok_or_else(|| corrupt("top level must be an object"))?
                 .iter()
                 .map(|(name, meta)| Ok((name.clone(), RelationMeta::from_json(meta)?)))
-                .collect::<TdbResult<BTreeMap<_, _>>>()?
+                .collect::<TdbResult<BTreeMap<_, _>>>()?;
+            sweep_heaps(&dir, &relations)?;
+            relations
         } else {
             BTreeMap::new()
         };
@@ -365,6 +405,11 @@ impl Catalog {
     /// Create (or replace) a relation from rows, validating every row
     /// against the schema and recording statistics.
     ///
+    /// The rows go to a fresh generation of the relation's heap file
+    /// (synced when durable), and the manifest rename commits the load:
+    /// a crash before it reopens the previous rows, one after it the new
+    /// ones. The replaced file is deleted once the rename is done.
+    ///
     /// `known_orders` documents orderings the caller guarantees the row
     /// sequence satisfies; they are verified here so the optimizer can trust
     /// them later.
@@ -389,7 +434,8 @@ impl Catalog {
             }
         }
 
-        let file = format!("{name}.heap");
+        let replaced = self.relations.get(name).map(|m| m.file.clone());
+        let file = next_heap_file(name, replaced.as_deref());
         let mut heap = HeapFile::create(self.dir.join(&file), self.io.clone())?;
         for row in rows {
             heap.append(row)?;
@@ -414,7 +460,11 @@ impl Catalog {
                 pages,
             },
         );
-        self.persist()
+        self.persist()?;
+        if let Some(replaced) = replaced {
+            let _ = std::fs::remove_file(self.dir.join(replaced));
+        }
+        Ok(())
     }
 
     /// Append rows to an existing relation, preserving its claimed sort
@@ -716,7 +766,7 @@ mod tests {
         cat.append_rows("R", &[at(5, 6)]).unwrap();
         let files = || {
             (
-                std::fs::read(dir.join("R.heap")).unwrap(),
+                std::fs::read(dir.join("R.1.heap")).unwrap(),
                 std::fs::read(dir.join(Catalog::MANIFEST)).unwrap(),
             )
         };
@@ -778,6 +828,34 @@ mod tests {
     }
 
     #[test]
+    fn reloads_write_a_fresh_generation_and_legacy_heaps_still_open() {
+        let dir = tmpdir("generations");
+        let (schema, rows) = faculty_rows();
+        let mut cat = Catalog::open(&dir, IoStats::new()).unwrap();
+        cat.create_relation("Faculty", schema.clone(), &rows, vec![])
+            .unwrap();
+        // A manifest from before generational loads names `Faculty.heap`.
+        std::fs::rename(dir.join("Faculty.1.heap"), dir.join("Faculty.heap")).unwrap();
+        let manifest = dir.join(Catalog::MANIFEST);
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        std::fs::write(&manifest, text.replace("Faculty.1.heap", "Faculty.heap")).unwrap();
+        std::fs::write(dir.join("Faculty.7.heap"), b"orphan").unwrap();
+        let mut cat = Catalog::open(&dir, IoStats::new()).unwrap();
+        assert_eq!(cat.scan("Faculty").unwrap(), rows);
+        assert!(!dir.join("Faculty.7.heap").exists(), "unnamed heap swept");
+        cat.create_relation("Faculty", schema.clone(), &rows[..3], vec![])
+            .unwrap();
+        assert_eq!(cat.meta("Faculty").unwrap().file, "Faculty.1.heap");
+        assert!(!dir.join("Faculty.heap").exists());
+        cat.create_relation("Faculty", schema, &rows[..2], vec![])
+            .unwrap();
+        assert_eq!(cat.meta("Faculty").unwrap().file, "Faculty.2.heap");
+        assert!(!dir.join("Faculty.1.heap").exists());
+        let cat = Catalog::open(&dir, IoStats::new()).unwrap();
+        assert_eq!(cat.scan("Faculty").unwrap(), rows[..2]);
+    }
+
+    #[test]
     fn drop_removes_relation_and_file() {
         let dir = tmpdir("e");
         let mut cat = Catalog::open(&dir, IoStats::new()).unwrap();
@@ -786,7 +864,7 @@ mod tests {
             .unwrap();
         cat.drop_relation("Faculty").unwrap();
         assert!(cat.meta("Faculty").is_err());
-        assert!(!dir.join("Faculty.heap").exists());
+        assert!(!dir.join("Faculty.1.heap").exists());
         assert!(cat.drop_relation("Faculty").is_err());
     }
 }

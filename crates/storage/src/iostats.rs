@@ -1,7 +1,7 @@
 //! Shared I/O counters.
 //!
-//! Every component that touches the disk (heap files, buffer pool, run
-//! files, the external sorter) increments a shared [`IoStats`] handle, so an
+//! Every component that touches the disk (heap files, run files, the
+//! external sorter) increments a shared [`IoStats`] handle, so an
 //! experiment can report exactly how many page reads/writes a plan cost —
 //! the "number of disk accesses" axis of the paper's Section 4.1 tradeoff.
 
@@ -15,8 +15,6 @@ struct Counters {
     pages_written: AtomicU64,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
-    buffer_hits: AtomicU64,
-    buffer_misses: AtomicU64,
 }
 
 /// A cheaply cloneable handle onto shared I/O counters.
@@ -36,10 +34,6 @@ pub struct IoSnapshot {
     pub bytes_read: u64,
     /// Bytes written to disk.
     pub bytes_written: u64,
-    /// Buffer-pool hits.
-    pub buffer_hits: u64,
-    /// Buffer-pool misses (each implies a page read).
-    pub buffer_misses: u64,
 }
 
 impl IoStats {
@@ -60,16 +54,6 @@ impl IoStats {
         self.inner.bytes_written.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Record a buffer-pool hit.
-    pub fn record_hit(&self) {
-        self.inner.buffer_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a buffer-pool miss.
-    pub fn record_miss(&self) {
-        self.inner.buffer_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Snapshot the current counter values.
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
@@ -77,8 +61,6 @@ impl IoStats {
             pages_written: self.inner.pages_written.load(Ordering::Relaxed),
             bytes_read: self.inner.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.inner.bytes_written.load(Ordering::Relaxed),
-            buffer_hits: self.inner.buffer_hits.load(Ordering::Relaxed),
-            buffer_misses: self.inner.buffer_misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -91,8 +73,6 @@ impl IoSnapshot {
             pages_written: self.pages_written - earlier.pages_written,
             bytes_read: self.bytes_read - earlier.bytes_read,
             bytes_written: self.bytes_written - earlier.bytes_written,
-            buffer_hits: self.buffer_hits - earlier.buffer_hits,
-            buffer_misses: self.buffer_misses - earlier.buffer_misses,
         }
     }
 }
@@ -101,13 +81,8 @@ impl fmt::Display for IoSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "read {} pages ({} B), wrote {} pages ({} B), buffer {}/{} hit/miss",
-            self.pages_read,
-            self.bytes_read,
-            self.pages_written,
-            self.bytes_written,
-            self.buffer_hits,
-            self.buffer_misses
+            "read {} pages ({} B), wrote {} pages ({} B)",
+            self.pages_read, self.bytes_read, self.pages_written, self.bytes_written
         )
     }
 }
@@ -122,14 +97,10 @@ mod tests {
         s.record_read(4096);
         s.record_read(4096);
         s.record_write(8192);
-        s.record_hit();
-        s.record_miss();
         let snap = s.snapshot();
         assert_eq!(snap.pages_read, 2);
         assert_eq!(snap.bytes_read, 8192);
         assert_eq!(snap.pages_written, 1);
-        assert_eq!(snap.buffer_hits, 1);
-        assert_eq!(snap.buffer_misses, 1);
     }
 
     #[test]

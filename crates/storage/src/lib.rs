@@ -7,7 +7,6 @@
 //! than an assumed one:
 //!
 //! * slotted [`page::Page`]s and on-disk [`heap::HeapFile`]s,
-//! * an LRU [`buffer::BufferPool`] with pin/unpin semantics,
 //! * sequential sorted [`run::RunWriter`]/[`run::RunReader`] files,
 //! * an [`sort::ExternalSorter`] (in-memory runs + k-way merge) that
 //!   produces the "properly sorted" streams every Section 4 operator
@@ -16,7 +15,6 @@
 //! * [`iostats::IoStats`] counters so experiments can report passes and
 //!   page I/O exactly.
 
-pub mod buffer;
 pub mod catalog;
 pub mod codec;
 pub mod heap;
@@ -25,7 +23,6 @@ pub mod page;
 pub mod run;
 pub mod sort;
 
-pub use buffer::BufferPool;
 pub use catalog::{Catalog, RelationMeta};
 pub use codec::Codec;
 pub use heap::HeapFile;

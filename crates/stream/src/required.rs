@@ -34,7 +34,8 @@ pub struct OrderRequirement {
     /// The Table 1/2/3 entry (or section) this precondition comes from.
     pub table_entry: &'static str,
     /// Whether the operator's predicate is intersection-witnessed and may
-    /// therefore run under `PhysicalPlan::Parallel` with fringe replication
+    /// therefore run under the time-partitioned drivers of
+    /// [`crate::partition`] with fringe replication
     /// (Before/After are not: a match carries no shared time point, so no
     /// partition owns it).
     pub partition_safe: bool,

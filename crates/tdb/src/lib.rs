@@ -12,14 +12,14 @@
 //!
 //! * [`core`] — time points, periods, Allen relations, tuples, schemas,
 //!   sort orders, statistics;
-//! * [`storage`] — slotted pages, heap files, buffer pool, external merge
-//!   sort, catalog, I/O accounting;
+//! * [`storage`] — slotted pages, heap files, external merge sort,
+//!   catalog, I/O accounting;
 //! * [`stream`] — the stream operators: push kernels with instrumented
 //!   workspaces, run through one dispatch (the reference definitions they
 //!   are checked against are the separate `tdb-oracle` crate);
 //! * [`algebra`] — logical/physical plans, rewrites, planner, executor;
-//! * [`analyze`] — the plan-time static verifier: sort-order inference,
-//!   workspace-bound proofs, partition safety;
+//! * [`analyze`] — the plan-time static verifier: sort-order inference
+//!   and workspace-bound proofs;
 //! * [`live`] — bounded live ingestion with watermark-driven finality and
 //!   verified standing queries;
 //! * [`wal`] — write-ahead logging and checkpointed recovery for live

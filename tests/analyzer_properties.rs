@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use tdb::algebra::logical::FACULTY_ATTRS;
-use tdb::analyze::{check_op, check_parallel, lower_plan, verify, AnalyzeConfig};
+use tdb::analyze::{check_op, lower_plan, verify, AnalyzeConfig};
 use tdb::prelude::*;
 use tdb::stream::StreamOpKind;
 
@@ -49,9 +49,9 @@ fn logical(shape: usize, semijoin: bool) -> LogicalPlan {
     }
 }
 
-fn planner_config(variant: usize, k: usize) -> PlannerConfig {
+fn planner_config(variant: usize) -> PlannerConfig {
     match variant {
-        0 => PlannerConfig::stream().with_parallelism(k),
+        0 => PlannerConfig::stream(),
         1 => PlannerConfig::conventional(),
         _ => PlannerConfig::naive(),
     }
@@ -61,15 +61,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Soundness of the planner w.r.t. the verifier: no emitted plan is
-    /// rejected, for any predicate shape × planner variant × parallelism.
+    /// rejected, for any predicate shape × planner variant.
     #[test]
     fn analyzer_accepts_every_planner_emitted_plan(
         shape in 0usize..5,
         semijoin in proptest::bool::ANY,
         variant in 0usize..3,
-        k in 1usize..=8,
     ) {
-        let physical = tdb::algebra::plan(&logical(shape, semijoin), planner_config(variant, k))
+        let physical = tdb::algebra::plan(&logical(shape, semijoin), planner_config(variant))
             .expect("planner must handle every shape");
         let result = verify(&physical, None, &AnalyzeConfig::default());
         prop_assert!(
@@ -85,11 +84,10 @@ proptest! {
     fn analyzer_rejects_every_spec_mutation(
         shape in 0usize..5,
         semijoin in proptest::bool::ANY,
-        k in 1usize..=8,
         which_op in 0usize..8,
         which_mutation in 0usize..8,
     ) {
-        let physical = tdb::algebra::plan(&logical(shape, semijoin), planner_config(0, k)).unwrap();
+        let physical = tdb::algebra::plan(&logical(shape, semijoin), planner_config(0)).unwrap();
         let lowered = lower_plan(&physical, None);
         prop_assert!(!lowered.ops.is_empty(), "stream planner emitted no stream ops");
         let spec = &lowered.ops[which_op % lowered.ops.len()];
@@ -134,34 +132,6 @@ proptest! {
         prop_assert!(
             err.is_err(),
             "mutation survived the checker: {mutated:?}"
-        );
-    }
-
-    /// Parallel-driver mutations: child-kind and partition-count
-    /// perturbations of a planner-emitted Parallel node are all rejected.
-    #[test]
-    fn analyzer_rejects_every_parallel_mutation(
-        shape in 0usize..3, // intersection-witnessed shapes only
-        k in 2usize..=8,
-        which_mutation in 0usize..2,
-    ) {
-        let physical = tdb::algebra::plan(&logical(shape, false), planner_config(0, k)).unwrap();
-        let lowered = lower_plan(&physical, None);
-        prop_assert!(
-            !lowered.parallels.is_empty(),
-            "stream planner with k={k} must emit a Parallel driver"
-        );
-        let spec = &lowered.parallels[0];
-        prop_assert!(check_parallel(spec).is_ok(), "pre-mutation spec must verify");
-
-        let mut mutated = spec.clone();
-        match which_mutation {
-            0 => mutated.child = Some(StreamOpKind::BeforeJoin),
-            _ => mutated.partitions = 0,
-        }
-        prop_assert!(
-            check_parallel(&mutated).is_err(),
-            "parallel mutation survived the checker: {mutated:?}"
         );
     }
 }

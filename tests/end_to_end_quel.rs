@@ -185,3 +185,144 @@ fn coalesce_and_timeslice_compose_with_query_results() {
     assert_eq!(at_mid, direct);
     assert!(at_mid > 0);
 }
+
+/// Relations `X` and `Y` of `n` Poisson intervals each (mean gap 3, mean
+/// duration 8, seeds 1 and 2), their rows named `x0…`, `y0…`.
+fn xy_catalog(tag: &str, n: usize) -> (Catalog, [Vec<(String, Period)>; 2]) {
+    let dir = std::env::temp_dir().join(format!("tdb-e2e-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut catalog = Catalog::open(&dir, IoStats::new()).unwrap();
+    let sides = [("X", "x", 1), ("Y", "y", 2)].map(|(relation, prefix, seed)| {
+        let side: Vec<(String, Period)> = IntervalGen::poisson(n, 3.0, 8.0, seed)
+            .generate()
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (format!("{prefix}{i}"), t.period()))
+            .collect();
+        let rows: Vec<Row> = side
+            .iter()
+            .map(|(name, p)| {
+                Row::new(vec![
+                    Value::str(name),
+                    Value::str(""),
+                    Value::Time(p.start()),
+                    Value::Time(p.end()),
+                ])
+            })
+            .collect();
+        let schema = TemporalSchema::time_sequence("Name", "Rank");
+        catalog
+            .create_relation(relation, schema, &rows, vec![])
+            .unwrap();
+        side
+    });
+    (catalog, sides)
+}
+
+/// One directed form of an Allen relation (`None`: the general overlap)
+/// as a join of `a` over `X` with `b` over `Y`: `(a op b)`, or `(b op a)`
+/// when `flipped`.
+struct AllenJoin {
+    text: String,
+    rel: Option<AllenRelation>,
+    flipped: bool,
+}
+
+impl AllenJoin {
+    /// Must the join return the pair `(a, b)`?
+    fn holds(&self, pa: &Period, pb: &Period) -> bool {
+        let (x, y) = if self.flipped { (pb, pa) } else { (pa, pb) };
+        match self.rel {
+            Some(rel) => AllenRelation::classify(x, y) == rel,
+            None => x.start() < y.end() && y.start() < x.end(),
+        }
+    }
+}
+
+/// Every directed form of the 13 Allen relations and the general overlap.
+fn allen_joins() -> Vec<AllenJoin> {
+    let ops = [
+        ("before", Some(AllenRelation::Before)),
+        ("after", Some(AllenRelation::After)),
+        ("meets", Some(AllenRelation::Meets)),
+        ("overlaps", Some(AllenRelation::Overlaps)),
+        ("during", Some(AllenRelation::During)),
+        ("contains", Some(AllenRelation::Contains)),
+        ("starts", Some(AllenRelation::Starts)),
+        ("finishes", Some(AllenRelation::Finishes)),
+        ("equal", Some(AllenRelation::Equal)),
+        ("overlap", None),
+    ];
+    ops.into_iter()
+        .flat_map(|(op, rel)| {
+            [false, true].map(|flipped| {
+                let (l, r) = if flipped { ("b", "a") } else { ("a", "b") };
+                AllenJoin {
+                    text: format!(
+                        "range of a is X range of b is Y retrieve (P=a.Name, Q=b.Name) \
+                         where ({l} {op} {r})"
+                    ),
+                    rel,
+                    flipped,
+                }
+            })
+        })
+        .collect()
+}
+
+fn stream_plan(catalog: &Catalog, text: &str) -> PhysicalPlan {
+    let (logical, _) = compile(text, catalog).unwrap();
+    plan(&conventional_optimize(logical), PlannerConfig::stream()).unwrap()
+}
+
+/// Each relation either streams or merges on the endpoint its equality
+/// pins: `a meets b` is a merge on `a.ValidTo = b.ValidFrom`, `b overlaps
+/// a` the strict overlap kernel with its sides swapped.
+#[test]
+fn every_allen_relation_plans_without_a_nested_loop() {
+    let (catalog, _) = xy_catalog("allen-plans", 10);
+    for AllenJoin { text, .. } in allen_joins() {
+        let explain = stream_plan(&catalog, &text).explain();
+        assert!(
+            !explain.contains("NestedLoop") && !explain.contains("Product"),
+            "{text}\n{explain}"
+        );
+        assert!(
+            explain.contains("StreamTemporalJoin") || explain.contains("MergeEquiJoin"),
+            "{text}\n{explain}"
+        );
+    }
+}
+
+/// At scale every directed form answers exactly the nested loop's pairs
+/// in comparisons linear in its input and output.
+#[test]
+fn every_allen_relation_joins_in_linear_comparisons() {
+    let n = 600;
+    let (catalog, [xs, ys]) = xy_catalog("allen-scale", n);
+    for join in allen_joins() {
+        let text = &join.text;
+        let out = stream_plan(&catalog, text)
+            .execute(&catalog, ExecOptions::default())
+            .unwrap();
+        let mut got: Vec<String> = out.rows.iter().map(|r| r.to_string()).collect();
+        let mut want: Vec<String> = xs
+            .iter()
+            .flat_map(|(a, pa)| {
+                ys.iter()
+                    .filter(|(_, pb)| join.holds(pa, pb))
+                    .map(move |(b, _)| Row::new(vec![Value::str(a), Value::str(b)]).to_string())
+            })
+            .collect();
+        got.sort();
+        want.sort();
+        assert_eq!(got, want, "{text}");
+        let bound = 2 * (2 * n + want.len()) as u64;
+        assert!(
+            out.stats.comparisons <= bound,
+            "{text}: {} comparisons for {} pairs, over {bound}",
+            out.stats.comparisons,
+            want.len()
+        );
+    }
+}

@@ -10,8 +10,8 @@
 //! strictly below the maximum key seen). Covered: containment, during,
 //! general-overlap and Allen-overlaps joins and the containment semijoin,
 //! which keep their held tuples between epochs, plus a Before semijoin,
-//! which re-evaluates — serial and with K = 4 time-range
-//! partitions; subscribing before any data and after rows were promoted;
+//! which re-evaluates; subscribing before any data and after rows were
+//! promoted;
 //! both relations live, or a live `X` against a static `Y`. A steady
 //! stream checks that the held state stays bounded, and epochs the live
 //! verifier rejects after promotion must lose no rows. A Contain-join
@@ -117,13 +117,12 @@ fn batch(
     multiset(&physical.execute(&cat, ExecOptions::default()).unwrap().rows)
 }
 
-fn run_case(raw_x: &[(i64, i64)], raw_y: &[(i64, i64)], chunk: usize, k: usize, case: Case) {
+fn run_case(raw_x: &[(i64, i64)], raw_y: &[(i64, i64)], chunk: usize, case: Case) {
     let seq = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let root =
-        std::env::temp_dir().join(format!("tdb-live-equiv-{}-{seq}-k{k}", std::process::id()));
+    let root = std::env::temp_dir().join(format!("tdb-live-equiv-{}-{seq}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 
-    let config = PlannerConfig::stream().with_parallelism(k);
+    let config = PlannerConfig::stream();
     let x_rows = rows("x", raw_x);
     let y_rows = rows("y", raw_y);
     let mut catalog = Catalog::open(root.join("cat"), IoStats::new()).unwrap();
@@ -219,7 +218,7 @@ fn run_case(raw_x: &[(i64, i64)], raw_y: &[(i64, i64)], chunk: usize, k: usize, 
             assert_eq!(
                 emitted[s],
                 expect,
-                "{label} (K={k}, {case:?}): live deltas diverge from batch over closed prefix \
+                "{label} ({case:?}): live deltas diverge from batch over closed prefix \
                  ({} X rows, {} Y rows, sealed={sealed})",
                 px.len(),
                 py.len()
@@ -250,11 +249,9 @@ proptest! {
         chunk in 1usize..6,
         subscribe_after in 0usize..3,
     ) {
-        for k in [1usize, 4] {
-            run_case(&raw_x, &raw_y, chunk, k, Case::default());
-        }
-        run_case(&raw_x, &raw_y, chunk, 1, Case { subscribe_after, static_y: false });
-        run_case(&raw_x, &raw_y, chunk, 1, Case { subscribe_after, static_y: true });
+        run_case(&raw_x, &raw_y, chunk, Case::default());
+        run_case(&raw_x, &raw_y, chunk, Case { subscribe_after, static_y: false });
+        run_case(&raw_x, &raw_y, chunk, Case { subscribe_after, static_y: true });
     }
 }
 
@@ -262,7 +259,7 @@ proptest! {
 fn duplicate_result_rows_are_emitted_with_multiplicity() {
     // Two identical Y intervals inside one X interval: the contain join
     // must emit the duplicate pair twice across the stream's lifetime.
-    run_case(&[(0, 30)], &[(2, 5), (0, 5)], 1, 1, Case::default());
+    run_case(&[(0, 30)], &[(2, 5), (0, 5)], 1, Case::default());
 }
 
 #[test]

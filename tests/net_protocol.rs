@@ -100,7 +100,6 @@ fn sample_trace(n: u64, name: &str) -> QueryTrace {
         ],
         spans: vec![OpSpan {
             operator: format!("ContainJoin {name}"),
-            partitions: n % 4 + 1,
             rows_in: n,
             rows_out: n / 2,
             comparisons: n.wrapping_mul(5),
@@ -311,6 +310,8 @@ proptest! {
         // with the correlation id intact.
         let mut wire = bytes::BytesMut::new();
         Frame::Reply { query_id: n, response: Box::new(resp.clone()) }.encode(&mut wire);
+        // The frame speaks protocol version 7.
+        prop_assert_eq!(wire[4], 7);
         let mut reader = FrameReader::new();
         let mut src = std::io::Cursor::new(wire.to_vec());
         match reader.read(&mut src).unwrap() {

@@ -3,10 +3,10 @@
 //!
 //! Two workloads mirror the benchmark suite:
 //!
-//! * **E15-style** — a Poisson interval relation driven through the
-//!   contain-join, serial and time-partitioned. Every traced operator
-//!   span must observe a workspace peak at or below the analyzer's
-//!   proven cap, next to the paper's λ·E\[D\] expectation.
+//! * **Query** — a Poisson interval relation driven through the
+//!   contain-join. Every traced operator span must observe a workspace
+//!   peak at or below the analyzer's proven cap, next to the paper's
+//!   λ·E\[D\] expectation.
 //! * **Live** — live ingestion with a standing contain-join
 //!   subscription. The subscription's workspace watermark must stay
 //!   under its plan-time cap, so the engine-wide `cap_exceeded`
@@ -27,7 +27,7 @@ const CONTAIN: &str = "range of a is T range of b is T retrieve (P=a.Id, Q=b.Id)
                        where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo";
 
 #[test]
-fn observed_workspace_stays_within_proven_caps_serial_and_parallel() {
+fn observed_workspace_stays_within_proven_caps() {
     let mut e = engine("e15");
     let mut ctx = ClientState {
         trace: true,
@@ -36,45 +36,39 @@ fn observed_workspace_stays_within_proven_caps_serial_and_parallel() {
     let resp = e.execute(&mut ctx, "\\gen intervals T 2000 3 10 7");
     assert!(!matches!(resp, Response::Error(_)), "{resp:?}");
 
-    for parallelism in [1u64, 4] {
-        let resp = e.execute(&mut ctx, &format!("\\set parallelism {parallelism}"));
-        assert!(!matches!(resp, Response::Error(_)), "{resp:?}");
-        let resp = e.execute(&mut ctx, CONTAIN);
-        let Response::Query(q) = resp else {
-            panic!("expected a query report, got {resp:?}");
-        };
-        let trace = q.trace.expect("\\trace on attaches the trace");
-        assert_eq!(
-            trace.rows, q.rows.total,
-            "trace row count mirrors the result"
-        );
-        let span = trace
-            .spans
-            .iter()
-            .find(|s| s.operator.contains("ContainJoin"))
-            .unwrap_or_else(|| panic!("no contain-join span in {:?}", trace.spans));
-        assert_eq!(span.partitions, parallelism, "{span:?}");
-        let cap = span
-            .predicted_cap
-            .expect("the analyzer proves a workspace cap for the contain join");
-        assert!(
-            span.workspace_peak <= cap,
-            "K={parallelism}: observed workspace peak {} exceeds the proven cap {cap} — \
-             verifier soundness bug",
-            span.workspace_peak
-        );
-        let expectation = span
-            .predicted_expectation
-            .expect("plan-time statistics yield a λ·E[D] expectation");
-        assert!(
-            expectation.is_finite() && expectation > 0.0,
-            "λ·E[D] must be a positive finite figure, got {expectation}"
-        );
-        assert!(!span.cap_exceeded());
-    }
+    let resp = e.execute(&mut ctx, CONTAIN);
+    let Response::Query(q) = resp else {
+        panic!("expected a query report, got {resp:?}");
+    };
+    let trace = q.trace.expect("\\trace on attaches the trace");
+    assert_eq!(
+        trace.rows, q.rows.total,
+        "trace row count mirrors the result"
+    );
+    let span = trace
+        .spans
+        .iter()
+        .find(|s| s.operator.contains("ContainJoin"))
+        .unwrap_or_else(|| panic!("no contain-join span in {:?}", trace.spans));
+    let cap = span
+        .predicted_cap
+        .expect("the analyzer proves a workspace cap for the contain join");
+    assert!(
+        span.workspace_peak <= cap,
+        "observed workspace peak {} exceeds the proven cap {cap} — verifier soundness bug",
+        span.workspace_peak
+    );
+    let expectation = span
+        .predicted_expectation
+        .expect("plan-time statistics yield a λ·E[D] expectation");
+    assert!(
+        expectation.is_finite() && expectation > 0.0,
+        "λ·E[D] must be a positive finite figure, got {expectation}"
+    );
+    assert!(!span.cap_exceeded());
 
     let report = e.stats_report();
-    assert_eq!(report.queries, 2, "{report:?}");
+    assert_eq!(report.queries, 1, "{report:?}");
     assert_eq!(
         report.cap_exceeded, 0,
         "no query may exceed a proven cap: {report:?}"

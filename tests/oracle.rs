@@ -5,7 +5,7 @@
 //! [`AllenRelation::classify`] ([`tdb_oracle::nested_loop_join`]). One
 //! generator ([`cases`]) draws the configuration space; [`check_kernels`]
 //! runs every stream kernel and partitioned pattern on each case, and
-//! [`check_plans`] every planner config × batch size × K × sink. The
+//! [`check_plans`] every planner config × batch size × sink. The
 //! catalog, a live engine after seal and a durable engine recovered from
 //! its WAL must agree; every general-overlap join is also checked for
 //! **snapshot reducibility** against `timeslice`.
@@ -23,7 +23,7 @@ use tdb_net::WireSink;
 use tdb_oracle::{nested_loop_join, timeslice};
 use wire::{decode_frames, reply_chunks};
 
-/// Cases each property runs (a plan case runs 72 plans; a source case
+/// Cases each property runs (a plan case runs 36 plans; a source case
 /// opens two engines, one durable).
 const KERNEL_CASES: u32 = 48;
 const PLAN_CASES: u32 = 32;
@@ -499,8 +499,8 @@ fn check_kernels(case: &Case) {
                 &BATCH_SIZES,
                 |rows| run_kind(kind, entry, cfg.with_batch_rows(rows), &xs, &ys),
             );
-            // Partitioned: the two-input kinds the executor may fan out,
-            // under the read policy it runs them with.
+            // Partitioned: the two-input kinds the partitioned drivers
+            // accept, under the executor's read policy.
             let partitioned = kind.requirement().partition_safe
                 && entry != Entry::SelfSemijoin
                 && cfg.policy == OpConfig::new().policy;
@@ -642,12 +642,11 @@ fn check_plans(case: &Case) {
         ("conventional", PlannerConfig::conventional()),
         ("naive", PlannerConfig::naive()),
     ];
-    for ((label, config), k) in configs.into_iter().flat_map(|c| PARTITIONS.map(|k| (c, k))) {
+    for (label, config) in configs {
         let mut first = None;
         for batch_rows in BATCH_SIZES {
-            let physical =
-                plan(&q, config.with_parallelism(k).with_batch_rows(batch_rows)).unwrap();
-            let what = format!("{label} K={k} batch {batch_rows}");
+            let physical = plan(&q, config.with_batch_rows(batch_rows)).unwrap();
+            let what = format!("{label} batch {batch_rows}");
             let (rows, [out, counted, wired]) =
                 check_sinks(&physical, &stored.catalog, batch_rows, &expected, &what);
             if label != "stream" {

@@ -1,7 +1,7 @@
 //! Chunked wire streaming through the engine and the server.
 //!
 //! The plan-level sink contract — collect, count, limit and wire sinks
-//! giving one answer at every batch size and parallelism — is checked
+//! giving one answer at every batch size — is checked
 //! against the nested-loop oracle by `tests/oracle.rs`. Here:
 //!
 //! 1. **Engine-level wire sink** — through `Engine::execute_into` a
@@ -27,7 +27,6 @@ use tdb_net::{serve, Client, NetConfig, StreamEvent, WireSink, CHUNK_BYTES};
 use wire::{decode_frames, reply_chunks};
 
 const BATCHES: [usize; 3] = [1, 64, 1024];
-const PARALLELISM: [usize; 2] = [1, 4];
 
 /// Where the server's framing cuts `rows`: a chunk is full once its
 /// `row_bytes` reach the budget.
@@ -170,60 +169,57 @@ fn engine_streams_a_large_join_through_the_wire_sink() {
 /// (`WireSink`): both deliver the unlimited result's prefix — the wire's
 /// chunks cut where the reference framing cuts it — offer the same rows,
 /// and count as `sink_bytes` the `row_bytes` of the offered prefix;
-/// across batch sizes {1, 64, 1024} × parallelism {1, 4}.
+/// across batch sizes {1, 64, 1024}.
 #[test]
 fn limit_cuts_a_batch_of_matches_part_way() {
     // More than one chunk's worth of rows, and not a batch boundary.
     const LIMIT: usize = 200_001;
     let (mut engine, dir) = large_join_engine("limit");
     let mut cut_part_way = 0;
-    for parallelism in PARALLELISM {
-        let mut ctx = ClientState {
-            row_limit: usize::MAX,
-            trace: true,
-            ..ClientState::default()
+    let mut ctx = ClientState {
+        row_limit: usize::MAX,
+        trace: true,
+        ..ClientState::default()
+    };
+    let Response::Query(full) = engine.execute(&mut ctx, LARGE_JOIN) else {
+        panic!("unlimited run failed");
+    };
+    let prefix = &full.rows.rows[..LIMIT];
+    ctx.row_limit = LIMIT;
+    for batch_rows in BATCHES {
+        let label = format!("batch={batch_rows}");
+        ctx.config.batch_rows = batch_rows;
+        let Response::Query(collected) = engine.execute(&mut ctx, LARGE_JOIN) else {
+            panic!("collecting run failed ({label})");
         };
-        ctx.config.parallelism = parallelism;
-        let Response::Query(full) = engine.execute(&mut ctx, LARGE_JOIN) else {
-            panic!("unlimited run failed");
+        let mut wire = Vec::new();
+        let mut sink = WireSink::new(|_, frame| wire.push(frame));
+        let resp = engine.execute_into(&mut ctx, LARGE_JOIN, &mut sink);
+        let Response::Query(streamed) = resp.clone() else {
+            panic!("streamed run failed ({label}): {resp:?}");
         };
-        let prefix = &full.rows.rows[..LIMIT];
-        ctx.row_limit = LIMIT;
-        for batch_rows in BATCHES {
-            let label = format!("batch={batch_rows} k={parallelism}");
-            ctx.config.batch_rows = batch_rows;
-            let Response::Query(collected) = engine.execute(&mut ctx, LARGE_JOIN) else {
-                panic!("collecting run failed ({label})");
-            };
-            let mut wire = Vec::new();
-            let mut sink = WireSink::new(|_, frame| wire.push(frame));
-            let resp = engine.execute_into(&mut ctx, LARGE_JOIN, &mut sink);
-            let Response::Query(streamed) = resp.clone() else {
-                panic!("streamed run failed ({label}): {resp:?}");
-            };
-            sink.complete(resp);
+        sink.complete(resp);
 
-            assert_eq!(collected.rows.rows, prefix, "{label}");
-            let chunks = reply_chunks(&decode_frames(&wire));
-            assert!(chunks.len() >= 2, "{label}");
-            assert_eq!(chunks, reference_cut(prefix), "{label}");
+        assert_eq!(collected.rows.rows, prefix, "{label}");
+        let chunks = reply_chunks(&decode_frames(&wire));
+        assert!(chunks.len() >= 2, "{label}");
+        assert_eq!(chunks, reference_cut(prefix), "{label}");
 
-            let offered = collected.rows.total;
-            assert_eq!(streamed.rows.total, offered, "{label}");
-            assert!(
-                offered >= LIMIT as u64 && offered < full.rows.total,
-                "{label}"
-            );
-            cut_part_way += usize::from(offered > LIMIT as u64);
-            let bytes: u64 = full.rows.rows[..offered as usize]
-                .iter()
-                .map(tdb::stream::row_bytes)
-                .sum();
-            for trace in [collected.trace, streamed.trace] {
-                let trace = trace.expect("trace on");
-                assert_eq!(trace.sink_rows, LIMIT as u64, "{label}");
-                assert_eq!(trace.sink_bytes, bytes, "{label}");
-            }
+        let offered = collected.rows.total;
+        assert_eq!(streamed.rows.total, offered, "{label}");
+        assert!(
+            offered >= LIMIT as u64 && offered < full.rows.total,
+            "{label}"
+        );
+        cut_part_way += usize::from(offered > LIMIT as u64);
+        let bytes: u64 = full.rows.rows[..offered as usize]
+            .iter()
+            .map(tdb::stream::row_bytes)
+            .sum();
+        for trace in [collected.trace, streamed.trace] {
+            let trace = trace.expect("trace on");
+            assert_eq!(trace.sink_rows, LIMIT as u64, "{label}");
+            assert_eq!(trace.sink_bytes, bytes, "{label}");
         }
     }
     assert!(cut_part_way > 0, "no run stopped inside a batch");

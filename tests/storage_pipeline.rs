@@ -1,9 +1,7 @@
 //! Storage-layer integration: heap files → external sort → stream
-//! operators, with page-I/O accounting; catalog persistence; buffer-pool
-//! backed access patterns.
+//! operators, with page-I/O accounting; catalog persistence.
 
 use tdb::prelude::*;
-use tdb::storage::{BufferPool, Page};
 
 fn tmp(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("tdb-storepipe-{}-{tag}", std::process::id()));
@@ -98,44 +96,6 @@ fn catalog_round_trip_with_stats_and_orders() {
     assert!(meta.stats.lambda.unwrap() > 0.0);
     assert!(meta.stats.max_concurrency >= 1);
     assert_eq!(cat.scan("Faculty").unwrap(), rows);
-}
-
-#[test]
-fn buffer_pool_serves_hot_pages_from_memory() {
-    let io = IoStats::new();
-    let dir = tmp("pool");
-    // Build a small page file by hand.
-    let path = dir.join("data.pages");
-    {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&path).unwrap();
-        for i in 0..8u8 {
-            let mut p = Page::new();
-            p.insert(&[i; 16]).unwrap();
-            f.write_all(p.as_bytes()).unwrap();
-        }
-    }
-    let pool = BufferPool::new(4, io.clone());
-    let file = pool.register(
-        std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .unwrap(),
-    );
-    // Touch pages 0..4 twice: second round must be all hits.
-    for round in 0..2 {
-        for page_no in 0..4u64 {
-            let p = pool.pin(file, page_no).unwrap();
-            assert_eq!(u64::from(p.get(0).unwrap()[0]), page_no);
-            pool.unpin(file, page_no);
-            let _ = round;
-        }
-    }
-    let snap = io.snapshot();
-    assert_eq!(snap.buffer_misses, 4);
-    assert_eq!(snap.buffer_hits, 4);
-    assert_eq!(snap.pages_read, 4);
 }
 
 #[test]

@@ -10,7 +10,8 @@
 //! staged open suffix — never more, never a panic. A batch the engine
 //! rejects must leave nothing behind that a reopen could restage. A
 //! deterministic matrix checks that replay cost tracks the open window,
-//! not the log length.
+//! not the log length. A bulk reload killed on either side of its
+//! manifest rename reopens exactly the rows that rename committed.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -427,5 +428,86 @@ fn replay_cost_tracks_the_open_window_not_the_log_length() {
             wide >= 2 * narrow,
             "log {length}: a 4× wider window replayed {narrow} → {wide} bytes"
         );
+    }
+}
+
+/// Every file directly in `dir`, by name.
+fn files_in(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+/// Load 2 000 TS-ascending rows into `S` of a durable catalog, then
+/// reload it with `new_rows` and kill the reload: the directory keeps
+/// what the reload wrote, with every file it removed put back, and with
+/// `catalog.json` put back too when the kill came before the manifest
+/// rename (`renamed` false). Returns the directory, the loaded rows and
+/// the files the reload created and removed.
+fn killed_reload(new_rows: &[Row], renamed: bool) -> (PathBuf, Vec<Row>, Vec<String>, Vec<String>) {
+    let dir = scratch();
+    let schema = || TemporalSchema::time_sequence("Name", "Rank");
+    let old_rows = rows_from(&vec![(2, 7); 2_000]);
+    let mut cat = Catalog::open_durable(&dir, IoStats::new()).unwrap();
+    cat.create_relation("S", schema(), &old_rows, vec![StreamOrder::TS_ASC])
+        .unwrap();
+    let before = files_in(&dir);
+    cat.create_relation("S", schema(), new_rows, vec![])
+        .unwrap();
+    drop(cat);
+    let after = files_in(&dir);
+    let created = after.keys().filter(|f| !before.contains_key(*f));
+    let removed = before.keys().filter(|f| !after.contains_key(*f));
+    let (created, removed): (Vec<String>, Vec<String>) =
+        (created.cloned().collect(), removed.cloned().collect());
+    for (name, bytes) in &before {
+        if removed.contains(name) || (!renamed && name == "catalog.json") {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+    }
+    (dir, old_rows, created, removed)
+}
+
+/// A reload longer and one shorter than the stored heap, each in
+/// descending TS order.
+fn reloads() -> [Vec<Row>; 2] {
+    [2_073, 150].map(|n| rows_from(&vec![(3, 4); n]).into_iter().rev().collect())
+}
+
+#[test]
+fn a_reload_killed_before_its_manifest_rename_reopens_the_previous_rows() {
+    for new_rows in reloads() {
+        let (dir, old_rows, created, _) = killed_reload(&new_rows, false);
+        let cat = Catalog::open_durable(&dir, IoStats::new()).unwrap();
+        let case = format!("reload of {} rows", new_rows.len());
+        assert_eq!(cat.scan("S").unwrap(), old_rows, "{case}");
+        let meta = cat.meta("S").unwrap();
+        assert_eq!(meta.rows, old_rows.len(), "{case}");
+        assert_eq!(meta.known_orders, vec![StreamOrder::TS_ASC], "{case}");
+        for file in created {
+            assert!(!dir.join(&file).exists(), "{case}: orphan {file} kept");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_reload_killed_after_its_manifest_rename_reopens_the_new_rows() {
+    for new_rows in reloads() {
+        let (dir, _, _, removed) = killed_reload(&new_rows, true);
+        assert!(!removed.is_empty(), "the reload replaced the loaded heap");
+        let cat = Catalog::open_durable(&dir, IoStats::new()).unwrap();
+        let case = format!("reload of {} rows", new_rows.len());
+        assert_eq!(cat.scan("S").unwrap(), new_rows, "{case}");
+        assert!(cat.meta("S").unwrap().known_orders.is_empty(), "{case}");
+        for file in removed {
+            assert!(!dir.join(&file).exists(), "{case}: replaced {file} kept");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
