@@ -22,6 +22,7 @@
 
 pub mod cost;
 pub mod expr;
+mod input;
 pub mod logical;
 pub mod pattern;
 pub mod physical;
@@ -29,6 +30,7 @@ pub mod planner;
 pub mod rewrite;
 
 pub use expr::{Atom, ColumnRef, CompOp, Term};
+pub use input::StreamInput;
 pub use logical::{LogicalPlan, Scope};
 pub use pattern::{recognize_pattern, TemporalPattern};
 pub use physical::{ExecOptions, ExecStats, OpObservation, PhysicalPlan, QueryOutput, StreamOp};

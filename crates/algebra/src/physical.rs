@@ -6,10 +6,13 @@
 //! fallbacks. One recursive walker runs every node: each pushes its
 //! output chunk by chunk into a [`RowSink`] and stops as soon as the sink
 //! says so, and a node that needs an input whole runs that child into a
-//! collector. The stream operators of `tdb-stream` run inside the join
-//! nodes over `Copy` reference items (period + row ordinal), so output
-//! rows are built once, late, from the scanned rows, and the operators
-//! report their workspace high-water marks into [`ExecStats`].
+//! collector. A scan offers its rows a page at a time. The stream
+//! operators of `tdb-stream` run inside the join nodes over `Copy`
+//! reference items (period + row ordinal), reading a stored input page
+//! by page as the kernel asks (the `input` module), so output rows are
+//! built once, late, from the scanned rows, a limit that stops the
+//! kernel stops the scan, and the operators report their workspace
+//! high-water marks into [`ExecStats`].
 //!
 //! Sorting is performed lazily inside the nodes that need it: if the input
 //! already satisfies the required order (verified in O(n)) the sort is
@@ -17,10 +20,11 @@
 //! §4.1's tradeoff demands.
 
 use crate::expr::{display_conjunction, eval_conjunction, resolve_all, Atom, ColumnRef};
+use crate::input::{Arena, Input, RowRef, StreamInput};
 use crate::logical::Scope;
 use crate::pattern::TemporalPattern;
 use std::fmt;
-use tdb_core::{Period, Row, StreamOrder, TdbError, TdbResult, Temporal};
+use tdb_core::{Row, StreamOrder, TdbError, TdbResult, Temporal, TemporalStats};
 use tdb_storage::Catalog;
 use tdb_stream::{
     merge_equi_join, run_join, run_kernel, run_self_semijoin, run_semijoin, BeforeSemijoin, Emit,
@@ -95,6 +99,8 @@ impl<'a> ExecOptions<'a> {
 pub struct ExecStats {
     /// Base-relation rows read.
     pub rows_scanned: usize,
+    /// Heap pages those rows were read from.
+    pub pages_read: u64,
     /// Predicate evaluations / comparisons across all operators.
     pub comparisons: u64,
     /// Rows flowing between operators (intermediate result sizes).
@@ -323,21 +329,31 @@ impl PhysicalPlan {
     /// returns the rows it offered, which every node but a scan also adds
     /// to [`ExecStats::intermediate_rows`].
     ///
-    /// A node that needs an input whole — the binary nodes, and the
-    /// stream kernels, which index rows by ordinal — runs that child into
-    /// a collector ([`PhysicalPlan::input_rows`]); `Filter` and an unfused
-    /// `Project` map each chunk their child offers on its way up. Every
+    /// A scan offers a page at a time. A node that needs an input whole —
+    /// the binary nodes, and a stream-node side that cannot stream
+    /// ([`crate::input`]) — runs that child into a collector
+    /// ([`PhysicalPlan::input_rows`]); `Filter` and an unfused `Project`
+    /// map each chunk their child offers on its way up. Every
     /// node hands its output on through [`offer`]; `Product`, `NestedLoop`
     /// and `NestedSemijoin` do so every `batch_rows` output rows
     /// ([`offer_chunks`]).
     fn run_into(&self, ex: &mut Exec<'_>, sink: &mut dyn RowSink) -> TdbResult<usize> {
         let offered = match self {
+            // A page at a time, so a sink that says stop stops the read.
             PhysicalPlan::SeqScan { relation, .. } => {
-                let mut rows = ex.catalog.scan(relation)?;
-                let n = rows.len();
-                ex.stats.rows_scanned += n;
-                offer(sink, &mut rows)?;
-                return Ok(n);
+                let mut pages = ex.catalog.scan_pages(relation)?;
+                let mut offered = 0;
+                let mut rows = Vec::new();
+                while pages.next_page(&mut rows)? {
+                    offered += rows.len();
+                    ex.stats.rows_scanned += rows.len();
+                    if !offer(sink, &mut rows)? {
+                        break;
+                    }
+                    rows.clear();
+                }
+                ex.stats.pages_read += pages.pages_read();
+                return Ok(offered);
             }
             PhysicalPlan::Filter { input, atoms } => {
                 let scope = input.scope(ex.catalog)?;
@@ -475,7 +491,7 @@ impl PhysicalPlan {
 
     /// Run this node into a collector: the input of a node that needs it
     /// whole.
-    fn input_rows(&self, ex: &mut Exec<'_>) -> TdbResult<Vec<Row>> {
+    pub(crate) fn input_rows(&self, ex: &mut Exec<'_>) -> TdbResult<Vec<Row>> {
         let mut rows = Collect::default();
         self.run_into(ex, &mut rows)?;
         Ok(rows.0)
@@ -493,22 +509,25 @@ impl PhysicalPlan {
 
     /// Run a stream node ([`PhysicalPlan::is_stream_node`]) into `sink`.
     ///
-    /// The operators never see a row: each side's scanned rows stay in
-    /// place and the kernels sort, sweep and emit [`RowRef`]s (period +
-    /// ordinal). A join hands its surviving matches to the sink as a
-    /// [`PairBatch`] of ordinal pairs over those rows, projected onto
-    /// `columns` (indices into the node's own output scope). A semijoin or
-    /// self semijoin pushes its kept left rows.
+    /// The operators never see a row: each side is an [`Input`] of
+    /// [`RowRef`]s (period + ordinal) over the side's arena of rows, read
+    /// from storage as the kernel asks or collected whole, and the
+    /// kernels sweep and emit those. A join hands its surviving matches
+    /// to the sink as a [`PairBatch`] of ordinal pairs over the arenas,
+    /// projected onto `columns` (indices into the node's own output
+    /// scope). A semijoin or self semijoin pushes its kept left rows.
     fn run_stream(
         &self,
         ex: &mut Exec<'_>,
         columns: Option<&[usize]>,
         sink: &mut dyn RowSink,
     ) -> TdbResult<usize> {
+        let (larena, rarena) = (Arena::default(), Arena::default());
         let mut pushed = 0usize;
         // Kept left rows (semijoins) go to the sink projected.
-        let mut keep = |rows: &[Row], chunk: Vec<RowRef>| -> TdbResult<bool> {
+        let mut keep = |chunk: Vec<RowRef>| -> TdbResult<bool> {
             pushed += chunk.len();
+            let rows = larena.borrow();
             let mut out: Vec<Row> = chunk
                 .iter()
                 .map(|x| {
@@ -526,18 +545,18 @@ impl PhysicalPlan {
                 var,
                 contained,
             } => {
-                let rows = input.input_rows(ex)?;
-                let op_t0 = std::time::Instant::now();
                 let kind = if *contained {
                     StreamOpKind::ContainedSelfSemijoin
                 } else {
                     StreamOpKind::ContainSelfSemijoin
                 };
-                let x = wrap_rows(&rows, input.scope(ex.catalog)?.period_of_var(var)?)?;
-                let ws_cap = static_ws_cap(kind, &x, &x);
-                let x = sort_by_requirement(x, kind.requirement().left(), &mut ex.stats);
-                let mut emit = |chunk| keep(&rows, chunk);
-                let (_, report) = run_self_semijoin(kind, ex.cfg, x, Emit::Chunks(&mut emit))?;
+                let order = kind.requirement().left();
+                let mut x = Input::open(input, var, order, ex, &larena)?;
+                let op_t0 = std::time::Instant::now();
+                let ws_cap = static_ws_cap(kind, || (x.stats(), x.stats()));
+                let x_in = (&mut x).into_order(order, &mut ex.stats);
+                let (_, report) = run_self_semijoin(kind, ex.cfg, x_in, Emit::Chunks(&mut keep))?;
+                x.account(&mut ex.stats);
                 (kind, report, op_t0, ws_cap)
             }
             PhysicalPlan::StreamTemporal {
@@ -555,36 +574,38 @@ impl PhysicalPlan {
                 right_var,
                 pattern,
             } => {
-                let (lrows, rrows) = (left.input_rows(ex)?, right.input_rows(ex)?);
-                let op_t0 = std::time::Instant::now();
-                let l = wrap_rows(&lrows, left.scope(ex.catalog)?.period_of_var(left_var)?)?;
-                let r = wrap_rows(&rrows, right.scope(ex.catalog)?.period_of_var(right_var)?)?;
                 let join = matches!(self, PhysicalPlan::StreamTemporal { .. });
                 let op = StreamOp::resolve(*pattern, join, ex.cfg)?;
-                let ws_cap = if op.swap {
-                    static_ws_cap(op.kind, &r, &l)
-                } else {
-                    static_ws_cap(op.kind, &l, &r)
+                // A join's sides swap going in; a semijoin's do not.
+                let [lorder, rorder] = match op.orders {
+                    [x, y] if join && op.swap => [y, x],
+                    orders => orders,
                 };
-                let stats = &mut ex.stats;
+                let mut l = Input::open(left, left_var, lorder, ex, &larena)?;
+                let mut r = Input::open(right, right_var, rorder, ex, &rarena)?;
+                let op_t0 = std::time::Instant::now();
+                let ws_cap = static_ws_cap(op.kind, || {
+                    if op.swap {
+                        (r.stats(), l.stats())
+                    } else {
+                        (l.stats(), r.stats())
+                    }
+                });
                 let report = if let PhysicalPlan::StreamTemporal { residual, .. } = self {
                     let scope = self.scope(ex.catalog)?;
                     let residual = resolve_all(residual, |c| scope.index_of(c))?;
                     let all: Vec<usize> = (0..scope.columns().len()).collect();
-                    let mut batch = PairBatch {
-                        left: &lrows,
-                        right: &rrows,
-                        columns: columns.unwrap_or(&all),
-                        pairs: Vec::new(),
-                    };
+                    let columns = columns.unwrap_or(&all);
+                    let mut pairs = Vec::new();
                     let mut pushed_pairs = 0usize;
                     // Matches reach the sink as ordinal pairs; the joined
                     // row is only concatenated when a residual has to see
                     // it.
                     let mut emit = |chunk: Vec<(RowRef, RowRef)>| -> TdbResult<bool> {
                         comparisons += (residual.len() * chunk.len()) as u64;
-                        batch.pairs.clear();
-                        batch.pairs.extend(
+                        let (lrows, rrows) = (larena.borrow(), rarena.borrow());
+                        pairs.clear();
+                        pairs.extend(
                             chunk
                                 .into_iter()
                                 .filter(|(l, r)| {
@@ -596,19 +617,28 @@ impl PhysicalPlan {
                                 })
                                 .map(|(l, r)| (l.idx, r.idx)),
                         );
-                        pushed_pairs += batch.pairs.len();
-                        if batch.pairs.is_empty() {
+                        pushed_pairs += pairs.len();
+                        if pairs.is_empty() {
                             return Ok(true);
                         }
-                        sink.push_pairs(&mut batch)
+                        let mut batch = PairBatch {
+                            left: &lrows,
+                            right: &rrows,
+                            columns,
+                            pairs: std::mem::take(&mut pairs),
+                        };
+                        let more = sink.push_pairs(&mut batch);
+                        pairs = batch.pairs;
+                        more
                     };
-                    let report = op.join(l, r, stats, &mut emit)?;
+                    let report = op.join(&mut l, &mut r, &mut ex.stats, &mut emit)?;
                     pushed = pushed_pairs;
                     report
                 } else {
-                    let mut emit = |chunk| keep(&lrows, chunk);
-                    op.semijoin(l, r, stats, &mut emit)?
+                    op.semijoin(&mut l, &mut r, &mut ex.stats, &mut keep)?
                 };
+                l.account(&mut ex.stats);
+                r.account(&mut ex.stats);
                 (op.kind, report, op_t0, ws_cap)
             }
             _ => return Err(TdbError::Plan(format!("not a stream node:\n{self}"))),
@@ -740,49 +770,6 @@ impl fmt::Display for PhysicalPlan {
     }
 }
 
-/// What the stream operators sort, sweep and emit in place of a row: the
-/// operand lifespan plus the row's ordinal in its side's scanned
-/// `Vec<Row>`. `Copy`, so the kernels' payload clones are register moves
-/// and no row is touched until a match is known to survive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RowRef {
-    period: Period,
-    idx: u32,
-}
-
-impl Temporal for RowRef {
-    #[inline]
-    fn period(&self) -> Period {
-        self.period
-    }
-}
-
-fn wrap_rows(rows: &[Row], (ts, te): (usize, usize)) -> TdbResult<Vec<RowRef>> {
-    if u32::try_from(rows.len()).is_err() {
-        return Err(TdbError::Eval(format!(
-            "{} rows on one side of a stream operator exceed the u32 ordinal space",
-            rows.len()
-        )));
-    }
-    rows.iter()
-        .enumerate()
-        .map(|(idx, row)| {
-            let s = row
-                .get(ts)
-                .as_time()
-                .ok_or_else(|| TdbError::Eval(format!("ValidFrom column holds {}", row.get(ts))))?;
-            let e = row
-                .get(te)
-                .as_time()
-                .ok_or_else(|| TdbError::Eval(format!("ValidTo column holds {}", row.get(te))))?;
-            Ok(RowRef {
-                period: Period::new(s, e)?,
-                idx: idx as u32,
-            })
-        })
-        .collect()
-}
-
 fn sort_rows_by_key(mut rows: Vec<Row>, key: usize, stats: &mut ExecStats) -> Vec<Row> {
     let sorted = rows.windows(2).all(|w| w[0].get(key) <= w[1].get(key));
     if !sorted {
@@ -795,7 +782,7 @@ fn sort_rows_by_key(mut rows: Vec<Row>, key: usize, stats: &mut ExecStats) -> Ve
 
 /// Sort `rows` into the order a kernel input requires, if it has one and
 /// the rows are not in it already; only a performed sort is counted.
-fn sort_by_requirement<T: Temporal>(
+pub(crate) fn sort_by_requirement<T: Temporal>(
     mut rows: Vec<T>,
     order: Option<StreamOrder>,
     stats: &mut ExecStats,
@@ -812,10 +799,10 @@ fn sort_by_requirement<T: Temporal>(
 
 /// What one execution carries down the plan: the catalog, the operator
 /// configuration, and the counters and trace it accumulates.
-struct Exec<'c> {
-    catalog: &'c Catalog,
+pub(crate) struct Exec<'c> {
+    pub(crate) catalog: &'c Catalog,
     cfg: OpConfig,
-    stats: ExecStats,
+    pub(crate) stats: ExecStats,
     trace: Vec<OpObservation>,
 }
 
@@ -830,8 +817,7 @@ fn offer(sink: &mut dyn RowSink, rows: &mut Vec<Row>) -> TdbResult<bool> {
 }
 
 /// Collects the input of a node that needs it whole. The first chunk is
-/// taken as it is, so a scan's rows reach the node in the allocation the
-/// scan made; later chunks are appended.
+/// taken as it is; later chunks are appended.
 #[derive(Default)]
 struct Collect(Vec<Row>);
 
@@ -889,19 +875,22 @@ impl<F: FnMut(&mut Vec<Row>)> RowSink for MapSink<'_, F> {
     }
 }
 
-/// Sound static workspace cap for `kind` over these concrete inputs,
-/// derived from sweep statistics by [`crate::cost::workspace_cap`]; the
-/// statistics do not depend on input order, so the inputs need not be
-/// sorted yet. Debug builds — and release builds with the `check`
-/// feature, as the CI soak jobs run them — check every stream operator's
-/// runtime workspace peak against it ([`assert_under_cap`]); other builds
-/// skip the statistics and get no cap.
-fn static_ws_cap(kind: StreamOpKind, x: &[RowRef], y: &[RowRef]) -> usize {
+/// Sound static workspace cap for `kind` over inputs with statistics
+/// `sides` (X, Y), derived by [`crate::cost::workspace_cap`]: a collected
+/// side's own statistics, which do not depend on its order, or a stored
+/// side's relation's, which bound any subset a filter keeps. Debug builds
+/// — and release builds with the `check` feature, as the CI soak jobs run
+/// them — check every stream operator's runtime workspace peak against
+/// it ([`assert_under_cap`]); other builds skip the statistics and get no
+/// cap.
+fn static_ws_cap(
+    kind: StreamOpKind,
+    sides: impl FnOnce() -> (TemporalStats, TemporalStats),
+) -> usize {
     if !cfg!(any(debug_assertions, feature = "check")) {
         return usize::MAX;
     }
-    let xs = tdb_core::TemporalStats::compute(x);
-    let ys = tdb_core::TemporalStats::compute(y);
+    let (xs, ys) = sides();
     crate::cost::workspace_cap(kind, &xs, Some(&ys))
 }
 
@@ -965,23 +954,28 @@ impl StreamOp {
     }
 
     /// Run as a join of the pattern's `left` and `right` sides into
-    /// `emit`: each input is sorted only if its order is violated
-    /// (counted in `stats`), the sides swap going in and every pair is
-    /// un-swapped coming out. Returns the operator's report.
-    pub fn join<T: Temporal + Clone>(
+    /// `emit`: each input is brought into its order (a vector sorted
+    /// only if its order is violated, counted in `stats`), the sides swap
+    /// going in and every pair is un-swapped coming out. Returns the
+    /// operator's report.
+    pub fn join<I, T>(
         &self,
-        left: Vec<T>,
-        right: Vec<T>,
+        left: I,
+        right: I,
         stats: &mut ExecStats,
         emit: &mut dyn FnMut(Vec<(T, T)>) -> TdbResult<bool>,
-    ) -> TdbResult<OpReport> {
+    ) -> TdbResult<OpReport>
+    where
+        I: StreamInput<Item = T>,
+        T: Temporal + Clone,
+    {
         let (x, y) = if self.swap {
             (right, left)
         } else {
             (left, right)
         };
-        let x = sort_by_requirement(x, self.orders[0], stats);
-        let y = sort_by_requirement(y, self.orders[1], stats);
+        let x = x.into_order(self.orders[0], stats);
+        let y = y.into_order(self.orders[1], stats);
         let mut unswap = |chunk: Vec<(T, T)>| {
             if self.swap {
                 emit(chunk.into_iter().map(|(a, b)| (b, a)).collect())
@@ -993,19 +987,23 @@ impl StreamOp {
     }
 
     /// Run as a semijoin keeping the items of `left` that match one of
-    /// `right`, handed to `emit` chunk by chunk; sorting and the result as
+    /// `right`, handed to `emit` chunk by chunk; ordering and the result as
     /// for [`StreamOp::join`]. `After` runs the Before-semijoin kernel
     /// mirrored ([`BeforeSemijoin::after`]).
-    pub fn semijoin<T: Temporal + Clone>(
+    pub fn semijoin<I, T>(
         &self,
-        left: Vec<T>,
-        right: Vec<T>,
+        left: I,
+        right: I,
         stats: &mut ExecStats,
         emit: &mut dyn FnMut(Vec<T>) -> TdbResult<bool>,
-    ) -> TdbResult<OpReport> {
+    ) -> TdbResult<OpReport>
+    where
+        I: StreamInput<Item = T>,
+        T: Temporal + Clone,
+    {
         let [x_ord, y_ord] = self.orders;
-        let x = sort_by_requirement(left, x_ord, stats);
-        let y = sort_by_requirement(right, y_ord, stats);
+        let x = left.into_order(x_ord, stats);
+        let y = right.into_order(y_ord, stats);
         let emit = Emit::Chunks(emit);
         let (_, report) = if self.swap {
             let op = BeforeSemijoin::after();
@@ -1021,7 +1019,7 @@ impl StreamOp {
 mod tests {
     use super::*;
     use crate::expr::CompOp;
-    use tdb_core::{TemporalSchema, Value};
+    use tdb_core::{Period, TemporalSchema, Value};
     use tdb_storage::IoStats;
 
     fn test_catalog(name: &str) -> Catalog {
@@ -1390,6 +1388,32 @@ mod tests {
                 "{plan}: {} rows offered for a limit of 20",
                 out.stats.output_rows
             );
+        }
+    }
+
+    /// A scan offers a page at a time, so a limit over a scan or a
+    /// filter stops reading the heap.
+    #[test]
+    fn limit_stops_a_scan_after_one_page() {
+        let cat = xy_catalog("scanlimit");
+        let pages = cat.meta("X").unwrap().pages.unwrap();
+        let filtered = PhysicalPlan::Filter {
+            input: side("X", "x"),
+            atoms: vec![Atom::col_const("x", "Name", CompOp::Eq, "X")],
+        };
+        for plan in [*side("X", "x"), filtered] {
+            let full = plan.execute(&cat, ExecOptions::default()).unwrap();
+            assert_eq!(
+                (full.stats.rows_scanned, full.stats.pages_read),
+                (2000, pages)
+            );
+            let mut sink = tdb_stream::LimitSink::new(20);
+            let out = plan
+                .execute(&cat, ExecOptions::new().with_sink(&mut sink))
+                .unwrap();
+            assert_eq!(sink.rows(), &full.rows[..20], "{plan}");
+            assert_eq!(out.stats.pages_read, 1, "{plan}");
+            assert!(out.stats.rows_scanned < 2000, "{plan}");
         }
     }
 

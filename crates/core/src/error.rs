@@ -67,11 +67,6 @@ pub enum TdbError {
     Eval(String),
     /// A tuple violated a declared integrity constraint.
     ConstraintViolation(String),
-    /// The buffer pool could not satisfy a pin request.
-    BufferExhausted {
-        /// Total frames in the pool, all pinned.
-        capacity: usize,
-    },
     /// A client-supplied configuration setting was rejected: unknown
     /// `\set` key, unparsable value, or a value outside the supported
     /// range. Raised at the engine API boundary so every front end (CLI
@@ -114,9 +109,6 @@ impl fmt::Display for TdbError {
             TdbError::Plan(m) => write!(f, "planning error: {m}"),
             TdbError::Eval(m) => write!(f, "evaluation error: {m}"),
             TdbError::ConstraintViolation(m) => write!(f, "integrity constraint violated: {m}"),
-            TdbError::BufferExhausted { capacity } => {
-                write!(f, "buffer pool exhausted: all {capacity} frames pinned")
-            }
             TdbError::Config(m) => write!(f, "configuration error: {m}"),
         }
     }

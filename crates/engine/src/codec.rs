@@ -413,6 +413,7 @@ pub fn put_trace(buf: &mut BytesMut, t: &QueryTrace) {
     put_str(buf, &t.label);
     put_u64(buf, t.elapsed_us);
     put_u64(buf, t.rows);
+    put_u64(buf, t.pages_read);
     put_u64(buf, t.sink_rows);
     put_u64(buf, t.sink_bytes);
     buf.put_u32_le(t.spans.len() as u32);
@@ -431,6 +432,7 @@ pub fn get_trace(buf: &mut Bytes) -> TdbResult<QueryTrace> {
     let label = get_str(buf)?;
     let elapsed_us = get_u64(buf)?;
     let rows = get_u64(buf)?;
+    let pages_read = get_u64(buf)?;
     let sink_rows = get_u64(buf)?;
     let sink_bytes = get_u64(buf)?;
     need(buf, 4, "span count")?;
@@ -450,6 +452,7 @@ pub fn get_trace(buf: &mut Bytes) -> TdbResult<QueryTrace> {
         label,
         elapsed_us,
         rows,
+        pages_read,
         sink_rows,
         sink_bytes,
         spans,
@@ -599,6 +602,7 @@ impl Codec for RowSet {
 impl Codec for QueryStats {
     fn encode(&self, buf: &mut BytesMut) {
         put_u64(buf, self.rows_scanned);
+        put_u64(buf, self.pages_read);
         put_u64(buf, self.comparisons);
         put_u64(buf, self.max_workspace);
         put_u64(buf, self.sorts_performed);
@@ -607,6 +611,7 @@ impl Codec for QueryStats {
     fn decode(buf: &mut Bytes) -> TdbResult<QueryStats> {
         Ok(QueryStats {
             rows_scanned: get_u64(buf)?,
+            pages_read: get_u64(buf)?,
             comparisons: get_u64(buf)?,
             max_workspace: get_u64(buf)?,
             sorts_performed: get_u64(buf)?,

@@ -591,7 +591,7 @@ impl Engine {
                         // built (socket writes) joins it here.
                         let mut stages = t.stages.clone();
                         stages.extend(self.obs.stage_timers.late_spans(t.query_id, t0));
-                        spans_to_json(t.query_id, &t.label, &stages) + "\n"
+                        spans_to_json(t.query_id, &t.label, t.pages_read, &stages) + "\n"
                     }
                     _ => "no trace recorded yet\n".to_string(),
                 },
@@ -797,6 +797,7 @@ impl Engine {
         report.rows.total = sink_stats.rows;
         report.stats = QueryStats {
             rows_scanned: result.stats.rows_scanned as u64,
+            pages_read: result.stats.pages_read,
             comparisons: result.stats.comparisons,
             max_workspace: result.stats.max_workspace as u64,
             sorts_performed: result.stats.sorts_performed as u64,
@@ -1307,6 +1308,7 @@ fn build_trace(
         label: label.to_string(),
         elapsed_us,
         rows: result.stats.output_rows as u64,
+        pages_read: result.stats.pages_read,
         sink_rows: delivered as u64,
         sink_bytes: sink.bytes,
         spans,

@@ -115,9 +115,10 @@ pub fn render_stream_footer(q: &QueryReport, shown: u64) -> String {
     };
     writeln!(
         out,
-        "{rows} in {:.2?} — {} scanned, {} comparisons, workspace {}, {} sorts",
+        "{rows} in {:.2?} — {} scanned in {} pages, {} comparisons, workspace {}, {} sorts",
         Duration::from_micros(q.elapsed_us),
         q.stats.rows_scanned,
+        q.stats.pages_read,
         q.stats.comparisons,
         q.stats.max_workspace,
         q.stats.sorts_performed,

@@ -108,6 +108,8 @@ pub struct RowSet {
 pub struct QueryStats {
     /// Base-relation rows read.
     pub rows_scanned: u64,
+    /// Heap pages those rows were read from.
+    pub pages_read: u64,
     /// Predicate evaluations / comparisons across all operators.
     pub comparisons: u64,
     /// Maximum stream-operator workspace (state tuples) observed.
@@ -551,8 +553,8 @@ pub enum ErrorCode {
     Eval = 10,
     /// Integrity-constraint violation.
     ConstraintViolation = 11,
-    /// Buffer pool exhausted.
-    BufferExhausted = 12,
+    // 12 is unassigned: it named an exhausted buffer pool until the
+    // pool went, and protocol v8 retired it. A v8 peer never sends it.
     /// Wire-protocol violation (bad frame, unsupported version).
     Protocol = 13,
     /// The server is shutting down or dropped the session.
@@ -581,7 +583,6 @@ impl ErrorCode {
             9 => ErrorCode::Plan,
             10 => ErrorCode::Eval,
             11 => ErrorCode::ConstraintViolation,
-            12 => ErrorCode::BufferExhausted,
             13 => ErrorCode::Protocol,
             14 => ErrorCode::Unavailable,
             15 => ErrorCode::Config,
@@ -624,7 +625,6 @@ impl From<&TdbError> for ErrorInfo {
             TdbError::Plan(_) => ErrorCode::Plan,
             TdbError::Eval(_) => ErrorCode::Eval,
             TdbError::ConstraintViolation(_) => ErrorCode::ConstraintViolation,
-            TdbError::BufferExhausted { .. } => ErrorCode::BufferExhausted,
             TdbError::Config(_) => ErrorCode::Config,
             TdbError::WalCorrupt { .. } => ErrorCode::WalCorrupt,
         };

@@ -34,8 +34,9 @@ use tdb_engine::{DeltaFrame, QueryReport, QueryTrailer, Response};
 /// subscription's mode in the live status; version 6 drops the ingest
 /// queue's stall count, depth and capacity from the live status and the
 /// live telemetry; version 7 drops the partition count from each
-/// operator span of a query trace.
-pub const PROTOCOL_VERSION: u8 = 7;
+/// operator span of a query trace; version 8 adds the heap pages read
+/// to a query's stats and its trace, and retires error code 12.
+pub const PROTOCOL_VERSION: u8 = 8;
 
 /// Hard ceiling on a frame's declared payload length. A corrupt or
 /// hostile length prefix fails fast instead of driving a giant

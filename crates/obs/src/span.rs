@@ -119,14 +119,15 @@ impl StageSpan {
     }
 }
 
-/// Render a span tree as one JSON array (used by `\trace export`): the
-/// flattened list with explicit `depth`, so consumers can rebuild the
-/// hierarchy without a recursive schema.
-pub fn spans_to_json(query_id: u64, label: &str, spans: &[StageSpan]) -> String {
+/// Render a span tree as one JSON array (used by `\trace export`), after
+/// the query's id, label and the heap pages it read: the flattened list
+/// with explicit `depth`, so consumers can rebuild the hierarchy without
+/// a recursive schema.
+pub fn spans_to_json(query_id: u64, label: &str, pages_read: u64, spans: &[StageSpan]) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"query_id\":{query_id},\"label\":{},\"spans\":[",
+        "{{\"query_id\":{query_id},\"label\":{},\"pages_read\":{pages_read},\"spans\":[",
         json_str(label)
     );
     for (i, s) in spans.iter().enumerate() {
@@ -349,8 +350,10 @@ mod tests {
                 detail: "ContainJoin(TS\u{2191}/TE\u{2191})".into(),
             },
         ];
-        let json = spans_to_json(7, "select \"x\"", &spans);
-        assert!(json.starts_with("{\"query_id\":7,\"label\":\"select \\\"x\\\"\""));
+        let json = spans_to_json(7, "select \"x\"", 24, &spans);
+        assert!(
+            json.starts_with("{\"query_id\":7,\"label\":\"select \\\"x\\\"\",\"pages_read\":24,")
+        );
         assert!(json.contains("\"stage\":\"operator\""), "{json}");
         assert!(json.contains("\"depth\":1"), "{json}");
         assert!(json.contains("ContainJoin"), "{json}");

@@ -66,6 +66,8 @@ pub struct QueryTrace {
     /// Result rows offered to the result sink (before any client-side
     /// truncation; a lower bound when the sink stopped the producer early).
     pub rows: u64,
+    /// Heap pages the query read.
+    pub pages_read: u64,
     /// Rows the sink retained and delivered (`≤ rows` when a limit
     /// dropped rows or stopped the producer).
     pub sink_rows: u64,

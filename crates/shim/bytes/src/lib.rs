@@ -2,7 +2,9 @@
 //! exactly the cursor surface the storage codec uses. `Bytes` is an owned
 //! buffer with a read cursor (no refcounted zero-copy slicing, so
 //! [`Bytes::split_to`] copies; decoders borrow through [`Buf::chunk`] and
-//! [`Buf::advance`] instead); `BytesMut` is a growable write buffer.
+//! [`Buf::advance`] instead); `BytesMut` is a growable write buffer. A
+//! borrowed `&[u8]` is a [`Buf`] too, as in the real crate, so a record
+//! decodes in place from the page that holds it.
 
 use std::ops::{Deref, DerefMut};
 
@@ -239,6 +241,24 @@ impl Buf for Bytes {
     }
 }
 
+impl Buf for &[u8] {
+    #[inline]
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn chunk(&self) -> &[u8] {
+        self
+    }
+
+    #[inline]
+    fn advance(&mut self, cnt: usize) {
+        assert!(cnt <= self.len(), "advance out of bounds");
+        *self = &self[cnt..];
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,6 +300,17 @@ mod tests {
         b.advance(n);
         assert_eq!(b.chunk(), b"X");
         assert_eq!(b.remaining(), 1);
+    }
+
+    #[test]
+    fn a_borrowed_slice_reads_in_place() {
+        let bytes = [7u8, 44, 1, 0xAA];
+        let mut r: &[u8] = &bytes;
+        assert_eq!(r.get_u8(), 7);
+        assert_eq!(r.get_u16_le(), 300);
+        assert_eq!(r.chunk(), &[0xAA]);
+        r.advance(1);
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]

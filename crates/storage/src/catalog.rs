@@ -7,7 +7,7 @@
 //! row count and [`TemporalStats`], plus which sort orders the stored
 //! representation already satisfies — the optimizer's "interesting orders".
 
-use crate::heap::HeapFile;
+use crate::heap::{HeapFile, PageScan};
 use crate::iostats::IoStats;
 use crate::page::PAGE_SIZE;
 use std::collections::BTreeMap;
@@ -565,11 +565,20 @@ impl Catalog {
             .collect()
     }
 
-    /// Read every row of `name` in storage order.
+    /// Read every row of `name` in storage order: a collect over
+    /// [`Catalog::scan_pages`].
     pub fn scan(&self, name: &str) -> TdbResult<Vec<Row>> {
+        let mut rows = Vec::with_capacity(self.meta(name)?.rows);
+        let mut pages = self.scan_pages(name)?;
+        while pages.next_page(&mut rows)? {}
+        Ok(rows)
+    }
+
+    /// A page-at-a-time scan of `name`'s heap over the pages it holds
+    /// now: rows appended after it opens are not read.
+    pub fn scan_pages(&self, name: &str) -> TdbResult<PageScan> {
         let meta = self.meta(name)?;
-        let mut heap = HeapFile::open(self.dir.join(&meta.file), self.io.clone())?;
-        heap.scan::<Row>()?.collect()
+        HeapFile::open(self.dir.join(&meta.file), self.io.clone())?.pages()
     }
 
     /// Drop a relation and its heap file.

@@ -22,17 +22,32 @@ pub trait Codec: Sized {
     }
 
     /// Decode from a standalone byte slice, requiring full consumption.
+    /// The storage types (values, rows, periods, tuples) decode in place
+    /// from the borrowed slice — a heap scan reads each record straight
+    /// from its page; other types copy the slice into a [`Bytes`] first.
     fn from_bytes(bytes: &[u8]) -> TdbResult<Self> {
-        let mut b = Bytes::copy_from_slice(bytes);
-        let v = Self::decode(&mut b)?;
-        if !b.is_empty() {
-            return Err(TdbError::Corrupt(format!(
-                "{} trailing bytes after decode",
-                b.len()
-            )));
-        }
-        Ok(v)
+        whole(bytes, |b| {
+            let mut owned = Bytes::copy_from_slice(b);
+            let v = Self::decode(&mut owned)?;
+            b.advance(b.len() - owned.len());
+            Ok(v)
+        })
     }
+}
+
+/// Decode one value from all of `bytes`: trailing bytes are `Corrupt`.
+fn whole<'b, T>(
+    mut bytes: &'b [u8],
+    decode: impl FnOnce(&mut &'b [u8]) -> TdbResult<T>,
+) -> TdbResult<T> {
+    let v = decode(&mut bytes)?;
+    if !bytes.is_empty() {
+        return Err(TdbError::Corrupt(format!(
+            "{} trailing bytes after decode",
+            bytes.len()
+        )));
+    }
+    Ok(v)
 }
 
 const TAG_NULL: u8 = 0;
@@ -47,7 +62,7 @@ pub const TAG_STR: u8 = 4;
 /// [`Value::decode`] rejects it.
 pub const TAG_STR_REF: u8 = 5;
 
-fn need(buf: &Bytes, n: usize, what: &str) -> TdbResult<()> {
+fn need(buf: &impl Buf, n: usize, what: &str) -> TdbResult<()> {
     if buf.remaining() < n {
         Err(TdbError::Corrupt(format!(
             "truncated {what}: need {n} bytes, have {}",
@@ -63,7 +78,7 @@ fn need(buf: &Bytes, n: usize, what: &str) -> TdbResult<()> {
 /// so the only allocation is whatever `make` builds (`Arc<str>`,
 /// `String`). Shared by every string decoder on the heap-scan and wire
 /// paths.
-pub fn decode_str<T>(buf: &mut Bytes, make: impl FnOnce(&str) -> T) -> TdbResult<T> {
+pub fn decode_str<T>(buf: &mut impl Buf, make: impl FnOnce(&str) -> T) -> TdbResult<T> {
     need(buf, 4, "string length")?;
     let len = buf.get_u32_le() as usize;
     need(buf, len, "string body")?;
@@ -99,27 +114,37 @@ impl Codec for Value {
     }
 
     fn decode(buf: &mut Bytes) -> TdbResult<Value> {
-        need(buf, 1, "value tag")?;
-        match buf.get_u8() {
-            TAG_NULL => Ok(Value::Null),
-            TAG_BOOL => {
-                need(buf, 1, "bool")?;
-                Ok(Value::Bool(buf.get_u8() != 0))
-            }
-            TAG_INT => {
-                need(buf, 8, "int")?;
-                Ok(Value::Int(buf.get_i64_le()))
-            }
-            TAG_TIME => {
-                need(buf, 8, "time")?;
-                Ok(Value::Time(TimePoint::new(buf.get_i64_le())))
-            }
-            TAG_STR => decode_str(buf, |s| Value::str(s)),
-            TAG_STR_REF => Err(TdbError::Corrupt(
-                "string reference outside a row list".into(),
-            )),
-            t => Err(TdbError::Corrupt(format!("unknown value tag {t}"))),
+        value(buf)
+    }
+
+    fn from_bytes(bytes: &[u8]) -> TdbResult<Value> {
+        whole(bytes, value)
+    }
+}
+
+/// Decode one [`Value`] from any buffer: the wire's [`Bytes`] or a
+/// record borrowed from a page.
+fn value(buf: &mut impl Buf) -> TdbResult<Value> {
+    need(buf, 1, "value tag")?;
+    match buf.get_u8() {
+        TAG_NULL => Ok(Value::Null),
+        TAG_BOOL => {
+            need(buf, 1, "bool")?;
+            Ok(Value::Bool(buf.get_u8() != 0))
         }
+        TAG_INT => {
+            need(buf, 8, "int")?;
+            Ok(Value::Int(buf.get_i64_le()))
+        }
+        TAG_TIME => {
+            need(buf, 8, "time")?;
+            Ok(Value::Time(TimePoint::new(buf.get_i64_le())))
+        }
+        TAG_STR => decode_str(buf, |s| Value::str(s)),
+        TAG_STR_REF => Err(TdbError::Corrupt(
+            "string reference outside a row list".into(),
+        )),
+        t => Err(TdbError::Corrupt(format!("unknown value tag {t}"))),
     }
 }
 
@@ -132,14 +157,22 @@ impl Codec for Row {
     }
 
     fn decode(buf: &mut Bytes) -> TdbResult<Row> {
-        need(buf, 2, "row arity")?;
-        let n = buf.get_u16_le() as usize;
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            values.push(Value::decode(buf)?);
-        }
-        Ok(Row::new(values))
+        row(buf)
     }
+
+    fn from_bytes(bytes: &[u8]) -> TdbResult<Row> {
+        whole(bytes, row)
+    }
+}
+
+fn row(buf: &mut impl Buf) -> TdbResult<Row> {
+    need(buf, 2, "row arity")?;
+    let n = buf.get_u16_le() as usize;
+    let mut values = Vec::with_capacity(n);
+    for _ in 0..n {
+        values.push(value(buf)?);
+    }
+    Ok(Row::new(values))
 }
 
 impl Codec for Period {
@@ -149,11 +182,19 @@ impl Codec for Period {
     }
 
     fn decode(buf: &mut Bytes) -> TdbResult<Period> {
-        need(buf, 16, "period")?;
-        let start = TimePoint::new(buf.get_i64_le());
-        let end = TimePoint::new(buf.get_i64_le());
-        Period::new(start, end)
+        period(buf)
     }
+
+    fn from_bytes(bytes: &[u8]) -> TdbResult<Period> {
+        whole(bytes, period)
+    }
+}
+
+fn period(buf: &mut impl Buf) -> TdbResult<Period> {
+    need(buf, 16, "period")?;
+    let start = TimePoint::new(buf.get_i64_le());
+    let end = TimePoint::new(buf.get_i64_le());
+    Period::new(start, end)
 }
 
 impl Codec for PeriodRow {
@@ -163,11 +204,19 @@ impl Codec for PeriodRow {
     }
 
     fn decode(buf: &mut Bytes) -> TdbResult<PeriodRow> {
-        Ok(PeriodRow {
-            row: Row::decode(buf)?,
-            period: Period::decode(buf)?,
-        })
+        period_row(buf)
     }
+
+    fn from_bytes(bytes: &[u8]) -> TdbResult<PeriodRow> {
+        whole(bytes, period_row)
+    }
+}
+
+fn period_row(buf: &mut impl Buf) -> TdbResult<PeriodRow> {
+    Ok(PeriodRow {
+        row: row(buf)?,
+        period: period(buf)?,
+    })
 }
 
 impl Codec for TsTuple {
@@ -178,12 +227,20 @@ impl Codec for TsTuple {
     }
 
     fn decode(buf: &mut Bytes) -> TdbResult<TsTuple> {
-        Ok(TsTuple {
-            surrogate: Value::decode(buf)?,
-            value: Value::decode(buf)?,
-            period: Period::decode(buf)?,
-        })
+        ts_tuple(buf)
     }
+
+    fn from_bytes(bytes: &[u8]) -> TdbResult<TsTuple> {
+        whole(bytes, ts_tuple)
+    }
+}
+
+fn ts_tuple(buf: &mut impl Buf) -> TdbResult<TsTuple> {
+    Ok(TsTuple {
+        surrogate: value(buf)?,
+        value: value(buf)?,
+        period: period(buf)?,
+    })
 }
 
 #[cfg(test)]

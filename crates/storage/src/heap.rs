@@ -1,14 +1,16 @@
 //! On-disk heap files: an unordered sequence of slotted pages.
 //!
 //! A heap file is the base storage of a relation. Records append into the
-//! last page, spilling onto a new page when full; scans read pages in order
-//! through the shared [`IoStats`] counters.
+//! last page, spilling onto a new page when full. Every scan is a
+//! [`PageScan`]: a snapshot of the pages the file held when it opened,
+//! read in order into one reused page buffer (counted in the shared
+//! [`IoStats`]), each page's records decoded in place.
 
 use crate::codec::Codec;
 use crate::iostats::IoStats;
 use crate::page::{Page, PAGE_SIZE};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use tdb_core::{TdbError, TdbResult};
 
@@ -89,29 +91,6 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Read page `page_no` from disk (the unflushed tail is served from
-    /// memory).
-    pub fn read_page(&mut self, page_no: u64) -> TdbResult<Page> {
-        if let Some((tail_no, tail)) = &self.tail {
-            if *tail_no == page_no {
-                return Ok(tail.clone());
-            }
-        }
-        if page_no >= self.page_count {
-            return Err(TdbError::Corrupt(format!(
-                "page {page_no} beyond end of {} ({} pages)",
-                self.path.display(),
-                self.page_count
-            )));
-        }
-        self.file
-            .seek(SeekFrom::Start(page_no * PAGE_SIZE as u64))?;
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.file.read_exact(&mut buf)?;
-        self.io.record_read(PAGE_SIZE as u64);
-        Page::from_bytes(&buf)
-    }
-
     /// Append one encoded record.
     pub fn append_record(&mut self, record: &[u8]) -> TdbResult<()> {
         if record.len() + 8 > PAGE_SIZE {
@@ -163,59 +142,102 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Scan every record in file order, decoding to `T`.
-    pub fn scan<T: Codec>(&mut self) -> TdbResult<HeapScan<'_, T>> {
+    /// A snapshot scan of the pages the file holds now, the tail flushed
+    /// first.
+    pub fn pages(&mut self) -> TdbResult<PageScan> {
         self.flush()?;
+        let mut file = self.file.try_clone()?;
+        file.seek(SeekFrom::Start(0))?;
+        Ok(PageScan {
+            file,
+            next: 0,
+            end: self.page_count,
+            page: Page::new(),
+            io: self.io.clone(),
+        })
+    }
+
+    /// Scan every record in file order, decoding to `T`.
+    pub fn scan<T: Codec>(&mut self) -> TdbResult<HeapScan<T>> {
         Ok(HeapScan {
-            heap: self,
-            page_no: 0,
-            page: None,
-            slot: 0,
-            _marker: std::marker::PhantomData,
+            pages: self.pages()?,
+            records: Vec::new().into_iter(),
         })
     }
 }
 
-/// Iterator over all records of a heap file.
-pub struct HeapScan<'a, T> {
-    heap: &'a mut HeapFile,
-    page_no: u64,
-    page: Option<Page>,
-    slot: u16,
-    _marker: std::marker::PhantomData<T>,
+/// A snapshot scan of a heap file, a page at a time: the one primitive
+/// every read of stored records goes through. It reads the pages the
+/// file held when it opened, so rows appended later are not seen, into
+/// one page buffer it reuses, and decodes each record in place from it.
+pub struct PageScan {
+    file: File,
+    next: u64,
+    end: u64,
+    page: Page,
+    io: IoStats,
 }
 
-impl<T: Codec> Iterator for HeapScan<'_, T> {
+impl std::fmt::Debug for PageScan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PageScan")
+            .field("next", &self.next)
+            .field("end", &self.end)
+            .finish_non_exhaustive()
+    }
+}
+
+impl PageScan {
+    /// Pages read so far.
+    pub fn pages_read(&self) -> u64 {
+        self.next
+    }
+
+    /// Decode the next page's records, in slot order, onto `out`.
+    /// Returns `false`, adding nothing, once every page of the snapshot
+    /// has been read. A torn or corrupt page or record is an error that
+    /// ends the scan.
+    pub fn next_page<T: Codec>(&mut self, out: &mut Vec<T>) -> TdbResult<bool> {
+        if self.next >= self.end {
+            return Ok(false);
+        }
+        let read = self.page.read_from(&mut self.file).and_then(|()| {
+            self.io.record_read(PAGE_SIZE as u64);
+            out.reserve(usize::from(self.page.slot_count()));
+            for record in self.page.records() {
+                out.push(T::from_bytes(record)?);
+            }
+            Ok(())
+        });
+        self.next = if read.is_ok() {
+            self.next + 1
+        } else {
+            self.end
+        };
+        read.map(|()| true)
+    }
+}
+
+/// Iterator over all records of a heap file.
+pub struct HeapScan<T> {
+    pages: PageScan,
+    records: std::vec::IntoIter<T>,
+}
+
+impl<T: Codec> Iterator for HeapScan<T> {
     type Item = TdbResult<T>;
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if self.page.is_none() {
-                if self.page_no >= self.heap.page_count {
-                    return None;
-                }
-                match self.heap.read_page(self.page_no) {
-                    Ok(p) => {
-                        self.page = Some(p);
-                        self.slot = 0;
-                    }
-                    Err(e) => {
-                        self.page_no = self.heap.page_count; // poison
-                        return Some(Err(e));
-                    }
-                }
+            if let Some(record) = self.records.next() {
+                return Some(Ok(record));
             }
-            let page = self.page.as_ref().expect("just loaded");
-            if self.slot < page.slot_count() {
-                let rec = match page.get(self.slot) {
-                    Ok(r) => r,
-                    Err(e) => return Some(Err(e)),
-                };
-                self.slot += 1;
-                return Some(T::from_bytes(rec));
+            let mut page = Vec::new();
+            match self.pages.next_page(&mut page) {
+                Ok(true) => self.records = page.into_iter(),
+                Ok(false) => return None,
+                Err(e) => return Some(Err(e)),
             }
-            self.page = None;
-            self.page_no += 1;
         }
     }
 }

@@ -25,7 +25,7 @@ pub mod sort;
 
 pub use catalog::{Catalog, RelationMeta};
 pub use codec::Codec;
-pub use heap::HeapFile;
+pub use heap::{HeapFile, PageScan};
 pub use iostats::IoStats;
 pub use page::{Page, PAGE_SIZE};
 pub use run::{RunReader, RunWriter};

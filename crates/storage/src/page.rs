@@ -50,33 +50,31 @@ impl Page {
         p
     }
 
-    /// Reconstruct a page from raw bytes (e.g. read from disk).
-    pub fn from_bytes(bytes: &[u8]) -> TdbResult<Page> {
-        if bytes.len() != PAGE_SIZE {
-            return Err(TdbError::Corrupt(format!(
-                "page must be {PAGE_SIZE} bytes, got {}",
-                bytes.len()
-            )));
-        }
-        let mut arr = Box::new([0u8; PAGE_SIZE]);
-        arr.copy_from_slice(bytes);
-        let p = Page { bytes: arr };
-        // Validate header consistency so a corrupt page cannot cause
-        // out-of-bounds record reads later.
-        let slots = p.slot_count() as usize;
-        let data_end = p.data_end() as usize;
+    /// Overwrite this page with the next [`PAGE_SIZE`] bytes of `input`
+    /// — a heap scan reads each page straight into the one buffer it
+    /// reuses — and validate the header.
+    pub fn read_from(&mut self, input: &mut impl std::io::Read) -> TdbResult<()> {
+        input.read_exact(&mut self.bytes[..])?;
+        self.check()
+    }
+
+    /// Validate header consistency so a corrupt page cannot cause
+    /// out-of-bounds record reads later.
+    fn check(&self) -> TdbResult<()> {
+        let slots = self.slot_count() as usize;
+        let data_end = self.data_end() as usize;
         if !(HEADER_SIZE..=PAGE_SIZE).contains(&data_end)
             || slots * SLOT_SIZE > PAGE_SIZE - HEADER_SIZE
         {
             return Err(TdbError::Corrupt("inconsistent page header".into()));
         }
         for i in 0..slots {
-            let (off, len) = p.slot(i);
+            let (off, len) = self.slot(i);
             if off as usize + len as usize > data_end {
                 return Err(TdbError::Corrupt(format!("slot {i} exceeds data area")));
             }
         }
-        Ok(p)
+        Ok(())
     }
 
     /// The raw bytes of this page.
@@ -216,28 +214,35 @@ mod tests {
         assert_eq!(p.get(s).unwrap(), b"");
     }
 
+    /// A page read back from `bytes`.
+    fn from_bytes(bytes: &[u8]) -> TdbResult<Page> {
+        let mut p = Page::new();
+        p.read_from(&mut &bytes[..])?;
+        Ok(p)
+    }
+
     #[test]
     fn round_trips_through_bytes() {
         let mut p = Page::new();
         p.insert(b"abc").unwrap();
         p.insert(b"defgh").unwrap();
-        let q = Page::from_bytes(p.as_bytes()).unwrap();
+        let q = from_bytes(p.as_bytes()).unwrap();
         assert_eq!(q.get(0).unwrap(), b"abc");
         assert_eq!(q.get(1).unwrap(), b"defgh");
     }
 
     #[test]
     fn corrupt_headers_rejected() {
-        assert!(Page::from_bytes(&[0u8; 10]).is_err()); // wrong size
+        assert!(from_bytes(&[0u8; 10]).is_err()); // wrong size
         let mut bytes = vec![0u8; PAGE_SIZE];
         bytes[0] = 0xff; // absurd slot count
         bytes[1] = 0xff;
-        assert!(Page::from_bytes(&bytes).is_err());
+        assert!(from_bytes(&bytes).is_err());
         // data_end below header.
         let mut bytes = vec![0u8; PAGE_SIZE];
         bytes[2] = 1;
         bytes[3] = 0;
-        assert!(Page::from_bytes(&bytes).is_err());
+        assert!(from_bytes(&bytes).is_err());
     }
 
     #[test]
@@ -249,6 +254,6 @@ mod tests {
         let pos = PAGE_SIZE - 2;
         bytes[pos] = 0xff;
         bytes[pos + 1] = 0x1f;
-        assert!(Page::from_bytes(&bytes).is_err());
+        assert!(from_bytes(&bytes).is_err());
     }
 }

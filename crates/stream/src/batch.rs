@@ -10,8 +10,9 @@
 //! payloads are only touched when a tuple actually matches.
 //!
 //! [`BatchStream`] is the input surface a kernel is fed from;
-//! [`VecBatchStream`] slices a sorted vector into it. The push surface —
-//! `process_batch` — lives in [`crate::batch_ops`].
+//! [`VecBatchStream`] slices a sorted vector into it, and
+//! [`crate::PageStream`] pulls a stored input into it a page at a time.
+//! The push surface — `process_batch` — lives in [`crate::batch_ops`].
 
 use tdb_core::{StreamOrder, TdbError, TdbResult, Temporal};
 
@@ -110,6 +111,40 @@ pub trait BatchStream {
     /// Pull the next batch, `Ok(None)` at end of stream. Batches are
     /// non-empty.
     fn next_batch(&mut self) -> TdbResult<Option<RowBatch<Self::Item>>>;
+}
+
+/// A stream borrowed is a stream: a caller can keep a stream it lends to
+/// a kernel and read its state after the run.
+impl<B: BatchStream + ?Sized> BatchStream for &mut B {
+    type Item = B::Item;
+
+    fn next_batch(&mut self) -> TdbResult<Option<RowBatch<Self::Item>>> {
+        (**self).next_batch()
+    }
+}
+
+/// What a kernel reads one of its inputs from: the entry points of
+/// [`crate::dispatch`] take any `KernelInput` per side.
+pub trait KernelInput {
+    /// Row payload type.
+    type Item;
+    /// The batches the kernel is fed.
+    type Stream: BatchStream<Item = Self::Item>;
+
+    /// The input as batches of at most `rows` rows in `order` (`None`:
+    /// any). A vector is verified up front ([`VecBatchStream::new`]); a
+    /// [`crate::PageStream`] must deliver the order and verifies its
+    /// source as it reads. A violation is an `OrderViolation`.
+    fn into_batches(self, order: Option<StreamOrder>, rows: usize) -> TdbResult<Self::Stream>;
+}
+
+impl<T: Temporal> KernelInput for Vec<T> {
+    type Item = T;
+    type Stream = VecBatchStream<T>;
+
+    fn into_batches(self, order: Option<StreamOrder>, rows: usize) -> TdbResult<Self::Stream> {
+        VecBatchStream::new(self, order, rows)
+    }
 }
 
 /// A [`BatchStream`] over an owned vector, slicing it into `rows`-row

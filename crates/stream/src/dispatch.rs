@@ -1,19 +1,21 @@
-//! The execution entry points over materialized, sorted inputs.
+//! The execution entry points over sorted inputs.
 //!
 //! Every stream temporal operator runs through here — the query
 //! executor, the partitioned-parallel workers, the live engine, the
 //! experiment harness: [`run_join`], [`run_semijoin`] and
 //! [`run_self_semijoin`] pick the kernel for a [`StreamOpKind`] (each
-//! `match kind` names all twelve kinds), and [`run_kernel`] slices the
-//! inputs into [`VecBatchStream`] batches of [`OpConfig::batch_rows`]
-//! rows and [`drive`]s the kernel into an [`Emit`] mode. A caller that
-//! wants a vector uses [`collect`].
+//! `match kind` names all twelve kinds), and [`run_kernel`] turns each
+//! input into batches of at most [`OpConfig::batch_rows`] rows
+//! ([`KernelInput`]: a vector sliced into a [`crate::VecBatchStream`],
+//! or a stored scan's [`crate::PageStream`]) and [`drive`]s the kernel
+//! into an [`Emit`] mode. A caller that wants a vector uses [`collect`].
 //!
-//! Inputs must already be sorted into the orders the kind's registry
-//! entry requires ([`StreamOpKind::requirement`]); the order is
-//! re-verified in O(n) and a violation fails with `OrderViolation`.
+//! Inputs must already be in the orders the kind's registry entry
+//! requires ([`StreamOpKind::requirement`]): a vector is re-verified in
+//! O(n), a page stream as its pages arrive, and a violation fails with
+//! `OrderViolation`.
 
-use crate::batch::VecBatchStream;
+use crate::batch::KernelInput;
 use crate::batch_ops::{
     drive, BatchOp, ContainJoinTsTe, ContainSemijoinStab, ContainedSemijoinStab, OverlapJoin,
     OverlapSemijoin,
@@ -51,8 +53,8 @@ pub fn collect<T>(
     Ok((out, report))
 }
 
-/// Drive kernel `op` over two vectors in `batch_rows`-row batches into
-/// `emit`, after verifying each input against its claimed order (`None`:
+/// Drive kernel `op` over two inputs in batches of at most `batch_rows`
+/// rows into `emit`, each verified against its claimed order (`None`:
 /// any order). Returns `(completed, report)`: `completed` is `false` when
 /// the closure stopped the run early, and the report then covers only the
 /// work done up to that point. The report does not depend on the emit
@@ -60,14 +62,14 @@ pub fn collect<T>(
 pub fn run_kernel<K: BatchOp>(
     mut op: K,
     batch_rows: usize,
-    left: Vec<K::LeftItem>,
+    left: impl KernelInput<Item = K::LeftItem>,
     left_order: Option<StreamOrder>,
-    right: Vec<K::RightItem>,
+    right: impl KernelInput<Item = K::RightItem>,
     right_order: Option<StreamOrder>,
     emit: Emit<'_, K::Out>,
 ) -> TdbResult<(bool, OpReport)> {
-    let mut left = VecBatchStream::new(left, left_order, batch_rows)?;
-    let mut right = VecBatchStream::new(right, right_order, batch_rows)?;
+    let mut left = left.into_batches(left_order, batch_rows)?;
+    let mut right = right.into_batches(right_order, batch_rows)?;
     let completed = match emit {
         Emit::Count => drive(&mut op, &mut left, &mut right, &mut |_| Ok(true))?,
         Emit::Chunks(f) => drive(&mut op, &mut left, &mut right, f)?,
@@ -92,8 +94,8 @@ fn wrong_entry(kind: StreamOpKind, entry: &str) -> TdbResult<(bool, OpReport)> {
 pub fn run_join<X, Y>(
     kind: StreamOpKind,
     cfg: OpConfig,
-    x: Vec<X>,
-    y: Vec<Y>,
+    x: impl KernelInput<Item = X>,
+    y: impl KernelInput<Item = Y>,
     emit: Emit<'_, (X, Y)>,
 ) -> TdbResult<(bool, OpReport)>
 where
@@ -141,8 +143,8 @@ where
 pub fn run_semijoin<X, Y>(
     kind: StreamOpKind,
     cfg: OpConfig,
-    x: Vec<X>,
-    y: Vec<Y>,
+    x: impl KernelInput<Item = X>,
+    y: impl KernelInput<Item = Y>,
     emit: Emit<'_, X>,
 ) -> TdbResult<(bool, OpReport)>
 where
@@ -187,7 +189,7 @@ where
 pub fn run_self_semijoin<X>(
     kind: StreamOpKind,
     cfg: OpConfig,
-    x: Vec<X>,
+    x: impl KernelInput<Item = X>,
     emit: Emit<'_, X>,
 ) -> TdbResult<(bool, OpReport)>
 where

@@ -20,7 +20,8 @@
 //! | §4.2.4 Before operators | [`before`] |
 //! | footnote 8: equality joins via merge join | [`merge_join`] |
 //! | knobs and reports | [`report`] |
-//! | running a kernel over sorted vectors into a sink | [`dispatch`] |
+//! | running a kernel over sorted inputs into a sink | [`dispatch`] |
+//! | stored inputs a page at a time; the bounded TS↑ → TE↑ re-sort | [`paged`] |
 //! | time-partitioned parallel execution, fringe replication | [`partition`] |
 //!
 //! Every kernel is generic over items implementing [`tdb_core::Temporal`]
@@ -42,6 +43,7 @@ pub mod gapless;
 pub mod merge_join;
 pub mod metrics;
 pub mod overlap_join;
+pub mod paged;
 pub mod partition;
 pub mod progress;
 pub mod read_policy;
@@ -54,7 +56,9 @@ pub mod watermark;
 pub mod workspace;
 
 pub use aggregate::grouped_sum;
-pub use batch::{BatchStream, RowBatch, VecBatchStream, DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS};
+pub use batch::{
+    BatchStream, KernelInput, RowBatch, VecBatchStream, DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS,
+};
 pub use batch_ops::{
     drive, BatchOp, ContainJoinTsTe, ContainSemijoinStab, ContainedSemijoinStab, OverlapJoin,
     OverlapSemijoin, Side, Wants,
@@ -66,6 +70,7 @@ pub use gapless::GaplessWorkspace;
 pub use merge_join::merge_equi_join;
 pub use metrics::OpMetrics;
 pub use overlap_join::OverlapMode;
+pub use paged::{PageSource, PageStream};
 pub use partition::{
     merge_tagged, parallel_join, parallel_semijoin, partition_with_fringe, ParallelPush,
     PartitionSpec, Tagged,

@@ -86,6 +86,7 @@ fn sample_trace(n: u64, name: &str) -> QueryTrace {
         label: format!("query {name}"),
         elapsed_us: n,
         rows: n % 41,
+        pages_read: n % 29,
         sink_rows: n % 23,
         sink_bytes: n.wrapping_mul(9),
         stages: vec![
@@ -140,6 +141,7 @@ fn build_response(sel: u8, a: i64, n: u64, name: &str, raw: &[(i64, i64)], flag:
             },
             stats: QueryStats {
                 rows_scanned: n,
+                pages_read: n / 3,
                 comparisons: n.wrapping_mul(3),
                 max_workspace: n % 1024,
                 sorts_performed: n % 7,
@@ -310,8 +312,8 @@ proptest! {
         // with the correlation id intact.
         let mut wire = bytes::BytesMut::new();
         Frame::Reply { query_id: n, response: Box::new(resp.clone()) }.encode(&mut wire);
-        // The frame speaks protocol version 7.
-        prop_assert_eq!(wire[4], 7);
+        // The frame speaks protocol version 8.
+        prop_assert_eq!(wire[4], 8);
         let mut reader = FrameReader::new();
         let mut src = std::io::Cursor::new(wire.to_vec());
         match reader.read(&mut src).unwrap() {
