@@ -197,7 +197,13 @@ mod tests {
         assert!(msg.contains("BeforeJoin"), "{msg}");
         assert!(msg.contains("any order"), "{msg}");
         // No result footer — the query did not run.
-        assert!(!msg.contains(" scanned, "), "{msg}");
+        assert!(!msg.contains(" scanned in "), "{msg}");
+        // The same query run prints that footer.
+        let ran = out(s.feed(
+            "range of f1 is Faculty range of f2 is Faculty \
+             retrieve (N=f1.Name) where f1.ValidTo < f2.ValidFrom;",
+        ));
+        assert!(ran.contains(" scanned in "), "{ran}");
     }
 
     #[test]

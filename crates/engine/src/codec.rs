@@ -26,7 +26,7 @@ use crate::response::{
     SlowFsyncInfo, StageLatency, StatsReport, SubscribeReport, SubscriptionStatus, SuperstarRow,
     TableInfo, WalReport,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -37,7 +37,7 @@ use tdb::storage::Codec;
 use tdb::stream::PairBatch;
 use tdb_obs::{Stage, StageSpan};
 
-fn need(buf: &Bytes, n: usize, what: &str) -> TdbResult<()> {
+fn need(buf: &impl Buf, n: usize, what: &str) -> TdbResult<()> {
     if buf.remaining() < n {
         Err(TdbError::Corrupt(format!(
             "truncated {what}: need {n} bytes, have {}",
@@ -53,7 +53,7 @@ fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> TdbResult<String> {
+fn get_str(buf: &mut impl Buf) -> TdbResult<String> {
     decode_str(buf, str::to_owned)
 }
 
@@ -61,7 +61,7 @@ fn put_u64(buf: &mut BytesMut, v: u64) {
     buf.put_u64_le(v);
 }
 
-fn get_u64(buf: &mut Bytes) -> TdbResult<u64> {
+fn get_u64(buf: &mut impl Buf) -> TdbResult<u64> {
     need(buf, 8, "u64")?;
     Ok(buf.get_u64_le())
 }
@@ -70,7 +70,7 @@ fn put_bool(buf: &mut BytesMut, v: bool) {
     buf.put_u8(u8::from(v));
 }
 
-fn get_bool(buf: &mut Bytes) -> TdbResult<bool> {
+fn get_bool(buf: &mut impl Buf) -> TdbResult<bool> {
     need(buf, 1, "bool")?;
     Ok(buf.get_u8() != 0)
 }
@@ -85,7 +85,7 @@ fn put_opt<T>(buf: &mut BytesMut, v: Option<&T>, f: impl FnOnce(&mut BytesMut, &
     }
 }
 
-fn get_opt<T>(buf: &mut Bytes, f: impl FnOnce(&mut Bytes) -> TdbResult<T>) -> TdbResult<Option<T>> {
+fn get_opt<B: Buf, T>(buf: &mut B, f: impl FnOnce(&mut B) -> TdbResult<T>) -> TdbResult<Option<T>> {
     need(buf, 1, "option tag")?;
     match buf.get_u8() {
         0 => Ok(None),
@@ -98,7 +98,7 @@ fn put_f64(buf: &mut BytesMut, v: f64) {
     buf.put_u64_le(v.to_bits());
 }
 
-fn get_f64(buf: &mut Bytes) -> TdbResult<f64> {
+fn get_f64(buf: &mut impl Buf) -> TdbResult<f64> {
     need(buf, 8, "f64")?;
     Ok(f64::from_bits(buf.get_u64_le()))
 }
@@ -107,7 +107,7 @@ fn put_time(buf: &mut BytesMut, t: TimePoint) {
     buf.put_i64_le(t.ticks());
 }
 
-fn get_time(buf: &mut Bytes) -> TdbResult<TimePoint> {
+fn get_time(buf: &mut impl Buf) -> TdbResult<TimePoint> {
     need(buf, 8, "time point")?;
     Ok(TimePoint::new(buf.get_i64_le()))
 }
@@ -119,7 +119,7 @@ fn put_vec<T: Codec>(buf: &mut BytesMut, v: &[T]) {
     }
 }
 
-fn get_vec<T: Codec>(buf: &mut Bytes) -> TdbResult<Vec<T>> {
+fn get_vec<T: Codec>(buf: &mut impl Buf) -> TdbResult<Vec<T>> {
     need(buf, 4, "vec length")?;
     let n = buf.get_u32_le() as usize;
     // Capacity is clamped so a corrupt length cannot force a huge
@@ -138,7 +138,7 @@ fn put_strs(buf: &mut BytesMut, v: &[String]) {
     }
 }
 
-fn get_strs(buf: &mut Bytes) -> TdbResult<Vec<String>> {
+fn get_strs(buf: &mut impl Buf) -> TdbResult<Vec<String>> {
     need(buf, 4, "vec length")?;
     let n = buf.get_u32_le() as usize;
     let mut out = Vec::with_capacity(n.min(1024));
@@ -270,7 +270,7 @@ pub fn put_rows(buf: &mut BytesMut, rows: &[Row]) {
 
 /// Decode one row list. Truncation, an unknown tag, or a reference past
 /// the entries read so far yield [`TdbError::Corrupt`].
-pub fn get_rows(buf: &mut Bytes) -> TdbResult<Vec<Row>> {
+pub fn get_rows(buf: &mut impl Buf) -> TdbResult<Vec<Row>> {
     need(buf, 4, "row count")?;
     let n = buf.get_u32_le() as usize;
     // Every row takes at least its 2-byte arity, so a count the bytes
@@ -292,7 +292,7 @@ pub fn get_rows(buf: &mut Bytes) -> TdbResult<Vec<Row>> {
 
 /// One value of a row list: a string through the list's `table`, any
 /// other tag through the storage codec.
-fn get_value(buf: &mut Bytes, table: &mut Vec<Arc<str>>) -> TdbResult<Value> {
+fn get_value(buf: &mut impl Buf, table: &mut Vec<Arc<str>>) -> TdbResult<Value> {
     match buf.chunk().first() {
         Some(&TAG_STR) => {
             buf.advance(1);
@@ -350,7 +350,7 @@ fn put_span(buf: &mut BytesMut, s: &OpSpan) {
     put_opt(buf, s.predicted_expectation.as_ref(), |b, v| put_f64(b, *v));
 }
 
-fn get_span(buf: &mut Bytes) -> TdbResult<OpSpan> {
+fn get_span(buf: &mut impl Buf) -> TdbResult<OpSpan> {
     let operator = get_str(buf)?;
     let rows_in = get_u64(buf)?;
     let rows_out = get_u64(buf)?;
@@ -389,7 +389,7 @@ fn put_stage_span(buf: &mut BytesMut, s: &StageSpan) {
     put_str(buf, &s.detail);
 }
 
-fn get_stage_span(buf: &mut Bytes) -> TdbResult<StageSpan> {
+fn get_stage_span(buf: &mut impl Buf) -> TdbResult<StageSpan> {
     let name = get_str(buf)?;
     let stage = Stage::parse_name(&name)
         .ok_or_else(|| TdbError::Corrupt(format!("unknown stage name {name:?}")))?;
@@ -427,7 +427,7 @@ pub fn put_trace(buf: &mut BytesMut, t: &QueryTrace) {
 }
 
 /// Decode one [`QueryTrace`]; truncated input yields [`TdbError::Corrupt`].
-pub fn get_trace(buf: &mut Bytes) -> TdbResult<QueryTrace> {
+pub fn get_trace(buf: &mut impl Buf) -> TdbResult<QueryTrace> {
     let query_id = get_u64(buf)?;
     let label = get_str(buf)?;
     let elapsed_us = get_u64(buf)?;
@@ -467,7 +467,7 @@ fn put_traces(buf: &mut BytesMut, v: &[QueryTrace]) {
     }
 }
 
-fn get_traces(buf: &mut Bytes) -> TdbResult<Vec<QueryTrace>> {
+fn get_traces(buf: &mut impl Buf) -> TdbResult<Vec<QueryTrace>> {
     need(buf, 4, "trace count")?;
     let n = buf.get_u32_le() as usize;
     let mut out = Vec::with_capacity(n.min(1024));
@@ -532,7 +532,7 @@ impl Codec for Response {
         }
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<Response> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<Response> {
         need(buf, 1, "response tag")?;
         match buf.get_u8() {
             TAG_INFO => Ok(Response::Info(get_str(buf)?)),
@@ -563,7 +563,7 @@ impl Codec for TableInfo {
         put_u64(buf, self.max_concurrency);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<TableInfo> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<TableInfo> {
         Ok(TableInfo {
             name: get_str(buf)?,
             rows: get_u64(buf)?,
@@ -590,7 +590,7 @@ impl Codec for RowSet {
         self.encode_with(buf, |b| put_rows(b, &self.rows));
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<RowSet> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<RowSet> {
         Ok(RowSet {
             columns: get_strs(buf)?,
             rows: get_rows(buf)?,
@@ -608,7 +608,7 @@ impl Codec for QueryStats {
         put_u64(buf, self.sorts_performed);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<QueryStats> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<QueryStats> {
         Ok(QueryStats {
             rows_scanned: get_u64(buf)?,
             pages_read: get_u64(buf)?,
@@ -650,7 +650,7 @@ impl Codec for QueryReport {
         self.encode_with(buf, |b| put_rows(b, &self.rows.rows));
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<QueryReport> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<QueryReport> {
         Ok(QueryReport {
             query_id: get_u64(buf)?,
             logical: get_opt(buf, get_str)?,
@@ -674,7 +674,7 @@ impl Codec for QueryTrailer {
         put_opt(buf, self.error.as_ref(), |b, e| e.encode(b));
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<QueryTrailer> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<QueryTrailer> {
         Ok(QueryTrailer {
             total: get_u64(buf)?,
             stats: QueryStats::decode(buf)?,
@@ -696,7 +696,7 @@ impl Codec for OpVerdict {
         put_opt(buf, self.workspace_cap.as_ref(), |b, v| put_u64(b, *v));
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<OpVerdict> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<OpVerdict> {
         Ok(OpVerdict {
             path: get_str(buf)?,
             operator: get_str(buf)?,
@@ -714,7 +714,7 @@ impl Codec for AnalysisReport {
         put_str(buf, &self.certificate);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<AnalysisReport> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<AnalysisReport> {
         Ok(AnalysisReport {
             physical: get_str(buf)?,
             ops: get_vec(buf)?,
@@ -732,7 +732,7 @@ impl Codec for DeltaFrame {
         put_rows(buf, &self.rows);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<DeltaFrame> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<DeltaFrame> {
         Ok(DeltaFrame {
             subscription: get_u64(buf)?,
             label: get_str(buf)?,
@@ -753,7 +753,7 @@ impl Codec for IngestReport {
         put_vec(buf, &self.deltas);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<IngestReport> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<IngestReport> {
         Ok(IngestReport {
             relation: get_str(buf)?,
             offered: get_u64(buf)?,
@@ -772,7 +772,7 @@ impl Codec for SubscribeReport {
         self.initial.encode(buf);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<SubscribeReport> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<SubscribeReport> {
         Ok(SubscribeReport {
             id: get_u64(buf)?,
             certificate: get_opt(buf, get_str)?,
@@ -788,7 +788,7 @@ impl Codec for SealReport {
         put_vec(buf, &self.deltas);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<SealReport> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<SealReport> {
         Ok(SealReport {
             relation: get_str(buf)?,
             promoted: get_u64(buf)?,
@@ -809,7 +809,7 @@ impl Codec for LiveRelationStatus {
         put_u64(buf, self.watermark_lag);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<LiveRelationStatus> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<LiveRelationStatus> {
         Ok(LiveRelationStatus {
             name: get_str(buf)?,
             order: get_str(buf)?,
@@ -835,7 +835,7 @@ impl Codec for SubscriptionStatus {
         put_bool(buf, self.cancelled);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<SubscriptionStatus> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<SubscriptionStatus> {
         Ok(SubscriptionStatus {
             id: get_u64(buf)?,
             label: get_str(buf)?,
@@ -855,7 +855,7 @@ impl Codec for LiveStatus {
         put_vec(buf, &self.subscriptions);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<LiveStatus> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<LiveStatus> {
         Ok(LiveStatus {
             relations: get_vec(buf)?,
             subscriptions: get_vec(buf)?,
@@ -871,7 +871,7 @@ impl Codec for SuperstarRow {
         put_u64(buf, self.superstars);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<SuperstarRow> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<SuperstarRow> {
         Ok(SuperstarRow {
             label: get_str(buf)?,
             elapsed_us: get_u64(buf)?,
@@ -894,7 +894,7 @@ impl Codec for LiveRelationMetrics {
         put_opt(buf, self.duration_live.as_ref(), |b, v| put_f64(b, *v));
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<LiveRelationMetrics> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<LiveRelationMetrics> {
         Ok(LiveRelationMetrics {
             relation: get_str(buf)?,
             staged: get_u64(buf)?,
@@ -919,7 +919,7 @@ impl Codec for ConnMetrics {
         put_u64(buf, self.push_highwater);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<ConnMetrics> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<ConnMetrics> {
         Ok(ConnMetrics {
             id: get_u64(buf)?,
             frames_in: get_u64(buf)?,
@@ -943,7 +943,7 @@ impl Codec for NetMetrics {
         put_vec(buf, &self.conns);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<NetMetrics> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<NetMetrics> {
         Ok(NetMetrics {
             connections: get_u64(buf)?,
             frames_in: get_u64(buf)?,
@@ -963,7 +963,7 @@ impl Codec for SlowFsyncInfo {
         put_u64(buf, self.micros);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<SlowFsyncInfo> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<SlowFsyncInfo> {
         Ok(SlowFsyncInfo {
             relation: get_str(buf)?,
             micros: get_u64(buf)?,
@@ -986,7 +986,7 @@ impl Codec for WalReport {
         put_vec(buf, &self.slow_fsyncs);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<WalReport> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<WalReport> {
         Ok(WalReport {
             flush_policy: get_str(buf)?,
             appends: get_u64(buf)?,
@@ -1011,7 +1011,7 @@ impl Codec for StageLatency {
         put_u64(buf, self.p99_us);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<StageLatency> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<StageLatency> {
         Ok(StageLatency {
             stage: get_str(buf)?,
             count: get_u64(buf)?,
@@ -1032,7 +1032,7 @@ impl Codec for SloStatus {
         put_str(buf, &self.health);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<SloStatus> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<SloStatus> {
         Ok(SloStatus {
             objective: get_str(buf)?,
             target: get_f64(buf)?,
@@ -1061,7 +1061,7 @@ impl Codec for StatsReport {
         put_str(buf, &self.health);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<StatsReport> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<StatsReport> {
         Ok(StatsReport {
             queries: get_u64(buf)?,
             rows_returned: get_u64(buf)?,
@@ -1085,7 +1085,7 @@ impl Codec for ErrorInfo {
         put_str(buf, &self.message);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<ErrorInfo> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<ErrorInfo> {
         need(buf, 1, "error code")?;
         let raw = buf.get_u8();
         let code = ErrorCode::from_u8(raw)
@@ -1100,6 +1100,7 @@ impl Codec for ErrorInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use proptest::prelude::*;
 
     /// Rows from `(kind, n)` cells: every scalar type and NULL, strings

@@ -352,7 +352,7 @@ fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> TdbResult<String> {
+fn get_str(buf: &mut impl Buf) -> TdbResult<String> {
     decode_str(buf, str::to_owned)
 }
 

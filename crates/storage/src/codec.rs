@@ -11,8 +11,10 @@ use tdb_core::{Period, PeriodRow, Row, TdbError, TdbResult, TimePoint, TsTuple, 
 pub trait Codec: Sized {
     /// Append this value's encoding to `buf`.
     fn encode(&self, buf: &mut BytesMut);
-    /// Decode one value from the front of `buf`, consuming its bytes.
-    fn decode(buf: &mut Bytes) -> TdbResult<Self>;
+    /// Decode one value from the front of `buf`, consuming its bytes:
+    /// the wire's [`Bytes`], or a record borrowed from the page that
+    /// holds it, which then decodes in place.
+    fn decode(buf: &mut impl Buf) -> TdbResult<Self>;
 
     /// Encode into a fresh byte buffer.
     fn to_bytes(&self) -> Bytes {
@@ -21,33 +23,18 @@ pub trait Codec: Sized {
         buf.freeze()
     }
 
-    /// Decode from a standalone byte slice, requiring full consumption.
-    /// The storage types (values, rows, periods, tuples) decode in place
-    /// from the borrowed slice — a heap scan reads each record straight
-    /// from its page; other types copy the slice into a [`Bytes`] first.
-    fn from_bytes(bytes: &[u8]) -> TdbResult<Self> {
-        whole(bytes, |b| {
-            let mut owned = Bytes::copy_from_slice(b);
-            let v = Self::decode(&mut owned)?;
-            b.advance(b.len() - owned.len());
-            Ok(v)
-        })
+    /// Decode from a standalone byte slice, in place, requiring full
+    /// consumption.
+    fn from_bytes(mut bytes: &[u8]) -> TdbResult<Self> {
+        let v = Self::decode(&mut bytes)?;
+        if !bytes.is_empty() {
+            return Err(TdbError::Corrupt(format!(
+                "{} trailing bytes after decode",
+                bytes.len()
+            )));
+        }
+        Ok(v)
     }
-}
-
-/// Decode one value from all of `bytes`: trailing bytes are `Corrupt`.
-fn whole<'b, T>(
-    mut bytes: &'b [u8],
-    decode: impl FnOnce(&mut &'b [u8]) -> TdbResult<T>,
-) -> TdbResult<T> {
-    let v = decode(&mut bytes)?;
-    if !bytes.is_empty() {
-        return Err(TdbError::Corrupt(format!(
-            "{} trailing bytes after decode",
-            bytes.len()
-        )));
-    }
-    Ok(v)
 }
 
 const TAG_NULL: u8 = 0;
@@ -113,38 +100,28 @@ impl Codec for Value {
         }
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<Value> {
-        value(buf)
-    }
-
-    fn from_bytes(bytes: &[u8]) -> TdbResult<Value> {
-        whole(bytes, value)
-    }
-}
-
-/// Decode one [`Value`] from any buffer: the wire's [`Bytes`] or a
-/// record borrowed from a page.
-fn value(buf: &mut impl Buf) -> TdbResult<Value> {
-    need(buf, 1, "value tag")?;
-    match buf.get_u8() {
-        TAG_NULL => Ok(Value::Null),
-        TAG_BOOL => {
-            need(buf, 1, "bool")?;
-            Ok(Value::Bool(buf.get_u8() != 0))
+    fn decode(buf: &mut impl Buf) -> TdbResult<Value> {
+        need(buf, 1, "value tag")?;
+        match buf.get_u8() {
+            TAG_NULL => Ok(Value::Null),
+            TAG_BOOL => {
+                need(buf, 1, "bool")?;
+                Ok(Value::Bool(buf.get_u8() != 0))
+            }
+            TAG_INT => {
+                need(buf, 8, "int")?;
+                Ok(Value::Int(buf.get_i64_le()))
+            }
+            TAG_TIME => {
+                need(buf, 8, "time")?;
+                Ok(Value::Time(TimePoint::new(buf.get_i64_le())))
+            }
+            TAG_STR => decode_str(buf, |s| Value::str(s)),
+            TAG_STR_REF => Err(TdbError::Corrupt(
+                "string reference outside a row list".into(),
+            )),
+            t => Err(TdbError::Corrupt(format!("unknown value tag {t}"))),
         }
-        TAG_INT => {
-            need(buf, 8, "int")?;
-            Ok(Value::Int(buf.get_i64_le()))
-        }
-        TAG_TIME => {
-            need(buf, 8, "time")?;
-            Ok(Value::Time(TimePoint::new(buf.get_i64_le())))
-        }
-        TAG_STR => decode_str(buf, |s| Value::str(s)),
-        TAG_STR_REF => Err(TdbError::Corrupt(
-            "string reference outside a row list".into(),
-        )),
-        t => Err(TdbError::Corrupt(format!("unknown value tag {t}"))),
     }
 }
 
@@ -156,23 +133,15 @@ impl Codec for Row {
         }
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<Row> {
-        row(buf)
+    fn decode(buf: &mut impl Buf) -> TdbResult<Row> {
+        need(buf, 2, "row arity")?;
+        let n = buf.get_u16_le() as usize;
+        let mut values = Vec::with_capacity(n);
+        for _ in 0..n {
+            values.push(Value::decode(buf)?);
+        }
+        Ok(Row::new(values))
     }
-
-    fn from_bytes(bytes: &[u8]) -> TdbResult<Row> {
-        whole(bytes, row)
-    }
-}
-
-fn row(buf: &mut impl Buf) -> TdbResult<Row> {
-    need(buf, 2, "row arity")?;
-    let n = buf.get_u16_le() as usize;
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(value(buf)?);
-    }
-    Ok(Row::new(values))
 }
 
 impl Codec for Period {
@@ -181,20 +150,12 @@ impl Codec for Period {
         buf.put_i64_le(self.end().ticks());
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<Period> {
-        period(buf)
+    fn decode(buf: &mut impl Buf) -> TdbResult<Period> {
+        need(buf, 16, "period")?;
+        let start = TimePoint::new(buf.get_i64_le());
+        let end = TimePoint::new(buf.get_i64_le());
+        Period::new(start, end)
     }
-
-    fn from_bytes(bytes: &[u8]) -> TdbResult<Period> {
-        whole(bytes, period)
-    }
-}
-
-fn period(buf: &mut impl Buf) -> TdbResult<Period> {
-    need(buf, 16, "period")?;
-    let start = TimePoint::new(buf.get_i64_le());
-    let end = TimePoint::new(buf.get_i64_le());
-    Period::new(start, end)
 }
 
 impl Codec for PeriodRow {
@@ -203,20 +164,12 @@ impl Codec for PeriodRow {
         self.period.encode(buf);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<PeriodRow> {
-        period_row(buf)
+    fn decode(buf: &mut impl Buf) -> TdbResult<PeriodRow> {
+        Ok(PeriodRow {
+            row: Row::decode(buf)?,
+            period: Period::decode(buf)?,
+        })
     }
-
-    fn from_bytes(bytes: &[u8]) -> TdbResult<PeriodRow> {
-        whole(bytes, period_row)
-    }
-}
-
-fn period_row(buf: &mut impl Buf) -> TdbResult<PeriodRow> {
-    Ok(PeriodRow {
-        row: row(buf)?,
-        period: period(buf)?,
-    })
 }
 
 impl Codec for TsTuple {
@@ -226,21 +179,13 @@ impl Codec for TsTuple {
         self.period.encode(buf);
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<TsTuple> {
-        ts_tuple(buf)
+    fn decode(buf: &mut impl Buf) -> TdbResult<TsTuple> {
+        Ok(TsTuple {
+            surrogate: Value::decode(buf)?,
+            value: Value::decode(buf)?,
+            period: Period::decode(buf)?,
+        })
     }
-
-    fn from_bytes(bytes: &[u8]) -> TdbResult<TsTuple> {
-        whole(bytes, ts_tuple)
-    }
-}
-
-fn ts_tuple(buf: &mut impl Buf) -> TdbResult<TsTuple> {
-    Ok(TsTuple {
-        surrogate: value(buf)?,
-        value: value(buf)?,
-        period: period(buf)?,
-    })
 }
 
 #[cfg(test)]

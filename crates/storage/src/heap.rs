@@ -143,13 +143,12 @@ impl HeapFile {
     }
 
     /// A snapshot scan of the pages the file holds now, the tail flushed
-    /// first.
+    /// first. The scan reads through a handle of its own, so appends,
+    /// flushes and other scans of this file cannot move its position.
     pub fn pages(&mut self) -> TdbResult<PageScan> {
         self.flush()?;
-        let mut file = self.file.try_clone()?;
-        file.seek(SeekFrom::Start(0))?;
         Ok(PageScan {
-            file,
+            file: File::open(&self.path)?,
             next: 0,
             end: self.page_count,
             page: Page::new(),
@@ -245,7 +244,7 @@ impl<T: Codec> Iterator for HeapScan<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdb_core::TsTuple;
+    use tdb_core::{TsTuple, Value};
 
     fn tmpdir() -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -320,6 +319,69 @@ mod tests {
         let path = tmpdir().join("e.heap");
         std::fs::write(&path, [1, 2, 3]).unwrap();
         assert!(HeapFile::open(&path, IoStats::new()).is_err());
+    }
+
+    fn ids(page: &[TsTuple]) -> Vec<Value> {
+        page.iter().map(|t| t.surrogate.clone()).collect()
+    }
+
+    /// A heap of `n` tuples whose surrogates are `0..n`, and its pages.
+    fn numbered(name: &str, n: i64) -> (HeapFile, Vec<Vec<Value>>) {
+        let mut h = HeapFile::create(tmpdir().join(name), IoStats::new()).unwrap();
+        for i in 0..n {
+            h.append(&TsTuple::new(Value::Int(i), 0, i, i + 1).unwrap())
+                .unwrap();
+        }
+        let mut scan = h.pages().unwrap();
+        let mut pages = Vec::new();
+        let mut page = Vec::new();
+        while scan.next_page::<TsTuple>(&mut page).unwrap() {
+            pages.push(ids(&page));
+            page.clear();
+        }
+        assert!(pages.len() >= 3, "want several pages, got {}", pages.len());
+        (h, pages)
+    }
+
+    #[test]
+    fn interleaved_scans_of_one_heap_read_their_own_pages() {
+        let (mut h, pages) = numbered("g.heap", 2000);
+        let mut a = h.pages().unwrap();
+        let mut b = h.pages().unwrap();
+        let (mut pa, mut pb) = (Vec::new(), Vec::new());
+        for want in &pages {
+            assert!(a.next_page::<TsTuple>(&mut pa).unwrap());
+            assert!(b.next_page::<TsTuple>(&mut pb).unwrap());
+            assert_eq!(&ids(&pa), want);
+            assert_eq!(&ids(&pb), want);
+            pa.clear();
+            pb.clear();
+        }
+        assert!(!a.next_page::<TsTuple>(&mut pa).unwrap());
+        assert!(!b.next_page::<TsTuple>(&mut pb).unwrap());
+    }
+
+    #[test]
+    fn appends_between_pages_leave_the_snapshot_intact() {
+        let (mut h, pages) = numbered("h.heap", 2000);
+        let mut scan = h.pages().unwrap();
+        let mut page = Vec::new();
+        let mut next = 2000;
+        for want in &pages {
+            assert!(scan.next_page::<TsTuple>(&mut page).unwrap());
+            assert_eq!(&ids(&page), want);
+            page.clear();
+            // Append past a page's worth, flush, and open a further scan.
+            for _ in 0..300 {
+                h.append(&TsTuple::new(Value::Int(next), 0, 0, 1).unwrap())
+                    .unwrap();
+                next += 1;
+            }
+            h.flush().unwrap();
+            let _ = h.pages().unwrap();
+        }
+        assert!(!scan.next_page::<TsTuple>(&mut page).unwrap());
+        assert_eq!(h.scan::<TsTuple>().unwrap().count(), next as usize);
     }
 
     #[test]

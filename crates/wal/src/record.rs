@@ -8,7 +8,7 @@
 //! the payload encoding reuses the storage [`Codec`] conventions —
 //! little-endian, length-prefixed, defensively decoded.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use tdb_core::{Direction, Row, SortKey, SortSpec, StreamOrder, TdbError, TdbResult, TimePoint};
 use tdb_storage::Codec;
 
@@ -67,7 +67,7 @@ fn corrupt(what: &str) -> TdbError {
     TdbError::Corrupt(format!("wal record: {what}"))
 }
 
-fn need(buf: &Bytes, n: usize, what: &str) -> TdbResult<()> {
+fn need(buf: &impl Buf, n: usize, what: &str) -> TdbResult<()> {
     if buf.remaining() < n {
         Err(corrupt(&format!(
             "truncated {what}: need {n} bytes, have {}",
@@ -89,7 +89,7 @@ fn put_sort_spec(buf: &mut BytesMut, s: SortSpec) {
     });
 }
 
-fn get_sort_spec(buf: &mut Bytes) -> TdbResult<SortSpec> {
+fn get_sort_spec(buf: &mut impl Buf) -> TdbResult<SortSpec> {
     need(buf, 2, "sort spec")?;
     let key = match buf.get_u8() {
         0 => SortKey::ValidFrom,
@@ -114,7 +114,7 @@ fn put_opt_time(buf: &mut BytesMut, t: Option<TimePoint>) {
     }
 }
 
-fn get_opt_time(buf: &mut Bytes) -> TdbResult<Option<TimePoint>> {
+fn get_opt_time(buf: &mut impl Buf) -> TdbResult<Option<TimePoint>> {
     need(buf, 1, "optional time flag")?;
     match buf.get_u8() {
         0 => Ok(None),
@@ -167,7 +167,7 @@ impl Codec for WalRecord {
         }
     }
 
-    fn decode(buf: &mut Bytes) -> TdbResult<WalRecord> {
+    fn decode(buf: &mut impl Buf) -> TdbResult<WalRecord> {
         need(buf, 1, "record tag")?;
         match buf.get_u8() {
             TAG_REGISTER => {
