@@ -1299,3 +1299,675 @@ fn malformed_row_lists_are_typed_corrupt_errors() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// 7. Golden bytes
+// ---------------------------------------------------------------------------
+
+/// Rows whose strings repeat: `Smith` is one `Arc` in two rows, so its
+/// row list writes it once and then a reference, where a plain
+/// `Vec<Row>` encoding would write it twice.
+fn golden_rows() -> Vec<Row> {
+    let smith = Value::str("Smith");
+    vec![
+        Row::new(vec![smith.clone(), Value::Int(-2), Value::Bool(true)]),
+        Row::new(vec![Value::Time(TimePoint(7)), Value::Null, smith]),
+        Row::new(vec![Value::Bool(false)]),
+    ]
+}
+
+fn golden_stats() -> QueryStats {
+    QueryStats {
+        rows_scanned: 1,
+        pages_read: 2,
+        comparisons: 3,
+        max_workspace: 4,
+        sorts_performed: 5,
+    }
+}
+
+fn golden_trace() -> QueryTrace {
+    QueryTrace {
+        query_id: 1,
+        label: "q".into(),
+        elapsed_us: 2,
+        rows: 3,
+        pages_read: 4,
+        sink_rows: 5,
+        sink_bytes: 6,
+        spans: vec![
+            OpSpan {
+                operator: "J".into(),
+                rows_in: 7,
+                rows_out: 8,
+                comparisons: 9,
+                evicted: 10,
+                workspace_peak: 11,
+                workspace_mean: 1.5,
+                occupancy: vec![12, 13],
+                predicted_cap: Some(14),
+                predicted_expectation: None,
+            },
+            OpSpan {
+                operator: "S".into(),
+                workspace_mean: -0.25,
+                predicted_expectation: Some(2.5),
+                ..OpSpan::default()
+            },
+        ],
+        stages: vec![
+            StageSpan::top(Stage::Parse, 15, 16),
+            StageSpan {
+                stage: Stage::Operator,
+                start_us: 17,
+                elapsed_us: 18,
+                depth: 1,
+                detail: "J".into(),
+            },
+        ],
+    }
+}
+
+fn golden_delta(watermark: Option<i64>) -> DeltaFrame {
+    DeltaFrame {
+        subscription: 3,
+        label: "L".into(),
+        epoch: 4,
+        watermark: watermark.map(TimePoint),
+        rows: golden_rows(),
+    }
+}
+
+fn golden_report() -> QueryReport {
+    QueryReport {
+        query_id: 9,
+        logical: Some("l".into()),
+        optimized: Some("o".into()),
+        physical: Some("p".into()),
+        certificate: Some("c".into()),
+        rows: RowSet {
+            columns: vec!["A".into(), "B".into()],
+            rows: golden_rows(),
+            total: 3,
+        },
+        stats: golden_stats(),
+        elapsed_us: 10,
+        trace: Some(golden_trace()),
+    }
+}
+
+fn golden_stats_report() -> StatsReport {
+    StatsReport {
+        queries: 1,
+        rows_returned: 2,
+        cap_exceeded: 3,
+        slow_threshold_us: 4,
+        slow: vec![golden_trace()],
+        last: Some(golden_trace()),
+        live: vec![LiveRelationMetrics {
+            relation: "S".into(),
+            staged: 5,
+            watermark_lag: 6,
+            promotion_batches: 7,
+            max_promotion_batch: 8,
+            lambda_static: Some(0.5),
+            lambda_live: None,
+            duration_static: None,
+            duration_live: Some(4.0),
+        }],
+        net: Some(NetMetrics {
+            connections: 9,
+            frames_in: 10,
+            bytes_in: 11,
+            frames_out: 12,
+            bytes_out: 13,
+            push_queue_highwater: 14,
+            slow_subscriber_disconnects: 15,
+            conns: vec![ConnMetrics {
+                id: 16,
+                frames_in: 17,
+                bytes_in: 18,
+                frames_out: 19,
+                bytes_out: 20,
+                push_highwater: 21,
+            }],
+        }),
+        wal: Some(WalReport {
+            flush_policy: "g".into(),
+            appends: 22,
+            commits: 23,
+            fsyncs: 24,
+            bytes_written: 25,
+            checkpoints: 26,
+            torn_truncations: 27,
+            replayed_records: 28,
+            replay_bytes: 29,
+            replay_us: 30,
+            slow_fsyncs: vec![SlowFsyncInfo {
+                relation: "S".into(),
+                micros: 31,
+            }],
+        }),
+        stages: vec![StageLatency {
+            stage: "execute".into(),
+            count: 32,
+            p50_us: 33,
+            p99_us: 34,
+        }],
+        slo: vec![SloStatus {
+            objective: "latency".into(),
+            target: 0.99,
+            fast_window_s: 35,
+            slow_window_s: 36,
+            fast_burn: 0.125,
+            slow_burn: 2.0,
+            health: "ok".into(),
+        }],
+        health: "degraded".into(),
+    }
+}
+
+/// One value of every frame kind and every response type, `Some` and
+/// `None`, empty and non-empty vectors among them.
+fn golden_frames() -> Vec<(&'static str, Frame)> {
+    let reply = |response| Frame::Reply {
+        query_id: 9,
+        response: Box::new(response),
+    };
+    let mut header = golden_report();
+    header.rows.rows.clear();
+    vec![
+        ("input", Frame::Input("\\tables".into())),
+        (
+            "ingest",
+            Frame::Ingest {
+                relation: "S".into(),
+                lines: "1 2 a\n".into(),
+            },
+        ),
+        ("stats", Frame::Stats),
+        ("bye", Frame::Bye),
+        ("shutdown", Frame::Shutdown),
+        ("push", Frame::Push(golden_delta(Some(-6)))),
+        (
+            "reply_chunk",
+            Frame::ReplyChunk {
+                query_id: 9,
+                seq: 2,
+                last: true,
+                rows: golden_rows(),
+            },
+        ),
+        (
+            "reply_chunk_empty",
+            Frame::ReplyChunk {
+                query_id: 9,
+                seq: 3,
+                last: false,
+                rows: Vec::new(),
+            },
+        ),
+        (
+            "reply_end",
+            Frame::ReplyEnd {
+                query_id: 9,
+                trailer: Box::new(QueryTrailer::of(golden_report())),
+            },
+        ),
+        (
+            "reply_end_failed",
+            Frame::ReplyEnd {
+                query_id: 9,
+                trailer: Box::new(QueryTrailer::failed(ErrorInfo::new(ErrorCode::Eval, "x"))),
+            },
+        ),
+        ("info", reply(Response::Info("hi".into()))),
+        ("goodbye", reply(Response::Goodbye)),
+        (
+            "tables",
+            reply(Response::Tables(vec![
+                TableInfo {
+                    name: "F".into(),
+                    rows: 1,
+                    schema: "s".into(),
+                    lambda: Some(0.5),
+                    mean_duration: 2.0,
+                    max_concurrency: 3,
+                },
+                TableInfo {
+                    name: "G".into(),
+                    rows: 4,
+                    schema: String::new(),
+                    lambda: None,
+                    mean_duration: 0.0,
+                    max_concurrency: 5,
+                },
+            ])),
+        ),
+        ("query", reply(Response::Query(golden_report()))),
+        ("query_bare", reply(Response::Query(QueryReport::default()))),
+        ("query_stream", reply(Response::QueryStream(header))),
+        (
+            "analysis",
+            reply(Response::Analysis(AnalysisReport {
+                physical: "p".into(),
+                ops: vec![
+                    OpVerdict {
+                        path: "0".into(),
+                        operator: "J".into(),
+                        table_entry: "T".into(),
+                        workspace_expectation: Some(1.5),
+                        workspace_cap: None,
+                    },
+                    OpVerdict {
+                        path: "0.1".into(),
+                        operator: "S".into(),
+                        table_entry: "U".into(),
+                        workspace_expectation: None,
+                        workspace_cap: Some(6),
+                    },
+                ],
+                certificate: "c".into(),
+            })),
+        ),
+        (
+            "ingest_report",
+            reply(Response::Ingest(IngestReport {
+                relation: "S".into(),
+                offered: 1,
+                promoted: 2,
+                staged: 3,
+                watermark: Some(TimePoint(4)),
+                deltas: vec![golden_delta(Some(5))],
+            })),
+        ),
+        (
+            "ingest_report_empty",
+            reply(Response::Ingest(IngestReport {
+                relation: "S".into(),
+                offered: 0,
+                promoted: 0,
+                staged: 0,
+                watermark: None,
+                deltas: Vec::new(),
+            })),
+        ),
+        (
+            "subscribed",
+            reply(Response::Subscribed(SubscribeReport {
+                id: 7,
+                certificate: Some("c".into()),
+                initial: golden_delta(None),
+            })),
+        ),
+        (
+            "live",
+            reply(Response::Live(LiveStatus {
+                relations: vec![LiveRelationStatus {
+                    name: "S".into(),
+                    order: "o".into(),
+                    sealed: true,
+                    watermark: Some(TimePoint(1)),
+                    admitted: 2,
+                    staged: 3,
+                    promoted: 4,
+                    watermark_lag: 5,
+                }],
+                subscriptions: vec![SubscriptionStatus {
+                    id: 6,
+                    label: "L".into(),
+                    mode: "held tuples".into(),
+                    evaluations: 7,
+                    emitted: 8,
+                    workspace_peak: 9,
+                    workspace_cap: 10,
+                    cancelled: false,
+                }],
+            })),
+        ),
+        (
+            "sealed",
+            reply(Response::Sealed(SealReport {
+                relation: "S".into(),
+                promoted: 1,
+                deltas: vec![golden_delta(None)],
+            })),
+        ),
+        (
+            "superstar",
+            reply(Response::Superstar(vec![SuperstarRow {
+                label: "s".into(),
+                elapsed_us: 1,
+                comparisons: 2,
+                superstars: 3,
+            }])),
+        ),
+        (
+            "stats_report",
+            reply(Response::Stats(golden_stats_report())),
+        ),
+        (
+            "stats_report_empty",
+            reply(Response::Stats(StatsReport::default())),
+        ),
+        (
+            "error",
+            reply(Response::Error(ErrorInfo::new(ErrorCode::WalCorrupt, "w"))),
+        ),
+    ]
+}
+
+/// One value of every WAL record variant, `Some` and `None` among them.
+fn golden_wal_records() -> Vec<(&'static str, tdb::wal::WalRecord)> {
+    use tdb::wal::WalRecord;
+    vec![
+        (
+            "register",
+            WalRecord::Register {
+                order: StreamOrder::TS_ASC,
+                slack: 3,
+            },
+        ),
+        (
+            "register_secondary",
+            WalRecord::Register {
+                order: StreamOrder::by_then(SortSpec::TE_DESC, SortSpec::TS_ASC),
+                slack: -1,
+            },
+        ),
+        (
+            "append",
+            WalRecord::Append {
+                row: golden_rows().swap_remove(0),
+            },
+        ),
+        ("watermark_none", WalRecord::Watermark { frontier: None }),
+        (
+            "watermark",
+            WalRecord::Watermark {
+                frontier: Some(TimePoint(-4)),
+            },
+        ),
+        ("seal", WalRecord::Seal),
+        ("promote", WalRecord::Promote { closed: 1234 }),
+        (
+            "checkpoint",
+            WalRecord::Checkpoint {
+                promoted: 99,
+                frontier: Some(TimePoint(41)),
+                sealed: true,
+            },
+        ),
+        (
+            "checkpoint_empty",
+            WalRecord::Checkpoint {
+                promoted: 0,
+                frontier: None,
+                sealed: false,
+            },
+        ),
+    ]
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().fold(String::new(), |mut s, b| {
+        let _ = write!(s, "{b:02x}");
+        s
+    })
+}
+
+/// Compare every `(name, bytes)` with its pinned hex (whitespace in the
+/// pin ignored). On a mismatch, print every actual encoding in the
+/// table's own layout before failing.
+fn assert_golden(encoded: &[(&str, Vec<u8>)], pinned: &[(&str, &str)]) {
+    let mut wrong = Vec::new();
+    for (name, bytes) in encoded {
+        let want = pinned
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, h)| h.chars().filter(|c| !c.is_whitespace()).collect::<String>());
+        if want.as_deref() != Some(hex(bytes).as_str()) {
+            wrong.push(*name);
+        }
+    }
+    if !wrong.is_empty() {
+        for (name, bytes) in encoded {
+            let h = hex(bytes);
+            let lines: Vec<&str> = h
+                .as_bytes()
+                .chunks(64)
+                .map(|c| std::str::from_utf8(c).unwrap())
+                .collect();
+            eprintln!(
+                "    (\n        \"{name}\",\n        \"{}\",\n    ),",
+                lines.join("\\\n         ")
+            );
+        }
+        panic!("encodings differ from their pins: {wrong:?}");
+    }
+    assert_eq!(encoded.len(), pinned.len(), "a pin names no value");
+}
+
+/// The bytes of every frame kind, every response type and every WAL
+/// record variant, pinned. Round-trip tests cannot see a field moved in
+/// both halves of a codec at once; such a move breaks every older peer
+/// and every log on disk, and changes these bytes.
+#[test]
+fn wire_and_wal_bytes_match_their_golden_pins() {
+    let frames = golden_frames();
+    let encoded: Vec<(&str, Vec<u8>)> = frames
+        .iter()
+        .map(|(name, frame)| {
+            let mut wire = bytes::BytesMut::new();
+            frame.encode(&mut wire);
+            (*name, wire.to_vec())
+        })
+        .collect();
+    for ((name, frame), (_, wire)) in frames.iter().zip(&encoded) {
+        let back = Frame::decode_payload(bytes::Bytes::copy_from_slice(&wire[4..]));
+        assert_eq!(back.as_ref().ok(), Some(frame), "{name}");
+    }
+    assert_golden(&encoded, GOLDEN_FRAMES);
+
+    let records = golden_wal_records();
+    let encoded: Vec<(&str, Vec<u8>)> = records
+        .iter()
+        .map(|(name, r)| (*name, r.to_bytes().to_vec()))
+        .collect();
+    for (name, r) in &records {
+        let back = tdb::wal::WalRecord::from_bytes(&r.to_bytes());
+        assert_eq!(back.as_ref().ok(), Some(r), "{name}");
+    }
+    assert_golden(&encoded, GOLDEN_WAL);
+}
+
+const GOLDEN_FRAMES: &[(&str, &str)] = &[
+    ("input", "0d0000000801070000005c7461626c6573"),
+    ("ingest", "11000000080201000000530600000031203220610a"),
+    ("stats", "020000000804"),
+    ("bye", "020000000803"),
+    ("shutdown", "020000000812"),
+    (
+        "push",
+        "5000000008110300000000000000010000004c040000000000000001faffffff\
+         ffffffff0300000003000405000000536d69746802feffffffffffffff010103\
+         0003070000000000000000050000000001000100",
+    ),
+    (
+        "reply_chunk",
+        "3f0000000813090000000000000002000000010300000003000405000000536d\
+         69746802feffffffffffffff0101030003070000000000000000050000000001\
+         000100",
+    ),
+    (
+        "reply_chunk_empty",
+        "1300000008130900000000000000030000000000000000",
+    ),
+    (
+        "reply_end",
+        "5d01000008140900000000000000030000000000000001000000000000000200\
+         0000000000000300000000000000040000000000000005000000000000000a00\
+         0000000000000101000000000000000100000071020000000000000003000000\
+         0000000004000000000000000500000000000000060000000000000002000000\
+         010000004a0700000000000000080000000000000009000000000000000a0000\
+         00000000000b00000000000000000000000000f83f020000000c000000000000\
+         000d00000000000000010e000000000000000001000000530000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         000000000000d0bf000000000001000000000000044002000000050000007061\
+         7273650f0000000000000010000000000000000000000000000000080000006f\
+         70657261746f721100000000000000120000000000000001000000010000004a\
+         00",
+    ),
+    (
+        "reply_end_failed",
+        "4a00000008140900000000000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         00000000000000010a0100000078",
+    ),
+    ("info", "110000000810090000000000000000020000006869"),
+    ("goodbye", "0b0000000810090000000000000001"),
+    (
+        "tables",
+        "5c00000008100900000000000000020200000001000000460100000000000000\
+         010000007301000000000000e03f000000000000004003000000000000000100\
+         0000470400000000000000000000000000000000000000000500000000000000",
+    ),
+    (
+        "query",
+        "bb0100000810090000000000000003090000000000000001010000006c010100\
+         00006f0101000000700101000000630200000001000000410100000042030000\
+         0003000405000000536d69746802feffffffffffffff01010300030700000000\
+         0000000005000000000100010003000000000000000100000000000000020000\
+         00000000000300000000000000040000000000000005000000000000000a0000\
+         0000000000010100000000000000010000007102000000000000000300000000\
+         0000000400000000000000050000000000000006000000000000000200000001\
+         0000004a0700000000000000080000000000000009000000000000000a000000\
+         000000000b00000000000000000000000000f83f020000000c00000000000000\
+         0d00000000000000010e00000000000000000100000053000000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         0000000000d0bf00000000000100000000000004400200000005000000706172\
+         73650f0000000000000010000000000000000000000000000000080000006f70\
+         657261746f721100000000000000120000000000000001000000010000004a",
+    ),
+    (
+        "query_bare",
+        "5800000008100900000000000000030000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         00000000000000000000000000000000000000000000000000000000",
+    ),
+    (
+        "query_stream",
+        "8f010000081009000000000000000c090000000000000001010000006c010100\
+         00006f0101000000700101000000630200000001000000410100000042000000\
+         0003000000000000000100000000000000020000000000000003000000000000\
+         00040000000000000005000000000000000a0000000000000001010000000000\
+         0000010000007102000000000000000300000000000000040000000000000005\
+         00000000000000060000000000000002000000010000004a0700000000000000\
+         080000000000000009000000000000000a000000000000000b00000000000000\
+         000000000000f83f020000000c000000000000000d00000000000000010e0000\
+         0000000000000100000053000000000000000000000000000000000000000000\
+         00000000000000000000000000000000000000000000000000d0bf0000000000\
+         010000000000000440020000000500000070617273650f000000000000001000\
+         0000000000000000000000000000080000006f70657261746f72110000000000\
+         0000120000000000000001000000010000004a",
+    ),
+    (
+        "analysis",
+        "4d00000008100900000000000000040100000070020000000100000030010000\
+         004a010000005401000000000000f83f0003000000302e310100000053010000\
+         0055000106000000000000000100000063",
+    ),
+    (
+        "ingest_report",
+        "8300000008100900000000000000050100000053010000000000000002000000\
+         0000000003000000000000000104000000000000000100000003000000000000\
+         00010000004c0400000000000000010500000000000000030000000300040500\
+         0000536d69746802feffffffffffffff01010300030700000000000000000500\
+         00000001000100",
+    ),
+    (
+        "ingest_report_empty",
+        "2d00000008100900000000000000050100000053000000000000000000000000\
+         0000000000000000000000000000000000",
+    ),
+    (
+        "subscribed",
+        "5f00000008100900000000000000060700000000000000010100000063030000\
+         0000000000010000004c0400000000000000000300000003000405000000536d\
+         69746802feffffffffffffff0101030003070000000000000000050000000001\
+         000100",
+    ),
+    (
+        "live",
+        "840000000810090000000000000007010000000100000053010000006f010101\
+         0000000000000002000000000000000300000000000000040000000000000005\
+         00000000000000010000000600000000000000010000004c0b00000068656c64\
+         207475706c65730700000000000000080000000000000009000000000000000a\
+         0000000000000000",
+    ),
+    (
+        "sealed",
+        "6200000008100900000000000000080100000053010000000000000001000000\
+         0300000000000000010000004c04000000000000000003000000030004050000\
+         00536d69746802feffffffffffffff0101030003070000000000000000050000\
+         000001000100",
+    ),
+    (
+        "superstar",
+        "2c00000008100900000000000000090100000001000000730100000000000000\
+         02000000000000000300000000000000",
+    ),
+    (
+        "stats_report",
+        "db030000081009000000000000000b0100000000000000020000000000000003\
+         0000000000000004000000000000000100000001000000000000000100000071\
+         0200000000000000030000000000000004000000000000000500000000000000\
+         060000000000000002000000010000004a070000000000000008000000000000\
+         0009000000000000000a000000000000000b00000000000000000000000000f8\
+         3f020000000c000000000000000d00000000000000010e000000000000000001\
+         0000005300000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000d0bf000000000001000000000000\
+         0440020000000500000070617273650f00000000000000100000000000000000\
+         00000000000000080000006f70657261746f7211000000000000001200000000\
+         00000001000000010000004a0101000000000000000100000071020000000000\
+         0000030000000000000004000000000000000500000000000000060000000000\
+         000002000000010000004a070000000000000008000000000000000900000000\
+         0000000a000000000000000b00000000000000000000000000f83f020000000c\
+         000000000000000d00000000000000010e000000000000000001000000530000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000d0bf000000000001000000000000044002000000\
+         0500000070617273650f00000000000000100000000000000000000000000000\
+         00080000006f70657261746f7211000000000000001200000000000000010000\
+         00010000004a0100000001000000530500000000000000060000000000000007\
+         00000000000000080000000000000001000000000000e03f0000010000000000\
+         0010400109000000000000000a000000000000000b000000000000000c000000\
+         000000000d000000000000000e000000000000000f0000000000000001000000\
+         1000000000000000110000000000000012000000000000001300000000000000\
+         1400000000000000150000000000000001010000006716000000000000001700\
+         000000000000180000000000000019000000000000001a000000000000001b00\
+         0000000000001c000000000000001d000000000000001e000000000000000100\
+         000001000000531f000000000000000100000007000000657865637574652000\
+         0000000000002100000000000000220000000000000001000000070000006c61\
+         74656e6379ae47e17a14aeef3f23000000000000002400000000000000000000\
+         000000c03f0000000000000040020000006f6b080000006465677261646564",
+    ),
+    (
+        "stats_report_empty",
+        "42000000081009000000000000000b0000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         000000000000",
+    ),
+    ("error", "11000000081009000000000000000a100100000077"),
+];
+
+const GOLDEN_WAL: &[(&str, &str)] = &[
+    ("register", "010000000300000000000000"),
+    ("register_secondary", "010101010000ffffffffffffffff"),
+    ("append", "0203000405000000536d69746802feffffffffffffff0101"),
+    ("watermark_none", "0300"),
+    ("watermark", "0301fcffffffffffffff"),
+    ("seal", "04"),
+    ("promote", "05d204000000000000"),
+    ("checkpoint", "06630000000000000001290000000000000001"),
+    ("checkpoint_empty", "0600000000000000000000"),
+];
