@@ -13,9 +13,9 @@ cargo test -q
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-# Workspace source lints: repo concurrency and codec invariants as
+# Workspace source lints: repo concurrency and registry invariants as
 # deny-by-default rules (no-unwrap in serving crates, bounded channels
-# only, no guard across blocking calls, registry/codec exhaustiveness,
+# only, no guard across blocking calls, registry exhaustiveness,
 # metrics naming). `// lint:allow(<rule>)` is the inline escape hatch.
 echo "==> tdb lint"
 cargo run -q -p tdb-cli -- lint

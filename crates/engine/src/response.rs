@@ -10,6 +10,7 @@
 //! glyphs are the renderer's business.
 
 use tdb::prelude::*;
+use tdb::storage::wire_enum;
 
 pub use tdb_obs::{OpSpan, QueryTrace};
 
@@ -526,69 +527,47 @@ pub struct StatsReport {
     pub health: String,
 }
 
-/// The wire-level error taxonomy: every [`TdbError`] variant maps to a
-/// stable code so remote clients can dispatch without string matching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ErrorCode {
-    /// `ValidFrom >= ValidTo` in a period.
-    InvalidPeriod = 1,
-    /// A stream violated its declared sort order (late arrival).
-    OrderViolation = 2,
-    /// An operator was configured with an unsupported ordering.
-    UnsupportedOrdering = 3,
-    /// Storage I/O failure.
-    Io = 4,
-    /// Malformed serialized data.
-    Corrupt = 5,
-    /// Schema-level problem.
-    Schema = 6,
-    /// Catalog-level problem (unknown/duplicate relation).
-    Catalog = 7,
-    /// Query-text parse error.
-    Parse = 8,
-    /// Plan construction/verification failure.
-    Plan = 9,
-    /// Runtime evaluation failure.
-    Eval = 10,
-    /// Integrity-constraint violation.
-    ConstraintViolation = 11,
-    // 12 is unassigned: it named an exhausted buffer pool until the
-    // pool went, and protocol v8 retired it. A v8 peer never sends it.
-    /// Wire-protocol violation (bad frame, unsupported version).
-    Protocol = 13,
-    /// The server is shutting down or dropped the session.
-    Unavailable = 14,
-    /// A client configuration setting was rejected (unknown `\set` key,
-    /// unparsable value, or out-of-range value).
-    Config = 15,
-    /// A write-ahead log frame passed its CRC but failed to decode, or
-    /// its replay contradicted the catalog — real corruption, distinct
-    /// from the torn tails recovery truncates silently.
-    WalCorrupt = 16,
-}
-
-impl ErrorCode {
-    /// Decode a wire byte back into a code.
-    pub fn from_u8(b: u8) -> Option<ErrorCode> {
-        Some(match b {
-            1 => ErrorCode::InvalidPeriod,
-            2 => ErrorCode::OrderViolation,
-            3 => ErrorCode::UnsupportedOrdering,
-            4 => ErrorCode::Io,
-            5 => ErrorCode::Corrupt,
-            6 => ErrorCode::Schema,
-            7 => ErrorCode::Catalog,
-            8 => ErrorCode::Parse,
-            9 => ErrorCode::Plan,
-            10 => ErrorCode::Eval,
-            11 => ErrorCode::ConstraintViolation,
-            13 => ErrorCode::Protocol,
-            14 => ErrorCode::Unavailable,
-            15 => ErrorCode::Config,
-            16 => ErrorCode::WalCorrupt,
-            _ => return None,
-        })
+wire_enum! {
+    /// The wire-level error taxonomy: every [`TdbError`] variant maps to a
+    /// stable code so remote clients can dispatch without string matching.
+    /// One list gives each code its byte and `from_u8` its decoder.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ErrorCode {
+        /// `ValidFrom >= ValidTo` in a period.
+        InvalidPeriod = 1,
+        /// A stream violated its declared sort order (late arrival).
+        OrderViolation = 2,
+        /// An operator was configured with an unsupported ordering.
+        UnsupportedOrdering = 3,
+        /// Storage I/O failure.
+        Io = 4,
+        /// Malformed serialized data.
+        Corrupt = 5,
+        /// Schema-level problem.
+        Schema = 6,
+        /// Catalog-level problem (unknown/duplicate relation).
+        Catalog = 7,
+        /// Query-text parse error.
+        Parse = 8,
+        /// Plan construction/verification failure.
+        Plan = 9,
+        /// Runtime evaluation failure.
+        Eval = 10,
+        /// Integrity-constraint violation.
+        ConstraintViolation = 11,
+        // 12 is unassigned: it named an exhausted buffer pool until the
+        // pool went, and protocol v8 retired it. A v8 peer never sends it.
+        /// Wire-protocol violation (bad frame, unsupported version).
+        Protocol = 13,
+        /// The server is shutting down or dropped the session.
+        Unavailable = 14,
+        /// A client configuration setting was rejected (unknown `\set` key,
+        /// unparsable value, or out-of-range value).
+        Config = 15,
+        /// A write-ahead log frame passed its CRC but failed to decode, or
+        /// its replay contradicted the catalog — real corruption, distinct
+        /// from the torn tails recovery truncates silently.
+        WalCorrupt = 16,
     }
 }
 
@@ -629,5 +608,27 @@ impl From<&TdbError> for ErrorInfo {
             TdbError::WalCorrupt { .. } => ErrorCode::WalCorrupt,
         };
         ErrorInfo::new(code, e.to_string())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `from_u8` inverts the discriminants: every byte decodes to the
+    /// code it is, or to nothing. Fifteen codes are assigned; 0 and the
+    /// retired 12 are not.
+    #[test]
+    fn every_error_code_byte_decodes_to_itself_or_nothing() {
+        let mut codes = 0;
+        for b in 0..=255u8 {
+            if let Some(code) = ErrorCode::from_u8(b) {
+                assert_eq!(code as u8, b, "{code:?}");
+                codes += 1;
+            }
+        }
+        assert_eq!(codes, 15);
+        assert_eq!(ErrorCode::from_u8(0), None);
+        assert_eq!(ErrorCode::from_u8(12), None);
     }
 }

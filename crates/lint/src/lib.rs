@@ -1,14 +1,13 @@
 //! `tdb-lint`: dependency-free source-level analysis enforcing the
-//! workspace's concurrency and codec invariants as deny-by-default
+//! workspace's concurrency and registry invariants as deny-by-default
 //! rules.
 //!
 //! The rules are deliberately shallow — line-level lexing over cleaned
 //! source (see [`lexer`]), not a Rust parser — because the invariants
 //! they guard are token-visible: a `.unwrap()` in a serving crate, an
 //! unbounded channel constructor, a lock guard lexically alive across a
-//! blocking call, a `StreamOpKind` variant missing from its registry,
-//! an `ErrorCode` that does not round-trip through `from_u8`, a metric
-//! registered outside the `tdb_` namespace.
+//! blocking call, a `StreamOpKind` variant missing from its registry, a
+//! metric registered outside the `tdb_` namespace.
 //!
 //! Every finding is deniable inline with `// lint:allow(<rule>)` on the
 //! offending line (or the line above), which is the required place to
@@ -23,7 +22,6 @@
 //! | `no-unbounded-channel` | only bounded (`sync_channel`) queues, workspace-wide |
 //! | `guard-across-blocking` | no lock guard lexically live across `.join`/`.send`/`.recv`/`.wait` |
 //! | `streamop-registry` | every `StreamOpKind` variant in `ALL` and `requirement()` |
-//! | `errorcode-codec` | `ErrorCode` discriminants round-trip through `from_u8` |
 //! | `metrics-name` | literal metric names match `^tdb_[a-z0-9_]+$` |
 //! | `no-unsynced-durability-write` | every WAL-crate file write reaches a `sync_data`/`sync_all` in scope |
 
@@ -90,7 +88,6 @@ fn lint_prepared(prepared: &[Prepared]) -> Vec<Finding> {
         rules::no_unsynced_durability_write(p, &mut raw);
     }
     rules::streamop_registry(prepared, &mut raw);
-    rules::errorcode_codec(prepared, &mut raw);
 
     let mut out: Vec<Finding> = raw
         .into_iter()

@@ -287,116 +287,6 @@ pub fn streamop_registry(files: &[Prepared], out: &mut Vec<Finding>) {
     }
 }
 
-/// `errorcode-codec`: every `ErrorCode` discriminant must decode back to
-/// the same variant in `from_u8`, and every `from_u8` arm must name a
-/// declared variant with its declared discriminant — both directions of
-/// the wire codec stay total.
-pub fn errorcode_codec(files: &[Prepared], out: &mut Vec<Finding>) {
-    let Some(p) = files
-        .iter()
-        .find(|p| p.path.ends_with("engine/src/response.rs"))
-    else {
-        return;
-    };
-    // Declared pairs: `Ident = N,` inside `enum ErrorCode`.
-    let marker = "enum ErrorCode";
-    let Some(start) = p.code.iter().position(|l| l.contains(marker)) else {
-        return;
-    };
-    let mut declared: Vec<(usize, String, u32)> = Vec::new();
-    for (j, line) in p.code.iter().enumerate().skip(start + 1) {
-        let t = line.trim();
-        if t.starts_with('}') {
-            break;
-        }
-        if let Some((ident, rest)) = t.split_once('=') {
-            let ident = ident.trim();
-            let num: String = rest
-                .trim()
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            if ident.chars().all(|c| c.is_alphanumeric()) && !ident.is_empty() {
-                if let Ok(n) = num.parse() {
-                    declared.push((j, ident.to_string(), n));
-                }
-            }
-        }
-    }
-    if declared.is_empty() {
-        return;
-    }
-    // Decode arms: `N => ErrorCode::Ident` inside `fn from_u8`.
-    let Some(fstart) = p.code.iter().position(|l| l.contains("fn from_u8")) else {
-        for (j, ident, _) in &declared {
-            out.push(finding(
-                p,
-                *j,
-                "errorcode-codec",
-                format!("ErrorCode::{ident}: no from_u8 decoder found at all"),
-            ));
-        }
-        return;
-    };
-    let fend = p.depth[fstart.saturating_sub(1)].max(0);
-    let mut arms: Vec<(usize, u32, String)> = Vec::new();
-    for (j, line) in p.code.iter().enumerate().skip(fstart) {
-        let t = line.trim();
-        if let Some((num, rest)) = t.split_once("=>") {
-            let num: String = num
-                .trim()
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            if let Ok(n) = num.parse() {
-                if let Some(at) = rest.find("ErrorCode::") {
-                    let ident: String = rest[at + "ErrorCode::".len()..]
-                        .chars()
-                        .take_while(|c| c.is_alphanumeric())
-                        .collect();
-                    arms.push((j, n, ident));
-                }
-            }
-        }
-        if j > fstart && p.depth[j] <= fend {
-            break;
-        }
-    }
-    for (j, ident, n) in &declared {
-        match arms.iter().find(|(_, _, a)| a == ident) {
-            None => out.push(finding(
-                p,
-                *j,
-                "errorcode-codec",
-                format!(
-                    "ErrorCode::{ident} = {n} has no from_u8 decode arm: the wire \
-                         byte would decode to None"
-                ),
-            )),
-            Some((aj, an, _)) if an != n => out.push(finding(
-                p,
-                *aj,
-                "errorcode-codec",
-                format!(
-                    "from_u8 maps {an} to ErrorCode::{ident}, but the declared \
-                     discriminant is {n}"
-                ),
-            )),
-            Some(_) => {}
-        }
-    }
-    for (j, n, ident) in &arms {
-        if !declared.iter().any(|(_, d, dn)| d == ident && dn == n) {
-            out.push(finding(
-                p,
-                *j,
-                "errorcode-codec",
-                format!("from_u8 arm {n} => ErrorCode::{ident} matches no declared variant"),
-            ));
-        }
-    }
-}
-
 /// `no-unsynced-durability-write`: in the WAL crate's library paths, a
 /// file write (`File::create(`, `.write_all(`, `std::fs::write(`) must
 /// have a forward-reachable `sync_data(`/`sync_all(` inside the same

@@ -225,48 +225,6 @@ impl StreamOpKind {
 }
 
 #[test]
-fn errorcode_codec_catches_missing_and_mismatched_arms() {
-    let text = "
-pub enum ErrorCode {
-    InvalidPeriod = 1,
-    Parse = 2,
-    Unmapped = 3,
-}
-
-impl ErrorCode {
-    pub fn from_u8(v: u8) -> Option<ErrorCode> {
-        Some(match v {
-            1 => ErrorCode::InvalidPeriod,
-            9 => ErrorCode::Parse,
-            _ => return None,
-        })
-    }
-}
-";
-    let findings = lint_files(&[src("crates/engine/src/response.rs", text)]);
-    let rules = rules_of(&findings);
-    assert_eq!(rules.len(), 3, "{findings:#?}");
-    assert!(
-        rules.iter().all(|r| *r == "errorcode-codec"),
-        "{findings:#?}"
-    );
-    let all = findings
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(all.contains("Unmapped"), "missing-arm not caught: {all}");
-    assert!(
-        all.contains("declared discriminant is 2"),
-        "discriminant mismatch not caught: {all}"
-    );
-    assert!(
-        all.contains("matches no declared variant"),
-        "stale arm not caught: {all}"
-    );
-}
-
-#[test]
 fn metrics_name_enforces_tdb_prefix_and_charset() {
     let text = r#"
 pub fn register(m: &Registry) {

@@ -3,22 +3,23 @@
 //! Every message on the wire is one frame:
 //!
 //! ```text
-//! [u32 LE payload length][u8 version = 4][u8 kind][body …]
+//! [u32 LE payload length][u8 version = 8][u8 kind][body …]
 //! ```
 //!
 //! The length counts everything after itself (version + kind + body), so
 //! a reader can skip frames it cannot decode. Client→server kinds sit in
-//! `1..=15`, server→client kinds in `16..=31`; the body of each kind is
-//! encoded with the same [`Codec`] conventions the storage layer uses
-//! (little-endian, `u32`-prefixed strings, defensive decode to
-//! [`TdbError::Corrupt`]). Rows travel as the engine codec's row lists,
-//! each string once per list.
+//! `1..=15`, server→client kinds in `16..=31`. The kind byte and the
+//! body are written by `tdb-storage`'s [`wire_enum!`] from the one list
+//! of kinds and fields below, with the storage
+//! [`Codec`](tdb::storage::Codec) conventions (little-endian,
+//! `u32`-prefixed strings, defensive decode to [`TdbError::Corrupt`]); a
+//! payload with bytes left over after its body is `Corrupt` too. Rows travel as the engine codec's row lists, each
+//! string once per list.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};
 use tdb::core::{Row, TdbError, TdbResult};
-use tdb::storage::codec::decode_str;
-use tdb::storage::Codec;
+use tdb::storage::wire_enum;
 use tdb::stream::PairBatch;
 use tdb_engine::codec::{get_rows, put_query_with_rows, put_rows, RowListEncoder};
 use tdb_engine::{DeltaFrame, QueryReport, QueryTrailer, Response};
@@ -43,15 +44,8 @@ pub const PROTOCOL_VERSION: u8 = 8;
 /// allocation.
 pub const MAX_FRAME: usize = 64 << 20;
 
-const KIND_INPUT: u8 = 1;
-const KIND_INGEST: u8 = 2;
-const KIND_BYE: u8 = 3;
-const KIND_STATS: u8 = 4;
+/// `Frame::Reply`'s kind in the list below.
 const KIND_REPLY: u8 = 16;
-const KIND_PUSH: u8 = 17;
-const KIND_SHUTDOWN: u8 = 18;
-const KIND_REPLY_CHUNK: u8 = 19;
-const KIND_REPLY_END: u8 = 20;
 
 /// One protocol message, either direction.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,55 +116,34 @@ pub enum Frame {
     Shutdown,
 }
 
-impl Frame {
-    fn kind(&self) -> u8 {
-        match self {
-            Frame::Input(_) => KIND_INPUT,
-            Frame::Ingest { .. } => KIND_INGEST,
-            Frame::Stats => KIND_STATS,
-            Frame::Bye => KIND_BYE,
-            Frame::Reply { .. } => KIND_REPLY,
-            Frame::ReplyChunk { .. } => KIND_REPLY_CHUNK,
-            Frame::ReplyEnd { .. } => KIND_REPLY_END,
-            Frame::Push(_) => KIND_PUSH,
-            Frame::Shutdown => KIND_SHUTDOWN,
-        }
-    }
+wire_enum!(fn put_body, get_body: Frame {
+    1 => Input(String),
+    2 => Ingest { relation, lines },
+    3 => Bye,
+    4 => Stats,
+    16 => Reply { query_id, response },
+    17 => Push(DeltaFrame),
+    18 => Shutdown,
+    19 => ReplyChunk {
+        query_id,
+        seq,
+        last,
+        rows: with(put_rows, get_rows),
+    },
+    20 => ReplyEnd { query_id, trailer },
+});
 
+impl Frame {
     /// Encode this frame — length prefix included — onto a buffer.
     pub fn encode(&self, buf: &mut BytesMut) {
-        let start = begin_frame(buf, self.kind());
-        match self {
-            Frame::Input(text) => put_str(buf, text),
-            Frame::Ingest { relation, lines } => {
-                put_str(buf, relation);
-                put_str(buf, lines);
-            }
-            Frame::Stats | Frame::Bye | Frame::Shutdown => {}
-            Frame::Reply { query_id, response } => {
-                buf.put_u64_le(*query_id);
-                response.encode(buf);
-            }
-            Frame::ReplyChunk {
-                query_id,
-                seq,
-                last,
-                rows,
-            } => {
-                put_chunk_header(buf, *query_id, *seq, *last);
-                put_rows(buf, rows);
-            }
-            Frame::ReplyEnd { query_id, trailer } => {
-                buf.put_u64_le(*query_id);
-                trailer.encode(buf);
-            }
-            Frame::Push(delta) => delta.encode(buf),
-        }
+        let start = begin_frame(buf);
+        put_body(buf, self);
         end_frame(buf, start);
     }
 
     /// Decode one frame from its payload (version + kind + body, the
-    /// length prefix already consumed).
+    /// length prefix already consumed). Bytes left over after the body
+    /// are `Corrupt`.
     pub fn decode_payload(mut payload: Bytes) -> TdbResult<Frame> {
         if payload.remaining() < 2 {
             return Err(TdbError::Corrupt("frame shorter than header".into()));
@@ -181,52 +154,14 @@ impl Frame {
                 "protocol version {version} (this build speaks {PROTOCOL_VERSION})"
             )));
         }
-        match payload.get_u8() {
-            KIND_INPUT => Ok(Frame::Input(get_str(&mut payload)?)),
-            KIND_INGEST => Ok(Frame::Ingest {
-                relation: get_str(&mut payload)?,
-                lines: get_str(&mut payload)?,
-            }),
-            KIND_STATS => Ok(Frame::Stats),
-            KIND_BYE => Ok(Frame::Bye),
-            KIND_REPLY => {
-                if payload.remaining() < 8 {
-                    return Err(TdbError::Corrupt("truncated reply header".into()));
-                }
-                let query_id = payload.get_u64_le();
-                Ok(Frame::Reply {
-                    query_id,
-                    response: Box::new(Response::decode(&mut payload)?),
-                })
-            }
-            KIND_REPLY_CHUNK => {
-                if payload.remaining() < 13 {
-                    return Err(TdbError::Corrupt("truncated reply chunk header".into()));
-                }
-                let query_id = payload.get_u64_le();
-                let seq = payload.get_u32_le();
-                let last = payload.get_u8() != 0;
-                Ok(Frame::ReplyChunk {
-                    query_id,
-                    seq,
-                    last,
-                    rows: get_rows(&mut payload)?,
-                })
-            }
-            KIND_REPLY_END => {
-                if payload.remaining() < 8 {
-                    return Err(TdbError::Corrupt("truncated reply trailer header".into()));
-                }
-                let query_id = payload.get_u64_le();
-                Ok(Frame::ReplyEnd {
-                    query_id,
-                    trailer: Box::new(QueryTrailer::decode(&mut payload)?),
-                })
-            }
-            KIND_PUSH => Ok(Frame::Push(DeltaFrame::decode(&mut payload)?)),
-            KIND_SHUTDOWN => Ok(Frame::Shutdown),
-            k => Err(TdbError::Corrupt(format!("unknown frame kind {k}"))),
+        let frame = get_body(&mut payload)?;
+        if !payload.is_empty() {
+            return Err(TdbError::Corrupt(format!(
+                "{} trailing bytes after the frame body",
+                payload.len()
+            )));
         }
+        Ok(frame)
     }
 
     /// Encode and write this frame to a stream.
@@ -240,12 +175,11 @@ impl Frame {
 
 /// Start a frame on `buf`: a length prefix to be filled in by
 /// [`end_frame`] (so the body is written once, in place, behind it),
-/// then version and kind. Returns where the frame starts.
-fn begin_frame(buf: &mut BytesMut, kind: u8) -> usize {
+/// then the version. Returns where the frame starts.
+fn begin_frame(buf: &mut BytesMut) -> usize {
     let start = buf.len();
     buf.put_u32_le(0);
     buf.put_u8(PROTOCOL_VERSION);
-    buf.put_u8(kind);
     start
 }
 
@@ -255,14 +189,9 @@ fn end_frame(buf: &mut BytesMut, start: usize) {
     buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-fn put_chunk_header(buf: &mut BytesMut, query_id: u64, seq: u32, last: bool) {
-    buf.put_u64_le(query_id);
-    buf.put_u32_le(seq);
-    buf.put_u8(u8::from(last));
-}
-
 /// Bytes of a `ReplyChunk` frame before its first row: length prefix,
-/// version, kind, [`put_chunk_header`]'s fields, and the row count.
+/// version, kind, `query_id`, `seq`, `last`, and the row count — the
+/// whole frame of a chunk without rows.
 const CHUNK_PREFIX: usize = 4 + 2 + 8 + 4 + 1 + 4;
 
 /// A [`Frame::ReplyChunk`] encoded incrementally: rows are appended to
@@ -323,13 +252,20 @@ impl ChunkEncoder {
     pub fn cut(&mut self, query_id: u64, seq: u32, last: bool) -> BytesMut {
         let next = chunk_buf(if last { 0 } else { self.buf.len() });
         let mut frame = std::mem::replace(&mut self.buf, next);
+        // The same chunk without rows is this chunk's prefix, with the
+        // row count last.
         let mut head = BytesMut::with_capacity(CHUNK_PREFIX);
-        let start = begin_frame(&mut head, KIND_REPLY_CHUNK);
-        put_chunk_header(&mut head, query_id, seq, last);
-        head.put_u32_le(self.list.rows());
+        Frame::ReplyChunk {
+            query_id,
+            seq,
+            last,
+            rows: Vec::new(),
+        }
+        .encode(&mut head);
+        head[CHUNK_PREFIX - 4..].copy_from_slice(&self.list.rows().to_le_bytes());
         self.list.reset();
         frame[..CHUNK_PREFIX].copy_from_slice(&head);
-        end_frame(&mut frame, start);
+        end_frame(&mut frame, 0);
         frame
     }
 
@@ -339,21 +275,13 @@ impl ChunkEncoder {
     pub fn into_reply(self, report: &QueryReport) -> BytesMut {
         let rows = &self.buf[CHUNK_PREFIX..];
         let mut frame = BytesMut::with_capacity(rows.len() + 256);
-        let start = begin_frame(&mut frame, KIND_REPLY);
+        let start = begin_frame(&mut frame);
+        frame.put_u8(KIND_REPLY);
         frame.put_u64_le(report.query_id);
         put_query_with_rows(&mut frame, report, self.list.rows(), rows);
         end_frame(&mut frame, start);
         frame
     }
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut impl Buf) -> TdbResult<String> {
-    decode_str(buf, str::to_owned)
 }
 
 /// What one [`FrameReader::read`] call produced.
@@ -547,7 +475,7 @@ mod tests {
     fn wrong_version_and_oversized_frames_are_corrupt() {
         let mut payload = BytesMut::new();
         payload.put_u8(9);
-        payload.put_u8(KIND_BYE);
+        payload.put_u8(3); // Bye
         let err = Frame::decode_payload(payload.freeze()).unwrap_err();
         assert!(matches!(err, TdbError::Corrupt(_)), "{err}");
 

@@ -5,19 +5,14 @@
 //! admitted row, watermark advances, the end-of-stream seal, the
 //! promotion intent marker, and the checkpoint that heads a compacted
 //! log. Records ride inside CRC-framed envelopes (see [`crate::log`]);
-//! the payload encoding reuses the storage [`Codec`] conventions —
-//! little-endian, length-prefixed, defensively decoded.
+//! the payload's [`Codec`](tdb_storage::Codec) is written by
+//! `tdb-storage`'s [`wire_enum!`] from the variant list below: a tag
+//! byte, then the variant's fields in order — little-endian,
+//! length-prefixed, defensively decoded. Tag 7 once named a bulk-load
+//! record that nothing ever wrote; it stays unassigned.
 
-use bytes::{Buf, BufMut, BytesMut};
-use tdb_core::{Direction, Row, SortKey, SortSpec, StreamOrder, TdbError, TdbResult, TimePoint};
-use tdb_storage::Codec;
-
-const TAG_REGISTER: u8 = 1;
-const TAG_APPEND: u8 = 2;
-const TAG_WATERMARK: u8 = 3;
-const TAG_SEAL: u8 = 4;
-const TAG_PROMOTE: u8 = 5;
-const TAG_CHECKPOINT: u8 = 6;
+use tdb_core::{Row, StreamOrder, TimePoint};
+use tdb_storage::wire_enum;
 
 /// One durable event in a relation's write-ahead log.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,160 +58,24 @@ pub enum WalRecord {
     },
 }
 
-fn corrupt(what: &str) -> TdbError {
-    TdbError::Corrupt(format!("wal record: {what}"))
-}
-
-fn need(buf: &impl Buf, n: usize, what: &str) -> TdbResult<()> {
-    if buf.remaining() < n {
-        Err(corrupt(&format!(
-            "truncated {what}: need {n} bytes, have {}",
-            buf.remaining()
-        )))
-    } else {
-        Ok(())
-    }
-}
-
-fn put_sort_spec(buf: &mut BytesMut, s: SortSpec) {
-    buf.put_u8(match s.key {
-        SortKey::ValidFrom => 0,
-        SortKey::ValidTo => 1,
-    });
-    buf.put_u8(match s.direction {
-        Direction::Asc => 0,
-        Direction::Desc => 1,
-    });
-}
-
-fn get_sort_spec(buf: &mut impl Buf) -> TdbResult<SortSpec> {
-    need(buf, 2, "sort spec")?;
-    let key = match buf.get_u8() {
-        0 => SortKey::ValidFrom,
-        1 => SortKey::ValidTo,
-        k => return Err(corrupt(&format!("unknown sort key {k}"))),
-    };
-    let direction = match buf.get_u8() {
-        0 => Direction::Asc,
-        1 => Direction::Desc,
-        d => return Err(corrupt(&format!("unknown sort direction {d}"))),
-    };
-    Ok(SortSpec { key, direction })
-}
-
-fn put_opt_time(buf: &mut BytesMut, t: Option<TimePoint>) {
-    match t {
-        Some(t) => {
-            buf.put_u8(1);
-            buf.put_i64_le(t.ticks());
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn get_opt_time(buf: &mut impl Buf) -> TdbResult<Option<TimePoint>> {
-    need(buf, 1, "optional time flag")?;
-    match buf.get_u8() {
-        0 => Ok(None),
-        1 => {
-            need(buf, 8, "time point")?;
-            Ok(Some(TimePoint::new(buf.get_i64_le())))
-        }
-        f => Err(corrupt(&format!("bad optional-time flag {f}"))),
-    }
-}
-
-impl Codec for WalRecord {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            WalRecord::Register { order, slack } => {
-                buf.put_u8(TAG_REGISTER);
-                put_sort_spec(buf, order.primary);
-                match order.secondary {
-                    Some(s) => {
-                        buf.put_u8(1);
-                        put_sort_spec(buf, s);
-                    }
-                    None => buf.put_u8(0),
-                }
-                buf.put_i64_le(*slack);
-            }
-            WalRecord::Append { row } => {
-                buf.put_u8(TAG_APPEND);
-                row.encode(buf);
-            }
-            WalRecord::Watermark { frontier } => {
-                buf.put_u8(TAG_WATERMARK);
-                put_opt_time(buf, *frontier);
-            }
-            WalRecord::Seal => buf.put_u8(TAG_SEAL),
-            WalRecord::Promote { closed } => {
-                buf.put_u8(TAG_PROMOTE);
-                buf.put_u64_le(*closed);
-            }
-            WalRecord::Checkpoint {
-                promoted,
-                frontier,
-                sealed,
-            } => {
-                buf.put_u8(TAG_CHECKPOINT);
-                buf.put_u64_le(*promoted);
-                put_opt_time(buf, *frontier);
-                buf.put_u8(u8::from(*sealed));
-            }
-        }
-    }
-
-    fn decode(buf: &mut impl Buf) -> TdbResult<WalRecord> {
-        need(buf, 1, "record tag")?;
-        match buf.get_u8() {
-            TAG_REGISTER => {
-                let primary = get_sort_spec(buf)?;
-                need(buf, 1, "secondary flag")?;
-                let secondary = match buf.get_u8() {
-                    0 => None,
-                    1 => Some(get_sort_spec(buf)?),
-                    f => return Err(corrupt(&format!("bad secondary flag {f}"))),
-                };
-                need(buf, 8, "slack")?;
-                Ok(WalRecord::Register {
-                    order: StreamOrder { primary, secondary },
-                    slack: buf.get_i64_le(),
-                })
-            }
-            TAG_APPEND => Ok(WalRecord::Append {
-                row: Row::decode(buf)?,
-            }),
-            TAG_WATERMARK => Ok(WalRecord::Watermark {
-                frontier: get_opt_time(buf)?,
-            }),
-            TAG_SEAL => Ok(WalRecord::Seal),
-            TAG_PROMOTE => {
-                need(buf, 8, "promote count")?;
-                Ok(WalRecord::Promote {
-                    closed: buf.get_u64_le(),
-                })
-            }
-            TAG_CHECKPOINT => {
-                need(buf, 8, "checkpoint promoted")?;
-                let promoted = buf.get_u64_le();
-                let frontier = get_opt_time(buf)?;
-                need(buf, 1, "checkpoint sealed flag")?;
-                Ok(WalRecord::Checkpoint {
-                    promoted,
-                    frontier,
-                    sealed: buf.get_u8() != 0,
-                })
-            }
-            t => Err(corrupt(&format!("unknown record tag {t}"))),
-        }
-    }
-}
+wire_enum!(WalRecord {
+    1 => Register { order, slack },
+    2 => Append { row },
+    3 => Watermark { frontier },
+    4 => Seal,
+    5 => Promote { closed },
+    6 => Checkpoint {
+        promoted,
+        frontier,
+        sealed,
+    },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdb_core::Value;
+    use tdb_core::{TdbError, Value};
+    use tdb_storage::Codec;
 
     fn samples() -> Vec<WalRecord> {
         vec![
@@ -282,7 +141,7 @@ mod tests {
         bytes.extend_from_slice(&10u64.to_le_bytes());
         assert!(matches!(
             WalRecord::from_bytes(&bytes),
-            Err(TdbError::Corrupt(msg)) if msg.contains("unknown record tag 7")
+            Err(TdbError::Corrupt(msg)) if msg.contains("unknown WalRecord tag 7")
         ));
     }
 }

@@ -1,10 +1,13 @@
 //! Wire-protocol and multi-client server tests for `tdb-net`.
 //!
-//! Three layers:
+//! Seven layers:
 //!
 //! 1. **Protocol round-trip (property)** — arbitrary typed [`Response`]
 //!    values survive encode → frame → decode bit-exactly, including
-//!    every enum variant, optional field, and embedded row list.
+//!    every enum variant, optional field, and embedded row list; every
+//!    strict prefix of a response, frame or WAL record is `Corrupt`, and
+//!    a flipped byte is `Corrupt` or decodes to a value that re-encodes
+//!    to exactly the damaged bytes.
 //! 2. **Multi-client equivalence (integration)** — two ingesting clients
 //!    and two subscribing clients share one server. After every ingest,
 //!    each subscriber's accumulated delta frames must equal, as a
@@ -29,8 +32,11 @@
 //!    else (nothing under the engine lock waits for a socket); and
 //!    truncated or corrupted chunk, delta and trailer frames, malformed
 //!    row lists (unknown tags, dangling string references, impossible
-//!    counts), or a frame of another protocol version, decode to a typed
-//!    `Corrupt` error.
+//!    counts), a frame with bytes after its body, or a frame of another
+//!    protocol version, decode to a typed `Corrupt` error.
+//! 7. **Golden bytes** — one value of every frame kind, response type
+//!    and WAL record variant encodes to committed hex, so a field moved
+//!    in both halves of a codec (which every round trip survives) fails.
 
 #[path = "support/live.rs"]
 mod live;
@@ -290,8 +296,96 @@ fn build_response(sel: u8, a: i64, n: u64, name: &str, raw: &[(i64, i64)], flag:
     }
 }
 
+/// A frame's payload: its encoding without the length prefix.
+fn payload_of(frame: &Frame) -> Vec<u8> {
+    let mut wire = bytes::BytesMut::new();
+    frame.encode(&mut wire);
+    wire[4..].to_vec()
+}
+
+fn decode_frame(payload: &[u8]) -> TdbResult<Frame> {
+    Frame::decode_payload(bytes::Bytes::copy_from_slice(payload))
+}
+
+/// What damage does to the encoding `bytes` of a value under a strict
+/// decoder: every strict prefix is `Corrupt`, and each byte in turn
+/// XORed with `mask` (nonzero) gives `Corrupt` or a value that
+/// re-encodes to exactly the damaged bytes — no byte is read leniently.
+fn assert_damage_is_caught<T: std::fmt::Debug>(
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> TdbResult<T>,
+    encode: impl Fn(&T) -> Vec<u8>,
+    mask: u8,
+) {
+    for cut in 0..bytes.len() {
+        match decode(&bytes[..cut]) {
+            Err(TdbError::Corrupt(_)) => {}
+            other => panic!("prefix {cut}/{} decoded to {other:?}", bytes.len()),
+        }
+    }
+    let mut damaged = bytes.to_vec();
+    for at in 0..bytes.len() {
+        damaged[at] ^= mask;
+        match decode(&damaged) {
+            Err(TdbError::Corrupt(_)) => {}
+            Ok(v) => assert_eq!(
+                encode(&v),
+                damaged,
+                "byte {at} ^ {mask:#04x} decoded to {v:?}, which re-encodes differently"
+            ),
+            Err(other) => panic!("byte {at} ^ {mask:#04x}: untyped error {other}"),
+        }
+        damaged[at] ^= mask;
+    }
+}
+
+/// Deterministically build one WAL record of each shape from fuzzed
+/// primitives; `sel` picks the variant.
+fn build_wal_record(sel: u8, a: i64, n: u64, name: &str, flag: bool) -> tdb::wal::WalRecord {
+    use tdb::wal::WalRecord;
+    let specs = [
+        SortSpec::TS_ASC,
+        SortSpec::TS_DESC,
+        SortSpec::TE_ASC,
+        SortSpec::TE_DESC,
+    ];
+    let spec = |i: u64| specs[(i % 4) as usize];
+    match sel {
+        0 => WalRecord::Register {
+            order: StreamOrder {
+                primary: spec(n),
+                secondary: flag.then(|| spec(n / 4)),
+            },
+            slack: a,
+        },
+        1 => WalRecord::Append {
+            row: Row::new(vec![
+                Value::str(name),
+                Value::Int(a),
+                Value::Bool(flag),
+                Value::Null,
+                Value::Time(TimePoint(a)),
+                Value::str(name),
+            ]),
+        },
+        2 => WalRecord::Watermark {
+            frontier: flag.then_some(TimePoint(a)),
+        },
+        3 => WalRecord::Seal,
+        4 => WalRecord::Promote { closed: n },
+        _ => WalRecord::Checkpoint {
+            promoted: n,
+            frontier: (!flag).then_some(TimePoint(a)),
+            sealed: flag,
+        },
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+    /// Every response type, in a bare encoding and in each frame that
+    /// carries it: encode then decode gives the same value, and no
+    /// truncation or flipped byte goes unnoticed.
     #[test]
     fn responses_round_trip_through_frames(
         sel in 0u8..13,
@@ -300,13 +394,16 @@ proptest! {
         chars in proptest::collection::vec(97u8..123, 0..12),
         raw in proptest::collection::vec((-50i64..50, 1i64..40), 0..5),
         parity in 0u8..2,
+        mask in 1u8..=255,
     ) {
         let name = String::from_utf8(chars).unwrap();
         let resp = build_response(sel, a, n, &name, &raw, parity == 1);
 
         // Codec level: encode/decode of the bare response.
-        let back = Response::from_bytes(&resp.to_bytes()).unwrap();
+        let bytes = resp.to_bytes();
+        let back = Response::from_bytes(&bytes).unwrap();
         prop_assert_eq!(&back, &resp);
+        assert_damage_is_caught(&bytes, Response::from_bytes, |r| r.to_bytes().to_vec(), mask);
 
         // Frame level: a full Reply frame through the incremental reader,
         // with the correlation id intact.
@@ -324,16 +421,45 @@ proptest! {
             other => prop_assert!(false, "expected a reply frame, got {:?}", other),
         }
 
-        // A streamed query's trailer carries the same report fields.
+        let reply = Frame::Reply { query_id: n, response: Box::new(resp.clone()) };
+        assert_damage_is_caught(&payload_of(&reply), decode_frame, payload_of, mask);
+
+        // A streamed query's trailer carries the same report fields, and
+        // its rows travel as a chunk.
         if let Response::Query(q) = resp {
+            let rows = q.rows.rows.clone();
             let end = Frame::ReplyEnd { query_id: n, trailer: Box::new(QueryTrailer::of(q)) };
             let mut wire = bytes::BytesMut::new();
             end.encode(&mut wire);
             match FrameReader::new().read(&mut &wire[..]).unwrap() {
-                ReadOutcome::Frame(back) => prop_assert_eq!(back, end),
+                ReadOutcome::Frame(back) => prop_assert_eq!(&back, &end),
                 other => prop_assert!(false, "expected a trailer frame, got {:?}", other),
             }
+            assert_damage_is_caught(&payload_of(&end), decode_frame, payload_of, mask);
+            let chunk = Frame::ReplyChunk { query_id: n, seq: a as u32, last: parity == 1, rows };
+            prop_assert_eq!(decode_frame(&payload_of(&chunk)).unwrap(), chunk.clone());
+            assert_damage_is_caught(&payload_of(&chunk), decode_frame, payload_of, mask);
         }
+    }
+
+    /// Every WAL record variant: encode then decode gives the same
+    /// record, and no truncation or flipped byte goes unnoticed, so a
+    /// CRC-valid frame never replays a record its writer did not log.
+    #[test]
+    fn wal_records_round_trip_and_reject_damage(
+        sel in 0u8..6,
+        a in i64::MIN..i64::MAX,
+        n in any::<u64>(),
+        chars in proptest::collection::vec(97u8..123, 0..12),
+        parity in 0u8..2,
+        mask in 1u8..=255,
+    ) {
+        use tdb::wal::WalRecord;
+        let name = String::from_utf8(chars).unwrap();
+        let record = build_wal_record(sel, a, n, &name, parity == 1);
+        let bytes = record.to_bytes();
+        prop_assert_eq!(WalRecord::from_bytes(&bytes).unwrap(), record);
+        assert_damage_is_caught(&bytes, WalRecord::from_bytes, |r| r.to_bytes().to_vec(), mask);
     }
 }
 
@@ -1167,8 +1293,9 @@ fn reader_that_stops_draining_its_reply_stalls_nobody_else() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Every strict prefix of a chunk or trailer frame, and every single
-/// corrupted byte, decodes to a typed error or a valid frame — never a
+/// Every strict prefix of a request, reply, chunk or trailer frame, and
+/// the frame with one byte too many, is `Corrupt`; every single
+/// corrupted byte decodes to a typed error or a valid frame — never a
 /// panic — and a frame of another protocol version is refused.
 #[test]
 fn damaged_stream_frames_are_typed_corrupt_errors() {
@@ -1180,6 +1307,15 @@ fn damaged_stream_frames_are_typed_corrupt_errors() {
     let rows = sample_rows(&[(1, 5), (2, 9), (-3, 4)], "chunk");
     let repeated: Vec<Row> = rows.iter().chain(&rows).cloned().collect();
     let frames = [
+        Frame::Input("range of f is Faculty retrieve (N=f.Name);".into()),
+        Frame::Ingest {
+            relation: "S".into(),
+            lines: "1 5 a\n2 9 b\n".into(),
+        },
+        Frame::Reply {
+            query_id: 41,
+            response: Box::new(Response::Query(report.clone())),
+        },
         Frame::ReplyChunk {
             query_id: 41,
             seq: 2,
@@ -1213,6 +1349,12 @@ fn damaged_stream_frames_are_typed_corrupt_errors() {
                 Err(TdbError::Corrupt(_)) => {}
                 other => panic!("prefix {cut}/{} decoded to {other:?}", payload.len()),
             }
+        }
+        let mut longer = payload.to_vec();
+        longer.push(0);
+        match decode(&longer) {
+            Err(TdbError::Corrupt(_)) => {}
+            other => panic!("{frame:?} with a trailing byte decoded to {other:?}"),
         }
         for at in 0..payload.len() {
             let mut damaged = payload.to_vec();
