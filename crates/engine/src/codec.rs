@@ -41,7 +41,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use tdb::core::{TdbError, TdbResult, Value};
 use tdb::prelude::Row;
-use tdb::storage::codec::{decode_str, need, put_opt_with, put_str, TAG_STR, TAG_STR_REF};
+use tdb::storage::codec::{
+    decode_str, get_opt_with, need, put_opt_with, put_str, TAG_STR, TAG_STR_REF,
+};
 use tdb::storage::{wire_enum, wire_struct, Codec};
 use tdb::stream::PairBatch;
 use tdb_obs::{Stage, StageSpan};
@@ -247,9 +249,8 @@ wire_struct!(fn put_span, get_span: OpSpan {
 });
 
 // A stage travels by *name* rather than a numeric discriminant, so a
-// frame stays decodable even if the stage set is reordered later.
-
-// A field list hands every field to its encoder by reference.
+// frame stays decodable even if the stage set is reordered later. A
+// field list hands every field to its encoder by reference.
 #[allow(clippy::trivially_copy_pass_by_ref)]
 fn put_stage(buf: &mut BytesMut, stage: &Stage) {
     put_str(buf, stage.name());
@@ -364,7 +365,7 @@ impl Codec for QueryReport {
             rows: Codec::decode(buf)?,
             stats: Codec::decode(buf)?,
             elapsed_us: Codec::decode(buf)?,
-            trace: tdb::storage::codec::get_opt_with(buf, get_trace)?,
+            trace: get_opt_with(buf, get_trace)?,
         })
     }
 }
