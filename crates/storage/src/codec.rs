@@ -74,13 +74,18 @@ pub const TAG_STR_REF: u8 = 5;
 #[inline]
 pub fn need(buf: &impl Buf, n: usize, what: &str) -> TdbResult<()> {
     if buf.remaining() < n {
-        Err(TdbError::Corrupt(format!(
-            "truncated {what}: need {n} bytes, have {}",
-            buf.remaining()
-        )))
+        Err(truncated(what, n, buf.remaining()))
     } else {
         Ok(())
     }
+}
+
+/// The error of a failed [`need`], kept out of line so that every
+/// decoder's hot path stays a compare and a branch.
+#[cold]
+#[inline(never)]
+fn truncated(what: &str, n: usize, have: usize) -> TdbError {
+    TdbError::Corrupt(format!("truncated {what}: need {n} bytes, have {have}"))
 }
 
 /// Encode one string: `u32` length, then the UTF-8 bytes.
