@@ -13,8 +13,8 @@
 //! of kinds and fields below, with the storage
 //! [`Codec`](tdb::storage::Codec) conventions (little-endian,
 //! `u32`-prefixed strings, defensive decode to [`TdbError::Corrupt`]); a
-//! payload with bytes left over after its body is `Corrupt` too. Rows travel as the engine codec's row lists, each
-//! string once per list.
+//! payload with bytes left over after its body is `Corrupt` too. Rows
+//! travel as the engine codec's row lists, each string once per list.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};
