@@ -68,15 +68,16 @@ echo "==> paper tables (E1–E3, E5, E6, E10–E15, bounded)"
 timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- \
   table1 table2 table3 fig3 superstar sweep policies before sortcost aggregate parallel
 
-# The differential oracle and the end-to-end Quel suite, optimized and
-# built with the `check` feature (`tests/oracle.rs` belongs to tdb-net,
-# so the feature is forwarded as `tdb/check`): the workspace caps of
-# stream nodes that read stored inputs page by page (taken from the
-# catalog's statistics) and the TE re-sort's peak (at most the
-# relation's max concurrency) are hard asserts here, not only in debug
-# builds. Hard-capped at 120 seconds.
-echo "==> oracle + end-to-end Quel (release, check)"
-timeout 120 cargo test --release -p tdb -p tdb-net --features tdb/check --test oracle --test end_to_end_quel
+# The differential oracle, the end-to-end Quel suite and the streamed
+# scans, optimized and built with the `check` feature (`tests/oracle.rs`
+# and `tests/streamed_scans.rs` belong to tdb-net, so the feature is
+# forwarded as `tdb/check`): the workspace caps of stream nodes that read
+# stored inputs page by page (taken from the catalog's statistics), the
+# TE re-sort's peak (at most the relation's max concurrency) and a stored
+# side's arena window are hard asserts here, not only in debug builds.
+# Hard-capped at 120 seconds.
+echo "==> oracle + end-to-end Quel + streamed scans (release, check)"
+timeout 120 cargo test --release -p tdb -p tdb-net --features tdb/check --test oracle --test end_to_end_quel --test streamed_scans
 
 # The repo benchmark's own unit tests: it is a package of its own, so
 # the workspace test run above does not build it. A wire or engine API

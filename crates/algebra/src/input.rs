@@ -2,8 +2,11 @@
 //!
 //! The kernels never see a row. Each side is a stream of `Copy`
 //! [`RowRef`]s (period + ordinal) whose rows live in the side's
-//! append-only arena, which emission reads once a match is known to
-//! survive. A side is one of three kinds:
+//! [`Arena`], which emission reads once a match is known to survive. A
+//! stored side's arena is a window, not its input: before the scan reads
+//! a page into it, it is compacted down to the rows the kernel and the
+//! stream still hold once it has outgrown what it kept ([`Arena::due`]).
+//! A side is one of three kinds:
 //!
 //! 1. **Stored, in order.** A `[Filter]* SeqScan` whose relation claims
 //!    an order (`known_orders`) that meets the kernel's requirement, or
@@ -24,10 +27,12 @@
 
 use crate::expr::{eval_conjunction, resolve_all, Atom, ResolvedAtom};
 use crate::physical::{sort_by_requirement, Exec, ExecStats, PhysicalPlan};
-use std::cell::RefCell;
+use std::cell::{Cell, Ref, RefCell};
 use tdb_core::{Period, Row, StreamOrder, TdbError, TdbResult, Temporal, TemporalStats};
 use tdb_storage::PageScan;
-use tdb_stream::{BatchStream, KernelInput, PageSource, PageStream, RowBatch, VecBatchStream};
+use tdb_stream::{
+    BatchStream, KernelInput, PageSource, PageStream, RowBatch, ShowHeld, VecBatchStream,
+};
 
 /// What the stream operators sort, sweep and emit in place of a row: the
 /// operand lifespan plus the row's ordinal in its side's arena. `Copy`,
@@ -69,14 +74,88 @@ fn row_ref(row: &Row, (ts, te): (usize, usize), idx: usize) -> TdbResult<RowRef>
     })
 }
 
-/// A side's rows, indexed by [`RowRef::idx`]: append-only while the
-/// kernel runs, read by emission between batches.
-pub(crate) type Arena = RefCell<Vec<Row>>;
+/// A side's rows, indexed by [`RowRef::idx`]: the scan appends each page
+/// it reads, emission reads matches between batches, and a compaction
+/// ([`Arena::compact`]) keeps only the rows some `RowRef` still points
+/// at. Its length between compactions is at most twice what the last one
+/// kept plus a page, and one more page once the next is read.
+#[derive(Default)]
+pub(crate) struct Arena {
+    rows: RefCell<Vec<Row>>,
+    /// Rows the last compaction kept.
+    kept: Cell<usize>,
+    /// The most rows one page added.
+    page: Cell<usize>,
+    /// The most rows held at once.
+    peak: Cell<usize>,
+}
+
+impl Arena {
+    /// The rows, for emission.
+    pub(crate) fn rows(&self) -> Ref<'_, Vec<Row>> {
+        self.rows.borrow()
+    }
+
+    /// The most rows the arena held at once.
+    pub(crate) fn peak(&self) -> usize {
+        self.peak.get()
+    }
+
+    /// Hold `rows`, whose lifespans are in columns `period`, handing their
+    /// references to `refs`.
+    fn extend(
+        &self,
+        rows: impl ExactSizeIterator<Item = Row>,
+        period: (usize, usize),
+        refs: &mut Vec<RowRef>,
+    ) -> TdbResult<()> {
+        let mut arena = self.rows.borrow_mut();
+        self.page.set(self.page.get().max(rows.len()));
+        refs.reserve(rows.len());
+        for row in rows {
+            refs.push(row_ref(&row, period, arena.len())?);
+            arena.push(row);
+        }
+        self.peak.set(self.peak.get().max(arena.len()));
+        Ok(())
+    }
+
+    /// Has the arena outgrown twice what its last compaction kept, plus a
+    /// page? The same rule for every side, so the work of compacting is
+    /// paid for by the rows read since.
+    fn due(&self) -> bool {
+        self.rows.borrow().len() > 2 * self.kept.get() + self.page.get()
+    }
+
+    /// Move every row that `held` shows a reference to into a fresh
+    /// arena, in the order first shown, and point the reference at it;
+    /// the rest are dropped. A forwarding table keeps two references to
+    /// one row pointing at one row.
+    fn compact(&self, held: &mut ShowHeld<'_, RowRef>) {
+        const UNMOVED: u32 = u32::MAX;
+        let mut old = self.rows.take();
+        let mut forward = vec![UNMOVED; old.len()];
+        let mut fresh = Vec::with_capacity(self.kept.get());
+        held(&mut |r| {
+            let to = &mut forward[r.idx as usize];
+            if *to == UNMOVED {
+                // `fresh` is shorter than `old`, whose ordinals are u32.
+                *to = fresh.len() as u32;
+                fresh.push(std::mem::take(&mut old[r.idx as usize]));
+            }
+            r.idx = *to;
+        });
+        self.kept.set(fresh.len());
+        *self.rows.borrow_mut() = fresh;
+    }
+}
 
 /// A `[Filter]* SeqScan` read a page at a time into its arena: the
 /// [`PageSource`] of a stored side, counting what it read.
 pub(crate) struct Scan<'a> {
     pages: PageScan,
+    /// The page being read, one buffer for every page.
+    rows: Vec<Row>,
     /// The filters' conjunctions, innermost first.
     filters: Vec<Vec<ResolvedAtom>>,
     period: (usize, usize),
@@ -94,8 +173,8 @@ impl PageSource for Scan<'_> {
     type Item = RowRef;
 
     fn next_page(&mut self, out: &mut Vec<RowRef>) -> TdbResult<bool> {
-        let mut rows = Vec::new();
-        if !self.pages.next_page(&mut rows)? {
+        let rows = &mut self.rows;
+        if !self.pages.next_page(rows)? {
             return Ok(false);
         }
         self.scanned += rows.len();
@@ -104,13 +183,14 @@ impl PageSource for Scan<'_> {
             rows.retain(|r| eval_conjunction(atoms, r));
             self.passed += rows.len();
         }
-        let mut arena = self.arena.borrow_mut();
-        out.reserve(rows.len());
-        for row in rows {
-            out.push(row_ref(&row, self.period, arena.len())?);
-            arena.push(row);
-        }
+        self.arena.extend(rows.drain(..), self.period, out)?;
         Ok(true)
+    }
+
+    fn compact(&mut self, held: &mut ShowHeld<'_, RowRef>) {
+        if self.arena.due() {
+            self.arena.compact(held);
+        }
     }
 }
 
@@ -137,13 +217,8 @@ impl<'a> Input<'a> {
         if let Some(stream) = stored(plan, period, order, ex, arena)? {
             return Ok(Input::Stored(Box::new(stream)));
         }
-        let rows = plan.input_rows(ex)?;
-        let refs = rows
-            .iter()
-            .enumerate()
-            .map(|(idx, row)| row_ref(row, period, idx))
-            .collect::<TdbResult<_>>()?;
-        *arena.borrow_mut() = rows;
+        let mut refs = Vec::new();
+        arena.extend(plan.input_rows(ex)?.into_iter(), period, &mut refs)?;
         Ok(Input::Collected(refs))
     }
 
@@ -224,6 +299,7 @@ fn stored<'a>(
         .collect::<TdbResult<_>>()?;
     let scan = Scan {
         pages: ex.catalog.scan_pages(relation)?,
+        rows: Vec::new(),
         filters,
         period,
         arena,
@@ -292,6 +368,13 @@ impl BatchStream for Batches<'_, '_> {
         match self {
             Batches::Collected(batches) => batches.next_batch(),
             Batches::Stored(batches) => batches.next_batch(),
+        }
+    }
+
+    fn compact(&mut self, kernel: &mut ShowHeld<'_, RowRef>) {
+        match self {
+            Batches::Collected(batches) => batches.compact(kernel),
+            Batches::Stored(batches) => batches.compact(kernel),
         }
     }
 }

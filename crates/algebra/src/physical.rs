@@ -111,6 +111,9 @@ pub struct ExecStats {
     pub sort_rows: usize,
     /// Maximum stream-operator workspace (state tuples) observed.
     pub max_workspace: usize,
+    /// The most rows one side's arena of a stream node held at once: a
+    /// collected side's row count, a stored side's window.
+    pub arena_peak: usize,
     /// Rows in the final result.
     pub output_rows: usize,
 }
@@ -527,7 +530,7 @@ impl PhysicalPlan {
         // Kept left rows (semijoins) go to the sink projected.
         let mut keep = |chunk: Vec<RowRef>| -> TdbResult<bool> {
             pushed += chunk.len();
-            let rows = larena.borrow();
+            let rows = larena.rows();
             let mut out: Vec<Row> = chunk
                 .iter()
                 .map(|x| {
@@ -603,7 +606,7 @@ impl PhysicalPlan {
                     // it.
                     let mut emit = |chunk: Vec<(RowRef, RowRef)>| -> TdbResult<bool> {
                         comparisons += (residual.len() * chunk.len()) as u64;
-                        let (lrows, rrows) = (larena.borrow(), rarena.borrow());
+                        let (lrows, rrows) = (larena.rows(), rarena.rows());
                         pairs.clear();
                         pairs.extend(
                             chunk
@@ -646,6 +649,7 @@ impl PhysicalPlan {
         assert_under_cap(kind, &report, ws_cap);
         ex.stats.comparisons += comparisons + report.metrics.comparisons as u64;
         ex.stats.max_workspace = ex.stats.max_workspace.max(report.max_workspace());
+        ex.stats.arena_peak = ex.stats.arena_peak.max(larena.peak()).max(rarena.peak());
         ex.trace.push(OpObservation {
             operator: kind.to_string(),
             kind: Some(kind),

@@ -85,9 +85,10 @@ impl Hasher for AddrHasher {
 ///
 /// A string is keyed by the address of its `Arc`, and the encoder holds
 /// each entry's `Arc` until [`RowListEncoder::reset`], so no address is
-/// reused while the list is open. No string content is hashed, and the
-/// state is bounded by the distinct strings in the list, not by the
-/// relations behind it.
+/// reused while the list is open, even once a stream node's arena has
+/// dropped the row the string came from. No string content is hashed,
+/// and what the encoder pins is bounded by the distinct strings of one
+/// list — one chunk — not by the relations behind it.
 #[derive(Debug, Default)]
 pub struct RowListEncoder {
     rows: u32,

@@ -160,7 +160,7 @@ impl HeapFile {
     pub fn scan<T: Codec>(&mut self) -> TdbResult<HeapScan<T>> {
         Ok(HeapScan {
             pages: self.pages()?,
-            records: Vec::new().into_iter(),
+            page: Vec::new(),
         })
     }
 }
@@ -220,7 +220,9 @@ impl PageScan {
 /// Iterator over all records of a heap file.
 pub struct HeapScan<T> {
     pages: PageScan,
-    records: std::vec::IntoIter<T>,
+    /// The page in hand, last record first, so records pop from the end;
+    /// one buffer, reused for every page.
+    page: Vec<T>,
 }
 
 impl<T: Codec> Iterator for HeapScan<T> {
@@ -228,12 +230,11 @@ impl<T: Codec> Iterator for HeapScan<T> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if let Some(record) = self.records.next() {
+            if let Some(record) = self.page.pop() {
                 return Some(Ok(record));
             }
-            let mut page = Vec::new();
-            match self.pages.next_page(&mut page) {
-                Ok(true) => self.records = page.into_iter(),
+            match self.pages.next_page(&mut self.page) {
+                Ok(true) => self.page.reverse(),
                 Ok(false) => return None,
                 Err(e) => return Some(Err(e)),
             }

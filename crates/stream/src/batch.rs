@@ -83,6 +83,12 @@ impl<T> RowBatch<T> {
     pub fn into_rows(self) -> Vec<T> {
         self.payload
     }
+
+    /// The payload column, to rewrite in place. An item's period must not
+    /// change: the endpoint columns would no longer be its own.
+    pub(crate) fn rows_mut(&mut self) -> &mut [T] {
+        &mut self.payload
+    }
 }
 
 impl<T: Temporal> RowBatch<T> {
@@ -111,7 +117,22 @@ pub trait BatchStream {
     /// Pull the next batch, `Ok(None)` at end of stream. Batches are
     /// non-empty.
     fn next_batch(&mut self) -> TdbResult<Option<RowBatch<Self::Item>>>;
+
+    /// Called by [`crate::drive`] just before the kernel is fed this
+    /// stream's next batch, when no output is pending; `kernel` shows a
+    /// visitor every item of this input the kernel holds
+    /// ([`crate::BatchOp::visit_held`]). A stream whose items index
+    /// storage that grows as it reads may compact that storage here
+    /// ([`crate::PageSource::compact`]). Nothing by default.
+    fn compact(&mut self, kernel: &mut ShowHeld<'_, Self::Item>) {
+        let _ = kernel;
+    }
 }
+
+/// Shows the visitor it is given every item some holder still holds. The
+/// visitor may rewrite an item in place — a compaction of the storage the
+/// items index — but must not change its period.
+pub type ShowHeld<'a, T> = dyn FnMut(&mut dyn FnMut(&mut T)) + 'a;
 
 /// A stream borrowed is a stream: a caller can keep a stream it lends to
 /// a kernel and read its state after the run.
@@ -120,6 +141,10 @@ impl<B: BatchStream + ?Sized> BatchStream for &mut B {
 
     fn next_batch(&mut self) -> TdbResult<Option<RowBatch<Self::Item>>> {
         (**self).next_batch()
+    }
+
+    fn compact(&mut self, kernel: &mut ShowHeld<'_, Self::Item>) {
+        (**self).compact(kernel);
     }
 }
 
@@ -148,10 +173,19 @@ impl<T: Temporal> KernelInput for Vec<T> {
 }
 
 /// A [`BatchStream`] over an owned vector, slicing it into `rows`-row
-/// batches without per-row indirection.
+/// batches without per-row indirection. Its items index nothing that
+/// grows, so it compacts nothing.
 pub struct VecBatchStream<T> {
     items: std::vec::IntoIter<T>,
     rows: usize,
+}
+
+impl<T> VecBatchStream<T> {
+    /// Show `f` every item not handed out yet, in order, to rewrite in
+    /// place; its period must not change.
+    pub fn visit_held(&mut self, f: &mut dyn FnMut(&mut T)) {
+        self.items.as_mut_slice().iter_mut().for_each(f);
+    }
 }
 
 impl<T: Temporal> VecBatchStream<T> {

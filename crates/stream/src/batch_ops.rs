@@ -108,6 +108,18 @@ pub trait BatchOp {
 
     /// Metrics and workspace statistics, batch-size invariant.
     fn report(&self) -> OpReport;
+
+    /// Show every item the kernel holds — its cursor queues, workspace,
+    /// the item in hand and undrained output — to `left` or `right` by
+    /// the input it came from. A visitor may rewrite an item in place (a
+    /// compaction of the storage the items index) but must not change
+    /// its period. [`drive`] calls this only between a drain and the
+    /// next feed.
+    fn visit_held(
+        &mut self,
+        left: &mut dyn FnMut(&mut Self::LeftItem),
+        right: &mut dyn FnMut(&mut Self::RightItem),
+    );
 }
 
 /// A borrowed kernel runs like an owned one, so a caller can read its
@@ -140,10 +152,20 @@ impl<K: BatchOp> BatchOp for &mut K {
     fn report(&self) -> OpReport {
         (**self).report()
     }
+
+    fn visit_held(
+        &mut self,
+        left: &mut dyn FnMut(&mut Self::LeftItem),
+        right: &mut dyn FnMut(&mut Self::RightItem),
+    ) {
+        (**self).visit_held(left, right);
+    }
 }
 
 /// One step of the push protocol: give `op` the batch (or end-of-stream
-/// notice) it asks for. Returns `false` once it wants nothing more.
+/// notice) it asks for, after letting that input compact what its items
+/// index ([`BatchStream::compact`]). Returns `false` once it wants
+/// nothing more.
 fn feed<K, L, R>(op: &mut K, left: &mut L, right: &mut R) -> TdbResult<bool>
 where
     K: BatchOp,
@@ -152,14 +174,20 @@ where
 {
     match op.wants() {
         Wants::Done => return Ok(false),
-        Wants::Left => match left.next_batch()? {
-            Some(b) => op.process_batch_left(b)?,
-            None => op.finish(Side::Left)?,
-        },
-        Wants::Right => match right.next_batch()? {
-            Some(b) => op.process_batch_right(b)?,
-            None => op.finish(Side::Right)?,
-        },
+        Wants::Left => {
+            left.compact(&mut |f| op.visit_held(f, &mut |_| {}));
+            match left.next_batch()? {
+                Some(b) => op.process_batch_left(b)?,
+                None => op.finish(Side::Left)?,
+            }
+        }
+        Wants::Right => {
+            right.compact(&mut |f| op.visit_held(&mut |_| {}, f));
+            match right.next_batch()? {
+                Some(b) => op.process_batch_right(b)?,
+                None => op.finish(Side::Right)?,
+            }
+        }
     }
     Ok(true)
 }
@@ -283,6 +311,38 @@ impl<T: Clone> Cursor<T> {
         self.idx += 1;
         self.counted = false;
     }
+
+    /// Show `f` every queued row not consumed yet, the head included.
+    pub(crate) fn visit_held(&mut self, f: &mut dyn FnMut(&mut T)) {
+        let mut consumed = self.idx;
+        for batch in &mut self.queue {
+            for item in batch.rows_mut().iter_mut().skip(consumed) {
+                f(item);
+            }
+            consumed = 0;
+        }
+    }
+}
+
+/// Show a join's undrained pairs to the visitors of their sides.
+pub(crate) fn visit_pairs<X, Y>(
+    out: &mut [(X, Y)],
+    left: &mut dyn FnMut(&mut X),
+    right: &mut dyn FnMut(&mut Y),
+) {
+    for (x, y) in out {
+        left(x);
+        right(y);
+    }
+}
+
+/// Show a semijoin's undrained left items to the left visitor.
+pub(crate) fn visit_kept<X, Y>(
+    out: &mut [X],
+    left: &mut dyn FnMut(&mut X),
+    _right: &mut dyn FnMut(&mut Y),
+) {
+    out.iter_mut().for_each(left);
 }
 
 pub(crate) fn metrics(
@@ -466,6 +526,16 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for ContainJoinTsTe<X, Y>
             self.state.stats(),
         )
     }
+
+    fn visit_held(&mut self, left: &mut dyn FnMut(&mut X), right: &mut dyn FnMut(&mut Y)) {
+        self.cx.visit_held(left);
+        self.state.visit_held(left);
+        self.cy.visit_held(right);
+        if let Some((_, _, y)) = &mut self.cur_y {
+            right(y);
+        }
+        visit_pairs(&mut self.out, left, right);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -570,13 +640,26 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> Sweep<X, Y> {
             self.sx.stats().combine_stacked(self.sy.stats()),
         )
     }
+
+    /// Show both cursors' queued rows and both states.
+    pub(crate) fn visit_held(
+        &mut self,
+        left: &mut dyn FnMut(&mut X),
+        right: &mut dyn FnMut(&mut Y),
+    ) {
+        self.cx.visit_held(left);
+        self.sx.visit_held(left);
+        self.cy.visit_held(right);
+        self.sy.visit_held(right);
+    }
 }
 
 /// Implement [`BatchOp`] for a two-state sweep kernel `$name<X, Y>` with
 /// output `$out`: a `sw: Sweep<X, Y>`, a `run()` that advances it, an
-/// `out` buffer and `comparisons`/`emitted` counters.
+/// `out` buffer whose items `$visit_out` shows ([`visit_pairs`] or
+/// [`visit_kept`]) and `comparisons`/`emitted` counters.
 macro_rules! sweep_batch_op {
-    ($name:ident, $out:ty) => {
+    ($name:ident, $out:ty, $visit_out:ident) => {
         impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for $name<X, Y> {
             type LeftItem = X;
             type RightItem = Y;
@@ -613,6 +696,11 @@ macro_rules! sweep_batch_op {
 
             fn report(&self) -> OpReport {
                 self.sw.report(self.comparisons, self.emitted)
+            }
+
+            fn visit_held(&mut self, left: &mut dyn FnMut(&mut X), right: &mut dyn FnMut(&mut Y)) {
+                self.sw.visit_held(left, right);
+                $visit_out(&mut self.out, left, right);
             }
         }
     };
@@ -753,7 +841,7 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> OverlapJoin<X, Y> {
     }
 }
 
-sweep_batch_op!(OverlapJoin, (X, Y));
+sweep_batch_op!(OverlapJoin, (X, Y), visit_pairs);
 
 // ---------------------------------------------------------------------------
 // Overlap semijoin.
@@ -893,7 +981,7 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> OverlapSemijoin<X, Y> {
     }
 }
 
-sweep_batch_op!(OverlapSemijoin, X);
+sweep_batch_op!(OverlapSemijoin, X, visit_kept);
 
 // ---------------------------------------------------------------------------
 // Stab semijoins.
@@ -1026,6 +1114,13 @@ impl<C: Temporal + Clone, E: Temporal + Clone> StabScan<C, E> {
         self.run();
     }
 
+    fn visit_held(&mut self, c: &mut dyn FnMut(&mut C), e: &mut dyn FnMut(&mut E)) {
+        self.cc.visit_held(c);
+        self.ce.visit_held(e);
+        self.out_c.iter_mut().for_each(&mut *c);
+        self.out_e.iter_mut().for_each(e);
+    }
+
     fn report(&self) -> OpReport {
         // Table 1 state (d): the workspace is the two cursor heads.
         OpReport::new(
@@ -1088,6 +1183,10 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for ContainSemijoinStab<X
     fn report(&self) -> OpReport {
         self.scan.report()
     }
+
+    fn visit_held(&mut self, left: &mut dyn FnMut(&mut X), right: &mut dyn FnMut(&mut Y)) {
+        self.scan.visit_held(left, right);
+    }
 }
 
 /// `Contained-semijoin(X, Y)`: emits each X tuple contained in at least
@@ -1143,6 +1242,10 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for ContainedSemijoinStab
 
     fn report(&self) -> OpReport {
         self.scan.report()
+    }
+
+    fn visit_held(&mut self, left: &mut dyn FnMut(&mut Y), right: &mut dyn FnMut(&mut X)) {
+        self.scan.visit_held(left, right);
     }
 }
 

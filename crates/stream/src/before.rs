@@ -23,7 +23,7 @@
 //! serves After.
 
 use crate::batch::RowBatch;
-use crate::batch_ops::{metrics, BatchOp, Cursor, Head, Side, Wants};
+use crate::batch_ops::{metrics, visit_pairs, BatchOp, Cursor, Head, Side, Wants};
 use crate::report::OpReport;
 use crate::workspace::WorkspaceStats;
 use tdb_core::{StreamOrder, TdbResult, Temporal, TimePoint};
@@ -164,6 +164,15 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for BeforeJoin<X, Y> {
             WorkspaceStats::of_resident(self.ys.len()),
         )
     }
+
+    fn visit_held(&mut self, left: &mut dyn FnMut(&mut X), right: &mut dyn FnMut(&mut Y)) {
+        self.cx.visit_held(left);
+        if let Some((x, _)) = &mut self.current {
+            left(x);
+        }
+        self.ys.iter_mut().for_each(&mut *right);
+        visit_pairs(&mut self.out, left, right);
+    }
 }
 
 /// Before-semijoin: emits each `x` with `x.TE < max(y.TS)`; mirrored,
@@ -292,6 +301,11 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> BatchOp for BeforeSemijoin<X, Y> 
             ),
             WorkspaceStats::of_resident(1),
         )
+    }
+
+    fn visit_held(&mut self, left: &mut dyn FnMut(&mut X), _right: &mut dyn FnMut(&mut Y)) {
+        self.cx.visit_held(left);
+        self.out.iter_mut().for_each(left);
     }
 }
 

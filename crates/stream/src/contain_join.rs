@@ -39,7 +39,7 @@
 //! test lives in this module's tests beside the Figure 5 cases.
 
 use crate::batch::RowBatch;
-use crate::batch_ops::{probe, sweep_batch_op, BatchOp, Buffered, Side, Sweep, Wants};
+use crate::batch_ops::{probe, sweep_batch_op, visit_pairs, BatchOp, Buffered, Side, Sweep, Wants};
 use crate::gapless::GaplessWorkspace;
 use crate::read_policy::ReadPolicy;
 use crate::report::OpReport;
@@ -137,7 +137,7 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> ContainJoinTsTs<X, Y> {
     }
 }
 
-sweep_batch_op!(ContainJoinTsTs, (X, Y));
+sweep_batch_op!(ContainJoinTsTs, (X, Y), visit_pairs);
 
 #[cfg(test)]
 mod tests {

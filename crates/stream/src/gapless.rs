@@ -148,6 +148,12 @@ impl<T> GaplessWorkspace<T> {
         &self.te
     }
 
+    /// Show `f` every resident payload, in residence order, to rewrite in
+    /// place; its period must not change.
+    pub fn visit_held(&mut self, f: &mut dyn FnMut(&mut T)) {
+        self.payload.iter_mut().for_each(f);
+    }
+
     /// Payload of resident tuple `i`.
     #[inline]
     pub fn payload(&self, i: usize) -> &T {

@@ -57,7 +57,8 @@ pub mod workspace;
 
 pub use aggregate::grouped_sum;
 pub use batch::{
-    BatchStream, KernelInput, RowBatch, VecBatchStream, DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS,
+    BatchStream, KernelInput, RowBatch, ShowHeld, VecBatchStream, DEFAULT_BATCH_ROWS,
+    MAX_BATCH_ROWS,
 };
 pub use batch_ops::{
     drive, BatchOp, ContainJoinTsTe, ContainSemijoinStab, ContainedSemijoinStab, OverlapJoin,

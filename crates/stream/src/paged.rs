@@ -21,8 +21,14 @@
 //! the items one page made ready), so which pages are read does not
 //! depend on the batch size: a page is read only when the kernel needs
 //! an item the pages read so far do not hold (or did not make ready).
+//!
+//! Just before such a read — the kernel has taken in every item the
+//! stream held ready, so what it and the stream still hold is the same
+//! at every batch size — the stream lets its source compact the storage
+//! its items index ([`PageSource::compact`]), showing it every item
+//! still held: the kernel's, the re-sort heap's and any left in hand.
 
-use crate::batch::{BatchStream, KernelInput, RowBatch, DEFAULT_BATCH_ROWS};
+use crate::batch::{BatchStream, KernelInput, RowBatch, ShowHeld, DEFAULT_BATCH_ROWS};
 use std::cmp::{Ordering, Reverse};
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::collections::VecDeque;
@@ -38,6 +44,16 @@ pub trait PageSource {
     /// filter dropped every row). Returns `false`, adding nothing, once
     /// the source is exhausted.
     fn next_page(&mut self, out: &mut Vec<Self::Item>) -> TdbResult<bool>;
+
+    /// Called by the [`PageStream`] just before it asks for the next
+    /// page, when no output is pending: `held` shows a visitor every
+    /// item read from this source that the stream or its kernel still
+    /// holds. A source whose items index storage it fills may move what
+    /// they index into fresh storage and rewrite them, periods unchanged.
+    /// Nothing by default.
+    fn compact(&mut self, held: &mut ShowHeld<'_, Self::Item>) {
+        let _ = held;
+    }
 }
 
 /// The source side of a [`PageStream`]: the page in hand and the claimed
@@ -45,7 +61,9 @@ pub trait PageSource {
 struct Reader<S: PageSource> {
     source: S,
     claimed: Option<StreamOrder>,
-    page: std::vec::IntoIter<S::Item>,
+    /// The page in hand, last item first, so batches pop from the end;
+    /// one buffer, reused for every page.
+    page: Vec<S::Item>,
     /// The last item read, for the order check.
     last: Option<Period>,
     /// Items read so far (the ordinal of the next).
@@ -60,16 +78,15 @@ where
     /// Make sure an item is in hand, reading pages as needed (each
     /// verified against the claimed order); `false` at the end.
     fn fill(&mut self) -> TdbResult<bool> {
-        while self.page.len() == 0 {
+        while self.page.is_empty() {
             if self.exhausted {
                 return Ok(false);
             }
-            let mut page = Vec::new();
-            if !self.source.next_page(&mut page)? {
+            if !self.source.next_page(&mut self.page)? {
                 self.exhausted = true;
                 return Ok(false);
             }
-            for item in &page {
+            for item in &self.page {
                 let p = item.period();
                 if let (Some(order), Some(last)) = (self.claimed, self.last) {
                     if order.compare(&last, &p) == Ordering::Greater {
@@ -82,7 +99,7 @@ where
                 self.last = Some(p);
                 self.read += 1;
             }
-            self.page = page.into_iter();
+            self.page.reverse();
         }
         Ok(true)
     }
@@ -156,6 +173,17 @@ impl<T: Temporal> Resort<T> {
             self.ready.push_back(held.item);
         }
     }
+
+    /// Show `f` every item held open or ready. Rewriting an item leaves
+    /// its (TE, read ordinal) key, so the heap stays a heap.
+    fn visit_held(&mut self, f: &mut dyn FnMut(&mut T)) {
+        let mut open = std::mem::take(&mut self.open).into_vec();
+        for held in &mut open {
+            f(&mut held.0.item);
+        }
+        self.open = BinaryHeap::from(open);
+        self.ready.iter_mut().for_each(f);
+    }
 }
 
 /// A [`BatchStream`] over a [`PageSource`]: the source's items in its
@@ -180,7 +208,7 @@ where
             reader: Reader {
                 source,
                 claimed,
-                page: Vec::new().into_iter(),
+                page: Vec::new(),
                 last: None,
                 read: 0,
                 exhausted: false,
@@ -228,6 +256,27 @@ where
     pub fn source(&self) -> &S {
         &self.reader.source
     }
+
+    /// Does the next batch read a page? Only once the kernel has taken
+    /// every item the pages read so far hold (or made ready).
+    fn reads_page(&self) -> bool {
+        !self.reader.exhausted
+            && self.reader.page.is_empty()
+            && self.resort.as_ref().is_none_or(|r| r.ready.is_empty())
+    }
+}
+
+/// Show `f` every item of a [`PageStream`] not handed out yet: the page
+/// in hand and the re-sort's open and ready items.
+fn visit_buffers<T: Temporal>(
+    page: &mut [T],
+    resort: &mut Option<Resort<T>>,
+    f: &mut dyn FnMut(&mut T),
+) {
+    page.iter_mut().for_each(&mut *f);
+    if let Some(resort) = resort {
+        resort.visit_held(f);
+    }
 }
 
 impl<S: PageSource> BatchStream for PageStream<S>
@@ -242,7 +291,8 @@ where
                 return Ok(None);
             }
             let n = self.rows.min(self.reader.page.len());
-            return Ok(Some(batch(self.reader.page.by_ref(), n)));
+            let page = &mut self.reader.page;
+            return Ok(Some(batch(std::iter::from_fn(|| page.pop()), n)));
         };
         // Take in a page only while nothing is ready, so the source is
         // read no further than the kernel's demand.
@@ -252,7 +302,7 @@ where
                 return Ok(Some(batch(resort.ready.drain(..n), n)));
             }
             if self.reader.fill()? {
-                for item in self.reader.page.by_ref() {
+                while let Some(item) = self.reader.page.pop() {
                     resort.push(item);
                 }
             } else if resort.open.is_empty() {
@@ -261,6 +311,18 @@ where
                 resort.close();
             }
         }
+    }
+
+    fn compact(&mut self, kernel: &mut ShowHeld<'_, S::Item>) {
+        if !self.reads_page() {
+            return;
+        }
+        let (reader, resort) = (&mut self.reader, &mut self.resort);
+        let page = &mut reader.page;
+        reader.source.compact(&mut |f| {
+            kernel(&mut *f);
+            visit_buffers(page, resort, f);
+        });
     }
 }
 

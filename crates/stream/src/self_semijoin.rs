@@ -102,6 +102,14 @@ impl<X: Temporal + Clone> OneStateScan<X> {
             WorkspaceStats::of_resident(usize::from(self.state.is_some())),
         )
     }
+
+    fn visit_held(&mut self, f: &mut dyn FnMut(&mut X)) {
+        self.cx.visit_held(f);
+        if let Some((_, _, x)) = &mut self.state {
+            f(x);
+        }
+        self.out.iter_mut().for_each(f);
+    }
 }
 
 /// Implement the unary [`BatchOp`] surface for a wrapper around a scan
@@ -142,6 +150,10 @@ macro_rules! unary_batch_op {
 
             fn report(&self) -> OpReport {
                 self.$scan.report()
+            }
+
+            fn visit_held(&mut self, left: &mut dyn FnMut(&mut X), _right: &mut dyn FnMut(&mut X)) {
+                self.$scan.visit_held(left);
             }
         }
     };
@@ -261,6 +273,12 @@ impl<X: Temporal + Clone> CandidateScan<X> {
             metrics(self.cx.reads, 0, self.comparisons, self.emitted),
             self.candidates.stats(),
         )
+    }
+
+    fn visit_held(&mut self, f: &mut dyn FnMut(&mut X)) {
+        self.cx.visit_held(f);
+        self.candidates.visit_held(f);
+        self.out.iter_mut().for_each(f);
     }
 }
 

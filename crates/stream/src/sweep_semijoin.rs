@@ -13,7 +13,9 @@
 //! * [`SweepSemijoin::contained`] — emit `x ∈ X` contained in some `y ∈ Y`.
 
 use crate::batch::RowBatch;
-use crate::batch_ops::{sweep_batch_op, witnessed, BatchOp, Buffered, Side, Sweep, Wants};
+use crate::batch_ops::{
+    sweep_batch_op, visit_kept, witnessed, BatchOp, Buffered, Side, Sweep, Wants,
+};
 use crate::gapless::GaplessWorkspace;
 use crate::read_policy::ReadPolicy;
 use crate::report::OpReport;
@@ -114,7 +116,7 @@ impl<X: Temporal + Clone, Y: Temporal + Clone> SweepSemijoin<X, Y> {
     }
 }
 
-sweep_batch_op!(SweepSemijoin, X);
+sweep_batch_op!(SweepSemijoin, X, visit_kept);
 
 #[cfg(test)]
 mod tests {

@@ -326,3 +326,132 @@ fn every_allen_relation_joins_in_linear_comparisons() {
         );
     }
 }
+
+/// One operand of a random atom: an endpoint of a range variable (index,
+/// `true` for `ValidTo`) or an integer constant.
+#[derive(Debug, Clone, Copy)]
+enum Operand {
+    Endpoint(usize, bool),
+    Const(i64),
+}
+
+/// Does a comparison hold between two values?
+type Holds = fn(i64, i64) -> bool;
+
+/// The six comparison operators, as Quel writes them and as they hold.
+const OPS: [(&str, Holds); 6] = [
+    ("<", |l, r| l < r),
+    ("<=", |l, r| l <= r),
+    (">", |l, r| l > r),
+    (">=", |l, r| l >= r),
+    ("=", |l, r| l == r),
+    ("!=", |l, r| l != r),
+];
+
+/// A random conjunction over 2–3 range variables: which relation each
+/// ranges over (0 is `X`, 1 is `Y`), and 1–4 atoms `(lhs, op, rhs)` over
+/// endpoints and constants.
+fn random_conjunction<R: rand::Rng>(rng: &mut R) -> (Vec<usize>, Vec<(Operand, usize, Operand)>) {
+    let vars: Vec<usize> = (0..rng.gen_range(2..4))
+        .map(|_| rng.gen_range(0..2))
+        .collect();
+    let endpoint = |rng: &mut R| Operand::Endpoint(rng.gen_range(0..vars.len()), rng.gen_bool(0.5));
+    let atoms = (0..rng.gen_range(1..5))
+        .map(|_| {
+            let lhs = endpoint(rng);
+            let rhs = if rng.gen_bool(0.3) {
+                Operand::Const(rng.gen_range(0..110))
+            } else {
+                endpoint(rng)
+            };
+            (lhs, rng.gen_range(0..OPS.len()), rhs)
+        })
+        .collect();
+    (vars, atoms)
+}
+
+/// The Quel text of a random conjunction, its variables named `a`, `b`,
+/// `c` and its targets their names.
+fn conjunction_text(vars: &[usize], atoms: &[(Operand, usize, Operand)]) -> String {
+    const NAMES: [&str; 3] = ["a", "b", "c"];
+    let term = |t: Operand| match t {
+        Operand::Endpoint(v, te) => {
+            format!("{}.{}", NAMES[v], if te { "ValidTo" } else { "ValidFrom" })
+        }
+        Operand::Const(c) => c.to_string(),
+    };
+    let ranges: Vec<String> = vars
+        .iter()
+        .enumerate()
+        .map(|(v, &rel)| format!("range of {} is {}", NAMES[v], ["X", "Y"][rel]))
+        .collect();
+    let targets: Vec<String> = (0..vars.len())
+        .map(|v| format!("N{v}={}.Name", NAMES[v]))
+        .collect();
+    let atoms: Vec<String> = atoms
+        .iter()
+        .map(|&(l, op, r)| format!("{} {} {}", term(l), OPS[op].0, term(r)))
+        .collect();
+    format!(
+        "{} retrieve ({}) where {}",
+        ranges.join(" "),
+        targets.join(", "),
+        atoms.join(" and ")
+    )
+}
+
+/// Random conjunctions of endpoint comparisons over two or three range
+/// variables answer, under every planner configuration, exactly what a
+/// nested loop over the query's own atoms keeps.
+#[test]
+fn random_conjunctions_answer_the_nested_loop_under_every_config() {
+    use rand::SeedableRng;
+    let n = 30;
+    let (catalog, sides) = xy_catalog("random-conjunctions", n);
+    // A combination of rows, one per variable, as the digits of a
+    // base-`n` number: variable 0's row is the most significant.
+    let row = |combo: usize, vars: usize, v: usize| combo / n.pow((vars - 1 - v) as u32) % n;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+    let mut answered = 0;
+    for _ in 0..200 {
+        let (vars, atoms) = random_conjunction(&mut rng);
+        let text = conjunction_text(&vars, &atoms);
+        let value = |combo: usize, t: Operand| match t {
+            Operand::Endpoint(v, te) => {
+                let p = sides[vars[v]][row(combo, vars.len(), v)].1;
+                if te { p.end() } else { p.start() }.ticks()
+            }
+            Operand::Const(c) => c,
+        };
+        let want: Vec<usize> = (0..n.pow(vars.len() as u32))
+            .filter(|&combo| {
+                atoms
+                    .iter()
+                    .all(|&(l, op, r)| OPS[op].1(value(combo, l), value(combo, r)))
+            })
+            .collect();
+        answered += usize::from(!want.is_empty());
+        for (config, name) in [
+            (PlannerConfig::stream(), "stream"),
+            (PlannerConfig::conventional(), "conventional"),
+            (PlannerConfig::naive(), "naive"),
+        ] {
+            // Each answer row's names (`x7`, `y12`) back to the rows'
+            // positions.
+            let mut got: Vec<usize> = run(&catalog, &text, config)
+                .rows
+                .iter()
+                .map(|r| {
+                    (0..vars.len()).fold(0, |combo, v| {
+                        let name = r.get(v).as_str().unwrap();
+                        combo * n + name[1..].parse::<usize>().unwrap()
+                    })
+                })
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, want, "{name}: {text}");
+        }
+    }
+    // The atoms are not so selective that the check is vacuous.
+    assert!(answered >= 60, "{answered} of 200 queries kept a row");
+}

@@ -12,7 +12,12 @@
 //!    stream join and semijoin over relations that claim TS↑ — streamed
 //!    as stored, or re-sorted to TE↑ — gives the output sequence, kernel
 //!    reports and comparisons of the same rows collected and sorted, at
-//!    every batch size, sorts nothing and reads no more rows.
+//!    every batch size, sorts nothing, reads no more rows and holds fewer
+//!    rows than a side has.
+//! 4. **A stored side's arena is a window.** A TS↑ Contain-join holds at
+//!    most a constant times (proven cap + batch + page) rows a side, at
+//!    10 000 and at 160 000 rows a side alike, and answers the nested
+//!    loop's pairs.
 
 // Only the frame decoder is needed here.
 #[allow(dead_code)]
@@ -21,8 +26,10 @@ mod wire;
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use tdb::algebra::cost::workspace_cap;
 use tdb::prelude::*;
 use tdb::storage::HeapFile;
+use tdb::stream::PairBatch;
 use tdb_engine::{interval_schema, ClientState, Engine, ErrorCode, QueryReport, Response};
 use tdb_net::wire::Frame;
 use tdb_net::WireSink;
@@ -348,8 +355,115 @@ fn stored_and_collected_sides_feed_the_kernels_the_same_items() {
             );
             assert_eq!(s.sorts_performed, 0, "{what}");
             assert!(s.rows_scanned <= c.rows_scanned, "{what}");
+            assert!(s.arena_peak < x.len().min(y.len()), "{what}: {s:?}");
             assert_eq!(*first.get_or_insert(s), s, "{what}: stats by batch size");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `(Seq, Seq)` pair of every join match, read from the two source
+/// rows without building the joined row.
+#[derive(Default)]
+struct SeqPairs(Vec<(i64, i64)>);
+
+impl RowSink for SeqPairs {
+    fn push(&mut self, rows: &mut Vec<Row>) -> TdbResult<bool> {
+        panic!("a join offers pairs, not {} rows", rows.len())
+    }
+
+    fn push_pairs(&mut self, batch: &mut PairBatch<'_>) -> TdbResult<bool> {
+        let seq = |row: &Row| row.get(1).as_int().unwrap();
+        self.0.extend(
+            batch
+                .pairs
+                .iter()
+                .map(|&(l, r)| (seq(&batch.left[l as usize]), seq(&batch.right[r as usize]))),
+        );
+        Ok(true)
+    }
+
+    fn finish(&mut self) -> SinkStats {
+        SinkStats::default()
+    }
+}
+
+#[test]
+fn a_stored_sides_arena_holds_a_window_not_its_input() {
+    // The same constant at both sizes: the window does not grow with the
+    // input.
+    const C: usize = 2;
+    for n in [10_000, 160_000] {
+        let dir = scratch(&format!("window-{n}"));
+        let mut cat = Catalog::open(&dir, IoStats::new()).unwrap();
+        let mut sides = Vec::new();
+        for (name, seed) in [("X", 1), ("Y", 2)] {
+            let rows: Vec<Row> = IntervalGen::poisson(n, 3.0, 8.0, seed)
+                .generate()
+                .iter()
+                .enumerate()
+                .map(|(i, t)| {
+                    Row::new(vec![
+                        t.surrogate.clone(),
+                        Value::Int(i as i64),
+                        Value::Time(t.ts()),
+                        Value::Time(t.te()),
+                    ])
+                })
+                .collect();
+            let ts = vec![StreamOrder::TS_ASC];
+            cat.create_relation(name, interval_schema().unwrap(), &rows, ts)
+                .unwrap();
+            let side: Vec<_> = rows
+                .iter()
+                .map(|r| {
+                    let p = |i: usize| r.get(i).as_time().unwrap().ticks();
+                    (r.get(1).to_string(), p(2), p(3))
+                })
+                .collect();
+            sides.push(side);
+        }
+        let (xm, ym) = (cat.meta("X").unwrap(), cat.meta("Y").unwrap());
+        let cap = workspace_cap(StreamOpKind::ContainJoinTsTe, &xm.stats, Some(&ym.stats));
+        let page = [xm, ym]
+            .iter()
+            .map(|m| m.rows.div_ceil(m.pages.unwrap() as usize))
+            .max()
+            .unwrap();
+        let scan = |relation: &str, var: &str| {
+            Box::new(PhysicalPlan::SeqScan {
+                relation: relation.into(),
+                var: var.into(),
+            })
+        };
+        let join = PhysicalPlan::StreamTemporal {
+            left: scan("X", "x"),
+            right: scan("Y", "y"),
+            left_var: "x".into(),
+            right_var: "y".into(),
+            pattern: TemporalPattern::Contains,
+            residual: vec![],
+        };
+        let mut sink = SeqPairs::default();
+        let stats = join
+            .execute(&cat, ExecOptions::new().with_sink(&mut sink))
+            .unwrap()
+            .stats;
+        let bound = C * (cap + DEFAULT_BATCH_ROWS + page);
+        assert!(
+            stats.arena_peak <= bound,
+            "{n}/side: arena peak {} over {C} · ({cap} + {DEFAULT_BATCH_ROWS} + {page})",
+            stats.arena_peak
+        );
+        assert_eq!(stats.rows_scanned, 2 * n, "{n}/side");
+        let got = sink.0.iter().fold(Pairs::new(), |mut pairs, (x, y)| {
+            *pairs.entry((x.to_string(), y.to_string())).or_default() += 1;
+            pairs
+        });
+        let (mut x, mut y) = (sides[0].clone(), sides[1].clone());
+        x.sort_by_key(|r| r.1);
+        y.sort_by_key(|r| r.1);
+        assert_eq!(got, nested_contains(&x, &y), "{n}/side");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
