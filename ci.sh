@@ -68,16 +68,19 @@ echo "==> paper tables (E1–E3, E5, E6, E10–E15, bounded)"
 timeout 60 cargo run --release -p tdb-bench --features check --bin experiments -- \
   table1 table2 table3 fig3 superstar sweep policies before sortcost aggregate parallel
 
-# The differential oracle, the end-to-end Quel suite and the streamed
-# scans, optimized and built with the `check` feature (`tests/oracle.rs`
-# and `tests/streamed_scans.rs` belong to tdb-net, so the feature is
+# The differential oracle, the end-to-end Quel suite, the streamed
+# scans and the wire sink's equivalence, optimized and built with the
+# `check` feature (`tests/oracle.rs`, `tests/streamed_scans.rs` and
+# `tests/sink_equivalence.rs` belong to tdb-net, so the feature is
 # forwarded as `tdb/check`): the workspace caps of stream nodes that read
 # stored inputs page by page (taken from the catalog's statistics), the
 # TE re-sort's peak (at most the relation's max concurrency) and a stored
-# side's arena window are hard asserts here, not only in debug builds.
+# side's arena window are hard asserts here, not only in debug builds;
+# and the > 64 MiB streamed reply (4 KiB ids, so fragments of about 16
+# rows) is reassembled from its fragments in an optimized build.
 # Hard-capped at 120 seconds.
-echo "==> oracle + end-to-end Quel + streamed scans (release, check)"
-timeout 120 cargo test --release -p tdb -p tdb-net --features tdb/check --test oracle --test end_to_end_quel --test streamed_scans
+echo "==> oracle + end-to-end Quel + streamed scans + sink equivalence (release, check)"
+timeout 120 cargo test --release -p tdb -p tdb-net --features tdb/check --test oracle --test end_to_end_quel --test streamed_scans --test sink_equivalence
 
 # The repo benchmark's own unit tests: it is a package of its own, so
 # the workspace test run above does not build it. A wire or engine API

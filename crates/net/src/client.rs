@@ -85,34 +85,74 @@ fn reader_loop(
     pushes: &SyncSender<DeltaFrame>,
 ) {
     let mut reader = FrameReader::new();
+    // The rows sent ahead (`ReplyRows`) of query `ahead_of`, decoded
+    // straight onto this vector: they open its next chunk or reply.
+    let mut ahead: Vec<Row> = Vec::new();
+    let mut ahead_of = 0u64;
     loop {
-        match reader.read(&mut stream) {
-            Ok(ReadOutcome::Frame(Frame::Reply { query_id, response })) => {
-                if replies.send((query_id, *response)).is_err() {
-                    break;
-                }
-            }
-            Ok(ReadOutcome::Frame(Frame::ReplyChunk {
-                seq, last, rows, ..
-            })) => {
-                if chunks.send(StreamPart::Rows { seq, last, rows }).is_err() {
-                    break;
-                }
-            }
-            Ok(ReadOutcome::Frame(Frame::ReplyEnd { trailer, .. })) => {
-                if chunks.send(StreamPart::End(*trailer)).is_err() {
-                    break;
-                }
-            }
-            Ok(ReadOutcome::Frame(Frame::Push(delta))) => {
-                let _ = pushes.send(delta);
-            }
-            // The server is draining; nothing more will arrive.
-            Ok(ReadOutcome::Frame(Frame::Shutdown)) => break,
-            // Client-direction frames are a server bug; bail out.
-            Ok(ReadOutcome::Frame(_)) => break,
-            Ok(ReadOutcome::Idle) => {}
+        let before = ahead.len();
+        let frame = match reader.read_into(&mut stream, &mut ahead) {
+            Ok(ReadOutcome::Frame(frame)) => frame,
+            Ok(ReadOutcome::Idle) => continue,
             Ok(ReadOutcome::Eof) | Err(_) => break,
+        };
+        let delivered = match frame {
+            Frame::ReplyRows { query_id, .. } => {
+                if query_id != ahead_of {
+                    // Another query's rows: the last one's were never
+                    // claimed.
+                    ahead.drain(..before);
+                    ahead_of = query_id;
+                }
+                true
+            }
+            Frame::Reply {
+                query_id,
+                mut response,
+            } => {
+                match &mut *response {
+                    Response::Query(report) if query_id == ahead_of => {
+                        ahead.append(&mut report.rows.rows);
+                        report.rows.rows = std::mem::take(&mut ahead);
+                    }
+                    // The rows sent ahead of the first chunk stay for it.
+                    Response::QueryStream(_) if query_id == ahead_of => {}
+                    _ => ahead.clear(),
+                }
+                replies.send((query_id, *response)).is_ok()
+            }
+            Frame::ReplyChunk {
+                query_id,
+                seq,
+                last,
+                mut rows,
+            } => {
+                if query_id == ahead_of {
+                    ahead.append(&mut rows);
+                    rows = std::mem::take(&mut ahead);
+                } else {
+                    ahead.clear();
+                }
+                chunks.send(StreamPart::Rows { seq, last, rows }).is_ok()
+            }
+            Frame::ReplyEnd { trailer, .. } => {
+                ahead.clear();
+                chunks.send(StreamPart::End(*trailer)).is_ok()
+            }
+            Frame::Push(delta) => {
+                let _ = pushes.send(delta);
+                true
+            }
+            // The server is draining, so nothing more will arrive; and
+            // client-direction frames are a server bug.
+            Frame::Shutdown
+            | Frame::Input(_)
+            | Frame::Ingest { .. }
+            | Frame::Stats
+            | Frame::Bye => false,
+        };
+        if !delivered {
+            break;
         }
     }
 }

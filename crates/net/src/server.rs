@@ -7,11 +7,12 @@
 //! drains that connection's bounded outbound queue onto the socket.
 //!
 //! Replies leave while they are produced: the reader thread gives the
-//! engine a [`WireSink`], which encodes result rows into chunk frames as
-//! the plan pushes them and hands each finished chunk to the outbound
-//! queue. Nothing under the engine lock ever waits for that queue — the
-//! sink only `try_send`s, parks frames locally once the queue is full,
-//! and the parked frames are sent (blocking) after the lock is released.
+//! engine a [`WireSink`], which encodes result rows into frames as the
+//! plan pushes them and hands each finished frame — rows sent ahead, a
+//! chunk — to the outbound queue. Nothing under the engine lock ever
+//! waits for that queue — the sink only `try_send`s, parks frames
+//! locally once the queue is full, and the parked frames are sent
+//! (blocking) after the lock is released.
 //!
 //! Push routing and backpressure: when a request finalizes rows for
 //! subscriptions (ingest or seal advancing the watermark), the executing
@@ -27,7 +28,7 @@
 //! [`Frame::Shutdown`] before its socket closes.
 
 use crate::sink::WireSink;
-use crate::wire::{Frame, FrameReader, ReadOutcome};
+use crate::wire::{is_reply_rows, Frame, FrameReader, ReadOutcome};
 use crate::NetConfig;
 use bytes::BytesMut;
 use parking_lot::Mutex;
@@ -38,7 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tdb::core::TdbResult;
 use tdb_engine::{
     ClientState, ConnMetrics, Engine, HealthState, NetMetrics, Response, Stage, StageTimers,
@@ -495,7 +496,7 @@ fn serve_conn(conn_id: u64, stream: TcpStream, shared: &Arc<Shared>) {
                     shared.subs.lock().insert(sub.id, conn_id);
                 }
                 shared.route_deltas(&mut resp);
-                let t = std::time::Instant::now();
+                let t = Instant::now();
                 sink.complete(resp);
                 shared
                     .stage_timers
@@ -526,6 +527,7 @@ fn serve_conn(conn_id: u64, stream: TcpStream, shared: &Arc<Shared>) {
             Frame::Reply { .. }
             | Frame::ReplyChunk { .. }
             | Frame::ReplyEnd { .. }
+            | Frame::ReplyRows { .. }
             | Frame::Push(_)
             | Frame::Shutdown => break,
         };
@@ -589,36 +591,50 @@ fn writer_loop(
     stats: &ConnStats,
     timers: &StageTimers,
 ) {
+    // The writes of a query's rows sent ahead, not yet logged: its id,
+    // when the first began, and their summed time. They are logged with
+    // the frame that closes them, one `net_write` span per chunk, so a
+    // reply's tens of fragments do not flood the late-span ring.
+    let mut ahead: Option<(u64, Instant, u64)> = None;
     while let Ok(item) = outbound.recv() {
         stats.dequeued();
         let last = matches!(item, Outbound::Frame(Frame::Shutdown));
         let (query_id, buf) = match item {
             Outbound::Frame(frame) => {
-                let t = std::time::Instant::now();
+                let t = Instant::now();
                 let mut buf = BytesMut::new();
                 frame.encode(&mut buf);
                 timers.observe(Stage::Render, t.elapsed().as_micros() as u64);
                 (0, buf)
             }
-            // Rendered by the sink, chunk by chunk, while the query ran.
+            // Rendered by the sink, frame by frame, while the query ran.
             Outbound::Encoded { query_id, bytes } => (query_id, bytes),
         };
-        let began = std::time::Instant::now();
+        let began = Instant::now();
         if stream.write_all(&buf).is_err() {
             break;
         }
         let write_us = began.elapsed().as_micros() as u64;
-        if query_id == 0 {
-            timers.observe(Stage::NetWrite, write_us);
-        } else {
-            // Kept by id as well, so the query's `\trace export` shows
-            // the writes that happened after its trace was built.
-            timers.observe_late(query_id, Stage::NetWrite, began, write_us);
-        }
         stats.frames_out.fetch_add(1, Ordering::Relaxed);
         stats
             .bytes_out
             .fetch_add(buf.len() as u64, Ordering::Relaxed);
+        if query_id == 0 {
+            timers.observe(Stage::NetWrite, write_us);
+        } else {
+            let (began, write_us) = match ahead.take() {
+                Some((id, first, us)) if id == query_id => (first, us + write_us),
+                _ => (began, write_us),
+            };
+            if is_reply_rows(&buf) {
+                ahead = Some((query_id, began, write_us));
+            } else {
+                // Kept by id as well, so the query's `\trace export`
+                // shows the writes that happened after its trace was
+                // built.
+                timers.observe_late(query_id, Stage::NetWrite, began, write_us);
+            }
+        }
         if last {
             break;
         }

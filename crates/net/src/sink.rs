@@ -2,23 +2,30 @@
 //!
 //! [`WireSink`] is the [`ReplySink`] a connection hands to
 //! [`Engine::execute_into`](tdb_engine::Engine::execute_into). Each
-//! pushed row is encoded straight into the current chunk's byte buffer
-//! and dropped, and each join match offered as a pair is encoded from
-//! its two source rows without an output row ever being built; when the
-//! buffer has reached the 4 MiB
-//! [`row_bytes`] budget and one more row arrives — proving the buffered
-//! chunk is not the last — the chunk is cut and handed on, so the client
-//! decodes chunk *k* while the plan is still producing chunk *k + 1*.
-//! The frames of one reply are, in order:
+//! pushed row is encoded straight into a byte buffer and dropped, and
+//! each join match offered as a pair is encoded from its two source rows
+//! without an output row ever being built. A reply is cut into chunks by
+//! the 4 MiB [`row_bytes`] budget: once a chunk's rows have reached it
+//! and one more row arrives — proving the chunk is not the last — the
+//! chunk is cut. Below the chunk, the rows leave as they are encoded:
+//! each time the open buffer holds [`FRAGMENT_BYTES`] of encoded rows it
+//! is sent ahead as a `ReplyRows` frame, so the client decodes the rows
+//! while the plan is still producing the next ones, and the buffer the
+//! encoder fills stays in cache. The frames of one reply are, in order:
 //!
 //! ```text
+//! ReplyRows…                   rows sent ahead, each a row list of its own
 //! Reply{QueryStream(header)}   when the first chunk is cut
-//! ReplyChunk{seq, last}…       `last` only on the final one
+//! ReplyChunk{seq, last}        the rest of the chunk's rows
+//! (ReplyRows… ReplyChunk)…     `last` only on the final chunk
 //! ReplyEnd{trailer}            totals, stats, timing, trace
 //! ```
 //!
 //! or, for a result within the budget (and for every non-query reply),
-//! the single `Reply` frame it has always been.
+//! one `Reply` frame, after the `ReplyRows` of a result past
+//! [`FRAGMENT_BYTES`]. The client puts the rows sent ahead in front of
+//! the rows of the chunk or reply that follows them, so chunks — their
+//! count, `seq`, `last` and rows — are what they would be without them.
 //!
 //! Frames leave through the `emit` callback, which runs inside the
 //! engine call and therefore must not block (see [`ReplySink`]).
@@ -34,6 +41,12 @@ use tdb_engine::{QueryReport, QueryTrailer, ReplySink, Response};
 /// under [`crate::wire::MAX_FRAME`] that encoding overhead and wide rows
 /// never push a single chunk near the cap.
 pub const CHUNK_BYTES: u64 = 4 << 20;
+
+/// Encoded bytes of rows sent ahead of their chunk in one `ReplyRows`
+/// frame. Small enough for the buffer being filled to stay in cache, and
+/// for the client to decode a chunk's rows while the plan produces them
+/// rather than after the chunk is cut.
+pub const FRAGMENT_BYTES: usize = 64 << 10;
 
 /// Encodes a reply into wire frames as the engine produces it; see the
 /// module docs. `emit` receives each finished frame (length prefix
@@ -93,7 +106,7 @@ impl<F: FnMut(u64, BytesMut)> WireSink<F> {
 
     /// Add one more row to the open chunk with `encode`, which returns
     /// the row's [`row_bytes`]. A full chunk is cut first: this row
-    /// proves it is not the last.
+    /// proves it is not the last. A full fragment is sent after it.
     fn admit(&mut self, since: &mut Instant, encode: impl FnOnce(&mut ChunkEncoder) -> u64) {
         if self.budget >= CHUNK_BYTES {
             self.charge(since);
@@ -103,6 +116,10 @@ impl<F: FnMut(u64, BytesMut)> WireSink<F> {
         self.stats.rows += 1;
         self.stats.bytes += bytes;
         self.budget += bytes;
+        if self.chunk.encoded() >= FRAGMENT_BYTES {
+            let frame = self.chunk.fragment(self.query_id);
+            (self.emit)(self.query_id, frame);
+        }
     }
 
     /// Charge the time since `*since` to the open chunk.
@@ -127,7 +144,9 @@ impl<F: FnMut(u64, BytesMut)> WireSink<F> {
             // stream, and told not to trust what it got.
             Response::Error(error) if self.seq > 0 => self.end(QueryTrailer::failed(error)),
             // Not a query (nothing was pushed), or one that failed
-            // before anything left: whatever was buffered is dropped.
+            // before its first chunk was cut: whatever was buffered is
+            // dropped, and so are the rows sent ahead, since the reply
+            // that follows them is not their query's.
             other => {
                 self.query_id = 0;
                 self.emit_frame(&Frame::Reply {
@@ -212,6 +231,15 @@ mod tests {
         Row::new(vec![Value::str("x".repeat(1 << 20)), Value::Int(i)])
     }
 
+    /// Row `i` of 1 036 `row_bytes`, its string its own (so it is
+    /// encoded inline, in about as many bytes).
+    fn kib_row(i: i64) -> Row {
+        Row::new(vec![
+            Value::str(format!("{i:08}{}", "x".repeat(1008))),
+            Value::Int(i),
+        ])
+    }
+
     fn decode(wire: &[BytesMut]) -> Vec<Frame> {
         let bytes: Vec<u8> = wire.iter().flat_map(|f| f.iter().copied()).collect();
         let mut reader = FrameReader::new();
@@ -221,6 +249,50 @@ mod tests {
             frames.push(f);
         }
         frames
+    }
+
+    /// `frames` with each `ReplyRows`' rows put in front of the rows of
+    /// the `Reply{Query}` or `ReplyChunk` that follows it, as a client
+    /// does.
+    fn fold(frames: Vec<Frame>) -> Vec<Frame> {
+        let mut ahead = Vec::new();
+        let mut out = Vec::new();
+        for mut frame in frames {
+            match &mut frame {
+                Frame::ReplyRows { rows, .. } => {
+                    ahead.append(rows);
+                    continue;
+                }
+                Frame::ReplyChunk { rows, .. } => {
+                    ahead.append(rows);
+                    *rows = std::mem::take(&mut ahead);
+                }
+                Frame::Reply { response, .. } => {
+                    if let Response::Query(q) = &mut **response {
+                        ahead.append(&mut q.rows.rows);
+                        q.rows.rows = std::mem::take(&mut ahead);
+                    }
+                }
+                _ => {}
+            }
+            out.push(frame);
+        }
+        out
+    }
+
+    /// Where the 4 MiB `row_bytes` budget cuts `rows`.
+    fn reference_cut(rows: &[Row]) -> Vec<Vec<Row>> {
+        let mut chunks = vec![Vec::new()];
+        let mut budget = 0u64;
+        for row in rows {
+            if budget >= CHUNK_BYTES {
+                chunks.push(Vec::new());
+                budget = 0;
+            }
+            budget += row_bytes(row);
+            chunks.last_mut().unwrap().push(row.clone());
+        }
+        chunks
     }
 
     #[test]
@@ -244,6 +316,153 @@ mod tests {
         );
     }
 
+    /// A result under [`FRAGMENT_BYTES`] sends nothing ahead: its one
+    /// frame is, byte for byte, `Frame::encode` of the whole reply.
+    #[test]
+    fn a_result_under_a_fragment_is_the_plain_reply_byte_for_byte() {
+        let rows: Vec<Row> = (0..60).map(kib_row).collect();
+        let mut wire = Vec::new();
+        let mut sink = WireSink::new(|_, f| wire.push(f));
+        sink.begin(report(4));
+        for batch in rows.chunks(7) {
+            sink.push(&mut batch.to_vec()).unwrap();
+        }
+        let mut done = report(4);
+        done.rows.total = 60;
+        sink.complete(Response::Query(done.clone()));
+        done.rows.rows = rows;
+        let mut want = BytesMut::new();
+        Frame::Reply {
+            query_id: 4,
+            response: Box::new(Response::Query(done)),
+        }
+        .encode(&mut want);
+        assert!(want.len() < FRAGMENT_BYTES && want.len() > FRAGMENT_BYTES * 7 / 8);
+        assert_eq!(wire, vec![want]);
+    }
+
+    /// Past [`FRAGMENT_BYTES`] but within the chunk budget: rows go ahead,
+    /// and the one `Reply` that follows carries the rest.
+    #[test]
+    fn a_result_within_the_budget_is_fragments_and_one_reply() {
+        let rows: Vec<Row> = (0..1000).map(kib_row).collect();
+        let mut wire = Vec::new();
+        let mut sink = WireSink::new(|_, f| wire.push(f));
+        sink.begin(report(6));
+        sink.push(&mut rows.clone()).unwrap();
+        let mut done = report(6);
+        done.rows.total = 1000;
+        sink.complete(Response::Query(done.clone()));
+        let frames = decode(&wire);
+        let (last, ahead) = frames.split_last().unwrap();
+        assert_eq!(
+            ahead.len(),
+            1000 * 1036 / FRAGMENT_BYTES,
+            "{} frames",
+            frames.len()
+        );
+        assert!(ahead
+            .iter()
+            .all(|f| matches!(f, Frame::ReplyRows { query_id: 6, .. })));
+        assert!(matches!(last, Frame::Reply { query_id: 6, .. }));
+        done.rows.rows = rows;
+        assert_eq!(
+            fold(frames),
+            vec![Frame::Reply {
+                query_id: 6,
+                response: Box::new(Response::Query(done)),
+            }]
+        );
+    }
+
+    /// A streamed result sent ahead in fragments: no fragment carries rows
+    /// of two chunks, fragments and chunk frames carry the pushed rows in
+    /// order, and the chunks — `seq`, `last`, rows — are the budget's
+    /// cut, with the header leaving just before the first chunk frame.
+    #[test]
+    fn fragments_fold_into_the_chunks_the_budget_cuts() {
+        let rows: Vec<Row> = (0..10_000).map(kib_row).collect();
+        let cut = reference_cut(&rows);
+        assert_eq!(cut.len(), 3);
+        let mut wire = Vec::new();
+        let mut sink = WireSink::new(|id, f| wire.push((id, f)));
+        sink.begin(report(8));
+        for batch in rows.chunks(7) {
+            sink.push(&mut batch.to_vec()).unwrap();
+        }
+        let mut done = report(8);
+        done.rows.total = rows.len() as u64;
+        sink.complete(Response::Query(done.clone()));
+        assert!(wire.iter().all(|(id, _)| *id == 8));
+        let wire: Vec<BytesMut> = wire.into_iter().map(|(_, f)| f).collect();
+        let frames = decode(&wire);
+
+        // Which chunk of the cut row `i` is in.
+        let chunk_of = |row: &Row| {
+            let Value::Int(i) = row.values()[1] else {
+                unreachable!()
+            };
+            cut.iter()
+                .scan(0, |end, c| {
+                    *end += c.len();
+                    Some(*end)
+                })
+                .position(|end| (i as usize) < end)
+                .unwrap()
+        };
+        let mut seen: Vec<Row> = Vec::new();
+        let mut fragments = 0;
+        let mut header_at = None;
+        for (at, (frame, bytes)) in frames.iter().zip(&wire).enumerate() {
+            match frame {
+                Frame::ReplyRows { query_id: 8, rows } => {
+                    fragments += 1;
+                    assert!(bytes.len() >= FRAGMENT_BYTES, "a fragment is full");
+                    let chunk = chunk_of(&rows[0]);
+                    assert!(
+                        rows.iter().all(|r| chunk_of(r) == chunk),
+                        "fragment {at} spans two chunks"
+                    );
+                    seen.extend(rows.iter().cloned());
+                }
+                Frame::ReplyChunk { rows, .. } => seen.extend(rows.iter().cloned()),
+                Frame::Reply { response, .. } => {
+                    assert!(matches!(**response, Response::QueryStream(_)));
+                    header_at = Some(at);
+                }
+                Frame::ReplyEnd { .. } => assert_eq!(at + 1, frames.len()),
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        assert_eq!(seen, rows, "fragments and chunks carry the rows in order");
+        assert!(fragments >= 10_000 * 1036 / FRAGMENT_BYTES - 3);
+        let header_at = header_at.expect("a header");
+        assert!(matches!(
+            frames[header_at + 1],
+            Frame::ReplyChunk { seq: 0, .. }
+        ));
+        assert!(frames[..header_at]
+            .iter()
+            .all(|f| matches!(f, Frame::ReplyRows { .. })));
+
+        let chunk = |seq: u32, rows: Vec<Row>| Frame::ReplyChunk {
+            query_id: 8,
+            seq,
+            last: seq == 2,
+            rows,
+        };
+        let mut want = vec![Frame::Reply {
+            query_id: 8,
+            response: Box::new(Response::QueryStream(report(8))),
+        }];
+        want.extend(cut.into_iter().zip(0..).map(|(rows, seq)| chunk(seq, rows)));
+        want.push(Frame::ReplyEnd {
+            query_id: 8,
+            trailer: Box::new(QueryTrailer::of(done)),
+        });
+        assert_eq!(fold(frames), want);
+    }
+
     #[test]
     fn large_result_streams_header_chunks_trailer() {
         let mut wire = Vec::new();
@@ -265,6 +484,12 @@ mod tests {
         sink.complete(Response::Query(done.clone()));
         assert!(wire.iter().all(|(id, _)| *id == 7));
         let frames = decode(&wire.into_iter().map(|(_, f)| f).collect::<Vec<_>>());
+        let ahead = |f: &Frame| matches!(f, Frame::ReplyRows { .. });
+        assert_eq!(
+            frames.iter().filter(|f| ahead(f)).count(),
+            6,
+            "each row past a fragment goes ahead on its own"
+        );
         let chunk = |seq, last, rows: std::ops::Range<i64>| Frame::ReplyChunk {
             query_id: 7,
             seq,
@@ -272,7 +497,7 @@ mod tests {
             rows: rows.map(big_row).collect(),
         };
         assert_eq!(
-            frames,
+            fold(frames),
             vec![
                 Frame::Reply {
                     query_id: 7,
@@ -298,7 +523,7 @@ mod tests {
         }
         let error = ErrorInfo::new(ErrorCode::Protocol, "broke");
         sink.complete(Response::Error(error.clone()));
-        let frames = decode(&wire);
+        let frames = fold(decode(&wire));
         assert_eq!(frames.len(), 4, "header, two chunks, trailer");
         assert!(matches!(frames[2], Frame::ReplyChunk { last: true, .. }));
         assert_eq!(
@@ -318,7 +543,14 @@ mod tests {
         sink.push(&mut vec![big_row(0)]).unwrap();
         let error = Response::Error(ErrorInfo::new(ErrorCode::Protocol, "broke"));
         sink.complete(error.clone());
-        assert_eq!(wire[0].0, 0);
+        // The row went ahead under the query's id; the error's reply is
+        // not the query's, so a client drops it.
+        let ids: Vec<u64> = wire.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [3, 0]);
+        assert!(matches!(
+            decode(&[wire.remove(0).1])[..],
+            [Frame::ReplyRows { query_id: 3, .. }]
+        ));
         assert_eq!(
             decode(&[wire.remove(0).1]),
             vec![Frame::Reply {

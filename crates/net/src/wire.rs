@@ -3,7 +3,7 @@
 //! Every message on the wire is one frame:
 //!
 //! ```text
-//! [u32 LE payload length][u8 version = 8][u8 kind][body …]
+//! [u32 LE payload length][u8 version = 9][u8 kind][body …]
 //! ```
 //!
 //! The length counts everything after itself (version + kind + body), so
@@ -15,13 +15,22 @@
 //! `u32`-prefixed strings, defensive decode to [`TdbError::Corrupt`]); a
 //! payload with bytes left over after its body is `Corrupt` too. Rows
 //! travel as the engine codec's row lists, each string once per list.
+//!
+//! The frames, by kind:
+//!
+//! ```text
+//! client→server  1 Input   2 Ingest   3 Bye   4 Stats
+//! server→client 16 Reply  17 Push    18 Shutdown
+//!               19 ReplyChunk  20 ReplyEnd  21 ReplyRows
+//! ```
 
+use crate::sink::FRAGMENT_BYTES;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};
 use tdb::core::{Row, TdbError, TdbResult};
-use tdb::storage::wire_enum;
+use tdb::storage::{wire_enum, Codec};
 use tdb::stream::PairBatch;
-use tdb_engine::codec::{get_rows, put_query_with_rows, put_rows, RowListEncoder};
+use tdb_engine::codec::{get_rows, get_rows_into, put_query_with_rows, put_rows, RowListEncoder};
 use tdb_engine::{DeltaFrame, QueryReport, QueryTrailer, Response};
 
 /// Wire protocol version stamped into every frame. A server or client
@@ -36,8 +45,10 @@ use tdb_engine::{DeltaFrame, QueryReport, QueryTrailer, Response};
 /// queue's stall count, depth and capacity from the live status and the
 /// live telemetry; version 7 drops the partition count from each
 /// operator span of a query trace; version 8 adds the heap pages read
-/// to a query's stats and its trace, and retires error code 12.
-pub const PROTOCOL_VERSION: u8 = 8;
+/// to a query's stats and its trace, and retires error code 12; version
+/// 9 adds [`Frame::ReplyRows`], a query's rows sent ahead of the reply or
+/// chunk they belong to.
+pub const PROTOCOL_VERSION: u8 = 9;
 
 /// Hard ceiling on a frame's declared payload length. A corrupt or
 /// hostile length prefix fails fast instead of driving a giant
@@ -46,6 +57,8 @@ pub const MAX_FRAME: usize = 64 << 20;
 
 /// `Frame::Reply`'s kind in the list below.
 const KIND_REPLY: u8 = 16;
+/// `Frame::ReplyRows`'s kind in the list below.
+const KIND_REPLY_ROWS: u8 = 21;
 
 /// One protocol message, either direction.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,6 +120,19 @@ pub enum Frame {
         /// broke the stream off).
         trailer: Box<QueryTrailer>,
     },
+    /// Server→client: rows of a query's reply sent ahead of the frame
+    /// they belong to, so the client decodes them while the query runs.
+    /// They go in front of the rows of the query's next
+    /// [`Frame::Reply`] carrying `Response::Query`, or of its next
+    /// [`Frame::ReplyChunk`]; a stream header between them and that
+    /// chunk leaves them in place. Any other frame of a reply drops them
+    /// (the query failed before they were owed to anyone).
+    ReplyRows {
+        /// The id of the query the rows belong to (see [`Frame::Reply`]).
+        query_id: u64,
+        /// The rows, one row list on the wire with its own string table.
+        rows: Vec<Row>,
+    },
     /// Server→client, unsolicited: rows finalized for a subscription
     /// this connection registered, stamped with the epoch and watermark
     /// that closed them.
@@ -131,6 +157,10 @@ wire_enum!(fn put_body, get_body: Frame {
         rows: with(put_rows, get_rows),
     },
     20 => ReplyEnd { query_id, trailer },
+    21 => ReplyRows {
+        query_id,
+        rows: with(put_rows, get_rows),
+    },
 });
 
 impl Frame {
@@ -144,7 +174,34 @@ impl Frame {
     /// Decode one frame from its payload (version + kind + body, the
     /// length prefix already consumed). Bytes left over after the body
     /// are `Corrupt`.
-    pub fn decode_payload(mut payload: Bytes) -> TdbResult<Frame> {
+    pub fn decode_payload(payload: Bytes) -> TdbResult<Frame> {
+        Frame::decode_with(payload, get_body)
+    }
+
+    /// Decode one frame like [`Frame::decode_payload`], except that a
+    /// [`Frame::ReplyRows`]'s rows are decoded onto the end of `rows`,
+    /// and the frame comes back without them.
+    pub fn decode_payload_into(payload: Bytes, rows: &mut Vec<Row>) -> TdbResult<Frame> {
+        Frame::decode_with(payload, |body| {
+            if body.chunk().first() != Some(&KIND_REPLY_ROWS) {
+                return get_body(body);
+            }
+            body.advance(1);
+            let query_id = u64::decode(body)?;
+            get_rows_into(body, rows)?;
+            Ok(Frame::ReplyRows {
+                query_id,
+                rows: Vec::new(),
+            })
+        })
+    }
+
+    /// Check the version, decode the kind and body with `body`, and
+    /// check that nothing is left over.
+    fn decode_with(
+        mut payload: Bytes,
+        body: impl FnOnce(&mut Bytes) -> TdbResult<Frame>,
+    ) -> TdbResult<Frame> {
         if payload.remaining() < 2 {
             return Err(TdbError::Corrupt("frame shorter than header".into()));
         }
@@ -154,7 +211,7 @@ impl Frame {
                 "protocol version {version} (this build speaks {PROTOCOL_VERSION})"
             )));
         }
-        let frame = get_body(&mut payload)?;
+        let frame = body(&mut payload)?;
         if !payload.is_empty() {
             return Err(TdbError::Corrupt(format!(
                 "{} trailing bytes after the frame body",
@@ -173,6 +230,12 @@ impl Frame {
     }
 }
 
+/// Is `frame` — an encoded frame, length prefix included — a
+/// [`Frame::ReplyRows`]?
+pub(crate) fn is_reply_rows(frame: &[u8]) -> bool {
+    frame.get(5) == Some(&KIND_REPLY_ROWS)
+}
+
 /// Start a frame on `buf`: a length prefix to be filled in by
 /// [`end_frame`] (so the body is written once, in place, behind it),
 /// then the version. Returns where the frame starts.
@@ -189,19 +252,20 @@ fn end_frame(buf: &mut BytesMut, start: usize) {
     buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Bytes of a `ReplyChunk` frame before its first row: length prefix,
-/// version, kind, `query_id`, `seq`, `last`, and the row count — the
-/// whole frame of a chunk without rows.
-const CHUNK_PREFIX: usize = 4 + 2 + 8 + 4 + 1 + 4;
+/// Bytes of a `ReplyRows` frame before its first row: length prefix,
+/// version, kind, `query_id`, and the row count — the whole frame of a
+/// fragment without rows.
+const ROWS_PREFIX: usize = 4 + 2 + 8 + 4;
 
-/// A [`Frame::ReplyChunk`] encoded incrementally: rows are appended to
-/// its row list as they are produced, and the frame header — which
-/// needs the row count and whether this is the last chunk — is written
-/// into the space reserved for it when the chunk is cut. The bytes are
-/// exactly what [`Frame::encode`] yields for the same chunk, a pair
-/// standing for the row [`PairBatch::row`] builds.
+/// A chunk's rows encoded incrementally: rows are appended to a row list
+/// as they are produced, and the frame that carries them — a
+/// [`Frame::ReplyRows`] sent ahead, the chunk's [`Frame::ReplyChunk`],
+/// or a whole `Reply` — is finished around them once it is known which
+/// it is. Each frame's bytes are exactly what [`Frame::encode`] yields
+/// for it, a pair standing for the row [`PairBatch::row`] builds.
 #[derive(Debug)]
 pub struct ChunkEncoder {
+    /// A `ReplyRows` frame's prefix, reserved, then the open list's rows.
     buf: BytesMut,
     list: RowListEncoder,
 }
@@ -209,16 +273,17 @@ pub struct ChunkEncoder {
 impl Default for ChunkEncoder {
     fn default() -> ChunkEncoder {
         ChunkEncoder {
-            buf: chunk_buf(0),
+            buf: rows_buf(),
             list: RowListEncoder::default(),
         }
     }
 }
 
-/// An empty chunk's buffer: room for `bytes`, the prefix reserved.
-fn chunk_buf(bytes: usize) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(bytes.max(CHUNK_PREFIX));
-    buf.put_slice(&[0; CHUNK_PREFIX]);
+/// An empty row list's buffer, the fragment prefix reserved: room for one
+/// fragment, and for the row that takes it past [`FRAGMENT_BYTES`].
+fn rows_buf() -> BytesMut {
+    let mut buf = BytesMut::with_capacity(ROWS_PREFIX + FRAGMENT_BYTES + FRAGMENT_BYTES / 16);
+    buf.put_slice(&[0; ROWS_PREFIX]);
     buf
 }
 
@@ -240,40 +305,64 @@ impl ChunkEncoder {
         self.list.push_pair(&mut self.buf, batch, pair)
     }
 
-    /// Rows appended so far.
+    /// Rows appended since the last frame was finished.
     pub fn rows(&self) -> u32 {
         self.list.rows()
     }
 
-    /// Cut the chunk: the finished frame, length prefix included. The
-    /// encoder is left empty, ready for the next chunk — which, unless
-    /// this was the last, is sized like this one up front instead of
-    /// being grown to it again.
-    pub fn cut(&mut self, query_id: u64, seq: u32, last: bool) -> BytesMut {
-        let next = chunk_buf(if last { 0 } else { self.buf.len() });
-        let mut frame = std::mem::replace(&mut self.buf, next);
-        // The same chunk without rows is this chunk's prefix, with the
-        // row count last.
-        let mut head = BytesMut::with_capacity(CHUNK_PREFIX);
-        Frame::ReplyChunk {
+    /// Encoded bytes of those rows.
+    pub fn encoded(&self) -> usize {
+        self.buf.len() - ROWS_PREFIX
+    }
+
+    /// Send the rows appended so far ahead of the chunk: the finished
+    /// [`Frame::ReplyRows`], length prefix included, written in place
+    /// around them. The encoder is left empty; the next row opens a new
+    /// list, with a new string table.
+    pub fn fragment(&mut self, query_id: u64) -> BytesMut {
+        let mut frame = std::mem::replace(&mut self.buf, rows_buf());
+        let head = self.head(&Frame::ReplyRows {
             query_id,
-            seq,
-            last,
             rows: Vec::new(),
-        }
-        .encode(&mut head);
-        head[CHUNK_PREFIX - 4..].copy_from_slice(&self.list.rows().to_le_bytes());
-        self.list.reset();
-        frame[..CHUNK_PREFIX].copy_from_slice(&head);
+        });
+        frame[..ROWS_PREFIX].copy_from_slice(&head);
         end_frame(&mut frame, 0);
         frame
     }
 
+    /// Cut the chunk: the finished [`Frame::ReplyChunk`] carrying the
+    /// rows appended since the last fragment, length prefix included. The
+    /// encoder is left empty, ready for the next chunk.
+    pub fn cut(&mut self, query_id: u64, seq: u32, last: bool) -> BytesMut {
+        let rows = std::mem::replace(&mut self.buf, rows_buf());
+        let mut frame = self.head(&Frame::ReplyChunk {
+            query_id,
+            seq,
+            last,
+            rows: Vec::new(),
+        });
+        frame.put_slice(&rows[ROWS_PREFIX..]);
+        end_frame(&mut frame, 0);
+        frame
+    }
+
+    /// The frame `empty` — one whose row list is last and empty — with the
+    /// open list's row count in place, to go in front of its rows. Closes
+    /// the list.
+    fn head(&mut self, empty: &Frame) -> BytesMut {
+        let mut head = BytesMut::new();
+        empty.encode(&mut head);
+        let at = head.len() - 4;
+        head[at..].copy_from_slice(&self.list.rows().to_le_bytes());
+        self.list.reset();
+        head
+    }
+
     /// Finish as a whole `Reply` frame instead: `Response::Query(report)`
-    /// with the appended rows as its `rows.rows` — a result small enough
-    /// to travel in one piece.
+    /// with the rows appended since the last fragment as its `rows.rows`
+    /// — a result small enough to travel in one piece.
     pub fn into_reply(self, report: &QueryReport) -> BytesMut {
-        let rows = &self.buf[CHUNK_PREFIX..];
+        let rows = &self.buf[ROWS_PREFIX..];
         let mut frame = BytesMut::with_capacity(rows.len() + 256);
         let start = begin_frame(&mut frame);
         frame.put_u8(KIND_REPLY);
@@ -325,6 +414,21 @@ impl FrameReader {
     /// Pull bytes from `r` until a full frame is available, the read
     /// times out, or the stream ends.
     pub fn read(&mut self, r: &mut impl Read) -> TdbResult<ReadOutcome> {
+        self.read_with(r, Frame::decode_payload)
+    }
+
+    /// Read like [`FrameReader::read`], except that a
+    /// [`Frame::ReplyRows`]'s rows are decoded onto the end of `rows` (see
+    /// [`Frame::decode_payload_into`]).
+    pub fn read_into(&mut self, r: &mut impl Read, rows: &mut Vec<Row>) -> TdbResult<ReadOutcome> {
+        self.read_with(r, |payload| Frame::decode_payload_into(payload, rows))
+    }
+
+    fn read_with(
+        &mut self,
+        r: &mut impl Read,
+        decode: impl FnOnce(Bytes) -> TdbResult<Frame>,
+    ) -> TdbResult<ReadOutcome> {
         loop {
             if self.payload.is_none() && self.prefix_len == self.prefix.len() {
                 let len = u32::from_le_bytes(self.prefix) as usize;
@@ -341,7 +445,7 @@ impl FrameReader {
                     let payload = std::mem::take(payload);
                     self.payload = None;
                     self.prefix_len = 0;
-                    return Frame::decode_payload(Bytes::from(payload)).map(ReadOutcome::Frame);
+                    return decode(Bytes::from(payload)).map(ReadOutcome::Frame);
                 }
                 Some(payload) => &mut payload[self.filled..],
                 None => &mut self.prefix[self.prefix_len..],
@@ -408,6 +512,13 @@ mod tests {
                     tdb::core::Value::Int(42),
                 ])],
             },
+            Frame::ReplyRows {
+                query_id: 99,
+                rows: vec![tdb::prelude::Row::new(vec![
+                    tdb::core::Value::str("ahead"),
+                    tdb::core::Value::str("ahead"),
+                ])],
+            },
             Frame::ReplyChunk {
                 query_id: 99,
                 seq: 8,
@@ -443,16 +554,31 @@ mod tests {
 
     #[test]
     fn chunk_encoder_yields_the_frame_encoding() {
-        let rows: Vec<tdb::prelude::Row> = (0..3)
-            .map(|i| {
-                tdb::prelude::Row::new(vec![
-                    tdb::core::Value::str(format!("S{i}")),
-                    tdb::core::Value::Int(i),
-                    tdb::core::Value::Null,
-                ])
-            })
-            .collect();
+        let row = |i: i64| {
+            tdb::prelude::Row::new(vec![
+                tdb::core::Value::str(format!("S{i}")),
+                tdb::core::Value::Int(i),
+                tdb::core::Value::Null,
+            ])
+        };
+        let rows: Vec<tdb::prelude::Row> = (0..3).map(row).collect();
         let mut enc = ChunkEncoder::new();
+        // Rows sent ahead, then the chunk's rest; each frame a list of
+        // its own.
+        for row in &rows {
+            enc.push(row);
+        }
+        assert!(enc.encoded() > 0);
+        let mut want = BytesMut::new();
+        Frame::ReplyRows {
+            query_id: 11,
+            rows: rows.clone(),
+        }
+        .encode(&mut want);
+        let ahead = enc.fragment(11);
+        assert!(is_reply_rows(&ahead));
+        assert_eq!(ahead, want);
+        assert_eq!((enc.rows(), enc.encoded()), (0, 0));
         for (seq, last) in [(4u32, false), (5, true)] {
             for row in &rows {
                 enc.push(row);
@@ -466,15 +592,29 @@ mod tests {
                 rows: rows.clone(),
             }
             .encode(&mut want);
-            assert_eq!(enc.cut(11, seq, last), want);
+            let chunk = enc.cut(11, seq, last);
+            assert!(!is_reply_rows(&chunk));
+            assert_eq!(chunk, want);
             assert_eq!(enc.rows(), 0);
         }
+
+        // A client reading with `read_into` gets the rows sent ahead on
+        // the end of its vector, and the frame without them.
+        let mut kept = vec![row(-1)];
+        let outcome = FrameReader::new()
+            .read_into(&mut &ahead[..], &mut kept)
+            .unwrap();
+        assert!(matches!(
+            outcome,
+            ReadOutcome::Frame(Frame::ReplyRows { query_id: 11, rows }) if rows.is_empty()
+        ));
+        assert_eq!(kept, [&[row(-1)][..], &rows].concat());
     }
 
     #[test]
     fn wrong_version_and_oversized_frames_are_corrupt() {
         let mut payload = BytesMut::new();
-        payload.put_u8(9);
+        payload.put_u8(PROTOCOL_VERSION + 1);
         payload.put_u8(3); // Bye
         let err = Frame::decode_payload(payload.freeze()).unwrap_err();
         assert!(matches!(err, TdbError::Corrupt(_)), "{err}");

@@ -409,8 +409,8 @@ proptest! {
         // with the correlation id intact.
         let mut wire = bytes::BytesMut::new();
         Frame::Reply { query_id: n, response: Box::new(resp.clone()) }.encode(&mut wire);
-        // The frame speaks protocol version 8.
-        prop_assert_eq!(wire[4], 8);
+        // The frame speaks protocol version 9.
+        prop_assert_eq!(wire[4], 9);
         let mut reader = FrameReader::new();
         let mut src = std::io::Cursor::new(wire.to_vec());
         match reader.read(&mut src).unwrap() {
@@ -436,9 +436,18 @@ proptest! {
                 other => prop_assert!(false, "expected a trailer frame, got {:?}", other),
             }
             assert_damage_is_caught(&payload_of(&end), decode_frame, payload_of, mask);
-            let chunk = Frame::ReplyChunk { query_id: n, seq: a as u32, last: parity == 1, rows };
+            let chunk = Frame::ReplyChunk { query_id: n, seq: a as u32, last: parity == 1, rows: rows.clone() };
             prop_assert_eq!(decode_frame(&payload_of(&chunk)).unwrap(), chunk.clone());
             assert_damage_is_caught(&payload_of(&chunk), decode_frame, payload_of, mask);
+            // Or they go ahead of it, and a client decodes them onto the
+            // rows it holds.
+            let ahead = Frame::ReplyRows { query_id: n, rows: rows.clone() };
+            prop_assert_eq!(decode_frame(&payload_of(&ahead)).unwrap(), ahead.clone());
+            assert_damage_is_caught(&payload_of(&ahead), decode_frame, payload_of, mask);
+            let mut held = rows.clone();
+            let back = Frame::decode_payload_into(bytes::Bytes::from(payload_of(&ahead)), &mut held);
+            prop_assert_eq!(back.unwrap(), Frame::ReplyRows { query_id: n, rows: Vec::new() });
+            prop_assert_eq!(held, [&rows[..], &rows[..]].concat());
         }
     }
 
@@ -1100,10 +1109,13 @@ const LARGE_QUERY: &str = "range of a is Outer range of b is Inner retrieve (P=a
      where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo";
 
 /// A frame-level client: sends inputs, reads frames when asked to — and
-/// only then, unlike `Client`, whose reader thread always drains.
+/// only then, unlike `Client`, whose reader thread always drains. Rows
+/// sent ahead (`ReplyRows`) are folded into the chunk or query reply
+/// that follows them, as `Client` does.
 struct RawClient {
     stream: std::net::TcpStream,
     reader: FrameReader,
+    ahead: Vec<Row>,
 }
 
 impl RawClient {
@@ -1111,6 +1123,7 @@ impl RawClient {
         RawClient {
             stream: std::net::TcpStream::connect(addr).unwrap(),
             reader: FrameReader::new(),
+            ahead: Vec::new(),
         }
     }
 
@@ -1122,8 +1135,25 @@ impl RawClient {
 
     fn next(&mut self) -> Frame {
         loop {
-            match self.reader.read(&mut self.stream).unwrap() {
-                ReadOutcome::Frame(frame) => return frame,
+            match self
+                .reader
+                .read_into(&mut self.stream, &mut self.ahead)
+                .unwrap()
+            {
+                ReadOutcome::Frame(Frame::ReplyRows { .. }) => {}
+                ReadOutcome::Frame(mut frame) => {
+                    let rows = match &mut frame {
+                        Frame::ReplyChunk { rows, .. } => rows,
+                        Frame::Reply { response, .. } => match &mut **response {
+                            Response::Query(q) => &mut q.rows.rows,
+                            _ => return frame,
+                        },
+                        _ => return frame,
+                    };
+                    self.ahead.append(rows);
+                    *rows = std::mem::take(&mut self.ahead);
+                    return frame;
+                }
                 ReadOutcome::Idle => {}
                 ReadOutcome::Eof => panic!("server closed the connection"),
             }
@@ -1236,6 +1266,175 @@ fn first_chunk_arrives_before_the_query_has_finished() {
             "no {stage} span in {export}"
         );
     }
+    // One socket-write span per header, chunk and trailer: the writes of
+    // the hundreds of fragments sent ahead are folded into their chunk's,
+    // not logged one by one into the shared ring of late spans.
+    let writes = export.matches("\"stage\":\"net_write\"").count();
+    assert!(writes <= 6 + 2, "{writes} net_write spans for 6 chunks");
+
+    client.close();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// What a client makes of rows sent ahead: a result past one fragment
+/// but within the 4 MiB chunk budget is still one `Response::Query`
+/// holding every row, with no `Rows` event; a 3-chunk result is exactly
+/// 3 `Rows` events, cut by the `row_bytes` budget, whose trace keeps one
+/// `net_write` span per frame that is not a fragment.
+#[test]
+fn rows_sent_ahead_reassemble_into_the_chunks_a_client_sees() {
+    const OUTER: usize = 50; // × 10 000 × 24 B ≈ 11.4 MiB: three chunks
+    let (server, root) = serve_large_join("ahead", OUTER, NetConfig::default());
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.request("\\set limit 10000000").unwrap();
+    let mut events = 0;
+    let mut chunks: Vec<Vec<Row>> = Vec::new();
+    let outcome = client.request_with(LARGE_QUERY, |ev| {
+        events += 1;
+        if let tdb_net::StreamEvent::Rows(rows) = ev {
+            chunks.push(rows);
+        }
+    });
+    assert!(
+        matches!(outcome, Ok(Response::QueryStream(_))),
+        "{outcome:?}"
+    );
+    assert_eq!((events, chunks.len()), (4, 3), "a header and 3 chunks");
+    let all = chunks.concat();
+    assert_eq!(all.len(), OUTER * LARGE_INNER);
+    let mut budget = 0u64;
+    let mut want = vec![0];
+    for row in &all {
+        if budget >= tdb_net::CHUNK_BYTES {
+            want.push(0);
+            budget = 0;
+        }
+        budget += tdb::stream::row_bytes(row);
+        *want.last_mut().unwrap() += 1;
+    }
+    let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
+    assert_eq!(sizes, want, "chunks cut by the 4 MiB budget");
+    let Ok(Response::Info(export)) = client.request("\\trace export") else {
+        panic!("trace export failed");
+    };
+    let writes = export.matches("\"stage\":\"net_write\"").count();
+    assert!(
+        (1..=3 + 2).contains(&writes),
+        "{writes} net_write spans for 3 chunks"
+    );
+
+    // ≈ 2.3 MiB of rows: past a fragment, within one chunk.
+    let limit = 100_000;
+    client.request(&format!("\\set limit {limit}")).unwrap();
+    let mut events = 0;
+    let outcome = client.request_with(LARGE_QUERY, |_| events += 1);
+    let Ok(Response::Query(report)) = outcome else {
+        panic!("expected one query reply, got {outcome:?}");
+    };
+    assert_eq!(events, 0, "a reply within the budget is not a stream");
+    assert_eq!(report.rows.rows, all[..limit], "every row, in order");
+
+    client.close();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A query that fails after rows went ahead but before its first chunk
+/// was cut (a heap breaking its claimed TS↑ order, found after some
+/// 29 000 matches) answers a typed error, and the rows sent ahead are
+/// dropped: the next query on the connection — itself sent ahead in
+/// fragments — gets its own rows and no others.
+#[test]
+fn an_error_after_rows_went_ahead_leaves_the_next_reply_clean() {
+    let root = std::env::temp_dir().join(format!("tdb-net-ahead-error-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let interval = |id: String, ts: i64, te: i64| {
+        Row::new(vec![
+            Value::str(id),
+            Value::Int(0),
+            Value::Time(TimePoint(ts)),
+            Value::Time(TimePoint(te)),
+        ])
+    };
+    let x: Vec<Row> = (0..3_500)
+        .map(|i| interval(format!("x{i}"), i, i + 100))
+        .collect();
+    let y: Vec<Row> = (0..3_500)
+        .map(|j| interval(format!("y{j}"), j, j + 1))
+        .collect();
+    let z: Vec<Row> = (0..20_000)
+        .map(|j| interval(format!("z{j:06}"), j, j + 1))
+        .collect();
+    {
+        let mut cat = Catalog::open(&root, IoStats::new()).unwrap();
+        for (name, rows) in [("X", &x), ("Y", &y), ("Z", &z)] {
+            let ts = vec![StreamOrder::TS_ASC];
+            cat.create_relation(name, tdb_engine::interval_schema().unwrap(), rows, ts)
+                .unwrap();
+        }
+        // Row 300 of X's heap starts before its predecessor; the manifest
+        // still claims TS↑.
+        let mut broken = x.clone();
+        broken[300] = interval("late".into(), 0, 50);
+        let path = root.join(&cat.meta("X").unwrap().file);
+        let mut heap = tdb::storage::HeapFile::create(path, IoStats::new()).unwrap();
+        for row in &broken {
+            heap.append(row).unwrap();
+        }
+        heap.flush().unwrap();
+    }
+    let query = "range of a is X range of b is Y retrieve (P=a.Id, Q=b.Id) \
+                 where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo";
+    let server = serve(&root, "127.0.0.1:0", NetConfig::default()).unwrap();
+
+    // On the wire: rows went ahead, then the error, under id 0.
+    let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut reader = FrameReader::new();
+    Frame::Input("\\set limit 10000000".into())
+        .write_to(&mut raw)
+        .unwrap();
+    while !matches!(reader.read(&mut raw).unwrap(), ReadOutcome::Frame(_)) {}
+    Frame::Input(query.into()).write_to(&mut raw).unwrap();
+    let mut ahead = 0;
+    let error = loop {
+        match reader.read(&mut raw).unwrap() {
+            ReadOutcome::Frame(Frame::ReplyRows { query_id, .. }) => {
+                assert_ne!(query_id, 0);
+                ahead += 1;
+            }
+            ReadOutcome::Frame(Frame::Reply { query_id, response }) => {
+                assert_eq!(query_id, 0, "the error is not the query's reply");
+                break response;
+            }
+            ReadOutcome::Frame(other) => panic!("unexpected {other:?}"),
+            ReadOutcome::Idle => {}
+            ReadOutcome::Eof => panic!("server closed the connection"),
+        }
+    };
+    assert!(ahead >= 2, "{ahead} fragments went ahead of the error");
+    assert!(matches!(*error, Response::Error(_)), "{error:?}");
+    drop(raw);
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.request("\\set limit 10000000").unwrap();
+    let mut events = 0;
+    let reply = client.request_with(query, |_| events += 1);
+    assert!(
+        matches!(&reply, Ok(Response::Error(e)) if e.code == ErrorCode::OrderViolation),
+        "{reply:?}"
+    );
+    assert_eq!(events, 0);
+
+    let reply = client.request("range of z is Z retrieve (N=z.Id);");
+    let Ok(Response::Query(report)) = reply else {
+        panic!("expected Z's rows, got {reply:?}");
+    };
+    let want: Vec<Row> = z
+        .iter()
+        .map(|r| Row::new(vec![r.values()[0].clone()]))
+        .collect();
+    assert_eq!(report.rows.rows, want);
 
     client.close();
     server.shutdown();
@@ -1293,7 +1492,8 @@ fn reader_that_stops_draining_its_reply_stalls_nobody_else() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Every strict prefix of a request, reply, chunk or trailer frame, and
+/// Every strict prefix of a request, reply, chunk, fragment or trailer
+/// frame, and
 /// the frame with one byte too many, is `Corrupt`; every single
 /// corrupted byte decodes to a typed error or a valid frame — never a
 /// panic — and a frame of another protocol version is refused.
@@ -1322,6 +1522,10 @@ fn damaged_stream_frames_are_typed_corrupt_errors() {
             last: true,
             rows: repeated.clone(),
         },
+        Frame::ReplyRows {
+            query_id: 41,
+            rows: repeated.clone(),
+        },
         Frame::Push(DeltaFrame {
             rows: repeated,
             ..delta_frame(&[], "d", 3, true)
@@ -1338,7 +1542,17 @@ fn damaged_stream_frames_are_typed_corrupt_errors() {
             ))),
         },
     ];
-    let decode = |payload: &[u8]| Frame::decode_payload(bytes::Bytes::copy_from_slice(payload));
+    // Both decoders, the one a client reads rows sent ahead with too:
+    // they fail alike.
+    let decode = |payload: &[u8]| {
+        let whole = Frame::decode_payload(bytes::Bytes::copy_from_slice(payload));
+        let into = Frame::decode_payload_into(bytes::Bytes::copy_from_slice(payload), &mut vec![]);
+        match (&whole, into) {
+            (Ok(_), Ok(_)) | (Err(TdbError::Corrupt(_)), Err(TdbError::Corrupt(_))) => {}
+            (whole, into) => panic!("decoders disagree: {whole:?} and {into:?}"),
+        }
+        whole
+    };
     for frame in &frames {
         let mut wire = bytes::BytesMut::new();
         frame.encode(&mut wire);
@@ -1641,6 +1855,13 @@ fn golden_frames() -> Vec<(&'static str, Frame)> {
             },
         ),
         (
+            "reply_rows",
+            Frame::ReplyRows {
+                query_id: 9,
+                rows: golden_rows(),
+            },
+        ),
+        (
             "reply_chunk_empty",
             Frame::ReplyChunk {
                 query_id: 9,
@@ -1924,30 +2145,35 @@ fn wire_and_wal_bytes_match_their_golden_pins() {
 }
 
 const GOLDEN_FRAMES: &[(&str, &str)] = &[
-    ("input", "0d0000000801070000005c7461626c6573"),
-    ("ingest", "11000000080201000000530600000031203220610a"),
-    ("stats", "020000000804"),
-    ("bye", "020000000803"),
-    ("shutdown", "020000000812"),
+    ("input", "0d0000000901070000005c7461626c6573"),
+    ("ingest", "11000000090201000000530600000031203220610a"),
+    ("stats", "020000000904"),
+    ("bye", "020000000903"),
+    ("shutdown", "020000000912"),
     (
         "push",
-        "5000000008110300000000000000010000004c040000000000000001faffffff\
+        "5000000009110300000000000000010000004c040000000000000001faffffff\
          ffffffff0300000003000405000000536d69746802feffffffffffffff010103\
          0003070000000000000000050000000001000100",
     ),
     (
         "reply_chunk",
-        "3f0000000813090000000000000002000000010300000003000405000000536d\
+        "3f0000000913090000000000000002000000010300000003000405000000536d\
          69746802feffffffffffffff0101030003070000000000000000050000000001\
          000100",
     ),
     (
+        "reply_rows",
+        "3a000000091509000000000000000300000003000405000000536d69746802fe\
+         ffffffffffffff0101030003070000000000000000050000000001000100",
+    ),
+    (
         "reply_chunk_empty",
-        "1300000008130900000000000000030000000000000000",
+        "1300000009130900000000000000030000000000000000",
     ),
     (
         "reply_end",
-        "5d01000008140900000000000000030000000000000001000000000000000200\
+        "5d01000009140900000000000000030000000000000001000000000000000200\
          0000000000000300000000000000040000000000000005000000000000000a00\
          0000000000000101000000000000000100000071020000000000000003000000\
          0000000004000000000000000500000000000000060000000000000002000000\
@@ -1962,21 +2188,21 @@ const GOLDEN_FRAMES: &[(&str, &str)] = &[
     ),
     (
         "reply_end_failed",
-        "4a00000008140900000000000000000000000000000000000000000000000000\
+        "4a00000009140900000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
          00000000000000010a0100000078",
     ),
-    ("info", "110000000810090000000000000000020000006869"),
-    ("goodbye", "0b0000000810090000000000000001"),
+    ("info", "110000000910090000000000000000020000006869"),
+    ("goodbye", "0b0000000910090000000000000001"),
     (
         "tables",
-        "5c00000008100900000000000000020200000001000000460100000000000000\
+        "5c00000009100900000000000000020200000001000000460100000000000000\
          010000007301000000000000e03f000000000000004003000000000000000100\
          0000470400000000000000000000000000000000000000000500000000000000",
     ),
     (
         "query",
-        "bb0100000810090000000000000003090000000000000001010000006c010100\
+        "bb0100000910090000000000000003090000000000000001010000006c010100\
          00006f0101000000700101000000630200000001000000410100000042030000\
          0003000405000000536d69746802feffffffffffffff01010300030700000000\
          0000000005000000000100010003000000000000000100000000000000020000\
@@ -1993,13 +2219,13 @@ const GOLDEN_FRAMES: &[(&str, &str)] = &[
     ),
     (
         "query_bare",
-        "5800000008100900000000000000030000000000000000000000000000000000\
+        "5800000009100900000000000000030000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
          00000000000000000000000000000000000000000000000000000000",
     ),
     (
         "query_stream",
-        "8f010000081009000000000000000c090000000000000001010000006c010100\
+        "8f010000091009000000000000000c090000000000000001010000006c010100\
          00006f0101000000700101000000630200000001000000410100000042000000\
          0003000000000000000100000000000000020000000000000003000000000000\
          00040000000000000005000000000000000a0000000000000001010000000000\
@@ -2015,13 +2241,13 @@ const GOLDEN_FRAMES: &[(&str, &str)] = &[
     ),
     (
         "analysis",
-        "4d00000008100900000000000000040100000070020000000100000030010000\
+        "4d00000009100900000000000000040100000070020000000100000030010000\
          004a010000005401000000000000f83f0003000000302e310100000053010000\
          0055000106000000000000000100000063",
     ),
     (
         "ingest_report",
-        "8300000008100900000000000000050100000053010000000000000002000000\
+        "8300000009100900000000000000050100000053010000000000000002000000\
          0000000003000000000000000104000000000000000100000003000000000000\
          00010000004c0400000000000000010500000000000000030000000300040500\
          0000536d69746802feffffffffffffff01010300030700000000000000000500\
@@ -2029,19 +2255,19 @@ const GOLDEN_FRAMES: &[(&str, &str)] = &[
     ),
     (
         "ingest_report_empty",
-        "2d00000008100900000000000000050100000053000000000000000000000000\
+        "2d00000009100900000000000000050100000053000000000000000000000000\
          0000000000000000000000000000000000",
     ),
     (
         "subscribed",
-        "5f00000008100900000000000000060700000000000000010100000063030000\
+        "5f00000009100900000000000000060700000000000000010100000063030000\
          0000000000010000004c0400000000000000000300000003000405000000536d\
          69746802feffffffffffffff0101030003070000000000000000050000000001\
          000100",
     ),
     (
         "live",
-        "840000000810090000000000000007010000000100000053010000006f010101\
+        "840000000910090000000000000007010000000100000053010000006f010101\
          0000000000000002000000000000000300000000000000040000000000000005\
          00000000000000010000000600000000000000010000004c0b00000068656c64\
          207475706c65730700000000000000080000000000000009000000000000000a\
@@ -2049,19 +2275,19 @@ const GOLDEN_FRAMES: &[(&str, &str)] = &[
     ),
     (
         "sealed",
-        "6200000008100900000000000000080100000053010000000000000001000000\
+        "6200000009100900000000000000080100000053010000000000000001000000\
          0300000000000000010000004c04000000000000000003000000030004050000\
          00536d69746802feffffffffffffff0101030003070000000000000000050000\
          000001000100",
     ),
     (
         "superstar",
-        "2c00000008100900000000000000090100000001000000730100000000000000\
+        "2c00000009100900000000000000090100000001000000730100000000000000\
          02000000000000000300000000000000",
     ),
     (
         "stats_report",
-        "db030000081009000000000000000b0100000000000000020000000000000003\
+        "db030000091009000000000000000b0100000000000000020000000000000003\
          0000000000000004000000000000000100000001000000000000000100000071\
          0200000000000000030000000000000004000000000000000500000000000000\
          060000000000000002000000010000004a070000000000000008000000000000\
@@ -2095,11 +2321,11 @@ const GOLDEN_FRAMES: &[(&str, &str)] = &[
     ),
     (
         "stats_report_empty",
-        "42000000081009000000000000000b0000000000000000000000000000000000\
+        "42000000091009000000000000000b0000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
          000000000000",
     ),
-    ("error", "11000000081009000000000000000a100100000077"),
+    ("error", "11000000091009000000000000000a100100000077"),
 ];
 
 const GOLDEN_WAL: &[(&str, &str)] = &[

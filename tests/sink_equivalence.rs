@@ -24,7 +24,7 @@ use tdb::prelude::*;
 use tdb_engine::{ClientState, Engine, QueryTrailer, Response};
 use tdb_net::wire::Frame;
 use tdb_net::{serve, Client, NetConfig, StreamEvent, WireSink, CHUNK_BYTES};
-use wire::{decode_frames, reply_chunks};
+use wire::{decode_frames, fold_fragments, reply_chunks};
 
 const BATCHES: [usize; 3] = [1, 64, 1024];
 
@@ -106,12 +106,18 @@ fn engine_streams_a_large_join_through_the_wire_sink() {
     let chunks = reply_chunks(&frames);
     assert_eq!(chunks, reference_cut(&want.rows.rows), "chunk cuts");
     assert!(chunks.len() >= 3);
-    // Header and every chunk but the final one left while the plan was
-    // still running; the final chunk (nothing proved it final until the
-    // plan ended) and the trailer after.
+    // Every fragment, the header and every chunk but the final one left
+    // while the plan was still running; the final chunk (nothing proved
+    // it final until the plan ended) and the trailer after.
     let n = frames.len();
     assert!(during[..n - 2].iter().all(|d| *d), "{during:?}");
     assert!(!during[n - 2] && !during[n - 1], "{during:?}");
+    let ahead = frames
+        .iter()
+        .filter(|f| matches!(f, Frame::ReplyRows { .. }))
+        .count();
+    assert!(ahead > 50, "rows went ahead in fragments: {ahead}");
+    let frames = fold_fragments(&frames);
     let Frame::Reply { query_id, response } = &frames[0] else {
         unreachable!("checked by reply_chunks");
     };
@@ -122,7 +128,7 @@ fn engine_streams_a_large_join_through_the_wire_sink() {
     assert_eq!(header.rows.columns, want.rows.columns);
     assert_eq!((header.rows.total, header.elapsed_us), (0, 0), "left early");
     assert_eq!(
-        frames[n - 1],
+        frames[frames.len() - 1],
         Frame::ReplyEnd {
             query_id: report.query_id,
             trailer: Box::new(QueryTrailer::of(report.clone())),

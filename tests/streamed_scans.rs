@@ -33,7 +33,7 @@ use tdb::stream::PairBatch;
 use tdb_engine::{interval_schema, ClientState, Engine, ErrorCode, QueryReport, Response};
 use tdb_net::wire::Frame;
 use tdb_net::WireSink;
-use wire::decode_frames;
+use wire::{decode_frames, fold_fragments};
 
 const ROWS: usize = 50_000;
 
@@ -223,11 +223,11 @@ fn a_heap_breaking_its_claimed_order_is_an_order_violation() {
     let mut sink = WireSink::new(|_, frame| frames.push(frame));
     let reply = engine.execute_into(&mut ctx, &text, &mut sink);
     sink.complete(reply);
-    let frames = decode_frames(&frames);
+    let frames = fold_fragments(&decode_frames(&frames));
     assert!(
         matches!(frames.first(), Some(Frame::Reply { response, .. })
             if matches!(**response, Response::QueryStream(_))),
-        "the stream's header left first"
+        "the stream's header left first, after the rows sent ahead"
     );
     let chunks = frames
         .iter()

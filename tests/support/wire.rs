@@ -18,12 +18,56 @@ pub fn decode_frames(wire: &[bytes::BytesMut]) -> Vec<Frame> {
     frames
 }
 
+/// `frames` as a client reads them: each `ReplyRows` folded into the
+/// frame that follows it, its rows put in front of the rows of the next
+/// `Reply` carrying `Response::Query` or the next `ReplyChunk` (a stream
+/// header in between leaves them for the chunk). Every fragment must be
+/// claimed by such a frame of its own query.
+pub fn fold_fragments(frames: &[Frame]) -> Vec<Frame> {
+    let mut ahead: Option<(u64, Vec<Row>)> = None;
+    let mut out = Vec::new();
+    for frame in frames {
+        let mut frame = frame.clone();
+        let (id, rows) = match &mut frame {
+            Frame::ReplyRows { query_id, rows } => {
+                let (of, held) = ahead.get_or_insert((*query_id, Vec::new()));
+                assert_eq!(of, query_id, "rows sent ahead of another query's");
+                held.append(rows);
+                continue;
+            }
+            Frame::ReplyChunk { query_id, rows, .. } => (*query_id, rows),
+            Frame::Reply {
+                query_id, response, ..
+            } => match &mut **response {
+                Response::Query(q) => (*query_id, &mut q.rows.rows),
+                _ => {
+                    out.push(frame);
+                    continue;
+                }
+            },
+            _ => {
+                out.push(frame);
+                continue;
+            }
+        };
+        if let Some((of, mut held)) = ahead.take() {
+            assert_eq!(of, id, "rows sent ahead claimed by another query");
+            held.append(rows);
+            *rows = held;
+        }
+        out.push(frame);
+    }
+    assert!(ahead.is_none(), "rows sent ahead that nothing claimed");
+    out
+}
+
 /// The rows a reply carries, whichever shape it took: one `Reply`, or
-/// header + chunks + trailer. Checks the stream's own invariants on the
+/// header + chunks + trailer, either after rows sent ahead. Folds those
+/// in (see [`fold_fragments`]), checks the stream's own invariants on the
 /// way (consecutive `seq`, `last` on the final chunk only, no empty
 /// chunk, trailer last) and returns the rows per chunk.
 pub fn reply_chunks(frames: &[Frame]) -> Vec<Vec<Row>> {
-    match frames {
+    match &fold_fragments(frames)[..] {
         [Frame::Reply { response, .. }] => match &**response {
             Response::Query(q) => vec![q.rows.rows.clone()],
             other => panic!("expected a query reply, got {other:?}"),
