@@ -173,19 +173,11 @@ pub fn put_rows(buf: &mut BytesMut, rows: &[Row]) {
 /// Decode one row list. Truncation, an unknown tag, or a reference past
 /// the entries read so far yield [`TdbError::Corrupt`].
 pub fn get_rows(buf: &mut impl Buf) -> TdbResult<Vec<Row>> {
-    let mut rows = Vec::new();
-    get_rows_into(buf, &mut rows)?;
-    Ok(rows)
-}
-
-/// Decode one row list onto the end of `rows`, as [`get_rows`] does. On
-/// an error, `rows` may have gained part of the list.
-pub fn get_rows_into(buf: &mut impl Buf, rows: &mut Vec<Row>) -> TdbResult<()> {
     need(buf, 4, "row count")?;
     let n = buf.get_u32_le() as usize;
     // Every row takes at least its 2-byte arity, so a count the bytes
     // cannot hold fails on truncation before it can size an allocation.
-    rows.reserve(n.min(buf.remaining() / 2));
+    let mut rows = Vec::with_capacity(n.min(buf.remaining() / 2));
     // Entry `i` is the list's `i`-th inline string.
     let mut table: Vec<Arc<str>> = Vec::new();
     for _ in 0..n {
@@ -197,7 +189,7 @@ pub fn get_rows_into(buf: &mut impl Buf, rows: &mut Vec<Row>) -> TdbResult<()> {
         }
         rows.push(Row::new(values));
     }
-    Ok(())
+    Ok(rows)
 }
 
 /// One value of a row list: a string through the list's `table`, any

@@ -6,7 +6,7 @@
 //! therefore a plain call-and-wait while deltas accumulate on the side,
 //! to be drained with [`Client::try_push`] / [`Client::wait_push`].
 
-use crate::wire::{Frame, FrameReader, ReadOutcome};
+use crate::wire::{Frame, FrameReader, ReadOutcome, RowsAhead};
 use std::collections::VecDeque;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
@@ -85,71 +85,30 @@ fn reader_loop(
     pushes: &SyncSender<DeltaFrame>,
 ) {
     let mut reader = FrameReader::new();
-    // The rows sent ahead (`ReplyRows`) of query `ahead_of`, decoded
-    // straight onto this vector: they open its next chunk or reply.
-    let mut ahead: Vec<Row> = Vec::new();
-    let mut ahead_of = 0u64;
+    let mut ahead = RowsAhead::default();
     loop {
-        let before = ahead.len();
-        let frame = match reader.read_into(&mut stream, &mut ahead) {
-            Ok(ReadOutcome::Frame(frame)) => frame,
+        let frame = match reader.read(&mut stream) {
+            Ok(ReadOutcome::Frame(frame)) => ahead.fold(frame),
             Ok(ReadOutcome::Idle) => continue,
             Ok(ReadOutcome::Eof) | Err(_) => break,
         };
         let delivered = match frame {
-            Frame::ReplyRows { query_id, .. } => {
-                if query_id != ahead_of {
-                    // Another query's rows: the last one's were never
-                    // claimed.
-                    ahead.drain(..before);
-                    ahead_of = query_id;
-                }
-                true
-            }
-            Frame::Reply {
-                query_id,
-                mut response,
-            } => {
-                match &mut *response {
-                    Response::Query(report) if query_id == ahead_of => {
-                        ahead.append(&mut report.rows.rows);
-                        report.rows.rows = std::mem::take(&mut ahead);
-                    }
-                    // The rows sent ahead of the first chunk stay for it.
-                    Response::QueryStream(_) if query_id == ahead_of => {}
-                    _ => ahead.clear(),
-                }
+            // Rows sent ahead, held for the chunk or reply they open.
+            None => true,
+            Some(Frame::Reply { query_id, response }) => {
                 replies.send((query_id, *response)).is_ok()
             }
-            Frame::ReplyChunk {
-                query_id,
-                seq,
-                last,
-                mut rows,
-            } => {
-                if query_id == ahead_of {
-                    ahead.append(&mut rows);
-                    rows = std::mem::take(&mut ahead);
-                } else {
-                    ahead.clear();
-                }
-                chunks.send(StreamPart::Rows { seq, last, rows }).is_ok()
-            }
-            Frame::ReplyEnd { trailer, .. } => {
-                ahead.clear();
-                chunks.send(StreamPart::End(*trailer)).is_ok()
-            }
-            Frame::Push(delta) => {
+            Some(Frame::ReplyChunk {
+                seq, last, rows, ..
+            }) => chunks.send(StreamPart::Rows { seq, last, rows }).is_ok(),
+            Some(Frame::ReplyEnd { trailer, .. }) => chunks.send(StreamPart::End(*trailer)).is_ok(),
+            Some(Frame::Push(delta)) => {
                 let _ = pushes.send(delta);
                 true
             }
             // The server is draining, so nothing more will arrive; and
             // client-direction frames are a server bug.
-            Frame::Shutdown
-            | Frame::Input(_)
-            | Frame::Ingest { .. }
-            | Frame::Stats
-            | Frame::Bye => false,
+            Some(_) => false,
         };
         if !delivered {
             break;

@@ -36,7 +36,9 @@ pub use sink::{WireSink, CHUNK_BYTES};
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
     /// Outbound frame queue depth per connection. A subscriber whose
-    /// queue fills (because it stopped reading) is disconnected.
+    /// queue fills (because it stopped reading) is disconnected. A reply
+    /// takes at most half of it and one entry more, leaving the rest for
+    /// pushes.
     pub push_queue: usize,
     /// Socket read timeout in milliseconds — the cadence at which
     /// connection threads re-check the shutdown flag.

@@ -10,9 +10,11 @@
 //! engine a [`WireSink`], which encodes result rows into frames as the
 //! plan pushes them and hands each finished frame — rows sent ahead, a
 //! chunk — to the outbound queue. Nothing under the engine lock ever
-//! waits for that queue — the sink only `try_send`s, parks frames
-//! locally once the queue is full, and the parked frames are sent
-//! (blocking) after the lock is released.
+//! waits for that queue — the sink only `try_send`s, and parks frames
+//! locally once the queue is half full; after the lock is released the
+//! parked frames go (blocking) as one queue entry. A reply thus holds at
+//! most half the queue and one entry more, however slowly its client
+//! reads: the rest is room for the connection's subscription pushes.
 //!
 //! Push routing and backpressure: when a request finalizes rows for
 //! subscriptions (ingest or seal advancing the watermark), the executing
@@ -76,6 +78,11 @@ impl ConnStats {
         self.queued_frames.fetch_sub(1, Ordering::Relaxed);
     }
 
+    /// Entries in the outbound queue (an upper bound, as counted above).
+    fn queued(&self) -> u64 {
+        self.queued_frames.load(Ordering::Relaxed)
+    }
+
     fn metrics(&self, id: u64) -> ConnMetrics {
         ConnMetrics {
             id,
@@ -135,9 +142,10 @@ impl Read for CountingReader {
 enum Outbound {
     /// A frame for the writer thread to encode.
     Frame(Frame),
-    /// A frame of query `query_id`'s reply that the [`WireSink`] already
-    /// encoded while the query ran.
-    Encoded { query_id: u64, bytes: BytesMut },
+    /// Frames of a reply that the [`WireSink`] already encoded while the
+    /// query ran, each with the id of the query it belongs to: one frame,
+    /// or every frame the sink had to park.
+    Encoded(Vec<(u64, BytesMut)>),
 }
 
 struct Conn {
@@ -472,18 +480,24 @@ fn serve_conn(conn_id: u64, stream: TcpStream, shared: &Arc<Shared>) {
         let reply = match frame {
             Frame::Bye => break,
             Frame::Input(text) => {
-                // Frames the sink could not hand over without waiting.
-                let mut parked: Vec<Outbound> = Vec::new();
+                // Frames the sink did not hand over: it waits for no
+                // room, and leaves the second half of the queue to
+                // pushes, which find no room only for a subscriber that
+                // stopped reading.
+                let half = shared.config.push_queue as u64 / 2;
+                let mut parked: Vec<(u64, BytesMut)> = Vec::new();
                 let mut sink = WireSink::new(|query_id, bytes| {
-                    let frame = Outbound::Encoded { query_id, bytes };
+                    let frame = Outbound::Encoded(vec![(query_id, bytes)]);
                     // Once one frame is parked the rest must queue up
                     // behind it, or the reply would arrive out of order.
-                    let unsent = if parked.is_empty() {
+                    let unsent = if parked.is_empty() && stats.queued() < half {
                         try_enqueue(&queue, &stats, frame).err()
                     } else {
                         Some(frame)
                     };
-                    parked.extend(unsent);
+                    if let Some(Outbound::Encoded(frames)) = unsent {
+                        parked.extend(frames);
+                    }
                 });
                 let mut resp = shared
                     .engine
@@ -504,7 +518,8 @@ fn serve_conn(conn_id: u64, stream: TcpStream, shared: &Arc<Shared>) {
                 // The engine lock is released: now it is fine to wait for
                 // the writer. A client slow to read its *own* reply only
                 // stalls itself.
-                let delivered = parked.into_iter().all(|f| enqueue(&queue, &stats, f));
+                let delivered =
+                    parked.is_empty() || enqueue(&queue, &stats, Outbound::Encoded(parked));
                 if goodbye || !delivered {
                     break;
                 }
@@ -598,33 +613,42 @@ fn writer_loop(
     let mut ahead: Option<(u64, Instant, u64)> = None;
     while let Ok(item) = outbound.recv() {
         stats.dequeued();
-        let last = matches!(item, Outbound::Frame(Frame::Shutdown));
-        let (query_id, buf) = match item {
+        let frames = match item {
             Outbound::Frame(frame) => {
                 let t = Instant::now();
                 let mut buf = BytesMut::new();
                 frame.encode(&mut buf);
                 timers.observe(Stage::Render, t.elapsed().as_micros() as u64);
-                (0, buf)
+                let Some(write_us) = write_frame(&mut stream, &buf, stats) else {
+                    return;
+                };
+                timers.observe(Stage::NetWrite, write_us);
+                if matches!(frame, Frame::Shutdown) {
+                    return;
+                }
+                continue;
             }
             // Rendered by the sink, frame by frame, while the query ran.
-            Outbound::Encoded { query_id, bytes } => (query_id, bytes),
+            Outbound::Encoded(frames) => frames,
         };
-        let began = Instant::now();
-        if stream.write_all(&buf).is_err() {
-            break;
-        }
-        let write_us = began.elapsed().as_micros() as u64;
-        stats.frames_out.fetch_add(1, Ordering::Relaxed);
-        stats
-            .bytes_out
-            .fetch_add(buf.len() as u64, Ordering::Relaxed);
-        if query_id == 0 {
-            timers.observe(Stage::NetWrite, write_us);
-        } else {
+        for (query_id, buf) in frames {
+            let began = Instant::now();
+            let Some(write_us) = write_frame(&mut stream, &buf, stats) else {
+                return;
+            };
+            // A frame of another reply — the error of a query that failed
+            // before its first chunk goes out under id 0 — closes the
+            // writes of the rows that went ahead for nothing.
+            if let Some((id, first, us)) = ahead.take_if(|(id, ..)| *id != query_id) {
+                timers.observe_late(id, Stage::NetWrite, first, us);
+            }
+            if query_id == 0 {
+                timers.observe(Stage::NetWrite, write_us);
+                continue;
+            }
             let (began, write_us) = match ahead.take() {
-                Some((id, first, us)) if id == query_id => (first, us + write_us),
-                _ => (began, write_us),
+                Some((_, first, us)) => (first, us + write_us),
+                None => (began, write_us),
             };
             if is_reply_rows(&buf) {
                 ahead = Some((query_id, began, write_us));
@@ -635,10 +659,19 @@ fn writer_loop(
                 timers.observe_late(query_id, Stage::NetWrite, began, write_us);
             }
         }
-        if last {
-            break;
-        }
     }
+}
+
+/// Write one encoded frame and count it; its write time in µs, or `None`
+/// once the socket has failed.
+fn write_frame(stream: &mut TcpStream, buf: &[u8], stats: &ConnStats) -> Option<u64> {
+    let began = Instant::now();
+    stream.write_all(buf).ok()?;
+    stats.frames_out.fetch_add(1, Ordering::Relaxed);
+    stats
+        .bytes_out
+        .fetch_add(buf.len() as u64, Ordering::Relaxed);
+    Some(began.elapsed().as_micros() as u64)
 }
 
 #[cfg(test)]

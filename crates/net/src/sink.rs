@@ -211,7 +211,7 @@ impl<F: FnMut(u64, BytesMut)> ReplySink for WireSink<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{FrameReader, ReadOutcome};
+    use crate::wire::{FrameReader, ReadOutcome, RowsAhead};
     use tdb::core::Value;
     use tdb_engine::{ErrorCode, ErrorInfo, RowSet};
 
@@ -251,48 +251,10 @@ mod tests {
         frames
     }
 
-    /// `frames` with each `ReplyRows`' rows put in front of the rows of
-    /// the `Reply{Query}` or `ReplyChunk` that follows it, as a client
-    /// does.
+    /// `frames` as a client reads them.
     fn fold(frames: Vec<Frame>) -> Vec<Frame> {
-        let mut ahead = Vec::new();
-        let mut out = Vec::new();
-        for mut frame in frames {
-            match &mut frame {
-                Frame::ReplyRows { rows, .. } => {
-                    ahead.append(rows);
-                    continue;
-                }
-                Frame::ReplyChunk { rows, .. } => {
-                    ahead.append(rows);
-                    *rows = std::mem::take(&mut ahead);
-                }
-                Frame::Reply { response, .. } => {
-                    if let Response::Query(q) = &mut **response {
-                        ahead.append(&mut q.rows.rows);
-                        q.rows.rows = std::mem::take(&mut ahead);
-                    }
-                }
-                _ => {}
-            }
-            out.push(frame);
-        }
-        out
-    }
-
-    /// Where the 4 MiB `row_bytes` budget cuts `rows`.
-    fn reference_cut(rows: &[Row]) -> Vec<Vec<Row>> {
-        let mut chunks = vec![Vec::new()];
-        let mut budget = 0u64;
-        for row in rows {
-            if budget >= CHUNK_BYTES {
-                chunks.push(Vec::new());
-                budget = 0;
-            }
-            budget += row_bytes(row);
-            chunks.last_mut().unwrap().push(row.clone());
-        }
-        chunks
+        let mut ahead = RowsAhead::default();
+        frames.into_iter().filter_map(|f| ahead.fold(f)).collect()
     }
 
     #[test]
@@ -373,94 +335,6 @@ mod tests {
                 response: Box::new(Response::Query(done)),
             }]
         );
-    }
-
-    /// A streamed result sent ahead in fragments: no fragment carries rows
-    /// of two chunks, fragments and chunk frames carry the pushed rows in
-    /// order, and the chunks — `seq`, `last`, rows — are the budget's
-    /// cut, with the header leaving just before the first chunk frame.
-    #[test]
-    fn fragments_fold_into_the_chunks_the_budget_cuts() {
-        let rows: Vec<Row> = (0..10_000).map(kib_row).collect();
-        let cut = reference_cut(&rows);
-        assert_eq!(cut.len(), 3);
-        let mut wire = Vec::new();
-        let mut sink = WireSink::new(|id, f| wire.push((id, f)));
-        sink.begin(report(8));
-        for batch in rows.chunks(7) {
-            sink.push(&mut batch.to_vec()).unwrap();
-        }
-        let mut done = report(8);
-        done.rows.total = rows.len() as u64;
-        sink.complete(Response::Query(done.clone()));
-        assert!(wire.iter().all(|(id, _)| *id == 8));
-        let wire: Vec<BytesMut> = wire.into_iter().map(|(_, f)| f).collect();
-        let frames = decode(&wire);
-
-        // Which chunk of the cut row `i` is in.
-        let chunk_of = |row: &Row| {
-            let Value::Int(i) = row.values()[1] else {
-                unreachable!()
-            };
-            cut.iter()
-                .scan(0, |end, c| {
-                    *end += c.len();
-                    Some(*end)
-                })
-                .position(|end| (i as usize) < end)
-                .unwrap()
-        };
-        let mut seen: Vec<Row> = Vec::new();
-        let mut fragments = 0;
-        let mut header_at = None;
-        for (at, (frame, bytes)) in frames.iter().zip(&wire).enumerate() {
-            match frame {
-                Frame::ReplyRows { query_id: 8, rows } => {
-                    fragments += 1;
-                    assert!(bytes.len() >= FRAGMENT_BYTES, "a fragment is full");
-                    let chunk = chunk_of(&rows[0]);
-                    assert!(
-                        rows.iter().all(|r| chunk_of(r) == chunk),
-                        "fragment {at} spans two chunks"
-                    );
-                    seen.extend(rows.iter().cloned());
-                }
-                Frame::ReplyChunk { rows, .. } => seen.extend(rows.iter().cloned()),
-                Frame::Reply { response, .. } => {
-                    assert!(matches!(**response, Response::QueryStream(_)));
-                    header_at = Some(at);
-                }
-                Frame::ReplyEnd { .. } => assert_eq!(at + 1, frames.len()),
-                other => panic!("unexpected frame {other:?}"),
-            }
-        }
-        assert_eq!(seen, rows, "fragments and chunks carry the rows in order");
-        assert!(fragments >= 10_000 * 1036 / FRAGMENT_BYTES - 3);
-        let header_at = header_at.expect("a header");
-        assert!(matches!(
-            frames[header_at + 1],
-            Frame::ReplyChunk { seq: 0, .. }
-        ));
-        assert!(frames[..header_at]
-            .iter()
-            .all(|f| matches!(f, Frame::ReplyRows { .. })));
-
-        let chunk = |seq: u32, rows: Vec<Row>| Frame::ReplyChunk {
-            query_id: 8,
-            seq,
-            last: seq == 2,
-            rows,
-        };
-        let mut want = vec![Frame::Reply {
-            query_id: 8,
-            response: Box::new(Response::QueryStream(report(8))),
-        }];
-        want.extend(cut.into_iter().zip(0..).map(|(rows, seq)| chunk(seq, rows)));
-        want.push(Frame::ReplyEnd {
-            query_id: 8,
-            trailer: Box::new(QueryTrailer::of(done)),
-        });
-        assert_eq!(fold(frames), want);
     }
 
     #[test]

@@ -28,9 +28,9 @@ use crate::sink::FRAGMENT_BYTES;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};
 use tdb::core::{Row, TdbError, TdbResult};
-use tdb::storage::{wire_enum, Codec};
+use tdb::storage::wire_enum;
 use tdb::stream::PairBatch;
-use tdb_engine::codec::{get_rows, get_rows_into, put_query_with_rows, put_rows, RowListEncoder};
+use tdb_engine::codec::{get_rows, put_query_with_rows, put_rows, RowListEncoder};
 use tdb_engine::{DeltaFrame, QueryReport, QueryTrailer, Response};
 
 /// Wire protocol version stamped into every frame. A server or client
@@ -174,34 +174,7 @@ impl Frame {
     /// Decode one frame from its payload (version + kind + body, the
     /// length prefix already consumed). Bytes left over after the body
     /// are `Corrupt`.
-    pub fn decode_payload(payload: Bytes) -> TdbResult<Frame> {
-        Frame::decode_with(payload, get_body)
-    }
-
-    /// Decode one frame like [`Frame::decode_payload`], except that a
-    /// [`Frame::ReplyRows`]'s rows are decoded onto the end of `rows`,
-    /// and the frame comes back without them.
-    pub fn decode_payload_into(payload: Bytes, rows: &mut Vec<Row>) -> TdbResult<Frame> {
-        Frame::decode_with(payload, |body| {
-            if body.chunk().first() != Some(&KIND_REPLY_ROWS) {
-                return get_body(body);
-            }
-            body.advance(1);
-            let query_id = u64::decode(body)?;
-            get_rows_into(body, rows)?;
-            Ok(Frame::ReplyRows {
-                query_id,
-                rows: Vec::new(),
-            })
-        })
-    }
-
-    /// Check the version, decode the kind and body with `body`, and
-    /// check that nothing is left over.
-    fn decode_with(
-        mut payload: Bytes,
-        body: impl FnOnce(&mut Bytes) -> TdbResult<Frame>,
-    ) -> TdbResult<Frame> {
+    pub fn decode_payload(mut payload: Bytes) -> TdbResult<Frame> {
         if payload.remaining() < 2 {
             return Err(TdbError::Corrupt("frame shorter than header".into()));
         }
@@ -211,7 +184,7 @@ impl Frame {
                 "protocol version {version} (this build speaks {PROTOCOL_VERSION})"
             )));
         }
-        let frame = body(&mut payload)?;
+        let frame = get_body(&mut payload)?;
         if !payload.is_empty() {
             return Err(TdbError::Corrupt(format!(
                 "{} trailing bytes after the frame body",
@@ -234,6 +207,53 @@ impl Frame {
 /// [`Frame::ReplyRows`]?
 pub(crate) fn is_reply_rows(frame: &[u8]) -> bool {
     frame.get(5) == Some(&KIND_REPLY_ROWS)
+}
+
+/// The rows a reader holds for the frame they were sent ahead of: the
+/// one place the rule of [`Frame::ReplyRows`] is written.
+#[derive(Debug, Default)]
+pub struct RowsAhead {
+    query_id: u64,
+    rows: Vec<Row>,
+}
+
+impl RowsAhead {
+    /// Take in `frame`, the next one read. A [`Frame::ReplyRows`] is held
+    /// (`None`). Its query's next [`Frame::Reply`] carrying
+    /// `Response::Query`, or next [`Frame::ReplyChunk`], comes back with
+    /// the held rows in front of its own; the query's stream header, a
+    /// [`Frame::Push`], or rows of the same query leave them held; any
+    /// other frame drops them.
+    pub fn fold(&mut self, mut frame: Frame) -> Option<Frame> {
+        let rows = match &mut frame {
+            Frame::ReplyRows { query_id, rows } => {
+                if *query_id != self.query_id {
+                    self.rows.clear();
+                    self.query_id = *query_id;
+                }
+                self.rows.append(rows);
+                return None;
+            }
+            Frame::Push(_) => return Some(frame),
+            Frame::Reply { query_id, response } if *query_id == self.query_id => {
+                match &mut **response {
+                    Response::Query(report) => Some(&mut report.rows.rows),
+                    Response::QueryStream(_) => return Some(frame),
+                    _ => None,
+                }
+            }
+            Frame::ReplyChunk { query_id, rows, .. } if *query_id == self.query_id => Some(rows),
+            _ => None,
+        };
+        match rows {
+            Some(rows) if !self.rows.is_empty() => {
+                self.rows.append(rows);
+                *rows = std::mem::take(&mut self.rows);
+            }
+            _ => self.rows.clear(),
+        }
+        Some(frame)
+    }
 }
 
 /// Start a frame on `buf`: a length prefix to be filled in by
@@ -414,21 +434,6 @@ impl FrameReader {
     /// Pull bytes from `r` until a full frame is available, the read
     /// times out, or the stream ends.
     pub fn read(&mut self, r: &mut impl Read) -> TdbResult<ReadOutcome> {
-        self.read_with(r, Frame::decode_payload)
-    }
-
-    /// Read like [`FrameReader::read`], except that a
-    /// [`Frame::ReplyRows`]'s rows are decoded onto the end of `rows` (see
-    /// [`Frame::decode_payload_into`]).
-    pub fn read_into(&mut self, r: &mut impl Read, rows: &mut Vec<Row>) -> TdbResult<ReadOutcome> {
-        self.read_with(r, |payload| Frame::decode_payload_into(payload, rows))
-    }
-
-    fn read_with(
-        &mut self,
-        r: &mut impl Read,
-        decode: impl FnOnce(Bytes) -> TdbResult<Frame>,
-    ) -> TdbResult<ReadOutcome> {
         loop {
             if self.payload.is_none() && self.prefix_len == self.prefix.len() {
                 let len = u32::from_le_bytes(self.prefix) as usize;
@@ -445,7 +450,7 @@ impl FrameReader {
                     let payload = std::mem::take(payload);
                     self.payload = None;
                     self.prefix_len = 0;
-                    return decode(Bytes::from(payload)).map(ReadOutcome::Frame);
+                    return Frame::decode_payload(Bytes::from(payload)).map(ReadOutcome::Frame);
                 }
                 Some(payload) => &mut payload[self.filled..],
                 None => &mut self.prefix[self.prefix_len..],
@@ -597,18 +602,6 @@ mod tests {
             assert_eq!(chunk, want);
             assert_eq!(enc.rows(), 0);
         }
-
-        // A client reading with `read_into` gets the rows sent ahead on
-        // the end of its vector, and the frame without them.
-        let mut kept = vec![row(-1)];
-        let outcome = FrameReader::new()
-            .read_into(&mut &ahead[..], &mut kept)
-            .unwrap();
-        assert!(matches!(
-            outcome,
-            ReadOutcome::Frame(Frame::ReplyRows { query_id: 11, rows }) if rows.is_empty()
-        ));
-        assert_eq!(kept, [&[row(-1)][..], &rows].concat());
     }
 
     #[test]

@@ -55,7 +55,7 @@ use tdb_engine::{
     SlowFsyncInfo, Stage, StageLatency, StageSpan, StatsReport, SubscribeReport,
     SubscriptionStatus, SuperstarRow, TableInfo, WalReport,
 };
-use tdb_net::wire::{Frame, FrameReader, ReadOutcome, PROTOCOL_VERSION};
+use tdb_net::wire::{Frame, FrameReader, ReadOutcome, RowsAhead, PROTOCOL_VERSION};
 use tdb_net::{serve, Client, NetConfig, ServerHandle};
 
 // ---------------------------------------------------------------------------
@@ -439,15 +439,10 @@ proptest! {
             let chunk = Frame::ReplyChunk { query_id: n, seq: a as u32, last: parity == 1, rows: rows.clone() };
             prop_assert_eq!(decode_frame(&payload_of(&chunk)).unwrap(), chunk.clone());
             assert_damage_is_caught(&payload_of(&chunk), decode_frame, payload_of, mask);
-            // Or they go ahead of it, and a client decodes them onto the
-            // rows it holds.
-            let ahead = Frame::ReplyRows { query_id: n, rows: rows.clone() };
+            // Or they go ahead of it.
+            let ahead = Frame::ReplyRows { query_id: n, rows };
             prop_assert_eq!(decode_frame(&payload_of(&ahead)).unwrap(), ahead.clone());
             assert_damage_is_caught(&payload_of(&ahead), decode_frame, payload_of, mask);
-            let mut held = rows.clone();
-            let back = Frame::decode_payload_into(bytes::Bytes::from(payload_of(&ahead)), &mut held);
-            prop_assert_eq!(back.unwrap(), Frame::ReplyRows { query_id: n, rows: Vec::new() });
-            prop_assert_eq!(held, [&rows[..], &rows[..]].concat());
         }
     }
 
@@ -1115,7 +1110,7 @@ const LARGE_QUERY: &str = "range of a is Outer range of b is Inner retrieve (P=a
 struct RawClient {
     stream: std::net::TcpStream,
     reader: FrameReader,
-    ahead: Vec<Row>,
+    ahead: RowsAhead,
 }
 
 impl RawClient {
@@ -1123,7 +1118,7 @@ impl RawClient {
         RawClient {
             stream: std::net::TcpStream::connect(addr).unwrap(),
             reader: FrameReader::new(),
-            ahead: Vec::new(),
+            ahead: RowsAhead::default(),
         }
     }
 
@@ -1135,24 +1130,11 @@ impl RawClient {
 
     fn next(&mut self) -> Frame {
         loop {
-            match self
-                .reader
-                .read_into(&mut self.stream, &mut self.ahead)
-                .unwrap()
-            {
-                ReadOutcome::Frame(Frame::ReplyRows { .. }) => {}
-                ReadOutcome::Frame(mut frame) => {
-                    let rows = match &mut frame {
-                        Frame::ReplyChunk { rows, .. } => rows,
-                        Frame::Reply { response, .. } => match &mut **response {
-                            Response::Query(q) => &mut q.rows.rows,
-                            _ => return frame,
-                        },
-                        _ => return frame,
-                    };
-                    self.ahead.append(rows);
-                    *rows = std::mem::take(&mut self.ahead);
-                    return frame;
+            match self.reader.read(&mut self.stream).unwrap() {
+                ReadOutcome::Frame(frame) => {
+                    if let Some(frame) = self.ahead.fold(frame) {
+                        return frame;
+                    }
                 }
                 ReadOutcome::Idle => {}
                 ReadOutcome::Eof => panic!("server closed the connection"),
@@ -1343,8 +1325,9 @@ fn rows_sent_ahead_reassemble_into_the_chunks_a_client_sees() {
 /// A query that fails after rows went ahead but before its first chunk
 /// was cut (a heap breaking its claimed TS↑ order, found after some
 /// 29 000 matches) answers a typed error, and the rows sent ahead are
-/// dropped: the next query on the connection — itself sent ahead in
-/// fragments — gets its own rows and no others.
+/// dropped, their write time logged as one `net_write` sample: the next
+/// query on the connection — itself sent ahead in fragments — gets its
+/// own rows and no others.
 #[test]
 fn an_error_after_rows_went_ahead_leaves_the_next_reply_clean() {
     let root = std::env::temp_dir().join(format!("tdb-net-ahead-error-{}", std::process::id()));
@@ -1416,7 +1399,26 @@ fn an_error_after_rows_went_ahead_leaves_the_next_reply_clean() {
     assert!(matches!(*error, Response::Error(_)), "{error:?}");
     drop(raw);
 
+    // The writes of the fragments are timed too: one `net_write` sample
+    // for them, beside the `\set` reply's and the error's.
+    // Each earlier stats reply adds its own sample once written.
     let mut client = Client::connect(server.addr()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut asked = 0;
+    let raw_writes = loop {
+        let Ok(Response::Stats(stats)) = client.stats() else {
+            panic!("expected stats");
+        };
+        let stage = stats.stages.iter().find(|s| s.stage == "net_write");
+        let writes = stage.map_or(0, |s| s.count).saturating_sub(asked);
+        asked += 1;
+        if writes >= 3 || Instant::now() > deadline {
+            break writes;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(raw_writes, 3, "net_write samples of the first connection");
+
     client.request("\\set limit 10000000").unwrap();
     let mut events = 0;
     let reply = client.request_with(query, |_| events += 1);
@@ -1492,6 +1494,108 @@ fn reader_that_stops_draining_its_reply_stalls_nobody_else() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A reply holds at most half of its connection's outbound queue,
+/// however slowly its client reads. A subscriber that stops reading a
+/// ≈ 34 MiB reply, sent ahead in 64 KiB fragments, and then reads it
+/// slowly still has room for the deltas that another connection's
+/// ingests route to it meanwhile: it is not taken for a slow subscriber.
+#[test]
+fn a_subscriber_reading_a_large_reply_slowly_keeps_its_subscription() {
+    const OUTER: usize = 150; // × 10 000 × 24 B ≈ 34 MiB: nine chunks
+    let (server, root) = serve_large_join("busy-sub", OUTER, NetConfig::default());
+    let mut ingester = Client::connect(server.addr()).unwrap();
+    // A long interval every later arrival nests inside.
+    let reply = ingester.ingest("L", "0 100000000 long 0\n");
+    assert!(matches!(reply, Ok(Response::Ingest(_))), "{reply:?}");
+    let mut raw = RawClient::connect(server.addr());
+    raw.send(
+        "\\subscribe range of a is L range of b is L retrieve (P=a.Id, Q=b.Id) \
+         where a.ValidFrom < b.ValidFrom and b.ValidTo < a.ValidTo",
+    );
+    let Frame::Reply { response, .. } = raw.next() else {
+        panic!("expected the subscription's reply");
+    };
+    assert!(matches!(*response, Response::Subscribed(_)), "{response:?}");
+    raw.send("\\set limit 10000000");
+    assert!(matches!(raw.next(), Frame::Reply { .. }));
+
+    raw.send(LARGE_QUERY);
+    assert!(matches!(raw.next(), Frame::Reply { .. }), "stream header");
+    let mut pushes = 0;
+    let (stalled, resume) = std::sync::mpsc::channel();
+    let (rows, trailer) = std::thread::scope(|s| {
+        // Each batch finalizes the one before it: a delta for `raw`. The
+        // first waits for the query to release the engine, so the first
+        // half lands while `raw` reads nothing, its reply filling the
+        // socket and the queue; the second half while it reads slowly.
+        let ingests = s.spawn(|| {
+            for i in 0..8i64 {
+                if i == 4 {
+                    stalled.send(()).unwrap();
+                }
+                let mut lines = String::new();
+                for j in 0..4 {
+                    let ts = 10 + i * 100 + j;
+                    writeln!(lines, "{ts} {} r{i}x{j} {j}", ts + 1).unwrap();
+                }
+                let reply = ingester.ingest("L", &lines);
+                assert!(matches!(reply, Ok(Response::Ingest(_))), "{reply:?}");
+                std::thread::sleep(Duration::from_millis(25));
+            }
+        });
+        resume.recv().unwrap();
+        let mut rows = 0;
+        let trailer = loop {
+            match raw.next() {
+                Frame::ReplyChunk { rows: chunk, .. } => {
+                    rows += chunk.len();
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                Frame::ReplyEnd { trailer, .. } => break trailer,
+                Frame::Push(_) => pushes += 1,
+                other => panic!("unexpected frame inside a stream: {other:?}"),
+            }
+        };
+        ingests.join().unwrap();
+        (rows, trailer)
+    });
+    assert_eq!(rows, OUTER * LARGE_INNER);
+    assert_eq!(trailer.total as usize, OUTER * LARGE_INNER);
+    // Every delta was routed before this request: all of them come
+    // ahead of its reply.
+    raw.send("\\tables");
+    loop {
+        match raw.next() {
+            Frame::Push(_) => pushes += 1,
+            Frame::Reply { response, .. } => {
+                assert!(matches!(*response, Response::Tables(_)), "{response:?}");
+                break;
+            }
+            other => panic!("unexpected frame: {other:?}"),
+        }
+    }
+    assert!(pushes >= 4, "{pushes} deltas reached the subscriber");
+
+    let Ok(Response::Live(live)) = ingester.request("\\live") else {
+        panic!("expected live status");
+    };
+    assert!(!live.subscriptions[0].cancelled, "{live:?}");
+    let Ok(Response::Stats(stats)) = ingester.stats() else {
+        panic!("expected stats");
+    };
+    let net = stats.net.expect("network counters");
+    assert_eq!(net.slow_subscriber_disconnects, 0, "{net:?}");
+    assert!(
+        net.push_queue_highwater <= (NetConfig::default().push_queue / 2 + 1 + pushes) as u64,
+        "{net:?}"
+    );
+
+    ingester.close();
+    drop(raw);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Every strict prefix of a request, reply, chunk, fragment or trailer
 /// frame, and
 /// the frame with one byte too many, is `Corrupt`; every single
@@ -1542,17 +1646,7 @@ fn damaged_stream_frames_are_typed_corrupt_errors() {
             ))),
         },
     ];
-    // Both decoders, the one a client reads rows sent ahead with too:
-    // they fail alike.
-    let decode = |payload: &[u8]| {
-        let whole = Frame::decode_payload(bytes::Bytes::copy_from_slice(payload));
-        let into = Frame::decode_payload_into(bytes::Bytes::copy_from_slice(payload), &mut vec![]);
-        match (&whole, into) {
-            (Ok(_), Ok(_)) | (Err(TdbError::Corrupt(_)), Err(TdbError::Corrupt(_))) => {}
-            (whole, into) => panic!("decoders disagree: {whole:?} and {into:?}"),
-        }
-        whole
-    };
+    let decode = |payload: &[u8]| Frame::decode_payload(bytes::Bytes::copy_from_slice(payload));
     for frame in &frames {
         let mut wire = bytes::BytesMut::new();
         frame.encode(&mut wire);

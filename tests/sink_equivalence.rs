@@ -21,7 +21,9 @@
 mod wire;
 
 use tdb::prelude::*;
-use tdb_engine::{ClientState, Engine, QueryTrailer, Response};
+use tdb::stream::RowSink;
+use tdb_engine::{ClientState, Engine, QueryReport, QueryTrailer, ReplySink, Response, RowSet};
+use tdb_net::sink::FRAGMENT_BYTES;
 use tdb_net::wire::Frame;
 use tdb_net::{serve, Client, NetConfig, StreamEvent, WireSink, CHUNK_BYTES};
 use wire::{decode_frames, fold_fragments, reply_chunks};
@@ -168,6 +170,115 @@ fn engine_streams_a_large_join_through_the_wire_sink() {
     );
     assert_eq!(limited.trace.expect("trace on").sink_rows, 5);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The header a `WireSink` is begun with: query `query_id`, one column.
+fn header(query_id: u64) -> QueryReport {
+    QueryReport {
+        query_id,
+        rows: RowSet {
+            columns: vec!["P".into()],
+            ..RowSet::default()
+        },
+        ..QueryReport::default()
+    }
+}
+
+/// Row `i` of 1 036 `row_bytes`, its string its own (so it is encoded
+/// inline, in about as many bytes).
+fn kib_row(i: i64) -> Row {
+    Row::new(vec![
+        Value::str(format!("{i:08}{}", "x".repeat(1008))),
+        Value::Int(i),
+    ])
+}
+
+/// A streamed result sent ahead in fragments: no fragment carries rows
+/// of two chunks, fragments and chunk frames carry the pushed rows in
+/// order, and the chunks — `seq`, `last`, rows — are the budget's
+/// cut, with the header leaving just before the first chunk frame.
+#[test]
+fn fragments_fold_into_the_chunks_the_budget_cuts() {
+    let rows: Vec<Row> = (0..10_000).map(kib_row).collect();
+    let cut = reference_cut(&rows);
+    assert_eq!(cut.len(), 3);
+    let mut wire = Vec::new();
+    let mut sink = WireSink::new(|id, f| wire.push((id, f)));
+    sink.begin(header(8));
+    for batch in rows.chunks(7) {
+        sink.push(&mut batch.to_vec()).unwrap();
+    }
+    let mut done = header(8);
+    done.rows.total = rows.len() as u64;
+    sink.complete(Response::Query(done.clone()));
+    assert!(wire.iter().all(|(id, _)| *id == 8));
+    let wire: Vec<bytes::BytesMut> = wire.into_iter().map(|(_, f)| f).collect();
+    let frames = decode_frames(&wire);
+
+    // Which chunk of the cut row `i` is in.
+    let chunk_of = |row: &Row| {
+        let Value::Int(i) = row.values()[1] else {
+            unreachable!()
+        };
+        cut.iter()
+            .scan(0, |end, c| {
+                *end += c.len();
+                Some(*end)
+            })
+            .position(|end| (i as usize) < end)
+            .unwrap()
+    };
+    let mut seen: Vec<Row> = Vec::new();
+    let mut fragments = 0;
+    let mut header_at = None;
+    for (at, (frame, bytes)) in frames.iter().zip(&wire).enumerate() {
+        match frame {
+            Frame::ReplyRows { query_id: 8, rows } => {
+                fragments += 1;
+                assert!(bytes.len() >= FRAGMENT_BYTES, "a fragment is full");
+                let chunk = chunk_of(&rows[0]);
+                assert!(
+                    rows.iter().all(|r| chunk_of(r) == chunk),
+                    "fragment {at} spans two chunks"
+                );
+                seen.extend(rows.iter().cloned());
+            }
+            Frame::ReplyChunk { rows, .. } => seen.extend(rows.iter().cloned()),
+            Frame::Reply { response, .. } => {
+                assert!(matches!(**response, Response::QueryStream(_)));
+                header_at = Some(at);
+            }
+            Frame::ReplyEnd { .. } => assert_eq!(at + 1, frames.len()),
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    assert_eq!(seen, rows, "fragments and chunks carry the rows in order");
+    assert!(fragments >= 10_000 * 1036 / FRAGMENT_BYTES - 3);
+    let header_at = header_at.expect("a header");
+    assert!(matches!(
+        frames[header_at + 1],
+        Frame::ReplyChunk { seq: 0, .. }
+    ));
+    assert!(frames[..header_at]
+        .iter()
+        .all(|f| matches!(f, Frame::ReplyRows { .. })));
+
+    let chunk = |seq: u32, rows: Vec<Row>| Frame::ReplyChunk {
+        query_id: 8,
+        seq,
+        last: seq == 2,
+        rows,
+    };
+    let mut want = vec![Frame::Reply {
+        query_id: 8,
+        response: Box::new(Response::QueryStream(header(8))),
+    }];
+    want.extend(cut.into_iter().zip(0..).map(|(rows, seq)| chunk(seq, rows)));
+    want.push(Frame::ReplyEnd {
+        query_id: 8,
+        trailer: Box::new(QueryTrailer::of(done)),
+    });
+    assert_eq!(fold_fragments(&frames), want);
 }
 
 /// `\set limit` cuts a batch of join matches part-way, whether they are

@@ -3,7 +3,7 @@
 
 use tdb::prelude::*;
 use tdb_engine::Response;
-use tdb_net::wire::{Frame, FrameReader, ReadOutcome};
+use tdb_net::wire::{Frame, FrameReader, ReadOutcome, RowsAhead};
 
 /// Decode the frames a `WireSink` emitted, through the reader a client
 /// uses.
@@ -19,46 +19,35 @@ pub fn decode_frames(wire: &[bytes::BytesMut]) -> Vec<Frame> {
 }
 
 /// `frames` as a client reads them: each `ReplyRows` folded into the
-/// frame that follows it, its rows put in front of the rows of the next
-/// `Reply` carrying `Response::Query` or the next `ReplyChunk` (a stream
-/// header in between leaves them for the chunk). Every fragment must be
-/// claimed by such a frame of its own query.
+/// frame that follows it by [`RowsAhead`]. Every row sent ahead must be
+/// claimed by such a frame.
 pub fn fold_fragments(frames: &[Frame]) -> Vec<Frame> {
-    let mut ahead: Option<(u64, Vec<Row>)> = None;
-    let mut out = Vec::new();
-    for frame in frames {
-        let mut frame = frame.clone();
-        let (id, rows) = match &mut frame {
-            Frame::ReplyRows { query_id, rows } => {
-                let (of, held) = ahead.get_or_insert((*query_id, Vec::new()));
-                assert_eq!(of, query_id, "rows sent ahead of another query's");
-                held.append(rows);
-                continue;
-            }
-            Frame::ReplyChunk { query_id, rows, .. } => (*query_id, rows),
-            Frame::Reply {
-                query_id, response, ..
-            } => match &mut **response {
-                Response::Query(q) => (*query_id, &mut q.rows.rows),
-                _ => {
-                    out.push(frame);
-                    continue;
-                }
+    let mut ahead = RowsAhead::default();
+    let folded: Vec<Frame> = frames
+        .iter()
+        .filter_map(|f| ahead.fold(f.clone()))
+        .collect();
+    assert_eq!(
+        rows_in(&folded),
+        rows_in(frames),
+        "rows sent ahead that no frame of their query claimed"
+    );
+    folded
+}
+
+/// The rows `frames` carry: sent ahead, in chunks, in query replies.
+fn rows_in(frames: &[Frame]) -> usize {
+    frames
+        .iter()
+        .map(|frame| match frame {
+            Frame::ReplyRows { rows, .. } | Frame::ReplyChunk { rows, .. } => rows.len(),
+            Frame::Reply { response, .. } => match &**response {
+                Response::Query(q) => q.rows.rows.len(),
+                _ => 0,
             },
-            _ => {
-                out.push(frame);
-                continue;
-            }
-        };
-        if let Some((of, mut held)) = ahead.take() {
-            assert_eq!(of, id, "rows sent ahead claimed by another query");
-            held.append(rows);
-            *rows = held;
-        }
-        out.push(frame);
-    }
-    assert!(ahead.is_none(), "rows sent ahead that nothing claimed");
-    out
+            _ => 0,
+        })
+        .sum()
 }
 
 /// The rows a reply carries, whichever shape it took: one `Reply`, or
