@@ -307,14 +307,14 @@ impl Engine {
         flush: tdb::wal::FlushPolicy,
     ) -> TdbResult<Engine> {
         let dir = dir.as_ref();
-        let catalog = Catalog::open_durable(dir, IoStats::new())?;
+        let mut catalog = Catalog::open_durable(dir, IoStats::new())?;
         let obs = ObsState::new();
         let config = LiveConfig {
             flush,
             ..LiveConfig::default()
         };
         let (live, replay) =
-            LiveEngine::open_durable(dir.join("wal"), config, &catalog, &obs.registry)?;
+            LiveEngine::open_durable(dir.join("wal"), config, &mut catalog, &obs.registry)?;
         Ok(Engine {
             catalog,
             live,
@@ -409,6 +409,26 @@ impl Engine {
         }
     }
 
+    /// Replace `name`'s rows with a load. Held subscriptions over it
+    /// switch to re-evaluation first. A live relation's log counts the
+    /// rows its last checkpoint saw in the manifest, which the load
+    /// replaced, so a checkpoint re-bases it on the loaded rows at once.
+    fn load(
+        &mut self,
+        name: &str,
+        schema: TemporalSchema,
+        rows: &[Row],
+        known_orders: Vec<StreamOrder>,
+    ) -> TdbResult<()> {
+        self.live.release_held(&self.catalog, name)?;
+        self.catalog
+            .create_relation(name, schema, rows, known_orders)?;
+        if self.live.is_live(name) {
+            self.live.checkpoint(&mut self.catalog)?;
+        }
+        Ok(())
+    }
+
     fn command(&mut self, ctx: &mut ClientState, line: &str) -> Response {
         match self.command_inner(ctx, line) {
             Ok(r) => r,
@@ -494,8 +514,7 @@ impl Engine {
                 }
                 .generate();
                 let rows: Vec<Row> = faculty.iter().map(|t| t.to_row()).collect();
-                self.live.release_held(&self.catalog, "Faculty")?;
-                self.catalog.create_relation(
+                self.load(
                     "Faculty",
                     TemporalSchema::time_sequence("Name", "Rank"),
                     &rows,
@@ -543,13 +562,7 @@ impl Engine {
                         ])
                     })
                     .collect();
-                self.live.release_held(&self.catalog, name)?;
-                self.catalog.create_relation(
-                    name,
-                    interval_schema()?,
-                    &rows,
-                    vec![StreamOrder::TS_ASC],
-                )?;
+                self.load(name, interval_schema()?, &rows, vec![StreamOrder::TS_ASC])?;
                 Ok(Response::Info(format!(
                     "{name} loaded: {} tuples\n",
                     rows.len()
@@ -574,7 +587,7 @@ impl Engine {
                         "engine is not durable (start with --data-dir)\n".into(),
                     ));
                 }
-                let n = self.live.checkpoint_all()?;
+                let n = self.live.checkpoint(&mut self.catalog)?;
                 Ok(Response::Info(format!(
                     "checkpointed {n} relation log{}\n",
                     if n == 1 { "" } else { "s" }
@@ -1412,7 +1425,7 @@ pub const HELP: &str = r#"commands:
   \live                                       live status: watermarks, staging, subscriptions
   \live close <rel>                           seal a live stream (all staged rows final)
   \stats                                      observability: counters, slow queries, live + net + wal telemetry
-  \checkpoint                                 compact every relation's write-ahead log to its open window
+  \checkpoint                                 sync heaps and manifest, compact every log to its open window
   \trace on|off                               attach per-operator traces (observed vs predicted workspace)
   \trace export                               last query's stage spans as JSON
   \slo                                        SLO status: burn rates, windows, health verdict
@@ -2074,6 +2087,70 @@ mod tests {
             panic!("expected info");
         };
         assert!(msg.contains("not durable"), "{msg}");
+    }
+
+    #[test]
+    fn an_acknowledged_batch_costs_one_sync_and_a_checkpoint_a_fixed_set() {
+        let dir = std::env::temp_dir().join(format!("tdb-engine-api-{}-syncs", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut ctx = ClientState::default();
+        let mut e = Engine::open_durable(&dir, tdb::wal::FlushPolicy::GroupCommit).unwrap();
+        let resp = e.ingest_text("S", "0 5 r0\n");
+        assert!(matches!(resp, Response::Ingest(_)), "{resp:?}");
+        let counts = |e: &mut Engine, ctx: &mut ClientState| {
+            let Response::Stats(s) = e.execute(ctx, "\\stats") else {
+                panic!("expected stats");
+            };
+            let w = s.wal.expect("durable engine reports wal stats");
+            (w.fsyncs, w.checkpoints)
+        };
+        let (fsyncs, checkpoints) = counts(&mut e, &mut ctx);
+        // Each batch promotes the one before it: its group commit is the
+        // only sync, the heap append waits for the next checkpoint.
+        for i in 1..=12 {
+            let resp = e.ingest_text("S", &format!("{} {} r{i}\n", 10 * i, 10 * i + 5));
+            let Response::Ingest(report) = resp else {
+                panic!("expected ingest, got {resp:?}");
+            };
+            assert_eq!(report.promoted, 1, "batch {i}");
+        }
+        assert_eq!(counts(&mut e, &mut ctx), (fsyncs + 12, checkpoints));
+        // A checkpoint syncs the heap appended to, the manifest and its
+        // directory, then the rewritten log and its directory.
+        let Response::Info(msg) = e.execute(&mut ctx, "\\checkpoint") else {
+            panic!("expected info");
+        };
+        assert!(msg.contains("checkpointed 1 relation log"), "{msg}");
+        assert_eq!(counts(&mut e, &mut ctx), (fsyncs + 17, checkpoints + 1));
+        // With nothing appended since, no heap needs its sync.
+        e.execute(&mut ctx, "\\checkpoint");
+        assert_eq!(counts(&mut e, &mut ctx), (fsyncs + 21, checkpoints + 2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reloaded_live_relation_reopens_with_the_loaded_rows() {
+        let dir =
+            std::env::temp_dir().join(format!("tdb-engine-api-{}-reload", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut ctx = ClientState::default();
+        {
+            let mut e = Engine::open_durable(&dir, tdb::wal::FlushPolicy::GroupCommit).unwrap();
+            let resp = e.ingest_text("S", "0 10 a\n5 20 b\n30 40 c\n");
+            assert!(matches!(resp, Response::Ingest(_)), "{resp:?}");
+            let resp = e.execute(&mut ctx, "\\gen intervals S 5 3 8 1");
+            assert!(matches!(resp, Response::Info(_)), "{resp:?}");
+        }
+        // The promotions of `a` and `b` were never checkpointed; the load
+        // replaced them, and the log no longer counts them.
+        let e = Engine::open_durable(&dir, tdb::wal::FlushPolicy::GroupCommit).unwrap();
+        assert_eq!(e.catalog.meta("S").unwrap().rows, 5);
+        assert_eq!(
+            e.live().relation("S").unwrap().staged_len(),
+            1,
+            "`c` is open"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //!
 //! 1. promote each relation's watermark-closed prefix into the catalog
 //!    heap (order-preserving append — [`Catalog::append_rows`] checks the
-//!    claimed sort orders against the stored tail, in O(promoted rows));
+//!    claimed sort orders against the stored tail, in O(promoted rows)),
+//!    and checkpoint once any write-ahead log has grown past
+//!    [`CHECKPOINT_BYTES`];
 //! 2. snapshot online statistics as per-relation overrides, and each live
 //!    relation's horizon (what it may still promote);
 //! 3. re-verify every subscription under those statistics and collect
@@ -28,7 +30,7 @@ use tdb_analyze::{plan_verified_live, Analysis, AnalyzeConfig};
 use tdb_core::{Row, StreamOrder, TdbError, TdbResult, TemporalSchema, TemporalStats, TimePoint};
 use tdb_obs::Registry;
 use tdb_storage::Catalog;
-use tdb_wal::{replay, FlushPolicy, WalMetrics, WalRecord, WalStore};
+use tdb_wal::{replay, FlushPolicy, WalMetrics, WalRecord, WalStore, CHECKPOINT_BYTES};
 
 /// Engine-wide knobs.
 #[derive(Debug, Clone, Copy)]
@@ -64,9 +66,11 @@ pub struct ReplaySummary {
     pub torn_truncations: u64,
     /// Open-suffix rows restaged into live state.
     pub rows_restaged: usize,
-    /// Rows whose promotion was confirmed durable in the catalog and
-    /// therefore not restaged.
+    /// Logged rows the catalog manifest already held, so not restaged.
     pub rows_already_promoted: usize,
+    /// Logged rows promoted before the crash that the manifest did not
+    /// hold yet, appended to the catalog again.
+    pub rows_repromoted: usize,
     /// Wall-clock replay time in microseconds.
     pub duration_us: u64,
 }
@@ -112,18 +116,23 @@ impl LiveEngine {
     ///
     /// Replay reconstructs each logged relation — watermark frontier,
     /// seal flag, staged open suffix, and online statistics over that
-    /// suffix — then immediately checkpoints, so the next open replays
-    /// only the still-open window. Torn log tails (a crash mid-write) are
-    /// truncated back to the last intact frame; only a CRC-valid frame
-    /// that fails to decode is an error.
+    /// suffix — reconciles it by count against the rows `catalog`'s
+    /// manifest holds, and re-applies every promotion the manifest does
+    /// not hold. Then it checkpoints, so the next open replays only the
+    /// still-open window. Torn log tails (a crash mid-write) are truncated
+    /// back to the last intact frame; only a CRC-valid frame that fails
+    /// to decode is an error. From here on every sync `catalog` makes
+    /// counts in `tdb_wal_fsyncs_total`.
     pub fn open_durable(
         wal_dir: impl Into<PathBuf>,
         config: LiveConfig,
-        catalog: &Catalog,
+        catalog: &mut Catalog,
         registry: &Registry,
     ) -> TdbResult<(LiveEngine, ReplaySummary)> {
         let start = std::time::Instant::now();
         let store = WalStore::open(wal_dir, config.flush, registry)?;
+        let metrics = store.metrics().clone();
+        catalog.observe_syncs(move |us| metrics.observe_fsync("catalog", us));
         let mut engine = LiveEngine::new(config);
         let mut summary = ReplaySummary::default();
         for name in store.existing_logs()? {
@@ -148,7 +157,7 @@ impl LiveEngine {
                     "wal for `{name}` exists but the catalog does not know the relation"
                 ))
             })?;
-            let (mut rel, recovery) = LiveRelation::recover(
+            let (mut rel, held) = LiveRelation::recover(
                 &name,
                 meta.schema.clone(),
                 *order,
@@ -156,6 +165,7 @@ impl LiveEngine {
                 &outcome.records,
                 meta.rows as u64,
             )?;
+            let repromoted = promote(&mut rel, catalog)?;
             store
                 .metrics()
                 .replayed_records
@@ -163,21 +173,21 @@ impl LiveEngine {
             summary.relations += 1;
             summary.records += outcome.records.len();
             summary.bytes += outcome.bytes;
-            summary.rows_restaged += recovery.restaged;
-            summary.rows_already_promoted += recovery.rows_already_promoted;
+            summary.rows_restaged += rel.staged_len();
+            summary.rows_already_promoted += held;
+            summary.rows_repromoted += repromoted.len();
             rel.attach_wal(store.open_log(&name)?);
-            // Compact right away: the replayed prefix is now redundant,
-            // so the next open pays only for the open window.
-            rel.wal_checkpoint()?;
             engine.relations.insert(name, rel);
         }
+        engine.wal = Some(store);
+        // The replayed prefix is now redundant, so the next open pays only
+        // for the open window.
+        engine.checkpoint(catalog)?;
         summary.duration_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        {
-            let m = store.metrics();
+        if let Some(m) = engine.wal_metrics() {
             m.replay_bytes.set(summary.bytes as f64);
             m.replay_micros.set(summary.duration_us as f64);
         }
-        engine.wal = Some(store);
         Ok((engine, summary))
     }
 
@@ -192,19 +202,29 @@ impl LiveEngine {
         self.wal.as_ref().map(WalStore::metrics)
     }
 
-    /// Checkpoint every durable relation's log now (compacting each to
-    /// its open window) and return how many logs were rewritten. A no-op
-    /// returning 0 for a non-durable engine.
-    pub fn checkpoint_all(&mut self) -> TdbResult<usize> {
+    /// Checkpoint now and return how many relation logs were rewritten
+    /// (0 for a non-durable engine, which has none).
+    ///
+    /// The one checkpoint routine, run when a log passes
+    /// [`CHECKPOINT_BYTES`], at registration, at open and on request. It
+    /// is engine-wide because the manifest is shared. No log holds
+    /// buffered frames between calls (admission and sealing commit), so
+    /// every acknowledged row is in the logs already; then
+    /// [`Catalog::persist`] syncs every heap appended to since the last
+    /// manifest write and replaces the manifest, syncing its directory;
+    /// only then is each log rewritten to `Register · Checkpoint ·
+    /// open suffix`. A crash between the two finds the new manifest with
+    /// the old logs, and replay's count reconciliation drops what the
+    /// manifest holds.
+    pub fn checkpoint(&mut self, catalog: &mut Catalog) -> TdbResult<usize> {
         if self.wal.is_none() {
             return Ok(0);
         }
-        let mut n = 0;
+        catalog.persist()?;
         for rel in self.relations.values_mut() {
-            rel.wal_checkpoint()?;
-            n += 1;
+            rel.wal_checkpoint(catalog.meta(rel.name())?.rows as u64)?;
         }
-        Ok(n)
+        Ok(self.relations.len())
     }
 
     /// Epochs completed so far. Every delta stamped with epoch `e` was
@@ -292,10 +312,9 @@ impl LiveEngine {
         // nothing; from here on it does, so re-evaluate instead.
         self.release_held(catalog, name)?;
         if let Some(store) = &self.wal {
-            // Make the DDL event durable before the first row arrives,
-            // and pin the reconciliation baseline to the rows the catalog
-            // already holds so replay never re-counts them.
-            rel.set_durable_rows(catalog.meta(name)?.rows as u64);
+            // Make the DDL event durable before the first row arrives;
+            // the checkpoint below pins the baseline to the rows the
+            // catalog already holds, so replay never re-counts them.
             rel.attach_wal(store.create_log(
                 name,
                 &WalRecord::Register {
@@ -303,9 +322,9 @@ impl LiveEngine {
                     slack: self.config.slack,
                 },
             )?);
-            rel.wal_checkpoint()?;
         }
         self.relations.insert(name.to_string(), rel);
+        self.checkpoint(catalog)?;
         Ok(())
     }
 
@@ -406,17 +425,8 @@ impl LiveEngine {
             ..LiveReport::default()
         };
         for rel in self.relations.values_mut() {
-            let closed = rel.take_closed();
+            let closed = promote(rel, catalog)?;
             if !closed.is_empty() {
-                // Durable promotion protocol: fsync the Promote intent
-                // first, so a crash between here and the heap append is
-                // reconciled on replay (the batch is restaged); confirm
-                // and checkpoint once the catalog holds the rows, so the
-                // log shrinks back to the open window.
-                rel.wal_promote_intent(closed.len())?;
-                catalog.append_rows(rel.name(), &closed)?;
-                rel.confirm_promotion(closed.len() as u64);
-                rel.wal_checkpoint()?;
                 report.promoted += closed.len();
                 // Handed over at once: a later failure this epoch must
                 // not lose rows the catalog already holds.
@@ -424,6 +434,13 @@ impl LiveEngine {
                     sub.hand(rel.name(), &closed);
                 }
             }
+        }
+        if self
+            .relations
+            .values()
+            .any(|r| r.log_bytes() > CHECKPOINT_BYTES)
+        {
+            self.checkpoint(catalog)?;
         }
         if self.subscriptions.iter().all(Subscription::is_cancelled) {
             return Ok(report);
@@ -465,6 +482,17 @@ impl LiveEngine {
             .filter_map(|(name, rel)| rel.live_stats().map(|s| (name.clone(), s)))
             .collect()
     }
+}
+
+/// Promote `rel`'s watermark-closed prefix: append it to the catalog
+/// heap, with no sync and no manifest write — the log holds those rows
+/// until the next checkpoint makes the heap durable. Returns the rows.
+fn promote(rel: &mut LiveRelation, catalog: &mut Catalog) -> TdbResult<Vec<Row>> {
+    let closed = rel.take_closed();
+    if !closed.is_empty() {
+        catalog.append_rows(rel.name(), &closed)?;
+    }
+    Ok(closed)
 }
 
 #[cfg(test)]
@@ -631,7 +659,7 @@ mod tests {
             let (mut eng, replayed) = LiveEngine::open_durable(
                 dir.join("wal"),
                 LiveConfig::default(),
-                &cat,
+                &mut cat,
                 &Registry::new(),
             )
             .unwrap();
@@ -651,16 +679,20 @@ mod tests {
         };
         // Reopen from disk: no seal, so the open suffix must be restaged
         // and the frontier reproduced exactly.
-        let cat = Catalog::open_durable(dir.join("cat"), IoStats::new()).unwrap();
+        let mut cat = Catalog::open_durable(dir.join("cat"), IoStats::new()).unwrap();
         let (eng, replayed) = LiveEngine::open_durable(
             dir.join("wal"),
             LiveConfig::default(),
-            &cat,
+            &mut cat,
             &Registry::new(),
         )
         .unwrap();
         assert_eq!(replayed.relations, 1);
         assert_eq!(replayed.rows_restaged, staged);
+        // No checkpoint ran after the promotion, so the manifest does not
+        // name its heap pages: the reopen cut them and promoted again.
+        assert_eq!(replayed.rows_already_promoted, 0);
+        assert_eq!(replayed.rows_repromoted as u64, promoted);
         let rel = eng.relation("Faculty").unwrap();
         assert_eq!(rel.watermark(), frontier);
         assert_eq!(rel.staged_len(), staged);

@@ -35,5 +35,5 @@ pub mod subscription;
 
 pub use engine::{LiveConfig, LiveEngine, LiveReport, ReplaySummary};
 pub use ewma::OnlineStats;
-pub use relation::{LiveRelation, RelationRecovery};
+pub use relation::LiveRelation;
 pub use subscription::{Delta, Subscription, SubscriptionMode};

@@ -30,16 +30,6 @@ use tdb_core::{
 use tdb_stream::{Progress, Watermark};
 use tdb_wal::{WalLog, WalRecord};
 
-/// Counters from replaying one relation's write-ahead log.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RelationRecovery {
-    /// Open-suffix rows restaged from the log.
-    pub restaged: usize,
-    /// Rows from `Promote` markers confirmed durable in the catalog and
-    /// therefore dropped instead of restaged.
-    pub rows_already_promoted: usize,
-}
-
 /// Live state of one relation.
 pub struct LiveRelation {
     name: String,
@@ -55,10 +45,6 @@ pub struct LiveRelation {
     progress: Progress,
     /// Write-ahead log, when the relation runs durably.
     wal: Option<WalLog>,
-    /// Rows the catalog durably holds for this relation (base rows plus
-    /// confirmed promotions). Checkpoints persist it; replay reconciles
-    /// `Promote` markers against the catalog's actual row count with it.
-    durable_rows: u64,
     /// Rows admitted past validation into staging.
     admitted: u64,
     /// Rows promoted into the catalog heap.
@@ -92,7 +78,6 @@ impl LiveRelation {
             stats: OnlineStats::new(order.primary.key),
             progress: Progress::new(),
             wal: None,
-            durable_rows: 0,
             admitted: 0,
             promoted: 0,
             promotion_batches: 0,
@@ -102,12 +87,17 @@ impl LiveRelation {
     }
 
     /// Rebuild live state from a replayed write-ahead log: restore the
-    /// watermark from the checkpoint head, restage the open suffix by
-    /// re-observing each logged append (deterministic, so the recovered
-    /// frontier equals the pre-crash frontier exactly), and reconcile
-    /// `Promote` markers against the catalog's durable row count so a
-    /// promotion interrupted between its intent record and the heap
-    /// append is neither lost nor applied twice.
+    /// watermark from the checkpoint head, restage every logged append by
+    /// re-observing it (deterministic, so the recovered frontier equals
+    /// the pre-crash frontier exactly), then reconcile by count against
+    /// `catalog_rows`, the rows the manifest holds. The checkpoint's
+    /// `promoted` rows were in the catalog when the log was compacted, and
+    /// each promotion since took the watermark-closed rows — all below
+    /// every later arrival — so the catalog's further rows are exactly the
+    /// first ones of the restaged rows in sort order: those are dropped.
+    /// The closed rows left staged are promotions the manifest does not
+    /// hold yet; the caller re-applies them. Returns the relation and how
+    /// many restaged rows the catalog already held.
     pub(crate) fn recover(
         name: &str,
         schema: TemporalSchema,
@@ -115,12 +105,12 @@ impl LiveRelation {
         slack: i64,
         records: &[WalRecord],
         catalog_rows: u64,
-    ) -> TdbResult<(LiveRelation, RelationRecovery)> {
+    ) -> TdbResult<(LiveRelation, usize)> {
         let corrupt = |i: usize, detail: String| {
             TdbError::Corrupt(format!("wal replay for `{name}`, record #{i}: {detail}"))
         };
         let mut rel = LiveRelation::new(name, schema, order, slack);
-        let mut recovery = RelationRecovery::default();
+        let mut checkpointed = 0;
         for (i, record) in records.iter().enumerate() {
             match record {
                 WalRecord::Register { .. } => {
@@ -135,7 +125,7 @@ impl LiveRelation {
                 } => {
                     rel.watermark =
                         Watermark::restore(order.primary.key, slack, *frontier, *sealed);
-                    rel.durable_rows = *promoted;
+                    checkpointed = *promoted;
                 }
                 WalRecord::Append { row } => {
                     rel.schema.check_row(row)?;
@@ -146,45 +136,33 @@ impl LiveRelation {
                         .map_err(|e| corrupt(i, e.to_string()))?;
                     rel.stats.observe(&period);
                     rel.staged.push(staged);
-                    recovery.restaged += 1;
                 }
                 // The frontier is reproduced by re-observing the appends;
                 // the logged value is a cross-check we accept silently.
-                WalRecord::Watermark { .. } => {}
+                // Promotions reconcile by count below, not by marker.
+                WalRecord::Watermark { .. } | WalRecord::Promote { .. } => {}
                 WalRecord::Seal => rel.watermark.seal(),
-                WalRecord::Promote { closed } => {
-                    let batch = rel.drain_closed();
-                    if batch.len() as u64 != *closed {
-                        return Err(corrupt(
-                            i,
-                            format!(
-                                "promote marker claims {closed} closed rows, replay closes {}",
-                                batch.len()
-                            ),
-                        ));
-                    }
-                    if catalog_rows >= rel.durable_rows + closed {
-                        // The heap append reached the catalog before the
-                        // crash: dropping the batch avoids double-apply.
-                        rel.durable_rows += closed;
-                        recovery.rows_already_promoted += batch.len();
-                        recovery.restaged -= batch.len();
-                        rel.progress.add_gc_discarded(*closed);
-                    } else {
-                        // The append never happened: keep the rows staged
-                        // so the next epoch re-promotes them.
-                        rel.staged.extend(batch);
-                    }
-                }
             }
         }
-        // Registration always creates the catalog relation empty, so the
-        // durable baseline is exactly the rows this relation promoted.
-        rel.promoted = rel.durable_rows;
+        let held = catalog_rows
+            .checked_sub(checkpointed)
+            .and_then(|n| usize::try_from(n).ok())
+            .filter(|&n| n <= rel.staged.len())
+            .ok_or_else(|| {
+                TdbError::Corrupt(format!(
+                    "wal replay for `{name}`: the catalog holds {catalog_rows} rows, but the \
+                     log's checkpoint holds {checkpointed} and it restages {} more",
+                    rel.staged.len()
+                ))
+            })?;
+        rel.order.sort(&mut rel.staged);
+        rel.staged.drain(..held);
+        rel.progress.add_gc_discarded(held as u64);
+        rel.promoted = catalog_rows;
         rel.admitted = rel.promoted + rel.staged.len() as u64;
         rel.progress.add_admitted(rel.admitted);
         rel.watermark.publish_lag(&rel.progress);
-        Ok((rel, recovery))
+        Ok((rel, held))
     }
 
     /// Attach a write-ahead log: from here on every admitted batch is
@@ -198,34 +176,18 @@ impl LiveRelation {
         self.wal.is_some()
     }
 
-    /// Record that the catalog durably holds `n` rows for this relation
-    /// (the baseline at registration time).
-    pub(crate) fn set_durable_rows(&mut self, n: u64) {
-        self.durable_rows = n;
-    }
-
-    /// Log the intent to promote `n` closed rows and force it to disk
-    /// (per the flush policy) *before* the catalog heap append, so replay
-    /// can reconcile an interrupted promotion.
-    pub(crate) fn wal_promote_intent(&mut self, n: usize) -> TdbResult<()> {
-        if let Some(wal) = &mut self.wal {
-            wal.append(&WalRecord::Promote { closed: n as u64 })?;
-            wal.commit()?;
-        }
-        Ok(())
-    }
-
-    /// The catalog heap append for `n` promoted rows is durable; advance
-    /// the reconciliation baseline.
-    pub(crate) fn confirm_promotion(&mut self, n: u64) {
-        self.durable_rows += n;
+    /// The length of this relation's log on disk, 0 when not durable.
+    pub(crate) fn log_bytes(&self) -> u64 {
+        self.wal.as_ref().map_or(0, WalLog::bytes)
     }
 
     /// Checkpoint: atomically compact the log to `Register` +
     /// `Checkpoint` + the still-open staged suffix, in sort order.
-    /// Replay cost after this is bounded by the open window, not the
-    /// stream length.
-    pub(crate) fn wal_checkpoint(&mut self) -> TdbResult<()> {
+    /// `catalog_rows` is what the manifest durably holds for this
+    /// relation, so call this only once the manifest is written. Replay
+    /// cost after this is bounded by the open window, not the stream
+    /// length.
+    pub(crate) fn wal_checkpoint(&mut self, catalog_rows: u64) -> TdbResult<()> {
         let Some(wal) = self.wal.as_mut() else {
             return Ok(());
         };
@@ -238,7 +200,7 @@ impl LiveRelation {
             slack: self.slack,
         });
         records.push(WalRecord::Checkpoint {
-            promoted: self.durable_rows,
+            promoted: catalog_rows,
             frontier: self.watermark.current(),
             // Restoring a sealed watermark before re-observing appends
             // would reject them; when rows remain open the seal is

@@ -10,9 +10,10 @@
 use crate::heap::{HeapFile, PageScan};
 use crate::iostats::IoStats;
 use crate::page::PAGE_SIZE;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use tdb_core::{
     jobj, Direction, Field, FieldType, Json, Period, Row, Schema, SortKey, SortSpec,
     StatsAccumulator, StreamOrder, TdbError, TdbResult, TemporalSchema, TemporalStats, TimePoint,
@@ -35,9 +36,10 @@ pub struct RelationMeta {
     pub stats: TemporalStats,
     /// Sort orders the stored row sequence satisfies.
     pub known_orders: Vec<StreamOrder>,
-    /// Durable page count of the heap file at the last manifest write.
-    /// Each append batch writes only fresh pages, so this is the commit
-    /// point a durable reopen truncates torn trailing pages back to.
+    /// Page count of the heap file. In the manifest it is the durable
+    /// page count: each append batch writes only fresh pages, and a heap
+    /// is synced before the manifest names its pages, so this is the
+    /// commit point a durable reopen truncates trailing pages back to.
     /// `None` for manifests written before durability existed.
     pub pages: Option<u64>,
 }
@@ -271,6 +273,9 @@ fn sweep_heaps(dir: &Path, relations: &BTreeMap<String, RelationMeta>) -> TdbRes
     Ok(())
 }
 
+/// Told the latency in microseconds of every sync a durable catalog makes.
+type SyncObserver = Arc<dyn Fn(u64) + Send + Sync>;
+
 /// A directory-backed catalog of temporal relations.
 pub struct Catalog {
     dir: PathBuf,
@@ -279,10 +284,16 @@ pub struct Catalog {
     /// append after [`Catalog::open`] (or from the rows at creation).
     tails: BTreeMap<String, Tail>,
     io: IoStats,
-    /// When set, every manifest write goes through write-temp → fsync →
-    /// rename and heap appends are fdatasync'd before the manifest points
-    /// at them, so a crash can never expose a half-written catalog.
+    /// When set, a manifest write goes through write-temp → fsync →
+    /// rename → directory sync, and it first syncs every heap appended to
+    /// since the last one, so the manifest never names an unsynced page.
+    /// Appends themselves neither sync nor write the manifest: the
+    /// caller's write-ahead log covers them until [`Catalog::persist`].
     durable: bool,
+    /// Relations whose heap has pages appended since the last manifest
+    /// write (durable catalogs only).
+    unsynced: BTreeSet<String>,
+    on_sync: Option<SyncObserver>,
 }
 
 impl Catalog {
@@ -316,13 +327,15 @@ impl Catalog {
             tails: BTreeMap::new(),
             io,
             durable: false,
+            unsynced: BTreeSet::new(),
+            on_sync: None,
         })
     }
 
-    /// Open a catalog in durable mode: crash-safe manifest writes, synced
-    /// heap appends, and torn trailing heap pages (from a batch that died
-    /// before its manifest update) truncated back to the last durable
-    /// page count recorded in the manifest.
+    /// Open a catalog in durable mode: crash-safe manifest writes that
+    /// sync the heaps they name first, and trailing heap pages the
+    /// manifest does not name (appends since its last write, possibly
+    /// torn) truncated back to the durable page count it records.
     pub fn open_durable(dir: impl AsRef<Path>, io: IoStats) -> TdbResult<Catalog> {
         let mut cat = Self::open(dir, io)?;
         cat.durable = true;
@@ -335,11 +348,32 @@ impl Catalog {
         self.durable
     }
 
+    /// Report each later sync's latency in microseconds to `observe`, so
+    /// one counter can see every sync on the durable path.
+    pub fn observe_syncs(&mut self, observe: impl Fn(u64) + Send + Sync + 'static) {
+        self.on_sync = Some(Arc::new(observe));
+    }
+
+    /// Run one sync, reporting its latency to the sync observer.
+    fn timed_sync<E>(&self, sync: impl FnOnce() -> Result<(), E>) -> TdbResult<()>
+    where
+        TdbError: From<E>,
+    {
+        let t = std::time::Instant::now();
+        sync()?;
+        if let Some(observe) = &self.on_sync {
+            observe(u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX));
+        }
+        Ok(())
+    }
+
     /// Truncate each heap file back to its manifest-recorded durable page
     /// count. Appends only ever write fresh pages past that point, so
-    /// anything beyond it is an unacknowledged batch torn by a crash. A
-    /// heap *shorter* than the manifest claims is real corruption: the
-    /// manifest is only renamed into place after the heap is synced.
+    /// anything beyond it was appended after the last manifest write —
+    /// whole, torn or lost by a power cut — and is the write-ahead log's
+    /// to re-apply. A heap *shorter* than the manifest claims is real
+    /// corruption: the manifest is only renamed into place after the heap
+    /// is synced.
     fn repair_heaps(&self) -> TdbResult<()> {
         for meta in self.relations.values() {
             let Some(pages) = meta.pages else { continue };
@@ -361,28 +395,41 @@ impl Catalog {
         Ok(())
     }
 
-    fn persist(&self) -> TdbResult<()> {
+    /// Write the manifest. A durable catalog first syncs every heap
+    /// appended to since the last write, then replaces the manifest
+    /// crash-safely (temp file, sync, rename, directory sync), so a crash
+    /// finds the old or the new manifest and every page it names. The
+    /// directory sync also makes a fresh heap generation's entry durable.
+    pub fn persist(&mut self) -> TdbResult<()> {
         let doc = Json::Object(
             self.relations
                 .iter()
                 .map(|(name, meta)| (name.clone(), meta.to_json()))
                 .collect(),
-        );
+        )
+        .to_string_pretty();
         let path = self.dir.join(Self::MANIFEST);
-        if self.durable {
-            // Crash-safe replace: the manifest is either the old complete
-            // version or the new complete version, never a torn mix.
-            let tmp = self.dir.join("catalog.json.tmp");
-            {
-                let mut f = std::fs::File::create(&tmp)?;
-                f.write_all(doc.to_string_pretty().as_bytes())?;
-                f.sync_all()?;
-            }
-            std::fs::rename(&tmp, &path)?;
-        } else {
-            std::fs::write(path, doc.to_string_pretty())?;
+        if !self.durable {
+            // Non-durable: nothing is promised across a crash. lint:allow(no-unsynced-durability-write)
+            std::fs::write(path, doc)?;
+            return Ok(());
         }
-        Ok(())
+        for name in &self.unsynced {
+            if let Some(meta) = self.relations.get(name) {
+                let heap = std::fs::File::open(self.dir.join(&meta.file))?;
+                self.timed_sync(|| heap.sync_data())?;
+            }
+        }
+        self.unsynced.clear();
+        let tmp = self.dir.join("catalog.json.tmp");
+        {
+            let mut f = std::fs::File::create(&tmp)?;
+            f.write_all(doc.as_bytes())?;
+            self.timed_sync(|| f.sync_all())?;
+        }
+        std::fs::rename(&tmp, &path)?;
+        let dir = std::fs::File::open(&self.dir)?;
+        self.timed_sync(|| dir.sync_all())
     }
 
     /// The I/O counter handle shared by this catalog's files.
@@ -442,7 +489,7 @@ impl Catalog {
         }
         heap.flush()?;
         if self.durable {
-            heap.sync_data()?;
+            self.timed_sync(|| heap.sync_data())?;
         }
 
         let stats = TemporalStats::compute(&periods);
@@ -460,6 +507,7 @@ impl Catalog {
                 pages,
             },
         );
+        self.unsynced.remove(name);
         self.persist()?;
         if let Some(replaced) = replaced {
             let _ = std::fs::remove_file(self.dir.join(replaced));
@@ -481,6 +529,11 @@ impl Catalog {
     /// while the stored rows stay sorted on `TS`; an append that does not
     /// continue that order recomputes them from a full scan. Returns the
     /// new total row count.
+    ///
+    /// A durable catalog neither syncs the heap nor writes the manifest
+    /// here: the rows are visible at once, and durable from the next
+    /// [`Catalog::persist`] (a checkpoint, or any DDL). Until then the
+    /// caller's write-ahead log must cover them — a reopen cuts the pages.
     pub fn append_rows(&mut self, name: &str, rows: &[Row]) -> TdbResult<usize> {
         let meta = self.meta(name)?;
         if rows.is_empty() {
@@ -523,9 +576,6 @@ impl Catalog {
             heap.append(row)?;
         }
         heap.flush()?;
-        if self.durable {
-            heap.sync_data()?;
-        }
 
         tail.last = periods.last().copied();
         let extended = tail
@@ -552,7 +602,11 @@ impl Catalog {
         meta.rows = total;
         meta.stats = stats;
         meta.pages = pages;
-        self.persist()?;
+        if self.durable {
+            self.unsynced.insert(name.to_string());
+        } else {
+            self.persist()?;
+        }
         Ok(total)
     }
 
@@ -588,8 +642,11 @@ impl Catalog {
             .remove(name)
             .ok_or_else(|| TdbError::Catalog(format!("unknown relation `{name}`")))?;
         self.tails.remove(name);
+        self.unsynced.remove(name);
+        // The manifest stops naming the heap before the heap goes.
+        self.persist()?;
         let _ = std::fs::remove_file(self.dir.join(&meta.file));
-        self.persist()
+        Ok(())
     }
 }
 
@@ -827,6 +884,50 @@ mod tests {
         cat.append_rows("S", &[at(40, 45), at(41, 60)]).unwrap();
         assert_stats_match_scan(&cat, "S");
         assert_eq!(cat.meta("S").unwrap().stats.max_concurrency, 3);
+    }
+
+    #[test]
+    fn durable_appends_wait_for_persist_and_every_sync_is_observed() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let dir = tmpdir("durable");
+        let schema = TemporalSchema::time_sequence("Name", "Rank");
+        let on_disk = || {
+            Catalog::open(&dir, IoStats::new())
+                .unwrap()
+                .meta("R")
+                .unwrap()
+                .rows
+        };
+        let syncs = Arc::new(AtomicU64::new(0));
+        let mut cat = Catalog::open_durable(&dir, IoStats::new()).unwrap();
+        let seen = Arc::clone(&syncs);
+        cat.observe_syncs(move |_| {
+            seen.fetch_add(1, Ordering::Relaxed);
+        });
+        let synced = || syncs.load(Ordering::Relaxed);
+        cat.create_relation("R", schema, &[at(0, 4)], vec![StreamOrder::TS_ASC])
+            .unwrap();
+        assert_eq!(synced(), 3, "heap, manifest and directory");
+        cat.append_rows("R", &[at(5, 6)]).unwrap();
+        assert_eq!(synced(), 3, "an append syncs nothing");
+        assert_eq!(cat.scan("R").unwrap().len(), 2, "appended rows are visible");
+        assert_eq!(on_disk(), 1, "and the manifest does not name them yet");
+        cat.persist().unwrap();
+        assert_eq!(
+            synced(),
+            6,
+            "the appended heap, then the manifest and directory"
+        );
+        assert_eq!(on_disk(), 2);
+        cat.persist().unwrap();
+        assert_eq!(synced(), 8, "no heap is left to sync");
+
+        // Pages the manifest does not name are cut by a durable reopen.
+        cat.append_rows("R", &[at(7, 9)]).unwrap();
+        drop(cat);
+        let cat = Catalog::open_durable(&dir, IoStats::new()).unwrap();
+        assert_eq!(cat.scan("R").unwrap(), [at(0, 4), at(5, 6)]);
+        assert_stats_match_scan(&cat, "R");
     }
 
     #[test]

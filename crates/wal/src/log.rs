@@ -22,6 +22,12 @@
 //! [`FlushPolicy`] trades durability for throughput: `PerRecord` syncs
 //! on every append, `GroupCommit` (the default) syncs once per commit
 //! batch, `Off` never syncs (crash durability is then best-effort).
+//!
+//! ## Size-bounded checkpoints
+//!
+//! [`WalLog::bytes`] is the log's length on disk. The live engine
+//! checkpoints once any log passes [`CHECKPOINT_BYTES`], so what a reopen
+//! replays is bounded by that constant plus the open window.
 
 use crate::crc::crc32;
 use crate::metrics::WalMetrics;
@@ -36,6 +42,10 @@ use tdb_storage::Codec;
 /// Largest accepted frame payload; anything bigger is treated as a torn
 /// or garbage length word.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
+
+/// A log longer than this many bytes triggers a checkpoint: the bound
+/// on what replay reads beyond the open window.
+pub const CHECKPOINT_BYTES: u64 = 1 << 20;
 
 /// When a log writer forces bytes to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -142,6 +152,8 @@ pub struct WalLog {
     relation: String,
     path: PathBuf,
     file: File,
+    /// Length of the file on disk: written frames, not buffered ones.
+    bytes: u64,
     buf: BytesMut,
     policy: FlushPolicy,
     metrics: WalMetrics,
@@ -172,6 +184,7 @@ impl WalLog {
         Ok(WalLog {
             relation: relation.into(),
             path,
+            bytes: file.metadata()?.len(),
             file,
             buf: BytesMut::new(),
             policy,
@@ -187,6 +200,12 @@ impl WalLog {
     /// This log's flush policy.
     pub fn policy(&self) -> FlushPolicy {
         self.policy
+    }
+
+    /// The log's length on disk in bytes (frames still buffered for the
+    /// next commit are not counted).
+    pub fn bytes(&self) -> u64 {
+        self.bytes
     }
 
     /// Buffer one record. Under [`FlushPolicy::PerRecord`] the frame is
@@ -216,15 +235,23 @@ impl WalLog {
         if !self.buf.is_empty() {
             self.file.write_all(&self.buf)?;
             self.metrics.bytes_written.add(self.buf.len() as u64);
+            self.bytes += self.buf.len() as u64;
             self.buf = BytesMut::new();
         }
         if sync {
-            let t = std::time::Instant::now();
-            self.file.sync_data()?;
-            self.metrics
-                .observe_fsync(&self.relation, t.elapsed().as_micros() as u64);
+            self.timed_sync(|| self.file.sync_data())?;
         }
         Ok(())
+    }
+
+    /// Run one sync and count it in `tdb_wal_fsyncs_total` with its
+    /// latency.
+    fn timed_sync(&self, sync: impl FnOnce() -> std::io::Result<()>) -> std::io::Result<()> {
+        let t = std::time::Instant::now();
+        let out = sync();
+        self.metrics
+            .observe_fsync(&self.relation, t.elapsed().as_micros() as u64);
+        out
     }
 
     /// Checkpoint compaction: atomically replace the log's contents with
@@ -232,29 +259,31 @@ impl WalLog {
     /// suffix). Written to a temp file, synced, and renamed over the old
     /// log, so a crash leaves either the old or the new log intact —
     /// never a mix. Replay cost after this is proportional to the open
-    /// window, not the stream length.
+    /// window, not the stream length. Both syncs (the file's and its
+    /// directory's) count in `tdb_wal_fsyncs_total`.
     pub fn rewrite(&mut self, records: &[WalRecord]) -> TdbResult<()> {
         // Anything buffered is superseded by the snapshot being written.
         self.buf = BytesMut::new();
         let tmp = self.path.with_extension("wal.new");
+        let mut frames = BytesMut::new();
+        for r in records {
+            put_frame(&mut frames, r);
+        }
         {
-            let mut frames = BytesMut::new();
-            for r in records {
-                put_frame(&mut frames, r);
-            }
             let mut file = File::create(&tmp)?;
             file.write_all(&frames)?;
-            file.sync_all()?;
+            self.timed_sync(|| file.sync_all())?;
             self.metrics.bytes_written.add(frames.len() as u64);
         }
         std::fs::rename(&tmp, &self.path)?;
         // Make the rename itself durable where the platform allows it.
         if let Some(parent) = self.path.parent() {
             if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_all();
+                let _ = self.timed_sync(|| dir.sync_all());
             }
         }
         self.file = OpenOptions::new().append(true).open(&self.path)?;
+        self.bytes = frames.len() as u64;
         self.metrics.checkpoints.inc();
         Ok(())
     }
@@ -374,6 +403,7 @@ mod tests {
         }
         log.commit().unwrap();
         let long = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(log.bytes(), long);
 
         let head = vec![
             WalRecord::Register {
@@ -388,13 +418,26 @@ mod tests {
             rec(98),
             rec(99),
         ];
+        let fsyncs = metrics.fsyncs.get();
         log.rewrite(&head).unwrap();
         assert!(std::fs::metadata(&path).unwrap().len() < long);
+        assert_eq!(log.bytes(), std::fs::metadata(&path).unwrap().len());
         assert_eq!(metrics.checkpoints.get(), 1);
+        assert_eq!(
+            metrics.fsyncs.get(),
+            fsyncs + 2,
+            "the file and its directory"
+        );
 
         // Appends after the rewrite land after the snapshot.
         log.append(&rec(100)).unwrap();
+        assert_eq!(
+            log.bytes(),
+            std::fs::metadata(&path).unwrap().len(),
+            "buffered"
+        );
         log.commit().unwrap();
+        assert_eq!(log.bytes(), std::fs::metadata(&path).unwrap().len());
         let out = replay(&path).unwrap();
         assert_eq!(out.records.len(), head.len() + 1);
         assert_eq!(out.records[..head.len()], head[..]);

@@ -32,7 +32,9 @@ pub struct WalMetrics {
     pub appends: Counter,
     /// Commit calls (`tdb_wal_commits_total`).
     pub commits: Counter,
-    /// fsync/fdatasync calls (`tdb_wal_fsyncs_total`).
+    /// Every sync on the durable path (`tdb_wal_fsyncs_total`): WAL
+    /// commits, checkpoint rewrites and their directory, and the catalog's
+    /// heap, manifest and directory syncs it reports here.
     pub fsyncs: Counter,
     /// fsync latency in microseconds (`tdb_wal_fsync_micros`).
     pub fsync_micros: Histogram,
@@ -63,7 +65,10 @@ impl WalMetrics {
         WalMetrics {
             appends: reg.counter("tdb_wal_appends_total", "WAL records appended."),
             commits: reg.counter("tdb_wal_commits_total", "WAL commit calls."),
-            fsyncs: reg.counter("tdb_wal_fsyncs_total", "WAL fsync/fdatasync calls."),
+            fsyncs: reg.counter(
+                "tdb_wal_fsyncs_total",
+                "Syncs on the durable path: WAL, heap, manifest and directory.",
+            ),
             fsync_micros: reg.histogram(
                 "tdb_wal_fsync_micros",
                 "WAL fsync latency in microseconds.",

@@ -2,9 +2,9 @@
 //!
 //! Every durable event on a live relation is one [`WalRecord`]: the
 //! relation's registration (the DDL event that starts each log), each
-//! admitted row, watermark advances, the end-of-stream seal, the
-//! promotion intent marker, and the checkpoint that heads a compacted
-//! log. Records ride inside CRC-framed envelopes (see [`crate::log`]);
+//! admitted row, watermark advances, the end-of-stream seal, and the
+//! checkpoint that heads a compacted log (plus the promotion marker older
+//! logs carry). Records ride inside CRC-framed envelopes (see [`crate::log`]);
 //! the payload's [`Codec`](tdb_storage::Codec) is written by
 //! `tdb-storage`'s [`wire_enum!`] from the variant list below: a tag
 //! byte, then the variant's fields in order — little-endian,
@@ -38,18 +38,18 @@ pub enum WalRecord {
     },
     /// End of stream: every staged tuple became final.
     Seal,
-    /// Promotion intent: the next `closed` watermark-closed rows (in
-    /// sort order) are about to be appended to the catalog heap. Fsynced
-    /// before the heap write so replay can tell whether the promotion
-    /// reached the catalog (reconciled against the catalog's durable row
-    /// count) and never double-applies it.
+    /// A promotion of the next `closed` watermark-closed rows, as logs
+    /// written before promotions were reconciled by count carry it.
+    /// Nothing writes it now and replay skips it: the manifest's row
+    /// count says how much of the logged stream the catalog holds.
     Promote {
         /// Rows in the promoted batch.
         closed: u64,
     },
     /// Head of a compacted log: state at the last checkpoint.
     Checkpoint {
-        /// Rows promoted into the catalog heap over the relation's life.
+        /// Rows the catalog manifest held for the relation when the log
+        /// was compacted.
         promoted: u64,
         /// Watermark frontier at the checkpoint.
         frontier: Option<TimePoint>,

@@ -8,10 +8,18 @@
 //! every case reopening must reconstruct exactly the acknowledged state:
 //! the watermark frontier, the catalog-promoted closed runs, and the
 //! staged open suffix — never more, never a panic. A batch the engine
-//! rejects must leave nothing behind that a reopen could restage. A
-//! deterministic matrix checks that replay cost tracks the open window,
-//! not the log length. A bulk reload killed on either side of its
-//! manifest rename reopens exactly the rows that rename committed.
+//! rejects must leave nothing behind that a reopen could restage.
+//!
+//! A snapshot keeps every byte written, as the page cache does when only
+//! the process dies. A power cut also loses what was never synced: the
+//! power-cut tests truncate, zero or scramble the heap bytes past the page
+//! count each snapshot's manifest names, after plain promotions and after
+//! the manifest writes a load or a registration makes mid-stream. A
+//! matrix reopens every pairing of manifest and log a crash inside a
+//! checkpoint can leave. A deterministic matrix checks that replay reads
+//! at most the checkpoint bound, and only the open window once compacted.
+//! A bulk reload killed on either side of its manifest rename reopens
+//! exactly the rows that rename committed.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -19,7 +27,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tdb::live::{LiveConfig, LiveEngine, ReplaySummary};
 use tdb::prelude::*;
-use tdb::storage::{Catalog, IoStats};
+use tdb::storage::{Catalog, IoStats, PAGE_SIZE};
+use tdb::wal::CHECKPOINT_BYTES;
 use tdb_obs::Registry;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -84,16 +93,29 @@ fn copy_dir(from: &Path, to: &Path) {
     }
 }
 
+/// Copy `dir`'s catalog and log directories into `dir/name`: the files a
+/// crash at this point would leave, page cache included.
+fn snapshot(dir: &Path, name: &str) -> PathBuf {
+    let snap = dir.join(name);
+    copy_dir(&dir.join("cat"), &snap.join("cat"));
+    copy_dir(&dir.join("wal"), &snap.join("wal"));
+    snap
+}
+
 /// Open (or reopen) a durable catalog + live engine rooted at `dir`.
-fn open(dir: &Path, slack: i64) -> (Catalog, LiveEngine, ReplaySummary) {
-    let cat = Catalog::open_durable(dir.join("cat"), IoStats::new()).unwrap();
+fn try_open(dir: &Path, slack: i64) -> TdbResult<(Catalog, LiveEngine, ReplaySummary)> {
+    let mut cat = Catalog::open_durable(dir.join("cat"), IoStats::new())?;
     let config = LiveConfig {
         slack,
         ..LiveConfig::default()
     };
     let (eng, replayed) =
-        LiveEngine::open_durable(dir.join("wal"), config, &cat, &Registry::new()).unwrap();
-    (cat, eng, replayed)
+        LiveEngine::open_durable(dir.join("wal"), config, &mut cat, &Registry::new())?;
+    Ok((cat, eng, replayed))
+}
+
+fn open(dir: &Path, slack: i64) -> (Catalog, LiveEngine, ReplaySummary) {
+    try_open(dir, slack).unwrap()
 }
 
 /// The observable acknowledged state of one relation, captured at a
@@ -109,22 +131,80 @@ struct Observed {
 }
 
 fn observe(cat: &Catalog, eng: &LiveEngine) -> Observed {
-    let rel = eng.relation("S").unwrap();
+    observe_rel(cat, eng, "S")
+}
+
+fn observe_rel(cat: &Catalog, eng: &LiveEngine, name: &str) -> Observed {
+    let rel = eng.relation(name).unwrap();
     Observed {
         watermark: rel.watermark(),
         sealed: rel.is_sealed(),
         staged: rel.staged_len(),
         admitted: rel.admitted(),
         promoted: rel.promoted(),
-        catalog_rows: cat.meta("S").unwrap().rows,
+        catalog_rows: cat.meta(name).unwrap().rows,
     }
 }
 
 /// Seal + advance a recovered engine and return the catalog's full
 /// contents: every row the recovered state holds, closed or open.
 fn drain(cat: &mut Catalog, eng: &mut LiveEngine) -> Vec<Row> {
-    eng.seal(cat, "S").unwrap();
-    cat.scan("S").unwrap()
+    drain_rel(cat, eng, "S")
+}
+
+fn drain_rel(cat: &mut Catalog, eng: &mut LiveEngine, name: &str) -> Vec<Row> {
+    eng.seal(cat, name).unwrap();
+    cat.scan(name).unwrap()
+}
+
+/// What a power cut leaves of the heap bytes no manifest names.
+#[derive(Debug, Clone, Copy)]
+enum Cut {
+    /// Cut short at a random length.
+    Truncated,
+    /// Replaced by zeros of a random length.
+    Zeroed,
+    /// Replaced by random bytes of a random length.
+    Random,
+}
+
+const CUTS: [Cut; 3] = [Cut::Truncated, Cut::Zeroed, Cut::Random];
+
+/// Cut every heap file of the snapshot at `snap` past the page count its
+/// manifest names — the bytes the durability protocol leaves unsynced —
+/// as `cut` says, with lengths and bytes drawn from `seed`.
+fn power_cut(snap: &Path, cut: Cut, seed: u64) {
+    let mut state = seed;
+    let mut next = move || {
+        // splitmix64
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let dir = snap.join("cat");
+    let manifest = Catalog::open(&dir, IoStats::new()).unwrap();
+    for name in manifest.relation_names() {
+        let meta = manifest.meta(&name).unwrap();
+        let path = dir.join(&meta.file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let synced = meta.pages.unwrap() as usize * PAGE_SIZE;
+        let unsynced = bytes.len() - synced;
+        let len = (next() % (unsynced + PAGE_SIZE + 1) as u64) as usize;
+        match cut {
+            Cut::Truncated => bytes.truncate(synced + len.min(unsynced)),
+            Cut::Zeroed => {
+                bytes.truncate(synced);
+                bytes.resize(synced + len, 0);
+            }
+            Cut::Random => {
+                bytes.truncate(synced);
+                bytes.extend((0..len).map(|_| next() as u8));
+            }
+        }
+        std::fs::write(&path, bytes).unwrap();
+    }
 }
 
 /// Ingest `rows` in batches of the (cycled) `chunks` sizes, snapshotting
@@ -148,19 +228,36 @@ fn ingest_with_snapshots(
         eng.ingest(cat, "S", rows[start..start + n].to_vec())
             .unwrap();
         start += n;
-        let snap = dir.join(format!("snap-{}", snaps.len()));
-        copy_dir(&dir.join("cat"), &snap.join("cat"));
-        copy_dir(&dir.join("wal"), &snap.join("wal"));
+        let snap = snapshot(dir, &format!("snap-{}", snaps.len()));
         snaps.push((snap, observe(cat, eng), start));
     }
     if seal_at_end {
         eng.seal(cat, "S").unwrap();
-        let snap = dir.join(format!("snap-{}", snaps.len()));
-        copy_dir(&dir.join("cat"), &snap.join("cat"));
-        copy_dir(&dir.join("wal"), &snap.join("wal"));
+        let snap = snapshot(dir, &format!("snap-{}", snaps.len()));
         snaps.push((snap, observe(cat, eng), rows.len()));
     }
     snaps
+}
+
+/// Register `S` in a fresh durable directory and ingest `rows` with a
+/// snapshot after every acknowledged batch (see
+/// [`ingest_with_snapshots`]).
+fn fresh_snapshots(
+    dir: &Path,
+    rows: &[Row],
+    chunks: &[usize],
+    seal_at_end: bool,
+) -> Vec<(PathBuf, Observed, usize)> {
+    let (mut cat, mut eng, fresh) = open(dir, 0);
+    assert_eq!(fresh.relations, 0, "fresh directory has no logs");
+    eng.register(
+        &mut cat,
+        "S",
+        TemporalSchema::time_sequence("Name", "Rank"),
+        StreamOrder::TS_ASC,
+    )
+    .unwrap();
+    ingest_with_snapshots(dir, &mut cat, &mut eng, rows, chunks, seal_at_end)
 }
 
 /// Every snapshot must reopen to exactly its acknowledged state — twice
@@ -204,16 +301,29 @@ proptest! {
     ) {
         let dir = scratch();
         let rows = rows_from(&raw);
-        let (mut cat, mut eng, fresh) = open(&dir, 0);
-        prop_assert_eq!(fresh.relations, 0, "fresh directory has no logs");
-        eng.register(
-            &mut cat,
-            "S",
-            TemporalSchema::time_sequence("Name", "Rank"),
-            StreamOrder::TS_ASC,
-        )
-        .unwrap();
-        let snaps = ingest_with_snapshots(&dir, &mut cat, &mut eng, &rows, &chunks, seal_at_end);
+        let snaps = fresh_snapshots(&dir, &rows, &chunks, seal_at_end);
+        assert_snapshots_recover(&snaps, &rows);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A power cut loses the heap pages appended since the manifest was
+    /// last written — truncated, zeroed or scrambled — and every
+    /// acknowledged boundary still reopens, twice, to exactly its state:
+    /// replay re-applies the promotions from the log.
+    #[test]
+    fn a_power_cut_reopens_every_acknowledged_boundary(
+        raw in proptest::collection::vec((0i64..4, 1i64..30), 1..24),
+        chunks in proptest::collection::vec(1usize..5, 1..8),
+        seal_at_end in any::<bool>(),
+        cuts in proptest::collection::vec((0usize..3, any::<u64>()), 1..8),
+    ) {
+        let dir = scratch();
+        let rows = rows_from(&raw);
+        let snaps = fresh_snapshots(&dir, &rows, &chunks, seal_at_end);
+        for (i, (snap, _, _)) in snaps.iter().enumerate() {
+            let (cut, seed) = cuts[i % cuts.len()];
+            power_cut(snap, CUTS[cut], seed);
+        }
         assert_snapshots_recover(&snaps, &rows);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -238,9 +348,7 @@ proptest! {
         .unwrap();
         eng.ingest(&mut cat, "S", rows.clone()).unwrap();
         let acked = observe(&cat, &eng);
-        let snap = dir.join("snap-torn");
-        copy_dir(&dir.join("cat"), &snap.join("cat"));
-        copy_dir(&dir.join("wal"), &snap.join("wal"));
+        let snap = snapshot(&dir, "snap-torn");
         {
             use std::io::Write as _;
             let mut f = std::fs::OpenOptions::new()
@@ -296,9 +404,7 @@ proptest! {
         let final_len = boundaries.last().unwrap().0;
         let cut = base + (final_len - base) * frac / 1000;
 
-        let snap = dir.join("snap-cut");
-        copy_dir(&dir.join("cat"), &snap.join("cat"));
-        copy_dir(&dir.join("wal"), &snap.join("wal"));
+        let snap = snapshot(&dir, "snap-cut");
         let f = std::fs::OpenOptions::new()
             .write(true)
             .open(snap.join("wal").join("S.wal"))
@@ -366,9 +472,7 @@ fn a_rejected_batch_leaves_nothing_to_recover() {
     assert_eq!(acked.admitted, 1, "{acked:?}");
 
     // Crash: the snapshot holds exactly what reached the disk.
-    let snap = dir.join("snap-crash");
-    copy_dir(&dir.join("cat"), &snap.join("cat"));
-    copy_dir(&dir.join("wal"), &snap.join("wal"));
+    let snap = snapshot(&dir, "snap-crash");
     drop(eng);
     let (mut rcat, mut reng, replayed) = open(&snap, 0);
     assert_eq!(replayed.rows_restaged, 1, "{replayed:?}");
@@ -381,16 +485,198 @@ fn a_rejected_batch_leaves_nothing_to_recover() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every promotion's checkpoint truncates the replayed prefix, so a
-/// reopen replays only the open window. Unit-gap arrivals under slack `w`
-/// leave exactly `w + 1` rows open, which makes the window a controlled
-/// variable: a 4× longer log must barely move the replayed bytes, a 4×
-/// wider window must move them.
+/// One acknowledged step of a two-stream session: a batch into a live
+/// relation, a static load, or the registration of `Y`.
+enum Step {
+    Ingest(&'static str),
+    Load,
+    Register,
+}
+
+/// A snapshot, whether the load had happened, and each live relation's
+/// acknowledged state and row count.
+struct Snap {
+    at: PathBuf,
+    loaded: bool,
+    acked: Vec<(&'static str, Observed, usize)>,
+}
+
+/// `X` promotes, a static relation loads and `Y` registers — as in the
+/// benchmark, where `Y` registers after `X`'s first promotion — and the
+/// two streams interleave. The load and the registration each write the
+/// manifest while `X`'s promotions since its last checkpoint sit unsynced
+/// in its heap, so that write must sync the heap first; and the manifest
+/// then counts promoted rows `X`'s log does not mark as promoted. After a
+/// power cut at every acknowledged boundary (the load's included, before
+/// any checkpoint rewrote `X`'s log), both relations reopen, twice, to
+/// exactly their acknowledged state and rows.
+#[test]
+fn a_registration_after_promotion_survives_a_power_cut() {
+    let dir = scratch();
+    let schema = || TemporalSchema::time_sequence("Name", "Rank");
+    let x_rows = rows_from(&vec![(2, 5); 44]);
+    let y_rows = rows_from(&vec![(3, 4); 24]);
+    let (mut cat, mut eng, _) = open(&dir, 0);
+    eng.register(&mut cat, "X", schema(), StreamOrder::TS_ASC)
+        .unwrap();
+    let mut script: Vec<Step> = (0..4).map(|_| Step::Ingest("X")).collect();
+    script.extend([Step::Load, Step::Ingest("X"), Step::Register]);
+    for _ in 0..6 {
+        script.extend([Step::Ingest("Y"), Step::Ingest("X")]);
+    }
+    let mut snaps: Vec<Snap> = Vec::new();
+    let mut sent = BTreeMap::from([("X", 0usize), ("Y", 0usize)]);
+    for step in script {
+        match step {
+            Step::Ingest(name) => {
+                let rows = if name == "X" { &x_rows } else { &y_rows };
+                let start = sent[name];
+                eng.ingest(&mut cat, name, rows[start..start + 4].to_vec())
+                    .unwrap();
+                sent.insert(name, start + 4);
+            }
+            Step::Load => cat
+                .create_relation("Z", schema(), &y_rows, vec![StreamOrder::TS_ASC])
+                .unwrap(),
+            Step::Register => eng
+                .register(&mut cat, "Y", schema(), StreamOrder::TS_ASC)
+                .unwrap(),
+        }
+        let acked = ["X", "Y"]
+            .into_iter()
+            .filter(|name| eng.is_live(name))
+            .map(|name| (name, observe_rel(&cat, &eng, name), sent[name]))
+            .collect();
+        snaps.push(Snap {
+            at: snapshot(&dir, &format!("snap-{}", snaps.len())),
+            loaded: cat.meta("Z").is_ok(),
+            acked,
+        });
+    }
+    drop(eng);
+    let all = BTreeMap::from([("X", x_rows.clone()), ("Y", y_rows.clone())]);
+    for (i, Snap { at, loaded, acked }) in snaps.iter().enumerate() {
+        power_cut(at, CUTS[i % CUTS.len()], i as u64);
+        for reopen in ["first", "second"] {
+            let (mut cat, mut eng, replayed) = open(at, 0);
+            let case = format!("{} ({reopen} reopen)", at.display());
+            assert_eq!(replayed.relations, acked.len(), "{case}");
+            if *loaded {
+                assert_eq!(cat.scan("Z").unwrap(), y_rows, "{case}");
+            }
+            for (name, state, _) in acked {
+                assert_eq!(&observe_rel(&cat, &eng, name), state, "{case}: {name}");
+            }
+            if reopen == "second" {
+                for (name, _, prefix) in acked {
+                    assert_eq!(
+                        keys_sorted(&drain_rel(&mut cat, &mut eng, name)),
+                        keys_sorted(&all[name][..*prefix]),
+                        "{case}: {name} must hold its acknowledged prefix"
+                    );
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint syncs the heaps, then writes the manifest and syncs its
+/// directory, and only then rewrites the logs. A crash inside it leaves
+/// one of three pairings, each with the heaps as synced: the old manifest
+/// and old log, the new manifest and old log, or both new. Each reopens,
+/// twice, to exactly the acknowledged state. The fourth pairing — the old
+/// manifest with the new log — cannot occur; a reopen would find the
+/// log's checkpoint counting rows the manifest does not hold, a typed
+/// error rather than a silent loss.
+#[test]
+fn every_crash_inside_a_checkpoint_reopens_the_acknowledged_state() {
+    let dir = scratch();
+    let rows = rows_from(&vec![(1, 3); 60]);
+    let (mut cat, mut eng, _) = open(&dir, 2);
+    eng.register(
+        &mut cat,
+        "S",
+        TemporalSchema::time_sequence("Name", "Rank"),
+        StreamOrder::TS_ASC,
+    )
+    .unwrap();
+    for batch in rows.chunks(7) {
+        eng.ingest(&mut cat, "S", batch.to_vec()).unwrap();
+    }
+    let acked = observe(&cat, &eng);
+    assert!(acked.catalog_rows > 0 && acked.staged > 0, "{acked:?}");
+    let old = snapshot(&dir, "old");
+    assert_eq!(eng.checkpoint(&mut cat).unwrap(), 1);
+    assert_eq!(observe(&cat, &eng), acked);
+    let new = snapshot(&dir, "new");
+    drop(eng);
+
+    let pairing = |manifest: &Path, wal: &Path, name: &str| {
+        let at = dir.join(name);
+        copy_dir(&new.join("cat"), &at.join("cat"));
+        std::fs::copy(
+            manifest.join("cat").join("catalog.json"),
+            at.join("cat").join("catalog.json"),
+        )
+        .unwrap();
+        copy_dir(&wal.join("wal"), &at.join("wal"));
+        at
+    };
+    for (manifest, wal, name) in [
+        (&old, &old, "old-old"),
+        (&new, &old, "new-old"),
+        (&new, &new, "new-new"),
+    ] {
+        let at = pairing(manifest, wal, name);
+        for reopen in ["first", "second"] {
+            let (mut cat, mut eng, _) = open(&at, 2);
+            assert_eq!(observe(&cat, &eng), acked, "{name} ({reopen} reopen)");
+            if reopen == "second" {
+                let drained = drain(&mut cat, &mut eng);
+                assert_eq!(keys_sorted(&drained), keys_sorted(&rows), "{name}");
+            }
+        }
+    }
+    let at = pairing(&old, &new, "old-new");
+    assert!(
+        matches!(try_open(&at, 2), Err(TdbError::Corrupt(_))),
+        "a log checkpointed past its manifest must not open"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rows about 1 KiB wide, so a log passes [`CHECKPOINT_BYTES`] within
+/// about a thousand of them; unit gaps, as [`rows_from`] with `(1, 5)`.
+fn wide_rows(n: usize) -> Vec<Row> {
+    let pad = "x".repeat(1_000);
+    (0..n as i64)
+        .map(|i| {
+            Row::new(vec![
+                Value::str(format!("r{i}")),
+                Value::str(pad.as_str()),
+                Value::Time(TimePoint(i)),
+                Value::Time(TimePoint(i + 5)),
+            ])
+        })
+        .collect()
+}
+
+/// A log that passes [`CHECKPOINT_BYTES`] is checkpointed in the same
+/// epoch, so a crash replays at most that many bytes however long the
+/// stream grew: logs 1× and 4× past the bound both replay within it.
+/// Unit-gap arrivals under slack `w` leave exactly `w + 1` rows open,
+/// which makes the window a controlled variable: once a reopen has
+/// compacted the log, the next replays only the open window, so a 4×
+/// longer stream must barely move those bytes and a 4× wider window must
+/// move them.
 #[test]
 fn replay_cost_tracks_the_open_window_not_the_log_length() {
-    let mut replayed = BTreeMap::new();
+    let per_bound = (CHECKPOINT_BYTES / 1_000) as usize;
+    let mut compacted = BTreeMap::new();
     for window in [16usize, 64] {
-        for length in [400usize, 1_600] {
+        for past in [1usize, 4] {
+            let length = past * per_bound + per_bound / 2;
             let dir = scratch();
             {
                 let (mut cat, mut eng, _) = open(&dir, window as i64);
@@ -401,32 +687,47 @@ fn replay_cost_tracks_the_open_window_not_the_log_length() {
                     StreamOrder::TS_ASC,
                 )
                 .unwrap();
-                for batch in rows_from(&vec![(1, 5); length]).chunks(64) {
+                for batch in wide_rows(length).chunks(64) {
                     eng.ingest(&mut cat, "S", batch.to_vec()).unwrap();
                 }
+                let checkpoints = eng.wal_metrics().unwrap().checkpoints.get();
+                assert!(
+                    checkpoints > past as u64,
+                    "{past}× past the bound: registration plus at least {past} \
+                     size-triggered checkpoints, got {checkpoints}"
+                );
             }
-            let (cat, eng, summary) = open(&dir, window as i64);
-            let got = observe(&cat, &eng);
-            let cell = format!("window {window}, log {length}");
-            assert_eq!(got.staged, window + 1, "{cell}");
-            assert_eq!(got.admitted as usize, length, "{cell}");
-            assert_eq!(got.catalog_rows, length - window - 1, "{cell}");
-            replayed.insert((window, length), summary.bytes);
+            let cell = format!("window {window}, log {past}× past the bound");
+            for reopen in ["first", "second"] {
+                let (cat, eng, summary) = open(&dir, window as i64);
+                let got = observe(&cat, &eng);
+                assert_eq!(got.staged, window + 1, "{cell}");
+                assert_eq!(got.admitted as usize, length, "{cell}");
+                assert_eq!(got.catalog_rows, length - window - 1, "{cell}");
+                assert!(
+                    summary.bytes <= CHECKPOINT_BYTES,
+                    "{cell}: the {reopen} reopen replayed {} bytes",
+                    summary.bytes
+                );
+                if reopen == "second" {
+                    compacted.insert((window, past), summary.bytes);
+                }
+            }
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
     for window in [16, 64] {
-        let (short, long) = (replayed[&(window, 400)], replayed[&(window, 1_600)]);
+        let (short, long) = (compacted[&(window, 1)], compacted[&(window, 4)]);
         assert!(
             long <= short + short / 4,
             "window {window}: replayed bytes grew with the log ({short} → {long})"
         );
     }
-    for length in [400, 1_600] {
-        let (narrow, wide) = (replayed[&(16, length)], replayed[&(64, length)]);
+    for past in [1, 4] {
+        let (narrow, wide) = (compacted[&(16, past)], compacted[&(64, past)]);
         assert!(
             wide >= 2 * narrow,
-            "log {length}: a 4× wider window replayed {narrow} → {wide} bytes"
+            "{past}× past the bound: a 4× wider window replayed {narrow} → {wide} bytes"
         );
     }
 }
