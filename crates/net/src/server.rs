@@ -506,8 +506,13 @@ fn serve_conn(conn_id: u64, stream: TcpStream, shared: &Arc<Shared>) {
                 // `\quit` over the wire behaves like Bye after the reply
                 // is delivered.
                 let goodbye = matches!(resp, Response::Goodbye);
-                if let Response::Subscribed(ref sub) = resp {
-                    shared.subs.lock().insert(sub.id, conn_id);
+                match resp {
+                    Response::Subscribed(ref sub) => {
+                        shared.subs.lock().insert(sub.id, conn_id);
+                    }
+                    // A typed `\stats` gets what a `Stats` frame gets.
+                    Response::Stats(ref mut report) => report.net = Some(shared.net_metrics()),
+                    _ => {}
                 }
                 shared.route_deltas(&mut resp);
                 let t = Instant::now();

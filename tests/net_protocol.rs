@@ -979,6 +979,28 @@ fn stats_frame_merges_engine_and_network_counters() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// `\stats` typed into a remote shell travels as an `Input` frame; its
+/// reply carries the network counters just as a `Stats` frame's does.
+#[test]
+fn typed_stats_input_carries_the_network_counters() {
+    let root = std::env::temp_dir().join(format!("tdb-net-typed-stats-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let server = serve(root.join("srv"), "127.0.0.1:0", NetConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let reply = client.request("\\stats").expect("stats");
+    let Response::Stats(stats) = reply else {
+        panic!("expected stats report, got {reply:?}");
+    };
+    let net = stats
+        .net
+        .expect("a typed \\stats must merge the network counters");
+    assert_eq!(net.connections, 1, "{net:?}");
+    assert!(net.frames_in >= 1 && net.bytes_in > 0, "{net:?}");
+    client.close();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 // ---------------------------------------------------------------------------
 // 5. Connection cleanup
 // ---------------------------------------------------------------------------
