@@ -23,7 +23,7 @@
 //! | `guard-across-blocking` | no lock guard lexically live across `.join`/`.send`/`.recv`/`.wait` |
 //! | `streamop-registry` | every `StreamOpKind` variant in `ALL` and `requirement()` |
 //! | `metrics-name` | literal metric names match `^tdb_[a-z0-9_]+$` |
-//! | `no-unsynced-durability-write` | every WAL-crate file write reaches a `sync_data`/`sync_all` in scope |
+//! | `no-unsynced-durability-write` | every WAL-crate and catalog file write reaches a `sync_data`/`sync_all` in scope |
 
 pub mod lexer;
 pub mod rules;

@@ -287,7 +287,8 @@ pub fn streamop_registry(files: &[Prepared], out: &mut Vec<Finding>) {
     }
 }
 
-/// `no-unsynced-durability-write`: in the WAL crate's library paths, a
+/// `no-unsynced-durability-write`: in the WAL crate's library paths and
+/// the catalog (whose manifest write is a checkpoint's commit point), a
 /// file write (`File::create(`, `.write_all(`, `std::fs::write(`) must
 /// have a forward-reachable `sync_data(`/`sync_all(` inside the same
 /// function. Durability code that writes without a sync in reach
@@ -299,7 +300,7 @@ pub fn streamop_registry(files: &[Prepared], out: &mut Vec<Finding>) {
 pub fn no_unsynced_durability_write(p: &Prepared, out: &mut Vec<Finding>) {
     const WRITES: [&str; 3] = ["File::create(", ".write_all(", "std::fs::write("];
     const SYNCS: [&str; 2] = [".sync_data(", ".sync_all("];
-    if !p.path.starts_with("crates/wal/src/") {
+    if !(p.path.starts_with("crates/wal/src/") || p.path == "crates/storage/src/catalog.rs") {
         return;
     }
     for (i, line) in p.code.iter().enumerate() {
@@ -321,7 +322,7 @@ pub fn no_unsynced_durability_write(p: &Prepared, out: &mut Vec<Finding>) {
                 "no-unsynced-durability-write",
                 format!(
                     "`{w}` with no reachable sync_data()/sync_all() in this function: an \
-                     unsynced write in the WAL crate silently weakens \
+                     unsynced write on the durable path silently weakens \
                      acknowledged-means-durable"
                 ),
             ));

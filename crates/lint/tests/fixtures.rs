@@ -307,6 +307,51 @@ pub fn persist(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 #[test]
+fn unsynced_durability_write_covers_the_catalog_manifest() {
+    // A manifest writer that renames without a sync: both writes fire.
+    let bad = r#"
+pub fn persist(dir: &std::path::Path, doc: &str) -> std::io::Result<()> {
+    let mut f = std::fs::File::create(dir.join("catalog.json.tmp"))?;
+    f.write_all(doc.as_bytes())?;
+    std::fs::rename(dir.join("catalog.json.tmp"), dir.join("catalog.json"))
+}
+"#;
+    let findings = lint_files(&[src("crates/storage/src/catalog.rs", bad)]);
+    assert_eq!(
+        rules_of(&findings),
+        [
+            "no-unsynced-durability-write",
+            "no-unsynced-durability-write"
+        ],
+        "{findings:#?}"
+    );
+    assert!(findings[0]
+        .to_string()
+        .starts_with("crates/storage/src/catalog.rs:3:"));
+
+    // The non-durable write is allowed only with its justification.
+    let plain = r"
+pub fn persist(path: &std::path::Path, doc: &str) -> std::io::Result<()> {
+    std::fs::write(path, doc)
+}
+";
+    let findings = lint_files(&[src("crates/storage/src/catalog.rs", plain)]);
+    assert_eq!(
+        rules_of(&findings),
+        ["no-unsynced-durability-write"],
+        "{findings:#?}"
+    );
+    let allowed = r"
+pub fn persist(path: &std::path::Path, doc: &str) -> std::io::Result<()> {
+    // Non-durable: nothing is promised across a crash. lint:allow(no-unsynced-durability-write)
+    std::fs::write(path, doc)
+}
+";
+    let findings = lint_files(&[src("crates/storage/src/catalog.rs", allowed)]);
+    assert!(findings.is_empty(), "{findings:#?}");
+}
+
+#[test]
 fn unsynced_durability_write_accepts_sync_in_scope() {
     let good = r"
 pub fn persist(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
