@@ -13,6 +13,8 @@
 //! these via **Little's law**: the expected number of tuples whose lifespan
 //! spans a sweep point is `λ · E[duration]`.
 
+use crate::jobj;
+use crate::json::Json;
 use crate::period::Period;
 use crate::time::TimePoint;
 use crate::tuple::Temporal;
@@ -169,6 +171,54 @@ impl StatsAccumulator {
         true
     }
 
+    /// How many folded lifespans are still open at the latest start: the
+    /// size of the state [`StatsAccumulator::to_json`] writes beyond a
+    /// fixed handful of numbers.
+    pub fn open_len(&self) -> usize {
+        self.open.len()
+    }
+
+    /// The running terms as a JSON object, so a manifest can keep them
+    /// and a reopened catalog extend them without re-reading its rows.
+    /// The duration sum is a decimal string: it may exceed `i64`.
+    pub fn to_json(&self) -> Json {
+        let open: Vec<i64> = self.open.iter().map(|Reverse(te)| te.0).collect();
+        jobj! {
+            "count" => self.count,
+            "min_ts" => self.min_ts.map(|t| t.0),
+            "max_ts" => self.max_ts.map(|t| t.0),
+            "max_te" => self.max_te.map(|t| t.0),
+            "dur_sum" => self.dur_sum.to_string(),
+            "max_duration" => self.max_duration,
+            "max_concurrency" => self.max_concurrency,
+            "open" => open,
+        }
+    }
+
+    /// Read back what [`StatsAccumulator::to_json`] wrote; `None` for
+    /// anything else.
+    pub fn from_json(j: &Json) -> Option<StatsAccumulator> {
+        let time = |key: &str| match j.get(key)? {
+            Json::Null => Some(None),
+            t => t.as_i64().map(|t| Some(TimePoint(t))),
+        };
+        Some(StatsAccumulator {
+            count: j.get("count")?.as_usize()?,
+            min_ts: time("min_ts")?,
+            max_ts: time("max_ts")?,
+            max_te: time("max_te")?,
+            dur_sum: j.get("dur_sum")?.as_str()?.parse().ok()?,
+            max_duration: j.get("max_duration")?.as_i64()?,
+            max_concurrency: j.get("max_concurrency")?.as_usize()?,
+            open: j
+                .get("open")?
+                .as_array()?
+                .iter()
+                .map(|te| te.as_i64().map(|te| Reverse(TimePoint(te))))
+                .collect::<Option<_>>()?,
+        })
+    }
+
     /// The statistics of everything folded so far.
     pub fn stats(&self) -> TemporalStats {
         let (Some(min_ts), Some(max_ts)) = (self.min_ts, self.max_ts) else {
@@ -257,5 +307,24 @@ mod tests {
         let s = TemporalStats::compute(&[iv(0, 2), iv(0, 4), iv(0, 9)]);
         assert_eq!(s.max_duration, 9);
         assert!((s.mean_duration - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn accumulator_survives_its_json_and_keeps_extending() {
+        let items: Vec<_> = (0..40).map(|i| iv(i * 2, i * 2 + 7 + i % 5)).collect();
+        let (head, rest) = items.split_at(25);
+        let acc = StatsAccumulator::of_sorted(head).unwrap();
+        assert!(acc.open_len() > 1);
+        let text = acc.to_json().to_string_compact();
+        let mut back = StatsAccumulator::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back.stats(), acc.stats());
+        assert!(rest.iter().all(|it| back.push(it.period())));
+        assert_eq!(back.stats(), TemporalStats::compute(&items));
+        let empty = StatsAccumulator::default().to_json();
+        assert_eq!(
+            StatsAccumulator::from_json(&empty).unwrap().stats(),
+            TemporalStats::compute::<TsTuple>(&[])
+        );
+        assert!(StatsAccumulator::from_json(&Json::Null).is_none());
     }
 }

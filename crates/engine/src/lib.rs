@@ -409,10 +409,7 @@ impl Engine {
         }
     }
 
-    /// Replace `name`'s rows with a load. Held subscriptions over it
-    /// switch to re-evaluation first. A live relation's log counts the
-    /// rows its last checkpoint saw in the manifest, which the load
-    /// replaced, so a checkpoint re-bases it on the loaded rows at once.
+    /// Replace `name`'s rows with a load ([`LiveEngine::load`]).
     fn load(
         &mut self,
         name: &str,
@@ -420,13 +417,8 @@ impl Engine {
         rows: &[Row],
         known_orders: Vec<StreamOrder>,
     ) -> TdbResult<()> {
-        self.live.release_held(&self.catalog, name)?;
-        self.catalog
-            .create_relation(name, schema, rows, known_orders)?;
-        if self.live.is_live(name) {
-            self.live.checkpoint(&mut self.catalog)?;
-        }
-        Ok(())
+        self.live
+            .load(&mut self.catalog, name, schema, rows, known_orders)
     }
 
     fn command(&mut self, ctx: &mut ClientState, line: &str) -> Response {

@@ -6,8 +6,8 @@
 //! 1. promote each relation's watermark-closed prefix into the catalog
 //!    heap (order-preserving append — [`Catalog::append_rows`] checks the
 //!    claimed sort orders against the stored tail, in O(promoted rows)),
-//!    and checkpoint once any write-ahead log has grown past
-//!    [`CHECKPOINT_BYTES`];
+//!    and checkpoint once any write-ahead log has grown by more than
+//!    [`CHECKPOINT_BYTES`] since its last checkpoint;
 //! 2. snapshot online statistics as per-relation overrides, and each live
 //!    relation's horizon (what it may still promote);
 //! 3. re-verify every subscription under those statistics and collect
@@ -157,14 +157,8 @@ impl LiveEngine {
                     "wal for `{name}` exists but the catalog does not know the relation"
                 ))
             })?;
-            let (mut rel, held) = LiveRelation::recover(
-                &name,
-                meta.schema.clone(),
-                *order,
-                *slack,
-                &outcome.records,
-                meta.rows as u64,
-            )?;
+            let (mut rel, held) =
+                LiveRelation::recover(&name, *order, *slack, &outcome.records, meta)?;
             let repromoted = promote(&mut rel, catalog)?;
             store
                 .metrics()
@@ -205,14 +199,15 @@ impl LiveEngine {
     /// Checkpoint now and return how many relation logs were rewritten
     /// (0 for a non-durable engine, which has none).
     ///
-    /// The one checkpoint routine, run when a log passes
-    /// [`CHECKPOINT_BYTES`], at registration, at open and on request. It
+    /// The one checkpoint routine, run when a log has grown by more than
+    /// [`CHECKPOINT_BYTES`] since its last checkpoint, at registration,
+    /// around a load of a live relation, at open and on request. It
     /// is engine-wide because the manifest is shared. No log holds
     /// buffered frames between calls (admission and sealing commit), so
     /// every acknowledged row is in the logs already; then
     /// [`Catalog::persist`] syncs every heap appended to since the last
     /// manifest write and replaces the manifest, syncing its directory;
-    /// only then is each log rewritten to `Register · Checkpoint ·
+    /// only then is each log rewritten to `Register · Checkpoint · Heap ·
     /// open suffix`. A crash between the two finds the new manifest with
     /// the old logs, and replay's count reconciliation drops what the
     /// manifest holds.
@@ -222,7 +217,7 @@ impl LiveEngine {
         }
         catalog.persist()?;
         for rel in self.relations.values_mut() {
-            rel.wal_checkpoint(catalog.meta(rel.name())?.rows as u64)?;
+            rel.wal_checkpoint(catalog.meta(rel.name())?)?;
         }
         Ok(self.relations.len())
     }
@@ -304,6 +299,11 @@ impl LiveEngine {
                          so live appends cannot keep its heap sorted"
                     )));
                 }
+                // The log's baseline below counts the rows the catalog
+                // holds now; the manifest must hold them too.
+                if self.wal.is_some() {
+                    catalog.persist()?;
+                }
             }
             Err(_) => catalog.create_relation(name, schema.clone(), &[], vec![order])?,
         }
@@ -312,19 +312,41 @@ impl LiveEngine {
         // nothing; from here on it does, so re-evaluate instead.
         self.release_held(catalog, name)?;
         if let Some(store) = &self.wal {
-            // Make the DDL event durable before the first row arrives;
-            // the checkpoint below pins the baseline to the rows the
-            // catalog already holds, so replay never re-counts them.
-            rel.attach_wal(store.create_log(
-                name,
-                &WalRecord::Register {
-                    order,
-                    slack: self.config.slack,
-                },
-            )?);
+            // Make the DDL event and the baseline — the rows the catalog
+            // already holds, so replay never re-counts them — durable in
+            // one commit, before the first row arrives.
+            rel.attach_wal(store.create_log(name, &rel.log_head(catalog.meta(name)?))?);
         }
         self.relations.insert(name.to_string(), rel);
         self.checkpoint(catalog)?;
+        Ok(())
+    }
+
+    /// Replace `name`'s rows with `rows` (see [`Catalog::create_relation`]).
+    /// Held subscriptions over it switch to re-evaluation first. When
+    /// `name` is live and durable, a checkpoint before the load leaves its
+    /// log holding only rows still staged, and one after it re-bases the
+    /// log on the loaded heap. A crash between the load's manifest rename
+    /// and the second checkpoint finds a log counting in the replaced heap
+    /// file: replay keeps every row it holds staged and counts none as
+    /// promoted, which is the state the load left.
+    pub fn load(
+        &mut self,
+        catalog: &mut Catalog,
+        name: &str,
+        schema: TemporalSchema,
+        rows: &[Row],
+        known_orders: Vec<StreamOrder>,
+    ) -> TdbResult<()> {
+        self.release_held(catalog, name)?;
+        let live = self.is_live(name);
+        if live {
+            self.checkpoint(catalog)?;
+        }
+        catalog.create_relation(name, schema, rows, known_orders)?;
+        if live {
+            self.checkpoint(catalog)?;
+        }
         Ok(())
     }
 
@@ -438,7 +460,7 @@ impl LiveEngine {
         if self
             .relations
             .values()
-            .any(|r| r.log_bytes() > CHECKPOINT_BYTES)
+            .any(|r| r.log_growth() > CHECKPOINT_BYTES)
         {
             self.checkpoint(catalog)?;
         }

@@ -27,6 +27,7 @@ use crate::held::Horizon;
 use tdb_core::{
     PeriodRow, Row, StreamOrder, TdbError, TdbResult, TemporalSchema, TemporalStats, TimePoint,
 };
+use tdb_storage::RelationMeta;
 use tdb_stream::{Progress, Watermark};
 use tdb_wal::{WalLog, WalRecord};
 
@@ -90,27 +91,33 @@ impl LiveRelation {
     /// watermark from the checkpoint head, restage every logged append by
     /// re-observing it (deterministic, so the recovered frontier equals
     /// the pre-crash frontier exactly), then reconcile by count against
-    /// `catalog_rows`, the rows the manifest holds. The checkpoint's
-    /// `promoted` rows were in the catalog when the log was compacted, and
-    /// each promotion since took the watermark-closed rows — all below
-    /// every later arrival — so the catalog's further rows are exactly the
-    /// first ones of the restaged rows in sort order: those are dropped.
-    /// The closed rows left staged are promotions the manifest does not
-    /// hold yet; the caller re-applies them. Returns the relation and how
-    /// many restaged rows the catalog already held.
+    /// `catalog`, what the manifest holds: its row count and heap file. The
+    /// checkpoint's `promoted` rows were in the catalog when the log was
+    /// compacted, and each promotion since took the watermark-closed rows
+    /// — all below every later arrival — so the catalog's further rows are
+    /// exactly the first ones of the restaged rows in sort order: those
+    /// are dropped. The closed rows left staged are promotions the
+    /// manifest does not hold yet; the caller re-applies them.
+    ///
+    /// A log whose checkpoint counts in another heap file than the
+    /// manifest names was written before a load replaced the relation's
+    /// rows. A load checkpoints first, so such a log holds only rows that
+    /// were staged at the load: all of them stay staged, none counts as
+    /// held. Returns the relation and how many restaged rows the catalog
+    /// already held.
     pub(crate) fn recover(
         name: &str,
-        schema: TemporalSchema,
         order: StreamOrder,
         slack: i64,
         records: &[WalRecord],
-        catalog_rows: u64,
+        catalog: &RelationMeta,
     ) -> TdbResult<(LiveRelation, usize)> {
         let corrupt = |i: usize, detail: String| {
             TdbError::Corrupt(format!("wal replay for `{name}`, record #{i}: {detail}"))
         };
-        let mut rel = LiveRelation::new(name, schema, order, slack);
+        let mut rel = LiveRelation::new(name, catalog.schema.clone(), order, slack);
         let mut checkpointed = 0;
+        let mut heap = None;
         for (i, record) in records.iter().enumerate() {
             match record {
                 WalRecord::Register { .. } => {
@@ -127,6 +134,7 @@ impl LiveRelation {
                         Watermark::restore(order.primary.key, slack, *frontier, *sealed);
                     checkpointed = *promoted;
                 }
+                WalRecord::Heap { file } => heap = Some(file.as_str()),
                 WalRecord::Append { row } => {
                     rel.schema.check_row(row)?;
                     let period = rel.schema.period_of(row)?;
@@ -144,8 +152,12 @@ impl LiveRelation {
                 WalRecord::Seal => rel.watermark.seal(),
             }
         }
+        let catalog_rows = catalog.rows as u64;
+        // A log counting in a replaced heap holds none of the loaded rows.
+        let reloaded = heap.is_some_and(|file| file != catalog.file);
+        let baseline = if reloaded { catalog_rows } else { checkpointed };
         let held = catalog_rows
-            .checked_sub(checkpointed)
+            .checked_sub(baseline)
             .and_then(|n| usize::try_from(n).ok())
             .filter(|&n| n <= rel.staged.len())
             .ok_or_else(|| {
@@ -176,44 +188,60 @@ impl LiveRelation {
         self.wal.is_some()
     }
 
-    /// The length of this relation's log on disk, 0 when not durable.
-    pub(crate) fn log_bytes(&self) -> u64 {
-        self.wal.as_ref().map_or(0, WalLog::bytes)
+    /// Bytes this relation's log grew by since its last checkpoint, 0
+    /// when not durable.
+    pub(crate) fn log_growth(&self) -> u64 {
+        self.wal.as_ref().map_or(0, WalLog::bytes_since_rewrite)
     }
 
-    /// Checkpoint: atomically compact the log to `Register` +
-    /// `Checkpoint` + the still-open staged suffix, in sort order.
-    /// `catalog_rows` is what the manifest durably holds for this
+    /// The head of this relation's log as of now: `Register`, then the
+    /// `Checkpoint` counting `catalog`'s rows as promoted, then the `Heap`
+    /// record naming its heap file. `catalog` must be what the manifest
+    /// durably holds for this relation.
+    pub(crate) fn log_head(&self, catalog: &RelationMeta) -> [WalRecord; 3] {
+        [
+            WalRecord::Register {
+                order: self.order,
+                slack: self.slack,
+            },
+            WalRecord::Checkpoint {
+                promoted: catalog.rows as u64,
+                frontier: self.watermark.current(),
+                // Restoring a sealed watermark before re-observing appends
+                // would reject them; when rows remain open the seal is
+                // re-applied by the trailing record instead.
+                sealed: self.watermark.is_sealed() && self.staged.is_empty(),
+            },
+            WalRecord::Heap {
+                file: catalog.file.clone(),
+            },
+        ]
+    }
+
+    /// Checkpoint: atomically compact the log to its head (see
+    /// [`LiveRelation::log_head`]) + the still-open staged suffix, in sort
+    /// order. `catalog` is what the manifest durably holds for this
     /// relation, so call this only once the manifest is written. Replay
     /// cost after this is bounded by the open window, not the stream
     /// length.
-    pub(crate) fn wal_checkpoint(&mut self, catalog_rows: u64) -> TdbResult<()> {
-        let Some(wal) = self.wal.as_mut() else {
+    pub(crate) fn wal_checkpoint(&mut self, catalog: &RelationMeta) -> TdbResult<()> {
+        if self.wal.is_none() {
             return Ok(());
-        };
+        }
         self.order.sort(&mut self.staged);
         let open = &self.staged;
         let sealed = self.watermark.is_sealed();
-        let mut records = Vec::with_capacity(open.len() + 3);
-        records.push(WalRecord::Register {
-            order: self.order,
-            slack: self.slack,
-        });
-        records.push(WalRecord::Checkpoint {
-            promoted: catalog_rows,
-            frontier: self.watermark.current(),
-            // Restoring a sealed watermark before re-observing appends
-            // would reject them; when rows remain open the seal is
-            // re-applied by the trailing record instead.
-            sealed: sealed && open.is_empty(),
-        });
+        let mut records = Vec::with_capacity(open.len() + 4);
+        records.extend(self.log_head(catalog));
         for t in open {
             records.push(WalRecord::Append { row: t.row.clone() });
         }
         if sealed && !open.is_empty() {
             records.push(WalRecord::Seal);
         }
-        wal.rewrite(&records)
+        self.wal
+            .as_mut()
+            .map_or(Ok(()), |wal| wal.rewrite(&records))
     }
 
     /// Relation name.

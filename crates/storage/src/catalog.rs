@@ -172,7 +172,7 @@ fn stats_from_json(j: &Json) -> TdbResult<TemporalStats> {
 }
 
 impl RelationMeta {
-    fn to_json(&self) -> Json {
+    fn to_json(&self, tail: Option<&Tail>) -> Json {
         let orders: Vec<Json> = self
             .known_orders
             .iter()
@@ -187,6 +187,7 @@ impl RelationMeta {
             "stats" => stats_to_json(&self.stats),
             "known_orders" => orders,
             "pages" => self.pages.map(|p| p as i64),
+            "tail" => tail.and_then(Tail::to_json),
         }
     }
 
@@ -223,13 +224,21 @@ impl RelationMeta {
 
 /// What an append needs to know about a stored relation without reading
 /// it: the period of its last row, and — while the stored rows are sorted
-/// on `TS` — the running terms of its statistics. Kept in memory only;
-/// the manifest and heap never see it.
+/// on `TS` — the running terms of its statistics. The manifest keeps it
+/// beside the rows it describes, so the first append after a reopen
+/// (a durable reopen's re-promotion among them) need not scan the heap;
+/// a manifest without one, or with one that does not fit, costs that
+/// scan instead.
 #[derive(Debug, Clone)]
 struct Tail {
     last: Option<Period>,
     stats: Option<StatsAccumulator>,
 }
+
+/// A tail whose statistics hold more open lifespans than this is left
+/// out of the manifest, which is rewritten at every checkpoint: a
+/// relation of mostly overlapping lifespans rebuilds it by a scan.
+const TAIL_OPEN_MAX: usize = 4096;
 
 impl Tail {
     fn of(periods: &[Period]) -> Tail {
@@ -237,6 +246,40 @@ impl Tail {
             last: periods.last().copied(),
             stats: StatsAccumulator::of_sorted(periods),
         }
+    }
+
+    fn to_json(&self) -> Option<Json> {
+        if self
+            .stats
+            .as_ref()
+            .is_some_and(|acc| acc.open_len() > TAIL_OPEN_MAX)
+        {
+            return None;
+        }
+        Some(jobj! {
+            "last" => self.last.map(|p| vec![p.start().0, p.end().0]),
+            "stats" => self.stats.as_ref().map(StatsAccumulator::to_json),
+        })
+    }
+
+    /// Read back what [`Tail::to_json`] wrote for a relation of `rows`
+    /// rows; `None` for anything else, or for a tail that cannot
+    /// describe that many rows.
+    fn from_json(j: &Json, rows: usize) -> Option<Tail> {
+        let last = match j.get("last")? {
+            Json::Null => None,
+            p => match p.as_array()? {
+                [ts, te] => Some(Period::new(ts.as_i64()?, te.as_i64()?).ok()?),
+                _ => return None,
+            },
+        };
+        let stats = match j.get("stats")? {
+            Json::Null => None,
+            acc => Some(StatsAccumulator::from_json(acc)?),
+        };
+        let fits = last.is_some() == (rows > 0)
+            && stats.as_ref().is_none_or(|acc| acc.stats().count == rows);
+        fits.then_some(Tail { last, stats })
     }
 }
 
@@ -280,8 +323,9 @@ type SyncObserver = Arc<dyn Fn(u64) + Send + Sync>;
 pub struct Catalog {
     dir: PathBuf,
     relations: BTreeMap<String, RelationMeta>,
-    /// Per-relation append state, built by one scan on a relation's first
-    /// append after [`Catalog::open`] (or from the rows at creation).
+    /// Per-relation append state: from the rows at creation, else from
+    /// the manifest, else built by one scan on the relation's first
+    /// append after [`Catalog::open`].
     tails: BTreeMap<String, Tail>,
     io: IoStats,
     /// When set, a manifest write goes through write-temp → fsync →
@@ -306,25 +350,28 @@ impl Catalog {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let manifest = dir.join(Self::MANIFEST);
-        let relations = if manifest.exists() {
+        let mut relations = BTreeMap::new();
+        let mut tails = BTreeMap::new();
+        if manifest.exists() {
             let text = std::fs::read_to_string(&manifest)?;
             let doc = Json::parse(&text)
                 .map_err(|e| TdbError::Corrupt(format!("catalog manifest: {e}")))?;
-            let relations = doc
+            for (name, j) in doc
                 .as_object()
                 .ok_or_else(|| corrupt("top level must be an object"))?
-                .iter()
-                .map(|(name, meta)| Ok((name.clone(), RelationMeta::from_json(meta)?)))
-                .collect::<TdbResult<BTreeMap<_, _>>>()?;
+            {
+                let meta = RelationMeta::from_json(j)?;
+                if let Some(tail) = j.get("tail").and_then(|t| Tail::from_json(t, meta.rows)) {
+                    tails.insert(name.clone(), tail);
+                }
+                relations.insert(name.clone(), meta);
+            }
             sweep_heaps(&dir, &relations)?;
-            relations
-        } else {
-            BTreeMap::new()
-        };
+        }
         Ok(Catalog {
             dir,
             relations,
-            tails: BTreeMap::new(),
+            tails,
             io,
             durable: false,
             unsynced: BTreeSet::new(),
@@ -404,7 +451,7 @@ impl Catalog {
         let doc = Json::Object(
             self.relations
                 .iter()
-                .map(|(name, meta)| (name.clone(), meta.to_json()))
+                .map(|(name, meta)| (name.clone(), meta.to_json(self.tails.get(name))))
                 .collect(),
         )
         .to_string_pretty();
@@ -928,6 +975,47 @@ mod tests {
         let cat = Catalog::open_durable(&dir, IoStats::new()).unwrap();
         assert_eq!(cat.scan("R").unwrap(), [at(0, 4), at(5, 6)]);
         assert_stats_match_scan(&cat, "R");
+    }
+
+    #[test]
+    fn the_manifest_keeps_the_tail_so_a_reopened_append_reads_no_page() {
+        let dir = tmpdir("tail-kept");
+        let schema = TemporalSchema::time_sequence("Name", "Rank");
+        let rows: Vec<Row> = (0..2_000).map(|i| at(i, i + 3 + i % 7)).collect();
+        let mut cat = Catalog::open_durable(&dir, IoStats::new()).unwrap();
+        cat.create_relation("R", schema, &rows[..1_500], vec![StreamOrder::TS_ASC])
+            .unwrap();
+        cat.append_rows("R", &rows[1_500..1_800]).unwrap();
+        cat.persist().unwrap();
+        drop(cat);
+        let read_by_append = |dir: &Path| {
+            let io = IoStats::new();
+            let mut cat = Catalog::open_durable(dir, io.clone()).unwrap();
+            let before = io.snapshot();
+            cat.append_rows("R", &rows[1_800..]).unwrap();
+            let read = io.snapshot().since(&before).pages_read;
+            assert_stats_match_scan(&cat, "R");
+            read
+        };
+        let legacy = tmpdir("tail-legacy");
+        std::fs::create_dir_all(&legacy).unwrap();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, legacy.join(path.file_name().unwrap())).unwrap();
+        }
+        assert_eq!(read_by_append(&dir), 0, "the tail came from the manifest");
+        // A manifest written before it kept tails costs one scan.
+        let manifest = legacy.join(Catalog::MANIFEST);
+        let doc = Json::parse(&std::fs::read_to_string(&manifest).unwrap()).unwrap();
+        let Json::Object(mut relations) = doc else {
+            panic!("the manifest is an object");
+        };
+        let Json::Object(fields) = &mut relations[0].1 else {
+            panic!("a relation is an object");
+        };
+        fields.retain(|(key, _)| key != "tail");
+        std::fs::write(&manifest, Json::Object(relations).to_string_pretty()).unwrap();
+        assert!(read_by_append(&legacy) > 0);
     }
 
     #[test]

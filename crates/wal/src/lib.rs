@@ -4,7 +4,8 @@
 //! makes that true for live ingestion. Each live relation gets an
 //! append-only log of CRC-framed [`WalRecord`]s — the DDL registration,
 //! every admitted row (logged *before* it is staged), watermark
-//! advances, the end-of-stream seal, and promotion markers. A crash
+//! advances, the end-of-stream seal, and the checkpoint head naming the
+//! heap file its promoted rows are counted in. A crash
 //! then costs nothing that was acknowledged:
 //!
 //! * **Group commit** ([`FlushPolicy`]): an ingest batch is fsynced once
@@ -14,9 +15,10 @@
 //! * **Checkpoints bound replay by a constant plus the open window.**
 //!   The epoch design makes finality first-class: promoted rows are final,
 //!   so once the catalog holds them durably they can leave the log. When a
-//!   log passes [`CHECKPOINT_BYTES`], [`WalLog::rewrite`] atomically
-//!   replaces it with `Register` + [`WalRecord::Checkpoint`] + the
-//!   still-open suffix. Replay cost is therefore bounded by that constant
+//!   log has grown by more than [`CHECKPOINT_BYTES`] since its last
+//!   rewrite, [`WalLog::rewrite`] atomically replaces it with `Register` +
+//!   [`WalRecord::Checkpoint`] + [`WalRecord::Heap`] + the still-open
+//!   suffix. Replay cost is therefore bounded by that constant
 //!   plus the watermark lag, not the stream length — cheaper than
 //!   ARIES-style redo/undo because promoted rows never need undoing.
 //! * **Torn tails are expected, not fatal.** [`replay`] stops at the

@@ -25,9 +25,13 @@
 //!
 //! ## Size-bounded checkpoints
 //!
-//! [`WalLog::bytes`] is the log's length on disk. The live engine
-//! checkpoints once any log passes [`CHECKPOINT_BYTES`], so what a reopen
-//! replays is bounded by that constant plus the open window.
+//! [`WalLog::bytes`] is the log's length on disk, and
+//! [`WalLog::bytes_since_rewrite`] the part of it committed since the last
+//! [`WalLog::rewrite`]. The live engine checkpoints at the end of the epoch
+//! in which any log has grown by more than [`CHECKPOINT_BYTES`] since its
+//! rewrite, so what a reopen replays is bounded by that constant, plus
+//! the batch that crossed it, plus the open window the rewrite kept. A
+//! window wider than the constant does not make every epoch checkpoint.
 
 use crate::crc::crc32;
 use crate::metrics::WalMetrics;
@@ -43,8 +47,9 @@ use tdb_storage::Codec;
 /// or garbage length word.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// A log longer than this many bytes triggers a checkpoint: the bound
-/// on what replay reads beyond the open window.
+/// A log grown by more than this many bytes since its last rewrite
+/// triggers a checkpoint: the bound on what replay reads beyond the open
+/// window and the last batch.
 pub const CHECKPOINT_BYTES: u64 = 1 << 20;
 
 /// When a log writer forces bytes to stable storage.
@@ -154,6 +159,8 @@ pub struct WalLog {
     file: File,
     /// Length of the file on disk: written frames, not buffered ones.
     bytes: u64,
+    /// Length right after the last rewrite; 0 before one.
+    rewritten: u64,
     buf: BytesMut,
     policy: FlushPolicy,
     metrics: WalMetrics,
@@ -185,6 +192,7 @@ impl WalLog {
             relation: relation.into(),
             path,
             bytes: file.metadata()?.len(),
+            rewritten: 0,
             file,
             buf: BytesMut::new(),
             policy,
@@ -206,6 +214,12 @@ impl WalLog {
     /// next commit are not counted).
     pub fn bytes(&self) -> u64 {
         self.bytes
+    }
+
+    /// Bytes written since the last [`WalLog::rewrite`]: the whole length
+    /// before one.
+    pub fn bytes_since_rewrite(&self) -> u64 {
+        self.bytes - self.rewritten
     }
 
     /// Buffer one record. Under [`FlushPolicy::PerRecord`] the frame is
@@ -284,6 +298,7 @@ impl WalLog {
         }
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.bytes = frames.len() as u64;
+        self.rewritten = self.bytes;
         self.metrics.checkpoints.inc();
         Ok(())
     }
@@ -418,10 +433,13 @@ mod tests {
             rec(98),
             rec(99),
         ];
+        assert_eq!(log.bytes_since_rewrite(), long, "no rewrite yet");
         let fsyncs = metrics.fsyncs.get();
         log.rewrite(&head).unwrap();
         assert!(std::fs::metadata(&path).unwrap().len() < long);
         assert_eq!(log.bytes(), std::fs::metadata(&path).unwrap().len());
+        assert_eq!(log.bytes_since_rewrite(), 0);
+        let head_bytes = log.bytes();
         assert_eq!(metrics.checkpoints.get(), 1);
         assert_eq!(
             metrics.fsyncs.get(),
@@ -438,6 +456,7 @@ mod tests {
         );
         log.commit().unwrap();
         assert_eq!(log.bytes(), std::fs::metadata(&path).unwrap().len());
+        assert_eq!(log.bytes_since_rewrite(), log.bytes() - head_bytes);
         let out = replay(&path).unwrap();
         assert_eq!(out.records.len(), head.len() + 1);
         assert_eq!(out.records[..head.len()], head[..]);

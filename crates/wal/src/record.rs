@@ -3,8 +3,8 @@
 //! Every durable event on a live relation is one [`WalRecord`]: the
 //! relation's registration (the DDL event that starts each log), each
 //! admitted row, watermark advances, the end-of-stream seal, and the
-//! checkpoint that heads a compacted log (plus the promotion marker older
-//! logs carry). Records ride inside CRC-framed envelopes (see [`crate::log`]);
+//! checkpoint that heads a compacted log with the heap file it counts in
+//! (plus the promotion marker older logs carry). Records ride inside CRC-framed envelopes (see [`crate::log`]);
 //! the payload's [`Codec`](tdb_storage::Codec) is written by
 //! `tdb-storage`'s [`wire_enum!`] from the variant list below: a tag
 //! byte, then the variant's fields in order — little-endian,
@@ -56,6 +56,15 @@ pub enum WalRecord {
         /// Whether the stream was sealed.
         sealed: bool,
     },
+    /// Follows a [`WalRecord::Checkpoint`]: the catalog heap file its
+    /// `promoted` rows are counted in, as the manifest named it then. A
+    /// manifest naming another file means a load replaced the relation's
+    /// rows after the checkpoint. Logs written before this record existed
+    /// lack it and are taken to count in the manifest's file.
+    Heap {
+        /// The heap file name, relative to the catalog directory.
+        file: String,
+    },
 }
 
 wire_enum!(WalRecord {
@@ -69,6 +78,7 @@ wire_enum!(WalRecord {
         frontier,
         sealed,
     },
+    8 => Heap { file },
 });
 
 #[cfg(test)]
@@ -105,6 +115,9 @@ mod tests {
                 promoted: 99,
                 frontier: Some(TimePoint(41)),
                 sealed: true,
+            },
+            WalRecord::Heap {
+                file: "S.3.heap".into(),
             },
         ]
     }

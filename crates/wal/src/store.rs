@@ -79,14 +79,17 @@ impl WalStore {
         Ok(names)
     }
 
-    /// Start a fresh log for `relation`, writing and hard-syncing its
-    /// `Register` record so the DDL event is durable before the first
-    /// row arrives. Truncates any stale log of the same name.
-    pub fn create_log(&self, relation: &str, register: &WalRecord) -> TdbResult<WalLog> {
+    /// Start a fresh log for `relation`, writing and syncing its `head`
+    /// records (a `Register` first) in one commit, so the DDL event is
+    /// durable before the first row arrives. Truncates any stale log of
+    /// the same name.
+    pub fn create_log(&self, relation: &str, head: &[WalRecord]) -> TdbResult<WalLog> {
         let path = self.log_path(relation);
         let _ = std::fs::remove_file(&path);
         let mut log = WalLog::open(path, relation, self.policy, self.metrics.clone())?;
-        log.append(register)?;
+        for record in head {
+            log.append(record)?;
+        }
         log.commit()?;
         Ok(log)
     }
@@ -123,8 +126,12 @@ mod tests {
             order: StreamOrder::TS_ASC,
             slack: 0,
         };
-        let _x = store.create_log("X", &register).unwrap();
-        let _y = store.create_log("Y", &register).unwrap();
+        let _x = store
+            .create_log("X", std::slice::from_ref(&register))
+            .unwrap();
+        let _y = store
+            .create_log("Y", std::slice::from_ref(&register))
+            .unwrap();
         assert_eq!(store.existing_logs().unwrap(), vec!["X", "Y"]);
         let out = replay(&store.log_path("X")).unwrap();
         assert_eq!(out.records, vec![register]);

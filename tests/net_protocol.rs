@@ -373,10 +373,13 @@ fn build_wal_record(sel: u8, a: i64, n: u64, name: &str, flag: bool) -> tdb::wal
         },
         3 => WalRecord::Seal,
         4 => WalRecord::Promote { closed: n },
-        _ => WalRecord::Checkpoint {
+        5 => WalRecord::Checkpoint {
             promoted: n,
             frontier: (!flag).then_some(TimePoint(a)),
             sealed: flag,
+        },
+        _ => WalRecord::Heap {
+            file: name.to_string(),
         },
     }
 }
@@ -451,7 +454,7 @@ proptest! {
     /// CRC-valid frame never replays a record its writer did not log.
     #[test]
     fn wal_records_round_trip_and_reject_damage(
-        sel in 0u8..6,
+        sel in 0u8..7,
         a in i64::MIN..i64::MAX,
         n in any::<u64>(),
         chars in proptest::collection::vec(97u8..123, 0..12),
@@ -2185,6 +2188,12 @@ fn golden_wal_records() -> Vec<(&'static str, tdb::wal::WalRecord)> {
                 sealed: false,
             },
         ),
+        (
+            "heap",
+            WalRecord::Heap {
+                file: "S.2.heap".into(),
+            },
+        ),
     ]
 }
 
@@ -2454,4 +2463,5 @@ const GOLDEN_WAL: &[(&str, &str)] = &[
     ("promote", "05d204000000000000"),
     ("checkpoint", "06630000000000000001290000000000000001"),
     ("checkpoint_empty", "0600000000000000000000"),
+    ("heap", "0808000000532e322e68656170"),
 ];

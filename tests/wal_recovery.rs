@@ -19,12 +19,16 @@
 //! checkpoint can leave. A deterministic matrix checks that replay reads
 //! at most the checkpoint bound, and only the open window once compacted.
 //! A bulk reload killed on either side of its manifest rename reopens
-//! exactly the rows that rename committed.
+//! exactly the rows that rename committed. Snapshots taken at every
+//! catalog sync inside a registration and inside a load of a live
+//! relation — between the new log or manifest and the checkpoint that
+//! re-bases the logs — reopen the state before or after the step.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use tdb::live::{LiveConfig, LiveEngine, ReplaySummary};
 use tdb::prelude::*;
 use tdb::storage::{Catalog, IoStats, PAGE_SIZE};
@@ -581,6 +585,179 @@ fn a_registration_after_promotion_survives_a_power_cut() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// From now on, snapshot `dir` (see [`snapshot`]) at every sync `cat`
+/// makes, as `sync-0`, `sync-1`, …: each is what a crash right after that
+/// sync leaves, page cache included. Returns the shared snapshot count.
+fn snapshot_at_every_sync(cat: &mut Catalog, dir: &Path) -> Arc<AtomicUsize> {
+    let taken = Arc::new(AtomicUsize::new(0));
+    let (count, dir) = (Arc::clone(&taken), dir.to_path_buf());
+    cat.observe_syncs(move |_| {
+        let k = count.fetch_add(1, Ordering::Relaxed);
+        snapshot(&dir, &format!("sync-{k}"));
+    });
+    taken
+}
+
+/// The heap file the log of `name` in the snapshot at `snap` counts its
+/// checkpoint's promoted rows in, if it names one.
+fn logged_heap(snap: &Path, name: &str) -> Option<String> {
+    let log = tdb::wal::replay(&snap.join("wal").join(format!("{name}.wal"))).unwrap();
+    log.records.into_iter().rev().find_map(|r| match r {
+        WalRecord::Heap { file } => Some(file),
+        _ => None,
+    })
+}
+
+/// Registering a relation that already holds rows writes a log whose
+/// baseline counts those rows, then checkpoints. A crash at any catalog
+/// sync in between — while `X`'s promotions since its last checkpoint sit
+/// unsynced in its heap — reopens, twice, with `X` exactly acknowledged
+/// and `B` either static or live over its rows, never as an error.
+#[test]
+fn a_crash_inside_a_registration_reopens_before_or_after_it() {
+    let dir = scratch();
+    let schema = || TemporalSchema::time_sequence("Name", "Rank");
+    let x_rows = rows_from(&vec![(2, 5); 24]);
+    let b_rows: Vec<Row> = rows_from(&vec![(1, 3); 30])
+        .into_iter()
+        .map(|r| {
+            let mut v = r.values().to_vec();
+            v[0] = Value::str(format!("b-{}", key(&r).0));
+            Row::new(v)
+        })
+        .collect();
+    let (mut cat, mut eng, _) = open(&dir, 0);
+    eng.register(&mut cat, "X", schema(), StreamOrder::TS_ASC)
+        .unwrap();
+    eng.ingest(&mut cat, "X", x_rows[..12].to_vec()).unwrap();
+    cat.create_relation("B", schema(), &b_rows, vec![StreamOrder::TS_ASC])
+        .unwrap();
+    eng.ingest(&mut cat, "X", x_rows[12..].to_vec()).unwrap();
+    let acked = observe_rel(&cat, &eng, "X");
+    assert!(acked.catalog_rows > 0, "{acked:?}");
+    let taken = snapshot_at_every_sync(&mut cat, &dir);
+    eng.register(&mut cat, "B", schema(), StreamOrder::TS_ASC)
+        .unwrap();
+    drop(eng);
+    let mut live_at_reopen = 0;
+    for k in 0..taken.load(Ordering::Relaxed) {
+        let at = dir.join(format!("sync-{k}"));
+        power_cut(&at, CUTS[k % CUTS.len()], k as u64);
+        for reopen in ["first", "second"] {
+            let case = format!("{} ({reopen} reopen)", at.display());
+            let (mut cat, mut eng, _) = try_open(&at, 0).unwrap_or_else(|e| panic!("{case}: {e}"));
+            assert_eq!(observe_rel(&cat, &eng, "X"), acked, "{case}");
+            assert_eq!(cat.scan("B").unwrap(), b_rows, "{case}");
+            if let Some(b) = eng.relation("B") {
+                live_at_reopen += 1;
+                assert_eq!((b.staged_len(), b.watermark()), (0, None), "{case}");
+                assert_eq!(b.promoted() as usize, b_rows.len(), "{case}");
+            }
+            if reopen == "second" {
+                assert_eq!(
+                    keys_sorted(&drain_rel(&mut cat, &mut eng, "X")),
+                    keys_sorted(&x_rows),
+                    "{case}"
+                );
+            }
+        }
+    }
+    assert!(
+        live_at_reopen > 0,
+        "some sync must fall between the new log and its checkpoint"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A load that replaces a live relation's rows checkpoints before and
+/// after its manifest rename. A crash at any catalog sync inside it — in
+/// particular after the rename, while the log still counts in the
+/// replaced heap — reopens, twice, to the state before the load or the
+/// state after it: the same watermark and open rows, over the old
+/// promoted rows or the loaded ones.
+#[test]
+fn a_crash_inside_a_live_reload_reopens_before_or_after_it() {
+    let dir = scratch();
+    let schema = || TemporalSchema::time_sequence("Name", "Rank");
+    let rows = rows_from(&vec![(2, 5); 40]);
+    let loaded: Vec<Row> = (0..25)
+        .map(|i| {
+            Row::new(vec![
+                Value::str(format!("z{i}")),
+                Value::str("Assistant"),
+                Value::Time(TimePoint(-100 + i)),
+                Value::Time(TimePoint(-90 + i)),
+            ])
+        })
+        .collect();
+    let (mut cat, mut eng, _) = open(&dir, 6);
+    eng.register(&mut cat, "S", schema(), StreamOrder::TS_ASC)
+        .unwrap();
+    for batch in rows.chunks(5) {
+        eng.ingest(&mut cat, "S", batch.to_vec()).unwrap();
+    }
+    let state = |cat: &Catalog, eng: &LiveEngine| {
+        let rel = eng.relation("S").unwrap();
+        (
+            rel.watermark(),
+            rel.staged_len(),
+            cat.meta("S").unwrap().rows,
+        )
+    };
+    let before = state(&cat, &eng);
+    assert!(before.1 > 0 && before.2 > 0, "{before:?}");
+    let open_rows: Vec<Row> = rows[rows.len() - before.1..].to_vec();
+    let taken = snapshot_at_every_sync(&mut cat, &dir);
+    eng.load(&mut cat, "S", schema(), &loaded, vec![StreamOrder::TS_ASC])
+        .unwrap();
+    let after = state(&cat, &eng);
+    assert_eq!(after, (before.0, before.1, loaded.len()));
+    drop(eng);
+    let (mut old, mut new, mut rebasing) = (0, 0, 0);
+    for k in 0..taken.load(Ordering::Relaxed) {
+        let at = dir.join(format!("sync-{k}"));
+        let heap = Catalog::open(at.join("cat"), IoStats::new())
+            .unwrap()
+            .meta("S")
+            .unwrap()
+            .file
+            .clone();
+        if logged_heap(&at, "S").is_some_and(|f| f != heap) {
+            rebasing += 1;
+        }
+        power_cut(&at, CUTS[k % CUTS.len()], k as u64);
+        for reopen in ["first", "second"] {
+            let case = format!("{} ({reopen} reopen)", at.display());
+            let (mut cat, mut eng, _) = try_open(&at, 6).unwrap_or_else(|e| panic!("{case}: {e}"));
+            let got = state(&cat, &eng);
+            let want = if got == after {
+                new += 1;
+                [&loaded[..], &open_rows].concat()
+            } else {
+                assert_eq!(got, before, "{case}");
+                old += 1;
+                rows.clone()
+            };
+            if reopen == "second" {
+                assert_eq!(
+                    keys_sorted(&drain(&mut cat, &mut eng)),
+                    keys_sorted(&want),
+                    "{case}"
+                );
+            }
+        }
+    }
+    assert!(
+        old > 0 && new > 0,
+        "{old} reopens before the load, {new} after"
+    );
+    assert!(
+        rebasing > 0,
+        "some sync must fall between the rename and the log's re-basing"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A checkpoint syncs the heaps, then writes the manifest and syncs its
 /// directory, and only then rewrites the logs. A crash inside it leaves
 /// one of three pairings, each with the heaps as synced: the old manifest
@@ -662,14 +839,15 @@ fn wide_rows(n: usize) -> Vec<Row> {
         .collect()
 }
 
-/// A log that passes [`CHECKPOINT_BYTES`] is checkpointed in the same
-/// epoch, so a crash replays at most that many bytes however long the
-/// stream grew: logs 1× and 4× past the bound both replay within it.
-/// Unit-gap arrivals under slack `w` leave exactly `w + 1` rows open,
-/// which makes the window a controlled variable: once a reopen has
-/// compacted the log, the next replays only the open window, so a 4×
-/// longer stream must barely move those bytes and a 4× wider window must
-/// move them.
+/// A log that grows by more than [`CHECKPOINT_BYTES`] since its last
+/// checkpoint is checkpointed in the same epoch, so a reopen replays at
+/// most that many bytes plus the open window the last checkpoint kept,
+/// however long the stream grew: logs 1× and 4× past the bound both
+/// replay within it. Unit-gap arrivals under slack `w` leave exactly
+/// `w + 1` rows open, which makes the window a controlled variable: once
+/// a reopen has compacted the log, the next replays only the open window,
+/// so a 4× longer stream must barely move those bytes and a 4× wider
+/// window must move them.
 #[test]
 fn replay_cost_tracks_the_open_window_not_the_log_length() {
     let per_bound = (CHECKPOINT_BYTES / 1_000) as usize;
@@ -698,21 +876,22 @@ fn replay_cost_tracks_the_open_window_not_the_log_length() {
                 );
             }
             let cell = format!("window {window}, log {past}× past the bound");
-            for reopen in ["first", "second"] {
+            let replayed = ["first", "second"].map(|_| {
                 let (cat, eng, summary) = open(&dir, window as i64);
                 let got = observe(&cat, &eng);
                 assert_eq!(got.staged, window + 1, "{cell}");
                 assert_eq!(got.admitted as usize, length, "{cell}");
                 assert_eq!(got.catalog_rows, length - window - 1, "{cell}");
-                assert!(
-                    summary.bytes <= CHECKPOINT_BYTES,
-                    "{cell}: the {reopen} reopen replayed {} bytes",
-                    summary.bytes
-                );
-                if reopen == "second" {
-                    compacted.insert((window, past), summary.bytes);
-                }
-            }
+                summary.bytes
+            });
+            // The second reopen replays the compacted log: the open window.
+            assert!(
+                replayed[0] <= CHECKPOINT_BYTES + replayed[1],
+                "{cell}: the first reopen replayed {} bytes, the window is {}",
+                replayed[0],
+                replayed[1]
+            );
+            compacted.insert((window, past), replayed[1]);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -730,6 +909,50 @@ fn replay_cost_tracks_the_open_window_not_the_log_length() {
             "{past}× past the bound: a 4× wider window replayed {narrow} → {wide} bytes"
         );
     }
+}
+
+/// The trigger counts the bytes a log grew by since its last checkpoint,
+/// not its length: an open window wider than [`CHECKPOINT_BYTES`] (no row
+/// ever closes under this slack) is rewritten once per bound's worth of
+/// new rows, not at every epoch.
+#[test]
+fn a_window_wider_than_the_bound_does_not_checkpoint_every_epoch() {
+    const NO_CLOSE: i64 = 1 << 40;
+    let dir = scratch();
+    let rows = wide_rows(3 * CHECKPOINT_BYTES as usize / 1_000);
+    let (mut cat, mut eng, _) = open(&dir, NO_CLOSE);
+    eng.register(
+        &mut cat,
+        "S",
+        TemporalSchema::time_sequence("Name", "Rank"),
+        StreamOrder::TS_ASC,
+    )
+    .unwrap();
+    let checkpoints = |eng: &LiveEngine| eng.wal_metrics().unwrap().checkpoints.get();
+    let start = checkpoints(&eng);
+    let mut at = Vec::new();
+    for (epoch, batch) in rows.chunks(64).enumerate() {
+        let before = checkpoints(&eng);
+        eng.ingest(&mut cat, "S", batch.to_vec()).unwrap();
+        if checkpoints(&eng) > before {
+            at.push(epoch);
+        }
+    }
+    // About 3 MiB of rows in 64 KiB batches: one checkpoint per 1 MiB.
+    assert_eq!(checkpoints(&eng) - start, at.len() as u64);
+    assert!(
+        (2..=3).contains(&at.len()),
+        "checkpoints after epochs {at:?}"
+    );
+    assert!(
+        at.windows(2).all(|w| w[1] - w[0] >= 15),
+        "checkpoints after epochs {at:?}"
+    );
+    drop(eng);
+    let (cat, eng, _) = open(&dir, NO_CLOSE);
+    let got = observe(&cat, &eng);
+    assert_eq!((got.staged, got.catalog_rows), (rows.len(), 0), "{got:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every file directly in `dir`, by name.
